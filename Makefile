@@ -102,8 +102,8 @@ cover:
 
 # merkle runs the Merkle-authenticated namespace's full verification
 # surface: the tree/proof unit and property tests, the seeded
-# merkle-vs-flat-table oracle, and the adversarial rollback/fork suite
-# (internal/enclave/rollback_test.go), all under the race detector.
+# enclave-vs-namespace-model stream, and the adversarial rollback/fork
+# suite (internal/enclave/rollback_test.go), all under the race detector.
 # Reproduce a property failure with NEXUS_MERKLE_SEED=<seed>. See
 # DESIGN.md §15.
 merkle:
@@ -112,13 +112,12 @@ merkle:
 	$(GO) test -race -count=1 -run 'TestMerkle|TestRollback|TestFork|TestProofTampering|TestRootObject|TestPropertyMerkle' ./internal/enclave/
 
 # freshness-sweep reproduces the DESIGN.md §15 freshness-at-scale sweep
-# (10^3–10^6 objects) comparing per-load Merkle proof verification
-# (O(log n) evidence, 40-byte enclave state) against the flat version
-# table (O(n) both), and writes the rows into the JSON report for
-# nexus-benchdiff (informational proof_bytes/op column).
+# (10^3–10^6 objects): per-load Merkle proof verification (O(log n)
+# evidence, 40-byte enclave state), and writes the rows into the JSON
+# report for nexus-benchdiff (informational proof_bytes/op column).
 freshness-sweep:
 	$(GO) run ./cmd/nexus-bench -exp freshness -json \
-		-objects 1000,10000,100000,1000000 -freshmode both
+		-objects 1000,10000,100000,1000000
 
 # revoke-sweep reproduces the §VII-E membership sweep (10^3–10^6 users)
 # comparing the subgroup key tree's O(log n) revocation against the

@@ -12,10 +12,9 @@
 // Prometheus text metrics at /metrics, expvar JSON at /debug/vars, and
 // the standard pprof profiles under /debug/pprof/.
 //
-// Clients mount volumes with Merkle-authenticated freshness by default
-// (DESIGN.md §15); the server needs no cooperation for it — rollback
-// proofs are ordinary objects — and legacy flat-table mounts
-// (`nexus -freshness-flat`) keep working against the same server.
+// Clients mount volumes with Merkle-authenticated freshness (DESIGN.md
+// §15); the server needs no cooperation for it — the sealed root and
+// the proof tree are ordinary objects.
 package main
 
 import (

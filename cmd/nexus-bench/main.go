@@ -8,7 +8,7 @@
 //	            [-entries N] [-transition duration] [-no-cache]
 //	            [-workers N] [-json] [-out FILE] [-crypto-workers LIST]
 //	            [-crypto-bytes N] [-members LIST] [-groupmode tree|flat|both]
-//	            [-objects LIST] [-freshmode merkle|flat|both]
+//	            [-objects LIST]
 //
 // -exp also accepts a comma-separated list (e.g. -exp fileio,crypto) so
 // one report — and therefore one benchdiff gate — can cover several
@@ -65,7 +65,6 @@ func run() error {
 	members := flag.String("members", "1000,10000,100000,1000000", "comma-separated membership sizes for the revoke-sweep experiment")
 	groupMode := flag.String("groupmode", "both", "revoke-sweep structures: tree|flat|both (flat is the O(n) re-wrap baseline)")
 	objects := flag.String("objects", "1000,10000,100000,1000000", "comma-separated namespace sizes for the freshness experiment")
-	freshMode := flag.String("freshmode", "both", "freshness schemes: merkle|flat|both (flat is the O(n) version-table baseline)")
 	flag.Parse()
 
 	cfg := bench.Config{
@@ -201,7 +200,7 @@ func run() error {
 			}
 			counts = append(counts, n)
 		}
-		rows, err := bench.FreshnessSweep(counts, *freshMode, *runs*100)
+		rows, err := bench.FreshnessSweep(counts, *runs*100)
 		if err != nil {
 			return fmt.Errorf("freshness: %w", err)
 		}

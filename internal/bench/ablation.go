@@ -18,10 +18,9 @@ type AblationRow struct {
 }
 
 // Ablation quantifies the design choices DESIGN.md calls out: dirnode
-// bucket size, the in-enclave metadata cache, the simulated SGX
-// transition cost, and the optional volume-wide freshness table
-// (§VI-C). Each variant runs the same create+delete workload on its own
-// freshly built testbed.
+// bucket size, the in-enclave metadata cache, and the simulated SGX
+// transition cost. Each variant runs the same create+delete workload on
+// its own freshly built testbed.
 func Ablation(base Config, files int) ([]AblationRow, error) {
 	if files <= 0 {
 		files = 256
@@ -37,10 +36,6 @@ func Ablation(base Config, files int) ([]AblationRow, error) {
 		{"metadata cache off", func(c *Config) { c.DisableMetadataCache = true }},
 		{"transition cost 0", func(c *Config) { c.TransitionCost = -1 }},
 		{"transition cost 50µs", func(c *Config) { c.TransitionCost = 50 * time.Microsecond }},
-		// The base stack runs the default Merkle freshness namespace;
-		// this arm swaps in the legacy flat table (the differential
-		// oracle) to expose the O(n)-table-vs-O(log n)-proof tradeoff.
-		{"freshness flat table", func(c *Config) { c.FreshnessFlat = true }},
 	}
 
 	rows := make([]AblationRow, 0, len(variants))

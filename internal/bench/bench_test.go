@@ -190,32 +190,22 @@ func TestRevocationExperiment(t *testing.T) {
 
 func TestAblationExperiment(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ablation builds seven testbeds")
+		t.Skip("ablation builds six testbeds")
 	}
 	rows, err := Ablation(Config{Loopback: true, Runs: 1, Scale: 1 << 10}, 24)
 	if err != nil {
 		t.Fatalf("Ablation: %v", err)
 	}
-	if len(rows) != 7 {
-		t.Fatalf("rows = %d, want 7", len(rows))
+	if len(rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(rows))
 	}
 	if rows[0].RelativeToBase != 1.0 {
 		t.Fatalf("baseline relative = %f", rows[0].RelativeToBase)
 	}
-	var freshness *AblationRow
 	for i := range rows {
-		if rows[i].Nexus <= 0 {
-			t.Fatalf("non-positive latency: %+v", rows[i])
+		if rows[i].Nexus <= 0 || rows[i].RelativeToBase <= 0 {
+			t.Fatalf("unmeasured variant: %+v", rows[i])
 		}
-		if strings.Contains(rows[i].Variant, "freshness") {
-			freshness = &rows[i]
-		}
-	}
-	// The flat-table arm swaps freshness implementations against the
-	// Merkle default, so its relative cost can land either side of 1.0
-	// at this tiny scale — it just has to have run and measured.
-	if freshness == nil || freshness.RelativeToBase <= 0 {
-		t.Fatalf("freshness ablation missing or unmeasured: %+v", freshness)
 	}
 	var out bytes.Buffer
 	PrintAblation(&out, 24, rows)

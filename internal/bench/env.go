@@ -42,16 +42,6 @@ type Config struct {
 	CryptoWorkers int
 	// DisableMetadataCache ablates the in-enclave metadata cache.
 	DisableMetadataCache bool
-	// FreshnessFlat opts the stack out of the default Merkle freshness
-	// namespace into the legacy flat version table (§VI-C), the
-	// `-exp freshness` baseline. FreshnessTree is its pre-rename
-	// spelling, kept so existing sweep configs still parse.
-	FreshnessFlat bool
-	FreshnessTree bool
-	// FreshnessMerkle names the default Merkle-authenticated namespace
-	// explicitly (DESIGN.md §15). Mutually exclusive with
-	// FreshnessFlat.
-	FreshnessMerkle bool
 	// ContentDefined stores file contents as deduplicated
 	// content-defined chunks (DESIGN.md §16) — the `dedup` experiment's
 	// CDC arm.
@@ -148,9 +138,6 @@ func NewEnv(cfg Config) (*Env, error) {
 		CryptoWorkers:        cfg.CryptoWorkers,
 		TransitionCost:       cfg.TransitionCost,
 		DisableMetadataCache: cfg.DisableMetadataCache,
-		FreshnessFlat:        cfg.FreshnessFlat,
-		FreshnessTree:        cfg.FreshnessTree,
-		FreshnessMerkle:      cfg.FreshnessMerkle,
 		ContentDefined:       cfg.ContentDefined,
 		WritebackMode:        cfg.Writeback,
 		Obs:                  env.Obs,

@@ -7,53 +7,39 @@ import (
 	"time"
 
 	"nexus/internal/merkle"
-	"nexus/internal/serial"
 	"nexus/internal/uuid"
 )
 
 // FreshnessRow is one cell of the freshness-at-scale sweep: the cost of
-// verifying ONE metadata load's freshness at a given namespace size,
-// under the Merkle-authenticated namespace ("merkle", DESIGN.md §15) or
-// the flat version table it replaces ("flat", §VI-C).
+// verifying ONE metadata load's freshness at a given namespace size
+// under the Merkle-authenticated namespace (DESIGN.md §15).
 type FreshnessRow struct {
-	Mode    string
 	Objects int
 	// NsPerOp is the time to produce, transfer-decode, and verify the
 	// freshness evidence for one load.
 	NsPerOp float64
 	// BytesPerOp is the evidence transferred per load: one encoded
-	// proof (merkle) vs the whole encoded table (flat).
+	// proof.
 	BytesPerOp float64
 	// StateBytes is the enclave-resident state the scheme needs: root
-	// hash + epoch (merkle) vs the full uuid→version map (flat).
+	// hash + epoch.
 	StateBytes int64
 }
 
 // freshnessSweepSeed pins the sweep's namespace contents; the sweep is
-// a pure function of (counts, mode, runs).
+// a pure function of (counts, runs).
 const freshnessSweepSeed = 0x5eed
 
 // merkleStateBytes is the enclave-resident commitment: a 32-byte root
 // plus an 8-byte epoch.
 const merkleStateBytes = merkle.HashSize + 8
 
-// flatEntryBytes is one uuid→version entry resident in the enclave (and
-// on the wire) under the flat design.
-const flatEntryBytes = uuid.Size + 8
-
 // FreshnessSweep measures per-load freshness verification across
 // namespace sizes (the 10^3–10^6 sweep), driving the data structures
-// directly — the structural costs are a property of the schemes alone,
-// independent of the network simulation. mode selects "merkle", "flat",
-// or "both". runs loads are verified per cell and averaged; the flat
-// side's runs are capped so the largest cells stay tractable (every
-// flat load decodes the entire table, which is exactly the point).
-func FreshnessSweep(counts []int, mode string, runs int) ([]FreshnessRow, error) {
-	switch mode {
-	case "merkle", "flat", "both":
-	default:
-		return nil, fmt.Errorf("bench: unknown freshness mode %q (want merkle|flat|both)", mode)
-	}
+// directly — the structural costs are a property of the scheme alone,
+// independent of the network simulation. runs loads are verified per
+// cell and averaged.
+func FreshnessSweep(counts []int, runs int) ([]FreshnessRow, error) {
 	if runs < 1 {
 		runs = 1
 	}
@@ -67,33 +53,19 @@ func FreshnessSweep(counts []int, mode string, runs int) ([]FreshnessRow, error)
 		for i := range ids {
 			rng.Read(ids[i][:])
 		}
-		if mode != "flat" {
-			row, err := sweepMerkleLoads(ids, rng, runs)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
+		row, err := sweepMerkleLoads(ids, rng, runs)
+		if err != nil {
+			return nil, err
 		}
-		if mode != "merkle" {
-			flatRuns := runs
-			// Bound total decode work to ~64M entries per cell.
-			if max := 1 + (64 << 20 / n); flatRuns > max {
-				flatRuns = max
-			}
-			row, err := sweepFlatLoads(ids, rng, flatRuns)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// sweepMerkleLoads measures one load verification under the merkle
-// scheme: the untrusted side proves the object's leaf, the proof
-// crosses the trust boundary encoded, and the enclave decodes and
-// verifies it against its 40-byte commitment.
+// sweepMerkleLoads measures one load verification: the untrusted side
+// proves the object's leaf, the proof crosses the trust boundary
+// encoded, and the enclave decodes and verifies it against its 40-byte
+// commitment.
 func sweepMerkleLoads(ids []uuid.UUID, rng *rand.Rand, runs int) (FreshnessRow, error) {
 	tree := merkle.New()
 	for i, id := range ids {
@@ -116,7 +88,6 @@ func sweepMerkleLoads(ids []uuid.UUID, rng *rand.Rand, runs int) (FreshnessRow, 
 	}
 	elapsed := time.Since(start)
 	return FreshnessRow{
-		Mode:       "merkle",
 		Objects:    len(ids),
 		NsPerOp:    float64(elapsed.Nanoseconds()) / float64(runs),
 		BytesPerOp: float64(bytes) / float64(runs),
@@ -124,58 +95,13 @@ func sweepMerkleLoads(ids []uuid.UUID, rng *rand.Rand, runs int) (FreshnessRow, 
 	}, nil
 }
 
-// sweepFlatLoads models the flat design's load path: the entire
-// uuid→version table crosses the trust boundary and is decoded before
-// the one version of interest can be checked. The wire shape mirrors
-// the enclave's table object (seq, count, fixed-width entries).
-func sweepFlatLoads(ids []uuid.UUID, rng *rand.Rand, runs int) (FreshnessRow, error) {
-	w := serial.NewWriter(8 + 4 + len(ids)*flatEntryBytes)
-	w.WriteUint64(uint64(len(ids))) // seq
-	w.WriteUint32(uint32(len(ids)))
-	for i, id := range ids {
-		w.WriteRaw(id[:])
-		w.WriteUint64(uint64(i + 1))
-	}
-	blob := w.Bytes()
-
-	var bytes int64
-	start := time.Now()
-	for i := 0; i < runs; i++ {
-		want := ids[rng.Intn(len(ids))]
-		bytes += int64(len(blob))
-		r := serial.NewReader(blob)
-		r.ReadUint64("seq")
-		count := r.ReadCount(1<<24, "entries")
-		versions := make(map[uuid.UUID]uint64, count)
-		var id uuid.UUID
-		for j := 0; j < count; j++ {
-			r.ReadRawInto(id[:], "id")
-			versions[id] = r.ReadUint64("version")
-		}
-		if err := r.Finish(); err != nil {
-			return FreshnessRow{}, fmt.Errorf("bench: flat sweep at n=%d: %w", len(ids), err)
-		}
-		if _, ok := versions[want]; !ok {
-			return FreshnessRow{}, fmt.Errorf("bench: flat sweep at n=%d: lookup missed", len(ids))
-		}
-	}
-	elapsed := time.Since(start)
-	return FreshnessRow{
-		Mode:       "flat",
-		Objects:    len(ids),
-		NsPerOp:    float64(elapsed.Nanoseconds()) / float64(runs),
-		BytesPerOp: float64(bytes) / float64(runs),
-		StateBytes: int64(len(ids)) * flatEntryBytes,
-	}, nil
-}
-
 // PrintFreshness renders the freshness-at-scale sweep.
 func PrintFreshness(w io.Writer, rows []FreshnessRow) {
 	fmt.Fprintln(w, "DESIGN.md §15 — Freshness verification vs namespace size (per metadata load)")
-	fmt.Fprintf(w, "%-8s %10s %12s %14s %14s\n", "mode", "objects", "time/op", "bytes/op", "enclave state")
+	fmt.Fprintf(w, "%10s %12s %14s %14s\n", "objects", "time/op", "proof bytes/op", "enclave state")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %10d %12s %14s %14s\n",
-			r.Mode, r.Objects, fmtDur(time.Duration(r.NsPerOp)),
+		fmt.Fprintf(w, "%10d %12s %14s %14s\n",
+			r.Objects, fmtDur(time.Duration(r.NsPerOp)),
 			fmtBytes(int64(r.BytesPerOp)), fmtBytes(r.StateBytes))
 	}
 	fmt.Fprintln(w)
@@ -184,11 +110,11 @@ func PrintFreshness(w io.Writer, rows []FreshnessRow) {
 // FreshnessMetrics converts sweep rows into the freshness_scale
 // experiment for the JSON report. ProofBytesPerOp carries the evidence
 // transfer per load (informational in the compare gate, like wrap
-// counts: it moves by design when tree geometry or table shape change).
+// counts: it moves by design when the tree geometry changes).
 func FreshnessMetrics(rows []FreshnessRow) Experiment {
 	exp := make(Experiment)
 	for _, r := range rows {
-		exp[fmt.Sprintf("%s_%d_objects", r.Mode, r.Objects)] = Metric{
+		exp[fmt.Sprintf("merkle_%d_objects", r.Objects)] = Metric{
 			NsPerOp:         r.NsPerOp,
 			BytesPerOp:      r.BytesPerOp,
 			ProofBytesPerOp: r.BytesPerOp,

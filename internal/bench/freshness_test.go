@@ -5,79 +5,54 @@ import (
 	"testing"
 )
 
-// TestFreshnessSweepScaling is the O(log n)-vs-O(n) claim in miniature:
-// merkle evidence and enclave state stay near-constant while the flat
-// baseline's grow linearly with the namespace.
+// TestFreshnessSweepScaling is the O(log n) claim in miniature: proof
+// size grows by a few steps and enclave state not at all while the
+// namespace grows 16×.
 func TestFreshnessSweepScaling(t *testing.T) {
-	rows, err := FreshnessSweep([]int{256, 4096}, "both", 32)
+	rows, err := FreshnessSweep([]int{256, 4096}, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 4 {
-		t.Fatalf("got %d rows, want 4", len(rows))
+	if len(rows) != 2 || rows[0].Objects != 256 || rows[1].Objects != 4096 {
+		t.Fatalf("got rows %+v, want one per size", rows)
 	}
-	get := func(mode string, n int) FreshnessRow {
-		for _, r := range rows {
-			if r.Mode == mode && r.Objects == n {
-				return r
-			}
-		}
-		t.Fatalf("missing %s row at n=%d", mode, n)
-		return FreshnessRow{}
-	}
+	small, big := rows[0], rows[1]
 
-	mSmall, mBig := get("merkle", 256), get("merkle", 4096)
-	fSmall, fBig := get("flat", 256), get("flat", 4096)
-
-	// Enclave state: merkle is the 40-byte commitment at every size,
-	// flat carries the whole table.
-	if mSmall.StateBytes != merkleStateBytes || mBig.StateBytes != merkleStateBytes {
-		t.Fatalf("merkle state bytes %d/%d, want constant %d", mSmall.StateBytes, mBig.StateBytes, merkleStateBytes)
+	// Enclave state is the 40-byte commitment at every size.
+	if small.StateBytes != merkleStateBytes || big.StateBytes != merkleStateBytes {
+		t.Fatalf("state bytes %d/%d, want constant %d", small.StateBytes, big.StateBytes, merkleStateBytes)
 	}
-	if fBig.StateBytes != 4096*flatEntryBytes || fSmall.StateBytes != 256*flatEntryBytes {
-		t.Fatalf("flat state bytes %d/%d do not track the namespace", fSmall.StateBytes, fBig.StateBytes)
+	// Evidence per load: a 16× larger namespace costs ~4 more proof
+	// steps, far below what a full uuid→version listing would.
+	if big.BytesPerOp > 2*small.BytesPerOp {
+		t.Fatalf("proof bytes/op %v → %v grew faster than logarithmic", small.BytesPerOp, big.BytesPerOp)
 	}
-
-	// Evidence per load: a 16× larger namespace costs the flat design
-	// 16× the transfer but the merkle design only ~4 more proof steps.
-	if fBig.BytesPerOp < 15*fSmall.BytesPerOp {
-		t.Fatalf("flat bytes/op %v → %v is not linear in namespace size", fSmall.BytesPerOp, fBig.BytesPerOp)
-	}
-	if mBig.BytesPerOp > 2*mSmall.BytesPerOp {
-		t.Fatalf("merkle bytes/op %v → %v grew faster than logarithmic", mSmall.BytesPerOp, mBig.BytesPerOp)
-	}
-	if mBig.BytesPerOp >= fBig.BytesPerOp {
-		t.Fatalf("merkle proof (%v B) not smaller than flat table (%v B) at 4096 objects", mBig.BytesPerOp, fBig.BytesPerOp)
+	if listing := float64(4096 * (16 + 8)); big.BytesPerOp >= listing/16 {
+		t.Fatalf("proof (%v B) is not small against a %v B version listing at 4096 objects", big.BytesPerOp, listing)
 	}
 }
 
 func TestFreshnessSweepRejectsBadInput(t *testing.T) {
-	if _, err := FreshnessSweep([]int{64}, "mystery", 1); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-	if _, err := FreshnessSweep([]int{1}, "both", 1); err == nil {
+	if _, err := FreshnessSweep([]int{1}, 1); err == nil {
 		t.Fatal("degenerate namespace size accepted")
 	}
 }
 
 func TestFreshnessMetricsAndPrint(t *testing.T) {
-	rows, err := FreshnessSweep([]int{64}, "both", 4)
+	rows, err := FreshnessSweep([]int{64}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp := FreshnessMetrics(rows)
-	for _, name := range []string{"merkle_64_objects", "flat_64_objects"} {
-		m, ok := exp[name]
-		if !ok {
-			t.Fatalf("metric %q missing from experiment", name)
-		}
-		if m.NsPerOp <= 0 || m.ProofBytesPerOp <= 0 {
-			t.Fatalf("metric %q has empty figures: %+v", name, m)
-		}
+	m, ok := FreshnessMetrics(rows)["merkle_64_objects"]
+	if !ok {
+		t.Fatal("metric merkle_64_objects missing from experiment")
+	}
+	if m.NsPerOp <= 0 || m.ProofBytesPerOp <= 0 {
+		t.Fatalf("metric has empty figures: %+v", m)
 	}
 	var sb strings.Builder
 	PrintFreshness(&sb, rows)
-	for _, want := range []string{"merkle", "flat", "enclave state"} {
+	for _, want := range []string{"objects", "proof bytes/op", "enclave state"} {
 		if !strings.Contains(sb.String(), want) {
 			t.Fatalf("printed table missing %q:\n%s", want, sb.String())
 		}

@@ -39,8 +39,8 @@ type Metric struct {
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
 	// ProofBytesPerOp is the freshness evidence transferred per metadata
 	// load, from the freshness_scale experiment: one encoded Merkle
-	// proof, or the whole flat table. Informational in the compare gate —
-	// proof size moves by design when tree geometry changes.
+	// proof. Informational in the compare gate — proof size moves by
+	// design when tree geometry changes.
 	ProofBytesPerOp float64 `json:"proof_bytes_per_op,omitempty"`
 	// DedupRatio is logical bytes written over bytes actually uploaded
 	// and UploadedBytesPerOp the post-dedup upload cost per operation,

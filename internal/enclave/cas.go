@@ -48,14 +48,12 @@ import (
 const RefTableObjectName = "cas-refs"
 
 // refTableID keys the ref table's preamble UUID and its slot in the
-// enclave-local rollback memory (freshTableID is {0xff,0xfe}, the
-// merkle root {0xff,0xfd}).
+// enclave-local rollback memory (the merkle root is {0xff,0xfd}).
 var refTableID = uuid.UUID{0xff, 0xfc}
 
 // loadRefTableLocked fetches and verifies the ref table. A missing
 // table is an empty one (no CDC writes yet). The enclave's local
-// memory of the table's version is its rollback protection, exactly
-// like the flat freshness table's.
+// memory of the table's version is its rollback protection.
 func (e *Enclave) loadRefTableLocked() (*cas.RefTable, uint64, error) {
 	blob, _, err := e.fetchObject(RefTableObjectName)
 	if err != nil {

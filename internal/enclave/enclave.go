@@ -127,7 +127,12 @@ type Config struct {
 	// SGX is the enclave container providing sealing, attestation, EPC
 	// and transition accounting. Required.
 	SGX *sgx.Enclave
-	// Store is the ocall surface to the backing store. Required.
+	// Store is the ocall surface to the backing store. Required. When it
+	// also implements FreshnessProofStore (vfs.NewFreshnessStore wraps any
+	// plain store) the enclave binds every metadata version to a sealed
+	// Merkle root — whole-volume rollback protection with O(1) enclave
+	// state (DESIGN.md §15); over a plain store only the per-object
+	// version memory applies.
 	Store ObjectStore
 	// IAS is the attestation service used to verify quotes during
 	// rootkey exchanges. Optional; exchanges fail without it.
@@ -150,32 +155,19 @@ type Config struct {
 	// DisableMetadataCache turns off the in-enclave decrypted-metadata
 	// cache (used by the cache ablation benchmark).
 	DisableMetadataCache bool
-	// FreshnessTree enables the volume-wide version table (§VI-C): full
-	// hierarchy rollback detection at the cost of an extra metadata
-	// object read/write per operation. See internal/enclave/freshness.go.
-	FreshnessTree bool
-	// FreshnessMerkle enables merkle freshness mode (DESIGN.md §15):
-	// the same rollback guarantee with O(1) enclave-resident state (a
-	// root hash plus an epoch) and O(log n) proof verification per
-	// metadata load. Requires Store to implement FreshnessProofStore
-	// (vfs.FreshnessStore wraps any plain store). Mutually exclusive
-	// with FreshnessTree, which remains as the transition oracle.
-	FreshnessMerkle bool
 	// Writeback selects the metadata flush policy. The zero value and
 	// WritebackOff seal and upload metadata eagerly on every mutation
 	// (the historical behaviour, and what direct Config consumers such
 	// as the internal tests rely on). WritebackOn defers flushes into a
 	// dirty set drained in dependency order at explicit barriers
 	// (SyncMetadata, ACL/user/sharing changes, DropCaches) and at the
-	// WritebackMaxOps/WritebackMaxBytes high-water marks. See
-	// internal/enclave/writeback.go and DESIGN.md §12.
+	// high-water marks (WritebackMaxOps deferred mutations, 4 MiB of
+	// estimated batched metadata). See internal/enclave/writeback.go and
+	// DESIGN.md §12.
 	Writeback WritebackMode
 	// WritebackMaxOps caps the number of deferred mutations before the
 	// dirty set drains inline (default 64; write-back mode only).
 	WritebackMaxOps int
-	// WritebackMaxBytes caps the estimated batched metadata bytes before
-	// the dirty set drains inline (default 4 MiB; write-back mode only).
-	WritebackMaxBytes int64
 	// ContentDefined stores file contents through the content-addressed
 	// dedup layer (DESIGN.md §16): writes are split at content-defined
 	// boundaries (chunker params derive from ChunkSize: min ChunkSize/4,
@@ -186,13 +178,6 @@ type Config struct {
 	// layout convert on their next write. Reads never consult the knob —
 	// both layouts always decode.
 	ContentDefined bool
-	// DisableGroupKeys turns off the membership key tree: AddUser skips
-	// subgroup enrollment, RemoveUser skips the path rotation, and group
-	// ACL entries stop resolving. The default (false) maintains the tree
-	// for every volume this enclave administers; volumes created while
-	// the knob was off migrate lazily on the next AddUser. See
-	// internal/groupkey and DESIGN.md §13.
-	DisableGroupKeys bool
 	// Obs is the observability registry the enclave (and its SGX
 	// container) meters into. Optional; a private registry is created
 	// when nil. Share one registry across the stack (vfs → enclave →
@@ -266,22 +251,23 @@ type Enclave struct {
 	// exchange (§VI-B variant); consumed by AcceptMutualGrant.
 	pendingMutual *ecdh.PrivateKey
 
-	cache     *metaCache
-	freshness map[uuid.UUID]uint64
+	cache *metaCache
 
-	// Merkle freshness mode: the enclave's entire freshness state is
-	// this root commitment and epoch — no per-object map (that is the
-	// O(1) claim the freshness-scale benchmark measures). proofStore is
-	// the store's FreshnessProofStore upgrade, asserted once in New.
+	freshness map[uuid.UUID]uint64
+	// freshness is the per-object version memory, used only over a
+	// plain store. When the store serves proofs (proofStore non-nil,
+	// asserted once in New) the enclave's entire freshness state is the
+	// root commitment and epoch below — O(1), the claim the freshness
+	// sweep measures. See freshness.go.
 	proofStore FreshnessProofStore
 	mkRoot     [32]byte
 	mkEpoch    uint64
 	mkSeen     bool
 
 	// wb is the write-back dirty set (nil in eager mode); freshSink,
-	// when non-nil, absorbs freshness-table updates during a batch drain
-	// so the table is rewritten once per batch instead of once per
-	// object. Both are guarded by mu.
+	// when non-nil, absorbs freshness updates during a batch drain so
+	// the root advances once per batch instead of once per object. Both
+	// are guarded by mu.
 	wb        *dirtySet
 	freshSink map[uuid.UUID]uint64
 
@@ -405,17 +391,7 @@ func New(cfg Config) (*Enclave, error) {
 	default:
 		return nil, fmt.Errorf("enclave: unknown Writeback mode %q", cfg.Writeback)
 	}
-	if cfg.FreshnessTree && cfg.FreshnessMerkle {
-		return nil, fmt.Errorf("enclave: FreshnessTree and FreshnessMerkle are mutually exclusive")
-	}
-	var proofStore FreshnessProofStore
-	if cfg.FreshnessMerkle {
-		ps, ok := cfg.Store.(FreshnessProofStore)
-		if !ok {
-			return nil, fmt.Errorf("enclave: FreshnessMerkle requires a store implementing FreshnessProofStore (wrap it in vfs.NewFreshnessStore)")
-		}
-		proofStore = ps
-	}
+	proofStore, _ := cfg.Store.(FreshnessProofStore)
 	e := &Enclave{
 		sgx:        cfg.SGX,
 		store:      cfg.Store,
@@ -427,7 +403,7 @@ func New(cfg Config) (*Enclave, error) {
 	}
 	if cfg.Writeback == WritebackOn {
 		//lint:ignore lock-discipline construction: the enclave is not yet shared
-		e.wb = newDirtySet(cfg.WritebackMaxOps, cfg.WritebackMaxBytes)
+		e.wb = newDirtySet(cfg.WritebackMaxOps)
 	}
 	e.metrics.bind(cfg.Obs)
 	e.arena = parallel.NewArena()
@@ -554,15 +530,13 @@ func (e *Enclave) CreateVolume(ownerName string, ownerKey ed25519.PublicKey) (se
 		e.rootKey = rootKey
 		e.super = super
 		e.casSecret = cas.DeriveSecret(rootKey)
-		if !e.cfg.DisableGroupKeys {
-			// Fresh volumes start with the membership key tree in place
-			// (owner enrolled); legacy volumes migrate on first AddUser.
-			if _, err := e.ensureGroupTreeLocked(); err != nil {
-				e.rootKey = nil
-				e.super = nil
-				e.casSecret = nil
-				return err
-			}
+		// Fresh volumes start with the membership key tree in place
+		// (owner enrolled); legacy volumes migrate on first AddUser.
+		if _, err := e.ensureGroupTreeLocked(); err != nil {
+			e.rootKey = nil
+			e.super = nil
+			e.casSecret = nil
+			return err
 		}
 
 		// Root dirnode: parent pointer binds it to the supernode.
@@ -828,10 +802,9 @@ func (e *Enclave) withSupernodeLockLocked(fn func() error) error {
 // loadSupernodeLocked fetches, verifies and decodes the supernode.
 func (e *Enclave) loadSupernodeLocked() error {
 	var blob []byte
-	var version uint64
 	if err := e.timedOcall(e.metrics.metaIO, func() error {
 		var err error
-		blob, version, err = e.store.GetVersioned(SupernodeObjectName)
+		blob, _, err = e.store.GetVersioned(SupernodeObjectName)
 		return err
 	}); err != nil {
 		return fmt.Errorf("fetching supernode: %w", err)
@@ -843,15 +816,11 @@ func (e *Enclave) loadSupernodeLocked() error {
 	if p.Type != metadata.TypeSupernode {
 		return fmt.Errorf("%w: object %q is a %s", metadata.ErrMalformed, SupernodeObjectName, p.Type)
 	}
-	if e.cfg.FreshnessMerkle {
-		// The supernode's version is bound to the root commitment like
-		// every other metadata object — a whole-snapshot rollback fails
-		// right here, before authentication can proceed.
-		if err := e.checkFreshnessMerkleLocked(p.UUID, p.Version); err != nil {
-			return err
-		}
-	} else if last, ok := e.freshness[p.UUID]; ok && p.Version < last {
-		return fmt.Errorf("%w: supernode version %d < seen %d", ErrStaleMetadata, p.Version, last)
+	// The supernode's version is bound to the root commitment like every
+	// other metadata object — a whole-snapshot rollback fails right here,
+	// before authentication can proceed.
+	if err := e.checkFreshnessLocked(p.UUID, p.Version); err != nil {
+		return err
 	}
 	super, err := metadata.DecodeSupernodeBody(body)
 	if err != nil {
@@ -861,7 +830,6 @@ func (e *Enclave) loadSupernodeLocked() error {
 	e.superBlob = blob
 	e.superVersion = p.Version
 	e.noteSeenLocked(p.UUID, p.Version)
-	_ = version
 	return nil
 }
 

@@ -3,199 +3,297 @@ package enclave
 import (
 	"fmt"
 
+	"nexus/internal/merkle"
 	"nexus/internal/metadata"
 	"nexus/internal/serial"
 	"nexus/internal/uuid"
 )
 
-// The optional volume-wide freshness table implements the mitigation the
-// paper sketches for rollback/forking attacks (§VI-C): per-object
-// version counters detect rollback of objects an enclave has already
-// seen, but a malicious server can still serve a consistent *old*
-// snapshot to a client that has seen nothing newer. Recording every
-// object's current version in a single authenticated table — itself
-// versioned and updated transactionally with every metadata write —
-// extends rollback detection to the whole hierarchy: re-serving any
-// stale object then fails the table comparison.
+// Freshness (DESIGN.md §15): rollback protection for metadata objects.
 //
-// The paper leaves this to future work because of its cost: every
-// metadata update must additionally lock, rewrite, and upload the table
-// (the "root hash" synchronization concern). The implementation here is
-// exactly that single-root design, gated behind Config.FreshnessTree,
-// and the ablation benchmark quantifies the overhead. Forking attacks
-// against *newly joining* clients (who have no local state at all)
-// remain out of scope, as in the paper.
+// Per-object version counters (§VI-C) detect rollback of objects this
+// enclave has already seen, but a malicious server can still serve a
+// consistent *old* snapshot to a client that has seen nothing newer. The
+// paper sketches the fix — one authenticated record of every object's
+// current version — and leaves it to future work because a flat table
+// must be re-read and re-uploaded on every metadata update. Here the
+// enclave instead holds a single commitment to that record: the root of
+// a canonical Merkle tree (internal/merkle) plus a monotonic epoch
+// counter. The untrusted side keeps the tree itself and serves O(log n)
+// inclusion proofs:
+//
+//   - every metadata load verifies a membership (or absence) proof for
+//     the object against the enclave-resident root before the object's
+//     version is trusted;
+//   - every metadata flush batch advances the root *inside* the
+//     enclave, by folding each update's proof (merkle.Proof.NewRoot)
+//     against the previous root — the enclave never needs the tree;
+//   - the new root is sealed with the volume rootkey and uploaded as
+//     its own store object, so a freshly mounted enclave of the same
+//     volume recovers the commitment and the epoch ordering.
+//
+// The mechanism runs exactly when Config.Store serves proofs
+// (FreshnessProofStore; nexus.NewClient always supplies one). Over a
+// plain ObjectStore the enclave falls back to the paper's baseline: the
+// per-object version memory alone.
+//
+// Trust boundary: proofs and the tree snapshot live untrusted and are
+// only ever *verified* in here; the sealed root object is
+// integrity-protected by the rootkey AEAD, and rollback of the root
+// itself is caught by the in-enclave epoch (ErrStaleObject). A forked
+// server can still replay a sealed root from a *different* client's
+// history at a higher epoch — the classic fork-consistency bound the
+// paper accepts (§VI-C); divergence is detected the moment the two
+// histories meet (same epoch, different root).
 
-// FreshnessObjectName is the store name of the freshness table.
-const FreshnessObjectName = "freshness"
+// MerkleRootObjectName is the store name of the sealed merkle root.
+const MerkleRootObjectName = "freshness-root"
 
-// freshTable is the volume-wide version table.
-type freshTable struct {
-	// Seq is the table's own update counter.
-	Seq uint64
-	// Versions records the latest sealed version of every metadata
-	// object, keyed by UUID.
-	Versions map[uuid.UUID]uint64
+// merkleRootID keys the sealed root object's preamble.
+var merkleRootID = uuid.UUID{0xff, 0xfd}
+
+// FreshnessProofStore is the ocall surface proof verification requires:
+// an ObjectStore that also maintains the freshness tree and serves
+// proofs against it (implemented by vfs.FreshnessStore).
+type FreshnessProofStore interface {
+	ObjectStore
+	// FreshnessProof returns the encoded membership/absence proof for
+	// id against the tree at the given epoch (the enclave's current
+	// root). Serving any other epoch's proof simply fails verification.
+	FreshnessProof(id uuid.UUID, epoch uint64) ([]byte, error)
+	// FreshnessUpdate applies the batch to the tree at the given epoch,
+	// returning one encoded proof per update, each valid against the
+	// tree state after the updates before it — exactly what the enclave
+	// folds into its next root.
+	FreshnessUpdate(epoch uint64, updates []merkle.LeafUpdate) ([][]byte, error)
 }
 
-func newFreshTable() *freshTable {
-	return &freshTable{Versions: make(map[uuid.UUID]uint64)}
-}
+// merkleRootFormat versions the sealed root body.
+const merkleRootFormat = 1
 
-func (t *freshTable) encode() []byte {
-	w := serial.NewWriter(16 + 24*len(t.Versions))
-	w.WriteUint64(t.Seq)
-	w.WriteUint32(uint32(len(t.Versions)))
-	for id, v := range t.Versions {
-		w.WriteRaw(id[:])
-		w.WriteUint64(v)
-	}
+func encodeMerkleRoot(root [merkle.HashSize]byte, epoch uint64) []byte {
+	w := serial.NewWriter(1 + merkle.HashSize + 8)
+	w.WriteUint8(merkleRootFormat)
+	w.WriteRaw(root[:])
+	w.WriteUint64(epoch)
 	return w.Bytes()
 }
 
-func decodeFreshTable(body []byte) (*freshTable, error) {
+func decodeMerkleRoot(body []byte) (root [merkle.HashSize]byte, epoch uint64, err error) {
 	r := serial.NewReader(body)
-	t := newFreshTable()
-	t.Seq = r.ReadUint64("freshness seq")
-	n := r.ReadCount(0, "freshness entries")
-	for i := 0; i < n; i++ {
-		var id uuid.UUID
-		r.ReadRawInto(id[:], "freshness uuid")
-		t.Versions[id] = r.ReadUint64("freshness version")
+	if f := r.ReadUint8("merkle root format"); r.Err() == nil && f != merkleRootFormat {
+		return root, 0, fmt.Errorf("%w: unknown merkle root format %d", metadata.ErrMalformed, f)
 	}
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("decoding freshness table: %w", err)
+	r.ReadRawInto(root[:], "merkle root hash")
+	epoch = r.ReadUint64("merkle root epoch")
+	if ferr := r.Finish(); ferr != nil {
+		return root, 0, fmt.Errorf("decoding merkle root: %w", ferr)
 	}
-	return t, nil
+	return root, epoch, nil
 }
 
-// loadFreshTableLocked fetches and verifies the freshness table. A
-// missing table is an empty one (fresh volume).
-func (e *Enclave) loadFreshTableLocked() (*freshTable, error) {
-	blob, _, err := e.fetchObject(FreshnessObjectName)
+// loadMerkleRootLocked establishes the enclave's root commitment. With
+// force false a commitment already in enclave memory is kept; force
+// true re-reads the store (under the root object's lock, or when a
+// proof failed and another client may have advanced the epoch). The
+// epoch ordering is enforced here: once this enclave has seen epoch N,
+// any sealed root below N — or a *different* root at exactly N, the
+// fork signature — is a rollback and fails closed.
+func (e *Enclave) loadMerkleRootLocked(force bool) error {
+	if e.mkSeen && !force {
+		return nil
+	}
+	blob, _, err := e.fetchObject(MerkleRootObjectName)
 	if err != nil {
 		if isNotExist(err) {
-			return newFreshTable(), nil
+			if e.mkSeen && e.mkEpoch > 0 {
+				return fmt.Errorf("%w: merkle root object vanished after epoch %d", ErrStaleObject, e.mkEpoch)
+			}
+			e.mkRoot, e.mkEpoch, e.mkSeen = merkle.EmptyRoot(), 0, true
+			return nil
 		}
-		return nil, fmt.Errorf("fetching freshness table: %w", err)
+		return fmt.Errorf("fetching merkle root: %w", err)
 	}
 	p, body, err := metadata.Open(e.rootKey, blob)
 	if err != nil {
-		return nil, fmt.Errorf("verifying freshness table: %w", err)
+		return fmt.Errorf("verifying merkle root: %w", err)
 	}
-	if p.Type != metadata.TypeFreshness {
-		return nil, fmt.Errorf("%w: freshness object has type %s", metadata.ErrTampered, p.Type)
+	if p.Type != metadata.TypeFreshness || p.UUID != merkleRootID {
+		return fmt.Errorf("%w: object %q is not the merkle root", metadata.ErrTampered, MerkleRootObjectName)
 	}
-	t, err := decodeFreshTable(body)
+	root, epoch, err := decodeMerkleRoot(body)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if t.Seq != p.Version {
-		return nil, fmt.Errorf("%w: freshness table seq %d != sealed version %d",
-			metadata.ErrTampered, t.Seq, p.Version)
+	if epoch != p.Version {
+		return fmt.Errorf("%w: merkle root epoch %d != sealed version %d", metadata.ErrTampered, epoch, p.Version)
 	}
-	// The table itself is rollback-protected by the enclave's local
-	// memory of its sequence number.
-	if last, ok := e.freshness[freshTableID]; ok && t.Seq < last {
-		return nil, fmt.Errorf("%w: freshness table seq %d < seen %d", ErrStaleMetadata, t.Seq, last)
+	if e.mkSeen {
+		if epoch < e.mkEpoch {
+			return fmt.Errorf("%w: merkle root epoch %d < seen %d", ErrStaleObject, epoch, e.mkEpoch)
+		}
+		if epoch == e.mkEpoch && root != e.mkRoot {
+			return fmt.Errorf("%w: merkle root diverged at epoch %d (fork detected)", ErrStaleObject, epoch)
+		}
 	}
-	e.freshness[freshTableID] = t.Seq
-	return t, nil
+	e.mkRoot, e.mkEpoch, e.mkSeen = root, epoch, true
+	return nil
 }
 
-// freshTableID keys the table's own version in the enclave-local
-// freshness map.
-var freshTableID = uuid.UUID{0xff, 0xfe}
+// checkFreshnessLocked verifies a loaded object's version. Over a plain
+// store that is the per-object memory: a version below one this enclave
+// has already seen is a rollback. Over a proof store it is the root
+// commitment: the store must produce a proof that either binds id to a
+// leaf version ≤ the loaded version, or proves id absent (objects newer
+// than the last committed batch; their own AEAD protects them). A first
+// failure triggers one forced root reload — another client of the same
+// volume may have advanced the epoch — then fails closed: ErrStaleObject
+// for a proven-stale version, ErrBadProof for anything that does not
+// verify.
+func (e *Enclave) checkFreshnessLocked(id uuid.UUID, version uint64) error {
+	if e.proofStore == nil {
+		if last, ok := e.freshness[id]; ok && version < last {
+			return fmt.Errorf("%w: object %s version %d < seen %d", ErrStaleMetadata, id, version, last)
+		}
+		return nil
+	}
+	for attempt := 0; ; attempt++ {
+		if err := e.loadMerkleRootLocked(attempt > 0); err != nil {
+			return err
+		}
+		var raw []byte
+		epoch := e.mkEpoch
+		err := e.timedOcall(e.metrics.metaIO, func() error {
+			var err error
+			raw, err = e.proofStore.FreshnessProof(id, epoch)
+			return err
+		})
+		var verr error
+		if err == nil {
+			e.metrics.proofs.Inc()
+			e.metrics.proofBytes.Add(int64(len(raw)))
+			var p *merkle.Proof
+			if p, verr = merkle.DecodeProof(raw); verr == nil {
+				var leafV uint64
+				var present bool
+				if leafV, present, verr = p.Verify(e.mkRoot, id); verr == nil {
+					if present && version < leafV {
+						return fmt.Errorf("%w: object %s at version %d, merkle leaf requires %d",
+							ErrStaleObject, id, version, leafV)
+					}
+					return nil
+				}
+			}
+		}
+		if attempt == 0 {
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("%w: no freshness proof for %s at epoch %d: %v", ErrBadProof, id, epoch, err)
+		}
+		return fmt.Errorf("%w: freshness proof for %s: %v", ErrBadProof, id, verr)
+	}
+}
 
-// recordFreshnessLocked notes that objects now carry the given versions,
-// rewriting the volume-wide table. Callers already hold the relevant
-// metadata locks; the table has its own store lock to serialize
-// concurrent writers.
+// noteSeenLocked records the newest seen version of an object in the
+// per-object memory. Over a proof store the root commitment subsumes the
+// map, so it stays empty — the O(1) enclave residency the freshness
+// sweep measures.
+func (e *Enclave) noteSeenLocked(id uuid.UUID, version uint64) {
+	if e.proofStore == nil {
+		e.freshness[id] = version
+	}
+}
+
+// recordFreshnessLocked commits a batch of version updates (0 = object
+// deleted) to the tree and advances the enclave root. The batch is
+// ordered deterministically, the untrusted store applies it and returns
+// one proof per update, and the enclave folds each verified proof into
+// the next root (merkle.Proof.NewRoot) — O(batch · log n) work against
+// O(1) enclave state. The new root seals at epoch+1 under the root
+// object's store lock, serializing concurrent writers of the volume.
+// Callers already hold the relevant metadata locks.
 func (e *Enclave) recordFreshnessLocked(updates map[uuid.UUID]uint64) error {
-	if !e.cfg.FreshnessTree && !e.cfg.FreshnessMerkle {
+	if e.proofStore == nil {
 		return nil
 	}
 	// During a write-back batch drain the per-object updates collect in
-	// freshSink and the table (or merkle root) is rewritten once at the
-	// end of the batch (drainLocked); a stale-low entry is safe in the
-	// interim — checkFreshnessLocked only rejects versions *below* it.
+	// freshSink and the root advances once at the end of the batch
+	// (drainLocked); a stale-low leaf is safe in the interim —
+	// checkFreshnessLocked only rejects versions *below* it.
 	if e.freshSink != nil {
 		for id, v := range updates {
 			e.freshSink[id] = v
 		}
 		return nil
 	}
-	if e.cfg.FreshnessMerkle {
-		return e.recordFreshnessMerkleLocked(updates)
+	if len(updates) == 0 {
+		return nil
 	}
-	release, err := e.lockObject(FreshnessObjectName)
+	ids := make([]uuid.UUID, 0, len(updates))
+	for id := range updates {
+		ids = append(ids, id)
+	}
+	sortUUIDs(ids)
+	batch := make([]merkle.LeafUpdate, 0, len(ids))
+	for _, id := range ids {
+		batch = append(batch, merkle.LeafUpdate{ID: id, Version: updates[id]})
+	}
+
+	release, err := e.lockObject(MerkleRootObjectName)
 	if err != nil {
-		return fmt.Errorf("locking freshness table: %w", err)
+		return fmt.Errorf("locking merkle root: %w", err)
 	}
 	defer release()
-
-	t, err := e.loadFreshTableLocked()
-	if err != nil {
+	// Always re-read under the lock: another client may have advanced
+	// the epoch since the commitment was last loaded.
+	if err := e.loadMerkleRootLocked(true); err != nil {
 		return err
 	}
-	for id, v := range updates {
-		if v == 0 {
-			delete(t.Versions, id)
-		} else {
-			t.Versions[id] = v
+
+	var proofs [][]byte
+	epoch := e.mkEpoch
+	if err := e.timedOcall(e.metrics.metaIO, func() error {
+		var err error
+		proofs, err = e.proofStore.FreshnessUpdate(epoch, batch)
+		return err
+	}); err != nil {
+		return fmt.Errorf("merkle freshness update: %w", err)
+	}
+	if len(proofs) != len(batch) {
+		return fmt.Errorf("%w: %d proofs for %d updates", ErrBadProof, len(proofs), len(batch))
+	}
+	root := e.mkRoot
+	for i, raw := range proofs {
+		e.metrics.proofBytes.Add(int64(len(raw)))
+		p, err := merkle.DecodeProof(raw)
+		if err != nil {
+			return fmt.Errorf("%w: update proof %d: %v", ErrBadProof, i, err)
+		}
+		if root, err = p.NewRoot(root, batch[i].ID, batch[i].Version); err != nil {
+			return fmt.Errorf("%w: update proof %d for %s: %v", ErrBadProof, i, batch[i].ID, err)
 		}
 	}
-	t.Seq++
+
+	next := epoch + 1
 	blob, err := metadata.Seal(e.rootKey, metadata.Preamble{
 		Type:    metadata.TypeFreshness,
-		UUID:    freshTableID,
-		Version: t.Seq,
-	}, t.encode())
+		UUID:    merkleRootID,
+		Version: next,
+	}, encodeMerkleRoot(root, next))
 	if err != nil {
-		return fmt.Errorf("sealing freshness table: %w", err)
+		return fmt.Errorf("sealing merkle root: %w", err)
 	}
-	if _, err := e.putObject(FreshnessObjectName, blob); err != nil {
-		return fmt.Errorf("uploading freshness table: %w", err)
+	if _, err := e.putObject(MerkleRootObjectName, blob); err != nil {
+		// The tree already advanced but the commitment did not: the
+		// store wrapper keeps the previous epoch reachable (its undo
+		// log), so proofs against the still-current root keep verifying
+		// and a retried batch converges on the same root.
+		return fmt.Errorf("uploading merkle root: %w", err)
 	}
-	e.freshness[freshTableID] = t.Seq
+	e.mkRoot, e.mkEpoch, e.mkSeen = root, next, true
+	e.metrics.rootUpdates.Inc()
 	e.metrics.metadataFlushes.Inc()
 	e.metrics.metadataBytes.Add(int64(len(blob)))
 	return nil
-}
-
-// checkFreshnessLocked verifies a loaded object's version against the
-// volume-wide table (when enabled). Unknown objects pass — they are
-// newer than the last table the attacker could have recorded, and their
-// own AEAD protects them.
-func (e *Enclave) checkFreshnessLocked(id uuid.UUID, version uint64) error {
-	if e.cfg.FreshnessMerkle {
-		return e.checkFreshnessMerkleLocked(id, version)
-	}
-	if !e.cfg.FreshnessTree {
-		return nil
-	}
-	t, err := e.loadFreshTableLocked()
-	if err != nil {
-		return err
-	}
-	want, ok := t.Versions[id]
-	if !ok {
-		return nil
-	}
-	if version < want {
-		return fmt.Errorf("%w: object %s at version %d, freshness table requires %d",
-			ErrStaleMetadata, id, version, want)
-	}
-	return nil
-}
-
-// noteSeenLocked records the newest seen version of an object in the
-// per-object freshness map. Merkle mode keeps no per-object state — the
-// root commitment subsumes the map — so it is a no-op there; that empty
-// map is exactly the O(1) enclave-residency the mode exists for.
-func (e *Enclave) noteSeenLocked(id uuid.UUID, version uint64) {
-	if e.cfg.FreshnessMerkle {
-		return
-	}
-	e.freshness[id] = version
 }

@@ -1,134 +1,10 @@
 package enclave
 
-import (
-	"bytes"
-	"errors"
-	"testing"
+import "testing"
 
-	"nexus/internal/sgx"
-)
-
-// newFreshnessEnv builds a mounted volume with the freshness tree on.
-func newFreshnessEnv(t *testing.T) (*testEnv, *Enclave, identity) {
-	t.Helper()
-	env := newTestEnv(t, nil, nil)
-	encl, err := New(Config{SGX: env.enclave.sgx, Store: env.store, IAS: env.ias, FreshnessTree: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := newIdentity(t, "owen")
-	sealed, err := encl.CreateVolume(owner.name, owner.pub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	volID, err := encl.VolumeUUID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := authenticate(t, encl, owner, sealed, volID); err != nil {
-		t.Fatal(err)
-	}
-	return env, encl, owner
-}
-
-func TestFreshnessTreeNormalOperation(t *testing.T) {
-	_, e, _ := newFreshnessEnv(t)
-	if err := e.Mkdir("/d"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.WriteFile("/d/f", []byte("data")); err == nil {
-		t.Fatal("WriteFile on missing file succeeded")
-	}
-	if err := e.Touch("/d/f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.WriteFile("/d/f", []byte("data")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := e.ReadFile("/d/f")
-	if err != nil || string(got) != "data" {
-		t.Fatalf("ReadFile = %q, %v", got, err)
-	}
-	if err := e.Remove("/d/f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Remove("/d"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestFreshnessTreeCatchesWholeSnapshotRollback exercises the attack the
-// per-object counters cannot see: the server restores a full consistent
-// snapshot, and a *fresh* enclave (no local version memory for the
-// rolled-back dirnode) mounts afterwards.
-func TestFreshnessTreeCatchesWholeSnapshotRollback(t *testing.T) {
-	env, e, owner := newFreshnessEnv(t)
-
-	if err := e.Mkdir("/docs"); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Touch("/docs/old"); err != nil {
-		t.Fatal(err)
-	}
-	// Snapshot everything except the freshness table (the attacker
-	// cannot forge the table because it is sealed under the rootkey, and
-	// rolling it back too is caught by the next writer's seq check; here
-	// the attacker rolls back only the data).
-	snapshot := make(map[string][]byte)
-	names, err := env.store.mem.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, n := range names {
-		if n == FreshnessObjectName {
-			continue
-		}
-		b, _, err := env.store.GetVersioned(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snapshot[n] = b
-	}
-
-	if err := e.Touch("/docs/new"); err != nil {
-		t.Fatal(err)
-	}
-
-	// Server restores the old snapshot.
-	for n, b := range snapshot {
-		cur, _, err := env.store.GetVersioned(n)
-		if err == nil && bytes.Equal(cur, b) {
-			continue
-		}
-		if _, err := env.store.PutVersioned(n, b); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A brand-new enclave instance (fresh platform state is fine — the
-	// table is on the store) mounts and must detect the rollback.
-	encl2, err := New(Config{SGX: e.sgx, Store: env.store, IAS: env.ias, FreshnessTree: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reuse the original enclave's sealed rootkey: seal is bound to the
-	// platform+measurement, and encl2 shares both.
-	sealed2, err := e.sgx.Seal(e.rootKey, e.super.VolumeUUID[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	volID := e.super.VolumeUUID
-	if err := authenticate(t, encl2, owner, sealed2, volID); err != nil {
-		t.Fatalf("mount after rollback: %v", err)
-	}
-	_, err = encl2.Filldir("/docs")
-	if !errors.Is(err, ErrStaleMetadata) {
-		t.Fatalf("snapshot rollback = %v, want ErrStaleMetadata", err)
-	}
-}
-
-// TestPerObjectCountersMissSnapshotRollback documents why the tree
-// matters: without it, a fresh enclave accepts the stale snapshot.
+// TestPerObjectCountersMissSnapshotRollback documents why the Merkle
+// root matters (its counterpart is TestRollbackWholeVolumeFreshClient):
+// over a plain store a fresh enclave accepts the stale snapshot.
 func TestPerObjectCountersMissSnapshotRollback(t *testing.T) {
 	owner := newIdentity(t, "owen")
 	env, _, _ := newMountedVolume(t, owner)
@@ -158,7 +34,7 @@ func TestPerObjectCountersMissSnapshotRollback(t *testing.T) {
 		}
 	}
 
-	// Fresh enclave with NO freshness tree: the stale state verifies.
+	// Fresh enclave over a proof-less store: the stale state verifies.
 	encl2, err := New(Config{SGX: e.sgx, Store: env.store, IAS: env.ias})
 	if err != nil {
 		t.Fatal(err)
@@ -178,40 +54,3 @@ func TestPerObjectCountersMissSnapshotRollback(t *testing.T) {
 		t.Fatalf("stale snapshot shows %d entries (expected the old empty dir)", len(entries))
 	}
 }
-
-func TestFreshnessTableTamperRejected(t *testing.T) {
-	env, e, _ := newFreshnessEnv(t)
-	if err := e.Mkdir("/d"); err != nil {
-		t.Fatal(err)
-	}
-	blob, _, err := env.store.GetVersioned(FreshnessObjectName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mut := bytes.Clone(blob)
-	mut[len(mut)-1] ^= 1
-	if _, err := env.store.PutVersioned(FreshnessObjectName, mut); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Mkdir("/d2"); err == nil {
-		t.Fatal("tampered freshness table accepted")
-	}
-}
-
-func TestFreshnessTreeCostsOneExtraObject(t *testing.T) {
-	_, e, _ := newFreshnessEnv(t)
-	e.ResetStats()
-	if err := e.Touch("/f"); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	// Touch writes: filenode, bucket, dirnode, freshness (x2: filenode
-	// flush and dirnode flush both record).
-	if st.MetadataFlushes < 4 {
-		t.Fatalf("flushes = %d; expected freshness-table writes on top of metadata", st.MetadataFlushes)
-	}
-}
-
-// Ensure the sgx image used by freshness envs matches the shared one (a
-// compile-time usage of the import).
-var _ = sgx.Image{}

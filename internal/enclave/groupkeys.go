@@ -14,7 +14,7 @@ package enclave
 // supernode store lock, as before); in write-back mode it flags the
 // supernode dirty and the admin operation drains before releasing the
 // lock, so the rotation flushes in the same batch as any deferred
-// metadata — one flush_batch span, one freshness-table rewrite.
+// metadata — one flush_batch span, one freshness-root update.
 
 import (
 	"errors"
@@ -25,15 +25,14 @@ import (
 	"nexus/internal/metadata"
 )
 
-// ErrGroupKeysDisabled reports a group operation on an enclave running
-// with Config.DisableGroupKeys, or against a legacy volume that has no
-// key tree yet.
+// ErrGroupKeysDisabled reports a group operation against a legacy
+// volume that has no key tree yet (it gains one on the next AddUser).
 var ErrGroupKeysDisabled = errors.New("enclave: membership key tree not enabled for this volume")
 
 // groupTreeLocked returns the mounted volume's key tree (nil when the
-// knob is off or the volume predates the tree).
+// volume predates the tree).
 func (e *Enclave) groupTreeLocked() *groupkey.Tree {
-	if e.super == nil || e.cfg.DisableGroupKeys {
+	if e.super == nil {
 		return nil
 	}
 	return e.super.GroupTree
@@ -41,12 +40,8 @@ func (e *Enclave) groupTreeLocked() *groupkey.Tree {
 
 // ensureGroupTreeLocked lazily creates the tree on first use, enrolling
 // every existing identity (owner included) so volumes created before
-// the tree — or users added while the knob was off — migrate in one
-// O(n) pass.
+// the tree migrate in one O(n) pass.
 func (e *Enclave) ensureGroupTreeLocked() (*groupkey.Tree, error) {
-	if e.cfg.DisableGroupKeys {
-		return nil, ErrGroupKeysDisabled
-	}
 	if e.super.GroupTree != nil {
 		return e.super.GroupTree, nil
 	}
@@ -64,11 +59,8 @@ func (e *Enclave) ensureGroupTreeLocked() (*groupkey.Tree, error) {
 }
 
 // groupAddLocked enrolls a just-added user into the key tree and meters
-// the wrap work. No-op when the knob is off.
+// the wrap work.
 func (e *Enclave) groupAddLocked(userID uint32) error {
-	if e.cfg.DisableGroupKeys {
-		return nil
-	}
 	tree, err := e.ensureGroupTreeLocked()
 	if err != nil {
 		return err
@@ -84,7 +76,7 @@ func (e *Enclave) groupAddLocked(userID uint32) error {
 }
 
 // groupRevokeLocked rotates the evicted user's path keys. Users the
-// tree never saw (legacy volumes, knob toggles) revoke as a no-op.
+// tree never saw (legacy volumes) revoke as a no-op.
 func (e *Enclave) groupRevokeLocked(userID uint32) error {
 	tree := e.groupTreeLocked()
 	if tree == nil || !tree.Contains(userID) {
@@ -100,8 +92,8 @@ func (e *Enclave) groupRevokeLocked(userID uint32) error {
 
 // groupAuthenticateLocked verifies the authenticating member's wrap
 // chain reaches the current root (the §IV-B challenge–response gains a
-// tree-membership proof). Identities outside the tree — legacy volumes,
-// knob off — pass, preserving mountability of old volumes.
+// tree-membership proof). Identities outside the tree (legacy volumes)
+// pass, preserving mountability of old volumes.
 func (e *Enclave) groupAuthenticateLocked(userID uint32) error {
 	tree := e.groupTreeLocked()
 	if tree == nil || !tree.Contains(userID) {

@@ -221,65 +221,39 @@ func TestGroupRevokedUserFailsAuth(t *testing.T) {
 	}
 }
 
-func TestGroupKeysDisabledKnob(t *testing.T) {
-	owner := newIdentity(t, "owen")
-	env := newTestEnvCfg(t, nil, func(c *Config) { c.DisableGroupKeys = true })
-	e := env.enclave
-	sealed, err := e.CreateVolume(owner.name, owner.pub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	volID, err := e.VolumeUUID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := authenticate(t, e, owner, sealed, volID); err != nil {
-		t.Fatalf("authenticate with knob off: %v", err)
-	}
-	alice := newIdentity(t, "alice")
-	if _, err := e.AddUser("alice", alice.pub); err != nil {
-		t.Fatalf("AddUser with knob off: %v", err)
-	}
-	e.mu.Lock()
-	tree := e.super.GroupTree
-	e.mu.Unlock()
-	if tree != nil {
-		t.Fatal("knob off but a tree was built")
-	}
-	if _, err := e.UserGroup("alice"); !errors.Is(err, ErrGroupKeysDisabled) {
-		t.Fatalf("UserGroup = %v, want ErrGroupKeysDisabled", err)
-	}
-	if err := e.SetGroupACL("/", 0, acl.ReadOnly); !errors.Is(err, ErrGroupKeysDisabled) {
-		t.Fatalf("SetGroupACL = %v, want ErrGroupKeysDisabled", err)
-	}
-	if err := e.RemoveUser("alice"); err != nil {
-		t.Fatalf("RemoveUser with knob off: %v", err)
-	}
-}
-
 func TestLegacyVolumeWithoutTreeMounts(t *testing.T) {
-	// A volume created with the knob off (no tree in the supernode) must
-	// mount and authenticate on an enclave with group keys enabled, and
-	// migrate on the next AddUser.
+	// A volume whose supernode carries no tree (sealed before the tree
+	// existed) must mount and authenticate, and migrate on the next
+	// AddUser.
 	owner := newIdentity(t, "owen")
-	legacyEnv := newTestEnvCfg(t, nil, func(c *Config) { c.DisableGroupKeys = true })
-	sealed, err := legacyEnv.enclave.CreateVolume(owner.name, owner.pub)
+	legacyEnv := newTestEnvCfg(t, nil, nil)
+	legacy := legacyEnv.enclave
+	sealed, err := legacy.CreateVolume(owner.name, owner.pub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	volID, err := legacyEnv.enclave.VolumeUUID()
+	volID, err := legacy.VolumeUUID()
 	if err != nil {
 		t.Fatal(err)
 	}
 	alice := newIdentity(t, "alice")
-	if err := authenticate(t, legacyEnv.enclave, owner, sealed, volID); err != nil {
+	if err := authenticate(t, legacy, owner, sealed, volID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := legacyEnv.enclave.AddUser("alice", alice.pub); err != nil {
+	if _, err := legacy.AddUser("alice", alice.pub); err != nil {
+		t.Fatal(err)
+	}
+	// Re-seal the supernode the way a pre-tree build wrote it: a nil
+	// tree encodes as no trailing extension.
+	legacy.mu.Lock()
+	legacy.super.GroupTree = nil
+	err = legacy.flushSupernodeLocked()
+	legacy.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Same platform, group keys on.
+	// A fresh enclave on the same platform mounts the legacy volume.
 	container, err := legacyEnv.platform.CreateEnclave(nexusImage)
 	if err != nil {
 		t.Fatal(err)

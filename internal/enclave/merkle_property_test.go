@@ -1,21 +1,32 @@
-// Property test: merkle freshness mode against the flat-table oracle.
-// Two full enclave stacks — one Config.FreshnessMerkle, one
-// Config.FreshnessTree — consume an identical seeded operation stream
-// (mutations, reads, cache drops, remounts, and stale-replay attacks)
-// and must return identical accept/reject verdicts for every step.
+// Property test: the Merkle-authenticated namespace against an in-test
+// model. One full enclave stack (the configuration nexus.NewClient
+// builds, over a malicious store) consumes a seeded operation stream —
+// mutations, reads, cache drops and stale-replay attacks — and is
+// checked against two references that share no code with it:
+//
+//   - a namespace model (path → kind, plus file contents) decides every
+//     honest operation's accept/reject verdict and every directory
+//     listing, including a final sweep through a fresh mount;
+//   - for each stale-replay attack, the objects an honest cold
+//     Filldir(d) fetches are recorded at the store, and the attacked
+//     Filldir(d) must fail with ErrStaleMetadata exactly when one of
+//     them has an older copy in the attacker's snapshot.
+//
 // Reproduce a failure with NEXUS_MERKLE_SEED=<seed>.
 package enclave_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"nexus/internal/enclave"
-	"nexus/internal/vfs"
+	"nexus/internal/metadata"
 )
 
 func merklePropSeed(t *testing.T) int64 {
@@ -31,70 +42,103 @@ func merklePropSeed(t *testing.T) int64 {
 	return seed
 }
 
-// oracleClient is the flat-table twin of merkleClient: the same stack
-// over the same kind of malicious store, but with the O(n) freshness
-// table the merkle mode replaces.
-func newOracleClient(t *testing.T) *merkleClient {
-	t.Helper()
-	c := newMerkleClient(t)
-	// Rebuild everything in flat mode over a fresh store.
-	raw := newRawStore()
-	c2 := &merkleClient{
-		ias:  c.ias,
-		plat: c.plat,
-		raw:  raw,
-		reg:  c.reg,
-		pub:  c.pub,
-		priv: c.priv,
-	}
-	container, err := c2.plat.CreateEnclave(rollbackImage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := enclave.New(enclave.Config{
-		SGX:           container,
-		Store:         raw,
-		IAS:           c2.ias,
-		FreshnessTree: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.encl = e
-	sealed, err := e.CreateVolume("owen", c2.pub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.sealed = sealed
-	if c2.volID, err = e.VolumeUUID(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c2.mount(e); err != nil {
-		t.Fatal(err)
-	}
-	return c2
+// nsModel is the reference namespace: every live path's kind, and the
+// contents of every live file. Its mutators report whether a correct
+// filesystem accepts the operation, and apply it only then.
+type nsModel struct {
+	kind map[string]metadata.EntryKind
+	data map[string][]byte
 }
 
-func TestPropertyMerkleVsFlatTableOracle(t *testing.T) {
+func newNSModel() *nsModel {
+	return &nsModel{
+		kind: map[string]metadata.EntryKind{"/": metadata.KindDir},
+		data: map[string][]byte{},
+	}
+}
+
+func nsParent(path string) string {
+	if i := strings.LastIndex(path, "/"); i > 0 {
+		return path[:i]
+	}
+	return "/"
+}
+
+func (m *nsModel) create(path string, kind metadata.EntryKind) bool {
+	if m.kind[nsParent(path)] != metadata.KindDir || m.kind[path] != 0 {
+		return false
+	}
+	m.kind[path] = kind
+	return true
+}
+
+func (m *nsModel) write(path string, data []byte) bool {
+	if m.kind[path] != metadata.KindFile {
+		return false
+	}
+	m.data[path] = data
+	return true
+}
+
+func (m *nsModel) removeFile(path string) bool {
+	if m.kind[path] != metadata.KindFile {
+		return false
+	}
+	delete(m.kind, path)
+	delete(m.data, path)
+	return true
+}
+
+// list returns dir's children as name → kind.
+func (m *nsModel) list(dir string) map[string]metadata.EntryKind {
+	out := map[string]metadata.EntryKind{}
+	for path, kind := range m.kind {
+		if path != "/" && nsParent(path) == dir {
+			out[path[strings.LastIndex(path, "/")+1:]] = kind
+		}
+	}
+	return out
+}
+
+func TestPropertyMerkleVsNamespaceModel(t *testing.T) {
 	seed := merklePropSeed(t)
 	rng := rand.New(rand.NewSource(seed))
 
-	mc := newMerkleClient(t) // system under test
-	fc := newOracleClient(t) // oracle
+	mc := newMerkleClient(t)
+	model := newNSModel()
 
-	// both runs one operation on both stacks and demands verdict
-	// parity; it returns the merkle-side error for further checks.
-	both := func(op string, f func(e *enclave.Enclave) error) error {
-		errM := f(mc.encl)
-		errF := f(fc.encl)
-		if (errM == nil) != (errF == nil) {
-			t.Fatalf("seed %d, %s: merkle=%v, flat oracle=%v", seed, op, errM, errF)
+	// verdict demands the enclave accept exactly what the model accepts.
+	verdict := func(op string, want bool, err error) {
+		t.Helper()
+		if (err == nil) != want {
+			t.Fatalf("seed %d, %s: enclave=%v, model accepts=%v", seed, op, err, want)
 		}
-		return errM
+	}
+	// sameListing demands a Filldir result equal the model's listing.
+	sameListing := func(op, dir string, got []enclave.Stat) {
+		t.Helper()
+		want := model.list(dir)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d, %s %s: %d entries, model has %d", seed, op, dir, len(got), len(want))
+		}
+		for _, st := range got {
+			if want[st.Name] != st.Kind {
+				t.Fatalf("seed %d, %s %s: entry %q is %v, model says %v", seed, op, dir, st.Name, st.Kind, want[st.Name])
+			}
+		}
+	}
+	filldir := func(e *enclave.Enclave, op, dir string) {
+		t.Helper()
+		got, err := e.Filldir(dir)
+		if err != nil {
+			t.Fatalf("seed %d, %s %s: %v", seed, op, dir, err)
+		}
+		sameListing(op, dir, got)
 	}
 
 	dirs := []string{"/"}
-	var files []string
+	var files []string   // live files
+	var created []string // every file ever created, removed ones included
 	pick := func(set []string) string { return set[rng.Intn(len(set))] }
 	join := func(dir, name string) string {
 		if dir == "/" {
@@ -103,31 +147,27 @@ func TestPropertyMerkleVsFlatTableOracle(t *testing.T) {
 		return dir + "/" + name
 	}
 
-	// Freshness-carrying objects are never rolled back by the stale
-	// replay: the flat table's own rollback handling differs by design
-	// (seq counters vs epochs), and the property under test is verdict
-	// parity on *metadata* freshness.
-	excluded := map[string]bool{
-		enclave.FreshnessObjectName:  true,
-		enclave.MerkleRootObjectName: true,
-		vfs.FreshnessTreeObjectName:  true,
-	}
-
-	var snapM, snapF storeSnapshot
+	var snap storeSnapshot
 	var haveSnap bool
+	var staleVerdicts, cleanVerdicts int
 
 	const ops = 250
 	for i := 0; i < ops; i++ {
 		switch r := rng.Intn(100); {
 		case r < 15: // mkdir
 			path := join(pick(dirs), fmt.Sprintf("d%d", i))
-			if both("mkdir "+path, func(e *enclave.Enclave) error { return e.Mkdir(path) }) == nil {
+			want := model.create(path, metadata.KindDir)
+			verdict("mkdir "+path, want, mc.encl.Mkdir(path))
+			if want {
 				dirs = append(dirs, path)
 			}
 		case r < 35: // touch
 			path := join(pick(dirs), fmt.Sprintf("f%d", i))
-			if both("touch "+path, func(e *enclave.Enclave) error { return e.Touch(path) }) == nil {
+			want := model.create(path, metadata.KindFile)
+			verdict("touch "+path, want, mc.encl.Touch(path))
+			if want {
 				files = append(files, path)
+				created = append(created, path)
 			}
 		case r < 55: // write
 			if len(files) == 0 {
@@ -136,94 +176,84 @@ func TestPropertyMerkleVsFlatTableOracle(t *testing.T) {
 			path := pick(files)
 			data := make([]byte, rng.Intn(512))
 			rng.Read(data)
-			both("write "+path, func(e *enclave.Enclave) error { return e.WriteFile(path, data) })
-		case r < 70: // read
-			if len(files) == 0 {
+			verdict("write "+path, model.write(path, data), mc.encl.WriteFile(path, data))
+		case r < 70: // read, removed files included
+			if len(created) == 0 {
 				continue
 			}
-			path := pick(files)
-			both("read "+path, func(e *enclave.Enclave) error {
-				_, err := e.ReadFile(path)
-				return err
-			})
+			path := pick(created)
+			got, err := mc.encl.ReadFile(path)
+			verdict("read "+path, model.kind[path] == metadata.KindFile, err)
+			if err == nil && !bytes.Equal(got, model.data[path]) {
+				t.Fatalf("seed %d, read %s: %d bytes differ from the model's %d", seed, path, len(got), len(model.data[path]))
+			}
 		case r < 80: // filldir
-			path := pick(dirs)
-			both("filldir "+path, func(e *enclave.Enclave) error {
-				_, err := e.Filldir(path)
-				return err
-			})
+			filldir(mc.encl, "filldir", pick(dirs))
 		case r < 88: // remove
 			if len(files) == 0 {
 				continue
 			}
 			j := rng.Intn(len(files))
 			path := files[j]
-			if both("remove "+path, func(e *enclave.Enclave) error { return e.Remove(path) }) == nil {
-				files = append(files[:j], files[j+1:]...)
-			}
+			verdict("remove "+path, model.removeFile(path), mc.encl.Remove(path))
+			files = append(files[:j], files[j+1:]...)
 		case r < 93: // drop caches
 			mc.encl.DropCaches()
-			fc.encl.DropCaches()
 		case r < 96: // snapshot (attack staging)
-			snapM, snapF = mc.raw.snapshot(), fc.raw.snapshot()
+			snap = mc.raw.snapshot()
 			haveSnap = true
 		default: // stale-replay attack: serve the old snapshot, read, heal
 			if !haveSnap {
 				continue
 			}
-			serveStale := func(snap storeSnapshot) func(string, []byte, uint64) ([]byte, uint64) {
-				return func(name string, b []byte, v uint64) ([]byte, uint64) {
-					if old, ok := snap.data[name]; ok && !excluded[name] {
-						return append([]byte(nil), old...), snap.vers[name]
+			for _, d := range dirs {
+				// Honest cold pass: does anything Filldir(d) fetches have
+				// an older copy the attacker could serve instead?
+				wantStale := false
+				mc.raw.setOnGet(func(name string, b []byte, v uint64) ([]byte, uint64) {
+					if old, ok := snap.vers[name]; ok && old < v && !freshnessObjects[name] {
+						wantStale = true
 					}
 					return b, v
-				}
-			}
-			mc.raw.setOnGet(serveStale(snapM))
-			fc.raw.setOnGet(serveStale(snapF))
-			mc.encl.DropCaches()
-			fc.encl.DropCaches()
-			for _, d := range dirs {
-				err := both("attacked filldir "+d, func(e *enclave.Enclave) error {
-					_, err := e.Filldir(d)
-					return err
 				})
-				if err != nil && !errors.Is(err, enclave.ErrStaleMetadata) {
-					t.Fatalf("seed %d: attacked filldir %s rejected with %v, want ErrStaleMetadata", seed, d, err)
+				mc.encl.DropCaches()
+				filldir(mc.encl, "pre-attack filldir", d)
+
+				mc.raw.replayStale(snap)
+				mc.encl.DropCaches()
+				got, err := mc.encl.Filldir(d)
+				switch {
+				case wantStale && !errors.Is(err, enclave.ErrStaleMetadata):
+					t.Fatalf("seed %d: attacked filldir %s = %v, want ErrStaleMetadata (a fetched object has an older copy)", seed, d, err)
+				case !wantStale && err != nil:
+					t.Fatalf("seed %d: attacked filldir %s rejected with %v, but nothing it fetches was rolled back", seed, d, err)
+				case !wantStale:
+					sameListing("attacked filldir", d, got)
+					cleanVerdicts++
+				default:
+					staleVerdicts++
 				}
 			}
 			mc.raw.setOnGet(nil)
-			fc.raw.setOnGet(nil)
 			mc.encl.DropCaches()
-			fc.encl.DropCaches()
 		}
 	}
 
-	// Final sweep: both stacks agree on the whole namespace, through a
-	// fresh mount each (sealed state only).
-	eM := mc.newEnclave(t, mc.proofs)
-	if err := mc.mount(eM); err != nil {
-		t.Fatalf("seed %d: merkle remount: %v", seed, err)
-	}
-	containerF, err := fc.plat.CreateEnclave(rollbackImage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eF, err := enclave.New(enclave.Config{SGX: containerF, Store: fc.raw, IAS: fc.ias, FreshnessTree: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fc.mount(eF); err != nil {
-		t.Fatalf("seed %d: flat remount: %v", seed, err)
+	t.Logf("seed %d: %d attacked listings rejected as stale, %d served intact", seed, staleVerdicts, cleanVerdicts)
+
+	// Final sweep: a fresh mount (sealed state only) agrees with the
+	// model on the whole namespace.
+	e2 := mc.newEnclave(t, mc.proofs)
+	if err := mc.mount(e2); err != nil {
+		t.Fatalf("seed %d: remount: %v", seed, err)
 	}
 	for _, d := range dirs {
-		entM, errM := eM.Filldir(d)
-		entF, errF := eF.Filldir(d)
-		if (errM == nil) != (errF == nil) {
-			t.Fatalf("seed %d: final filldir %s: merkle=%v, flat=%v", seed, d, errM, errF)
-		}
-		if len(entM) != len(entF) {
-			t.Fatalf("seed %d: final filldir %s: %d entries vs %d", seed, d, len(entM), len(entF))
+		filldir(e2, "final filldir", d)
+	}
+	for _, path := range files {
+		got, err := e2.ReadFile(path)
+		if err != nil || !bytes.Equal(got, model.data[path]) {
+			t.Fatalf("seed %d: final read %s = %d bytes, %v; model has %d", seed, path, len(got), err, len(model.data[path]))
 		}
 	}
 }

@@ -1,5 +1,5 @@
-// Adversarial rollback/fork suite for merkle freshness mode
-// (Config.FreshnessMerkle, DESIGN.md §15). The store and the proof
+// Adversarial rollback/fork suite for the Merkle-authenticated
+// namespace (DESIGN.md §15). The store and the proof
 // channel are both controlled by a malicious server here; every attack
 // must fail closed with a typed error — ErrStaleObject for proven
 // rollbacks and forks, ErrBadProof for proofs that do not verify —
@@ -11,6 +11,7 @@
 package enclave_test
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
 	"errors"
@@ -21,6 +22,7 @@ import (
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
 	"nexus/internal/merkle"
+	"nexus/internal/metadata"
 	"nexus/internal/obs"
 	"nexus/internal/sgx"
 	"nexus/internal/uuid"
@@ -82,6 +84,26 @@ func (s *rawStore) setOnGet(f func(name string, data []byte, version uint64) ([]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.onGet = f
+}
+
+// freshnessObjects are the store names the staged stale replays leave
+// alone: the sealed root cannot be forged (its own rollback is
+// TestRollbackSealedRootEpochRegression's subject) and the tree is only
+// ever a source of proofs.
+var freshnessObjects = map[string]bool{
+	enclave.MerkleRootObjectName: true,
+	vfs.FreshnessTreeObjectName:  true,
+}
+
+// replayStale serves snap's copy of every metadata object it holds in
+// place of the current one.
+func (s *rawStore) replayStale(snap storeSnapshot) {
+	s.setOnGet(func(name string, b []byte, v uint64) ([]byte, uint64) {
+		if old, ok := snap.data[name]; ok && !freshnessObjects[name] {
+			return append([]byte(nil), old...), snap.vers[name]
+		}
+		return b, v
+	})
 }
 
 type storeSnapshot struct {
@@ -192,7 +214,7 @@ func (m *proofMangler) FreshnessUpdate(epoch uint64, updates []merkle.LeafUpdate
 	return inner.FreshnessUpdate(epoch, updates)
 }
 
-// merkleClient is one mounted NEXUS client in merkle freshness mode,
+// merkleClient is one mounted NEXUS client over a proof-serving store,
 // with handles on every layer the adversary controls.
 type merkleClient struct {
 	ias    *sgx.AttestationService
@@ -254,11 +276,10 @@ func (c *merkleClient) newEnclave(t *testing.T, store enclave.ObjectStore) *encl
 		t.Fatal(err)
 	}
 	e, err := enclave.New(enclave.Config{
-		SGX:             container,
-		Store:           store,
-		IAS:             c.ias,
-		FreshnessMerkle: true,
-		Obs:             c.reg,
+		SGX:   container,
+		Store: store,
+		IAS:   c.ias,
+		Obs:   c.reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -542,5 +563,85 @@ func TestRootObjectVanishes(t *testing.T) {
 	_, err := c.encl.Filldir("/d")
 	if !errors.Is(err, enclave.ErrStaleObject) {
 		t.Fatalf("vanished root = %v, want ErrStaleObject", err)
+	}
+}
+
+// TestRootObjectTampered flips one bit of the sealed root: the rootkey
+// AEAD rejects it the next time the commitment is re-read (every root
+// update re-reads it under the store lock), and restoring the honest
+// bytes resumes service.
+func TestRootObjectTampered(t *testing.T) {
+	c := newMerkleClient(t)
+	if err := c.encl.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	honest, _, err := c.raw.GetVersioned(enclave.MerkleRootObjectName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.raw.setOnGet(func(name string, b []byte, v uint64) ([]byte, uint64) {
+		if name == enclave.MerkleRootObjectName {
+			b[len(b)-1] ^= 1
+		}
+		return b, v
+	})
+	if err := c.encl.Mkdir("/d2"); !errors.Is(err, metadata.ErrTampered) {
+		t.Fatalf("tampered root = %v, want ErrTampered", err)
+	}
+	c.raw.setOnGet(nil)
+	if cur, _, err := c.raw.GetVersioned(enclave.MerkleRootObjectName); err != nil || !bytes.Equal(cur, honest) {
+		t.Fatalf("the rejected update replaced the sealed root (err %v)", err)
+	}
+	c.encl.DropCaches()
+	if _, err := c.encl.Filldir("/d"); err != nil {
+		t.Fatalf("honest reads after tamper: %v", err)
+	}
+}
+
+// TestMerkleAdoptsVolumeWrittenWithoutProofs mounts a volume whose
+// objects were all written over a plain store (no tree, no sealed root —
+// what a pre-Merkle build left behind, stray "freshness" table
+// included): every load passes on an absence proof, and objects enter
+// the tree as they are next flushed.
+func TestMerkleAdoptsVolumeWrittenWithoutProofs(t *testing.T) {
+	c := newMerkleClient(t)
+	raw := newRawStore()
+	plain := c.newEnclave(t, raw)
+	var err error
+	if c.sealed, err = plain.CreateVolume("owen", c.pub); err != nil {
+		t.Fatal(err)
+	}
+	if c.volID, err = plain.VolumeUUID(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.mount(plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Mkdir("/docs"); err != nil {
+		t.Fatal(err)
+	}
+	if err := plain.Touch("/docs/f"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := raw.PutVersioned("freshness", []byte("a flat table nobody reads")); err != nil {
+		t.Fatal(err)
+	}
+
+	e := c.newEnclave(t, vfs.NewFreshnessStore(raw))
+	if err := c.mount(e); err != nil {
+		t.Fatalf("mounting the proof-less volume: %v", err)
+	}
+	if err := e.WriteFile("/docs/f", []byte("adopted")); err != nil {
+		t.Fatal(err)
+	}
+	snap := raw.snapshot()
+	if err := e.WriteFile("/docs/f", []byte("adopted, then rewritten")); err != nil {
+		t.Fatal(err)
+	}
+	// The filenode is in the tree now: replaying its older copy fails.
+	raw.replayStale(snap)
+	e.DropCaches()
+	if _, err := e.ReadFile("/docs/f"); !errors.Is(err, enclave.ErrStaleObject) {
+		t.Fatalf("stale replay on the adopted volume = %v, want ErrStaleObject", err)
 	}
 }

@@ -270,10 +270,6 @@ func (e *Enclave) openBlobChecked(id uuid.UUID, blob []byte, wantType metadata.O
 		return metadata.Preamble{}, nil, fmt.Errorf("%w: object %s has parent %s, want %s (file-swap defence)",
 			metadata.ErrTampered, id, p.Parent, *wantParent)
 	}
-	if last, ok := e.freshness[id]; ok && p.Version < last {
-		return metadata.Preamble{}, nil, fmt.Errorf("%w: %s %s version %d < seen %d",
-			ErrStaleMetadata, wantType, id, p.Version, last)
-	}
 	if err := e.checkFreshnessLocked(id, p.Version); err != nil {
 		return metadata.Preamble{}, nil, err
 	}

@@ -21,8 +21,8 @@ package enclave
 //     see an entirely-old or entirely-new snapshot;
 //   - deferred deletes run after all uploads, so no on-store dirnode
 //     ever references a deleted object;
-//   - the freshness table (when enabled) is rewritten once per batch,
-//     absorbing every per-object update through e.freshSink.
+//   - the freshness root advances once per batch, absorbing every
+//     per-object update through e.freshSink.
 //
 // Deferred dirnode mutations also keep a per-node op log (insert/remove
 // by name). Batched ops skip the per-op store lock; at drain time the
@@ -108,8 +108,7 @@ type pendingDelete struct {
 
 // dirtySet tracks all pending metadata work. Guarded by Enclave.mu.
 type dirtySet struct {
-	maxOps   int
-	maxBytes int64
+	maxOps int
 
 	nodes   map[uuid.UUID]*dirtyNode
 	deletes []pendingDelete
@@ -129,18 +128,14 @@ type dirtySet struct {
 	superDirty bool
 }
 
-func newDirtySet(maxOps int, maxBytes int64) *dirtySet {
+func newDirtySet(maxOps int) *dirtySet {
 	if maxOps <= 0 {
 		maxOps = defaultWritebackMaxOps
 	}
-	if maxBytes <= 0 {
-		maxBytes = defaultWritebackMaxBytes
-	}
 	return &dirtySet{
-		maxOps:   maxOps,
-		maxBytes: maxBytes,
-		nodes:    make(map[uuid.UUID]*dirtyNode),
-		delSeen:  make(map[uuid.UUID]bool),
+		maxOps:  maxOps,
+		nodes:   make(map[uuid.UUID]*dirtyNode),
+		delSeen: make(map[uuid.UUID]bool),
 	}
 }
 
@@ -265,7 +260,7 @@ func (e *Enclave) maybeDrainLocked() error {
 	if e.wb == nil {
 		return nil
 	}
-	if e.wb.ops < e.wb.maxOps && e.wb.bytes < e.wb.maxBytes && !e.wb.pressure {
+	if e.wb.ops < e.wb.maxOps && e.wb.bytes < defaultWritebackMaxBytes && !e.wb.pressure {
 		return nil
 	}
 	//lint:ignore unchecked-crypto-error high-water drains are best-effort (page-cache semantics); barriers report durability
@@ -292,7 +287,7 @@ func (e *Enclave) drainWithRetryLocked() error {
 }
 
 // drainLocked flushes the whole dirty set in dependency order and
-// rewrites the freshness table once. On failure the un-flushed portion
+// advances the freshness root once. On failure the un-flushed portion
 // of the set is left intact for retry.
 func (e *Enclave) drainLocked() error {
 	if e.wb == nil || (len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && !e.wb.superDirty &&
@@ -306,7 +301,7 @@ func (e *Enclave) drainLocked() error {
 	defer span.End()
 
 	// Per-object freshness updates from the individual flushes collect
-	// in freshSink; the table is rewritten once below.
+	// in freshSink; the root advances once below.
 	e.freshSink = make(map[uuid.UUID]uint64)
 	err := e.flushDirtyNodesLocked()
 	if err == nil && e.wb.superDirty {

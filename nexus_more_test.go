@@ -178,34 +178,6 @@ func TestDisabledMetadataCacheStillCorrect(t *testing.T) {
 	}
 }
 
-func TestFreshnessTreePublicAPI(t *testing.T) {
-	client, err := NewClient(ClientConfig{
-		Store:         NewMemoryStore(),
-		FreshnessTree: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner, err := NewIdentity("owen")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vol, _, err := client.CreateVolume(owner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := vol.FS()
-	if err := fs.WriteFile("/f", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.ReadFile("/f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Remove("/f"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMountWrongVolumeID(t *testing.T) {
 	client, err := NewClient(ClientConfig{Store: NewMemoryStore()})
 	if err != nil {
