@@ -49,7 +49,7 @@ fuzz-smoke:
 # once per seed in CHAOS_SEEDS: the AFS transport suite
 # (internal/afs/chaos_test.go plus the disconnect property tests) and
 # the enclave write-back crash-consistency suite
-# (internal/enclave/writeback_test.go, write-back enabled). Each seed is
+# (internal/enclave/writeback_test.go). Each seed is
 # an exact replay: the fault schedule is a pure function of the seed.
 # See DESIGN.md §9 and §12.5.
 chaos:

@@ -250,13 +250,13 @@ func run() error {
 	}
 	if want("metadata") {
 		const files = 128
-		rows, err := bench.Metadata(cfg, files)
+		row, err := bench.Metadata(cfg, files)
 		if err != nil {
 			return fmt.Errorf("metadata: %w", err)
 		}
-		bench.PrintMetadata(os.Stdout, rows)
+		bench.PrintMetadata(os.Stdout, row)
 		if report != nil {
-			report.Experiments["metadata"] = bench.MetadataMetrics(rows)
+			report.Experiments["metadata"] = bench.MetadataMetrics(row)
 		}
 	}
 	if *exp == "ablation" {

@@ -120,7 +120,7 @@ func run() error {
 }
 
 // command runs one CLI command against the configured store.
-func (c *cli) command(cmd string, rest []string) error {
+func (c *cli) command(cmd string, rest []string) (err error) {
 	if cmd == "keygen" {
 		return c.keygen(rest)
 	}
@@ -147,6 +147,14 @@ func (c *cli) command(cmd string, rest []string) error {
 		reg.Tracer().Enable()
 		defer printTrace(reg)
 	}
+	// One command per process: metadata still deferred in the enclave
+	// when the process exits is lost, and mkdir and rm end on no barrier
+	// of their own.
+	defer func() {
+		if serr := fs.Sync(); err == nil {
+			err = serr
+		}
+	}()
 
 	switch cmd {
 	case "ls":
@@ -352,9 +360,6 @@ func (c *cli) newClient() (*nexus.Client, error) {
 		PlatformSeed:   seed,
 		Obs:            c.obs,
 		ContentDefined: c.contentDefined,
-		// One command per process: batching buys nothing and deferred
-		// metadata would be lost at exit, so flush eagerly.
-		WritebackMode: "off",
 	})
 }
 

@@ -111,6 +111,13 @@ func TestVolumeSurvivesRestartAndRejectsRollback(t *testing.T) {
 		t.Fatalf("get /docs/x = %q, %v", got, err)
 	}
 
+	// mkdir ends on no barrier of its own: the drain the command runs
+	// before it returns is all that carries /only to the next process.
+	mustProcess(t, home, "mkdir", "/only")
+	if out := mustProcess(t, home, "ls", "/"); !strings.Contains(out, "d only\n") {
+		t.Fatalf("ls / printed %q, want it to list the directory the previous process made", out)
+	}
+
 	// The attack: snapshot the store, let the owner overwrite the file,
 	// then put the older metadata objects back.
 	old := readStoreDir(t, storeDir)

@@ -535,11 +535,10 @@ func TestChaosMerkleFreshnessMidDrainRestart(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 		c, err := nexus.NewClient(nexus.ClientConfig{
-			Store:         afsC,
-			IAS:           ias,
-			PlatformSeed:  platformSeed,
-			WritebackMode: "on",
-			Obs:           reg,
+			Store:        afsC,
+			IAS:          ias,
+			PlatformSeed: platformSeed,
+			Obs:          reg,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -639,10 +638,9 @@ func TestChaosMerkleFreshnessMidDrainRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	client2, err := nexus.NewClient(nexus.ClientConfig{
-		Store:         afs2,
-		IAS:           ias,
-		PlatformSeed:  platformSeed,
-		WritebackMode: "on",
+		Store:        afs2,
+		IAS:          ias,
+		PlatformSeed: platformSeed,
 	})
 	if err != nil {
 		t.Fatal(err)

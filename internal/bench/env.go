@@ -46,10 +46,6 @@ type Config struct {
 	// content-defined chunks (DESIGN.md §16) — the `dedup` experiment's
 	// CDC arm.
 	ContentDefined bool
-	// Writeback selects the enclave's metadata flushing mode: "" or
-	// "on" batches dirty metadata at barriers (the client default);
-	// "off" flushes eagerly after every operation.
-	Writeback string
 	// Runs is the number of repetitions averaged per measurement
 	// (paper: 10 for microbenchmarks, 25 for applications).
 	Runs int
@@ -139,7 +135,6 @@ func NewEnv(cfg Config) (*Env, error) {
 		TransitionCost:       cfg.TransitionCost,
 		DisableMetadataCache: cfg.DisableMetadataCache,
 		ContentDefined:       cfg.ContentDefined,
-		WritebackMode:        cfg.Writeback,
 		Obs:                  env.Obs,
 	})
 	if err != nil {

@@ -8,12 +8,11 @@ import (
 	"nexus"
 )
 
-// MetadataRow measures one write-back mode on the metadata-heavy
-// workload: open n files with O_CREATE, write a small payload through
-// each handle, then close them all. Every operation mutates metadata
-// but moves almost no data, so the flush count dominates.
+// MetadataRow measures the metadata-heavy workload: open n files with
+// O_CREATE, write a small payload through each handle, then close them
+// all. Every operation mutates metadata but moves almost no data, so
+// the flush count dominates.
 type MetadataRow struct {
-	Mode    string // "writeback" or "eager"
 	Files   int
 	Elapsed time.Duration
 	// Flushes is the number of metadata objects sealed and uploaded
@@ -22,38 +21,18 @@ type MetadataRow struct {
 	FlushesPerOp float64
 }
 
-// Metadata quantifies the write-back metadata layer. Each mode runs on
-// its own freshly built testbed so caches, flush counters, and the
-// store start identical; the workload and seed directory are the same.
-func Metadata(base Config, files int) ([]MetadataRow, error) {
+// Metadata quantifies the write-back metadata layer on a freshly built
+// testbed: it times the NEXUS-side open/write/close sweep and reads the
+// enclave's flush counter across it.
+func Metadata(cfg Config, files int) (MetadataRow, error) {
 	if files <= 0 {
 		files = 128
 	}
-	modes := []struct{ name, knob string }{
-		{"writeback", "on"},
-		{"eager", "off"},
+	env, err := NewEnv(cfg)
+	if err != nil {
+		return MetadataRow{}, err
 	}
-	rows := make([]MetadataRow, 0, len(modes))
-	for _, m := range modes {
-		cfg := base
-		cfg.Writeback = m.knob
-		env, err := NewEnv(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("metadata %q: %w", m.name, err)
-		}
-		row, err := runMetadataChurn(env, files, m.name)
-		env.Close()
-		if err != nil {
-			return nil, fmt.Errorf("metadata %q: %w", m.name, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// runMetadataChurn times the NEXUS-side open/write/close sweep and
-// reads the enclave's flush counter across it.
-func runMetadataChurn(env *Env, files int, mode string) (MetadataRow, error) {
+	defer env.Close()
 	fs := env.NexusVolume.FS()
 	if err := fs.MkdirAll("/metadata"); err != nil {
 		return MetadataRow{}, err
@@ -87,7 +66,6 @@ func runMetadataChurn(env *Env, files int, mode string) (MetadataRow, error) {
 	elapsed := time.Since(start)
 	flushes := encl.Stats().MetadataFlushes - before
 	return MetadataRow{
-		Mode:         mode,
 		Files:        files,
 		Elapsed:      elapsed,
 		Flushes:      flushes,
@@ -95,27 +73,18 @@ func runMetadataChurn(env *Env, files int, mode string) (MetadataRow, error) {
 	}, nil
 }
 
-// PrintMetadata renders the write-back comparison table.
-func PrintMetadata(w io.Writer, rows []MetadataRow) {
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "Metadata flushing — create+write+close of %d files (NEXUS side only)\n", rows[0].Files)
-	fmt.Fprintf(w, "%-12s %12s %10s %12s\n", "mode", "latency", "flushes", "flushes/op")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-12s %12s %10d %11.2f\n", r.Mode, fmtDur(r.Elapsed), r.Flushes, r.FlushesPerOp)
-	}
+// PrintMetadata renders the write-back flush table.
+func PrintMetadata(w io.Writer, r MetadataRow) {
+	fmt.Fprintf(w, "Metadata flushing — create+write+close of %d files (NEXUS side only)\n", r.Files)
+	fmt.Fprintf(w, "%12s %10s %12s\n", "latency", "flushes", "flushes/op")
+	fmt.Fprintf(w, "%12s %10d %11.2f\n", fmtDur(r.Elapsed), r.Flushes, r.FlushesPerOp)
 	fmt.Fprintln(w)
 }
 
-// MetadataMetrics converts the rows into report metrics keyed by mode.
-func MetadataMetrics(rows []MetadataRow) Experiment {
-	exp := make(Experiment)
-	for _, r := range rows {
-		exp[r.Mode] = Metric{
-			NsPerOp:      float64(r.Elapsed.Nanoseconds()) / float64(r.Files),
-			FlushesPerOp: r.FlushesPerOp,
-		}
-	}
-	return exp
+// MetadataMetrics converts the row into the report's "writeback" metric.
+func MetadataMetrics(r MetadataRow) Experiment {
+	return Experiment{"writeback": Metric{
+		NsPerOp:      float64(r.Elapsed.Nanoseconds()) / float64(r.Files),
+		FlushesPerOp: r.FlushesPerOp,
+	}}
 }

@@ -112,19 +112,7 @@ type FS struct {
 	epochRoots map[uint64][]byte // epoch → tree root secret, for lazy reads
 	groupErr   error             // latched tree-maintenance failure
 
-	// writeback defers WriteFile's encrypt+upload into pending, drained
-	// at Sync, at Revoke, or on first read of a pending path (mirrors
-	// the enclave's write-back metadata mode); guarded by mu.
-	writeback bool
-	pending   map[string]pendingWrite // guarded by mu
-
 	metrics cfsMetrics
-}
-
-// pendingWrite is a buffered WriteFile awaiting its upload.
-type pendingWrite struct {
-	data    []byte
-	readers []string
 }
 
 // cfsMetrics holds the filesystem's obs instrument handles. The
@@ -186,60 +174,6 @@ func (fs *FS) AddUser(u *User) {
 	if fs.tree != nil {
 		fs.enrollLocked(u.Name)
 	}
-}
-
-// SetWriteback toggles deferred uploads: with it on, WriteFile buffers
-// the plaintext and reader set in memory and the encrypt+upload runs at
-// Sync, at Revoke (which must never leave pre-revocation state
-// pending), or on first read of the pending path. Default off.
-func (fs *FS) SetWriteback(on bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.writeback = on
-	if on && fs.pending == nil {
-		fs.pending = make(map[string]pendingWrite)
-	}
-}
-
-// Sync encrypts and uploads every pending write-back file (no-op when
-// write-back is off or nothing is pending).
-func (fs *FS) Sync() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.flushAllPendingLocked()
-}
-
-// flushPendingLocked uploads one pending path, if any; fs.mu is held.
-func (fs *FS) flushPendingLocked(p string) error {
-	pw, ok := fs.pending[p]
-	if !ok {
-		return nil
-	}
-	if err := fs.encryptAndStoreLocked(p, pw.data, pw.readers); err != nil {
-		return err
-	}
-	delete(fs.pending, p)
-	return nil
-}
-
-// flushAllPendingLocked uploads every pending path in deterministic
-// order; fs.mu is held. Paths that upload successfully leave the
-// pending set even if a later one fails.
-func (fs *FS) flushAllPendingLocked() error {
-	if len(fs.pending) == 0 {
-		return nil
-	}
-	paths := make([]string, 0, len(fs.pending))
-	for p := range fs.pending {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if err := fs.flushPendingLocked(p); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SetWorkers bounds the re-encryption fan-out used by Revoke (0 =
@@ -448,10 +382,6 @@ func (fs *FS) WriteFile(p string, data []byte, readers []string) error {
 			unique = append(unique, r)
 		}
 	}
-	if fs.writeback {
-		fs.pending[p] = pendingWrite{data: append([]byte(nil), data...), readers: unique}
-		return nil
-	}
 	return fs.encryptAndStoreLocked(p, data, unique)
 }
 
@@ -459,9 +389,6 @@ func (fs *FS) WriteFile(p string, data []byte, readers []string) error {
 func (fs *FS) ReadFile(p string, user *User) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.flushPendingLocked(p); err != nil {
-		return nil, err
-	}
 	keysBlob, err := fs.store.Get(keysName(p))
 	if errors.Is(err, backend.ErrNotExist) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, p)
@@ -529,9 +456,6 @@ func decodeKeyBlock(blob []byte) (readers []string, wrapped [][]byte, err error)
 func (fs *FS) Readers(p string) ([]string, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if err := fs.flushPendingLocked(p); err != nil {
-		return nil, err
-	}
 	keysBlob, err := fs.store.Get(keysName(p))
 	if errors.Is(err, backend.ErrNotExist) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, p)
@@ -565,12 +489,6 @@ func (fs *FS) Readers(p string) ([]string, error) {
 func (fs *FS) Revoke(revoked string, paths []string) (Stats, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	// Revocation is a barrier: a buffered write carrying the revoked
-	// user's key must reach the store before the sweep so it gets
-	// re-encrypted like everything else.
-	if err := fs.flushAllPendingLocked(); err != nil {
-		return Stats{}, err
-	}
 	span := fs.metrics.tracer.Begin("cryptofs.revoke")
 	span.SetTagInt("paths", int64(len(paths)))
 	span.SetTagInt("workers", int64(fs.workers))
@@ -639,9 +557,6 @@ func (fs *FS) Revoke(revoked string, paths []string) (Stats, error) {
 // ReadFileAsOwnerLocked decrypts p with the owner's key; the caller
 // holds fs.mu.
 func (fs *FS) ReadFileAsOwnerLocked(p string) ([]byte, error) {
-	if err := fs.flushPendingLocked(p); err != nil {
-		return nil, err
-	}
 	if fs.tree != nil {
 		if pt, ok, err := readFileGroup(fs.store, fs.epochRoots, p); ok || err != nil {
 			return pt, err

@@ -243,90 +243,3 @@ func TestParallelRevokeMissingFileFails(t *testing.T) {
 		t.Fatalf("parallel revoke with missing file = %v, want ErrNotFound", err)
 	}
 }
-
-func TestWritebackDefersUploadUntilBarrier(t *testing.T) {
-	fs, owner, alice, store := setup(t)
-	fs.SetWriteback(true)
-	data := []byte("deferred document")
-	if err := fs.WriteFile("/doc", data, []string{"alice"}); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing on the store until a barrier.
-	names, err := store.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 0 {
-		t.Fatalf("store holds %v before any barrier", names)
-	}
-	// Reading the pending path is itself a barrier for that file.
-	got, err := fs.ReadFile("/doc", alice)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("pending read = %q, %v", got, err)
-	}
-	names, err = store.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 {
-		t.Fatalf("store holds %d objects after read-of-pending, want 2 (data+keys)", len(names))
-	}
-	_ = owner
-}
-
-func TestWritebackRevokeDrainsPending(t *testing.T) {
-	fs, owner, _, _ := setup(t)
-	fs.SetWriteback(true)
-	if err := fs.WriteFile("/a", []byte("alpha"), []string{"alice"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile("/b", []byte("beta"), []string{"alice"}); err != nil {
-		t.Fatal(err)
-	}
-	// Revoke must publish the pending writes first, then strip alice.
-	if _, err := fs.Revoke("alice", []string{"/a", "/b"}); err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []string{"/a", "/b"} {
-		readers, err := fs.Readers(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range readers {
-			if r == "alice" {
-				t.Fatalf("%s still readable by revoked user", p)
-			}
-		}
-		if _, err := fs.ReadFile(p, owner); err != nil {
-			t.Fatalf("owner read of %s after revoke: %v", p, err)
-		}
-	}
-}
-
-func TestWritebackSyncPublishesAll(t *testing.T) {
-	fs, _, alice, store := setup(t)
-	fs.SetWriteback(true)
-	for i := 0; i < 4; i++ {
-		p := fmt.Sprintf("/f%d", i)
-		if err := fs.WriteFile(p, []byte(p), []string{"alice"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fs.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	names, err := store.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 8 {
-		t.Fatalf("store holds %d objects after Sync, want 8", len(names))
-	}
-	for i := 0; i < 4; i++ {
-		p := fmt.Sprintf("/f%d", i)
-		got, err := fs.ReadFile(p, alice)
-		if err != nil || string(got) != p {
-			t.Fatalf("read %s = %q, %v", p, got, err)
-		}
-	}
-}

@@ -272,23 +272,3 @@ func TestGroupModeSweepConvertsFlatFiles(t *testing.T) {
 		t.Fatalf("post-conversion KeyWraps = %d, want 1..%d", st.KeyWraps, 1+rotationBound)
 	}
 }
-
-func TestGroupModeWritebackInterplay(t *testing.T) {
-	fs, _, users, _ := groupSetup(t, 3)
-	fs.SetWriteback(true)
-	everyone := []string{"u0", "u1", "u2"}
-	if err := fs.WriteFile("/buffered", []byte("pending"), everyone); err != nil {
-		t.Fatal(err)
-	}
-	// Revoke drains the buffer first, then sweeps it like any other file.
-	if _, err := fs.Revoke("u1", []string{"/buffered"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.ReadFile("/buffered", users[1]); !errors.Is(err, ErrNoAccess) {
-		t.Fatalf("revoked read = %v, want ErrNoAccess", err)
-	}
-	got, err := fs.ReadFile("/buffered", users[0])
-	if err != nil || string(got) != "pending" {
-		t.Fatalf("survivor read = %q, %v", got, err)
-	}
-}

@@ -22,9 +22,8 @@ package enclave
 // Increments flush inside writeFileCDCLocked (before the caller seals
 // the filenode); decrements accumulate in e.casDecs and flush through
 // casFlushDecsLocked only after the referencing filenode is on the
-// store (casFinishEagerLocked in eager mode, the tail of drainLocked in
-// write-back mode). Chunk-object and superseded legacy data-object
-// deletions trail the decrement flush via e.casPendingDeletes.
+// store (the tail of drainLocked). Chunk-object deletions trail the
+// decrement flush via e.casPendingDeletes.
 //
 // Chunk uploads are idempotent byte-identical PUTs (cas derivation is
 // deterministic), so a stale-low view of the table — e.g. the cached
@@ -156,11 +155,10 @@ func (e *Enclave) casStageDecsLocked(extents []cas.Extent) {
 }
 
 // casFlushDecsLocked applies pending reference drops to the on-store
-// table and deletes every chunk object that reached zero, plus any
-// queued name-based deletions (superseded legacy data objects). Safe
-// to retry: decrements clear only after the table upload succeeds, and
-// the deletion queue drains destructively with missing objects
-// tolerated.
+// table and deletes every chunk object that reached zero (including
+// deletions a failed earlier pass left queued). Safe to retry:
+// decrements clear only after the table upload succeeds, and the
+// deletion queue drains destructively with missing objects tolerated.
 func (e *Enclave) casFlushDecsLocked() error {
 	if len(e.casDecs) == 0 && len(e.casPendingDeletes) == 0 {
 		return nil
@@ -197,23 +195,11 @@ func (e *Enclave) casFlushDecsLocked() error {
 	return nil
 }
 
-// casFinishEagerLocked is the eager-mode tail of a CDC mutation: the
-// caller has flushed (or deleted) the referencing filenode, so pending
-// decrements and deferred object deletions can land. In write-back
-// mode it is a no-op — staged filenode deletions have not run yet, so
-// the drops ride drainLocked's tail instead.
-func (e *Enclave) casFinishEagerLocked() error {
-	if e.wb != nil {
-		return nil
-	}
-	return e.casFlushDecsLocked()
-}
-
 // writeFileCDCLocked is encryptAndPutLocked's content-defined twin: it
 // chunks data, uploads only chunks the volume has never stored, flushes
 // the reference increments, and rewrites f's extent list in memory.
-// The caller remains responsible for flushing the filenode and then
-// calling casFinishEagerLocked (eager mode) or draining (write-back).
+// The caller remains responsible for flushing the filenode (inline or
+// through the dirty set); the reference drops follow at the next drain.
 func (e *Enclave) writeFileCDCLocked(f *metadata.Filenode, data []byte) error {
 	if e.casSecret == nil {
 		return ErrNotMounted
@@ -313,11 +299,7 @@ func (e *Enclave) writeFileCDCLocked(f *metadata.Filenode, data []byte) error {
 	// object; the deletion trails the filenode flush so a crash never
 	// strands the on-store filenode pointing at nothing.
 	if !f.ContentDefined && f.Size > 0 {
-		if e.wb != nil {
-			e.stageDeleteLocked(f.DataUUID, false)
-		} else {
-			e.casPendingDeletes = append(e.casPendingDeletes, objName(f.DataUUID))
-		}
+		e.stageDeleteLocked(f.DataUUID, false)
 	}
 
 	f.ContentDefined = true

@@ -13,8 +13,11 @@ import (
 // cdcConfig is the standard content-defined test configuration: a
 // 4 KiB average chunk keeps the test files small while still cutting
 // plenty of chunks per file.
+// cdcConfig drains after every mutation, so each test reads store
+// state without a barrier of its own; the write-back tests below lift
+// the limit to the default.
 func cdcConfig() Config {
-	return Config{ContentDefined: true, ChunkSize: 4096}
+	return Config{ContentDefined: true, ChunkSize: 4096, WritebackMaxOps: 1}
 }
 
 // chunkObjects counts the CAS chunk objects on the env's store,
@@ -200,9 +203,12 @@ func TestCDCOverwriteGC(t *testing.T) {
 	}
 
 	// An overwrite with unrelated content replaces every extent; the
-	// old chunks must be gone once the write returns (eager mode).
+	// old chunks drop at the tail of the next drain.
 	data2 := cdcData(6, 60_000)
 	if err := e.WriteFile("/f", data2); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SyncMetadata(); err != nil {
 		t.Fatal(err)
 	}
 	want := len(boundariesFor(t, data2))
@@ -216,6 +222,9 @@ func TestCDCOverwriteGC(t *testing.T) {
 
 	// Truncate-to-empty drops the last references too.
 	if err := e.WriteFile("/f", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SyncMetadata(); err != nil {
 		t.Fatal(err)
 	}
 	if n := chunkObjects(t, env); n != 0 {
@@ -278,7 +287,7 @@ func TestCDCHardlinkKeepsChunks(t *testing.T) {
 func TestCDCLegacyConversion(t *testing.T) {
 	// Volume starts with fixed-size chunking; the knob flips on a
 	// later mount and the next write converts the file in place.
-	env := newWbEnv(t, newIdentity(t, "owner"), Config{ChunkSize: 4096})
+	env := newWbEnv(t, newIdentity(t, "owner"), Config{ChunkSize: 4096, WritebackMaxOps: 1})
 	e := env.enclave
 	legacy := cdcData(8, 20_000)
 	if err := e.Touch("/f"); err != nil {
@@ -302,11 +311,14 @@ func TestCDCLegacyConversion(t *testing.T) {
 	if got, err := e2.ReadFile("/f"); err != nil || !bytes.Equal(got, legacy) {
 		t.Fatalf("legacy read under CDC mount: %v", err)
 	}
-	// The first write converts: extents appear, the old monolithic
-	// data object is deleted.
+	// The first write converts: extents appear, and the old monolithic
+	// data object is deleted at the next drain.
 	updated := cdcData(9, 25_000)
 	if err := e2.WriteFile("/f", updated); err != nil {
 		t.Fatalf("converting write: %v", err)
+	}
+	if err := e2.SyncMetadata(); err != nil {
+		t.Fatal(err)
 	}
 	if chunkObjects(t, env) == 0 {
 		t.Fatal("converting write produced no CAS objects")
@@ -341,7 +353,7 @@ func TestCDCLegacyConversion(t *testing.T) {
 
 func TestCDCWritebackDrainGC(t *testing.T) {
 	cfg := cdcConfig()
-	cfg.Writeback = WritebackOn
+	cfg.WritebackMaxOps = defaultWritebackMaxOps
 	env := newWbEnv(t, newIdentity(t, "owner"), cfg)
 	e := env.enclave
 	data := cdcData(10, 48_000)
@@ -392,7 +404,7 @@ func TestCDCWritebackDrainGC(t *testing.T) {
 
 func TestCDCWritebackPendingCreateRemove(t *testing.T) {
 	cfg := cdcConfig()
-	cfg.Writeback = WritebackOn
+	cfg.WritebackMaxOps = defaultWritebackMaxOps
 	env := newWbEnv(t, newIdentity(t, "owner"), cfg)
 	e := env.enclave
 	if err := e.Touch("/f"); err != nil {

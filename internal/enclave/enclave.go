@@ -155,18 +155,14 @@ type Config struct {
 	// DisableMetadataCache turns off the in-enclave decrypted-metadata
 	// cache (used by the cache ablation benchmark).
 	DisableMetadataCache bool
-	// Writeback selects the metadata flush policy. The zero value and
-	// WritebackOff seal and upload metadata eagerly on every mutation
-	// (the historical behaviour, and what direct Config consumers such
-	// as the internal tests rely on). WritebackOn defers flushes into a
-	// dirty set drained in dependency order at explicit barriers
-	// (SyncMetadata, ACL/user/sharing changes, DropCaches) and at the
-	// high-water marks (WritebackMaxOps deferred mutations, 4 MiB of
-	// estimated batched metadata). See internal/enclave/writeback.go and
-	// DESIGN.md §12.
-	Writeback WritebackMode
 	// WritebackMaxOps caps the number of deferred mutations before the
-	// dirty set drains inline (default 64; write-back mode only).
+	// dirty set drains inline (default 64). Creates and removes defer
+	// their metadata flushes into a dirty set drained in dependency
+	// order at explicit barriers (SyncMetadata, ACL/user/sharing
+	// changes, DropCaches) and at the high-water marks (this many
+	// deferred mutations, 4 MiB of estimated batched metadata); 1 drains
+	// after every mutation, which is per-op durability. See
+	// internal/enclave/writeback.go and DESIGN.md §12.
 	WritebackMaxOps int
 	// ContentDefined stores file contents through the content-addressed
 	// dedup layer (DESIGN.md §16): writes are split at content-defined
@@ -264,7 +260,7 @@ type Enclave struct {
 	mkEpoch    uint64
 	mkSeen     bool
 
-	// wb is the write-back dirty set (nil in eager mode); freshSink,
+	// wb is the write-back dirty set; freshSink,
 	// when non-nil, absorbs freshness updates during a batch drain so
 	// the root advances once per batch instead of once per object. Both
 	// are guarded by mu.
@@ -386,11 +382,6 @@ func New(cfg Config) (*Enclave, error) {
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
 	}
-	switch cfg.Writeback {
-	case WritebackEager, WritebackOff, WritebackOn:
-	default:
-		return nil, fmt.Errorf("enclave: unknown Writeback mode %q", cfg.Writeback)
-	}
 	proofStore, _ := cfg.Store.(FreshnessProofStore)
 	e := &Enclave{
 		sgx:        cfg.SGX,
@@ -400,10 +391,7 @@ func New(cfg Config) (*Enclave, error) {
 		freshness:  make(map[uuid.UUID]uint64),
 		proofStore: proofStore,
 		casDecs:    make(map[cas.Handle]uint32),
-	}
-	if cfg.Writeback == WritebackOn {
-		//lint:ignore lock-discipline construction: the enclave is not yet shared
-		e.wb = newDirtySet(cfg.WritebackMaxOps)
+		wb:         newDirtySet(cfg.WritebackMaxOps),
 	}
 	e.metrics.bind(cfg.Obs)
 	e.arena = parallel.NewArena()
@@ -492,8 +480,8 @@ func (e *Enclave) Obs() *obs.Registry { return e.metrics.reg }
 // DropCaches discards the in-enclave decrypted metadata cache, forcing
 // subsequent operations to re-fetch and re-verify (the benchmark's
 // cold-cache runs; the paper flushes the AFS cache before each run).
-// In write-back mode it first drains pending metadata, since a dirty
-// node evicted from memory without an on-store copy would be lost.
+// It first drains pending metadata, since a dirty node evicted from
+// memory without an on-store copy would be lost.
 func (e *Enclave) DropCaches() {
 	//lint:ignore unchecked-crypto-error best-effort pre-drain; an unreachable store must not block a cache drop
 	_ = e.SyncMetadata()
@@ -713,11 +701,9 @@ func (e *Enclave) AddUser(name string, key ed25519.PublicKey) (userID uint32, er
 				_, _ = e.super.RemoveUser(name)
 				return err
 			}
-			if err := e.markSupernodeDirtyLocked(); err != nil {
-				return err
-			}
-			// Write-back: the enrollment's path rotation rides the batch
-			// drain, flushed while the supernode lock is still held.
+			e.markSupernodeDirtyLocked()
+			// The enrollment's path rotation rides the batch drain,
+			// flushed while the supernode lock is still held.
 			return e.drainWithRetryLocked()
 		})
 	})
@@ -753,9 +739,7 @@ func (e *Enclave) RemoveUser(name string) error {
 			if err := e.groupRevokeLocked(removedID); err != nil {
 				return err
 			}
-			if err := e.markSupernodeDirtyLocked(); err != nil {
-				return err
-			}
+			e.markSupernodeDirtyLocked()
 			return e.drainWithRetryLocked()
 		})
 	})

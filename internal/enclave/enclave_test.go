@@ -87,7 +87,9 @@ type testEnv struct {
 }
 
 // newTestEnv builds an enclave on a fresh platform over the given store
-// (shared stores simulate the common storage service).
+// (shared stores simulate the common storage service). Its dirty set
+// drains after every mutation, so tests observe the store without
+// barriers of their own.
 func newTestEnv(t *testing.T, ias *sgx.AttestationService, store *memObjectStore) *testEnv {
 	t.Helper()
 	if ias == nil {
@@ -108,7 +110,7 @@ func newTestEnv(t *testing.T, ias *sgx.AttestationService, store *memObjectStore
 	if err != nil {
 		t.Fatal(err)
 	}
-	encl, err := New(Config{SGX: container, Store: store, IAS: ias})
+	encl, err := New(Config{SGX: container, Store: store, IAS: ias, WritebackMaxOps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

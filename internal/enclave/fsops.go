@@ -122,12 +122,6 @@ func (e *Enclave) checkACLLocked(d *metadata.Dirnode, want acl.Rights) error {
 		ErrAccessDenied, e.user.Name, want, have)
 }
 
-// reloadDirUnderLockLocked re-resolves a directory after its store lock
-// has been taken, so the mutation applies to the freshest version.
-func (e *Enclave) reloadDirUnderLockLocked(dirs []string) (walkResult, error) {
-	return e.walkDirLocked(dirs)
-}
-
 // createEntry is the shared implementation of Touch, Mkdir and Symlink.
 func (e *Enclave) createEntry(path string, kind metadata.EntryKind, symlinkTarget string) error {
 	return e.retryTornEcall(func() error {
@@ -150,56 +144,7 @@ func (e *Enclave) createEntry(path string, kind metadata.EntryKind, symlinkTarge
 		if err := e.checkACLLocked(w.dir, acl.Insert); err != nil {
 			return err
 		}
-
-		if e.wb != nil {
-			return e.createEntryWritebackLocked(w, path, name, kind, symlinkTarget)
-		}
-
-		release, err := e.lockObject(objName(w.dir.UUID))
-		if err != nil {
-			return fmt.Errorf("locking directory: %w", err)
-		}
-		defer release()
-		w, err = e.reloadDirUnderLockLocked(dirs)
-		if err != nil {
-			return err
-		}
-
-		entry := metadata.DirEntry{
-			Name:          name,
-			UUID:          uuid.New(),
-			Kind:          kind,
-			SymlinkTarget: symlinkTarget,
-		}
-
-		// Create the child's metadata object first so the directory never
-		// references a missing object.
-		switch kind {
-		case metadata.KindFile:
-			f := metadata.NewFilenode(entry.UUID, w.dir.UUID, e.cfg.ChunkSize)
-			if err := e.flushFilenodeLocked(f, 1); err != nil {
-				return err
-			}
-		case metadata.KindDir:
-			d := metadata.NewDirnode(entry.UUID, w.dir.UUID, e.cfg.BucketSize)
-			if err := e.flushDirnodeLocked(d, 1); err != nil {
-				return err
-			}
-		case metadata.KindSymlink:
-			// Symlinks live entirely in the dirnode entry.
-		}
-
-		if err := w.dir.Insert(entry, e.bucketLoaderFor(w.dir)); err != nil {
-			if errors.Is(err, metadata.ErrEntryExists) {
-				return fmt.Errorf("%w: %s", ErrExists, path)
-			}
-			return err
-		}
-		if err := e.flushDirnodeLocked(w.dir, w.version+1); err != nil {
-			e.cache.invalidate(w.dir.UUID)
-			return err
-		}
-		return nil
+		return e.createEntryWritebackLocked(w, path, name, kind, symlinkTarget)
 	})
 }
 
@@ -245,114 +190,7 @@ func (e *Enclave) Remove(path string) error {
 		if err := e.checkACLLocked(w.dir, acl.Delete); err != nil {
 			return err
 		}
-
-		if e.wb != nil {
-			return e.removeWritebackLocked(w, path, name)
-		}
-
-		release, err := e.lockObject(objName(w.dir.UUID))
-		if err != nil {
-			return fmt.Errorf("locking directory: %w", err)
-		}
-		defer release()
-		w, err = e.reloadDirUnderLockLocked(dirs)
-		if err != nil {
-			return err
-		}
-
-		entry, err := w.dir.Lookup(name, e.bucketLoaderFor(w.dir))
-		if err != nil {
-			if errors.Is(err, metadata.ErrEntryNotFound) {
-				return fmt.Errorf("%w: %s", ErrNotFound, path)
-			}
-			return err
-		}
-
-		switch entry.Kind {
-		case metadata.KindDir:
-			child, _, err := e.loadDirnode(entry.UUID, w.dir.UUID)
-			if err != nil {
-				return err
-			}
-			if child.EntryCount() != 0 {
-				return fmt.Errorf("%w: %s", ErrNotEmpty, path)
-			}
-			removed := map[uuid.UUID]uint64{entry.UUID: 0}
-			for _, ref := range child.Refs {
-				if err := e.deleteObject(objName(ref.UUID)); err != nil {
-					return fmt.Errorf("deleting bucket: %w", err)
-				}
-				removed[ref.UUID] = 0
-			}
-			for _, old := range child.Retired {
-				if err := e.deleteObject(objName(old)); err != nil && !isNotExist(err) {
-					return fmt.Errorf("deleting retired bucket: %w", err)
-				}
-				removed[old] = 0
-			}
-			if err := e.deleteObject(objName(entry.UUID)); err != nil {
-				return fmt.Errorf("deleting dirnode: %w", err)
-			}
-			e.cache.invalidate(entry.UUID)
-			if err := e.recordFreshnessLocked(removed); err != nil {
-				return err
-			}
-
-		case metadata.KindFile:
-			// Lock the filenode: its link count races with concurrent
-			// WriteFile/Hardlink from other clients otherwise.
-			fRelease, err := e.lockObject(objName(entry.UUID))
-			if err != nil {
-				return fmt.Errorf("locking filenode: %w", err)
-			}
-			defer fRelease()
-			f, fv, err := e.loadFilenode(entry.UUID, w.dir.UUID)
-			if err != nil {
-				return err
-			}
-			if f.LinkCount > 1 {
-				f.LinkCount--
-				// The remaining links' directories are unknown; drop the
-				// parent binding (nil = hardlink history, checked no
-				// further — the dirnode entry UUID still binds structure).
-				f.Parent = uuid.Nil
-				if err := e.flushFilenodeLocked(f, fv+1); err != nil {
-					return err
-				}
-			} else {
-				if f.ContentDefined {
-					// Chunk drops flush (and zeroed chunks delete) only
-					// after the filenode object is off the store.
-					e.casStageDecsLocked(f.Extents)
-				} else if f.Size > 0 {
-					if err := e.deleteObject(objName(f.DataUUID)); err != nil && !isNotExist(err) {
-						return fmt.Errorf("deleting data object: %w", err)
-					}
-				}
-				if err := e.deleteObject(objName(entry.UUID)); err != nil {
-					return fmt.Errorf("deleting filenode: %w", err)
-				}
-				e.cache.invalidate(entry.UUID)
-				if err := e.recordFreshnessLocked(map[uuid.UUID]uint64{entry.UUID: 0}); err != nil {
-					return err
-				}
-				if err := e.casFinishEagerLocked(); err != nil {
-					return err
-				}
-			}
-
-		case metadata.KindSymlink:
-			// Entry-only; nothing else to delete.
-		}
-
-		if _, err := w.dir.Remove(name, e.bucketLoaderFor(w.dir)); err != nil {
-			return err
-		}
-		if err := e.flushDirnodeLocked(w.dir, w.version+1); err != nil {
-			e.cache.invalidate(w.dir.UUID)
-			return err
-		}
-		return nil
+		return e.removeWritebackLocked(w, path, name)
 	})
 }
 
@@ -509,11 +347,13 @@ func (e *Enclave) Hardlink(existingPath, newPath string) error {
 			return err
 		}
 		defer releases()
-		srcW, err = e.reloadDirUnderLockLocked(srcDirs)
+		// Re-resolve after the store locks are taken, so the mutation
+		// applies to the freshest version of each directory.
+		srcW, err = e.walkDirLocked(srcDirs)
 		if err != nil {
 			return err
 		}
-		dstW, err = e.reloadDirUnderLockLocked(dstDirs)
+		dstW, err = e.walkDirLocked(dstDirs)
 		if err != nil {
 			return err
 		}
@@ -608,7 +448,9 @@ func (e *Enclave) Rename(oldPath, newPath string) error {
 			return err
 		}
 		defer releases()
-		srcW, err = e.reloadDirUnderLockLocked(srcDirs)
+		// Re-resolve after the store locks are taken, so the mutation
+		// applies to the freshest version of each directory.
+		srcW, err = e.walkDirLocked(srcDirs)
 		if err != nil {
 			return err
 		}
@@ -616,7 +458,7 @@ func (e *Enclave) Rename(oldPath, newPath string) error {
 		if sameDir {
 			dstW = srcW
 		} else {
-			dstW, err = e.reloadDirUnderLockLocked(dstDirs)
+			dstW, err = e.walkDirLocked(dstDirs)
 			if err != nil {
 				return err
 			}
@@ -735,7 +577,7 @@ func (e *Enclave) removeFileEntryLocked(dir *metadata.Dirnode, entry metadata.Di
 		return err
 	}
 	e.cache.invalidate(entry.UUID)
-	return e.casFinishEagerLocked()
+	return nil
 }
 
 // lockDirsLocked takes the store locks of one or two directories in a
@@ -925,14 +767,11 @@ func (e *Enclave) WriteFile(path string, data []byte) error {
 		// other client can race on it. Writes to on-store files stay
 		// fully eager — their filenode seals carry freshly rotated keys
 		// that must not sit deferred in enclave memory.
-		if e.wb != nil {
-			if n, ok := e.wb.nodes[entry.UUID]; ok && n.file != nil {
-				f := n.file
-				if err := e.encryptAndPutLocked(f, data); err != nil {
-					return err
-				}
-				return e.maybeDrainLocked()
+		if n, ok := e.wb.nodes[entry.UUID]; ok && n.file != nil {
+			if err := e.encryptAndPutLocked(n.file, data); err != nil {
+				return err
 			}
+			return e.maybeDrainLocked()
 		}
 
 		release, err := e.lockObject(objName(entry.UUID))
@@ -951,13 +790,13 @@ func (e *Enclave) WriteFile(path string, data []byte) error {
 			e.cache.invalidate(f.UUID)
 			return err
 		}
+		// Replaced CDC chunks drop at the next drain's tail, after this
+		// filenode flush.
 		if err := e.flushFilenodeLocked(f, fv+1); err != nil {
 			e.cache.invalidate(f.UUID)
 			return err
 		}
-		// The filenode is durable; replaced CDC chunks may now drop
-		// (no-op for fixed-size writes and in write-back mode).
-		return e.casFinishEagerLocked()
+		return nil
 	})
 }
 
@@ -1064,7 +903,9 @@ func (e *Enclave) SetACL(dirPath, userName string, rights acl.Rights) error {
 			return fmt.Errorf("locking directory: %w", err)
 		}
 		defer release()
-		w, err = e.reloadDirUnderLockLocked(dirs)
+		// Re-resolve after the store lock is taken, so the mutation
+		// applies to the freshest version.
+		w, err = e.walkDirLocked(dirs)
 		if err != nil {
 			return err
 		}

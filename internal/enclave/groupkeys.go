@@ -9,12 +9,11 @@ package enclave
 // grant rights to whole leaf subgroups (acl.GroupIDFlag entries), which
 // resolve through the tree at check time.
 //
-// Tree mutations ride the supernode flush: in eager mode
-// markSupernodeDirtyLocked seals and uploads inline (under the caller's
-// supernode store lock, as before); in write-back mode it flags the
-// supernode dirty and the admin operation drains before releasing the
-// lock, so the rotation flushes in the same batch as any deferred
-// metadata — one flush_batch span, one freshness-root update.
+// Tree mutations ride the supernode flush: markSupernodeDirtyLocked
+// flags the supernode dirty and the admin operation drains before
+// releasing the supernode store lock, so the rotation flushes in the
+// same batch as any deferred metadata — one flush_batch span, one
+// freshness-root update.
 
 import (
 	"errors"
@@ -122,19 +121,14 @@ func (e *Enclave) recordGroupStatsLocked(tree *groupkey.Tree, before groupkey.St
 	}
 }
 
-// markSupernodeDirtyLocked persists a supernode mutation (user table or
-// key tree). Eager mode flushes inline — the caller holds the supernode
-// store lock. Write-back mode flags the supernode for the next drain;
-// admin operations drain before releasing the lock, so the flush still
-// happens under it, batched with any deferred metadata.
-func (e *Enclave) markSupernodeDirtyLocked() error {
-	if e.wb == nil {
-		return e.flushSupernodeLocked()
-	}
+// markSupernodeDirtyLocked flags a supernode mutation (user table or
+// key tree) for the next drain. The caller holds the supernode store
+// lock and drains before releasing it, so the flush happens under the
+// lock, batched with any deferred metadata.
+func (e *Enclave) markSupernodeDirtyLocked() {
 	e.wb.superDirty = true
 	e.wb.ops++
 	e.metrics.metadataDirty.Inc()
-	return nil
 }
 
 // UserGroup returns the stable leaf subgroup ID the named user belongs
@@ -209,7 +203,9 @@ func (e *Enclave) SetGroupACL(dirPath string, leaf uint32, rights acl.Rights) er
 			return fmt.Errorf("locking directory: %w", err)
 		}
 		defer release()
-		w, err = e.reloadDirUnderLockLocked(dirs)
+		// Re-resolve after the store lock is taken, so the mutation
+		// applies to the freshest version.
+		w, err = e.walkDirLocked(dirs)
 		if err != nil {
 			return err
 		}

@@ -12,7 +12,8 @@ import (
 )
 
 // newTestEnvCfg builds an enclave over the store with extra Config
-// fields applied on top of the standard test defaults.
+// fields applied on top of the standard test defaults (which drain the
+// dirty set after every mutation).
 func newTestEnvCfg(t *testing.T, store *memObjectStore, mutate func(*Config)) *testEnv {
 	t.Helper()
 	ias, err := sgx.NewAttestationService()
@@ -30,7 +31,7 @@ func newTestEnvCfg(t *testing.T, store *memObjectStore, mutate func(*Config)) *t
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{SGX: container, Store: store, IAS: ias}
+	cfg := Config{SGX: container, Store: store, IAS: ias, WritebackMaxOps: 1}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -295,7 +296,7 @@ func TestLegacyVolumeWithoutTreeMounts(t *testing.T) {
 
 func TestGroupRotationRidesWritebackDrain(t *testing.T) {
 	owner := newIdentity(t, "owen")
-	env := newTestEnvCfg(t, nil, func(c *Config) { c.Writeback = WritebackOn })
+	env := newTestEnvCfg(t, nil, func(c *Config) { c.WritebackMaxOps = defaultWritebackMaxOps })
 	e := env.enclave
 	sealed, err := e.CreateVolume(owner.name, owner.pub)
 	if err != nil {

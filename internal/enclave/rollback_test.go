@@ -280,6 +280,9 @@ func (c *merkleClient) newEnclave(t *testing.T, store enclave.ObjectStore) *encl
 		Store: store,
 		IAS:   c.ias,
 		Obs:   c.reg,
+		// Drain after every mutation: the attacks below replay and roll
+		// back what each op left on the store.
+		WritebackMaxOps: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -568,14 +571,17 @@ func TestRootObjectVanishes(t *testing.T) {
 
 // TestRootObjectTampered flips one bit of the sealed root: the rootkey
 // AEAD rejects it the next time the commitment is re-read (every root
-// update re-reads it under the store lock), and restoring the honest
-// bytes resumes service.
+// update re-reads it under the store lock). The high-water drain that
+// hits it is best-effort, so the mutation itself succeeds and the
+// integrity error surfaces at the next barrier; the failed drain keeps
+// its freshness updates pending, so once the honest bytes are back one
+// barrier commits them and a fresh mount sees the new directory.
 func TestRootObjectTampered(t *testing.T) {
 	c := newMerkleClient(t)
 	if err := c.encl.Mkdir("/d"); err != nil {
 		t.Fatal(err)
 	}
-	honest, _, err := c.raw.GetVersioned(enclave.MerkleRootObjectName)
+	honest, honestVersion, err := c.raw.GetVersioned(enclave.MerkleRootObjectName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,12 +591,29 @@ func TestRootObjectTampered(t *testing.T) {
 		}
 		return b, v
 	})
-	if err := c.encl.Mkdir("/d2"); !errors.Is(err, metadata.ErrTampered) {
-		t.Fatalf("tampered root = %v, want ErrTampered", err)
+	if err := c.encl.Mkdir("/d2"); err != nil {
+		t.Fatalf("Mkdir over a tampered root = %v, want the error deferred to the barrier", err)
+	}
+	if err := c.encl.SyncMetadata(); !errors.Is(err, metadata.ErrTampered) {
+		t.Fatalf("barrier over a tampered root = %v, want ErrTampered", err)
 	}
 	c.raw.setOnGet(nil)
 	if cur, _, err := c.raw.GetVersioned(enclave.MerkleRootObjectName); err != nil || !bytes.Equal(cur, honest) {
 		t.Fatalf("the rejected update replaced the sealed root (err %v)", err)
+	}
+
+	if err := c.encl.SyncMetadata(); err != nil {
+		t.Fatalf("barrier after the honest root returned: %v", err)
+	}
+	if _, v, err := c.raw.GetVersioned(enclave.MerkleRootObjectName); err != nil || v != honestVersion+1 {
+		t.Fatalf("sealed root at version %d (err %v), want the honest successor %d", v, err, honestVersion+1)
+	}
+	fresh := c.newEnclave(t, c.proofs)
+	if err := c.mount(fresh); err != nil {
+		t.Fatalf("fresh mount after recovery: %v", err)
+	}
+	if _, err := fresh.Filldir("/d2"); err != nil {
+		t.Fatalf("fresh mount cannot list /d2 after recovery: %v", err)
 	}
 	c.encl.DropCaches()
 	if _, err := c.encl.Filldir("/d"); err != nil {

@@ -81,6 +81,7 @@ func newAuthedEnclave(t *testing.T, cfg Config) *Enclave {
 		t.Fatal(err)
 	}
 	cfg.SGX = container
+	cfg.WritebackMaxOps = 1
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,15 +1,16 @@
 package enclave
 
-// Write-back metadata flushing (DESIGN.md §12). In eager mode every
-// mutating op seals and uploads its filenode and dirnode inline — one
-// metadata round-trip per create/write, exactly the overhead the paper
-// amortizes by caching decrypted metadata in enclave memory (§V-B). In
-// write-back mode mutations instead mark their metadata dirty in an
-// in-enclave dirty set and the set is drained in dependency order
-// (children before the dirnodes that name them, deferred deletes last)
-// at explicit barriers: SyncMetadata (File.Sync/Close and FS.Sync in
-// vfs), ACL/user/sharing changes, DropCaches, and the op-count/byte
-// high-water marks.
+// Write-back metadata flushing (DESIGN.md §12). Sealing and uploading
+// a filenode and a dirnode inline on every mutating op is one metadata
+// round-trip per create/write, exactly the overhead the paper amortizes
+// by caching decrypted metadata in enclave memory (§V-B). Creates and
+// removes instead mark their metadata dirty in an in-enclave dirty set,
+// and the set is drained in dependency order (children before the
+// dirnodes that name them, deferred deletes last) at explicit barriers:
+// SyncMetadata (File.Sync/Close and FS.Sync in vfs), ACL/user/sharing
+// changes, DropCaches, and the op-count/byte high-water marks.
+// Config.WritebackMaxOps = 1 drains after every mutation (per-op
+// durability).
 //
 // Ordering invariants the drain preserves:
 //
@@ -39,20 +40,6 @@ import (
 
 	"nexus/internal/metadata"
 	"nexus/internal/uuid"
-)
-
-// WritebackMode selects the metadata flush policy (Config.Writeback).
-type WritebackMode string
-
-const (
-	// WritebackEager is the zero value: flush metadata inline on every
-	// mutation (historical behaviour).
-	WritebackEager WritebackMode = ""
-	// WritebackOn defers metadata flushes into the dirty set.
-	WritebackOn WritebackMode = "on"
-	// WritebackOff is an explicit spelling of eager mode (the
-	// ClientConfig knob maps "off" here).
-	WritebackOff WritebackMode = "off"
 )
 
 // Defaults for the dirty-set high-water marks.
@@ -121,6 +108,11 @@ type dirtySet struct {
 	bytes    int64
 	pressure bool
 
+	// fresh holds the freshness updates of objects a drain has flushed
+	// but whose root update has not landed yet: a drain that fails past
+	// its first upload leaves them here, so the retry still commits them.
+	fresh map[uuid.UUID]uint64
+
 	// superDirty marks a pending supernode mutation (user table or
 	// membership key tree rotation). It is only ever set by the
 	// admin operations, which drain before releasing the supernode
@@ -139,18 +131,9 @@ func newDirtySet(maxOps int) *dirtySet {
 	}
 }
 
-// WritebackEnabled reports whether the enclave defers metadata flushes.
-func (e *Enclave) WritebackEnabled() bool {
-	//lint:ignore lock-discipline wb is assigned once at construction; only its fields need mu
-	return e.wb != nil
-}
-
 // dirtyDirnodeLocked returns the pending copy of a dirnode, which
 // shadows both the decrypted cache and the store.
 func (e *Enclave) dirtyDirnodeLocked(id uuid.UUID) (*metadata.Dirnode, uint64, bool) {
-	if e.wb == nil {
-		return nil, 0, false
-	}
 	n, ok := e.wb.nodes[id]
 	if !ok || n.dir == nil {
 		return nil, 0, false
@@ -160,9 +143,6 @@ func (e *Enclave) dirtyDirnodeLocked(id uuid.UUID) (*metadata.Dirnode, uint64, b
 
 // dirtyFilenodeLocked returns the pending copy of a filenode.
 func (e *Enclave) dirtyFilenodeLocked(id uuid.UUID) (*metadata.Filenode, uint64, bool) {
-	if e.wb == nil {
-		return nil, 0, false
-	}
 	n, ok := e.wb.nodes[id]
 	if !ok || n.file == nil {
 		return nil, 0, false
@@ -257,9 +237,6 @@ func (e *Enclave) dropDirtyNodeLocked(id uuid.UUID) {
 // and durability is reported at the explicit barriers, which are
 // idempotent drains of whatever remains.
 func (e *Enclave) maybeDrainLocked() error {
-	if e.wb == nil {
-		return nil
-	}
 	if e.wb.ops < e.wb.maxOps && e.wb.bytes < defaultWritebackMaxBytes && !e.wb.pressure {
 		return nil
 	}
@@ -273,9 +250,6 @@ func (e *Enclave) maybeDrainLocked() error {
 // idempotent — already-flushed nodes have left the set), anything else
 // surfaces immediately.
 func (e *Enclave) drainWithRetryLocked() error {
-	if e.wb == nil {
-		return nil
-	}
 	var err error
 	for attempt := 0; attempt < 4; attempt++ {
 		if err = e.drainLocked(); err == nil || !errors.Is(err, ErrStoreUnavailable) {
@@ -290,8 +264,8 @@ func (e *Enclave) drainWithRetryLocked() error {
 // advances the freshness root once. On failure the un-flushed portion
 // of the set is left intact for retry.
 func (e *Enclave) drainLocked() error {
-	if e.wb == nil || (len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && !e.wb.superDirty &&
-		len(e.casDecs) == 0 && len(e.casPendingDeletes) == 0) {
+	if len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && !e.wb.superDirty && len(e.wb.fresh) == 0 &&
+		len(e.casDecs) == 0 && len(e.casPendingDeletes) == 0 {
 		return nil
 	}
 	span := e.metrics.tracer.Begin("enclave.flush_batch")
@@ -302,7 +276,10 @@ func (e *Enclave) drainLocked() error {
 
 	// Per-object freshness updates from the individual flushes collect
 	// in freshSink; the root advances once below.
-	e.freshSink = make(map[uuid.UUID]uint64)
+	if e.wb.fresh == nil {
+		e.wb.fresh = make(map[uuid.UUID]uint64)
+	}
+	e.freshSink = e.wb.fresh
 	err := e.flushDirtyNodesLocked()
 	if err == nil && e.wb.superDirty {
 		// Final stage: the supernode (user-table changes and key-tree
@@ -313,7 +290,6 @@ func (e *Enclave) drainLocked() error {
 			e.wb.superDirty = false
 		}
 	}
-	updates := e.freshSink
 	e.freshSink = nil
 	if err != nil {
 		return err
@@ -321,9 +297,10 @@ func (e *Enclave) drainLocked() error {
 	e.wb.ops, e.wb.bytes, e.wb.pressure = 0, 0, false
 	e.metrics.flushBatches.Inc()
 	e.metrics.dirtyGauge.Set(0)
-	if err := e.recordFreshnessLocked(updates); err != nil {
+	if err := e.recordFreshnessLocked(e.wb.fresh); err != nil {
 		return err
 	}
+	e.wb.fresh = nil
 	// CDC reference drops flush last of all: every filenode upload and
 	// every staged filenode deletion has run, so a chunk that reaches
 	// zero here is provably unreferenced by anything on the store. A
@@ -480,9 +457,9 @@ func (e *Enclave) replayDirOpsLocked(d *metadata.Dirnode, ops []dirOp) error {
 	return nil
 }
 
-// createEntryWritebackLocked is createEntry's deferred path: the new
-// child and the directory insert are marked dirty instead of flushed,
-// and no store lock is taken (conflicts are merged at drain time).
+// createEntryWritebackLocked is the body of createEntry: the new child
+// and the directory insert are marked dirty instead of flushed, and no
+// store lock is taken (conflicts are merged at drain time).
 func (e *Enclave) createEntryWritebackLocked(w walkResult, path, name string, kind metadata.EntryKind, symlinkTarget string) error {
 	entry := metadata.DirEntry{
 		Name:          name,
@@ -508,7 +485,7 @@ func (e *Enclave) createEntryWritebackLocked(w walkResult, path, name string, ki
 	return e.maybeDrainLocked()
 }
 
-// removeWritebackLocked is Remove's deferred path. Object removals are
+// removeWritebackLocked is the body of Remove. Object removals are
 // staged (they run after all uploads in the drain); a remove of a
 // still-pending create simply cancels it.
 func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
@@ -561,7 +538,7 @@ func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
 		} else {
 			// The link count races with concurrent WriteFile/Hardlink
 			// from other clients, so the final-unlink decision stays
-			// under the filenode's store lock even in write-back mode.
+			// under the filenode's store lock rather than being deferred.
 			fRelease, err := e.lockObject(objName(entry.UUID))
 			if err != nil {
 				return fmt.Errorf("locking filenode: %w", err)
@@ -573,6 +550,9 @@ func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
 			}
 			if f.LinkCount > 1 {
 				f.LinkCount--
+				// The remaining links' directories are unknown; drop the
+				// parent binding (nil = hardlink history, checked no
+				// further — the dirnode entry UUID still binds structure).
 				f.Parent = uuid.Nil
 				if err := e.flushFilenodeLocked(f, fv+1); err != nil {
 					return err
@@ -603,12 +583,10 @@ func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
 
 // SyncMetadata drains all pending write-back metadata to the store: the
 // barrier the untrusted layer invokes from File.Sync/Close, FS.Sync,
-// and before cache drops. In eager mode (or before a volume is active)
-// it is a no-op that performs no ecall.
+// and before cache drops. A drain that failed at a high-water mark is
+// retried here and its error — store fault or integrity violation —
+// reported. Before a volume is active it is a no-op.
 func (e *Enclave) SyncMetadata() error {
-	if e.wb == nil {
-		return nil
-	}
 	return e.retryTornEcall(func() error {
 		e.mu.Lock()
 		defer e.mu.Unlock()

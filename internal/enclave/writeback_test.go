@@ -131,8 +131,8 @@ func newWbEnv(t *testing.T, owner identity, cfg Config) *wbEnv {
 }
 
 // freshEnclave mounts a second enclave on the same platform over the
-// given store — the "crash and restart" view: nothing carried over in
-// memory, everything read back from the store.
+// given store — the "crash and restart" view (or a concurrent client):
+// nothing carried over in memory, everything read back from the store.
 func (env *wbEnv) freshEnclave(t *testing.T, store ObjectStore) *Enclave {
 	t.Helper()
 	container, err := env.platform.CreateEnclave(nexusImage)
@@ -142,8 +142,6 @@ func (env *wbEnv) freshEnclave(t *testing.T, store ObjectStore) *Enclave {
 	cfg := env.cfg
 	cfg.SGX = container
 	cfg.Store = store
-	// The restarted view always reads eagerly; only the writer batches.
-	cfg.Writeback = WritebackEager
 	encl, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +195,7 @@ func TestWritebackFlushBatchFaultSweep(t *testing.T) {
 		owner := newIdentity(t, "owen")
 		// BucketSize 4 forces the root dirnode flush to rewrite several
 		// buckets, exercising the multi-object commit.
-		env := newWbEnv(t, owner, Config{Store: store, BucketSize: 4, Writeback: WritebackOn})
+		env := newWbEnv(t, owner, Config{Store: store, BucketSize: 4})
 		e := env.enclave
 		for i := 0; i < files; i++ {
 			if err := e.Touch(fmt.Sprintf("/f%02d", i)); err != nil {
@@ -262,7 +260,7 @@ func TestChaosWritebackKillMidFlush(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		store := newFaultObjectStore()
 		owner := newIdentity(t, "owen")
-		env := newWbEnv(t, owner, Config{Store: store, BucketSize: 8, Writeback: WritebackOn})
+		env := newWbEnv(t, owner, Config{Store: store, BucketSize: 8})
 		e := env.enclave
 
 		files := 4 + rng.Intn(12)
@@ -368,71 +366,84 @@ func snapshotTree(t *testing.T, e *Enclave, dir string) map[string]treeEntry {
 	return out
 }
 
-// TestPropertyWritebackModesConverge drives the same seeded workload
-// through a write-back enclave and an eager one and asserts that, after
-// a quiescing SyncMetadata, the persisted volumes are logically
-// identical: a fresh enclave over each store sees the same tree
-// (paths, kinds, contents) and hence the same reachable object counts.
-func TestPropertyWritebackModesConverge(t *testing.T) {
-	seed := wbChaosSeed(t)
-	run := func(mode WritebackMode) (map[string]treeEntry, *wbEnv) {
+// TestPropertyDrainLimitInvariant drives one seeded op stream through
+// enclaves whose dirty sets drain after every mutation (limit 1), every
+// few (7), and at the production default (64), and asserts that after a
+// quiescing SyncMetadata a fresh enclave over each store sees exactly
+// the namespace the stream itself implies — paths, kinds and last
+// contents computed from the ops alone, so no run is another's oracle.
+func TestPropertyDrainLimitInvariant(t *testing.T) {
+	type op struct {
+		kind    byte // 'd' mkdir, 'c' create+write, 'w' rewrite, 'r' remove
+		path    string
+		content string
+	}
+	rng := rand.New(rand.NewSource(wbChaosSeed(t)))
+	model := make(map[string]treeEntry)
+	var ops []op
+	dirs := []string{""}
+	var files []string
+	for i := 0; i < 80; i++ {
+		switch r := rng.Intn(10); {
+		case r < 2:
+			d := fmt.Sprintf("%s/d%03d", dirs[rng.Intn(len(dirs))], i)
+			ops = append(ops, op{kind: 'd', path: d})
+			model[d] = treeEntry{kind: "dir"}
+			dirs = append(dirs, d)
+		case r < 6:
+			p := fmt.Sprintf("%s/f%03d", dirs[rng.Intn(len(dirs))], i)
+			content := fmt.Sprintf("op %d", i)
+			ops = append(ops, op{kind: 'c', path: p, content: content})
+			model[p] = treeEntry{kind: "file", content: content}
+			files = append(files, p)
+		case r < 8 && len(files) > 0:
+			p := files[rng.Intn(len(files))]
+			content := fmt.Sprintf("rewrite %d", i)
+			ops = append(ops, op{kind: 'w', path: p, content: content})
+			model[p] = treeEntry{kind: "file", content: content}
+		case len(files) > 0:
+			j := rng.Intn(len(files))
+			ops = append(ops, op{kind: 'r', path: files[j]})
+			delete(model, files[j])
+			files = append(files[:j], files[j+1:]...)
+		}
+	}
+
+	for _, maxOps := range []int{1, 7, 64} {
 		owner := newIdentity(t, "owen")
-		env := newWbEnv(t, owner, Config{BucketSize: 8, Writeback: mode})
+		env := newWbEnv(t, owner, Config{BucketSize: 8, WritebackMaxOps: maxOps})
 		e := env.enclave
-		rng := rand.New(rand.NewSource(seed))
-		var dirs = []string{""}
-		var files []string
-		for op := 0; op < 80; op++ {
-			switch r := rng.Intn(10); {
-			case r < 2: // mkdir
-				d := fmt.Sprintf("%s/d%03d", dirs[rng.Intn(len(dirs))], op)
-				if err := e.Mkdir(d); err != nil {
-					t.Fatalf("%s Mkdir(%s): %v", mode, d, err)
+		for i, o := range ops {
+			var err error
+			switch o.kind {
+			case 'd':
+				err = e.Mkdir(o.path)
+			case 'c':
+				if err = e.Touch(o.path); err == nil {
+					err = e.WriteFile(o.path, []byte(o.content))
 				}
-				dirs = append(dirs, d)
-			case r < 6: // create + write
-				p := fmt.Sprintf("%s/f%03d", dirs[rng.Intn(len(dirs))], op)
-				if err := e.Touch(p); err != nil {
-					t.Fatalf("%s Touch(%s): %v", mode, p, err)
-				}
-				if err := e.WriteFile(p, []byte(fmt.Sprintf("op %d", op))); err != nil {
-					t.Fatalf("%s WriteFile(%s): %v", mode, p, err)
-				}
-				files = append(files, p)
-			case r < 8 && len(files) > 0: // rewrite
-				p := files[rng.Intn(len(files))]
-				if err := e.WriteFile(p, []byte(fmt.Sprintf("rewrite %d", op))); err != nil {
-					t.Fatalf("%s rewrite(%s): %v", mode, p, err)
-				}
-			case len(files) > 0: // remove
-				i := rng.Intn(len(files))
-				if err := e.Remove(files[i]); err != nil {
-					t.Fatalf("%s Remove(%s): %v", mode, files[i], err)
-				}
-				files = append(files[:i], files[i+1:]...)
+			case 'w':
+				err = e.WriteFile(o.path, []byte(o.content))
+			case 'r':
+				err = e.Remove(o.path)
+			}
+			if err != nil {
+				t.Fatalf("limit %d: op %d (%c %s): %v", maxOps, i, o.kind, o.path, err)
 			}
 		}
 		if err := e.SyncMetadata(); err != nil {
-			t.Fatalf("%s SyncMetadata: %v", mode, err)
+			t.Fatalf("limit %d: SyncMetadata: %v", maxOps, err)
 		}
 		// Read the tree through a restarted enclave so the comparison is
 		// about persisted store state, not the writer's memory.
-		fresh := env.freshEnclave(t, env.cfg.Store)
-		return snapshotTree(t, fresh, "/"), env
-	}
-
-	wbTree, _ := run(WritebackOn)
-	eagerTree, _ := run(WritebackOff)
-	if len(wbTree) != len(eagerTree) {
-		t.Fatalf("tree sizes diverge: writeback %d, eager %d", len(wbTree), len(eagerTree))
-	}
-	for p, want := range eagerTree {
-		got, ok := wbTree[p]
-		if !ok {
-			t.Fatalf("path %s missing from write-back tree", p)
+		got := snapshotTree(t, env.freshEnclave(t, env.cfg.Store), "/")
+		if len(got) != len(model) {
+			t.Fatalf("limit %d: fresh mount has %d paths, model has %d", maxOps, len(got), len(model))
 		}
-		if got != want {
-			t.Fatalf("path %s: writeback %+v, eager %+v", p, got, want)
+		for p, want := range model {
+			if have, ok := got[p]; !ok || have != want {
+				t.Fatalf("limit %d: path %s = %+v (present %v), model says %+v", maxOps, p, have, ok, want)
+			}
 		}
 	}
 }
@@ -477,14 +488,15 @@ func TestCacheHitVersionSurvivesFreshnessLoss(t *testing.T) {
 }
 
 // TestEPCReturnsToZeroAfterRemove audits the enclave's EPC accounting
-// across a create/write/remove cycle in both flush modes: once the
-// caches are dropped and the dirty set drained, every byte charged for
-// cached or pinned metadata must be back with the platform.
+// across a create/write/remove cycle, draining per op (every remove is
+// a staged delete) and batched (removes cancel pending creates): once
+// the caches are dropped and the dirty set drained, every byte charged
+// for cached or pinned metadata must be back with the platform.
 func TestEPCReturnsToZeroAfterRemove(t *testing.T) {
-	for _, mode := range []WritebackMode{WritebackOff, WritebackOn} {
-		t.Run(string("mode="+mode), func(t *testing.T) {
+	for _, maxOps := range []int{1, 64} {
+		t.Run(fmt.Sprintf("maxops=%d", maxOps), func(t *testing.T) {
 			owner := newIdentity(t, "owen")
-			env := newWbEnv(t, owner, Config{Writeback: mode})
+			env := newWbEnv(t, owner, Config{WritebackMaxOps: maxOps})
 			e := env.enclave
 			e.DropCaches()
 			baseline := e.sgx.HeapEPC()
@@ -521,13 +533,13 @@ func TestEPCReturnsToZeroAfterRemove(t *testing.T) {
 }
 
 // TestWritebackFlushReduction asserts the headline win: the same
-// metadata-heavy workload issues well under 70% of eager mode's
-// metadata flushes when batched.
+// metadata-heavy workload batched at the default limit issues well
+// under 70% of the metadata flushes it costs when drained per op.
 func TestWritebackFlushReduction(t *testing.T) {
 	const files = 24
-	run := func(mode WritebackMode) int64 {
+	run := func(maxOps int) int64 {
 		owner := newIdentity(t, "owen")
-		env := newWbEnv(t, owner, Config{Writeback: mode})
+		env := newWbEnv(t, owner, Config{WritebackMaxOps: maxOps})
 		e := env.enclave
 		before := e.Stats().MetadataFlushes
 		for i := 0; i < files; i++ {
@@ -544,13 +556,13 @@ func TestWritebackFlushReduction(t *testing.T) {
 		}
 		return e.Stats().MetadataFlushes - before
 	}
-	wb := run(WritebackOn)
-	eager := run(WritebackOff)
-	if wb <= 0 || eager <= 0 {
-		t.Fatalf("flush counters did not move: writeback %d, eager %d", wb, eager)
+	batched := run(64)
+	perOp := run(1)
+	if batched <= 0 || perOp <= 0 {
+		t.Fatalf("flush counters did not move: batched %d, per-op %d", batched, perOp)
 	}
-	if float64(wb) >= 0.7*float64(eager) {
-		t.Fatalf("writeback used %d flushes vs eager %d; want < 70%%", wb, eager)
+	if float64(batched) >= 0.7*float64(perOp) {
+		t.Fatalf("batched used %d flushes vs per-op %d; want < 70%%", batched, perOp)
 	}
 }
 
@@ -561,7 +573,7 @@ func TestWritebackFlushReduction(t *testing.T) {
 func TestWritebackObservability(t *testing.T) {
 	reg := obs.NewRegistry()
 	owner := newIdentity(t, "owen")
-	env := newWbEnv(t, owner, Config{Writeback: WritebackOn, Obs: reg})
+	env := newWbEnv(t, owner, Config{Obs: reg})
 	e := env.enclave
 
 	reg.Tracer().Enable()
@@ -616,7 +628,7 @@ func TestWritebackObservability(t *testing.T) {
 // drains the set inline, without an explicit barrier.
 func TestWritebackHighWaterDrain(t *testing.T) {
 	owner := newIdentity(t, "owen")
-	env := newWbEnv(t, owner, Config{Writeback: WritebackOn, WritebackMaxOps: 8})
+	env := newWbEnv(t, owner, Config{WritebackMaxOps: 8})
 	e := env.enclave
 	for i := 0; i < 16; i++ {
 		if err := e.Touch(fmt.Sprintf("/f%02d", i)); err != nil {
@@ -637,7 +649,7 @@ func TestWritebackHighWaterDrain(t *testing.T) {
 func TestWritebackRemovePendingCreateLeavesNoResidue(t *testing.T) {
 	store := newMemObjectStore()
 	owner := newIdentity(t, "owen")
-	env := newWbEnv(t, owner, Config{Store: store, Writeback: WritebackOn})
+	env := newWbEnv(t, owner, Config{Store: store})
 	e := env.enclave
 	if err := e.Touch("/ghost"); err != nil {
 		t.Fatal(err)
@@ -660,27 +672,6 @@ func TestWritebackRemovePendingCreateLeavesNoResidue(t *testing.T) {
 	}
 }
 
-// attachEnclave mounts another live client on the same platform and
-// store with its own flush mode — the concurrent-writer view.
-func (env *wbEnv) attachEnclave(t *testing.T, mode WritebackMode) *Enclave {
-	t.Helper()
-	container, err := env.platform.CreateEnclave(nexusImage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := env.cfg
-	cfg.SGX = container
-	cfg.Writeback = mode
-	encl, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := authenticate(t, encl, env.owner, env.sealed, env.volID); err != nil {
-		t.Fatalf("attached enclave authenticate: %v", err)
-	}
-	return encl
-}
-
 // TestWritebackConcurrentDrainMergesOpLog exercises the drain's merge
 // path: a second client advances the root dirnode between the first
 // client's marks and its drain, so the drain must replay its op log
@@ -688,7 +679,7 @@ func (env *wbEnv) attachEnclave(t *testing.T, mode WritebackMode) *Enclave {
 // of clobbering the other client's entries.
 func TestWritebackConcurrentDrainMergesOpLog(t *testing.T) {
 	owner := newIdentity(t, "owen")
-	env := newWbEnv(t, owner, Config{Writeback: WritebackOn})
+	env := newWbEnv(t, owner, Config{})
 	a := env.enclave
 	if err := a.Touch("/seed"); err != nil {
 		t.Fatal(err)
@@ -697,7 +688,8 @@ func TestWritebackConcurrentDrainMergesOpLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := env.attachEnclave(t, WritebackOn)
+	// A second live client on the same platform and store.
+	b := env.freshEnclave(t, env.cfg.Store)
 	if err := b.Touch("/b"); err != nil {
 		t.Fatal(err)
 	}
@@ -739,14 +731,14 @@ func TestWritebackConcurrentDrainMergesOpLog(t *testing.T) {
 	}
 }
 
-// TestWritebackRemoveVariants walks Remove's write-back branches:
-// on-store directories and files (staged deletes), hardlinked files
-// (eager link-count decrement), symlinks, pending directories
+// TestWritebackRemoveVariants walks Remove's branches: on-store
+// directories and files (staged deletes), hardlinked files (inline
+// link-count decrement), symlinks, pending directories
 // (cancelled creates), and missing paths.
 func TestWritebackRemoveVariants(t *testing.T) {
 	store := newMemObjectStore()
 	owner := newIdentity(t, "owen")
-	env := newWbEnv(t, owner, Config{Store: store, Writeback: WritebackOn})
+	env := newWbEnv(t, owner, Config{Store: store})
 	e := env.enclave
 
 	// On-store directory and file.
@@ -824,12 +816,6 @@ func TestWritebackRemoveVariants(t *testing.T) {
 	if len(names) != 1 || !names["file2"] {
 		t.Fatalf("final tree = %v, want just file2", names)
 	}
-	if !e.WritebackEnabled() {
-		t.Fatal("WritebackEnabled() = false on a write-back enclave")
-	}
-	if fresh.WritebackEnabled() {
-		t.Fatal("WritebackEnabled() = true on an eager enclave")
-	}
 }
 
 // TestWritebackEPCPressureForcesDrain exhausts the platform's EPC so
@@ -838,7 +824,7 @@ func TestWritebackRemoveVariants(t *testing.T) {
 func TestWritebackEPCPressureForcesDrain(t *testing.T) {
 	store := newMemObjectStore()
 	owner := newIdentity(t, "owen")
-	env := newWbEnv(t, owner, Config{Store: store, Writeback: WritebackOn})
+	env := newWbEnv(t, owner, Config{Store: store})
 	e := env.enclave
 
 	// Grab the remaining EPC budget (binary descent, so the hog ends

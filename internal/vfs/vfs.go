@@ -244,13 +244,13 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 	}
 	// The path-level one-shot write is a durability point: callers have
 	// no handle to Sync/Close later, so deferred metadata (the create
-	// itself, in write-back mode) drains before we report success.
+	// itself) drains before we report success.
 	return fs.e.SyncMetadata()
 }
 
 // Sync drains any write-back metadata pending in the enclave to the
-// store (a volume-wide metadata barrier; no-op in eager mode). File
-// data buffered in open handles is not touched — use File.Sync.
+// store (a volume-wide metadata barrier). File data buffered in open
+// handles is not touched — use File.Sync.
 func (fs *FS) Sync() error { return fs.e.SyncMetadata() }
 
 // ReadFile returns the file's contents.
@@ -605,8 +605,8 @@ func (f *File) syncLocked() error {
 	}
 	// Sync/Close are metadata barriers even when the buffer is clean:
 	// the create that backs this handle may still be deferred in the
-	// enclave's dirty set (write-back mode). The drain is idempotent and
-	// retryable, so Close's stay-open-on-unavailable contract holds.
+	// enclave's dirty set. The drain is idempotent and retryable, so
+	// Close's stay-open-on-unavailable contract holds.
 	return f.fs.e.SyncMetadata()
 }
 

@@ -12,8 +12,8 @@ import (
 )
 
 // newWritebackPair builds two enclaves on one platform over a shared
-// store: a write-back FS (the writer) and an eager reader enclave — the
-// other-machine view that only sees what the store holds.
+// store: the writer's FS and a reader enclave — the other-machine view
+// that only sees what the store holds.
 func newWritebackPair(t *testing.T) (*FS, *enclave.Enclave) {
 	t.Helper()
 	platform, err := sgx.NewPlatform(sgx.PlatformConfig{}, nil)
@@ -31,7 +31,7 @@ func newWritebackPair(t *testing.T) (*FS, *enclave.Enclave) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	writer, err := enclave.New(enclave.Config{SGX: writerBox, Store: store, Writeback: enclave.WritebackOn})
+	writer, err := enclave.New(enclave.Config{SGX: writerBox, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +67,9 @@ func newWritebackPair(t *testing.T) (*FS, *enclave.Enclave) {
 	return New(writer), reader
 }
 
-// TestWritebackCloseIsBarrier: with write-back on, a file created via an
-// open handle is invisible to another enclave until the handle closes;
-// Close drains the dirty set and publishes it.
+// TestWritebackCloseIsBarrier: a file created via an open handle is
+// invisible to another enclave until the handle closes; Close drains
+// the dirty set and publishes it.
 func TestWritebackCloseIsBarrier(t *testing.T) {
 	fs, reader := newWritebackPair(t)
 

@@ -172,6 +172,12 @@ func (id Identity) signer() enclave.Signer {
 }
 
 // ClientConfig configures one user's NEXUS stack on one machine.
+//
+// Metadata reaches the store through an in-enclave dirty set drained at
+// barriers — File.Sync/Close, FS.Sync, FS.WriteFile, ACL/user/sharing
+// changes, and the set's high-water marks (64 deferred mutations or
+// 4 MiB of batched metadata). A process that ends on a bare Mkdir or
+// Remove calls FS.Sync before it exits.
 type ClientConfig struct {
 	// Store is the backing storage service (required). Use
 	// NewMemoryStore, NewLocalStore, afs.Client via WrapStore-free
@@ -218,15 +224,6 @@ type ClientConfig struct {
 	// DisableMetadataCache turns off the in-enclave metadata cache
 	// (ablation studies).
 	DisableMetadataCache bool
-	// WritebackMode selects the metadata flush policy: "on" (and the
-	// default, "") batches metadata flushes in an in-enclave dirty set
-	// drained at barriers — File.Sync/Close, FS.Sync, FS.WriteFile,
-	// ACL/user/sharing changes, and the dirty set's high-water marks (64
-	// deferred mutations or 4 MiB of batched metadata); "off" seals and
-	// uploads metadata eagerly on every mutation (the pre-write-back
-	// semantics, kept for comparison and for one-shot processes that
-	// exit right after a single operation).
-	WritebackMode string
 	// Obs, when set, is the observability registry the whole stack
 	// (vfs, enclave, SGX transitions) records into — share one registry
 	// across clients to aggregate, or leave nil for a private registry
@@ -256,15 +253,6 @@ type Client struct {
 func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("nexus: ClientConfig.Store is required")
-	}
-	var writeback enclave.WritebackMode
-	switch cfg.WritebackMode {
-	case "", "on":
-		writeback = enclave.WritebackOn
-	case "off":
-		writeback = enclave.WritebackOff
-	default:
-		return nil, fmt.Errorf("nexus: unknown WritebackMode %q (want \"on\" or \"off\")", cfg.WritebackMode)
 	}
 	platformCfg := sgx.PlatformConfig{
 		EPCSize:        cfg.EPCSize,
@@ -297,7 +285,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		ContentDefined:       cfg.ContentDefined,
 		CryptoWorkers:        cfg.CryptoWorkers,
 		DisableMetadataCache: cfg.DisableMetadataCache,
-		Writeback:            writeback,
 		Obs:                  cfg.Obs,
 	})
 	if err != nil {
