@@ -119,13 +119,13 @@ freshness-sweep:
 	$(GO) run ./cmd/nexus-bench -exp freshness -json \
 		-objects 1000,10000,100000,1000000
 
-# revoke-sweep reproduces the §VII-E membership sweep (10^3–10^6 users)
-# comparing the subgroup key tree's O(log n) revocation against the
-# flat rotate-and-rewrap baseline, and writes the rows into the JSON
-# report for nexus-benchdiff (informational wraps/op column).
+# revoke-sweep reproduces the §VII-E membership sweep (10^3–10^6 users):
+# the subgroup key tree's O(log n) wraps per revocation (a flat group key
+# costs n−1 by construction), written into the JSON report for
+# nexus-benchdiff (informational wraps/op column).
 revoke-sweep:
 	$(GO) run ./cmd/nexus-bench -exp revoke-sweep -json \
-		-members 1000,10000,100000,1000000 -groupmode both
+		-members 1000,10000,100000,1000000
 
 # dedup-sweep reproduces the DESIGN.md §16 dedup experiment at paper-ish
 # scale: the repeated-edit and git-clone workloads under fixed-size and

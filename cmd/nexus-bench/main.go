@@ -3,16 +3,16 @@
 //
 // Usage:
 //
-//	nexus-bench [-exp all|fileio|dirops|gitclone|db|apps|revoke|revoke-sweep|sharing|crypto|metadata|freshness|dedup]
+//	nexus-bench [-exp all|fileio|dirops|gitclone|db|apps|revoke|revoke-sweep|sharing|crypto|metadata|freshness|dedup|ablation]
 //	            [-scale N] [-runs N] [-rtt duration] [-bw MBps]
 //	            [-entries N] [-transition duration] [-no-cache]
 //	            [-workers N] [-json] [-out FILE] [-crypto-workers LIST]
-//	            [-crypto-bytes N] [-members LIST] [-groupmode tree|flat|both]
-//	            [-objects LIST]
+//	            [-crypto-bytes N] [-members LIST] [-objects LIST]
 //
 // -exp also accepts a comma-separated list (e.g. -exp fileio,crypto) so
 // one report — and therefore one benchdiff gate — can cover several
-// experiments.
+// experiments. "all" runs everything except ablation, the slow one,
+// which runs only when named; an unknown name is an error.
 //
 // -scale divides workload file *sizes* (never counts) so paper-scale
 // experiments (-scale 1) and quick runs (-scale 1024) use identical
@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"time"
 
@@ -48,7 +49,7 @@ func main() {
 }
 
 func run() error {
-	exp := flag.String("exp", "all", "experiment: all|fileio|dirops|gitclone|db|apps|revoke|revoke-sweep|sharing|crypto|metadata|freshness|dedup|ablation")
+	exp := flag.String("exp", "all", "comma-separated experiments: all|"+strings.Join(experiments, "|")+" (all leaves out ablation, the slow one)")
 	scale := flag.Int64("scale", 64, "divide workload file sizes by this factor (1 = paper scale)")
 	runs := flag.Int("runs", 3, "repetitions averaged per measurement")
 	rtt := flag.Duration("rtt", 500*time.Microsecond, "simulated network round-trip time")
@@ -63,9 +64,14 @@ func run() error {
 	cryptoWorkers := flag.String("crypto-workers", "1,2,4,8", "comma-separated worker counts for the crypto experiment")
 	cryptoBytes := flag.Int64("crypto-bytes", 0, "chunk-crypto buffer size in bytes (0 = 16MiB divided by -scale)")
 	members := flag.String("members", "1000,10000,100000,1000000", "comma-separated membership sizes for the revoke-sweep experiment")
-	groupMode := flag.String("groupmode", "both", "revoke-sweep structures: tree|flat|both (flat is the O(n) re-wrap baseline)")
 	objects := flag.String("objects", "1000,10000,100000,1000000", "comma-separated namespace sizes for the freshness experiment")
 	flag.Parse()
+
+	selected, err := selectExperiments(*exp)
+	if err != nil {
+		return err
+	}
+	want := func(name string) bool { return selected[name] }
 
 	cfg := bench.Config{
 		Profile:              netsim.Profile{RTT: *rtt, Bandwidth: *bw << 20},
@@ -92,15 +98,6 @@ func run() error {
 		return err
 	}
 	defer env.Close()
-
-	want := func(name string) bool {
-		for _, e := range splitCSV(*exp) {
-			if e == "all" || e == name {
-				return true
-			}
-		}
-		return false
-	}
 
 	if want("fileio") {
 		rows, err := bench.FileIO(env, []int{1, 2, 16, 64})
@@ -182,7 +179,7 @@ func run() error {
 			}
 			counts = append(counts, n)
 		}
-		rows, err := bench.MembershipSweep(counts, *groupMode, *runs)
+		rows, err := bench.MembershipSweep(counts, *runs)
 		if err != nil {
 			return fmt.Errorf("revoke-sweep: %w", err)
 		}
@@ -259,7 +256,7 @@ func run() error {
 			report.Experiments["metadata"] = bench.MetadataMetrics(row)
 		}
 	}
-	if *exp == "ablation" {
+	if want("ablation") {
 		const files = 512
 		rows, err := bench.Ablation(cfg, files)
 		if err != nil {
@@ -293,6 +290,39 @@ func gitRev() string {
 		return "dev"
 	}
 	return rev
+}
+
+// experiments are the names -exp accepts besides "all".
+var experiments = []string{
+	"fileio", "dirops", "gitclone", "db", "apps", "revoke", "revoke-sweep",
+	"sharing", "crypto", "metadata", "freshness", "dedup", "ablation",
+}
+
+// selectExperiments resolves a comma-separated -exp list to the set of
+// experiments to run. "all" stands for every experiment except
+// ablation, which takes minutes and runs only when named; a name that
+// is neither is an error, so a typo cannot pass as an empty green run.
+func selectExperiments(list string) (map[string]bool, error) {
+	selected := make(map[string]bool)
+	for _, e := range splitCSV(list) {
+		switch {
+		case e == "all":
+			for _, name := range experiments {
+				if name != "ablation" {
+					selected[name] = true
+				}
+			}
+		case slices.Contains(experiments, e):
+			selected[e] = true
+		default:
+			return nil, fmt.Errorf("unknown experiment %q in -exp %q (valid: all, %s)",
+				e, list, strings.Join(experiments, ", "))
+		}
+	}
+	if len(selected) == 0 {
+		return nil, fmt.Errorf("-exp names no experiment (valid: all, %s)", strings.Join(experiments, ", "))
+	}
+	return selected, nil
 }
 
 func splitCSV(s string) []string {

@@ -117,11 +117,10 @@ func PrintRevocation(w io.Writer, rows []RevocationRow) {
 }
 
 // MembershipRow is one cell of the revocation membership sweep: the
-// cost of revoking one member at a given group size, under the subgroup
-// key tree ("tree") or the rotate-and-rewrap-everyone baseline
-// ("flat").
+// cost of revoking one member at a given group size under the subgroup
+// key tree. The alternative — one flat group key re-wrapped for every
+// survivor — costs Members−1 wraps by construction and is not measured.
 type MembershipRow struct {
-	Mode       string
 	Members    int
 	WrapsPerOp float64
 	BytesPerOp float64
@@ -129,17 +128,11 @@ type MembershipRow struct {
 }
 
 // MembershipSweep measures per-revocation wrap work across membership
-// sizes (the 10^3–10^6 sweep), driving the key structures directly:
-// the enclave's 64K user-table cap bounds end-to-end scale, and the
-// wrap counts are a property of the tree alone. mode selects "tree",
-// "flat", or "both"; runs distinct members are revoked per cell and
-// the costs averaged.
-func MembershipSweep(counts []int, mode string, runs int) ([]MembershipRow, error) {
-	switch mode {
-	case "tree", "flat", "both":
-	default:
-		return nil, fmt.Errorf("bench: unknown sweep mode %q (want tree|flat|both)", mode)
-	}
+// sizes (the 10^3–10^6 sweep), driving the key tree directly: the
+// enclave's 64K user-table cap bounds end-to-end scale, and the wrap
+// counts are a property of the tree alone. runs distinct members are
+// revoked per cell and the costs averaged.
+func MembershipSweep(counts []int, runs int) ([]MembershipRow, error) {
 	var rows []MembershipRow
 	for _, n := range counts {
 		if n < 4 {
@@ -149,35 +142,22 @@ func MembershipSweep(counts []int, mode string, runs int) ([]MembershipRow, erro
 		for i := range ids {
 			ids[i] = uint32(i)
 		}
-		if mode != "flat" {
-			tree, err := groupkey.NewTreeWithMembers(groupkey.Config{}, ids)
-			if err != nil {
-				return nil, err
-			}
-			row, err := sweepRevocations("tree", tree, ids, runs)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
+		tree, err := groupkey.NewTreeWithMembers(groupkey.Config{}, ids)
+		if err != nil {
+			return nil, err
 		}
-		if mode != "tree" {
-			flat, err := groupkey.NewFlatWithMembers(ids)
-			if err != nil {
-				return nil, err
-			}
-			row, err := sweepRevocations("flat", flat, ids, runs)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
+		row, err := sweepRevocations(tree, ids, runs)
+		if err != nil {
+			return nil, err
 		}
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
 // sweepRevocations revokes `runs` distinct members spread across the
 // group and averages the metered wrap work.
-func sweepRevocations(mode string, g groupkey.Group, ids []uint32, runs int) (MembershipRow, error) {
+func sweepRevocations(tree *groupkey.Tree, ids []uint32, runs int) (MembershipRow, error) {
 	n := len(ids)
 	if runs < 1 {
 		runs = 1
@@ -185,18 +165,17 @@ func sweepRevocations(mode string, g groupkey.Group, ids []uint32, runs int) (Me
 	if runs > n/2 {
 		runs = n / 2
 	}
-	g.ResetStats()
+	tree.ResetStats()
 	start := time.Now()
 	for i := 0; i < runs; i++ {
 		victim := ids[(i*(n/runs)+n/2)%n]
-		if err := g.Revoke(victim); err != nil {
-			return MembershipRow{}, fmt.Errorf("bench: %s revoke at n=%d: %w", mode, n, err)
+		if err := tree.Revoke(victim); err != nil {
+			return MembershipRow{}, fmt.Errorf("bench: revoke at n=%d: %w", n, err)
 		}
 	}
 	elapsed := time.Since(start)
-	st := g.Stats()
+	st := tree.Stats()
 	return MembershipRow{
-		Mode:       mode,
 		Members:    n,
 		WrapsPerOp: float64(st.Wraps) / float64(runs),
 		BytesPerOp: float64(st.WrapBytes) / float64(runs),
@@ -206,11 +185,12 @@ func sweepRevocations(mode string, g groupkey.Group, ids []uint32, runs int) (Me
 
 // PrintMembership renders the membership sweep.
 func PrintMembership(w io.Writer, rows []MembershipRow) {
-	fmt.Fprintln(w, "§VII-E — Revocation vs membership size (per-revocation key-wrap work)")
-	fmt.Fprintf(w, "%-6s %10s %14s %14s %12s\n", "mode", "members", "wraps/op", "bytes/op", "time/op")
+	fmt.Fprintln(w, "§VII-E — Revocation vs membership size (per-revocation key-wrap work, subgroup key tree;")
+	fmt.Fprintln(w, "a flat group key re-wrapped for every survivor costs members−1 wraps/op by construction)")
+	fmt.Fprintf(w, "%10s %14s %14s %12s\n", "members", "wraps/op", "bytes/op", "time/op")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-6s %10d %14.1f %14s %12s\n",
-			r.Mode, r.Members, r.WrapsPerOp, fmtBytes(int64(r.BytesPerOp)), fmtDur(time.Duration(r.NsPerOp)))
+		fmt.Fprintf(w, "%10d %14.1f %14s %12s\n",
+			r.Members, r.WrapsPerOp, fmtBytes(int64(r.BytesPerOp)), fmtDur(time.Duration(r.NsPerOp)))
 	}
 	fmt.Fprintln(w)
 }
@@ -220,7 +200,7 @@ func PrintMembership(w io.Writer, rows []MembershipRow) {
 func MembershipMetrics(rows []MembershipRow) Experiment {
 	exp := make(Experiment)
 	for _, r := range rows {
-		exp[fmt.Sprintf("%s_%d_users", r.Mode, r.Members)] = Metric{
+		exp[fmt.Sprintf("tree_%d_users", r.Members)] = Metric{
 			NsPerOp:    r.NsPerOp,
 			WrapsPerOp: r.WrapsPerOp,
 			BytesPerOp: r.BytesPerOp,

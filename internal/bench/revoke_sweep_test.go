@@ -2,28 +2,25 @@ package bench
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 )
 
-// The membership sweep is the PR's load-bearing claim: revocation wrap
-// work under the subgroup tree grows O(log n) while the flat baseline
-// grows O(n). Checked here at test-friendly sizes; the full 10^3–10^6
+// The membership sweep is the tree's load-bearing claim: revocation wrap
+// work grows O(log n), against the n−1 wraps a flat group key costs by
+// construction. Checked here at test-friendly sizes; the full 10^3–10^6
 // sweep runs via `nexus-bench -exp revoke-sweep`.
 func TestMembershipSweepSublinear(t *testing.T) {
-	rows, err := MembershipSweep([]int{512, 4096}, "both", 2)
+	rows, err := MembershipSweep([]int{512, 4096}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := make(map[string]MembershipRow)
-	for _, r := range rows {
-		byKey[fmt.Sprintf("%s/%d", r.Mode, r.Members)] = r
+	if len(rows) != 2 || rows[0].Members != 512 || rows[1].Members != 4096 {
+		t.Fatalf("sweep rows = %+v", rows)
 	}
-	treeSmall, treeBig := byKey["tree/512"], byKey["tree/4096"]
-	flatSmall, flatBig := byKey["flat/512"], byKey["flat/4096"]
+	treeSmall, treeBig := rows[0], rows[1]
 	if treeSmall.WrapsPerOp == 0 || treeBig.WrapsPerOp == 0 {
-		t.Fatalf("tree rows missing or unmetered: %+v", rows)
+		t.Fatalf("tree rows unmetered: %+v", rows)
 	}
 
 	// 8× the members must cost far less than 8× the wraps: a fanout-8
@@ -36,37 +33,29 @@ func TestMembershipSweepSublinear(t *testing.T) {
 		t.Fatalf("tree wrap bytes grew %.2fx across 8x membership — not sublinear", growth)
 	}
 
-	// The flat baseline rotates the group secret and re-wraps every
-	// survivor: wraps/op tracks n.
-	if flatSmall.WrapsPerOp < 500 || flatBig.WrapsPerOp < 4000 {
-		t.Fatalf("flat baseline under-metered: 512 → %.1f, 4096 → %.1f wraps/op",
-			flatSmall.WrapsPerOp, flatBig.WrapsPerOp)
-	}
-	if ratio := flatBig.WrapsPerOp / treeBig.WrapsPerOp; ratio < 10 {
-		t.Fatalf("tree (%.1f wraps/op) not clearly below flat (%.1f wraps/op) at 4096 members",
-			treeBig.WrapsPerOp, flatBig.WrapsPerOp)
+	// A flat group key re-wraps for every survivor: n−1 wraps/op.
+	if ratio := (4096 - 1) / treeBig.WrapsPerOp; ratio < 10 {
+		t.Fatalf("tree (%.1f wraps/op) not clearly below flat (4095 wraps/op) at 4096 members",
+			treeBig.WrapsPerOp)
 	}
 }
 
 func TestMembershipSweepModesAndErrors(t *testing.T) {
-	rows, err := MembershipSweep([]int{256}, "tree", 1)
+	rows, err := MembershipSweep([]int{256}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Mode != "tree" {
-		t.Fatalf("tree-only sweep rows = %+v", rows)
+	if len(rows) != 1 || rows[0].Members != 256 {
+		t.Fatalf("sweep rows = %+v", rows)
 	}
-	if _, err := MembershipSweep([]int{256}, "nonsense", 1); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-	if _, err := MembershipSweep([]int{2}, "tree", 1); err == nil {
+	if _, err := MembershipSweep([]int{2}, 1); err == nil {
 		t.Fatal("degenerate size accepted")
 	}
 
 	var buf bytes.Buffer
 	PrintMembership(&buf, rows)
-	if !strings.Contains(buf.String(), "tree") || !strings.Contains(buf.String(), "256") {
-		t.Fatalf("PrintMembership output missing rows:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "members−1") || !strings.Contains(buf.String(), "256") {
+		t.Fatalf("PrintMembership output missing rows or the flat closed form:\n%s", buf.String())
 	}
 
 	exp := MembershipMetrics(rows)

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"nexus/internal/backend"
-	"nexus/internal/groupkey"
 	"nexus/internal/obs"
 	"nexus/internal/parallel"
 	"nexus/internal/serial"
@@ -99,19 +98,6 @@ type FS struct {
 	users   map[string]*User // all participants, owner included; guarded by mu
 	workers int              // Revoke re-encryption fan-out; guarded by mu
 
-	// Group-key mode (SetGroupKeys): instead of wrapping each file key
-	// once per reader, the file key is wrapped once under the current
-	// root of a membership key tree, and Revoke rotates the evicted
-	// user's leaf-to-root path — O(log n) wraps plus one wrap per
-	// re-encrypted file, against the flat scheme's O(readers) per file.
-	// All guarded by mu.
-	groupKeys  bool
-	tree       *groupkey.Tree
-	ids        map[string]uint32 // user name → tree member ID
-	nextID     uint32
-	epochRoots map[uint64][]byte // epoch → tree root secret, for lazy reads
-	groupErr   error             // latched tree-maintenance failure
-
 	metrics cfsMetrics
 }
 
@@ -164,16 +150,11 @@ func New(store backend.Store, owner *User) *FS {
 // use; rebinding mid-flight loses in-window counts.
 func (fs *FS) SetObs(reg *obs.Registry) { fs.metrics.bind(reg) }
 
-// AddUser registers a participant. With group keys enabled the user is
-// also enrolled into the membership tree so subsequent writes cover
-// them under the rotated root.
+// AddUser registers a participant.
 func (fs *FS) AddUser(u *User) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.users[u.Name] = u
-	if fs.tree != nil {
-		fs.enrollLocked(u.Name)
-	}
 }
 
 // SetWorkers bounds the re-encryption fan-out used by Revoke (0 =
@@ -242,10 +223,6 @@ func wrapKey(owner, user *User, fileKey []byte) ([]byte, error) {
 	return gcm.Seal(nonce, nonce, fileKey, []byte(user.Name)), nil
 }
 
-func (fs *FS) unwrapKey(user *User, wrapped []byte) ([]byte, error) {
-	return unwrapKeyFor(fs.owner, user, wrapped)
-}
-
 // unwrapKeyFor recovers the file key wrapped for user under the
 // owner/user pairwise secret.
 func unwrapKeyFor(owner, user *User, wrapped []byte) ([]byte, error) {
@@ -270,24 +247,6 @@ func unwrapKeyFor(owner, user *User, wrapped []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: unwrap failed", ErrNoAccess)
 	}
 	return key, nil
-}
-
-// encryptAndStoreLocked encrypts data under a fresh file key, wraps it
-// for the named readers, and uploads both objects, folding the cost
-// meters into fs.stats; fs.mu is held.
-func (fs *FS) encryptAndStoreLocked(p string, data []byte, readers []string) error {
-	var st Stats
-	var err error
-	if fs.groupKeys && fs.tree != nil {
-		if fs.groupErr != nil {
-			return fs.groupErr
-		}
-		st, err = encryptAndStoreGroup(fs.store, fs.users, fs.currentRootLocked(), fs.tree.Epoch(), p, data, readers)
-	} else {
-		st, err = encryptAndStore(fs.store, fs.owner, fs.users, p, data, readers)
-	}
-	fs.metrics.add(st)
-	return err
 }
 
 // encryptAndStore is the lock-free core of the write path: everything it
@@ -382,14 +341,23 @@ func (fs *FS) WriteFile(p string, data []byte, readers []string) error {
 			unique = append(unique, r)
 		}
 	}
-	return fs.encryptAndStoreLocked(p, data, unique)
+	st, err := encryptAndStore(fs.store, fs.owner, fs.users, p, data, unique)
+	fs.metrics.add(st)
+	return err
 }
 
 // ReadFile decrypts a file as the given user.
 func (fs *FS) ReadFile(p string, user *User) ([]byte, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	keysBlob, err := fs.store.Get(keysName(p))
+	return readFileAs(fs.store, fs.owner, user, p)
+}
+
+// readFileAs is the lock-free read core shared by ReadFile and Revoke's
+// parallel fan-out (which reads as the owner): find user's wrap in the
+// key block, unwrap the file key, decrypt the contents.
+func readFileAs(store backend.Store, owner, user *User, p string) ([]byte, error) {
+	keysBlob, err := store.Get(keysName(p))
 	if errors.Is(err, backend.ErrNotExist) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, p)
 	}
@@ -400,24 +368,21 @@ func (fs *FS) ReadFile(p string, user *User) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if gi := groupEntryIndex(readers); gi >= 0 {
-		return fs.readGroupLocked(p, user, readers, wrapped[gi])
-	}
-	var fileKey []byte
 	for i, name := range readers {
 		if name == user.Name {
-			fileKey, err = fs.unwrapKey(user, wrapped[i])
+			fileKey, err := unwrapKeyFor(owner, user, wrapped[i])
 			if err != nil {
 				return nil, err
 			}
-			break
+			return openData(store, p, fileKey)
 		}
 	}
-	if fileKey == nil {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNoAccess, user.Name, p)
-	}
+	return nil, fmt.Errorf("%w: %s on %s", ErrNoAccess, user.Name, p)
+}
 
-	ct, err := fs.store.Get(dataName(p))
+// openData fetches and decrypts a file's ciphertext under its file key.
+func openData(store backend.Store, p string, fileKey []byte) ([]byte, error) {
+	ct, err := store.Get(dataName(p))
 	if err != nil {
 		return nil, err
 	}
@@ -464,18 +429,7 @@ func (fs *FS) Readers(p string) ([]string, error) {
 		return nil, err
 	}
 	readers, _, err := decodeKeyBlock(keysBlob)
-	if err != nil {
-		return nil, err
-	}
-	// The "@group" pseudo-entry carries the tree-wrapped key, not a
-	// participant.
-	out := readers[:0]
-	for _, name := range readers {
-		if name != groupReader {
-			out = append(out, name)
-		}
-	}
-	return out, nil
+	return readers, err
 }
 
 // Revoke removes a user's access to every file in paths. This is the
@@ -497,9 +451,6 @@ func (fs *FS) Revoke(revoked string, paths []string) (Stats, error) {
 		fs.metrics.revokeLat.Record(time.Since(start))
 		span.End()
 	}()
-	if fs.groupKeys && fs.tree != nil {
-		return fs.revokeGroupLocked(revoked, paths)
-	}
 	perPath := make([]Stats, len(paths))
 	var total Stats
 	err := parallel.Ranges(len(paths), fs.workers, func(lo, hi int) error {
@@ -530,7 +481,7 @@ func (fs *FS) Revoke(revoked string, paths []string) (Stats, error) {
 			}
 			// The revoked user may have cached the old file key: full
 			// re-encryption under a fresh key is mandatory.
-			pt, err := readFileAsOwner(fs.store, fs.owner, p)
+			pt, err := readFileAs(fs.store, fs.owner, fs.owner, p)
 			if err != nil {
 				return err
 			}
@@ -552,50 +503,4 @@ func (fs *FS) Revoke(revoked string, paths []string) (Stats, error) {
 		return Stats{}, err
 	}
 	return total, nil
-}
-
-// ReadFileAsOwnerLocked decrypts p with the owner's key; the caller
-// holds fs.mu.
-func (fs *FS) ReadFileAsOwnerLocked(p string) ([]byte, error) {
-	if fs.tree != nil {
-		if pt, ok, err := readFileGroup(fs.store, fs.epochRoots, p); ok || err != nil {
-			return pt, err
-		}
-	}
-	return readFileAsOwner(fs.store, fs.owner, p)
-}
-
-// readFileAsOwner is the lock-free owner read core shared by the serial
-// read path and Revoke's parallel fan-out.
-func readFileAsOwner(store backend.Store, owner *User, p string) ([]byte, error) {
-	keysBlob, err := store.Get(keysName(p))
-	if err != nil {
-		return nil, err
-	}
-	readers, wrapped, err := decodeKeyBlock(keysBlob)
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range readers {
-		if name == owner.Name {
-			fileKey, err := unwrapKeyFor(owner, owner, wrapped[i])
-			if err != nil {
-				return nil, err
-			}
-			ct, err := store.Get(dataName(p))
-			if err != nil {
-				return nil, err
-			}
-			block, err := aes.NewCipher(fileKey)
-			if err != nil {
-				return nil, err
-			}
-			gcm, err := cipher.NewGCM(block)
-			if err != nil {
-				return nil, err
-			}
-			return gcm.Open(nil, ct[:12], ct[12:], nil)
-		}
-	}
-	return nil, fmt.Errorf("%w: owner key missing on %s", ErrNoAccess, p)
 }

@@ -243,3 +243,30 @@ func TestParallelRevokeMissingFileFails(t *testing.T) {
 		t.Fatalf("parallel revoke with missing file = %v, want ErrNotFound", err)
 	}
 }
+
+// A data object truncated by the store is untrusted input: both callers
+// of the decrypt tail must get an error, not an out-of-range slice.
+func TestTruncatedCiphertextFailsClosed(t *testing.T) {
+	fs, owner, _, store := setup(t)
+	if err := fs.WriteFile("/doc", []byte("shared secret document"), []string{"alice"}); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := store.Get(dataName("/doc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put(dataName("/doc"), ct[:5]); err != nil {
+		t.Fatal(err)
+	}
+	_, readErr := fs.ReadFile("/doc", owner)
+	if readErr == nil {
+		t.Fatal("ReadFile over a 5-byte data object succeeded")
+	}
+	_, revokeErr := fs.Revoke("alice", []string{"/doc"})
+	if revokeErr == nil {
+		t.Fatal("Revoke over a 5-byte data object succeeded")
+	}
+	if revokeErr.Error() != readErr.Error() {
+		t.Fatalf("Revoke err = %q, ReadFile err = %q; want the same text", revokeErr, readErr)
+	}
+}

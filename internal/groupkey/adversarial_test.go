@@ -149,36 +149,3 @@ func TestAdversarialReAddGetsNoOldEpochKeys(t *testing.T) {
 		t.Fatalf("Authenticate after re-add: %v", err)
 	}
 }
-
-func TestAdversarialFlatRevocation(t *testing.T) {
-	// The flat baseline honors the same contract (via full re-wrap).
-	fl := NewFlat()
-	for id := uint32(1); id <= 8; id++ {
-		mustAdd(t, fl, id)
-	}
-	victimSecret, err := func() ([]byte, error) {
-		m := fl.members[3]
-		return bytes.Clone(m.secret), nil
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldWrap := bytes.Clone(fl.members[3].wrap)
-	oldRoot := fl.RootSecret()
-	if err := fl.Revoke(3); err != nil {
-		t.Fatalf("Revoke: %v", err)
-	}
-	if got, err := unwrapWith(victimSecret, oldWrap, wrapAAD(0, 0, 3)); err != nil {
-		t.Fatalf("old wrap should still open (old ciphertext): %v", err)
-	} else if bytes.Equal(got, fl.RootSecret()) {
-		t.Fatal("old flat wrap yields current root")
-	}
-	if bytes.Equal(oldRoot, fl.RootSecret()) {
-		t.Fatal("flat root not rotated")
-	}
-	for _, m := range fl.members {
-		if _, err := unwrapWith(victimSecret, m.wrap, wrapAAD(0, 0, m.id)); !errors.Is(err, ErrUnwrap) {
-			t.Fatalf("evicted flat secret opened member %d's wrap", m.id)
-		}
-	}
-}

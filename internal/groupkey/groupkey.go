@@ -7,7 +7,7 @@
 // member therefore recovers the root secret by chaining one unwrap per
 // tree level, and revoking a member rotates only the keys on its
 // leaf-to-root path — O(LeafCap + Fanout·log n) wrap operations instead
-// of the flat list's O(n) full re-wrap.
+// of the O(n) full re-wrap (n−1 wraps) a single flat group key costs.
 //
 // The tree is owner-side state: it holds the raw node keys and the
 // per-member secrets, and is serialized into the (sealed) supernode by

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-func mustAdd(t *testing.T, g Group, id uint32) []byte {
+func mustAdd(t *testing.T, tr *Tree, id uint32) []byte {
 	t.Helper()
-	secret, err := g.Add(id)
+	secret, err := tr.Add(id)
 	if err != nil {
 		t.Fatalf("Add(%d): %v", id, err)
 	}
@@ -166,62 +166,6 @@ func TestTreeWrapCountLogarithmic(t *testing.T) {
 		if got := tr.Stats().Wraps; got > bound {
 			t.Fatalf("Revoke(%d) wraps = %d, want ≤ %d (levels=%d)", victim, got, bound, levels)
 		}
-	}
-}
-
-func TestFlatMatchesTreeSemantics(t *testing.T) {
-	fl := NewFlat()
-	for id := uint32(1); id <= 10; id++ {
-		mustAdd(t, fl, id)
-	}
-	if fl.Len() != 10 {
-		t.Fatalf("Len = %d", fl.Len())
-	}
-	for id := uint32(1); id <= 10; id++ {
-		if err := fl.Authenticate(id); err != nil {
-			t.Fatalf("Authenticate(%d): %v", id, err)
-		}
-	}
-	if _, err := fl.Add(3); !errors.Is(err, ErrMemberExists) {
-		t.Fatalf("duplicate Add err = %v", err)
-	}
-	epoch := fl.Epoch()
-	rootBefore := fl.RootSecret()
-	if err := fl.Revoke(3); err != nil {
-		t.Fatalf("Revoke: %v", err)
-	}
-	if bytes.Equal(rootBefore, fl.RootSecret()) {
-		t.Fatal("flat root unchanged after revoke")
-	}
-	if fl.Epoch() != epoch+1 {
-		t.Fatalf("epoch = %d, want %d", fl.Epoch(), epoch+1)
-	}
-	if err := fl.Revoke(3); !errors.Is(err, ErrUnknownMember) {
-		t.Fatalf("double Revoke err = %v", err)
-	}
-	// Flat revocation is O(n): 9 remaining members → 9 wraps.
-	fl.ResetStats()
-	if err := fl.Revoke(5); err != nil {
-		t.Fatalf("Revoke: %v", err)
-	}
-	if got := fl.Stats().Wraps; got != 8 {
-		t.Fatalf("flat revoke wraps = %d, want 8", got)
-	}
-}
-
-func TestFlatBulkBuilder(t *testing.T) {
-	ids := []uint32{5, 9, 12}
-	fl, err := NewFlatWithMembers(ids)
-	if err != nil {
-		t.Fatalf("NewFlatWithMembers: %v", err)
-	}
-	for _, id := range ids {
-		if err := fl.Authenticate(id); err != nil {
-			t.Fatalf("Authenticate(%d): %v", id, err)
-		}
-	}
-	if _, err := NewFlatWithMembers([]uint32{1, 1}); !errors.Is(err, ErrMemberExists) {
-		t.Fatalf("duplicate bulk err = %v", err)
 	}
 }
 

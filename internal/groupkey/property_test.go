@@ -36,17 +36,16 @@ type oracle struct {
 }
 
 // TestPropertyTreeVsOracle drives a random add/revoke/re-add sequence
-// simultaneously against the subgroup tree, the flat-list baseline, and
-// the model oracle, asserting after every step that membership,
-// unwrap-ability, epoch advancement, and ACL group-rights resolution
-// agree. Replay a failure with NEXUS_GROUPKEY_SEED=<seed>.
+// against the subgroup tree and the model oracle, asserting after every
+// step that membership, unwrap-ability, epoch advancement, and ACL
+// group-rights resolution agree. Replay a failure with
+// NEXUS_GROUPKEY_SEED=<seed>.
 func TestPropertyTreeVsOracle(t *testing.T) {
 	seed := propertySeed(t)
 	rng := netsim.NewRand(seed)
 	t.Logf("groupkey property seed %d (replay: NEXUS_GROUPKEY_SEED=%d)", seed, seed)
 
 	tr := NewTree(Config{LeafCap: 3, Fanout: 2})
-	fl := NewFlat()
 	or := &oracle{members: make(map[uint32]uint32)}
 
 	const (
@@ -57,16 +56,15 @@ func TestPropertyTreeVsOracle(t *testing.T) {
 		id := uint32(1 + rng.Intn(idSpace))
 		if rng.Intn(100) < 55 || len(or.members) == 0 {
 			// Add (may collide with an existing member).
-			_, treeErr := tr.Add(id)
-			_, flatErr := fl.Add(id)
+			_, err := tr.Add(id)
 			_, exists := or.members[id]
 			if exists {
-				if treeErr == nil || flatErr == nil {
-					t.Fatalf("step %d: duplicate add of %d accepted (tree=%v flat=%v)", step, id, treeErr, flatErr)
+				if err == nil {
+					t.Fatalf("step %d: duplicate add of %d accepted", step, id)
 				}
 			} else {
-				if treeErr != nil || flatErr != nil {
-					t.Fatalf("step %d: add of %d failed (tree=%v flat=%v)", step, id, treeErr, flatErr)
+				if err != nil {
+					t.Fatalf("step %d: add of %d failed: %v", step, id, err)
 				}
 				leaf, ok := tr.LeafOf(id)
 				if !ok {
@@ -77,34 +75,33 @@ func TestPropertyTreeVsOracle(t *testing.T) {
 			}
 		} else {
 			// Revoke a random id (may or may not be a member).
-			treeErr := tr.Revoke(id)
-			flatErr := fl.Revoke(id)
+			err := tr.Revoke(id)
 			if _, exists := or.members[id]; exists {
-				if treeErr != nil || flatErr != nil {
-					t.Fatalf("step %d: revoke of %d failed (tree=%v flat=%v)", step, id, treeErr, flatErr)
+				if err != nil {
+					t.Fatalf("step %d: revoke of %d failed: %v", step, id, err)
 				}
 				delete(or.members, id)
 				or.epoch++
-			} else if treeErr == nil || flatErr == nil {
-				t.Fatalf("step %d: revoke of non-member %d accepted (tree=%v flat=%v)", step, id, treeErr, flatErr)
+			} else if err == nil {
+				t.Fatalf("step %d: revoke of non-member %d accepted", step, id)
 			}
 		}
-		checkAgainstOracle(t, step, tr, fl, or, rng)
+		checkAgainstOracle(t, step, tr, or, rng)
 	}
 }
 
-func checkAgainstOracle(t *testing.T, step int, tr *Tree, fl *Flat, or *oracle, rng *netsim.Rand) {
+func checkAgainstOracle(t *testing.T, step int, tr *Tree, or *oracle, rng *netsim.Rand) {
 	t.Helper()
-	if tr.Len() != len(or.members) || fl.Len() != len(or.members) {
-		t.Fatalf("step %d: len tree=%d flat=%d oracle=%d", step, tr.Len(), fl.Len(), len(or.members))
+	if tr.Len() != len(or.members) {
+		t.Fatalf("step %d: len tree=%d oracle=%d", step, tr.Len(), len(or.members))
 	}
-	if tr.Epoch() != or.epoch || fl.Epoch() != or.epoch {
-		t.Fatalf("step %d: epoch tree=%d flat=%d oracle=%d", step, tr.Epoch(), fl.Epoch(), or.epoch)
+	if tr.Epoch() != or.epoch {
+		t.Fatalf("step %d: epoch tree=%d oracle=%d", step, tr.Epoch(), or.epoch)
 	}
-	treeRoot, flatRoot := tr.RootSecret(), fl.RootSecret()
+	treeRoot := tr.RootSecret()
 	for id, leafAtAdd := range or.members {
-		if !tr.Contains(id) || !fl.Contains(id) {
-			t.Fatalf("step %d: oracle member %d missing (tree=%v flat=%v)", step, id, tr.Contains(id), fl.Contains(id))
+		if !tr.Contains(id) {
+			t.Fatalf("step %d: oracle member %d missing from tree", step, id)
 		}
 		// Leaf stability: the assignment made at add time holds.
 		if leaf, _ := tr.LeafOf(id); leaf != leafAtAdd {
@@ -130,27 +127,20 @@ func checkAgainstOracle(t *testing.T, step int, tr *Tree, fl *Flat, or *oracle, 
 		if !bytes.Equal(got, treeRoot) {
 			t.Fatalf("step %d: tree member %d derives wrong root", step, id)
 		}
-		fgot, err := fl.MemberRoot(id)
-		if err != nil {
-			t.Fatalf("step %d: flat MemberRoot(%d): %v", step, id, err)
-		}
-		if !bytes.Equal(fgot, flatRoot) {
-			t.Fatalf("step %d: flat member %d derives wrong root", step, id)
-		}
 	}
 	// Non-members must fail membership and unwrap.
 	for probeID := uint32(1); probeID <= 3; probeID++ {
 		id := uint32(1 + rng.Intn(200))
 		_, isMember := or.members[id]
-		if tr.Contains(id) != isMember || fl.Contains(id) != isMember {
+		if tr.Contains(id) != isMember {
 			t.Fatalf("step %d: Contains(%d) disagrees with oracle (%v)", step, id, isMember)
 		}
 		if !isMember {
 			if _, err := tr.MemberRoot(id); err == nil {
 				t.Fatalf("step %d: tree MemberRoot(non-member %d) succeeded", step, id)
 			}
-			if err := fl.Authenticate(id); err == nil {
-				t.Fatalf("step %d: flat Authenticate(non-member %d) succeeded", step, id)
+			if err := tr.Authenticate(id); err == nil {
+				t.Fatalf("step %d: tree Authenticate(non-member %d) succeeded", step, id)
 			}
 		}
 	}

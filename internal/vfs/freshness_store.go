@@ -182,32 +182,59 @@ func (s *FreshnessStore) prevTreeLocked() *merkle.Tree {
 	return t
 }
 
-// treeAt returns the tree matching epoch: the current one, the previous
-// one (undo), or whatever a forced reload surfaces.
-func (s *FreshnessStore) treeAtLocked(epoch uint64) (*merkle.Tree, error) {
-	for attempt := 0; ; attempt++ {
-		if err := s.loadLocked(attempt > 0); err != nil {
-			return nil, err
-		}
-		switch {
-		case epoch == s.epoch:
-			return s.cur, nil
-		case epoch+1 == s.epoch:
-			return s.prevTreeLocked(), nil
-		}
-		if attempt > 0 {
-			return nil, fmt.Errorf("%w: want epoch %d, tree at %d", ErrEpochUnavailable, epoch, s.epoch)
-		}
+// syncLocked brings the resident tree to a state that can serve epoch —
+// the tree's own epoch or the one before it — escalating only as far as
+// it must: the resident state, then a re-read of the snapshot, then a
+// re-read under the snapshot's store lock. The last step is for caching
+// stores (the AFS client): the caller holds the freshness-root lock and
+// has just read a root at the new epoch, but invalidations arrive
+// asynchronously, so a plain get may still serve the previous snapshot
+// from cache; taking the object's lock revalidates it. Root → tree is
+// the only order the two locks are ever taken in.
+func (s *FreshnessStore) syncLocked(epoch uint64) error {
+	if err := s.loadLocked(false); err != nil {
+		return err
 	}
+	if s.servesLocked(epoch) {
+		return nil
+	}
+	if err := s.loadLocked(true); err != nil {
+		return err
+	}
+	if s.servesLocked(epoch) {
+		return nil
+	}
+	unlock, err := s.inner.Lock(FreshnessTreeObjectName)
+	if err != nil {
+		return err
+	}
+	err = s.loadLocked(true)
+	unlock()
+	if err != nil {
+		return err
+	}
+	if s.servesLocked(epoch) {
+		return nil
+	}
+	return fmt.Errorf("%w: want epoch %d, tree at %d", ErrEpochUnavailable, epoch, s.epoch)
+}
+
+// servesLocked reports whether the resident tree is at epoch or one
+// batch past it (the undo log reaches back exactly one).
+func (s *FreshnessStore) servesLocked(epoch uint64) bool {
+	return epoch == s.epoch || epoch+1 == s.epoch
 }
 
 // FreshnessProof implements enclave.FreshnessProofStore.
 func (s *FreshnessStore) FreshnessProof(id uuid.UUID, epoch uint64) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t, err := s.treeAtLocked(epoch)
-	if err != nil {
+	if err := s.syncLocked(epoch); err != nil {
 		return nil, err
+	}
+	t := s.cur
+	if epoch != s.epoch {
+		t = s.prevTreeLocked()
 	}
 	return t.Prove(id).Encode(), nil
 }
@@ -221,22 +248,13 @@ func (s *FreshnessStore) FreshnessProof(id uuid.UUID, epoch uint64) ([]byte, err
 func (s *FreshnessStore) FreshnessUpdate(epoch uint64, updates []merkle.LeafUpdate) ([][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for attempt := 0; ; attempt++ {
-		if err := s.loadLocked(attempt > 0); err != nil {
-			return nil, err
-		}
-		if epoch == s.epoch {
-			break
-		}
-		if epoch+1 == s.epoch {
-			// The previous batch's sealed root never committed (crash or
-			// fault between the two writes): rewind and re-apply.
-			s.cur, s.epoch, s.undo = s.prevTreeLocked(), s.epoch-1, nil
-			break
-		}
-		if attempt > 0 {
-			return nil, fmt.Errorf("%w: update at epoch %d, tree at %d", ErrEpochUnavailable, epoch, s.epoch)
-		}
+	if err := s.syncLocked(epoch); err != nil {
+		return nil, err
+	}
+	if epoch != s.epoch {
+		// The previous batch's sealed root never committed (crash or
+		// fault between the two writes): rewind and re-apply.
+		s.cur, s.epoch, s.undo = s.prevTreeLocked(), s.epoch-1, nil
 	}
 
 	next := s.cur.Clone()

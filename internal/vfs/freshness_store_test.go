@@ -237,3 +237,111 @@ func TestFreshnessStoreUpdateAtWrongEpoch(t *testing.T) {
 		t.Fatalf("future-epoch update = %v, want ErrEpochUnavailable", err)
 	}
 }
+
+// lazyCacheStore models a caching client whose invalidations arrive
+// late (the AFS whole-file cache): once it has fetched the tree
+// snapshot it keeps serving that copy to plain gets, and only a Lock on
+// the name revalidates it.
+type lazyCacheStore struct {
+	enclave.ObjectStore
+	cached  []byte
+	version uint64
+	locks   int
+}
+
+func (c *lazyCacheStore) GetVersioned(name string) ([]byte, uint64, error) {
+	if name != FreshnessTreeObjectName {
+		return c.ObjectStore.GetVersioned(name)
+	}
+	if c.cached == nil {
+		data, v, err := c.ObjectStore.GetVersioned(name)
+		if err != nil {
+			return nil, 0, err
+		}
+		c.cached, c.version = data, v
+	}
+	return append([]byte(nil), c.cached...), c.version, nil
+}
+
+func (c *lazyCacheStore) Lock(name string) (func(), error) {
+	if name == FreshnessTreeObjectName {
+		c.locks++
+		c.cached = nil
+	}
+	return c.ObjectStore.Lock(name)
+}
+
+// A reader whose store still serves the previous tree snapshot to plain
+// gets must not give up: under the root lock the enclave has seen the
+// new epoch, so the snapshot exists and a revalidating fetch finds it.
+func TestFreshnessStoreRevalidatesStaleSnapshot(t *testing.T) {
+	writer, shared := newTestFreshnessStore(t)
+	cache := &lazyCacheStore{ObjectStore: shared}
+	reader := &FreshnessStore{inner: cache}
+
+	id1, id2 := fsTestUUID(1), fsTestUUID(2)
+	root := applyBatch(t, writer, 0, merkle.EmptyRoot(), []merkle.LeafUpdate{{ID: id1, Version: 1}})
+	// The reader fetches the epoch-1 snapshot; its cache now holds it.
+	if _, err := reader.FreshnessProof(id1, 1); err != nil {
+		t.Fatalf("epoch-1 proof: %v", err)
+	}
+	root = applyBatch(t, writer, 1, root, []merkle.LeafUpdate{{ID: id1, Version: 2}})
+	root = applyBatch(t, writer, 2, root, []merkle.LeafUpdate{{ID: id2, Version: 7}})
+	if cache.locks != 0 {
+		t.Fatalf("%d tree locks before any stale read", cache.locks)
+	}
+
+	// Resident state and the cached snapshot are both two epochs behind.
+	raw, err := reader.FreshnessProof(id2, 3)
+	if err != nil {
+		t.Fatalf("epoch-3 proof over a stale cache: %v", err)
+	}
+	p, err := merkle.DecodeProof(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, present, err := p.Verify(root, id2); err != nil || !present || v != 7 {
+		t.Fatalf("epoch-3 leaf: v=%d present=%v err=%v", v, present, err)
+	}
+	if cache.locks != 1 {
+		t.Fatalf("tree locks = %d, want exactly one revalidation", cache.locks)
+	}
+	// Caught up: no further revalidation on the paths that succeed.
+	if _, err := reader.FreshnessProof(id1, 3); err != nil {
+		t.Fatal(err)
+	}
+	if cache.locks != 1 {
+		t.Fatalf("tree locks = %d after a resident-state proof", cache.locks)
+	}
+
+	// Same for the update path, from a second stale reader.
+	cache2 := &lazyCacheStore{ObjectStore: shared}
+	updater := &FreshnessStore{inner: cache2}
+	if _, err := updater.FreshnessProof(id1, 3); err != nil {
+		t.Fatal(err)
+	}
+	root = applyBatch(t, writer, 3, root, []merkle.LeafUpdate{{ID: id1, Version: 3}})
+	root = applyBatch(t, writer, 4, root, []merkle.LeafUpdate{{ID: id2, Version: 8}})
+	root = applyBatch(t, updater, 5, root, []merkle.LeafUpdate{{ID: id1, Version: 4}})
+	if cache2.locks != 1 {
+		t.Fatalf("tree locks = %d, want exactly one revalidation", cache2.locks)
+	}
+	raw, err = writer.FreshnessProof(id1, 6)
+	if err != nil {
+		t.Fatalf("writer did not pick up the updater's epoch: %v", err)
+	}
+	if p, err = merkle.DecodeProof(raw); err != nil {
+		t.Fatal(err)
+	}
+	if v, present, err := p.Verify(root, id1); err != nil || !present || v != 4 {
+		t.Fatalf("epoch-6 leaf: v=%d present=%v err=%v", v, present, err)
+	}
+
+	// A store that really is behind stays unavailable, revalidated or not.
+	if _, err := reader.FreshnessProof(id1, 9); !errors.Is(err, ErrEpochUnavailable) {
+		t.Fatalf("future-epoch proof = %v, want ErrEpochUnavailable", err)
+	}
+	if _, err := reader.FreshnessUpdate(9, []merkle.LeafUpdate{{ID: id1, Version: 9}}); !errors.Is(err, ErrEpochUnavailable) {
+		t.Fatalf("future-epoch update = %v, want ErrEpochUnavailable", err)
+	}
+}
