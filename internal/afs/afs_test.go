@@ -164,24 +164,13 @@ func TestCallbackInvalidation(t *testing.T) {
 	if err != nil || string(got) != "v1" {
 		t.Fatalf("c2 initial read: %q, %v", got, err)
 	}
-	// c1 writes v2; the server must break c2's callback.
+	// c1 writes v2; the server breaks c2's callback and holds c1's reply
+	// until c2 has acknowledged, so c2's very next read sees v2.
 	if err := c1.Put("shared", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	// The invalidation is asynchronous; poll briefly.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		got, err = c2.Get("shared")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) == "v2" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("c2 still sees %q after invalidation window", got)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if got, err = c2.Get("shared"); err != nil || string(got) != "v2" {
+		t.Fatalf("c2 read after c1's completed store: %q, %v; want v2", got, err)
 	}
 }
 

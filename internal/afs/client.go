@@ -54,8 +54,10 @@ type ClientConfig struct {
 // Consistency model (matching AFS): whole files are fetched on first
 // access and cached; the server records a callback promise and notifies
 // the client if another client changes the file, invalidating the cached
-// copy. Writes are write-through. Advisory locks are server-side and
-// exclusive.
+// copy — and holds the writer's reply until the client has acknowledged,
+// so a completed store is never followed by a stale cached read. Writes
+// are write-through. Advisory locks are server-side and exclusive;
+// acquiring one revalidates the cached copy of the locked file.
 //
 // Failure model: every RPC exchange carries a deadline, and the client
 // reconnects automatically with seeded exponential backoff. Read-only
@@ -111,8 +113,14 @@ type clientMetrics struct {
 	// exactly; see the chaos suite.
 	transportFaults *obs.Counter // afs_transport_faults_total
 	reconnects      *obs.Counter // afs_reconnects_total
-	rpcLat          *obs.Histogram
-	tracer          *obs.Tracer
+	// revalidations counts lock replies by what they did to the cached
+	// copy of the locked file; index lockOutcome-1.
+	revalidations [3]*obs.Counter // afs_lock_revalidations_{unchanged,absent,data}_total
+	// oneway counts frames sent without waiting for a reply (unlocks);
+	// they are counted in rpcs too.
+	oneway *obs.Counter // afs_oneway_frames_total
+	rpcLat *obs.Histogram
+	tracer *obs.Tracer
 }
 
 func (m *clientMetrics) bind(reg *obs.Registry) {
@@ -121,6 +129,10 @@ func (m *clientMetrics) bind(reg *obs.Registry) {
 	m.retries = reg.Counter("afs_retries_total")
 	m.transportFaults = reg.Counter("afs_transport_faults_total")
 	m.reconnects = reg.Counter("afs_reconnects_total")
+	for o := lockUnchanged; o <= lockData; o++ {
+		m.revalidations[o-1] = reg.Counter("afs_lock_revalidations_" + o.String() + "_total")
+	}
+	m.oneway = reg.Counter("afs_oneway_frames_total")
 	m.rpcLat = reg.Histogram("afs_rpc_seconds")
 	m.tracer = reg.Tracer()
 }
@@ -252,10 +264,10 @@ func (c *Client) hello(conn net.Conn, isCallback bool) error {
 		_ = conn.SetDeadline(time.Now().Add(c.timeout))
 		defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	}
-	w := serial.NewWriter(64)
+	w := newFrame(64)
 	w.WriteString(c.id)
 	w.WriteBool(isCallback)
-	if err := writeFrame(conn, frame{op: opHello, reqID: 0, body: w.Bytes()}); err != nil {
+	if err := writeFrame(conn, opHello, 0, w); err != nil {
 		return transportFault("hello handshake", err)
 	}
 	resp, err := readFrame(conn)
@@ -268,9 +280,13 @@ func (c *Client) hello(conn net.Conn, isCallback bool) error {
 	return nil
 }
 
-// callbackLoop consumes invalidation frames until the channel drops. If
-// it drops while still the live channel (server crash, network fault),
-// the cache is flushed and flagged so no stale entry is ever served.
+// callbackLoop consumes invalidation frames until the channel drops,
+// acknowledging each one after the cached copy is gone: the server holds
+// the writer's reply until then, so once a peer's store has returned this
+// client no longer serves the old bytes. If the channel drops while still
+// the live one (server crash, network fault, a malformed or unackable
+// break), the cache is flushed and flagged so no stale entry is ever
+// served.
 func (c *Client) callbackLoop(conn net.Conn) {
 	defer c.wg.Done()
 	for {
@@ -283,10 +299,16 @@ func (c *Client) callbackLoop(conn net.Conn) {
 		}
 		name, err := decodeName(f.body)
 		if err != nil {
-			continue
+			break
 		}
 		if c.cache != nil {
 			c.cache.invalidate(name)
+		}
+		if c.timeout > 0 {
+			_ = conn.SetWriteDeadline(time.Now().Add(c.timeout))
+		}
+		if err := writeFrame(conn, opReply, f.reqID, nil); err != nil {
+			break
 		}
 	}
 	if c.closed.Load() {
@@ -342,20 +364,31 @@ func transportFault(stage string, err error) error {
 // when the request was never accepted, ErrInterrupted when a mutating
 // RPC died mid-exchange (outcome unknown), with ErrTimeout in the chain
 // when a deadline was missed.
-func (c *Client) call(op opCode, body []byte) ([]byte, error) {
+func (c *Client) call(op opCode, body *serial.Writer) ([]byte, error) {
 	if c.closed.Load() {
 		return nil, ErrClosed
 	}
-	// The span and latency cover the whole logical RPC — reconnects,
-	// retries and backoff included — because that is the latency the
-	// layer above experiences. The span name is only materialized when
-	// tracing is on, keeping the disabled path allocation-free.
+	span, start := c.beginRPC(op)
+	resp, retries, faults, err := c.callAttempts(op, body)
+	c.endRPC(span, start, retries, faults, err)
+	return resp, err
+}
+
+// beginRPC opens the span and latency observation of one logical RPC.
+// Both cover reconnects, retries and backoff, because that is the
+// latency the layer above experiences. The span name is only
+// materialized when tracing is on, keeping the disabled path
+// allocation-free.
+func (c *Client) beginRPC(op opCode) (*obs.Span, time.Time) {
 	var span *obs.Span
 	if c.metrics.tracer.Enabled() {
 		span = c.metrics.tracer.Begin("afs." + op.String())
 	}
-	start := time.Now()
-	resp, retries, faults, err := c.callAttempts(op, body)
+	return span, time.Now()
+}
+
+// endRPC closes what beginRPC opened.
+func (c *Client) endRPC(span *obs.Span, start time.Time, retries, faults int64, err error) {
 	c.metrics.rpcLat.Record(time.Since(start))
 	if retries > 0 {
 		span.SetTagInt("retries", retries)
@@ -367,7 +400,6 @@ func (c *Client) call(op opCode, body []byte) ([]byte, error) {
 		span.SetTag("error", errClass(err))
 	}
 	span.End()
-	return resp, err
 }
 
 // errClass names an RPC failure for span tags.
@@ -388,7 +420,7 @@ func errClass(err error) string {
 
 // callAttempts runs the reconnect/retry loop for one RPC, reporting how
 // many extra attempts and observed transport faults it took.
-func (c *Client) callAttempts(op opCode, body []byte) (resp []byte, retries, faults int64, err error) {
+func (c *Client) callAttempts(op opCode, body *serial.Writer) (resp []byte, retries, faults int64, err error) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
 	var lastErr error
@@ -443,7 +475,7 @@ func (c *Client) ensureConnLocked() error {
 // exchangeLocked sends one request and reads its response on the live
 // connection, under the RPC deadline. Errors wrapping errTransport mean
 // the connection is no longer usable.
-func (c *Client) exchangeLocked(op opCode, body []byte) ([]byte, error) {
+func (c *Client) exchangeLocked(op opCode, body *serial.Writer) ([]byte, error) {
 	conn := c.currentConn()
 	c.reqID++
 	id := c.reqID
@@ -452,7 +484,7 @@ func (c *Client) exchangeLocked(op opCode, body []byte) ([]byte, error) {
 		_ = conn.SetDeadline(time.Now().Add(c.timeout))
 		defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	}
-	if err := writeFrame(conn, frame{op: op, reqID: id, body: body}); err != nil {
+	if err := writeFrame(conn, op, id, body); err != nil {
 		return nil, transportFault("writing request", err)
 	}
 	resp, err := readFrame(conn)
@@ -519,39 +551,85 @@ func (c *Client) List(prefix string) ([]string, error) {
 }
 
 // Lock implements backend.Store: a server-side exclusive advisory lock,
-// the analogue of flock() on an AFS file. Acquiring the lock drops any
-// cached copy of the file: a pending invalidation may still be in
-// flight, and a locked read-modify-write must observe the latest
-// contents (AFS revalidates with the server on open).
+// the analogue of flock() on an AFS file. A locked read-modify-write must
+// observe the latest contents (AFS revalidates with the server on open),
+// so the request carries the version of the cached copy and the reply,
+// built once the lock is held, says what the cache entry must become:
+// kept, replaced by the data that rides along, or turned negative. The
+// read that follows is a cache hit and still current.
 //
 // A lock does not survive reconnect: the server releases it when the
-// holding connection drops, so the release closure sends the unlock RPC
-// only while the acquiring connection generation is still live.
+// holding connection drops, so the release closure sends its unlock
+// frame only while the acquiring connection generation is still live.
 func (c *Client) Lock(name string) (func(), error) {
-	if _, err := c.call(opLock, encodeName(name)); err != nil {
+	version, cached := c.cachedVersion(name)
+	body, err := c.call(opLock, encodeLockRequest(name, cached, version))
+	if err != nil {
 		return nil, err
 	}
 	gen := c.gen.Load()
+	outcome, version, data, err := decodeLockReply(body)
+	if err != nil {
+		c.unlock(name, gen)
+		return nil, err
+	}
+	c.metrics.revalidations[outcome-1].Inc()
 	if c.cache != nil {
-		c.cache.invalidate(name)
+		switch outcome {
+		case lockAbsent:
+			c.cache.putNegative(name)
+		case lockData:
+			c.cache.putOwned(name, data, version)
+		}
 	}
 	released := false
 	return func() {
-		if released {
-			return
-		}
-		released = true
-		if c.closed.Load() || c.gen.Load() != gen {
-			// The acquiring connection is gone; the server already
-			// released the lock on disconnect.
-			return
-		}
-		if _, err := c.call(opUnlock, encodeName(name)); err != nil && !c.closed.Load() {
-			// An unlock can only fail if the connection died, in which
-			// case the server releases the lock on disconnect anyway.
-			_ = err
+		if !released {
+			released = true
+			c.unlock(name, gen)
 		}
 	}, nil
+}
+
+// cachedVersion reports the version of the cached copy of name a lock
+// request may offer for revalidation: none while the callback channel is
+// down, since the cache is about to be flushed.
+func (c *Client) cachedVersion(name string) (uint64, bool) {
+	if c.cache == nil || c.cbLost.Load() {
+		return 0, false
+	}
+	return c.cache.version(name)
+}
+
+// unlock releases a lock taken on connection generation gen with a
+// one-way frame: the server applies it in connection order (so a later
+// lock on this connection queues behind it) and sends no reply. If that
+// connection is gone, or the write fails and takes it down, the server
+// has released or will release the lease on disconnect.
+func (c *Client) unlock(name string, gen uint64) {
+	c.reqMu.Lock()
+	defer c.reqMu.Unlock()
+	conn := c.currentConn()
+	if conn == nil || c.gen.Load() != gen {
+		return
+	}
+	span, start := c.beginRPC(opUnlock)
+	c.reqID++
+	c.metrics.rpcs.Inc()
+	c.metrics.oneway.Inc()
+	if c.timeout > 0 {
+		_ = conn.SetWriteDeadline(time.Now().Add(c.timeout))
+		defer func() { _ = conn.SetWriteDeadline(time.Time{}) }()
+	}
+	var faults int64
+	err := writeFrame(conn, opUnlock, c.reqID, encodeName(name))
+	if err != nil {
+		err = transportFault("writing unlock", err)
+		c.metrics.transportFaults.Inc()
+		faults = 1
+		c.dropConnLocked()
+	}
+	c.endRPC(span, start, 0, faults, err)
 }
 
 // GetVersioned returns a file's contents and version, serving warm reads
@@ -571,10 +649,17 @@ func (c *Client) GetVersioned(name string) ([]byte, uint64, error) {
 			return nil, 0, fmt.Errorf("afs: %s (cached): %w", name, backend.ErrNotExist)
 		}
 	}
+	// A reply that crosses a callback break on the wire may predate the
+	// store the break announced, and the break has already used up this
+	// client's promise: such a reply is returned but not cached.
+	var breaks uint64
+	if c.cache != nil {
+		breaks = c.cache.breakCount()
+	}
 	body, err := c.call(opFetch, encodeName(name))
 	if err != nil {
 		if c.cache != nil && errors.Is(err, backend.ErrNotExist) {
-			c.cache.putNegative(name)
+			c.cache.fillNegative(breaks, name)
 		}
 		return nil, 0, err
 	}
@@ -585,17 +670,17 @@ func (c *Client) GetVersioned(name string) ([]byte, uint64, error) {
 		return nil, 0, err
 	}
 	if c.cache != nil {
-		c.cache.put(name, data, version)
+		c.cache.fill(breaks, name, data, version)
 	}
 	return data, version, nil
 }
 
 // PutVersioned stores a file and returns its new version.
 func (c *Client) PutVersioned(name string, data []byte) (uint64, error) {
-	w := serial.NewWriter(8 + len(name) + len(data))
+	w := newFrame(8 + len(name) + len(data))
 	w.WriteString(name)
 	w.WriteBytes(data)
-	body, err := c.call(opStore, w.Bytes())
+	body, err := c.call(opStore, w)
 	if err != nil {
 		if c.cache != nil {
 			// The store may or may not have been applied; the cached copy
@@ -632,24 +717,10 @@ func (c *Client) PutVersionedStream(name string, total int, next func() ([]byte,
 	if c.closed.Load() {
 		return 0, ErrClosed
 	}
-	var span *obs.Span
-	if c.metrics.tracer.Enabled() {
-		span = c.metrics.tracer.Begin("afs.store")
-		span.SetTagInt("streamed", 1)
-	}
-	start := time.Now()
+	span, start := c.beginRPC(opStore)
+	span.SetTagInt("streamed", 1)
 	version, retries, faults, err := c.streamStoreAttempts(name, total, next)
-	c.metrics.rpcLat.Record(time.Since(start))
-	if retries > 0 {
-		span.SetTagInt("retries", retries)
-	}
-	if faults > 0 {
-		span.SetTagInt("faults", faults)
-	}
-	if err != nil {
-		span.SetTag("error", errClass(err))
-	}
-	span.End()
+	c.endRPC(span, start, retries, faults, err)
 	return version, err
 }
 
@@ -712,7 +783,7 @@ func (c *Client) streamExchangeLocked(name string, total int, next func() ([]byt
 	}
 	// The store body is name ‖ u32 length ‖ data; the data bytes arrive
 	// as scattered segments after this prefix.
-	prefix := serial.NewWriter(8 + len(name))
+	prefix := newFrame(8 + len(name))
 	prefix.WriteString(name)
 	prefix.WriteUint32(uint32(total))
 
@@ -732,7 +803,7 @@ func (c *Client) streamExchangeLocked(name string, total int, next func() ([]byt
 		}
 		return seg, nil
 	}
-	if err := writeFrameScatter(conn, opStore, id, prefix.Bytes(), total, produce); err != nil {
+	if err := writeFrameScatter(conn, opStore, id, prefix, total, produce); err != nil {
 		if produceErr != nil {
 			// The frame never completed, so the server applies nothing —
 			// but the connection is mid-frame and has to go.
@@ -807,6 +878,8 @@ func (c *Client) FlushCache() {
 
 // Stats reports cumulative RPCs issued and cache hits served (shim
 // over the afs_rpcs_total / afs_cache_hits_total registry counters).
+// One-way frames (unlocks) count as RPCs: they reach the storage service
+// like any other request, they just are not answered.
 func (c *Client) Stats() (rpcs, cacheHits int64) {
 	return c.metrics.rpcs.Value(), c.metrics.cacheHits.Value()
 }
@@ -826,6 +899,7 @@ type fileCache struct {
 	mu     sync.Mutex
 	budget int64
 	used   int64                    // guarded by mu
+	breaks uint64                   // invalidations and flushes so far; guarded by mu
 	lru    *list.List               // of *cacheEntry, front = most recent; guarded by mu
 	byName map[string]*list.Element // guarded by mu
 }
@@ -876,10 +950,57 @@ func (fc *fileCache) lookup(name string) ([]byte, bool, uint64, bool) {
 	return out, false, entry.version, true
 }
 
+// version returns the version of the cached copy of name, if there is a
+// positive one, without touching the LRU order.
+func (fc *fileCache) version(name string) (uint64, bool) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	el, ok := fc.byName[name]
+	if !ok || el.Value.(*cacheEntry).negative {
+		return 0, false
+	}
+	return el.Value.(*cacheEntry).version, true
+}
+
+// breakCount returns how many invalidations and flushes the cache has
+// seen; a fetch samples it before going to the server and hands it to
+// fill or fillNegative with the reply.
+func (fc *fileCache) breakCount() uint64 {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	return fc.breaks
+}
+
+// fill caches a fetched copy unless an invalidation or flush has arrived
+// since the fetch sampled breakCount.
+func (fc *fileCache) fill(since uint64, name string, data []byte, version uint64) {
+	cp := make([]byte, len(data))
+	copy(cp, data)
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	if fc.breaks == since {
+		fc.putOwnedLocked(name, cp, version)
+	}
+}
+
+// fillNegative is fill for a fetched does-not-exist result.
+func (fc *fileCache) fillNegative(since uint64, name string) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	if fc.breaks == since {
+		fc.putNegativeLocked(name)
+	}
+}
+
 // putNegative caches a does-not-exist result.
 func (fc *fileCache) putNegative(name string) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
+	fc.putNegativeLocked(name)
+}
+
+// putNegativeLocked must be called with fc.mu held.
+func (fc *fileCache) putNegativeLocked(name string) {
 	if el, ok := fc.byName[name]; ok {
 		fc.removeElementLocked(el)
 	}
@@ -897,11 +1018,16 @@ func (fc *fileCache) put(name string, data []byte, version uint64) {
 // the defensive copy. The streaming put accumulates its own copy
 // segment by segment, so a second copy here would be pure waste.
 func (fc *fileCache) putOwned(name string, data []byte, version uint64) {
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	fc.putOwnedLocked(name, data, version)
+}
+
+// putOwnedLocked must be called with fc.mu held.
+func (fc *fileCache) putOwnedLocked(name string, data []byte, version uint64) {
 	if int64(len(data)) > fc.budget {
 		return // larger than the whole cache; do not thrash
 	}
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
 	if el, ok := fc.byName[name]; ok {
 		entry := el.Value.(*cacheEntry)
 		fc.used += int64(len(data)) - int64(len(entry.data))
@@ -926,6 +1052,7 @@ func (fc *fileCache) putOwned(name string, data []byte, version uint64) {
 func (fc *fileCache) invalidate(name string) {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
+	fc.breaks++
 	if el, ok := fc.byName[name]; ok {
 		fc.removeElementLocked(el)
 	}
@@ -934,6 +1061,7 @@ func (fc *fileCache) invalidate(name string) {
 func (fc *fileCache) flush() {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
+	fc.breaks++
 	fc.lru.Init()
 	fc.byName = make(map[string]*list.Element)
 	fc.used = 0

@@ -7,12 +7,13 @@ import (
 	"time"
 
 	"nexus/internal/netsim"
+	"nexus/internal/serial"
 )
 
 // fuzzFrameBytes encodes a frame the way writeFrame does, for seeding.
-func fuzzFrameBytes(op opCode, reqID uint64, body []byte) []byte {
+func fuzzFrameBytes(op opCode, reqID uint64, body *serial.Writer) []byte {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frame{op: op, reqID: reqID, body: body}); err != nil {
+	if err := writeFrame(&buf, op, reqID, body); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()
@@ -22,16 +23,25 @@ func fuzzFrameBytes(op opCode, reqID uint64, body []byte) []byte {
 // must never panic, and any frame it accepts must survive a
 // re-encode/re-decode round trip unchanged — the property that keeps a
 // NEXUS client and the untrusted server's view of the stream consistent.
-// decodeError is exercised on the same input since opError bodies arrive
-// from the network too.
+// The body decoders (decodeError, decodeLockRequest, decodeLockReply) are
+// exercised on the same input since those bodies arrive from the network
+// too.
 func FuzzWireDecode(f *testing.F) {
-	f.Add(fuzzFrameBytes(opHello, 1, []byte("client-1")))
+	f.Add(fuzzFrameBytes(opHello, 1, rawFrame([]byte("client-1"))))
 	f.Add(fuzzFrameBytes(opPing, 42, nil))
 	f.Add(fuzzFrameBytes(opError, 7, encodeError(errCodeNotExist, "missing")))
 	f.Add([]byte{})
-	f.Add([]byte{0x09, 0x00, 0x00, 0x00, 0x01})                        // truncated body
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x00})                        // absurd length claim
-	f.Add(append(fuzzFrameBytes(opStore, 3, []byte("x")), 0xde, 0xad)) // trailing junk
+	f.Add([]byte{0x09, 0x00, 0x00, 0x00, 0x01})                                  // truncated body
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x00})                                  // absurd length claim
+	f.Add(append(fuzzFrameBytes(opStore, 3, rawFrame([]byte("x"))), 0xde, 0xad)) // trailing junk
+	// The lock exchange and the one-way unlock.
+	f.Add(fuzzFrameBytes(opLock, 21, encodeLockRequest("victim", true, 9)))
+	f.Add(fuzzFrameBytes(opLock, 22, encodeLockRequest("victim", false, 0)))
+	f.Add(fuzzFrameBytes(opReply, 21, encodeLockReply(lockUnchanged, 0, nil)))
+	f.Add(fuzzFrameBytes(opReply, 22, encodeLockReply(lockAbsent, 0, nil)))
+	f.Add(fuzzFrameBytes(opReply, 23, encodeLockReply(lockData, 10, bytes.Repeat([]byte{0xcd}, 64))))
+	f.Add(fuzzFrameBytes(opUnlock, 24, encodeName("victim")))
+	f.Add(fuzzFrameBytes(opReply, 5, nil)) // callback-break ack
 
 	// Mid-frame cuts exactly as the fault injector produces them: well
 	// formed frames truncated at the injector's scheduled fractions, so
@@ -39,7 +49,7 @@ func FuzzWireDecode(f *testing.F) {
 	// connection dies mid-write.
 	cutter := netsim.FaultProfile{Seed: 7, Truncate: 1}
 	wholeFrames := [][]byte{
-		fuzzFrameBytes(opStore, 11, append(encodeName("victim"), bytes.Repeat([]byte{0xab}, 256)...)),
+		fuzzFrameBytes(opStore, 11, rawFrame(append(frameBody(encodeName("victim")), bytes.Repeat([]byte{0xab}, 256)...))),
 		fuzzFrameBytes(opFetch, 12, encodeName("victim")),
 		fuzzFrameBytes(opError, 13, encodeError(errCodeInternal, "backend exploded")),
 		fuzzFrameBytes(opInvalidate, 0, encodeName("victim")),
@@ -69,7 +79,7 @@ func FuzzWireDecode(f *testing.F) {
 		fr, err := readFrame(bytes.NewReader(data))
 		if err == nil {
 			var buf bytes.Buffer
-			if err := writeFrame(&buf, fr); err != nil {
+			if err := writeFrame(&buf, fr.op, fr.reqID, rawFrame(fr.body)); err != nil {
 				t.Fatalf("re-encoding accepted frame: %v", err)
 			}
 			back, err := readFrame(&buf)
@@ -81,9 +91,22 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 
-		// opError bodies come straight off the wire; decoding must be
-		// total (an error result is fine, a panic is not).
-		_ = decodeError(data)
+		// opError bodies, lock requests and lock replies come straight off
+		// the wire; decoding must be total (an error result is fine, a
+		// panic is not) on raw input and on any accepted frame's body.
+		for _, body := range [][]byte{data, fr.body} {
+			_ = decodeError(body)
+			if name, cached, version, err := decodeLockRequest(body); err == nil {
+				if back := frameBody(encodeLockRequest(name, cached, version)); !bytes.Equal(back, body) {
+					t.Fatalf("lock request re-encodes to %x, was %x", back, body)
+				}
+			}
+			if outcome, version, payload, err := decodeLockReply(body); err == nil {
+				if back := frameBody(encodeLockReply(outcome, version, payload)); !bytes.Equal(back, body) {
+					t.Fatalf("lock reply re-encodes to %x, was %x", back, body)
+				}
+			}
+		}
 	})
 }
 

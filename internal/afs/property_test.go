@@ -2,6 +2,7 @@ package afs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -25,6 +26,9 @@ type cutPlan struct {
 	// (the frame is delivered, the reply is lost); otherwise the write
 	// is truncated at frac and the connection killed mid-frame.
 	frac float64
+	// within > 0 confines the cut to the first within bytes of the write
+	// (frac then scales that prefix), e.g. inside the frame header.
+	within int
 }
 
 // armedDialer wires test-controlled cuts into a client's transport.
@@ -74,7 +78,11 @@ func (c *armedConn) Write(b []byte) (int, error) {
 		}
 		return n, fmt.Errorf("%w: connection killed after delivery", netsim.ErrInjected)
 	}
-	n := int(p.frac * float64(len(b)))
+	span := len(b)
+	if p.within > 0 && p.within < span {
+		span = p.within
+	}
+	n := int(p.frac * float64(span))
 	if n >= len(b) {
 		n = len(b) - 1
 	}
@@ -121,17 +129,18 @@ func TestPropertyNoTornFrameAcrossDisconnects(t *testing.T) {
 	rng := netsim.NewRand(4242)
 	for i := 1; i <= 30; i++ {
 		next := propPayload(i)
-		// A store frame is two Writes (header, body). Alternate between
-		// killing the header, cutting the body mid-frame at a random
-		// fraction, and killing the connection after full delivery.
+		// A store frame is one Write (header and body together).
+		// Alternate between cutting inside the header, cutting anywhere
+		// in the frame at a random fraction, and killing the connection
+		// after full delivery.
 		var plan cutPlan
 		switch i % 3 {
 		case 0:
-			plan = cutPlan{skip: 0, frac: rng.Float64()} // header cut
+			plan = cutPlan{frac: rng.Float64(), within: frameHeaderLen} // header cut
 		case 1:
-			plan = cutPlan{skip: 1, frac: rng.Float64()} // mid-body cut
+			plan = cutPlan{frac: rng.Float64()} // mid-frame cut
 		default:
-			plan = cutPlan{skip: 1, frac: -1} // delivered, reply lost
+			plan = cutPlan{frac: -1} // delivered, reply lost
 		}
 		// Make sure the client is connected before arming, so the plan
 		// lands on the store frame and not on a reconnect handshake.
@@ -355,5 +364,127 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 			t.Fatal("condition never became true")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// Property: once a peer's store has returned, no client serves the old
+// bytes. The server holds the writer's reply until every holder has
+// acknowledged the callback break, so the reader's cached copy is gone
+// before the writer can tell anyone about the new value.
+func TestPropertyNoStaleReadAfterPeerStore(t *testing.T) {
+	_, addr := startServer(t)
+	reader := dialClient(t, addr, ClientConfig{})
+	writer := dialClient(t, addr, ClientConfig{})
+
+	const key = "peer-store-victim"
+	const iterations = 5000
+	value := make([]byte, 8)
+	if err := writer.Put(key, value); err != nil {
+		t.Fatal(err)
+	}
+	stale, cached := 0, 0
+	for i := 1; i <= iterations; i++ {
+		// The reader caches the current value (and proves it, every so
+		// often, by reading it again without an RPC).
+		if _, err := reader.Get(key); err != nil {
+			t.Fatalf("iter %d: warming read: %v", i, err)
+		}
+		if i%100 == 0 {
+			_, hits := reader.Stats()
+			if _, err := reader.Get(key); err != nil {
+				t.Fatal(err)
+			}
+			if _, after := reader.Stats(); after == hits+1 {
+				cached++
+			}
+		}
+		binary.LittleEndian.PutUint64(value, uint64(i))
+		if err := writer.Put(key, value); err != nil {
+			t.Fatalf("iter %d: peer store: %v", i, err)
+		}
+		got, err := reader.Get(key)
+		if err != nil {
+			t.Fatalf("iter %d: read after peer store: %v", i, err)
+		}
+		if !bytes.Equal(got, value) {
+			stale++
+		}
+	}
+	if cached != iterations/100 {
+		t.Fatalf("reader served only %d of %d probe reads from its cache; the property would be vacuous", cached, iterations/100)
+	}
+	if stale != 0 {
+		t.Fatalf("%d of %d reads after a peer's completed store returned the old bytes", stale, iterations)
+	}
+}
+
+// gatedConn holds every Read back while the test holds the gate's write
+// lock, so a reply can be made to sit on the wire.
+type gatedConn struct {
+	net.Conn
+	gate *sync.RWMutex
+}
+
+func (c *gatedConn) Read(b []byte) (int, error) {
+	c.gate.RLock()
+	c.gate.RUnlock() // a barrier, not a critical section
+	return c.Conn.Read(b)
+}
+
+// Property: a fetch reply that crosses a callback break on the wire is
+// not cached. The reply may carry the bytes from before the store that
+// the break announced, and the break has already consumed the reader's
+// callback promise — cached, those bytes would be served forever.
+func TestPropertyFetchCrossingBreakIsNotCached(t *testing.T) {
+	srv, addr := startServer(t)
+	var gate sync.RWMutex
+	first := true
+	reader, err := Dial(addr, ClientConfig{
+		RPCTimeout: 5 * time.Second,
+		Dial: func(addr string) (net.Conn, error) {
+			c, err := net.Dial("tcp", addr)
+			if err != nil || !first {
+				return c, err
+			}
+			first = false // the RPC connection; the callback channel stays ungated
+			return &gatedConn{Conn: c, gate: &gate}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	writer := dialClient(t, addr, ClientConfig{})
+
+	const key = "crossing-victim"
+	before, after := []byte("before the store"), []byte("after the store")
+	mustPut(t, writer, key, before)
+
+	// The reader's fetch is answered, but the reply sits on the wire...
+	gate.Lock()
+	fetches, _ := srv.Stats()
+	overlapped := make(chan []byte, 1)
+	go func() {
+		got, err := reader.Get(key)
+		if err != nil {
+			t.Errorf("overlapping read: %v", err)
+		}
+		overlapped <- got
+	}()
+	waitFor(t, 2*time.Second, func() bool { n, _ := srv.Stats(); return n == fetches+1 })
+	// ...while a peer's store completes: the break reaches the reader on
+	// its callback channel and is acknowledged.
+	mustPut(t, writer, key, after)
+	gate.Unlock()
+	if got := <-overlapped; !bytes.Equal(got, before) && !bytes.Equal(got, after) {
+		t.Fatalf("overlapping read returned %q", got)
+	}
+
+	got, err := reader.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, after) {
+		t.Fatalf("read after the peer's store returned %q: the crossed reply was cached", got)
 	}
 }

@@ -77,27 +77,10 @@ func TestServerRejectsMalformedRequestsOnValidSession(t *testing.T) {
 
 	// Complete a real hello, then send structurally invalid request
 	// bodies; each must yield an error frame, not a dropped connection.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	hello := frame{op: opHello, reqID: 1}
-	w := make([]byte, 0, 32)
-	w = append(w, 0x07, 0, 0, 0) // string len 7
-	w = append(w, "fuzzer!"...)
-	w = append(w, 0) // isCallback = false
-	hello.body = w
-	if err := writeFrame(conn, hello); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readFrame(conn); err != nil {
-		t.Fatalf("hello reply: %v", err)
-	}
+	conn := rawSession(t, addr, "fuzzer!")
 
 	// Fetch with truncated name field.
-	if err := writeFrame(conn, frame{op: opFetch, reqID: 2, body: []byte{0xff, 0xff}}); err != nil {
+	if err := writeFrame(conn, opFetch, 2, rawFrame([]byte{0xff, 0xff})); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := readFrame(conn)
@@ -110,7 +93,7 @@ func TestServerRejectsMalformedRequestsOnValidSession(t *testing.T) {
 
 	// Store with a bogus payload length prefix.
 	body := []byte{0x01, 0, 0, 0, 'x', 0xff, 0xff, 0xff, 0x7f}
-	if err := writeFrame(conn, frame{op: opStore, reqID: 3, body: body}); err != nil {
+	if err := writeFrame(conn, opStore, 3, rawFrame(body)); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = readFrame(conn)
@@ -122,7 +105,7 @@ func TestServerRejectsMalformedRequestsOnValidSession(t *testing.T) {
 	}
 
 	// The session remains usable after rejected requests.
-	if err := writeFrame(conn, frame{op: opPing, reqID: 4}); err != nil {
+	if err := writeFrame(conn, opPing, 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = readFrame(conn)

@@ -60,9 +60,71 @@ func (m *serverMetrics) bind(reg *obs.Registry) {
 // Call before Serve; rebinding mid-flight loses in-window counts.
 func (s *Server) SetObs(reg *obs.Registry) { s.metrics.bind(reg) }
 
+// callbackAckTimeout bounds how long a store or remove waits for one
+// holder to acknowledge a callback break. A holder that misses it loses
+// its callback connection, which makes it flush its whole cache.
+const callbackAckTimeout = time.Second
+
+// callbackConn is one client's invalidation channel. Every break is a
+// numbered opInvalidate frame that the holder acknowledges (an opReply
+// with the same number) once it has dropped its cached copy.
 type callbackConn struct {
-	mu   sync.Mutex // serializes frame writes
-	conn net.Conn
+	conn    net.Conn
+	mu      sync.Mutex               // serializes frame writes
+	seq     uint64                   // number of the last break sent; guarded by mu
+	waiters map[uint64]chan struct{} // breaks awaiting their ack, nil once the channel is down; guarded by mu
+}
+
+// breakPromise tells the holder to drop its copy of name and waits until
+// it has. On a failed write or a missed deadline the connection is
+// closed instead: the holder flushes everything when it notices.
+func (cb *callbackConn) breakPromise(name string) error {
+	acked := make(chan struct{})
+	cb.mu.Lock()
+	if cb.waiters == nil {
+		cb.mu.Unlock()
+		return nil // channel already down; the holder's flush covers this break
+	}
+	cb.seq++
+	cb.waiters[cb.seq] = acked
+	_ = cb.conn.SetWriteDeadline(time.Now().Add(callbackAckTimeout))
+	err := writeFrame(cb.conn, opInvalidate, cb.seq, encodeName(name))
+	cb.mu.Unlock()
+	if err == nil {
+		deadline := time.NewTimer(callbackAckTimeout)
+		defer deadline.Stop()
+		select {
+		case <-acked: // acknowledged, or the channel went down (see shutdown)
+			return nil
+		case <-deadline.C:
+			err = fmt.Errorf("afs: callback break of %s not acknowledged within %v", name, callbackAckTimeout)
+		}
+	}
+	_ = cb.conn.Close()
+	return err
+}
+
+// ack wakes the break numbered seq.
+func (cb *callbackConn) ack(seq uint64) {
+	cb.mu.Lock()
+	acked := cb.waiters[seq]
+	delete(cb.waiters, seq)
+	cb.mu.Unlock()
+	if acked != nil {
+		close(acked)
+	}
+}
+
+// shutdown marks the channel down and wakes every pending break: its
+// holder is gone, or is about to flush its cache on the lost channel.
+func (cb *callbackConn) shutdown() {
+	cb.mu.Lock()
+	waiters := cb.waiters
+	cb.waiters = nil
+	cb.mu.Unlock()
+	for _, acked := range waiters {
+		close(acked)
+	}
 }
 
 // lockState implements a FIFO exclusive lock. Ownership is handed to the
@@ -253,7 +315,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 
 	// Acknowledge the hello so the client knows the session is up.
-	if err := writeFrame(conn, frame{op: opReply, reqID: hello.reqID}); err != nil {
+	if err := writeFrame(conn, opReply, hello.reqID, nil); err != nil {
 		return
 	}
 	defer s.clientGone(clientID)
@@ -265,18 +327,21 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		s.metrics.requests.Inc()
 		start := time.Now()
-		resp := s.dispatch(clientID, req)
+		op, body := s.dispatch(clientID, req)
 		s.metrics.requestLat.Record(time.Since(start))
-		if err := writeFrame(conn, resp); err != nil {
+		if op == 0 {
+			continue // one-way request: applied in connection order, never answered
+		}
+		if err := writeFrame(conn, op, req.reqID, body); err != nil {
 			return
 		}
 	}
 }
 
 // runCallbackChannel registers conn as the client's invalidation channel
-// and parks until it drops.
+// and delivers the acks it carries back until it drops.
 func (s *Server) runCallbackChannel(clientID string, conn net.Conn, reqID uint64) {
-	cb := &callbackConn{conn: conn}
+	cb := &callbackConn{conn: conn, waiters: make(map[uint64]chan struct{})}
 	s.mu.Lock()
 	if old := s.callbacks[clientID]; old != nil {
 		_ = old.conn.Close()
@@ -284,15 +349,13 @@ func (s *Server) runCallbackChannel(clientID string, conn net.Conn, reqID uint64
 	s.callbacks[clientID] = cb
 	s.mu.Unlock()
 
-	if err := writeFrame(conn, frame{op: opReply, reqID: reqID}); err != nil {
-		return
-	}
-	// Block until the client goes away; callback channels carry no
-	// client->server traffic.
-	buf := make([]byte, 1)
-	for {
-		if _, err := conn.Read(buf); err != nil {
-			break
+	if err := writeFrame(conn, opReply, reqID, nil); err == nil {
+		for {
+			f, err := readFrame(conn)
+			if err != nil {
+				break
+			}
+			cb.ack(f.reqID)
 		}
 	}
 	s.mu.Lock()
@@ -300,6 +363,7 @@ func (s *Server) runCallbackChannel(clientID string, conn net.Conn, reqID uint64
 		delete(s.callbacks, clientID)
 	}
 	s.mu.Unlock()
+	cb.shutdown()
 }
 
 // clientGone releases all state held for a departed client: its locks and
@@ -321,17 +385,16 @@ func (s *Server) clientGone(clientID string) {
 	}
 }
 
-func (s *Server) dispatch(clientID string, req frame) frame {
-	fail := func(code errCode, msg string) frame {
-		return frame{op: opError, reqID: req.reqID, body: encodeError(code, msg)}
-	}
-	ok := func(body []byte) frame {
-		return frame{op: opReply, reqID: req.reqID, body: body}
+// dispatch executes one request and returns the reply frame's op and
+// body (nil = empty). Op zero means the request was one-way: no reply.
+func (s *Server) dispatch(clientID string, req frame) (opCode, *serial.Writer) {
+	fail := func(code errCode, msg string) (opCode, *serial.Writer) {
+		return opError, encodeError(code, msg)
 	}
 
 	switch req.op {
 	case opPing:
-		return ok(nil)
+		return opReply, nil
 
 	case opFetch:
 		name, err := decodeName(req.body)
@@ -339,30 +402,18 @@ func (s *Server) dispatch(clientID string, req frame) frame {
 			return fail(errCodeBadRequest, err.Error())
 		}
 		s.metrics.fetches.Inc()
+		// The promise covers misses too, so the client can cache the
+		// negative result (real AFS gets this from its cached directory
+		// contents) and be notified on creation.
+		version := s.promise(name, clientID)
 		data, err := s.store.Get(name)
 		if err != nil {
-			// Register a callback promise even for misses, so the client
-			// can cache the negative result (real AFS gets this from its
-			// cached directory contents) and be notified on creation.
-			if errors.Is(err, backend.ErrNotExist) {
-				s.registerCallback(name, clientID)
-			}
-			return s.storeError(req.reqID, name, err)
+			return storeError(name, err)
 		}
-		s.mu.Lock()
-		version := s.versions[name]
-		holders := s.cachedBy[name]
-		if holders == nil {
-			holders = make(map[string]bool)
-			s.cachedBy[name] = holders
-		}
-		holders[clientID] = true // callback promise
-		s.mu.Unlock()
-
-		w := serial.NewWriter(12 + len(data))
+		w := newFrame(12 + len(data))
 		w.WriteUint64(version)
 		w.WriteBytes(data)
-		return ok(w.Bytes())
+		return opReply, w
 
 	case opStore:
 		r := serial.NewReader(req.body)
@@ -373,15 +424,12 @@ func (s *Server) dispatch(clientID string, req frame) frame {
 		}
 		s.metrics.stores.Inc()
 		if err := s.store.Put(name, data); err != nil {
-			return s.storeError(req.reqID, name, err)
+			return storeError(name, err)
 		}
 		version := s.bumpAndInvalidate(name, clientID)
-		// The writer's write-through cache now holds a copy: register the
-		// callback promise so later writers invalidate it.
-		s.registerCallback(name, clientID)
-		w := serial.NewWriter(8)
+		w := newFrame(8)
 		w.WriteUint64(version)
-		return ok(w.Bytes())
+		return opReply, w
 
 	case opRemove:
 		name, err := decodeName(req.body)
@@ -389,10 +437,10 @@ func (s *Server) dispatch(clientID string, req frame) frame {
 			return fail(errCodeBadRequest, err.Error())
 		}
 		if err := s.store.Delete(name); err != nil {
-			return s.storeError(req.reqID, name, err)
+			return storeError(name, err)
 		}
 		s.bumpAndInvalidate(name, clientID)
-		return ok(nil)
+		return opReply, nil
 
 	case opList:
 		prefix, err := decodeName(req.body)
@@ -403,35 +451,42 @@ func (s *Server) dispatch(clientID string, req frame) frame {
 		if err != nil {
 			return fail(errCodeInternal, err.Error())
 		}
-		w := serial.NewWriter(16 * len(names))
+		w := newFrame(16 * len(names))
 		w.WriteUint32(uint32(len(names)))
 		for _, n := range names {
 			w.WriteString(n)
 		}
-		return ok(w.Bytes())
+		return opReply, w
 
 	case opLock:
-		name, err := decodeName(req.body)
+		// Decode everything before acquiring: a request that is rejected
+		// must never leave the lock held.
+		name, cached, cachedVersion, err := decodeLockRequest(req.body)
 		if err != nil {
 			return fail(errCodeBadRequest, err.Error())
 		}
-		s.acquire(name, clientID)
-		return ok(nil)
+		ls := s.acquire(name, clientID)
+		// Revalidate the holder's cached copy under the lock, so its next
+		// read of name is current without a fetch.
+		version := s.promise(name, clientID)
+		if cached && cachedVersion == version {
+			return opReply, encodeLockReply(lockUnchanged, 0, nil)
+		}
+		s.metrics.fetches.Inc()
+		data, err := s.store.Get(name)
+		switch {
+		case err == nil:
+			return opReply, encodeLockReply(lockData, version, data)
+		case errors.Is(err, backend.ErrNotExist):
+			return opReply, encodeLockReply(lockAbsent, 0, nil)
+		default:
+			s.release(ls) // an error reply means "not acquired" to the client
+			return storeError(name, err)
+		}
 
 	case opUnlock:
-		name, err := decodeName(req.body)
-		if err != nil {
-			return fail(errCodeBadRequest, err.Error())
-		}
-		s.mu.Lock()
-		ls := s.locks[name]
-		held := ls != nil && ls.holder == clientID
-		s.mu.Unlock()
-		if !held {
-			return fail(errCodeBadRequest, "unlock of a lock not held")
-		}
-		s.release(ls)
-		return ok(nil)
+		s.unlock(clientID, req.body)
+		return 0, nil
 
 	case opStat:
 		name, err := decodeName(req.body)
@@ -439,15 +494,15 @@ func (s *Server) dispatch(clientID string, req frame) frame {
 			return fail(errCodeBadRequest, err.Error())
 		}
 		data, err := s.store.Get(name)
-		w := serial.NewWriter(24)
+		w := newFrame(24)
 		if errors.Is(err, backend.ErrNotExist) {
 			w.WriteBool(false)
 			w.WriteUint64(0)
 			w.WriteUint64(0)
-			return ok(w.Bytes())
+			return opReply, w
 		}
 		if err != nil {
-			return s.storeError(req.reqID, name, err)
+			return storeError(name, err)
 		}
 		s.mu.Lock()
 		version := s.versions[name]
@@ -455,11 +510,30 @@ func (s *Server) dispatch(clientID string, req frame) frame {
 		w.WriteBool(true)
 		w.WriteUint64(version)
 		w.WriteUint64(uint64(len(data)))
-		return ok(w.Bytes())
+		return opReply, w
 
 	default:
 		return fail(errCodeBadRequest, fmt.Sprintf("unknown op %d", req.op))
 	}
+}
+
+// unlock applies a one-way unlock frame. There is nobody to report a
+// bad one to: it is logged and dropped.
+func (s *Server) unlock(clientID string, body []byte) {
+	name, err := decodeName(body)
+	if err != nil {
+		s.logf("afs: malformed unlock from %s: %v", clientID, err)
+		return
+	}
+	s.mu.Lock()
+	ls := s.locks[name]
+	held := ls != nil && ls.holder == clientID
+	s.mu.Unlock()
+	if !held {
+		s.logf("afs: %s unlocked %s without holding it", clientID, name)
+		return
+	}
+	s.release(ls)
 }
 
 func decodeName(body []byte) (string, error) {
@@ -471,13 +545,79 @@ func decodeName(body []byte) (string, error) {
 	return name, nil
 }
 
-func encodeName(name string) []byte {
-	w := serial.NewWriter(4 + len(name))
+func encodeName(name string) *serial.Writer {
+	w := newFrame(4 + len(name))
 	w.WriteString(name)
-	return w.Bytes()
+	return w
 }
 
-func (s *Server) storeError(reqID uint64, name string, err error) frame {
+// A lock request is name ‖ bool cached ‖ u64 version: the version of the
+// copy the client holds in its cache, if it holds one.
+func encodeLockRequest(name string, cached bool, version uint64) *serial.Writer {
+	w := newFrame(13 + len(name))
+	w.WriteString(name)
+	w.WriteBool(cached)
+	w.WriteUint64(version)
+	return w
+}
+
+func decodeLockRequest(body []byte) (name string, cached bool, version uint64, err error) {
+	r := serial.NewReader(body)
+	name = r.ReadString(0, "name")
+	cached = r.ReadBool("cached")
+	version = r.ReadUint64("cached version")
+	return name, cached, version, r.Finish()
+}
+
+// lockOutcome is the first byte of a lock reply: what the holder's cache
+// entry for the locked name must become.
+type lockOutcome uint8
+
+const (
+	lockUnchanged lockOutcome = iota + 1 // the cached copy is current: keep it
+	lockAbsent                           // the file does not exist: cache that
+	lockData                             // version ‖ data follow: replace the copy
+)
+
+// String names the outcome for the revalidation counters.
+func (o lockOutcome) String() string {
+	switch o {
+	case lockUnchanged:
+		return "unchanged"
+	case lockAbsent:
+		return "absent"
+	case lockData:
+		return "data"
+	default:
+		return fmt.Sprintf("outcome(%d)", uint8(o))
+	}
+}
+
+func encodeLockReply(outcome lockOutcome, version uint64, data []byte) *serial.Writer {
+	w := newFrame(13 + len(data))
+	w.WriteUint8(uint8(outcome))
+	if outcome == lockData {
+		w.WriteUint64(version)
+		w.WriteBytes(data)
+	}
+	return w
+}
+
+func decodeLockReply(body []byte) (outcome lockOutcome, version uint64, data []byte, err error) {
+	r := serial.NewReader(body)
+	outcome = lockOutcome(r.ReadUint8("lock outcome"))
+	switch outcome {
+	case lockUnchanged, lockAbsent:
+	case lockData:
+		version = r.ReadUint64("version")
+		data = r.ReadBytes(maxFrameSize, "data")
+	default:
+		return 0, 0, nil, fmt.Errorf("%w: unknown lock outcome %d", ErrProtocol, outcome)
+	}
+	return outcome, version, data, r.Finish()
+}
+
+func storeError(name string, err error) (opCode, *serial.Writer) {
 	code := errCodeInternal
 	switch {
 	case errors.Is(err, backend.ErrNotExist):
@@ -485,14 +625,23 @@ func (s *Server) storeError(reqID uint64, name string, err error) frame {
 	case errors.Is(err, backend.ErrBadName):
 		code = errCodeBadName
 	}
-	return frame{op: opError, reqID: reqID, body: encodeError(code, name)}
+	return opError, encodeError(code, name)
 }
 
-// registerCallback records that clientID holds a (possibly negative)
-// cached entry for name.
-func (s *Server) registerCallback(name, clientID string) {
+// promise records that clientID holds a (possibly negative) cached entry
+// for name and returns the version that entry is valid for. The version
+// is read before the caller reads the file, so a racing store can only
+// pair newer data with an older version — which a later revalidation
+// treats as changed — never the reverse.
+func (s *Server) promise(name, clientID string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.holdLocked(name, clientID)
+	return s.versions[name]
+}
+
+// holdLocked adds clientID to name's callback holders; s.mu must be held.
+func (s *Server) holdLocked(name, clientID string) {
 	holders := s.cachedBy[name]
 	if holders == nil {
 		holders = make(map[string]bool)
@@ -502,39 +651,45 @@ func (s *Server) registerCallback(name, clientID string) {
 }
 
 // bumpAndInvalidate increments the file's version and breaks the callback
-// promises of every *other* client caching it. Returns the new version.
+// promises of every *other* client caching it, returning the new version
+// only after each of them has dropped its copy (or lost its callback
+// channel, which drops everything). The writer keeps or gains the
+// promise: its cache now holds what it wrote (a negative entry after a
+// remove).
 func (s *Server) bumpAndInvalidate(name, writer string) uint64 {
 	s.mu.Lock()
 	s.versions[name]++
 	version := s.versions[name]
 	var notify []*callbackConn
-	if holders := s.cachedBy[name]; holders != nil {
-		for clientID := range holders {
-			if clientID == writer {
-				continue
-			}
-			delete(holders, clientID)
-			if cb := s.callbacks[clientID]; cb != nil {
-				notify = append(notify, cb)
-			}
+	for clientID := range s.cachedBy[name] {
+		if clientID == writer {
+			continue
+		}
+		delete(s.cachedBy[name], clientID)
+		if cb := s.callbacks[clientID]; cb != nil {
+			notify = append(notify, cb)
 		}
 	}
+	s.holdLocked(name, writer)
 	s.mu.Unlock()
 
+	var wg sync.WaitGroup
 	for _, cb := range notify {
-		cb.mu.Lock()
-		err := writeFrame(cb.conn, frame{op: opInvalidate, body: encodeName(name)})
-		cb.mu.Unlock()
-		s.metrics.invalidations.Inc()
-		if err != nil {
-			s.logf("afs: callback delivery failed: %v", err)
-		}
+		wg.Add(1)
+		go func(cb *callbackConn) {
+			defer wg.Done()
+			s.metrics.invalidations.Inc()
+			if err := cb.breakPromise(name); err != nil {
+				s.logf("afs: callback delivery failed: %v", err)
+			}
+		}(cb)
 	}
+	wg.Wait()
 	return version
 }
 
 // acquire blocks until clientID holds the exclusive lock on name.
-func (s *Server) acquire(name, clientID string) {
+func (s *Server) acquire(name, clientID string) *lockState {
 	s.mu.Lock()
 	ls := s.locks[name]
 	if ls == nil {
@@ -544,13 +699,14 @@ func (s *Server) acquire(name, clientID string) {
 	if ls.holder == "" {
 		ls.holder = clientID
 		s.mu.Unlock()
-		return
+		return ls
 	}
 	wait := lockWaiter{ch: make(chan struct{}), clientID: clientID}
 	ls.waiters = append(ls.waiters, wait)
 	s.mu.Unlock()
 
 	<-wait.ch // ownership was assigned by release before the channel closed
+	return ls
 }
 
 // release hands the lock to the next waiter, or frees it.

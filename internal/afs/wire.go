@@ -50,7 +50,9 @@ const (
 	opError opCode = 101
 
 	// opInvalidate is pushed server→client on the callback channel when
-	// another client overwrites or removes a file the client has cached.
+	// another client overwrites or removes a file the client has cached;
+	// the client answers with an opReply carrying the same reqID once the
+	// cached copy is gone.
 	opInvalidate opCode = 120
 )
 
@@ -104,57 +106,78 @@ var (
 	ErrProtocol = errors.New("afs: protocol violation")
 )
 
-// frame is one length-prefixed protocol message.
+// frame is one received protocol message.
 type frame struct {
 	op    opCode
 	reqID uint64
 	body  []byte
 }
 
-// writeFrame sends f over w as: u32 payload length ‖ op(1) ‖ reqID(8) ‖ body.
-func writeFrame(w io.Writer, f frame) error {
-	payload := 1 + 8 + len(f.body)
+// frameHeaderLen is the fixed frame prefix: u32 payload length ‖ op(1) ‖
+// reqID(8).
+const frameHeaderLen = 4 + 1 + 8
+
+// newFrame starts an outgoing frame: a serial.Writer whose first
+// frameHeaderLen bytes are reserved for the header writeFrame fills in,
+// so the body is encoded straight into the buffer that goes on the wire.
+func newFrame(bodyHint int) *serial.Writer {
+	w := serial.NewWriter(frameHeaderLen + bodyHint)
+	var hdr [frameHeaderLen]byte
+	w.WriteRaw(hdr[:])
+	return w
+}
+
+// putFrameHeader fills the reserved header of a frame whose body is
+// bodyLen bytes long.
+func putFrameHeader(hdr []byte, op opCode, reqID uint64, bodyLen int) error {
+	payload := 1 + 8 + bodyLen
 	if payload > maxFrameSize {
 		return fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, payload)
 	}
-	hdr := make([]byte, 4+1+8)
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payload))
-	hdr[4] = byte(f.op)
-	binary.LittleEndian.PutUint64(hdr[5:13], f.reqID)
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("afs: writing frame header: %w", err)
+	hdr[4] = byte(op)
+	binary.LittleEndian.PutUint64(hdr[5:13], reqID)
+	return nil
+}
+
+// writeFrame sends a frame started with newFrame (nil = empty body) as:
+// u32 payload length ‖ op(1) ‖ reqID(8) ‖ body. Header and body leave in
+// a single Write: the simulated network charges one-way latency per
+// Write, so a request/reply exchange costs exactly one RTT, and a
+// connection that dies mid-write leaves the peer a strict prefix of one
+// frame, which its readFrame discards.
+func writeFrame(w io.Writer, op opCode, reqID uint64, f *serial.Writer) error {
+	if f == nil {
+		f = newFrame(0)
 	}
-	if len(f.body) > 0 {
-		if _, err := w.Write(f.body); err != nil {
-			return fmt.Errorf("afs: writing frame body: %w", err)
-		}
+	buf := f.Bytes()
+	if err := putFrameHeader(buf, op, reqID, len(buf)-frameHeaderLen); err != nil {
+		return err
+	}
+	if _, err := w.Write(buf); err != nil {
+		return fmt.Errorf("afs: writing frame: %w", err)
 	}
 	return nil
 }
 
-// writeFrameScatter sends one frame whose body is prefix followed by
-// segTotal bytes produced incrementally by next (nil segment = done).
-// The header and prefix coalesce into a single write — the simulated
-// network charges latency per write — and each produced segment goes
-// out as soon as it exists, so payload production (chunk sealing)
-// overlaps the transfer. The receiver sees one ordinary frame;
-// scatter/gather framing is purely a sender-side shape.
+// writeFrameScatter sends one frame whose body is prefix (started with
+// newFrame) followed by segTotal bytes produced incrementally by next
+// (nil segment = done). Header and prefix leave in a single write, as in
+// writeFrame, and each produced segment goes out as soon as it exists,
+// so payload production (chunk sealing) overlaps the transfer. The
+// receiver sees one ordinary frame; scatter/gather framing is purely a
+// sender-side shape.
 //
 // A producer error or a short/overlong segment stream leaves a partial
 // frame on the wire: the connection is unusable and the caller must
 // drop it (the peer's io.ReadFull then fails, discarding the partial
 // frame without applying anything).
-func writeFrameScatter(w io.Writer, op opCode, reqID uint64, prefix []byte, segTotal int, next func() ([]byte, error)) error {
-	payload := 1 + 8 + len(prefix) + segTotal
-	if payload > maxFrameSize {
-		return fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, payload)
+func writeFrameScatter(w io.Writer, op opCode, reqID uint64, prefix *serial.Writer, segTotal int, next func() ([]byte, error)) error {
+	buf := prefix.Bytes()
+	if err := putFrameHeader(buf, op, reqID, len(buf)-frameHeaderLen+segTotal); err != nil {
+		return err
 	}
-	hdr := make([]byte, 4+1+8, 4+1+8+len(prefix))
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payload))
-	hdr[4] = byte(op)
-	binary.LittleEndian.PutUint64(hdr[5:13], reqID)
-	hdr = append(hdr, prefix...)
-	if _, err := w.Write(hdr); err != nil {
+	if _, err := w.Write(buf); err != nil {
 		return fmt.Errorf("afs: writing frame header: %w", err)
 	}
 	sent := 0
@@ -203,12 +226,12 @@ func readFrame(r io.Reader) (frame, error) {
 	}, nil
 }
 
-// encodeError builds an opError body.
-func encodeError(code errCode, msg string) []byte {
-	w := serial.NewWriter(8 + len(msg))
+// encodeError builds an opError frame.
+func encodeError(code errCode, msg string) *serial.Writer {
+	w := newFrame(8 + len(msg))
 	w.WriteUint8(uint8(code))
 	w.WriteString(msg)
-	return w.Bytes()
+	return w
 }
 
 // decodeError converts an opError body back to a Go error.

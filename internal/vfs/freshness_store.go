@@ -187,9 +187,10 @@ func (s *FreshnessStore) prevTreeLocked() *merkle.Tree {
 // it must: the resident state, then a re-read of the snapshot, then a
 // re-read under the snapshot's store lock. The last step is for caching
 // stores (the AFS client): the caller holds the freshness-root lock and
-// has just read a root at the new epoch, but invalidations arrive
-// asynchronously, so a plain get may still serve the previous snapshot
-// from cache; taking the object's lock revalidates it. Root → tree is
+// has just read a root at the new epoch, but a fetch that raced the
+// writer's store can re-cache the previous snapshot after its callback
+// break, so a plain get may still serve it; taking the object's lock
+// revalidates it. Root → tree is
 // the only order the two locks are ever taken in.
 func (s *FreshnessStore) syncLocked(epoch uint64) error {
 	if err := s.loadLocked(false); err != nil {

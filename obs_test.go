@@ -3,6 +3,7 @@ package nexus
 import (
 	"bytes"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 
@@ -316,4 +317,83 @@ func TestObservabilityLegacyStatsShims(t *testing.T) {
 	if encl.SGX().EcallCount() != 0 || st.reg.CounterValue("sgx_ecalls_total") != 0 {
 		t.Error("ResetStats did not clear the registry-backed counters")
 	}
+}
+
+// afsSpanNames lists the afs.* spans beneath s in the order they ran,
+// without the "afs." prefix.
+func afsSpanNames(s *Span) []string {
+	var names []string
+	for _, c := range s.Children {
+		if op, ok := strings.CutPrefix(c.Name, "afs."); ok {
+			names = append(names, op)
+		}
+		names = append(names, afsSpanNames(c)...)
+	}
+	return names
+}
+
+// TestObservabilityRPCBudget pins the exact, ordered AFS frames two op
+// classes cost (DESIGN.md §11.5). Every frame is a LAN round trip (a
+// one-way unlock: half of one), so a frame added here is a latency
+// regression on every such op: the test fails until the table and the
+// reason are updated together.
+func TestObservabilityRPCBudget(t *testing.T) {
+	st := startObsStack(t)
+	fs := st.vol.FS()
+	if err := fs.MkdirAll("/docs"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/docs/first", []byte("warms every cache on the path")); err != nil {
+		t.Fatal(err)
+	}
+	tracer := st.reg.Tracer()
+	tracer.Enable()
+	defer tracer.Disable()
+
+	budget := func(what, rootName string, want []string, op func()) {
+		t.Helper()
+		tracer.Take()
+		op()
+		spans := tracer.Take()
+		root := findSpan(spans, rootName)
+		if root == nil {
+			t.Fatalf("%s: no %s root span; roots: %v", what, rootName, spanNames(spans))
+		}
+		if got := afsSpanNames(root); !slices.Equal(got, want) {
+			t.Errorf("%s: afs frames under %s\n got %v\nwant %v", what, rootName, got, want)
+		}
+	}
+
+	data := bytes.Repeat([]byte{0x5A}, 2048)
+	// Create one file in an existing directory: the data object and the
+	// new filenode, then the directory (bucket + dirnode) under its lock,
+	// then the freshness tree and root under the root's lock. Neither
+	// lock is followed by a fetch: the lock reply revalidated the copy
+	// this client already caches.
+	budget("create in an existing directory", "vfs.write", []string{
+		"store", "store",
+		"lock", "store", "store", "unlock",
+		"lock", "store", "store", "unlock",
+	}, func() {
+		if err := fs.WriteFile("/docs/second", data); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// Cold read (enclave and AFS caches dropped): the five metadata
+	// objects on the path — root dirnode, its bucket, /docs dirnode, its
+	// bucket, the filenode — then the data object.
+	st.client.Enclave().DropCaches()
+	st.afs.FlushCache()
+	budget("cold read", "vfs.read", []string{
+		"fetch", "fetch", "fetch", "fetch", "fetch", "fetch",
+	}, func() {
+		got, err := fs.ReadFile("/docs/second")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatal("read returned different bytes")
+		}
+	})
 }
