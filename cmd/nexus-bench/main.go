@@ -5,7 +5,7 @@
 //
 //	nexus-bench [-exp all|fileio|dirops|gitclone|db|apps|revoke|revoke-sweep|sharing|crypto|metadata|freshness|dedup|ablation]
 //	            [-scale N] [-runs N] [-rtt duration] [-bw MBps]
-//	            [-entries N] [-transition duration] [-no-cache]
+//	            [-entries N] [-transition duration]
 //	            [-workers N] [-json] [-out FILE] [-crypto-workers LIST]
 //	            [-crypto-bytes N] [-members LIST] [-objects LIST]
 //
@@ -56,7 +56,6 @@ func run() error {
 	bw := flag.Int64("bw", 125, "simulated bandwidth in MiB/s (0 = unlimited)")
 	entries := flag.Int("entries", 2000, "database benchmark entry count")
 	transition := flag.Duration("transition", 4*time.Microsecond, "simulated enclave transition cost")
-	noCache := flag.Bool("no-cache", false, "disable the in-enclave metadata cache (ablation)")
 	dirCounts := flag.String("dirs", "1024,2048,4096,8192", "comma-separated file counts for dirops")
 	workers := flag.Int("workers", 0, "chunk-crypto fan-out inside the enclave pipeline (0 = auto, 1 = serial)")
 	jsonOut := flag.Bool("json", false, "also write a machine-readable report (see -out)")
@@ -74,19 +73,18 @@ func run() error {
 	want := func(name string) bool { return selected[name] }
 
 	cfg := bench.Config{
-		Profile:              netsim.Profile{RTT: *rtt, Bandwidth: *bw << 20},
-		TransitionCost:       *transition,
-		Runs:                 *runs,
-		Scale:                *scale,
-		CryptoWorkers:        *workers,
-		DisableMetadataCache: *noCache,
+		Profile:        netsim.Profile{RTT: *rtt, Bandwidth: *bw << 20},
+		TransitionCost: *transition,
+		Runs:           *runs,
+		Scale:          *scale,
+		CryptoWorkers:  *workers,
 	}
 	if *bw == 0 {
 		cfg.Profile.Bandwidth = 0
 	}
 
-	fmt.Printf("NEXUS evaluation harness — rtt=%v bw=%dMiB/s scale=%d runs=%d transition=%v cache=%v\n\n",
-		*rtt, *bw, *scale, *runs, *transition, !*noCache)
+	fmt.Printf("NEXUS evaluation harness — rtt=%v bw=%dMiB/s scale=%d runs=%d transition=%v\n\n",
+		*rtt, *bw, *scale, *runs, *transition)
 
 	var report *bench.Report
 	if *jsonOut {

@@ -334,10 +334,10 @@ func TestCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := c.cache.get("f0"); ok {
+	if _, ok := c.cache.version("f0"); ok {
 		t.Fatal("f0 not evicted from a full cache")
 	}
-	if _, ok := c.cache.get("f3"); !ok {
+	if _, ok := c.cache.version("f3"); !ok {
 		t.Fatal("f3 missing from cache")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -369,7 +370,9 @@ func (c *Client) call(op opCode, body *serial.Writer) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	span, start := c.beginRPC(op)
-	resp, retries, faults, err := c.callAttempts(op, body)
+	resp, retries, faults, err := c.callAttempts(op, func(w io.Writer, reqID uint64) error {
+		return writeFrame(w, op, reqID, body)
+	})
 	c.endRPC(span, start, retries, faults, err)
 	return resp, err
 }
@@ -419,8 +422,12 @@ func errClass(err error) string {
 }
 
 // callAttempts runs the reconnect/retry loop for one RPC, reporting how
-// many extra attempts and observed transport faults it took.
-func (c *Client) callAttempts(op opCode, body *serial.Writer) (resp []byte, retries, faults int64, err error) {
+// many extra attempts and observed transport faults it took. write puts
+// the request frame on the connection: writeFrame for an assembled body,
+// writeFrameScatter for a streamed one. A dial-level failure is retried
+// for every op (write has not run, so a stream's producer is untouched);
+// once write has run, only retryable ops are sent again.
+func (c *Client) callAttempts(op opCode, write func(w io.Writer, reqID uint64) error) (resp []byte, retries, faults int64, err error) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
 	var lastErr error
@@ -438,7 +445,7 @@ func (c *Client) callAttempts(op opCode, body *serial.Writer) (resp []byte, retr
 			faults++
 			lastErr = err
 		} else {
-			resp, err := c.exchangeLocked(op, body)
+			resp, err := c.exchangeLocked(write)
 			if err == nil || !errors.Is(err, errTransport) {
 				return resp, retries, faults, err
 			}
@@ -475,7 +482,7 @@ func (c *Client) ensureConnLocked() error {
 // exchangeLocked sends one request and reads its response on the live
 // connection, under the RPC deadline. Errors wrapping errTransport mean
 // the connection is no longer usable.
-func (c *Client) exchangeLocked(op opCode, body *serial.Writer) ([]byte, error) {
+func (c *Client) exchangeLocked(write func(w io.Writer, reqID uint64) error) ([]byte, error) {
 	conn := c.currentConn()
 	c.reqID++
 	id := c.reqID
@@ -484,7 +491,14 @@ func (c *Client) exchangeLocked(op opCode, body *serial.Writer) ([]byte, error) 
 		_ = conn.SetDeadline(time.Now().Add(c.timeout))
 		defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	}
-	if err := writeFrame(conn, op, id, body); err != nil {
+	if err := write(conn, id); err != nil {
+		if errors.Is(err, errProducer) {
+			// The frame never completed, so the server applies nothing —
+			// but the connection is mid-frame and has to go. The
+			// transport did not fail: no fault, no ErrInterrupted.
+			c.dropConnLocked()
+			return nil, err
+		}
 		return nil, transportFault("writing request", err)
 	}
 	resp, err := readFrame(conn)
@@ -681,21 +695,28 @@ func (c *Client) PutVersioned(name string, data []byte) (uint64, error) {
 	w.WriteString(name)
 	w.WriteBytes(data)
 	body, err := c.call(opStore, w)
+	version, err := c.storeReply(name, body, err)
+	if err == nil && c.cache != nil {
+		c.cache.put(name, data, version)
+	}
+	return version, err
+}
+
+// storeReply decodes the reply of a store exchange into the file's new
+// version. On failure the store may or may not have been applied; the
+// cached copy is no longer trustworthy either way.
+func (c *Client) storeReply(name string, body []byte, err error) (uint64, error) {
+	var version uint64
+	if err == nil {
+		r := serial.NewReader(body)
+		version = r.ReadUint64("version")
+		err = r.Finish()
+	}
 	if err != nil {
 		if c.cache != nil {
-			// The store may or may not have been applied; the cached copy
-			// is no longer trustworthy either way.
 			c.cache.invalidate(name)
 		}
 		return 0, err
-	}
-	r := serial.NewReader(body)
-	version := r.ReadUint64("version")
-	if err := r.Finish(); err != nil {
-		return 0, err
-	}
-	if c.cache != nil {
-		c.cache.put(name, data, version)
 	}
 	return version, nil
 }
@@ -717,123 +738,32 @@ func (c *Client) PutVersionedStream(name string, total int, next func() ([]byte,
 	if c.closed.Load() {
 		return 0, ErrClosed
 	}
-	span, start := c.beginRPC(opStore)
-	span.SetTagInt("streamed", 1)
-	version, retries, faults, err := c.streamStoreAttempts(name, total, next)
-	c.endRPC(span, start, retries, faults, err)
-	return version, err
-}
-
-// streamStoreAttempts mirrors callAttempts for the scattered store:
-// dial-level failures retry (the producer has not been touched yet),
-// but once the first byte is out the RPC is one-shot.
-func (c *Client) streamStoreAttempts(name string, total int, next func() ([]byte, error)) (version uint64, retries, faults int64, err error) {
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		if c.closed.Load() {
-			return 0, retries, faults, ErrClosed
-		}
-		if attempt > 1 {
-			retries++
-			c.metrics.retries.Inc()
-		}
-		if err := c.ensureConnLocked(); err != nil {
-			faults++
-			lastErr = err
-		} else {
-			version, connDead, err := c.streamExchangeLocked(name, total, next)
-			if connDead {
-				c.dropConnLocked()
-			}
-			if err != nil && c.cache != nil {
-				// Applied or not, the cached copy is no longer trustworthy.
-				c.cache.invalidate(name)
-			}
-			if err == nil || !errors.Is(err, errTransport) {
-				return version, retries, faults, err
-			}
-			c.metrics.transportFaults.Inc()
-			faults++
-			return 0, retries, faults, fmt.Errorf("afs: %s: %w: %w", opStore, ErrInterrupted, err)
-		}
-		if attempt >= c.retry.policy.MaxAttempts {
-			return 0, retries, faults, fmt.Errorf("afs: %s: %w: %w", opStore, ErrUnavailable, lastErr)
-		}
-		time.Sleep(c.retry.wait(attempt))
-		if c.closed.Load() {
-			return 0, retries, faults, ErrClosed
-		}
-	}
-}
-
-// streamExchangeLocked sends one scattered store frame and reads its
-// response. connDead reports that the connection is no longer usable:
-// any failure between the first header byte and a complete response
-// leaves a partial frame outbound or an unread response inbound.
-func (c *Client) streamExchangeLocked(name string, total int, next func() ([]byte, error)) (version uint64, connDead bool, err error) {
-	conn := c.currentConn()
-	c.reqID++
-	id := c.reqID
-	c.metrics.rpcs.Inc()
-	if c.timeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(c.timeout))
-		defer func() { _ = conn.SetDeadline(time.Time{}) }()
-	}
 	// The store body is name ‖ u32 length ‖ data; the data bytes arrive
 	// as scattered segments after this prefix.
 	prefix := newFrame(8 + len(name))
 	prefix.WriteString(name)
 	prefix.WriteUint32(uint32(total))
-
 	var acc []byte
 	if c.cache != nil {
 		acc = make([]byte, 0, total)
-	}
-	var produceErr error
-	produce := func() ([]byte, error) {
-		seg, err := next()
-		if err != nil {
-			produceErr = err
-			return nil, err
-		}
-		if acc != nil && len(seg) > 0 {
+		produce := next
+		next = func() ([]byte, error) {
+			seg, err := produce()
 			acc = append(acc, seg...)
+			return seg, err
 		}
-		return seg, nil
 	}
-	if err := writeFrameScatter(conn, opStore, id, prefix, total, produce); err != nil {
-		if produceErr != nil {
-			// The frame never completed, so the server applies nothing —
-			// but the connection is mid-frame and has to go.
-			return 0, true, fmt.Errorf("afs: store %s: %w", name, produceErr)
-		}
-		return 0, true, transportFault("writing request", err)
-	}
-	resp, err := readFrame(conn)
-	if err != nil {
-		return 0, true, transportFault("reading response", err)
-	}
-	if resp.reqID != id {
-		return 0, true, fmt.Errorf("%w: %w: response id %d for request %d", errTransport, ErrProtocol, resp.reqID, id)
-	}
-	switch resp.op {
-	case opReply:
-	case opError:
-		return 0, false, decodeError(resp.body)
-	default:
-		return 0, true, fmt.Errorf("%w: %w: unexpected op %d", errTransport, ErrProtocol, resp.op)
-	}
-	r := serial.NewReader(resp.body)
-	version = r.ReadUint64("version")
-	if err := r.Finish(); err != nil {
-		return 0, false, err
-	}
-	if c.cache != nil {
+	span, start := c.beginRPC(opStore)
+	span.SetTagInt("streamed", 1)
+	body, retries, faults, err := c.callAttempts(opStore, func(w io.Writer, reqID uint64) error {
+		return writeFrameScatter(w, opStore, reqID, prefix, total, next)
+	})
+	c.endRPC(span, start, retries, faults, err)
+	version, err := c.storeReply(name, body, err)
+	if err == nil && c.cache != nil {
 		c.cache.putOwned(name, acc, version)
 	}
-	return version, false, nil
+	return version, err
 }
 
 // Stat describes a remote file.
@@ -920,16 +850,6 @@ func newFileCache(budget int64) *fileCache {
 		lru:    list.New(),
 		byName: make(map[string]*list.Element),
 	}
-}
-
-func (fc *fileCache) get(name string) ([]byte, bool) {
-	data, _, ok := fc.getVersioned(name)
-	return data, ok
-}
-
-func (fc *fileCache) getVersioned(name string) ([]byte, uint64, bool) {
-	data, _, version, ok := fc.lookup(name)
-	return data, version, ok
 }
 
 // lookup returns (data, negative, version, found).

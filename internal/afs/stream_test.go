@@ -114,8 +114,19 @@ func TestPutVersionedStreamProducerFailure(t *testing.T) {
 		}
 		return nil, sealFail
 	}
-	if _, err := c.PutVersionedStream("f", 4096, next); !errors.Is(err, sealFail) {
+	gen := c.gen.Load()
+	_, err := c.PutVersionedStream("f", 4096, next)
+	if !errors.Is(err, sealFail) {
 		t.Fatalf("producer failure = %v, want %v", err, sealFail)
+	}
+	// The producer failed, not the transport: the half-written frame's
+	// connection is gone, but no fault is counted and the error does not
+	// claim an interrupted exchange.
+	if errors.Is(err, ErrInterrupted) || errors.Is(err, ErrUnavailable) || c.metrics.transportFaults.Value() != 0 {
+		t.Fatalf("producer failure reported as a transport fault: %v (faults %d)", err, c.metrics.transportFaults.Value())
+	}
+	if c.currentConn() != nil {
+		t.Fatal("connection carrying a half-written frame was kept")
 	}
 
 	// The aborted frame must not have been applied, and the client must
@@ -126,6 +137,9 @@ func TestPutVersionedStreamProducerFailure(t *testing.T) {
 	}
 	if !bytes.Equal(got, old) {
 		t.Fatalf("aborted streamed put changed contents: %q", got)
+	}
+	if c.gen.Load() != gen+1 {
+		t.Fatalf("connection generation %d → %d, want one reconnect", gen, c.gen.Load())
 	}
 }
 

@@ -160,6 +160,10 @@ func writeFrame(w io.Writer, op opCode, reqID uint64, f *serial.Writer) error {
 	return nil
 }
 
+// errProducer marks a writeFrameScatter failure that came from the
+// segment producer, not from the connection.
+var errProducer = errors.New("afs: producing frame body")
+
 // writeFrameScatter sends one frame whose body is prefix (started with
 // newFrame) followed by segTotal bytes produced incrementally by next
 // (nil segment = done). Header and prefix leave in a single write, as in
@@ -184,7 +188,7 @@ func writeFrameScatter(w io.Writer, op opCode, reqID uint64, prefix *serial.Writ
 	for {
 		seg, err := next()
 		if err != nil {
-			return fmt.Errorf("afs: producing frame body: %w", err)
+			return fmt.Errorf("%w: %w", errProducer, err)
 		}
 		if seg == nil {
 			break

@@ -18,9 +18,8 @@ type AblationRow struct {
 }
 
 // Ablation quantifies the design choices DESIGN.md calls out: dirnode
-// bucket size, the in-enclave metadata cache, and the simulated SGX
-// transition cost. Each variant runs the same create+delete workload on
-// its own freshly built testbed.
+// bucket size and the simulated SGX transition cost. Each variant runs
+// the same create+delete workload on its own freshly built testbed.
 func Ablation(base Config, files int) ([]AblationRow, error) {
 	if files <= 0 {
 		files = 256
@@ -30,11 +29,12 @@ func Ablation(base Config, files int) ([]AblationRow, error) {
 		mutate func(*Config)
 	}
 	variants := []variant{
-		{"default (bucket=128, cache on)", func(*Config) {}},
+		{"default (bucket=128)", func(*Config) {}},
 		{"bucket size 16", func(c *Config) { c.BucketSize = 16 }},
 		{"bucket size 512", func(c *Config) { c.BucketSize = 512 }},
-		{"metadata cache off", func(c *Config) { c.DisableMetadataCache = true }},
-		{"transition cost 0", func(c *Config) { c.TransitionCost = -1 }},
+		// withDefaults treats 0 as "use default": the smallest
+		// representable charge stands in for none.
+		{"transition cost 0", func(c *Config) { c.TransitionCost = time.Nanosecond }},
 		{"transition cost 50µs", func(c *Config) { c.TransitionCost = 50 * time.Microsecond }},
 	}
 
@@ -43,12 +43,6 @@ func Ablation(base Config, files int) ([]AblationRow, error) {
 	for _, v := range variants {
 		cfg := base
 		v.mutate(&cfg)
-		if cfg.TransitionCost < 0 {
-			cfg.TransitionCost = 0
-			// withDefaults treats 0 as "use default"; bypass by setting
-			// the smallest representable charge.
-			cfg.TransitionCost = time.Nanosecond
-		}
 		env, err := NewEnv(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("ablation %q: %w", v.name, err)

@@ -190,14 +190,14 @@ func TestRevocationExperiment(t *testing.T) {
 
 func TestAblationExperiment(t *testing.T) {
 	if testing.Short() {
-		t.Skip("ablation builds six testbeds")
+		t.Skip("ablation builds five testbeds")
 	}
 	rows, err := Ablation(Config{Loopback: true, Runs: 1, Scale: 1 << 10}, 24)
 	if err != nil {
 		t.Fatalf("Ablation: %v", err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(rows))
+	if len(rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(rows))
 	}
 	if rows[0].RelativeToBase != 1.0 {
 		t.Fatalf("baseline relative = %f", rows[0].RelativeToBase)

@@ -40,8 +40,6 @@ type Config struct {
 	// CryptoWorkers bounds the parallel chunk-crypto fan-out (0 =
 	// GOMAXPROCS with serial small-file fallback, 1 = serial).
 	CryptoWorkers int
-	// DisableMetadataCache ablates the in-enclave metadata cache.
-	DisableMetadataCache bool
 	// ContentDefined stores file contents as deduplicated
 	// content-defined chunks (DESIGN.md §16) — the `dedup` experiment's
 	// CDC arm.
@@ -127,15 +125,14 @@ func NewEnv(cfg Config) (*Env, error) {
 	}
 	env.IAS = ias
 	client, err := nexus.NewClient(nexus.ClientConfig{
-		Store:                nexusAFS,
-		IAS:                  ias,
-		BucketSize:           cfg.BucketSize,
-		ChunkSize:            cfg.ChunkSize,
-		CryptoWorkers:        cfg.CryptoWorkers,
-		TransitionCost:       cfg.TransitionCost,
-		DisableMetadataCache: cfg.DisableMetadataCache,
-		ContentDefined:       cfg.ContentDefined,
-		Obs:                  env.Obs,
+		Store:          nexusAFS,
+		IAS:            ias,
+		BucketSize:     cfg.BucketSize,
+		ChunkSize:      cfg.ChunkSize,
+		CryptoWorkers:  cfg.CryptoWorkers,
+		TransitionCost: cfg.TransitionCost,
+		ContentDefined: cfg.ContentDefined,
+		Obs:            env.Obs,
 	})
 	if err != nil {
 		env.Close()

@@ -54,7 +54,7 @@ var refTableID = uuid.UUID{0xff, 0xfc}
 // table is an empty one (no CDC writes yet). The enclave's local
 // memory of the table's version is its rollback protection.
 func (e *Enclave) loadRefTableLocked() (*cas.RefTable, uint64, error) {
-	blob, _, err := e.fetchObject(RefTableObjectName)
+	blob, _, err := e.fetchObject(e.metrics.metaIO, RefTableObjectName)
 	if err != nil {
 		if isNotExist(err) {
 			return cas.NewRefTable(), 0, nil
@@ -110,7 +110,7 @@ func (e *Enclave) flushRefTableLocked(t *cas.RefTable, version uint64) error {
 	if err != nil {
 		return fmt.Errorf("sealing ref table: %w", err)
 	}
-	if _, err := e.putObject(RefTableObjectName, blob); err != nil {
+	if _, err := e.putObject(e.metrics.metaIO, RefTableObjectName, blob); err != nil {
 		return fmt.Errorf("uploading ref table: %w", err)
 	}
 	e.refs = t
@@ -267,7 +267,7 @@ func (e *Enclave) writeFileCDCLocked(f *metadata.Filenode, data []byte) error {
 			buf.Release()
 			return err
 		}
-		_, err := e.putDataObject(h.ObjectName(), buf.B)
+		_, err := e.putObject(e.metrics.dataIO, h.ObjectName(), buf.B)
 		buf.Release()
 		if err != nil {
 			return fmt.Errorf("uploading chunk %s: %w", h, err)
@@ -324,7 +324,7 @@ func (e *Enclave) readFileCDCLocked(f *metadata.Filenode) ([]byte, error) {
 	out := make([]byte, f.Size)
 	off := 0
 	for _, x := range f.Extents {
-		blob, _, err := e.fetchDataObject(x.Handle.ObjectName())
+		blob, _, err := e.fetchObject(e.metrics.dataIO, x.Handle.ObjectName())
 		if err != nil {
 			return nil, fmt.Errorf("fetching chunk %s: %w", x.Handle, err)
 		}

@@ -145,16 +145,6 @@ type Config struct {
 	// ReadFile path (0 = GOMAXPROCS with a serial fallback for small
 	// files, 1 = always serial; see internal/metadata and DESIGN.md §10).
 	CryptoWorkers int
-	// StreamPutCutoff is the write size, in bytes, from which WriteFile
-	// pipelines chunk encryption into the upload when the store
-	// implements StreamObjectStore (0 = default 4 MiB, negative =
-	// never stream). Below the cutoff the assembled single-frame put is
-	// cheaper: the simulated network charges latency per write, so
-	// streaming only pays once crypto time is worth hiding.
-	StreamPutCutoff int
-	// DisableMetadataCache turns off the in-enclave decrypted-metadata
-	// cache (used by the cache ablation benchmark).
-	DisableMetadataCache bool
 	// WritebackMaxOps caps the number of deferred mutations before the
 	// dirty set drains inline (default 64). Creates and removes defer
 	// their metadata flushes into a dirty set drained in dependency
@@ -392,6 +382,7 @@ func New(cfg Config) (*Enclave, error) {
 		proofStore: proofStore,
 		casDecs:    make(map[cas.Handle]uint32),
 		wb:         newDirtySet(cfg.WritebackMaxOps),
+		cache:      newMetaCache(cfg.SGX),
 	}
 	e.metrics.bind(cfg.Obs)
 	e.arena = parallel.NewArena()
@@ -405,9 +396,6 @@ func New(cfg Config) (*Enclave, error) {
 		in.Instrument(cfg.Obs)
 	}
 	e.metrics.workers.Set(int64(cfg.CryptoWorkers))
-	if !cfg.DisableMetadataCache {
-		e.cache = newMetaCache(cfg.SGX)
-	}
 	var err error
 	if err = e.sgx.Ecall(func() error {
 		e.exchange, err = newExchangeKey()
@@ -768,12 +756,8 @@ func (e *Enclave) ListUsers() ([]metadata.User, error) {
 // supernode object, reloading it first so the mutation applies to the
 // freshest version (§V-A).
 func (e *Enclave) withSupernodeLockLocked(fn func() error) error {
-	var release func()
-	if err := e.timedOcall(e.metrics.metaIO, func() error {
-		var err error
-		release, err = e.store.Lock(SupernodeObjectName)
-		return err
-	}); err != nil {
+	release, err := e.lockObject(SupernodeObjectName)
+	if err != nil {
 		return fmt.Errorf("locking supernode: %w", err)
 	}
 	defer release()
@@ -785,12 +769,8 @@ func (e *Enclave) withSupernodeLockLocked(fn func() error) error {
 
 // loadSupernodeLocked fetches, verifies and decodes the supernode.
 func (e *Enclave) loadSupernodeLocked() error {
-	var blob []byte
-	if err := e.timedOcall(e.metrics.metaIO, func() error {
-		var err error
-		blob, _, err = e.store.GetVersioned(SupernodeObjectName)
-		return err
-	}); err != nil {
+	blob, _, err := e.fetchObject(e.metrics.metaIO, SupernodeObjectName)
+	if err != nil {
 		return fmt.Errorf("fetching supernode: %w", err)
 	}
 	p, body, err := metadata.Open(e.rootKey, blob)
@@ -831,10 +811,7 @@ func (e *Enclave) flushSupernodeLocked() error {
 	if err != nil {
 		return fmt.Errorf("sealing supernode: %w", err)
 	}
-	if err := e.timedOcall(e.metrics.metaIO, func() error {
-		_, err := e.store.PutVersioned(SupernodeObjectName, blob)
-		return err
-	}); err != nil {
+	if _, err := e.putObject(e.metrics.metaIO, SupernodeObjectName, blob); err != nil {
 		return fmt.Errorf("uploading supernode: %w", err)
 	}
 	e.superBlob = blob

@@ -103,7 +103,7 @@ func (e *Enclave) loadMerkleRootLocked(force bool) error {
 	if e.mkSeen && !force {
 		return nil
 	}
-	blob, _, err := e.fetchObject(MerkleRootObjectName)
+	blob, _, err := e.fetchObject(e.metrics.metaIO, MerkleRootObjectName)
 	if err != nil {
 		if isNotExist(err) {
 			if e.mkSeen && e.mkEpoch > 0 {
@@ -284,7 +284,7 @@ func (e *Enclave) recordFreshnessLocked(updates map[uuid.UUID]uint64) error {
 	if err != nil {
 		return fmt.Errorf("sealing merkle root: %w", err)
 	}
-	if _, err := e.putObject(MerkleRootObjectName, blob); err != nil {
+	if _, err := e.putObject(e.metrics.metaIO, MerkleRootObjectName, blob); err != nil {
 		// The tree already advanced but the commitment did not: the
 		// store wrapper keeps the previous epoch reachable (its undo
 		// log), so proofs against the still-current root keep verifying

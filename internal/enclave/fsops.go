@@ -41,16 +41,26 @@ func splitPath(path string) (dirs []string, base string, err error) {
 	return parts[:len(parts)-1], parts[len(parts)-1], nil
 }
 
+// errBucketGone marks a dirnode bucket the store no longer holds. A
+// superseded copy-on-write bucket survives exactly one later flush of
+// its directory, so an unlocked reader that stalls between the dirnode
+// fetch and the bucket fetch while the directory is flushed twice finds
+// the bucket deleted.
+var errBucketGone = errors.New("enclave: directory bucket gone from the store")
+
 // retryTornEcall runs an operation, retrying briefly when it observes a
-// bucket MAC mismatch. Writers flush a dirnode's buckets and then its
-// main object as separate store writes, and the storage layer's
-// invalidations propagate per object, so an unlocked reader can
-// transiently see a fresh bucket against a stale main object. The
-// mutation paths take the store lock before changing anything, so such
-// an error always precedes any side effect and the whole operation is
-// safe to retry. A *persistent* mismatch is the real signal — a rolled
-// back or substituted bucket (§V-B) — and is surfaced after the bounded
-// retries.
+// torn directory snapshot: a bucket whose MAC does not match the main
+// object's record, or a bucket that is gone. Writers flush a dirnode's
+// buckets and then its main object as separate store writes, and the
+// storage layer's invalidations propagate per object, so an unlocked
+// reader can transiently see a fresh bucket against a stale main object,
+// or outlive the buckets of the main object it fetched. Either way the
+// store already holds a newer main object, which the retried walk
+// fetches. The mutation paths take the store lock before changing
+// anything, so such an error always precedes any side effect and the
+// whole operation is safe to retry. A *persistent* mismatch or absence
+// is the real signal — a rolled back, substituted or withheld bucket
+// (§V-B) — and is surfaced after the bounded retries.
 //
 // Storage-substrate faults (ErrStoreUnavailable) are deliberately NOT
 // retried here: idempotent-RPC retry lives in the AFS client, and a
@@ -60,7 +70,8 @@ func (e *Enclave) retryTornEcall(fn func() error) error {
 	var err error
 	for attempt := 0; ; attempt++ {
 		err = e.sgx.Ecall(fn)
-		if err == nil || attempt >= 3 || !errors.Is(err, metadata.ErrBucketMACMismatch) {
+		if err == nil || attempt >= 3 ||
+			!(errors.Is(err, metadata.ErrBucketMACMismatch) || errors.Is(err, errBucketGone)) {
 			return err
 		}
 		// Give the lagging invalidation a moment to land.
@@ -194,16 +205,11 @@ func (e *Enclave) Remove(path string) error {
 	})
 }
 
-// isNotExist reports whether err is any flavour of missing-object error
-// crossing the ocall boundary.
+// isNotExist reports whether a store error means the object is absent.
+// Every ObjectStore returns the typed sentinel for that; the text of an
+// error is the store's to choose and proves nothing.
 func isNotExist(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, backend.ErrNotExist) {
-		return true
-	}
-	return strings.Contains(err.Error(), "does not exist")
+	return errors.Is(err, backend.ErrNotExist)
 }
 
 // Lookup finds an entry by path and returns its attributes
@@ -606,22 +612,12 @@ func (e *Enclave) lockDirsLocked(a, b uuid.UUID) (func(), error) {
 	}, nil
 }
 
-// defaultStreamPutCutoff is the write size from which WriteFile
-// pipelines encryption into the upload on stream-capable stores (see
-// Config.StreamPutCutoff). Below ~4 MiB the crypto time worth hiding
-// is smaller than the extra per-segment network latency.
-const defaultStreamPutCutoff = 4 << 20
-
-func (e *Enclave) streamCutoffBytes() int {
-	switch c := e.cfg.StreamPutCutoff; {
-	case c == 0:
-		return defaultStreamPutCutoff
-	case c < 0:
-		return int(^uint(0) >> 1) // never
-	default:
-		return c
-	}
-}
+// streamPutCutoff is the write size from which WriteFile pipelines
+// encryption into the upload on stream-capable stores. A streamed put
+// costs one network write per sealed segment where the assembled put
+// costs one in all; below ~4 MiB the crypto time worth hiding is smaller
+// than that extra per-segment latency.
+const streamPutCutoff = 4 << 20
 
 // encryptAndPutLocked seals data under f's freshly rotated contexts and
 // uploads the sealed blob to f's data object. The sealed span is leased
@@ -643,7 +639,7 @@ func (e *Enclave) encryptAndPutLocked(f *metadata.Filenode, data []byte) error {
 	buf := e.arena.Get(sealedLen)
 	defer buf.Release()
 
-	if ss, ok := e.store.(StreamObjectStore); ok && len(data) >= e.streamCutoffBytes() {
+	if ss, ok := e.store.(StreamObjectStore); ok && len(data) >= streamPutCutoff {
 		if err := e.streamPutLocked(ss, f, buf.B, data, name); err != nil {
 			return err
 		}
@@ -657,7 +653,7 @@ func (e *Enclave) encryptAndPutLocked(f *metadata.Filenode, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := e.putDataObject(name, blob); err != nil {
+	if _, err := e.putObject(e.metrics.dataIO, name, blob); err != nil {
 		return fmt.Errorf("uploading data object: %w", err)
 	}
 	e.metrics.dataBytes.Add(int64(len(blob)))
@@ -846,7 +842,7 @@ func (e *Enclave) ReadFile(path string) ([]byte, error) {
 			out, err = e.readFileCDCLocked(f)
 			return err
 		}
-		blob, _, err := e.fetchDataObject(objName(f.DataUUID))
+		blob, _, err := e.fetchObject(e.metrics.dataIO, objName(f.DataUUID))
 		if err != nil {
 			return fmt.Errorf("fetching data object: %w", err)
 		}
@@ -869,53 +865,64 @@ func (e *Enclave) SetACL(dirPath, userName string, rights acl.Rights) error {
 	return e.retryTornEcall(func() error {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		if err := e.requireAuthLocked(); err != nil {
-			return err
-		}
-		// Revocation must not leave any pre-revocation metadata pending:
-		// drain first, then re-seal the directory eagerly (§VII-E).
-		if err := e.drainWithRetryLocked(); err != nil {
-			return err
-		}
-		dirs, base, err := splitPath(dirPath)
-		if err != nil {
-			return err
-		}
-		if base != "" {
-			dirs = append(dirs, base)
-		}
-		w, err := e.walkDirLocked(dirs)
-		if err != nil {
-			return err
-		}
-		if !e.isOwnerLocked() {
-			if err := e.checkACLLocked(w.dir, acl.Administer); err != nil {
-				return err
-			}
-		}
-		target, err := e.super.FindUserByName(userName)
-		if err != nil {
-			return err
-		}
-
-		release, err := e.lockObject(objName(w.dir.UUID))
-		if err != nil {
-			return fmt.Errorf("locking directory: %w", err)
-		}
-		defer release()
-		// Re-resolve after the store lock is taken, so the mutation
-		// applies to the freshest version.
-		w, err = e.walkDirLocked(dirs)
-		if err != nil {
-			return err
-		}
-		w.dir.ACL.Set(target.ID, rights)
-		if err := e.flushDirnodeLocked(w.dir, w.version+1); err != nil {
-			e.cache.invalidate(w.dir.UUID)
-			return err
-		}
-		return nil
+		return e.setACLEntryLocked(dirPath, rights, func() (uint32, error) {
+			target, err := e.super.FindUserByName(userName)
+			return target.ID, err
+		})
 	})
+}
+
+// setACLEntryLocked is the body of SetACL and SetGroupACL: it sets the
+// rights of the ACL key that subject resolves (a user ID or a group
+// entry ID; called once the caller is authorized) on a directory and
+// re-seals the directory under its store lock.
+func (e *Enclave) setACLEntryLocked(dirPath string, rights acl.Rights, subject func() (uint32, error)) error {
+	if err := e.requireAuthLocked(); err != nil {
+		return err
+	}
+	// Revocation must not leave any pre-revocation metadata pending:
+	// drain first, then re-seal the directory eagerly (§VII-E).
+	if err := e.drainWithRetryLocked(); err != nil {
+		return err
+	}
+	dirs, base, err := splitPath(dirPath)
+	if err != nil {
+		return err
+	}
+	if base != "" {
+		dirs = append(dirs, base)
+	}
+	w, err := e.walkDirLocked(dirs)
+	if err != nil {
+		return err
+	}
+	if !e.isOwnerLocked() {
+		if err := e.checkACLLocked(w.dir, acl.Administer); err != nil {
+			return err
+		}
+	}
+	key, err := subject()
+	if err != nil {
+		return err
+	}
+
+	release, err := e.lockObject(objName(w.dir.UUID))
+	if err != nil {
+		return fmt.Errorf("locking directory: %w", err)
+	}
+	defer release()
+	// Re-resolve after the store lock is taken, so the mutation
+	// applies to the freshest version.
+	w, err = e.walkDirLocked(dirs)
+	if err != nil {
+		return err
+	}
+	w.dir.ACL.Set(key, rights)
+	if err := e.flushDirnodeLocked(w.dir, w.version+1); err != nil {
+		e.cache.invalidate(w.dir.UUID)
+		return err
+	}
+	return nil
 }
 
 // GetACL returns a directory's ACL entries resolved to usernames.

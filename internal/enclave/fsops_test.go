@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nexus/internal/acl"
+	"nexus/internal/backend"
 	"nexus/internal/metadata"
 	"nexus/internal/sgx"
 	"nexus/internal/uuid"
@@ -729,5 +730,100 @@ func TestWriteReadAcrossCryptoWorkerWidths(t *testing.T) {
 		if _, err := e.ReadFile("/blob"); !errors.Is(err, metadata.ErrTampered) {
 			t.Fatalf("workers %d: tampered read = %v, want ErrTampered", workers, err)
 		}
+	}
+}
+
+// afterGetStore runs hook once a fetch has read the store and before the
+// enclave sees the result — the window an unlocked reader can stall in.
+type afterGetStore struct {
+	*memObjectStore
+	hook func(name string)
+}
+
+func (s *afterGetStore) GetVersioned(name string) ([]byte, uint64, error) {
+	data, version, err := s.memObjectStore.GetVersioned(name)
+	if s.hook != nil {
+		s.hook(name)
+	}
+	return data, version, err
+}
+
+// TestLookupOutlivesRetiredBucket is the deterministic form of the
+// TestConcurrentClientsSameDirectory flake: a peer flushes a directory
+// twice between the victim's fetch of its main object and of its bucket.
+// Copy-on-write buckets survive exactly one later flush, so the bucket
+// the victim's copy names is gone; the walk must be retried against the
+// newer main object. A bucket that stays gone must surface as an error,
+// never read as an empty bucket.
+func TestLookupOutlivesRetiredBucket(t *testing.T) {
+	mem := newMemObjectStore()
+	owner := newIdentity(t, "owen")
+	env := newWbEnv(t, owner, Config{Store: mem, WritebackMaxOps: 1})
+	peer := env.enclave
+	if err := peer.Mkdir("/shared"); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Touch("/shared/seed"); err != nil {
+		t.Fatal(err)
+	}
+	// sharedDir returns /shared's object name and the name of its one
+	// bucket, as the store holds them now.
+	sharedDir := func() (dirName, bucketName string) {
+		t.Helper()
+		if err := peer.sgx.Ecall(func() error {
+			peer.mu.Lock()
+			defer peer.mu.Unlock()
+			w, err := peer.walkDirLocked([]string{"shared"})
+			if err != nil {
+				return err
+			}
+			dirName, bucketName = objName(w.dir.UUID), objName(w.dir.Refs[0].UUID)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return dirName, bucketName
+	}
+	dirName, staleBucket := sharedDir()
+
+	hooked := &afterGetStore{memObjectStore: mem}
+	victim := env.freshEnclave(t, hooked)
+	fired := false
+	hooked.hook = func(name string) {
+		if name != dirName || fired {
+			return
+		}
+		fired = true
+		for _, p := range []string{"/shared/one", "/shared/two"} {
+			if err := peer.Touch(p); err != nil {
+				t.Errorf("peer Touch(%s): %v", p, err)
+			}
+		}
+	}
+	st, err := victim.Lookup("/shared/seed")
+	if !fired {
+		t.Fatal("the peer never ran: the victim did not fetch /shared's main object")
+	}
+	if _, gerr := mem.mem.Get(staleBucket); !errors.Is(gerr, backend.ErrNotExist) {
+		t.Fatalf("the bucket the victim's copy names is still on the store (%v): the scenario did not happen", gerr)
+	}
+	if err != nil {
+		t.Fatalf("Lookup across two peer flushes: %v", err)
+	}
+	if st.Name != "seed" || st.Kind != metadata.KindFile {
+		t.Fatalf("Lookup = %+v", st)
+	}
+	hooked.hook = nil
+
+	_, liveBucket := sharedDir()
+	if err := mem.Delete(liveBucket); err != nil {
+		t.Fatal(err)
+	}
+	reader := env.freshEnclave(t, mem)
+	if _, err := reader.Lookup("/shared/seed"); !errors.Is(err, backend.ErrNotExist) || errors.Is(err, ErrNotFound) {
+		t.Fatalf("Lookup with the live bucket deleted = %v, want the store's ErrNotExist surfaced", err)
+	}
+	if _, err := reader.Filldir("/shared"); !errors.Is(err, backend.ErrNotExist) {
+		t.Fatalf("Filldir with the live bucket deleted = %v, want the store's ErrNotExist surfaced", err)
 	}
 }

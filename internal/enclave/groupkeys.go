@@ -164,56 +164,21 @@ func (e *Enclave) UserGroup(userName string) (leaf uint32, err error) {
 // SetGroupACL grants (or with acl.None revokes) rights on a directory
 // to an entire leaf subgroup of the membership key tree. Rights resolve
 // at check time through the tree, so subgroup churn needs no ACL
-// rewrite. Authorization mirrors SetACL: owner or Administer.
+// rewrite. Authorization and cost are SetACL's: owner or Administer,
+// one directory re-seal.
 func (e *Enclave) SetGroupACL(dirPath string, leaf uint32, rights acl.Rights) error {
 	return e.retryTornEcall(func() error {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		if err := e.requireAuthLocked(); err != nil {
-			return err
-		}
-		tree := e.groupTreeLocked()
-		if tree == nil {
-			return ErrGroupKeysDisabled
-		}
-		if int(leaf) >= tree.Leaves() {
-			return fmt.Errorf("enclave: no leaf subgroup %d (tree has %d)", leaf, tree.Leaves())
-		}
-		if err := e.drainWithRetryLocked(); err != nil {
-			return err
-		}
-		dirs, base, err := splitPath(dirPath)
-		if err != nil {
-			return err
-		}
-		if base != "" {
-			dirs = append(dirs, base)
-		}
-		w, err := e.walkDirLocked(dirs)
-		if err != nil {
-			return err
-		}
-		if !e.isOwnerLocked() {
-			if err := e.checkACLLocked(w.dir, acl.Administer); err != nil {
-				return err
+		return e.setACLEntryLocked(dirPath, rights, func() (uint32, error) {
+			tree := e.groupTreeLocked()
+			if tree == nil {
+				return 0, ErrGroupKeysDisabled
 			}
-		}
-		release, err := e.lockObject(objName(w.dir.UUID))
-		if err != nil {
-			return fmt.Errorf("locking directory: %w", err)
-		}
-		defer release()
-		// Re-resolve after the store lock is taken, so the mutation
-		// applies to the freshest version.
-		w, err = e.walkDirLocked(dirs)
-		if err != nil {
-			return err
-		}
-		w.dir.ACL.Set(acl.GroupEntryID(leaf), rights)
-		if err := e.flushDirnodeLocked(w.dir, w.version+1); err != nil {
-			e.cache.invalidate(w.dir.UUID)
-			return err
-		}
-		return nil
+			if int(leaf) >= tree.Leaves() {
+				return 0, fmt.Errorf("enclave: no leaf subgroup %d (tree has %d)", leaf, tree.Leaves())
+			}
+			return acl.GroupEntryID(leaf), nil
+		})
 	})
 }

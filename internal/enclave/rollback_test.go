@@ -569,6 +569,39 @@ func TestRootObjectVanishes(t *testing.T) {
 	}
 }
 
+// phraseStore fails the fetch of one object with an error that only
+// *says* the object does not exist: untyped, like an AFS "server error"
+// frame whose text the server chooses.
+type phraseStore struct {
+	*proofMangler
+	name string
+	err  error
+}
+
+func (s *phraseStore) GetVersioned(name string) ([]byte, uint64, error) {
+	if name == s.name {
+		return nil, 0, s.err
+	}
+	return s.proofMangler.GetVersioned(name)
+}
+
+// TestUntypedDoesNotExistIsNotAbsence mounts a fresh client through a
+// store that answers the sealed root's fetch with such an error. Only
+// the typed backend.ErrNotExist means absence; reading the phrase as
+// absence would let whoever words the error make the client adopt the
+// empty root commitment. The mount must fail with the store's error.
+func TestUntypedDoesNotExistIsNotAbsence(t *testing.T) {
+	c := newMerkleClient(t)
+	if err := c.encl.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	said := errors.New("server error: backend: object does not exist: " + enclave.MerkleRootObjectName)
+	e := c.newEnclave(t, &phraseStore{proofMangler: c.proofs, name: enclave.MerkleRootObjectName, err: said})
+	if err := c.mount(e); !errors.Is(err, said) {
+		t.Fatalf("mount over a store that words an error as absence = %v, want that error", err)
+	}
+}
+
 // TestRootObjectTampered flips one bit of the sealed root: the rootkey
 // AEAD rejects it the next time the commitment is re-read (every root
 // update re-reads it under the store lock). The high-water drain that

@@ -37,9 +37,6 @@ func newMetaCache(container *sgx.Enclave) *metaCache {
 }
 
 func (c *metaCache) get(id uuid.UUID, version uint64) (any, uint64, bool) {
-	if c == nil {
-		return nil, 0, false
-	}
 	entry, ok := c.entries[id]
 	if !ok || entry.version != version {
 		return nil, 0, false
@@ -48,13 +45,7 @@ func (c *metaCache) get(id uuid.UUID, version uint64) (any, uint64, bool) {
 }
 
 func (c *metaCache) put(id uuid.UUID, version, objVersion uint64, obj any, approxSize int64) {
-	if c == nil {
-		return
-	}
-	if old, ok := c.entries[id]; ok {
-		c.sgx.FreeEPC(old.charged)
-		delete(c.entries, id)
-	}
+	c.invalidate(id)
 	if err := c.sgx.AllocEPC(approxSize); err != nil {
 		// EPC pressure: evict everything and retry once.
 		c.clear()
@@ -66,9 +57,6 @@ func (c *metaCache) put(id uuid.UUID, version, objVersion uint64, obj any, appro
 }
 
 func (c *metaCache) invalidate(id uuid.UUID) {
-	if c == nil {
-		return
-	}
 	if old, ok := c.entries[id]; ok {
 		c.sgx.FreeEPC(old.charged)
 		delete(c.entries, id)
@@ -76,12 +64,8 @@ func (c *metaCache) invalidate(id uuid.UUID) {
 }
 
 func (c *metaCache) clear() {
-	if c == nil {
-		return
-	}
-	for id, entry := range c.entries {
-		c.sgx.FreeEPC(entry.charged)
-		delete(c.entries, id)
+	for id := range c.entries {
+		c.invalidate(id)
 	}
 }
 
@@ -107,52 +91,25 @@ func (e *Enclave) timedOcall(m ocallMeter, fn func() error) error {
 	return err
 }
 
-// fetchObject retrieves raw metadata object bytes through the ocall
-// surface.
-func (e *Enclave) fetchObject(name string) ([]byte, uint64, error) {
+// fetchObject retrieves raw object bytes through the ocall surface,
+// charging the time to m: metaIO for metadata objects, dataIO for
+// encrypted file contents.
+func (e *Enclave) fetchObject(m ocallMeter, name string) ([]byte, uint64, error) {
 	var data []byte
 	var version uint64
-	err := e.timedOcall(e.metrics.metaIO, func() error {
+	err := e.timedOcall(m, func() error {
 		var err error
 		data, version, err = e.store.GetVersioned(name)
 		return err
 	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, version, nil
+	return data, version, err
 }
 
-// putObject uploads raw metadata object bytes through the ocall surface.
-func (e *Enclave) putObject(name string, data []byte) (uint64, error) {
+// putObject uploads raw object bytes through the ocall surface, charging
+// the time to m.
+func (e *Enclave) putObject(m ocallMeter, name string, data []byte) (uint64, error) {
 	var version uint64
-	err := e.timedOcall(e.metrics.metaIO, func() error {
-		var err error
-		version, err = e.store.PutVersioned(name, data)
-		return err
-	})
-	return version, err
-}
-
-// fetchDataObject and putDataObject move encrypted file contents; their
-// time is accounted separately from metadata I/O.
-func (e *Enclave) fetchDataObject(name string) ([]byte, uint64, error) {
-	var data []byte
-	var version uint64
-	err := e.timedOcall(e.metrics.dataIO, func() error {
-		var err error
-		data, version, err = e.store.GetVersioned(name)
-		return err
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return data, version, nil
-}
-
-func (e *Enclave) putDataObject(name string, data []byte) (uint64, error) {
-	var version uint64
-	err := e.timedOcall(e.metrics.dataIO, func() error {
+	err := e.timedOcall(m, func() error {
 		var err error
 		version, err = e.store.PutVersioned(name, data)
 		return err
@@ -179,21 +136,6 @@ func (e *Enclave) lockObject(name string) (func(), error) {
 	return release, nil
 }
 
-// openVerified fetches an object, opens it with the rootkey, and applies
-// the traversal checks: expected type, expected UUID, expected parent
-// (the file-swap defence, §IV-A3) and version freshness (§VI-C).
-func (e *Enclave) openVerified(id uuid.UUID, wantType metadata.ObjType, wantParent uuid.UUID) (metadata.Preamble, []byte, uint64, error) {
-	blob, storeVersion, err := e.fetchObject(objName(id))
-	if err != nil {
-		return metadata.Preamble{}, nil, 0, fmt.Errorf("fetching %s %s: %w", wantType, id, err)
-	}
-	p, body, err := e.openBlobVerified(id, blob, wantType, wantParent)
-	if err != nil {
-		return metadata.Preamble{}, nil, 0, err
-	}
-	return p, body, storeVersion, nil
-}
-
 // loadDirnode returns the directory at id, from the decrypted cache when
 // the store version is unchanged.
 func (e *Enclave) loadDirnode(id, parent uuid.UUID) (*metadata.Dirnode, uint64, error) {
@@ -208,33 +150,20 @@ func (e *Enclave) loadDirnode(id, parent uuid.UUID) (*metadata.Dirnode, uint64, 
 		}
 		return d, base, nil
 	}
-	if e.cache != nil {
-		// Fetch is served by the AFS client cache (no network) when the
-		// callback promise is intact; its version validates the decrypted
-		// in-enclave copy, and the bytes are reused on a decode miss.
-		blob, storeVersion, err := e.fetchObject(objName(id))
-		if err != nil {
-			return nil, 0, fmt.Errorf("fetching dirnode %s: %w", id, err)
-		}
-		if obj, objVersion, ok := e.cache.get(id, storeVersion); ok {
-			if d, ok := obj.(*metadata.Dirnode); ok && d.Parent == parent {
-				e.metrics.metadataCacheHits.Inc()
-				return d, objVersion, nil
-			}
-		}
-		p, body, err := e.openBlobVerified(id, blob, metadata.TypeDirnode, parent)
-		if err != nil {
-			return nil, 0, err
-		}
-		d, err := metadata.DecodeDirnodeBody(id, parent, body)
-		if err != nil {
-			return nil, 0, err
-		}
-		e.cache.put(id, storeVersion, p.Version, d, int64(len(body))+256)
-		return d, p.Version, nil
+	// Fetch is served by the AFS client cache (no network) when the
+	// callback promise is intact; its version validates the decrypted
+	// in-enclave copy, and the bytes are reused on a decode miss.
+	blob, storeVersion, err := e.fetchObject(e.metrics.metaIO, objName(id))
+	if err != nil {
+		return nil, 0, fmt.Errorf("fetching dirnode %s: %w", id, err)
 	}
-
-	p, body, _, err := e.openVerified(id, metadata.TypeDirnode, parent)
+	if obj, objVersion, ok := e.cache.get(id, storeVersion); ok {
+		if d, ok := obj.(*metadata.Dirnode); ok && d.Parent == parent {
+			e.metrics.metadataCacheHits.Inc()
+			return d, objVersion, nil
+		}
+	}
+	p, body, err := e.openBlobVerified(id, blob, metadata.TypeDirnode, parent)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -242,10 +171,13 @@ func (e *Enclave) loadDirnode(id, parent uuid.UUID) (*metadata.Dirnode, uint64, 
 	if err != nil {
 		return nil, 0, err
 	}
+	e.cache.put(id, storeVersion, p.Version, d, int64(len(body))+256)
 	return d, p.Version, nil
 }
 
-// openBlobVerified is openVerified for already-fetched bytes.
+// openBlobVerified opens already-fetched bytes with the rootkey and
+// applies the traversal checks: expected type, expected UUID, expected
+// parent (the file-swap defence, §IV-A3) and version freshness (§VI-C).
 func (e *Enclave) openBlobVerified(id uuid.UUID, blob []byte, wantType metadata.ObjType, wantParent uuid.UUID) (metadata.Preamble, []byte, error) {
 	return e.openBlobChecked(id, blob, wantType, &wantParent)
 }
@@ -282,7 +214,10 @@ func (e *Enclave) openBlobChecked(id uuid.UUID, blob []byte, wantType metadata.O
 func (e *Enclave) bucketLoaderFor(d *metadata.Dirnode) func(i int) (*metadata.Bucket, error) {
 	return func(i int) (*metadata.Bucket, error) {
 		ref := d.Refs[i]
-		blob, _, err := e.fetchObject(objName(ref.UUID))
+		blob, _, err := e.fetchObject(e.metrics.metaIO, objName(ref.UUID))
+		if isNotExist(err) {
+			return nil, fmt.Errorf("fetching bucket %s of dirnode %s: %w: %w", ref.UUID, d.UUID, errBucketGone, err)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("fetching bucket %s: %w", ref.UUID, err)
 		}
@@ -391,11 +326,11 @@ func (e *Enclave) flushDirnodeLocked(d *metadata.Dirnode, version uint64) error 
 	// always find a consistent (main, buckets) snapshot — either entirely
 	// old or entirely new — with no torn window between the writes.
 	for _, pl := range plans {
-		if _, err := e.putObject(objName(pl.newUUID), pl.blob); err != nil {
+		if _, err := e.putObject(e.metrics.metaIO, objName(pl.newUUID), pl.blob); err != nil {
 			return fmt.Errorf("uploading bucket %s: %w", pl.newUUID, err)
 		}
 	}
-	storeVersion, err := e.putObject(objName(d.UUID), mainBlob)
+	storeVersion, err := e.putObject(e.metrics.metaIO, objName(d.UUID), mainBlob)
 	if err != nil {
 		return fmt.Errorf("uploading dirnode %s: %w", d.UUID, err)
 	}
@@ -420,9 +355,7 @@ func (e *Enclave) flushDirnodeLocked(d *metadata.Dirnode, version uint64) error 
 	e.noteSeenLocked(d.UUID, version)
 	e.metrics.metadataFlushes.Inc()
 	e.metrics.metadataBytes.Add(int64(len(mainBlob)))
-	if e.cache != nil {
-		e.cache.put(d.UUID, storeVersion, version, d, int64(len(body))+256)
-	}
+	e.cache.put(d.UUID, storeVersion, version, d, int64(len(body))+256)
 	return e.recordFreshnessLocked(freshUpdates)
 }
 
@@ -441,17 +374,15 @@ func (e *Enclave) loadFilenode(id, parent uuid.UUID) (*metadata.Filenode, uint64
 		}
 		return f, base, nil
 	}
-	blob, storeVersion, err := e.fetchObject(objName(id))
+	blob, storeVersion, err := e.fetchObject(e.metrics.metaIO, objName(id))
 	if err != nil {
 		return nil, 0, fmt.Errorf("fetching filenode %s: %w", id, err)
 	}
-	if e.cache != nil {
-		if obj, objVersion, ok := e.cache.get(id, storeVersion); ok {
-			if f, ok := obj.(*metadata.Filenode); ok {
-				if f.LinkCount > 1 || f.Parent.IsNil() || f.Parent == parent {
-					e.metrics.metadataCacheHits.Inc()
-					return f, objVersion, nil
-				}
+	if obj, objVersion, ok := e.cache.get(id, storeVersion); ok {
+		if f, ok := obj.(*metadata.Filenode); ok {
+			if f.LinkCount > 1 || f.Parent.IsNil() || f.Parent == parent {
+				e.metrics.metadataCacheHits.Inc()
+				return f, objVersion, nil
 			}
 		}
 	}
@@ -467,9 +398,7 @@ func (e *Enclave) loadFilenode(id, parent uuid.UUID) (*metadata.Filenode, uint64
 		return nil, 0, fmt.Errorf("%w: filenode %s has parent %s, want %s (file-swap defence)",
 			metadata.ErrTampered, id, f.Parent, parent)
 	}
-	if e.cache != nil {
-		e.cache.put(id, storeVersion, p.Version, f, int64(len(body))+128)
-	}
+	e.cache.put(id, storeVersion, p.Version, f, int64(len(body))+128)
 	return f, p.Version, nil
 }
 
@@ -484,15 +413,13 @@ func (e *Enclave) flushFilenodeLocked(f *metadata.Filenode, version uint64) erro
 	if err != nil {
 		return fmt.Errorf("sealing filenode %s: %w", f.UUID, err)
 	}
-	storeVersion, err := e.putObject(objName(f.UUID), blob)
+	storeVersion, err := e.putObject(e.metrics.metaIO, objName(f.UUID), blob)
 	if err != nil {
 		return fmt.Errorf("uploading filenode %s: %w", f.UUID, err)
 	}
 	e.noteSeenLocked(f.UUID, version)
 	e.metrics.metadataFlushes.Inc()
 	e.metrics.metadataBytes.Add(int64(len(blob)))
-	if e.cache != nil {
-		e.cache.put(f.UUID, storeVersion, version, f, int64(len(blob))+128)
-	}
+	e.cache.put(f.UUID, storeVersion, version, f, int64(len(blob))+128)
 	return e.recordFreshnessLocked(map[uuid.UUID]uint64{f.UUID: version})
 }

@@ -100,19 +100,30 @@ func newAuthedEnclave(t *testing.T, cfg Config) *Enclave {
 	return e
 }
 
-// TestStreamingWriteFileRoundTrip drives WriteFile through the
-// encrypt-while-upload path (cutoff forced to one byte) at several
-// worker widths: the store must receive the full sealed object through
-// the stream surface, round trips stay byte-identical, and tampering
-// with the streamed object still trips chunk authentication.
-func TestStreamingWriteFileRoundTrip(t *testing.T) {
-	data := make([]byte, 64<<10)
+// streamChunkSize keeps a cutoff-sized payload at 64 chunks, enough for
+// every worker width below to have several chunks in flight.
+const streamChunkSize = 64 << 10
+
+// patterned returns n deterministic, non-repeating-per-chunk bytes.
+func patterned(n int, seed byte) []byte {
+	data := make([]byte, n)
 	for i := range data {
-		data[i] = byte(i*37 + 5)
+		data[i] = byte(i*37+i>>12) + seed
 	}
+	return data
+}
+
+// TestStreamingWriteFileRoundTrip drives WriteFile through the
+// encrypt-while-upload path (a payload of exactly streamPutCutoff bytes,
+// the smallest that streams) at several worker widths: the store must
+// receive the full sealed object through the stream surface, round trips
+// stay byte-identical, and tampering with the streamed object still
+// trips chunk authentication.
+func TestStreamingWriteFileRoundTrip(t *testing.T) {
+	data := patterned(streamPutCutoff, 5)
 	for _, workers := range []int{1, 2, 8} {
 		store := newStreamMemStore()
-		e := newAuthedEnclave(t, Config{Store: store, ChunkSize: 4096, CryptoWorkers: workers, StreamPutCutoff: 1})
+		e := newAuthedEnclave(t, Config{Store: store, ChunkSize: streamChunkSize, CryptoWorkers: workers})
 
 		if err := e.Touch("/blob"); err != nil {
 			t.Fatal(err)
@@ -133,7 +144,7 @@ func TestStreamingWriteFileRoundTrip(t *testing.T) {
 
 		// Corrupt the streamed data object (the only object whose length
 		// is the sealed size) and expect authentication to fail.
-		sealedLen := len(data) + (len(data)/4096)*16
+		sealedLen := len(data) + (len(data)/streamChunkSize)*16
 		names, err := store.mem.List("")
 		if err != nil {
 			t.Fatal(err)
@@ -169,9 +180,9 @@ func TestStreamingWriteFileRoundTrip(t *testing.T) {
 // with the never-persisted rotated keys — returns the old contents.
 func TestStreamingPutFailureKeepsOldContent(t *testing.T) {
 	store := newStreamMemStore()
-	e := newAuthedEnclave(t, Config{Store: store, ChunkSize: 4096, CryptoWorkers: 2, StreamPutCutoff: 1})
+	e := newAuthedEnclave(t, Config{Store: store, ChunkSize: streamChunkSize, CryptoWorkers: 2})
 
-	v1 := bytes.Repeat([]byte("first version of the file "), 1024)
+	v1 := patterned(streamPutCutoff, 1)
 	if err := e.Touch("/f"); err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +191,14 @@ func TestStreamingPutFailureKeepsOldContent(t *testing.T) {
 	}
 
 	store.setFailAfter(1024)
-	v2 := bytes.Repeat([]byte("second version, bigger and doomed "), 2048)
+	v2 := patterned(streamPutCutoff+3*streamChunkSize, 2)
 	if err := e.WriteFile("/f", v2); err == nil {
 		t.Fatal("WriteFile with mid-stream store failure succeeded")
 	}
 	store.setFailAfter(0)
+	if n := store.streamPutCount(); n != 1 {
+		t.Fatalf("completed streamed puts = %d, want 1 (v1 only)", n)
+	}
 
 	got, err := e.ReadFile("/f")
 	if err != nil {
@@ -195,32 +209,41 @@ func TestStreamingPutFailureKeepsOldContent(t *testing.T) {
 	}
 }
 
-// TestSmallWritesSkipStreaming pins the cutoff semantics: writes below
-// StreamPutCutoff take the batch put even on stream-capable stores, and
-// a negative cutoff disables streaming entirely.
+// TestSmallWritesSkipStreaming pins what selects the assembled put: a
+// write one byte below streamPutCutoff takes it even on a
+// stream-capable store, and a store without PutVersionedStream takes it
+// at any size.
 func TestSmallWritesSkipStreaming(t *testing.T) {
 	store := newStreamMemStore()
-	e := newAuthedEnclave(t, Config{Store: store, ChunkSize: 4096, StreamPutCutoff: 1 << 20})
+	e := newAuthedEnclave(t, Config{Store: store, ChunkSize: streamChunkSize})
 	if err := e.Touch("/small"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/small", make([]byte, 8<<10)); err != nil {
+	below := patterned(streamPutCutoff-1, 3)
+	if err := e.WriteFile("/small", below); err != nil {
 		t.Fatal(err)
 	}
 	if n := store.streamPutCount(); n != 0 {
 		t.Fatalf("below-cutoff write used streaming put %d times", n)
 	}
+	if got, err := e.ReadFile("/small"); err != nil || !bytes.Equal(got, below) {
+		t.Fatalf("below-cutoff round trip: mismatch or error %v", err)
+	}
 
-	store2 := newStreamMemStore()
-	e2 := newAuthedEnclave(t, Config{Store: store2, ChunkSize: 4096, StreamPutCutoff: -1})
+	plain := newMemObjectStore()
+	if _, ok := ObjectStore(plain).(StreamObjectStore); ok {
+		t.Fatal("memObjectStore grew a streaming put; this case needs a store without one")
+	}
+	e2 := newAuthedEnclave(t, Config{Store: plain, ChunkSize: streamChunkSize})
 	if err := e2.Touch("/big"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.WriteFile("/big", make([]byte, 64<<10)); err != nil {
-		t.Fatal(err)
+	big := patterned(streamPutCutoff, 4)
+	if err := e2.WriteFile("/big", big); err != nil {
+		t.Fatalf("cutoff-sized write on a store without a streaming put: %v", err)
 	}
-	if n := store2.streamPutCount(); n != 0 {
-		t.Fatalf("negative cutoff still streamed %d times", n)
+	if got, err := e2.ReadFile("/big"); err != nil || !bytes.Equal(got, big) {
+		t.Fatalf("assembled round trip at the cutoff: mismatch or error %v", err)
 	}
 }
 

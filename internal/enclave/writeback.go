@@ -406,7 +406,7 @@ func (e *Enclave) flushDirtyExistingDirnodeLocked(id uuid.UUID, n *dirtyNode) er
 		return fmt.Errorf("locking dirnode %s: %w", id, err)
 	}
 	defer release()
-	blob, _, err := e.fetchObject(objName(id))
+	blob, _, err := e.fetchObject(e.metrics.metaIO, objName(id))
 	if err != nil {
 		return fmt.Errorf("fetching dirnode %s: %w", id, err)
 	}

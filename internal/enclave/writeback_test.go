@@ -820,15 +820,20 @@ func TestWritebackRemoveVariants(t *testing.T) {
 
 // TestWritebackEPCPressureForcesDrain exhausts the platform's EPC so
 // the dirty-set charge fails: the mark must still succeed, flag
-// pressure, and force an inline drain that publishes the entry.
+// pressure, and force an inline drain that publishes the entry. The
+// metadata cache cannot charge its entries either, so every object the
+// operations load or flush stays uncached and must still be served
+// correctly from the store.
 func TestWritebackEPCPressureForcesDrain(t *testing.T) {
 	store := newMemObjectStore()
 	owner := newIdentity(t, "owen")
 	env := newWbEnv(t, owner, Config{Store: store})
 	e := env.enclave
 
-	// Grab the remaining EPC budget (binary descent, so the hog ends
-	// within one byte of the true remainder).
+	// Grab the whole EPC budget, the cache's share included (binary
+	// descent, so the hog ends within one byte of the true remainder).
+	e.DropCaches()
+	hitsBefore := e.Stats().MetadataCacheHits
 	var hog int64
 	for chunk := int64(1 << 32); chunk >= 1; chunk /= 2 {
 		for e.sgx.AllocEPC(chunk) == nil {
@@ -837,6 +842,18 @@ func TestWritebackEPCPressureForcesDrain(t *testing.T) {
 	}
 	if err := e.Touch("/pressured"); err != nil {
 		t.Fatalf("Touch under EPC pressure: %v", err)
+	}
+	if err := e.WriteFile("/pressured", []byte("uncached")); err != nil {
+		t.Fatalf("WriteFile under EPC pressure: %v", err)
+	}
+	if got, err := e.ReadFile("/pressured"); err != nil || string(got) != "uncached" {
+		t.Fatalf("ReadFile under EPC pressure = %q, %v", got, err)
+	}
+	if st, err := e.Lookup("/pressured"); err != nil || st.Size != uint64(len("uncached")) {
+		t.Fatalf("Lookup under EPC pressure = %+v, %v", st, err)
+	}
+	if hits := e.Stats().MetadataCacheHits - hitsBefore; hits != 0 {
+		t.Fatalf("%d metadata cache hits with no EPC left to cache in", hits)
 	}
 	e.sgx.FreeEPC(hog)
 

@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // File is one parsed source file of a package.
@@ -68,10 +69,22 @@ type Module struct {
 	lockedF, dirtyF, spanF *[]Finding
 }
 
+// sharedFset and stdlib are process-wide: the source importer
+// type-checks each standard-library package once and caches it, keyed to
+// the file set it was built with, so every LoadModule call after the
+// first resolves its stdlib imports from that cache instead of
+// re-checking them from source. The importer is not safe for concurrent
+// use; stdlibMu serializes it.
+var (
+	sharedFset = token.NewFileSet()
+	stdlibMu   sync.Mutex
+	stdlib     = importer.ForCompiler(sharedFset, "source", nil)
+)
+
 // LoadModule parses and type-checks every package under root (the
 // directory containing go.mod). Standard-library imports are resolved by
-// the stdlib source importer; module-internal imports are resolved against
-// the packages being loaded, in dependency order.
+// the shared stdlib source importer; module-internal imports are resolved
+// against the packages being loaded, in dependency order.
 func LoadModule(root string) (*Module, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -83,7 +96,7 @@ func LoadModule(root string) (*Module, error) {
 		return nil, err
 	}
 
-	fset := token.NewFileSet()
+	fset := sharedFset
 	pkgs := make(map[string]*Package) // import path -> parsed package
 	for _, dir := range dirs {
 		pkg, err := parseDir(fset, root, modPath, dir)
@@ -103,7 +116,6 @@ func LoadModule(root string) (*Module, error) {
 	imp := &moduleImporter{
 		module: modPath,
 		pkgs:   make(map[string]*types.Package),
-		std:    importer.ForCompiler(fset, "source", nil),
 	}
 	for _, pkg := range order {
 		if err := typeCheck(fset, imp, pkg); err != nil {
@@ -276,11 +288,10 @@ func topoSort(pkgs map[string]*Package, modPath string) ([]*Package, error) {
 }
 
 // moduleImporter resolves module-internal imports from already checked
-// packages and everything else from the stdlib source importer.
+// packages and everything else from the shared stdlib source importer.
 type moduleImporter struct {
 	module string
 	pkgs   map[string]*types.Package
-	std    types.Importer
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -290,7 +301,9 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	if path == m.module || strings.HasPrefix(path, m.module+"/") {
 		return nil, fmt.Errorf("module package %s not loaded (import cycle?)", path)
 	}
-	return m.std.Import(path)
+	stdlibMu.Lock()
+	defer stdlibMu.Unlock()
+	return stdlib.Import(path)
 }
 
 // typeCheck runs go/types over a package's primary files.

@@ -211,9 +211,6 @@ type ClientConfig struct {
 	// reads and writes: 0 uses GOMAXPROCS (serial below a small-file
 	// cutoff), 1 forces the serial path.
 	CryptoWorkers int
-	// EPCSize overrides the simulated enclave page cache budget
-	// (default ~96 MiB, the paper's hardware).
-	EPCSize int64
 	// TransitionCost simulates per-ecall/ocall crossing latency.
 	TransitionCost time.Duration
 	// PlatformSeed, when set, derives the simulated CPU's fused secrets
@@ -221,9 +218,6 @@ type ClientConfig struct {
 	// (persist it like a machine credential). Empty means an ephemeral
 	// platform.
 	PlatformSeed []byte
-	// DisableMetadataCache turns off the in-enclave metadata cache
-	// (ablation studies).
-	DisableMetadataCache bool
 	// Obs, when set, is the observability registry the whole stack
 	// (vfs, enclave, SGX transitions) records into — share one registry
 	// across clients to aggregate, or leave nil for a private registry
@@ -254,10 +248,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("nexus: ClientConfig.Store is required")
 	}
-	platformCfg := sgx.PlatformConfig{
-		EPCSize:        cfg.EPCSize,
-		TransitionCost: cfg.TransitionCost,
-	}
+	platformCfg := sgx.PlatformConfig{TransitionCost: cfg.TransitionCost}
 	var platform *sgx.Platform
 	var err error
 	if len(cfg.PlatformSeed) > 0 {
@@ -277,15 +268,14 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		store = vfs.NewFreshnessStore(store)
 	}
 	encl, err := enclave.New(enclave.Config{
-		SGX:                  container,
-		Store:                store,
-		IAS:                  cfg.IAS,
-		BucketSize:           cfg.BucketSize,
-		ChunkSize:            cfg.ChunkSize,
-		ContentDefined:       cfg.ContentDefined,
-		CryptoWorkers:        cfg.CryptoWorkers,
-		DisableMetadataCache: cfg.DisableMetadataCache,
-		Obs:                  cfg.Obs,
+		SGX:            container,
+		Store:          store,
+		IAS:            cfg.IAS,
+		BucketSize:     cfg.BucketSize,
+		ChunkSize:      cfg.ChunkSize,
+		ContentDefined: cfg.ContentDefined,
+		CryptoWorkers:  cfg.CryptoWorkers,
+		Obs:            cfg.Obs,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("nexus: creating enclave: %w", err)

@@ -145,39 +145,6 @@ func TestVolumeACLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDisabledMetadataCacheStillCorrect(t *testing.T) {
-	client, err := NewClient(ClientConfig{
-		Store:                NewMemoryStore(),
-		DisableMetadataCache: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner, err := NewIdentity("owen")
-	if err != nil {
-		t.Fatal(err)
-	}
-	vol, _, err := client.CreateVolume(owner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := vol.FS()
-	if err := fs.MkdirAll("/a/b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile("/a/b/f", []byte("uncached")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadFile("/a/b/f")
-	if err != nil || string(got) != "uncached" {
-		t.Fatalf("read = %q, %v", got, err)
-	}
-	client.Enclave().DropCaches() // no-op without a cache; must not panic
-	if st := client.Enclave().Stats(); st.MetadataCacheHits != 0 {
-		t.Fatalf("cache hits with cache disabled: %d", st.MetadataCacheHits)
-	}
-}
-
 func TestMountWrongVolumeID(t *testing.T) {
 	client, err := NewClient(ClientConfig{Store: NewMemoryStore()})
 	if err != nil {

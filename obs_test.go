@@ -332,7 +332,7 @@ func afsSpanNames(s *Span) []string {
 	return names
 }
 
-// TestObservabilityRPCBudget pins the exact, ordered AFS frames two op
+// TestObservabilityRPCBudget pins the exact, ordered AFS frames five op
 // classes cost (DESIGN.md §11.5). Every frame is a LAN round trip (a
 // one-way unlock: half of one), so a frame added here is a latency
 // regression on every such op: the test fails until the table and the
@@ -394,6 +394,58 @@ func TestObservabilityRPCBudget(t *testing.T) {
 		}
 		if !bytes.Equal(got, data) {
 			t.Fatal("read returned different bytes")
+		}
+	})
+
+	// The ACL and rename rows go straight to the enclave, so their root
+	// span is the one ecall. They are measured on a directory whose
+	// previous flush retired no bucket: the grant below is that flush
+	// (it also deletes the bucket the create above superseded, a
+	// `remove` that would otherwise ride along under the next lock).
+	bob, err := NewIdentity("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.vol.AddUser("bob", bob.PublicKey); err != nil {
+		t.Fatal(err)
+	}
+	group, err := st.vol.UserGroup("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.vol.SetACL("/docs", "bob", ReadWrite); err != nil {
+		t.Fatal(err)
+	}
+
+	// Revocation, the paper's whole cost (§VII-E): one directory re-seal
+	// under the directory's lock — no bucket changes, so the dirnode's
+	// main object alone — then the freshness tree and root under the
+	// root's lock; the directory's unlock leaves last.
+	reseal := []string{
+		"lock", "store",
+		"lock", "store", "store", "unlock",
+		"unlock",
+	}
+	budget("SetACL (revoke)", "sgx.ecall", reseal, func() {
+		if err := st.vol.SetACL("/docs", "bob", NoRights); err != nil {
+			t.Fatal(err)
+		}
+	})
+	budget("SetGroupACL", "sgx.ecall", reseal, func() {
+		if err := st.vol.SetGroupACL("/docs", group, ReadOnly); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// Same-directory rename: SetACL's sequence plus the one rewritten
+	// bucket, stored before the dirnode that names it.
+	budget("rename within a directory", "sgx.ecall", []string{
+		"lock", "store", "store",
+		"lock", "store", "store", "unlock",
+		"unlock",
+	}, func() {
+		if err := fs.Rename("/docs/second", "/docs/renamed"); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
