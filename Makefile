@@ -42,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzGroupTreeDecode -fuzztime=$(FUZZTIME) ./internal/groupkey/
 	$(GO) test -run=^$$ -fuzz=FuzzMerkleProofDecode -fuzztime=$(FUZZTIME) ./internal/merkle/
 	$(GO) test -run=^$$ -fuzz=FuzzMerkleTreeDecode -fuzztime=$(FUZZTIME) ./internal/merkle/
+	$(GO) test -run=^$$ -fuzz=FuzzFreshnessFrameDecode -fuzztime=$(FUZZTIME) ./internal/vfs/
 	$(GO) test -run=^$$ -fuzz=FuzzChunkerBoundaries -fuzztime=$(FUZZTIME) ./internal/chunker/
 	$(GO) test -run=^$$ -fuzz=FuzzCASDecode -fuzztime=$(FUZZTIME) ./internal/cas/
 
@@ -109,12 +110,15 @@ cover:
 merkle:
 	$(GO) test -race -count=1 ./internal/merkle/
 	$(GO) test -race -count=1 -run 'TestFreshnessStore' ./internal/vfs/
-	$(GO) test -race -count=1 -run 'TestMerkle|TestRollback|TestFork|TestProofTampering|TestRootObject|TestPropertyMerkle' ./internal/enclave/
+	$(GO) test -race -count=1 -run 'TestMerkle|TestRollback|TestFork|TestProofTampering|TestRoot|TestPropertyMerkle' ./internal/enclave/
 
 # freshness-sweep reproduces the DESIGN.md §15 freshness-at-scale sweep
 # (10^3–10^6 objects): per-load Merkle proof verification (O(log n)
-# evidence, 40-byte enclave state), and writes the rows into the JSON
-# report for nexus-benchdiff (informational proof_bytes/op column).
+# evidence, 40-byte enclave state) and, on the update side, the bytes a
+# one-leaf epoch moves to and from the store with checkpoints amortised
+# (O(√n), §15.3) and the epochs per checkpoint; it writes the rows into
+# the JSON report for nexus-benchdiff (informational proof_bytes/op,
+# update_bytes_per_epoch and epochs_per_checkpoint columns).
 freshness-sweep:
 	$(GO) run ./cmd/nexus-bench -exp freshness -json \
 		-objects 1000,10000,100000,1000000

@@ -9,6 +9,7 @@
 //	identity.key   Ed25519 private key (hex)
 //	volume.id      mounted volume UUID (hex)
 //	volume.key     SGX-sealed volume rootkey
+//	volume.epoch   last Merkle root commitment this machine accepted
 //
 // Usage:
 //
@@ -16,7 +17,14 @@
 //	      [-content-defined] <command> [args]
 //
 // Every volume is rollback-protected by the Merkle-authenticated
-// namespace (DESIGN.md §15). -content-defined stores file contents as
+// namespace (DESIGN.md §15). Each command is its own process and its own
+// enclave, so the epoch ordering that catches a store rolled back as a
+// whole — sealed root, tree and objects together — is carried from one
+// command to the next in volume.epoch: a store whose root is older than
+// the one recorded there fails closed. Deleting that file forgets the
+// history, and the volume is then as a machine that never mounted it
+// sees it (the fork-consistency bound of §15.2).
+// -content-defined stores file contents as
 // deduplicated content-defined chunks (DESIGN.md §16).
 //
 // Commands:
@@ -48,6 +56,7 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -56,6 +65,7 @@ import (
 
 	"nexus"
 	"nexus/internal/afs"
+	"nexus/internal/enclave"
 	"nexus/internal/obs"
 	"nexus/internal/uuid"
 )
@@ -153,6 +163,9 @@ func (c *cli) command(cmd string, rest []string) (err error) {
 	defer func() {
 		if serr := fs.Sync(); err == nil {
 			err = serr
+		}
+		if rerr := c.recordEpoch(fs.Enclave()); err == nil {
+			err = rerr
 		}
 	}()
 
@@ -384,7 +397,7 @@ func (c *cli) initVolume() error {
 		return err
 	}
 	fmt.Printf("created volume %s owned by %s\n", volID, id.Name)
-	return nil
+	return c.recordEpoch(client.Enclave())
 }
 
 func (c *cli) mount() (*nexus.Volume, error) {
@@ -408,5 +421,51 @@ func (c *cli) mount() (*nexus.Volume, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := c.resumeEpoch(client.Enclave()); err != nil {
+		return nil, err
+	}
 	return client.Mount(id, sealed, volID)
+}
+
+// resumeEpoch hands the enclave the root commitment the previous command
+// recorded, so the first root it reads from the store must be that one
+// or a successor. No file means no history: the first command against a
+// volume, or a home directory from before the file existed.
+func (c *cli) resumeEpoch(e *enclave.Enclave) error {
+	data, err := os.ReadFile(c.path("volume.epoch"))
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	var epoch uint64
+	var rootHex string
+	if _, err := fmt.Sscanf(string(data), "%d %s", &epoch, &rootHex); err != nil {
+		return fmt.Errorf("corrupt volume epoch: %w", err)
+	}
+	var root [32]byte
+	raw, err := hex.DecodeString(rootHex)
+	if err != nil || len(raw) != len(root) {
+		return fmt.Errorf("corrupt volume epoch: bad root %q", rootHex)
+	}
+	copy(root[:], raw)
+	e.ResumeFreshnessEpoch(epoch, root)
+	return nil
+}
+
+// recordEpoch saves the newest root commitment the enclave accepted for
+// the next command's resumeEpoch. The file is replaced by rename, so a
+// command that dies here leaves the previous record, which is only a
+// lower floor.
+func (c *cli) recordEpoch(e *enclave.Enclave) error {
+	epoch, root, ok := e.FreshnessEpoch()
+	if !ok {
+		return nil
+	}
+	tmp := c.path("volume.epoch.tmp")
+	if err := os.WriteFile(tmp, []byte(fmt.Sprintf("%d %x\n", epoch, root)), 0o600); err != nil {
+		return err
+	}
+	return os.Rename(tmp, c.path("volume.epoch"))
 }

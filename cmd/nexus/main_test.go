@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,11 +70,47 @@ func readStoreDir(t *testing.T, dir string) map[string][]byte {
 	return snap
 }
 
+// restoreStoreDir makes the directory store exactly snap again: what an
+// attacker who kept a copy of the whole volume can do.
+func restoreStoreDir(t *testing.T, dir string, snap map[string][]byte) {
+	t.Helper()
+	for name := range readStoreDir(t, dir) {
+		if _, kept := snap[name]; !kept {
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, data := range snap {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// recordedEpoch reads the epoch the last command left in volume.epoch.
+func recordedEpoch(t *testing.T, home string) uint64 {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(home, "volume.epoch"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var epoch uint64
+	var root string
+	if _, err := fmt.Sscanf(string(data), "%d %s", &epoch, &root); err != nil || len(root) != 64 {
+		t.Fatalf("volume.epoch holds %q (%v)", data, err)
+	}
+	return epoch
+}
+
 // TestVolumeSurvivesRestartAndRejectsRollback crosses the process
-// boundary on a directory store: the sealed Merkle root and the
-// persisted freshness tree must carry a volume from one invocation to
-// the next (PlatformSeed keeps the rootkey unsealable), and a store
-// directory rolled back behind the client's back must fail closed.
+// boundary on a directory store: the sealed Merkle root with its delta
+// trailer, and the freshness checkpoint once there is one, must carry a
+// volume from one invocation to the next (PlatformSeed keeps the rootkey
+// unsealable), and a store directory rolled back behind the client's
+// back must fail closed — the metadata objects alone, or the whole
+// volume, which only the epoch carried in volume.epoch can tell from an
+// honest one.
 func TestVolumeSurvivesRestartAndRejectsRollback(t *testing.T) {
 	home := t.TempDir()
 	storeDir := filepath.Join(home, "store")
@@ -91,10 +128,8 @@ func TestVolumeSurvivesRestartAndRejectsRollback(t *testing.T) {
 	writeLocal("first draft")
 	mustProcess(t, home, "put", local, "/docs/x")
 
-	for _, name := range []string{enclave.MerkleRootObjectName, vfs.FreshnessTreeObjectName} {
-		if _, err := os.Stat(filepath.Join(storeDir, name)); err != nil {
-			t.Fatalf("store directory lacks %q after the first writes: %v", name, err)
-		}
+	if _, err := os.Stat(filepath.Join(storeDir, enclave.MerkleRootObjectName)); err != nil {
+		t.Fatalf("store directory lacks the sealed root after the first writes: %v", err)
 	}
 
 	// A new process reads back what the earlier ones wrote (and a
@@ -123,6 +158,7 @@ func TestVolumeSurvivesRestartAndRejectsRollback(t *testing.T) {
 	old := readStoreDir(t, storeDir)
 	writeLocal("second draft")
 	mustProcess(t, home, "put", local, "/docs/x")
+	current, newest := readStoreDir(t, storeDir), recordedEpoch(t, home)
 	rolledBack := 0
 	for name, data := range old {
 		if name == enclave.MerkleRootObjectName || name == vfs.FreshnessTreeObjectName {
@@ -144,17 +180,40 @@ func TestVolumeSurvivesRestartAndRejectsRollback(t *testing.T) {
 		t.Fatalf("get after metadata rollback = %v, want ErrStaleMetadata", err)
 	}
 
-	// Rolling the sealed root back as well does not help once the
-	// freshness tree has moved on: nothing proves the old commitment.
-	// (One epoch back is still provable from the tree's undo log, and a
-	// new process has no epoch memory — the fork-consistency bound of
-	// DESIGN.md §15 — so the owner writes once more first.)
-	writeLocal("third draft")
-	mustProcess(t, home, "put", local, "/docs/y")
-	if err := os.WriteFile(filepath.Join(storeDir, enclave.MerkleRootObjectName), old[enclave.MerkleRootObjectName], 0o600); err != nil {
+	// The whole volume put back as it was — root, checkpoint and objects,
+	// one epoch old, with no write in between: a self-consistent volume
+	// that every proof vouches for. The store cannot show it is stale;
+	// the epoch this machine recorded after its last command does.
+	if _, err := os.Stat(filepath.Join(storeDir, vfs.FreshnessTreeObjectName)); err != nil {
+		t.Fatalf("store directory has no freshness checkpoint after %d epochs: %v", recordedEpoch(t, home), err)
+	}
+	restoreStoreDir(t, storeDir, old)
+	if _, err := process(t, home, "get", "/docs/x", fetched); !errors.Is(err, enclave.ErrStaleObject) {
+		t.Fatalf("get after a whole-volume rollback = %v, want ErrStaleObject", err)
+	}
+	if got := recordedEpoch(t, home); got != newest {
+		t.Fatalf("the rejected rollback moved volume.epoch from %d to %d", newest, got)
+	}
+
+	// The bound, not hidden: a machine with no record of the volume — this
+	// one, once volume.epoch is deleted — has nothing to hold the store to,
+	// and reads the old volume as any first-time client would (DESIGN.md
+	// §15.2, fork consistency). The record then restarts from what it saw.
+	if err := os.Remove(filepath.Join(home, "volume.epoch")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := process(t, home, "get", "/docs/x", fetched); !errors.Is(err, enclave.ErrBadProof) {
-		t.Fatalf("get after root rollback = %v, want ErrBadProof", err)
+	mustProcess(t, home, "get", "/docs/x", fetched)
+	if got, err := os.ReadFile(fetched); err != nil || string(got) != "first draft" {
+		t.Fatalf("get with no epoch record = %q, %v; want the rolled-back contents", got, err)
+	}
+	if got := recordedEpoch(t, home); got != newest-1 {
+		t.Fatalf("volume.epoch restarted at %d, want %d: the rollback was not exactly one epoch", got, newest-1)
+	}
+
+	// The honest store back in place reads as the newer volume it is.
+	restoreStoreDir(t, storeDir, current)
+	mustProcess(t, home, "get", "/docs/x", fetched)
+	if got, err := os.ReadFile(fetched); err != nil || string(got) != "second draft" {
+		t.Fatalf("get from the honest store = %q, %v", got, err)
 	}
 }

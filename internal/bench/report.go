@@ -42,6 +42,13 @@ type Metric struct {
 	// proof. Informational in the compare gate — proof size moves by
 	// design when tree geometry changes.
 	ProofBytesPerOp float64 `json:"proof_bytes_per_op,omitempty"`
+	// UpdateBytesPerEpoch and EpochsPerCheckpoint are the update side of
+	// the same experiment: bytes moved to and from the store's freshness
+	// objects per one-leaf update epoch, checkpoints amortised, and the
+	// length of a checkpoint cycle. Informational in the compare gate;
+	// TestFreshnessSweepScaling gates their growth.
+	UpdateBytesPerEpoch float64 `json:"update_bytes_per_epoch,omitempty"`
+	EpochsPerCheckpoint float64 `json:"epochs_per_checkpoint,omitempty"`
 	// DedupRatio is logical bytes written over bytes actually uploaded
 	// and UploadedBytesPerOp the post-dedup upload cost per operation,
 	// from the dedup experiment. Both ride on informational metrics.

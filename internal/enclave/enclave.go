@@ -249,6 +249,10 @@ type Enclave struct {
 	mkRoot     [32]byte
 	mkEpoch    uint64
 	mkSeen     bool
+	// mkResumed marks a commitment handed over by ResumeFreshnessEpoch
+	// and not yet confirmed against the store: a floor for the first
+	// load, which therefore still has to happen.
+	mkResumed bool
 
 	// wb is the write-back dirty set; freshSink,
 	// when non-nil, absorbs freshness updates during a batch drain so

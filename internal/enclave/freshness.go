@@ -37,8 +37,9 @@ import (
 // plain ObjectStore the enclave falls back to the paper's baseline: the
 // per-object version memory alone.
 //
-// Trust boundary: proofs and the tree snapshot live untrusted and are
-// only ever *verified* in here; the sealed root object is
+// Trust boundary: proofs and the tree (a checkpoint object plus the
+// delta trailing the sealed root) live untrusted and are only ever
+// *verified* in here; the sealed root object is
 // integrity-protected by the rootkey AEAD, and rollback of the root
 // itself is caught by the in-enclave epoch (ErrStaleObject). A forked
 // server can still replay a sealed root from a *different* client's
@@ -55,13 +56,23 @@ var merkleRootID = uuid.UUID{0xff, 0xfd}
 // FreshnessProofStore is the ocall surface proof verification requires:
 // an ObjectStore that also maintains the freshness tree and serves
 // proofs against it (implemented by vfs.FreshnessStore).
+//
+// The contract between the two calls and the object space: a batch
+// staged by FreshnessUpdate becomes durable with the next put of
+// MerkleRootObjectName through the same store, and not before — the
+// sealed root and the tree state it commits to are one write. Until that
+// put succeeds the store keeps serving the epoch the batch was staged
+// at, and a batch whose put never happens is simply staged again. The
+// store learns the volume's epoch from the reads of MerkleRootObjectName
+// that pass through it, which is why the enclave re-reads the root under
+// its lock before every batch.
 type FreshnessProofStore interface {
 	ObjectStore
 	// FreshnessProof returns the encoded membership/absence proof for
 	// id against the tree at the given epoch (the enclave's current
 	// root). Serving any other epoch's proof simply fails verification.
 	FreshnessProof(id uuid.UUID, epoch uint64) ([]byte, error)
-	// FreshnessUpdate applies the batch to the tree at the given epoch,
+	// FreshnessUpdate stages the batch on the tree at the given epoch,
 	// returning one encoded proof per update, each valid against the
 	// tree state after the updates before it — exactly what the enclave
 	// folds into its next root.
@@ -100,7 +111,7 @@ func decodeMerkleRoot(body []byte) (root [merkle.HashSize]byte, epoch uint64, er
 // any sealed root below N — or a *different* root at exactly N, the
 // fork signature — is a rollback and fails closed.
 func (e *Enclave) loadMerkleRootLocked(force bool) error {
-	if e.mkSeen && !force {
+	if e.mkSeen && !e.mkResumed && !force {
 		return nil
 	}
 	blob, _, err := e.fetchObject(e.metrics.metaIO, MerkleRootObjectName)
@@ -109,7 +120,7 @@ func (e *Enclave) loadMerkleRootLocked(force bool) error {
 			if e.mkSeen && e.mkEpoch > 0 {
 				return fmt.Errorf("%w: merkle root object vanished after epoch %d", ErrStaleObject, e.mkEpoch)
 			}
-			e.mkRoot, e.mkEpoch, e.mkSeen = merkle.EmptyRoot(), 0, true
+			e.mkRoot, e.mkEpoch, e.mkSeen, e.mkResumed = merkle.EmptyRoot(), 0, true, false
 			return nil
 		}
 		return fmt.Errorf("fetching merkle root: %w", err)
@@ -136,8 +147,33 @@ func (e *Enclave) loadMerkleRootLocked(force bool) error {
 			return fmt.Errorf("%w: merkle root diverged at epoch %d (fork detected)", ErrStaleObject, epoch)
 		}
 	}
-	e.mkRoot, e.mkEpoch, e.mkSeen = root, epoch, true
+	e.mkRoot, e.mkEpoch, e.mkSeen, e.mkResumed = root, epoch, true, false
 	return nil
+}
+
+// FreshnessEpoch returns the newest root commitment this enclave has
+// accepted; ok is false before any has been loaded or committed. A
+// process that is about to exit keeps it (outside the store) and hands
+// it to its successor's ResumeFreshnessEpoch: the epoch ordering above
+// then spans processes, not just one enclave's lifetime.
+func (e *Enclave) FreshnessEpoch() (epoch uint64, root [merkle.HashSize]byte, ok bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.mkEpoch, e.mkRoot, e.mkSeen && !e.mkResumed
+}
+
+// ResumeFreshnessEpoch sets the commitment an earlier enclave of the same
+// volume last accepted as this one's floor, before the volume is mounted:
+// the first root read from the store must be at that epoch with that
+// root, or later. The floor is only a floor — the store's root is still
+// read and verified — and it never lowers one this enclave already has.
+func (e *Enclave) ResumeFreshnessEpoch(epoch uint64, root [merkle.HashSize]byte) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.mkSeen {
+		return
+	}
+	e.mkRoot, e.mkEpoch, e.mkSeen, e.mkResumed = root, epoch, true, true
 }
 
 // checkFreshnessLocked verifies a loaded object's version. Over a plain
@@ -285,10 +321,10 @@ func (e *Enclave) recordFreshnessLocked(updates map[uuid.UUID]uint64) error {
 		return fmt.Errorf("sealing merkle root: %w", err)
 	}
 	if _, err := e.putObject(e.metrics.metaIO, MerkleRootObjectName, blob); err != nil {
-		// The tree already advanced but the commitment did not: the
-		// store wrapper keeps the previous epoch reachable (its undo
-		// log), so proofs against the still-current root keep verifying
-		// and a retried batch converges on the same root.
+		// Neither the commitment nor the tree advanced — they are this
+		// one put — unless only the reply was lost; the re-read at the
+		// top of the retried batch tells, and either way the batch
+		// converges on the same root.
 		return fmt.Errorf("uploading merkle root: %w", err)
 	}
 	e.mkRoot, e.mkEpoch, e.mkSeen = root, next, true

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -41,6 +42,9 @@ type rawStore struct {
 	data  map[string][]byte
 	vers  map[string]uint64
 	onGet func(name string, data []byte, version uint64) ([]byte, uint64)
+	// onPut, when set, decides each put's fate: whether it reaches the
+	// store at all, and what the caller is told.
+	onPut func(name string) (apply bool, err error)
 }
 
 func newRawStore() *rawStore {
@@ -65,9 +69,15 @@ func (s *rawStore) GetVersioned(name string) ([]byte, uint64, error) {
 func (s *rawStore) PutVersioned(name string, data []byte) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.data[name] = append([]byte(nil), data...)
-	s.vers[name]++
-	return s.vers[name], nil
+	apply, err := true, error(nil)
+	if s.onPut != nil {
+		apply, err = s.onPut(name)
+	}
+	if apply {
+		s.data[name] = append([]byte(nil), data...)
+		s.vers[name]++
+	}
+	return s.vers[name], err
 }
 
 func (s *rawStore) Delete(name string) error {
@@ -80,6 +90,12 @@ func (s *rawStore) Delete(name string) error {
 
 func (s *rawStore) Lock(name string) (func(), error) { return func() {}, nil }
 
+func (s *rawStore) setOnPut(f func(name string) (bool, error)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.onPut = f
+}
+
 func (s *rawStore) setOnGet(f func(name string, data []byte, version uint64) ([]byte, uint64)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -88,8 +104,8 @@ func (s *rawStore) setOnGet(f func(name string, data []byte, version uint64) ([]
 
 // freshnessObjects are the store names the staged stale replays leave
 // alone: the sealed root cannot be forged (its own rollback is
-// TestRollbackSealedRootEpochRegression's subject) and the tree is only
-// ever a source of proofs.
+// TestRollbackSealedRootEpochRegression's subject) and the checkpoint is
+// only ever a source of proofs.
 var freshnessObjects = map[string]bool{
 	enclave.MerkleRootObjectName: true,
 	vfs.FreshnessTreeObjectName:  true,
@@ -651,6 +667,181 @@ func TestRootObjectTampered(t *testing.T) {
 	c.encl.DropCaches()
 	if _, err := c.encl.Filldir("/d"); err != nil {
 		t.Fatalf("honest reads after tamper: %v", err)
+	}
+}
+
+// rootFrame splits the root object as the store holds it into the
+// enclave's sealed blob and the unsealed trailer vfs.FreshnessStore
+// appends (DESIGN.md §15.3: trailer ‖ its length ‖ magic).
+func rootFrame(t *testing.T, obj []byte) (sealed, trailer []byte) {
+	t.Helper()
+	if len(obj) < 8 {
+		t.Fatalf("root object of %d bytes has no frame footer", len(obj))
+	}
+	n := int(binary.LittleEndian.Uint32(obj[len(obj)-8:]))
+	if n+8 > len(obj) {
+		t.Fatalf("root object of %d bytes claims a %d-byte trailer", len(obj), n)
+	}
+	return obj[:len(obj)-8-n], obj[len(obj)-8-n:]
+}
+
+// TestRootTrailerTamperingFailsClosed rewrites the unsealed half of the
+// root object — the list of leaves changed since the checkpoint — under
+// a client that mounts fresh, with no memory to fall back on. The
+// trailer is not authenticated and does not need to be: a damaged one
+// yields a tree whose proofs do not verify against the sealed root, or
+// no tree at all, and the mount fails closed. Nothing an attacker writes
+// there makes an older metadata version acceptable.
+func TestRootTrailerTamperingFailsClosed(t *testing.T) {
+	c := newMerkleClient(t)
+	if err := c.encl.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	// Drain until the tree has a checkpoint and the root a delta on it.
+	var older []byte
+	for i := 0; ; i++ {
+		if i > 64 {
+			t.Fatal("64 drains wrote no checkpoint")
+		}
+		if err := c.encl.Touch(fmt.Sprintf("/d/f%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.raw.GetVersioned(vfs.FreshnessTreeObjectName); err == nil {
+			if older != nil {
+				break
+			}
+			if older, _, err = c.raw.GetVersioned(enclave.MerkleRootObjectName); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	snap := c.raw.snapshot()
+	if err := c.encl.WriteFile("/d/f0", []byte("rewritten")); err != nil {
+		t.Fatal(err)
+	}
+	honest, _, err := c.raw.GetVersioned(enclave.MerkleRootObjectName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, trailer := rootFrame(t, honest)
+	_, oldTrailer := rootFrame(t, older)
+	// Trailer layout: format(1) base(8) tip(8) spent(8) count(4), then
+	// 24-byte entries, then the 8-byte footer.
+	edit := func(f func(tr []byte)) []byte {
+		tr := append([]byte(nil), trailer...)
+		f(tr)
+		return append(append([]byte(nil), sealed...), tr...)
+	}
+	cases := map[string][]byte{
+		"truncated":                 honest[:len(honest)-5],
+		"bit flipped in the footer": edit(func(tr []byte) { tr[len(tr)-1] ^= 1 }),
+		"bit flipped in a version":  edit(func(tr []byte) { tr[len(tr)-8-8] ^= 1 }),
+		"bit flipped in a leaf id":  edit(func(tr []byte) { tr[len(tr)-8-24] ^= 0x80 }),
+		"entry count lowered":       edit(func(tr []byte) { tr[25]-- }),
+		"older root's trailer":      append(append([]byte(nil), sealed...), oldTrailer...),
+		"base past the checkpoint":  edit(func(tr []byte) { copy(tr[1:9], tr[9:17]) }),
+		"tip lowered":               edit(func(tr []byte) { tr[9]-- }),
+	}
+	for name, blob := range cases {
+		t.Run(name, func(t *testing.T) {
+			// Serve the damaged root together with the older, correctly
+			// sealed metadata objects it might vouch for.
+			c.raw.setOnGet(func(n string, b []byte, v uint64) ([]byte, uint64) {
+				if n == enclave.MerkleRootObjectName {
+					return append([]byte(nil), blob...), v
+				}
+				if old, ok := snap.data[n]; ok && !freshnessObjects[n] {
+					return append([]byte(nil), old...), snap.vers[n]
+				}
+				return b, v
+			})
+			defer c.raw.setOnGet(nil)
+			e := c.newEnclave(t, vfs.NewFreshnessStore(c.raw))
+			err := c.mount(e)
+			if err == nil {
+				// The file whose older filenode is being replayed.
+				_, err = e.ReadFile("/d/f0")
+			}
+			if !errors.Is(err, enclave.ErrBadProof) && !errors.Is(err, enclave.ErrStaleObject) && !errors.Is(err, metadata.ErrTampered) {
+				t.Fatalf("mount over a tampered trailer = %v, want ErrBadProof, ErrStaleObject or ErrTampered", err)
+			}
+		})
+	}
+	// The honest frame serves a fresh mount, with the current objects.
+	e := c.newEnclave(t, vfs.NewFreshnessStore(c.raw))
+	if err := c.mount(e); err != nil {
+		t.Fatalf("fresh mount over the honest root: %v", err)
+	}
+	if got, err := e.ReadFile("/d/f0"); err != nil || string(got) != "rewritten" {
+		t.Fatalf("fresh mount reads /d/f0 = %q, %v", got, err)
+	}
+}
+
+// TestRootPutFaultsConverge fails the one put that now commits both the
+// root and the tree state behind it, two ways: the put never reaches the
+// store, and the put lands but its reply is lost, so the server is an
+// epoch ahead of what the client believes. Either way the mutation is
+// acknowledged (the drain is best-effort), the barrier reports the
+// fault, the next barrier commits everything pending — re-reading the
+// root under its lock is what tells the two cases apart — and a fresh
+// mount finds every directory.
+func TestRootPutFaultsConverge(t *testing.T) {
+	for _, lost := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lost=%v", lost), func(t *testing.T) {
+			c := newMerkleClient(t)
+			if err := c.encl.Mkdir("/a"); err != nil {
+				t.Fatal(err)
+			}
+			before, beforeVersion, err := c.raw.GetVersioned(enclave.MerkleRootObjectName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fault := errors.New("root put fault")
+			c.raw.setOnPut(func(name string) (bool, error) {
+				if name == enclave.MerkleRootObjectName {
+					return lost, fault
+				}
+				return true, nil
+			})
+			if err := c.encl.Mkdir("/b"); err != nil {
+				t.Fatalf("Mkdir over a failing root put = %v, want the error deferred to the barrier", err)
+			}
+			if err := c.encl.SyncMetadata(); !errors.Is(err, fault) {
+				t.Fatalf("barrier over a failing root put = %v, want the store's fault", err)
+			}
+			c.raw.setOnPut(nil)
+			after, afterVersion, err := c.raw.GetVersioned(enclave.MerkleRootObjectName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lost == bytes.Equal(before, after) {
+				t.Fatalf("root object changed = %v with lost = %v: the fault under test did not occur", !bytes.Equal(before, after), lost)
+			}
+
+			// The client can still prove what it has committed.
+			c.encl.DropCaches()
+			if _, err := c.encl.Filldir("/a"); err != nil {
+				t.Fatalf("reads between the fault and the retry: %v", err)
+			}
+			if err := c.encl.Mkdir("/c"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.encl.SyncMetadata(); err != nil {
+				t.Fatalf("barrier after the fault cleared: %v", err)
+			}
+			if _, v, err := c.raw.GetVersioned(enclave.MerkleRootObjectName); err != nil || v <= afterVersion || v <= beforeVersion {
+				t.Fatalf("root object at version %d after the retry (err %v), was %d", v, err, afterVersion)
+			}
+			fresh := c.newEnclave(t, vfs.NewFreshnessStore(c.raw))
+			if err := c.mount(fresh); err != nil {
+				t.Fatalf("fresh mount after recovery: %v", err)
+			}
+			for _, dir := range []string{"/a", "/b", "/c"} {
+				if _, err := fresh.Filldir(dir); err != nil {
+					t.Fatalf("fresh mount cannot list %s: %v", dir, err)
+				}
+			}
+		})
 	}
 }
 

@@ -14,12 +14,13 @@ import (
 )
 
 // FreshnessTreeObjectName is the store object holding the untrusted
-// freshness-tree snapshot.
+// freshness-tree checkpoint.
 const FreshnessTreeObjectName = "freshness-tree"
 
 // ErrEpochUnavailable reports a proof request for an epoch this store
-// cannot reconstruct (neither current, previous, nor on-store). The
-// enclave maps it to a fail-closed proof rejection.
+// cannot reach: the root object on the store commits to another one, or
+// no checkpoint the root's trailer can be applied to exists. The enclave
+// maps it to a fail-closed proof rejection.
 var ErrEpochUnavailable = errors.New("vfs: freshness tree epoch unavailable")
 
 // FreshnessStore upgrades any enclave.ObjectStore to the
@@ -28,27 +29,31 @@ var ErrEpochUnavailable = errors.New("vfs: freshness tree epoch unavailable")
 // membership/absence proofs against it, while the enclave holds only
 // the root commitment (DESIGN.md §15).
 //
-// The tree snapshot persists as a plain (unsealed) store object — it
-// holds nothing secret, only version counters, and its integrity is
-// irrelevant: every proof drawn from it is verified inside the enclave
-// against the sealed root, so tampering here can only cause fail-closed
-// rejections, never acceptance of stale data.
+// The tree persists as checkpoint + delta (§15.3). The checkpoint object
+// is the whole tree at some epoch, written rarely. Every put of the
+// enclave's sealed root carries an unsealed trailer listing each leaf
+// changed since the checkpoint, so the commitment and the tree state it
+// commits to reach the store in one atomic write, and a reader brings its
+// tree to the root's epoch from the root object alone. A drain therefore
+// uploads what changed, not the namespace.
 //
-// Crash convergence: the snapshot carries an undo log of the last
-// batch, so the tree can serve proofs for its own epoch *and* the one
-// before it. The update protocol (tree persists first, the enclave's
-// sealed root commits second) therefore tolerates a crash between the
-// two writes — a re-mounted enclave still at the old epoch gets
-// epoch-consistent proofs, and re-applying the interrupted batch is
-// idempotent.
+// Neither object holds anything secret — only version counters — and the
+// integrity of neither matters: every proof drawn from them is verified
+// inside the enclave against the sealed root, so tampering here can only
+// cause fail-closed rejections, never acceptance of stale data.
 type FreshnessStore struct {
 	inner enclave.ObjectStore
 
-	mu     sync.Mutex
-	cur    *merkle.Tree
-	epoch  uint64
-	undo   []merkle.LeafUpdate // prior leaf values of the last batch (0 = absent)
-	loaded bool
+	mu sync.Mutex
+	// cur is the tree at epoch at.tip, and at the trailer of the root
+	// frame that put it there; cur is nil until the first root is read.
+	cur *merkle.Tree
+	at  rootTrailer
+	// next is the batch FreshnessUpdate staged, nil when there is none:
+	// the tree and trailer that become cur and at when the sealed root
+	// committing to them is put.
+	next   *merkle.Tree
+	nextAt rootTrailer
 }
 
 var _ enclave.FreshnessProofStore = (*FreshnessStore)(nil)
@@ -75,17 +80,51 @@ func (s *streamFreshnessStore) PutVersionedStream(name string, total int, next f
 	return s.stream.PutVersionedStream(name, total, next)
 }
 
-// GetVersioned, PutVersioned, Delete and Lock forward to the wrapped
-// store untouched — the tree rides alongside the object space, it does
-// not interpose on it.
+// GetVersioned forwards to the wrapped store. A read of the sealed root
+// is also how this store learns the volume's epoch: the trailer is
+// stripped before the enclave sees the blob and the resident tree follows
+// it, at no extra round trip. A frame that does not parse is handed up
+// whole, so the enclave's own authentication rejects it.
 func (s *FreshnessStore) GetVersioned(name string) ([]byte, uint64, error) {
-	return s.inner.GetVersioned(name)
+	data, version, err := s.inner.GetVersioned(name)
+	if name != enclave.MerkleRootObjectName {
+		return data, version, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// A tree that cannot follow this root is not this read's failure: the
+	// enclave gets the root it asked for, and the proof request that needs
+	// the tree re-reads it and reports why.
+	sealed, _ := s.followLocked(data, err)
+	return sealed, version, err
 }
 
+// PutVersioned forwards to the wrapped store. The put of the sealed root
+// is what makes the batch staged by FreshnessUpdate durable: the blob is
+// framed with the staged trailer, and the staged tree becomes the
+// resident one only once the store has the frame. A put that fails — or
+// whose reply is lost — leaves the resident tree where it was; the next
+// read of the root shows which of the two happened.
 func (s *FreshnessStore) PutVersioned(name string, data []byte) (uint64, error) {
-	return s.inner.PutVersioned(name, data)
+	if name != enclave.MerkleRootObjectName {
+		return s.inner.PutVersioned(name, data)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.next == nil {
+		return 0, errors.New("vfs: sealed merkle root put without a staged freshness batch")
+	}
+	next, at := s.next, s.nextAt
+	s.next = nil
+	version, err := s.inner.PutVersioned(name, appendRootTrailer(data, at))
+	if err != nil {
+		return 0, err
+	}
+	s.cur, s.at = next, at
+	return version, nil
 }
 
+// Delete and Lock forward to the wrapped store untouched.
 func (s *FreshnessStore) Delete(name string) error { return s.inner.Delete(name) }
 
 func (s *FreshnessStore) Lock(name string) (func(), error) { return s.inner.Lock(name) }
@@ -98,132 +137,246 @@ func (s *FreshnessStore) Instrument(reg *obs.Registry) {
 	}
 }
 
-// snapshotFormat versions the persisted tree snapshot.
-const snapshotFormat = 1
+// rootTrailer is the unsealed tail of the root object: which checkpoint
+// the tree at the sealed root's epoch derives from, and how.
+type rootTrailer struct {
+	// base is the epoch of the checkpoint delta applies to, tip the epoch
+	// the sealed root commits to.
+	base, tip uint64
+	// spent counts the delta entries uploaded by every frame since base,
+	// this one included: what not checkpointing has cost so far.
+	spent uint64
+	// delta holds each leaf changed in (base, tip] once, at its version
+	// as of tip (0 = deleted).
+	delta []merkle.LeafUpdate
+}
 
-// maxUndoEntries bounds a decoded undo log (a batch is at most one
-// write-back drain's worth of objects).
-const maxUndoEntries = 1 << 20
+const (
+	// rootFrameMagic ends a framed root object ("NXF1"); a sealed root
+	// ends in an AEAD tag, so a bare one is told apart by its last bytes.
+	rootFrameMagic    = 0x4e584631
+	rootTrailerFormat = 1
+	rootFooterSize    = 4 + 4 // trailer length, magic
+	deltaEntrySize    = uuid.Size + 8
+	rootTrailerFixed  = 1 + 3*8 + 4 // format, base, tip, spent, entry count
+)
 
-func encodeSnapshot(tree *merkle.Tree, epoch uint64, undo []merkle.LeafUpdate) []byte {
-	enc := tree.Encode()
-	w := serial.NewWriter(1 + 8 + 4 + len(undo)*(uuid.Size+8) + 4 + len(enc))
-	w.WriteUint8(snapshotFormat)
-	w.WriteUint64(epoch)
-	w.WriteUint32(uint32(len(undo)))
-	for _, u := range undo {
+// appendRootTrailer frames a sealed root: sealed ‖ trailer ‖ len ‖ magic.
+func appendRootTrailer(sealed []byte, t rootTrailer) []byte {
+	n := rootTrailerFixed + len(t.delta)*deltaEntrySize
+	w := serial.NewWriter(len(sealed) + n + rootFooterSize)
+	w.WriteRaw(sealed)
+	w.WriteUint8(rootTrailerFormat)
+	w.WriteUint64(t.base)
+	w.WriteUint64(t.tip)
+	w.WriteUint64(t.spent)
+	w.WriteUint32(uint32(len(t.delta)))
+	for _, u := range t.delta {
 		w.WriteRaw(u.ID[:])
 		w.WriteUint64(u.Version)
 	}
+	w.WriteUint32(uint32(n))
+	w.WriteUint32(rootFrameMagic)
+	return w.Bytes()
+}
+
+// splitRootFrame parses a root object read from the store. framed is
+// false for anything that is not a well-formed frame — a bare sealed
+// root, as builds before the trailer wrote it, or garbage — and sealed is
+// then data itself.
+func splitRootFrame(data []byte) (sealed []byte, t rootTrailer, framed bool) {
+	if len(data) < rootFooterSize {
+		return data, rootTrailer{}, false
+	}
+	foot := serial.NewReader(data[len(data)-rootFooterSize:])
+	n := int(foot.ReadUint32("root trailer length"))
+	if magic := foot.ReadUint32("root frame magic"); magic != rootFrameMagic || n < rootTrailerFixed || n > len(data)-rootFooterSize {
+		return data, rootTrailer{}, false
+	}
+	split := len(data) - rootFooterSize - n
+	r := serial.NewReader(data[split : len(data)-rootFooterSize])
+	format := r.ReadUint8("root trailer format")
+	t.base = r.ReadUint64("root trailer base")
+	t.tip = r.ReadUint64("root trailer tip")
+	t.spent = r.ReadUint64("root trailer spent")
+	count := r.ReadCount(merkle.MaxLeaves, "root trailer entries")
+	if r.Err() != nil || format != rootTrailerFormat || t.base > t.tip || count*deltaEntrySize != r.Remaining() {
+		return data, rootTrailer{}, false
+	}
+	t.delta = make([]merkle.LeafUpdate, count)
+	for i := range t.delta {
+		r.ReadRawInto(t.delta[i].ID[:], "root trailer leaf id")
+		t.delta[i].Version = r.ReadUint64("root trailer leaf version")
+	}
+	return data[:split], t, true
+}
+
+// mergeDelta overlays a batch on the delta before it: one entry per
+// leaf, carrying its latest version, leaves the batch touches last.
+func mergeDelta(prior, batch []merkle.LeafUpdate) []merkle.LeafUpdate {
+	latest := make(map[uuid.UUID]uint64, len(batch))
+	for _, u := range batch {
+		latest[u.ID] = u.Version
+	}
+	out := make([]merkle.LeafUpdate, 0, len(prior)+len(latest))
+	for _, u := range prior {
+		if _, again := latest[u.ID]; !again {
+			out = append(out, u)
+		}
+	}
+	for _, u := range batch {
+		if v, first := latest[u.ID]; first {
+			out = append(out, merkle.LeafUpdate{ID: u.ID, Version: v})
+			delete(latest, u.ID)
+		}
+	}
+	return out
+}
+
+// checkpointFormat versions the checkpoint object. Format 1 is the
+// per-epoch snapshot earlier builds wrote: the same fields with a
+// one-batch log between epoch and tree, which a checkpoint has no use
+// for.
+const checkpointFormat = 2
+
+func encodeCheckpoint(tree *merkle.Tree, epoch uint64) []byte {
+	enc := tree.Encode()
+	w := serial.NewWriter(1 + 8 + 4 + len(enc))
+	w.WriteUint8(checkpointFormat)
+	w.WriteUint64(epoch)
 	w.WriteBytes(enc)
 	return w.Bytes()
 }
 
-func decodeSnapshot(data []byte) (tree *merkle.Tree, epoch uint64, undo []merkle.LeafUpdate, err error) {
+// checkpointSize is what encodeCheckpoint would produce for a tree of
+// that many leaves, to within two bytes (merkle.Tree.Encode: 25 per leaf
+// and 2 per inner node).
+func checkpointSize(leaves int) uint64 { return 18 + 27*uint64(leaves) }
+
+func decodeCheckpoint(data []byte) (*merkle.Tree, uint64, error) {
 	r := serial.NewReader(data)
-	if f := r.ReadUint8("freshness snapshot format"); r.Err() == nil && f != snapshotFormat {
-		return nil, 0, nil, fmt.Errorf("vfs: unknown freshness snapshot format %d", f)
+	format := r.ReadUint8("freshness checkpoint format")
+	epoch := r.ReadUint64("freshness checkpoint epoch")
+	switch {
+	case r.Err() != nil || format == checkpointFormat:
+	case format == 1:
+		// Skip the log; the tree after it is the snapshot's own epoch's.
+		r.ReadRaw(r.ReadCount(merkle.MaxLeaves, "freshness snapshot log entries")*deltaEntrySize, "freshness snapshot log")
+	default:
+		return nil, 0, fmt.Errorf("vfs: unknown freshness checkpoint format %d", format)
 	}
-	epoch = r.ReadUint64("freshness snapshot epoch")
-	n := r.ReadCount(maxUndoEntries, "freshness undo entries")
-	for i := 0; i < n; i++ {
-		var u merkle.LeafUpdate
-		r.ReadRawInto(u.ID[:], "freshness undo id")
-		u.Version = r.ReadUint64("freshness undo version")
-		undo = append(undo, u)
-	}
-	enc := r.ReadBytes(0, "freshness snapshot tree")
+	enc := r.ReadBytes(0, "freshness checkpoint tree")
 	if err := r.Finish(); err != nil {
-		return nil, 0, nil, fmt.Errorf("decoding freshness snapshot: %w", err)
+		return nil, 0, fmt.Errorf("decoding freshness checkpoint: %w", err)
 	}
-	if tree, err = merkle.DecodeTree(enc); err != nil {
-		return nil, 0, nil, err
-	}
-	return tree, epoch, undo, nil
+	tree, err := merkle.DecodeTree(enc)
+	return tree, epoch, err
 }
 
-// loadLocked establishes the tree state, from the store when force is
-// set or nothing is resident yet. A missing snapshot is a fresh volume:
-// empty tree, epoch 0.
-func (s *FreshnessStore) loadLocked(force bool) error {
-	if s.loaded && !force {
-		return nil
-	}
+// readCheckpoint fetches the checkpoint. A volume that has not written
+// one yet counts its deltas from the empty tree at epoch 0.
+func (s *FreshnessStore) readCheckpoint() (*merkle.Tree, uint64, error) {
 	data, _, err := s.inner.GetVersioned(FreshnessTreeObjectName)
+	if errors.Is(err, backend.ErrNotExist) {
+		return merkle.New(), 0, nil
+	}
 	if err != nil {
-		if errors.Is(err, backend.ErrNotExist) {
-			if !s.loaded {
-				s.cur, s.epoch, s.undo, s.loaded = merkle.New(), 0, nil, true
-			}
-			return nil
+		return nil, 0, err
+	}
+	return decodeCheckpoint(data)
+}
+
+// checkpointWithin returns the checkpoint tree for a frame with the
+// given base and tip. Any epoch in [base, tip] will do: the delta names
+// every leaf changed since base at its version as of tip, so applying it
+// to a later checkpoint only rewrites some leaves with the value they
+// already have (a writer that crashed between a checkpoint and the frame
+// adopting it leaves exactly that). A checkpoint older than base is
+// re-read once under its store lock — a caching store (the AFS client)
+// can serve a copy fetched before the writer replaced it, and taking the
+// object's lock revalidates it. Root → checkpoint is the only order the
+// two locks are ever taken in.
+func (s *FreshnessStore) checkpointWithin(base, tip uint64) (*merkle.Tree, error) {
+	tree, epoch, err := s.readCheckpoint()
+	if err == nil && epoch < base {
+		var unlock func()
+		if unlock, err = s.inner.Lock(FreshnessTreeObjectName); err != nil {
+			return nil, err
 		}
-		return err
+		tree, epoch, err = s.readCheckpoint()
+		unlock()
 	}
-	tree, epoch, undo, err := decodeSnapshot(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Never regress onto an older on-store snapshot over newer resident
-	// state (the put of our own snapshot may have raced a reader).
-	if s.loaded && epoch < s.epoch {
-		return nil
+	if epoch < base || epoch > tip {
+		return nil, fmt.Errorf("%w: checkpoint at epoch %d, root covers %d to %d", ErrEpochUnavailable, epoch, base, tip)
 	}
-	s.cur, s.epoch, s.undo, s.loaded = tree, epoch, undo, true
-	return nil
+	return tree, nil
 }
 
-// prevTreeLocked rebuilds the previous epoch's tree by applying the
-// undo log to a clone of the current one.
-func (s *FreshnessStore) prevTreeLocked() *merkle.Tree {
-	t := s.cur.Clone()
-	for _, u := range s.undo {
-		t.Set(u.ID, u.Version)
+// followLocked brings the resident tree to the epoch a read of the root
+// object (data, err) describes, and returns the sealed root within data.
+// It never moves backwards: a root no newer than the resident tree — a
+// stale cached copy, or a rolled-back store, which the enclave's epoch
+// check rejects — changes nothing.
+func (s *FreshnessStore) followLocked(data []byte, err error) (sealed []byte, _ error) {
+	if errors.Is(err, backend.ErrNotExist) {
+		// A fresh volume: the empty tree at epoch 0.
+		if s.cur == nil {
+			s.cur, s.at = merkle.New(), rootTrailer{}
+		}
+		return data, nil
 	}
-	return t
+	if err != nil {
+		return data, err
+	}
+	sealed, t, framed := splitRootFrame(data)
+	if !framed {
+		// A bare root says nothing about the tree, so the checkpoint alone
+		// has to be it (a volume last written before the trailer existed).
+		if s.cur != nil {
+			return sealed, nil
+		}
+		tree, epoch, err := s.readCheckpoint()
+		if err != nil {
+			return sealed, err
+		}
+		s.cur, s.at = tree, rootTrailer{base: epoch, tip: epoch}
+		return sealed, nil
+	}
+	if s.cur != nil && t.tip <= s.at.tip {
+		return sealed, nil
+	}
+	from := s.cur
+	if from == nil || s.at.tip < t.base {
+		if from, err = s.checkpointWithin(t.base, t.tip); err != nil {
+			return sealed, err
+		}
+	}
+	tree := from.Clone()
+	for _, u := range t.delta {
+		tree.Set(u.ID, u.Version)
+	}
+	s.cur, s.at, s.next = tree, t, nil
+	return sealed, nil
 }
 
-// syncLocked brings the resident tree to a state that can serve epoch —
-// the tree's own epoch or the one before it — escalating only as far as
-// it must: the resident state, then a re-read of the snapshot, then a
-// re-read under the snapshot's store lock. The last step is for caching
-// stores (the AFS client): the caller holds the freshness-root lock and
-// has just read a root at the new epoch, but a fetch that raced the
-// writer's store can re-cache the previous snapshot after its callback
-// break, so a plain get may still serve it; taking the object's lock
-// revalidates it. Root → tree is
-// the only order the two locks are ever taken in.
+// syncLocked makes the resident tree the one at epoch. After the enclave
+// has read the root through this store that is already so; otherwise the
+// root is read here (a fresh wrapper under a live enclave, or a root read
+// the tree could not follow at the time).
 func (s *FreshnessStore) syncLocked(epoch uint64) error {
-	if err := s.loadLocked(false); err != nil {
-		return err
+	if s.cur == nil || s.at.tip != epoch {
+		data, _, err := s.inner.GetVersioned(enclave.MerkleRootObjectName)
+		if _, err := s.followLocked(data, err); err != nil {
+			return err
+		}
 	}
-	if s.servesLocked(epoch) {
-		return nil
+	if s.at.tip != epoch {
+		return fmt.Errorf("%w: want epoch %d, tree at %d", ErrEpochUnavailable, epoch, s.at.tip)
 	}
-	if err := s.loadLocked(true); err != nil {
-		return err
-	}
-	if s.servesLocked(epoch) {
-		return nil
-	}
-	unlock, err := s.inner.Lock(FreshnessTreeObjectName)
-	if err != nil {
-		return err
-	}
-	err = s.loadLocked(true)
-	unlock()
-	if err != nil {
-		return err
-	}
-	if s.servesLocked(epoch) {
-		return nil
-	}
-	return fmt.Errorf("%w: want epoch %d, tree at %d", ErrEpochUnavailable, epoch, s.epoch)
-}
-
-// servesLocked reports whether the resident tree is at epoch or one
-// batch past it (the undo log reaches back exactly one).
-func (s *FreshnessStore) servesLocked(epoch uint64) bool {
-	return epoch == s.epoch || epoch+1 == s.epoch
+	return nil
 }
 
 // FreshnessProof implements enclave.FreshnessProofStore.
@@ -233,48 +386,52 @@ func (s *FreshnessStore) FreshnessProof(id uuid.UUID, epoch uint64) ([]byte, err
 	if err := s.syncLocked(epoch); err != nil {
 		return nil, err
 	}
-	t := s.cur
-	if epoch != s.epoch {
-		t = s.prevTreeLocked()
-	}
-	return t.Prove(id).Encode(), nil
+	return s.cur.Prove(id).Encode(), nil
 }
 
 // FreshnessUpdate implements enclave.FreshnessProofStore: it applies
-// the batch to the tree at the given epoch and returns one proof per
-// update, each against the tree state just before that update — the
-// sequence the enclave folds into its next root. The snapshot persists
-// before the new state is committed in memory, so a failed put leaves
-// the store and the wrapper consistent at the old epoch.
+// the batch to a copy of the tree at the given epoch and returns one
+// proof per update, each against the tree state just before that update
+// — the sequence the enclave folds into its next root. Nothing is
+// committed here: the result is staged, and becomes durable and resident
+// with the put of the sealed root (PutVersioned). A batch whose root
+// never arrives is simply staged again, from the same resident tree.
+//
+// The one thing written here is the occasional checkpoint, and it is
+// written before the frame that names it as base. The rule is ski
+// rental: every frame re-uploads the whole delta since the checkpoint,
+// and once those uploads have cost as much as a checkpoint would, buy
+// one — the current tree, at the current epoch — so the delta starts
+// over with this batch. Spending S bytes on a checkpoint every time S
+// bytes of delta have been spent keeps the total within 2× of the best
+// fixed period and, at u changed leaves per epoch, costs √(2·S·u) per
+// epoch (DESIGN.md §15.3). It is a function of leaf and entry counts
+// alone.
 func (s *FreshnessStore) FreshnessUpdate(epoch uint64, updates []merkle.LeafUpdate) ([][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.next = nil
 	if err := s.syncLocked(epoch); err != nil {
 		return nil, err
-	}
-	if epoch != s.epoch {
-		// The previous batch's sealed root never committed (crash or
-		// fault between the two writes): rewind and re-apply.
-		s.cur, s.epoch, s.undo = s.prevTreeLocked(), s.epoch-1, nil
 	}
 
 	next := s.cur.Clone()
 	proofs := make([][]byte, 0, len(updates))
-	var undo []merkle.LeafUpdate
-	seen := make(map[uuid.UUID]bool, len(updates))
 	for _, u := range updates {
 		proofs = append(proofs, next.Prove(u.ID).Encode())
-		if !seen[u.ID] {
-			seen[u.ID] = true
-			prior, _ := next.Lookup(u.ID) // 0 when absent — Set's delete spelling
-			undo = append(undo, merkle.LeafUpdate{ID: u.ID, Version: prior})
-		}
 		next.Set(u.ID, u.Version)
 	}
 
-	if _, err := s.inner.PutVersioned(FreshnessTreeObjectName, encodeSnapshot(next, epoch+1, undo)); err != nil {
-		return nil, err
+	at := rootTrailer{base: s.at.base, tip: epoch + 1, spent: s.at.spent}
+	prior := s.at.delta
+	if s.at.spent*deltaEntrySize >= checkpointSize(s.cur.Len()) {
+		if _, err := s.inner.PutVersioned(FreshnessTreeObjectName, encodeCheckpoint(s.cur, epoch)); err != nil {
+			return nil, err
+		}
+		at.base, at.spent, prior = epoch, 0, nil
 	}
-	s.cur, s.epoch, s.undo = next, epoch+1, undo
+	at.delta = mergeDelta(prior, updates)
+	at.spent += uint64(len(at.delta))
+	s.next, s.nextAt = next, at
 	return proofs, nil
 }

@@ -185,7 +185,10 @@ type ClientConfig struct {
 	// is rollback-protected by the Merkle-authenticated namespace
 	// (DESIGN.md §15): unless the store already serves freshness proofs,
 	// the client wraps it in vfs.NewFreshnessStore, which keeps the
-	// untrusted tree in the store's "freshness-tree" object.
+	// untrusted tree on the store as a checkpoint ("freshness-tree",
+	// written rarely) plus the leaves changed since, which ride unsealed
+	// behind the sealed root in "freshness-root" — a drain uploads what
+	// changed, not the namespace (§15.3).
 	Store ObjectStore
 	// IAS is the attestation service shared by exchanging parties.
 	// Optional: without it volumes work locally but cannot be shared.
