@@ -45,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFreshnessFrameDecode -fuzztime=$(FUZZTIME) ./internal/vfs/
 	$(GO) test -run=^$$ -fuzz=FuzzChunkerBoundaries -fuzztime=$(FUZZTIME) ./internal/chunker/
 	$(GO) test -run=^$$ -fuzz=FuzzCASDecode -fuzztime=$(FUZZTIME) ./internal/cas/
+	$(GO) test -run=^$$ -fuzz=FuzzDirnodeBodyDecode -fuzztime=$(FUZZTIME) ./internal/metadata/
 
 # chaos runs the seeded fault-injection suites under the race detector,
 # once per seed in CHAOS_SEEDS: the AFS transport suite

@@ -398,8 +398,11 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.MetadataFlushes == 0 || st.MetadataBytesWritten == 0 {
-		t.Fatalf("metadata stats empty: %+v", st)
+	// Five sealed objects, a directory counting as one: Mkdir seals /d
+	// and the root directory, Touch the filenode and /d, WriteFile the
+	// filenode.
+	if st.MetadataFlushes != 5 || st.MetadataBytesWritten == 0 {
+		t.Fatalf("metadata stats: %+v, want 5 flushes", st)
 	}
 	// 1000 plaintext bytes seal into one chunk of ciphertext plus its
 	// 16-byte inline tag.

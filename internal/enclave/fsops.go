@@ -43,39 +43,54 @@ func splitPath(path string) (dirs []string, base string, err error) {
 
 // errBucketGone marks a dirnode bucket the store no longer holds. A
 // superseded copy-on-write bucket survives exactly one later flush of
-// its directory, so an unlocked reader that stalls between the dirnode
-// fetch and the bucket fetch while the directory is flushed twice finds
-// the bucket deleted.
+// its directory, which overwrites it or — when no dirty bucket claims
+// its name — deletes it, so an unlocked reader that stalls between the
+// dirnode fetch and the bucket fetch while the directory is flushed twice
+// finds the bucket changed (ErrBucketMACMismatch) or gone.
 var errBucketGone = errors.New("enclave: directory bucket gone from the store")
 
 // retryTornEcall runs an operation, retrying briefly when it observes a
-// torn directory snapshot: a bucket whose MAC does not match the main
-// object's record, or a bucket that is gone. Writers flush a dirnode's
-// buckets and then its main object as separate store writes, and the
-// storage layer's invalidations propagate per object, so an unlocked
-// reader can transiently see a fresh bucket against a stale main object,
-// or outlive the buckets of the main object it fetched. Either way the
-// store already holds a newer main object, which the retried walk
-// fetches. The mutation paths take the store lock before changing
-// anything, so such an error always precedes any side effect and the
-// whole operation is safe to retry. A *persistent* mismatch or absence
-// is the real signal — a rolled back, substituted or withheld bucket
-// (§V-B) — and is surfaced after the bounded retries.
+// torn directory snapshot: an overflow bucket whose MAC does not match
+// the main object's record, or one that is gone. Writers flush a
+// dirnode's dirty overflow buckets and then its main object as separate
+// store writes, and the storage layer's invalidations propagate per
+// object, so an unlocked reader can transiently see a fresh bucket
+// against a stale main object, or outlive the buckets of the main object
+// it fetched. Either way the store already holds a newer main object,
+// which the retried walk fetches — unless the copy that named the bucket
+// is this enclave's own dirty write-back shadow, which every walk would
+// return again: that one is re-based on the store's main object first.
+// (A directory that fits bucket 0 is one object and cannot tear.) The
+// mutation paths take the store lock before changing anything, so such
+// an error always precedes any side effect and the whole operation is
+// safe to retry. A *persistent* mismatch or absence is the real signal —
+// a rolled back, substituted or withheld bucket (§V-B) — and is surfaced
+// after the bounded retries.
 //
 // Storage-substrate faults (ErrStoreUnavailable) are deliberately NOT
 // retried here: idempotent-RPC retry lives in the AFS client, and a
 // mutating operation that died with unknown outcome must surface so the
 // caller can re-validate instead of blindly re-running the ecall.
 func (e *Enclave) retryTornEcall(fn func() error) error {
-	var err error
 	for attempt := 0; ; attempt++ {
-		err = e.sgx.Ecall(fn)
-		if err == nil || attempt >= 3 ||
-			!(errors.Is(err, metadata.ErrBucketMACMismatch) || errors.Is(err, errBucketGone)) {
+		err := e.sgx.Ecall(fn)
+		var torn *tornDirError
+		if err == nil || attempt >= 3 || !errors.As(err, &torn) {
 			return err
 		}
 		// Give the lagging invalidation a moment to land.
 		time.Sleep(time.Duration(attempt+1) * time.Millisecond)
+		if rerr := e.sgx.Ecall(func() error {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			n, ok := e.wb.nodes[torn.dir]
+			if !ok || n.dir == nil || n.isNew {
+				return nil
+			}
+			return e.rebaseDirtyDirnodeLocked(torn.dir, n)
+		}); rerr != nil && !errors.As(rerr, &torn) {
+			return rerr
+		}
 	}
 }
 
@@ -317,93 +332,100 @@ func (e *Enclave) Hardlink(existingPath, newPath string) error {
 		}
 		// Hardlink spans two directories and mutates a shared link
 		// count; it runs eagerly on a drained set so its lock-ordered
-		// protocol sees no deferred state.
+		// protocol sees no deferred state. Its flushes (filenode and
+		// destination directory) share one freshness-root update, made
+		// once the directory locks are released.
 		if err := e.drainWithRetryLocked(); err != nil {
 			return err
 		}
-		srcDirs, srcName, err := splitPath(existingPath)
-		if err != nil {
-			return err
-		}
-		dstDirs, dstName, err := splitPath(newPath)
-		if err != nil {
-			return err
-		}
-		if srcName == "" || dstName == "" {
-			return fmt.Errorf("%w: hardlink involving the volume root", ErrNotFile)
-		}
-
-		srcW, err := e.walkDirLocked(srcDirs)
-		if err != nil {
-			return err
-		}
-		if err := e.checkACLLocked(srcW.dir, acl.Lookup); err != nil {
-			return err
-		}
-		dstW, err := e.walkDirLocked(dstDirs)
-		if err != nil {
-			return err
-		}
-		if err := e.checkACLLocked(dstW.dir, acl.Insert); err != nil {
-			return err
-		}
-
-		releases, err := e.lockDirsLocked(srcW.dir.UUID, dstW.dir.UUID)
-		if err != nil {
-			return err
-		}
-		defer releases()
-		// Re-resolve after the store locks are taken, so the mutation
-		// applies to the freshest version of each directory.
-		srcW, err = e.walkDirLocked(srcDirs)
-		if err != nil {
-			return err
-		}
-		dstW, err = e.walkDirLocked(dstDirs)
-		if err != nil {
-			return err
-		}
-
-		entry, err := srcW.dir.Lookup(srcName, e.bucketLoaderFor(srcW.dir))
-		if err != nil {
-			if errors.Is(err, metadata.ErrEntryNotFound) {
-				return fmt.Errorf("%w: %s", ErrNotFound, existingPath)
-			}
-			return err
-		}
-		if entry.Kind != metadata.KindFile {
-			return fmt.Errorf("%w: %s", ErrNotFile, existingPath)
-		}
-
-		fRelease, err := e.lockObject(objName(entry.UUID))
-		if err != nil {
-			return fmt.Errorf("locking filenode: %w", err)
-		}
-		f, fv, err := e.loadFilenode(entry.UUID, srcW.dir.UUID)
-		if err != nil {
-			fRelease()
-			return err
-		}
-		f.LinkCount++
-		if err := e.flushFilenodeLocked(f, fv+1); err != nil {
-			fRelease()
-			return err
-		}
-		fRelease()
-
-		newEntry := metadata.DirEntry{Name: dstName, UUID: entry.UUID, Kind: metadata.KindFile}
-		if err := dstW.dir.Insert(newEntry, e.bucketLoaderFor(dstW.dir)); err != nil {
-			if errors.Is(err, metadata.ErrEntryExists) {
-				return fmt.Errorf("%w: %s", ErrExists, newPath)
-			}
-			return err
-		}
-		if err := e.flushDirnodeLocked(dstW.dir, dstW.version+1); err != nil {
-			e.cache.invalidate(dstW.dir.UUID)
-			return err
-		}
-		return nil
+		return e.batchFreshnessLocked(func() error { return e.hardlinkLocked(existingPath, newPath) })
 	})
+}
+
+// hardlinkLocked is the body of Hardlink, on a drained dirty set.
+func (e *Enclave) hardlinkLocked(existingPath, newPath string) error {
+	srcDirs, srcName, err := splitPath(existingPath)
+	if err != nil {
+		return err
+	}
+	dstDirs, dstName, err := splitPath(newPath)
+	if err != nil {
+		return err
+	}
+	if srcName == "" || dstName == "" {
+		return fmt.Errorf("%w: hardlink involving the volume root", ErrNotFile)
+	}
+
+	srcW, err := e.walkDirLocked(srcDirs)
+	if err != nil {
+		return err
+	}
+	if err := e.checkACLLocked(srcW.dir, acl.Lookup); err != nil {
+		return err
+	}
+	dstW, err := e.walkDirLocked(dstDirs)
+	if err != nil {
+		return err
+	}
+	if err := e.checkACLLocked(dstW.dir, acl.Insert); err != nil {
+		return err
+	}
+
+	releases, err := e.lockDirsLocked(srcW.dir.UUID, dstW.dir.UUID)
+	if err != nil {
+		return err
+	}
+	defer releases()
+	// Re-resolve after the store locks are taken, so the mutation
+	// applies to the freshest version of each directory.
+	srcW, err = e.walkDirLocked(srcDirs)
+	if err != nil {
+		return err
+	}
+	dstW, err = e.walkDirLocked(dstDirs)
+	if err != nil {
+		return err
+	}
+
+	entry, err := srcW.dir.Lookup(srcName, e.bucketLoaderFor(srcW.dir))
+	if err != nil {
+		if errors.Is(err, metadata.ErrEntryNotFound) {
+			return fmt.Errorf("%w: %s", ErrNotFound, existingPath)
+		}
+		return err
+	}
+	if entry.Kind != metadata.KindFile {
+		return fmt.Errorf("%w: %s", ErrNotFile, existingPath)
+	}
+
+	fRelease, err := e.lockObject(objName(entry.UUID))
+	if err != nil {
+		return fmt.Errorf("locking filenode: %w", err)
+	}
+	f, fv, err := e.loadFilenode(entry.UUID, srcW.dir.UUID)
+	if err != nil {
+		fRelease()
+		return err
+	}
+	f.LinkCount++
+	if err := e.flushFilenodeLocked(f, fv+1); err != nil {
+		fRelease()
+		return err
+	}
+	fRelease()
+
+	newEntry := metadata.DirEntry{Name: dstName, UUID: entry.UUID, Kind: metadata.KindFile}
+	if err := dstW.dir.Insert(newEntry, e.bucketLoaderFor(dstW.dir)); err != nil {
+		if errors.Is(err, metadata.ErrEntryExists) {
+			return fmt.Errorf("%w: %s", ErrExists, newPath)
+		}
+		return err
+	}
+	if err := e.flushDirnodeLocked(dstW.dir, dstW.version+1); err != nil {
+		e.cache.invalidate(dstW.dir.UUID)
+		return err
+	}
+	return nil
 }
 
 // Rename moves a file, symlink, or directory to a new path
@@ -418,139 +440,147 @@ func (e *Enclave) Rename(oldPath, newPath string) error {
 		}
 		// Rename spans two directories (with replace semantics); it runs
 		// eagerly on a drained set so its lock-ordered protocol sees no
-		// deferred state.
+		// deferred state. Its flushes (a re-parented child, a replaced
+		// file's link count, one or two directories) share one
+		// freshness-root update, made once the directory locks are
+		// released.
 		if err := e.drainWithRetryLocked(); err != nil {
 			return err
 		}
-		srcDirs, srcName, err := splitPath(oldPath)
-		if err != nil {
-			return err
-		}
-		dstDirs, dstName, err := splitPath(newPath)
-		if err != nil {
-			return err
-		}
-		if srcName == "" || dstName == "" {
-			return fmt.Errorf("enclave: cannot rename the volume root")
-		}
+		return e.batchFreshnessLocked(func() error { return e.renameLocked(oldPath, newPath) })
+	})
+}
 
-		srcW, err := e.walkDirLocked(srcDirs)
-		if err != nil {
-			return err
-		}
-		if err := e.checkACLLocked(srcW.dir, acl.Delete); err != nil {
-			return err
-		}
-		dstW, err := e.walkDirLocked(dstDirs)
-		if err != nil {
-			return err
-		}
-		if err := e.checkACLLocked(dstW.dir, acl.Insert); err != nil {
-			return err
-		}
+// renameLocked is the body of Rename, on a drained dirty set.
+func (e *Enclave) renameLocked(oldPath, newPath string) error {
+	srcDirs, srcName, err := splitPath(oldPath)
+	if err != nil {
+		return err
+	}
+	dstDirs, dstName, err := splitPath(newPath)
+	if err != nil {
+		return err
+	}
+	if srcName == "" || dstName == "" {
+		return fmt.Errorf("enclave: cannot rename the volume root")
+	}
 
-		releases, err := e.lockDirsLocked(srcW.dir.UUID, dstW.dir.UUID)
+	srcW, err := e.walkDirLocked(srcDirs)
+	if err != nil {
+		return err
+	}
+	if err := e.checkACLLocked(srcW.dir, acl.Delete); err != nil {
+		return err
+	}
+	dstW, err := e.walkDirLocked(dstDirs)
+	if err != nil {
+		return err
+	}
+	if err := e.checkACLLocked(dstW.dir, acl.Insert); err != nil {
+		return err
+	}
+
+	releases, err := e.lockDirsLocked(srcW.dir.UUID, dstW.dir.UUID)
+	if err != nil {
+		return err
+	}
+	defer releases()
+	// Re-resolve after the store locks are taken, so the mutation
+	// applies to the freshest version of each directory.
+	srcW, err = e.walkDirLocked(srcDirs)
+	if err != nil {
+		return err
+	}
+	sameDir := srcW.dir.UUID == dstW.dir.UUID
+	if sameDir {
+		dstW = srcW
+	} else {
+		dstW, err = e.walkDirLocked(dstDirs)
 		if err != nil {
 			return err
 		}
-		defer releases()
-		// Re-resolve after the store locks are taken, so the mutation
-		// applies to the freshest version of each directory.
-		srcW, err = e.walkDirLocked(srcDirs)
-		if err != nil {
+	}
+
+	entry, err := srcW.dir.Lookup(srcName, e.bucketLoaderFor(srcW.dir))
+	if err != nil {
+		if errors.Is(err, metadata.ErrEntryNotFound) {
+			return fmt.Errorf("%w: %s", ErrNotFound, oldPath)
+		}
+		return err
+	}
+
+	// Replace semantics at the destination.
+	if existing, err := dstW.dir.Lookup(dstName, e.bucketLoaderFor(dstW.dir)); err == nil {
+		if existing.UUID == entry.UUID && sameDir && srcName == dstName {
+			return nil // rename onto itself
+		}
+		switch existing.Kind {
+		case metadata.KindDir:
+			return fmt.Errorf("%w: destination %s is a directory", ErrExists, newPath)
+		case metadata.KindFile:
+			if err := e.removeFileEntryLocked(dstW.dir, existing); err != nil {
+				return err
+			}
+		case metadata.KindSymlink:
+		}
+		if _, err := dstW.dir.Remove(dstName, e.bucketLoaderFor(dstW.dir)); err != nil {
 			return err
 		}
-		sameDir := srcW.dir.UUID == dstW.dir.UUID
-		if sameDir {
-			dstW = srcW
-		} else {
-			dstW, err = e.walkDirLocked(dstDirs)
+	} else if !errors.Is(err, metadata.ErrEntryNotFound) {
+		return err
+	}
+
+	if _, err := srcW.dir.Remove(srcName, e.bucketLoaderFor(srcW.dir)); err != nil {
+		return err
+	}
+	moved := entry
+	moved.Name = dstName
+	if err := dstW.dir.Insert(moved, e.bucketLoaderFor(dstW.dir)); err != nil {
+		return err
+	}
+
+	// Moving across directories re-parents the child's metadata so
+	// the file-swap defence keeps holding (§IV-A3).
+	if !sameDir {
+		switch entry.Kind {
+		case metadata.KindDir:
+			child, cv, err := e.loadDirnode(entry.UUID, srcW.dir.UUID)
 			if err != nil {
 				return err
 			}
-		}
-
-		entry, err := srcW.dir.Lookup(srcName, e.bucketLoaderFor(srcW.dir))
-		if err != nil {
-			if errors.Is(err, metadata.ErrEntryNotFound) {
-				return fmt.Errorf("%w: %s", ErrNotFound, oldPath)
-			}
-			return err
-		}
-
-		// Replace semantics at the destination.
-		if existing, err := dstW.dir.Lookup(dstName, e.bucketLoaderFor(dstW.dir)); err == nil {
-			if existing.UUID == entry.UUID && sameDir && srcName == dstName {
-				return nil // rename onto itself
-			}
-			switch existing.Kind {
-			case metadata.KindDir:
-				return fmt.Errorf("%w: destination %s is a directory", ErrExists, newPath)
-			case metadata.KindFile:
-				if err := e.removeFileEntryLocked(dstW.dir, existing); err != nil {
-					return err
-				}
-			case metadata.KindSymlink:
-			}
-			if _, err := dstW.dir.Remove(dstName, e.bucketLoaderFor(dstW.dir)); err != nil {
+			child.Parent = dstW.dir.UUID
+			if err := e.flushDirnodeLocked(child, cv+1); err != nil {
+				e.cache.invalidate(child.UUID)
 				return err
 			}
-		} else if !errors.Is(err, metadata.ErrEntryNotFound) {
-			return err
-		}
-
-		if _, err := srcW.dir.Remove(srcName, e.bucketLoaderFor(srcW.dir)); err != nil {
-			return err
-		}
-		moved := entry
-		moved.Name = dstName
-		if err := dstW.dir.Insert(moved, e.bucketLoaderFor(dstW.dir)); err != nil {
-			return err
-		}
-
-		// Moving across directories re-parents the child's metadata so
-		// the file-swap defence keeps holding (§IV-A3).
-		if !sameDir {
-			switch entry.Kind {
-			case metadata.KindDir:
-				child, cv, err := e.loadDirnode(entry.UUID, srcW.dir.UUID)
-				if err != nil {
-					return err
-				}
-				child.Parent = dstW.dir.UUID
-				if err := e.flushDirnodeLocked(child, cv+1); err != nil {
-					e.cache.invalidate(child.UUID)
-					return err
-				}
-			case metadata.KindFile:
-				f, fv, err := e.loadFilenode(entry.UUID, srcW.dir.UUID)
-				if err != nil {
-					return err
-				}
-				// Multi-link files already carry no parent binding.
-				if f.LinkCount <= 1 && !f.Parent.IsNil() {
-					f.Parent = dstW.dir.UUID
-					if err := e.flushFilenodeLocked(f, fv+1); err != nil {
-						e.cache.invalidate(f.UUID)
-						return err
-					}
-				}
-			case metadata.KindSymlink:
-			}
-		}
-
-		if err := e.flushDirnodeLocked(srcW.dir, srcW.version+1); err != nil {
-			e.cache.invalidate(srcW.dir.UUID)
-			return err
-		}
-		if !sameDir {
-			if err := e.flushDirnodeLocked(dstW.dir, dstW.version+1); err != nil {
-				e.cache.invalidate(dstW.dir.UUID)
+		case metadata.KindFile:
+			f, fv, err := e.loadFilenode(entry.UUID, srcW.dir.UUID)
+			if err != nil {
 				return err
 			}
+			// Multi-link files already carry no parent binding.
+			if f.LinkCount <= 1 && !f.Parent.IsNil() {
+				f.Parent = dstW.dir.UUID
+				if err := e.flushFilenodeLocked(f, fv+1); err != nil {
+					e.cache.invalidate(f.UUID)
+					return err
+				}
+			}
+		case metadata.KindSymlink:
 		}
-		return nil
-	})
+	}
+
+	if err := e.flushDirnodeLocked(srcW.dir, srcW.version+1); err != nil {
+		e.cache.invalidate(srcW.dir.UUID)
+		return err
+	}
+	if !sameDir {
+		if err := e.flushDirnodeLocked(dstW.dir, dstW.version+1); err != nil {
+			e.cache.invalidate(dstW.dir.UUID)
+			return err
+		}
+	}
+	return nil
 }
 
 // removeFileEntryLocked drops a file's storage when its entry is being

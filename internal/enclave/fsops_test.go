@@ -748,82 +748,120 @@ func (s *afterGetStore) GetVersioned(name string) ([]byte, uint64, error) {
 	return data, version, err
 }
 
+// overflowBucketName returns the store names of a directory's main
+// object and of its first overflow bucket, as e's store holds them now.
+func overflowBucketName(t *testing.T, e *Enclave, dir string) (dirName, bucketName string) {
+	t.Helper()
+	if err := e.sgx.Ecall(func() error {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		w, err := e.walkDirLocked([]string{dir})
+		if err != nil {
+			return err
+		}
+		dirName, bucketName = objName(w.dir.UUID), objName(w.dir.Refs[1].UUID)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return dirName, bucketName
+}
+
 // TestLookupOutlivesRetiredBucket is the deterministic form of the
 // TestConcurrentClientsSameDirectory flake: a peer flushes a directory
-// twice between the victim's fetch of its main object and of its bucket.
-// Copy-on-write buckets survive exactly one later flush, so the bucket
-// the victim's copy names is gone; the walk must be retried against the
-// newer main object. A bucket that stays gone must surface as an error,
-// never read as an empty bucket.
+// twice between the victim's fetch of its main object and of the
+// overflow bucket it names. A copy-on-write bucket survives exactly one
+// later flush: the second either overwrites its slot with the bucket's
+// next version (the victim reads a bucket its main object's MAC does not
+// match) or, when it rewrites no bucket, deletes it (the victim finds it
+// gone). Either way the walk must be retried against the newer main
+// object. A bucket that stays gone must surface as an error, never read
+// as an empty bucket.
 func TestLookupOutlivesRetiredBucket(t *testing.T) {
-	mem := newMemObjectStore()
-	owner := newIdentity(t, "owen")
-	env := newWbEnv(t, owner, Config{Store: mem, WritebackMaxOps: 1})
-	peer := env.enclave
-	if err := peer.Mkdir("/shared"); err != nil {
-		t.Fatal(err)
-	}
-	if err := peer.Touch("/shared/seed"); err != nil {
-		t.Fatal(err)
-	}
-	// sharedDir returns /shared's object name and the name of its one
-	// bucket, as the store holds them now.
-	sharedDir := func() (dirName, bucketName string) {
-		t.Helper()
-		if err := peer.sgx.Ecall(func() error {
-			peer.mu.Lock()
-			defer peer.mu.Unlock()
-			w, err := peer.walkDirLocked([]string{"shared"})
+	for _, tc := range []struct {
+		name string
+		// second is the peer's second flush; the first always rewrites
+		// the overflow bucket by removing seed2 from it.
+		second  func(peer *Enclave) error
+		wantErr error // what the victim's first attempt sees
+	}{
+		{"slot overwritten", func(peer *Enclave) error { return peer.Touch("/shared/two") }, metadata.ErrBucketMACMismatch},
+		{"slot deleted", func(peer *Enclave) error { return peer.Remove("/shared/seed0") }, errBucketGone},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := newMemObjectStore()
+			owner := newIdentity(t, "owen")
+			// Two entries a bucket: seed0 and seed1 in bucket 0 (the main
+			// object), seed2 and seed3 in the one overflow bucket.
+			env := newWbEnv(t, owner, Config{Store: mem, WritebackMaxOps: 1, BucketSize: 2})
+			peer := env.enclave
+			if err := peer.Mkdir("/shared"); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if err := peer.Touch(fmt.Sprintf("/shared/seed%d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dirName, staleBucket := overflowBucketName(t, peer, "shared")
+			staleBlob, err := mem.mem.Get(staleBucket)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			dirName, bucketName = objName(w.dir.UUID), objName(w.dir.Refs[0].UUID)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return dirName, bucketName
-	}
-	dirName, staleBucket := sharedDir()
 
-	hooked := &afterGetStore{memObjectStore: mem}
-	victim := env.freshEnclave(t, hooked)
-	fired := false
-	hooked.hook = func(name string) {
-		if name != dirName || fired {
-			return
-		}
-		fired = true
-		for _, p := range []string{"/shared/one", "/shared/two"} {
-			if err := peer.Touch(p); err != nil {
-				t.Errorf("peer Touch(%s): %v", p, err)
+			hooked := &afterGetStore{memObjectStore: mem}
+			victim := env.freshEnclave(t, hooked)
+			fired := false
+			var sawTorn error
+			hooked.hook = func(name string) {
+				if name != dirName || fired {
+					return
+				}
+				fired = true
+				if err := peer.Remove("/shared/seed2"); err != nil {
+					t.Errorf("peer's first flush: %v", err)
+				}
+				if err := tc.second(peer); err != nil {
+					t.Errorf("peer's second flush: %v", err)
+				}
+				// What the victim's stale main object now leads to.
+				if blob, err := mem.mem.Get(staleBucket); errors.Is(err, backend.ErrNotExist) {
+					sawTorn = errBucketGone
+				} else if !bytes.Equal(blob, staleBlob) {
+					sawTorn = metadata.ErrBucketMACMismatch
+				}
 			}
-		}
-	}
-	st, err := victim.Lookup("/shared/seed")
-	if !fired {
-		t.Fatal("the peer never ran: the victim did not fetch /shared's main object")
-	}
-	if _, gerr := mem.mem.Get(staleBucket); !errors.Is(gerr, backend.ErrNotExist) {
-		t.Fatalf("the bucket the victim's copy names is still on the store (%v): the scenario did not happen", gerr)
-	}
-	if err != nil {
-		t.Fatalf("Lookup across two peer flushes: %v", err)
-	}
-	if st.Name != "seed" || st.Kind != metadata.KindFile {
-		t.Fatalf("Lookup = %+v", st)
-	}
-	hooked.hook = nil
+			st, err := victim.Lookup("/shared/seed3")
+			if !fired {
+				t.Fatal("the peer never ran: the victim did not fetch /shared's main object")
+			}
+			if sawTorn != tc.wantErr {
+				t.Fatalf("the bucket the victim's copy names is in state %v, want %v: the scenario did not happen", sawTorn, tc.wantErr)
+			}
+			if err != nil {
+				t.Fatalf("Lookup across two peer flushes: %v", err)
+			}
+			if st.Name != "seed3" || st.Kind != metadata.KindFile {
+				t.Fatalf("Lookup = %+v", st)
+			}
+			hooked.hook = nil
 
-	_, liveBucket := sharedDir()
-	if err := mem.Delete(liveBucket); err != nil {
-		t.Fatal(err)
-	}
-	reader := env.freshEnclave(t, mem)
-	if _, err := reader.Lookup("/shared/seed"); !errors.Is(err, backend.ErrNotExist) || errors.Is(err, ErrNotFound) {
-		t.Fatalf("Lookup with the live bucket deleted = %v, want the store's ErrNotExist surfaced", err)
-	}
-	if _, err := reader.Filldir("/shared"); !errors.Is(err, backend.ErrNotExist) {
-		t.Fatalf("Filldir with the live bucket deleted = %v, want the store's ErrNotExist surfaced", err)
+			_, liveBucket := overflowBucketName(t, peer, "shared")
+			if err := mem.Delete(liveBucket); err != nil {
+				t.Fatal(err)
+			}
+			reader := env.freshEnclave(t, mem)
+			if _, err := reader.Lookup("/shared/seed3"); !errors.Is(err, backend.ErrNotExist) || errors.Is(err, ErrNotFound) {
+				t.Fatalf("Lookup with the live bucket deleted = %v, want the store's ErrNotExist surfaced", err)
+			}
+			if _, err := reader.Filldir("/shared"); !errors.Is(err, backend.ErrNotExist) {
+				t.Fatalf("Filldir with the live bucket deleted = %v, want the store's ErrNotExist surfaced", err)
+			}
+			// Bucket 0 is not behind that bucket: it came with the main
+			// object.
+			if st, err := reader.Lookup("/shared/seed1"); err != nil || st.Name != "seed1" {
+				t.Fatalf("Lookup in bucket 0 with the overflow bucket deleted = %+v, %v", st, err)
+			}
+		})
 	}
 }

@@ -233,19 +233,30 @@ func (m *proofMangler) FreshnessUpdate(epoch uint64, updates []merkle.LeafUpdate
 // merkleClient is one mounted NEXUS client over a proof-serving store,
 // with handles on every layer the adversary controls.
 type merkleClient struct {
-	ias    *sgx.AttestationService
-	plat   *sgx.Platform
-	raw    *rawStore
-	proofs *proofMangler
-	reg    *obs.Registry
-	encl   *enclave.Enclave
-	sealed []byte
-	volID  uuid.UUID
-	pub    ed25519.PublicKey
-	priv   ed25519.PrivateKey
+	// bucketSize, when set before newEnclave, overrides the default
+	// directory bucket size.
+	bucketSize uint32
+	ias        *sgx.AttestationService
+	plat       *sgx.Platform
+	raw        *rawStore
+	proofs     *proofMangler
+	reg        *obs.Registry
+	encl       *enclave.Enclave
+	sealed     []byte
+	volID      uuid.UUID
+	pub        ed25519.PublicKey
+	priv       ed25519.PrivateKey
 }
 
 func newMerkleClient(t *testing.T) *merkleClient {
+	t.Helper()
+	c := &merkleClient{}
+	c.init(t)
+	return c
+}
+
+// init builds the stack, creates the volume and mounts it.
+func (c *merkleClient) init(t *testing.T) {
 	t.Helper()
 	ias, err := sgx.NewAttestationService()
 	if err != nil {
@@ -255,14 +266,8 @@ func newMerkleClient(t *testing.T) *merkleClient {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := newRawStore()
-	c := &merkleClient{
-		ias:    ias,
-		plat:   plat,
-		raw:    raw,
-		proofs: newProofMangler(vfs.NewFreshnessStore(raw)),
-		reg:    obs.NewRegistry(),
-	}
+	c.ias, c.plat, c.raw, c.reg = ias, plat, newRawStore(), obs.NewRegistry()
+	c.proofs = newProofMangler(vfs.NewFreshnessStore(c.raw))
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +285,6 @@ func newMerkleClient(t *testing.T) *merkleClient {
 	if err := c.mount(c.encl); err != nil {
 		t.Fatal(err)
 	}
-	return c
 }
 
 // newEnclave stands up a fresh enclave instance (same platform and
@@ -292,10 +296,11 @@ func (c *merkleClient) newEnclave(t *testing.T, store enclave.ObjectStore) *encl
 		t.Fatal(err)
 	}
 	e, err := enclave.New(enclave.Config{
-		SGX:   container,
-		Store: store,
-		IAS:   c.ias,
-		Obs:   c.reg,
+		SGX:        container,
+		Store:      store,
+		IAS:        c.ias,
+		Obs:        c.reg,
+		BucketSize: c.bucketSize,
 		// Drain after every mutation: the attacks below replay and roll
 		// back what each op left on the store.
 		WritebackMaxOps: 1,
@@ -890,5 +895,173 @@ func TestMerkleAdoptsVolumeWrittenWithoutProofs(t *testing.T) {
 	e.DropCaches()
 	if _, err := e.ReadFile("/docs/f"); !errors.Is(err, enclave.ErrStaleObject) {
 		t.Fatalf("stale replay on the adopted volume = %v, want ErrStaleObject", err)
+	}
+}
+
+// changedObjects lists the metadata objects whose bytes differ between
+// snap and the store now: rewritten ones and, with added, new ones.
+func (s *rawStore) changedObjects(snap storeSnapshot, added bool) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var names []string
+	for n, b := range s.data {
+		old, ok := snap.data[n]
+		if freshnessObjects[n] || ok == added || bytes.Equal(old, b) {
+			continue
+		}
+		names = append(names, n)
+	}
+	return names
+}
+
+// TestDirectoryIsOneObjectUnderOneLeaf: a directory that fits bucket 0 is
+// a single store object — ACL and entries under one AEAD, one freshness
+// leaf — so an update rewrites exactly that object and creates none, and
+// the object replayed one version back is a proven rollback.
+func TestDirectoryIsOneObjectUnderOneLeaf(t *testing.T) {
+	c := newMerkleClient(t)
+	if err := c.encl.Mkdir("/docs"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.encl.Symlink("target", "/docs/old"); err != nil {
+		t.Fatal(err)
+	}
+	snap := c.raw.snapshot()
+	if err := c.encl.Symlink("target", "/docs/new"); err != nil {
+		t.Fatal(err)
+	}
+	rewritten := c.raw.changedObjects(snap, false)
+	if created := c.raw.changedObjects(snap, true); len(rewritten) != 1 || len(created) != 0 {
+		t.Fatalf("one insert rewrote %v and created %v, want the directory's one object rewritten and nothing created", rewritten, created)
+	}
+
+	c.encl.DropCaches()
+	dir := rewritten[0]
+	c.raw.setOnGet(func(name string, b []byte, v uint64) ([]byte, uint64) {
+		if name == dir {
+			return append([]byte(nil), snap.data[name]...), snap.vers[name]
+		}
+		return b, v
+	})
+	if _, err := c.encl.Filldir("/docs"); !errors.Is(err, enclave.ErrStaleObject) {
+		t.Fatalf("directory object rolled back one version = %v, want ErrStaleObject", err)
+	}
+	c.raw.setOnGet(nil)
+	c.encl.DropCaches()
+	if entries, err := c.encl.Filldir("/docs"); err != nil || len(entries) != 2 {
+		t.Fatalf("honest reads after the attack: %d entries, %v", len(entries), err)
+	}
+}
+
+// TestOverflowBucketSwapAndRollback: what does not fit bucket 0 lives in
+// overflow buckets that stay bound to their directory by the MAC the main
+// object records and the parent in their preamble. A bucket served in
+// place of another directory's, or an earlier version of the same bucket
+// — under the very name the current one has, since a rewrite lands on the
+// slot retired a flush before — is rejected, persistently.
+func TestOverflowBucketSwapAndRollback(t *testing.T) {
+	c := &merkleClient{bucketSize: 2}
+	c.init(t)
+	// fill makes dir with two entries in bucket 0 and one in an overflow
+	// bucket, whose store name it returns.
+	fill := func(dir string) string {
+		t.Helper()
+		if err := c.encl.Mkdir(dir); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"/a", "/b"} {
+			if err := c.encl.Symlink("target", dir+name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := c.raw.snapshot()
+		if err := c.encl.Symlink("target", dir+"/c"); err != nil {
+			t.Fatal(err)
+		}
+		created := c.raw.changedObjects(snap, true)
+		if len(created) != 1 {
+			t.Fatalf("the third entry of %s created %v, want one overflow bucket", dir, created)
+		}
+		return created[0]
+	}
+	left, right := fill("/left"), fill("/right")
+
+	serve := func(name string, blob []byte) {
+		c.encl.DropCaches()
+		c.raw.setOnGet(func(n string, b []byte, v uint64) ([]byte, uint64) {
+			if n == name {
+				return append([]byte(nil), blob...), v
+			}
+			return b, v
+		})
+	}
+	rightBlob, _, err := c.raw.GetVersioned(right)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve(left, rightBlob)
+	if _, err := c.encl.Filldir("/left"); !errors.Is(err, metadata.ErrBucketMACMismatch) {
+		t.Fatalf("bucket of /right served for /left = %v, want ErrBucketMACMismatch", err)
+	}
+	// Bucket 0 is not behind that bucket.
+	if _, err := c.encl.Lookup("/left/a"); err != nil {
+		t.Fatalf("Lookup in bucket 0 while the overflow bucket is withheld: %v", err)
+	}
+
+	// Two rewrites of /left's overflow bucket: away from its name, and
+	// back onto it.
+	c.raw.setOnGet(nil)
+	c.encl.DropCaches()
+	firstBlob, _, err := c.raw.GetVersioned(left)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.encl.Remove("/left/c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.encl.Symlink("target", "/left/d"); err != nil {
+		t.Fatal(err)
+	}
+	if blob, _, err := c.raw.GetVersioned(left); err != nil || bytes.Equal(blob, firstBlob) {
+		t.Fatalf("the second rewrite did not land on the retired slot %s (%v)", left, err)
+	}
+	serve(left, firstBlob)
+	if _, err := c.encl.Filldir("/left"); !errors.Is(err, metadata.ErrBucketMACMismatch) {
+		t.Fatalf("overflow bucket rolled back two versions = %v, want ErrBucketMACMismatch", err)
+	}
+	c.raw.setOnGet(nil)
+	c.encl.DropCaches()
+	if entries, err := c.encl.Filldir("/left"); err != nil || len(entries) != 3 {
+		t.Fatalf("honest reads after the attacks: %d entries, %v", len(entries), err)
+	}
+}
+
+// TestOverflowStartsAtEntry129: at the default bucket size a directory is
+// one object through 128 entries; the 129th creates overflow bucket 1,
+// and a fresh mount lists all 129.
+func TestOverflowStartsAtEntry129(t *testing.T) {
+	c := newMerkleClient(t)
+	if err := c.encl.Mkdir("/flat"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < metadata.DefaultBucketSize+1; i++ {
+		snap := c.raw.snapshot()
+		if err := c.encl.Symlink("target", fmt.Sprintf("/flat/e%03d", i)); err != nil {
+			t.Fatal(err)
+		}
+		want := 0
+		if i == metadata.DefaultBucketSize {
+			want = 1
+		}
+		if created := c.raw.changedObjects(snap, true); len(created) != want {
+			t.Fatalf("entry %d created %d store objects, want %d", i+1, len(created), want)
+		}
+	}
+	fresh := c.newEnclave(t, vfs.NewFreshnessStore(c.raw))
+	if err := c.mount(fresh); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := fresh.Filldir("/flat"); err != nil || len(entries) != metadata.DefaultBucketSize+1 {
+		t.Fatalf("fresh mount lists %d entries, %v", len(entries), err)
 	}
 }

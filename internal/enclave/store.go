@@ -209,14 +209,29 @@ func (e *Enclave) openBlobChecked(id uuid.UUID, blob []byte, wantType metadata.O
 	return p, body, nil
 }
 
+// tornDirError is a torn directory snapshot — an overflow bucket that is
+// gone or does not match the main object's record — tagged with the
+// directory whose copy named the bucket, so the retry can tell a dirty
+// shadow from a copy the next fetch replaces (retryTornEcall).
+type tornDirError struct {
+	dir uuid.UUID
+	err error
+}
+
+func (t *tornDirError) Error() string { return t.err.Error() }
+func (t *tornDirError) Unwrap() error { return t.err }
+
 // bucketLoaderFor returns a loader that fetches, verifies (including the
-// main dirnode's recorded MAC, §V-B) and decodes dirnode buckets.
+// main dirnode's recorded MAC, §V-B) and decodes the buckets d keeps as
+// separate objects: the overflow buckets, and bucket 0 of a directory
+// still in the legacy layout.
 func (e *Enclave) bucketLoaderFor(d *metadata.Dirnode) func(i int) (*metadata.Bucket, error) {
 	return func(i int) (*metadata.Bucket, error) {
 		ref := d.Refs[i]
 		blob, _, err := e.fetchObject(e.metrics.metaIO, objName(ref.UUID))
 		if isNotExist(err) {
-			return nil, fmt.Errorf("fetching bucket %s of dirnode %s: %w: %w", ref.UUID, d.UUID, errBucketGone, err)
+			return nil, &tornDirError{dir: d.UUID, err: fmt.Errorf("fetching bucket %s of dirnode %s: %w: %w",
+				ref.UUID, d.UUID, errBucketGone, err)}
 		}
 		if err != nil {
 			return nil, fmt.Errorf("fetching bucket %s: %w", ref.UUID, err)
@@ -226,8 +241,8 @@ func (e *Enclave) bucketLoaderFor(d *metadata.Dirnode) func(i int) (*metadata.Bu
 			return nil, err
 		}
 		if !bytes.Equal(tag[:], ref.MAC[:]) {
-			return nil, fmt.Errorf("%w: bucket %s of dirnode %s",
-				metadata.ErrBucketMACMismatch, ref.UUID, d.UUID)
+			return nil, &tornDirError{dir: d.UUID, err: fmt.Errorf("%w: bucket %s of dirnode %s",
+				metadata.ErrBucketMACMismatch, ref.UUID, d.UUID)}
 		}
 		_, body, err := e.openBlobVerified(ref.UUID, blob, metadata.TypeDirBucket, d.UUID)
 		if err != nil {
@@ -237,55 +252,64 @@ func (e *Enclave) bucketLoaderFor(d *metadata.Dirnode) func(i int) (*metadata.Bu
 	}
 }
 
-// flushDirnodeLocked seals and uploads a dirnode's dirty buckets and its
-// main object at the given (already bumped) version.
+// flushDirnodeLocked seals and uploads a dirnode at the given (already
+// bumped) version: its dirty overflow buckets, then its main object,
+// which carries the ACL and bucket 0. A directory that has never
+// overflowed bucket 0 is that one put, atomic by construction.
 //
-// Bucket writes are copy-on-write: each dirty bucket that already exists
-// on the store is rewritten under a fresh UUID, the main object (written
-// last) references the new UUIDs, and the superseded objects are only
-// deleted on the *next* flush. Unlocked readers therefore always find a
-// consistent (main, buckets) snapshot — either entirely old or entirely
-// new — with no torn window between the two writes.
+// Overflow-bucket writes are copy-on-write: a dirty bucket that already
+// exists on the store is rewritten under another name, the main object
+// (written last) references the new names, and the superseded objects
+// live on until the *next* flush. Unlocked readers therefore always find
+// a consistent (main, buckets) snapshot — either entirely old or
+// entirely new — with no torn window between the two writes. The other
+// name is one the previous flush retired, when there is one: the slot
+// this flush would otherwise delete is overwritten instead, so a bucket
+// alternates between two names and steady-state flushes create and
+// delete nothing. Retired names no bucket claims are deleted.
+//
 // The flush is transactional with respect to the in-memory dirnode:
-// every mutation — the Retired truncation, bucket-UUID reassignment,
-// Refs/MAC updates, Dirty/OnStore flips, freshness bumps — is staged in
-// locals and applied only after every upload has succeeded. A fault at
-// any ocall leaves the in-memory state exactly as it was, so retrying
-// the flush (same version) converges memory and store. The only residue
-// of a failed attempt is an uploaded-but-unreferenced bucket object
-// under a UUID nothing points to, which is invisible to readers.
+// every mutation — the Retired list, bucket renames, Refs/MAC updates,
+// Dirty/OnStore flips, freshness bumps — is staged in locals and applied
+// only after every upload has succeeded. A fault at any ocall leaves the
+// in-memory state exactly as it was, so retrying the flush (same
+// version) converges memory and store. The only residue of a failed
+// attempt is a bucket object nothing references — under a fresh name or
+// a retired one — which is invisible to readers of the current main
+// object.
 func (e *Enclave) flushDirnodeLocked(d *metadata.Dirnode, version uint64) error {
-	// Phase 1: delete buckets retired by the previous flush — any reader
-	// still using them would be two main-object generations behind.
-	// Deletion is idempotent (missing objects are tolerated), so a
-	// failure later in this flush can safely re-run it; the in-memory
-	// Retired list is only truncated at commit.
-	for _, old := range d.Retired {
-		if err := e.deleteObject(objName(old)); err != nil && !isNotExist(err) {
-			return fmt.Errorf("deleting retired bucket %s: %w", old, err)
-		}
-	}
-
-	// Phase 2: stage every upload. Copy-on-write buckets that already
-	// exist on the store get a fresh UUID; the staged Refs/Retired tables
-	// describe the post-flush state without touching the dirnode yet.
+	// Phase 1: plan every upload. The staged Refs/Retired tables describe
+	// the post-flush state without touching the dirnode yet.
 	type bucketPlan struct {
 		idx     int
 		newUUID uuid.UUID
-		retire  bool
 		blob    []byte
-		tag     [16]byte
 	}
 	var plans []bucketPlan
 	stagedRefs := make([]metadata.BucketRef, len(d.Refs))
 	copy(stagedRefs, d.Refs)
 	var stagedRetired []uuid.UUID
+	if legacy := d.Refs[0].UUID; !legacy.IsNil() {
+		// One-way migration: a legacy directory's bucket 0 is fetched once
+		// more, sealed into the main object, and its own object retired.
+		if err := d.LoadMain(e.bucketLoaderFor(d)); err != nil {
+			return err
+		}
+		stagedRefs[0] = metadata.BucketRef{Count: d.Refs[0].Count}
+		stagedRetired = append(stagedRetired, legacy)
+	}
+	// Any reader still using a name in d.Retired would be two main-object
+	// generations behind, so those names are free to overwrite or delete.
+	free := d.Retired
 	for _, i := range d.DirtyBuckets() {
 		b := d.Buckets[i]
 		pl := bucketPlan{idx: i, newUUID: b.UUID}
 		if b.OnStore {
-			pl.retire = true
-			pl.newUUID = uuid.New()
+			if len(free) > 0 {
+				pl.newUUID, free = free[0], free[1:]
+			} else {
+				pl.newUUID = uuid.New()
+			}
 			stagedRetired = append(stagedRetired, b.UUID)
 		}
 		blob, err := metadata.Seal(e.rootKey, metadata.Preamble{
@@ -301,7 +325,7 @@ func (e *Enclave) flushDirnodeLocked(d *metadata.Dirnode, version uint64) error 
 		if err != nil {
 			return err
 		}
-		pl.blob, pl.tag = blob, tag
+		pl.blob = blob
 		stagedRefs[i] = metadata.BucketRef{UUID: pl.newUUID, Count: d.Refs[i].Count, MAC: tag}
 		plans = append(plans, pl)
 	}
@@ -322,9 +346,16 @@ func (e *Enclave) flushDirnodeLocked(d *metadata.Dirnode, version uint64) error 
 		return fmt.Errorf("sealing dirnode %s: %w", d.UUID, err)
 	}
 
-	// Phase 3: upload buckets first, the main object last, so readers
-	// always find a consistent (main, buckets) snapshot — either entirely
-	// old or entirely new — with no torn window between the writes.
+	// Phase 2: delete the retired names left unclaimed. Deletion is
+	// idempotent (missing objects are tolerated), so a failure later in
+	// this flush can safely re-run it.
+	for _, old := range free {
+		if err := e.deleteObject(objName(old)); err != nil && !isNotExist(err) {
+			return fmt.Errorf("deleting retired bucket %s: %w", old, err)
+		}
+	}
+
+	// Phase 3: upload buckets first, the main object last.
 	for _, pl := range plans {
 		if _, err := e.putObject(e.metrics.metaIO, objName(pl.newUUID), pl.blob); err != nil {
 			return fmt.Errorf("uploading bucket %s: %w", pl.newUUID, err)
@@ -337,7 +368,7 @@ func (e *Enclave) flushDirnodeLocked(d *metadata.Dirnode, version uint64) error 
 
 	// Phase 4: commit. Every upload succeeded; apply the staged state.
 	freshUpdates := map[uuid.UUID]uint64{d.UUID: version}
-	for _, old := range savedRetired {
+	for _, old := range free {
 		freshUpdates[old] = 0
 		delete(e.freshness, old)
 	}
@@ -351,6 +382,8 @@ func (e *Enclave) flushDirnodeLocked(d *metadata.Dirnode, version uint64) error 
 		e.metrics.metadataFlushes.Inc()
 		e.metrics.metadataBytes.Add(int64(len(pl.blob)))
 	}
+	main := d.Buckets[0]
+	main.UUID, main.Dirty, main.OnStore = uuid.Nil, false, false
 	d.Refs, d.Retired = stagedRefs, stagedRetired
 	e.noteSeenLocked(d.UUID, version)
 	e.metrics.metadataFlushes.Inc()

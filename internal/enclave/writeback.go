@@ -18,8 +18,8 @@ package enclave
 //     references exists on the store (new filenodes and deeper dirnodes
 //     flush first), so readers never chase a dangling entry;
 //   - within one dirnode, flushDirnodeLocked's copy-on-write protocol
-//     still writes buckets before the main object, so unlocked readers
-//     see an entirely-old or entirely-new snapshot;
+//     still writes overflow buckets before the main object, so unlocked
+//     readers see an entirely-old or entirely-new snapshot;
 //   - deferred deletes run after all uploads, so no on-store dirnode
 //     ever references a deleted object;
 //   - the freshness root advances once per batch, absorbing every
@@ -108,9 +108,10 @@ type dirtySet struct {
 	bytes    int64
 	pressure bool
 
-	// fresh holds the freshness updates of objects a drain has flushed
-	// but whose root update has not landed yet: a drain that fails past
-	// its first upload leaves them here, so the retry still commits them.
+	// fresh holds the freshness updates of objects a batch (a drain, or
+	// the eager flushes of one Rename or Hardlink) has flushed but whose
+	// root update has not landed yet: a batch that fails past its first
+	// upload leaves them here, so the next drain still commits them.
 	fresh map[uuid.UUID]uint64
 
 	// superDirty marks a pending supernode mutation (user table or
@@ -260,6 +261,29 @@ func (e *Enclave) drainWithRetryLocked() error {
 	return err
 }
 
+// batchFreshnessLocked runs fn with the freshness updates of every
+// object it flushes collected in wb.fresh, then advances the root once
+// for all of them: one lock / re-read / put / unlock of the root object
+// per batch instead of per flushed object. When fn or the root update
+// fails, the collected updates stay in wb.fresh and the next drain
+// commits them. Batches do not nest.
+func (e *Enclave) batchFreshnessLocked(fn func() error) error {
+	if e.wb.fresh == nil {
+		e.wb.fresh = make(map[uuid.UUID]uint64)
+	}
+	e.freshSink = e.wb.fresh
+	err := fn()
+	e.freshSink = nil
+	if err != nil {
+		return err
+	}
+	if err := e.recordFreshnessLocked(e.wb.fresh); err != nil {
+		return err
+	}
+	e.wb.fresh = nil
+	return nil
+}
+
 // drainLocked flushes the whole dirty set in dependency order and
 // advances the freshness root once. On failure the un-flushed portion
 // of the set is left intact for retry.
@@ -274,33 +298,28 @@ func (e *Enclave) drainLocked() error {
 	span.SetTagInt("deletes", int64(len(e.wb.deletes)))
 	defer span.End()
 
-	// Per-object freshness updates from the individual flushes collect
-	// in freshSink; the root advances once below.
-	if e.wb.fresh == nil {
-		e.wb.fresh = make(map[uuid.UUID]uint64)
-	}
-	e.freshSink = e.wb.fresh
-	err := e.flushDirtyNodesLocked()
-	if err == nil && e.wb.superDirty {
-		// Final stage: the supernode (user-table changes and key-tree
-		// rotations) flushes after every child object it could
-		// reference, under the supernode store lock the admin operation
-		// is still holding.
-		if err = e.flushSupernodeLocked(); err == nil {
+	err := e.batchFreshnessLocked(func() error {
+		if err := e.flushDirtyNodesLocked(); err != nil {
+			return err
+		}
+		if e.wb.superDirty {
+			// Final stage: the supernode (user-table changes and key-tree
+			// rotations) flushes after every child object it could
+			// reference, under the supernode store lock the admin operation
+			// is still holding.
+			if err := e.flushSupernodeLocked(); err != nil {
+				return err
+			}
 			e.wb.superDirty = false
 		}
-	}
-	e.freshSink = nil
+		e.wb.ops, e.wb.bytes, e.wb.pressure = 0, 0, false
+		e.metrics.flushBatches.Inc()
+		e.metrics.dirtyGauge.Set(0)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	e.wb.ops, e.wb.bytes, e.wb.pressure = 0, 0, false
-	e.metrics.flushBatches.Inc()
-	e.metrics.dirtyGauge.Set(0)
-	if err := e.recordFreshnessLocked(e.wb.fresh); err != nil {
-		return err
-	}
-	e.wb.fresh = nil
 	// CDC reference drops flush last of all: every filenode upload and
 	// every staged filenode deletion has run, so a chunk that reaches
 	// zero here is provably unreferenced by anything on the store. A
@@ -397,15 +416,27 @@ func (e *Enclave) dirtyDepthLocked(id uuid.UUID) int {
 
 // flushDirtyExistingDirnodeLocked flushes a dirnode the store already
 // holds: it takes the directory's store lock (deferred from the
-// individual ops), re-reads the on-store version, and either flushes
-// the in-memory copy at base+1 (store unchanged) or replays the op log
-// onto the fresh copy (another client advanced it).
+// individual ops), re-bases the dirty copy on the on-store version if
+// another client advanced it, and flushes at base+1.
 func (e *Enclave) flushDirtyExistingDirnodeLocked(id uuid.UUID, n *dirtyNode) error {
 	release, err := e.lockObject(objName(id))
 	if err != nil {
 		return fmt.Errorf("locking dirnode %s: %w", id, err)
 	}
 	defer release()
+	if err := e.rebaseDirtyDirnodeLocked(id, n); err != nil {
+		return err
+	}
+	return e.flushDirnodeLocked(n.dir, n.base+1)
+}
+
+// rebaseDirtyDirnodeLocked re-reads the main object of a dirty dirnode
+// the store already holds and, if the store has moved past the version
+// the dirty copy derives from, replaces the copy with the on-store
+// directory plus the replayed op log. The drain runs it under the
+// directory's store lock; retryTornEcall runs it unlocked, to give a
+// reader a shadow whose buckets still exist (the drain re-bases again).
+func (e *Enclave) rebaseDirtyDirnodeLocked(id uuid.UUID, n *dirtyNode) error {
 	blob, _, err := e.fetchObject(e.metrics.metaIO, objName(id))
 	if err != nil {
 		return fmt.Errorf("fetching dirnode %s: %w", id, err)
@@ -415,46 +446,49 @@ func (e *Enclave) flushDirtyExistingDirnodeLocked(id uuid.UUID, n *dirtyNode) er
 		return err
 	}
 	if p.Version == n.base {
-		return e.flushDirnodeLocked(n.dir, n.base+1)
+		return nil
 	}
 	fresh, err := metadata.DecodeDirnodeBody(id, n.dir.Parent, body)
 	if err != nil {
 		return err
 	}
-	if err := e.replayDirOpsLocked(fresh, n.ops); err != nil {
-		return err
-	}
-	if err := e.flushDirnodeLocked(fresh, p.Version+1); err != nil {
-		return err
-	}
-	n.dir = fresh
-	return nil
+	return e.replayDirOpsLocked(n, fresh, p.Version)
 }
 
-// replayDirOpsLocked applies a deferred op log to a freshly loaded
-// dirnode, last-writer-wins per name.
-func (e *Enclave) replayDirOpsLocked(d *metadata.Dirnode, ops []dirOp) error {
-	loader := e.bucketLoaderFor(d)
-	for _, op := range ops {
+// replayDirOpsLocked applies a dirty dirnode's deferred op log to fresh,
+// the directory as the store holds it at version base, last-writer-wins
+// per name, and on success makes fresh the node's dirty copy.
+func (e *Enclave) replayDirOpsLocked(n *dirtyNode, fresh *metadata.Dirnode, base uint64) error {
+	loader := e.bucketLoaderFor(fresh)
+	for _, op := range n.ops {
 		switch op.kind {
 		case opInsert:
-			err := d.Insert(op.entry, loader)
+			err := fresh.Insert(op.entry, loader)
 			if errors.Is(err, metadata.ErrEntryExists) {
-				if _, rerr := d.Remove(op.entry.Name, loader); rerr != nil && !errors.Is(rerr, metadata.ErrEntryNotFound) {
+				if _, rerr := fresh.Remove(op.entry.Name, loader); rerr != nil && !errors.Is(rerr, metadata.ErrEntryNotFound) {
 					return rerr
 				}
-				err = d.Insert(op.entry, loader)
+				err = fresh.Insert(op.entry, loader)
 			}
 			if err != nil {
 				return err
 			}
 		case opRemove:
-			if _, err := d.Remove(op.name, loader); err != nil && !errors.Is(err, metadata.ErrEntryNotFound) {
+			if _, err := fresh.Remove(op.name, loader); err != nil && !errors.Is(err, metadata.ErrEntryNotFound) {
 				return err
 			}
 		}
 	}
+	e.markRebasedLocked(n, fresh, base)
 	return nil
+}
+
+// markRebasedLocked hands a replayed copy to the dirty set: the next
+// drain flushes fresh, at base+1, in place of the copy n held. It is the
+// mark the dirty-before-flush lint rule requires of a function that
+// mutates a dirnode, as the replay does.
+func (e *Enclave) markRebasedLocked(n *dirtyNode, fresh *metadata.Dirnode, base uint64) {
+	n.dir, n.base = fresh, base
 }
 
 // createEntryWritebackLocked is the body of createEntry: the new child

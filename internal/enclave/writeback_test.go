@@ -187,66 +187,104 @@ func dirNames(t *testing.T, e *Enclave, path string) map[string]bool {
 // after each kill (a) a fresh enclave over the surviving store mounts
 // and lists an entirely-old or entirely-new directory with no integrity
 // error, and (b) clearing the fault and retrying the same drain
-// converges the store and the writer's memory.
+// converges the store and the writer's memory. The swept flush is, in
+// turn, a directory's first (its overflow buckets are new objects), its
+// second (each on-store overflow bucket is rewritten under a fresh name)
+// and its third (each is rewritten over the slot the second retired);
+// past the first, bucket 0 — inside the main object — changes too.
 func TestWritebackFlushBatchFaultSweep(t *testing.T) {
 	const files = 12
-	for k := 0; ; k++ {
-		store := newFaultObjectStore()
-		owner := newIdentity(t, "owen")
-		// BucketSize 4 forces the root dirnode flush to rewrite several
-		// buckets, exercising the multi-object commit.
-		env := newWbEnv(t, owner, Config{Store: store, BucketSize: 4})
-		e := env.enclave
-		for i := 0; i < files; i++ {
-			if err := e.Touch(fmt.Sprintf("/f%02d", i)); err != nil {
-				t.Fatalf("k=%d: Touch: %v", k, err)
+	// Bucket size 4: f00-f03 in bucket 0, f04-f07 and f08-f11 in the two
+	// overflow buckets; each round of removals dirties both of those.
+	rounds := [][]string{{"/f05", "/f09"}, {"/f06", "/f10"}}
+	for prior := 0; prior <= len(rounds); prior++ {
+		for k := 0; ; k++ {
+			store := newFaultObjectStore()
+			owner := newIdentity(t, "owen")
+			env := newWbEnv(t, owner, Config{Store: store, BucketSize: 4})
+			e := env.enclave
+			do := func(op func(string) error, paths ...string) {
+				t.Helper()
+				for _, p := range paths {
+					if err := op(p); err != nil {
+						t.Fatalf("prior=%d k=%d: %s: %v", prior, k, p, err)
+					}
+				}
 			}
-		}
-		if got := len(dirNames(t, e, "/")); got != files {
-			t.Fatalf("k=%d: writer sees %d entries before drain, want %d", k, got, files)
-		}
+			sync := func() {
+				t.Helper()
+				if err := e.SyncMetadata(); err != nil {
+					t.Fatalf("prior=%d k=%d: SyncMetadata: %v", prior, k, err)
+				}
+			}
+			// old and want count the directory before and after the swept
+			// batch; it adds marker and, past the first flush, removes f00.
+			old, want, marker := 0, files, "f00"
+			for i := 0; i < files; i++ {
+				do(e.Touch, fmt.Sprintf("/f%02d", i))
+			}
+			if prior > 0 {
+				sync()
+				for _, round := range rounds[:prior-1] {
+					do(e.Remove, round...)
+					sync()
+				}
+				old = files - 2*(prior-1)
+				want, marker = old-1, "g00"
+				do(e.Remove, "/f00")
+				do(e.Remove, rounds[prior-1]...)
+				do(e.Touch, "/g00", "/g01")
+			}
+			if got := len(dirNames(t, e, "/")); got != want {
+				t.Fatalf("prior=%d k=%d: writer sees %d entries before drain, want %d", prior, k, got, want)
+			}
 
-		store.armAt(k)
-		err := e.SyncMetadata()
-		if err == nil {
-			// k is past the drain's last ocall: the batch completed and
-			// the sweep has covered every index.
+			store.armAt(k)
+			err := e.SyncMetadata()
+			if err == nil {
+				// k is past the drain's last ocall: the batch completed and
+				// the sweep has covered every index.
+				store.disarm()
+				fresh := env.freshEnclave(t, store)
+				if got := dirNames(t, fresh, "/"); len(got) != want {
+					t.Fatalf("prior=%d k=%d: complete drain lost entries: %d of %d", prior, k, len(got), want)
+				}
+				if k == 0 {
+					t.Fatal("fault at ocall 0 did not fail the drain")
+				}
+				break
+			}
+			if !errors.Is(err, ErrStoreUnavailable) {
+				t.Fatalf("prior=%d k=%d: drain failed with %v, want ErrStoreUnavailable", prior, k, err)
+			}
+
+			// Crash view: a restarted enclave over whatever the store holds
+			// must mount and list cleanly — the directory as the last
+			// completed drain left it, or as this one would have.
 			store.disarm()
 			fresh := env.freshEnclave(t, store)
-			if got := dirNames(t, fresh, "/"); len(got) != files {
-				t.Fatalf("k=%d: complete drain lost entries: %d of %d", k, len(got), files)
+			names := dirNames(t, fresh, "/")
+			if len(names) != old && len(names) != want {
+				t.Fatalf("prior=%d k=%d: torn directory after mid-batch fault: %d entries, want %d or %d", prior, k, len(names), old, want)
 			}
-			if k == 0 {
-				t.Fatal("fault at ocall 0 did not fail the drain")
+			if isNew := len(names) == want; names[marker] != isNew || (prior > 0 && names["f00"] == isNew) {
+				t.Fatalf("prior=%d k=%d: directory mixes the old and the new state: %v", prior, k, names)
 			}
-			return
-		}
-		if !errors.Is(err, ErrStoreUnavailable) {
-			t.Fatalf("k=%d: drain failed with %v, want ErrStoreUnavailable", k, err)
-		}
 
-		// Crash view: a restarted enclave over whatever the store holds
-		// must mount and list cleanly — all files or none of them.
-		store.disarm()
-		fresh := env.freshEnclave(t, store)
-		names := dirNames(t, fresh, "/")
-		if len(names) != 0 && len(names) != files {
-			t.Fatalf("k=%d: torn directory after mid-batch fault: %d of %d entries", k, len(names), files)
-		}
-
-		// Retry view: the same writer drains again and everything lands.
-		if err := e.SyncMetadata(); err != nil {
-			t.Fatalf("k=%d: retried drain: %v", k, err)
-		}
-		fresh2 := env.freshEnclave(t, store)
-		if got := dirNames(t, fresh2, "/"); len(got) != files {
-			t.Fatalf("k=%d: retried drain converged to %d of %d entries", k, len(got), files)
-		}
-		if got := dirNames(t, e, "/"); len(got) != files {
-			t.Fatalf("k=%d: writer's view diverged after retry: %d entries", k, len(got))
-		}
-		if k > 500 {
-			t.Fatal("fault sweep did not terminate")
+			// Retry view: the same writer drains again and everything lands.
+			if err := e.SyncMetadata(); err != nil {
+				t.Fatalf("prior=%d k=%d: retried drain: %v", prior, k, err)
+			}
+			fresh2 := env.freshEnclave(t, store)
+			if got := dirNames(t, fresh2, "/"); len(got) != want {
+				t.Fatalf("prior=%d k=%d: retried drain converged to %d of %d entries", prior, k, len(got), want)
+			}
+			if got := dirNames(t, e, "/"); len(got) != want {
+				t.Fatalf("prior=%d k=%d: writer's view diverged after retry: %d entries", prior, k, len(got))
+			}
+			if k > 500 {
+				t.Fatal("fault sweep did not terminate")
+			}
 		}
 	}
 }
@@ -558,8 +596,11 @@ func TestWritebackFlushReduction(t *testing.T) {
 	}
 	batched := run(64)
 	perOp := run(1)
-	if batched <= 0 || perOp <= 0 {
-		t.Fatalf("flush counters did not move: batched %d, per-op %d", batched, perOp)
+	// Batched, the drain seals each new filenode and the directory — one
+	// object — once; per op, a create seals the filenode and the
+	// directory, and the write the filenode again.
+	if batched != files+1 || perOp != 3*files {
+		t.Fatalf("flushes: batched %d, per-op %d; want %d and %d", batched, perOp, files+1, 3*files)
 	}
 	if float64(batched) >= 0.7*float64(perOp) {
 		t.Fatalf("batched used %d flushes vs per-op %d; want < 70%%", batched, perOp)
@@ -728,6 +769,67 @@ func TestWritebackConcurrentDrainMergesOpLog(t *testing.T) {
 	}
 	if _, err := fresh.ReadFile("/same"); err != nil {
 		t.Fatalf("conflicting insert left a dangling entry: %v", err)
+	}
+}
+
+// TestDirtyShadowRebasedOnTornBucket: a client holds a dirty write-back
+// shadow of a directory of more than one bucket and has not loaded its
+// overflow bucket; a peer flushes the directory twice, so the bucket the
+// shadow names is overwritten. Every walk returns the shadow, so without
+// a re-base the torn-snapshot error outlives every retry (until the
+// client's next drain). The shadow must instead be re-based on the store's
+// main object, its op log replayed, and the operation succeed.
+func TestDirtyShadowRebasedOnTornBucket(t *testing.T) {
+	mem := newMemObjectStore()
+	owner := newIdentity(t, "owen")
+	env := newWbEnv(t, owner, Config{Store: mem, WritebackMaxOps: 1})
+	peer := env.enclave
+	if err := peer.Mkdir("/big"); err != nil {
+		t.Fatal(err)
+	}
+	// Default bucket size: e000-e127 fill bucket 0, e128 and e129 start
+	// the overflow bucket.
+	const entries = metadata.DefaultBucketSize + 2
+	for i := 0; i < entries; i++ {
+		if err := peer.Symlink("target", fmt.Sprintf("/big/e%03d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	env.cfg.WritebackMaxOps = 64
+	victim := env.freshEnclave(t, mem)
+	// The removed entry is in bucket 0: the overflow bucket stays unloaded
+	// and the shadow stays dirty.
+	if err := victim.Remove("/big/e000"); err != nil {
+		t.Fatal(err)
+	}
+	// Two peer flushes, each rewriting the overflow bucket: the second
+	// lands on the slot the first retired — the name the shadow holds.
+	if err := peer.Remove("/big/e128"); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Symlink("target", "/big/peer"); err != nil {
+		t.Fatal(err)
+	}
+
+	if st, err := victim.Lookup("/big/e129"); err != nil || st.Kind != metadata.KindSymlink {
+		t.Fatalf("Lookup through the dirty shadow after two peer flushes = %+v, %v", st, err)
+	}
+	// The re-based shadow is the peer's directory with the victim's own
+	// pending remove on top.
+	for name, want := range map[string]bool{"e000": false, "e001": true, "e128": false, "e129": true, "peer": true} {
+		_, err := victim.Lookup("/big/" + name)
+		if want && err != nil || !want && !errors.Is(err, ErrNotFound) {
+			t.Fatalf("victim Lookup(%s) = %v, want present=%v", name, err, want)
+		}
+	}
+	if err := victim.SyncMetadata(); err != nil {
+		t.Fatalf("draining the re-based shadow: %v", err)
+	}
+	names := dirNames(t, env.freshEnclave(t, mem), "/big")
+	if len(names) != entries-1 || names["e000"] || names["e128"] || !names["peer"] {
+		t.Fatalf("after the drain the store holds %d entries (e000 %v, e128 %v, peer %v), want %d without e000 and e128, with peer",
+			len(names), names["e000"], names["e128"], names["peer"], entries-1)
 	}
 }
 

@@ -61,72 +61,93 @@ var (
 // BucketRef is the main dirnode's record of one bucket: its object UUID,
 // entry count, and the GCM tag of its current sealed form. Recording the
 // tag prevents bucket-level rollback: a re-served stale bucket fails the
-// MAC comparison (§V-B).
+// MAC comparison (§V-B). The ref of bucket 0, which is sealed inside the
+// main object, carries the count alone: its UUID is nil and its MAC zero.
 type BucketRef struct {
 	UUID  uuid.UUID
 	Count uint32
 	MAC   [16]byte
 }
 
-// Bucket holds a slice of a directory's entries and is sealed as an
-// independent metadata object, so large directories only rewrite the
-// buckets they touch. Flushes are copy-on-write: a dirty bucket is
-// written under a fresh UUID and the old object retired, so readers
-// holding the previous main dirnode still find a consistent snapshot.
+// Bucket holds a slice of a directory's entries. Bucket 0 — the paper's
+// main bucket (§V-B) — is part of the main dirnode object; every further
+// (overflow) bucket is sealed as an independent metadata object, so a
+// large directory only rewrites the buckets it touches. Overflow flushes
+// are copy-on-write: a dirty bucket is written under another name and
+// the old object retired, so readers holding the previous main dirnode
+// still find a consistent snapshot.
 type Bucket struct {
-	// UUID names the bucket object; its sealed parent is the dirnode.
+	// UUID names an overflow bucket's object; its sealed parent is the
+	// dirnode. Nil for bucket 0.
 	UUID    uuid.UUID
 	Entries []DirEntry
 	// Dirty marks buckets needing a flush.
 	Dirty bool
 	// OnStore reports whether this bucket's current UUID exists as a
-	// store object (false for buckets created in memory and never
-	// flushed). Not serialized; decoding sets it.
+	// store object (false for bucket 0 and for buckets created in memory
+	// and never flushed). Not serialized; loading sets it.
 	OnStore bool
 }
 
-// EncodeBody serializes the bucket body for Seal.
-func (b *Bucket) EncodeBody() []byte {
-	w := serial.NewWriter(32 * len(b.Entries))
-	w.WriteUint32(uint32(len(b.Entries)))
-	for _, e := range b.Entries {
+// writeEntries serializes a bucket's entry list: count ‖ (name ‖ uuid ‖
+// kind ‖ symlink target)*.
+func writeEntries(w *serial.Writer, entries []DirEntry) {
+	w.WriteUint32(uint32(len(entries)))
+	for _, e := range entries {
 		w.WriteString(e.Name)
 		w.WriteRaw(e.UUID[:])
 		w.WriteUint8(uint8(e.Kind))
 		w.WriteString(e.SymlinkTarget)
 	}
+}
+
+// readEntries parses a list produced by writeEntries.
+func readEntries(r *serial.Reader) ([]DirEntry, error) {
+	n := r.ReadCount(0, "bucket entry count")
+	// An entry is at least minEntryBytes long, so the bytes left bound
+	// what a claimed count may allocate.
+	const minEntryBytes = 4 + 16 + 1 + 4
+	entries := make([]DirEntry, 0, min(n, r.Remaining()/minEntryBytes))
+	for i := 0; i < n && r.Err() == nil; i++ {
+		var e DirEntry
+		e.Name = r.ReadString(0, "entry name")
+		r.ReadRawInto(e.UUID[:], "entry uuid")
+		e.Kind = EntryKind(r.ReadUint8("entry kind"))
+		e.SymlinkTarget = r.ReadString(0, "symlink target")
+		if r.Err() == nil && (e.Kind < KindFile || e.Kind > KindSymlink) {
+			return nil, fmt.Errorf("%w: bad entry kind %d", ErrMalformed, e.Kind)
+		}
+		entries = append(entries, e)
+	}
+	return entries, nil
+}
+
+// EncodeBody serializes an overflow bucket's body for Seal.
+func (b *Bucket) EncodeBody() []byte {
+	w := serial.NewWriter(4 + 32*len(b.Entries))
+	writeEntries(w, b.Entries)
 	return w.Bytes()
 }
 
 // DecodeBucketBody parses a body produced by Bucket.EncodeBody.
 func DecodeBucketBody(body []byte) (*Bucket, error) {
 	r := serial.NewReader(body)
-	n := r.ReadCount(0, "bucket entry count")
-	b := &Bucket{}
-	if n > 0 {
-		b.Entries = make([]DirEntry, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		var e DirEntry
-		e.Name = r.ReadString(0, "entry name")
-		r.ReadRawInto(e.UUID[:], "entry uuid")
-		e.Kind = EntryKind(r.ReadUint8("entry kind"))
-		e.SymlinkTarget = r.ReadString(0, "symlink target")
-		if e.Kind < KindFile || e.Kind > KindSymlink {
-			return nil, fmt.Errorf("%w: bad entry kind %d", ErrMalformed, e.Kind)
-		}
-		b.Entries = append(b.Entries, e)
+	entries, err := readEntries(r)
+	if err != nil {
+		return nil, err
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("decoding bucket: %w", err)
 	}
-	return b, nil
+	return &Bucket{Entries: entries}, nil
 }
 
 // Dirnode represents one directory: its ACL and its bucketed entry list.
-// The main dirnode object holds the ACL and bucket references; entries
-// live in the bucket objects. Buckets are loaded on demand, so the
-// in-memory Dirnode tracks which are resident.
+// The main dirnode object holds the ACL, bucket 0's entries and the
+// references to the overflow buckets 1..n, so a directory that has never
+// overflowed bucket 0 is a single object, replaced atomically by one put.
+// Overflow buckets are loaded on demand; the in-memory Dirnode tracks
+// which are resident.
 type Dirnode struct {
 	// UUID names the main dirnode object.
 	UUID uuid.UUID
@@ -137,15 +158,19 @@ type Dirnode struct {
 	ACL acl.List
 	// BucketSize caps entries per bucket.
 	BucketSize uint32
-	// Refs mirror the sealed main object's bucket table.
+	// Refs is the bucket table, never empty: Refs[0] counts bucket 0 and
+	// Refs[1:] mirror the sealed main object's overflow references. Only
+	// a main object in the legacy layout, decoded and not yet flushed,
+	// has a Refs[0] that names a separate object.
 	Refs []BucketRef
 	// Buckets holds resident (loaded) buckets, indexed as Refs.
-	// A nil slot means not loaded.
+	// A nil slot means not loaded; bucket 0 is resident whenever the
+	// main object is, the legacy layout excepted.
 	Buckets []*Bucket
 	// Retired lists bucket objects superseded by the previous flush's
-	// copy-on-write rewrites; the next flush deletes them. Keeping one
-	// retired generation lets concurrent readers of the previous main
-	// object finish their traversals.
+	// copy-on-write rewrites; the next flush overwrites or deletes them.
+	// Keeping one retired generation lets concurrent readers of the
+	// previous main object finish their traversals.
 	Retired []uuid.UUID
 }
 
@@ -154,16 +179,36 @@ func NewDirnode(id, parent uuid.UUID, bucketSize uint32) *Dirnode {
 	if bucketSize == 0 {
 		bucketSize = DefaultBucketSize
 	}
-	return &Dirnode{UUID: id, Parent: parent, BucketSize: bucketSize}
+	return &Dirnode{
+		UUID: id, Parent: parent, BucketSize: bucketSize,
+		Refs: make([]BucketRef, 1), Buckets: []*Bucket{{}},
+	}
 }
 
-// EncodeBody serializes the main dirnode body (ACL + bucket refs).
+// dirnodeLayoutFormat versions the main body that follows the
+// BucketSize==0 sentinel.
+const dirnodeLayoutFormat = 1
+
+// EncodeBody serializes the main dirnode body:
+//
+//	ACL ‖ uint32(0) ‖ format ‖ BucketSize ‖ bucket-0 entries ‖
+//	count ‖ (UUID ‖ Count ‖ MAC)* of buckets 1..n ‖ count ‖ retired UUID*
+//
+// The zero where the legacy layout (ACL ‖ BucketSize(>0) ‖ refs of
+// buckets 0..n ‖ retired) kept its bucket size — a value that layout's
+// decoder has always rejected — marks this one, so every historical blob
+// still decodes down the legacy path and old clients fail closed on new
+// blobs. Bucket 0 must be resident (LoadMain).
 func (d *Dirnode) EncodeBody() []byte {
-	w := serial.NewWriter(64 + 40*len(d.Refs))
+	main := d.Buckets[0].Entries
+	w := serial.NewWriter(64 + 32*len(main) + 36*len(d.Refs) + 16*len(d.Retired))
 	d.ACL.Encode(w)
+	w.WriteUint32(0) // layout sentinel: no legacy bucket size
+	w.WriteUint8(dirnodeLayoutFormat)
 	w.WriteUint32(d.BucketSize)
-	w.WriteUint32(uint32(len(d.Refs)))
-	for _, ref := range d.Refs {
+	writeEntries(w, main)
+	w.WriteUint32(uint32(len(d.Refs) - 1))
+	for _, ref := range d.Refs[1:] {
 		w.WriteRaw(ref.UUID[:])
 		w.WriteUint32(ref.Count)
 		w.WriteRaw(ref.MAC[:])
@@ -175,26 +220,40 @@ func (d *Dirnode) EncodeBody() []byte {
 	return w.Bytes()
 }
 
-// DecodeDirnodeBody parses a body produced by EncodeBody. The caller
-// supplies the UUID and parent from the verified preamble.
+// DecodeDirnodeBody parses a body produced by EncodeBody, or one in the
+// legacy layout (whose bucket 0 then loads through Refs[0] until the
+// directory's next flush rewrites it). The caller supplies the UUID and
+// parent from the verified preamble.
 func DecodeDirnodeBody(id, parent uuid.UUID, body []byte) (*Dirnode, error) {
 	r := serial.NewReader(body)
 	d := &Dirnode{UUID: id, Parent: parent}
 	d.ACL = acl.DecodeList(r)
 	d.BucketSize = r.ReadUint32("bucket size")
-	n := r.ReadCount(0, "bucket ref count")
-	if n > 0 {
-		d.Refs = make([]BucketRef, 0, n)
+	legacy := d.BucketSize != 0
+	if !legacy {
+		format := r.ReadUint8("dirnode layout format")
+		if r.Err() == nil && format != dirnodeLayoutFormat {
+			return nil, fmt.Errorf("%w: dirnode layout format %d", ErrMalformed, format)
+		}
+		d.BucketSize = r.ReadUint32("bucket size")
+		entries, err := readEntries(r)
+		if err != nil {
+			return nil, err
+		}
+		d.Refs = []BucketRef{{Count: uint32(len(entries))}}
+		d.Buckets = []*Bucket{{Entries: entries}}
 	}
-	for i := 0; i < n; i++ {
+	n := r.ReadCount(0, "bucket ref count")
+	for i := 0; i < n && r.Err() == nil; i++ {
 		var ref BucketRef
 		r.ReadRawInto(ref.UUID[:], "bucket uuid")
 		ref.Count = r.ReadUint32("bucket count")
 		r.ReadRawInto(ref.MAC[:], "bucket mac")
 		d.Refs = append(d.Refs, ref)
+		d.Buckets = append(d.Buckets, nil)
 	}
 	nRetired := r.ReadCount(0, "retired bucket count")
-	for i := 0; i < nRetired; i++ {
+	for i := 0; i < nRetired && r.Err() == nil; i++ {
 		var id uuid.UUID
 		r.ReadRawInto(id[:], "retired bucket uuid")
 		d.Retired = append(d.Retired, id)
@@ -205,7 +264,11 @@ func DecodeDirnodeBody(id, parent uuid.UUID, body []byte) (*Dirnode, error) {
 	if d.BucketSize == 0 {
 		return nil, fmt.Errorf("%w: zero bucket size", ErrMalformed)
 	}
-	d.Buckets = make([]*Bucket, len(d.Refs))
+	if legacy && len(d.Refs) == 0 {
+		// A legacy directory that never held an entry has no bucket 0 to
+		// migrate.
+		d.Refs, d.Buckets = make([]BucketRef, 1), []*Bucket{{}}
+	}
 	return d, nil
 }
 
@@ -239,6 +302,13 @@ func (d *Dirnode) ensureBucket(i int, load bucketLoader) (*Bucket, error) {
 	b.OnStore = true
 	d.Buckets[i] = b
 	return b, nil
+}
+
+// LoadMain makes bucket 0 resident, which EncodeBody requires. It only
+// ever loads for a main object decoded from the legacy layout.
+func (d *Dirnode) LoadMain(load bucketLoader) error {
+	_, err := d.ensureBucket(0, load)
+	return err
 }
 
 // Lookup finds an entry by name, loading buckets on demand.
@@ -319,11 +389,13 @@ func (d *Dirnode) Remove(name string, load bucketLoader) (DirEntry, error) {
 	return DirEntry{}, fmt.Errorf("%w: %q", ErrEntryNotFound, name)
 }
 
-// DirtyBuckets returns the indices of buckets needing a flush.
+// DirtyBuckets returns the indices of the overflow buckets needing a
+// flush of their own. Bucket 0 is not among them: it is sealed with the
+// main object, which every flush rewrites.
 func (d *Dirnode) DirtyBuckets() []int {
 	var out []int
-	for i, b := range d.Buckets {
-		if b != nil && b.Dirty {
+	for i := 1; i < len(d.Buckets); i++ {
+		if b := d.Buckets[i]; b != nil && b.Dirty {
 			out = append(out, i)
 		}
 	}

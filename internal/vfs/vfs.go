@@ -14,6 +14,7 @@
 package vfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -34,13 +35,29 @@ import (
 // ObjectStore ocall surface by tracking update counters locally. The AFS
 // client implements the surface natively (versions come from the
 // server); this adapter covers local directory and in-memory volumes.
+//
+// The enclave re-fetches every metadata object on a path on every
+// operation, only to learn from the version that its decrypted copy is
+// still current. The AFS client answers such a fetch from its cache;
+// this adapter answers it from the sealed bytes it keeps of the metadata
+// objects it last stored or served (told apart from file contents by
+// their plaintext preamble), so a revalidation reads the backing store
+// no more often here than it crosses the network there. The kept bytes
+// are exactly as current as the version counters: both change only in
+// this adapter's puts and deletes.
 type VersionedStore struct {
 	store  backend.Store
 	tracer *obs.Tracer
 
-	mu       sync.Mutex
-	versions map[string]uint64 // guarded by mu
+	mu          sync.Mutex
+	versions    map[string]uint64 // guarded by mu
+	sealed      map[string][]byte // kept metadata objects; guarded by mu
+	sealedBytes int               // guarded by mu
 }
+
+// sealedBudget bounds the kept metadata bytes; past it the adapter drops
+// them all and starts over, as the enclave's own metadata cache does.
+const sealedBudget = 64 << 20
 
 var (
 	_ enclave.ObjectStore       = (*VersionedStore)(nil)
@@ -49,7 +66,7 @@ var (
 
 // NewVersionedStore wraps store.
 func NewVersionedStore(store backend.Store) *VersionedStore {
-	return &VersionedStore{store: store, versions: make(map[string]uint64)}
+	return &VersionedStore{store: store, versions: make(map[string]uint64), sealed: make(map[string][]byte)}
 }
 
 // Instrument attaches the registry's tracer so each store operation
@@ -66,30 +83,76 @@ func (s *VersionedStore) span(name string) *obs.Span {
 	return s.tracer.Begin(name)
 }
 
+// keepLocked keeps a copy of a sealed metadata object's bytes.
+func (s *VersionedStore) keepLocked(name string, data []byte) {
+	s.forgetLocked(name)
+	if s.sealedBytes+len(data) > sealedBudget {
+		clear(s.sealed)
+		s.sealedBytes = 0
+	}
+	s.sealed[name] = bytes.Clone(data)
+	s.sealedBytes += len(data)
+}
+
+func (s *VersionedStore) forgetLocked(name string) {
+	s.sealedBytes -= len(s.sealed[name])
+	delete(s.sealed, name)
+}
+
+// isSealedMetadata reports whether data is a sealed metadata object (a
+// dirnode, bucket, filenode, supernode, …) rather than file contents.
+func isSealedMetadata(data []byte) bool {
+	_, err := metadata.PeekPreamble(data)
+	return err == nil
+}
+
 // GetVersioned implements enclave.ObjectStore.
 func (s *VersionedStore) GetVersioned(name string) ([]byte, uint64, error) {
 	defer s.span("store.get").End()
+	s.mu.Lock()
+	before := s.versions[name]
+	kept, ok := s.sealed[name]
+	s.mu.Unlock()
+	if ok {
+		return bytes.Clone(kept), before, nil
+	}
 	data, err := s.store.Get(name)
 	if err != nil {
 		return nil, 0, err
 	}
 	s.mu.Lock()
 	v := s.versions[name]
+	// Keep what was read only if no put or delete crossed the read.
+	if v == before && isSealedMetadata(data) {
+		s.keepLocked(name, data)
+	}
 	s.mu.Unlock()
 	return data, v, nil
 }
 
-// PutVersioned implements enclave.ObjectStore.
+// PutVersioned implements enclave.ObjectStore. A metadata object is
+// written with the adapter's lock held, so the kept copy is the bytes of
+// the last write whatever the interleaving; file contents, which can be
+// large, are written outside it.
 func (s *VersionedStore) PutVersioned(name string, data []byte) (uint64, error) {
 	defer s.span("store.put").End()
-	if err := s.store.Put(name, data); err != nil {
-		return 0, err
+	keep := isSealedMetadata(data)
+	if !keep {
+		if err := s.store.Put(name, data); err != nil {
+			return 0, err
+		}
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.forgetLocked(name)
+	if keep {
+		if err := s.store.Put(name, data); err != nil {
+			return 0, err
+		}
+		s.keepLocked(name, data)
+	}
 	s.versions[name]++
-	v := s.versions[name]
-	s.mu.Unlock()
-	return v, nil
+	return s.versions[name], nil
 }
 
 // PutVersionedStream implements enclave.StreamObjectStore by draining
@@ -133,6 +196,7 @@ func (s *VersionedStore) Delete(name string) error {
 	}
 	s.mu.Lock()
 	delete(s.versions, name)
+	s.forgetLocked(name)
 	s.mu.Unlock()
 	return nil
 }

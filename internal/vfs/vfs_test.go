@@ -7,11 +7,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
+	"nexus/internal/metadata"
 	"nexus/internal/sgx"
+	"nexus/internal/uuid"
 )
 
 // newTestFS builds a mounted FS over a memory store.
@@ -95,6 +99,136 @@ func TestVersionedStoreDeleteDropsVersion(t *testing.T) {
 	}
 	if v != 1 {
 		t.Fatalf("recreated object got version %d, want 1", v)
+	}
+}
+
+// getCounter counts the reads that reach the backing store.
+type getCounter struct {
+	backend.Store
+	gets atomic.Int64
+}
+
+func (c *getCounter) Get(name string) ([]byte, error) {
+	c.gets.Add(1)
+	return c.Store.Get(name)
+}
+
+// TestVersionedStoreRevalidatesWithoutReading: the enclave fetches every
+// metadata object on a path on every operation only to compare versions.
+// Such a fetch of an object nobody has written since must not read the
+// backing store again — for sealed metadata, not for file contents — and
+// must return exactly what the store holds.
+func TestVersionedStoreRevalidatesWithoutReading(t *testing.T) {
+	rk, err := metadata.NewRootKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seal := func(version uint64, body string) []byte {
+		blob, err := metadata.Seal(rk, metadata.Preamble{Type: metadata.TypeDirnode, UUID: uuid.UUID{1}, Version: version}, []byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	mem := &getCounter{Store: backend.NewMemStore()}
+	s := NewVersionedStore(mem)
+	get := func(name string, want []byte, wantReads int64) uint64 {
+		t.Helper()
+		before := mem.gets.Load()
+		got, v, err := s.GetVersioned(name)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("GetVersioned(%s) = %d bytes, %v; want the %d bytes stored", name, len(got), err, len(want))
+		}
+		if reads := mem.gets.Load() - before; reads != wantReads {
+			t.Fatalf("GetVersioned(%s) read the backing store %d times, want %d", name, reads, wantReads)
+		}
+		got[0] ^= 0xff // the caller owns what it was given
+		return v
+	}
+
+	// Written through this adapter: no read at all.
+	first := seal(1, "first")
+	if _, err := s.PutVersioned("dir", first); err != nil {
+		t.Fatal(err)
+	}
+	v1 := get("dir", first, 0)
+	if v := get("dir", first, 0); v != v1 {
+		t.Fatalf("version moved without a put: %d then %d", v1, v)
+	}
+	// Rewritten: the new bytes, a new version, still no read.
+	second := seal(2, "second, longer")
+	if _, err := s.PutVersioned("dir", second); err != nil {
+		t.Fatal(err)
+	}
+	if v := get("dir", second, 0); v <= v1 {
+		t.Fatalf("version did not increase: %d then %d", v1, v)
+	}
+	// Already on the store when the adapter was made (a remount): read
+	// once, then kept.
+	s = NewVersionedStore(mem)
+	get("dir", second, 1)
+	get("dir", second, 0)
+	// Deleted: gone, not served from what was kept.
+	if err := s.Delete("dir"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.GetVersioned("dir"); !errors.Is(err, backend.ErrNotExist) {
+		t.Fatalf("GetVersioned after Delete = %v, want ErrNotExist", err)
+	}
+	// File contents are read every time: the adapter is not a data cache.
+	data := bytes.Repeat([]byte{0x5a}, 4096)
+	if _, err := s.PutVersioned("data", data); err != nil {
+		t.Fatal(err)
+	}
+	get("data", data, 1)
+	get("data", data, 1)
+}
+
+// TestVersionedStoreKeptCopyTracksConcurrentWriters: writers and readers
+// of one metadata object race through the adapter; whatever the
+// interleaving, once the writers are done a fetch returns the bytes the
+// backing store holds.
+func TestVersionedStoreKeptCopyTracksConcurrentWriters(t *testing.T) {
+	rk, err := metadata.NewRootKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := backend.NewMemStore()
+	s := NewVersionedStore(mem)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				blob, err := metadata.Seal(rk, metadata.Preamble{Type: metadata.TypeFilenode, UUID: uuid.UUID{2}, Version: uint64(i)}, []byte{byte(w), byte(i)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := s.PutVersioned("obj", blob); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if _, _, err := s.GetVersioned("obj"); err != nil && !errors.Is(err, backend.ErrNotExist) {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	want, err := mem.Get("obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := s.GetVersioned("obj"); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("after the writers finished GetVersioned returns bytes the store does not hold (%v)", err)
 	}
 }
 

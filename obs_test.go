@@ -210,12 +210,11 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("read: chunk crypto chunks moved %d, want 4", rDelta["enclave_chunk_crypto_chunks_total"])
 	}
 	// A fully cold read verifies every metadata object on the path: the
-	// root dirnode and the entry bucket holding "docs", the /docs
-	// dirnode and the bucket holding "f.bin", and the filenode — 5
-	// loads. A change here means the metadata I/O pattern changed;
-	// re-derive before updating.
-	if rDelta["enclave_metadata_loads_total"] != 5 {
-		t.Errorf("read: metadata loads moved %d, want 5", rDelta["enclave_metadata_loads_total"])
+	// root dirnode (which holds the entry "docs"), the /docs dirnode
+	// (which holds "f.bin"), and the filenode — 3 loads. A change here
+	// means the metadata I/O pattern changed; re-derive before updating.
+	if rDelta["enclave_metadata_loads_total"] != 3 {
+		t.Errorf("read: metadata loads moved %d, want 3", rDelta["enclave_metadata_loads_total"])
 	}
 	rSpans := tracer.Take()
 	rRoot := findSpan(rSpans, "vfs.read")
@@ -333,7 +332,7 @@ func afsSpanNames(s *Span) []string {
 	return names
 }
 
-// TestObservabilityRPCBudget pins the exact, ordered AFS frames five op
+// TestObservabilityRPCBudget pins the exact, ordered AFS frames six op
 // classes cost (DESIGN.md §11.5). Every frame is a LAN round trip (a
 // one-way unlock: half of one), so a frame added here is a latency
 // regression on every such op: the test fails until the table and the
@@ -380,13 +379,14 @@ func TestObservabilityRPCBudget(t *testing.T) {
 
 	data := bytes.Repeat([]byte{0x5A}, 2048)
 	// Create one file in an existing directory: the data object and the
-	// new filenode, then the directory (bucket + dirnode) under its lock,
-	// then the freshness root — sealed commitment and tree delta in one
-	// object — under its own lock. Neither lock is followed by a fetch:
-	// the lock reply revalidated the copy this client already caches.
+	// new filenode, then the directory — one object, ACL and entries
+	// together — under its lock, then the freshness root — sealed
+	// commitment and tree delta in one object — under its own lock.
+	// Neither lock is followed by a fetch: the lock reply revalidated the
+	// copy this client already caches.
 	create := []string{
 		"store", "store",
-		"lock", "store", "store", "unlock",
+		"lock", "store", "unlock",
 		"lock", "store", "unlock",
 	}
 	budget("create in an existing directory", "vfs.write", create, func() {
@@ -395,13 +395,13 @@ func TestObservabilityRPCBudget(t *testing.T) {
 		}
 	})
 
-	// Cold read (enclave and AFS caches dropped): the five metadata
-	// objects on the path — root dirnode, its bucket, /docs dirnode, its
-	// bucket, the filenode — then the data object.
+	// Cold read (enclave and AFS caches dropped): the three metadata
+	// objects on the path — root dirnode, /docs dirnode, the filenode —
+	// then the data object.
 	st.client.Enclave().DropCaches()
 	st.afs.FlushCache()
 	budget("cold read", "vfs.read", []string{
-		"fetch", "fetch", "fetch", "fetch", "fetch", "fetch",
+		"fetch", "fetch", "fetch", "fetch",
 	}, func() {
 		got, err := fs.ReadFile("/docs/second")
 		if err != nil {
@@ -413,10 +413,7 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	})
 
 	// The ACL and rename rows go straight to the enclave, so their root
-	// span is the one ecall. They are measured on a directory whose
-	// previous flush retired no bucket: the grant below is that flush
-	// (it also deletes the bucket the create above superseded, a
-	// `remove` that would otherwise ride along under the next lock).
+	// span is the one ecall.
 	bob, err := NewIdentity("bob")
 	if err != nil {
 		t.Fatal(err)
@@ -433,9 +430,8 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	}
 
 	// Revocation, the paper's whole cost (§VII-E): one directory re-seal
-	// under the directory's lock — no bucket changes, so the dirnode's
-	// main object alone — then the freshness root under its lock; the
-	// directory's unlock leaves last.
+	// under the directory's lock, then the freshness root under its
+	// lock; the directory's unlock leaves last.
 	reseal := []string{
 		"lock", "store",
 		"lock", "store", "unlock",
@@ -452,14 +448,31 @@ func TestObservabilityRPCBudget(t *testing.T) {
 		}
 	})
 
-	// Same-directory rename: SetACL's sequence plus the one rewritten
-	// bucket, stored before the dirnode that names it.
+	// Same-directory rename: the directory under its lock, then — the
+	// lock released — the freshness root under its own.
 	budget("rename within a directory", "sgx.ecall", []string{
-		"lock", "store", "store",
 		"lock", "store", "unlock",
-		"unlock",
+		"lock", "store", "unlock",
 	}, func() {
 		if err := fs.Rename("/docs/second", "/docs/renamed"); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// Rename across directories: both directory locks, the re-parented
+	// filenode, the source and the destination directory, and one root
+	// update for the three flushes together.
+	if err := fs.MkdirAll("/other"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	budget("rename across directories", "sgx.ecall", []string{
+		"lock", "lock", "store", "store", "store", "unlock", "unlock",
+		"lock", "store", "unlock",
+	}, func() {
+		if err := fs.Rename("/docs/renamed", "/other/moved"); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -470,12 +483,12 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	// creates grow this tree from a dozen leaves to about 140 at four
 	// changed leaves a drain, and √(2·S·u) at those sizes comes to a
 	// checkpoint every 3 to 9 drains.
-	// (Back-to-back creates each retire the bucket the one before wrote;
-	// its delete rides under the directory lock of the next flush.)
-	checkpoints, again := 0, slices.Insert(slices.Clone(create), 3, "remove")
+	// Every one of them is the create sequence above: a directory that
+	// fits bucket 0 retires nothing, so no `remove` ever rides along.
+	checkpoints := 0
 	for i := 0; i < 64; i++ {
 		name := fmt.Sprintf("/docs/more-%02d", i)
-		if budget("create "+name, "vfs.write", again, func() {
+		if budget("create "+name, "vfs.write", create, func() {
 			if err := fs.WriteFile(name, data); err != nil {
 				t.Fatal(err)
 			}
