@@ -452,43 +452,39 @@ func (e *Enclave) rebaseDirtyDirnodeLocked(id uuid.UUID, n *dirtyNode) error {
 	if err != nil {
 		return err
 	}
-	return e.replayDirOpsLocked(n, fresh, p.Version)
+	if err := e.replayDirOpsLocked(fresh, n.ops); err != nil {
+		return err
+	}
+	// The replayed copy is the node's dirty copy now: the drain flushes
+	// it, at the store's version plus one.
+	n.dir, n.base = fresh, p.Version
+	return nil
 }
 
-// replayDirOpsLocked applies a dirty dirnode's deferred op log to fresh,
-// the directory as the store holds it at version base, last-writer-wins
-// per name, and on success makes fresh the node's dirty copy.
-func (e *Enclave) replayDirOpsLocked(n *dirtyNode, fresh *metadata.Dirnode, base uint64) error {
-	loader := e.bucketLoaderFor(fresh)
-	for _, op := range n.ops {
+// replayDirOpsLocked applies a deferred op log to a freshly loaded
+// dirnode, last-writer-wins per name.
+func (e *Enclave) replayDirOpsLocked(d *metadata.Dirnode, ops []dirOp) error {
+	loader := e.bucketLoaderFor(d)
+	for _, op := range ops {
 		switch op.kind {
 		case opInsert:
-			err := fresh.Insert(op.entry, loader)
+			err := d.Insert(op.entry, loader)
 			if errors.Is(err, metadata.ErrEntryExists) {
-				if _, rerr := fresh.Remove(op.entry.Name, loader); rerr != nil && !errors.Is(rerr, metadata.ErrEntryNotFound) {
+				if _, rerr := d.Remove(op.entry.Name, loader); rerr != nil && !errors.Is(rerr, metadata.ErrEntryNotFound) {
 					return rerr
 				}
-				err = fresh.Insert(op.entry, loader)
+				err = d.Insert(op.entry, loader)
 			}
 			if err != nil {
 				return err
 			}
 		case opRemove:
-			if _, err := fresh.Remove(op.name, loader); err != nil && !errors.Is(err, metadata.ErrEntryNotFound) {
+			if _, err := d.Remove(op.name, loader); err != nil && !errors.Is(err, metadata.ErrEntryNotFound) {
 				return err
 			}
 		}
 	}
-	e.markRebasedLocked(n, fresh, base)
 	return nil
-}
-
-// markRebasedLocked hands a replayed copy to the dirty set: the next
-// drain flushes fresh, at base+1, in place of the copy n held. It is the
-// mark the dirty-before-flush lint rule requires of a function that
-// mutates a dirnode, as the replay does.
-func (e *Enclave) markRebasedLocked(n *dirtyNode, fresh *metadata.Dirnode, base uint64) {
-	n.dir, n.base = fresh, base
 }
 
 // createEntryWritebackLocked is the body of createEntry: the new child

@@ -179,6 +179,11 @@ func isEffectful(m *Module, fn *types.Func) bool {
 // dirtyFlushDir is the package the write-back invariant governs.
 const dirtyFlushDir = "internal/enclave"
 
+// dirtySetNodeType is that package's dirty-set node: assigning a
+// metadata node to one of its fields hands the node to the write-back
+// layer, as calling a mark* function does.
+const dirtySetNodeType = "dirtyNode"
+
 // metadataMutators are the methods of internal/metadata node types
 // whose call mutates dirnode/filenode state (field writes are detected
 // structurally).

@@ -7,15 +7,16 @@ package lint
 // to a field of a metadata node — must hand the mutation to the
 // write-back layer before returning: transitively reach a
 // dirty-marking or flush-barrier function (mark*, stageDelete*,
-// *flush*, *drain*). Otherwise the mutation lives only in the
-// decrypted cache and is silently lost at the next drain or crash.
+// *flush*, *drain*, or one that itself installs a metadata node in a
+// dirty-set node). Otherwise the mutation lives only in the decrypted
+// cache and is silently lost at the next drain or crash.
 //
 // Two classes of functions are exempt:
 //
 //   - the flush machinery itself (barrier-named functions replaying
 //     logs or rewriting nodes mid-drain), and
-//   - helpers reachable *only* from barrier-named functions — e.g. a
-//     replay helper the drain calls; the drain is the flush.
+//   - helpers reachable *only* from barriers — e.g. a replay helper
+//     the drain calls; the drain is the flush.
 //
 // Everything else either marks/flushes or carries a //lint:ignore
 // explaining who flushes on its behalf.
@@ -112,14 +113,70 @@ func (m *Module) computeDirtyFlush() []Finding {
 	return out
 }
 
-// isBarrierNode reports whether a node is a barrier-named function of
-// internal/enclave.
+// isBarrierNode reports whether a node is a barrier of internal/enclave:
+// a barrier-named function, or one that installs a metadata node in the
+// dirty set with its own hands.
 func isBarrierNode(m *Module, n *CGNode) bool {
 	if n.Fn == nil || n.Fn.Pkg() == nil {
 		return false
 	}
 	rel := strings.TrimPrefix(n.Fn.Pkg().Path(), m.Path+"/")
-	return rel == dirtyFlushDir && dirtyBarrierName(n.Fn.Name())
+	return rel == dirtyFlushDir && (dirtyBarrierName(n.Fn.Name()) || installsDirtyNode(n))
+}
+
+// installsDirtyNode reports whether n's own body assigns a metadata
+// node to a field of the dirty set's node type: the hand-off the mark*
+// functions make, written inline.
+func installsDirtyNode(n *CGNode) bool {
+	if n.Body == nil || n.Pkg == nil || n.Pkg.Info == nil {
+		return false
+	}
+	found := false
+	ast.Inspect(n.Body, func(nd ast.Node) bool {
+		if lit, ok := nd.(*ast.FuncLit); ok && lit != n.Lit {
+			return false
+		}
+		if as, ok := nd.(*ast.AssignStmt); ok {
+			for _, lhs := range as.Lhs {
+				found = found || isDirtyNodeInstall(n.Pkg, lhs)
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// isDirtyNodeInstall reports an assignment target that is a
+// Dirnode/Filenode-typed field of internal/enclave's dirty-set node.
+func isDirtyNodeInstall(p *Package, lhs ast.Expr) bool {
+	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fld, ok := p.Info.Uses[sel.Sel].(*types.Var)
+	if !ok || !fld.IsField() {
+		return false
+	}
+	owner, ok := namedElem(p.Info.Types[sel.X].Type)
+	if !ok || owner.Obj().Name() != dirtySetNodeType || owner.Obj().Pkg() == nil ||
+		!strings.HasSuffix(owner.Obj().Pkg().Path(), dirtyFlushDir) {
+		return false
+	}
+	held, ok := namedElem(fld.Type())
+	if !ok || held.Obj().Pkg() == nil || !strings.HasSuffix(held.Obj().Pkg().Path(), "internal/metadata") {
+		return false
+	}
+	_, tracked := metadataMutators[held.Obj().Name()]
+	return tracked
+}
+
+// namedElem returns the named type t is, or points to.
+func namedElem(t types.Type) (*types.Named, bool) {
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return named, ok
 }
 
 // firstMutation returns the first metadata mutation in n's own body

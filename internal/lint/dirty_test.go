@@ -79,6 +79,49 @@ func (e *E) applyStaged(d *metadata.Dirnode) {
 	expect(t, res, RuleDirtyFlush)
 }
 
+// TestDirtyInstallIntoDirtySetIsAMark: assigning the mutated node to a
+// field of the dirty set's node is the hand-off the mark* functions
+// make, so a pure helper whose every caller does that needs no barrier
+// of its own — and one with a caller that does not still does.
+func TestDirtyInstallIntoDirtySetIsAMark(t *testing.T) {
+	const fixture = `package enclave
+
+import "fixture/internal/metadata"
+
+type E struct{}
+
+type dirtyNode struct {
+	dir  *metadata.Dirnode
+	base uint64
+}
+
+func (e *E) replay(d *metadata.Dirnode) {
+	d.Insert("replayed")
+}
+
+func (e *E) rebase(n *dirtyNode, fresh *metadata.Dirnode) {
+	e.replay(fresh)
+	n.dir, n.base = fresh, 7
+}
+`
+	res := analyzeFixture(t, map[string]string{
+		"internal/metadata/m.go": dirtyFixtureMetadata,
+		"internal/enclave/x.go":  fixture,
+	})
+	expect(t, res, RuleDirtyFlush)
+
+	res = analyzeFixture(t, map[string]string{
+		"internal/metadata/m.go": dirtyFixtureMetadata,
+		"internal/enclave/x.go": fixture + `
+func (e *E) peek(n *dirtyNode, fresh *metadata.Dirnode) {
+	e.replay(fresh)
+	n.base = 7
+}
+`,
+	})
+	expect(t, res, RuleDirtyFlush, "x.go:13")
+}
+
 func TestDirtyFieldWriteWithoutBarrier(t *testing.T) {
 	res := analyzeFixture(t, map[string]string{
 		"internal/metadata/m.go": dirtyFixtureMetadata,

@@ -185,13 +185,9 @@ func NewDirnode(id, parent uuid.UUID, bucketSize uint32) *Dirnode {
 	}
 }
 
-// dirnodeLayoutFormat versions the main body that follows the
-// BucketSize==0 sentinel.
-const dirnodeLayoutFormat = 1
-
 // EncodeBody serializes the main dirnode body:
 //
-//	ACL ‖ uint32(0) ‖ format ‖ BucketSize ‖ bucket-0 entries ‖
+//	ACL ‖ uint32(0) ‖ BucketSize ‖ bucket-0 entries ‖
 //	count ‖ (UUID ‖ Count ‖ MAC)* of buckets 1..n ‖ count ‖ retired UUID*
 //
 // The zero where the legacy layout (ACL ‖ BucketSize(>0) ‖ refs of
@@ -204,7 +200,6 @@ func (d *Dirnode) EncodeBody() []byte {
 	w := serial.NewWriter(64 + 32*len(main) + 36*len(d.Refs) + 16*len(d.Retired))
 	d.ACL.Encode(w)
 	w.WriteUint32(0) // layout sentinel: no legacy bucket size
-	w.WriteUint8(dirnodeLayoutFormat)
 	w.WriteUint32(d.BucketSize)
 	writeEntries(w, main)
 	w.WriteUint32(uint32(len(d.Refs) - 1))
@@ -231,10 +226,6 @@ func DecodeDirnodeBody(id, parent uuid.UUID, body []byte) (*Dirnode, error) {
 	d.BucketSize = r.ReadUint32("bucket size")
 	legacy := d.BucketSize != 0
 	if !legacy {
-		format := r.ReadUint8("dirnode layout format")
-		if r.Err() == nil && format != dirnodeLayoutFormat {
-			return nil, fmt.Errorf("%w: dirnode layout format %d", ErrMalformed, format)
-		}
 		d.BucketSize = r.ReadUint32("bucket size")
 		entries, err := readEntries(r)
 		if err != nil {

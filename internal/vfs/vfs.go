@@ -36,28 +36,37 @@ import (
 // client implements the surface natively (versions come from the
 // server); this adapter covers local directory and in-memory volumes.
 //
-// The enclave re-fetches every metadata object on a path on every
-// operation, only to learn from the version that its decrypted copy is
-// still current. The AFS client answers such a fetch from its cache;
-// this adapter answers it from the sealed bytes it keeps of the metadata
-// objects it last stored or served (told apart from file contents by
-// their plaintext preamble), so a revalidation reads the backing store
-// no more often here than it crosses the network there. The kept bytes
-// are exactly as current as the version counters: both change only in
-// this adapter's puts and deletes.
+// The enclave re-fetches every directory on a path on every operation
+// and, when the version is the one its decrypted copy came from, throws
+// the bytes away. The versions here are this adapter's own counters, so
+// the backing-store read behind such a fetch decides nothing; the adapter
+// answers it from the sealed bytes of the dirnode as it last read or
+// wrote it — the part the AFS client's cache plays over the network.
+// What does look at the bytes whatever the version says is a re-read
+// under a store lock, made because a peer on another adapter over the
+// same backing store may have put since: while this adapter holds any
+// lock, every fetch reads the backing store. Only dirnode main objects
+// are kept: an overflow bucket is checked against the MAC a possibly
+// fresher main object records, and everything else is small. An unlocked
+// read sees a peer adapter's put to a directory only after this adapter
+// next fetches it under a lock or writes it (it never saw one while the
+// enclave held its decrypted copy); clients in one process over one
+// backing store should share one adapter.
 type VersionedStore struct {
 	store  backend.Store
 	tracer *obs.Tracer
 
-	mu          sync.Mutex
-	versions    map[string]uint64 // guarded by mu
-	sealed      map[string][]byte // kept metadata objects; guarded by mu
-	sealedBytes int               // guarded by mu
+	mu        sync.Mutex
+	versions  map[string]uint64 // guarded by mu
+	writes    uint64            // puts and deletes begun plus ended; guarded by mu
+	held      int               // store locks this adapter holds; guarded by mu
+	kept      map[string][]byte // sealed dirnodes; guarded by mu
+	keptBytes int               // guarded by mu
 }
 
-// sealedBudget bounds the kept metadata bytes; past it the adapter drops
+// keptBudget bounds the kept dirnode bytes; past it the adapter drops
 // them all and starts over, as the enclave's own metadata cache does.
-const sealedBudget = 64 << 20
+const keptBudget = 16 << 20
 
 var (
 	_ enclave.ObjectStore       = (*VersionedStore)(nil)
@@ -66,7 +75,7 @@ var (
 
 // NewVersionedStore wraps store.
 func NewVersionedStore(store backend.Store) *VersionedStore {
-	return &VersionedStore{store: store, versions: make(map[string]uint64), sealed: make(map[string][]byte)}
+	return &VersionedStore{store: store, versions: make(map[string]uint64), kept: make(map[string][]byte)}
 }
 
 // Instrument attaches the registry's tracer so each store operation
@@ -83,76 +92,73 @@ func (s *VersionedStore) span(name string) *obs.Span {
 	return s.tracer.Begin(name)
 }
 
-// keepLocked keeps a copy of a sealed metadata object's bytes.
-func (s *VersionedStore) keepLocked(name string, data []byte) {
-	s.forgetLocked(name)
-	if s.sealedBytes+len(data) > sealedBudget {
-		clear(s.sealed)
-		s.sealedBytes = 0
-	}
-	s.sealed[name] = bytes.Clone(data)
-	s.sealedBytes += len(data)
-}
-
-func (s *VersionedStore) forgetLocked(name string) {
-	s.sealedBytes -= len(s.sealed[name])
-	delete(s.sealed, name)
-}
-
-// isSealedMetadata reports whether data is a sealed metadata object (a
-// dirnode, bucket, filenode, supernode, …) rather than file contents.
-func isSealedMetadata(data []byte) bool {
-	_, err := metadata.PeekPreamble(data)
-	return err == nil
-}
-
 // GetVersioned implements enclave.ObjectStore.
 func (s *VersionedStore) GetVersioned(name string) ([]byte, uint64, error) {
 	defer s.span("store.get").End()
 	s.mu.Lock()
-	before := s.versions[name]
-	kept, ok := s.sealed[name]
+	v, began := s.versions[name], s.writes
+	kept, ok := s.kept[name]
+	ok = ok && s.held == 0
 	s.mu.Unlock()
 	if ok {
-		return bytes.Clone(kept), before, nil
+		return bytes.Clone(kept), v, nil
 	}
 	data, err := s.store.Get(name)
 	if err != nil {
 		return nil, 0, err
 	}
 	s.mu.Lock()
-	v := s.versions[name]
-	// Keep what was read only if no put or delete crossed the read.
-	if v == before && isSealedMetadata(data) {
+	v = s.versions[name]
+	// What was read is what the store holds if no write crossed the read.
+	if s.writes == began {
 		s.keepLocked(name, data)
 	}
 	s.mu.Unlock()
 	return data, v, nil
 }
 
-// PutVersioned implements enclave.ObjectStore. A metadata object is
-// written with the adapter's lock held, so the kept copy is the bytes of
-// the last write whatever the interleaving; file contents, which can be
-// large, are written outside it.
+// PutVersioned implements enclave.ObjectStore. Every put ends by
+// replacing the kept copy of the name — with the written bytes if no
+// other write through this adapter overlapped it, with nothing otherwise
+// — so once writers are done a kept copy is the store's content whatever
+// the interleaving was.
 func (s *VersionedStore) PutVersioned(name string, data []byte) (uint64, error) {
 	defer s.span("store.put").End()
-	keep := isSealedMetadata(data)
-	if !keep {
-		if err := s.store.Put(name, data); err != nil {
-			return 0, err
-		}
-	}
+	s.mu.Lock()
+	s.writes++
+	began := s.writes
+	s.mu.Unlock()
+
+	err := s.store.Put(name, data)
+
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.forgetLocked(name)
-	if keep {
-		if err := s.store.Put(name, data); err != nil {
-			return 0, err
-		}
-		s.keepLocked(name, data)
+	s.writes++
+	if err != nil || s.writes != began+1 {
+		data = nil
+	}
+	s.keepLocked(name, data)
+	if err != nil {
+		return 0, err
 	}
 	s.versions[name]++
 	return s.versions[name], nil
+}
+
+// keepLocked replaces the kept copy of name with data if data is a
+// sealed dirnode, and drops it otherwise.
+func (s *VersionedStore) keepLocked(name string, data []byte) {
+	s.keptBytes -= len(s.kept[name])
+	delete(s.kept, name)
+	if p, err := metadata.PeekPreamble(data); err != nil || p.Type != metadata.TypeDirnode {
+		return
+	}
+	if s.keptBytes+len(data) > keptBudget {
+		clear(s.kept)
+		s.keptBytes = 0
+	}
+	s.kept[name] = bytes.Clone(data)
+	s.keptBytes += len(data)
 }
 
 // PutVersionedStream implements enclave.StreamObjectStore by draining
@@ -195,8 +201,9 @@ func (s *VersionedStore) Delete(name string) error {
 		return err
 	}
 	s.mu.Lock()
+	s.writes++
 	delete(s.versions, name)
-	s.forgetLocked(name)
+	s.keepLocked(name, nil)
 	s.mu.Unlock()
 	return nil
 }
@@ -204,7 +211,19 @@ func (s *VersionedStore) Delete(name string) error {
 // Lock implements enclave.ObjectStore.
 func (s *VersionedStore) Lock(name string) (func(), error) {
 	defer s.span("store.lock").End()
-	return s.store.Lock(name)
+	release, err := s.store.Lock(name)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.held++
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		s.held--
+		s.mu.Unlock()
+		release()
+	}, nil
 }
 
 // DirEntry is a directory listing entry.

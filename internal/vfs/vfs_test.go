@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,23 +114,28 @@ func (c *getCounter) Get(name string) ([]byte, error) {
 	return c.Store.Get(name)
 }
 
-// TestVersionedStoreRevalidatesWithoutReading: the enclave fetches every
-// metadata object on a path on every operation only to compare versions.
-// Such a fetch of an object nobody has written since must not read the
-// backing store again — for sealed metadata, not for file contents — and
-// must return exactly what the store holds.
-func TestVersionedStoreRevalidatesWithoutReading(t *testing.T) {
+// sealedObject is a sealed metadata object of the given type whose body
+// tells two versions apart.
+func sealedObject(t *testing.T, typ metadata.ObjType, version uint64, body string) []byte {
+	t.Helper()
 	rk, err := metadata.NewRootKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	seal := func(version uint64, body string) []byte {
-		blob, err := metadata.Seal(rk, metadata.Preamble{Type: metadata.TypeDirnode, UUID: uuid.UUID{1}, Version: version}, []byte(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
+	blob, err := metadata.Seal(rk, metadata.Preamble{Type: typ, UUID: uuid.UUID{1}, Version: version}, []byte(body))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return blob
+}
+
+// TestVersionedStoreRevalidatesDirnodesWithoutReading: the enclave
+// fetches every directory on a path on every operation only to compare
+// versions. Such a fetch of a dirnode nobody has written since must not
+// read the backing store again, and must return exactly what it holds;
+// everything else — buckets, filenodes, file contents — is read every
+// time.
+func TestVersionedStoreRevalidatesDirnodesWithoutReading(t *testing.T) {
 	mem := &getCounter{Store: backend.NewMemStore()}
 	s := NewVersionedStore(mem)
 	get := func(name string, want []byte, wantReads int64) uint64 {
@@ -147,7 +153,7 @@ func TestVersionedStoreRevalidatesWithoutReading(t *testing.T) {
 	}
 
 	// Written through this adapter: no read at all.
-	first := seal(1, "first")
+	first := sealedObject(t, metadata.TypeDirnode, 1, "first")
 	if _, err := s.PutVersioned("dir", first); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +162,7 @@ func TestVersionedStoreRevalidatesWithoutReading(t *testing.T) {
 		t.Fatalf("version moved without a put: %d then %d", v1, v)
 	}
 	// Rewritten: the new bytes, a new version, still no read.
-	second := seal(2, "second, longer")
+	second := sealedObject(t, metadata.TypeDirnode, 2, "second, longer")
 	if _, err := s.PutVersioned("dir", second); err != nil {
 		t.Fatal(err)
 	}
@@ -175,60 +181,115 @@ func TestVersionedStoreRevalidatesWithoutReading(t *testing.T) {
 	if _, _, err := s.GetVersioned("dir"); !errors.Is(err, backend.ErrNotExist) {
 		t.Fatalf("GetVersioned after Delete = %v, want ErrNotExist", err)
 	}
-	// File contents are read every time: the adapter is not a data cache.
-	data := bytes.Repeat([]byte{0x5a}, 4096)
-	if _, err := s.PutVersioned("data", data); err != nil {
-		t.Fatal(err)
+	for name, blob := range map[string][]byte{
+		"bucket":   sealedObject(t, metadata.TypeDirBucket, 1, "entries"),
+		"filenode": sealedObject(t, metadata.TypeFilenode, 1, "keys"),
+		"data":     bytes.Repeat([]byte{0x5a}, 4096),
+	} {
+		if _, err := s.PutVersioned(name, blob); err != nil {
+			t.Fatal(err)
+		}
+		get(name, blob, 1)
+		get(name, blob, 1)
 	}
-	get("data", data, 1)
-	get("data", data, 1)
 }
 
-// TestVersionedStoreKeptCopyTracksConcurrentWriters: writers and readers
-// of one metadata object race through the adapter; whatever the
-// interleaving, once the writers are done a fetch returns the bytes the
-// backing store holds.
+// TestVersionedStoreReadsThroughUnderLock: two adapters over one backing
+// store share its locks and nothing else. A fetch made while an adapter
+// holds a store lock is the enclave's lock-then-re-read, so it must
+// return what the peer put, not what this adapter kept; and a put made
+// under the lock is what the adapter serves afterwards.
+func TestVersionedStoreReadsThroughUnderLock(t *testing.T) {
+	mem := backend.NewMemStore()
+	a, b := NewVersionedStore(mem), NewVersionedStore(mem)
+	put := func(s *VersionedStore, blob []byte) {
+		t.Helper()
+		release, err := s.Lock("dir")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		if got, _, err := s.GetVersioned("dir"); err != nil && !errors.Is(err, backend.ErrNotExist) {
+			t.Fatal(err)
+		} else if want, _ := mem.Get("dir"); !bytes.Equal(got, want) {
+			t.Fatalf("a fetch under the lock returned %d bytes the backing store does not hold", len(got))
+		}
+		if _, err := s.PutVersioned("dir", blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		s := []*VersionedStore{a, b}[i%2]
+		blob := sealedObject(t, metadata.TypeDirnode, uint64(i+1), fmt.Sprint("generation ", i))
+		put(s, blob)
+		if got, _, err := s.GetVersioned("dir"); err != nil || !bytes.Equal(got, blob) {
+			t.Fatalf("round %d: the writer reads back bytes it did not write (%v)", i, err)
+		}
+	}
+}
+
+// yieldingStore yields the processor after each access, so the adapter's
+// bookkeeping for one call runs after another call's access.
+type yieldingStore struct{ backend.Store }
+
+func (y yieldingStore) Get(name string) ([]byte, error) {
+	defer runtime.Gosched()
+	return y.Store.Get(name)
+}
+
+func (y yieldingStore) Put(name string, data []byte) error {
+	defer runtime.Gosched()
+	return y.Store.Put(name, data)
+}
+
+func (y yieldingStore) Delete(name string) error {
+	defer runtime.Gosched()
+	return y.Store.Delete(name)
+}
+
+// TestVersionedStoreKeptCopyTracksConcurrentWriters: writers, a deleter
+// and a reader of one dirnode race through the adapter, round after
+// round; whatever the interleaving, once a round's writers are done a
+// fetch returns what the backing store holds.
 func TestVersionedStoreKeptCopyTracksConcurrentWriters(t *testing.T) {
-	rk, err := metadata.NewRootKey()
-	if err != nil {
-		t.Fatal(err)
+	const writers, rounds = 4, 300
+	var blobs [writers][]byte
+	for w := range blobs {
+		blobs[w] = sealedObject(t, metadata.TypeDirnode, uint64(w), fmt.Sprint("writer ", w))
 	}
 	mem := backend.NewMemStore()
-	s := NewVersionedStore(mem)
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				blob, err := metadata.Seal(rk, metadata.Preamble{Type: metadata.TypeFilenode, UUID: uuid.UUID{2}, Version: uint64(i)}, []byte{byte(w), byte(i)})
-				if err != nil {
-					t.Error(err)
-					return
+	s := NewVersionedStore(yieldingStore{mem})
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				switch {
+				case w == 0 && round%4 == 3:
+					if err := s.Delete("obj"); err != nil && !errors.Is(err, backend.ErrNotExist) {
+						t.Error(err)
+					}
+				case w == 1:
+					if _, _, err := s.GetVersioned("obj"); err != nil && !errors.Is(err, backend.ErrNotExist) {
+						t.Error(err)
+					}
+				default:
+					if _, err := s.PutVersioned("obj", blobs[w]); err != nil {
+						t.Error(err)
+					}
 				}
-				if _, err := s.PutVersioned("obj", blob); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if _, _, err := s.GetVersioned("obj"); err != nil && !errors.Is(err, backend.ErrNotExist) {
-					t.Error(err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	want, err := mem.Get("obj")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, _, err := s.GetVersioned("obj"); err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("after the writers finished GetVersioned returns bytes the store does not hold (%v)", err)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		want, wantErr := mem.Get("obj")
+		got, _, err := s.GetVersioned("obj")
+		if !bytes.Equal(got, want) || errors.Is(err, backend.ErrNotExist) != errors.Is(wantErr, backend.ErrNotExist) {
+			t.Fatalf("round %d: GetVersioned returns %d bytes, %v; the store holds %d bytes, %v", round, len(got), err, len(want), wantErr)
+		}
 	}
 }
 

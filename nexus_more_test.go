@@ -3,6 +3,9 @@ package nexus
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"nexus/internal/backend"
@@ -182,5 +185,105 @@ func TestIdentityWithoutPrivateKeyCannotSign(t *testing.T) {
 	pubOnly := Identity{Name: owner.Name, PublicKey: owner.PublicKey}
 	if _, err := client.Mount(pubOnly, sealed, vol.ID()); err == nil {
 		t.Fatal("mounted without a private key")
+	}
+}
+
+// TestTwoAdaptersAlternatingDrains: two clients, each behind its own
+// adapter over one backing store, share its locks and nothing else. They
+// take turns adding to one directory and draining. Each drain re-reads
+// the freshness root and the directory under their store locks and must
+// see what the peer put — not what this client's adapter last held — or
+// it seals an epoch over the peer's (a fork) or a directory version over
+// the peer's entries. The directory grows past one bucket on the way.
+func TestTwoAdaptersAlternatingDrains(t *testing.T) {
+	ias, err := NewAttestationService()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := backend.NewMemStore()
+	newClient := func() *Client {
+		c, err := NewClient(ClientConfig{Store: WrapStore(shared), IAS: ias})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	owen, err := NewIdentity("owen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol, _, err := newClient().CreateVolume(owen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vol.FS().MkdirAll("/d"); err != nil {
+		t.Fatal(err)
+	}
+	// join mounts the volume on a new computer behind a new adapter.
+	join := func(name string, rights Rights) *FS {
+		t.Helper()
+		id, err := NewIdentity(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := newClient()
+		offer, err := client.BeginMutualShare(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grant, err := vol.GrantAccessMutual(offer, name, id.PublicKey, owen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed, volID, err := client.AcceptMutualShareGrant(grant, owen.PublicKey)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dir := range []string{"/", "/d"} {
+			if err := vol.SetACL(dir, name, rights); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mounted, err := client.Mount(id, sealed, volID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mounted.FS()
+	}
+	writers := []struct {
+		name string
+		fs   *FS
+	}{{"owen", vol.FS()}, {"alice", join("alice", ReadWrite)}}
+	// A third computer joins now and looks only at the end: it has read
+	// nothing of /d by then, so it sees the store.
+	reader := join("carol", ReadOnly)
+
+	const rounds = 70 // 140 entries: bucket 0 overflows on the way
+	var want []string
+	for i := 0; i < rounds; i++ {
+		for _, w := range writers {
+			name := fmt.Sprintf("%s-%03d", w.name, i)
+			if err := w.fs.WriteFile("/d/"+name, []byte(name)); err != nil {
+				t.Fatalf("round %d: %s writes: %v", i, w.name, err)
+			}
+			if err := w.fs.Sync(); err != nil {
+				t.Fatalf("round %d: %s drains: %v", i, w.name, err)
+			}
+			want = append(want, name)
+		}
+	}
+
+	entries, err := reader.ReadDir("/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("/d lists %d entries, want the %d both clients wrote\n got %v", len(got), len(want), got)
 	}
 }
