@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet lint lint-baseline fuzz-smoke chaos obs bench bench-baseline cover revoke-sweep freshness-sweep dedup-sweep merkle vuln ci clean
+.PHONY: all build test race vet lint lint-baseline fuzz-smoke chaos obs bench bench-baseline cover revoke-sweep freshness-sweep merkle vuln ci clean
 
 all: build
 
@@ -43,9 +43,8 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzMerkleProofDecode -fuzztime=$(FUZZTIME) ./internal/merkle/
 	$(GO) test -run=^$$ -fuzz=FuzzMerkleTreeDecode -fuzztime=$(FUZZTIME) ./internal/merkle/
 	$(GO) test -run=^$$ -fuzz=FuzzFreshnessFrameDecode -fuzztime=$(FUZZTIME) ./internal/vfs/
-	$(GO) test -run=^$$ -fuzz=FuzzChunkerBoundaries -fuzztime=$(FUZZTIME) ./internal/chunker/
-	$(GO) test -run=^$$ -fuzz=FuzzCASDecode -fuzztime=$(FUZZTIME) ./internal/cas/
 	$(GO) test -run=^$$ -fuzz=FuzzDirnodeBodyDecode -fuzztime=$(FUZZTIME) ./internal/metadata/
+	$(GO) test -run=^$$ -fuzz=FuzzFilenodeBodyDecode -fuzztime=$(FUZZTIME) ./internal/metadata/
 
 # chaos runs the seeded fault-injection suites under the race detector,
 # once per seed in CHAOS_SEEDS: the AFS transport suite
@@ -99,7 +98,7 @@ vuln:
 
 # cover reports coverage on the packages gated by the CI floor.
 cover:
-	$(GO) test -coverprofile=cover.out ./internal/metadata/ ./internal/gcmsiv/ ./internal/obs/ ./internal/groupkey/ ./internal/chunker/ ./internal/cas/
+	$(GO) test -coverprofile=cover.out ./internal/metadata/ ./internal/gcmsiv/ ./internal/obs/ ./internal/groupkey/
 	$(GO) tool cover -func=cover.out | tail -1
 
 # merkle runs the Merkle-authenticated namespace's full verification
@@ -131,13 +130,6 @@ freshness-sweep:
 revoke-sweep:
 	$(GO) run ./cmd/nexus-bench -exp revoke-sweep -json \
 		-members 1000,10000,100000,1000000
-
-# dedup-sweep reproduces the DESIGN.md §16 dedup experiment at paper-ish
-# scale: the repeated-edit and git-clone workloads under fixed-size and
-# content-defined chunking, reporting dedup ratio and uploaded bytes/op
-# into the JSON report for nexus-benchdiff (informational columns).
-dedup-sweep:
-	$(GO) run ./cmd/nexus-bench -exp dedup -scale 1024 -json
 
 ci: build vet lint race chaos obs
 

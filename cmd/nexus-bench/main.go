@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	nexus-bench [-exp all|fileio|dirops|gitclone|db|apps|revoke|revoke-sweep|sharing|crypto|metadata|freshness|dedup|ablation]
+//	nexus-bench [-exp all|fileio|dirops|gitclone|db|apps|revoke|revoke-sweep|sharing|crypto|metadata|freshness|ablation]
 //	            [-scale N] [-runs N] [-rtt duration] [-bw MBps]
 //	            [-entries N] [-transition duration]
 //	            [-workers N] [-json] [-out FILE] [-crypto-workers LIST]
@@ -204,16 +204,6 @@ func run() error {
 			report.Experiments["freshness_scale"] = bench.FreshnessMetrics(rows)
 		}
 	}
-	if want("dedup") {
-		rows, err := bench.Dedup(cfg)
-		if err != nil {
-			return fmt.Errorf("dedup: %w", err)
-		}
-		bench.PrintDedup(os.Stdout, rows)
-		if report != nil {
-			report.Experiments["dedup"] = bench.DedupMetrics(rows)
-		}
-	}
 	if want("sharing") {
 		rows, err := bench.Sharing(env)
 		if err != nil {
@@ -293,7 +283,7 @@ func gitRev() string {
 // experiments are the names -exp accepts besides "all".
 var experiments = []string{
 	"fileio", "dirops", "gitclone", "db", "apps", "revoke", "revoke-sweep",
-	"sharing", "crypto", "metadata", "freshness", "dedup", "ablation",
+	"sharing", "crypto", "metadata", "freshness", "ablation",
 }
 
 // selectExperiments resolves a comma-separated -exp list to the set of

@@ -13,8 +13,7 @@
 //
 // Usage:
 //
-//	nexus [-home dir] [-store dir | -afs host:port]
-//	      [-content-defined] <command> [args]
+//	nexus [-home dir] [-store dir | -afs host:port] <command> [args]
 //
 // Every volume is rollback-protected by the Merkle-authenticated
 // namespace (DESIGN.md §15). Each command is its own process and its own
@@ -24,8 +23,6 @@
 // the one recorded there fails closed. Deleting that file forgets the
 // history, and the volume is then as a machine that never mounted it
 // sees it (the fork-consistency bound of §15.2).
-// -content-defined stores file contents as
-// deduplicated content-defined chunks (DESIGN.md §16).
 //
 // Commands:
 //
@@ -84,16 +81,12 @@ type cli struct {
 	// obs is shared by the AFS client and the enclave so trace mode
 	// stitches afs.* RPC spans under the vfs/sgx spans.
 	obs *nexus.Obs
-	// contentDefined enables the deduplicated content-defined chunk
-	// store for file contents.
-	contentDefined bool
 }
 
 func run() error {
 	home := flag.String("home", ".nexus-home", "client state directory")
 	storeDir := flag.String("store", "", "local object store directory (default <home>/store)")
 	afsAddr := flag.String("afs", "", "AFS server address (overrides -store)")
-	contentDefined := flag.Bool("content-defined", false, "store file contents as deduplicated content-defined chunks")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -104,7 +97,7 @@ func run() error {
 	if err := os.MkdirAll(*home, 0o700); err != nil {
 		return err
 	}
-	c := &cli{home: *home, obs: nexus.NewObs(), contentDefined: *contentDefined}
+	c := &cli{home: *home, obs: nexus.NewObs()}
 
 	switch {
 	case *afsAddr != "":
@@ -369,10 +362,9 @@ func (c *cli) newClient() (*nexus.Client, error) {
 		return nil, fmt.Errorf("corrupt machine seed")
 	}
 	return nexus.NewClient(nexus.ClientConfig{
-		Store:          c.store,
-		PlatformSeed:   seed,
-		Obs:            c.obs,
-		ContentDefined: c.contentDefined,
+		Store:        c.store,
+		PlatformSeed: seed,
+		Obs:          c.obs,
 	})
 }
 

@@ -114,12 +114,6 @@ type Delta struct {
 	// figure; zero otherwise. Informational only, like WrapRatio: proof
 	// sizes move by design when the namespace tree's geometry changes.
 	ProofBytesRatio float64
-	// DedupRatioCur and UploadedBytesRatio surface the dedup
-	// experiment's figures: the current run's dedup ratio, and
-	// cur/base uploaded bytes per op when both reports carry it.
-	// Informational, like the tails.
-	DedupRatioCur      float64
-	UploadedBytesRatio float64
 	// Informational marks a metric that never gates: its row is shown
 	// for visibility but no flag on it sets Regressed, and it needs no
 	// baseline entry.
@@ -229,10 +223,6 @@ func DiffOpts(baseline, current *bench.Report, opts Options) ([]Delta, bool, err
 				if base.ProofBytesPerOp > 0 && cur.ProofBytesPerOp > 0 {
 					d.ProofBytesRatio = cur.ProofBytesPerOp / base.ProofBytesPerOp
 				}
-				d.DedupRatioCur = cur.DedupRatio
-				if base.UploadedBytesPerOp > 0 && cur.UploadedBytesPerOp > 0 {
-					d.UploadedBytesRatio = cur.UploadedBytesPerOp / base.UploadedBytesPerOp
-				}
 			}
 			d.Regressed = !d.Informational &&
 				(d.Missing || d.NsRegressed || d.AllocsRegressed || d.MBsRegressed)
@@ -247,8 +237,7 @@ func DiffOpts(baseline, current *bench.Report, opts Options) ([]Delta, bool, err
 	// ratio) here would pass the run while leaving the new metric
 	// un-gated — fail loudly instead. Informational metrics are new
 	// coverage: they ride along without a baseline, but still get a
-	// row so their figures (dedup ratio, upload cost) are visible in
-	// the diff output.
+	// row so they are visible in the diff output.
 	var missingBase *MissingBaselineError
 	for expName, curExp := range current.Experiments {
 		baseExp := baseline.Experiments[expName]
@@ -259,7 +248,7 @@ func DiffOpts(baseline, current *bench.Report, opts Options) ([]Delta, bool, err
 			if cur.Informational {
 				deltas = append(deltas, Delta{
 					Experiment: expName, Metric: name, CurNs: cur.NsPerOp,
-					Informational: true, DedupRatioCur: cur.DedupRatio,
+					Informational: true,
 				})
 				continue
 			}
@@ -381,12 +370,6 @@ func Format(w io.Writer, deltas []Delta, opts Options) {
 		}
 		if d.ProofBytesRatio > 0 {
 			tails += fmt.Sprintf("  proof B/op %.2fx", d.ProofBytesRatio)
-		}
-		if d.DedupRatioCur > 0 {
-			tails += fmt.Sprintf("  dedup %.2fx", d.DedupRatioCur)
-		}
-		if d.UploadedBytesRatio > 0 {
-			tails += fmt.Sprintf("  upload B/op %.2fx", d.UploadedBytesRatio)
 		}
 		baseCol := fmt.Sprintf("%14.0f", d.BaseNs)
 		ratioCol := fmt.Sprintf("%7.2fx", d.Ratio)

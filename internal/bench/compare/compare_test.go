@@ -123,16 +123,14 @@ func TestDiffSeveralMissingBaselinesDeterministic(t *testing.T) {
 }
 
 // TestDiffInformationalMetricNeedsNoBaseline: informational metrics
-// (dedup ratios, upload costs) never gate, so they may appear without
-// a baseline entry and may regress arbitrarily without failing.
+// never gate, so they may appear without a baseline entry and may
+// regress arbitrarily without failing.
 func TestDiffInformationalMetricNeedsNoBaseline(t *testing.T) {
 	base := bench.NewReport("base", 1)
 	base.Add("fileio", "a", bench.Metric{NsPerOp: 100})
 	cur := bench.NewReport("cur", 1)
 	cur.Add("fileio", "a", bench.Metric{NsPerOp: 100})
-	cur.Add("dedup", "repeated_edit_cdc", bench.Metric{
-		NsPerOp: 5000, DedupRatio: 9.5, UploadedBytesPerOp: 6000, Informational: true,
-	})
+	cur.Add("sweep", "by_content", bench.Metric{NsPerOp: 5000, Informational: true})
 	deltas, regressed, err := Diff(base, cur, 0.2)
 	if err != nil {
 		t.Fatalf("informational metric without baseline: %v", err)
@@ -140,26 +138,23 @@ func TestDiffInformationalMetricNeedsNoBaseline(t *testing.T) {
 	if regressed {
 		t.Fatal("informational-only addition flagged as regression")
 	}
-	// The new coverage still gets a (non-gating) row so its dedup
-	// figures show up in the diff output.
+	// The new coverage still gets a (non-gating) row so it shows up in
+	// the diff output.
 	if len(deltas) != 2 {
 		t.Fatalf("want gated row + informational new-coverage row, got %d deltas", len(deltas))
 	}
 	for _, d := range deltas {
-		if d.Experiment != "dedup" {
+		if d.Experiment != "sweep" {
 			continue
 		}
-		if !d.Informational || d.Regressed || d.Missing {
+		if !d.Informational || d.Regressed || d.Missing || d.CurNs != 5000 {
 			t.Fatalf("informational new-coverage row wrong: %+v", d)
-		}
-		if d.DedupRatioCur != 9.5 {
-			t.Fatalf("dedup ratio not surfaced on new-coverage row: %+v", d)
 		}
 	}
 
 	// Present in both but slower and marked informational: shown, not
 	// gated.
-	base.Add("dedup", "repeated_edit_cdc", bench.Metric{NsPerOp: 10, Informational: true})
+	base.Add("sweep", "by_content", bench.Metric{NsPerOp: 10, Informational: true})
 	deltas, regressed, err = Diff(base, cur, 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -169,15 +164,12 @@ func TestDiffInformationalMetricNeedsNoBaseline(t *testing.T) {
 	}
 	var dd *Delta
 	for i := range deltas {
-		if deltas[i].Experiment == "dedup" {
+		if deltas[i].Experiment == "sweep" {
 			dd = &deltas[i]
 		}
 	}
 	if dd == nil || !dd.Informational || dd.Regressed {
-		t.Fatalf("dedup delta wrong: %+v", dd)
-	}
-	if dd.DedupRatioCur != 9.5 {
-		t.Fatalf("dedup ratio not surfaced: %+v", dd)
+		t.Fatalf("informational delta wrong: %+v", dd)
 	}
 }
 

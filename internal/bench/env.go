@@ -40,10 +40,6 @@ type Config struct {
 	// CryptoWorkers bounds the parallel chunk-crypto fan-out (0 =
 	// GOMAXPROCS with serial small-file fallback, 1 = serial).
 	CryptoWorkers int
-	// ContentDefined stores file contents as deduplicated
-	// content-defined chunks (DESIGN.md §16) — the `dedup` experiment's
-	// CDC arm.
-	ContentDefined bool
 	// Runs is the number of repetitions averaged per measurement
 	// (paper: 10 for microbenchmarks, 25 for applications).
 	Runs int
@@ -131,7 +127,6 @@ func NewEnv(cfg Config) (*Env, error) {
 		ChunkSize:      cfg.ChunkSize,
 		CryptoWorkers:  cfg.CryptoWorkers,
 		TransitionCost: cfg.TransitionCost,
-		ContentDefined: cfg.ContentDefined,
 		Obs:            env.Obs,
 	})
 	if err != nil {

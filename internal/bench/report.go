@@ -49,15 +49,10 @@ type Metric struct {
 	// TestFreshnessSweepScaling gates their growth.
 	UpdateBytesPerEpoch float64 `json:"update_bytes_per_epoch,omitempty"`
 	EpochsPerCheckpoint float64 `json:"epochs_per_checkpoint,omitempty"`
-	// DedupRatio is logical bytes written over bytes actually uploaded
-	// and UploadedBytesPerOp the post-dedup upload cost per operation,
-	// from the dedup experiment. Both ride on informational metrics.
-	DedupRatio         float64 `json:"dedup_ratio,omitempty"`
-	UploadedBytesPerOp float64 `json:"uploaded_bytes_per_op,omitempty"`
 	// Informational marks a metric the compare gate must never fail on
-	// — and, unlike gated metrics, never demand a baseline entry for:
-	// dedup ratios and upload-cost figures move by design with workload
-	// content, so they ride along for visibility only.
+	// — and, unlike gated metrics, never demand a baseline entry for: a
+	// figure that moves by design with workload content rides along for
+	// visibility only.
 	Informational bool `json:"informational,omitempty"`
 }
 

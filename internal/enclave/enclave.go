@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"nexus/internal/cas"
 	"nexus/internal/metadata"
 	"nexus/internal/obs"
 	"nexus/internal/parallel"
@@ -154,16 +153,6 @@ type Config struct {
 	// after every mutation, which is per-op durability. See
 	// internal/enclave/writeback.go and DESIGN.md §12.
 	WritebackMaxOps int
-	// ContentDefined stores file contents through the content-addressed
-	// dedup layer (DESIGN.md §16): writes are split at content-defined
-	// boundaries (chunker params derive from ChunkSize: min ChunkSize/4,
-	// average ChunkSize, max 4×ChunkSize), chunks the volume already
-	// holds are not re-uploaded, and unreferenced chunks are garbage
-	// collected via the per-volume ref table. Files written under the
-	// knob stay content-defined for life; files in the legacy fixed-size
-	// layout convert on their next write. Reads never consult the knob —
-	// both layouts always decode.
-	ContentDefined bool
 	// Obs is the observability registry the enclave (and its SGX
 	// container) meters into. Optional; a private registry is created
 	// when nil. Share one registry across the stack (vfs → enclave →
@@ -198,13 +187,6 @@ type Stats struct {
 	// enclave_chunk_pool_{hits,misses}_total).
 	ChunkPoolHits   int64
 	ChunkPoolMisses int64
-	// DedupHits counts CDC chunks a write skipped uploading because the
-	// volume already held them; DedupChunksUploaded counts chunks
-	// actually sealed and stored; DedupBytesSkipped totals the plaintext
-	// bytes the skips saved (mirrors enclave_dedup_*_total).
-	DedupHits           int64
-	DedupChunksUploaded int64
-	DedupBytesSkipped   int64
 }
 
 // Enclave is a NEXUS enclave instance managing (at most) one mounted
@@ -261,21 +243,6 @@ type Enclave struct {
 	wb        *dirtySet
 	freshSink map[uuid.UUID]uint64
 
-	// Content-addressed dedup state (Config.ContentDefined; see
-	// internal/enclave/cas.go). casSecret derives from the rootkey at
-	// volume activation. refs caches the last committed ref table for
-	// the dedup-skip decision (stale-low entries only cost idempotent
-	// re-uploads); refsSeq is the enclave's local rollback memory of the
-	// table's version. casDecs accumulates reference drops and
-	// casPendingDeletes holds object names whose deletion must trail the
-	// next ref-table flush; both drain through casFlushDecsLocked.
-	casSecret         *cas.Secret
-	refs              *cas.RefTable
-	refsSeq           uint64
-	refsLoaded        bool
-	casDecs           map[cas.Handle]uint32
-	casPendingDeletes []string
-
 	// arena pools the data path's sealed-chunk buffers (DESIGN.md §14).
 	// Per-enclave rather than process-wide so the pool-health counters
 	// it mirrors into metrics are this enclave's alone.
@@ -310,9 +277,6 @@ type enclaveMetrics struct {
 	proofs            *obs.Counter // enclave_freshness_proofs_total
 	proofBytes        *obs.Counter // enclave_freshness_proof_bytes_total
 	rootUpdates       *obs.Counter // enclave_freshness_root_updates_total
-	dedupHits         *obs.Counter // enclave_dedup_hits_total
-	dedupUploads      *obs.Counter // enclave_dedup_chunks_uploaded_total
-	dedupSkipBytes    *obs.Counter // enclave_dedup_bytes_skipped_total
 
 	// metaIO and dataIO meter the two ocall classes of the Table 5a/5b
 	// breakdowns (metadata fetch/store/lock vs encrypted file content).
@@ -351,9 +315,6 @@ func (m *enclaveMetrics) bind(reg *obs.Registry) {
 	m.proofs = reg.Counter("enclave_freshness_proofs_total")
 	m.proofBytes = reg.Counter("enclave_freshness_proof_bytes_total")
 	m.rootUpdates = reg.Counter("enclave_freshness_root_updates_total")
-	m.dedupHits = reg.Counter("enclave_dedup_hits_total")
-	m.dedupUploads = reg.Counter("enclave_dedup_chunks_uploaded_total")
-	m.dedupSkipBytes = reg.Counter("enclave_dedup_bytes_skipped_total")
 	m.metaIO = ocallMeter{ns: reg.Counter("enclave_metadata_io_ns_total"), lat: reg.Histogram("enclave_metadata_io_seconds")}
 	m.dataIO = ocallMeter{ns: reg.Counter("enclave_data_io_ns_total"), lat: reg.Histogram("enclave_data_io_seconds")}
 	m.tracer = reg.Tracer()
@@ -384,7 +345,6 @@ func New(cfg Config) (*Enclave, error) {
 		cfg:        cfg,
 		freshness:  make(map[uuid.UUID]uint64),
 		proofStore: proofStore,
-		casDecs:    make(map[cas.Handle]uint32),
 		wb:         newDirtySet(cfg.WritebackMaxOps),
 		cache:      newMetaCache(cfg.SGX),
 	}
@@ -425,9 +385,6 @@ func (e *Enclave) Stats() Stats {
 		DataIOTime:           time.Duration(m.dataIO.ns.Value()),
 		ChunkPoolHits:        m.poolHits.Value(),
 		ChunkPoolMisses:      m.poolMisses.Value(),
-		DedupHits:            m.dedupHits.Value(),
-		DedupChunksUploaded:  m.dedupUploads.Value(),
-		DedupBytesSkipped:    m.dedupSkipBytes.Value(),
 	}
 }
 
@@ -456,9 +413,6 @@ func (e *Enclave) ResetStats() {
 	m.proofs.Reset()
 	m.proofBytes.Reset()
 	m.rootUpdates.Reset()
-	m.dedupHits.Reset()
-	m.dedupUploads.Reset()
-	m.dedupSkipBytes.Reset()
 	e.sgx.ResetStats()
 }
 
@@ -480,10 +434,6 @@ func (e *Enclave) DropCaches() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.cache.clear()
-	// Drop the cached ref table too: the next CDC write refetches and
-	// re-verifies it (the drain above already flushed pending drops).
-	e.refs = nil
-	e.refsLoaded = false
 }
 
 // CreateVolume initializes a new volume on the backing store: it
@@ -509,13 +459,11 @@ func (e *Enclave) CreateVolume(ownerName string, ownerKey ed25519.PublicKey) (se
 
 		e.rootKey = rootKey
 		e.super = super
-		e.casSecret = cas.DeriveSecret(rootKey)
 		// Fresh volumes start with the membership key tree in place
 		// (owner enrolled); legacy volumes migrate on first AddUser.
 		if _, err := e.ensureGroupTreeLocked(); err != nil {
 			e.rootKey = nil
 			e.super = nil
-			e.casSecret = nil
 			return err
 		}
 
@@ -524,13 +472,11 @@ func (e *Enclave) CreateVolume(ownerName string, ownerKey ed25519.PublicKey) (se
 		if err := e.flushDirnodeLocked(root, 1); err != nil {
 			e.rootKey = nil
 			e.super = nil
-			e.casSecret = nil
 			return fmt.Errorf("writing root dirnode: %w", err)
 		}
 		if err := e.flushSupernodeLocked(); err != nil {
 			e.rootKey = nil
 			e.super = nil
-			e.casSecret = nil
 			return fmt.Errorf("writing supernode: %w", err)
 		}
 
@@ -577,10 +523,8 @@ func (e *Enclave) BeginAuth(userKey ed25519.PublicKey, sealedRootKey []byte, vol
 			return fmt.Errorf("%w: sealed blob is not a rootkey", ErrBadAuth)
 		}
 		e.rootKey = rootKey
-		e.casSecret = cas.DeriveSecret(rootKey)
 		if err := e.loadSupernodeLocked(); err != nil {
 			e.rootKey = nil
-			e.casSecret = nil
 			return err
 		}
 

@@ -600,11 +600,7 @@ func (e *Enclave) removeFileEntryLocked(dir *metadata.Dirnode, entry metadata.Di
 		f.Parent = uuid.Nil
 		return e.flushFilenodeLocked(f, fv+1)
 	}
-	if f.ContentDefined {
-		// Chunk drops flush (and zeroed chunks delete) only after the
-		// filenode object is off the store.
-		e.casStageDecsLocked(f.Extents)
-	} else if f.Size > 0 {
+	if f.Size > 0 {
 		if err := e.deleteObject(objName(f.DataUUID)); err != nil && !isNotExist(err) {
 			return err
 		}
@@ -657,13 +653,6 @@ const streamPutCutoff = 4 << 20
 // interface's ownership rules). On stream-capable stores, writes at or
 // above the streaming cutoff overlap chunk sealing with the upload.
 func (e *Enclave) encryptAndPutLocked(f *metadata.Filenode, data []byte) error {
-	// Content-defined files (and every write under the ContentDefined
-	// knob) go through the dedup layer instead: once a file has an
-	// extent list it stays content-defined even if the knob is later
-	// turned off, so its chunks' refcounts keep balancing.
-	if e.cfg.ContentDefined || f.ContentDefined {
-		return e.writeFileCDCLocked(f, data)
-	}
 	name := objName(f.DataUUID)
 	sealedLen := f.SealedSize(len(data))
 	buf := e.arena.Get(sealedLen)
@@ -816,8 +805,6 @@ func (e *Enclave) WriteFile(path string, data []byte) error {
 			e.cache.invalidate(f.UUID)
 			return err
 		}
-		// Replaced CDC chunks drop at the next drain's tail, after this
-		// filenode flush.
 		if err := e.flushFilenodeLocked(f, fv+1); err != nil {
 			e.cache.invalidate(f.UUID)
 			return err
@@ -867,10 +854,6 @@ func (e *Enclave) ReadFile(path string) ([]byte, error) {
 		if f.Size == 0 {
 			out = []byte{}
 			return nil
-		}
-		if f.ContentDefined {
-			out, err = e.readFileCDCLocked(f)
-			return err
 		}
 		blob, _, err := e.fetchObject(e.metrics.dataIO, objName(f.DataUUID))
 		if err != nil {

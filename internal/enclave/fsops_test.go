@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"nexus/internal/acl"
@@ -189,6 +191,83 @@ func TestRemoveSemantics(t *testing.T) {
 	}
 	if err := e.Remove("/missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Remove missing = %v", err)
+	}
+}
+
+// TestRetiredLayoutFilenodeFailsClosed: a filenode in the content-defined
+// layout — the body the last commit with that layout encoded, sealed under
+// this volume's rootkey as that commit would have — fails every operation
+// that loads it with metadata.ErrUnsupportedLayout, and that layout's
+// leftover objects are never fetched: the unreadable "cas-refs" here would
+// fail any operation that did.
+func TestRetiredLayoutFilenodeFailsClosed(t *testing.T) {
+	owner := newIdentity(t, "owen")
+	env, _, _ := newMountedVolume(t, owner)
+	e := env.enclave
+	for _, stray := range []string{"cas-refs", "cas-0123abcd"} {
+		if _, err := env.store.PutVersioned(stray, []byte("not a sealed object")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write := func(name string) {
+		t.Helper()
+		if err := e.Touch(name); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.WriteFile(name, []byte("fixed chunks")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("/f")
+	golden, err := os.ReadFile(filepath.Join("..", "metadata", "testdata", "extent-layout.body"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// /f's filenode is the only one on the store.
+	names, err := env.store.mem.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped := 0
+	for _, name := range names {
+		blob, _, err := env.store.GetVersioned(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := metadata.PeekPreamble(blob)
+		if err != nil || p.Type != metadata.TypeFilenode {
+			continue
+		}
+		p.Version++
+		sealed, err := metadata.Seal(e.rootKey, p, golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := env.store.PutVersioned(name, sealed); err != nil {
+			t.Fatal(err)
+		}
+		swapped++
+	}
+	if swapped != 1 {
+		t.Fatalf("found %d filenodes on the store, want 1", swapped)
+	}
+	write("/kept")
+
+	if _, err := e.ReadFile("/f"); !errors.Is(err, metadata.ErrUnsupportedLayout) {
+		t.Fatalf("ReadFile = %v, want ErrUnsupportedLayout", err)
+	}
+	if err := e.WriteFile("/f", []byte("new")); !errors.Is(err, metadata.ErrUnsupportedLayout) {
+		t.Fatalf("WriteFile = %v, want ErrUnsupportedLayout", err)
+	}
+	if _, err := e.Lookup("/f"); !errors.Is(err, metadata.ErrUnsupportedLayout) {
+		t.Fatalf("Lookup = %v, want ErrUnsupportedLayout", err)
+	}
+	// The rest of the volume is untouched.
+	if got, err := e.ReadFile("/kept"); err != nil || string(got) != "fixed chunks" {
+		t.Fatalf("ReadFile(/kept) = %q, %v", got, err)
+	}
+	if err := e.Remove("/kept"); err != nil {
+		t.Fatal(err)
 	}
 }
 

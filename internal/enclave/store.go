@@ -22,11 +22,15 @@ type metaCache struct {
 }
 
 type cacheEntry struct {
-	version uint64 // store version the decode came from
-	// objVersion is the sealed preamble version of the cached object.
-	// Cache hits must report it — not the freshness-map entry, which can
-	// be absent (pruned, or lost across a remount) and would make the
-	// next flush restart at version 1 and trip ErrStaleMetadata.
+	// version is the store version the decode came from. It may be a
+	// counter local to one adapter (vfs.VersionedStore), which a peer's put
+	// through another adapter does not move — hence the second key below.
+	version uint64
+	// objVersion is the sealed preamble version of the cached object. A
+	// hit requires the fetched bytes to carry it, and must report it — not
+	// the freshness-map entry, which can be absent (pruned, or lost across
+	// a remount) and would make the next flush restart at version 1 and
+	// trip ErrStaleMetadata.
 	objVersion uint64
 	obj        any   // *metadata.Dirnode or *metadata.Filenode
 	charged    int64 // EPC bytes charged
@@ -36,9 +40,17 @@ func newMetaCache(container *sgx.Enclave) *metaCache {
 	return &metaCache{sgx: container, entries: make(map[uuid.UUID]*cacheEntry)}
 }
 
-func (c *metaCache) get(id uuid.UUID, version uint64) (any, uint64, bool) {
+// get returns the decrypted copy of id if it was decoded from blob: the
+// store reports the version it did then and blob's preamble carries the
+// sealed version the copy has. The preamble is unauthenticated here, which
+// is safe in both directions: the store could already replay the old bytes
+// whole, and a mismatch only sends the caller to the verified decode.
+func (c *metaCache) get(id uuid.UUID, version uint64, blob []byte) (any, uint64, bool) {
 	entry, ok := c.entries[id]
 	if !ok || entry.version != version {
+		return nil, 0, false
+	}
+	if p, err := metadata.PeekPreamble(blob); err != nil || p.Version != entry.objVersion {
 		return nil, 0, false
 	}
 	return entry.obj, entry.objVersion, true
@@ -151,13 +163,14 @@ func (e *Enclave) loadDirnode(id, parent uuid.UUID) (*metadata.Dirnode, uint64, 
 		return d, base, nil
 	}
 	// Fetch is served by the AFS client cache (no network) when the
-	// callback promise is intact; its version validates the decrypted
-	// in-enclave copy, and the bytes are reused on a decode miss.
+	// callback promise is intact; its version and the preamble's validate
+	// the decrypted in-enclave copy, and the bytes are reused on a decode
+	// miss.
 	blob, storeVersion, err := e.fetchObject(e.metrics.metaIO, objName(id))
 	if err != nil {
 		return nil, 0, fmt.Errorf("fetching dirnode %s: %w", id, err)
 	}
-	if obj, objVersion, ok := e.cache.get(id, storeVersion); ok {
+	if obj, objVersion, ok := e.cache.get(id, storeVersion, blob); ok {
 		if d, ok := obj.(*metadata.Dirnode); ok && d.Parent == parent {
 			e.metrics.metadataCacheHits.Inc()
 			return d, objVersion, nil
@@ -411,7 +424,7 @@ func (e *Enclave) loadFilenode(id, parent uuid.UUID) (*metadata.Filenode, uint64
 	if err != nil {
 		return nil, 0, fmt.Errorf("fetching filenode %s: %w", id, err)
 	}
-	if obj, objVersion, ok := e.cache.get(id, storeVersion); ok {
+	if obj, objVersion, ok := e.cache.get(id, storeVersion, blob); ok {
 		if f, ok := obj.(*metadata.Filenode); ok {
 			if f.LinkCount > 1 || f.Parent.IsNil() || f.Parent == parent {
 				e.metrics.metadataCacheHits.Inc()

@@ -288,8 +288,7 @@ func (e *Enclave) batchFreshnessLocked(fn func() error) error {
 // advances the freshness root once. On failure the un-flushed portion
 // of the set is left intact for retry.
 func (e *Enclave) drainLocked() error {
-	if len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && !e.wb.superDirty && len(e.wb.fresh) == 0 &&
-		len(e.casDecs) == 0 && len(e.casPendingDeletes) == 0 {
+	if len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && !e.wb.superDirty && len(e.wb.fresh) == 0 {
 		return nil
 	}
 	span := e.metrics.tracer.Begin("enclave.flush_batch")
@@ -298,7 +297,7 @@ func (e *Enclave) drainLocked() error {
 	span.SetTagInt("deletes", int64(len(e.wb.deletes)))
 	defer span.End()
 
-	err := e.batchFreshnessLocked(func() error {
+	return e.batchFreshnessLocked(func() error {
 		if err := e.flushDirtyNodesLocked(); err != nil {
 			return err
 		}
@@ -317,15 +316,6 @@ func (e *Enclave) drainLocked() error {
 		e.metrics.dirtyGauge.Set(0)
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	// CDC reference drops flush last of all: every filenode upload and
-	// every staged filenode deletion has run, so a chunk that reaches
-	// zero here is provably unreferenced by anything on the store. A
-	// failure keeps the drops queued for the next drain (the table
-	// overcounts in the interim, which only leaks).
-	return e.casFlushDecsLocked()
 }
 
 // flushDirtyNodesLocked uploads dirty nodes children-first, then runs
@@ -558,10 +548,8 @@ func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
 	case metadata.KindFile:
 		if n, ok := e.wb.nodes[entry.UUID]; ok && n.file != nil {
 			// Pending create: cancel it; only the eagerly-uploaded data
-			// (a legacy object, or CDC chunk references) needs dropping.
-			if n.file.ContentDefined {
-				e.casStageDecsLocked(n.file.Extents)
-			} else if n.file.Size > 0 {
+			// object needs dropping.
+			if n.file.Size > 0 {
 				e.stageDeleteLocked(n.file.DataUUID, false)
 			}
 			e.dropDirtyNodeLocked(entry.UUID)
@@ -588,11 +576,7 @@ func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
 					return err
 				}
 			} else {
-				if f.ContentDefined {
-					// The drops flush at the drain's tail, after the staged
-					// filenode deletion below has run.
-					e.casStageDecsLocked(f.Extents)
-				} else if f.Size > 0 {
+				if f.Size > 0 {
 					e.stageDeleteLocked(f.DataUUID, false)
 				}
 				e.stageDeleteLocked(entry.UUID, true)

@@ -6,11 +6,11 @@ import (
 	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"nexus/internal/cas"
 	"nexus/internal/parallel"
 	"nexus/internal/serial"
 	"nexus/internal/uuid"
@@ -68,19 +68,6 @@ type Filenode struct {
 	// Chunks holds one context per chunk, in order.
 	Chunks []ChunkContext
 
-	// ContentDefined selects the content-addressed layout (DESIGN.md
-	// §16): the file's bytes live in deduplicated CAS chunks named by
-	// Extents, not in a single DataUUID object, and the fixed-size
-	// fields above (ChunkSize, ContentKey, Chunks) are unused. On the
-	// wire the layout is versioned by the ChunkSize field: zero — which
-	// the legacy decoder has always rejected — marks the extent layout,
-	// so every historical blob still decodes down the legacy path and
-	// old clients fail closed on new blobs.
-	ContentDefined bool
-	// Extents tiles the file's plaintext across CAS chunks, in order.
-	// Invariant: the extent lengths sum to Size.
-	Extents []cas.Extent
-
 	// aad caches the concatenated per-chunk associated data
 	// (DataUUID‖index), rebuilt only when the data UUID or chunk count
 	// changes, so steady-state crypto slices it without allocating.
@@ -104,30 +91,16 @@ func NewFilenode(id, parent uuid.UUID, chunkSize uint32) *Filenode {
 	}
 }
 
-// extentLayoutFormat versions the extent-list body that follows the
-// ChunkSize==0 sentinel.
-const extentLayoutFormat = 1
+// ErrUnsupportedLayout reports a filenode in the retired content-defined
+// layout, which wrote a zero where ChunkSize stands (DESIGN.md §16). No
+// reader for it is kept: such a volume is copied out with the last
+// commit that wrote it.
+var ErrUnsupportedLayout = errors.New("metadata: filenode uses the retired content-defined layout")
 
-// EncodeBody serializes the filenode body for Seal.
-//
-// Legacy (fixed-size) layout:
+// EncodeBody serializes the filenode body for Seal:
 //
 //	DataUUID ‖ Size ‖ ChunkSize(>0) ‖ LinkCount ‖ ContentKey ‖ count ‖ (IV‖Tag)*
-//
-// Content-defined layout (ChunkSize encodes as zero):
-//
-//	DataUUID ‖ Size ‖ uint32(0) ‖ format ‖ LinkCount ‖ count ‖ (Handle‖Len)*
 func (f *Filenode) EncodeBody() []byte {
-	if f.ContentDefined {
-		w := serial.NewWriter(48 + len(f.Extents)*(cas.HandleSize+4))
-		w.WriteRaw(f.DataUUID[:])
-		w.WriteUint64(f.Size)
-		w.WriteUint32(0) // layout sentinel: no fixed chunk size
-		w.WriteUint8(extentLayoutFormat)
-		w.WriteUint32(f.LinkCount)
-		cas.WriteExtents(w, f.Extents)
-		return w.Bytes()
-	}
 	w := serial.NewWriter(64 + len(f.Chunks)*(ivSize+tagSize))
 	w.WriteRaw(f.DataUUID[:])
 	w.WriteUint64(f.Size)
@@ -143,8 +116,8 @@ func (f *Filenode) EncodeBody() []byte {
 }
 
 // DecodeFilenodeBody parses a body produced by EncodeBody. UUID and
-// parent come from the verified preamble. Both layouts cross-check the
-// recorded Size against the chunk structure, so a stale size / chunk
+// parent come from the verified preamble. The recorded Size is
+// cross-checked against the chunk count, so a stale size / chunk
 // mismatch is rejected at decode instead of surfacing later as a read
 // failure.
 func DecodeFilenodeBody(id, parent uuid.UUID, body []byte) (*Filenode, error) {
@@ -154,11 +127,14 @@ func DecodeFilenodeBody(id, parent uuid.UUID, body []byte) (*Filenode, error) {
 	f.Size = r.ReadUint64("file size")
 	f.ChunkSize = r.ReadUint32("chunk size")
 	if r.Err() == nil && f.ChunkSize == 0 {
-		return decodeExtentBody(r, f)
+		return nil, ErrUnsupportedLayout
 	}
 	f.LinkCount = r.ReadUint32("link count")
 	r.ReadRawInto(f.ContentKey[:], "content key")
 	n := r.ReadCount(0, "chunk count")
+	if n > r.Remaining()/(ivSize+tagSize) {
+		return nil, fmt.Errorf("%w: %d chunk contexts in %d bytes", ErrMalformed, n, r.Remaining())
+	}
 	if n > 0 {
 		f.Chunks = make([]ChunkContext, n)
 	}
@@ -169,9 +145,6 @@ func DecodeFilenodeBody(id, parent uuid.UUID, body []byte) (*Filenode, error) {
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("decoding filenode: %w", err)
 	}
-	if f.ChunkSize == 0 {
-		return nil, fmt.Errorf("%w: zero chunk size", ErrMalformed)
-	}
 	if n != f.NumChunks() {
 		return nil, fmt.Errorf("%w: %d chunk contexts for size %d (chunk size %d, want %d)",
 			ErrMalformed, n, f.Size, f.ChunkSize, f.NumChunks())
@@ -179,39 +152,14 @@ func DecodeFilenodeBody(id, parent uuid.UUID, body []byte) (*Filenode, error) {
 	return f, nil
 }
 
-// decodeExtentBody finishes decoding the content-defined layout after
-// the ChunkSize==0 sentinel.
-func decodeExtentBody(r *serial.Reader, f *Filenode) (*Filenode, error) {
-	f.ContentDefined = true
-	format := r.ReadUint8("extent layout format")
-	if r.Err() == nil && format != extentLayoutFormat {
-		return nil, fmt.Errorf("%w: extent layout format %d", ErrMalformed, format)
-	}
-	f.LinkCount = r.ReadUint32("link count")
-	extents, err := cas.ReadExtents(r)
-	if err != nil {
-		return nil, fmt.Errorf("decoding filenode extents: %w", err)
-	}
-	f.Extents = extents
-	if err := r.Finish(); err != nil {
-		return nil, fmt.Errorf("decoding filenode: %w", err)
-	}
-	if total := cas.TotalLen(f.Extents); total != f.Size {
-		return nil, fmt.Errorf("%w: extents cover %d bytes, size records %d",
-			ErrMalformed, total, f.Size)
-	}
-	return f, nil
-}
-
 // NumChunks returns the chunk count for the current plaintext size.
 func (f *Filenode) NumChunks() int {
-	if f.ContentDefined {
-		return len(f.Extents)
-	}
 	if f.Size == 0 {
 		return 0
 	}
-	return int((f.Size + uint64(f.ChunkSize) - 1) / uint64(f.ChunkSize))
+	// Not (Size + ChunkSize − 1) / ChunkSize: a decoded Size near 2^64
+	// would wrap to a small count and pass DecodeFilenodeBody's check.
+	return int((f.Size-1)/uint64(f.ChunkSize)) + 1
 }
 
 // SealedSize returns the data-object size for plainLen plaintext bytes:
@@ -224,11 +172,6 @@ func (f *Filenode) NumChunks() int {
 func (f *Filenode) SealedSize(plainLen int) int {
 	if plainLen <= 0 {
 		return 0
-	}
-	if f.ContentDefined {
-		// CAS chunks carry the same inline ciphertext‖tag framing, one
-		// sealed object per extent.
-		return plainLen + len(f.Extents)*tagSize
 	}
 	chunks := (plainLen + int(f.ChunkSize) - 1) / int(f.ChunkSize)
 	return plainLen + chunks*tagSize
@@ -614,8 +557,5 @@ func (s *SealStream) CryptoDuration() time.Duration {
 // crypto contexts — the quantity the revocation experiment (§VII-E)
 // compares against bulk data re-encryption.
 func (f *Filenode) MetadataOverhead() int {
-	if f.ContentDefined {
-		return len(f.Extents) * (cas.HandleSize + 4)
-	}
 	return BodyKeySize + len(f.Chunks)*(ivSize+tagSize)
 }

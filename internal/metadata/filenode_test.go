@@ -3,7 +3,10 @@ package metadata
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -235,4 +238,162 @@ func TestQuickFilenodeRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFilenodeLegacyChunkCountMismatchRejected is the size-accounting
+// regression: a blob whose chunk-context count disagrees with
+// ceil(Size/ChunkSize) — a stale Size from a buggy or tampered writer —
+// must fail decode instead of lurking until read.
+func TestFilenodeLegacyChunkCountMismatchRejected(t *testing.T) {
+	f := NewFilenode(uuid.New(), uuid.New(), 1024)
+	pt := make([]byte, 2500) // 3 chunks
+	if _, err := rand.Read(pt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.EncryptContent(pt); err != nil {
+		t.Fatal(err)
+	}
+	body := f.EncodeBody()
+	if _, err := DecodeFilenodeBody(f.UUID, f.Parent, body); err != nil {
+		t.Fatalf("honest blob rejected: %v", err)
+	}
+	// Shrink the recorded size without touching the chunk table: the
+	// decoder must notice 3 contexts can't belong to a 1-chunk file.
+	bad := bytes.Clone(body)
+	binary.LittleEndian.PutUint64(bad[uuid.Size:], 1000)
+	if _, err := DecodeFilenodeBody(f.UUID, f.Parent, bad); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("stale-size blob error = %v, want ErrMalformed", err)
+	}
+	// Zero-size with leftover chunk contexts is the truncate-to-empty
+	// variant of the same corruption.
+	bad2 := bytes.Clone(body)
+	binary.LittleEndian.PutUint64(bad2[uuid.Size:], 0)
+	if _, err := DecodeFilenodeBody(f.UUID, f.Parent, bad2); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("zero-size blob with chunks error = %v, want ErrMalformed", err)
+	}
+}
+
+// TestFilenodeTruncateAccounting pins the in-memory accounting across
+// shrinking rewrites: truncate-to-shorter must drop trailing chunk
+// contexts, truncate-to-empty must drop all of them, and the final
+// partial chunk must seal at its short length, not the full chunk size.
+func TestFilenodeTruncateAccounting(t *testing.T) {
+	f := NewFilenode(uuid.New(), uuid.New(), 1024)
+	write := func(n int) []byte {
+		t.Helper()
+		pt := make([]byte, n)
+		if _, err := rand.Read(pt); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := f.EncryptContent(pt)
+		if err != nil {
+			t.Fatalf("EncryptContent(%d): %v", n, err)
+		}
+		if got, err := f.DecryptContent(blob); err != nil || !bytes.Equal(got, pt) {
+			t.Fatalf("round trip at %d bytes: %v", n, err)
+		}
+		return blob
+	}
+
+	write(5000) // 5 chunks
+	if len(f.Chunks) != 5 {
+		t.Fatalf("chunks = %d, want 5", len(f.Chunks))
+	}
+	// Truncate to a shorter content that ends mid-chunk.
+	blob := write(1500) // 2 chunks, final one 476 bytes
+	if len(f.Chunks) != 2 || f.NumChunks() != 2 || f.Size != 1500 {
+		t.Fatalf("after truncate: chunks=%d size=%d", len(f.Chunks), f.Size)
+	}
+	if len(blob) != 1500+2*16 {
+		t.Fatalf("sealed blob %d bytes, want %d", len(blob), 1500+2*16)
+	}
+	// Overwrite only the final partial chunk's worth of growth: sizes
+	// around the chunk boundary.
+	for _, n := range []int{1023, 1024, 1025} {
+		write(n)
+		want := 1
+		if n > 1024 {
+			want = 2
+		}
+		if len(f.Chunks) != want || f.SealedSize(n) != n+want*16 {
+			t.Fatalf("size %d: chunks=%d sealed=%d", n, len(f.Chunks), f.SealedSize(n))
+		}
+	}
+	// Truncate to empty: no chunks, no stale contexts, decode clean.
+	write(0)
+	if len(f.Chunks) != 0 || f.Size != 0 || f.SealedSize(0) != 0 {
+		t.Fatalf("after truncate-to-empty: chunks=%d size=%d", len(f.Chunks), f.Size)
+	}
+	got, err := DecodeFilenodeBody(f.UUID, f.Parent, f.EncodeBody())
+	if err != nil {
+		t.Fatalf("decode after truncate-to-empty: %v", err)
+	}
+	if got.NumChunks() != 0 {
+		t.Fatalf("decoded chunk count %d after truncate-to-empty", got.NumChunks())
+	}
+}
+
+// TestFilenodeRetiredLayoutFailsClosed: a body in the content-defined
+// layout — testdata/extent-layout.body is what the last commit with that
+// layout encoded for a three-extent file — is refused by name, as is
+// anything else with a zero where the chunk size stands.
+func TestFilenodeRetiredLayoutFailsClosed(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "extent-layout.body"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroed := NewFilenode(uuid.New(), uuid.New(), 1024).EncodeBody()
+	binary.LittleEndian.PutUint32(zeroed[uuid.Size+8:], 0)
+	for name, body := range map[string][]byte{"golden": golden, "zeroed chunk size": zeroed} {
+		_, err := DecodeFilenodeBody(uuid.UUID{1}, uuid.UUID{2}, body)
+		if !errors.Is(err, ErrUnsupportedLayout) {
+			t.Fatalf("%s: DecodeFilenodeBody = %v, want ErrUnsupportedLayout", name, err)
+		}
+		if errors.Is(err, ErrMalformed) || errors.Is(err, ErrTampered) {
+			t.Fatalf("%s: %v also matches ErrMalformed or ErrTampered", name, err)
+		}
+	}
+}
+
+// FuzzFilenodeBodyDecode drives the post-unwrap filenode decoder with
+// arbitrary bytes: it must never panic, a zero chunk-size word is the
+// retired layout whatever follows it, and whatever it accepts has as many
+// chunk contexts as its size needs and re-encodes to exactly the bytes it
+// was given.
+func FuzzFilenodeBodyDecode(f *testing.F) {
+	fn := NewFilenode(uuid.New(), uuid.New(), 1024)
+	f.Add(fn.EncodeBody())
+	if _, err := fn.EncryptContent(make([]byte, 2500)); err != nil {
+		f.Fatal(err)
+	}
+	fn.LinkCount = 2
+	f.Add(fn.EncodeBody())
+	if golden, err := os.ReadFile(filepath.Join("testdata", "extent-layout.body")); err == nil {
+		f.Add(golden)
+	}
+	// A size whose rounding up to whole chunks wraps, with no contexts.
+	wraps := NewFilenode(uuid.New(), uuid.New(), 2).EncodeBody()
+	binary.LittleEndian.PutUint64(wraps[uuid.Size:], ^uint64(0))
+	f.Add(wraps)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, err := DecodeFilenodeBody(uuid.UUID{1}, uuid.UUID{2}, body)
+		const chunkWord = uuid.Size + 8
+		retired := len(body) >= chunkWord+4 && binary.LittleEndian.Uint32(body[chunkWord:]) == 0
+		if retired != errors.Is(err, ErrUnsupportedLayout) {
+			t.Fatalf("chunk-size word zero = %v, error = %v", retired, err)
+		}
+		if err != nil {
+			return
+		}
+		// The contexts tile the size: the last chunk starts inside it and
+		// ends at or past its end.
+		n, cs := uint64(len(got.Chunks)), uint64(got.ChunkSize)
+		if cs == 0 || (n == 0) != (got.Size == 0) || n*cs < got.Size || (n > 0 && (n-1)*cs >= got.Size) {
+			t.Fatalf("accepted filenode breaks its invariants: size %d, chunk size %d, %d contexts",
+				got.Size, got.ChunkSize, len(got.Chunks))
+		}
+		if again := got.EncodeBody(); !bytes.Equal(again, body) {
+			t.Fatalf("decode → encode differs:\n in %x\nout %x", body, again)
+		}
+	})
 }

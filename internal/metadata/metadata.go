@@ -47,9 +47,7 @@ const (
 	// TypeFreshness is the optional volume-wide version table (the
 	// §VI-C hash-tree mitigation implemented in internal/enclave).
 	TypeFreshness
-	// TypeRefTable is the content-addressed store's chunk
-	// reference-count table (DESIGN.md §16), one per volume.
-	TypeRefTable
+	// 6 is retired (it tagged the content-defined ref table): do not reuse.
 )
 
 func (t ObjType) String() string {
@@ -64,8 +62,6 @@ func (t ObjType) String() string {
 		return "dirbucket"
 	case TypeFreshness:
 		return "freshness"
-	case TypeRefTable:
-		return "reftable"
 	default:
 		return fmt.Sprintf("objtype(%d)", uint8(t))
 	}
@@ -145,7 +141,7 @@ func decodePreamble(b []byte) (Preamble, error) {
 	if err := r.Err(); err != nil {
 		return p, err
 	}
-	if p.Type < TypeSupernode || p.Type > TypeRefTable {
+	if p.Type < TypeSupernode || p.Type > TypeFreshness {
 		return p, fmt.Errorf("%w: unknown object type %d", ErrMalformed, p.Type)
 	}
 	return p, nil

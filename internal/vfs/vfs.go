@@ -189,12 +189,9 @@ func (s *VersionedStore) PutVersionedStream(name string, total int, next func() 
 }
 
 // Delete implements enclave.ObjectStore. The version counter is dropped
-// with the object: uuid-named metadata objects never reuse a name, and
-// content-addressed chunk objects ("cas-…") may be garbage-collected and
-// later recreated when the same content reappears — they are immutable
-// and self-authenticating, so a version restarting at 1 is harmless,
-// while keeping counters for deleted names would grow the map by one
-// entry per churned chunk for the life of the mount.
+// with the object: a deleted uuid-named object's name is never used
+// again, and keeping counters for deleted names would grow the map by one
+// entry per removed object for the life of the mount.
 func (s *VersionedStore) Delete(name string) error {
 	defer s.span("store.delete").End()
 	if err := s.store.Delete(name); err != nil {

@@ -81,20 +81,20 @@ func TestVersionedStoreVersions(t *testing.T) {
 
 func TestVersionedStoreDeleteDropsVersion(t *testing.T) {
 	s := NewVersionedStore(backend.NewMemStore())
-	if _, err := s.PutVersioned("cas-abc", []byte("chunk")); err != nil {
+	if _, err := s.PutVersioned("gone", []byte("bytes")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete("cas-abc"); err != nil {
+	if err := s.Delete("gone"); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	_, tracked := s.versions["cas-abc"]
+	_, tracked := s.versions["gone"]
 	s.mu.Unlock()
 	if tracked {
-		t.Fatal("version counter survived Delete; the map would grow by one entry per GC-churned chunk")
+		t.Fatal("version counter survived Delete; the map would grow by one entry per deleted object")
 	}
 	// Recreation restarts versioning cleanly.
-	v, err := s.PutVersioned("cas-abc", []byte("chunk"))
+	v, err := s.PutVersioned("gone", []byte("bytes"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,21 +195,8 @@ type ClientConfig struct {
 	IAS *AttestationService
 	// BucketSize caps dirnode bucket entries (default 128).
 	BucketSize uint32
-	// ChunkSize is the file encryption chunk size (default 1 MiB). With
-	// ContentDefined it is the average chunk size instead (the chunker
-	// cuts between ChunkSize/4 and 4×ChunkSize).
+	// ChunkSize is the file encryption chunk size (default 1 MiB).
 	ChunkSize uint32
-	// ContentDefined switches file contents from fixed-size chunks to
-	// content-defined chunking over a deduplicated content-addressed
-	// store (DESIGN.md §16): a rolling hash cuts chunk boundaries from
-	// the bytes themselves, each chunk is sealed once under a
-	// volume-scoped convergent key, and identical plaintext — within a
-	// file, across files, or across versions — is stored exactly once.
-	// Edits re-upload only the chunks they touch. Existing fixed-size
-	// files stay readable and convert on their next write; once
-	// converted, a file stays content-defined even if the knob is later
-	// cleared.
-	ContentDefined bool
 	// CryptoWorkers bounds the parallel chunk-crypto fan-out on file
 	// reads and writes: 0 uses GOMAXPROCS (serial below a small-file
 	// cutoff), 1 forces the serial path.
@@ -271,14 +258,13 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		store = vfs.NewFreshnessStore(store)
 	}
 	encl, err := enclave.New(enclave.Config{
-		SGX:            container,
-		Store:          store,
-		IAS:            cfg.IAS,
-		BucketSize:     cfg.BucketSize,
-		ChunkSize:      cfg.ChunkSize,
-		ContentDefined: cfg.ContentDefined,
-		CryptoWorkers:  cfg.CryptoWorkers,
-		Obs:            cfg.Obs,
+		SGX:           container,
+		Store:         store,
+		IAS:           cfg.IAS,
+		BucketSize:    cfg.BucketSize,
+		ChunkSize:     cfg.ChunkSize,
+		CryptoWorkers: cfg.CryptoWorkers,
+		Obs:           cfg.Obs,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("nexus: creating enclave: %w", err)

@@ -188,14 +188,11 @@ func TestIdentityWithoutPrivateKeyCannotSign(t *testing.T) {
 	}
 }
 
-// TestTwoAdaptersAlternatingDrains: two clients, each behind its own
-// adapter over one backing store, share its locks and nothing else. They
-// take turns adding to one directory and draining. Each drain re-reads
-// the freshness root and the directory under their store locks and must
-// see what the peer put — not what this client's adapter last held — or
-// it seals an epoch over the peer's (a fork) or a directory version over
-// the peer's entries. The directory grows past one bucket on the way.
-func TestTwoAdaptersAlternatingDrains(t *testing.T) {
+// twoAdapters creates a volume holding an empty /d on one backing store
+// and returns it with join, which mounts it on a new computer behind a
+// new adapter: the clients share the store's locks and nothing else.
+func twoAdapters(t *testing.T) (*Volume, func(name string, rights Rights) *FS) {
+	t.Helper()
 	ias, err := NewAttestationService()
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +216,6 @@ func TestTwoAdaptersAlternatingDrains(t *testing.T) {
 	if err := vol.FS().MkdirAll("/d"); err != nil {
 		t.Fatal(err)
 	}
-	// join mounts the volume on a new computer behind a new adapter.
 	join := func(name string, rights Rights) *FS {
 		t.Helper()
 		id, err := NewIdentity(name)
@@ -250,6 +246,37 @@ func TestTwoAdaptersAlternatingDrains(t *testing.T) {
 		}
 		return mounted.FS()
 	}
+	return vol, join
+}
+
+// wantDirNames fails the test unless dir, as fs reads it, lists exactly
+// want.
+func wantDirNames(t *testing.T, fs *FS, dir string, want []string) {
+	t.Helper()
+	entries, err := fs.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range entries {
+		got = append(got, e.Name)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s lists %d entries, want %d\n got %v\nwant %v", dir, len(got), len(want), got, want)
+	}
+}
+
+// TestTwoAdaptersAlternatingDrains: two clients, each behind its own
+// adapter over one backing store, share its locks and nothing else. They
+// take turns adding to one directory and draining. Each drain re-reads
+// the freshness root and the directory under their store locks and must
+// see what the peer put — not what this client's adapter last held — or
+// it seals an epoch over the peer's (a fork) or a directory version over
+// the peer's entries. The directory grows past one bucket on the way.
+func TestTwoAdaptersAlternatingDrains(t *testing.T) {
+	vol, join := twoAdapters(t)
 	writers := []struct {
 		name string
 		fs   *FS
@@ -273,17 +300,56 @@ func TestTwoAdaptersAlternatingDrains(t *testing.T) {
 		}
 	}
 
-	entries, err := reader.ReadDir("/d")
-	if err != nil {
-		t.Fatal(err)
+	wantDirNames(t, reader, "/d", want)
+}
+
+// TestTwoAdaptersLockedRewalk: the mutations that are not drains —
+// Rename, Hardlink, SetACL — lock the directory and walk to it again, and
+// that second walk must decode what a peer behind another adapter put
+// since, whatever this adapter's own version counter says: the counter
+// does not move with a peer's put, so a decrypted copy accepted on it
+// alone is sealed back over the peer's entries.
+func TestTwoAdaptersLockedRewalk(t *testing.T) {
+	vol, join := twoAdapters(t)
+	owen, alice := vol.FS(), join("alice", ReadWrite)
+
+	const rounds = 6
+	var want []string
+	for i := 0; i < rounds; i++ {
+		mine, hers := fmt.Sprintf("owen-%d", i), fmt.Sprintf("alice-%d", i)
+		if err := owen.WriteFile("/d/"+mine, []byte(mine)); err != nil {
+			t.Fatal(err)
+		}
+		if err := owen.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := alice.WriteFile("/d/"+hers, []byte(hers)); err != nil {
+			t.Fatal(err)
+		}
+		if err := alice.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, hers)
+		// owen's copy of /d is now one put behind the store's.
+		if i%2 == 0 {
+			if err := owen.Rename("/d/"+mine, "/d/"+mine+"-moved"); err != nil {
+				t.Fatalf("round %d: rename: %v", i, err)
+			}
+			want = append(want, mine+"-moved")
+		} else {
+			if err := owen.Hardlink("/d/"+mine, "/d/"+mine+"-link"); err != nil {
+				t.Fatalf("round %d: hardlink: %v", i, err)
+			}
+			want = append(want, mine, mine+"-link")
+		}
+		if err := alice.WriteFile("/d/"+hers+"-late", []byte(hers)); err != nil {
+			t.Fatal(err)
+		}
+		if err := alice.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, hers+"-late")
 	}
-	var got []string
-	for _, e := range entries {
-		got = append(got, e.Name)
-	}
-	sort.Strings(got)
-	sort.Strings(want)
-	if !slices.Equal(got, want) {
-		t.Fatalf("/d lists %d entries, want the %d both clients wrote\n got %v", len(got), len(want), got)
-	}
+	// carol joins last: owen's SetACL on /d follows alice's final drain.
+	wantDirNames(t, join("carol", ReadOnly), "/d", want)
 }
