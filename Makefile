@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet lint lint-baseline fuzz-smoke chaos obs bench bench-baseline cover revoke-sweep freshness-sweep merkle vuln ci clean
+.PHONY: all build test race vet lint fuzz-smoke chaos obs bench bench-baseline cover revoke-sweep freshness-sweep merkle vuln ci clean
 
 all: build
 
@@ -18,19 +18,11 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint runs the repo-specific static analyzer (cmd/nexus-lint). It
-# applies lint/baseline.json (accepted legacy findings), writes a SARIF
-# log for CI upload, and exits non-zero on any new finding; see
-# DESIGN.md §8 for the rule set and the //lint:ignore suppression
-# syntax.
+# lint runs the repo-specific static analyzer (cmd/nexus-lint) and
+# exits non-zero on any finding; see DESIGN.md §8 for the rule set and
+# the //lint:ignore suppression syntax.
 lint:
-	$(GO) run ./cmd/nexus-lint -sarif nexus-lint.sarif ./...
-
-# lint-baseline regenerates the accepted-findings baseline from the
-# current tree. Run it only after triaging every surviving finding:
-# anything recorded here stops failing CI.
-lint-baseline:
-	$(GO) run ./cmd/nexus-lint -write-baseline ./...
+	$(GO) run ./cmd/nexus-lint ./...
 
 # fuzz-smoke gives each fuzz target a short budget. The checked-in seed
 # corpora under */testdata/fuzz/ always run as part of `make test`; this
@@ -45,6 +37,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFreshnessFrameDecode -fuzztime=$(FUZZTIME) ./internal/vfs/
 	$(GO) test -run=^$$ -fuzz=FuzzDirnodeBodyDecode -fuzztime=$(FUZZTIME) ./internal/metadata/
 	$(GO) test -run=^$$ -fuzz=FuzzFilenodeBodyDecode -fuzztime=$(FUZZTIME) ./internal/metadata/
+	$(GO) test -run=^$$ -fuzz=FuzzSupernodeBodyDecode -fuzztime=$(FUZZTIME) ./internal/metadata/
 
 # chaos runs the seeded fault-injection suites under the race detector,
 # once per seed in CHAOS_SEEDS: the AFS transport suite

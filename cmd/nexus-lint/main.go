@@ -1,35 +1,15 @@
-// Command nexus-lint statically checks the repository against the NEXUS
-// security invariants (DSN'19 §IV, §VI) that the Go compiler cannot see:
-// crypto-grade randomness, the enclave key boundary, AEAD nonce hygiene,
-// checked crypto errors, mutex discipline — and, interprocedurally over
-// the module call graph, secret-taint flow, *Locked reachability, the
-// write-back markDirty invariant, and obs span coverage.
+// Command nexus-lint checks the module against the NEXUS key-handling
+// and locking invariants the Go compiler cannot see (DESIGN.md §8):
 //
-// Usage:
+//	go run ./cmd/nexus-lint ./...
 //
-//	go run ./cmd/nexus-lint [flags] ./...
-//
-// It loads every package of the enclosing module (arguments are accepted
-// for go-tool symmetry; analysis is always whole-module, because the
-// cross-package rules need the full call graph), prints findings as
-//
-//	file:line: [RULE] message
-//
-// and exits non-zero if any non-baselined finding survives. Flags:
-//
-//	-rule R1,R2        run only the named rules
-//	-json              print a schema-versioned JSON report to stdout
-//	-sarif FILE        also write a SARIF 2.1.0 log ("-" for stdout)
-//	-baseline FILE     accept legacy findings recorded in FILE
-//	                   (default: lint/baseline.json at the module root,
-//	                   when present; "none" disables)
-//	-write-baseline    regenerate the baseline from current findings
-//	-v                 list rules and per-rule counts
-//
-// Findings can be suppressed with `//lint:ignore RULE reason` on the
-// same or preceding line; suppressions are counted in the summary and
-// audited — a directive that no longer silences anything is itself a
-// finding.
+// It takes no flags (-h lists the rules). Analysis is always
+// whole-module — the interprocedural rules need the full call graph — so
+// package arguments are accepted but ignored. It prints one
+// "file:line: [RULE] message" line per finding plus a summary, and exits
+// 1 on any finding, 2 if the module does not load. A finding is
+// suppressed by "//lint:ignore RULE reason" on its line or the one
+// before; a directive that silences nothing is itself a finding.
 package main
 
 import (
@@ -38,193 +18,62 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"nexus/internal/lint"
 )
-
-// options is the parsed command line, separated from main so flag
-// handling is unit-testable.
-type options struct {
-	verbose       bool
-	jsonOut       bool
-	sarifPath     string
-	rules         []string
-	baselinePath  string // "" = auto-detect, "none" = disabled
-	writeBaseline bool
-}
-
-// parseFlags parses args (without the program name) into options.
-func parseFlags(args []string, stderr io.Writer) (*options, error) {
-	opts := &options{}
-	fs := flag.NewFlagSet("nexus-lint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	fs.BoolVar(&opts.verbose, "v", false, "list rules and per-rule counts")
-	fs.BoolVar(&opts.jsonOut, "json", false, "print findings as a schema-versioned JSON report")
-	fs.StringVar(&opts.sarifPath, "sarif", "", "write a SARIF 2.1.0 log to `file` (\"-\" for stdout)")
-	ruleList := fs.String("rule", "", "comma-separated `rules` to run (default: all)")
-	fs.StringVar(&opts.baselinePath, "baseline", "", "baseline `file` of accepted legacy findings (\"none\" disables; default lint/baseline.json when present)")
-	fs.BoolVar(&opts.writeBaseline, "write-baseline", false, "regenerate the baseline file from current findings and exit")
-	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: nexus-lint [flags] [packages]\n\nRules:\n")
-		for _, c := range lint.Checkers() {
-			fmt.Fprintf(stderr, "  %-22s %s\n", c.Rule, c.Doc)
-		}
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	if *ruleList != "" {
-		for _, r := range strings.Split(*ruleList, ",") {
-			if r = strings.TrimSpace(r); r != "" {
-				opts.rules = append(opts.rules, r)
-			}
-		}
-	}
-	return opts, nil
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	opts, err := parseFlags(args, stderr)
-	if err != nil {
+	if err := parseFlags(args, stderr); err != nil {
 		return 2
 	}
-
-	root, err := findModuleRoot()
+	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(stderr, "nexus-lint:", err)
 		return 2
+	}
+	root := cwd // walk up to the nearest go.mod
+	for {
+		if _, err := os.Stat(filepath.Join(root, "go.mod")); err == nil {
+			break
+		}
+		if filepath.Dir(root) == root {
+			fmt.Fprintln(stderr, "nexus-lint: no go.mod found above", cwd)
+			return 2
+		}
+		root = filepath.Dir(root)
 	}
 	res, err := lint.Run(root)
 	if err != nil {
 		fmt.Fprintln(stderr, "nexus-lint:", err)
 		return 2
 	}
-	if res, err = lint.FilterRules(res, opts.rules); err != nil {
-		fmt.Fprintln(stderr, "nexus-lint:", err)
-		return 2
+	for _, f := range res.Findings {
+		if rel, err := filepath.Rel(cwd, f.Pos.Filename); err == nil {
+			f.Pos.Filename = rel
+		}
+		fmt.Fprintln(stdout, f)
 	}
-
-	blPath := opts.baselinePath
-	if blPath == "" {
-		if def := filepath.Join(root, "lint", "baseline.json"); fileExists(def) {
-			blPath = def
-		}
-	}
-	if opts.writeBaseline {
-		if blPath == "" || blPath == "none" {
-			blPath = filepath.Join(root, "lint", "baseline.json")
-		}
-		if err := os.MkdirAll(filepath.Dir(blPath), 0o755); err != nil {
-			fmt.Fprintln(stderr, "nexus-lint:", err)
-			return 2
-		}
-		if err := lint.NewBaseline(root, res).WriteFile(blPath); err != nil {
-			fmt.Fprintln(stderr, "nexus-lint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "nexus-lint: wrote %d finding(s) to %s\n", len(res.Findings), blPath)
-		return 0
-	}
-
-	baselined := 0
-	if blPath != "" && blPath != "none" {
-		bl, err := lint.LoadBaseline(blPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "nexus-lint:", err)
-			return 2
-		}
-		var stale []lint.BaselineEntry
-		res, baselined, stale = bl.Apply(root, res)
-		if opts.verbose {
-			for _, s := range stale {
-				fmt.Fprintf(stderr, "nexus-lint: baseline entry no longer observed (%d left): %s [%s] %s\n",
-					s.Count, s.File, s.Rule, s.Msg)
-			}
-		}
-	}
-
-	if opts.sarifPath != "" {
-		if err := writeSARIF(opts.sarifPath, root, res, stdout); err != nil {
-			fmt.Fprintln(stderr, "nexus-lint:", err)
-			return 2
-		}
-	}
-
-	if opts.jsonOut {
-		if err := lint.NewJSONReport(root, res, baselined).Encode(stdout); err != nil {
-			fmt.Fprintln(stderr, "nexus-lint:", err)
-			return 2
-		}
-	} else {
-		cwd, _ := os.Getwd()
-		for _, f := range res.Findings {
-			name := f.Pos.Filename
-			if cwd != "" {
-				if rel, err := filepath.Rel(cwd, name); err == nil && !filepath.IsAbs(rel) {
-					name = rel
-				}
-			}
-			fmt.Fprintf(stdout, "%s:%d: [%s] %s\n", name, f.Pos.Line, f.Rule, f.Msg)
-		}
-	}
-	if opts.verbose {
-		counts := make(map[string]int)
-		for _, f := range res.Findings {
-			counts[f.Rule]++
-		}
-		for _, c := range lint.Checkers() {
-			fmt.Fprintf(stderr, "nexus-lint: %-22s %d finding(s)\n", c.Rule, counts[c.Rule])
-		}
-	}
-	fmt.Fprintf(stderr, "nexus-lint: %d finding(s), %d suppressed, %d baselined\n",
-		len(res.Findings), res.Suppressed, baselined)
+	fmt.Fprintf(stderr, "nexus-lint: %d finding(s), %d suppressed\n", len(res.Findings), res.Suppressed)
 	if len(res.Findings) > 0 {
 		return 1
 	}
 	return 0
 }
 
-func writeSARIF(path, root string, res *lint.Result, stdout io.Writer) error {
-	if path == "-" {
-		return lint.EncodeSARIF(stdout, root, res)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := lint.EncodeSARIF(f, root, res); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
-}
-
-// findModuleRoot walks up from the working directory to the nearest
-// go.mod.
-func findModuleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
+// parseFlags accepts package patterns only: nexus-lint has no flags, so
+// any flag is an error, and -h prints the rule list.
+func parseFlags(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("nexus-lint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: nexus-lint [packages]\n\nRules:\n")
+		for _, c := range lint.Checkers() {
+			fmt.Fprintf(stderr, "  %-22s %s\n", c.Rule, c.Doc)
 		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod found above %s", dir)
-		}
-		dir = parent
 	}
+	return fs.Parse(args)
 }

@@ -142,8 +142,6 @@ var _ backend.Store = (*Client)(nil)
 
 // Dial connects to an AFS server at addr, retrying per the config's
 // RetryPolicy before giving up with ErrUnavailable.
-//
-//lint:ignore span-coverage connection setup, not a data-path op; RPC spans are opened per call by the client methods
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		id:      uuid.New().String(),

@@ -200,8 +200,6 @@ func (s *Server) Stats() (fetches, stores int64) {
 // Serve accepts connections on l until the listener fails or the server
 // is closed. It always returns a non-nil error; after Close the error is
 // ErrClosed.
-//
-//lint:ignore span-coverage accept loop runs for the server's lifetime; per-RPC spans are opened in the request handlers
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -726,8 +724,6 @@ func (s *Server) release(ls *lockState) {
 
 // ListenAndServe is a convenience that listens on addr and serves until
 // failure. It is used by cmd/nexus-afsd.
-//
-//lint:ignore span-coverage process-lifetime serve loop, not an operation; see Serve
 func (s *Server) ListenAndServe(addr string) error {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -114,25 +114,20 @@ type Delta struct {
 	// figure; zero otherwise. Informational only, like WrapRatio: proof
 	// sizes move by design when the namespace tree's geometry changes.
 	ProofBytesRatio float64
-	// Informational marks a metric that never gates: its row is shown
-	// for visibility but no flag on it sets Regressed, and it needs no
-	// baseline entry.
-	Informational bool
 }
 
 // MissingBaselineError reports a gated metric the current run carries
 // that the baseline report lacks entirely. Diffing such a pair used to
 // pass silently — the metric produced no delta row and a zero ratio —
 // which un-gated it exactly when the gate was supposed to start
-// applying. Informational metrics (Metric.Informational) are exempt:
-// they never gate, so they may appear without a baseline entry.
+// applying.
 type MissingBaselineError struct {
 	Experiment string
 	Metric     string
 }
 
 func (e *MissingBaselineError) Error() string {
-	return fmt.Sprintf("compare: baseline has no entry for gated metric %s/%s reported by the current run — refusing to pass it ungated; regenerate the baseline (make bench-baseline) or mark the metric informational",
+	return fmt.Sprintf("compare: baseline has no entry for gated metric %s/%s reported by the current run — refusing to pass it ungated; regenerate the baseline (make bench-baseline)",
 		e.Experiment, e.Metric)
 }
 
@@ -187,7 +182,6 @@ func DiffOpts(baseline, current *bench.Report, opts Options) ([]Delta, bool, err
 		for name, base := range baseExp {
 			d := Delta{Experiment: expName, Metric: name, BaseNs: base.NsPerOp}
 			cur, ok := curExp[name]
-			d.Informational = base.Informational || (ok && cur.Informational)
 			if !ok {
 				d.Missing = true
 			} else {
@@ -224,8 +218,7 @@ func DiffOpts(baseline, current *bench.Report, opts Options) ([]Delta, bool, err
 					d.ProofBytesRatio = cur.ProofBytesPerOp / base.ProofBytesPerOp
 				}
 			}
-			d.Regressed = !d.Informational &&
-				(d.Missing || d.NsRegressed || d.AllocsRegressed || d.MBsRegressed)
+			d.Regressed = d.Missing || d.NsRegressed || d.AllocsRegressed || d.MBsRegressed
 			if d.Regressed {
 				regressed = true
 			}
@@ -235,21 +228,12 @@ func DiffOpts(baseline, current *bench.Report, opts Options) ([]Delta, bool, err
 	// The reverse direction: a gated metric the current run reports
 	// with no baseline entry at all. Producing no row (and a zero
 	// ratio) here would pass the run while leaving the new metric
-	// un-gated — fail loudly instead. Informational metrics are new
-	// coverage: they ride along without a baseline, but still get a
-	// row so they are visible in the diff output.
+	// un-gated — fail loudly instead.
 	var missingBase *MissingBaselineError
 	for expName, curExp := range current.Experiments {
 		baseExp := baseline.Experiments[expName]
-		for name, cur := range curExp {
+		for name := range curExp {
 			if _, ok := baseExp[name]; ok {
-				continue
-			}
-			if cur.Informational {
-				deltas = append(deltas, Delta{
-					Experiment: expName, Metric: name, CurNs: cur.NsPerOp,
-					Informational: true,
-				})
 				continue
 			}
 			// Deterministic choice when several are missing: report the
@@ -325,11 +309,7 @@ func Format(w io.Writer, deltas []Delta, opts Options) {
 	for _, d := range deltas {
 		name := d.Experiment + "/" + d.Metric
 		if d.Missing {
-			flag := "  REGRESSED (missing)"
-			if d.Informational {
-				flag = "  (informational, absent from current)"
-			}
-			fmt.Fprintf(w, "%-42s %14.0f %14s %8s %8s %8s%s\n", name, d.BaseNs, "-", "-", "-", "-", flag)
+			fmt.Fprintf(w, "%-42s %14.0f %14s %8s %8s %8s  REGRESSED (missing)\n", name, d.BaseNs, "-", "-", "-", "-")
 			continue
 		}
 		var why []string
@@ -343,9 +323,7 @@ func Format(w io.Writer, deltas []Delta, opts Options) {
 			why = append(why, fmt.Sprintf("MB/s < -%.0f%%", opts.MBsTolerance*100))
 		}
 		flag := ""
-		if d.Informational {
-			flag = "  (informational)"
-		} else if len(why) > 0 {
+		if len(why) > 0 {
 			flag = "  REGRESSED (" + strings.Join(why, ", ") + ")"
 		}
 		allocs, mbs := "-", "-"
@@ -371,13 +349,6 @@ func Format(w io.Writer, deltas []Delta, opts Options) {
 		if d.ProofBytesRatio > 0 {
 			tails += fmt.Sprintf("  proof B/op %.2fx", d.ProofBytesRatio)
 		}
-		baseCol := fmt.Sprintf("%14.0f", d.BaseNs)
-		ratioCol := fmt.Sprintf("%7.2fx", d.Ratio)
-		if d.Informational && d.BaseNs == 0 {
-			// New informational coverage with no baseline entry.
-			baseCol, ratioCol = fmt.Sprintf("%14s", "-"), fmt.Sprintf("%8s", "-")
-			flag = "  (informational, new)"
-		}
-		fmt.Fprintf(w, "%-42s %s %14.0f %s %8s %8s%s%s\n", name, baseCol, d.CurNs, ratioCol, allocs, mbs, tails, flag)
+		fmt.Fprintf(w, "%-42s %14.0f %14.0f %7.2fx %8s %8s%s%s\n", name, d.BaseNs, d.CurNs, d.Ratio, allocs, mbs, tails, flag)
 	}
 }

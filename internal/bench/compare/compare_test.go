@@ -122,61 +122,10 @@ func TestDiffSeveralMissingBaselinesDeterministic(t *testing.T) {
 	}
 }
 
-// TestDiffInformationalMetricNeedsNoBaseline: informational metrics
-// never gate, so they may appear without a baseline entry and may
-// regress arbitrarily without failing.
-func TestDiffInformationalMetricNeedsNoBaseline(t *testing.T) {
-	base := bench.NewReport("base", 1)
-	base.Add("fileio", "a", bench.Metric{NsPerOp: 100})
-	cur := bench.NewReport("cur", 1)
-	cur.Add("fileio", "a", bench.Metric{NsPerOp: 100})
-	cur.Add("sweep", "by_content", bench.Metric{NsPerOp: 5000, Informational: true})
-	deltas, regressed, err := Diff(base, cur, 0.2)
-	if err != nil {
-		t.Fatalf("informational metric without baseline: %v", err)
-	}
-	if regressed {
-		t.Fatal("informational-only addition flagged as regression")
-	}
-	// The new coverage still gets a (non-gating) row so it shows up in
-	// the diff output.
-	if len(deltas) != 2 {
-		t.Fatalf("want gated row + informational new-coverage row, got %d deltas", len(deltas))
-	}
-	for _, d := range deltas {
-		if d.Experiment != "sweep" {
-			continue
-		}
-		if !d.Informational || d.Regressed || d.Missing || d.CurNs != 5000 {
-			t.Fatalf("informational new-coverage row wrong: %+v", d)
-		}
-	}
-
-	// Present in both but slower and marked informational: shown, not
-	// gated.
-	base.Add("sweep", "by_content", bench.Metric{NsPerOp: 10, Informational: true})
-	deltas, regressed, err = Diff(base, cur, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if regressed {
-		t.Fatal("informational slowdown gated")
-	}
-	var dd *Delta
-	for i := range deltas {
-		if deltas[i].Experiment == "sweep" {
-			dd = &deltas[i]
-		}
-	}
-	if dd == nil || !dd.Informational || dd.Regressed {
-		t.Fatalf("informational delta wrong: %+v", dd)
-	}
-}
-
 func TestDiffSchemaMismatch(t *testing.T) {
 	base := report(map[string]float64{"a": 1})
 	cur := report(map[string]float64{"a": 1})
-	cur.Schema = bench.ReportSchema + 1
+	cur.Schema = bench.SchemaVersion + 1
 	if _, _, err := Diff(base, cur, 0.2); err == nil {
 		t.Fatal("schema mismatch not rejected")
 	}

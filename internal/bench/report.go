@@ -10,10 +10,10 @@ import (
 	"nexus/internal/obs"
 )
 
-// ReportSchema is the version stamped into every JSON report. Bump it
+// SchemaVersion is the version stamped into every JSON report. Bump it
 // whenever the shape of Report changes incompatibly; the compare tool
 // refuses to diff reports with mismatched schemas.
-const ReportSchema = 1
+const SchemaVersion = 1
 
 // Metric is one measured quantity within an experiment. The percentile
 // fields are populated from observability histogram snapshots; they are
@@ -49,11 +49,6 @@ type Metric struct {
 	// TestFreshnessSweepScaling gates their growth.
 	UpdateBytesPerEpoch float64 `json:"update_bytes_per_epoch,omitempty"`
 	EpochsPerCheckpoint float64 `json:"epochs_per_checkpoint,omitempty"`
-	// Informational marks a metric the compare gate must never fail on
-	// — and, unlike gated metrics, never demand a baseline entry for: a
-	// figure that moves by design with workload content rides along for
-	// visibility only.
-	Informational bool `json:"informational,omitempty"`
 }
 
 // LatencyMetric converts a histogram snapshot into a Metric: the mean
@@ -97,7 +92,7 @@ type Report struct {
 // comparable with a 4-cpu baseline.
 func NewReport(rev string, scale int64) *Report {
 	return &Report{
-		Schema:      ReportSchema,
+		Schema:      SchemaVersion,
 		Rev:         rev,
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
@@ -149,8 +144,8 @@ func LoadReport(path string) (*Report, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("bench: parse %s: %w", path, err)
 	}
-	if r.Schema != ReportSchema {
-		return nil, fmt.Errorf("bench: %s has schema %d, this tool understands %d", path, r.Schema, ReportSchema)
+	if r.Schema != SchemaVersion {
+		return nil, fmt.Errorf("bench: %s has schema %d, this tool understands %d", path, r.Schema, SchemaVersion)
 	}
 	return &r, nil
 }

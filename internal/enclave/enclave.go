@@ -566,7 +566,7 @@ func (e *Enclave) CompleteAuth(signature []byte) error {
 		msg := make([]byte, 0, len(nonce)+len(e.superBlob))
 		msg = append(msg, nonce...)
 		msg = append(msg, e.superBlob...)
-		if !ed25519.Verify(userKey, msg, signature) {
+		if !verifySignature(userKey, msg, signature) {
 			return fmt.Errorf("%w: challenge signature invalid", ErrBadAuth)
 		}
 		// (iii) members of the key tree must additionally hold a wrap

@@ -263,7 +263,7 @@ func (e *Enclave) GrantAccess(offerBytes []byte, userName string, userKey ed2551
 		}
 
 		// The offer must be signed by the identity we are granting to.
-		if !ed25519.Verify(userKey, offer.Quote.Encode(), offer.UserSig) {
+		if !verifySignature(userKey, offer.Quote.Encode(), offer.UserSig) {
 			return fmt.Errorf("%w: offer not signed by %s's key", ErrExchangeInvalid, userName)
 		}
 		// The quote must come from a genuine platform, attest *our own*
@@ -356,7 +356,7 @@ func (e *Enclave) AcceptGrant(grantBytes []byte, ownerKey ed25519.PublicKey) (se
 		if err != nil {
 			return err
 		}
-		if !ed25519.Verify(ownerKey, g.signedPortion(), g.OwnerSig) {
+		if !verifySignature(ownerKey, g.signedPortion(), g.OwnerSig) {
 			return fmt.Errorf("%w: grant not signed by the volume owner", ErrExchangeInvalid)
 		}
 		ephKey, err := ecdh.P256().NewPublicKey(g.EphemeralKey)
@@ -389,6 +389,13 @@ func (e *Enclave) AcceptGrant(grantBytes []byte, ownerKey ed25519.PublicKey) (se
 		return nil, uuid.Nil, err
 	}
 	return sealedRootKey, volumeID, nil
+}
+
+// verifySignature is ed25519.Verify over a caller-supplied key: a key
+// of the wrong length fails verification instead of panicking inside
+// the ecall, which sgx.Ecall does not recover.
+func verifySignature(pub ed25519.PublicKey, msg, sig []byte) bool {
+	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, msg, sig)
 }
 
 // keyDigest derives the 32-byte report data binding an ECDH public key

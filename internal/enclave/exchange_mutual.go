@@ -152,7 +152,7 @@ func (e *Enclave) GrantAccessMutual(offerBytes []byte, userName string, userKey 
 		if err != nil {
 			return err
 		}
-		if !ed25519.Verify(userKey, offer.Quote.Encode(), offer.UserSig) {
+		if !verifySignature(userKey, offer.Quote.Encode(), offer.UserSig) {
 			return fmt.Errorf("%w: offer not signed by %s's key", ErrExchangeInvalid, userName)
 		}
 		remoteKey, err := e.verifyAttestedKeyLocked(offer.Quote, offer.EnclaveKey)
@@ -229,7 +229,7 @@ func (e *Enclave) AcceptMutualGrant(grantBytes []byte, ownerKey ed25519.PublicKe
 		if err != nil {
 			return err
 		}
-		if !ed25519.Verify(ownerKey, g.signedPortion(), g.OwnerSig) {
+		if !verifySignature(ownerKey, g.signedPortion(), g.OwnerSig) {
 			return fmt.Errorf("%w: grant not signed by the volume owner", ErrExchangeInvalid)
 		}
 		// Mutual attestation: the *owner's* enclave must also be a

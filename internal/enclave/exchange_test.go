@@ -267,6 +267,65 @@ func TestAcceptGrantRejectsForgedSignature(t *testing.T) {
 	}
 }
 
+// TestExchangeRejectsWrongLengthKey: a caller-supplied Ed25519 key of the
+// wrong length is an invalid exchange, not a panic inside the ecall
+// (ed25519.Verify panics on len(pub) != 32 and sgx.Ecall does not
+// recover).
+func TestExchangeRejectsWrongLengthKey(t *testing.T) {
+	shortKey := make([]byte, 31)
+	for _, tc := range []struct {
+		name string
+		call func(t *testing.T, s *exchangeScenario) error
+	}{
+		{"GrantAccess", func(t *testing.T, s *exchangeScenario) error {
+			offer, err := s.aliceEnv.enclave.CreateExchangeOffer("alice", s.alice.signer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.owenEnv.enclave.GrantAccess(offer, "alice", shortKey, s.owen.signer())
+			return err
+		}},
+		{"AcceptGrant", func(t *testing.T, s *exchangeScenario) error {
+			offer, err := s.aliceEnv.enclave.CreateExchangeOffer("alice", s.alice.signer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			grant, err := s.owenEnv.enclave.GrantAccess(offer, "alice", s.alice.pub, s.owen.signer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = s.aliceEnv.enclave.AcceptGrant(grant, shortKey)
+			return err
+		}},
+		{"GrantAccessMutual", func(t *testing.T, s *exchangeScenario) error {
+			offer, err := s.aliceEnv.enclave.BeginMutualExchange("alice", s.alice.signer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.owenEnv.enclave.GrantAccessMutual(offer, "alice", shortKey, s.owen.signer())
+			return err
+		}},
+		{"AcceptMutualGrant", func(t *testing.T, s *exchangeScenario) error {
+			offer, err := s.aliceEnv.enclave.BeginMutualExchange("alice", s.alice.signer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			grant, err := s.owenEnv.enclave.GrantAccessMutual(offer, "alice", s.alice.pub, s.owen.signer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = s.aliceEnv.enclave.AcceptMutualGrant(grant, shortKey)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.call(t, newExchangeScenario(t)); !errors.Is(err, ErrExchangeInvalid) {
+				t.Fatalf("31-byte key: err = %v, want ErrExchangeInvalid", err)
+			}
+		})
+	}
+}
+
 func TestOfferGrantCodecRobustness(t *testing.T) {
 	if _, err := DecodeOffer(nil); !errors.Is(err, ErrExchangeInvalid) {
 		t.Fatalf("DecodeOffer(nil) = %v", err)

@@ -73,10 +73,8 @@ func checkBoundaryInside(p *Package) []Finding {
 				return name.Name, true
 			}
 		}
-		if p.Info != nil {
-			if tv, ok := p.Info.Types[f.Type]; ok && keyMaterialType(tv.Type) {
-				return exprText(p, f.Type), true
-			}
+		if tv, ok := p.Info.Types[f.Type]; ok && keyMaterialType(tv.Type) {
+			return exprText(p, f.Type), true
 		}
 		return "", false
 	}
@@ -135,9 +133,6 @@ func checkBoundaryInside(p *Package) []Finding {
 }
 
 func checkBoundaryOutside(m *Module, p *Package) []Finding {
-	if p.Info == nil {
-		return nil
-	}
 	var out []Finding
 	seen := make(map[*ast.Ident]bool)
 	for id, obj := range p.Info.Uses {

@@ -36,7 +36,7 @@ import (
 const arenaPkgSuffix = "internal/parallel"
 
 func checkBufferEscape(m *Module, p *Package) []Finding {
-	if p.Info == nil || relDir(m, p) == arenaPkgSuffix {
+	if relDir(m, p) == arenaPkgSuffix {
 		return nil
 	}
 	var out []Finding

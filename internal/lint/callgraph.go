@@ -21,14 +21,13 @@ package lint
 //
 // The graph is deliberately context-insensitive: one node per function,
 // edges unioned over every call site. That is the right precision/cost
-// point for invariant rules (span-coverage, locked-callgraph,
-// dirty-before-flush) and for the taint engine's summary worklist,
-// which re-walks bodies itself and only needs caller sets here.
+// point for locked-callgraph's reachability walk and for the taint
+// engine's summary worklist, which re-walks bodies itself and only needs
+// caller sets here.
 
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 	"strings"
@@ -57,12 +56,7 @@ type CGNode struct {
 	// Decl is the enclosing *ast.FuncDecl for declared module
 	// functions (nil otherwise).
 	Decl *ast.FuncDecl
-	pos  token.Pos
 }
-
-// External reports a node with no analyzable body (stdlib function or
-// interface method).
-func (n *CGNode) External() bool { return n.Body == nil }
 
 // Root returns the outermost declared function lexically enclosing n
 // (n itself when it is not a literal).
@@ -106,9 +100,6 @@ func (m *Module) callGraph() *CallGraph {
 		In:    make(map[*CGNode][]*CGEdge),
 	}
 	for _, p := range m.Packages {
-		if p.Info == nil {
-			continue
-		}
 		for _, file := range p.Syntax {
 			for _, d := range file.Decls {
 				fd, ok := d.(*ast.FuncDecl)
@@ -120,7 +111,7 @@ func (m *Module) callGraph() *CallGraph {
 					continue
 				}
 				node := g.ensureFn(fn)
-				node.Pkg, node.Body, node.Decl, node.pos = p, fd.Body, fd, fd.Pos()
+				node.Pkg, node.Body, node.Decl = p, fd.Body, fd
 				g.walkBody(p, node, fd.Body)
 			}
 		}
@@ -129,17 +120,12 @@ func (m *Module) callGraph() *CallGraph {
 	return g
 }
 
-// NodeOf returns the graph node of a declared function, or nil.
-func (g *CallGraph) NodeOf(fn *types.Func) *CGNode {
-	return g.byFn[fn]
-}
-
 // ensureFn interns the node for a declared (or external) function.
 func (g *CallGraph) ensureFn(fn *types.Func) *CGNode {
 	if n, ok := g.byFn[fn]; ok {
 		return n
 	}
-	n := &CGNode{Fn: fn, Name: g.fnName(fn), pos: fn.Pos()}
+	n := &CGNode{Fn: fn, Name: g.fnName(fn)}
 	g.byFn[fn] = n
 	g.Nodes = append(g.Nodes, n)
 	return n
@@ -233,7 +219,6 @@ func (g *CallGraph) ensureLit(p *Package, encl *CGNode, lit *ast.FuncLit, idx in
 		Encl: encl,
 		Body: lit.Body,
 		Name: fmt.Sprintf("%s$%d", encl.Name, idx),
-		pos:  lit.Pos(),
 	}
 	g.byLit[lit] = n
 	g.Nodes = append(g.Nodes, n)
@@ -243,45 +228,6 @@ func (g *CallGraph) ensureLit(p *Package, encl *CGNode, lit *ast.FuncLit, idx in
 func (g *CallGraph) addEdge(e *CGEdge) {
 	g.Out[e.Caller] = append(g.Out[e.Caller], e)
 	g.In[e.Callee] = append(g.In[e.Callee], e)
-}
-
-// Reaches reports whether target is reachable from start over call
-// edges (and ref edges when refs is true). memo carries tri-state marks
-// across queries with the same predicate: share one map per rule, not
-// across rules.
-func (g *CallGraph) Reaches(start *CGNode, refs bool, memo map[*CGNode]int8, target func(*CGNode) bool) bool {
-	const (
-		unknown  = 0
-		visiting = 1
-		yes      = 2
-		no       = 3
-	)
-	var dfs func(n *CGNode) bool
-	dfs = func(n *CGNode) bool {
-		switch memo[n] {
-		case yes:
-			return true
-		case no, visiting:
-			return false
-		}
-		if target(n) {
-			memo[n] = yes
-			return true
-		}
-		memo[n] = visiting
-		for _, e := range g.Out[n] {
-			if e.Ref && !refs {
-				continue
-			}
-			if dfs(e.Callee) {
-				memo[n] = yes
-				return true
-			}
-		}
-		memo[n] = no
-		return false
-	}
-	return dfs(start)
 }
 
 // DumpEdges renders the graph as sorted "caller -> callee [ref]" lines

@@ -79,40 +79,3 @@ func TestCallGraphGolden(t *testing.T) {
 		t.Errorf("DumpEdges:\n got %q\nwant %q", got, want)
 	}
 }
-
-func nodeByName(t *testing.T, g *CallGraph, name string) *CGNode {
-	t.Helper()
-	for _, n := range g.Nodes {
-		if n.Name == name {
-			return n
-		}
-	}
-	t.Fatalf("no node named %s", name)
-	return nil
-}
-
-func TestCallGraphReaches(t *testing.T) {
-	m := loadFixtureModule(t, callGraphFixture)
-	g := m.callGraph()
-	entry := nodeByName(t, g, "a.Entry")
-	helper := nodeByName(t, g, "a.helper")
-	use := nodeByName(t, g, "b.Use")
-	run := nodeByName(t, g, "b.(T).Run")
-
-	isHelper := func(n *CGNode) bool { return n == helper }
-	if !g.Reaches(entry, false, map[*CGNode]int8{}, isHelper) {
-		t.Error("Entry should reach helper over call edges")
-	}
-	if g.Reaches(helper, true, map[*CGNode]int8{}, func(n *CGNode) bool { return n == entry }) {
-		t.Error("helper should not reach Entry")
-	}
-	// Use only *references* Run (method value): reachable over refs,
-	// not over pure call edges.
-	isRun := func(n *CGNode) bool { return n == run }
-	if g.Reaches(use, false, map[*CGNode]int8{}, isRun) {
-		t.Error("Use -> Run is a ref edge; call-only traversal should not cross it")
-	}
-	if !g.Reaches(use, true, map[*CGNode]int8{}, isRun) {
-		t.Error("Use should reach Run when refs are traversed")
-	}
-}

@@ -1,12 +1,10 @@
 package lint
 
-// Per-package configuration of the interprocedural rules. Everything a
-// deployment might legitimately tune lives here — source name
-// patterns are in boundary.go (keyMaterialName, shared with the
-// enclave-boundary rule), sanitizers/sinks for secret-taint and the
-// package/function sets for span-coverage and dirty-before-flush are
-// below. The maps are keyed by module-relative package directory; the
-// empty key "" applies to every package.
+// Per-package configuration of secret-taint. Source name patterns are
+// in boundary.go (keyMaterialName, shared with the enclave-boundary
+// rule); the extra sources, sanitizers and sinks are below. The maps are
+// keyed by module-relative package directory; the empty key "" applies
+// to every package.
 
 import (
 	"go/types"
@@ -122,85 +120,6 @@ func sinkSpecFor(m *Module, fn *types.Func) (sinkSpec, bool) {
 		return sinkSpec{desc: rel + " store upload (" + name + ")", args: argOnly(1)}, true
 	}
 	return sinkSpec{}, false
-}
-
-// --- span-coverage configuration -----------------------------------
-
-// spanCoverageDirs are the packages whose exported operations must be
-// visible to the obs layer.
-var spanCoverageDirs = map[string]bool{
-	"internal/vfs":     true,
-	"internal/enclave": true,
-	"internal/afs":     true,
-}
-
-// isSpanOpen reports whether fn opens an obs span: (*Tracer).Begin or
-// (*Tracer).StartSpan in internal/obs.
-func isSpanOpen(m *Module, fn *types.Func) bool {
-	if fn.Pkg() == nil {
-		return false
-	}
-	rel := strings.TrimPrefix(fn.Pkg().Path(), m.Path+"/")
-	return rel == "internal/obs" && (fn.Name() == "Begin" || fn.Name() == "StartSpan")
-}
-
-// isEffectful reports whether fn is an effect the obs layer must not
-// lose sight of: untrusted-store access (backend.Store methods and
-// their implementations), SGX transitions, or raw network I/O.
-func isEffectful(m *Module, fn *types.Func) bool {
-	pkg := ""
-	if fn.Pkg() != nil {
-		pkg = fn.Pkg().Path()
-	}
-	if pkg == "net" {
-		switch fn.Name() {
-		case "Dial", "Listen", "Accept", "Read", "Write":
-			return true
-		}
-	}
-	rel := strings.TrimPrefix(pkg, m.Path+"/")
-	switch rel {
-	case "internal/backend":
-		switch fn.Name() {
-		case "Get", "Put", "Delete", "List", "Lock":
-			return true
-		}
-	case "internal/sgx":
-		switch fn.Name() {
-		case "Ecall", "Ocall":
-			return true
-		}
-	}
-	return false
-}
-
-// --- dirty-before-flush configuration ------------------------------
-
-// dirtyFlushDir is the package the write-back invariant governs.
-const dirtyFlushDir = "internal/enclave"
-
-// dirtySetNodeType is that package's dirty-set node: assigning a
-// metadata node to one of its fields hands the node to the write-back
-// layer, as calling a mark* function does.
-const dirtySetNodeType = "dirtyNode"
-
-// metadataMutators are the methods of internal/metadata node types
-// whose call mutates dirnode/filenode state (field writes are detected
-// structurally).
-var metadataMutators = map[string]map[string]bool{
-	"Dirnode":  {"Insert": true, "Remove": true},
-	"Filenode": {"EncryptContent": true, "EncryptContentWorkers": true},
-}
-
-// dirtyBarrierName reports whether an internal/enclave function is
-// part of the dirty-marking / flush machinery: reaching (or being
-// reachable only from) one of these satisfies the invariant.
-func dirtyBarrierName(name string) bool {
-	l := strings.ToLower(name)
-	return strings.HasPrefix(l, "mark") ||
-		strings.HasPrefix(l, "stagedelete") ||
-		strings.Contains(l, "flush") ||
-		strings.Contains(l, "drain")
 }
 
 // lockedNameSuffix reports the repo's *Locked naming convention

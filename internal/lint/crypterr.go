@@ -11,9 +11,6 @@ import (
 // warning. A swallowed rand.Read failure silently yields an all-zero
 // key; a swallowed Open error accepts forged ciphertext.
 func checkCryptoErr(m *Module, p *Package) []Finding {
-	if p.Info == nil {
-		return nil
-	}
 	var out []Finding
 	flag := func(n ast.Node, fn *types.Func, what string) {
 		out = append(out, Finding{

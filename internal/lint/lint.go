@@ -27,6 +27,11 @@
 //   - buffer-escape: a chunk buffer leased from the internal/parallel
 //     arena is never used after Release and never escapes its lease via
 //     a return, struct field, or package-level variable (DESIGN.md §14).
+//   - secret-taint: key material never flows, through any chain of
+//     calls, into an error, log line, span tag or store upload unless a
+//     seal/wrap/encrypt function protects it first.
+//   - locked-callgraph: a *Locked function is unreachable from any
+//     module entry point that does not hold a lock.
 //
 // A finding can be suppressed with a directive on the same or the
 // preceding line:
@@ -58,26 +63,35 @@ func (f Finding) String() string {
 type Checker struct {
 	Rule string
 	Doc  string
-	// Run reports the rule's findings for one package of the module.
-	Run func(m *Module, p *Package) []Finding
+	// Run reports the rule's findings over the whole module.
+	Run func(m *Module) []Finding
 }
 
-// Checkers returns every rule, in reporting order. The last four are
-// interprocedural: they run once over the module's call graph and
-// taint summaries (callgraph.go, taint.go) and hand findings out per
-// package.
+// Checkers returns every rule, in reporting order. The last two are
+// interprocedural: they run over the module's call graph and taint
+// summaries (callgraph.go, taint.go).
 func Checkers() []Checker {
 	return []Checker{
-		{Rule: RuleMathRand, Doc: "math/rand forbidden outside tests and workload generators", Run: checkMathRand},
-		{Rule: RuleBoundary, Doc: "raw key material must not cross the enclave boundary", Run: checkBoundary},
-		{Rule: RuleNonce, Doc: "AEAD nonces must be fresh (crypto/rand or counter helper)", Run: checkNonce},
-		{Rule: RuleCryptoErr, Doc: "crypto errors must be checked", Run: checkCryptoErr},
-		{Rule: RuleLocks, Doc: "mutex lock/unlock pairing and guarded-by annotations", Run: checkLocks},
-		{Rule: RuleBufferEscape, Doc: "pooled arena buffers must not be used after Release or outlive their lease", Run: checkBufferEscape},
+		{Rule: RuleMathRand, Doc: "math/rand forbidden outside tests and workload generators", Run: perPackage(checkMathRand)},
+		{Rule: RuleBoundary, Doc: "raw key material must not cross the enclave boundary", Run: perPackage(checkBoundary)},
+		{Rule: RuleNonce, Doc: "AEAD nonces must be fresh (crypto/rand or counter helper)", Run: perPackage(checkNonce)},
+		{Rule: RuleCryptoErr, Doc: "crypto errors must be checked", Run: perPackage(checkCryptoErr)},
+		{Rule: RuleLocks, Doc: "mutex lock/unlock pairing and guarded-by annotations", Run: perPackage(checkLocks)},
+		{Rule: RuleBufferEscape, Doc: "pooled arena buffers must not be used after Release or outlive their lease", Run: perPackage(checkBufferEscape)},
 		{Rule: RuleTaint, Doc: "key material must not flow (interprocedurally) into logs, errors, span tags or store uploads", Run: checkTaint},
 		{Rule: RuleLockedCall, Doc: "*Locked functions only reachable from contexts that hold a lock (call-graph check)", Run: checkLockedCall},
-		{Rule: RuleDirtyFlush, Doc: "enclave metadata mutations must reach a markDirty/flush barrier", Run: checkDirtyFlush},
-		{Rule: RuleSpan, Doc: "exported vfs/enclave/afs ops doing store/sgx/net work must open an obs span", Run: checkSpanCoverage},
+	}
+}
+
+// perPackage lifts a rule that looks at one package at a time to the
+// whole module.
+func perPackage(check func(m *Module, p *Package) []Finding) func(*Module) []Finding {
+	return func(m *Module) []Finding {
+		var out []Finding
+		for _, p := range m.Packages {
+			out = append(out, check(m, p)...)
+		}
+		return out
 	}
 }
 
@@ -91,11 +105,9 @@ const (
 	// RuleBufferEscape guards the pooled-buffer ownership rules of
 	// DESIGN.md §14: no use after Release, no escape past the lease.
 	RuleBufferEscape = "buffer-escape"
-	// Interprocedural rules (this file ordering is reporting order).
+	// Interprocedural rules.
 	RuleTaint      = "secret-taint"
 	RuleLockedCall = "locked-callgraph"
-	RuleDirtyFlush = "dirty-before-flush"
-	RuleSpan       = "span-coverage"
 	// RuleDirective reports malformed or stale //lint:ignore directives.
 	RuleDirective = "lint-directive"
 )
@@ -120,15 +132,9 @@ func Run(root string) (*Result, error) {
 
 // Analyze applies every rule to an already loaded module.
 func Analyze(mod *Module) *Result {
-	var findings []Finding
-	var dirs []*directive
-	for _, pkg := range mod.Packages {
-		ds, bad := collectSuppressions(pkg)
-		dirs = append(dirs, ds...)
-		findings = append(findings, bad...)
-		for _, c := range Checkers() {
-			findings = append(findings, c.Run(mod, pkg)...)
-		}
+	dirs, findings := collectSuppressions(mod)
+	for _, c := range Checkers() {
+		findings = append(findings, c.Run(mod)...)
 	}
 
 	// Index directives by the (file, line, rule) keys they silence, so

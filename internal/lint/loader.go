@@ -15,25 +15,12 @@ import (
 	"sync"
 )
 
-// File is one parsed source file of a package.
-type File struct {
-	// Path is the absolute on-disk path ("fixture.go" for in-memory
-	// fixtures).
-	Path string
-	AST  *ast.File
-	// Test reports a _test.go file. Test files are parsed so file-level
-	// rules (no-math-rand) can honor their exemption, but they are not
-	// type-checked and type-aware rules skip them.
-	Test bool
-}
-
-// Package is one loaded, type-checked package of the module.
+// Package is one loaded, type-checked package of the module. Test files
+// are never loaded: no rule applies to them.
 type Package struct {
 	// ImportPath is the full import path (module path + relative dir).
 	ImportPath string
 	Fset       *token.FileSet
-	// Files holds every parsed file, including _test.go files.
-	Files []*File
 	// Syntax holds the ASTs of the non-test files, in the order they were
 	// type-checked.
 	Syntax []*ast.File
@@ -41,32 +28,16 @@ type Package struct {
 	Info   *types.Info
 }
 
-// RelPath returns p's import path relative to the module root ("" for the
-// root package itself), so rules can match directories like
-// "internal/workload" without hard-coding the module name.
-func (p *Package) RelPath(module string) string {
-	if p.ImportPath == module {
-		return ""
-	}
-	return strings.TrimPrefix(p.ImportPath, module+"/")
-}
-
 // Module is the loaded view of the repository: every package, parsed and
 // type-checked with only the standard library's go/* toolchain packages.
 type Module struct {
 	// Path is the module path from go.mod.
 	Path     string
-	Root     string
-	Fset     *token.FileSet
 	Packages []*Package
 
-	// Lazily built interprocedural analysis state, shared by the
-	// cross-function rules (see callgraph.go and taint.go).
-	cg    *CallGraph
-	taint *taintState
-	// Cached module-wide findings of the graph rules (computed once,
-	// handed out per package by the Checker shims).
-	lockedF, dirtyF, spanF *[]Finding
+	// cg is the call graph, built on first use and shared by the two
+	// interprocedural rules (see callgraph.go).
+	cg *CallGraph
 }
 
 // sharedFset and stdlib are process-wide: the source importer
@@ -124,7 +95,7 @@ func LoadModule(root string) (*Module, error) {
 		imp.pkgs[pkg.ImportPath] = pkg.Types
 	}
 
-	return &Module{Path: modPath, Root: root, Fset: fset, Packages: order}, nil
+	return &Module{Path: modPath, Packages: order}, nil
 }
 
 // modulePath extracts the module path from a go.mod file.
@@ -145,39 +116,31 @@ func modulePath(gomod string) (string, error) {
 	return "", fmt.Errorf("lint: no module directive in %s", gomod)
 }
 
-// packageDirs walks root collecting directories that contain .go files,
-// skipping VCS metadata, testdata, and hidden directories.
+// packageDirs lists every directory under root, skipping VCS metadata,
+// testdata, and hidden directories. parseDir drops the ones without Go
+// files.
 func packageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-				name == "testdata" || name == "vendor") {
-				return filepath.SkipDir
-			}
-			return nil
+		name := d.Name()
+		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+			name == "testdata" || name == "vendor") {
+			return filepath.SkipDir
 		}
-		if strings.HasSuffix(d.Name(), ".go") {
-			dir := filepath.Dir(path)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
-				dirs = append(dirs, dir)
-			}
-		}
+		dirs = append(dirs, path)
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("lint: walking %s: %w", root, err)
 	}
-	sort.Strings(dirs)
 	return dirs, nil
 }
 
-// parseDir parses every .go file in dir into a Package (nil if the
-// directory holds no buildable primary files).
+// parseDir parses the non-test .go files in dir into a Package (nil if
+// there are none).
 func parseDir(fset *token.FileSet, root, modPath, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -195,30 +158,18 @@ func parseDir(fset *token.FileSet, root, modPath, dir string) (*Package, error) 
 	pkg := &Package{ImportPath: importPath, Fset: fset}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
+			strings.HasPrefix(name, ".") {
 			continue
 		}
-		path := filepath.Join(dir, name)
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("lint: %w", err)
 		}
-		pkg.Files = append(pkg.Files, &File{
-			Path: path,
-			AST:  f,
-			Test: strings.HasSuffix(name, "_test.go"),
-		})
-	}
-	if len(pkg.Files) == 0 {
-		return nil, nil
-	}
-	for _, f := range pkg.Files {
-		if !f.Test {
-			pkg.Syntax = append(pkg.Syntax, f.AST)
-		}
+		pkg.Syntax = append(pkg.Syntax, f)
 	}
 	if len(pkg.Syntax) == 0 {
-		return nil, nil // test-only directory
+		return nil, nil
 	}
 	return pkg, nil
 }

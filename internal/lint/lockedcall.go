@@ -31,32 +31,9 @@ import (
 	"go/ast"
 )
 
-// checkLockedCall is the per-package shim over the module-wide pass.
-func checkLockedCall(m *Module, p *Package) []Finding {
-	if p.Info == nil {
-		return nil
-	}
-	var out []Finding
-	for _, f := range m.lockedCallFindings() {
-		if packageOwnsFile(p, f.Pos.Filename) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// lockedCallFindings computes (once) every unguarded use of a *Locked
-// function in the module.
-func (m *Module) lockedCallFindings() []Finding {
-	if m.lockedF != nil {
-		return *m.lockedF
-	}
-	out := m.computeLockedCall()
-	m.lockedF = &out
-	return out
-}
-
-func (m *Module) computeLockedCall() []Finding {
+// checkLockedCall reports every unguarded use of a *Locked function in
+// the module.
+func checkLockedCall(m *Module) []Finding {
 	g := m.callGraph()
 
 	// acquires[n]: n's own body (excluding nested literals) takes a
@@ -136,17 +113,11 @@ func (m *Module) computeLockedCall() []Finding {
 				Pos:  n.Pkg.Fset.Position(e.Site.Pos()),
 				Rule: RuleLockedCall,
 				Msg: what + " " + callee.Name + " (name asserts the lock is held) from " +
-					contextName(n) + ", which is reachable without the lock and does not take it",
+					n.Name + ", which is reachable without the lock and does not take it",
 			})
 		}
 	}
 	return out
-}
-
-// contextName renders a node's name for diagnostics ("SyncMetadata$1"
-// for literals).
-func contextName(n *CGNode) string {
-	return n.Name
 }
 
 // bodyAcquiresLock reports whether n's own statements (not nested
@@ -166,9 +137,6 @@ func bodyAcquiresLock(n *CGNode) bool {
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok {
-			return true
-		}
-		if n.Pkg == nil || n.Pkg.Info == nil {
 			return true
 		}
 		if method, ok := syncLockMethod(n.Pkg, sel); ok && (method == "Lock" || method == "RLock") {

@@ -23,9 +23,6 @@ var guardedByRe = regexp.MustCompile(`guarded by (\w+)`)
 //     functions whose name ends in "Locked" (this repo's convention for
 //     helpers that document the caller holds the lock).
 func checkLocks(m *Module, p *Package) []Finding {
-	if p.Info == nil {
-		return nil
-	}
 	var out []Finding
 	guarded := guardedFields(p)
 	for _, fn := range packageFuncs(p) {

@@ -15,11 +15,8 @@ func checkMathRand(m *Module, p *Package) []Finding {
 		return nil
 	}
 	var out []Finding
-	for _, f := range p.Files {
-		if f.Test {
-			continue
-		}
-		for _, spec := range f.AST.Imports {
+	for _, f := range p.Syntax {
+		for _, spec := range f.Imports {
 			path, err := strconv.Unquote(spec.Path.Value)
 			if err != nil {
 				continue

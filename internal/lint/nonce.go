@@ -20,9 +20,6 @@ import (
 // package-level variables, and zero-initialized buffers used directly —
 // is exactly the catastrophic-reuse surface of GCM (§VI-A).
 func checkNonce(m *Module, p *Package) []Finding {
-	if p.Info == nil {
-		return nil
-	}
 	var out []Finding
 	for _, fn := range packageFuncs(p) {
 		fresh := freshNonceSources(p, fn.body)
@@ -187,7 +184,7 @@ func classifyNonce(p *Package, fn funcScope, fresh map[string]bool, nonce ast.Ex
 // isParamOf reports whether v is a parameter (or receiver) of the
 // function declaration enclosing the use.
 func isParamOf(p *Package, fn funcScope, v *types.Var) bool {
-	if fn.decl == nil || p.Info == nil {
+	if fn.decl == nil {
 		return false
 	}
 	check := func(fl *ast.FieldList) bool {

@@ -8,10 +8,9 @@ import (
 
 // TestSelfHost is the acceptance gate: the repository lints clean under
 // its own analyzer. Every rule runs over every package; anything not
-// covered by a reasoned //lint:ignore or by the committed
-// lint/baseline.json fails this test — which is exactly the CI gate,
-// run as a unit test so `go test ./...` catches a new violation before
-// the workflow does.
+// covered by a reasoned //lint:ignore fails this test — which is
+// exactly the CI gate, run as a unit test so `go test ./...` catches a
+// new violation before the workflow does.
 func TestSelfHost(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
@@ -29,24 +28,7 @@ func TestSelfHost(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 
-	if blPath := filepath.Join(root, "lint", "baseline.json"); fileReadable(blPath) {
-		bl, err := LoadBaseline(blPath)
-		if err != nil {
-			t.Fatalf("baseline: %v", err)
-		}
-		var stale []BaselineEntry
-		res, _, stale = bl.Apply(root, res)
-		for _, s := range stale {
-			t.Errorf("baseline entry no longer observed (run `make lint-baseline`): %s [%s] %s", s.File, s.Rule, s.Msg)
-		}
-	}
-
 	for _, f := range res.Findings {
 		t.Errorf("self-host violation: %s", f.String())
 	}
-}
-
-func fileReadable(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }

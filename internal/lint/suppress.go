@@ -32,8 +32,8 @@ func (d *directive) keys() []supKey {
 	}
 }
 
-// collectSuppressions scans a package's comments (including test files)
-// for //lint:ignore directives:
+// collectSuppressions scans the module's comments for //lint:ignore
+// directives:
 //
 //	x := foo() //lint:ignore RULE reason
 //
@@ -43,7 +43,7 @@ func (d *directive) keys() []supKey {
 // Malformed directives (no rule, unknown rule, or missing reason) are
 // reported as findings themselves: a suppression that silently does
 // nothing is worse than none.
-func collectSuppressions(p *Package) ([]*directive, []Finding) {
+func collectSuppressions(m *Module) ([]*directive, []Finding) {
 	known := make(map[string]bool)
 	for _, c := range Checkers() {
 		known[c.Rule] = true
@@ -51,40 +51,42 @@ func collectSuppressions(p *Package) ([]*directive, []Finding) {
 
 	var dirs []*directive
 	var bad []Finding
-	for _, f := range p.Files {
-		for _, group := range f.AST.Comments {
-			for _, c := range group.List {
-				text, ok := strings.CutPrefix(c.Text, "//lint:ignore")
-				if !ok {
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				fields := strings.Fields(text)
-				if len(fields) < 2 {
-					bad = append(bad, Finding{
-						Pos:  pos,
-						Rule: RuleDirective,
-						Msg:  "malformed directive: want //lint:ignore RULE reason",
-					})
-					continue
-				}
-				rules := strings.Split(fields[0], ",")
-				valid := true
-				for _, r := range rules {
-					if !known[r] {
+	for _, p := range m.Packages {
+		for _, f := range p.Syntax {
+			for _, group := range f.Comments {
+				for _, c := range group.List {
+					text, ok := strings.CutPrefix(c.Text, "//lint:ignore")
+					if !ok {
+						continue
+					}
+					pos := p.Fset.Position(c.Pos())
+					fields := strings.Fields(text)
+					if len(fields) < 2 {
 						bad = append(bad, Finding{
 							Pos:  pos,
 							Rule: RuleDirective,
-							Msg:  "directive names unknown rule " + r,
+							Msg:  "malformed directive: want //lint:ignore RULE reason",
 						})
-						valid = false
+						continue
 					}
-				}
-				if !valid {
-					continue
-				}
-				for _, r := range rules {
-					dirs = append(dirs, &directive{pos: pos, rule: r})
+					rules := strings.Split(fields[0], ",")
+					valid := true
+					for _, r := range rules {
+						if !known[r] {
+							bad = append(bad, Finding{
+								Pos:  pos,
+								Rule: RuleDirective,
+								Msg:  "directive names unknown rule " + r,
+							})
+							valid = false
+						}
+					}
+					if !valid {
+						continue
+					}
+					for _, r := range rules {
+						dirs = append(dirs, &directive{pos: pos, rule: r})
+					}
 				}
 			}
 		}

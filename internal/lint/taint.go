@@ -131,12 +131,9 @@ type taintState struct {
 	findings      []Finding
 }
 
-// taintAnalysis runs (and caches) the module-wide secret-taint
-// fixpoint.
-func (m *Module) taintAnalysis() *taintState {
-	if m.taint != nil {
-		return m.taint
-	}
+// checkTaint runs the module-wide secret-taint fixpoint and returns
+// its findings.
+func checkTaint(m *Module) []Finding {
 	st := &taintState{
 		mod:           m,
 		cg:            m.callGraph(),
@@ -144,8 +141,7 @@ func (m *Module) taintAnalysis() *taintState {
 		taintedFields: make(map[*types.Var]string),
 	}
 	st.run()
-	m.taint = st
-	return st
+	return st.findings
 }
 
 // moduleFns returns every declared module function node, in graph
@@ -574,7 +570,7 @@ func (env *fnEnv) checkCall(call *ast.CallExpr) {
 		desc := callee.Name() + " → " + chain.desc
 		if i == -1 {
 			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				env.flagRecv(call, sel.X, desc, sinkChain{desc: desc, pos: call.Pos()})
+				env.flagTainted(call, sel.X, desc, sinkChain{desc: desc, pos: call.Pos()})
 			}
 			continue
 		}
@@ -618,11 +614,6 @@ func (env *fnEnv) flagTainted(call *ast.CallExpr, arg ast.Expr, sinkDesc string,
 				" in " + env.node.Name + "; route it through a seal/wrap sanitizer or drop it",
 		})
 	}
-}
-
-// flagRecv is flagTainted for a method receiver expression.
-func (env *fnEnv) flagRecv(call *ast.CallExpr, recv ast.Expr, sinkDesc string, chain sinkChain) {
-	env.flagTainted(call, recv, sinkDesc, chain)
 }
 
 // isSourceObject reports whether an object's name or type marks it as
@@ -677,11 +668,7 @@ func allArgs(n int) []int {
 // stdlib helpers.
 func intrinsicPropagator(fn *types.Func) (propagator, bool) {
 	if fn.Pkg() == nil {
-		// Builtins: append carries every argument's taint.
-		if fn.Name() == "append" {
-			return propagator{args: allArgs}, true
-		}
-		return propagator{}, false
+		return propagator{}, false // builtins are handled by callResultTaint
 	}
 	key := fn.Pkg().Path() + "." + fn.Name()
 	switch key {
@@ -695,30 +682,4 @@ func intrinsicPropagator(fn *types.Func) (propagator, bool) {
 		return propagator{args: allArgs}, true
 	}
 	return propagator{}, false
-}
-
-// checkTaint is the per-package Checker shim: the module-wide analysis
-// runs once, findings are handed out per owning package.
-func checkTaint(m *Module, p *Package) []Finding {
-	if p.Info == nil {
-		return nil
-	}
-	st := m.taintAnalysis()
-	var out []Finding
-	for _, f := range st.findings {
-		if packageOwnsFile(p, f.Pos.Filename) {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// packageOwnsFile reports whether a finding's file belongs to p.
-func packageOwnsFile(p *Package, filename string) bool {
-	for _, f := range p.Files {
-		if f.Path == filename {
-			return true
-		}
-	}
-	return false
 }

@@ -81,7 +81,7 @@ func rightmostIdent(e ast.Expr) *ast.Ident {
 // objectOf resolves an expression to its types.Object, if it names one.
 func objectOf(p *Package, e ast.Expr) types.Object {
 	id := rightmostIdent(e)
-	if id == nil || p.Info == nil {
+	if id == nil {
 		return nil
 	}
 	if obj := p.Info.Uses[id]; obj != nil {
@@ -93,9 +93,6 @@ func objectOf(p *Package, e ast.Expr) types.Object {
 // calleeFunc resolves a call expression to the *types.Func it invokes
 // (method or package function), or nil.
 func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
-	if p.Info == nil {
-		return nil
-	}
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -114,7 +111,7 @@ func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
 // calleeFunc.
 func builtinName(p *Package, call *ast.CallExpr) (string, bool) {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || p.Info == nil {
+	if !ok {
 		return "", false
 	}
 	b, ok := p.Info.Uses[id].(*types.Builtin)
@@ -162,9 +159,28 @@ func packageFuncs(p *Package) []funcScope {
 	return out
 }
 
-// relDir returns the module-relative directory of a package.
+// relDir returns the module-relative directory of a package ("" for
+// the root package), so rules can match directories like
+// "internal/workload" without hard-coding the module name.
 func relDir(m *Module, p *Package) string {
-	return p.RelPath(m.Path)
+	return strings.TrimPrefix(strings.TrimPrefix(p.ImportPath, m.Path), "/")
+}
+
+// receiverTypeName returns the bare receiver type name of a method
+// ("" for package functions).
+func receiverTypeName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
 }
 
 // hasSuffixFold reports a case-insensitive suffix match.

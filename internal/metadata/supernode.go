@@ -19,6 +19,11 @@ const OwnerUserID uint32 = 1
 // maxUsers bounds the supernode user table.
 const maxUsers = 64 << 10
 
+// maxUserNameLen bounds a username. NewSupernode, AddUser and the decoder
+// share it, so every name the supernode accepts survives a flush and a
+// reload.
+const maxUserNameLen = 256
+
 // supernodeExtGroupTree tags the optional trailing extension carrying a
 // serialized membership key tree. Pre-groupkey supernode bodies simply
 // end after NextUserID; the tag keeps future extensions distinguishable.
@@ -47,10 +52,9 @@ type Supernode struct {
 	Users []User
 	// NextUserID is the next ID to assign.
 	NextUserID uint32
-	// GroupTree is the subgroup key tree over the volume membership
-	// (nil on volumes created before the tree existed, or when the
-	// group-key knob is off). It serializes as a versioned trailing
-	// extension so old volumes load unchanged.
+	// GroupTree is the subgroup key tree over the volume membership (nil
+	// on volumes created before the tree existed). It serializes as a
+	// versioned trailing extension so old volumes load unchanged.
 	GroupTree *groupkey.Tree
 
 	// byName, byPubKey and byID index Users by name, string(PublicKey)
@@ -76,11 +80,8 @@ var (
 // NewSupernode creates the supernode for a fresh volume owned by the
 // given identity.
 func NewSupernode(ownerName string, ownerKey ed25519.PublicKey) (*Supernode, error) {
-	if ownerName == "" {
-		return nil, fmt.Errorf("metadata: owner name must not be empty")
-	}
-	if len(ownerKey) != ed25519.PublicKeySize {
-		return nil, fmt.Errorf("metadata: owner key must be %d bytes", ed25519.PublicKeySize)
+	if err := checkUser(ownerName, ownerKey); err != nil {
+		return nil, err
 	}
 	return &Supernode{
 		VolumeUUID: uuid.New(),
@@ -117,16 +118,28 @@ func (s *Supernode) invalidateIndex() {
 	s.byID = nil
 }
 
+// checkUser validates one identity: a non-empty name of at most
+// maxUserNameLen bytes and an Ed25519-sized key.
+func checkUser(name string, key ed25519.PublicKey) error {
+	if name == "" {
+		return fmt.Errorf("metadata: username must not be empty")
+	}
+	if len(name) > maxUserNameLen {
+		return fmt.Errorf("metadata: username is %d bytes, limit %d", len(name), maxUserNameLen)
+	}
+	if len(key) != ed25519.PublicKeySize {
+		return fmt.Errorf("metadata: key of %q must be %d bytes", name, ed25519.PublicKeySize)
+	}
+	return nil
+}
+
 // AddUser grants a new identity access to the volume and returns its
 // assigned user ID. Usernames and keys must be unique, the table is
 // capped at maxUsers, and assigned IDs stay below acl.GroupIDFlag so
 // dirnode ACL entries can carry group grants in the high bit.
 func (s *Supernode) AddUser(name string, key ed25519.PublicKey) (uint32, error) {
-	if name == "" {
-		return 0, fmt.Errorf("metadata: username must not be empty")
-	}
-	if len(key) != ed25519.PublicKeySize {
-		return 0, fmt.Errorf("metadata: user key must be %d bytes", ed25519.PublicKeySize)
+	if err := checkUser(name, key); err != nil {
+		return 0, err
 	}
 	if s.Owner.Name == name || bytes.Equal(s.Owner.PublicKey, key) {
 		return 0, fmt.Errorf("%w: %s (owner)", ErrUserExists, name)
@@ -237,7 +250,7 @@ func DecodeSupernodeBody(body []byte) (*Supernode, error) {
 	r.ReadRawInto(s.VolumeUUID[:], "volume uuid")
 	r.ReadRawInto(s.RootDir[:], "root dir uuid")
 	s.Owner = decodeUser(r)
-	n := r.ReadCount(maxUsers, "user count")
+	n := r.ReadCount(maxUsers-1, "user count") // the owner occupies one slot
 	if n > 0 {
 		s.Users = make([]User, 0, n)
 	}
@@ -263,7 +276,44 @@ func DecodeSupernodeBody(body []byte) (*Supernode, error) {
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("decoding supernode: %w", err)
 	}
+	if err := s.checkUsers(); err != nil {
+		return nil, fmt.Errorf("decoding supernode: %w", err)
+	}
 	return &s, nil
+}
+
+// checkUsers holds a decoded user table to what NewSupernode and AddUser
+// guarantee: valid names and keys, names, keys and IDs unique across the
+// owner and every user, the owner at OwnerUserID, and every other ID
+// assigned below NextUserID, itself inside the user ID space. Uniqueness
+// among the users is read off the lookup index, which a loaded
+// supernode builds for its first lookup anyway.
+func (s *Supernode) checkUsers() error {
+	if s.Owner.ID != OwnerUserID {
+		return fmt.Errorf("owner has user id %d, want %d", s.Owner.ID, OwnerUserID)
+	}
+	if s.NextUserID <= OwnerUserID || s.NextUserID > acl.GroupIDFlag {
+		return fmt.Errorf("next user id %d out of range", s.NextUserID)
+	}
+	if err := checkUser(s.Owner.Name, s.Owner.PublicKey); err != nil {
+		return err
+	}
+	for _, u := range s.Users {
+		if err := checkUser(u.Name, u.PublicKey); err != nil {
+			return err
+		}
+		if u.ID <= OwnerUserID || u.ID >= s.NextUserID {
+			return fmt.Errorf("user %q has id %d outside [%d, %d)", u.Name, u.ID, OwnerUserID+1, s.NextUserID)
+		}
+		if u.Name == s.Owner.Name || bytes.Equal(u.PublicKey, s.Owner.PublicKey) {
+			return fmt.Errorf("%w: %q repeats the owner's name or key", ErrUserExists, u.Name)
+		}
+	}
+	s.ensureIndex()
+	if n := len(s.Users); len(s.byName) != n || len(s.byPubKey) != n || len(s.byID) != n {
+		return fmt.Errorf("%w: a user name, key or id repeats", ErrUserExists)
+	}
+	return nil
 }
 
 func encodeUser(w *serial.Writer, u User) {
@@ -274,7 +324,7 @@ func encodeUser(w *serial.Writer, u User) {
 
 func decodeUser(r *serial.Reader) User {
 	u := User{ID: r.ReadUint32("user id")}
-	u.Name = r.ReadString(256, "user name")
+	u.Name = r.ReadString(maxUserNameLen, "user name")
 	u.PublicKey = ed25519.PublicKey(r.ReadBytes(ed25519.PublicKeySize, "user public key"))
 	return u
 }
