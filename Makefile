@@ -45,11 +45,13 @@ fuzz-smoke:
 # the enclave write-back crash-consistency suite
 # (internal/enclave/writeback_test.go). Each seed is
 # an exact replay: the fault schedule is a pure function of the seed.
-# See DESIGN.md §9 and §12.5.
+# Then twenty runs of the two-client commit tests, whose interleavings
+# the scheduler picks. See DESIGN.md §9, §12.4 and §12.5.
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== chaos seed $$seed =="; \
 		NEXUS_CHAOS_SEED=$$seed $(GO) test -race -run 'TestChaos|TestProperty' -count=1 ./internal/afs/ ./internal/enclave/ || exit 1; \
+		NEXUS_CHAOS_SEED=$$seed $(GO) test -race -count=20 -run 'TestConcurrent|TestTwoAdapters|TestLockOrder' . ./internal/enclave/ || exit 1; \
 	done
 
 # obs mirrors the CI observability job: the registry/tracer suite and

@@ -152,6 +152,137 @@ func TestConcurrentClientsSameDirectory(t *testing.T) {
 	_ = owenAFS
 }
 
+// TestLockOrderFilenodeBeforeRoot pins the commit's lock order (DESIGN.md
+// §12.4) between two clients of one AFS server: filenode locks are taken
+// before the freshness root's lock and never while holding it. One client
+// rewrites /d/f in a loop — its filenode's lock, then the root's. The
+// other, in a loop, hardlinks /d/f to /e/g (that filenode's lock, then the
+// root's), unlinks /e/g, and renames a new file onto /d/f, which locks both
+// filenodes in name order and then the root. Nothing may deadlock; the
+// errors a client can see are the ones a file replaced under it explains.
+func TestLockOrderFilenodeBeforeRoot(t *testing.T) {
+	srv := afs.NewServer(backend.NewMemStore())
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(l) }()
+	defer srv.Close()
+	ias, err := NewAttestationService()
+	if err != nil {
+		t.Fatal(err)
+	}
+	newClient := func() *Client {
+		store, err := afs.Dial(l.Addr().String(), afs.ClientConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = store.Close() })
+		c, err := NewClient(ClientConfig{Store: store, IAS: ias})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	owen, err := NewIdentity("owen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol, _, err := newClient().CreateVolume(owen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owenFS := vol.FS()
+	for _, dir := range []string{"/d", "/e"} {
+		if err := owenFS.MkdirAll(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := owenFS.WriteFile("/d/f", []byte("initial")); err != nil {
+		t.Fatal(err)
+	}
+	aliceClient := newClient()
+	alice, err := NewIdentity("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	offer, err := aliceClient.BeginMutualShare(alice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grant, err := vol.GrantAccessMutual(offer, "alice", alice.PublicKey, owen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, volID, err := aliceClient.AcceptMutualShareGrant(grant, owen.PublicKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{"/", "/d", "/e"} {
+		if err := vol.SetACL(dir, "alice", ReadWrite); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aliceVol, err := aliceClient.Mount(alice, sealed, volID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliceFS := aliceVol.FS()
+
+	// A write can find the file it resolved replaced before it took the
+	// file's lock; nothing else is expected.
+	benign := func(err error) bool {
+		return err == nil || errors.Is(err, enclave.ErrNotFound) || errors.Is(err, backend.ErrNotExist) ||
+			errors.Is(err, enclave.ErrStaleMetadata)
+	}
+	const rounds = 15
+	errs := make(chan error, 2)
+	go func() {
+		for i := 0; i < rounds*3; i++ {
+			if err := owenFS.WriteFile("/d/f", []byte(fmt.Sprintf("owen %d", i))); !benign(err) {
+				errs <- fmt.Errorf("write %d: %w", i, err)
+				return
+			}
+		}
+		errs <- nil
+	}()
+	go func() {
+		for i := 0; i < rounds; i++ {
+			for _, step := range []struct {
+				what string
+				run  func() error
+			}{
+				{"hardlink", func() error { return aliceFS.Hardlink("/d/f", "/e/g") }},
+				{"unlink", func() error { return aliceFS.Remove("/e/g") }},
+				{"write", func() error { return aliceFS.WriteFile("/e/new", []byte(fmt.Sprintf("alice %d", i))) }},
+				{"rename onto /d/f", func() error { return aliceFS.Rename("/e/new", "/d/f") }},
+			} {
+				if err := step.run(); err != nil {
+					errs <- fmt.Errorf("round %d: %s: %w", i, step.what, err)
+					return
+				}
+			}
+		}
+		errs <- nil
+	}()
+	deadline := time.After(10 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatal("deadlocked: the loops did not finish within 10s")
+		}
+	}
+	for name, fs := range map[string]*FS{"owen": owenFS, "alice": aliceFS} {
+		if _, err := fs.ReadFile("/d/f"); err != nil {
+			t.Fatalf("%s reads /d/f after the loops: %v", name, err)
+		}
+	}
+}
+
 // TestConcurrentWritersSameFile verifies last-writer-wins with no
 // torn/corrupt state when two clients rewrite one file under contention.
 func TestConcurrentWritersSameFile(t *testing.T) {

@@ -87,9 +87,14 @@ type Client struct {
 	// gen counts successful connects; it only changes under reqMu but is
 	// read lock-free by lock-release closures and the callback loop.
 	gen atomic.Uint64
-	// cbLost is set when the live callback channel drops: the cache is
-	// bypassed and the next RPC forces a full resync (reconnect + flush).
+	// cbLost is set when the live callback channel drops, or a lock reply
+	// says the server gave up on it: the cache is bypassed and the next
+	// RPC made while no lock is held forces a full resync (reconnect +
+	// flush).
 	cbLost atomic.Bool
+	// held counts the locks this client holds. A reconnect would release
+	// them on the server, so the resync waits until there are none.
+	held atomic.Int64
 
 	cache *fileCache
 
@@ -466,9 +471,9 @@ func (c *Client) callAttempts(op opCode, write func(w io.Writer, reqID uint64) e
 }
 
 // ensureConnLocked makes sure a healthy connection is installed,
-// resyncing first if the callback channel was lost.
+// resyncing first if the callback channel was lost and no lock is held.
 func (c *Client) ensureConnLocked() error {
-	if c.cbLost.Load() {
+	if c.cbLost.Load() && c.held.Load() == 0 {
 		c.dropConnLocked()
 	}
 	if c.currentConn() != nil {
@@ -570,6 +575,11 @@ func (c *Client) List(prefix string) ([]string, error) {
 // kept, replaced by the data that rides along, or turned negative. The
 // read that follows is a cache hit and still current.
 //
+// The grant is also a release-consistency point for every other cached
+// file: a store that returned before it was acknowledged by this client,
+// unless the server gave up on its callback channel — which the reply
+// flags, and the cache is flushed and bypassed before Lock returns.
+//
 // A lock does not survive reconnect: the server releases it when the
 // holding connection drops, so the release closure sends its unlock
 // frame only while the acquiring connection generation is still live.
@@ -580,24 +590,29 @@ func (c *Client) Lock(name string) (func(), error) {
 		return nil, err
 	}
 	gen := c.gen.Load()
-	outcome, version, data, err := decodeLockReply(body)
+	outcome, lost, version, data, err := decodeLockReply(body)
 	if err != nil {
 		c.unlock(name, gen)
 		return nil, err
 	}
 	c.metrics.revalidations[outcome-1].Inc()
 	if c.cache != nil {
-		switch outcome {
-		case lockAbsent:
+		switch {
+		case lost && !c.cbOff:
+			c.cbLost.Store(true)
+			c.cache.flush()
+		case outcome == lockAbsent:
 			c.cache.putNegative(name)
-		case lockData:
+		case outcome == lockData:
 			c.cache.putOwned(name, data, version)
 		}
 	}
+	c.held.Add(1)
 	released := false
 	return func() {
 		if !released {
 			released = true
+			c.held.Add(-1)
 			c.unlock(name, gen)
 		}
 	}, nil

@@ -37,9 +37,15 @@ func FuzzWireDecode(f *testing.F) {
 	// The lock exchange and the one-way unlock.
 	f.Add(fuzzFrameBytes(opLock, 21, encodeLockRequest("victim", true, 9)))
 	f.Add(fuzzFrameBytes(opLock, 22, encodeLockRequest("victim", false, 0)))
-	f.Add(fuzzFrameBytes(opReply, 21, encodeLockReply(lockUnchanged, 0, nil)))
-	f.Add(fuzzFrameBytes(opReply, 22, encodeLockReply(lockAbsent, 0, nil)))
-	f.Add(fuzzFrameBytes(opReply, 23, encodeLockReply(lockData, 10, bytes.Repeat([]byte{0xcd}, 64))))
+	f.Add(fuzzFrameBytes(opReply, 21, encodeLockReply(lockUnchanged, false, 0, nil)))
+	f.Add(fuzzFrameBytes(opReply, 22, encodeLockReply(lockAbsent, false, 0, nil)))
+	f.Add(fuzzFrameBytes(opReply, 23, encodeLockReply(lockData, false, 10, bytes.Repeat([]byte{0xcd}, 64))))
+	// The same replies to a client whose callback channel the server gave
+	// up on, and the flag bit alone.
+	f.Add(fuzzFrameBytes(opReply, 25, encodeLockReply(lockUnchanged, true, 0, nil)))
+	f.Add(fuzzFrameBytes(opReply, 26, encodeLockReply(lockAbsent, true, 0, nil)))
+	f.Add(fuzzFrameBytes(opReply, 27, encodeLockReply(lockData, true, 11, bytes.Repeat([]byte{0xce}, 64))))
+	f.Add(fuzzFrameBytes(opReply, 28, rawFrame([]byte{lockCallbackLost})))
 	f.Add(fuzzFrameBytes(opUnlock, 24, encodeName("victim")))
 	f.Add(fuzzFrameBytes(opReply, 5, nil)) // callback-break ack
 
@@ -101,8 +107,8 @@ func FuzzWireDecode(f *testing.F) {
 					t.Fatalf("lock request re-encodes to %x, was %x", back, body)
 				}
 			}
-			if outcome, version, payload, err := decodeLockReply(body); err == nil {
-				if back := frameBody(encodeLockReply(outcome, version, payload)); !bytes.Equal(back, body) {
+			if outcome, lost, version, payload, err := decodeLockReply(body); err == nil {
+				if back := frameBody(encodeLockReply(outcome, lost, version, payload)); !bytes.Equal(back, body) {
 					t.Fatalf("lock reply re-encodes to %x, was %x", back, body)
 				}
 			}

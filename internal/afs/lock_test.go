@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -164,6 +165,103 @@ func TestLockOffersNoCachedVersionWhileCallbackChannelDown(t *testing.T) {
 	}
 }
 
+// The first byte of a lock reply carries the outcome and, in its top bit,
+// whether the server has given up on the client's callback channel; both
+// survive the round trip, and a flag-free reply is byte-for-byte what
+// clients that predate the flag decode.
+func TestLockReplyRoundTrip(t *testing.T) {
+	data := []byte("revalidated copy")
+	for _, outcome := range []lockOutcome{lockUnchanged, lockAbsent, lockData} {
+		for _, lost := range []bool{false, true} {
+			body := frameBody(encodeLockReply(outcome, lost, 7, data))
+			if first := body[0]; lockOutcome(first&^lockCallbackLost) != outcome || (first&lockCallbackLost != 0) != lost {
+				t.Fatalf("%s lost=%v: first byte %#x", outcome, lost, first)
+			}
+			gotOutcome, gotLost, version, payload, err := decodeLockReply(body)
+			if err != nil || gotOutcome != outcome || gotLost != lost {
+				t.Fatalf("%s lost=%v: decoded %s lost=%v, %v", outcome, lost, gotOutcome, gotLost, err)
+			}
+			if outcome == lockData && (version != 7 || !bytes.Equal(payload, data)) {
+				t.Fatalf("data reply decoded version %d payload %q", version, payload)
+			}
+		}
+	}
+	if _, _, _, _, err := decodeLockReply([]byte{lockCallbackLost}); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("flag without an outcome decoded: %v", err)
+	}
+}
+
+// heldConn hands nothing it has read to the client while the test holds
+// the gate's write lock: a callback break, and the close after it, sit
+// unseen in the client's callback loop.
+type heldConn struct {
+	net.Conn
+	gate *sync.RWMutex
+}
+
+func (c *heldConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.gate.RLock()
+	c.gate.RUnlock() // a barrier, not a critical section
+	return n, err
+}
+
+// Property: a lock grant is a release-consistency point. Client A caches
+// x; B stores x — A's callback loop never sees the break, so the server
+// gives up on A's channel after callbackAckTimeout and B's store returns
+// — then B locks and unlocks y. A, whose loop has not seen the close
+// either, locks y and reads x: it must get B's bytes, not its cached copy,
+// and keep its lock on y while it does.
+func TestPropertyLockGrantSeesEarlierStores(t *testing.T) {
+	_, addr := startServer(t)
+	var gate sync.RWMutex
+	dials := 0
+	a, err := Dial(addr, ClientConfig{
+		RPCTimeout: 5 * time.Second,
+		Dial: func(addr string) (net.Conn, error) {
+			c, err := net.Dial("tcp", addr)
+			if dials++; err != nil || dials != 2 {
+				return c, err
+			}
+			return &heldConn{Conn: c, gate: &gate}, nil // the first callback channel
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b := dialClient(t, addr, ClientConfig{})
+
+	before, after := []byte("before the store"), []byte("after the store")
+	mustPut(t, b, "x", before)
+	if got, err := a.Get("x"); err != nil || !bytes.Equal(got, before) {
+		t.Fatalf("warming read = %q, %v", got, err)
+	}
+
+	gate.Lock()
+	mustPut(t, b, "x", after)
+	release, err := b.Lock("y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
+
+	release, err = a.Lock("y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := a.Get("x")
+	reconnects := a.Reconnects()
+	release()
+	gate.Unlock()
+	if err != nil || !bytes.Equal(got, after) {
+		t.Fatalf("read of x under a later lock = %q, %v; want %q", got, err, after)
+	}
+	if reconnects != 0 {
+		t.Fatalf("the read under the lock reconnected %d times, releasing the lock", reconnects)
+	}
+}
+
 // rawSession opens a bare connection and completes the hello, so a test
 // can hand-write request frames.
 func rawSession(t *testing.T, addr, clientID string) net.Conn {
@@ -242,7 +340,7 @@ func TestMalformedLockRequestNeverAcquires(t *testing.T) {
 	if err != nil || resp.op != opReply {
 		t.Fatalf("well-formed lock after rejections: %+v, %v", resp, err)
 	}
-	if outcome, _, _, err := decodeLockReply(resp.body); err != nil || outcome != lockAbsent {
+	if outcome, _, _, _, err := decodeLockReply(resp.body); err != nil || outcome != lockAbsent {
 		t.Fatalf("lock reply: outcome %v, %v; want absent", outcome, err)
 	}
 }

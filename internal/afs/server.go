@@ -76,8 +76,10 @@ type callbackConn struct {
 }
 
 // breakPromise tells the holder to drop its copy of name and waits until
-// it has. On a failed write or a missed deadline the connection is
-// closed instead: the holder flushes everything when it notices.
+// it has. On a failed write or a missed deadline the server gives up on
+// the channel instead: it is closed, and marked down before the break
+// returns, so the holder's next lock grant tells it to flush everything
+// even if it has not noticed the close yet (lockCallbackLost).
 func (cb *callbackConn) breakPromise(name string) error {
 	acked := make(chan struct{})
 	cb.mu.Lock()
@@ -101,7 +103,15 @@ func (cb *callbackConn) breakPromise(name string) error {
 		}
 	}
 	_ = cb.conn.Close()
+	cb.shutdown()
 	return err
+}
+
+// down reports whether the channel no longer carries breaks.
+func (cb *callbackConn) down() bool {
+	cb.mu.Lock()
+	defer cb.mu.Unlock()
+	return cb.waiters == nil
 }
 
 // ack wakes the break numbered seq.
@@ -464,19 +474,23 @@ func (s *Server) dispatch(clientID string, req frame) (opCode, *serial.Writer) {
 			return fail(errCodeBadRequest, err.Error())
 		}
 		ls := s.acquire(name, clientID)
+		// The grant is a release-consistency point: every store that
+		// returned before it was acknowledged by this client's callback
+		// channel, or the server gave up on that channel and says so here.
+		lost := s.callbackDown(clientID)
 		// Revalidate the holder's cached copy under the lock, so its next
 		// read of name is current without a fetch.
 		version := s.promise(name, clientID)
 		if cached && cachedVersion == version {
-			return opReply, encodeLockReply(lockUnchanged, 0, nil)
+			return opReply, encodeLockReply(lockUnchanged, lost, 0, nil)
 		}
 		s.metrics.fetches.Inc()
 		data, err := s.store.Get(name)
 		switch {
 		case err == nil:
-			return opReply, encodeLockReply(lockData, version, data)
+			return opReply, encodeLockReply(lockData, lost, version, data)
 		case errors.Is(err, backend.ErrNotExist):
-			return opReply, encodeLockReply(lockAbsent, 0, nil)
+			return opReply, encodeLockReply(lockAbsent, lost, 0, nil)
 		default:
 			s.release(ls) // an error reply means "not acquired" to the client
 			return storeError(name, err)
@@ -567,8 +581,9 @@ func decodeLockRequest(body []byte) (name string, cached bool, version uint64, e
 	return name, cached, version, r.Finish()
 }
 
-// lockOutcome is the first byte of a lock reply: what the holder's cache
-// entry for the locked name must become.
+// lockOutcome is the first byte of a lock reply, less the
+// lockCallbackLost bit: what the holder's cache entry for the locked name
+// must become.
 type lockOutcome uint8
 
 const (
@@ -576,6 +591,21 @@ const (
 	lockAbsent                           // the file does not exist: cache that
 	lockData                             // version ‖ data follow: replace the copy
 )
+
+// lockCallbackLost flags, in the first byte of a lock reply, a client
+// with no live callback channel: none registered, or one the server gave
+// up on (or shut down) while its holder may not have noticed yet. Breaks
+// for stores that completed before this grant may never have reached the
+// holder's cache, so it must flush it.
+const lockCallbackLost = 0x80
+
+// callbackDown reports whether clientID has no live callback channel.
+func (s *Server) callbackDown(clientID string) bool {
+	s.mu.Lock()
+	cb := s.callbacks[clientID]
+	s.mu.Unlock()
+	return cb == nil || cb.down()
+}
 
 // String names the outcome for the revalidation counters.
 func (o lockOutcome) String() string {
@@ -591,9 +621,13 @@ func (o lockOutcome) String() string {
 	}
 }
 
-func encodeLockReply(outcome lockOutcome, version uint64, data []byte) *serial.Writer {
+func encodeLockReply(outcome lockOutcome, lost bool, version uint64, data []byte) *serial.Writer {
 	w := newFrame(13 + len(data))
-	w.WriteUint8(uint8(outcome))
+	first := uint8(outcome)
+	if lost {
+		first |= lockCallbackLost
+	}
+	w.WriteUint8(first)
 	if outcome == lockData {
 		w.WriteUint64(version)
 		w.WriteBytes(data)
@@ -601,18 +635,19 @@ func encodeLockReply(outcome lockOutcome, version uint64, data []byte) *serial.W
 	return w
 }
 
-func decodeLockReply(body []byte) (outcome lockOutcome, version uint64, data []byte, err error) {
+func decodeLockReply(body []byte) (outcome lockOutcome, lost bool, version uint64, data []byte, err error) {
 	r := serial.NewReader(body)
-	outcome = lockOutcome(r.ReadUint8("lock outcome"))
+	first := r.ReadUint8("lock outcome")
+	outcome, lost = lockOutcome(first&^lockCallbackLost), first&lockCallbackLost != 0
 	switch outcome {
 	case lockUnchanged, lockAbsent:
 	case lockData:
 		version = r.ReadUint64("version")
 		data = r.ReadBytes(maxFrameSize, "data")
 	default:
-		return 0, 0, nil, fmt.Errorf("%w: unknown lock outcome %d", ErrProtocol, outcome)
+		return 0, false, 0, nil, fmt.Errorf("%w: unknown lock outcome %d", ErrProtocol, first)
 	}
-	return outcome, version, data, r.Finish()
+	return outcome, lost, version, data, r.Finish()
 }
 
 func storeError(name string, err error) (opCode, *serial.Writer) {

@@ -236,10 +236,9 @@ type Enclave struct {
 	// load, which therefore still has to happen.
 	mkResumed bool
 
-	// wb is the write-back dirty set; freshSink,
-	// when non-nil, absorbs freshness updates during a batch drain so
-	// the root advances once per batch instead of once per object. Both
-	// are guarded by mu.
+	// wb is the write-back dirty set; freshSink, when non-nil, absorbs
+	// freshness updates during a batch so the root advances once per
+	// commit instead of once per object. Both are guarded by mu.
 	wb        *dirtySet
 	freshSink map[uuid.UUID]uint64
 
@@ -624,7 +623,7 @@ func (e *Enclave) AddUser(name string, key ed25519.PublicKey) (userID uint32, er
 		if err := e.drainWithRetryLocked(); err != nil {
 			return err
 		}
-		return e.withSupernodeLockLocked(func() error {
+		return e.updateSupernodeLocked(func() error {
 			var err error
 			userID, err = e.super.AddUser(name, key)
 			if err != nil {
@@ -637,10 +636,7 @@ func (e *Enclave) AddUser(name string, key ed25519.PublicKey) (userID uint32, er
 				_, _ = e.super.RemoveUser(name)
 				return err
 			}
-			e.markSupernodeDirtyLocked()
-			// The enrollment's path rotation rides the batch drain,
-			// flushed while the supernode lock is still held.
-			return e.drainWithRetryLocked()
+			return nil
 		})
 	})
 	if err != nil {
@@ -665,18 +661,14 @@ func (e *Enclave) RemoveUser(name string) error {
 		if err := e.drainWithRetryLocked(); err != nil {
 			return err
 		}
-		return e.withSupernodeLockLocked(func() error {
+		return e.updateSupernodeLocked(func() error {
 			removedID, err := e.super.RemoveUser(name)
 			if err != nil {
 				return err
 			}
 			// O(log n) path rotation: only the evicted user's leaf-to-root
 			// keys are re-wrapped; file data is untouched (§VII-E).
-			if err := e.groupRevokeLocked(removedID); err != nil {
-				return err
-			}
-			e.markSupernodeDirtyLocked()
-			return e.drainWithRetryLocked()
+			return e.groupRevokeLocked(removedID)
 		})
 	})
 }
@@ -700,19 +692,19 @@ func (e *Enclave) ListUsers() ([]metadata.User, error) {
 	return out, nil
 }
 
-// withSupernodeLockLocked runs fn while holding the store lock on the
-// supernode object, reloading it first so the mutation applies to the
-// freshest version (§V-A).
-func (e *Enclave) withSupernodeLockLocked(fn func() error) error {
-	release, err := e.lockObject(SupernodeObjectName)
-	if err != nil {
-		return fmt.Errorf("locking supernode: %w", err)
-	}
-	defer release()
-	if err := e.loadSupernodeLocked(); err != nil {
-		return err
-	}
-	return fn()
+// updateSupernodeLocked changes the supernode (user table or membership
+// key tree) in one commit: it is re-read under the root lock, so fn
+// applies to the freshest version (§V-A), and put back before the root.
+func (e *Enclave) updateSupernodeLocked(fn func() error) error {
+	return e.commitLocked(func() error {
+		if err := e.loadSupernodeLocked(); err != nil {
+			return err
+		}
+		if err := fn(); err != nil {
+			return err
+		}
+		return e.flushSupernodeLocked()
+	})
 }
 
 // loadSupernodeLocked fetches, verifies and decodes the supernode.

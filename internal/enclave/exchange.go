@@ -297,12 +297,12 @@ func (e *Enclave) GrantAccess(offerBytes []byte, userName string, userKey ed2551
 		}
 
 		// Admit the user (single metadata update, §VII-F).
-		if err := e.withSupernodeLockLocked(func() error {
+		if err := e.updateSupernodeLocked(func() error {
 			if _, err := e.super.AddUser(userName, userKey); err != nil &&
 				!errors.Is(err, metadata.ErrUserExists) {
 				return err
 			}
-			return e.flushSupernodeLocked()
+			return nil
 		}); err != nil {
 			return err
 		}

@@ -160,12 +160,12 @@ func (e *Enclave) GrantAccessMutual(offerBytes []byte, userName string, userKey 
 			return err
 		}
 
-		if err := e.withSupernodeLockLocked(func() error {
+		if err := e.updateSupernodeLocked(func() error {
 			if _, err := e.super.AddUser(userName, userKey); err != nil &&
 				!errors.Is(err, metadata.ErrUserExists) {
 				return err
 			}
-			return e.flushSupernodeLocked()
+			return nil
 		}); err != nil {
 			return err
 		}

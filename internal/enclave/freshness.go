@@ -79,8 +79,14 @@ type FreshnessProofStore interface {
 	FreshnessUpdate(epoch uint64, updates []merkle.LeafUpdate) ([][]byte, error)
 }
 
-// merkleRootFormat versions the sealed root body.
-const merkleRootFormat = 1
+// merkleRootFormat versions the sealed root body. Format 2 is the same
+// body, written by enclaves that rewrite directories and the supernode
+// under the root's lock alone (DESIGN.md §12.4): an enclave that still
+// locks each directory knows only format 1 and fails closed on such a
+// volume instead of losing entries beside a client that takes no
+// directory lock. Format 1 roots are still read; the next commit
+// rewrites them.
+const merkleRootFormat = 2
 
 func encodeMerkleRoot(root [merkle.HashSize]byte, epoch uint64) []byte {
 	w := serial.NewWriter(1 + merkle.HashSize + 8)
@@ -92,7 +98,7 @@ func encodeMerkleRoot(root [merkle.HashSize]byte, epoch uint64) []byte {
 
 func decodeMerkleRoot(body []byte) (root [merkle.HashSize]byte, epoch uint64, err error) {
 	r := serial.NewReader(body)
-	if f := r.ReadUint8("merkle root format"); r.Err() == nil && f != merkleRootFormat {
+	if f := r.ReadUint8("merkle root format"); r.Err() == nil && f != merkleRootFormat && f != 1 {
 		return root, 0, fmt.Errorf("%w: unknown merkle root format %d", metadata.ErrMalformed, f)
 	}
 	r.ReadRawInto(root[:], "merkle root hash")
@@ -241,29 +247,34 @@ func (e *Enclave) noteSeenLocked(id uuid.UUID, version uint64) {
 	}
 }
 
-// recordFreshnessLocked commits a batch of version updates (0 = object
-// deleted) to the tree and advances the enclave root. The batch is
-// ordered deterministically, the untrusted store applies it and returns
-// one proof per update, and the enclave folds each verified proof into
-// the next root (merkle.Proof.NewRoot) — O(batch · log n) work against
-// O(1) enclave state. The new root seals at epoch+1 under the root
-// object's store lock, serializing concurrent writers of the volume.
-// Callers already hold the relevant metadata locks.
+// recordFreshnessLocked records version updates (0 = object deleted).
+// Inside a batch they collect in freshSink and the root advances once at
+// the batch's commit; a stale-low leaf is safe in the interim —
+// checkFreshnessLocked only rejects versions *below* it. A flush outside
+// a batch (a filenode under its own lock, the objects of a new volume)
+// is its own commit.
 func (e *Enclave) recordFreshnessLocked(updates map[uuid.UUID]uint64) error {
-	if e.proofStore == nil {
-		return nil
-	}
-	// During a write-back batch drain the per-object updates collect in
-	// freshSink and the root advances once at the end of the batch
-	// (drainLocked); a stale-low leaf is safe in the interim —
-	// checkFreshnessLocked only rejects versions *below* it.
 	if e.freshSink != nil {
 		for id, v := range updates {
 			e.freshSink[id] = v
 		}
 		return nil
 	}
-	if len(updates) == 0 {
+	if e.proofStore == nil {
+		return nil
+	}
+	return e.commitLocked(func() error { return e.recordFreshnessLocked(updates) })
+}
+
+// advanceRootLocked commits a batch of version updates to the tree and
+// advances the enclave root, inside a commit (the root lock is held and
+// the root re-read). The batch is ordered deterministically, the
+// untrusted store applies it and returns one proof per update, and the
+// enclave folds each verified proof into the next root
+// (merkle.Proof.NewRoot) — O(batch · log n) work against O(1) enclave
+// state. The new root seals at epoch+1.
+func (e *Enclave) advanceRootLocked(updates map[uuid.UUID]uint64) error {
+	if e.proofStore == nil || len(updates) == 0 {
 		return nil
 	}
 	ids := make([]uuid.UUID, 0, len(updates))
@@ -274,17 +285,6 @@ func (e *Enclave) recordFreshnessLocked(updates map[uuid.UUID]uint64) error {
 	batch := make([]merkle.LeafUpdate, 0, len(ids))
 	for _, id := range ids {
 		batch = append(batch, merkle.LeafUpdate{ID: id, Version: updates[id]})
-	}
-
-	release, err := e.lockObject(MerkleRootObjectName)
-	if err != nil {
-		return fmt.Errorf("locking merkle root: %w", err)
-	}
-	defer release()
-	// Always re-read under the lock: another client may have advanced
-	// the epoch since the commitment was last loaded.
-	if err := e.loadMerkleRootLocked(true); err != nil {
-		return err
 	}
 
 	var proofs [][]byte

@@ -3,6 +3,7 @@ package enclave
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -331,14 +332,12 @@ func (e *Enclave) Hardlink(existingPath, newPath string) error {
 			return err
 		}
 		// Hardlink spans two directories and mutates a shared link
-		// count; it runs eagerly on a drained set so its lock-ordered
-		// protocol sees no deferred state. Its flushes (filenode and
-		// destination directory) share one freshness-root update, made
-		// once the directory locks are released.
+		// count; it runs eagerly on a drained set, as one commit that
+		// also holds the filenode's lock.
 		if err := e.drainWithRetryLocked(); err != nil {
 			return err
 		}
-		return e.batchFreshnessLocked(func() error { return e.hardlinkLocked(existingPath, newPath) })
+		return e.hardlinkLocked(existingPath, newPath)
 	})
 }
 
@@ -356,76 +355,110 @@ func (e *Enclave) hardlinkLocked(existingPath, newPath string) error {
 		return fmt.Errorf("%w: hardlink involving the volume root", ErrNotFile)
 	}
 
-	srcW, err := e.walkDirLocked(srcDirs)
-	if err != nil {
-		return err
-	}
-	if err := e.checkACLLocked(srcW.dir, acl.Lookup); err != nil {
-		return err
-	}
-	dstW, err := e.walkDirLocked(dstDirs)
-	if err != nil {
-		return err
-	}
-	if err := e.checkACLLocked(dstW.dir, acl.Insert); err != nil {
-		return err
-	}
-
-	releases, err := e.lockDirsLocked(srcW.dir.UUID, dstW.dir.UUID)
-	if err != nil {
-		return err
-	}
-	defer releases()
-	// Re-resolve after the store locks are taken, so the mutation
-	// applies to the freshest version of each directory.
-	srcW, err = e.walkDirLocked(srcDirs)
-	if err != nil {
-		return err
-	}
-	dstW, err = e.walkDirLocked(dstDirs)
-	if err != nil {
-		return err
-	}
-
-	entry, err := srcW.dir.Lookup(srcName, e.bucketLoaderFor(srcW.dir))
-	if err != nil {
-		if errors.Is(err, metadata.ErrEntryNotFound) {
-			return fmt.Errorf("%w: %s", ErrNotFound, existingPath)
+	var srcW, dstW walkResult
+	var entry metadata.DirEntry
+	resolve := func() ([]uuid.UUID, error) {
+		if srcW, err = e.walkDirLocked(srcDirs); err != nil {
+			return nil, err
 		}
-		return err
-	}
-	if entry.Kind != metadata.KindFile {
-		return fmt.Errorf("%w: %s", ErrNotFile, existingPath)
-	}
-
-	fRelease, err := e.lockObject(objName(entry.UUID))
-	if err != nil {
-		return fmt.Errorf("locking filenode: %w", err)
-	}
-	f, fv, err := e.loadFilenode(entry.UUID, srcW.dir.UUID)
-	if err != nil {
-		fRelease()
-		return err
-	}
-	f.LinkCount++
-	if err := e.flushFilenodeLocked(f, fv+1); err != nil {
-		fRelease()
-		return err
-	}
-	fRelease()
-
-	newEntry := metadata.DirEntry{Name: dstName, UUID: entry.UUID, Kind: metadata.KindFile}
-	if err := dstW.dir.Insert(newEntry, e.bucketLoaderFor(dstW.dir)); err != nil {
-		if errors.Is(err, metadata.ErrEntryExists) {
-			return fmt.Errorf("%w: %s", ErrExists, newPath)
+		if err := e.checkACLLocked(srcW.dir, acl.Lookup); err != nil {
+			return nil, err
 		}
-		return err
+		if dstW, err = e.walkDirLocked(dstDirs); err != nil {
+			return nil, err
+		}
+		if err := e.checkACLLocked(dstW.dir, acl.Insert); err != nil {
+			return nil, err
+		}
+		if entry, err = e.lookupEntryLocked(srcW.dir, srcName, existingPath); err != nil {
+			return nil, err
+		}
+		if entry.Kind != metadata.KindFile {
+			return nil, fmt.Errorf("%w: %s", ErrNotFile, existingPath)
+		}
+		return []uuid.UUID{entry.UUID}, nil
 	}
-	if err := e.flushDirnodeLocked(dstW.dir, dstW.version+1); err != nil {
-		e.cache.invalidate(dstW.dir.UUID)
-		return err
+	return e.commitFilesLocked(resolve, func() error {
+		f, fv, err := e.loadFilenode(entry.UUID, srcW.dir.UUID)
+		if err != nil {
+			return err
+		}
+		newEntry := metadata.DirEntry{Name: dstName, UUID: entry.UUID, Kind: metadata.KindFile}
+		if err := dstW.dir.Insert(newEntry, e.bucketLoaderFor(dstW.dir)); err != nil {
+			if errors.Is(err, metadata.ErrEntryExists) {
+				return fmt.Errorf("%w: %s", ErrExists, newPath)
+			}
+			return err
+		}
+		f.LinkCount++
+		if err := e.flushFilenodeLocked(f, fv+1); err != nil {
+			e.cache.invalidate(f.UUID)
+			e.cache.invalidate(dstW.dir.UUID)
+			return err
+		}
+		if err := e.flushDirnodeLocked(dstW.dir, dstW.version+1); err != nil {
+			e.cache.invalidate(dstW.dir.UUID)
+			return err
+		}
+		return nil
+	})
+}
+
+// lookupEntryLocked finds name in d; path names it in the error.
+func (e *Enclave) lookupEntryLocked(d *metadata.Dirnode, name, path string) (metadata.DirEntry, error) {
+	entry, err := d.Lookup(name, e.bucketLoaderFor(d))
+	if errors.Is(err, metadata.ErrEntryNotFound) {
+		return entry, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	return nil
+	return entry, err
+}
+
+// errRelock reports a commit whose filenodes changed between the
+// unlocked walk that chose their locks and the walk under the root lock.
+var errRelock = errors.New("enclave: entry changed while its file lock was taken")
+
+// commitFilesLocked is a commit that also rewrites filenodes. Their locks
+// pair a data object with its filenode (WriteFile), so they stay, under
+// one order rule: an operation takes every filenode lock it needs before
+// the root lock, and never while holding it. resolve walks — unlocked
+// first — and returns, sorted, the filenodes the commit rewrites; their
+// locks are taken, then the root lock, and resolve walks again under it.
+// fn runs if that second walk names the same filenodes; if not, everything
+// is released and the sequence restarts, a bounded number of times.
+func (e *Enclave) commitFilesLocked(resolve func() ([]uuid.UUID, error), fn func() error) error {
+	for attempt := 0; ; attempt++ {
+		ids, err := resolve()
+		if err != nil {
+			return err
+		}
+		var releases []func()
+		for _, id := range ids {
+			var release func()
+			if release, err = e.lockObject(objName(id)); err != nil {
+				err = fmt.Errorf("locking filenode: %w", err)
+				break
+			}
+			releases = append(releases, release)
+		}
+		if err == nil {
+			err = e.commitLocked(func() error {
+				again, err := resolve()
+				if err != nil {
+					return err
+				}
+				if !slices.Equal(again, ids) {
+					return errRelock
+				}
+				return fn()
+			})
+		}
+		for i := len(releases) - 1; i >= 0; i-- {
+			releases[i]()
+		}
+		if !errors.Is(err, errRelock) || attempt == 3 {
+			return err
+		}
+	}
 }
 
 // Rename moves a file, symlink, or directory to a new path
@@ -439,15 +472,13 @@ func (e *Enclave) Rename(oldPath, newPath string) error {
 			return err
 		}
 		// Rename spans two directories (with replace semantics); it runs
-		// eagerly on a drained set so its lock-ordered protocol sees no
-		// deferred state. Its flushes (a re-parented child, a replaced
-		// file's link count, one or two directories) share one
-		// freshness-root update, made once the directory locks are
-		// released.
+		// eagerly on a drained set, as one commit that also holds the
+		// lock of each filenode it rewrites: a file moved to another
+		// directory (re-parented) and a file it replaces.
 		if err := e.drainWithRetryLocked(); err != nil {
 			return err
 		}
-		return e.batchFreshnessLocked(func() error { return e.renameLocked(oldPath, newPath) })
+		return e.renameLocked(oldPath, newPath)
 	})
 }
 
@@ -465,132 +496,120 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 		return fmt.Errorf("enclave: cannot rename the volume root")
 	}
 
-	srcW, err := e.walkDirLocked(srcDirs)
-	if err != nil {
-		return err
-	}
-	if err := e.checkACLLocked(srcW.dir, acl.Delete); err != nil {
-		return err
-	}
-	dstW, err := e.walkDirLocked(dstDirs)
-	if err != nil {
-		return err
-	}
-	if err := e.checkACLLocked(dstW.dir, acl.Insert); err != nil {
-		return err
-	}
-
-	releases, err := e.lockDirsLocked(srcW.dir.UUID, dstW.dir.UUID)
-	if err != nil {
-		return err
-	}
-	defer releases()
-	// Re-resolve after the store locks are taken, so the mutation
-	// applies to the freshest version of each directory.
-	srcW, err = e.walkDirLocked(srcDirs)
-	if err != nil {
-		return err
-	}
-	sameDir := srcW.dir.UUID == dstW.dir.UUID
-	if sameDir {
-		dstW = srcW
-	} else {
-		dstW, err = e.walkDirLocked(dstDirs)
-		if err != nil {
-			return err
+	var srcW, dstW walkResult
+	var entry, existing metadata.DirEntry
+	var sameDir, replaces bool
+	resolve := func() ([]uuid.UUID, error) {
+		if srcW, err = e.walkDirLocked(srcDirs); err != nil {
+			return nil, err
 		}
-	}
-
-	entry, err := srcW.dir.Lookup(srcName, e.bucketLoaderFor(srcW.dir))
-	if err != nil {
-		if errors.Is(err, metadata.ErrEntryNotFound) {
-			return fmt.Errorf("%w: %s", ErrNotFound, oldPath)
+		if err := e.checkACLLocked(srcW.dir, acl.Delete); err != nil {
+			return nil, err
 		}
-		return err
-	}
-
-	// Replace semantics at the destination.
-	if existing, err := dstW.dir.Lookup(dstName, e.bucketLoaderFor(dstW.dir)); err == nil {
-		if existing.UUID == entry.UUID && sameDir && srcName == dstName {
-			return nil // rename onto itself
-		}
-		switch existing.Kind {
-		case metadata.KindDir:
-			return fmt.Errorf("%w: destination %s is a directory", ErrExists, newPath)
-		case metadata.KindFile:
-			if err := e.removeFileEntryLocked(dstW.dir, existing); err != nil {
-				return err
+		if dstW = srcW; !slices.Equal(srcDirs, dstDirs) {
+			if dstW, err = e.walkDirLocked(dstDirs); err != nil {
+				return nil, err
 			}
-		case metadata.KindSymlink:
 		}
-		if _, err := dstW.dir.Remove(dstName, e.bucketLoaderFor(dstW.dir)); err != nil {
-			return err
+		if err := e.checkACLLocked(dstW.dir, acl.Insert); err != nil {
+			return nil, err
 		}
-	} else if !errors.Is(err, metadata.ErrEntryNotFound) {
-		return err
+		sameDir = srcW.dir.UUID == dstW.dir.UUID
+		if entry, err = e.lookupEntryLocked(srcW.dir, srcName, oldPath); err != nil {
+			return nil, err
+		}
+		existing, err = dstW.dir.Lookup(dstName, e.bucketLoaderFor(dstW.dir))
+		if replaces = err == nil; err != nil && !errors.Is(err, metadata.ErrEntryNotFound) {
+			return nil, err
+		}
+		var ids []uuid.UUID
+		if entry.Kind == metadata.KindFile && !sameDir {
+			ids = append(ids, entry.UUID)
+		}
+		if replaces && existing.Kind == metadata.KindFile && !slices.Contains(ids, existing.UUID) {
+			ids = append(ids, existing.UUID)
+		}
+		sortUUIDs(ids)
+		return ids, nil
 	}
-
-	if _, err := srcW.dir.Remove(srcName, e.bucketLoaderFor(srcW.dir)); err != nil {
-		return err
-	}
-	moved := entry
-	moved.Name = dstName
-	if err := dstW.dir.Insert(moved, e.bucketLoaderFor(dstW.dir)); err != nil {
-		return err
-	}
-
-	// Moving across directories re-parents the child's metadata so
-	// the file-swap defence keeps holding (§IV-A3).
-	if !sameDir {
-		switch entry.Kind {
-		case metadata.KindDir:
-			child, cv, err := e.loadDirnode(entry.UUID, srcW.dir.UUID)
-			if err != nil {
-				return err
+	return e.commitFilesLocked(resolve, func() error {
+		// Replace semantics at the destination.
+		if replaces {
+			if existing.UUID == entry.UUID && sameDir && srcName == dstName {
+				return nil // rename onto itself
 			}
-			child.Parent = dstW.dir.UUID
-			if err := e.flushDirnodeLocked(child, cv+1); err != nil {
-				e.cache.invalidate(child.UUID)
-				return err
-			}
-		case metadata.KindFile:
-			f, fv, err := e.loadFilenode(entry.UUID, srcW.dir.UUID)
-			if err != nil {
-				return err
-			}
-			// Multi-link files already carry no parent binding.
-			if f.LinkCount <= 1 && !f.Parent.IsNil() {
-				f.Parent = dstW.dir.UUID
-				if err := e.flushFilenodeLocked(f, fv+1); err != nil {
-					e.cache.invalidate(f.UUID)
+			switch existing.Kind {
+			case metadata.KindDir:
+				return fmt.Errorf("%w: destination %s is a directory", ErrExists, newPath)
+			case metadata.KindFile:
+				if err := e.removeFileEntryLocked(dstW.dir, existing); err != nil {
 					return err
 				}
+			case metadata.KindSymlink:
 			}
-		case metadata.KindSymlink:
+			if _, err := dstW.dir.Remove(dstName, e.bucketLoaderFor(dstW.dir)); err != nil {
+				return err
+			}
 		}
-	}
 
-	if err := e.flushDirnodeLocked(srcW.dir, srcW.version+1); err != nil {
-		e.cache.invalidate(srcW.dir.UUID)
-		return err
-	}
-	if !sameDir {
-		if err := e.flushDirnodeLocked(dstW.dir, dstW.version+1); err != nil {
-			e.cache.invalidate(dstW.dir.UUID)
+		if _, err := srcW.dir.Remove(srcName, e.bucketLoaderFor(srcW.dir)); err != nil {
 			return err
 		}
-	}
-	return nil
+		moved := entry
+		moved.Name = dstName
+		if err := dstW.dir.Insert(moved, e.bucketLoaderFor(dstW.dir)); err != nil {
+			return err
+		}
+
+		// Moving across directories re-parents the child's metadata so
+		// the file-swap defence keeps holding (§IV-A3).
+		if !sameDir {
+			switch entry.Kind {
+			case metadata.KindDir:
+				child, cv, err := e.loadDirnode(entry.UUID, srcW.dir.UUID)
+				if err != nil {
+					return err
+				}
+				child.Parent = dstW.dir.UUID
+				if err := e.flushDirnodeLocked(child, cv+1); err != nil {
+					e.cache.invalidate(child.UUID)
+					return err
+				}
+			case metadata.KindFile:
+				f, fv, err := e.loadFilenode(entry.UUID, srcW.dir.UUID)
+				if err != nil {
+					return err
+				}
+				// Multi-link files already carry no parent binding.
+				if f.LinkCount <= 1 && !f.Parent.IsNil() {
+					f.Parent = dstW.dir.UUID
+					if err := e.flushFilenodeLocked(f, fv+1); err != nil {
+						e.cache.invalidate(f.UUID)
+						return err
+					}
+				}
+			case metadata.KindSymlink:
+			}
+		}
+
+		if err := e.flushDirnodeLocked(srcW.dir, srcW.version+1); err != nil {
+			e.cache.invalidate(srcW.dir.UUID)
+			return err
+		}
+		if !sameDir {
+			if err := e.flushDirnodeLocked(dstW.dir, dstW.version+1); err != nil {
+				e.cache.invalidate(dstW.dir.UUID)
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // removeFileEntryLocked drops a file's storage when its entry is being
-// replaced (helper for Rename's overwrite case).
+// replaced (helper for Rename's overwrite case, which holds the
+// filenode's lock).
 func (e *Enclave) removeFileEntryLocked(dir *metadata.Dirnode, entry metadata.DirEntry) error {
-	release, err := e.lockObject(objName(entry.UUID))
-	if err != nil {
-		return fmt.Errorf("locking filenode: %w", err)
-	}
-	defer release()
 	f, fv, err := e.loadFilenode(entry.UUID, dir.UUID)
 	if err != nil {
 		return err
@@ -610,32 +629,6 @@ func (e *Enclave) removeFileEntryLocked(dir *metadata.Dirnode, entry metadata.Di
 	}
 	e.cache.invalidate(entry.UUID)
 	return nil
-}
-
-// lockDirsLocked takes the store locks of one or two directories in a
-// canonical order, avoiding lock cycles between concurrent renames.
-func (e *Enclave) lockDirsLocked(a, b uuid.UUID) (func(), error) {
-	names := []string{objName(a)}
-	if b != a {
-		names = append(names, objName(b))
-		sort.Strings(names)
-	}
-	var releases []func()
-	for _, n := range names {
-		rel, err := e.lockObject(n)
-		if err != nil {
-			for i := len(releases) - 1; i >= 0; i-- {
-				releases[i]()
-			}
-			return nil, fmt.Errorf("locking directory: %w", err)
-		}
-		releases = append(releases, rel)
-	}
-	return func() {
-		for i := len(releases) - 1; i >= 0; i-- {
-			releases[i]()
-		}
-	}, nil
 }
 
 // streamPutCutoff is the write size from which WriteFile pipelines
@@ -888,7 +881,8 @@ func (e *Enclave) SetACL(dirPath, userName string, rights acl.Rights) error {
 // setACLEntryLocked is the body of SetACL and SetGroupACL: it sets the
 // rights of the ACL key that subject resolves (a user ID or a group
 // entry ID; called once the caller is authorized) on a directory and
-// re-seals the directory under its store lock.
+// re-seals the directory, walking to it inside the commit so the change
+// applies to the freshest version.
 func (e *Enclave) setACLEntryLocked(dirPath string, rights acl.Rights, subject func() (uint32, error)) error {
 	if err := e.requireAuthLocked(); err != nil {
 		return err
@@ -905,37 +899,27 @@ func (e *Enclave) setACLEntryLocked(dirPath string, rights acl.Rights, subject f
 	if base != "" {
 		dirs = append(dirs, base)
 	}
-	w, err := e.walkDirLocked(dirs)
-	if err != nil {
-		return err
-	}
-	if !e.isOwnerLocked() {
-		if err := e.checkACLLocked(w.dir, acl.Administer); err != nil {
+	return e.commitLocked(func() error {
+		w, err := e.walkDirLocked(dirs)
+		if err != nil {
 			return err
 		}
-	}
-	key, err := subject()
-	if err != nil {
-		return err
-	}
-
-	release, err := e.lockObject(objName(w.dir.UUID))
-	if err != nil {
-		return fmt.Errorf("locking directory: %w", err)
-	}
-	defer release()
-	// Re-resolve after the store lock is taken, so the mutation
-	// applies to the freshest version.
-	w, err = e.walkDirLocked(dirs)
-	if err != nil {
-		return err
-	}
-	w.dir.ACL.Set(key, rights)
-	if err := e.flushDirnodeLocked(w.dir, w.version+1); err != nil {
-		e.cache.invalidate(w.dir.UUID)
-		return err
-	}
-	return nil
+		if !e.isOwnerLocked() {
+			if err := e.checkACLLocked(w.dir, acl.Administer); err != nil {
+				return err
+			}
+		}
+		key, err := subject()
+		if err != nil {
+			return err
+		}
+		w.dir.ACL.Set(key, rights)
+		if err := e.flushDirnodeLocked(w.dir, w.version+1); err != nil {
+			e.cache.invalidate(w.dir.UUID)
+			return err
+		}
+		return nil
+	})
 }
 
 // GetACL returns a directory's ACL entries resolved to usernames.

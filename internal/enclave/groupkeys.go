@@ -9,11 +9,10 @@ package enclave
 // grant rights to whole leaf subgroups (acl.GroupIDFlag entries), which
 // resolve through the tree at check time.
 //
-// Tree mutations ride the supernode flush: markSupernodeDirtyLocked
-// flags the supernode dirty and the admin operation drains before
-// releasing the supernode store lock, so the rotation flushes in the
-// same batch as any deferred metadata — one flush_batch span, one
-// freshness-root update.
+// Tree mutations ride the supernode flush: the admin operation drains
+// any deferred metadata, then re-reads the supernode, applies the change
+// and puts it back in one commit under the freshness root's lock
+// (updateSupernodeLocked) — one supernode put, one root update.
 
 import (
 	"errors"
@@ -119,16 +118,6 @@ func (e *Enclave) recordGroupStatsLocked(tree *groupkey.Tree, before groupkey.St
 	if d := after.Unwraps - before.Unwraps; d > 0 {
 		e.metrics.groupUnwraps.Add(d)
 	}
-}
-
-// markSupernodeDirtyLocked flags a supernode mutation (user table or
-// key tree) for the next drain. The caller holds the supernode store
-// lock and drains before releasing it, so the flush happens under the
-// lock, batched with any deferred metadata.
-func (e *Enclave) markSupernodeDirtyLocked() {
-	e.wb.superDirty = true
-	e.wb.ops++
-	e.metrics.metadataDirty.Inc()
 }
 
 // UserGroup returns the stable leaf subgroup ID the named user belongs

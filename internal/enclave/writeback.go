@@ -26,8 +26,10 @@ package enclave
 //     per-object update through e.freshSink.
 //
 // Deferred dirnode mutations also keep a per-node op log (insert/remove
-// by name). Batched ops skip the per-op store lock; at drain time the
-// directory's lock is taken, the on-store version re-read, and — if
+// by name). New objects are put without any lock; every directory the
+// store already holds is rewritten inside one commit (commitLocked,
+// DESIGN.md §12.4) under the freshness root's lock, the only lock a
+// metadata commit takes: its on-store version is re-read there and — if
 // another client advanced it meanwhile — the log is replayed onto the
 // fresh copy (last-writer-wins per name) instead of clobbering it.
 
@@ -108,17 +110,11 @@ type dirtySet struct {
 	bytes    int64
 	pressure bool
 
-	// fresh holds the freshness updates of objects a batch (a drain, or
-	// the eager flushes of one Rename or Hardlink) has flushed but whose
-	// root update has not landed yet: a batch that fails past its first
-	// upload leaves them here, so the next drain still commits them.
+	// fresh holds the freshness updates of objects a batch has flushed
+	// but whose root update has not landed yet: a batch that fails past
+	// its first upload leaves them here, so the next commit still
+	// includes them.
 	fresh map[uuid.UUID]uint64
-
-	// superDirty marks a pending supernode mutation (user table or
-	// membership key tree rotation). It is only ever set by the
-	// admin operations, which drain before releasing the supernode
-	// store lock, so the flush below always runs under that lock.
-	superDirty bool
 }
 
 func newDirtySet(maxOps int) *dirtySet {
@@ -261,34 +257,56 @@ func (e *Enclave) drainWithRetryLocked() error {
 	return err
 }
 
-// batchFreshnessLocked runs fn with the freshness updates of every
-// object it flushes collected in wb.fresh, then advances the root once
-// for all of them: one lock / re-read / put / unlock of the root object
-// per batch instead of per flushed object. When fn or the root update
-// fails, the collected updates stay in wb.fresh and the next drain
-// commits them. Batches do not nest.
-func (e *Enclave) batchFreshnessLocked(fn func() error) error {
+// sinkLocked runs fn with the freshness updates of every object it
+// flushes collected in wb.fresh, where the next commit finds them.
+func (e *Enclave) sinkLocked(fn func() error) error {
 	if e.wb.fresh == nil {
 		e.wb.fresh = make(map[uuid.UUID]uint64)
 	}
 	e.freshSink = e.wb.fresh
-	err := fn()
-	e.freshSink = nil
+	defer func() { e.freshSink = nil }()
+	return fn()
+}
+
+// commitLocked is one metadata commit (DESIGN.md §12.4), the critical
+// section every rewrite of a dirnode the store holds, or of the
+// supernode, runs in. It takes the freshness root's store lock — the one
+// lock a commit takes, whose reply revalidates the root — and re-reads
+// the root; fn then re-reads and re-bases what it rewrites and puts it;
+// last, the root advances once for every object flushed since the last
+// commit (wb.fresh), before the single unlock. When fn or the root update
+// fails, the collected updates stay in wb.fresh and the next commit
+// includes them. Commits do not nest. A filenode lock the operation needs
+// is taken before the root lock, never under it (commitFilesLocked).
+func (e *Enclave) commitLocked(fn func() error) error {
+	release, err := e.lockObject(MerkleRootObjectName)
 	if err != nil {
+		return fmt.Errorf("locking merkle root: %w", err)
+	}
+	defer release()
+	if e.proofStore != nil {
+		// Another client may have advanced the epoch since the commitment
+		// was last loaded.
+		if err := e.loadMerkleRootLocked(true); err != nil {
+			return err
+		}
+	}
+	if err := e.sinkLocked(fn); err != nil {
 		return err
 	}
-	if err := e.recordFreshnessLocked(e.wb.fresh); err != nil {
+	if err := e.advanceRootLocked(e.wb.fresh); err != nil {
 		return err
 	}
 	e.wb.fresh = nil
 	return nil
 }
 
-// drainLocked flushes the whole dirty set in dependency order and
-// advances the freshness root once. On failure the un-flushed portion
-// of the set is left intact for retry.
+// drainLocked flushes the whole dirty set in dependency order: the new
+// objects first, without a lock, then one commit for the directories the
+// store already holds and the deferred deletes. On failure the
+// un-flushed portion of the set is left intact for retry.
 func (e *Enclave) drainLocked() error {
-	if len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && !e.wb.superDirty && len(e.wb.fresh) == 0 {
+	if len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && len(e.wb.fresh) == 0 {
 		return nil
 	}
 	span := e.metrics.tracer.Begin("enclave.flush_batch")
@@ -297,19 +315,26 @@ func (e *Enclave) drainLocked() error {
 	span.SetTagInt("deletes", int64(len(e.wb.deletes)))
 	defer span.End()
 
-	return e.batchFreshnessLocked(func() error {
-		if err := e.flushDirtyNodesLocked(); err != nil {
+	if err := e.sinkLocked(func() error { return e.flushDirtyNodesLocked(true) }); err != nil {
+		return err
+	}
+	return e.commitLocked(func() error {
+		if err := e.flushDirtyNodesLocked(false); err != nil {
 			return err
 		}
-		if e.wb.superDirty {
-			// Final stage: the supernode (user-table changes and key-tree
-			// rotations) flushes after every child object it could
-			// reference, under the supernode store lock the admin operation
-			// is still holding.
-			if err := e.flushSupernodeLocked(); err != nil {
+		// Deferred deletes, FIFO, last — nothing on the store references
+		// these objects any more.
+		for len(e.wb.deletes) > 0 {
+			del := e.wb.deletes[0]
+			if err := e.deleteObject(objName(del.id)); err != nil && !isNotExist(err) {
 				return err
 			}
-			e.wb.superDirty = false
+			if del.meta {
+				delete(e.freshness, del.id)
+				e.freshSink[del.id] = 0
+			}
+			e.wb.deletes = e.wb.deletes[1:]
+			delete(e.wb.delSeen, del.id)
 		}
 		e.wb.ops, e.wb.bytes, e.wb.pressure = 0, 0, false
 		e.metrics.flushBatches.Inc()
@@ -318,72 +343,48 @@ func (e *Enclave) drainLocked() error {
 	})
 }
 
-// flushDirtyNodesLocked uploads dirty nodes children-first, then runs
-// the deferred deletes.
-func (e *Enclave) flushDirtyNodesLocked() error {
-	// Stage 1: new filenodes, so no dirnode upload ever references a
-	// file object missing from the store.
-	var fileIDs []uuid.UUID
+// flushDirtyNodesLocked uploads the dirty nodes that are new (isNew) or
+// the ones the store already holds, children first: filenodes — all new
+// — so no dirnode upload references a file object missing from the
+// store, then dirnodes deepest-first (depth = number of dirty ancestors
+// via the Parent chain), so a parent referencing a new child directory
+// uploads after the child exists. A directory the store holds is re-based
+// on its on-store copy first; the drain runs that half inside its commit.
+func (e *Enclave) flushDirtyNodesLocked(isNew bool) error {
+	var ids []uuid.UUID
+	depths := make(map[uuid.UUID]int)
 	for id, n := range e.wb.nodes {
-		if n.file != nil {
-			fileIDs = append(fileIDs, id)
+		if n.isNew != isNew {
+			continue
+		}
+		ids = append(ids, id)
+		if depths[id] = len(e.wb.nodes); n.dir != nil {
+			depths[id] = e.dirtyDepthLocked(id)
 		}
 	}
-	sortUUIDs(fileIDs)
-	for _, id := range fileIDs {
-		n := e.wb.nodes[id]
-		if err := e.flushFilenodeLocked(n.file, n.base+1); err != nil {
-			return err
+	sort.Slice(ids, func(i, j int) bool {
+		if depths[ids[i]] != depths[ids[j]] {
+			return depths[ids[i]] > depths[ids[j]]
 		}
-		e.dropDirtyNodeLocked(id)
-	}
-
-	// Stage 2: dirnodes deepest-first (depth = number of dirty ancestors
-	// via the Parent chain), so a parent referencing a new child
-	// directory uploads after the child exists.
-	var dirIDs []uuid.UUID
-	for id, n := range e.wb.nodes {
-		if n.dir != nil {
-			dirIDs = append(dirIDs, id)
-		}
-	}
-	depths := make(map[uuid.UUID]int, len(dirIDs))
-	for _, id := range dirIDs {
-		depths[id] = e.dirtyDepthLocked(id)
-	}
-	sort.Slice(dirIDs, func(i, j int) bool {
-		if depths[dirIDs[i]] != depths[dirIDs[j]] {
-			return depths[dirIDs[i]] > depths[dirIDs[j]]
-		}
-		return bytes.Compare(dirIDs[i][:], dirIDs[j][:]) < 0
+		return bytes.Compare(ids[i][:], ids[j][:]) < 0
 	})
-	for _, id := range dirIDs {
+	for _, id := range ids {
 		n := e.wb.nodes[id]
-		if n.isNew {
-			if err := e.flushDirnodeLocked(n.dir, n.base+1); err != nil {
-				return err
+		var err error
+		switch {
+		case n.file != nil:
+			err = e.flushFilenodeLocked(n.file, n.base+1)
+		case !isNew:
+			if err = e.rebaseDirtyDirnodeLocked(id, n); err == nil {
+				err = e.flushDirnodeLocked(n.dir, n.base+1)
 			}
-		} else if err := e.flushDirtyExistingDirnodeLocked(id, n); err != nil {
+		default:
+			err = e.flushDirnodeLocked(n.dir, n.base+1)
+		}
+		if err != nil {
 			return err
 		}
 		e.dropDirtyNodeLocked(id)
-	}
-
-	// Stage 3: deferred deletes, FIFO, last — nothing on the store
-	// references these objects any more.
-	for len(e.wb.deletes) > 0 {
-		del := e.wb.deletes[0]
-		if err := e.deleteObject(objName(del.id)); err != nil && !isNotExist(err) {
-			return err
-		}
-		if del.meta {
-			delete(e.freshness, del.id)
-			if e.freshSink != nil {
-				e.freshSink[del.id] = 0
-			}
-		}
-		e.wb.deletes = e.wb.deletes[1:]
-		delete(e.wb.delSeen, del.id)
 	}
 	return nil
 }
@@ -404,28 +405,13 @@ func (e *Enclave) dirtyDepthLocked(id uuid.UUID) int {
 	return depth
 }
 
-// flushDirtyExistingDirnodeLocked flushes a dirnode the store already
-// holds: it takes the directory's store lock (deferred from the
-// individual ops), re-bases the dirty copy on the on-store version if
-// another client advanced it, and flushes at base+1.
-func (e *Enclave) flushDirtyExistingDirnodeLocked(id uuid.UUID, n *dirtyNode) error {
-	release, err := e.lockObject(objName(id))
-	if err != nil {
-		return fmt.Errorf("locking dirnode %s: %w", id, err)
-	}
-	defer release()
-	if err := e.rebaseDirtyDirnodeLocked(id, n); err != nil {
-		return err
-	}
-	return e.flushDirnodeLocked(n.dir, n.base+1)
-}
-
 // rebaseDirtyDirnodeLocked re-reads the main object of a dirty dirnode
 // the store already holds and, if the store has moved past the version
 // the dirty copy derives from, replaces the copy with the on-store
-// directory plus the replayed op log. The drain runs it under the
-// directory's store lock; retryTornEcall runs it unlocked, to give a
-// reader a shadow whose buckets still exist (the drain re-bases again).
+// directory plus the replayed op log. The drain runs it inside its
+// commit, so the flush at base+1 that follows cannot be overtaken;
+// retryTornEcall runs it unlocked, to give a reader a shadow whose
+// buckets still exist (the drain re-bases again).
 func (e *Enclave) rebaseDirtyDirnodeLocked(id uuid.UUID, n *dirtyNode) error {
 	blob, _, err := e.fetchObject(e.metrics.metaIO, objName(id))
 	if err != nil {

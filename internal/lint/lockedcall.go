@@ -21,7 +21,7 @@ package lint
 // Function literals inherit through the graph naturally: the literal
 // has a reference edge from its lexically enclosing context, so a
 // closure created inside a locked region — including one handed to a
-// *Locked helper like withSupernodeLockLocked — is only as unheld as
+// *Locked helper like updateSupernodeLocked — is only as unheld as
 // its encloser. The known blind spot is a closure that escapes a
 // locked region and runs after the unlock (goroutines, stashed
 // callbacks); lock-handoff designs of that shape carry a

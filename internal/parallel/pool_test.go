@@ -3,7 +3,6 @@ package parallel
 import (
 	"bytes"
 	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -26,35 +25,6 @@ func TestArenaClassFor(t *testing.T) {
 			t.Fatalf("classFor(%d) = %d, want %d", c.n, got, c.class)
 		}
 	}
-}
-
-func TestArenaReuseAndCounters(t *testing.T) {
-	a := NewArena()
-	var hooked atomic.Int64
-	a.SetCounters(func() { hooked.Add(1) }, func() { hooked.Add(100) })
-
-	b1 := a.Get(1000)
-	if len(b1.B) != 1000 || cap(b1.B) != 4096 {
-		t.Fatalf("lease: len=%d cap=%d, want 1000/4096", len(b1.B), cap(b1.B))
-	}
-	p1 := &b1.B[0]
-	b1.Release()
-
-	b2 := a.Get(2000)
-	if len(b2.B) != 2000 {
-		t.Fatalf("second lease len = %d", len(b2.B))
-	}
-	if &b2.B[0] != p1 {
-		t.Fatal("same-class lease did not reuse the released buffer")
-	}
-	hits, misses := a.Stats()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("stats = %d hits / %d misses, want 1/1", hits, misses)
-	}
-	if hooked.Load() != 101 {
-		t.Fatalf("counter hooks saw %d, want 101 (1 hit + 1 miss)", hooked.Load())
-	}
-	b2.Release()
 }
 
 func TestArenaOversizedBypassesPool(t *testing.T) {

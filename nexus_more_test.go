@@ -271,7 +271,7 @@ func wantDirNames(t *testing.T, fs *FS, dir string, want []string) {
 // TestTwoAdaptersAlternatingDrains: two clients, each behind its own
 // adapter over one backing store, share its locks and nothing else. They
 // take turns adding to one directory and draining. Each drain re-reads
-// the freshness root and the directory under their store locks and must
+// the freshness root and the directory under the root's store lock and must
 // see what the peer put — not what this client's adapter last held — or
 // it seals an epoch over the peer's (a fork) or a directory version over
 // the peer's entries. The directory grows past one bucket on the way.
@@ -304,7 +304,8 @@ func TestTwoAdaptersAlternatingDrains(t *testing.T) {
 }
 
 // TestTwoAdaptersLockedRewalk: the mutations that are not drains —
-// Rename, Hardlink, SetACL — lock the directory and walk to it again, and
+// Rename, Hardlink, SetACL — take the freshness root's lock and walk to the
+// directory again, and
 // that second walk must decode what a peer behind another adapter put
 // since, whatever this adapter's own version counter says: the counter
 // does not move with a peer's put, so a decrypted copy accepted on it

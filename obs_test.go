@@ -21,6 +21,8 @@ type obsStack struct {
 	client *Client
 	vol    *Volume
 	afs    *afs.Client
+	owner  Identity
+	ias    *AttestationService
 }
 
 func startObsStack(t *testing.T) *obsStack {
@@ -66,7 +68,7 @@ func startObsStack(t *testing.T) *obsStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &obsStack{reg: reg, client: client, vol: vol, afs: afsClient}
+	return &obsStack{reg: reg, client: client, vol: vol, afs: afsClient, owner: owner, ias: ias}
 }
 
 // counterDelta reads a set of counters before fn and returns how much
@@ -332,9 +334,9 @@ func afsSpanNames(s *Span) []string {
 	return names
 }
 
-// TestObservabilityRPCBudget pins the exact, ordered AFS frames six op
-// classes cost (DESIGN.md §11.5). Every frame is a LAN round trip (a
-// one-way unlock: half of one), so a frame added here is a latency
+// TestObservabilityRPCBudget pins the exact, ordered AFS frames of the
+// metadata op classes (DESIGN.md §11.5). Every frame is a LAN round trip
+// (a one-way unlock: half of one), so a frame added here is a latency
 // regression on every such op: the test fails until the table and the
 // reason are updated together.
 func TestObservabilityRPCBudget(t *testing.T) {
@@ -351,9 +353,10 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	defer tracer.Disable()
 
 	// budget runs op and compares its AFS frames with want. One more
-	// sequence is allowed: want plus a second store under the last lock —
-	// the freshness root's — which is an epoch that also writes the tree
-	// checkpoint (DESIGN.md §15.3). It reports whether this was one.
+	// sequence is allowed: want plus a second store directly before the
+	// last one — the freshness root's — which is an epoch that also writes
+	// the tree checkpoint (DESIGN.md §15.3). It reports whether this was
+	// one.
 	budget := func(what, rootName string, want []string, op func()) (checkpoint bool) {
 		t.Helper()
 		tracer.Take()
@@ -365,10 +368,10 @@ func TestObservabilityRPCBudget(t *testing.T) {
 		}
 		got := afsSpanNames(root)
 		last := len(want) - 1
-		for last >= 0 && want[last] != "lock" {
+		for last >= 0 && want[last] != "store" {
 			last--
 		}
-		if last >= 0 && slices.Equal(got, slices.Insert(slices.Clone(want), last+1, "store")) {
+		if last >= 0 && slices.Equal(got, slices.Insert(slices.Clone(want), last, "store")) {
 			return true
 		}
 		if !slices.Equal(got, want) {
@@ -379,15 +382,15 @@ func TestObservabilityRPCBudget(t *testing.T) {
 
 	data := bytes.Repeat([]byte{0x5A}, 2048)
 	// Create one file in an existing directory: the data object and the
-	// new filenode, then the directory — one object, ACL and entries
-	// together — under its lock, then the freshness root — sealed
-	// commitment and tree delta in one object — under its own lock.
-	// Neither lock is followed by a fetch: the lock reply revalidated the
-	// copy this client already caches.
+	// new filenode, unlocked, then one commit under the freshness root's
+	// lock — the directory (one object, ACL and entries together), then
+	// the root (sealed commitment and tree delta in one object), one
+	// unlock. The lock is followed by no fetch: its reply revalidated the
+	// root, and the directory this client caches is current because a
+	// lock grant is a release-consistency point.
 	create := []string{
 		"store", "store",
-		"lock", "store", "unlock",
-		"lock", "store", "unlock",
+		"lock", "store", "store", "unlock",
 	}
 	budget("create in an existing directory", "vfs.write", create, func() {
 		if err := fs.WriteFile("/docs/second", data); err != nil {
@@ -412,8 +415,8 @@ func TestObservabilityRPCBudget(t *testing.T) {
 		}
 	})
 
-	// The ACL and rename rows go straight to the enclave, so their root
-	// span is the one ecall.
+	// The ACL, rename and user rows go straight to the enclave, so their
+	// root span is the one ecall.
 	bob, err := NewIdentity("bob")
 	if err != nil {
 		t.Fatal(err)
@@ -430,59 +433,89 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	}
 
 	// Revocation, the paper's whole cost (§VII-E): one directory re-seal
-	// under the directory's lock, then the freshness root under its
-	// lock; the directory's unlock leaves last.
-	reseal := []string{
-		"lock", "store",
-		"lock", "store", "unlock",
-		"unlock",
-	}
-	budget("SetACL (revoke)", "sgx.ecall", reseal, func() {
+	// and the freshness root, in one commit.
+	commit2 := []string{"lock", "store", "store", "unlock"}
+	budget("SetACL (revoke)", "sgx.ecall", commit2, func() {
 		if err := st.vol.SetACL("/docs", "bob", NoRights); err != nil {
 			t.Fatal(err)
 		}
 	})
-	budget("SetGroupACL", "sgx.ecall", reseal, func() {
+	budget("SetGroupACL", "sgx.ecall", commit2, func() {
 		if err := st.vol.SetGroupACL("/docs", group, ReadOnly); err != nil {
 			t.Fatal(err)
 		}
 	})
 
-	// Same-directory rename: the directory under its lock, then — the
-	// lock released — the freshness root under its own.
-	budget("rename within a directory", "sgx.ecall", []string{
-		"lock", "store", "unlock",
-		"lock", "store", "unlock",
-	}, func() {
+	// Same-directory rename: the directory and the root, one commit.
+	budget("rename within a directory", "sgx.ecall", commit2, func() {
 		if err := fs.Rename("/docs/second", "/docs/renamed"); err != nil {
 			t.Fatal(err)
 		}
 	})
 
-	// Rename across directories: both directory locks, the re-parented
-	// filenode, the source and the destination directory, and one root
-	// update for the three flushes together.
+	// Rename of a directory across directories: the re-parented child
+	// dirnode, the source and the destination directory and the root, one
+	// commit.
 	if err := fs.MkdirAll("/other"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.MkdirAll("/docs/sub"); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	budget("rename across directories", "sgx.ecall", []string{
-		"lock", "lock", "store", "store", "store", "unlock", "unlock",
-		"lock", "store", "unlock",
+	budget("rename of a directory across directories", "sgx.ecall", []string{
+		"lock", "store", "store", "store", "store", "unlock",
+	}, func() {
+		if err := fs.Rename("/docs/sub", "/other/sub"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// A file moved across directories is re-parented too, and a filenode
+	// is rewritten only under its own lock, which is taken before the
+	// root's and released after it.
+	budget("rename of a file across directories", "sgx.ecall", []string{
+		"lock", "lock", "store", "store", "store", "store", "unlock", "unlock",
 	}, func() {
 		if err := fs.Rename("/docs/renamed", "/other/moved"); err != nil {
 			t.Fatal(err)
 		}
 	})
 
+	// Revoking a user: the supernode (user table and rotated key-tree
+	// path) and the root, one commit.
+	budget("RemoveUser", "sgx.ecall", commit2, func() {
+		if err := st.vol.RemoveUser("bob"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Admitting one through the rootkey exchange: the same commit (the
+	// quote check is an ocall to the attestation service, not a frame).
+	carolClient, err := NewClient(ClientConfig{Store: NewMemoryStore(), IAS: st.ias})
+	if err != nil {
+		t.Fatal(err)
+	}
+	carol, err := NewIdentity("carol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	offer, err := carolClient.CreateShareOffer(carol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget("GrantAccess", "sgx.ecall", commit2, func() {
+		if _, err := st.vol.GrantAccess(offer, "carol", carol.PublicKey, st.owner); err != nil {
+			t.Fatal(err)
+		}
+	})
+
 	// The checkpoint is the one frame the table above amortises. Its rule
 	// is a function of leaf and delta-entry counts alone, so the count is
-	// exact per op sequence (12 here); what is pinned is the bound: 64
-	// creates grow this tree from a dozen leaves to about 140 at four
-	// changed leaves a drain, and √(2·S·u) at those sizes comes to a
-	// checkpoint every 3 to 9 drains.
+	// exact per op sequence; what is pinned is the bound: 64 creates grow
+	// this tree from a dozen leaves to about 140 at four changed leaves a
+	// drain, and √(2·S·u) at those sizes comes to a checkpoint every 3 to 9
+	// drains.
 	// Every one of them is the create sequence above: a directory that
 	// fits bucket 0 retires nothing, so no `remove` ever rides along.
 	checkpoints := 0
