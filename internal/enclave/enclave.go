@@ -15,7 +15,8 @@
 //     with parent-UUID validation and per-directory ACL checks (§IV-A,
 //     §IV-C);
 //   - encrypts file contents in fixed-size chunks with fresh keys on
-//     every update (§VI-A);
+//     every update (§VI-A), or seals a file of at most
+//     metadata.MaxInlineSize bytes inside its filenode;
 //   - shares the rootkey with other users' enclaves via the
 //     attestation-bound ECDH exchange of Fig. 4 (§IV-B1);
 //   - revokes users by re-encrypting only metadata (§VII-E).

@@ -619,7 +619,7 @@ func (e *Enclave) removeFileEntryLocked(dir *metadata.Dirnode, entry metadata.Di
 		f.Parent = uuid.Nil
 		return e.flushFilenodeLocked(f, fv+1)
 	}
-	if f.Size > 0 {
+	if f.HasDataObject() {
 		if err := e.deleteObject(objName(f.DataUUID)); err != nil && !isNotExist(err) {
 			return err
 		}
@@ -733,9 +733,32 @@ func (e *Enclave) timedChunkCrypto(plainLen int, fn func() ([]byte, error)) ([]b
 	return out, err
 }
 
-// WriteFile replaces a file's contents (nexus_fs_encrypt): every chunk
-// is re-encrypted with fresh keys, the ciphertext is uploaded, and the
-// filenode is re-sealed.
+// writeContentLocked returns a copy of f holding data: inline when it
+// fits, else re-encrypted chunk by chunk under fresh keys into the data
+// object, which it uploads. f itself is left as it was, so a failed upload
+// changes nothing the next flush could seal.
+func (e *Enclave) writeContentLocked(f *metadata.Filenode, data []byte) (*metadata.Filenode, error) {
+	next := f.Clone()
+	if len(data) <= metadata.MaxInlineSize {
+		next.SetInline(data)
+		return next, nil
+	}
+	if !f.HasDataObject() {
+		// A fresh name: a delete staged for a data object this file had
+		// before it went inline must not reach the new one.
+		next.DataUUID = uuid.New()
+	}
+	if err := e.encryptAndPutLocked(next, data); err != nil {
+		return nil, err
+	}
+	return next, nil
+}
+
+// WriteFile replaces a file's contents (nexus_fs_encrypt) and re-seals its
+// filenode. Content of at most metadata.MaxInlineSize bytes is sealed in
+// the filenode itself; larger content goes to the data object, every chunk
+// re-encrypted with fresh keys. A data object the new content no longer
+// uses is deleted at the next drain.
 func (e *Enclave) WriteFile(path string, data []byte) error {
 	return e.retryTornEcall(func() error {
 		e.mu.Lock()
@@ -768,17 +791,21 @@ func (e *Enclave) WriteFile(path string, data []byte) error {
 			return fmt.Errorf("%w: %s", ErrNotFile, path)
 		}
 
-		// A write to a still-pending created file updates the in-memory
-		// filenode (fresh keys, new size) and uploads only the data
-		// object; the filenode rides out with the next batch drain. No
-		// store lock: the object does not exist on the store yet, so no
-		// other client can race on it. Writes to on-store files stay
-		// fully eager — their filenode seals carry freshly rotated keys
-		// that must not sit deferred in enclave memory.
+		// A write to a still-pending created file replaces the in-memory
+		// filenode and uploads at most the data object; the filenode rides
+		// out with the next batch drain. No store lock: the object does not
+		// exist on the store yet, so no other client can race on it. Writes
+		// to on-store files stay fully eager — their filenode seals carry
+		// freshly rotated keys that must not sit deferred in enclave memory.
 		if n, ok := e.wb.nodes[entry.UUID]; ok && n.file != nil {
-			if err := e.encryptAndPutLocked(n.file, data); err != nil {
+			next, err := e.writeContentLocked(n.file, data)
+			if err != nil {
 				return err
 			}
+			if n.file.HasDataObject() && !next.HasDataObject() {
+				e.stageDeleteLocked(n.file.DataUUID, false)
+			}
+			e.setDirtyFilenodeLocked(n, next)
 			return e.maybeDrainLocked()
 		}
 
@@ -792,17 +819,22 @@ func (e *Enclave) WriteFile(path string, data []byte) error {
 		if err != nil {
 			return err
 		}
-		// Any failure past this point leaves the cached filenode with
-		// freshly rotated in-memory keys the store never saw — drop it.
-		if err := e.encryptAndPutLocked(f, data); err != nil {
+		next, err := e.writeContentLocked(f, data)
+		if err != nil {
+			return err
+		}
+		if err := e.putFilenodeLocked(next, fv+1); err != nil {
 			e.cache.invalidate(f.UUID)
 			return err
 		}
-		if err := e.flushFilenodeLocked(f, fv+1); err != nil {
-			e.cache.invalidate(f.UUID)
+		// Only now does no filenode on the store name the old data object.
+		if f.HasDataObject() && !next.HasDataObject() {
+			e.stageDeleteLocked(f.DataUUID, false)
+		}
+		if err := e.recordFreshnessLocked(map[uuid.UUID]uint64{f.UUID: fv + 1}); err != nil {
 			return err
 		}
-		return nil
+		return e.maybeDrainLocked()
 	})
 }
 
@@ -844,8 +876,8 @@ func (e *Enclave) ReadFile(path string) ([]byte, error) {
 		if err != nil {
 			return err
 		}
-		if f.Size == 0 {
-			out = []byte{}
+		if !f.HasDataObject() {
+			out = append([]byte{}, f.Inline...)
 			return nil
 		}
 		blob, _, err := e.fetchObject(e.metrics.dataIO, objName(f.DataUUID))

@@ -450,6 +450,15 @@ func (e *Enclave) loadFilenode(id, parent uuid.UUID) (*metadata.Filenode, uint64
 
 // flushFilenodeLocked seals and uploads a filenode at the given version.
 func (e *Enclave) flushFilenodeLocked(f *metadata.Filenode, version uint64) error {
+	if err := e.putFilenodeLocked(f, version); err != nil {
+		return err
+	}
+	return e.recordFreshnessLocked(map[uuid.UUID]uint64{f.UUID: version})
+}
+
+// putFilenodeLocked is flushFilenodeLocked up to the freshness record: the
+// filenode is on the store when it returns nil.
+func (e *Enclave) putFilenodeLocked(f *metadata.Filenode, version uint64) error {
 	blob, err := metadata.Seal(e.rootKey, metadata.Preamble{
 		Type:    metadata.TypeFilenode,
 		UUID:    f.UUID,
@@ -467,5 +476,5 @@ func (e *Enclave) flushFilenodeLocked(f *metadata.Filenode, version uint64) erro
 	e.metrics.metadataFlushes.Inc()
 	e.metrics.metadataBytes.Add(int64(len(blob)))
 	e.cache.put(f.UUID, storeVersion, version, f, int64(len(blob))+128)
-	return e.recordFreshnessLocked(map[uuid.UUID]uint64{f.UUID: version})
+	return nil
 }

@@ -170,6 +170,19 @@ func (e *Enclave) markNewFilenodeLocked(f *metadata.Filenode) {
 	e.metrics.dirtyGauge.Set(int64(len(e.wb.nodes)))
 }
 
+// setDirtyFilenodeLocked installs f as a pending create's new content.
+// Inline bytes are pinned with the filenode until the drain, so the node's
+// EPC charge and the batch's byte estimate grow by their length.
+func (e *Enclave) setDirtyFilenodeLocked(n *dirtyNode, f *metadata.Filenode) {
+	if n.charged > 0 {
+		e.sgx.FreeEPC(n.charged)
+		n.charged = 0
+	}
+	n.file = f
+	e.chargeDirtyLocked(n, estFilenodeEPC+int64(len(f.Inline)))
+	e.wb.bytes += int64(len(f.Inline))
+}
+
 // markNewDirnodeLocked registers a just-created dirnode.
 func (e *Enclave) markNewDirnodeLocked(d *metadata.Dirnode) {
 	n := &dirtyNode{dir: d, isNew: true}
@@ -533,9 +546,9 @@ func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
 
 	case metadata.KindFile:
 		if n, ok := e.wb.nodes[entry.UUID]; ok && n.file != nil {
-			// Pending create: cancel it; only the eagerly-uploaded data
+			// Pending create: cancel it; only an eagerly-uploaded data
 			// object needs dropping.
-			if n.file.Size > 0 {
+			if n.file.HasDataObject() {
 				e.stageDeleteLocked(n.file.DataUUID, false)
 			}
 			e.dropDirtyNodeLocked(entry.UUID)
@@ -562,7 +575,7 @@ func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
 					return err
 				}
 			} else {
-				if f.Size > 0 {
+				if f.HasDataObject() {
 					e.stageDeleteLocked(f.DataUUID, false)
 				}
 				e.stageDeleteLocked(entry.UUID, true)

@@ -410,6 +410,9 @@ func snapshotTree(t *testing.T, e *Enclave, dir string) map[string]treeEntry {
 // quiescing SyncMetadata a fresh enclave over each store sees exactly
 // the namespace the stream itself implies — paths, kinds and last
 // contents computed from the ops alone, so no run is another's oracle.
+// File sizes straddle the inline cap (metadata.MaxInlineSize), and half
+// the rewrites cross it, so files move into and out of their filenodes
+// inside and across drain windows.
 func TestPropertyDrainLimitInvariant(t *testing.T) {
 	type op struct {
 		kind    byte // 'd' mkdir, 'c' create+write, 'w' rewrite, 'r' remove
@@ -417,10 +420,21 @@ func TestPropertyDrainLimitInvariant(t *testing.T) {
 		content string
 	}
 	rng := rand.New(rand.NewSource(wbChaosSeed(t)))
+	inline := []int{0, 16, metadata.MaxInlineSize}
+	chunked := []int{metadata.MaxInlineSize + 1, 64 << 10}
+	all := append(append([]int{}, inline...), chunked...)
+	content := func(tag string, sizes []int) string {
+		n := sizes[rng.Intn(len(sizes))]
+		if n == 0 {
+			return ""
+		}
+		return string(sized(tag, max(len(tag), n)))
+	}
 	model := make(map[string]treeEntry)
 	var ops []op
 	dirs := []string{""}
 	var files []string
+	var inward, outward int // rewrites across the cap, each way
 	for i := 0; i < 80; i++ {
 		switch r := rng.Intn(10); {
 		case r < 2:
@@ -430,21 +444,36 @@ func TestPropertyDrainLimitInvariant(t *testing.T) {
 			dirs = append(dirs, d)
 		case r < 6:
 			p := fmt.Sprintf("%s/f%03d", dirs[rng.Intn(len(dirs))], i)
-			content := fmt.Sprintf("op %d", i)
-			ops = append(ops, op{kind: 'c', path: p, content: content})
-			model[p] = treeEntry{kind: "file", content: content}
+			c := content(fmt.Sprintf("op %d", i), all)
+			ops = append(ops, op{kind: 'c', path: p, content: c})
+			model[p] = treeEntry{kind: "file", content: c}
 			files = append(files, p)
 		case r < 8 && len(files) > 0:
 			p := files[rng.Intn(len(files))]
-			content := fmt.Sprintf("rewrite %d", i)
-			ops = append(ops, op{kind: 'w', path: p, content: content})
-			model[p] = treeEntry{kind: "file", content: content}
+			tag, sizes := fmt.Sprintf("rewrite %d", i), all
+			if rng.Intn(2) == 0 {
+				if sizes = chunked; len(model[p].content) > metadata.MaxInlineSize {
+					sizes = inline
+				}
+			}
+			c := content(tag, sizes)
+			wasInline, isInline := len(model[p].content) <= metadata.MaxInlineSize, len(c) <= metadata.MaxInlineSize
+			if wasInline && !isInline {
+				outward++
+			} else if !wasInline && isInline {
+				inward++
+			}
+			ops = append(ops, op{kind: 'w', path: p, content: c})
+			model[p] = treeEntry{kind: "file", content: c}
 		case len(files) > 0:
 			j := rng.Intn(len(files))
 			ops = append(ops, op{kind: 'r', path: files[j]})
 			delete(model, files[j])
 			files = append(files[:j], files[j+1:]...)
 		}
+	}
+	if inward == 0 || outward == 0 {
+		t.Fatalf("the op stream crosses the inline cap %d times inward and %d outward; want both", inward, outward)
 	}
 
 	for _, maxOps := range []int{1, 7, 64} {

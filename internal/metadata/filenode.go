@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -29,6 +30,15 @@ const serialCutoffBytes = 128 << 10
 // UUID plus the chunk index (see ensureAAD).
 const aadSize = uuid.Size + 8
 
+// filenodePrefixSize is the body's fixed prefix: DataUUID ‖ Size ‖
+// ChunkSize ‖ LinkCount ‖ ContentKey ‖ count.
+const filenodePrefixSize = uuid.Size + 8 + 4 + 4 + BodyKeySize + 4
+
+// MaxInlineSize is the largest file whose bytes are sealed inside its
+// filenode instead of a data object: the sealed filenode is then at most
+// one 4 KiB page (3 927 bytes of content with today's seal overhead).
+const MaxInlineSize = 4096 - headerSize - tagSize - filenodePrefixSize
+
 // ChunkContext is the per-chunk cryptographic context: IV and
 // authentication tag (§IV-A1). The chunk key lives once per update in
 // Filenode.ContentKey rather than per chunk: our update granularity is
@@ -46,7 +56,8 @@ type ChunkContext struct {
 
 // Filenode stores the metadata needed to access one data file: the data
 // object's UUID, the update's content key, and the per-chunk encryption
-// contexts (§IV-A1).
+// contexts (§IV-A1) — or, for a file of at most MaxInlineSize bytes, the
+// content itself, with no data object at all.
 type Filenode struct {
 	// UUID names the filenode metadata object.
 	UUID uuid.UUID
@@ -65,8 +76,12 @@ type Filenode struct {
 	// content version; it is regenerated on every update ("re-encrypted
 	// using fresh keys on every file content update", §VI-A).
 	ContentKey [BodyKeySize]byte
-	// Chunks holds one context per chunk, in order.
+	// Chunks holds one context per chunk, in order. A file has a data
+	// object exactly when it has chunks.
 	Chunks []ChunkContext
+	// Inline is the plaintext of a non-empty file without chunks (Size
+	// bytes, sealed with the filenode body).
+	Inline []byte
 
 	// aad caches the concatenated per-chunk associated data
 	// (DataUUID‖index), rebuilt only when the data UUID or chunk count
@@ -100,8 +115,10 @@ var ErrUnsupportedLayout = errors.New("metadata: filenode uses the retired conte
 // EncodeBody serializes the filenode body for Seal:
 //
 //	DataUUID ‖ Size ‖ ChunkSize(>0) ‖ LinkCount ‖ ContentKey ‖ count ‖ (IV‖Tag)*
+//
+// or, inline, a zero count followed by the Size bytes of content.
 func (f *Filenode) EncodeBody() []byte {
-	w := serial.NewWriter(64 + len(f.Chunks)*(ivSize+tagSize))
+	w := serial.NewWriter(filenodePrefixSize + len(f.Chunks)*(ivSize+tagSize) + len(f.Inline))
 	w.WriteRaw(f.DataUUID[:])
 	w.WriteUint64(f.Size)
 	w.WriteUint32(f.ChunkSize)
@@ -112,6 +129,7 @@ func (f *Filenode) EncodeBody() []byte {
 		w.WriteRaw(f.Chunks[i].IV[:])
 		w.WriteRaw(f.Chunks[i].Tag[:])
 	}
+	w.WriteRaw(f.Inline)
 	return w.Bytes()
 }
 
@@ -119,7 +137,8 @@ func (f *Filenode) EncodeBody() []byte {
 // parent come from the verified preamble. The recorded Size is
 // cross-checked against the chunk count, so a stale size / chunk
 // mismatch is rejected at decode instead of surfacing later as a read
-// failure.
+// failure; a zero count with a non-zero Size is the inline layout, whose
+// content must be exactly Size ≤ MaxInlineSize bytes.
 func DecodeFilenodeBody(id, parent uuid.UUID, body []byte) (*Filenode, error) {
 	r := serial.NewReader(body)
 	f := &Filenode{UUID: id, Parent: parent}
@@ -142,14 +161,43 @@ func DecodeFilenodeBody(id, parent uuid.UUID, body []byte) (*Filenode, error) {
 		r.ReadRawInto(f.Chunks[i].IV[:], "chunk iv")
 		r.ReadRawInto(f.Chunks[i].Tag[:], "chunk tag")
 	}
+	if n == 0 && f.Size > 0 {
+		if f.Size > MaxInlineSize {
+			return nil, fmt.Errorf("%w: inline content of %d bytes", ErrMalformed, f.Size)
+		}
+		f.Inline = r.ReadRaw(int(f.Size), "inline content")
+	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("decoding filenode: %w", err)
 	}
-	if n != f.NumChunks() {
+	if n > 0 && n != f.NumChunks() {
 		return nil, fmt.Errorf("%w: %d chunk contexts for size %d (chunk size %d, want %d)",
 			ErrMalformed, n, f.Size, f.ChunkSize, f.NumChunks())
 	}
 	return f, nil
+}
+
+// HasDataObject reports whether the content lives in a data object (the
+// chunked layout) rather than in the filenode.
+func (f *Filenode) HasDataObject() bool { return len(f.Chunks) > 0 }
+
+// SetInline makes data — at most MaxInlineSize bytes, copied — the file's
+// content, sealed with the filenode: no data object, chunks or content key.
+func (f *Filenode) SetInline(data []byte) {
+	f.Size = uint64(len(data))
+	f.Inline = bytes.Clone(data)
+	f.Chunks = nil
+	f.DataUUID = uuid.Nil
+	f.ContentKey = [BodyKeySize]byte{}
+}
+
+// Clone returns a copy of f that shares no mutable state with it.
+func (f *Filenode) Clone() *Filenode {
+	c := *f
+	c.Chunks = slices.Clone(f.Chunks)
+	c.Inline = bytes.Clone(f.Inline)
+	c.aad, c.aadUUID = nil, uuid.Nil
+	return &c
 }
 
 // NumChunks returns the chunk count for the current plaintext size.
@@ -310,7 +358,7 @@ func (f *Filenode) EncryptContentInto(dst, plaintext []byte, workers int) ([]byt
 		return nil, fmt.Errorf("metadata: destination capacity %d for %d sealed bytes", cap(dst), sealedLen)
 	}
 	dst = dst[:sealedLen]
-	f.Size = uint64(total)
+	f.Size, f.Inline = uint64(total), nil
 	n := f.NumChunks()
 	if err := f.refreshContexts(n); err != nil {
 		return nil, err
@@ -446,7 +494,7 @@ func (f *Filenode) EncryptContentStream(dst, plaintext []byte, workers int) (*Se
 		return nil, fmt.Errorf("metadata: destination capacity %d for %d sealed bytes", cap(dst), sealedLen)
 	}
 	dst = dst[:sealedLen]
-	f.Size = uint64(total)
+	f.Size, f.Inline = uint64(total), nil
 	n := f.NumChunks()
 	if err := f.refreshContexts(n); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -355,11 +356,88 @@ func TestFilenodeRetiredLayoutFailsClosed(t *testing.T) {
 	}
 }
 
+// goldenFilenodes builds the two filenodes behind testdata/filenode-*.body:
+// a three-chunk file (that body was encoded by the commit before the
+// inline layout existed, so the chunked layout is pinned byte for byte) and
+// an inline one.
+func goldenFilenodes() (chunked, inline *Filenode) {
+	chunked = &Filenode{UUID: uuid.UUID{1}, Parent: uuid.UUID{2}, DataUUID: uuid.UUID{0xda, 0x7a},
+		Size: 2500, ChunkSize: 1024, LinkCount: 1}
+	for i := range chunked.ContentKey {
+		chunked.ContentKey[i] = byte(i)
+	}
+	chunked.Chunks = make([]ChunkContext, 3)
+	for i := range chunked.Chunks {
+		for j := range chunked.Chunks[i].IV {
+			chunked.Chunks[i].IV[j] = byte(0x10*(i+1) + j)
+		}
+		for j := range chunked.Chunks[i].Tag {
+			chunked.Chunks[i].Tag[j] = byte(0x80 + 0x10*i + j)
+		}
+	}
+	inline = &Filenode{UUID: uuid.UUID{1}, Parent: uuid.UUID{2}, ChunkSize: DefaultChunkSize, LinkCount: 1}
+	inline.SetInline([]byte("a small file is one object: these bytes ride inside its sealed filenode\n"))
+	return chunked, inline
+}
+
+// TestFilenodeBodyGoldens pins both layouts: each golden body is what the
+// encoder writes, and decodes back to the filenode it came from. The
+// commit before the inline layout rejects filenode-inline.body ("72
+// trailing bytes after structure"), so an older enclave fails closed on a
+// volume with inline files.
+func TestFilenodeBodyGoldens(t *testing.T) {
+	chunked, inline := goldenFilenodes()
+	for name, want := range map[string]*Filenode{"filenode-chunked.body": chunked, "filenode-inline.body": inline} {
+		golden := readGolden(t, name)
+		if body := want.EncodeBody(); !bytes.Equal(body, golden) {
+			t.Fatalf("%s: encoder writes\n%x\nwant\n%x", name, body, golden)
+		}
+		got, err := DecodeFilenodeBody(want.UUID, want.Parent, golden)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.DataUUID != want.DataUUID || got.Size != want.Size || got.ContentKey != want.ContentKey ||
+			!slices.Equal(got.Chunks, want.Chunks) || !bytes.Equal(got.Inline, want.Inline) ||
+			got.HasDataObject() != want.HasDataObject() {
+			t.Fatalf("%s decodes to %+v, want %+v", name, got, want)
+		}
+	}
+}
+
+// TestFilenodeInlineCap: the cap is the content that makes the sealed
+// filenode exactly one 4 KiB page, and the decoder takes no inline content
+// past it.
+func TestFilenodeInlineCap(t *testing.T) {
+	if MaxInlineSize != 3927 {
+		t.Fatalf("MaxInlineSize = %d, want 3927 (4096 − 117 seal overhead − 52 body prefix)", MaxInlineSize)
+	}
+	rk := make([]byte, RootKeySize)
+	f := NewFilenode(uuid.New(), uuid.New(), 0)
+	f.SetInline(make([]byte, MaxInlineSize))
+	sealed, err := Seal(rk, Preamble{Type: TypeFilenode, UUID: f.UUID, Parent: f.Parent, Version: 1}, f.EncodeBody())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sealed) != 4096 {
+		t.Fatalf("a filenode holding %d bytes seals to %d bytes, want 4096", MaxInlineSize, len(sealed))
+	}
+	over := append(f.EncodeBody(), 0)
+	binary.LittleEndian.PutUint64(over[uuid.Size:], MaxInlineSize+1)
+	if _, err := DecodeFilenodeBody(f.UUID, f.Parent, over); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("inline content of MaxInlineSize+1 bytes: %v, want ErrMalformed", err)
+	}
+	short := f.EncodeBody()[:filenodePrefixSize+MaxInlineSize-1]
+	if _, err := DecodeFilenodeBody(f.UUID, f.Parent, short); err == nil {
+		t.Fatal("inline content shorter than Size decoded")
+	}
+}
+
 // FuzzFilenodeBodyDecode drives the post-unwrap filenode decoder with
 // arbitrary bytes: it must never panic, a zero chunk-size word is the
-// retired layout whatever follows it, and whatever it accepts has as many
-// chunk contexts as its size needs and re-encodes to exactly the bytes it
-// was given.
+// retired layout whatever follows it, and whatever it accepts is either
+// chunked — as many chunk contexts as its size needs — or inline — exactly
+// Size ≤ MaxInlineSize bytes of content — and re-encodes to exactly the
+// bytes it was given.
 func FuzzFilenodeBodyDecode(f *testing.F) {
 	fn := NewFilenode(uuid.New(), uuid.New(), 1024)
 	f.Add(fn.EncodeBody())
@@ -368,8 +446,14 @@ func FuzzFilenodeBodyDecode(f *testing.F) {
 	}
 	fn.LinkCount = 2
 	f.Add(fn.EncodeBody())
-	if golden, err := os.ReadFile(filepath.Join("testdata", "extent-layout.body")); err == nil {
-		f.Add(golden)
+	fn.SetInline([]byte("inline"))
+	f.Add(fn.EncodeBody())
+	fn.SetInline(make([]byte, MaxInlineSize))
+	f.Add(fn.EncodeBody())
+	for _, name := range []string{"extent-layout.body", "filenode-chunked.body", "filenode-inline.body"} {
+		if golden, err := os.ReadFile(filepath.Join("testdata", name)); err == nil {
+			f.Add(golden)
+		}
 	}
 	// A size whose rounding up to whole chunks wraps, with no contexts.
 	wraps := NewFilenode(uuid.New(), uuid.New(), 2).EncodeBody()
@@ -386,11 +470,13 @@ func FuzzFilenodeBodyDecode(f *testing.F) {
 			return
 		}
 		// The contexts tile the size: the last chunk starts inside it and
-		// ends at or past its end.
+		// ends at or past its end. Without contexts, the content is inline.
 		n, cs := uint64(len(got.Chunks)), uint64(got.ChunkSize)
-		if cs == 0 || (n == 0) != (got.Size == 0) || n*cs < got.Size || (n > 0 && (n-1)*cs >= got.Size) {
-			t.Fatalf("accepted filenode breaks its invariants: size %d, chunk size %d, %d contexts",
-				got.Size, got.ChunkSize, len(got.Chunks))
+		chunked := cs > 0 && n > 0 && n*cs >= got.Size && (n-1)*cs < got.Size
+		inline := cs > 0 && n == 0 && uint64(len(got.Inline)) == got.Size && got.Size <= MaxInlineSize
+		if !chunked && !inline {
+			t.Fatalf("accepted filenode breaks its invariants: size %d, chunk size %d, %d contexts, %d inline bytes",
+				got.Size, got.ChunkSize, len(got.Chunks), len(got.Inline))
 		}
 		if again := got.EncodeBody(); !bytes.Equal(again, body) {
 			t.Fatalf("decode → encode differs:\n in %x\nout %x", body, again)

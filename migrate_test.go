@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nexus/internal/metadata"
 )
 
 // openParentVolume copies testdata/volume-pr22 — a volume written by the
@@ -89,7 +91,9 @@ func storeNames(t *testing.T, dir string) map[string]bool {
 // TestParentVolumeMountsReadsAndMigrates: a volume in the legacy directory
 // layout mounts and reads; a directory's first flush rewrites it as one
 // object and retires its old bucket-0 object, the flush after deletes
-// that object, and a directory with overflow buckets keeps them.
+// that object, and a directory with overflow buckets keeps them. A small
+// file written in the chunked layout reads, and its next rewrite moves its
+// content into the filenode and deletes its data object.
 func TestParentVolumeMountsReadsAndMigrates(t *testing.T) {
 	vol, storeDir, remount := openParentVolume(t)
 	fs := vol.FS()
@@ -169,7 +173,40 @@ func TestParentVolumeMountsReadsAndMigrates(t *testing.T) {
 		t.Fatalf("GetACL(/big) = %v, %v", acl, err)
 	}
 	// Root, /docs and /big are single-layout now; a fresh process agrees.
-	checkTree(remount().FS(), 2, 8)
+	fs = remount().FS()
+	checkTree(fs, 2, 8)
+
+	// a.txt is a small file in the chunked layout: it read above from its
+	// data object; a rewrite moves the content into its filenode (rewritten
+	// in place) and deletes that object.
+	before := storeNames(t, storeDir)
+	dataObjects := map[string]bool{}
+	for n := range before {
+		blob, err := os.ReadFile(filepath.Join(storeDir, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := metadata.PeekPreamble(blob); err != nil && len(n) == 32 {
+			dataObjects[n] = true
+		}
+	}
+	if err := fs.WriteFile("/docs/a.txt", []byte("alpha, inline")); err != nil {
+		t.Fatal(err)
+	}
+	after := storeNames(t, storeDir)
+	var gone []string
+	for n := range before {
+		if !after[n] {
+			gone = append(gone, n)
+		}
+	}
+	if len(gone) != 1 || !dataObjects[gone[0]] || len(after) != len(before)-1 {
+		t.Fatalf("rewriting a.txt inline deleted %v (data objects: %d) and left %d of %d objects; want its data object deleted and nothing else changed",
+			gone, len(dataObjects), len(after), len(before))
+	}
+	if got, err := remount().FS().ReadFile("/docs/a.txt"); err != nil || string(got) != "alpha, inline" {
+		t.Fatalf("ReadFile(/docs/a.txt) after the rewrite = %q, %v", got, err)
+	}
 }
 
 func mustIdentity(t *testing.T, name string) Identity {

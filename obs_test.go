@@ -352,21 +352,29 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	tracer.Enable()
 	defer tracer.Disable()
 
-	// budget runs op and compares its AFS frames with want. One more
-	// sequence is allowed: want plus a second store directly before the
-	// last one — the freshness root's — which is an epoch that also writes
-	// the tree checkpoint (DESIGN.md §15.3). It reports whether this was
-	// one.
+	// budget runs op and compares its AFS frames with want: those under
+	// the first root span named rootName, or under every root span when
+	// rootName is empty (a sequence of ops). One more sequence is allowed:
+	// want plus a second store directly before the last one — the freshness
+	// root's — which is an epoch that also writes the tree checkpoint
+	// (DESIGN.md §15.3). It reports whether this was one.
 	budget := func(what, rootName string, want []string, op func()) (checkpoint bool) {
 		t.Helper()
 		tracer.Take()
 		op()
 		spans := tracer.Take()
-		root := findSpan(spans, rootName)
-		if root == nil {
-			t.Fatalf("%s: no %s root span; roots: %v", what, rootName, spanNames(spans))
+		var got []string
+		if rootName == "" {
+			for _, root := range spans {
+				got = append(got, afsSpanNames(root)...)
+			}
+		} else {
+			root := findSpan(spans, rootName)
+			if root == nil {
+				t.Fatalf("%s: no %s root span; roots: %v", what, rootName, spanNames(spans))
+			}
+			got = afsSpanNames(root)
 		}
-		got := afsSpanNames(root)
 		last := len(want) - 1
 		for last >= 0 && want[last] != "store" {
 			last--
@@ -379,40 +387,108 @@ func TestObservabilityRPCBudget(t *testing.T) {
 		}
 		return false
 	}
+	// transitions runs op and compares the enclave crossings it cost with
+	// want: ecalls, then ocalls (DESIGN.md §11.5, last row).
+	transitions := func(what string, want [2]int64, op func()) {
+		t.Helper()
+		d := counterDelta(st.reg, []string{"sgx_ecalls_total", "sgx_ocalls_total"}, op)
+		if got := [2]int64{d["sgx_ecalls_total"], d["sgx_ocalls_total"]}; got != want {
+			t.Errorf("%s: (ecalls, ocalls) = %v, want %v", what, got, want)
+		}
+	}
+	coldRead := func(what, path string, want []byte, frames []string, crossings [2]int64) {
+		t.Helper()
+		st.client.Enclave().DropCaches()
+		st.afs.FlushCache()
+		budget(what, "vfs.read", frames, func() {
+			transitions(what, crossings, func() {
+				got, err := fs.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatal("read returned different bytes")
+				}
+			})
+		})
+	}
 
+	// A file of at most metadata.MaxInlineSize bytes is one object.
 	data := bytes.Repeat([]byte{0x5A}, 2048)
-	// Create one file in an existing directory: the data object and the
-	// new filenode, unlocked, then one commit under the freshness root's
-	// lock — the directory (one object, ACL and entries together), then
-	// the root (sealed commitment and tree delta in one object), one
+	// Create one such file in an existing directory: the new filenode,
+	// content sealed inside, unlocked, then one commit under the freshness
+	// root's lock — the directory (one object, ACL and entries together),
+	// then the root (sealed commitment and tree delta in one object), one
 	// unlock. The lock is followed by no fetch: its reply revalidated the
-	// root, and the directory this client caches is current because a
-	// lock grant is a release-consistency point.
+	// root, and the directory this client caches is current because a lock
+	// grant is a release-consistency point. Enclave crossings: 4 ecalls —
+	// the write that finds no file, Touch, the write, the drain — and 13
+	// ocalls: 2 + 2 + 1 directory fetches served by the AFS cache (the last
+	// write's directory is its dirty copy), then the drain's filenode put,
+	// root lock, root re-read, directory re-read and its proof, directory
+	// put, freshness batch and root put.
 	create := []string{
-		"store", "store",
+		"store",
 		"lock", "store", "store", "unlock",
 	}
 	budget("create in an existing directory", "vfs.write", create, func() {
-		if err := fs.WriteFile("/docs/second", data); err != nil {
-			t.Fatal(err)
-		}
+		transitions("create", [2]int64{4, 13}, func() {
+			if err := fs.WriteFile("/docs/second", data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	// A larger file adds its data object, stored before the filenode: one
+	// frame and one ocall more.
+	big := bytes.Repeat([]byte{0xA5}, 8192)
+	budget("create of a chunked file", "vfs.write", append([]string{"store"}, create...), func() {
+		transitions("create of a chunked file", [2]int64{4, 14}, func() {
+			if err := fs.WriteFile("/docs/big", big); err != nil {
+				t.Fatal(err)
+			}
+		})
 	})
 
 	// Cold read (enclave and AFS caches dropped): the three metadata
-	// objects on the path — root dirnode, /docs dirnode, the filenode —
-	// then the data object.
-	st.client.Enclave().DropCaches()
-	st.afs.FlushCache()
-	budget("cold read", "vfs.read", []string{
-		"fetch", "fetch", "fetch", "fetch",
-	}, func() {
-		got, err := fs.ReadFile("/docs/second")
-		if err != nil {
+	// objects on the path — root dirnode, /docs dirnode, the filenode,
+	// which holds the content — and, for the chunked file, the data object.
+	// One ecall; an ocall per fetch and per proof of a metadata object.
+	coldRead("cold read", "/docs/second", data, []string{"fetch", "fetch", "fetch"}, [2]int64{1, 6})
+	coldRead("cold read of a chunked file", "/docs/big", big, []string{"fetch", "fetch", "fetch", "fetch"}, [2]int64{1, 7})
+
+	// readdir + stat of n entries (vfs.ReadDir, then vfs.Stat of each, one
+	// ecall apiece): cold, the three directories on the path and then each
+	// filenode, 3 + n fetches; warm, nothing — every fetch is an AFS hit.
+	// Ocalls: cold, a fetch and a proof per directory for the listing, then
+	// per Stat the three directory fetches (AFS hits, enclave-cache hits)
+	// and the filenode's fetch and proof; warm, the fetches alone.
+	const n = 4
+	if err := fs.MkdirAll("/docs/list"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if err := fs.WriteFile(fmt.Sprintf("/docs/list/f%d", i), data); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, data) {
-			t.Fatal("read returned different bytes")
+	}
+	readdirStat := func() {
+		entries, err := fs.ReadDir("/docs/list")
+		if err != nil || len(entries) != n {
+			t.Fatalf("ReadDir(/docs/list) = %d entries, %v", len(entries), err)
 		}
+		for _, entry := range entries {
+			if info, err := fs.Stat("/docs/list/" + entry.Name); err != nil || info.Size != uint64(len(data)) {
+				t.Fatalf("Stat(%s) = %+v, %v", entry.Name, info, err)
+			}
+		}
+	}
+	st.client.Enclave().DropCaches()
+	st.afs.FlushCache()
+	budget("readdir + stat, cold", "", []string{"fetch", "fetch", "fetch", "fetch", "fetch", "fetch", "fetch"}, func() {
+		transitions("readdir + stat, cold", [2]int64{1 + n, 6 + 5*n}, readdirStat)
+	})
+	budget("readdir + stat, warm", "", nil, func() {
+		transitions("readdir + stat, warm", [2]int64{1 + n, 3 + 4*n}, readdirStat)
 	})
 
 	// The ACL, rename and user rows go straight to the enclave, so their
