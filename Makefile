@@ -38,12 +38,14 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzDirnodeBodyDecode -fuzztime=$(FUZZTIME) ./internal/metadata/
 	$(GO) test -run=^$$ -fuzz=FuzzFilenodeBodyDecode -fuzztime=$(FUZZTIME) ./internal/metadata/
 	$(GO) test -run=^$$ -fuzz=FuzzSupernodeBodyDecode -fuzztime=$(FUZZTIME) ./internal/metadata/
+	$(GO) test -run=^$$ -fuzz=FuzzExchangeDecode -fuzztime=$(FUZZTIME) ./internal/enclave/
 
 # chaos runs the seeded fault-injection suites under the race detector,
 # once per seed in CHAOS_SEEDS: the AFS transport suite
-# (internal/afs/chaos_test.go plus the disconnect property tests) and
-# the enclave write-back crash-consistency suite
-# (internal/enclave/writeback_test.go). Each seed is
+# (internal/afs/chaos_test.go plus the disconnect property tests), the
+# enclave write-back crash-consistency suite
+# (internal/enclave/writeback_test.go) and the key-leak property
+# (internal/enclave/keyleak_test.go, DESIGN.md §6). Each seed is
 # an exact replay: the fault schedule is a pure function of the seed.
 # Then twenty runs of the two-client commit tests, whose interleavings
 # the scheduler picks. See DESIGN.md §9, §12.4 and §12.5.

@@ -59,7 +59,7 @@ type identity struct {
 	priv ed25519.PrivateKey
 }
 
-func newIdentity(t *testing.T, name string) identity {
+func newIdentity(t testing.TB, name string) identity {
 	t.Helper()
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
@@ -90,7 +90,7 @@ type testEnv struct {
 // (shared stores simulate the common storage service). Its dirty set
 // drains after every mutation, so tests observe the store without
 // barriers of their own.
-func newTestEnv(t *testing.T, ias *sgx.AttestationService, store *memObjectStore) *testEnv {
+func newTestEnv(t testing.TB, ias *sgx.AttestationService, store *memObjectStore) *testEnv {
 	t.Helper()
 	if ias == nil {
 		var err error
@@ -118,7 +118,7 @@ func newTestEnv(t *testing.T, ias *sgx.AttestationService, store *memObjectStore
 }
 
 // authenticate runs the full challenge–response for a user.
-func authenticate(t *testing.T, e *Enclave, id identity, sealedRootKey []byte, volumeID uuid.UUID) error {
+func authenticate(t testing.TB, e *Enclave, id identity, sealedRootKey []byte, volumeID uuid.UUID) error {
 	t.Helper()
 	nonce, superBlob, err := e.BeginAuth(id.pub, sealedRootKey, volumeID)
 	if err != nil {

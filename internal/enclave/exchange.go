@@ -236,9 +236,8 @@ func (e *Enclave) CreateExchangeOffer(userName string, sign Signer) ([]byte, err
 	return out, nil
 }
 
-// GrantAccess is the owner-side "Exchange" phase: it validates the
-// offer's user signature and enclave quote, adds the user to the volume
-// (one supernode update), encrypts the rootkey to the offered enclave
+// GrantAccess is the owner-side "Exchange" phase: it admits the offer's
+// user (admitOfferLocked), encrypts the rootkey to the offered enclave
 // key under an ephemeral ECDH secret, and returns the signed grant (m2)
 // for the caller to publish. Only the authenticated owner may grant.
 func (e *Enclave) GrantAccess(offerBytes []byte, userName string, userKey ed25519.PublicKey, sign Signer) ([]byte, error) {
@@ -246,81 +245,16 @@ func (e *Enclave) GrantAccess(offerBytes []byte, userName string, userKey ed2551
 	err := e.sgx.Ecall(func() error {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		if err := e.requireAuthLocked(); err != nil {
-			return err
-		}
-		if !e.isOwnerLocked() {
-			return fmt.Errorf("%w: only the owner may grant volume access", ErrAccessDenied)
-		}
-		// Sharing hands another enclave a view of the volume: make that
-		// view complete by draining pending write-back metadata first.
-		if err := e.drainWithRetryLocked(); err != nil {
-			return err
-		}
-		offer, err := DecodeOffer(offerBytes)
+		remoteKey, err := e.admitOfferLocked(offerBytes, userName, userKey)
 		if err != nil {
 			return err
 		}
-
-		// The offer must be signed by the identity we are granting to.
-		if !verifySignature(userKey, offer.Quote.Encode(), offer.UserSig) {
-			return fmt.Errorf("%w: offer not signed by %s's key", ErrExchangeInvalid, userName)
-		}
-		// The quote must come from a genuine platform, attest *our own*
-		// enclave identity (another NEXUS enclave, not arbitrary code),
-		// and bind the offered ECDH key.
-		if e.ias == nil {
-			return ErrNoAttestation
-		}
-		var report *sgx.VerificationReport
-		if err := e.sgx.Ocall(func() error {
-			var err error
-			report, err = e.ias.VerifyQuote(offer.Quote)
-			return err
-		}); err != nil {
-			return fmt.Errorf("%w: quote verification: %v", ErrExchangeInvalid, err)
-		}
-		if err := sgx.VerifyReport(e.ias.PublicKey(), report); err != nil {
-			return fmt.Errorf("%w: attestation report: %v", ErrExchangeInvalid, err)
-		}
-		if report.Quote.Measurement != e.sgx.Measurement() {
-			return fmt.Errorf("%w: offer from enclave %s, want %s (not a NEXUS enclave)",
-				ErrExchangeInvalid, report.Quote.Measurement, e.sgx.Measurement())
-		}
-		if !bytes.Equal(report.Quote.ReportData[:sha256.Size], keyDigest(offer.EnclaveKey)) {
-			return fmt.Errorf("%w: quote does not bind the offered ECDH key", ErrExchangeInvalid)
-		}
-
-		remoteKey, err := ecdh.P256().NewPublicKey(offer.EnclaveKey)
-		if err != nil {
-			return fmt.Errorf("%w: bad enclave key: %v", ErrExchangeInvalid, err)
-		}
-
-		// Admit the user (single metadata update, §VII-F).
-		if err := e.updateSupernodeLocked(func() error {
-			if _, err := e.super.AddUser(userName, userKey); err != nil &&
-				!errors.Is(err, metadata.ErrUserExists) {
-				return err
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-
 		// Ephemeral ECDH: the private half is dropped on return.
 		eph, err := ecdh.P256().GenerateKey(rand.Reader)
 		if err != nil {
 			return fmt.Errorf("generating ephemeral key: %w", err)
 		}
-		secret, err := eph.ECDH(remoteKey)
-		if err != nil {
-			return fmt.Errorf("deriving exchange secret: %w", err)
-		}
-		nonce := make([]byte, 12)
-		if _, err := rand.Read(nonce); err != nil {
-			return fmt.Errorf("generating grant nonce: %w", err)
-		}
-		gcm, err := exchangeCipher(secret)
+		nonce, ciphertext, err := e.wrapRootKeyLocked(eph, remoteKey)
 		if err != nil {
 			return err
 		}
@@ -328,13 +262,11 @@ func (e *Enclave) GrantAccess(offerBytes []byte, userName string, userKey ed2551
 			VolumeUUID:   e.super.VolumeUUID,
 			EphemeralKey: eph.PublicKey().Bytes(),
 			Nonce:        nonce,
-			Ciphertext:   gcm.Seal(nil, nonce, e.rootKey, e.super.VolumeUUID[:]),
+			Ciphertext:   ciphertext,
 		}
-		sig, err := sign(g.signedPortion())
-		if err != nil {
+		if g.OwnerSig, err = sign(g.signedPortion()); err != nil {
 			return fmt.Errorf("signing grant: %w", err)
 		}
-		g.OwnerSig = sig
 		out = g.Encode()
 		return nil
 	})
@@ -363,32 +295,135 @@ func (e *Enclave) AcceptGrant(grantBytes []byte, ownerKey ed25519.PublicKey) (se
 		if err != nil {
 			return fmt.Errorf("%w: bad ephemeral key: %v", ErrExchangeInvalid, err)
 		}
-		secret, err := e.exchange.priv.ECDH(ephKey)
-		if err != nil {
-			return fmt.Errorf("deriving exchange secret: %w", err)
-		}
-		gcm, err := exchangeCipher(secret)
-		if err != nil {
-			return err
-		}
-		rootKey, err := gcm.Open(nil, g.Nonce, g.Ciphertext, g.VolumeUUID[:])
-		if err != nil {
-			return fmt.Errorf("%w: rootkey decryption failed (grant not for this enclave?)", ErrExchangeInvalid)
-		}
-		if len(rootKey) != metadata.RootKeySize {
-			return fmt.Errorf("%w: recovered key has wrong size", ErrExchangeInvalid)
-		}
-		sealedRootKey, err = e.sgx.Seal(rootKey, g.VolumeUUID[:])
-		if err != nil {
-			return fmt.Errorf("sealing received rootkey: %w", err)
-		}
+		sealedRootKey, err = e.unwrapRootKey(e.exchange.priv, ephKey, g.Nonce, g.Ciphertext, g.VolumeUUID)
 		volumeID = g.VolumeUUID
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, uuid.Nil, err
 	}
 	return sealedRootKey, volumeID, nil
+}
+
+// admitOfferLocked is the owner's half of both exchanges up to the
+// rootkey release. Only the authenticated owner may grant. It drains
+// pending write-back metadata first, because sharing hands another
+// enclave a view of the volume and that view must be complete. It then
+// checks that the offer is signed by the identity being granted to and
+// that its quote attests a NEXUS enclave binding the offered ECDH key,
+// and admits the user (one supernode update, §VII-F). It returns the
+// offered key.
+func (e *Enclave) admitOfferLocked(offerBytes []byte, userName string, userKey ed25519.PublicKey) (*ecdh.PublicKey, error) {
+	if err := e.requireAuthLocked(); err != nil {
+		return nil, err
+	}
+	if !e.isOwnerLocked() {
+		return nil, fmt.Errorf("%w: only the owner may grant volume access", ErrAccessDenied)
+	}
+	if err := e.drainWithRetryLocked(); err != nil {
+		return nil, err
+	}
+	offer, err := DecodeOffer(offerBytes)
+	if err != nil {
+		return nil, err
+	}
+	if !verifySignature(userKey, offer.Quote.Encode(), offer.UserSig) {
+		return nil, fmt.Errorf("%w: offer not signed by %s's key", ErrExchangeInvalid, userName)
+	}
+	remoteKey, err := e.verifyAttestedKeyLocked(offer.Quote, offer.EnclaveKey)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.updateSupernodeLocked(func() error {
+		if _, err := e.super.AddUser(userName, userKey); err != nil &&
+			!errors.Is(err, metadata.ErrUserExists) {
+			return err
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return remoteKey, nil
+}
+
+// verifyAttestedKeyLocked validates a quote via the attestation service,
+// checks it names this NEXUS enclave build, confirms it binds keyBytes,
+// and returns the parsed ECDH public key.
+func (e *Enclave) verifyAttestedKeyLocked(quote *sgx.Quote, keyBytes []byte) (*ecdh.PublicKey, error) {
+	if e.ias == nil {
+		return nil, ErrNoAttestation
+	}
+	var report *sgx.VerificationReport
+	if err := e.sgx.Ocall(func() error {
+		var err error
+		report, err = e.ias.VerifyQuote(quote)
+		return err
+	}); err != nil {
+		return nil, fmt.Errorf("%w: quote verification: %v", ErrExchangeInvalid, err)
+	}
+	if err := sgx.VerifyReport(e.ias.PublicKey(), report); err != nil {
+		return nil, fmt.Errorf("%w: attestation report: %v", ErrExchangeInvalid, err)
+	}
+	if report.Quote.Measurement != e.sgx.Measurement() {
+		return nil, fmt.Errorf("%w: quote from enclave %s, want %s (not a NEXUS enclave)",
+			ErrExchangeInvalid, report.Quote.Measurement, e.sgx.Measurement())
+	}
+	if !bytes.Equal(report.Quote.ReportData[:sha256.Size], keyDigest(keyBytes)) {
+		return nil, fmt.Errorf("%w: quote does not bind the presented ECDH key", ErrExchangeInvalid)
+	}
+	key, err := ecdh.P256().NewPublicKey(keyBytes)
+	if err != nil {
+		return nil, fmt.Errorf("%w: bad ECDH key: %v", ErrExchangeInvalid, err)
+	}
+	return key, nil
+}
+
+// wrapRootKeyLocked encrypts the rootkey to remote under the ECDH secret
+// it shares with eph, with a fresh nonce and the volume UUID as AAD.
+func (e *Enclave) wrapRootKeyLocked(eph *ecdh.PrivateKey, remote *ecdh.PublicKey) (nonce, ciphertext []byte, err error) {
+	secret, err := eph.ECDH(remote)
+	if err != nil {
+		return nil, nil, fmt.Errorf("deriving exchange secret: %w", err)
+	}
+	gcm, err := exchangeCipher(secret)
+	if err != nil {
+		return nil, nil, err
+	}
+	nonce = make([]byte, gcm.NonceSize())
+	if _, err := rand.Read(nonce); err != nil {
+		return nil, nil, fmt.Errorf("generating grant nonce: %w", err)
+	}
+	return nonce, gcm.Seal(nil, nonce, e.rootKey, e.super.VolumeUUID[:]), nil
+}
+
+// unwrapRootKey recovers the rootkey a grant carries and returns it
+// SGX-sealed to the volume. A signed grant is still untrusted input: the
+// owner's identity key lives outside the enclave, so the owner user can
+// sign any nonce, and one of the wrong length would panic inside GCM.
+func (e *Enclave) unwrapRootKey(priv *ecdh.PrivateKey, peer *ecdh.PublicKey, nonce, ciphertext []byte, volumeID uuid.UUID) ([]byte, error) {
+	secret, err := priv.ECDH(peer)
+	if err != nil {
+		return nil, fmt.Errorf("deriving exchange secret: %w", err)
+	}
+	gcm, err := exchangeCipher(secret)
+	if err != nil {
+		return nil, err
+	}
+	if len(nonce) != gcm.NonceSize() {
+		return nil, fmt.Errorf("%w: grant nonce is %d bytes, want %d", ErrExchangeInvalid, len(nonce), gcm.NonceSize())
+	}
+	rootKey, err := gcm.Open(nil, nonce, ciphertext, volumeID[:])
+	if err != nil {
+		return nil, fmt.Errorf("%w: rootkey decryption failed (grant not for this enclave?)", ErrExchangeInvalid)
+	}
+	if len(rootKey) != metadata.RootKeySize {
+		return nil, fmt.Errorf("%w: recovered key has wrong size", ErrExchangeInvalid)
+	}
+	sealed, err := e.sgx.Seal(rootKey, volumeID[:])
+	if err != nil {
+		return nil, fmt.Errorf("sealing received rootkey: %w", err)
+	}
+	return sealed, nil
 }
 
 // verifySignature is ed25519.Verify over a caller-supplied key: a key

@@ -1,15 +1,11 @@
 package enclave
 
 import (
-	"bytes"
 	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/rand"
-	"crypto/sha256"
-	"errors"
 	"fmt"
 
-	"nexus/internal/metadata"
 	"nexus/internal/serial"
 	"nexus/internal/sgx"
 	"nexus/internal/uuid"
@@ -133,7 +129,7 @@ func (e *Enclave) BeginMutualExchange(userName string, sign Signer) ([]byte, err
 }
 
 // GrantAccessMutual is the owner side of the synchronous exchange: the
-// recipient's ephemeral offer is verified exactly as in GrantAccess, the
+// recipient's ephemeral offer is admitted exactly as in GrantAccess, the
 // owner generates and *attests* its own ephemeral key, and the rootkey
 // travels under the ephemeral-ephemeral ECDH secret. Both parties are
 // mutually attested; neither ephemeral key survives the exchange.
@@ -142,34 +138,10 @@ func (e *Enclave) GrantAccessMutual(offerBytes []byte, userName string, userKey 
 	err := e.sgx.Ecall(func() error {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		if err := e.requireAuthLocked(); err != nil {
-			return err
-		}
-		if !e.isOwnerLocked() {
-			return fmt.Errorf("%w: only the owner may grant volume access", ErrAccessDenied)
-		}
-		offer, err := DecodeOffer(offerBytes)
+		remoteKey, err := e.admitOfferLocked(offerBytes, userName, userKey)
 		if err != nil {
 			return err
 		}
-		if !verifySignature(userKey, offer.Quote.Encode(), offer.UserSig) {
-			return fmt.Errorf("%w: offer not signed by %s's key", ErrExchangeInvalid, userName)
-		}
-		remoteKey, err := e.verifyAttestedKeyLocked(offer.Quote, offer.EnclaveKey)
-		if err != nil {
-			return err
-		}
-
-		if err := e.updateSupernodeLocked(func() error {
-			if _, err := e.super.AddUser(userName, userKey); err != nil &&
-				!errors.Is(err, metadata.ErrUserExists) {
-				return err
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-
 		eph, err := ecdh.P256().GenerateKey(rand.Reader)
 		if err != nil {
 			return fmt.Errorf("generating ephemeral key: %w", err)
@@ -179,15 +151,7 @@ func (e *Enclave) GrantAccessMutual(offerBytes []byte, userName string, userKey 
 		if err != nil {
 			return fmt.Errorf("quoting ephemeral key: %w", err)
 		}
-		secret, err := eph.ECDH(remoteKey)
-		if err != nil {
-			return fmt.Errorf("deriving exchange secret: %w", err)
-		}
-		nonce := make([]byte, 12)
-		if _, err := rand.Read(nonce); err != nil {
-			return fmt.Errorf("generating grant nonce: %w", err)
-		}
-		gcm, err := exchangeCipher(secret)
+		nonce, ciphertext, err := e.wrapRootKeyLocked(eph, remoteKey)
 		if err != nil {
 			return err
 		}
@@ -196,13 +160,11 @@ func (e *Enclave) GrantAccessMutual(offerBytes []byte, userName string, userKey 
 			OwnerEphemeralKey: ephPub,
 			OwnerQuote:        ownerQuote,
 			Nonce:             nonce,
-			Ciphertext:        gcm.Seal(nil, nonce, e.rootKey, e.super.VolumeUUID[:]),
+			Ciphertext:        ciphertext,
 		}
-		sig, err := sign(g.signedPortion())
-		if err != nil {
+		if g.OwnerSig, err = sign(g.signedPortion()); err != nil {
 			return fmt.Errorf("signing mutual grant: %w", err)
 		}
-		g.OwnerSig = sig
 		out = g.Encode()
 		// The owner's ephemeral private key dies here: eph goes out of
 		// scope with nothing persisted.
@@ -241,62 +203,12 @@ func (e *Enclave) AcceptMutualGrant(grantBytes []byte, ownerKey ed25519.PublicKe
 		}
 		eph := e.pendingMutual
 		e.pendingMutual = nil // consume: forward secrecy
-		secret, err := eph.ECDH(ownerEph)
-		if err != nil {
-			return fmt.Errorf("deriving exchange secret: %w", err)
-		}
-		gcm, err := exchangeCipher(secret)
-		if err != nil {
-			return err
-		}
-		rootKey, err := gcm.Open(nil, g.Nonce, g.Ciphertext, g.VolumeUUID[:])
-		if err != nil {
-			return fmt.Errorf("%w: rootkey decryption failed", ErrExchangeInvalid)
-		}
-		if len(rootKey) != metadata.RootKeySize {
-			return fmt.Errorf("%w: recovered key has wrong size", ErrExchangeInvalid)
-		}
-		sealedRootKey, err = e.sgx.Seal(rootKey, g.VolumeUUID[:])
-		if err != nil {
-			return fmt.Errorf("sealing received rootkey: %w", err)
-		}
+		sealedRootKey, err = e.unwrapRootKey(eph, ownerEph, g.Nonce, g.Ciphertext, g.VolumeUUID)
 		volumeID = g.VolumeUUID
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, uuid.Nil, err
 	}
 	return sealedRootKey, volumeID, nil
-}
-
-// verifyAttestedKeyLocked validates a quote via the attestation service,
-// checks it names this NEXUS enclave build, confirms it binds keyBytes,
-// and returns the parsed ECDH public key.
-func (e *Enclave) verifyAttestedKeyLocked(quote *sgx.Quote, keyBytes []byte) (*ecdh.PublicKey, error) {
-	if e.ias == nil {
-		return nil, ErrNoAttestation
-	}
-	var report *sgx.VerificationReport
-	if err := e.sgx.Ocall(func() error {
-		var err error
-		report, err = e.ias.VerifyQuote(quote)
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("%w: quote verification: %v", ErrExchangeInvalid, err)
-	}
-	if err := sgx.VerifyReport(e.ias.PublicKey(), report); err != nil {
-		return nil, fmt.Errorf("%w: attestation report: %v", ErrExchangeInvalid, err)
-	}
-	if report.Quote.Measurement != e.sgx.Measurement() {
-		return nil, fmt.Errorf("%w: quote from enclave %s, want %s (not a NEXUS enclave)",
-			ErrExchangeInvalid, report.Quote.Measurement, e.sgx.Measurement())
-	}
-	if !bytes.Equal(report.Quote.ReportData[:sha256.Size], keyDigest(keyBytes)) {
-		return nil, fmt.Errorf("%w: quote does not bind the presented ECDH key", ErrExchangeInvalid)
-	}
-	key, err := ecdh.P256().NewPublicKey(keyBytes)
-	if err != nil {
-		return nil, fmt.Errorf("%w: bad ECDH key: %v", ErrExchangeInvalid, err)
-	}
-	return key, nil
 }

@@ -3,6 +3,7 @@ package enclave
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"nexus/internal/acl"
@@ -20,7 +21,7 @@ type exchangeScenario struct {
 	sealed            []byte
 }
 
-func newExchangeScenario(t *testing.T) *exchangeScenario {
+func newExchangeScenario(t testing.TB) *exchangeScenario {
 	t.Helper()
 	ias, err := sgx.NewAttestationService()
 	if err != nil {
@@ -326,6 +327,113 @@ func TestExchangeRejectsWrongLengthKey(t *testing.T) {
 	}
 }
 
+// TestAcceptGrantRejectsBadNonceLength: the owner's identity key lives
+// outside the enclave, so the owner user can sign a grant carrying any
+// nonce. One that is not 12 bytes long is an invalid exchange, not a GCM
+// panic inside the ecall.
+func TestAcceptGrantRejectsBadNonceLength(t *testing.T) {
+	for _, n := range []int{0, 11, 13, 64} {
+		t.Run(fmt.Sprintf("AcceptGrant/%d", n), func(t *testing.T) {
+			s := newExchangeScenario(t)
+			offer, err := s.aliceEnv.enclave.CreateExchangeOffer("alice", s.alice.signer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			grant, err := s.owenEnv.enclave.GrantAccess(offer, "alice", s.alice.pub, s.owen.signer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := DecodeGrant(grant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Nonce = make([]byte, n)
+			g.OwnerSig = s.owen.sign(t, g.signedPortion())
+			if _, _, err := s.aliceEnv.enclave.AcceptGrant(g.Encode(), s.owen.pub); !errors.Is(err, ErrExchangeInvalid) {
+				t.Fatalf("%d-byte nonce: err = %v, want ErrExchangeInvalid", n, err)
+			}
+		})
+		t.Run(fmt.Sprintf("AcceptMutualGrant/%d", n), func(t *testing.T) {
+			s := newExchangeScenario(t)
+			offer, err := s.aliceEnv.enclave.BeginMutualExchange("alice", s.alice.signer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			grant, err := s.owenEnv.enclave.GrantAccessMutual(offer, "alice", s.alice.pub, s.owen.signer())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := DecodeMutualGrant(grant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.Nonce = make([]byte, n)
+			g.OwnerSig = s.owen.sign(t, g.signedPortion())
+			if _, _, err := s.aliceEnv.enclave.AcceptMutualGrant(g.Encode(), s.owen.pub); !errors.Is(err, ErrExchangeInvalid) {
+				t.Fatalf("%d-byte nonce: err = %v, want ErrExchangeInvalid", n, err)
+			}
+		})
+	}
+}
+
+// TestGrantDrainsPendingCreates: both exchanges drain the owner's
+// write-back dirty set before the rootkey leaves, so the volume the
+// recipient is handed already holds the owner's deferred creates.
+func TestGrantDrainsPendingCreates(t *testing.T) {
+	for _, mutual := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mutual=%v", mutual), func(t *testing.T) {
+			s := newExchangeScenario(t)
+			volID, err := s.owenEnv.enclave.VolumeUUID()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An owner enclave with the default write-back budget, so the
+			// create stays in the dirty set until a barrier drains it.
+			onOwnersPlatform := func() *Enclave {
+				container, err := s.owenEnv.platform.CreateEnclave(nexusImage)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := New(Config{SGX: container, Store: s.store, IAS: s.ias})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := authenticate(t, e, s.owen, s.sealed, volID); err != nil {
+					t.Fatal(err)
+				}
+				return e
+			}
+			owner := onOwnersPlatform()
+			if err := owner.Mkdir("/pending"); err != nil {
+				t.Fatal(err)
+			}
+			if dirNames(t, onOwnersPlatform(), "/")["pending"] {
+				t.Fatal("the create reached the store before any barrier; the test needs it pending")
+			}
+			if mutual {
+				offer, err := s.aliceEnv.enclave.BeginMutualExchange("alice", s.alice.signer())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := owner.GrantAccessMutual(offer, "alice", s.alice.pub, s.owen.signer()); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				offer, err := s.aliceEnv.enclave.CreateExchangeOffer("alice", s.alice.signer())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := owner.GrantAccess(offer, "alice", s.alice.pub, s.owen.signer()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !dirNames(t, onOwnersPlatform(), "/")["pending"] {
+				t.Fatal("a fresh mount after the grant does not list /pending: the grant did not drain")
+			}
+		})
+	}
+}
+
 func TestOfferGrantCodecRobustness(t *testing.T) {
 	if _, err := DecodeOffer(nil); !errors.Is(err, ErrExchangeInvalid) {
 		t.Fatalf("DecodeOffer(nil) = %v", err)
@@ -387,7 +495,7 @@ func TestExchangeKeyPersistence(t *testing.T) {
 }
 
 // sign is a test helper producing an identity signature.
-func (id identity) sign(t *testing.T, msg []byte) []byte {
+func (id identity) sign(t testing.TB, msg []byte) []byte {
 	t.Helper()
 	sig, err := id.signer()(msg)
 	if err != nil {

@@ -29,15 +29,16 @@ import (
 	"nexus/internal/metadata"
 )
 
-func merklePropSeed(t *testing.T) int64 {
+// envSeed returns the seed the environment variable name sets, or 1.
+func envSeed(t *testing.T, name string) int64 {
 	t.Helper()
-	raw := os.Getenv("NEXUS_MERKLE_SEED")
+	raw := os.Getenv(name)
 	if raw == "" {
 		return 1
 	}
 	seed, err := strconv.ParseInt(raw, 10, 64)
 	if err != nil {
-		t.Fatalf("NEXUS_MERKLE_SEED=%q: %v", raw, err)
+		t.Fatalf("%s=%q: %v", name, raw, err)
 	}
 	return seed
 }
@@ -101,7 +102,7 @@ func (m *nsModel) list(dir string) map[string]metadata.EntryKind {
 }
 
 func TestPropertyMerkleVsNamespaceModel(t *testing.T) {
-	seed := merklePropSeed(t)
+	seed := envSeed(t, "NEXUS_MERKLE_SEED")
 	rng := rand.New(rand.NewSource(seed))
 
 	mc := newMerkleClient(t)

@@ -21,9 +21,7 @@ package lint
 //
 // The graph is deliberately context-insensitive: one node per function,
 // edges unioned over every call site. That is the right precision/cost
-// point for locked-callgraph's reachability walk and for the taint
-// engine's summary worklist, which re-walks bodies itself and only needs
-// caller sets here.
+// point for locked-callgraph's reachability walk.
 
 import (
 	"fmt"
@@ -53,18 +51,6 @@ type CGNode struct {
 	// "internal/enclave.(Enclave).drainLocked", or
 	// "internal/enclave.SyncMetadata$1" for literals.
 	Name string
-	// Decl is the enclosing *ast.FuncDecl for declared module
-	// functions (nil otherwise).
-	Decl *ast.FuncDecl
-}
-
-// Root returns the outermost declared function lexically enclosing n
-// (n itself when it is not a literal).
-func (n *CGNode) Root() *CGNode {
-	for n.Encl != nil {
-		n = n.Encl
-	}
-	return n
 }
 
 // CGEdge is one caller→callee relationship.
@@ -111,7 +97,7 @@ func (m *Module) callGraph() *CallGraph {
 					continue
 				}
 				node := g.ensureFn(fn)
-				node.Pkg, node.Body, node.Decl = p, fd.Body, fd
+				node.Pkg, node.Body = p, fd.Body
 				g.walkBody(p, node, fd.Body)
 			}
 		}

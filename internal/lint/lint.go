@@ -27,11 +27,12 @@
 //   - buffer-escape: a chunk buffer leased from the internal/parallel
 //     arena is never used after Release and never escapes its lease via
 //     a return, struct field, or package-level variable (DESIGN.md §14).
-//   - secret-taint: key material never flows, through any chain of
-//     calls, into an error, log line, span tag or store upload unless a
-//     seal/wrap/encrypt function protects it first.
 //   - locked-callgraph: a *Locked function is unreachable from any
 //     module entry point that does not hold a lock.
+//
+// Whether key material reaches an error, a span tag or the store is not
+// a rule here: internal/enclave/keyleak_test.go checks the key values
+// themselves against every byte that leaves the enclave (DESIGN.md §6).
 //
 // A finding can be suppressed with a directive on the same or the
 // preceding line:
@@ -67,9 +68,8 @@ type Checker struct {
 	Run func(m *Module) []Finding
 }
 
-// Checkers returns every rule, in reporting order. The last two are
-// interprocedural: they run over the module's call graph and taint
-// summaries (callgraph.go, taint.go).
+// Checkers returns every rule, in reporting order. The last is
+// interprocedural: it runs over the module's call graph (callgraph.go).
 func Checkers() []Checker {
 	return []Checker{
 		{Rule: RuleMathRand, Doc: "math/rand forbidden outside tests and workload generators", Run: perPackage(checkMathRand)},
@@ -78,7 +78,6 @@ func Checkers() []Checker {
 		{Rule: RuleCryptoErr, Doc: "crypto errors must be checked", Run: perPackage(checkCryptoErr)},
 		{Rule: RuleLocks, Doc: "mutex lock/unlock pairing and guarded-by annotations", Run: perPackage(checkLocks)},
 		{Rule: RuleBufferEscape, Doc: "pooled arena buffers must not be used after Release or outlive their lease", Run: perPackage(checkBufferEscape)},
-		{Rule: RuleTaint, Doc: "key material must not flow (interprocedurally) into logs, errors, span tags or store uploads", Run: checkTaint},
 		{Rule: RuleLockedCall, Doc: "*Locked functions only reachable from contexts that hold a lock (call-graph check)", Run: checkLockedCall},
 	}
 }
@@ -105,8 +104,7 @@ const (
 	// RuleBufferEscape guards the pooled-buffer ownership rules of
 	// DESIGN.md §14: no use after Release, no escape past the lease.
 	RuleBufferEscape = "buffer-escape"
-	// Interprocedural rules.
-	RuleTaint      = "secret-taint"
+	// RuleLockedCall is the interprocedural rule.
 	RuleLockedCall = "locked-callgraph"
 	// RuleDirective reports malformed or stale //lint:ignore directives.
 	RuleDirective = "lint-directive"

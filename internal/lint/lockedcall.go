@@ -147,3 +147,9 @@ func bodyAcquiresLock(n *CGNode) bool {
 	})
 	return found
 }
+
+// lockedNameSuffix reports the repo's *Locked naming convention
+// ("Unlocked" is the opposite claim and must not match).
+func lockedNameSuffix(name string) bool {
+	return hasSuffixFold(name, "locked") && !hasSuffixFold(name, "unlocked")
+}

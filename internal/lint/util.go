@@ -106,21 +106,6 @@ func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// builtinName resolves a call to a language builtin (append, copy,
-// min, ...). Builtins are *types.Builtin objects, invisible to
-// calleeFunc.
-func builtinName(p *Package, call *ast.CallExpr) (string, bool) {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return "", false
-	}
-	b, ok := p.Info.Uses[id].(*types.Builtin)
-	if !ok {
-		return "", false
-	}
-	return b.Name(), true
-}
-
 // isByteSlice reports whether t is []byte.
 func isByteSlice(t types.Type) bool {
 	s, ok := t.Underlying().(*types.Slice)
