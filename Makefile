@@ -56,13 +56,16 @@ chaos:
 		NEXUS_CHAOS_SEED=$$seed $(GO) test -race -count=20 -run 'TestConcurrent|TestTwoAdapters|TestLockOrder' . ./internal/enclave/ || exit 1; \
 	done
 
-# obs mirrors the CI observability job: the registry/tracer suite and
-# the cross-layer span/metric assertions under the race detector. The
-# allocation-free assertions live in `make test` (alloc_test.go is
-# build-tagged !race). See DESIGN.md §11.
+# obs mirrors the CI observability job: the registry/tracer suite, the
+# cross-layer span/metric assertions, and the warm-walk crossing counts,
+# prefetch security regressions and batched-ocall fault sweep (DESIGN.md
+# §11.5), all under the race detector. The allocation-free assertions
+# live in `make test` (alloc_test.go is build-tagged !race). See
+# DESIGN.md §11.
 obs:
 	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -race -count=1 -run 'TestObservability' .
+	$(GO) test -race -count=1 -run 'TestWarmWalk|TestWalkPrefetch|TestRewriteChunkedToInlineFaultSweep' ./internal/enclave/
 	$(GO) test -race -count=1 -run 'TestTransportFault|TestClientRPCLatency' ./internal/afs/
 
 # bench mirrors the CI perf gate: rerun the fast file-I/O and

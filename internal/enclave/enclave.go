@@ -243,6 +243,11 @@ type Enclave struct {
 	wb        *dirtySet
 	freshSink map[uuid.UUID]uint64
 
+	// walkStash holds the reads a warm walk fetched in one ocall, in walk
+	// order, until fetchObject consumes them; the ecall that made them
+	// drops the rest (prefetchWalkLocked). Guarded by mu.
+	walkStash []walkFetch
+
 	// arena pools the data path's sealed-chunk buffers (DESIGN.md §14).
 	// Per-enclave rather than process-wide so the pool-health counters
 	// it mirrors into metrics are this enclave's alone.
@@ -277,6 +282,8 @@ type enclaveMetrics struct {
 	proofs            *obs.Counter // enclave_freshness_proofs_total
 	proofBytes        *obs.Counter // enclave_freshness_proof_bytes_total
 	rootUpdates       *obs.Counter // enclave_freshness_root_updates_total
+	prefetchUsed      *obs.Counter // enclave_walk_prefetch_used_total
+	prefetchDiscarded *obs.Counter // enclave_walk_prefetch_discarded_total
 
 	// metaIO and dataIO meter the two ocall classes of the Table 5a/5b
 	// breakdowns (metadata fetch/store/lock vs encrypted file content).
@@ -315,6 +322,8 @@ func (m *enclaveMetrics) bind(reg *obs.Registry) {
 	m.proofs = reg.Counter("enclave_freshness_proofs_total")
 	m.proofBytes = reg.Counter("enclave_freshness_proof_bytes_total")
 	m.rootUpdates = reg.Counter("enclave_freshness_root_updates_total")
+	m.prefetchUsed = reg.Counter("enclave_walk_prefetch_used_total")
+	m.prefetchDiscarded = reg.Counter("enclave_walk_prefetch_discarded_total")
 	m.metaIO = ocallMeter{ns: reg.Counter("enclave_metadata_io_ns_total"), lat: reg.Histogram("enclave_metadata_io_seconds")}
 	m.dataIO = ocallMeter{ns: reg.Counter("enclave_data_io_ns_total"), lat: reg.Histogram("enclave_data_io_seconds")}
 	m.tracer = reg.Tracer()
@@ -413,6 +422,8 @@ func (e *Enclave) ResetStats() {
 	m.proofs.Reset()
 	m.proofBytes.Reset()
 	m.rootUpdates.Reset()
+	m.prefetchUsed.Reset()
+	m.prefetchDiscarded.Reset()
 	e.sgx.ResetStats()
 }
 

@@ -132,6 +132,83 @@ func (e *Enclave) walkDirLocked(dirs []string) (walkResult, error) {
 	return walkResult{dir: cur, version: version}, nil
 }
 
+// errNotResident stops a prediction at a directory bucket the enclave
+// does not hold.
+var errNotResident = errors.New("enclave: bucket not resident")
+
+// prefetchWalkLocked makes, in one ocall, the store reads a walk of dirs
+// will make — and then of leaf, a file reached with leafRight on its
+// directory, when leaf is not empty — so that the walk's revalidations
+// cost no further enclave exits (DESIGN.md §11.5). The reads are the
+// walk's own, in its order; fetchObject hands them out and every check
+// after the fetch is unchanged. The caller drops the stash when its ecall
+// ends (dropWalkStashLocked).
+func (e *Enclave) prefetchWalkLocked(dirs []string, leaf string, leafRight acl.Rights) {
+	names := e.predictWalkLocked(dirs, leaf, leafRight)
+	if len(names) == 0 {
+		return
+	}
+	stash := make([]walkFetch, 0, len(names))
+	if err := e.timedOcall(e.metrics.metaIO, func() error {
+		for _, name := range names {
+			blob, version, err := e.store.GetVersioned(name)
+			stash = append(stash, walkFetch{name: name, blob: blob, version: version, err: classifyStoreError(err)})
+			if err != nil {
+				break // the walk stops at its first failed read
+			}
+		}
+		return nil
+	}); err != nil {
+		return
+	}
+	e.walkStash = stash
+}
+
+// predictWalkLocked names the objects a walk will fetch, judged from the
+// decrypted cache and the dirty set alone: the root dirnode, each
+// directory on the path and the leaf's filenode, less the dirty copies,
+// which shadow the store. It follows only entries in resident buckets of
+// directories whose ACL grants the walk's right, and it ends with the
+// first object the cache does not hold, so it names no object the walk
+// would not fetch from the copies it has.
+func (e *Enclave) predictWalkLocked(dirs []string, leaf string, leafRight acl.Rights) []string {
+	var names []string
+	next := func(id uuid.UUID) *metadata.Dirnode {
+		if d, _, ok := e.dirtyDirnodeLocked(id); ok {
+			return d
+		}
+		names = append(names, objName(id))
+		if c, ok := e.cache.entries[id]; ok {
+			d, _ := c.obj.(*metadata.Dirnode)
+			return d
+		}
+		return nil
+	}
+	notResident := func(int) (*metadata.Bucket, error) { return nil, errNotResident }
+	cur := next(e.super.RootDir)
+	for _, name := range dirs {
+		if cur == nil || e.checkACLLocked(cur, acl.Lookup) != nil {
+			return names
+		}
+		entry, err := cur.Lookup(name, notResident)
+		if err != nil || entry.Kind != metadata.KindDir {
+			return names
+		}
+		cur = next(entry.UUID)
+	}
+	if leaf == "" || cur == nil || e.checkACLLocked(cur, leafRight) != nil {
+		return names
+	}
+	entry, err := cur.Lookup(leaf, notResident)
+	if err != nil || entry.Kind != metadata.KindFile {
+		return names
+	}
+	if _, _, dirty := e.dirtyFilenodeLocked(entry.UUID); !dirty {
+		names = append(names, objName(entry.UUID))
+	}
+	return names
+}
+
 // checkACLLocked enforces the directory's ACL for the authenticated user
 // (default deny, owner override; §IV-C). Group entries resolve through
 // the membership key tree: a grant to the user's leaf subgroup counts
@@ -242,6 +319,8 @@ func (e *Enclave) Lookup(path string) (Stat, error) {
 		if err != nil {
 			return err
 		}
+		e.prefetchWalkLocked(dirs, name, acl.Lookup)
+		defer e.dropWalkStashLocked()
 		if name == "" {
 			st = Stat{Name: "/", Kind: metadata.KindDir}
 			_, err := e.walkDirLocked(nil)
@@ -294,6 +373,8 @@ func (e *Enclave) Filldir(path string) ([]Stat, error) {
 		if name != "" {
 			dirs = append(dirs, name)
 		}
+		e.prefetchWalkLocked(dirs, "", 0)
+		defer e.dropWalkStashLocked()
 		w, err := e.walkDirLocked(dirs)
 		if err != nil {
 			return err
@@ -855,6 +936,8 @@ func (e *Enclave) ReadFile(path string) ([]byte, error) {
 		if name == "" {
 			return fmt.Errorf("%w: %s", ErrNotFile, path)
 		}
+		e.prefetchWalkLocked(dirs, name, acl.Read)
+		defer e.dropWalkStashLocked()
 		w, err := e.walkDirLocked(dirs)
 		if err != nil {
 			return err

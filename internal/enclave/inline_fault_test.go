@@ -106,9 +106,13 @@ func (v *commitVolume) dataObjects(t *testing.T) []string {
 	return out
 }
 
-// TestRewriteChunkedToInlineFaultSweep kills the store at every ocall of
-// a rewrite that moves a file from a data object into its filenode, and of
-// the drain that follows. Whatever the store holds then, a restarted client
+// TestRewriteChunkedToInlineFaultSweep kills the store at every store call
+// of a warm read, a rewrite that moves a file from a data object into its
+// filenode, and the drain that follows. The read fetches the root, /d and
+// the filenode in one batched ocall, so the first kill points land inside
+// it, between one get and the next: the read fails with
+// ErrStoreUnavailable and, once the store is back, reads the old content.
+// Whatever the store holds then, a restarted client
 // reads the old content or the new — never a tampered filenode, never one
 // naming a data object that is gone — and so it does after the writer's
 // next drain, which runs whatever the failed attempt staged. That drain
@@ -128,10 +132,13 @@ func TestRewriteChunkedToInlineFaultSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		v.mount(t, e)
-		if err := e.Touch("/f"); err != nil {
+		if err := e.Mkdir("/d"); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.WriteFile("/f", old); err != nil {
+		if err := e.Touch("/d/f"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.WriteFile("/d/f", old); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.SyncMetadata(); err != nil {
@@ -142,30 +149,36 @@ func TestRewriteChunkedToInlineFaultSweep(t *testing.T) {
 		}
 
 		store.arm(k)
-		werr := e.WriteFile("/f", small)
+		_, rerr := e.ReadFile("/d/f")
+		werr := e.WriteFile("/d/f", small)
 		serr := e.SyncMetadata()
 		store.disarm()
 		converged := func() {
 			t.Helper()
 			fresh, _ := v.client(t)
-			if got, err := fresh.ReadFile("/f"); err != nil || !bytes.Equal(got, small) {
+			if got, err := fresh.ReadFile("/d/f"); err != nil || !bytes.Equal(got, small) {
 				t.Fatalf("k=%d: a restarted client reads %q, %v; want the new content", k, got, err)
 			}
 			if left := v.dataObjects(t); len(left) != 0 {
 				t.Fatalf("k=%d: the old data object outlived the drain: %v", k, left)
 			}
 		}
-		if werr == nil && serr == nil {
+		if rerr == nil && werr == nil && serr == nil {
 			if k == 0 {
 				t.Fatal("a store dead from the first ocall did not fail the rewrite")
 			}
 			converged()
-			t.Logf("swept a store dying at each of %d ocalls", k)
+			t.Logf("swept a store dying at each of %d store calls", k)
 			break
 		}
-		for _, err := range []error{werr, serr} {
+		for _, err := range []error{rerr, werr, serr} {
 			if err != nil && !errors.Is(err, enclave.ErrStoreUnavailable) {
 				t.Fatalf("k=%d: rewrite failed with %v, want ErrStoreUnavailable", k, err)
+			}
+		}
+		if rerr != nil {
+			if got, err := e.ReadFile("/d/f"); err != nil || !bytes.Equal(got, old) {
+				t.Fatalf("k=%d: retried read = %d bytes, %v; want the old content", k, len(got), err)
 			}
 		}
 
@@ -174,7 +187,7 @@ func TestRewriteChunkedToInlineFaultSweep(t *testing.T) {
 		readable := func(when string) {
 			t.Helper()
 			fresh, _ := v.client(t)
-			got, err := fresh.ReadFile("/f")
+			got, err := fresh.ReadFile("/d/f")
 			if err != nil {
 				t.Fatalf("k=%d, %s: a restarted client cannot read the file: %v", k, when, err)
 			}
@@ -189,7 +202,7 @@ func TestRewriteChunkedToInlineFaultSweep(t *testing.T) {
 		readable("after the next drain")
 
 		if werr != nil {
-			if err := e.WriteFile("/f", small); err != nil {
+			if err := e.WriteFile("/d/f", small); err != nil {
 				t.Fatalf("k=%d: retried write: %v", k, err)
 			}
 			if err := e.SyncMetadata(); err != nil {

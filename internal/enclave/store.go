@@ -97,16 +97,47 @@ func (e *Enclave) timedOcall(m ocallMeter, fn func() error) error {
 	elapsed := time.Since(start)
 	m.ns.Add(int64(elapsed))
 	m.lat.Record(elapsed)
+	return classifyStoreError(err)
+}
+
+// classifyStoreError gives a storage-substrate fault the
+// ErrStoreUnavailable sentinel (timedOcall).
+func classifyStoreError(err error) error {
 	if err != nil && backend.IsUnavailable(err) {
 		return fmt.Errorf("%w: %w", ErrStoreUnavailable, err)
 	}
 	return err
 }
 
+// walkFetch is one store read a warm walk made ahead of use
+// (prefetchWalkLocked): the object's name and what GetVersioned returned.
+type walkFetch struct {
+	name    string
+	blob    []byte
+	version uint64
+	err     error
+}
+
+// dropWalkStashLocked discards the prefetched reads no walk consumed.
+func (e *Enclave) dropWalkStashLocked() {
+	e.metrics.prefetchDiscarded.Add(int64(len(e.walkStash)))
+	e.walkStash = nil
+}
+
 // fetchObject retrieves raw object bytes through the ocall surface,
 // charging the time to m: metaIO for metadata objects, dataIO for
-// encrypted file contents.
+// encrypted file contents. A read the current walk prefetched is served
+// from the stash when it is the next one predicted; any other read means
+// the walk left the prediction, and the rest of the stash is discarded.
 func (e *Enclave) fetchObject(m ocallMeter, name string) ([]byte, uint64, error) {
+	if len(e.walkStash) > 0 {
+		if s := e.walkStash[0]; s.name == name {
+			e.walkStash = e.walkStash[1:]
+			e.metrics.prefetchUsed.Inc()
+			return s.blob, s.version, s.err
+		}
+		e.dropWalkStashLocked()
+	}
 	var data []byte
 	var version uint64
 	err := e.timedOcall(m, func() error {
@@ -134,8 +165,10 @@ func (e *Enclave) deleteObject(name string) error {
 	return e.timedOcall(e.metrics.metaIO, func() error { return e.store.Delete(name) })
 }
 
-// lockObject acquires the store's advisory lock on an object.
+// lockObject acquires the store's advisory lock on an object. Reads made
+// under a lock must follow it, so nothing prefetched before it survives.
 func (e *Enclave) lockObject(name string) (func(), error) {
+	e.dropWalkStashLocked()
 	var release func()
 	err := e.timedOcall(e.metrics.metaIO, func() error {
 		var err error

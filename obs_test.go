@@ -460,8 +460,10 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	// ecall apiece): cold, the three directories on the path and then each
 	// filenode, 3 + n fetches; warm, nothing — every fetch is an AFS hit.
 	// Ocalls: cold, a fetch and a proof per directory for the listing, then
-	// per Stat the three directory fetches (AFS hits, enclave-cache hits)
-	// and the filenode's fetch and proof; warm, the fetches alone.
+	// per Stat one ocall for the three directory fetches (AFS hits,
+	// enclave-cache hits) and the filenode's fetch, and one for its proof;
+	// warm, one ocall per ecall — every fetch of a walk leaves the enclave
+	// together (DESIGN.md §11.5).
 	const n = 4
 	if err := fs.MkdirAll("/docs/list"); err != nil {
 		t.Fatal(err)
@@ -485,10 +487,10 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	st.client.Enclave().DropCaches()
 	st.afs.FlushCache()
 	budget("readdir + stat, cold", "", []string{"fetch", "fetch", "fetch", "fetch", "fetch", "fetch", "fetch"}, func() {
-		transitions("readdir + stat, cold", [2]int64{1 + n, 6 + 5*n}, readdirStat)
+		transitions("readdir + stat, cold", [2]int64{1 + n, 6 + 2*n}, readdirStat)
 	})
 	budget("readdir + stat, warm", "", nil, func() {
-		transitions("readdir + stat, warm", [2]int64{1 + n, 3 + 4*n}, readdirStat)
+		transitions("readdir + stat, warm", [2]int64{1 + n, 1 + n}, readdirStat)
 	})
 
 	// The ACL, rename and user rows go straight to the enclave, so their
