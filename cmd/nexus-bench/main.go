@@ -6,7 +6,7 @@
 //	nexus-bench [-exp all|fileio|dirops|gitclone|db|apps|revoke|revoke-sweep|sharing|crypto|metadata|freshness|ablation]
 //	            [-scale N] [-runs N] [-rtt duration] [-bw MBps]
 //	            [-entries N] [-transition duration]
-//	            [-workers N] [-json] [-out FILE] [-crypto-workers LIST]
+//	            [-json] [-out FILE] [-crypto-workers LIST]
 //	            [-crypto-bytes N] [-members LIST] [-objects LIST]
 //
 // -exp also accepts a comma-separated list (e.g. -exp fileio,crypto) so
@@ -57,7 +57,6 @@ func run() error {
 	entries := flag.Int("entries", 2000, "database benchmark entry count")
 	transition := flag.Duration("transition", 4*time.Microsecond, "simulated enclave transition cost")
 	dirCounts := flag.String("dirs", "1024,2048,4096,8192", "comma-separated file counts for dirops")
-	workers := flag.Int("workers", 0, "chunk-crypto fan-out inside the enclave pipeline (0 = auto, 1 = serial)")
 	jsonOut := flag.Bool("json", false, "also write a machine-readable report (see -out)")
 	outPath := flag.String("out", "", "report path for -json (default BENCH_<rev>.json)")
 	cryptoWorkers := flag.String("crypto-workers", "1,2,4,8", "comma-separated worker counts for the crypto experiment")
@@ -77,7 +76,6 @@ func run() error {
 		TransitionCost: *transition,
 		Runs:           *runs,
 		Scale:          *scale,
-		CryptoWorkers:  *workers,
 	}
 	if *bw == 0 {
 		cfg.Profile.Bandwidth = 0

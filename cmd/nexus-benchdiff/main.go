@@ -12,11 +12,6 @@
 // differing CPU counts or architectures are refused — the parallel
 // chunk-crypto figures are not comparable — unless -allow-env-mismatch
 // is passed.
-//
-// -min-speedup-w4 additionally gates the current report alone: every
-// "<op>_w1"/"<op>_w4" MB/s pair must show the w4 column at least that
-// many times faster (the multi-core CI leg passes 1.5). The check is
-// skipped on machines with fewer than 4 CPUs.
 package main
 
 import (
@@ -35,7 +30,6 @@ func main() {
 	allocsTol := flag.Float64("allocs-tolerance", compare.DefaultAllocsTolerance, "allowed fractional allocs/op rise before failing")
 	mbsTol := flag.Float64("mbs-tolerance", compare.DefaultMBsTolerance, "allowed fractional MB/s drop before failing")
 	allowEnv := flag.Bool("allow-env-mismatch", false, "diff reports from differing cpus/goarch anyway (numbers are apples-to-oranges)")
-	minSpeedup := flag.Float64("min-speedup-w4", 0, "require w4 MB/s ≥ this multiple of w1 in the current report (0 = off; skipped under 4 cpus)")
 	flag.Parse()
 
 	opts := compare.Options{
@@ -44,13 +38,13 @@ func main() {
 		MBsTolerance:     *mbsTol,
 		AllowEnvMismatch: *allowEnv,
 	}
-	if err := run(*baseline, *current, opts, *minSpeedup); err != nil {
+	if err := run(*baseline, *current, opts); err != nil {
 		fmt.Fprintf(os.Stderr, "nexus-benchdiff: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(baselinePath, currentPath string, opts compare.Options, minSpeedup float64) error {
+func run(baselinePath, currentPath string, opts compare.Options) error {
 	if baselinePath == "" || currentPath == "" {
 		return fmt.Errorf("both -baseline and -current are required")
 	}
@@ -73,17 +67,6 @@ func run(baselinePath, currentPath string, opts compare.Options, minSpeedup floa
 		opts.Tolerance*100, opts.AllocsTolerance*100, opts.MBsTolerance*100)
 	compare.Format(os.Stdout, deltas, opts)
 
-	if minSpeedup > 0 {
-		checked, err := compare.CheckSpeedup(cur, minSpeedup)
-		switch {
-		case err != nil:
-			return err
-		case !checked:
-			fmt.Printf("speedup gate skipped: current report ran with %d cpus (need 4)\n", cur.CPUs)
-		default:
-			fmt.Printf("speedup gate passed: w4 ≥ %.2fx w1 MB/s\n", minSpeedup)
-		}
-	}
 	if regressed {
 		return fmt.Errorf("performance regression beyond tolerance (ns/op +%.0f%%, allocs/op +%.0f%%, MB/s -%.0f%%)",
 			opts.Tolerance*100, opts.AllocsTolerance*100, opts.MBsTolerance*100)

@@ -33,11 +33,6 @@ const (
 	DefaultMBsTolerance = 0.25
 )
 
-// speedupMinCPUs is the core count below which CheckSpeedup is
-// meaningless and skips: with fewer than 4 schedulable CPUs the w4
-// workers time-slice a smaller machine and no scaling is expected.
-const speedupMinCPUs = 4
-
 // Options configures a comparison. The zero value gates nothing but
 // ns/op Missing checks; use Diff (or fill the fields) for the standard
 // CI gate.
@@ -254,51 +249,6 @@ func DiffOpts(baseline, current *bench.Report, opts Options) ([]Delta, bool, err
 		return deltas[i].Metric < deltas[j].Metric
 	})
 	return deltas, regressed, nil
-}
-
-// CheckSpeedup enforces that the current report's parallel chunk
-// crypto actually scales: for every experiment carrying MB/s figures
-// for both a "<op>_w1" metric and its "<op>_w4" sibling, the w4 figure
-// must be at least min× the w1 figure. Reports from machines with
-// fewer than 4 CPUs are skipped (checked=false): time-slicing four
-// workers on one core proves nothing about scaling. On a qualifying
-// machine the gate refuses a report with no such metric pairs — a
-// silently absent crypto experiment would otherwise un-guard the
-// speedup the same way a Missing metric would.
-func CheckSpeedup(r *bench.Report, min float64) (checked bool, err error) {
-	if min <= 0 {
-		return false, fmt.Errorf("compare: speedup threshold must be positive, got %v", min)
-	}
-	if r.CPUs < speedupMinCPUs {
-		return false, nil
-	}
-	pairs := 0
-	var failures []string
-	for expName, exp := range r.Experiments {
-		for name, w1 := range exp {
-			base, found := strings.CutSuffix(name, "_w1")
-			if !found || w1.MBPerSec <= 0 {
-				continue
-			}
-			w4, ok := exp[base+"_w4"]
-			if !ok || w4.MBPerSec <= 0 {
-				continue
-			}
-			pairs++
-			if w4.MBPerSec < min*w1.MBPerSec {
-				failures = append(failures, fmt.Sprintf("%s/%s_w4: %.1f MB/s is %.2fx of w1's %.1f MB/s (want ≥ %.2fx)",
-					expName, base, w4.MBPerSec, w4.MBPerSec/w1.MBPerSec, w1.MBPerSec, min))
-			}
-		}
-	}
-	if pairs == 0 {
-		return false, fmt.Errorf("compare: speedup gate found no _w1/_w4 MB/s metric pairs in the report; run the crypto experiment (nexus-bench -exp crypto -json)")
-	}
-	if len(failures) > 0 {
-		sort.Strings(failures)
-		return true, fmt.Errorf("compare: parallel chunk crypto is not scaling on this %d-cpu machine:\n  %s", r.CPUs, strings.Join(failures, "\n  "))
-	}
-	return true, nil
 }
 
 // Format renders the diff as a table, flagging regressions per gated

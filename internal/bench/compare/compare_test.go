@@ -268,49 +268,6 @@ func TestDiffRejectsNegativeTolerances(t *testing.T) {
 	}
 }
 
-func speedupReport(cpus int, w1, w4 float64) *bench.Report {
-	r := bench.NewReport("test", 1)
-	r.CPUs = cpus
-	r.Add("crypto", "encrypt_w1", bench.Metric{NsPerOp: 100, MBPerSec: w1})
-	r.Add("crypto", "encrypt_w4", bench.Metric{NsPerOp: 100, MBPerSec: w4})
-	return r
-}
-
-func TestCheckSpeedup(t *testing.T) {
-	// Scaling fine: 2x at width 4 on a 4-cpu machine.
-	checked, err := CheckSpeedup(speedupReport(4, 100, 200), 1.5)
-	if err != nil || !checked {
-		t.Fatalf("2x speedup failed the 1.5x gate (checked=%v, err=%v)", checked, err)
-	}
-
-	// Not scaling: 1.2x at width 4.
-	checked, err = CheckSpeedup(speedupReport(4, 100, 120), 1.5)
-	if err == nil || !checked {
-		t.Fatalf("1.2x speedup passed the 1.5x gate (checked=%v, err=%v)", checked, err)
-	}
-	if !strings.Contains(err.Error(), "encrypt_w4") {
-		t.Fatalf("failure does not name the metric: %v", err)
-	}
-
-	// Skipped on small machines, even when the figures would fail.
-	checked, err = CheckSpeedup(speedupReport(1, 100, 100), 1.5)
-	if err != nil || checked {
-		t.Fatalf("speedup gate not skipped on 1 cpu (checked=%v, err=%v)", checked, err)
-	}
-
-	// A qualifying machine with no crypto pairs is an error, not a
-	// silent pass — otherwise dropping the experiment un-guards it.
-	empty := bench.NewReport("test", 1)
-	empty.CPUs = 4
-	if _, err := CheckSpeedup(empty, 1.5); err == nil {
-		t.Fatal("report without _w1/_w4 pairs passed the speedup gate")
-	}
-
-	if _, err := CheckSpeedup(speedupReport(4, 100, 200), 0); err == nil {
-		t.Fatal("zero threshold accepted")
-	}
-}
-
 func TestDiffProofBytesRatioIsInformational(t *testing.T) {
 	mk := func(ns, proofBytes float64) *bench.Report {
 		r := bench.NewReport("test", 1)

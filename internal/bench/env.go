@@ -37,9 +37,6 @@ type Config struct {
 	// entries, 1 MiB).
 	BucketSize uint32
 	ChunkSize  uint32
-	// CryptoWorkers bounds the parallel chunk-crypto fan-out (0 =
-	// GOMAXPROCS with serial small-file fallback, 1 = serial).
-	CryptoWorkers int
 	// Runs is the number of repetitions averaged per measurement
 	// (paper: 10 for microbenchmarks, 25 for applications).
 	Runs int
@@ -125,7 +122,6 @@ func NewEnv(cfg Config) (*Env, error) {
 		IAS:            ias,
 		BucketSize:     cfg.BucketSize,
 		ChunkSize:      cfg.ChunkSize,
-		CryptoWorkers:  cfg.CryptoWorkers,
 		TransitionCost: cfg.TransitionCost,
 		Obs:            env.Obs,
 	})

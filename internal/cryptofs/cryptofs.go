@@ -94,9 +94,8 @@ type FS struct {
 	store backend.Store
 	owner *User
 
-	mu      sync.Mutex
-	users   map[string]*User // all participants, owner included; guarded by mu
-	workers int              // Revoke re-encryption fan-out; guarded by mu
+	mu    sync.Mutex
+	users map[string]*User // all participants, owner included; guarded by mu
 
 	metrics cfsMetrics
 }
@@ -111,7 +110,6 @@ type cfsMetrics struct {
 	filesTouched     *obs.Counter // cryptofs_files_touched_total
 	keyWraps         *obs.Counter // cryptofs_key_wraps_total
 	revokeLat        *obs.Histogram
-	workers          *obs.Gauge // cryptofs_workers
 	tracer           *obs.Tracer
 }
 
@@ -122,7 +120,6 @@ func (m *cfsMetrics) bind(reg *obs.Registry) {
 	m.filesTouched = reg.Counter("cryptofs_files_touched_total")
 	m.keyWraps = reg.Counter("cryptofs_key_wraps_total")
 	m.revokeLat = reg.Histogram("cryptofs_revoke_seconds")
-	m.workers = reg.Gauge("cryptofs_workers")
 	m.tracer = reg.Tracer()
 }
 
@@ -155,16 +152,6 @@ func (fs *FS) AddUser(u *User) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.users[u.Name] = u
-}
-
-// SetWorkers bounds the re-encryption fan-out used by Revoke (0 =
-// GOMAXPROCS, 1 = serial). Mass revocation re-encrypts every affected
-// file independently, so the files parallelize perfectly.
-func (fs *FS) SetWorkers(w int) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.workers = w
-	fs.metrics.workers.Set(int64(w))
 }
 
 // Stats returns a snapshot of the meters, assembled from the registry
@@ -267,22 +254,16 @@ func encryptAndStore(store backend.Store, owner *User, users map[string]*User, p
 	if err != nil {
 		return st, err
 	}
-	// The sealed blob (nonce ‖ ciphertext ‖ tag) lives in a pooled
-	// buffer: stores copy on Put (see backend.Store), so the lease ends
-	// with this call and Revoke's fan-out recycles one buffer per worker
-	// instead of allocating per file. Unlike the enclave's chunked
-	// pipeline this seal cannot stream: the whole file is ONE GCM
+	// The sealed blob is nonce ‖ ciphertext ‖ tag. Unlike the enclave's
+	// chunked pipeline this seal cannot stream: the whole file is ONE GCM
 	// message, so no prefix of the ciphertext is final until Seal
 	// returns with the tag over the entire stream — there is no chunk
 	// boundary at which bytes could be scattered to the store early.
-	total := 12 + len(data) + gcm.Overhead()
-	sealed := parallel.Shared.Get(total)
-	defer sealed.Release()
-	nonce := sealed.B[:12]
+	nonce := make([]byte, 12, 12+len(data)+gcm.Overhead())
 	if _, err := rand.Read(nonce); err != nil {
 		return st, err
 	}
-	ct := gcm.Seal(sealed.B[:12:total], nonce, data, nil)
+	ct := gcm.Seal(nonce, nonce, data, nil)
 	st.BytesReencrypted += int64(len(data))
 
 	// Key block: per-reader wrapped keys.
@@ -437,15 +418,13 @@ func (fs *FS) Readers(p string) ([]string, error) {
 // re-encrypted under a fresh key and re-uploaded, and keys re-wrapped
 // for all remaining readers — cost proportional to total affected data
 // and sharing degree. Files are independent, so the re-encryption fans
-// out across the SetWorkers fan-out width (default GOMAXPROCS); fs.mu is
-// held for the whole operation, freezing the user table under the
-// workers.
+// out across GOMAXPROCS workers; fs.mu is held for the whole operation,
+// freezing the user table under the workers.
 func (fs *FS) Revoke(revoked string, paths []string) (Stats, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	span := fs.metrics.tracer.Begin("cryptofs.revoke")
 	span.SetTagInt("paths", int64(len(paths)))
-	span.SetTagInt("workers", int64(fs.workers))
 	start := time.Now()
 	defer func() {
 		fs.metrics.revokeLat.Record(time.Since(start))
@@ -453,7 +432,7 @@ func (fs *FS) Revoke(revoked string, paths []string) (Stats, error) {
 	}()
 	perPath := make([]Stats, len(paths))
 	var total Stats
-	err := parallel.Ranges(len(paths), fs.workers, func(lo, hi int) error {
+	err := parallel.Ranges(len(paths), 0, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			p := paths[i]
 			keysBlob, err := fs.store.Get(keysName(p))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"nexus/internal/backend"
@@ -193,13 +194,14 @@ func TestUnknownTargets(t *testing.T) {
 }
 
 // TestParallelRevokeMatchesSerial runs the same revocation under serial
-// and parallel fan-out widths and requires identical meters and
-// identical post-revocation access semantics.
+// and parallel fan-out widths (Revoke fans out across GOMAXPROCS) and
+// requires identical meters and identical post-revocation access
+// semantics.
 func TestParallelRevokeMatchesSerial(t *testing.T) {
 	const files = 24
-	build := func(t *testing.T, workers int) (*FS, *User, Stats) {
+	build := func(t *testing.T, procs int) (*FS, *User, Stats) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		fs, owner, _, _ := setup(t)
-		fs.SetWorkers(workers)
 		var paths []string
 		for i := 0; i < files; i++ {
 			p := fmt.Sprintf("/f%03d", i)
@@ -234,8 +236,8 @@ func TestParallelRevokeMatchesSerial(t *testing.T) {
 // TestParallelRevokeMissingFileFails exercises the error path through
 // the fan-out: a missing file aborts with ErrNotFound under any width.
 func TestParallelRevokeMissingFileFails(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	fs, _, _, _ := setup(t)
-	fs.SetWorkers(8)
 	if err := fs.WriteFile("/present", []byte("x"), []string{"alice"}); err != nil {
 		t.Fatal(err)
 	}

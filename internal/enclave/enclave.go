@@ -33,7 +33,6 @@ import (
 
 	"nexus/internal/metadata"
 	"nexus/internal/obs"
-	"nexus/internal/parallel"
 	"nexus/internal/sgx"
 	"nexus/internal/uuid"
 )
@@ -51,10 +50,9 @@ const SupernodeObjectName = "supernode"
 // Buffer ownership at this boundary (DESIGN.md §14): the []byte passed
 // to PutVersioned (and every segment handed out by a
 // StreamObjectStore's next callback) remains owned by the enclave and
-// is only on loan for the duration of the call — the enclave leases it
-// from a buffer pool and re-leases it to later operations the moment
-// the call returns. Implementations must copy anything they retain
-// (caches, queues, logs) and must never stash the slice itself.
+// is only on loan for the duration of the call. Implementations must
+// copy anything they retain (caches, queues, logs) and must never
+// stash the slice itself.
 // Symmetrically, buffers returned by GetVersioned become the enclave's
 // to keep.
 type ObjectStore interface {
@@ -141,10 +139,6 @@ type Config struct {
 	BucketSize uint32
 	// ChunkSize is the file chunk size (default 1 MiB, §VII).
 	ChunkSize uint32
-	// CryptoWorkers bounds the chunk-crypto fan-out on the WriteFile/
-	// ReadFile path (0 = GOMAXPROCS with a serial fallback for small
-	// files, 1 = always serial; see internal/metadata and DESIGN.md §10).
-	CryptoWorkers int
 	// WritebackMaxOps caps the number of deferred mutations before the
 	// dirty set drains inline (default 64). Creates and removes defer
 	// their metadata flushes into a dirty set drained in dependency
@@ -182,10 +176,9 @@ type Stats struct {
 	// DataIOTime is wall time spent in ocalls moving encrypted file
 	// contents.
 	DataIOTime time.Duration
-	// ChunkPoolHits and ChunkPoolMisses report the sealed-buffer arena's
-	// health: misses mean the data path is allocating fresh spans
-	// instead of recycling them (mirrors
-	// enclave_chunk_pool_{hits,misses}_total).
+	// ChunkPoolHits and ChunkPoolMisses are always 0: the data path
+	// allocates its buffers and has no pool. They stay only because the
+	// benchmark harness still reads them; both go once it stops.
 	ChunkPoolHits   int64
 	ChunkPoolMisses int64
 }
@@ -248,11 +241,6 @@ type Enclave struct {
 	// drops the rest (prefetchWalkLocked). Guarded by mu.
 	walkStash []walkFetch
 
-	// arena pools the data path's sealed-chunk buffers (DESIGN.md §14).
-	// Per-enclave rather than process-wide so the pool-health counters
-	// it mirrors into metrics are this enclave's alone.
-	arena *parallel.Arena
-
 	metrics enclaveMetrics
 }
 
@@ -270,9 +258,6 @@ type enclaveMetrics struct {
 	dataBytes         *obs.Counter // enclave_data_bytes_written_total
 	chunks            *obs.Counter // enclave_chunk_crypto_chunks_total
 	chunkLat          *obs.Histogram
-	poolHits          *obs.Counter // enclave_chunk_pool_hits_total
-	poolMisses        *obs.Counter // enclave_chunk_pool_misses_total
-	workers           *obs.Gauge   // enclave_crypto_workers
 	metadataDirty     *obs.Counter // enclave_metadata_dirty_total
 	flushBatches      *obs.Counter // enclave_flush_batches_total
 	dirtyGauge        *obs.Gauge   // enclave_metadata_dirty
@@ -310,9 +295,6 @@ func (m *enclaveMetrics) bind(reg *obs.Registry) {
 	m.dataBytes = reg.Counter("enclave_data_bytes_written_total")
 	m.chunks = reg.Counter("enclave_chunk_crypto_chunks_total")
 	m.chunkLat = reg.Histogram("enclave_chunk_crypto_seconds")
-	m.poolHits = reg.Counter("enclave_chunk_pool_hits_total")
-	m.poolMisses = reg.Counter("enclave_chunk_pool_misses_total")
-	m.workers = reg.Gauge("enclave_crypto_workers")
 	m.metadataDirty = reg.Counter("enclave_metadata_dirty_total")
 	m.flushBatches = reg.Counter("enclave_flush_batches_total")
 	m.dirtyGauge = reg.Gauge("enclave_metadata_dirty")
@@ -358,8 +340,6 @@ func New(cfg Config) (*Enclave, error) {
 		cache:      newMetaCache(cfg.SGX),
 	}
 	e.metrics.bind(cfg.Obs)
-	e.arena = parallel.NewArena()
-	e.arena.SetCounters(e.metrics.poolHits.Inc, e.metrics.poolMisses.Inc)
 	// The SGX container meters its transitions into the same registry,
 	// so one scrape covers ecalls, metadata I/O and chunk crypto.
 	cfg.SGX.SetObs(cfg.Obs)
@@ -368,7 +348,6 @@ func New(cfg Config) (*Enclave, error) {
 	if in, ok := cfg.Store.(interface{ Instrument(*obs.Registry) }); ok {
 		in.Instrument(cfg.Obs)
 	}
-	e.metrics.workers.Set(int64(cfg.CryptoWorkers))
 	var err error
 	if err = e.sgx.Ecall(func() error {
 		e.exchange, err = newExchangeKey()
@@ -392,8 +371,6 @@ func (e *Enclave) Stats() Stats {
 		DataBytesWritten:     m.dataBytes.Value(),
 		MetadataIOTime:       time.Duration(m.metaIO.ns.Value()),
 		DataIOTime:           time.Duration(m.dataIO.ns.Value()),
-		ChunkPoolHits:        m.poolHits.Value(),
-		ChunkPoolMisses:      m.poolMisses.Value(),
 	}
 }
 
@@ -408,8 +385,6 @@ func (e *Enclave) ResetStats() {
 	m.dataBytes.Reset()
 	m.chunks.Reset()
 	m.chunkLat.Reset()
-	m.poolHits.Reset()
-	m.poolMisses.Reset()
 	m.metaIO.ns.Reset()
 	m.metaIO.lat.Reset()
 	m.dataIO.ns.Reset()

@@ -720,20 +720,16 @@ func (e *Enclave) removeFileEntryLocked(dir *metadata.Dirnode, entry metadata.Di
 const streamPutCutoff = 4 << 20
 
 // encryptAndPutLocked seals data under f's freshly rotated contexts and
-// uploads the sealed blob to f's data object. The sealed span is leased
-// from the enclave's buffer arena — it is released (and back under the
-// next leaseholder's feet) the moment the upload returns, which is safe
-// because ObjectStore implementations never retain put buffers (see the
-// interface's ownership rules). On stream-capable stores, writes at or
-// above the streaming cutoff overlap chunk sealing with the upload.
+// uploads the sealed blob to f's data object. On stream-capable stores,
+// writes at or above the streaming cutoff overlap chunk sealing with the
+// upload.
 func (e *Enclave) encryptAndPutLocked(f *metadata.Filenode, data []byte) error {
 	name := objName(f.DataUUID)
 	sealedLen := f.SealedSize(len(data))
-	buf := e.arena.Get(sealedLen)
-	defer buf.Release()
+	sealed := make([]byte, sealedLen)
 
 	if ss, ok := e.store.(StreamObjectStore); ok && len(data) >= streamPutCutoff {
-		if err := e.streamPutLocked(ss, f, buf.B, data, name); err != nil {
+		if err := e.streamPutLocked(ss, f, sealed, data, name); err != nil {
 			return err
 		}
 		e.metrics.dataBytes.Add(int64(sealedLen))
@@ -741,7 +737,7 @@ func (e *Enclave) encryptAndPutLocked(f *metadata.Filenode, data []byte) error {
 	}
 
 	blob, err := e.timedChunkCrypto(len(data), func() ([]byte, error) {
-		return f.EncryptContentInto(buf.B, data, e.cfg.CryptoWorkers)
+		return f.EncryptContentInto(sealed, data, 0)
 	})
 	if err != nil {
 		return err
@@ -766,11 +762,10 @@ func (e *Enclave) streamPutLocked(ss StreamObjectStore, f *metadata.Filenode, ds
 	}
 	span := e.metrics.tracer.Begin("enclave.chunkcrypto")
 	span.SetTagInt("chunks", chunks)
-	span.SetTagInt("workers", int64(e.cfg.CryptoWorkers))
 	span.SetTagInt("streamed", 1)
 	defer span.End()
 
-	stream, err := f.EncryptContentStream(dst, data, e.cfg.CryptoWorkers)
+	stream, err := f.EncryptContentStream(dst, data, 0)
 	if err != nil {
 		return err
 	}
@@ -778,9 +773,9 @@ func (e *Enclave) streamPutLocked(ss StreamObjectStore, f *metadata.Filenode, ds
 		_, err := ss.PutVersionedStream(name, f.SealedSize(len(data)), stream.Next)
 		return err
 	})
-	// Always wait out the sealing workers before the pooled dst can be
-	// released by our caller — even when the upload failed, the workers
-	// are still writing into it.
+	// Always wait out the sealing workers, even when the upload failed:
+	// a sealing error must surface, and the workers are still writing
+	// f's chunk tags.
 	sealErr := stream.Wait()
 	e.metrics.chunkLat.Record(stream.CryptoDuration())
 	e.metrics.chunks.Add(chunks)
@@ -794,10 +789,10 @@ func (e *Enclave) streamPutLocked(ss StreamObjectStore, f *metadata.Filenode, ds
 }
 
 // timedChunkCrypto meters one pass of the chunk-crypto pipeline: a
-// span tagged with chunk count and worker width, the cumulative chunk
-// counter, and the pipeline latency histogram. plainLen is the
-// plaintext length the pipeline processes (the write payload, or the
-// filenode size on reads).
+// span tagged with chunk count, the cumulative chunk counter, and the
+// pipeline latency histogram. plainLen is the plaintext length the
+// pipeline processes (the write payload, or the filenode size on
+// reads).
 func (e *Enclave) timedChunkCrypto(plainLen int, fn func() ([]byte, error)) ([]byte, error) {
 	var chunks int64
 	if cs := int64(e.cfg.ChunkSize); plainLen > 0 && cs > 0 {
@@ -805,7 +800,6 @@ func (e *Enclave) timedChunkCrypto(plainLen int, fn func() ([]byte, error)) ([]b
 	}
 	span := e.metrics.tracer.Begin("enclave.chunkcrypto")
 	span.SetTagInt("chunks", chunks)
-	span.SetTagInt("workers", int64(e.cfg.CryptoWorkers))
 	start := time.Now()
 	out, err := fn()
 	e.metrics.chunkLat.Record(time.Since(start))
@@ -968,7 +962,7 @@ func (e *Enclave) ReadFile(path string) ([]byte, error) {
 			return fmt.Errorf("fetching data object: %w", err)
 		}
 		out, err = e.timedChunkCrypto(int(f.Size), func() ([]byte, error) {
-			return f.DecryptContentWorkers(blob, e.cfg.CryptoWorkers)
+			return f.DecryptContent(blob)
 		})
 		return err
 	})

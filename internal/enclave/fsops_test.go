@@ -730,85 +730,82 @@ func TestGetACL(t *testing.T) {
 	}
 }
 
-// TestWriteReadAcrossCryptoWorkerWidths drives the full enclave
-// read/write path (WriteFile → store → ReadFile) at several chunk-crypto
-// fan-out widths, checking byte-identical round trips and that tampering
-// with the stored data object still surfaces ErrTampered under the
-// parallel pipeline.
-func TestWriteReadAcrossCryptoWorkerWidths(t *testing.T) {
+// TestWriteReadChunkedTamperDetected drives the full enclave read/write
+// path (WriteFile → store → ReadFile) over many chunks, checking a
+// byte-identical round trip and that tampering with the stored data
+// object surfaces ErrTampered.
+func TestWriteReadChunkedTamperDetected(t *testing.T) {
 	owner := newIdentity(t, "owen")
 	data := make([]byte, 64<<10)
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	for _, workers := range []int{1, 2, 8} {
-		store := newMemObjectStore()
-		platform, err := sgx.NewPlatform(sgx.PlatformConfig{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		container, err := platform.CreateEnclave(nexusImage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := New(Config{SGX: container, Store: store, ChunkSize: 4096, CryptoWorkers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sealed, err := e.CreateVolume(owner.name, owner.pub)
-		if err != nil {
-			t.Fatal(err)
-		}
-		volID, err := e.VolumeUUID()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := authenticate(t, e, owner, sealed, volID); err != nil {
-			t.Fatal(err)
-		}
+	store := newMemObjectStore()
+	platform, err := sgx.NewPlatform(sgx.PlatformConfig{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	container, err := platform.CreateEnclave(nexusImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := New(Config{SGX: container, Store: store, ChunkSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := e.CreateVolume(owner.name, owner.pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	volID, err := e.VolumeUUID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := authenticate(t, e, owner, sealed, volID); err != nil {
+		t.Fatal(err)
+	}
 
-		if err := e.Touch("/blob"); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.WriteFile("/blob", data); err != nil {
-			t.Fatalf("workers %d: WriteFile: %v", workers, err)
-		}
-		got, err := e.ReadFile("/blob")
-		if err != nil {
-			t.Fatalf("workers %d: ReadFile: %v", workers, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("workers %d: round trip mismatch", workers)
-		}
+	if err := e.Touch("/blob"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.WriteFile("/blob", data); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	got, err := e.ReadFile("/blob")
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("round trip mismatch")
+	}
 
-		// Corrupt the data object (the only store object whose length is
-		// the sealed size: plaintext plus one inline tag per 4 KiB chunk).
-		sealedLen := len(data) + (len(data)/4096)*16
-		names, err := store.mem.List("")
+	// Corrupt the data object (the only store object whose length is
+	// the sealed size: plaintext plus one inline tag per 4 KiB chunk).
+	sealedLen := len(data) + (len(data)/4096)*16
+	names, err := store.mem.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupted := false
+	for _, n := range names {
+		blob, err := store.mem.Get(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		corrupted := false
-		for _, n := range names {
-			blob, err := store.mem.Get(n)
-			if err != nil {
+		if len(blob) == sealedLen {
+			mut := bytes.Clone(blob)
+			mut[len(mut)/2] ^= 1
+			if err := store.mem.Put(n, mut); err != nil {
 				t.Fatal(err)
 			}
-			if len(blob) == sealedLen {
-				mut := bytes.Clone(blob)
-				mut[len(mut)/2] ^= 1
-				if err := store.mem.Put(n, mut); err != nil {
-					t.Fatal(err)
-				}
-				corrupted = true
-			}
+			corrupted = true
 		}
-		if !corrupted {
-			t.Fatalf("workers %d: data object not found on store", workers)
-		}
-		if _, err := e.ReadFile("/blob"); !errors.Is(err, metadata.ErrTampered) {
-			t.Fatalf("workers %d: tampered read = %v, want ErrTampered", workers, err)
-		}
+	}
+	if !corrupted {
+		t.Fatal("data object not found on store")
+	}
+	if _, err := e.ReadFile("/blob"); !errors.Is(err, metadata.ErrTampered) {
+		t.Fatalf("tampered read = %v, want ErrTampered", err)
 	}
 }
 

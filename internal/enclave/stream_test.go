@@ -101,7 +101,7 @@ func newAuthedEnclave(t *testing.T, cfg Config) *Enclave {
 }
 
 // streamChunkSize keeps a cutoff-sized payload at 64 chunks, enough for
-// every worker width below to have several chunks in flight.
+// every worker to have several chunks in flight.
 const streamChunkSize = 64 << 10
 
 // patterned returns n deterministic, non-repeating-per-chunk bytes.
@@ -115,61 +115,59 @@ func patterned(n int, seed byte) []byte {
 
 // TestStreamingWriteFileRoundTrip drives WriteFile through the
 // encrypt-while-upload path (a payload of exactly streamPutCutoff bytes,
-// the smallest that streams) at several worker widths: the store must
-// receive the full sealed object through the stream surface, round trips
-// stay byte-identical, and tampering with the streamed object still
-// trips chunk authentication.
+// the smallest that streams): the store must receive the full sealed
+// object through the stream surface, round trips stay byte-identical,
+// and tampering with the streamed object still trips chunk
+// authentication.
 func TestStreamingWriteFileRoundTrip(t *testing.T) {
 	data := patterned(streamPutCutoff, 5)
-	for _, workers := range []int{1, 2, 8} {
-		store := newStreamMemStore()
-		e := newAuthedEnclave(t, Config{Store: store, ChunkSize: streamChunkSize, CryptoWorkers: workers})
+	store := newStreamMemStore()
+	e := newAuthedEnclave(t, Config{Store: store, ChunkSize: streamChunkSize})
 
-		if err := e.Touch("/blob"); err != nil {
+	if err := e.Touch("/blob"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.WriteFile("/blob", data); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	if store.streamPutCount() == 0 {
+		t.Fatal("WriteFile did not use the streaming put")
+	}
+	got, err := e.ReadFile("/blob")
+	if err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("streamed round trip mismatch")
+	}
+
+	// Corrupt the streamed data object (the only object whose length
+	// is the sealed size) and expect authentication to fail.
+	sealedLen := len(data) + (len(data)/streamChunkSize)*16
+	names, err := store.mem.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupted := false
+	for _, n := range names {
+		blob, err := store.mem.Get(n)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.WriteFile("/blob", data); err != nil {
-			t.Fatalf("workers %d: WriteFile: %v", workers, err)
-		}
-		if store.streamPutCount() == 0 {
-			t.Fatalf("workers %d: WriteFile did not use the streaming put", workers)
-		}
-		got, err := e.ReadFile("/blob")
-		if err != nil {
-			t.Fatalf("workers %d: ReadFile: %v", workers, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("workers %d: streamed round trip mismatch", workers)
-		}
-
-		// Corrupt the streamed data object (the only object whose length
-		// is the sealed size) and expect authentication to fail.
-		sealedLen := len(data) + (len(data)/streamChunkSize)*16
-		names, err := store.mem.List("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		corrupted := false
-		for _, n := range names {
-			blob, err := store.mem.Get(n)
-			if err != nil {
+		if len(blob) == sealedLen {
+			mut := bytes.Clone(blob)
+			mut[len(mut)/3] ^= 1
+			if err := store.mem.Put(n, mut); err != nil {
 				t.Fatal(err)
 			}
-			if len(blob) == sealedLen {
-				mut := bytes.Clone(blob)
-				mut[len(mut)/3] ^= 1
-				if err := store.mem.Put(n, mut); err != nil {
-					t.Fatal(err)
-				}
-				corrupted = true
-			}
+			corrupted = true
 		}
-		if !corrupted {
-			t.Fatalf("workers %d: streamed data object not found on store", workers)
-		}
-		if _, err := e.ReadFile("/blob"); !errors.Is(err, metadata.ErrTampered) {
-			t.Fatalf("workers %d: tampered read = %v, want ErrTampered", workers, err)
-		}
+	}
+	if !corrupted {
+		t.Fatal("streamed data object not found on store")
+	}
+	if _, err := e.ReadFile("/blob"); !errors.Is(err, metadata.ErrTampered) {
+		t.Fatalf("tampered read = %v, want ErrTampered", err)
 	}
 }
 
@@ -180,7 +178,7 @@ func TestStreamingWriteFileRoundTrip(t *testing.T) {
 // with the never-persisted rotated keys — returns the old contents.
 func TestStreamingPutFailureKeepsOldContent(t *testing.T) {
 	store := newStreamMemStore()
-	e := newAuthedEnclave(t, Config{Store: store, ChunkSize: streamChunkSize, CryptoWorkers: 2})
+	e := newAuthedEnclave(t, Config{Store: store, ChunkSize: streamChunkSize})
 
 	v1 := patterned(streamPutCutoff, 1)
 	if err := e.Touch("/f"); err != nil {
@@ -244,46 +242,5 @@ func TestSmallWritesSkipStreaming(t *testing.T) {
 	}
 	if got, err := e2.ReadFile("/big"); err != nil || !bytes.Equal(got, big) {
 		t.Fatalf("assembled round trip at the cutoff: mismatch or error %v", err)
-	}
-}
-
-// TestWriteFilePoolMetrics checks that repeated same-sized writes hit
-// the enclave's chunk-buffer arena and that the hit/miss counters show
-// up in Stats. The first write leases a fresh class (a miss); later
-// writes of the same size reuse it (hits).
-func TestWriteFilePoolMetrics(t *testing.T) {
-	e := newAuthedEnclave(t, Config{Store: newMemObjectStore(), ChunkSize: 4096})
-	if err := e.Touch("/f"); err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 32<<10)
-	if err := e.WriteFile("/f", data); err != nil {
-		t.Fatal(err)
-	}
-	s := e.Stats()
-	if s.ChunkPoolMisses == 0 {
-		t.Fatalf("first write: ChunkPoolMisses = 0, want >0 (stats: %+v)", s)
-	}
-	if s.ChunkPoolHits != 0 {
-		t.Fatalf("first write: ChunkPoolHits = %d, want 0", s.ChunkPoolHits)
-	}
-	for i := 0; i < 3; i++ {
-		if err := e.WriteFile("/f", data); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s = e.Stats()
-	// One lease per write; whether a released span comes back is up to
-	// sync.Pool, which promises it only without the race detector.
-	if s.ChunkPoolHits+s.ChunkPoolMisses != 4 {
-		t.Fatalf("4 writes: hits %d + misses %d, want 4 leases", s.ChunkPoolHits, s.ChunkPoolMisses)
-	}
-	if !raceEnabled && s.ChunkPoolHits < 3 {
-		t.Fatalf("repeat writes: ChunkPoolHits = %d, want >= 3", s.ChunkPoolHits)
-	}
-	e.ResetStats()
-	s = e.Stats()
-	if s.ChunkPoolHits != 0 || s.ChunkPoolMisses != 0 {
-		t.Fatalf("ResetStats left pool counters at hits=%d misses=%d", s.ChunkPoolHits, s.ChunkPoolMisses)
 	}
 }

@@ -24,9 +24,6 @@
 //     path, conservatively approximated), and fields annotated
 //     "// guarded by mu" are only touched by functions that lock mu (or
 //     are *Locked helpers that document holding it).
-//   - buffer-escape: a chunk buffer leased from the internal/parallel
-//     arena is never used after Release and never escapes its lease via
-//     a return, struct field, or package-level variable (DESIGN.md §14).
 //   - locked-callgraph: a *Locked function is unreachable from any
 //     module entry point that does not hold a lock.
 //
@@ -77,7 +74,6 @@ func Checkers() []Checker {
 		{Rule: RuleNonce, Doc: "AEAD nonces must be fresh (crypto/rand or counter helper)", Run: perPackage(checkNonce)},
 		{Rule: RuleCryptoErr, Doc: "crypto errors must be checked", Run: perPackage(checkCryptoErr)},
 		{Rule: RuleLocks, Doc: "mutex lock/unlock pairing and guarded-by annotations", Run: perPackage(checkLocks)},
-		{Rule: RuleBufferEscape, Doc: "pooled arena buffers must not be used after Release or outlive their lease", Run: perPackage(checkBufferEscape)},
 		{Rule: RuleLockedCall, Doc: "*Locked functions only reachable from contexts that hold a lock (call-graph check)", Run: checkLockedCall},
 	}
 }
@@ -101,9 +97,6 @@ const (
 	RuleNonce     = "nonce-hygiene"
 	RuleCryptoErr = "unchecked-crypto-error"
 	RuleLocks     = "lock-discipline"
-	// RuleBufferEscape guards the pooled-buffer ownership rules of
-	// DESIGN.md §14: no use after Release, no escape past the lease.
-	RuleBufferEscape = "buffer-escape"
 	// RuleLockedCall is the interprocedural rule.
 	RuleLockedCall = "locked-callgraph"
 	// RuleDirective reports malformed or stale //lint:ignore directives.

@@ -151,23 +151,6 @@ func relDir(m *Module, p *Package) string {
 	return strings.TrimPrefix(strings.TrimPrefix(p.ImportPath, m.Path), "/")
 }
 
-// receiverTypeName returns the bare receiver type name of a method
-// ("" for package functions).
-func receiverTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
-}
-
 // hasSuffixFold reports a case-insensitive suffix match.
 func hasSuffixFold(s, suffix string) bool {
 	return len(s) >= len(suffix) && strings.EqualFold(s[len(s)-len(suffix):], suffix)

@@ -291,23 +291,21 @@ func (f *Filenode) contentAEAD() (cipher.AEAD, error) {
 }
 
 // refreshContexts draws a fresh content key and one fresh IV per chunk
-// from a single crypto/rand read. The scratch for the batched read is a
-// pooled sensitive buffer: zeroed on release, so raw key material never
-// lingers in a free list.
+// straight into the filenode, so no scratch buffer ever holds key
+// material.
 func (f *Filenode) refreshContexts(n int) error {
 	if cap(f.Chunks) >= n {
 		f.Chunks = f.Chunks[:n]
 	} else {
 		f.Chunks = make([]ChunkContext, n)
 	}
-	seed := parallel.Shared.GetSensitive(BodyKeySize + n*ivSize)
-	defer seed.Release()
-	if _, err := rand.Read(seed.B); err != nil {
+	if _, err := rand.Read(f.ContentKey[:]); err != nil {
 		return fmt.Errorf("metadata: chunk key material: %w", err)
 	}
-	copy(f.ContentKey[:], seed.B[:BodyKeySize])
 	for i := range f.Chunks {
-		copy(f.Chunks[i].IV[:], seed.B[BodyKeySize+i*ivSize:])
+		if _, err := rand.Read(f.Chunks[i].IV[:]); err != nil {
+			return fmt.Errorf("metadata: chunk key material: %w", err)
+		}
 	}
 	return nil
 }
@@ -347,8 +345,7 @@ func (f *Filenode) EncryptContentWorkers(plaintext []byte, workers int) ([]byte,
 // EncryptContentInto is EncryptContentWorkers sealing into a
 // caller-owned buffer: dst must have capacity for SealedSize(len
 // (plaintext)) bytes and is returned re-sliced to exactly that length.
-// The caller owns dst throughout — pass a pooled buffer to keep the
-// write path allocation-free — and each worker seals its chunks
+// The caller owns dst throughout, and each worker seals its chunks
 // directly into their final slots via capacity-capped sub-slices, so
 // no ciphertext is ever staged in scratch.
 func (f *Filenode) EncryptContentInto(dst, plaintext []byte, workers int) ([]byte, error) {
@@ -553,12 +550,12 @@ func (s *SealStream) chunkDone(i int) {
 }
 
 // Next blocks until more contiguous sealed bytes are available and
-// returns them as a slice of the caller's buffer (valid until the
-// buffer is released). It returns (nil, nil) once the whole blob has
-// been handed out, or the sealing error if one occurred. Coalescing is
-// deliberate: Next hands back *everything* sealed since the last call
-// in one segment, so a consumer that stalls on the network drains the
-// backlog in a single write instead of per-chunk sends.
+// returns them as a slice of the caller's buffer. It returns (nil, nil)
+// once the whole blob has been handed out, or the sealing error if one
+// occurred. Coalescing is deliberate: Next hands back *everything*
+// sealed since the last call in one segment, so a consumer that stalls
+// on the network drains the backlog in a single write instead of
+// per-chunk sends.
 func (s *SealStream) Next() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

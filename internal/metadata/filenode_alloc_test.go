@@ -13,8 +13,8 @@ import (
 // encrypt/decrypt call at every worker width (ISSUE 8 acceptance
 // criterion: ≤8). The real count is ~5: the output buffer, the AES
 // block + GCM wrapper for the per-update content key, and the two
-// fan-out objects (rangeRun + span closure); key/IV scratch and AAD
-// tables are pooled or filenode-cached.
+// fan-out objects (rangeRun + span closure); the key and IVs are drawn
+// straight into the filenode and the AAD table is filenode-cached.
 const allocBudget = 8
 
 // TestChunkCryptoAllocBudget pins allocs/op for the batch APIs.
@@ -84,6 +84,45 @@ func TestChunkCryptoAllocBudget(t *testing.T) {
 		if got := dec.AllocsPerOp(); got > allocBudget {
 			t.Errorf("decrypt w=%d: %d allocs/op, budget %d", w, got, allocBudget)
 		}
+	}
+}
+
+// TestRefreshContextsKeysOnlyInFilenode pins where an update's key
+// material goes: the content key and every IV are drawn straight into
+// the filenode, so a node whose Chunks already has the capacity draws
+// them without a single allocation — no scratch buffer ever holds a
+// key, so none needs zeroing. Two updates must draw a distinct key and
+// distinct IVs.
+func TestRefreshContextsKeysOnlyInFilenode(t *testing.T) {
+	const n = 8
+	f := NewFilenode(uuid.New(), uuid.Nil, 1024)
+	if err := f.refreshContexts(n); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := f.refreshContexts(n); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("refreshContexts: %.1f allocs/op, want 0", allocs)
+	}
+
+	firstKey := f.ContentKey
+	first := append([]ChunkContext(nil), f.Chunks...)
+	if err := f.refreshContexts(n); err != nil {
+		t.Fatal(err)
+	}
+	if f.ContentKey == firstKey || f.ContentKey == ([BodyKeySize]byte{}) {
+		t.Fatal("update did not draw a fresh content key")
+	}
+	seen := make(map[[ivSize]byte]bool)
+	for i := range f.Chunks {
+		iv := f.Chunks[i].IV
+		if iv == first[i].IV || seen[iv] {
+			t.Fatalf("chunk %d IV repeats across or within updates", i)
+		}
+		seen[iv] = true
 	}
 }
 

@@ -191,8 +191,7 @@ func TestParallelFreshKeysPerUpdate(t *testing.T) {
 // TestParallelPipelineRaceClean hammers independent filenodes from many
 // goroutines while each filenode internally fans out its chunk work;
 // meaningful only under -race, where it proves the pipeline shares no
-// hidden state across instances or workers (including the shared
-// buffer arena the key/IV scratch leases from).
+// hidden state across instances or workers.
 func TestParallelPipelineRaceClean(t *testing.T) {
 	withProcs(t, 8)
 	pt := make([]byte, 256<<10)

@@ -1,10 +1,8 @@
 // Package parallel provides the bounded fan-out primitive behind the
-// chunk-crypto pipeline (DESIGN.md §10) and the pooled chunk-buffer
-// arena behind the zero-copy data path (DESIGN.md §14). It is
-// deliberately tiny: a worker-count resolver, a contiguous-range
-// splitter, and a size-classed buffer pool, so hot paths can scale
-// across cores without each call site reinventing pool plumbing or
-// error collection.
+// chunk-crypto pipeline (DESIGN.md §10). It is deliberately tiny: a
+// worker-count resolver and a contiguous-range splitter, so hot paths
+// can scale across cores without each call site reinventing error
+// collection.
 package parallel
 
 import (

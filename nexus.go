@@ -197,10 +197,6 @@ type ClientConfig struct {
 	BucketSize uint32
 	// ChunkSize is the file encryption chunk size (default 1 MiB).
 	ChunkSize uint32
-	// CryptoWorkers bounds the parallel chunk-crypto fan-out on file
-	// reads and writes: 0 uses GOMAXPROCS (serial below a small-file
-	// cutoff), 1 forces the serial path.
-	CryptoWorkers int
 	// TransitionCost simulates per-ecall/ocall crossing latency.
 	TransitionCost time.Duration
 	// PlatformSeed, when set, derives the simulated CPU's fused secrets
@@ -258,13 +254,12 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		store = vfs.NewFreshnessStore(store)
 	}
 	encl, err := enclave.New(enclave.Config{
-		SGX:           container,
-		Store:         store,
-		IAS:           cfg.IAS,
-		BucketSize:    cfg.BucketSize,
-		ChunkSize:     cfg.ChunkSize,
-		CryptoWorkers: cfg.CryptoWorkers,
-		Obs:           cfg.Obs,
+		SGX:        container,
+		Store:      store,
+		IAS:        cfg.IAS,
+		BucketSize: cfg.BucketSize,
+		ChunkSize:  cfg.ChunkSize,
+		Obs:        cfg.Obs,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("nexus: creating enclave: %w", err)
