@@ -57,15 +57,16 @@ chaos:
 	done
 
 # obs mirrors the CI observability job: the registry/tracer suite, the
-# cross-layer span/metric assertions, and the warm-walk crossing counts,
-# prefetch security regressions and batched-ocall fault sweep (DESIGN.md
-# §11.5), all under the race detector. The allocation-free assertions
+# cross-layer span/metric assertions, the store calls and crossings of
+# each op class, the prefetch security regressions, the unlock-as-ocall
+# check and the batched-exit fault sweeps (DESIGN.md §11.5), all under
+# the race detector. The allocation-free assertions
 # live in `make test` (alloc_test.go is build-tagged !race). See
 # DESIGN.md §11.
 obs:
 	$(GO) test -race -count=1 ./internal/obs/
-	$(GO) test -race -count=1 -run 'TestObservability' .
-	$(GO) test -race -count=1 -run 'TestWarmWalk|TestWalkPrefetch|TestRewriteChunkedToInlineFaultSweep' ./internal/enclave/
+	$(GO) test -race -count=1 -run 'TestObservability|TestStoreCallsPerOpClass' .
+	$(GO) test -race -count=1 -run 'TestWarmWalk|TestWalkPrefetch|TestRewriteChunkedToInlineFaultSweep|TestBatchedWriteFaultSweep|TestUnlockIsAnOcall' ./internal/enclave/
 	$(GO) test -race -count=1 -run 'TestTransportFault|TestClientRPCLatency' ./internal/afs/
 
 # bench mirrors the CI perf gate: rerun the fast file-I/O and

@@ -1,0 +1,122 @@
+package enclave_test
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"nexus/internal/enclave"
+	"nexus/internal/metadata"
+	"nexus/internal/vfs"
+)
+
+// TestBatchedWriteFaultSweep kills the store at every store call of each
+// write-path op class whose calls leave the enclave in batches (DESIGN.md
+// §11.5) — an overwrite, a create and an append, each one SaveFile ecall,
+// and a remove with the drain after it — so that kill points land inside
+// every exit, between one call and the next. Each failure is
+// ErrStoreUnavailable. Whatever the store holds then, a restarted client
+// reads the old state or the new, never an integrity error — with one
+// exception the batching does not touch: a file's chunks are re-encrypted
+// into its data object in place (§VI-A), so a kill between the data
+// object's put and the filenode's leaves a filenode that fails
+// authentication against the new chunks, which is detected, never read.
+// Once the store is back the writer's retry of the failed call converges
+// on the new state.
+func TestBatchedWriteFaultSweep(t *testing.T) {
+	old, next := bytes.Repeat([]byte("o"), 4<<10), bytes.Repeat([]byte("n"), 4<<10)
+	appended := append(bytes.Clone(old), "tail"...)
+	classes := []struct {
+		name string
+		path string
+		want []byte // nil: the entry is gone
+		was  []byte // nil: there was none
+		op   func(e *enclave.Enclave) error
+		// inPlace marks a rewrite of the data object the filenode names.
+		inPlace bool
+	}{
+		{"overwrite", "/a/f", next, old, func(e *enclave.Enclave) error { return e.SaveFile("/a/f", next, true) }, true},
+		{"create", "/a/new", next, nil, func(e *enclave.Enclave) error { return e.SaveFile("/a/new", next, true) }, false},
+		{"append", "/a/f", appended, old, func(e *enclave.Enclave) error { return e.SaveFile("/a/f", appended, false) }, true},
+		{"remove and drain", "/a/f", nil, old, func(e *enclave.Enclave) error {
+			if err := e.Remove("/a/f"); err != nil && !errors.Is(err, enclave.ErrNotFound) {
+				return err
+			}
+			return e.SyncMetadata()
+		}, false},
+	}
+	for _, c := range classes {
+		t.Run(c.name, func(t *testing.T) {
+			// reads reports what a client sees at the class's path.
+			reads := func(t *testing.T, e *enclave.Enclave, when string) []byte {
+				t.Helper()
+				got, err := e.ReadFile(c.path)
+				if errors.Is(err, enclave.ErrNotFound) {
+					return nil
+				}
+				if c.inPlace && when == "after the fault" && errors.Is(err, metadata.ErrTampered) && !errors.Is(err, enclave.ErrStaleMetadata) {
+					return c.was // chunks rewritten under the old filenode
+				}
+				if err != nil {
+					t.Fatalf("%s: reading %s: %v", when, c.path, err)
+				}
+				return got
+			}
+			for k := 0; ; k++ {
+				v, _, _ := newCommitVolume(t)
+				container, err := v.plat.CreateEnclave(rollbackImage)
+				if err != nil {
+					t.Fatal(err)
+				}
+				store := &dyingStore{FreshnessProofStore: vfs.NewFreshnessStore(v.shared), dieAt: -1}
+				e, err := enclave.New(enclave.Config{SGX: container, Store: store, IAS: v.ias})
+				if err != nil {
+					t.Fatal(err)
+				}
+				v.mount(t, e)
+				if err := e.Mkdir("/a"); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.SaveFile("/a/f", old, true); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.ReadFile(c.path); err != nil && !errors.Is(err, enclave.ErrNotFound) {
+					t.Fatal(err) // warms every cache on the path
+				}
+
+				store.arm(k)
+				opErr := c.op(e)
+				store.disarm()
+				if opErr == nil {
+					if k == 0 {
+						t.Fatal("a store dead from the first call did not fail the op")
+					}
+					fresh, _ := v.client(t)
+					if got := reads(t, fresh, "untouched run"); !bytes.Equal(got, c.want) {
+						t.Fatalf("the op with a live store left %q", got)
+					}
+					t.Logf("swept a store dying at each of %d store calls", k)
+					return
+				}
+				if !errors.Is(opErr, enclave.ErrStoreUnavailable) {
+					t.Fatalf("k=%d: failed with %v, want ErrStoreUnavailable", k, opErr)
+				}
+				fresh, _ := v.client(t)
+				if got := reads(t, fresh, "after the fault"); !bytes.Equal(got, c.was) && !bytes.Equal(got, c.want) {
+					t.Fatalf("k=%d: a restarted client reads %d bytes, neither the old state nor the new", k, len(got))
+				}
+				if err := c.op(e); err != nil {
+					t.Fatalf("k=%d: retry once the store is back: %v", k, err)
+				}
+				for _, who := range []*enclave.Enclave{e, fresh} {
+					if got := reads(t, who, "after the retry"); !bytes.Equal(got, c.want) {
+						t.Fatalf("k=%d: after the retry a client reads %d bytes, want the new state", k, len(got))
+					}
+				}
+				if k > 100 {
+					t.Fatal("fault sweep did not terminate")
+				}
+			}
+		})
+	}
+}

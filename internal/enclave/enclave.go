@@ -230,16 +230,16 @@ type Enclave struct {
 	// load, which therefore still has to happen.
 	mkResumed bool
 
-	// wb is the write-back dirty set; freshSink, when non-nil, absorbs
-	// freshness updates during a batch so the root advances once per
-	// commit instead of once per object. Both are guarded by mu.
-	wb        *dirtySet
-	freshSink map[uuid.UUID]uint64
+	// wb is the write-back dirty set; batching is set while a commit or a
+	// drain collects the freshness records of what it flushes, so the root
+	// advances once per commit. Both are guarded by mu.
+	wb       *dirtySet
+	batching bool
 
-	// walkStash holds the reads a warm walk fetched in one ocall, in walk
-	// order, until fetchObject consumes them; the ecall that made them
-	// drops the rest (prefetchWalkLocked). Guarded by mu.
-	walkStash []walkFetch
+	// queued are the store calls the next exit makes, stash the reads an
+	// exit made ahead of use (exitLocked, DESIGN.md §11.5). Guarded by mu.
+	queued []*storeCall
+	stash  []*storeCall
 
 	metrics enclaveMetrics
 }
@@ -428,9 +428,10 @@ func (e *Enclave) DropCaches() {
 // persistence. The caller must still authenticate (Mount flow) before
 // using the volume.
 func (e *Enclave) CreateVolume(ownerName string, ownerKey ed25519.PublicKey) (sealedRootKey []byte, err error) {
-	err = e.sgx.Ecall(func() error {
+	err = e.sgx.Ecall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		if e.rootKey != nil {
 			return fmt.Errorf("enclave: a volume is already active")
 		}
@@ -460,7 +461,10 @@ func (e *Enclave) CreateVolume(ownerName string, ownerKey ed25519.PublicKey) (se
 			e.super = nil
 			return fmt.Errorf("writing root dirnode: %w", err)
 		}
-		if err := e.flushSupernodeLocked(); err != nil {
+		if err = e.flushSupernodeLocked(); err == nil {
+			err = e.exitLocked(e.metrics.metaIO) // the root's last put
+		}
+		if err != nil {
 			e.rootKey = nil
 			e.super = nil
 			return fmt.Errorf("writing supernode: %w", err)
@@ -598,9 +602,10 @@ func (e *Enclave) requireAuthLocked() error {
 // AddUser grants a new identity access to the volume. Only the owner may
 // administer the user table; the change is one metadata update.
 func (e *Enclave) AddUser(name string, key ed25519.PublicKey) (userID uint32, err error) {
-	err = e.sgx.Ecall(func() error {
+	err = e.sgx.Ecall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		if err := e.requireAuthLocked(); err != nil {
 			return err
 		}
@@ -636,9 +641,10 @@ func (e *Enclave) AddUser(name string, key ed25519.PublicKey) (userID uint32, er
 // the enclave, this is a single metadata re-encryption: no file data is
 // touched (§VII-E).
 func (e *Enclave) RemoveUser(name string) error {
-	return e.sgx.Ecall(func() error {
+	return e.sgx.Ecall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		if err := e.requireAuthLocked(); err != nil {
 			return err
 		}
@@ -683,7 +689,7 @@ func (e *Enclave) ListUsers() ([]metadata.User, error) {
 // key tree) in one commit: it is re-read under the root lock, so fn
 // applies to the freshest version (§V-A), and put back before the root.
 func (e *Enclave) updateSupernodeLocked(fn func() error) error {
-	return e.commitLocked(func() error {
+	return e.commitLocked(getsAhead([]string{SupernodeObjectName}), func() error {
 		if err := e.loadSupernodeLocked(); err != nil {
 			return err
 		}
@@ -738,12 +744,16 @@ func (e *Enclave) flushSupernodeLocked() error {
 	if err != nil {
 		return fmt.Errorf("sealing supernode: %w", err)
 	}
-	if _, err := e.putObject(e.metrics.metaIO, SupernodeObjectName, blob); err != nil {
-		return fmt.Errorf("uploading supernode: %w", err)
-	}
-	e.superBlob = blob
-	e.noteSeenLocked(e.super.VolumeUUID, e.superVersion)
-	e.metrics.metadataFlushes.Inc()
-	e.metrics.metadataBytes.Add(int64(len(blob)))
-	return e.recordFreshnessLocked(map[uuid.UUID]uint64{e.super.VolumeUUID: e.superVersion})
+	id, version := e.super.VolumeUUID, e.superVersion
+	e.putObject(SupernodeObjectName, blob, map[uuid.UUID]uint64{id: version}, func(c *storeCall) error {
+		if c.err != nil {
+			return fmt.Errorf("uploading supernode: %w", c.err)
+		}
+		e.superBlob = blob
+		e.noteSeenLocked(id, version)
+		e.metrics.metadataFlushes.Inc()
+		e.metrics.metadataBytes.Add(int64(len(blob)))
+		return nil
+	})
+	return e.commitFreshLocked()
 }

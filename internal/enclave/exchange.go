@@ -242,9 +242,10 @@ func (e *Enclave) CreateExchangeOffer(userName string, sign Signer) ([]byte, err
 // for the caller to publish. Only the authenticated owner may grant.
 func (e *Enclave) GrantAccess(offerBytes []byte, userName string, userKey ed25519.PublicKey, sign Signer) ([]byte, error) {
 	var out []byte
-	err := e.sgx.Ecall(func() error {
+	err := e.sgx.Ecall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		remoteKey, err := e.admitOfferLocked(offerBytes, userName, userKey)
 		if err != nil {
 			return err

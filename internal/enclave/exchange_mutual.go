@@ -135,9 +135,10 @@ func (e *Enclave) BeginMutualExchange(userName string, sign Signer) ([]byte, err
 // mutually attested; neither ephemeral key survives the exchange.
 func (e *Enclave) GrantAccessMutual(offerBytes []byte, userName string, userKey ed25519.PublicKey, sign Signer) ([]byte, error) {
 	var out []byte
-	err := e.sgx.Ecall(func() error {
+	err := e.sgx.Ecall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		remoteKey, err := e.admitOfferLocked(offerBytes, userName, userKey)
 		if err != nil {
 			return err

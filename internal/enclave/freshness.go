@@ -2,6 +2,7 @@ package enclave
 
 import (
 	"fmt"
+	"maps"
 
 	"nexus/internal/merkle"
 	"nexus/internal/metadata"
@@ -115,12 +116,13 @@ func decodeMerkleRoot(body []byte) (root [merkle.HashSize]byte, epoch uint64, er
 // proof failed and another client may have advanced the epoch). The
 // epoch ordering is enforced here: once this enclave has seen epoch N,
 // any sealed root below N — or a *different* root at exactly N, the
-// fork signature — is a rollback and fails closed.
-func (e *Enclave) loadMerkleRootLocked(force bool) error {
+// fork signature — is a rollback and fails closed. The reads ahead ride
+// the root's exit.
+func (e *Enclave) loadMerkleRootLocked(force bool, ahead ...*storeCall) error {
 	if e.mkSeen && !e.mkResumed && !force {
 		return nil
 	}
-	blob, _, err := e.fetchObject(e.metrics.metaIO, MerkleRootObjectName)
+	blob, _, err := e.fetchObject(e.metrics.metaIO, MerkleRootObjectName, ahead...)
 	if err != nil {
 		if isNotExist(err) {
 			if e.mkSeen && e.mkEpoch > 0 {
@@ -203,13 +205,17 @@ func (e *Enclave) checkFreshnessLocked(id uuid.UUID, version uint64) error {
 		if err := e.loadMerkleRootLocked(attempt > 0); err != nil {
 			return err
 		}
-		var raw []byte
 		epoch := e.mkEpoch
-		err := e.timedOcall(e.metrics.metaIO, func() error {
-			var err error
-			raw, err = e.proofStore.FreshnessProof(id, epoch)
-			return err
-		})
+		want := storeCall{op: opProof, id: id, version: epoch}
+		c, ok := e.takeStashedLocked(want)
+		if !ok {
+			// An error of a queued call the exit made first is that call's.
+			c = &want
+			if err := e.exitLocked(e.metrics.metaIO, c); c.err == errNotMade {
+				return err
+			}
+		}
+		raw, err := c.blob, c.err
 		var verr error
 		if err == nil {
 			e.metrics.proofs.Inc()
@@ -247,34 +253,39 @@ func (e *Enclave) noteSeenLocked(id uuid.UUID, version uint64) {
 	}
 }
 
-// recordFreshnessLocked records version updates (0 = object deleted).
-// Inside a batch they collect in freshSink and the root advances once at
-// the batch's commit; a stale-low leaf is safe in the interim —
-// checkFreshnessLocked only rejects versions *below* it. A flush outside
-// a batch (a filenode under its own lock, the objects of a new volume)
-// is its own commit.
-func (e *Enclave) recordFreshnessLocked(updates map[uuid.UUID]uint64) error {
-	if e.freshSink != nil {
-		for id, v := range updates {
-			e.freshSink[id] = v
-		}
+// commitFreshLocked commits the freshness records (0 = object deleted) of
+// the puts just queued. Inside a batch they wait for the batch's commit,
+// and the root advances once for all of them; a stale-low leaf is safe in
+// the interim — checkFreshnessLocked only rejects versions *below* it. A
+// flush outside a batch (a filenode under its own lock, the objects of a
+// new volume) is its own commit.
+func (e *Enclave) commitFreshLocked() error {
+	if e.batching || e.proofStore == nil {
 		return nil
 	}
+	return e.commitLocked(nil, func() error { return nil })
+}
+
+// advanceRootLocked commits the collected version updates — wb.fresh and
+// the queued calls' — to the tree and advances the enclave root, inside a
+// commit (the root lock is held and the root re-read). The batch is
+// ordered deterministically, the untrusted store applies it after the
+// queued calls and returns one proof per update, and the enclave folds
+// each verified proof into the next root (merkle.Proof.NewRoot) —
+// O(batch · log n) work against O(1) enclave state. The new root seals at
+// epoch+1; its put is queued, to leave with the unlocks.
+func (e *Enclave) advanceRootLocked() error {
 	if e.proofStore == nil {
 		return nil
 	}
-	return e.commitLocked(func() error { return e.recordFreshnessLocked(updates) })
-}
-
-// advanceRootLocked commits a batch of version updates to the tree and
-// advances the enclave root, inside a commit (the root lock is held and
-// the root re-read). The batch is ordered deterministically, the
-// untrusted store applies it and returns one proof per update, and the
-// enclave folds each verified proof into the next root
-// (merkle.Proof.NewRoot) — O(batch · log n) work against O(1) enclave
-// state. The new root seals at epoch+1.
-func (e *Enclave) advanceRootLocked(updates map[uuid.UUID]uint64) error {
-	if e.proofStore == nil || len(updates) == 0 {
+	updates := maps.Clone(e.wb.fresh)
+	for _, c := range e.queued {
+		if updates == nil {
+			updates = make(map[uuid.UUID]uint64)
+		}
+		maps.Copy(updates, c.fresh)
+	}
+	if len(updates) == 0 {
 		return nil
 	}
 	ids := make([]uuid.UUID, 0, len(updates))
@@ -289,11 +300,10 @@ func (e *Enclave) advanceRootLocked(updates map[uuid.UUID]uint64) error {
 
 	var proofs [][]byte
 	epoch := e.mkEpoch
-	if err := e.timedOcall(e.metrics.metaIO, func() error {
-		var err error
+	if err := e.exitLocked(e.metrics.metaIO, &storeCall{op: opRun, run: func() (err error) {
 		proofs, err = e.proofStore.FreshnessUpdate(epoch, batch)
 		return err
-	}); err != nil {
+	}}); err != nil {
 		return fmt.Errorf("merkle freshness update: %w", err)
 	}
 	if len(proofs) != len(batch) {
@@ -320,16 +330,20 @@ func (e *Enclave) advanceRootLocked(updates map[uuid.UUID]uint64) error {
 	if err != nil {
 		return fmt.Errorf("sealing merkle root: %w", err)
 	}
-	if _, err := e.putObject(e.metrics.metaIO, MerkleRootObjectName, blob); err != nil {
-		// Neither the commitment nor the tree advanced — they are this
-		// one put — unless only the reply was lost; the re-read at the
-		// top of the retried batch tells, and either way the batch
-		// converges on the same root.
-		return fmt.Errorf("uploading merkle root: %w", err)
-	}
-	e.mkRoot, e.mkEpoch, e.mkSeen = root, next, true
-	e.metrics.rootUpdates.Inc()
-	e.metrics.metadataFlushes.Inc()
-	e.metrics.metadataBytes.Add(int64(len(blob)))
+	e.putObject(MerkleRootObjectName, blob, nil, func(c *storeCall) error {
+		if err := c.err; err != nil {
+			// Neither the commitment nor the tree advanced — they are this
+			// one put — unless only the reply was lost; the re-read at the
+			// top of the retried batch tells, and either way the batch
+			// converges on the same root. The updates stay collected.
+			return fmt.Errorf("uploading merkle root: %w", err)
+		}
+		e.mkRoot, e.mkEpoch, e.mkSeen = root, next, true
+		e.wb.fresh = nil
+		e.metrics.rootUpdates.Inc()
+		e.metrics.metadataFlushes.Inc()
+		e.metrics.metadataBytes.Add(int64(len(blob)))
+		return nil
+	})
 	return nil
 }

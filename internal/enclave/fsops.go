@@ -81,9 +81,10 @@ func (e *Enclave) retryTornEcall(fn func() error) error {
 		}
 		// Give the lagging invalidation a moment to land.
 		time.Sleep(time.Duration(attempt+1) * time.Millisecond)
-		if rerr := e.sgx.Ecall(func() error {
+		if rerr := e.sgx.Ecall(func() (err error) {
 			e.mu.Lock()
 			defer e.mu.Unlock()
+			defer e.leaveLocked(&err)
 			n, ok := e.wb.nodes[torn.dir]
 			if !ok || n.dir == nil || n.isNew {
 				return nil
@@ -105,6 +106,13 @@ type walkResult struct {
 // walkDirLocked resolves a directory path from the volume root, applying
 // the Lookup right and parent-UUID validation at each step (§IV-A3).
 func (e *Enclave) walkDirLocked(dirs []string) (walkResult, error) {
+	// A walk nothing was read ahead for reads its predicted objects in one
+	// exit.
+	if len(e.stash) == 0 {
+		if err := e.exitLocked(e.metrics.metaIO, getsAhead(e.predictWalksLocked(dirs))...); err != nil {
+			return walkResult{}, err
+		}
+	}
 	cur, version, err := e.loadDirnode(e.super.RootDir, e.super.VolumeUUID)
 	if err != nil {
 		return walkResult{}, fmt.Errorf("loading root directory: %w", err)
@@ -136,37 +144,10 @@ func (e *Enclave) walkDirLocked(dirs []string) (walkResult, error) {
 // does not hold.
 var errNotResident = errors.New("enclave: bucket not resident")
 
-// prefetchWalkLocked makes, in one ocall, the store reads a walk of dirs
-// will make — and then of leaf, a file reached with leafRight on its
-// directory, when leaf is not empty — so that the walk's revalidations
-// cost no further enclave exits (DESIGN.md §11.5). The reads are the
-// walk's own, in its order; fetchObject hands them out and every check
-// after the fetch is unchanged. The caller drops the stash when its ecall
-// ends (dropWalkStashLocked).
-func (e *Enclave) prefetchWalkLocked(dirs []string, leaf string, leafRight acl.Rights) {
-	names := e.predictWalkLocked(dirs, leaf, leafRight)
-	if len(names) == 0 {
-		return
-	}
-	stash := make([]walkFetch, 0, len(names))
-	if err := e.timedOcall(e.metrics.metaIO, func() error {
-		for _, name := range names {
-			blob, version, err := e.store.GetVersioned(name)
-			stash = append(stash, walkFetch{name: name, blob: blob, version: version, err: classifyStoreError(err)})
-			if err != nil {
-				break // the walk stops at its first failed read
-			}
-		}
-		return nil
-	}); err != nil {
-		return
-	}
-	e.walkStash = stash
-}
-
 // predictWalkLocked names the objects a walk will fetch, judged from the
 // decrypted cache and the dirty set alone: the root dirnode, each
-// directory on the path and the leaf's filenode, less the dirty copies,
+// directory on the path and the leaf's filenode — and, for a read
+// (leafRight includes acl.Read), its data object — less the dirty copies,
 // which shadow the store. It follows only entries in resident buckets of
 // directories whose ACL grants the walk's right, and it ends with the
 // first object the cache does not hold, so it names no object the walk
@@ -203,8 +184,23 @@ func (e *Enclave) predictWalkLocked(dirs []string, leaf string, leafRight acl.Ri
 	if err != nil || entry.Kind != metadata.KindFile {
 		return names
 	}
-	if _, _, dirty := e.dirtyFilenodeLocked(entry.UUID); !dirty {
-		names = append(names, objName(entry.UUID))
+	if _, _, dirty := e.dirtyFilenodeLocked(entry.UUID); dirty {
+		return names
+	}
+	names = append(names, objName(entry.UUID))
+	if c, ok := e.cache.entries[entry.UUID]; ok && leafRight&acl.Read != 0 {
+		if f, ok := c.obj.(*metadata.Filenode); ok && f.HasDataObject() {
+			names = append(names, objName(f.DataUUID))
+		}
+	}
+	return names
+}
+
+// predictWalksLocked names the objects walks of each of dirs will fetch.
+func (e *Enclave) predictWalksLocked(dirs ...[]string) []string {
+	var names []string
+	for _, d := range dirs {
+		names = append(names, e.predictWalkLocked(d, "", 0)...)
 	}
 	return names
 }
@@ -228,9 +224,10 @@ func (e *Enclave) checkACLLocked(d *metadata.Dirnode, want acl.Rights) error {
 
 // createEntry is the shared implementation of Touch, Mkdir and Symlink.
 func (e *Enclave) createEntry(path string, kind metadata.EntryKind, symlinkTarget string) error {
-	return e.retryTornEcall(func() error {
+	return e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		if err := e.requireAuthLocked(); err != nil {
 			return err
 		}
@@ -248,7 +245,10 @@ func (e *Enclave) createEntry(path string, kind metadata.EntryKind, symlinkTarge
 		if err := e.checkACLLocked(w.dir, acl.Insert); err != nil {
 			return err
 		}
-		return e.createEntryWritebackLocked(w, path, name, kind, symlinkTarget)
+		if _, err := e.createEntryWritebackLocked(w, path, name, kind, symlinkTarget); err != nil {
+			return err
+		}
+		return e.maybeDrainLocked()
 	})
 }
 
@@ -274,9 +274,10 @@ func (e *Enclave) Symlink(target, linkPath string) error {
 
 // Remove deletes a file, symlink, or empty directory (nexus_fs_remove).
 func (e *Enclave) Remove(path string) error {
-	return e.retryTornEcall(func() error {
+	return e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		if err := e.requireAuthLocked(); err != nil {
 			return err
 		}
@@ -309,9 +310,10 @@ func isNotExist(err error) bool {
 // (nexus_fs_lookup).
 func (e *Enclave) Lookup(path string) (Stat, error) {
 	var st Stat
-	err := e.retryTornEcall(func() error {
+	err := e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		if err := e.requireAuthLocked(); err != nil {
 			return err
 		}
@@ -319,8 +321,9 @@ func (e *Enclave) Lookup(path string) (Stat, error) {
 		if err != nil {
 			return err
 		}
-		e.prefetchWalkLocked(dirs, name, acl.Lookup)
-		defer e.dropWalkStashLocked()
+		if err := e.exitLocked(e.metrics.metaIO, getsAhead(e.predictWalkLocked(dirs, name, acl.Lookup))...); err != nil {
+			return err
+		}
 		if name == "" {
 			st = Stat{Name: "/", Kind: metadata.KindDir}
 			_, err := e.walkDirLocked(nil)
@@ -360,9 +363,10 @@ func (e *Enclave) Lookup(path string) (Stat, error) {
 // Filldir lists a directory's entries sorted by name (nexus_fs_filldir).
 func (e *Enclave) Filldir(path string) ([]Stat, error) {
 	var out []Stat
-	err := e.retryTornEcall(func() error {
+	err := e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		if err := e.requireAuthLocked(); err != nil {
 			return err
 		}
@@ -373,8 +377,6 @@ func (e *Enclave) Filldir(path string) ([]Stat, error) {
 		if name != "" {
 			dirs = append(dirs, name)
 		}
-		e.prefetchWalkLocked(dirs, "", 0)
-		defer e.dropWalkStashLocked()
 		w, err := e.walkDirLocked(dirs)
 		if err != nil {
 			return err
@@ -406,9 +408,10 @@ func (e *Enclave) Filldir(path string) ([]Stat, error) {
 // Hardlink creates newPath as an additional name for the existing file
 // (nexus_fs_hardlink). Directories cannot be hardlinked.
 func (e *Enclave) Hardlink(existingPath, newPath string) error {
-	return e.retryTornEcall(func() error {
+	return e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		if err := e.requireAuthLocked(); err != nil {
 			return err
 		}
@@ -438,28 +441,28 @@ func (e *Enclave) hardlinkLocked(existingPath, newPath string) error {
 
 	var srcW, dstW walkResult
 	var entry metadata.DirEntry
-	resolve := func() ([]uuid.UUID, error) {
+	resolve := func() ([]uuid.UUID, []string, error) {
 		if srcW, err = e.walkDirLocked(srcDirs); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := e.checkACLLocked(srcW.dir, acl.Lookup); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if dstW, err = e.walkDirLocked(dstDirs); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := e.checkACLLocked(dstW.dir, acl.Insert); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if entry, err = e.lookupEntryLocked(srcW.dir, srcName, existingPath); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if entry.Kind != metadata.KindFile {
-			return nil, fmt.Errorf("%w: %s", ErrNotFile, existingPath)
+			return nil, nil, fmt.Errorf("%w: %s", ErrNotFile, existingPath)
 		}
-		return []uuid.UUID{entry.UUID}, nil
+		return []uuid.UUID{entry.UUID}, []string{objName(entry.UUID)}, nil
 	}
-	return e.commitFilesLocked(resolve, func() error {
+	return e.commitFilesLocked([][]string{srcDirs, dstDirs}, resolve, func() error {
 		f, fv, err := e.loadFilenode(entry.UUID, srcW.dir.UUID)
 		if err != nil {
 			return err
@@ -473,15 +476,9 @@ func (e *Enclave) hardlinkLocked(existingPath, newPath string) error {
 		}
 		f.LinkCount++
 		if err := e.flushFilenodeLocked(f, fv+1); err != nil {
-			e.cache.invalidate(f.UUID)
-			e.cache.invalidate(dstW.dir.UUID)
 			return err
 		}
-		if err := e.flushDirnodeLocked(dstW.dir, dstW.version+1); err != nil {
-			e.cache.invalidate(dstW.dir.UUID)
-			return err
-		}
-		return nil
+		return e.flushDirnodeLocked(dstW.dir, dstW.version+1)
 	})
 }
 
@@ -502,37 +499,35 @@ var errRelock = errors.New("enclave: entry changed while its file lock was taken
 // pair a data object with its filenode (WriteFile), so they stay, under
 // one order rule: an operation takes every filenode lock it needs before
 // the root lock, and never while holding it. resolve walks — unlocked
-// first — and returns, sorted, the filenodes the commit rewrites; their
-// locks are taken, then the root lock, and resolve walks again under it.
-// fn runs if that second walk names the same filenodes; if not, everything
-// is released and the sequence restarts, a bounded number of times.
-func (e *Enclave) commitFilesLocked(resolve func() ([]uuid.UUID, error), fn func() error) error {
+// first — and returns, sorted, the filenodes the commit rewrites and the
+// objects fn loads; the filenode locks are taken, then the root lock, with
+// the second walk's reads and fn's read ahead in its exit, and resolve
+// walks again under it. fn runs if that second walk names the same
+// filenodes; if not, everything is released and the sequence restarts, a
+// bounded number of times. Both walks are those of walks.
+func (e *Enclave) commitFilesLocked(walks [][]string, resolve func() ([]uuid.UUID, []string, error), fn func() error) error {
 	for attempt := 0; ; attempt++ {
-		ids, err := resolve()
+		if err := e.exitLocked(e.metrics.metaIO, getsAhead(e.predictWalksLocked(walks...))...); err != nil {
+			return err
+		}
+		ids, loads, err := resolve()
 		if err != nil {
 			return err
 		}
 		var releases []func()
 		for _, id := range ids {
-			var release func()
-			if release, err = e.lockObject(objName(id)); err != nil {
-				err = fmt.Errorf("locking filenode: %w", err)
-				break
+			releases = append(releases, e.lockObject(objName(id)))
+		}
+		err = e.commitLocked(getsAhead(append(e.predictWalksLocked(walks...), loads...)), func() error {
+			again, _, err := resolve()
+			if err != nil {
+				return err
 			}
-			releases = append(releases, release)
-		}
-		if err == nil {
-			err = e.commitLocked(func() error {
-				again, err := resolve()
-				if err != nil {
-					return err
-				}
-				if !slices.Equal(again, ids) {
-					return errRelock
-				}
-				return fn()
-			})
-		}
+			if !slices.Equal(again, ids) {
+				return errRelock
+			}
+			return fn()
+		})
 		for i := len(releases) - 1; i >= 0; i-- {
 			releases[i]()
 		}
@@ -546,9 +541,10 @@ func (e *Enclave) commitFilesLocked(resolve func() ([]uuid.UUID, error), fn func
 // (nexus_fs_rename). An existing file or symlink at the destination is
 // replaced; an existing directory is an error.
 func (e *Enclave) Rename(oldPath, newPath string) error {
-	return e.retryTornEcall(func() error {
+	return e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		if err := e.requireAuthLocked(); err != nil {
 			return err
 		}
@@ -577,46 +573,59 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 		return fmt.Errorf("enclave: cannot rename the volume root")
 	}
 
+	walks := [][]string{srcDirs}
+	if !slices.Equal(srcDirs, dstDirs) {
+		walks = append(walks, dstDirs)
+	}
 	var srcW, dstW walkResult
 	var entry, existing metadata.DirEntry
-	var sameDir, replaces bool
-	resolve := func() ([]uuid.UUID, error) {
+	var sameDir, replaces, onto bool
+	resolve := func() ([]uuid.UUID, []string, error) {
 		if srcW, err = e.walkDirLocked(srcDirs); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := e.checkACLLocked(srcW.dir, acl.Delete); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if dstW = srcW; !slices.Equal(srcDirs, dstDirs) {
+		if dstW = srcW; len(walks) > 1 {
 			if dstW, err = e.walkDirLocked(dstDirs); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 		}
 		if err := e.checkACLLocked(dstW.dir, acl.Insert); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		sameDir = srcW.dir.UUID == dstW.dir.UUID
 		if entry, err = e.lookupEntryLocked(srcW.dir, srcName, oldPath); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		existing, err = dstW.dir.Lookup(dstName, e.bucketLoaderFor(dstW.dir))
 		if replaces = err == nil; err != nil && !errors.Is(err, metadata.ErrEntryNotFound) {
-			return nil, err
+			return nil, nil, err
 		}
+		onto = replaces && existing.UUID == entry.UUID && sameDir && srcName == dstName
+		// fn loads the child it re-parents and the file it replaces.
 		var ids []uuid.UUID
-		if entry.Kind == metadata.KindFile && !sameDir {
-			ids = append(ids, entry.UUID)
+		var loads []string
+		if !sameDir && entry.Kind != metadata.KindSymlink {
+			loads = append(loads, objName(entry.UUID))
+			if entry.Kind == metadata.KindFile {
+				ids = append(ids, entry.UUID)
+			}
+		}
+		if replaces && existing.Kind == metadata.KindFile && !onto {
+			loads = append(loads, objName(existing.UUID))
 		}
 		if replaces && existing.Kind == metadata.KindFile && !slices.Contains(ids, existing.UUID) {
 			ids = append(ids, existing.UUID)
 		}
 		sortUUIDs(ids)
-		return ids, nil
+		return ids, loads, nil
 	}
-	return e.commitFilesLocked(resolve, func() error {
+	return e.commitFilesLocked(walks, resolve, func() error {
 		// Replace semantics at the destination.
 		if replaces {
-			if existing.UUID == entry.UUID && sameDir && srcName == dstName {
+			if onto {
 				return nil // rename onto itself
 			}
 			switch existing.Kind {
@@ -653,7 +662,6 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 				}
 				child.Parent = dstW.dir.UUID
 				if err := e.flushDirnodeLocked(child, cv+1); err != nil {
-					e.cache.invalidate(child.UUID)
 					return err
 				}
 			case metadata.KindFile:
@@ -665,7 +673,6 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 				if f.LinkCount <= 1 && !f.Parent.IsNil() {
 					f.Parent = dstW.dir.UUID
 					if err := e.flushFilenodeLocked(f, fv+1); err != nil {
-						e.cache.invalidate(f.UUID)
 						return err
 					}
 				}
@@ -673,17 +680,10 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 			}
 		}
 
-		if err := e.flushDirnodeLocked(srcW.dir, srcW.version+1); err != nil {
-			e.cache.invalidate(srcW.dir.UUID)
+		if err := e.flushDirnodeLocked(srcW.dir, srcW.version+1); err != nil || sameDir {
 			return err
 		}
-		if !sameDir {
-			if err := e.flushDirnodeLocked(dstW.dir, dstW.version+1); err != nil {
-				e.cache.invalidate(dstW.dir.UUID)
-				return err
-			}
-		}
-		return nil
+		return e.flushDirnodeLocked(dstW.dir, dstW.version+1)
 	})
 }
 
@@ -701,13 +701,9 @@ func (e *Enclave) removeFileEntryLocked(dir *metadata.Dirnode, entry metadata.Di
 		return e.flushFilenodeLocked(f, fv+1)
 	}
 	if f.HasDataObject() {
-		if err := e.deleteObject(objName(f.DataUUID)); err != nil && !isNotExist(err) {
-			return err
-		}
+		e.deleteObject(objName(f.DataUUID), nil, nil)
 	}
-	if err := e.deleteObject(objName(entry.UUID)); err != nil {
-		return err
-	}
+	e.deleteObject(objName(entry.UUID), nil, nil)
 	e.cache.invalidate(entry.UUID)
 	return nil
 }
@@ -720,10 +716,10 @@ func (e *Enclave) removeFileEntryLocked(dir *metadata.Dirnode, entry metadata.Di
 const streamPutCutoff = 4 << 20
 
 // encryptAndPutLocked seals data under f's freshly rotated contexts and
-// uploads the sealed blob to f's data object. On stream-capable stores,
-// writes at or above the streaming cutoff overlap chunk sealing with the
-// upload.
-func (e *Enclave) encryptAndPutLocked(f *metadata.Filenode, data []byte) error {
+// uploads the sealed blob to f's data object, or queues the upload. On
+// stream-capable stores, writes at or above the streaming cutoff overlap
+// chunk sealing with the upload.
+func (e *Enclave) encryptAndPutLocked(f *metadata.Filenode, data []byte, queued bool) error {
 	name := objName(f.DataUUID)
 	sealedLen := f.SealedSize(len(data))
 	sealed := make([]byte, sealedLen)
@@ -742,11 +738,17 @@ func (e *Enclave) encryptAndPutLocked(f *metadata.Filenode, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := e.putObject(e.metrics.dataIO, name, blob); err != nil {
-		return fmt.Errorf("uploading data object: %w", err)
+	e.putObject(name, blob, nil, func(c *storeCall) error {
+		if c.err != nil {
+			return fmt.Errorf("uploading data object: %w", c.err)
+		}
+		e.metrics.dataBytes.Add(int64(len(blob)))
+		return nil
+	})
+	if queued {
+		return nil
 	}
-	e.metrics.dataBytes.Add(int64(len(blob)))
-	return nil
+	return e.exitLocked(e.metrics.dataIO)
 }
 
 // streamPutLocked runs the encrypt-while-upload pipeline: workers seal
@@ -810,9 +812,9 @@ func (e *Enclave) timedChunkCrypto(plainLen int, fn func() ([]byte, error)) ([]b
 
 // writeContentLocked returns a copy of f holding data: inline when it
 // fits, else re-encrypted chunk by chunk under fresh keys into the data
-// object, which it uploads. f itself is left as it was, so a failed upload
-// changes nothing the next flush could seal.
-func (e *Enclave) writeContentLocked(f *metadata.Filenode, data []byte) (*metadata.Filenode, error) {
+// object, which it uploads or, when queued, queues. f itself is left as it
+// was, so a failed upload changes nothing the next flush could seal.
+func (e *Enclave) writeContentLocked(f *metadata.Filenode, data []byte, queued bool) (*metadata.Filenode, error) {
 	next := f.Clone()
 	if len(data) <= metadata.MaxInlineSize {
 		next.SetInline(data)
@@ -823,7 +825,7 @@ func (e *Enclave) writeContentLocked(f *metadata.Filenode, data []byte) (*metada
 		// before it went inline must not reach the new one.
 		next.DataUUID = uuid.New()
 	}
-	if err := e.encryptAndPutLocked(next, data); err != nil {
+	if err := e.encryptAndPutLocked(next, data, queued); err != nil {
 		return nil, err
 	}
 	return next, nil
@@ -835,91 +837,113 @@ func (e *Enclave) writeContentLocked(f *metadata.Filenode, data []byte) (*metada
 // re-encrypted with fresh keys. A data object the new content no longer
 // uses is deleted at the next drain.
 func (e *Enclave) WriteFile(path string, data []byte) error {
-	return e.retryTornEcall(func() error {
+	return e.saveFile(path, data, false, false)
+}
+
+// SaveFile is WriteFile and then SyncMetadata in one ecall: the durable
+// write of vfs's FS.WriteFile and File.Sync. With create set a missing
+// file is created first, as Touch creates it; a retry of the ecall after a
+// torn directory finds the entry it created and writes it. The drain runs
+// once the file's lock is released.
+func (e *Enclave) SaveFile(path string, data []byte, create bool) error {
+	return e.saveFile(path, data, create, true)
+}
+
+func (e *Enclave) saveFile(path string, data []byte, create, sync bool) error {
+	return e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		if err := e.requireAuthLocked(); err != nil {
+		defer e.leaveLocked(&err)
+		if err := e.writeFileLocked(path, data, create); err != nil {
 			return err
 		}
-		dirs, name, err := splitPath(path)
-		if err != nil {
-			return err
-		}
-		if name == "" {
-			return fmt.Errorf("%w: %s", ErrNotFile, path)
-		}
-		w, err := e.walkDirLocked(dirs)
-		if err != nil {
-			return err
-		}
-		if err := e.checkACLLocked(w.dir, acl.Write); err != nil {
-			return err
-		}
-		entry, err := w.dir.Lookup(name, e.bucketLoaderFor(w.dir))
-		if err != nil {
-			if errors.Is(err, metadata.ErrEntryNotFound) {
-				return fmt.Errorf("%w: %s", ErrNotFound, path)
-			}
-			return err
-		}
-		if entry.Kind != metadata.KindFile {
-			return fmt.Errorf("%w: %s", ErrNotFile, path)
-		}
-
-		// A write to a still-pending created file replaces the in-memory
-		// filenode and uploads at most the data object; the filenode rides
-		// out with the next batch drain. No store lock: the object does not
-		// exist on the store yet, so no other client can race on it. Writes
-		// to on-store files stay fully eager — their filenode seals carry
-		// freshly rotated keys that must not sit deferred in enclave memory.
-		if n, ok := e.wb.nodes[entry.UUID]; ok && n.file != nil {
-			next, err := e.writeContentLocked(n.file, data)
-			if err != nil {
-				return err
-			}
-			if n.file.HasDataObject() && !next.HasDataObject() {
-				e.stageDeleteLocked(n.file.DataUUID, false)
-			}
-			e.setDirtyFilenodeLocked(n, next)
-			return e.maybeDrainLocked()
-		}
-
-		release, err := e.lockObject(objName(entry.UUID))
-		if err != nil {
-			return fmt.Errorf("locking filenode: %w", err)
-		}
-		defer release()
-
-		f, fv, err := e.loadFilenode(entry.UUID, w.dir.UUID)
-		if err != nil {
-			return err
-		}
-		next, err := e.writeContentLocked(f, data)
-		if err != nil {
-			return err
-		}
-		if err := e.putFilenodeLocked(next, fv+1); err != nil {
-			e.cache.invalidate(f.UUID)
-			return err
-		}
-		// Only now does no filenode on the store name the old data object.
-		if f.HasDataObject() && !next.HasDataObject() {
-			e.stageDeleteLocked(f.DataUUID, false)
-		}
-		if err := e.recordFreshnessLocked(map[uuid.UUID]uint64{f.UUID: fv + 1}); err != nil {
-			return err
+		if sync {
+			return e.drainWithRetryLocked()
 		}
 		return e.maybeDrainLocked()
 	})
+}
+
+// writeFileLocked is the body of WriteFile and SaveFile.
+func (e *Enclave) writeFileLocked(path string, data []byte, create bool) error {
+	if err := e.requireAuthLocked(); err != nil {
+		return err
+	}
+	dirs, name, err := splitPath(path)
+	if err != nil {
+		return err
+	}
+	if name == "" {
+		return fmt.Errorf("%w: %s", ErrNotFile, path)
+	}
+	w, err := e.walkDirLocked(dirs)
+	if err != nil {
+		return err
+	}
+	if err := e.checkACLLocked(w.dir, acl.Write); err != nil {
+		return err
+	}
+	entry, err := w.dir.Lookup(name, e.bucketLoaderFor(w.dir))
+	if errors.Is(err, metadata.ErrEntryNotFound) && create {
+		if err = e.checkACLLocked(w.dir, acl.Insert); err == nil {
+			entry, err = e.createEntryWritebackLocked(w, path, name, metadata.KindFile, "")
+		}
+	}
+	if err != nil {
+		if errors.Is(err, metadata.ErrEntryNotFound) {
+			return fmt.Errorf("%w: %s", ErrNotFound, path)
+		}
+		return err
+	}
+	if entry.Kind != metadata.KindFile {
+		return fmt.Errorf("%w: %s", ErrNotFile, path)
+	}
+
+	// A write to a still-pending created file replaces the in-memory
+	// filenode and uploads at most the data object; the filenode rides
+	// out with the next batch drain. No store lock: the object does not
+	// exist on the store yet, so no other client can race on it. Writes
+	// to on-store files stay fully eager — their filenode seals carry
+	// freshly rotated keys that must not sit deferred in enclave memory.
+	if n, ok := e.wb.nodes[entry.UUID]; ok && n.file != nil {
+		next, err := e.writeContentLocked(n.file, data, false)
+		if err != nil {
+			return err
+		}
+		if n.file.HasDataObject() && !next.HasDataObject() {
+			e.stageDeleteLocked(n.file.DataUUID, false)
+		}
+		e.setDirtyFilenodeLocked(n, next)
+		return nil
+	}
+
+	defer e.lockObject(objName(entry.UUID))()
+	f, fv, err := e.loadFilenode(entry.UUID, w.dir.UUID)
+	if err != nil {
+		return err
+	}
+	next, err := e.writeContentLocked(f, data, true) // rides the commit's first exit
+	if err != nil {
+		return err
+	}
+	if err := e.putFilenodeLocked(next, fv+1); err != nil {
+		return err
+	}
+	// The old data object is unnamed only once the filenode is up.
+	if f.HasDataObject() && !next.HasDataObject() {
+		e.onSuccessLocked(func() { e.stageDeleteLocked(f.DataUUID, false) })
+	}
+	return e.commitFreshLocked()
 }
 
 // ReadFile returns a file's decrypted contents (nexus_fs_decrypt) after
 // the Read ACL check.
 func (e *Enclave) ReadFile(path string) ([]byte, error) {
 	var out []byte
-	err := e.retryTornEcall(func() error {
+	err := e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		if err := e.requireAuthLocked(); err != nil {
 			return err
 		}
@@ -930,8 +954,9 @@ func (e *Enclave) ReadFile(path string) ([]byte, error) {
 		if name == "" {
 			return fmt.Errorf("%w: %s", ErrNotFile, path)
 		}
-		e.prefetchWalkLocked(dirs, name, acl.Read)
-		defer e.dropWalkStashLocked()
+		if err := e.exitLocked(e.metrics.metaIO, getsAhead(e.predictWalkLocked(dirs, name, acl.Read))...); err != nil {
+			return err
+		}
 		w, err := e.walkDirLocked(dirs)
 		if err != nil {
 			return err
@@ -977,9 +1002,10 @@ func (e *Enclave) ReadFile(path string) ([]byte, error) {
 // directory may change its ACL; the update re-encrypts one metadata
 // object, which is the paper's entire revocation cost (§VII-E).
 func (e *Enclave) SetACL(dirPath, userName string, rights acl.Rights) error {
-	return e.retryTornEcall(func() error {
+	return e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		return e.setACLEntryLocked(dirPath, rights, func() (uint32, error) {
 			target, err := e.super.FindUserByName(userName)
 			return target.ID, err
@@ -1008,7 +1034,7 @@ func (e *Enclave) setACLEntryLocked(dirPath string, rights acl.Rights, subject f
 	if base != "" {
 		dirs = append(dirs, base)
 	}
-	return e.commitLocked(func() error {
+	return e.commitLocked(getsAhead(e.predictWalksLocked(dirs)), func() error {
 		w, err := e.walkDirLocked(dirs)
 		if err != nil {
 			return err
@@ -1023,20 +1049,17 @@ func (e *Enclave) setACLEntryLocked(dirPath string, rights acl.Rights, subject f
 			return err
 		}
 		w.dir.ACL.Set(key, rights)
-		if err := e.flushDirnodeLocked(w.dir, w.version+1); err != nil {
-			e.cache.invalidate(w.dir.UUID)
-			return err
-		}
-		return nil
+		return e.flushDirnodeLocked(w.dir, w.version+1)
 	})
 }
 
 // GetACL returns a directory's ACL entries resolved to usernames.
 func (e *Enclave) GetACL(dirPath string) (map[string]acl.Rights, error) {
 	out := make(map[string]acl.Rights)
-	err := e.retryTornEcall(func() error {
+	err := e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		if err := e.requireAuthLocked(); err != nil {
 			return err
 		}

@@ -156,9 +156,10 @@ func (e *Enclave) UserGroup(userName string) (leaf uint32, err error) {
 // rewrite. Authorization and cost are SetACL's: owner or Administer,
 // one directory re-seal.
 func (e *Enclave) SetGroupACL(dirPath string, leaf uint32, rights acl.Rights) error {
-	return e.retryTornEcall(func() error {
+	return e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		return e.setACLEntryLocked(dirPath, rights, func() (uint32, error) {
 			tree := e.groupTreeLocked()
 			if tree == nil {

@@ -248,7 +248,9 @@ func TestLegacyVolumeWithoutTreeMounts(t *testing.T) {
 	// tree encodes as no trailing extension.
 	legacy.mu.Lock()
 	legacy.super.GroupTree = nil
-	err = legacy.flushSupernodeLocked()
+	if err = legacy.flushSupernodeLocked(); err == nil {
+		err = legacy.exitLocked(legacy.metrics.metaIO)
+	}
 	legacy.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)

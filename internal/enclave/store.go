@@ -2,7 +2,10 @@ package enclave
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"nexus/internal/backend"
@@ -109,76 +112,210 @@ func classifyStoreError(err error) error {
 	return err
 }
 
-// walkFetch is one store read a warm walk made ahead of use
-// (prefetchWalkLocked): the object's name and what GetVersioned returned.
-type walkFetch struct {
+// storeOp is what a storeCall asks of the store.
+type storeOp uint8
+
+const (
+	opGet    storeOp = iota // name → blob, version
+	opPut                   // name, blob → version
+	opDelete                // name; an object already gone counts as removed
+	opLock                  // name → unlock
+	opUnlock                // lock.unlock; made even after an earlier call failed
+	opProof                 // the freshness proof of id at epoch version → blob
+	opRun                   // run
+)
+
+// storeCall is one store call of an enclave exit (exitLocked): arguments,
+// results, and done, which takes them back inside — or, for a read made
+// ahead of use, the stash. fresh are the freshness records a metadata put
+// or delete makes true once it succeeds.
+type storeCall struct {
+	op      storeOp
 	name    string
+	id      uuid.UUID
 	blob    []byte
 	version uint64
 	err     error
+	ahead   bool
+	lock    *storeCall
+	unlock  func()
+	run     func() error
+	done    func(c *storeCall) error
+	fresh   map[uuid.UUID]uint64
 }
 
-// dropWalkStashLocked discards the prefetched reads no walk consumed.
-func (e *Enclave) dropWalkStashLocked() {
-	e.metrics.prefetchDiscarded.Add(int64(len(e.walkStash)))
-	e.walkStash = nil
+// errNotMade is the result of a call made after a failed one in its exit.
+var errNotMade = errors.New("enclave: store call not made: an earlier call failed")
+
+// exitLocked leaves the enclave once (DESIGN.md §11.5): one ocall, charged
+// to m, makes the queued calls and then calls, in order, until one fails
+// (unlocks are made whatever failed). Back inside, each done takes its
+// call's result in order — nil, its own error or errNotMade — and the
+// first error a call returns, through its done if it has one, is returned.
+func (e *Enclave) exitLocked(m ocallMeter, calls ...*storeCall) error {
+	batch := append(e.queued, calls...)
+	e.queued = nil
+	if len(batch) == 0 {
+		return nil
+	}
+	makeCalls := func() error {
+		failed := false
+		for _, c := range batch {
+			if failed && c.op != opUnlock {
+				c.err = errNotMade
+				continue
+			}
+			switch c.op {
+			case opGet:
+				c.blob, c.version, c.err = e.store.GetVersioned(c.name)
+			case opPut:
+				c.version, c.err = e.store.PutVersioned(c.name, c.blob)
+			case opDelete:
+				if c.err = e.store.Delete(c.name); isNotExist(c.err) {
+					c.err = nil
+				}
+			case opLock:
+				c.unlock, c.err = e.store.Lock(c.name)
+			case opUnlock:
+				if c.lock.unlock != nil {
+					c.lock.unlock()
+				}
+			case opProof:
+				c.blob, c.err = e.proofStore.FreshnessProof(c.id, c.version)
+			case opRun:
+				c.err = c.run()
+			}
+			c.err = classifyStoreError(c.err)
+			failed = failed || c.err != nil
+		}
+		return nil
+	}
+	if err := e.timedOcall(m, makeCalls); err != nil {
+		for _, c := range batch {
+			c.err = err // the enclave could not leave
+		}
+	}
+	var first error
+	for _, c := range batch {
+		err := c.err
+		if err == nil && len(c.fresh) > 0 && e.proofStore != nil {
+			if e.wb.fresh == nil {
+				e.wb.fresh = make(map[uuid.UUID]uint64)
+			}
+			maps.Copy(e.wb.fresh, c.fresh)
+		}
+		switch {
+		case c.ahead:
+			if err != errNotMade {
+				e.stash = append(e.stash, c)
+			}
+			err = nil
+		case c.done != nil:
+			err = c.done(c)
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// onSuccessLocked runs fn once every call queued so far has been made
+// successfully, and never if one fails: it queues a call that calls nothing.
+func (e *Enclave) onSuccessLocked(fn func()) {
+	e.queued = append(e.queued, &storeCall{op: opRun, run: func() error { return nil }, done: func(c *storeCall) error {
+		if c.err == nil {
+			fn()
+		}
+		return nil
+	}})
+}
+
+// getsAhead reads the named objects ahead of the reads that take them.
+func getsAhead(names []string) []*storeCall {
+	calls := make([]*storeCall, len(names))
+	for i, name := range names {
+		calls[i] = &storeCall{op: opGet, name: name, ahead: true}
+	}
+	return calls
+}
+
+// takeStashedLocked hands out the result of the read want stands for,
+// when a read made ahead holds it (a proof's version is its epoch).
+func (e *Enclave) takeStashedLocked(want storeCall) (*storeCall, bool) {
+	for i, c := range e.stash {
+		if c.op == want.op && c.name == want.name && c.id == want.id && (c.op != opProof || c.version == want.version) {
+			e.stash = slices.Delete(e.stash, i, i+1)
+			e.metrics.prefetchUsed.Inc()
+			return c, true
+		}
+	}
+	return nil, false
+}
+
+// dropStashedLocked discards the stashed reads of the named object, or
+// every one when name is empty.
+func (e *Enclave) dropStashedLocked(name string) {
+	n := len(e.stash)
+	e.stash = slices.DeleteFunc(e.stash, func(c *storeCall) bool { return name == "" || c.name == name })
+	e.metrics.prefetchDiscarded.Add(int64(n - len(e.stash)))
 }
 
 // fetchObject retrieves raw object bytes through the ocall surface,
 // charging the time to m: metaIO for metadata objects, dataIO for
-// encrypted file contents. A read the current walk prefetched is served
-// from the stash when it is the next one predicted; any other read means
-// the walk left the prediction, and the rest of the stash is discarded.
-func (e *Enclave) fetchObject(m ocallMeter, name string) ([]byte, uint64, error) {
-	if len(e.walkStash) > 0 {
-		if s := e.walkStash[0]; s.name == name {
-			e.walkStash = e.walkStash[1:]
-			e.metrics.prefetchUsed.Inc()
-			return s.blob, s.version, s.err
+// encrypted file contents. A read made ahead in this ecall is served from
+// the stash; any other makes an exit, with the reads ahead after it.
+func (e *Enclave) fetchObject(m ocallMeter, name string, ahead ...*storeCall) ([]byte, uint64, error) {
+	if c, ok := e.takeStashedLocked(storeCall{op: opGet, name: name}); ok {
+		return c.blob, c.version, c.err
+	}
+	get := &storeCall{op: opGet, name: name}
+	err := e.exitLocked(m, append([]*storeCall{get}, ahead...)...)
+	return get.blob, get.version, err
+}
+
+// putObject queues an upload of raw object bytes; done, when set, takes
+// the store's version (c.version) or the failure (c.err) once it is made.
+func (e *Enclave) putObject(name string, data []byte, fresh map[uuid.UUID]uint64, done func(c *storeCall) error) {
+	e.dropStashedLocked(name)
+	e.queued = append(e.queued, &storeCall{op: opPut, name: name, blob: data, fresh: fresh, done: done})
+}
+
+// deleteObject queues the removal of an object.
+func (e *Enclave) deleteObject(name string, fresh map[uuid.UUID]uint64, done func(c *storeCall) error) {
+	e.dropStashedLocked(name)
+	e.queued = append(e.queued, &storeCall{op: opDelete, name: name, fresh: fresh, done: done})
+}
+
+// lockObject queues the store's advisory lock on an object. Reads made
+// under a lock must follow it, so nothing read ahead before it survives.
+// The release it returns, to be called once, queues the unlock: a store
+// call like any other, made outside the enclave.
+func (e *Enclave) lockObject(name string) (release func()) {
+	e.dropStashedLocked("")
+	lock := &storeCall{op: opLock, name: name, done: failing("locking")}
+	e.queued = append(e.queued, lock)
+	return func() { e.queued = append(e.queued, &storeCall{op: opUnlock, lock: lock}) }
+}
+
+// failing is a done that names the failed call and its object.
+func failing(what string) func(c *storeCall) error {
+	return func(c *storeCall) error {
+		if c.err != nil {
+			return fmt.Errorf("%s %s: %w", what, c.name, c.err)
 		}
-		e.dropWalkStashLocked()
+		return nil
 	}
-	var data []byte
-	var version uint64
-	err := e.timedOcall(m, func() error {
-		var err error
-		data, version, err = e.store.GetVersioned(name)
-		return err
-	})
-	return data, version, err
 }
 
-// putObject uploads raw object bytes through the ocall surface, charging
-// the time to m.
-func (e *Enclave) putObject(m ocallMeter, name string, data []byte) (uint64, error) {
-	var version uint64
-	err := e.timedOcall(m, func() error {
-		var err error
-		version, err = e.store.PutVersioned(name, data)
-		return err
-	})
-	return version, err
-}
-
-// deleteObject removes an object through the ocall surface.
-func (e *Enclave) deleteObject(name string) error {
-	return e.timedOcall(e.metrics.metaIO, func() error { return e.store.Delete(name) })
-}
-
-// lockObject acquires the store's advisory lock on an object. Reads made
-// under a lock must follow it, so nothing prefetched before it survives.
-func (e *Enclave) lockObject(name string) (func(), error) {
-	e.dropWalkStashLocked()
-	var release func()
-	err := e.timedOcall(e.metrics.metaIO, func() error {
-		var err error
-		release, err = e.store.Lock(name)
-		return err
-	})
-	if err != nil {
-		return nil, err
+// leaveLocked ends an ecall body: the calls it left queued — unlocks, the
+// root put that ends its last commit — leave in a last exit, whose failure
+// is the ecall's if it had none, and unused reads made ahead are dropped.
+func (e *Enclave) leaveLocked(err *error) {
+	if ferr := e.exitLocked(e.metrics.metaIO); *err == nil {
+		*err = ferr
 	}
-	return release, nil
+	e.dropStashedLocked("")
 }
 
 // loadDirnode returns the directory at id, from the decrypted cache when
@@ -395,47 +532,47 @@ func (e *Enclave) flushDirnodeLocked(d *metadata.Dirnode, version uint64) error 
 	// Phase 2: delete the retired names left unclaimed. Deletion is
 	// idempotent (missing objects are tolerated), so a failure later in
 	// this flush can safely re-run it.
+	freshUpdates := map[uuid.UUID]uint64{d.UUID: version}
 	for _, old := range free {
-		if err := e.deleteObject(objName(old)); err != nil && !isNotExist(err) {
-			return fmt.Errorf("deleting retired bucket %s: %w", old, err)
-		}
+		freshUpdates[old] = 0
+		e.deleteObject(objName(old), nil, failing("deleting retired bucket"))
 	}
 
 	// Phase 3: upload buckets first, the main object last.
 	for _, pl := range plans {
-		if _, err := e.putObject(e.metrics.metaIO, objName(pl.newUUID), pl.blob); err != nil {
-			return fmt.Errorf("uploading bucket %s: %w", pl.newUUID, err)
-		}
-	}
-	storeVersion, err := e.putObject(e.metrics.metaIO, objName(d.UUID), mainBlob)
-	if err != nil {
-		return fmt.Errorf("uploading dirnode %s: %w", d.UUID, err)
-	}
-
-	// Phase 4: commit. Every upload succeeded; apply the staged state.
-	freshUpdates := map[uuid.UUID]uint64{d.UUID: version}
-	for _, old := range free {
-		freshUpdates[old] = 0
-		delete(e.freshness, old)
-	}
-	for _, pl := range plans {
-		b := d.Buckets[pl.idx]
-		b.UUID = pl.newUUID
-		b.Dirty = false
-		b.OnStore = true
-		e.noteSeenLocked(pl.newUUID, version)
 		freshUpdates[pl.newUUID] = version
-		e.metrics.metadataFlushes.Inc()
-		e.metrics.metadataBytes.Add(int64(len(pl.blob)))
+		e.putObject(objName(pl.newUUID), pl.blob, nil, failing("uploading bucket"))
 	}
-	main := d.Buckets[0]
-	main.UUID, main.Dirty, main.OnStore = uuid.Nil, false, false
-	d.Refs, d.Retired = stagedRefs, stagedRetired
-	e.noteSeenLocked(d.UUID, version)
-	e.metrics.metadataFlushes.Inc()
-	e.metrics.metadataBytes.Add(int64(len(mainBlob)))
-	e.cache.put(d.UUID, storeVersion, version, d, int64(len(body))+256)
-	return e.recordFreshnessLocked(freshUpdates)
+	// Phase 4, once the main object is up: commit. Every upload succeeded;
+	// apply the staged state. Any failure leaves it as it was and drops the
+	// cached copy, which may carry the mutations being flushed.
+	e.putObject(objName(d.UUID), mainBlob, freshUpdates, func(c *storeCall) error {
+		if c.err != nil {
+			e.cache.invalidate(d.UUID)
+			return fmt.Errorf("uploading dirnode %s: %w", d.UUID, c.err)
+		}
+		for _, old := range free {
+			delete(e.freshness, old)
+		}
+		for _, pl := range plans {
+			b := d.Buckets[pl.idx]
+			b.UUID = pl.newUUID
+			b.Dirty = false
+			b.OnStore = true
+			e.noteSeenLocked(pl.newUUID, version)
+			e.metrics.metadataFlushes.Inc()
+			e.metrics.metadataBytes.Add(int64(len(pl.blob)))
+		}
+		main := d.Buckets[0]
+		main.UUID, main.Dirty, main.OnStore = uuid.Nil, false, false
+		d.Refs, d.Retired = stagedRefs, stagedRetired
+		e.noteSeenLocked(d.UUID, version)
+		e.metrics.metadataFlushes.Inc()
+		e.metrics.metadataBytes.Add(int64(len(mainBlob)))
+		e.cache.put(d.UUID, c.version, version, d, int64(len(body))+256)
+		return nil
+	})
+	return e.commitFreshLocked()
 }
 
 // loadFilenode returns the file metadata at id. The parent-UUID check
@@ -486,11 +623,11 @@ func (e *Enclave) flushFilenodeLocked(f *metadata.Filenode, version uint64) erro
 	if err := e.putFilenodeLocked(f, version); err != nil {
 		return err
 	}
-	return e.recordFreshnessLocked(map[uuid.UUID]uint64{f.UUID: version})
+	return e.commitFreshLocked()
 }
 
-// putFilenodeLocked is flushFilenodeLocked up to the freshness record: the
-// filenode is on the store when it returns nil.
+// putFilenodeLocked is flushFilenodeLocked up to the commit: it seals and
+// queues the upload, and a failure of the upload drops the cached copy.
 func (e *Enclave) putFilenodeLocked(f *metadata.Filenode, version uint64) error {
 	blob, err := metadata.Seal(e.rootKey, metadata.Preamble{
 		Type:    metadata.TypeFilenode,
@@ -501,13 +638,16 @@ func (e *Enclave) putFilenodeLocked(f *metadata.Filenode, version uint64) error 
 	if err != nil {
 		return fmt.Errorf("sealing filenode %s: %w", f.UUID, err)
 	}
-	storeVersion, err := e.putObject(e.metrics.metaIO, objName(f.UUID), blob)
-	if err != nil {
-		return fmt.Errorf("uploading filenode %s: %w", f.UUID, err)
-	}
-	e.noteSeenLocked(f.UUID, version)
-	e.metrics.metadataFlushes.Inc()
-	e.metrics.metadataBytes.Add(int64(len(blob)))
-	e.cache.put(f.UUID, storeVersion, version, f, int64(len(blob))+128)
+	e.putObject(objName(f.UUID), blob, map[uuid.UUID]uint64{f.UUID: version}, func(c *storeCall) error {
+		if c.err != nil {
+			e.cache.invalidate(f.UUID)
+			return fmt.Errorf("uploading filenode %s: %w", f.UUID, c.err)
+		}
+		e.noteSeenLocked(f.UUID, version)
+		e.metrics.metadataFlushes.Inc()
+		e.metrics.metadataBytes.Add(int64(len(blob)))
+		e.cache.put(f.UUID, c.version, version, f, int64(len(blob))+128)
+		return nil
+	})
 	return nil
 }

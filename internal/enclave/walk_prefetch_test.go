@@ -136,10 +136,10 @@ func peerEnclave(t *testing.T, env *testEnv, owner identity, sealed []byte, volI
 	return peer
 }
 
-// TestWarmWalkOneOcall: a warm Stat, ReadDir or inline ReadFile is one
-// ecall and one ocall at any depth, a chunked ReadFile one ecall and two
-// ocalls, and the store is asked for exactly the objects the walk
-// verifies, in walk order — the reads one ocall per object made.
+// TestWarmWalkOneOcall: a warm Stat, ReadDir or ReadFile — inline or
+// chunked, whose data object is read with the walk — is one ecall and one
+// ocall at any depth, and the store is asked for exactly the objects the
+// walk verifies, in walk order — the reads one ocall per object made.
 func TestWarmWalkOneOcall(t *testing.T) {
 	env, _, _ := newMountedVolume(t, newIdentity(t, "owen"))
 	e := env.enclave
@@ -196,7 +196,7 @@ func TestWarmWalkOneOcall(t *testing.T) {
 				return err
 			}},
 			{"inline ReadFile", dir + "/small", false, 1, read("small", small)},
-			{"chunked ReadFile", dir + "/big", true, 2, read("big", big)},
+			{"chunked ReadFile", dir + "/big", true, 1, read("big", big)},
 		}
 		for _, c := range cases {
 			if err := c.op(); err != nil { // warms every cache on the path
@@ -242,11 +242,11 @@ func TestWarmWalkOneOcall(t *testing.T) {
 // TestWarmWalkStalePrediction: a peer enclave moves a cached directory
 // deeper — /top/mid becomes /top/other/inner and /top/other takes its
 // name. The prediction, made from the cached /top, names the old /top/mid
-// third; the walk refetches /top, finds another directory under that name
-// and so discards the rest of the stash and fetches object by object from
-// there on: the old /top/mid, met again one level down, is read afresh,
-// not taken from the stash. The walk returns the peer's state, at the
-// cost of exactly one read more than the peer's state needs.
+// third; the walk refetches /top and finds another directory under that
+// name, which it fetches in a second ocall; the old /top/mid, met one
+// level down as inner, is the read made ahead in this ecall, and the walk
+// takes it from the stash. The walk returns the peer's state, reading
+// exactly the objects the peer's state needs.
 func TestWarmWalkStalePrediction(t *testing.T) {
 	owner := newIdentity(t, "owen")
 	env, sealed, volID := newMountedVolume(t, owner)
@@ -280,15 +280,19 @@ func TestWarmWalkStalePrediction(t *testing.T) {
 	if err != nil || len(entries) != 1 || entries[0].Name != "x" {
 		t.Fatalf("Filldir(/top/mid/inner) after the peer's renames = %+v, %v; want the moved directory", entries, err)
 	}
-	want := slices.Insert(storeChain(t, e, env.store, "/top/mid/inner", false), 2, staleMid)
+	chain := storeChain(t, e, env.store, "/top/mid/inner", false)
+	if chain[3] != staleMid {
+		t.Fatalf("the moved directory is %s, want the old /top/mid %s", chain[3], staleMid)
+	}
+	want := []string{chain[0], chain[1], staleMid, chain[2]}
 	if !slices.Equal(got.gets, want) {
-		t.Errorf("reads\n %v\nwant the peer's chain plus the one stale read\n %v", got.gets, want)
+		t.Errorf("reads\n %v\nwant the predicted three, then the directory now named mid\n %v", got.gets, want)
 	}
-	if got.ecalls != 1 || got.ocalls != 3 {
-		t.Errorf("(ecalls, ocalls) = (%d, %d), want (1, 3): the batch, then one per directory", got.ecalls, got.ocalls)
+	if got.ecalls != 1 || got.ocalls != 2 {
+		t.Errorf("(ecalls, ocalls) = (%d, %d), want (1, 2): the batch, then the one directory it missed", got.ecalls, got.ocalls)
 	}
-	if u, d := e.metrics.prefetchUsed.Value()-used, e.metrics.prefetchDiscarded.Value()-discarded; u != 2 || d != 1 {
-		t.Errorf("prefetched reads used %d, discarded %d; want 2 and 1", u, d)
+	if u, d := e.metrics.prefetchUsed.Value()-used, e.metrics.prefetchDiscarded.Value()-discarded; u != 3 || d != 0 {
+		t.Errorf("prefetched reads used %d, discarded %d; want 3 and 0", u, d)
 	}
 }
 
@@ -375,12 +379,14 @@ func TestWalkPrefetchDroppedByLock(t *testing.T) {
 	peer := peerEnclave(t, env, owner, sealed, volID)
 
 	var got []byte
-	err := e.sgx.Ecall(func() error {
+	err := e.sgx.Ecall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		e.prefetchWalkLocked([]string{"d"}, "f", acl.Read)
-		defer e.dropWalkStashLocked()
-		if n := len(e.walkStash); n != 3 {
+		defer e.leaveLocked(&err)
+		if err := e.exitLocked(e.metrics.metaIO, getsAhead(e.predictWalkLocked([]string{"d"}, "f", acl.Read))...); err != nil {
+			return err
+		}
+		if n := len(e.stash); n != 3 {
 			return fmt.Errorf("stashed %d reads, want the root, /d and the filenode", n)
 		}
 		if err := peer.WriteFile("/d/f", []byte("the peer's")); err != nil {
@@ -394,11 +400,7 @@ func TestWalkPrefetchDroppedByLock(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		release, err := e.lockObject(objName(entry.UUID))
-		if err != nil {
-			return err
-		}
-		defer release()
+		defer e.lockObject(objName(entry.UUID))()
 		f, _, err := e.loadFilenode(entry.UUID, w.dir.UUID)
 		if err != nil {
 			return err

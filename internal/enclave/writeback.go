@@ -23,7 +23,7 @@ package enclave
 //   - deferred deletes run after all uploads, so no on-store dirnode
 //     ever references a deleted object;
 //   - the freshness root advances once per batch, absorbing every
-//     per-object update through e.freshSink.
+//     per-object update its puts and deletes carry (sinkLocked).
 //
 // Deferred dirnode mutations also keep a per-node op log (insert/remove
 // by name). New objects are put without any lock; every directory the
@@ -37,6 +37,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -250,8 +251,14 @@ func (e *Enclave) maybeDrainLocked() error {
 	if e.wb.ops < e.wb.maxOps && e.wb.bytes < defaultWritebackMaxBytes && !e.wb.pressure {
 		return nil
 	}
+	// What the operation itself queued is not best-effort: it leaves first.
+	if err := e.exitLocked(e.metrics.metaIO); err != nil {
+		return err
+	}
 	//lint:ignore unchecked-crypto-error high-water drains are best-effort (page-cache semantics); barriers report durability
 	_ = e.drainLocked()
+	//lint:ignore unchecked-crypto-error the drain's last exit, as best-effort as the drain
+	_ = e.exitLocked(e.metrics.metaIO)
 	return nil
 }
 
@@ -271,13 +278,10 @@ func (e *Enclave) drainWithRetryLocked() error {
 }
 
 // sinkLocked runs fn with the freshness updates of every object it
-// flushes collected in wb.fresh, where the next commit finds them.
+// flushes left for the next commit, which collects them in wb.fresh.
 func (e *Enclave) sinkLocked(fn func() error) error {
-	if e.wb.fresh == nil {
-		e.wb.fresh = make(map[uuid.UUID]uint64)
-	}
-	e.freshSink = e.wb.fresh
-	defer func() { e.freshSink = nil }()
+	e.batching = true
+	defer func() { e.batching = false }()
 	return fn()
 }
 
@@ -285,33 +289,27 @@ func (e *Enclave) sinkLocked(fn func() error) error {
 // section every rewrite of a dirnode the store holds, or of the
 // supernode, runs in. It takes the freshness root's store lock — the one
 // lock a commit takes, whose reply revalidates the root — and re-reads
-// the root; fn then re-reads and re-bases what it rewrites and puts it;
-// last, the root advances once for every object flushed since the last
-// commit (wb.fresh), before the single unlock. When fn or the root update
-// fails, the collected updates stay in wb.fresh and the next commit
-// includes them. Commits do not nest. A filenode lock the operation needs
-// is taken before the root lock, never under it (commitFilesLocked).
-func (e *Enclave) commitLocked(fn func() error) error {
-	release, err := e.lockObject(MerkleRootObjectName)
-	if err != nil {
-		return fmt.Errorf("locking merkle root: %w", err)
-	}
+// the root, reading ahead what fn will re-read; fn then re-reads and
+// re-bases what it rewrites and puts it; last, the root advances once for
+// every object flushed since the last commit (wb.fresh), before the single
+// unlock. When fn or the root update fails, the collected updates stay in
+// wb.fresh and the next commit includes them. Commits do not nest. A
+// filenode lock the operation needs is taken before the root lock, never
+// under it (commitFilesLocked).
+func (e *Enclave) commitLocked(ahead []*storeCall, fn func() error) error {
+	release := e.lockObject(MerkleRootObjectName)
 	defer release()
 	if e.proofStore != nil {
 		// Another client may have advanced the epoch since the commitment
 		// was last loaded.
-		if err := e.loadMerkleRootLocked(true); err != nil {
+		if err := e.loadMerkleRootLocked(true, ahead...); err != nil {
 			return err
 		}
 	}
 	if err := e.sinkLocked(fn); err != nil {
 		return err
 	}
-	if err := e.advanceRootLocked(e.wb.fresh); err != nil {
-		return err
-	}
-	e.wb.fresh = nil
-	return nil
+	return e.advanceRootLocked()
 }
 
 // drainLocked flushes the whole dirty set in dependency order: the new
@@ -319,7 +317,9 @@ func (e *Enclave) commitLocked(fn func() error) error {
 // store already holds and the deferred deletes. On failure the
 // un-flushed portion of the set is left intact for retry.
 func (e *Enclave) drainLocked() error {
-	if len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && len(e.wb.fresh) == 0 {
+	// A queued root put commits wb.fresh by itself.
+	rootPut := slices.ContainsFunc(e.queued, func(c *storeCall) bool { return c.op == opPut && c.name == MerkleRootObjectName })
+	if len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && (len(e.wb.fresh) == 0 || rootPut) {
 		return nil
 	}
 	span := e.metrics.tracer.Begin("enclave.flush_batch")
@@ -331,23 +331,39 @@ func (e *Enclave) drainLocked() error {
 	if err := e.sinkLocked(func() error { return e.flushDirtyNodesLocked(true) }); err != nil {
 		return err
 	}
-	return e.commitLocked(func() error {
+	// The dirnodes to re-base and their proofs are read ahead with the
+	// root, at the epoch a queued root put moves it to; a re-read that
+	// finds another epoch asks for proofs again.
+	epoch := e.mkEpoch
+	if rootPut {
+		epoch++
+	}
+	var ahead []*storeCall
+	for _, id := range e.dirtyOrderLocked(false) {
+		ahead = append(ahead, &storeCall{op: opGet, name: objName(id), ahead: true})
+		if e.proofStore != nil {
+			ahead = append(ahead, &storeCall{op: opProof, id: id, version: epoch, ahead: true})
+		}
+	}
+	return e.commitLocked(ahead, func() error {
 		if err := e.flushDirtyNodesLocked(false); err != nil {
 			return err
 		}
 		// Deferred deletes, FIFO, last — nothing on the store references
 		// these objects any more.
-		for len(e.wb.deletes) > 0 {
-			del := e.wb.deletes[0]
-			if err := e.deleteObject(objName(del.id)); err != nil && !isNotExist(err) {
-				return err
-			}
+		for _, del := range e.wb.deletes {
+			var fresh map[uuid.UUID]uint64
 			if del.meta {
-				delete(e.freshness, del.id)
-				e.freshSink[del.id] = 0
+				fresh = map[uuid.UUID]uint64{del.id: 0}
 			}
-			e.wb.deletes = e.wb.deletes[1:]
-			delete(e.wb.delSeen, del.id)
+			e.deleteObject(objName(del.id), fresh, func(c *storeCall) error {
+				if c.err == nil {
+					delete(e.freshness, del.id)
+					e.wb.deletes = e.wb.deletes[1:]
+					delete(e.wb.delSeen, del.id)
+				}
+				return c.err
+			})
 		}
 		e.wb.ops, e.wb.bytes, e.wb.pressure = 0, 0, false
 		e.metrics.flushBatches.Inc()
@@ -364,6 +380,29 @@ func (e *Enclave) drainLocked() error {
 // uploads after the child exists. A directory the store holds is re-based
 // on its on-store copy first; the drain runs that half inside its commit.
 func (e *Enclave) flushDirtyNodesLocked(isNew bool) error {
+	for _, id := range e.dirtyOrderLocked(isNew) {
+		n := e.wb.nodes[id]
+		var err error
+		switch {
+		case n.file != nil:
+			err = e.flushFilenodeLocked(n.file, n.base+1)
+		case !isNew:
+			if err = e.rebaseDirtyDirnodeLocked(id, n); err == nil {
+				err = e.flushDirnodeLocked(n.dir, n.base+1)
+			}
+		default:
+			err = e.flushDirnodeLocked(n.dir, n.base+1)
+		}
+		if err != nil {
+			return err
+		}
+		e.onSuccessLocked(func() { e.dropDirtyNodeLocked(id) })
+	}
+	return nil
+}
+
+// dirtyOrderLocked lists the nodes flushDirtyNodesLocked flushes, in order.
+func (e *Enclave) dirtyOrderLocked(isNew bool) []uuid.UUID {
 	var ids []uuid.UUID
 	depths := make(map[uuid.UUID]int)
 	for id, n := range e.wb.nodes {
@@ -381,25 +420,7 @@ func (e *Enclave) flushDirtyNodesLocked(isNew bool) error {
 		}
 		return bytes.Compare(ids[i][:], ids[j][:]) < 0
 	})
-	for _, id := range ids {
-		n := e.wb.nodes[id]
-		var err error
-		switch {
-		case n.file != nil:
-			err = e.flushFilenodeLocked(n.file, n.base+1)
-		case !isNew:
-			if err = e.rebaseDirtyDirnodeLocked(id, n); err == nil {
-				err = e.flushDirnodeLocked(n.dir, n.base+1)
-			}
-		default:
-			err = e.flushDirnodeLocked(n.dir, n.base+1)
-		}
-		if err != nil {
-			return err
-		}
-		e.dropDirtyNodeLocked(id)
-	}
-	return nil
+	return ids
 }
 
 // dirtyDepthLocked counts dirty ancestors of a dirty dirnode (bounded
@@ -479,7 +500,7 @@ func (e *Enclave) replayDirOpsLocked(d *metadata.Dirnode, ops []dirOp) error {
 // createEntryWritebackLocked is the body of createEntry: the new child
 // and the directory insert are marked dirty instead of flushed, and no
 // store lock is taken (conflicts are merged at drain time).
-func (e *Enclave) createEntryWritebackLocked(w walkResult, path, name string, kind metadata.EntryKind, symlinkTarget string) error {
+func (e *Enclave) createEntryWritebackLocked(w walkResult, path, name string, kind metadata.EntryKind, symlinkTarget string) (metadata.DirEntry, error) {
 	entry := metadata.DirEntry{
 		Name:          name,
 		UUID:          uuid.New(),
@@ -488,9 +509,9 @@ func (e *Enclave) createEntryWritebackLocked(w walkResult, path, name string, ki
 	}
 	if err := w.dir.Insert(entry, e.bucketLoaderFor(w.dir)); err != nil {
 		if errors.Is(err, metadata.ErrEntryExists) {
-			return fmt.Errorf("%w: %s", ErrExists, path)
+			return entry, fmt.Errorf("%w: %s", ErrExists, path)
 		}
-		return err
+		return entry, err
 	}
 	switch kind {
 	case metadata.KindFile:
@@ -501,7 +522,7 @@ func (e *Enclave) createEntryWritebackLocked(w walkResult, path, name string, ki
 		// Symlinks live entirely in the dirnode entry.
 	}
 	e.markDirnodeOpLocked(w.dir, w.version, dirOp{kind: opInsert, entry: entry})
-	return e.maybeDrainLocked()
+	return entry, nil
 }
 
 // removeWritebackLocked is the body of Remove. Object removals are
@@ -556,11 +577,7 @@ func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
 			// The link count races with concurrent WriteFile/Hardlink
 			// from other clients, so the final-unlink decision stays
 			// under the filenode's store lock rather than being deferred.
-			fRelease, err := e.lockObject(objName(entry.UUID))
-			if err != nil {
-				return fmt.Errorf("locking filenode: %w", err)
-			}
-			defer fRelease()
+			defer e.lockObject(objName(entry.UUID))()
 			f, fv, err := e.loadFilenode(entry.UUID, w.dir.UUID)
 			if err != nil {
 				return err
@@ -600,9 +617,10 @@ func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
 // retried here and its error — store fault or integrity violation —
 // reported. Before a volume is active it is a no-op.
 func (e *Enclave) SyncMetadata() error {
-	return e.retryTornEcall(func() error {
+	return e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		if e.rootKey == nil {
 			return nil
 		}

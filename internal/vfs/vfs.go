@@ -312,20 +312,10 @@ func (fs *FS) WriteFile(p string, data []byte) error {
 		fs.metrics.writeLat.Record(time.Since(start))
 		span.End()
 	}()
-	err := fs.e.WriteFile(p, data)
-	if errors.Is(err, enclave.ErrNotFound) {
-		if err := fs.e.Touch(p); err != nil && !errors.Is(err, enclave.ErrExists) {
-			return err
-		}
-		err = fs.e.WriteFile(p, data)
-	}
-	if err != nil {
-		return err
-	}
 	// The path-level one-shot write is a durability point: callers have
 	// no handle to Sync/Close later, so deferred metadata (the create
-	// itself) drains before we report success.
-	return fs.e.SyncMetadata()
+	// itself) drains, in the same ecall, before we report success.
+	return fs.e.SaveFile(p, data, true)
 }
 
 // Sync drains any write-back metadata pending in the enclave to the
@@ -676,18 +666,20 @@ func (f *File) Sync() error {
 	return f.syncLocked()
 }
 
+// syncLocked writes dirty contents and drains, in one ecall. Sync/Close
+// are metadata barriers even when the buffer is clean: the create that
+// backs this handle may still be deferred in the enclave's dirty set. The
+// drain is idempotent and retryable, so Close's stay-open-on-unavailable
+// contract holds.
 func (f *File) syncLocked() error {
-	if f.dirty {
-		if err := f.fs.e.WriteFile(f.path, f.buf); err != nil {
-			return err
-		}
-		f.dirty = false
+	if !f.dirty {
+		return f.fs.e.SyncMetadata()
 	}
-	// Sync/Close are metadata barriers even when the buffer is clean:
-	// the create that backs this handle may still be deferred in the
-	// enclave's dirty set. The drain is idempotent and retryable, so
-	// Close's stay-open-on-unavailable contract holds.
-	return f.fs.e.SyncMetadata()
+	if err := f.fs.e.SaveFile(f.path, f.buf, false); err != nil {
+		return err
+	}
+	f.dirty = false
+	return nil
 }
 
 // Close flushes dirty contents and invalidates the handle. If the flush

@@ -421,28 +421,28 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	// then the root (sealed commitment and tree delta in one object), one
 	// unlock. The lock is followed by no fetch: its reply revalidated the
 	// root, and the directory this client caches is current because a lock
-	// grant is a release-consistency point. Enclave crossings: 4 ecalls —
-	// the write that finds no file, Touch, the write, the drain — and 13
-	// ocalls: 2 + 2 + 1 directory fetches served by the AFS cache (the last
-	// write's directory is its dirty copy), then the drain's filenode put,
-	// root lock, root re-read, directory re-read and its proof, directory
-	// put, freshness batch and root put.
+	// grant is a release-consistency point. Enclave crossings: 1 ecall —
+	// create, write and drain together — and 4 ocalls: the walk's two
+	// directory fetches, served by the AFS cache; the filenode put with the
+	// root lock, the root re-read, the directory re-read and its proof; the
+	// directory put with the freshness batch; the root put with the unlock
+	// (DESIGN.md §11.5).
 	create := []string{
 		"store",
 		"lock", "store", "store", "unlock",
 	}
 	budget("create in an existing directory", "vfs.write", create, func() {
-		transitions("create", [2]int64{4, 13}, func() {
+		transitions("create", [2]int64{1, 4}, func() {
 			if err := fs.WriteFile("/docs/second", data); err != nil {
 				t.Fatal(err)
 			}
 		})
 	})
 	// A larger file adds its data object, stored before the filenode: one
-	// frame and one ocall more.
+	// frame and one ocall more, metered as data I/O.
 	big := bytes.Repeat([]byte{0xA5}, 8192)
 	budget("create of a chunked file", "vfs.write", append([]string{"store"}, create...), func() {
-		transitions("create of a chunked file", [2]int64{4, 14}, func() {
+		transitions("create of a chunked file", [2]int64{1, 5}, func() {
 			if err := fs.WriteFile("/docs/big", big); err != nil {
 				t.Fatal(err)
 			}
@@ -455,6 +455,15 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	// One ecall; an ocall per fetch and per proof of a metadata object.
 	coldRead("cold read", "/docs/second", data, []string{"fetch", "fetch", "fetch"}, [2]int64{1, 6})
 	coldRead("cold read of a chunked file", "/docs/big", big, []string{"fetch", "fetch", "fetch", "fetch"}, [2]int64{1, 7})
+	// Warm, the same read is no frame and one ocall: the data object, named
+	// by the cached filenode, is read with the walk.
+	budget("warm read of a chunked file", "vfs.read", nil, func() {
+		transitions("warm read of a chunked file", [2]int64{1, 1}, func() {
+			if got, err := fs.ReadFile("/docs/big"); err != nil || !bytes.Equal(got, big) {
+				t.Fatalf("warm read = %d bytes, %v", len(got), err)
+			}
+		})
+	})
 
 	// readdir + stat of n entries (vfs.ReadDir, then vfs.Stat of each, one
 	// ecall apiece): cold, the three directories on the path and then each

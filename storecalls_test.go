@@ -1,0 +1,228 @@
+package nexus_test
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"nexus"
+	"nexus/internal/enclave"
+	"nexus/internal/merkle"
+	"nexus/internal/metadata"
+	"nexus/internal/obs"
+	"nexus/internal/uuid"
+	"nexus/internal/vfs"
+)
+
+// callRecorder sits between a client's enclave and its store and writes
+// down every store call the enclave makes, in order, with the kind of
+// object it names: "dir", "fn" (a filenode), "data" (file content),
+// "root" (the sealed freshness root) or "super".
+type callRecorder struct {
+	enclave.FreshnessProofStore
+
+	mu    sync.Mutex
+	calls []string
+	kinds map[string]string // object name → kind, learnt from the bytes
+}
+
+func (r *callRecorder) Instrument(reg *obs.Registry) {
+	if in, ok := r.FreshnessProofStore.(interface{ Instrument(*obs.Registry) }); ok {
+		in.Instrument(reg)
+	}
+}
+
+func (r *callRecorder) kindLocked(name string, blob []byte) string {
+	switch name {
+	case enclave.MerkleRootObjectName:
+		return "root"
+	case enclave.SupernodeObjectName:
+		return "super"
+	}
+	if blob != nil {
+		kind := "data"
+		if p, err := metadata.PeekPreamble(blob); err == nil {
+			switch p.Type {
+			case metadata.TypeDirnode, metadata.TypeDirBucket:
+				kind = "dir"
+			case metadata.TypeFilenode:
+				kind = "fn"
+			}
+		}
+		r.kinds[name] = kind
+	}
+	if kind, ok := r.kinds[name]; ok {
+		return kind
+	}
+	return "?"
+}
+
+func (r *callRecorder) note(op, name string, blob []byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.calls = append(r.calls, op+" "+r.kindLocked(name, blob))
+}
+
+func (r *callRecorder) take() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	calls := r.calls
+	r.calls = nil
+	return calls
+}
+
+func (r *callRecorder) GetVersioned(name string) ([]byte, uint64, error) {
+	data, version, err := r.FreshnessProofStore.GetVersioned(name)
+	r.note("get", name, data)
+	return data, version, err
+}
+
+func (r *callRecorder) PutVersioned(name string, data []byte) (uint64, error) {
+	r.note("put", name, data)
+	return r.FreshnessProofStore.PutVersioned(name, data)
+}
+
+func (r *callRecorder) Delete(name string) error {
+	r.note("delete", name, nil)
+	return r.FreshnessProofStore.Delete(name)
+}
+
+func (r *callRecorder) Lock(name string) (func(), error) {
+	r.note("lock", name, nil)
+	release, err := r.FreshnessProofStore.Lock(name)
+	if err != nil {
+		return nil, err
+	}
+	return func() {
+		r.note("unlock", name, nil)
+		release()
+	}, nil
+}
+
+func (r *callRecorder) FreshnessProof(id uuid.UUID, epoch uint64) ([]byte, error) {
+	r.note("proof", id.String(), nil)
+	return r.FreshnessProofStore.FreshnessProof(id, epoch)
+}
+
+func (r *callRecorder) FreshnessUpdate(epoch uint64, updates []merkle.LeafUpdate) ([][]byte, error) {
+	r.mu.Lock()
+	r.calls = append(r.calls, fmt.Sprintf("update(%d)", len(updates)))
+	r.mu.Unlock()
+	return r.FreshnessProofStore.FreshnessUpdate(epoch, updates)
+}
+
+// TestStoreCallsPerOpClass pins, on the local adapter with every cache
+// warm, the exact store calls of each mutating op class and of a warm
+// chunked read (DESIGN.md §11.5), and what each costs in enclave
+// crossings. A call added, dropped or moved across a lock changes the
+// store's work; the crossings are where batching pays.
+func TestStoreCallsPerOpClass(t *testing.T) {
+	ias, err := nexus.NewAttestationService()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &callRecorder{
+		FreshnessProofStore: vfs.NewFreshnessStore(nexus.NewMemoryStore()),
+		kinds:               make(map[string]string),
+	}
+	client, err := nexus.NewClient(nexus.ClientConfig{Store: rec, IAS: ias})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner, err := nexus.NewIdentity("owen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol, _, err := client.CreateVolume(owner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := vol.FS()
+	sgx := client.Enclave().SGX()
+	// A 4 KiB file is above metadata.MaxInlineSize: a filenode and a data
+	// object, as local_mixed's small files are.
+	content := func(b byte) []byte { return bytes.Repeat([]byte{b}, 4<<10) }
+	for _, dir := range []string{"/a", "/b"} {
+		if err := fs.MkdirAll(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"/a/f", "/a/g", "/a/h", "/a/k"} {
+		if err := fs.WriteFile(p, content('x')); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.ReadFile(p); err != nil { // warms the filenode
+			t.Fatal(err)
+		}
+	}
+
+	check := func(what string, want []string, crossings [2]int64, op func() error) {
+		t.Helper()
+		rec.take()
+		ec, oc := sgx.EcallCount(), sgx.OcallCount()
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		got := [2]int64{sgx.EcallCount() - ec, sgx.OcallCount() - oc}
+		if calls := rec.take(); !slices.Equal(calls, want) {
+			t.Errorf("%s: store calls\n got %s\nwant %s", what, strings.Join(calls, ", "), strings.Join(want, ", "))
+		}
+		if got != crossings {
+			t.Errorf("%s: (ecalls, ocalls) = %v, want %v", what, got, crossings)
+		}
+	}
+	commitTail := []string{"update(1)", "put root", "unlock root"}
+
+	check("overwrite", append([]string{
+		"get dir", "get dir", "lock fn", "get fn", "put data", "put fn", "lock root", "get root",
+	}, append(commitTail, "unlock fn")...), [2]int64{1, 5}, func() error {
+		return fs.WriteFile("/a/f", content('y'))
+	})
+	check("create", []string{
+		"get dir", "get dir", "put data", "put fn", "lock root", "get root", "get dir", "proof dir",
+		"put dir", "update(2)", "put root", "unlock root",
+	}, [2]int64{1, 5}, func() error {
+		return fs.WriteFile("/a/new", content('n'))
+	})
+	check("warm chunked read", []string{"get dir", "get dir", "get fn", "get data"}, [2]int64{1, 1}, func() error {
+		got, err := fs.ReadFile("/a/new")
+		if err == nil && !bytes.Equal(got, content('n')) {
+			err = fmt.Errorf("read back other bytes")
+		}
+		return err
+	})
+	check("remove", []string{"get dir", "get dir", "lock fn", "get fn", "unlock fn"}, [2]int64{1, 3}, func() error {
+		return fs.Remove("/a/g")
+	})
+	check("drain of a pending remove", []string{
+		"lock root", "get root", "get dir", "proof dir", "put dir", "delete data", "delete fn",
+		"update(2)", "put root", "unlock root",
+	}, [2]int64{1, 3}, fs.Sync)
+	check("rename of a file across directories", []string{
+		"get dir", "get dir", "get dir", "get dir", "lock fn", "lock root", "get root",
+		"get dir", "get dir", "get dir", "get dir", "get fn", "put fn", "put dir", "put dir",
+		"update(3)", "put root", "unlock root", "unlock fn",
+	}, [2]int64{1, 4}, func() error {
+		return fs.Rename("/a/h", "/b/h")
+	})
+	check("open, append, sync, close", []string{
+		"get dir", "get dir", "get fn", "get data",
+		"get dir", "get dir", "lock fn", "get fn", "put data", "put fn", "lock root", "get root",
+		"update(1)", "put root", "unlock root", "unlock fn",
+	}, [2]int64{3, 6}, func() error {
+		f, err := fs.Open("/a/k", nexus.O_RDWR|nexus.O_APPEND)
+		if err != nil {
+			return err
+		}
+		if _, err := f.Write([]byte("tail")); err != nil {
+			return err
+		}
+		if err := f.Sync(); err != nil {
+			return err
+		}
+		return f.Close()
+	})
+}
