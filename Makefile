@@ -34,7 +34,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzGroupTreeDecode -fuzztime=$(FUZZTIME) ./internal/groupkey/
 	$(GO) test -run=^$$ -fuzz=FuzzMerkleProofDecode -fuzztime=$(FUZZTIME) ./internal/merkle/
 	$(GO) test -run=^$$ -fuzz=FuzzMerkleTreeDecode -fuzztime=$(FUZZTIME) ./internal/merkle/
-	$(GO) test -run=^$$ -fuzz=FuzzFreshnessFrameDecode -fuzztime=$(FUZZTIME) ./internal/vfs/
+	$(GO) test -run=^$$ -fuzz=FuzzFreshnessFrameDecode -fuzztime=$(FUZZTIME) ./internal/freshtree/
 	$(GO) test -run=^$$ -fuzz=FuzzDirnodeBodyDecode -fuzztime=$(FUZZTIME) ./internal/metadata/
 	$(GO) test -run=^$$ -fuzz=FuzzFilenodeBodyDecode -fuzztime=$(FUZZTIME) ./internal/metadata/
 	$(GO) test -run=^$$ -fuzz=FuzzSupernodeBodyDecode -fuzztime=$(FUZZTIME) ./internal/metadata/
@@ -95,18 +95,19 @@ vuln:
 
 # cover reports coverage on the packages gated by the CI floor.
 cover:
-	$(GO) test -coverprofile=cover.out ./internal/metadata/ ./internal/gcmsiv/ ./internal/obs/ ./internal/groupkey/
+	$(GO) test -coverprofile=cover.out ./internal/metadata/ ./internal/gcmsiv/ ./internal/obs/ ./internal/groupkey/ ./internal/freshtree/
 	$(GO) tool cover -func=cover.out | tail -1
 
 # merkle runs the Merkle-authenticated namespace's full verification
-# surface: the tree/proof unit and property tests, the seeded
+# surface: the tree/proof unit and property tests, the untrusted proof
+# service (internal/freshtree), the seeded
 # enclave-vs-namespace-model stream, and the adversarial rollback/fork
 # suite (internal/enclave/rollback_test.go), all under the race detector.
 # Reproduce a property failure with NEXUS_MERKLE_SEED=<seed>. See
 # DESIGN.md §15.
 merkle:
 	$(GO) test -race -count=1 ./internal/merkle/
-	$(GO) test -race -count=1 -run 'TestFreshnessStore' ./internal/vfs/
+	$(GO) test -race -count=1 ./internal/freshtree/
 	$(GO) test -race -count=1 -run 'TestMerkle|TestRollback|TestFork|TestProofTampering|TestRoot|TestPropertyMerkle' ./internal/enclave/
 
 # freshness-sweep reproduces the DESIGN.md §15 freshness-at-scale sweep

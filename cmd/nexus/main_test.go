@@ -11,7 +11,7 @@ import (
 
 	"nexus"
 	"nexus/internal/enclave"
-	"nexus/internal/vfs"
+	"nexus/internal/freshtree"
 )
 
 // process runs one CLI command the way a separate `nexus` invocation
@@ -161,7 +161,7 @@ func TestVolumeSurvivesRestartAndRejectsRollback(t *testing.T) {
 	current, newest := readStoreDir(t, storeDir), recordedEpoch(t, home)
 	rolledBack := 0
 	for name, data := range old {
-		if name == enclave.MerkleRootObjectName || name == vfs.FreshnessTreeObjectName {
+		if name == enclave.MerkleRootObjectName || name == freshtree.TreeObjectName {
 			continue
 		}
 		cur, err := os.ReadFile(filepath.Join(storeDir, name))
@@ -184,7 +184,7 @@ func TestVolumeSurvivesRestartAndRejectsRollback(t *testing.T) {
 	// one epoch old, with no write in between: a self-consistent volume
 	// that every proof vouches for. The store cannot show it is stale;
 	// the epoch this machine recorded after its last command does.
-	if _, err := os.Stat(filepath.Join(storeDir, vfs.FreshnessTreeObjectName)); err != nil {
+	if _, err := os.Stat(filepath.Join(storeDir, freshtree.TreeObjectName)); err != nil {
 		t.Fatalf("store directory has no freshness checkpoint after %d epochs: %v", recordedEpoch(t, home), err)
 	}
 	restoreStoreDir(t, storeDir, old)

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"nexus/internal/backend"
-	"nexus/internal/enclave"
+	"nexus/internal/freshtree"
 	"nexus/internal/merkle"
 	"nexus/internal/uuid"
 	"nexus/internal/vfs"
@@ -117,7 +117,7 @@ func sweepMerkleLoads(ids []uuid.UUID, rng *rand.Rand, runs int) (FreshnessRow, 
 // store, both directions. In the sweep nothing but the two freshness
 // objects is ever read or written there.
 type freshnessBytes struct {
-	enclave.ObjectStore
+	freshtree.ObjectStore
 	moved, checkpoints, lastCheckpoint int64
 }
 
@@ -129,7 +129,7 @@ func (c *freshnessBytes) GetVersioned(name string) ([]byte, uint64, error) {
 
 func (c *freshnessBytes) PutVersioned(name string, data []byte) (uint64, error) {
 	c.moved += int64(len(data))
-	if name == vfs.FreshnessTreeObjectName {
+	if name == freshtree.TreeObjectName {
 		c.checkpoints++
 		c.lastCheckpoint = int64(len(data))
 	}
@@ -145,7 +145,7 @@ const sealedRootSize = 158
 const sweepCheckpointCycles = 4
 
 // sweepMerkleUpdates measures the update side: the production proof
-// store (vfs.NewFreshnessStore) over a memory store, driven the way the
+// store (freshtree.New) over a memory store, driven the way the
 // enclave drives it — read the root, stage a batch, put the root. After
 // one batch that fills the tree, one-leaf batches run to the first
 // checkpoint, and the account covers the sweepCheckpointCycles whole
@@ -153,18 +153,18 @@ const sweepCheckpointCycles = 4
 // that ends it.
 func sweepMerkleUpdates(row *FreshnessRow, ids []uuid.UUID, rng *rand.Rand) error {
 	counted := &freshnessBytes{ObjectStore: vfs.NewVersionedStore(backend.NewMemStore())}
-	store := vfs.NewFreshnessStore(counted)
+	store := freshtree.New(counted)
 	sealed := make([]byte, sealedRootSize)
 	epoch := uint64(0)
 	drain := func(batch []merkle.LeafUpdate) error {
-		if _, _, err := store.GetVersioned(enclave.MerkleRootObjectName); err != nil && !errors.Is(err, backend.ErrNotExist) {
+		if _, _, err := store.GetVersioned(freshtree.RootObjectName); err != nil && !errors.Is(err, backend.ErrNotExist) {
 			return err
 		}
 		if _, err := store.FreshnessUpdate(epoch, batch); err != nil {
 			return err
 		}
 		epoch++
-		_, err := store.PutVersioned(enclave.MerkleRootObjectName, sealed)
+		_, err := store.PutVersioned(freshtree.RootObjectName, sealed)
 		return err
 	}
 	untilCheckpoint := func(n int64) error {

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"nexus/internal/enclave"
+	"nexus/internal/freshtree"
 	"nexus/internal/metadata"
-	"nexus/internal/vfs"
 )
 
 // TestBatchedWriteFaultSweep kills the store at every store call of each
@@ -68,7 +68,7 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				store := &dyingStore{FreshnessProofStore: vfs.NewFreshnessStore(v.shared), dieAt: -1}
+				store := &dyingStore{FreshnessProofStore: freshtree.New(v.shared), dieAt: -1}
 				e, err := enclave.New(enclave.Config{SGX: container, Store: store, IAS: v.ias})
 				if err != nil {
 					t.Fatal(err)

@@ -4,7 +4,7 @@
 //
 // Like the rollback suite, this lives in the external test package so it
 // can stack the real untrusted-side plumbing (vfs.VersionedStore with real
-// store locks, vfs.FreshnessStore) under each enclave.
+// store locks, freshtree.Store) under each enclave.
 package enclave_test
 
 import (
@@ -19,6 +19,7 @@ import (
 	"nexus/internal/acl"
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
+	"nexus/internal/freshtree"
 	"nexus/internal/merkle"
 	"nexus/internal/metadata"
 	"nexus/internal/sgx"
@@ -122,7 +123,7 @@ func (v *commitVolume) newEnclave(t *testing.T) (*enclave.Enclave, *hookStore) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hooks := &hookStore{FreshnessProofStore: vfs.NewFreshnessStore(v.shared)}
+	hooks := &hookStore{FreshnessProofStore: freshtree.New(v.shared)}
 	e, err := enclave.New(enclave.Config{SGX: container, Store: hooks, IAS: v.ias})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +254,7 @@ func TestConcurrentDrainLeafNeverMovesBackwards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := vfs.NewFreshnessStore(v.shared).FreshnessProof(id, epoch)
+	raw, err := freshtree.New(v.shared).FreshnessProof(id, epoch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@
 //
 // The Enclave type runs inside a simulated SGX enclave (internal/sgx).
 // Its public methods are the ecall surface; storage I/O leaves through
-// ObjectStore, the ocall surface implemented by the untrusted layer
-// (internal/vfs). The enclave:
+// FreshnessProofStore, the ocall surface of the untrusted proof service
+// (internal/freshtree), which every enclave runs over. The enclave:
 //
 //   - creates and mounts volumes, with the rootkey generated inside and
 //     persisted only in SGX-sealed form (§IV, §VI-B);
@@ -31,6 +31,7 @@ import (
 	"sync"
 	"time"
 
+	"nexus/internal/freshtree"
 	"nexus/internal/metadata"
 	"nexus/internal/obs"
 	"nexus/internal/sgx"
@@ -41,47 +42,16 @@ import (
 // supernode; all other objects are named by UUID.
 const SupernodeObjectName = "supernode"
 
-// ObjectStore is the ocall surface: the untrusted layer's access to the
-// backing store. Implementations return a version number that increases
-// on every update of an object; the enclave uses it to validate its
-// in-enclave metadata cache (the AFS callback mechanism keeps the
-// untrusted file cache itself fresh).
-//
-// Buffer ownership at this boundary (DESIGN.md §14): the []byte passed
-// to PutVersioned (and every segment handed out by a
-// StreamObjectStore's next callback) remains owned by the enclave and
-// is only on loan for the duration of the call. Implementations must
-// copy anything they retain (caches, queues, logs) and must never
-// stash the slice itself.
-// Symmetrically, buffers returned by GetVersioned become the enclave's
-// to keep.
-type ObjectStore interface {
-	// GetVersioned returns an object's contents and current version.
-	GetVersioned(name string) (data []byte, version uint64, err error)
-	// PutVersioned replaces an object and returns its new version.
-	PutVersioned(name string, data []byte) (version uint64, err error)
-	// Delete removes an object.
-	Delete(name string) error
-	// Lock takes the object's exclusive advisory lock (flock in the
-	// prototype, §V-A).
-	Lock(name string) (release func(), err error)
-}
+// The ocall surface and the sealed root's object name are declared once,
+// in internal/freshtree, beside the proof service the enclave runs over.
+type (
+	ObjectStore         = freshtree.ObjectStore
+	StreamObjectStore   = freshtree.StreamObjectStore
+	FreshnessProofStore = freshtree.ProofStore
+)
 
-// StreamObjectStore is an optional ObjectStore upgrade: a store that
-// can transmit an object while the producer is still generating it, so
-// chunk encryption overlaps the upload instead of serializing in front
-// of it. The enclave type-asserts for it on large writes; stores
-// without it simply receive the assembled blob via PutVersioned.
-type StreamObjectStore interface {
-	ObjectStore
-	// PutVersionedStream replaces an object with exactly total bytes
-	// drawn from next. next returns successive segments in object order
-	// — each valid only until the following next call (ownership rules
-	// above) — and (nil, nil) at end of stream; a non-nil error aborts
-	// the put. The put is atomic: a partially transferred stream must
-	// never become visible as the object's contents.
-	PutVersionedStream(name string, total int, next func() ([]byte, error)) (version uint64, err error)
-}
+// MerkleRootObjectName is the store name of the sealed merkle root.
+const MerkleRootObjectName = freshtree.RootObjectName
 
 // Errors returned by the enclave.
 var (
@@ -92,12 +62,12 @@ var (
 	// ErrNotMounted reports filesystem calls before a volume is mounted.
 	ErrNotMounted = errors.New("enclave: no volume mounted")
 	// ErrStaleMetadata reports a rollback: the storage service returned
-	// an object older than one this enclave has already seen (§VI-C).
+	// metadata older than the enclave has already seen (§VI-C). The
+	// enclave reports every rollback as ErrStaleObject, which wraps it.
 	ErrStaleMetadata = errors.New("enclave: stale metadata (rollback detected)")
-	// ErrStaleObject reports a rollback caught by merkle freshness mode:
-	// a served object (or the root commitment itself) is provably older
-	// than the volume state this enclave has committed to. It wraps
-	// ErrStaleMetadata so existing errors.Is checks keep matching.
+	// ErrStaleObject reports a rollback caught by the Merkle root: a
+	// served object (or the root commitment itself) is provably older
+	// than the volume state this enclave has committed to.
 	ErrStaleObject = fmt.Errorf("%w: merkle freshness violation", ErrStaleMetadata)
 	// ErrBadProof reports a freshness proof that is malformed or does
 	// not verify against the enclave's root commitment — tampering or a
@@ -125,12 +95,11 @@ type Config struct {
 	// SGX is the enclave container providing sealing, attestation, EPC
 	// and transition accounting. Required.
 	SGX *sgx.Enclave
-	// Store is the ocall surface to the backing store. Required. When it
-	// also implements FreshnessProofStore (vfs.NewFreshnessStore wraps any
-	// plain store) the enclave binds every metadata version to a sealed
-	// Merkle root — whole-volume rollback protection with O(1) enclave
-	// state (DESIGN.md §15); over a plain store only the per-object
-	// version memory applies.
+	// Store is the ocall surface to the backing store. Required. The
+	// enclave binds every metadata version to a sealed Merkle root —
+	// whole-volume rollback protection with O(1) enclave state (DESIGN.md
+	// §15) — against proofs the store serves; a Store that is not already
+	// a FreshnessProofStore is wrapped in freshtree.New.
 	Store ObjectStore
 	// IAS is the attestation service used to verify quotes during
 	// rootkey exchanges. Optional; exchanges fail without it.
@@ -188,7 +157,7 @@ type Stats struct {
 // serializes operations the way a single-TCS SGX enclave would.
 type Enclave struct {
 	sgx   *sgx.Enclave
-	store ObjectStore
+	store FreshnessProofStore
 	ias   *sgx.AttestationService
 	cfg   Config
 
@@ -215,16 +184,12 @@ type Enclave struct {
 
 	cache *metaCache
 
-	freshness map[uuid.UUID]uint64
-	// freshness is the per-object version memory, used only over a
-	// plain store. When the store serves proofs (proofStore non-nil,
-	// asserted once in New) the enclave's entire freshness state is the
-	// root commitment and epoch below — O(1), the claim the freshness
-	// sweep measures. See freshness.go.
-	proofStore FreshnessProofStore
-	mkRoot     [32]byte
-	mkEpoch    uint64
-	mkSeen     bool
+	// The enclave's entire freshness state is the root commitment and
+	// epoch — O(1), the claim the freshness sweep measures. See
+	// freshness.go.
+	mkRoot  [32]byte
+	mkEpoch uint64
+	mkSeen  bool
 	// mkResumed marks a commitment handed over by ResumeFreshnessEpoch
 	// and not yet confirmed against the store: a floor for the first
 	// load, which therefore still has to happen.
@@ -328,16 +293,17 @@ func New(cfg Config) (*Enclave, error) {
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
 	}
-	proofStore, _ := cfg.Store.(FreshnessProofStore)
+	store, ok := cfg.Store.(FreshnessProofStore)
+	if !ok {
+		store = freshtree.New(cfg.Store)
+	}
 	e := &Enclave{
-		sgx:        cfg.SGX,
-		store:      cfg.Store,
-		ias:        cfg.IAS,
-		cfg:        cfg,
-		freshness:  make(map[uuid.UUID]uint64),
-		proofStore: proofStore,
-		wb:         newDirtySet(cfg.WritebackMaxOps),
-		cache:      newMetaCache(cfg.SGX),
+		sgx:   cfg.SGX,
+		store: store,
+		ias:   cfg.IAS,
+		cfg:   cfg,
+		wb:    newDirtySet(cfg.WritebackMaxOps),
+		cache: newMetaCache(cfg.SGX),
 	}
 	e.metrics.bind(cfg.Obs)
 	// The SGX container meters its transitions into the same registry,
@@ -345,7 +311,7 @@ func New(cfg Config) (*Enclave, error) {
 	cfg.SGX.SetObs(cfg.Obs)
 	// A store that can self-instrument (vfs.VersionedStore) joins the
 	// same registry, so its per-object spans nest under the ecall spans.
-	if in, ok := cfg.Store.(interface{ Instrument(*obs.Registry) }); ok {
+	if in, ok := store.(interface{ Instrument(*obs.Registry) }); ok {
 		in.Instrument(cfg.Obs)
 	}
 	var err error
@@ -726,7 +692,6 @@ func (e *Enclave) loadSupernodeLocked() error {
 	e.super = super
 	e.superBlob = blob
 	e.superVersion = p.Version
-	e.noteSeenLocked(p.UUID, p.Version)
 	return nil
 }
 
@@ -750,7 +715,6 @@ func (e *Enclave) flushSupernodeLocked() error {
 			return fmt.Errorf("uploading supernode: %w", c.err)
 		}
 		e.superBlob = blob
-		e.noteSeenLocked(id, version)
 		e.metrics.metadataFlushes.Inc()
 		e.metrics.metadataBytes.Add(int64(len(blob)))
 		return nil

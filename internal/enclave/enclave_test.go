@@ -398,23 +398,23 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	// Five sealed objects, a directory counting as one: Mkdir seals /d
+	// Eight sealed objects, a directory counting as one: Mkdir seals /d
 	// and the root directory, Touch the filenode and /d, WriteFile the
-	// filenode.
-	if st.MetadataFlushes != 5 || st.MetadataBytesWritten == 0 {
-		t.Fatalf("metadata stats: %+v, want 5 flushes", st)
+	// filenode, and each of the three commits the Merkle root.
+	if st.MetadataFlushes != 8 || st.MetadataBytesWritten == 0 {
+		t.Fatalf("metadata stats: %+v, want 8 flushes", st)
 	}
 	// 1000 bytes fit the filenode: they are metadata bytes, no data object.
 	if st.DataBytesWritten != 0 {
 		t.Fatalf("DataBytesWritten = %d after an inline write, want 0", st.DataBytesWritten)
 	}
 	// 4000 plaintext bytes do not: they seal into one chunk of ciphertext
-	// plus its 16-byte tag, and the filenode is sealed again.
+	// plus its 16-byte tag, and the filenode and the root are sealed again.
 	if err := e.WriteFile("/d/f", make([]byte, 4000)); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.DataBytesWritten != 4016 || st.MetadataFlushes != 6 {
-		t.Fatalf("DataBytesWritten = %d, flushes %d; want 4016 and 6", st.DataBytesWritten, st.MetadataFlushes)
+	if st := e.Stats(); st.DataBytesWritten != 4016 || st.MetadataFlushes != 10 {
+		t.Fatalf("DataBytesWritten = %d, flushes %d; want 4016 and 10", st.DataBytesWritten, st.MetadataFlushes)
 	}
 	if e.SGX().EcallCount() == 0 || e.SGX().OcallCount() == 0 {
 		t.Fatal("transition counters empty")

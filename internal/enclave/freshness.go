@@ -33,10 +33,10 @@ import (
 //     its own store object, so a freshly mounted enclave of the same
 //     volume recovers the commitment and the epoch ordering.
 //
-// The mechanism runs exactly when Config.Store serves proofs
-// (FreshnessProofStore; nexus.NewClient always supplies one). Over a
-// plain ObjectStore the enclave falls back to the paper's baseline: the
-// per-object version memory alone.
+// It is the enclave's one freshness path: New wraps any Config.Store that
+// does not serve proofs in the proof service (internal/freshtree), so no
+// enclave runs without it, and the paper's per-object version memory is
+// not kept.
 //
 // Trust boundary: proofs and the tree (a checkpoint object plus the
 // delta trailing the sealed root) live untrusted and are only ever
@@ -48,37 +48,8 @@ import (
 // paper accepts (§VI-C); divergence is detected the moment the two
 // histories meet (same epoch, different root).
 
-// MerkleRootObjectName is the store name of the sealed merkle root.
-const MerkleRootObjectName = "freshness-root"
-
 // merkleRootID keys the sealed root object's preamble.
 var merkleRootID = uuid.UUID{0xff, 0xfd}
-
-// FreshnessProofStore is the ocall surface proof verification requires:
-// an ObjectStore that also maintains the freshness tree and serves
-// proofs against it (implemented by vfs.FreshnessStore).
-//
-// The contract between the two calls and the object space: a batch
-// staged by FreshnessUpdate becomes durable with the next put of
-// MerkleRootObjectName through the same store, and not before — the
-// sealed root and the tree state it commits to are one write. Until that
-// put succeeds the store keeps serving the epoch the batch was staged
-// at, and a batch whose put never happens is simply staged again. The
-// store learns the volume's epoch from the reads of MerkleRootObjectName
-// that pass through it, which is why the enclave re-reads the root under
-// its lock before every batch.
-type FreshnessProofStore interface {
-	ObjectStore
-	// FreshnessProof returns the encoded membership/absence proof for
-	// id against the tree at the given epoch (the enclave's current
-	// root). Serving any other epoch's proof simply fails verification.
-	FreshnessProof(id uuid.UUID, epoch uint64) ([]byte, error)
-	// FreshnessUpdate stages the batch on the tree at the given epoch,
-	// returning one encoded proof per update, each valid against the
-	// tree state after the updates before it — exactly what the enclave
-	// folds into its next root.
-	FreshnessUpdate(epoch uint64, updates []merkle.LeafUpdate) ([][]byte, error)
-}
 
 // merkleRootFormat versions the sealed root body. Format 2 is the same
 // body, written by enclaves that rewrite directories and the supernode
@@ -184,23 +155,15 @@ func (e *Enclave) ResumeFreshnessEpoch(epoch uint64, root [merkle.HashSize]byte)
 	e.mkRoot, e.mkEpoch, e.mkSeen, e.mkResumed = root, epoch, true, true
 }
 
-// checkFreshnessLocked verifies a loaded object's version. Over a plain
-// store that is the per-object memory: a version below one this enclave
-// has already seen is a rollback. Over a proof store it is the root
-// commitment: the store must produce a proof that either binds id to a
-// leaf version ≤ the loaded version, or proves id absent (objects newer
+// checkFreshnessLocked verifies a loaded object's version against the
+// root commitment: the store must produce a proof that either binds id to
+// a leaf version ≤ the loaded version, or proves id absent (objects newer
 // than the last committed batch; their own AEAD protects them). A first
 // failure triggers one forced root reload — another client of the same
 // volume may have advanced the epoch — then fails closed: ErrStaleObject
 // for a proven-stale version, ErrBadProof for anything that does not
 // verify.
 func (e *Enclave) checkFreshnessLocked(id uuid.UUID, version uint64) error {
-	if e.proofStore == nil {
-		if last, ok := e.freshness[id]; ok && version < last {
-			return fmt.Errorf("%w: object %s version %d < seen %d", ErrStaleMetadata, id, version, last)
-		}
-		return nil
-	}
 	for attempt := 0; ; attempt++ {
 		if err := e.loadMerkleRootLocked(attempt > 0); err != nil {
 			return err
@@ -243,16 +206,6 @@ func (e *Enclave) checkFreshnessLocked(id uuid.UUID, version uint64) error {
 	}
 }
 
-// noteSeenLocked records the newest seen version of an object in the
-// per-object memory. Over a proof store the root commitment subsumes the
-// map, so it stays empty — the O(1) enclave residency the freshness
-// sweep measures.
-func (e *Enclave) noteSeenLocked(id uuid.UUID, version uint64) {
-	if e.proofStore == nil {
-		e.freshness[id] = version
-	}
-}
-
 // commitFreshLocked commits the freshness records (0 = object deleted) of
 // the puts just queued. Inside a batch they wait for the batch's commit,
 // and the root advances once for all of them; a stale-low leaf is safe in
@@ -260,7 +213,7 @@ func (e *Enclave) noteSeenLocked(id uuid.UUID, version uint64) {
 // flush outside a batch (a filenode under its own lock, the objects of a
 // new volume) is its own commit.
 func (e *Enclave) commitFreshLocked() error {
-	if e.batching || e.proofStore == nil {
+	if e.batching {
 		return nil
 	}
 	return e.commitLocked(nil, func() error { return nil })
@@ -275,9 +228,6 @@ func (e *Enclave) commitFreshLocked() error {
 // O(batch · log n) work against O(1) enclave state. The new root seals at
 // epoch+1; its put is queued, to leave with the unlocks.
 func (e *Enclave) advanceRootLocked() error {
-	if e.proofStore == nil {
-		return nil
-	}
 	updates := maps.Clone(e.wb.fresh)
 	for _, c := range e.queued {
 		if updates == nil {
@@ -301,7 +251,7 @@ func (e *Enclave) advanceRootLocked() error {
 	var proofs [][]byte
 	epoch := e.mkEpoch
 	if err := e.exitLocked(e.metrics.metaIO, &storeCall{op: opRun, run: func() (err error) {
-		proofs, err = e.proofStore.FreshnessUpdate(epoch, batch)
+		proofs, err = e.store.FreshnessUpdate(epoch, batch)
 		return err
 	}}); err != nil {
 		return fmt.Errorf("merkle freshness update: %w", err)

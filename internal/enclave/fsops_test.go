@@ -10,6 +10,7 @@ import (
 
 	"nexus/internal/acl"
 	"nexus/internal/backend"
+	"nexus/internal/freshtree"
 	"nexus/internal/metadata"
 	"nexus/internal/sgx"
 	"nexus/internal/uuid"
@@ -73,9 +74,10 @@ func TestCiphertextOnStore(t *testing.T) {
 			t.Fatalf("object %s leaks the file name", n)
 		}
 	}
-	// Object names are obfuscated UUIDs plus the supernode.
+	// Object names are obfuscated UUIDs plus the supernode and the two
+	// freshness objects.
 	for _, n := range names {
-		if n == SupernodeObjectName {
+		if n == SupernodeObjectName || n == MerkleRootObjectName || n == freshtree.TreeObjectName {
 			continue
 		}
 		if len(n) != 32 {

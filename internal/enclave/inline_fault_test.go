@@ -8,10 +8,10 @@ import (
 
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
+	"nexus/internal/freshtree"
 	"nexus/internal/merkle"
 	"nexus/internal/metadata"
 	"nexus/internal/uuid"
-	"nexus/internal/vfs"
 )
 
 // dyingStore is a client's proof store that, once armed, fails its k-th
@@ -126,7 +126,7 @@ func TestRewriteChunkedToInlineFaultSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		store := &dyingStore{FreshnessProofStore: vfs.NewFreshnessStore(v.shared), dieAt: -1}
+		store := &dyingStore{FreshnessProofStore: freshtree.New(v.shared), dieAt: -1}
 		e, err := enclave.New(enclave.Config{SGX: container, Store: store, IAS: v.ias})
 		if err != nil {
 			t.Fatal(err)

@@ -3,10 +3,12 @@ package enclave
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"nexus/internal/backend"
+	"nexus/internal/freshtree"
 	"nexus/internal/metadata"
 	"nexus/internal/uuid"
 )
@@ -110,7 +112,16 @@ func TestInlineFileIsOneObject(t *testing.T) {
 	owner := newIdentity(t, "owen")
 	env := newWbEnv(t, owner, Config{Store: store})
 	e := env.enclave
-	objects := func() int { return store.mem.Size() }
+	// The file's objects: everything but the two freshness objects.
+	objects := func() int {
+		names, err := store.mem.List("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(slices.DeleteFunc(names, func(n string) bool {
+			return n == MerkleRootObjectName || n == freshtree.TreeObjectName
+		}))
+	}
 	sync := func() {
 		t.Helper()
 		if err := e.SyncMetadata(); err != nil {

@@ -40,6 +40,7 @@ import (
 	"nexus"
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
+	"nexus/internal/freshtree"
 	"nexus/internal/merkle"
 	"nexus/internal/metadata"
 	"nexus/internal/obs"
@@ -410,7 +411,7 @@ func newLeakStream(t *testing.T, seed int64) *leakStream {
 	shared := vfs.NewVersionedStore(s.mem)
 	client := func() *nexus.Client {
 		c, err := nexus.NewClient(nexus.ClientConfig{
-			Store: &leakStore{FreshnessProofStore: vfs.NewFreshnessStore(shared), rec: s.rec, adv: s.adv},
+			Store: &leakStore{FreshnessProofStore: freshtree.New(shared), rec: s.rec, adv: s.adv},
 			IAS:   ias,
 		})
 		if err != nil {

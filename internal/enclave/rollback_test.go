@@ -5,9 +5,9 @@
 // rollbacks and forks, ErrBadProof for proofs that do not verify —
 // never be silently accepted.
 //
-// The suite lives in an external test package so it can stack the real
-// untrusted-side plumbing (vfs.FreshnessStore) under the enclave, the
-// exact configuration nexus.NewClient builds.
+// Where an attack needs a handle on the untrusted proof service, the
+// suite stacks it (freshtree.New) under the enclave itself; elsewhere
+// enclave.New stacks it, as it does for nexus.NewClient.
 package enclave_test
 
 import (
@@ -22,12 +22,12 @@ import (
 
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
+	"nexus/internal/freshtree"
 	"nexus/internal/merkle"
 	"nexus/internal/metadata"
 	"nexus/internal/obs"
 	"nexus/internal/sgx"
 	"nexus/internal/uuid"
-	"nexus/internal/vfs"
 )
 
 // rollbackImage is the shared enclave measurement: sealed blobs only
@@ -108,7 +108,7 @@ func (s *rawStore) setOnGet(f func(name string, data []byte, version uint64) ([]
 // only ever a source of proofs.
 var freshnessObjects = map[string]bool{
 	enclave.MerkleRootObjectName: true,
-	vfs.FreshnessTreeObjectName:  true,
+	freshtree.TreeObjectName:     true,
 }
 
 // replayStale serves snap's copy of every metadata object it holds in
@@ -267,7 +267,7 @@ func (c *merkleClient) init(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.ias, c.plat, c.raw, c.reg = ias, plat, newRawStore(), obs.NewRegistry()
-	c.proofs = newProofMangler(vfs.NewFreshnessStore(c.raw))
+	c.proofs = newProofMangler(freshtree.New(c.raw))
 	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -420,7 +420,7 @@ func TestRollbackWholeVolumeFreshClient(t *testing.T) {
 	}
 
 	c.raw.restore(snap, enclave.MerkleRootObjectName)
-	c.proofs.setInner(vfs.NewFreshnessStore(c.raw))
+	c.proofs.setInner(freshtree.New(c.raw))
 	e2 := c.newEnclave(t, c.proofs)
 	err := c.mount(e2)
 	if err == nil {
@@ -445,7 +445,7 @@ func TestRollbackSealedRootEpochRegression(t *testing.T) {
 	}
 
 	c.raw.restore(snap)
-	c.proofs.setInner(vfs.NewFreshnessStore(c.raw))
+	c.proofs.setInner(freshtree.New(c.raw))
 	c.encl.DropCaches()
 	_, err := c.encl.Filldir("/docs")
 	if !errors.Is(err, enclave.ErrStaleObject) {
@@ -474,7 +474,7 @@ func TestForkedHistoriesDetected(t *testing.T) {
 	// symmetric operation, advancing to the same epoch with a
 	// different root.
 	c.raw.restore(snap)
-	eB := c.newEnclave(t, vfs.NewFreshnessStore(c.raw))
+	eB := c.newEnclave(t, c.raw)
 	if err := c.mount(eB); err != nil {
 		t.Fatalf("fork client mount: %v", err)
 	}
@@ -483,7 +483,7 @@ func TestForkedHistoriesDetected(t *testing.T) {
 	}
 
 	// The server now serves history B to client A.
-	c.proofs.setInner(vfs.NewFreshnessStore(c.raw))
+	c.proofs.setInner(freshtree.New(c.raw))
 	c.encl.DropCaches()
 	_, err := c.encl.Filldir("/docs")
 	if !errors.Is(err, enclave.ErrStaleObject) {
@@ -676,7 +676,7 @@ func TestRootObjectTampered(t *testing.T) {
 }
 
 // rootFrame splits the root object as the store holds it into the
-// enclave's sealed blob and the unsealed trailer vfs.FreshnessStore
+// enclave's sealed blob and the unsealed trailer freshtree.Store
 // appends (DESIGN.md §15.3: trailer ‖ its length ‖ magic).
 func rootFrame(t *testing.T, obj []byte) (sealed, trailer []byte) {
 	t.Helper()
@@ -711,7 +711,7 @@ func TestRootTrailerTamperingFailsClosed(t *testing.T) {
 		if err := c.encl.Touch(fmt.Sprintf("/d/f%d", i)); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := c.raw.GetVersioned(vfs.FreshnessTreeObjectName); err == nil {
+		if _, _, err := c.raw.GetVersioned(freshtree.TreeObjectName); err == nil {
 			if older != nil {
 				break
 			}
@@ -761,7 +761,7 @@ func TestRootTrailerTamperingFailsClosed(t *testing.T) {
 				return b, v
 			})
 			defer c.raw.setOnGet(nil)
-			e := c.newEnclave(t, vfs.NewFreshnessStore(c.raw))
+			e := c.newEnclave(t, c.raw)
 			err := c.mount(e)
 			if err == nil {
 				// The file whose older filenode is being replayed.
@@ -773,7 +773,7 @@ func TestRootTrailerTamperingFailsClosed(t *testing.T) {
 		})
 	}
 	// The honest frame serves a fresh mount, with the current objects.
-	e := c.newEnclave(t, vfs.NewFreshnessStore(c.raw))
+	e := c.newEnclave(t, c.raw)
 	if err := c.mount(e); err != nil {
 		t.Fatalf("fresh mount over the honest root: %v", err)
 	}
@@ -837,7 +837,7 @@ func TestRootPutFaultsConverge(t *testing.T) {
 			if _, v, err := c.raw.GetVersioned(enclave.MerkleRootObjectName); err != nil || v <= afterVersion || v <= beforeVersion {
 				t.Fatalf("root object at version %d after the retry (err %v), was %d", v, err, afterVersion)
 			}
-			fresh := c.newEnclave(t, vfs.NewFreshnessStore(c.raw))
+			fresh := c.newEnclave(t, c.raw)
 			if err := c.mount(fresh); err != nil {
 				t.Fatalf("fresh mount after recovery: %v", err)
 			}
@@ -851,10 +851,10 @@ func TestRootPutFaultsConverge(t *testing.T) {
 }
 
 // TestMerkleAdoptsVolumeWrittenWithoutProofs mounts a volume whose
-// objects were all written over a plain store (no tree, no sealed root —
-// what a pre-Merkle build left behind, stray "freshness" table
-// included): every load passes on an absence proof, and objects enter
-// the tree as they are next flushed.
+// objects carry no tree and no sealed root — what a pre-Merkle build left
+// behind, stray "freshness" table included, made here by deleting both
+// freshness objects from a volume written with them: every load passes on
+// an absence proof, and objects enter the tree as they are next flushed.
 func TestMerkleAdoptsVolumeWrittenWithoutProofs(t *testing.T) {
 	c := newMerkleClient(t)
 	raw := newRawStore()
@@ -875,11 +875,16 @@ func TestMerkleAdoptsVolumeWrittenWithoutProofs(t *testing.T) {
 	if err := plain.Touch("/docs/f"); err != nil {
 		t.Fatal(err)
 	}
+	for name := range freshnessObjects {
+		if err := raw.Delete(name); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if _, err := raw.PutVersioned("freshness", []byte("a flat table nobody reads")); err != nil {
 		t.Fatal(err)
 	}
 
-	e := c.newEnclave(t, vfs.NewFreshnessStore(raw))
+	e := c.newEnclave(t, raw)
 	if err := c.mount(e); err != nil {
 		t.Fatalf("mounting the proof-less volume: %v", err)
 	}
@@ -1057,7 +1062,7 @@ func TestOverflowStartsAtEntry129(t *testing.T) {
 			t.Fatalf("entry %d created %d store objects, want %d", i+1, len(created), want)
 		}
 	}
-	fresh := c.newEnclave(t, vfs.NewFreshnessStore(c.raw))
+	fresh := c.newEnclave(t, c.raw)
 	if err := c.mount(fresh); err != nil {
 		t.Fatal(err)
 	}

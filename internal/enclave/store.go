@@ -30,10 +30,8 @@ type cacheEntry struct {
 	// through another adapter does not move — hence the second key below.
 	version uint64
 	// objVersion is the sealed preamble version of the cached object. A
-	// hit requires the fetched bytes to carry it, and must report it — not
-	// the freshness-map entry, which can be absent (pruned, or lost across
-	// a remount) and would make the next flush restart at version 1 and
-	// trip ErrStaleMetadata.
+	// hit requires the fetched bytes to carry it, and reports it: the next
+	// flush of the object builds on it.
 	objVersion uint64
 	obj        any   // *metadata.Dirnode or *metadata.Filenode
 	charged    int64 // EPC bytes charged
@@ -181,7 +179,7 @@ func (e *Enclave) exitLocked(m ocallMeter, calls ...*storeCall) error {
 					c.lock.unlock()
 				}
 			case opProof:
-				c.blob, c.err = e.proofStore.FreshnessProof(c.id, c.version)
+				c.blob, c.err = e.store.FreshnessProof(c.id, c.version)
 			case opRun:
 				c.err = c.run()
 			}
@@ -198,7 +196,7 @@ func (e *Enclave) exitLocked(m ocallMeter, calls ...*storeCall) error {
 	var first error
 	for _, c := range batch {
 		err := c.err
-		if err == nil && len(c.fresh) > 0 && e.proofStore != nil {
+		if err == nil && len(c.fresh) > 0 {
 			if e.wb.fresh == nil {
 				e.wb.fresh = make(map[uuid.UUID]uint64)
 			}
@@ -388,7 +386,6 @@ func (e *Enclave) openBlobChecked(id uuid.UUID, blob []byte, wantType metadata.O
 	if err := e.checkFreshnessLocked(id, p.Version); err != nil {
 		return metadata.Preamble{}, nil, err
 	}
-	e.noteSeenLocked(id, p.Version)
 	return p, body, nil
 }
 
@@ -551,22 +548,17 @@ func (e *Enclave) flushDirnodeLocked(d *metadata.Dirnode, version uint64) error 
 			e.cache.invalidate(d.UUID)
 			return fmt.Errorf("uploading dirnode %s: %w", d.UUID, c.err)
 		}
-		for _, old := range free {
-			delete(e.freshness, old)
-		}
 		for _, pl := range plans {
 			b := d.Buckets[pl.idx]
 			b.UUID = pl.newUUID
 			b.Dirty = false
 			b.OnStore = true
-			e.noteSeenLocked(pl.newUUID, version)
 			e.metrics.metadataFlushes.Inc()
 			e.metrics.metadataBytes.Add(int64(len(pl.blob)))
 		}
 		main := d.Buckets[0]
 		main.UUID, main.Dirty, main.OnStore = uuid.Nil, false, false
 		d.Refs, d.Retired = stagedRefs, stagedRetired
-		e.noteSeenLocked(d.UUID, version)
 		e.metrics.metadataFlushes.Inc()
 		e.metrics.metadataBytes.Add(int64(len(mainBlob)))
 		e.cache.put(d.UUID, c.version, version, d, int64(len(body))+256)
@@ -643,7 +635,6 @@ func (e *Enclave) putFilenodeLocked(f *metadata.Filenode, version uint64) error 
 			e.cache.invalidate(f.UUID)
 			return fmt.Errorf("uploading filenode %s: %w", f.UUID, c.err)
 		}
-		e.noteSeenLocked(f.UUID, version)
 		e.metrics.metadataFlushes.Inc()
 		e.metrics.metadataBytes.Add(int64(len(blob)))
 		e.cache.put(f.UUID, c.version, version, f, int64(len(blob))+128)

@@ -18,7 +18,7 @@ import (
 // recordingStore records the names one enclave's GetVersioned calls ask
 // for, in order, and can fail the reads of one name.
 type recordingStore struct {
-	ObjectStore
+	FreshnessProofStore
 
 	mu   sync.Mutex
 	gets []string
@@ -33,14 +33,14 @@ func (s *recordingStore) GetVersioned(name string) ([]byte, uint64, error) {
 	if fail {
 		return nil, 0, backend.ErrUnavailable
 	}
-	return s.ObjectStore.GetVersioned(name)
+	return s.FreshnessProofStore.GetVersioned(name)
 }
 
 // recordGets puts a recordingStore between e and its store.
 func recordGets(e *Enclave) *recordingStore {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	rs := &recordingStore{ObjectStore: e.store}
+	rs := &recordingStore{FreshnessProofStore: e.store}
 	e.store = rs
 	return rs
 }
@@ -246,7 +246,9 @@ func TestWarmWalkOneOcall(t *testing.T) {
 // name, which it fetches in a second ocall; the old /top/mid, met one
 // level down as inner, is the read made ahead in this ecall, and the walk
 // takes it from the stash. The walk returns the peer's state, reading
-// exactly the objects the peer's state needs.
+// exactly the objects the peer's state needs. Each of the three
+// directories the peer rewrote misses the decrypted cache, so its load
+// verifies a freshness proof in an exit of its own.
 func TestWarmWalkStalePrediction(t *testing.T) {
 	owner := newIdentity(t, "owen")
 	env, sealed, volID := newMountedVolume(t, owner)
@@ -288,8 +290,8 @@ func TestWarmWalkStalePrediction(t *testing.T) {
 	if !slices.Equal(got.gets, want) {
 		t.Errorf("reads\n %v\nwant the predicted three, then the directory now named mid\n %v", got.gets, want)
 	}
-	if got.ecalls != 1 || got.ocalls != 2 {
-		t.Errorf("(ecalls, ocalls) = (%d, %d), want (1, 2): the batch, then the one directory it missed", got.ecalls, got.ocalls)
+	if got.ecalls != 1 || got.ocalls != 5 {
+		t.Errorf("(ecalls, ocalls) = (%d, %d), want (1, 5): the batch, the one directory it missed, and a proof for each of the three the peer rewrote", got.ecalls, got.ocalls)
 	}
 	if u, d := e.metrics.prefetchUsed.Value()-used, e.metrics.prefetchDiscarded.Value()-discarded; u != 3 || d != 0 {
 		t.Errorf("prefetched reads used %d, discarded %d; want 3 and 0", u, d)

@@ -90,7 +90,7 @@ type dirtyNode struct {
 }
 
 // pendingDelete is a store object whose removal is deferred to the end
-// of the next drain (meta objects also clear their freshness entries).
+// of the next drain (a metadata object's also deletes its Merkle leaf).
 type pendingDelete struct {
 	id   uuid.UUID
 	meta bool
@@ -299,12 +299,10 @@ func (e *Enclave) sinkLocked(fn func() error) error {
 func (e *Enclave) commitLocked(ahead []*storeCall, fn func() error) error {
 	release := e.lockObject(MerkleRootObjectName)
 	defer release()
-	if e.proofStore != nil {
-		// Another client may have advanced the epoch since the commitment
-		// was last loaded.
-		if err := e.loadMerkleRootLocked(true, ahead...); err != nil {
-			return err
-		}
+	// Another client may have advanced the epoch since the commitment was
+	// last loaded.
+	if err := e.loadMerkleRootLocked(true, ahead...); err != nil {
+		return err
 	}
 	if err := e.sinkLocked(fn); err != nil {
 		return err
@@ -340,10 +338,9 @@ func (e *Enclave) drainLocked() error {
 	}
 	var ahead []*storeCall
 	for _, id := range e.dirtyOrderLocked(false) {
-		ahead = append(ahead, &storeCall{op: opGet, name: objName(id), ahead: true})
-		if e.proofStore != nil {
-			ahead = append(ahead, &storeCall{op: opProof, id: id, version: epoch, ahead: true})
-		}
+		ahead = append(ahead,
+			&storeCall{op: opGet, name: objName(id), ahead: true},
+			&storeCall{op: opProof, id: id, version: epoch, ahead: true})
 	}
 	return e.commitLocked(ahead, func() error {
 		if err := e.flushDirtyNodesLocked(false); err != nil {
@@ -358,7 +355,6 @@ func (e *Enclave) drainLocked() error {
 			}
 			e.deleteObject(objName(del.id), fresh, func(c *storeCall) error {
 				if c.err == nil {
-					delete(e.freshness, del.id)
 					e.wb.deletes = e.wb.deletes[1:]
 					delete(e.wb.delSeen, del.id)
 				}

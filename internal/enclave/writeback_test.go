@@ -516,9 +516,11 @@ func TestPropertyDrainLimitInvariant(t *testing.T) {
 }
 
 // TestCacheHitVersionSurvivesFreshnessLoss is the regression for the
-// cache-hit version bug: loadDirnode used to return e.freshness[id] on
-// a cache hit, which is 0 once the freshness entry is gone, making the
-// next flush write version 1 and torch the object's history.
+// cache-hit version bug: loadDirnode used to return the per-object
+// freshness memory's entry on a cache hit, which was 0 once the entry was
+// gone, making the next flush write version 1 and torch the object's
+// history. That memory is gone; a hit must report the version sealed in
+// the preamble of the bytes the store holds.
 func TestCacheHitVersionSurvivesFreshnessLoss(t *testing.T) {
 	owner := newIdentity(t, "owen")
 	env, _, _ := newMountedVolume(t, owner)
@@ -530,27 +532,29 @@ func TestCacheHitVersionSurvivesFreshnessLoss(t *testing.T) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	root := e.super.RootDir
-	_, v1, err := e.loadDirnode(root, e.super.VolumeUUID)
+	blob, _, err := env.store.GetVersioned(objName(root))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1 == 0 {
-		t.Fatal("root dirnode version 0 after a flush")
-	}
-	// Simulate freshness-map loss (e.g. an eviction strategy or a future
-	// partial reload): the cached copy must still report its preamble
-	// version, not the missing map entry.
-	delete(e.freshness, root)
-	hitsBefore := e.metrics.metadataCacheHits.Value()
-	_, v2, err := e.loadDirnode(root, e.super.VolumeUUID)
+	sealed, err := metadata.PeekPreamble(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.metrics.metadataCacheHits.Value() == hitsBefore {
-		t.Fatal("second load missed the cache; test is not exercising the hit path")
+	if sealed.Version < 2 {
+		t.Fatalf("root dirnode sealed at version %d after two flushes", sealed.Version)
 	}
-	if v2 != v1 {
-		t.Fatalf("cache hit returned version %d, want %d", v2, v1)
+	for i := 0; i < 2; i++ {
+		hitsBefore := e.metrics.metadataCacheHits.Value()
+		_, v, err := e.loadDirnode(root, e.super.VolumeUUID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && e.metrics.metadataCacheHits.Value() == hitsBefore {
+			t.Fatal("second load missed the cache; test is not exercising the hit path")
+		}
+		if v != sealed.Version {
+			t.Fatalf("load %d returned version %d, want the sealed preamble's %d", i, v, sealed.Version)
+		}
 	}
 }
 
@@ -625,11 +629,12 @@ func TestWritebackFlushReduction(t *testing.T) {
 	}
 	batched := run(64)
 	perOp := run(1)
-	// Batched, the drain seals each new filenode and the directory — one
-	// object — once; per op, a create seals the filenode and the
-	// directory, and the write the filenode again.
-	if batched != files+1 || perOp != 3*files {
-		t.Fatalf("flushes: batched %d, per-op %d; want %d and %d", batched, perOp, files+1, 3*files)
+	// Batched, the drain seals each new filenode, the directory — one
+	// object — and the Merkle root once; per op, a create seals the
+	// filenode, the directory and the root, and the write the filenode and
+	// the root again.
+	if batched != files+2 || perOp != 5*files {
+		t.Fatalf("flushes: batched %d, per-op %d; want %d and %d", batched, perOp, files+2, 5*files)
 	}
 	if float64(batched) >= 0.7*float64(perOp) {
 		t.Fatalf("batched used %d flushes vs per-op %d; want < 70%%", batched, perOp)

@@ -1,4 +1,10 @@
-package vfs
+// Package freshtree is the untrusted half of the enclave's freshness
+// protection (DESIGN.md §15): the store interfaces the enclave leaves
+// through, and the proof service every enclave runs over. The service
+// keeps the whole uuid→version Merkle tree on the untrusted side and
+// serves membership/absence proofs against it; the enclave holds only
+// the sealed root commitment and verifies every proof it is given.
+package freshtree
 
 import (
 	"errors"
@@ -6,28 +12,95 @@ import (
 	"sync"
 
 	"nexus/internal/backend"
-	"nexus/internal/enclave"
 	"nexus/internal/merkle"
 	"nexus/internal/obs"
 	"nexus/internal/serial"
 	"nexus/internal/uuid"
 )
 
-// FreshnessTreeObjectName is the store object holding the untrusted
+// ObjectStore is the enclave's ocall surface: the untrusted layer's
+// access to the backing store. Implementations return a version number
+// that increases on every update of an object; the enclave uses it to
+// validate its in-enclave metadata cache (the AFS callback mechanism
+// keeps the untrusted file cache itself fresh).
+//
+// Buffer ownership at this boundary (DESIGN.md §14): the []byte passed
+// to PutVersioned (and every segment handed out by a
+// StreamObjectStore's next callback) remains owned by the enclave and
+// is only on loan for the duration of the call. Implementations must
+// copy anything they retain (caches, queues, logs) and must never
+// stash the slice itself.
+// Symmetrically, buffers returned by GetVersioned become the enclave's
+// to keep.
+type ObjectStore interface {
+	// GetVersioned returns an object's contents and current version.
+	GetVersioned(name string) (data []byte, version uint64, err error)
+	// PutVersioned replaces an object and returns its new version.
+	PutVersioned(name string, data []byte) (version uint64, err error)
+	// Delete removes an object.
+	Delete(name string) error
+	// Lock takes the object's exclusive advisory lock (flock in the
+	// prototype, §V-A).
+	Lock(name string) (release func(), err error)
+}
+
+// StreamObjectStore is an optional ObjectStore upgrade: a store that
+// can transmit an object while the producer is still generating it, so
+// chunk encryption overlaps the upload instead of serializing in front
+// of it. The enclave type-asserts for it on large writes; stores
+// without it simply receive the assembled blob via PutVersioned.
+type StreamObjectStore interface {
+	ObjectStore
+	// PutVersionedStream replaces an object with exactly total bytes
+	// drawn from next. next returns successive segments in object order
+	// — each valid only until the following next call (ownership rules
+	// above) — and (nil, nil) at end of stream; a non-nil error aborts
+	// the put. The put is atomic: a partially transferred stream must
+	// never become visible as the object's contents.
+	PutVersionedStream(name string, total int, next func() ([]byte, error)) (version uint64, err error)
+}
+
+// ProofStore is the ocall surface the enclave runs over: an ObjectStore
+// that also maintains the freshness tree and serves proofs against it.
+// New makes one of any ObjectStore.
+//
+// The contract between the two calls and the object space: a batch
+// staged by FreshnessUpdate becomes durable with the next put of
+// RootObjectName through the same store, and not before — the sealed
+// root and the tree state it commits to are one write. Until that put
+// succeeds the store keeps serving the epoch the batch was staged at,
+// and a batch whose put never happens is simply staged again. The store
+// learns the volume's epoch from the reads of RootObjectName that pass
+// through it, which is why the enclave re-reads the root under its lock
+// before every batch.
+type ProofStore interface {
+	ObjectStore
+	// FreshnessProof returns the encoded membership/absence proof for
+	// id against the tree at the given epoch (the enclave's current
+	// root). Serving any other epoch's proof simply fails verification.
+	FreshnessProof(id uuid.UUID, epoch uint64) ([]byte, error)
+	// FreshnessUpdate stages the batch on the tree at the given epoch,
+	// returning one encoded proof per update, each valid against the
+	// tree state after the updates before it — exactly what the enclave
+	// folds into its next root.
+	FreshnessUpdate(epoch uint64, updates []merkle.LeafUpdate) ([][]byte, error)
+}
+
+// RootObjectName is the store object holding the enclave's sealed Merkle
+// root, framed with the delta trailer below.
+const RootObjectName = "freshness-root"
+
+// TreeObjectName is the store object holding the untrusted
 // freshness-tree checkpoint.
-const FreshnessTreeObjectName = "freshness-tree"
+const TreeObjectName = "freshness-tree"
 
 // ErrEpochUnavailable reports a proof request for an epoch this store
 // cannot reach: the root object on the store commits to another one, or
 // no checkpoint the root's trailer can be applied to exists. The enclave
 // maps it to a fail-closed proof rejection.
-var ErrEpochUnavailable = errors.New("vfs: freshness tree epoch unavailable")
+var ErrEpochUnavailable = errors.New("freshtree: freshness tree epoch unavailable")
 
-// FreshnessStore upgrades any enclave.ObjectStore to the
-// FreshnessProofStore surface merkle freshness mode needs: it maintains
-// the full uuid→version Merkle tree on the untrusted side and serves
-// membership/absence proofs against it, while the enclave holds only
-// the root commitment (DESIGN.md §15).
+// Store upgrades an ObjectStore to a ProofStore.
 //
 // The tree persists as checkpoint + delta (§15.3). The checkpoint object
 // is the whole tree at some epoch, written rarely. Every put of the
@@ -41,8 +114,8 @@ var ErrEpochUnavailable = errors.New("vfs: freshness tree epoch unavailable")
 // integrity of neither matters: every proof drawn from them is verified
 // inside the enclave against the sealed root, so tampering here can only
 // cause fail-closed rejections, never acceptance of stale data.
-type FreshnessStore struct {
-	inner enclave.ObjectStore
+type Store struct {
+	inner ObjectStore
 
 	mu sync.Mutex
 	// cur is the tree at epoch at.tip, and at the trailer of the root
@@ -56,27 +129,27 @@ type FreshnessStore struct {
 	nextAt rootTrailer
 }
 
-var _ enclave.FreshnessProofStore = (*FreshnessStore)(nil)
+var _ ProofStore = (*Store)(nil)
 
-// NewFreshnessStore wraps inner. When inner supports streaming puts the
-// returned store forwards them (the enclave type-asserts for
-// StreamObjectStore on large writes).
-func NewFreshnessStore(inner enclave.ObjectStore) enclave.FreshnessProofStore {
-	fs := &FreshnessStore{inner: inner}
-	if ss, ok := inner.(enclave.StreamObjectStore); ok {
-		return &streamFreshnessStore{FreshnessStore: fs, stream: ss}
+// New wraps inner. When inner supports streaming puts the returned store
+// forwards them (the enclave type-asserts for StreamObjectStore on large
+// writes).
+func New(inner ObjectStore) ProofStore {
+	s := &Store{inner: inner}
+	if ss, ok := inner.(StreamObjectStore); ok {
+		return &streamStore{Store: s, stream: ss}
 	}
-	return fs
+	return s
 }
 
-// streamFreshnessStore adds the StreamObjectStore upgrade when the
-// wrapped store has it.
-type streamFreshnessStore struct {
-	*FreshnessStore
-	stream enclave.StreamObjectStore
+// streamStore adds the StreamObjectStore upgrade when the wrapped store
+// has it.
+type streamStore struct {
+	*Store
+	stream StreamObjectStore
 }
 
-func (s *streamFreshnessStore) PutVersionedStream(name string, total int, next func() ([]byte, error)) (uint64, error) {
+func (s *streamStore) PutVersionedStream(name string, total int, next func() ([]byte, error)) (uint64, error) {
 	return s.stream.PutVersionedStream(name, total, next)
 }
 
@@ -85,9 +158,9 @@ func (s *streamFreshnessStore) PutVersionedStream(name string, total int, next f
 // stripped before the enclave sees the blob and the resident tree follows
 // it, at no extra round trip. A frame that does not parse is handed up
 // whole, so the enclave's own authentication rejects it.
-func (s *FreshnessStore) GetVersioned(name string) ([]byte, uint64, error) {
+func (s *Store) GetVersioned(name string) ([]byte, uint64, error) {
 	data, version, err := s.inner.GetVersioned(name)
-	if name != enclave.MerkleRootObjectName {
+	if name != RootObjectName {
 		return data, version, err
 	}
 	s.mu.Lock()
@@ -105,14 +178,14 @@ func (s *FreshnessStore) GetVersioned(name string) ([]byte, uint64, error) {
 // resident one only once the store has the frame. A put that fails — or
 // whose reply is lost — leaves the resident tree where it was; the next
 // read of the root shows which of the two happened.
-func (s *FreshnessStore) PutVersioned(name string, data []byte) (uint64, error) {
-	if name != enclave.MerkleRootObjectName {
+func (s *Store) PutVersioned(name string, data []byte) (uint64, error) {
+	if name != RootObjectName {
 		return s.inner.PutVersioned(name, data)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.next == nil {
-		return 0, errors.New("vfs: sealed merkle root put without a staged freshness batch")
+		return 0, errors.New("freshtree: sealed merkle root put without a staged freshness batch")
 	}
 	next, at := s.next, s.nextAt
 	s.next = nil
@@ -125,13 +198,13 @@ func (s *FreshnessStore) PutVersioned(name string, data []byte) (uint64, error) 
 }
 
 // Delete and Lock forward to the wrapped store untouched.
-func (s *FreshnessStore) Delete(name string) error { return s.inner.Delete(name) }
+func (s *Store) Delete(name string) error { return s.inner.Delete(name) }
 
-func (s *FreshnessStore) Lock(name string) (func(), error) { return s.inner.Lock(name) }
+func (s *Store) Lock(name string) (func(), error) { return s.inner.Lock(name) }
 
 // Instrument forwards the registry to the wrapped store (the enclave
 // calls it for any store exposing the method).
-func (s *FreshnessStore) Instrument(reg *obs.Registry) {
+func (s *Store) Instrument(reg *obs.Registry) {
 	if in, ok := s.inner.(interface{ Instrument(*obs.Registry) }); ok {
 		in.Instrument(reg)
 	}
@@ -263,7 +336,7 @@ func decodeCheckpoint(data []byte) (*merkle.Tree, uint64, error) {
 		// Skip the log; the tree after it is the snapshot's own epoch's.
 		r.ReadRaw(r.ReadCount(merkle.MaxLeaves, "freshness snapshot log entries")*deltaEntrySize, "freshness snapshot log")
 	default:
-		return nil, 0, fmt.Errorf("vfs: unknown freshness checkpoint format %d", format)
+		return nil, 0, fmt.Errorf("freshtree: unknown freshness checkpoint format %d", format)
 	}
 	enc := r.ReadBytes(0, "freshness checkpoint tree")
 	if err := r.Finish(); err != nil {
@@ -275,8 +348,8 @@ func decodeCheckpoint(data []byte) (*merkle.Tree, uint64, error) {
 
 // readCheckpoint fetches the checkpoint. A volume that has not written
 // one yet counts its deltas from the empty tree at epoch 0.
-func (s *FreshnessStore) readCheckpoint() (*merkle.Tree, uint64, error) {
-	data, _, err := s.inner.GetVersioned(FreshnessTreeObjectName)
+func (s *Store) readCheckpoint() (*merkle.Tree, uint64, error) {
+	data, _, err := s.inner.GetVersioned(TreeObjectName)
 	if errors.Is(err, backend.ErrNotExist) {
 		return merkle.New(), 0, nil
 	}
@@ -296,11 +369,11 @@ func (s *FreshnessStore) readCheckpoint() (*merkle.Tree, uint64, error) {
 // can serve a copy fetched before the writer replaced it, and taking the
 // object's lock revalidates it. Root → checkpoint is the only order the
 // two locks are ever taken in.
-func (s *FreshnessStore) checkpointWithin(base, tip uint64) (*merkle.Tree, error) {
+func (s *Store) checkpointWithin(base, tip uint64) (*merkle.Tree, error) {
 	tree, epoch, err := s.readCheckpoint()
 	if err == nil && epoch < base {
 		var unlock func()
-		if unlock, err = s.inner.Lock(FreshnessTreeObjectName); err != nil {
+		if unlock, err = s.inner.Lock(TreeObjectName); err != nil {
 			return nil, err
 		}
 		tree, epoch, err = s.readCheckpoint()
@@ -320,7 +393,7 @@ func (s *FreshnessStore) checkpointWithin(base, tip uint64) (*merkle.Tree, error
 // It never moves backwards: a root no newer than the resident tree — a
 // stale cached copy, or a rolled-back store, which the enclave's epoch
 // check rejects — changes nothing.
-func (s *FreshnessStore) followLocked(data []byte, err error) (sealed []byte, _ error) {
+func (s *Store) followLocked(data []byte, err error) (sealed []byte, _ error) {
 	if errors.Is(err, backend.ErrNotExist) {
 		// A fresh volume: the empty tree at epoch 0.
 		if s.cur == nil {
@@ -366,9 +439,9 @@ func (s *FreshnessStore) followLocked(data []byte, err error) (sealed []byte, _ 
 // has read the root through this store that is already so; otherwise the
 // root is read here (a fresh wrapper under a live enclave, or a root read
 // the tree could not follow at the time).
-func (s *FreshnessStore) syncLocked(epoch uint64) error {
+func (s *Store) syncLocked(epoch uint64) error {
 	if s.cur == nil || s.at.tip != epoch {
-		data, _, err := s.inner.GetVersioned(enclave.MerkleRootObjectName)
+		data, _, err := s.inner.GetVersioned(RootObjectName)
 		if _, err := s.followLocked(data, err); err != nil {
 			return err
 		}
@@ -379,8 +452,8 @@ func (s *FreshnessStore) syncLocked(epoch uint64) error {
 	return nil
 }
 
-// FreshnessProof implements enclave.FreshnessProofStore.
-func (s *FreshnessStore) FreshnessProof(id uuid.UUID, epoch uint64) ([]byte, error) {
+// FreshnessProof implements ProofStore.
+func (s *Store) FreshnessProof(id uuid.UUID, epoch uint64) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.syncLocked(epoch); err != nil {
@@ -389,7 +462,7 @@ func (s *FreshnessStore) FreshnessProof(id uuid.UUID, epoch uint64) ([]byte, err
 	return s.cur.Prove(id).Encode(), nil
 }
 
-// FreshnessUpdate implements enclave.FreshnessProofStore: it applies
+// FreshnessUpdate implements ProofStore: it applies
 // the batch to a copy of the tree at the given epoch and returns one
 // proof per update, each against the tree state just before that update
 // — the sequence the enclave folds into its next root. Nothing is
@@ -407,7 +480,7 @@ func (s *FreshnessStore) FreshnessProof(id uuid.UUID, epoch uint64) ([]byte, err
 // fixed period and, at u changed leaves per epoch, costs √(2·S·u) per
 // epoch (DESIGN.md §15.3). It is a function of leaf and entry counts
 // alone.
-func (s *FreshnessStore) FreshnessUpdate(epoch uint64, updates []merkle.LeafUpdate) ([][]byte, error) {
+func (s *Store) FreshnessUpdate(epoch uint64, updates []merkle.LeafUpdate) ([][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.next = nil
@@ -425,7 +498,7 @@ func (s *FreshnessStore) FreshnessUpdate(epoch uint64, updates []merkle.LeafUpda
 	at := rootTrailer{base: s.at.base, tip: epoch + 1, spent: s.at.spent}
 	prior := s.at.delta
 	if s.at.spent*deltaEntrySize >= checkpointSize(s.cur.Len()) {
-		if _, err := s.inner.PutVersioned(FreshnessTreeObjectName, encodeCheckpoint(s.cur, epoch)); err != nil {
+		if _, err := s.inner.PutVersioned(TreeObjectName, encodeCheckpoint(s.cur, epoch)); err != nil {
 			return nil, err
 		}
 		at.base, at.spent, prior = epoch, 0, nil

@@ -1,14 +1,14 @@
-package vfs
+package freshtree
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"nexus/internal/backend"
-	"nexus/internal/enclave"
 	"nexus/internal/merkle"
 	"nexus/internal/serial"
 	"nexus/internal/uuid"
@@ -21,11 +21,58 @@ func fsTestUUID(b byte) uuid.UUID {
 	return id
 }
 
-// scriptedStore is the store under a FreshnessStore in these tests: it
+// memStore is a versioned, streaming ObjectStore over a memory backend.
+type memStore struct {
+	mem *backend.MemStore
+
+	mu       sync.Mutex
+	versions map[string]uint64
+}
+
+func newMemStore() *memStore {
+	return &memStore{mem: backend.NewMemStore(), versions: map[string]uint64{}}
+}
+
+func (s *memStore) GetVersioned(name string) ([]byte, uint64, error) {
+	data, err := s.mem.Get(name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return data, s.versions[name], err
+}
+
+func (s *memStore) PutVersioned(name string, data []byte) (uint64, error) {
+	if err := s.mem.Put(name, data); err != nil {
+		return 0, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.versions[name]++
+	return s.versions[name], nil
+}
+
+func (s *memStore) PutVersionedStream(name string, total int, next func() ([]byte, error)) (uint64, error) {
+	buf := make([]byte, 0, total)
+	for {
+		seg, err := next()
+		if err != nil {
+			return 0, err
+		}
+		if seg == nil {
+			return s.PutVersioned(name, buf)
+		}
+		buf = append(buf, seg...)
+	}
+}
+
+func (s *memStore) Delete(name string) error { return s.mem.Delete(name) }
+
+func (s *memStore) Lock(name string) (func(), error) { return s.mem.Lock(name) }
+
+// scriptedStore is the store under a Store in these tests: it
 // counts gets and puts by object name, and a put can be made to fail
 // outright or to take effect and then lose its reply.
 type scriptedStore struct {
-	enclave.ObjectStore
+	ObjectStore
 	gets, puts map[string]int
 	// failPut and losePut name the one object whose next put fails
 	// (before and after reaching the store, respectively).
@@ -34,7 +81,7 @@ type scriptedStore struct {
 
 var errScripted = errors.New("scripted store fault")
 
-func newScriptedStore(inner enclave.ObjectStore) *scriptedStore {
+func newScriptedStore(inner ObjectStore) *scriptedStore {
 	return &scriptedStore{ObjectStore: inner, gets: map[string]int{}, puts: map[string]int{}}
 }
 
@@ -57,15 +104,15 @@ func (s *scriptedStore) PutVersioned(name string, data []byte) (uint64, error) {
 	return v, err
 }
 
-func newTestFreshnessStore(t *testing.T) (*FreshnessStore, *scriptedStore) {
+func newTestStore(t *testing.T) (*Store, *scriptedStore) {
 	t.Helper()
-	inner := NewVersionedStore(backend.NewMemStore())
-	// VersionedStore streams, so the wrapper is the stream variant.
-	if _, ok := NewFreshnessStore(inner).(*streamFreshnessStore); !ok {
+	inner := newMemStore()
+	// memStore streams, so the wrapper is the stream variant.
+	if _, ok := New(inner).(*streamStore); !ok {
 		t.Fatal("wrapper over a streaming store is not the stream variant")
 	}
 	shared := newScriptedStore(inner)
-	return &FreshnessStore{inner: shared}, shared
+	return &Store{inner: shared}, shared
 }
 
 // fakeSealed stands in for the enclave's sealed root blob, which the
@@ -77,7 +124,7 @@ func fakeSealed(epoch uint64, root [32]byte) []byte {
 // stageBatch pushes one update batch at the given epoch and folds the
 // returned proofs the way the enclave does, returning the root every
 // proof chain converges to. The batch is not durable until the root put.
-func stageBatch(t *testing.T, s *FreshnessStore, epoch uint64, root [32]byte, batch []merkle.LeafUpdate) [32]byte {
+func stageBatch(t *testing.T, s *Store, epoch uint64, root [32]byte, batch []merkle.LeafUpdate) [32]byte {
 	t.Helper()
 	proofs, err := s.FreshnessUpdate(epoch, batch)
 	if err != nil {
@@ -100,10 +147,10 @@ func stageBatch(t *testing.T, s *FreshnessStore, epoch uint64, root [32]byte, ba
 
 // commitBatch is a whole drain: stage the batch, then put the sealed
 // root that commits to it.
-func commitBatch(t *testing.T, s *FreshnessStore, epoch uint64, root [32]byte, batch []merkle.LeafUpdate) [32]byte {
+func commitBatch(t *testing.T, s *Store, epoch uint64, root [32]byte, batch []merkle.LeafUpdate) [32]byte {
 	t.Helper()
 	root = stageBatch(t, s, epoch, root, batch)
-	if _, err := s.PutVersioned(enclave.MerkleRootObjectName, fakeSealed(epoch+1, root)); err != nil {
+	if _, err := s.PutVersioned(RootObjectName, fakeSealed(epoch+1, root)); err != nil {
 		t.Fatalf("root put at epoch %d: %v", epoch+1, err)
 	}
 	return root
@@ -111,7 +158,7 @@ func commitBatch(t *testing.T, s *FreshnessStore, epoch uint64, root [32]byte, b
 
 // wantLeaf checks the store's proof for id at epoch against root: the
 // leaf at version want, or absent when want is 0.
-func wantLeaf(t *testing.T, s *FreshnessStore, id uuid.UUID, epoch uint64, root [32]byte, want uint64) {
+func wantLeaf(t *testing.T, s *Store, id uuid.UUID, epoch uint64, root [32]byte, want uint64) {
 	t.Helper()
 	raw, err := s.FreshnessProof(id, epoch)
 	if err != nil {
@@ -128,9 +175,9 @@ func wantLeaf(t *testing.T, s *FreshnessStore, id uuid.UUID, epoch uint64, root 
 }
 
 // checkpointEpoch reads the epoch of the checkpoint on the store.
-func checkpointEpoch(t *testing.T, store enclave.ObjectStore) (uint64, bool) {
+func checkpointEpoch(t *testing.T, store ObjectStore) (uint64, bool) {
 	t.Helper()
-	data, _, err := store.GetVersioned(FreshnessTreeObjectName)
+	data, _, err := store.GetVersioned(TreeObjectName)
 	if errors.Is(err, backend.ErrNotExist) {
 		return 0, false
 	}
@@ -148,7 +195,7 @@ func checkpointEpoch(t *testing.T, store enclave.ObjectStore) (uint64, bool) {
 // it committed.
 type history struct {
 	t     *testing.T
-	s     *FreshnessStore
+	s     *Store
 	store *scriptedStore
 	epoch uint64
 	root  [32]byte
@@ -156,7 +203,7 @@ type history struct {
 }
 
 func newHistory(t *testing.T) *history {
-	s, store := newTestFreshnessStore(t)
+	s, store := newTestStore(t)
 	return &history{t: t, s: s, store: store, root: merkle.EmptyRoot()}
 }
 
@@ -172,8 +219,8 @@ func (h *history) drain() {
 // returns that checkpoint's epoch.
 func (h *history) drainToCheckpoint() uint64 {
 	h.t.Helper()
-	before := h.store.puts[FreshnessTreeObjectName]
-	for i := 0; h.store.puts[FreshnessTreeObjectName] == before; i++ {
+	before := h.store.puts[TreeObjectName]
+	for i := 0; h.store.puts[TreeObjectName] == before; i++ {
 		if i > 64 {
 			h.t.Fatal("64 drains wrote no checkpoint")
 		}
@@ -184,7 +231,7 @@ func (h *history) drainToCheckpoint() uint64 {
 }
 
 func TestFreshnessStoreProofAndUpdateRoundTrip(t *testing.T) {
-	s, store := newTestFreshnessStore(t)
+	s, store := newTestStore(t)
 
 	// Empty store: absence proof at epoch 0 against the empty root.
 	wantLeaf(t, s, fsTestUUID(1), 0, merkle.EmptyRoot(), 0)
@@ -206,11 +253,11 @@ func TestFreshnessStoreProofAndUpdateRoundTrip(t *testing.T) {
 
 	// The enclave reads back exactly the blob it put; the trailer (one
 	// entry per changed leaf, the deletion included) exists only below.
-	got, _, err := s.GetVersioned(enclave.MerkleRootObjectName)
+	got, _, err := s.GetVersioned(RootObjectName)
 	if err != nil || !bytes.Equal(got, fakeSealed(2, root)) {
 		t.Fatalf("root read through the store = %q, %v; want the sealed blob alone", got, err)
 	}
-	framed, _, err := store.GetVersioned(enclave.MerkleRootObjectName)
+	framed, _, err := store.GetVersioned(RootObjectName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +270,9 @@ func TestFreshnessStoreProofAndUpdateRoundTrip(t *testing.T) {
 // the old epoch, nothing of the batch is on the store, and a retried,
 // larger batch converges on the root a clean run produces.
 func TestFreshnessStoreBatchCommitsWithRootPut(t *testing.T) {
-	s, store := newTestFreshnessStore(t)
+	s, store := newTestStore(t)
 	root1 := commitBatch(t, s, 0, merkle.EmptyRoot(), []merkle.LeafUpdate{{ID: fsTestUUID(1), Version: 1}})
-	before, _, err := store.GetVersioned(enclave.MerkleRootObjectName)
+	before, _, err := store.GetVersioned(RootObjectName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +283,13 @@ func TestFreshnessStoreBatchCommitsWithRootPut(t *testing.T) {
 		t.Fatalf("proof at the staged epoch = %v, want ErrEpochUnavailable", err)
 	}
 	wantLeaf(t, s, fsTestUUID(2), 1, root1, 0)
-	if after, _, err := store.GetVersioned(enclave.MerkleRootObjectName); err != nil || !bytes.Equal(after, before) {
+	if after, _, err := store.GetVersioned(RootObjectName); err != nil || !bytes.Equal(after, before) {
 		t.Fatalf("staging a batch changed the root object (err %v)", err)
 	}
 
 	retry := []merkle.LeafUpdate{{ID: fsTestUUID(2), Version: 5}, {ID: fsTestUUID(3), Version: 1}}
 	root2 := commitBatch(t, s, 1, root1, retry)
-	clean, _ := newTestFreshnessStore(t)
+	clean, _ := newTestStore(t)
 	want := commitBatch(t, clean, 0, merkle.EmptyRoot(), []merkle.LeafUpdate{{ID: fsTestUUID(1), Version: 1}})
 	want = commitBatch(t, clean, 1, want, retry)
 	if root2 != want {
@@ -251,7 +298,7 @@ func TestFreshnessStoreBatchCommitsWithRootPut(t *testing.T) {
 	wantLeaf(t, s, fsTestUUID(2), 2, root2, 5)
 
 	// The staged batch is spent by the put that commits it.
-	if _, err := s.PutVersioned(enclave.MerkleRootObjectName, fakeSealed(3, root2)); err == nil {
+	if _, err := s.PutVersioned(RootObjectName, fakeSealed(3, root2)); err == nil {
 		t.Fatal("root put with no staged batch accepted")
 	}
 }
@@ -266,15 +313,15 @@ func TestFreshnessStoreSnapshotPersistsAcrossWrappers(t *testing.T) {
 	h.drain()
 
 	store := newScriptedStore(h.store.ObjectStore)
-	s2 := &FreshnessStore{inner: store}
-	if _, _, err := s2.GetVersioned(enclave.MerkleRootObjectName); err != nil {
+	s2 := &Store{inner: store}
+	if _, _, err := s2.GetVersioned(RootObjectName); err != nil {
 		t.Fatal(err)
 	}
 	for n := byte(1); n <= h.n; n++ {
 		wantLeaf(t, s2, fsTestUUID(n), h.epoch, h.root, 1)
 	}
 	wantLeaf(t, s2, fsTestUUID(h.n+1), h.epoch, h.root, 0)
-	if store.gets[enclave.MerkleRootObjectName] != 1 || store.gets[FreshnessTreeObjectName] != 1 || len(store.gets) != 2 {
+	if store.gets[RootObjectName] != 1 || store.gets[TreeObjectName] != 1 || len(store.gets) != 2 {
 		t.Fatalf("a fresh wrapper's gets = %v, want one of the root and one of the checkpoint", store.gets)
 	}
 	// One epoch back is gone with the root object that committed to it.
@@ -286,7 +333,7 @@ func TestFreshnessStoreSnapshotPersistsAcrossWrappers(t *testing.T) {
 func TestFreshnessStoreSnapshotDecodeRejectsGarbage(t *testing.T) {
 	h := newHistory(t)
 	h.drainToCheckpoint()
-	blob, _, err := h.store.GetVersioned(FreshnessTreeObjectName)
+	blob, _, err := h.store.GetVersioned(TreeObjectName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +342,10 @@ func TestFreshnessStoreSnapshotDecodeRejectsGarbage(t *testing.T) {
 		"bad format": append([]byte{99}, blob[1:]...),
 		"truncated":  blob[:len(blob)-1],
 	} {
-		if _, err := h.store.PutVersioned(FreshnessTreeObjectName, mut); err != nil {
+		if _, err := h.store.PutVersioned(TreeObjectName, mut); err != nil {
 			t.Fatal(err)
 		}
-		s2 := &FreshnessStore{inner: h.store}
+		s2 := &Store{inner: h.store}
 		if _, err := s2.FreshnessProof(fsTestUUID(1), h.epoch); err == nil {
 			t.Errorf("%s checkpoint: proof served from garbage", name)
 		}
@@ -309,7 +356,7 @@ func TestFreshnessStoreSnapshotDecodeRejectsGarbage(t *testing.T) {
 // root beside a format-1 snapshot — mounts, and its first drain rewrites
 // the root object in the new layout.
 func TestFreshnessStoreMountsLegacyLayout(t *testing.T) {
-	_, store := newTestFreshnessStore(t)
+	_, store := newTestStore(t)
 	tree := merkle.New()
 	tree.Set(fsTestUUID(1), 4)
 	tree.Set(fsTestUUID(2), 1)
@@ -323,33 +370,33 @@ func TestFreshnessStoreMountsLegacyLayout(t *testing.T) {
 	w.WriteUint64(0)
 	w.WriteBytes(enc)
 	bare := fakeSealed(7, tree.Root())
-	for name, data := range map[string][]byte{FreshnessTreeObjectName: w.Bytes(), enclave.MerkleRootObjectName: bare} {
+	for name, data := range map[string][]byte{TreeObjectName: w.Bytes(), RootObjectName: bare} {
 		if _, err := store.PutVersioned(name, data); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	s := &FreshnessStore{inner: store}
-	if got, _, err := s.GetVersioned(enclave.MerkleRootObjectName); err != nil || !bytes.Equal(got, bare) {
+	s := &Store{inner: store}
+	if got, _, err := s.GetVersioned(RootObjectName); err != nil || !bytes.Equal(got, bare) {
 		t.Fatalf("bare root read through the store = %q, %v", got, err)
 	}
 	wantLeaf(t, s, fsTestUUID(1), 7, tree.Root(), 4)
 	root := commitBatch(t, s, 7, tree.Root(), []merkle.LeafUpdate{{ID: fsTestUUID(3), Version: 2}})
 
-	framed, _, err := store.GetVersioned(enclave.MerkleRootObjectName)
+	framed, _, err := store.GetVersioned(RootObjectName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, tr, ok := splitRootFrame(framed); !ok || tr.base != 7 || tr.tip != 8 || len(tr.delta) != 1 {
 		t.Fatalf("root object after the first drain: framed=%v trailer=%+v", ok, tr)
 	}
-	s2 := &FreshnessStore{inner: store}
+	s2 := &Store{inner: store}
 	wantLeaf(t, s2, fsTestUUID(3), 8, root, 2)
 	wantLeaf(t, s2, fsTestUUID(1), 8, root, 4)
 }
 
 func TestFreshnessStoreUpdateAtWrongEpoch(t *testing.T) {
-	s, _ := newTestFreshnessStore(t)
+	s, _ := newTestStore(t)
 	commitBatch(t, s, 0, merkle.EmptyRoot(), []merkle.LeafUpdate{{ID: fsTestUUID(1), Version: 1}})
 	for _, epoch := range []uint64{0, 7} {
 		if _, err := s.FreshnessUpdate(epoch, []merkle.LeafUpdate{{ID: fsTestUUID(2), Version: 1}}); !errors.Is(err, ErrEpochUnavailable) {
@@ -363,14 +410,14 @@ func TestFreshnessStoreUpdateAtWrongEpoch(t *testing.T) {
 // keeps serving that copy to plain gets, and only a Lock on the name
 // revalidates it.
 type lazyCacheStore struct {
-	enclave.ObjectStore
+	ObjectStore
 	cached  []byte
 	version uint64
 	locks   int
 }
 
 func (c *lazyCacheStore) GetVersioned(name string) ([]byte, uint64, error) {
-	if name != FreshnessTreeObjectName {
+	if name != TreeObjectName {
 		return c.ObjectStore.GetVersioned(name)
 	}
 	if c.cached == nil {
@@ -384,7 +431,7 @@ func (c *lazyCacheStore) GetVersioned(name string) ([]byte, uint64, error) {
 }
 
 func (c *lazyCacheStore) Lock(name string) (func(), error) {
-	if name == FreshnessTreeObjectName {
+	if name == TreeObjectName {
 		c.locks++
 		c.cached = nil
 	}
@@ -401,7 +448,7 @@ func TestFreshnessStoreRevalidatesStaleSnapshot(t *testing.T) {
 	h.drain()
 
 	cache := &lazyCacheStore{ObjectStore: h.store}
-	reader := &FreshnessStore{inner: cache}
+	reader := &Store{inner: cache}
 	// The reader fetches the first checkpoint; its cache now holds it.
 	wantLeaf(t, reader, fsTestUUID(1), h.epoch, h.root, 1)
 	h.drainToCheckpoint()
@@ -425,7 +472,7 @@ func TestFreshnessStoreRevalidatesStaleSnapshot(t *testing.T) {
 
 	// Same for the update path, from a second stale reader.
 	cache2 := &lazyCacheStore{ObjectStore: h.store}
-	updater := &FreshnessStore{inner: cache2}
+	updater := &Store{inner: cache2}
 	wantLeaf(t, updater, fsTestUUID(1), h.epoch, h.root, 1)
 	h.drainToCheckpoint()
 	h.drain()
@@ -456,14 +503,14 @@ func TestFreshnessStoreCrashBetweenCheckpointAndRoot(t *testing.T) {
 	for h.s.at.spent*deltaEntrySize < checkpointSize(h.s.cur.Len()) {
 		h.drain()
 	}
-	h.store.failPut = enclave.MerkleRootObjectName
+	h.store.failPut = RootObjectName
 	id := fsTestUUID(200)
 	root := stageBatch(t, h.s, h.epoch, h.root, []merkle.LeafUpdate{{ID: id, Version: 1}})
-	if _, err := h.s.PutVersioned(enclave.MerkleRootObjectName, fakeSealed(h.epoch+1, root)); !errors.Is(err, errScripted) {
+	if _, err := h.s.PutVersioned(RootObjectName, fakeSealed(h.epoch+1, root)); !errors.Is(err, errScripted) {
 		t.Fatalf("root put = %v, want the scripted fault", err)
 	}
 	second, _ := checkpointEpoch(t, h.store)
-	framed, _, err := h.store.GetVersioned(enclave.MerkleRootObjectName)
+	framed, _, err := h.store.GetVersioned(RootObjectName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +519,7 @@ func TestFreshnessStoreCrashBetweenCheckpointAndRoot(t *testing.T) {
 		t.Fatalf("checkpoint at %d, root covers %d to %d: not the crash window (first checkpoint %d, epoch %d)", second, tr.base, tr.tip, first, h.epoch)
 	}
 
-	mounted := &FreshnessStore{inner: h.store}
+	mounted := &Store{inner: h.store}
 	for n := byte(1); n <= h.n; n++ {
 		wantLeaf(t, mounted, fsTestUUID(n), h.epoch, h.root, 1)
 	}
@@ -487,7 +534,7 @@ func TestFreshnessStoreCrashBetweenCheckpointAndRoot(t *testing.T) {
 	if got != want.Root() {
 		t.Fatal("retried drain did not converge on the clean run's root")
 	}
-	wantLeaf(t, &FreshnessStore{inner: h.store}, id, h.epoch+1, got, 1)
+	wantLeaf(t, &Store{inner: h.store}, id, h.epoch+1, got, 1)
 }
 
 // A root put that fails, and one that takes effect but loses its reply
@@ -502,19 +549,19 @@ func TestFreshnessStoreRootPutFailsOrLosesReply(t *testing.T) {
 			h.drain()
 			first := []merkle.LeafUpdate{{ID: fsTestUUID(1), Version: 2}, {ID: fsTestUUID(50), Version: 1}}
 			if lost {
-				h.store.losePut = enclave.MerkleRootObjectName
+				h.store.losePut = RootObjectName
 			} else {
-				h.store.failPut = enclave.MerkleRootObjectName
+				h.store.failPut = RootObjectName
 			}
 			root := stageBatch(t, h.s, h.epoch, h.root, first)
-			if _, err := h.s.PutVersioned(enclave.MerkleRootObjectName, fakeSealed(h.epoch+1, root)); !errors.Is(err, errScripted) {
+			if _, err := h.s.PutVersioned(RootObjectName, fakeSealed(h.epoch+1, root)); !errors.Is(err, errScripted) {
 				t.Fatalf("root put = %v, want the scripted fault", err)
 			}
 			// The client still believes the old epoch, and can prove it.
 			wantLeaf(t, h.s, fsTestUUID(1), h.epoch, h.root, 1)
 
 			// Retry: re-read the root, then drain from wherever it is.
-			sealed, _, err := h.s.GetVersioned(enclave.MerkleRootObjectName)
+			sealed, _, err := h.s.GetVersioned(RootObjectName)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -534,7 +581,7 @@ func TestFreshnessStoreRootPutFailsOrLosesReply(t *testing.T) {
 			if want := commitBatch(t, clean.s, clean.epoch, clean.root, retry); got != want {
 				t.Fatal("retried drain did not converge on the clean run's root")
 			}
-			wantLeaf(t, &FreshnessStore{inner: h.store}, fsTestUUID(51), epoch+1, got, 3)
+			wantLeaf(t, &Store{inner: h.store}, fsTestUUID(51), epoch+1, got, 3)
 		})
 	}
 }
@@ -543,18 +590,18 @@ func TestFreshnessStoreRootPutFailsOrLosesReply(t *testing.T) {
 // object's trailer alone: after each has mounted, neither fetches the
 // checkpoint again, however many checkpoints the other writes.
 func TestFreshnessStoreAlternatingClientsNeverRefetchCheckpoint(t *testing.T) {
-	_, shared := newTestFreshnessStore(t)
-	var clients [2]*FreshnessStore
+	_, shared := newTestStore(t)
+	var clients [2]*Store
 	var stores [2]*scriptedStore
 	for i := range clients {
 		stores[i] = newScriptedStore(shared)
-		clients[i] = &FreshnessStore{inner: stores[i]}
+		clients[i] = &Store{inner: stores[i]}
 	}
 	root, epoch := merkle.EmptyRoot(), uint64(0)
 	for turn := 0; turn < 60; turn++ {
 		c := clients[turn%2]
 		// The enclave re-reads the root under its lock before every drain.
-		if _, _, err := c.GetVersioned(enclave.MerkleRootObjectName); err != nil && !errors.Is(err, backend.ErrNotExist) {
+		if _, _, err := c.GetVersioned(RootObjectName); err != nil && !errors.Is(err, backend.ErrNotExist) {
 			t.Fatal(err)
 		}
 		root = commitBatch(t, c, epoch, root, []merkle.LeafUpdate{
@@ -563,14 +610,14 @@ func TestFreshnessStoreAlternatingClientsNeverRefetchCheckpoint(t *testing.T) {
 		})
 		epoch++
 	}
-	if n := shared.puts[FreshnessTreeObjectName]; n < 3 {
+	if n := shared.puts[TreeObjectName]; n < 3 {
 		t.Fatalf("%d checkpoints in 60 drains: the case under test did not occur", n)
 	}
 	for i, st := range stores {
 		// A client's first root read finds no checkpoint yet (client 0) or
 		// mounts from it (client 1): at most one get each, ever.
-		if n := st.gets[FreshnessTreeObjectName]; n > 1 {
-			t.Errorf("client %d fetched the checkpoint %d times across %d checkpoints", i, n, shared.puts[FreshnessTreeObjectName])
+		if n := st.gets[TreeObjectName]; n > 1 {
+			t.Errorf("client %d fetched the checkpoint %d times across %d checkpoints", i, n, shared.puts[TreeObjectName])
 		}
 	}
 	wantLeaf(t, clients[0], fsTestUUID(0), epoch, root, 60)
@@ -585,13 +632,13 @@ func TestFreshnessStoreTamperedTrailerFailsClosed(t *testing.T) {
 	h := newHistory(t)
 	h.drainToCheckpoint()
 	h.drain()
-	older, _, err := h.store.GetVersioned(enclave.MerkleRootObjectName)
+	older, _, err := h.store.GetVersioned(RootObjectName)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.root = commitBatch(t, h.s, h.epoch, h.root, []merkle.LeafUpdate{{ID: fsTestUUID(1), Version: 6}})
 	h.epoch++
-	honest, _, err := h.store.GetVersioned(enclave.MerkleRootObjectName)
+	honest, _, err := h.store.GetVersioned(RootObjectName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,11 +667,11 @@ func TestFreshnessStoreTamperedTrailerFailsClosed(t *testing.T) {
 			if bytes.Equal(blob, honest) {
 				t.Fatal("the case changed nothing")
 			}
-			if _, err := h.store.PutVersioned(enclave.MerkleRootObjectName, blob); err != nil {
+			if _, err := h.store.PutVersioned(RootObjectName, blob); err != nil {
 				t.Fatal(err)
 			}
-			s := &FreshnessStore{inner: h.store}
-			if _, _, err := s.GetVersioned(enclave.MerkleRootObjectName); err != nil {
+			s := &Store{inner: h.store}
+			if _, _, err := s.GetVersioned(RootObjectName); err != nil {
 				t.Fatal(err)
 			}
 			raw, err := s.FreshnessProof(fsTestUUID(1), h.epoch)
@@ -644,28 +691,28 @@ func TestFreshnessStoreTamperedTrailerFailsClosed(t *testing.T) {
 		})
 	}
 	// And the honest frame, put back, serves the committed version.
-	if _, err := h.store.PutVersioned(enclave.MerkleRootObjectName, honest); err != nil {
+	if _, err := h.store.PutVersioned(RootObjectName, honest); err != nil {
 		t.Fatal(err)
 	}
-	wantLeaf(t, &FreshnessStore{inner: h.store}, fsTestUUID(1), h.epoch, h.root, 6)
+	wantLeaf(t, &Store{inner: h.store}, fsTestUUID(1), h.epoch, h.root, 6)
 }
 
 // The checkpoint rule depends on leaf and entry counts alone, and keeps
 // the two costs it trades — re-uploaded delta entries and checkpoints —
 // within a factor of two of each other over a long run.
 func TestFreshnessStoreCheckpointRuleBalancesCosts(t *testing.T) {
-	s, store := newTestFreshnessStore(t)
+	s, store := newTestStore(t)
 	root, epoch := merkle.EmptyRoot(), uint64(0)
 	var id uuid.UUID
 	var deltaBytes, checkpointBytes uint64
 	for i := 0; i < 1500; i++ {
 		id[0], id[1], id[8] = byte(i), byte(i>>8), 1
-		before := store.puts[FreshnessTreeObjectName]
+		before := store.puts[TreeObjectName]
 		root = commitBatch(t, s, epoch, root, []merkle.LeafUpdate{{ID: id, Version: 1}})
 		epoch++
 		deltaBytes += uint64(len(s.at.delta)) * deltaEntrySize
-		if store.puts[FreshnessTreeObjectName] != before {
-			data, _, err := store.GetVersioned(FreshnessTreeObjectName)
+		if store.puts[TreeObjectName] != before {
+			data, _, err := store.GetVersioned(TreeObjectName)
 			if err != nil {
 				t.Fatal(err)
 			}

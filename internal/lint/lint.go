@@ -5,10 +5,6 @@
 //
 // Rules:
 //
-//   - no-math-rand: math/rand never feeds key material. Forbidden outside
-//     _test.go files and the synthetic-workload packages
-//     (internal/workload, internal/bench); the crypto-bearing packages
-//     must use crypto/rand exclusively.
 //   - enclave-boundary: raw key material (rootkey, sealing keys, wrapping
 //     keys) never crosses the ecall surface: no exported identifier or
 //     exported signature of internal/enclave or internal/sgx may carry
@@ -30,6 +26,8 @@
 // Whether key material reaches an error, a span tag or the store is not
 // a rule here: internal/enclave/keyleak_test.go checks the key values
 // themselves against every byte that leaves the enclave (DESIGN.md §6).
+// Nor is keeping math/rand out of the crypto packages:
+// cryptorand_test.go at the module root checks their imports.
 //
 // A finding can be suppressed with a directive on the same or the
 // preceding line:
@@ -69,7 +67,6 @@ type Checker struct {
 // interprocedural: it runs over the module's call graph (callgraph.go).
 func Checkers() []Checker {
 	return []Checker{
-		{Rule: RuleMathRand, Doc: "math/rand forbidden outside tests and workload generators", Run: perPackage(checkMathRand)},
 		{Rule: RuleBoundary, Doc: "raw key material must not cross the enclave boundary", Run: perPackage(checkBoundary)},
 		{Rule: RuleNonce, Doc: "AEAD nonces must be fresh (crypto/rand or counter helper)", Run: perPackage(checkNonce)},
 		{Rule: RuleCryptoErr, Doc: "crypto errors must be checked", Run: perPackage(checkCryptoErr)},
@@ -92,7 +89,6 @@ func perPackage(check func(m *Module, p *Package) []Finding) func(*Module) []Fin
 
 // Rule names.
 const (
-	RuleMathRand  = "no-math-rand"
 	RuleBoundary  = "enclave-boundary"
 	RuleNonce     = "nonce-hygiene"
 	RuleCryptoErr = "unchecked-crypto-error"

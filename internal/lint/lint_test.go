@@ -63,15 +63,15 @@ func expect(t *testing.T, res *Result, rule string, want ...string) {
 func TestFindingString(t *testing.T) {
 	res := analyzeFixture(t, map[string]string{
 		"internal/enclave/x.go": `package enclave
-import "math/rand"
-var _ = rand.Int
+import "crypto/rand"
+func F(b []byte) { rand.Read(b) }
 `,
 	})
 	if len(res.Findings) != 1 {
 		t.Fatalf("findings = %v, want 1", res.Findings)
 	}
 	s := res.Findings[0].String()
-	if !strings.Contains(s, "x.go:2: [no-math-rand]") {
+	if !strings.Contains(s, "x.go:3: [unchecked-crypto-error]") {
 		t.Fatalf("String() = %q, want file:line: [RULE] form", s)
 	}
 }
@@ -79,12 +79,14 @@ var _ = rand.Int
 func TestSuppressionDirective(t *testing.T) {
 	res := analyzeFixture(t, map[string]string{
 		"internal/enclave/x.go": `package enclave
-//lint:ignore no-math-rand fixture exercises the directive
-import "math/rand"
-var _ = rand.Int
+import "crypto/rand"
+func F(b []byte) {
+	//lint:ignore unchecked-crypto-error fixture exercises the directive
+	rand.Read(b)
+}
 `,
 	})
-	expect(t, res, RuleMathRand) // suppressed
+	expect(t, res, RuleCryptoErr) // suppressed
 	if res.Suppressed != 1 {
 		t.Fatalf("Suppressed = %d, want 1", res.Suppressed)
 	}
@@ -93,11 +95,13 @@ var _ = rand.Int
 func TestSuppressionSameLine(t *testing.T) {
 	res := analyzeFixture(t, map[string]string{
 		"internal/enclave/x.go": `package enclave
-import "math/rand" //lint:ignore no-math-rand same-line placement
-var _ = rand.Int
+import "crypto/rand"
+func F(b []byte) {
+	rand.Read(b) //lint:ignore unchecked-crypto-error same-line placement
+}
 `,
 	})
-	expect(t, res, RuleMathRand)
+	expect(t, res, RuleCryptoErr)
 	if res.Suppressed != 1 {
 		t.Fatalf("Suppressed = %d, want 1", res.Suppressed)
 	}
@@ -106,12 +110,14 @@ var _ = rand.Int
 func TestSuppressionWrongRuleDoesNotApply(t *testing.T) {
 	res := analyzeFixture(t, map[string]string{
 		"internal/enclave/x.go": `package enclave
-//lint:ignore nonce-hygiene wrong rule named
-import "math/rand"
-var _ = rand.Int
+import "crypto/rand"
+func F(b []byte) {
+	//lint:ignore nonce-hygiene wrong rule named
+	rand.Read(b)
+}
 `,
 	})
-	expect(t, res, RuleMathRand, "x.go:3")
+	expect(t, res, RuleCryptoErr, "x.go:5")
 	if res.Suppressed != 0 {
 		t.Fatalf("Suppressed = %d, want 0", res.Suppressed)
 	}

@@ -9,8 +9,7 @@ import (
 )
 
 // cryptoBearingDirs are the module-relative packages whose code handles
-// key material; they must use crypto/rand exclusively and their calls are
-// always crypto-relevant for error checking.
+// key material; their calls are always crypto-relevant for error checking.
 var cryptoBearingDirs = map[string]bool{
 	"internal/enclave":  true,
 	"internal/sgx":      true,
@@ -24,13 +23,6 @@ var cryptoBearingDirs = map[string]bool{
 var enclaveBoundaryDirs = map[string]bool{
 	"internal/enclave": true,
 	"internal/sgx":     true,
-}
-
-// mathRandExemptDirs may use math/rand in non-test code: they generate
-// synthetic workloads and benchmark inputs, never key material.
-var mathRandExemptDirs = map[string]bool{
-	"internal/workload": true,
-	"internal/bench":    true,
 }
 
 // exprText renders an expression to source text (for matching the "same

@@ -16,7 +16,7 @@
 // Mutations path-copy: nodes are immutable once linked, every update
 // rebuilds only the root-to-leaf spine (expected O(log n) for random
 // UUIDs), and Clone is a pointer copy. The untrusted proof server
-// (vfs.FreshnessStore) leans on this to keep the previous epoch's
+// (freshtree.Store) leans on this to keep the previous epoch's
 // snapshot at the cost of one spine per updated leaf.
 package merkle
 

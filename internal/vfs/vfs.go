@@ -27,6 +27,7 @@ import (
 	"nexus/internal/acl"
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
+	"nexus/internal/freshtree"
 	"nexus/internal/metadata"
 	"nexus/internal/obs"
 )
@@ -72,6 +73,14 @@ var (
 	_ enclave.ObjectStore       = (*VersionedStore)(nil)
 	_ enclave.StreamObjectStore = (*VersionedStore)(nil)
 )
+
+// NewFreshnessStore and FreshnessTreeObjectName forward to freshtree.New
+// and freshtree.TreeObjectName for the callers that still name them here.
+func NewFreshnessStore(inner enclave.ObjectStore) enclave.FreshnessProofStore {
+	return freshtree.New(inner)
+}
+
+const FreshnessTreeObjectName = freshtree.TreeObjectName
 
 // NewVersionedStore wraps store.
 func NewVersionedStore(store backend.Store) *VersionedStore {

@@ -184,7 +184,7 @@ type ClientConfig struct {
 	// native support, or any ObjectStore implementation. Every volume
 	// is rollback-protected by the Merkle-authenticated namespace
 	// (DESIGN.md §15): unless the store already serves freshness proofs,
-	// the client wraps it in vfs.NewFreshnessStore, which keeps the
+	// the enclave wraps it in freshtree.New, which keeps the
 	// untrusted tree on the store as a checkpoint ("freshness-tree",
 	// written rarely) plus the leaves changed since, which ride unsealed
 	// behind the sealed root in "freshness-root" — a drain uploads what
@@ -249,13 +249,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nexus: loading enclave: %w", err)
 	}
-	store := cfg.Store
-	if _, ok := store.(enclave.FreshnessProofStore); !ok {
-		store = vfs.NewFreshnessStore(store)
-	}
 	encl, err := enclave.New(enclave.Config{
 		SGX:        container,
-		Store:      store,
+		Store:      cfg.Store,
 		IAS:        cfg.IAS,
 		BucketSize: cfg.BucketSize,
 		ChunkSize:  cfg.ChunkSize,

@@ -10,11 +10,11 @@ import (
 
 	"nexus"
 	"nexus/internal/enclave"
+	"nexus/internal/freshtree"
 	"nexus/internal/merkle"
 	"nexus/internal/metadata"
 	"nexus/internal/obs"
 	"nexus/internal/uuid"
-	"nexus/internal/vfs"
 )
 
 // callRecorder sits between a client's enclave and its store and writes
@@ -125,7 +125,7 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &callRecorder{
-		FreshnessProofStore: vfs.NewFreshnessStore(nexus.NewMemoryStore()),
+		FreshnessProofStore: freshtree.New(nexus.NewMemoryStore()),
 		kinds:               make(map[string]string),
 	}
 	client, err := nexus.NewClient(nexus.ClientConfig{Store: rec, IAS: ias})
