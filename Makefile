@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet lint fuzz-smoke chaos obs bench bench-baseline cover revoke-sweep freshness-sweep merkle vuln ci clean
+.PHONY: all build test race vet lint fuzz-smoke chaos obs bench bench-counts cover revoke-sweep freshness-sweep merkle vuln ci clean
 
 all: build
 
@@ -69,23 +69,38 @@ obs:
 	$(GO) test -race -count=1 -run 'TestWarmWalk|TestWalkPrefetch|TestRewriteChunkedToInlineFaultSweep|TestBatchedWriteFaultSweep|TestUnlockIsAnOcall' ./internal/enclave/
 	$(GO) test -race -count=1 -run 'TestTransportFault|TestClientRPCLatency' ./internal/afs/
 
-# bench mirrors the CI perf gate: rerun the fast file-I/O and
-# chunk-crypto experiments under GOMAXPROCS=4 (so the report's cpus
-# stamp matches the committed multi-core baseline), write
-# BENCH_<rev>.json, and diff it against the baseline with the gated
-# metrics at CI's tolerances (ns/op +25%, allocs/op +10%, MB/s -25%).
-bench:
-	$(GO) build -o bin/ ./cmd/nexus-bench ./cmd/nexus-benchdiff
-	GOMAXPROCS=4 ./bin/nexus-bench -exp fileio,crypto -scale 1024 -crypto-bytes 16777216 -json
-	./bin/nexus-benchdiff -baseline bench/baseline.json -current BENCH_$$(git rev-parse --short HEAD).json \
-		-tolerance 0.25
+# bench is the CI perf gate. It runs every benchmark workload once at
+# seed 1 in smoke size, untraced and traced, keeps each metric whose
+# unit is `count` (store RPCs, byte ratios, transitions, flushes, ...)
+# and fails on any difference from the committed bench/counts.jsonl,
+# printed one metric per line. A run with a failed operation fails too.
+# Left out because they vary between runs of the same seed:
+# proc.allocs_per_op (GC timing), netsim.writes (core count) and
+# share_revoke's two byte ratios (ASN.1 signature lengths). Needs jq.
+BENCH_WORKLOADS = tree_create cold_scan file_io local_mixed share_revoke
+BENCH_COUNTS ?= bench/counts.jsonl
+BENCH_KEEP = .metrics | with_entries(select(.value.unit == "count")) | map_values(.value) \
+	| del(.["proc.allocs_per_op"], .["netsim.writes"]) \
+	| if $$w == "share_revoke" then del(.wire_bytes_per_user_byte, .stored_bytes_per_user_byte) else . end
+BENCH_FLAT = "\(.workload) trace=\(.trace) \(.counts | to_entries[] | "\(.key) \(.value)")"
 
-# bench-baseline refreshes the committed baseline after an intentional
-# performance change (see README.md before running this). Run it on a
-# machine with >= 4 physical cores: the baseline's MB/s columns gate CI.
-bench-baseline:
-	GOMAXPROCS=4 $(GO) run ./cmd/nexus-bench -exp fileio,crypto -scale 1024 -crypto-bytes 16777216 \
-		-json -out bench/baseline.json
+bench:
+	$(MAKE) --no-print-directory bench-counts BENCH_COUNTS=bin/counts.jsonl
+	jq -r '$(BENCH_FLAT)' bench/counts.jsonl > bin/counts.want
+	jq -r '$(BENCH_FLAT)' bin/counts.jsonl | diff -u bin/counts.want -
+
+# bench-counts rewrites bench/counts.jsonl. A change that moves a count
+# commits the new file and says why (README.md, "The perf gate").
+bench-counts:
+	$(GO) build -o bin/benchmark ./benchmark
+	@out=$$(mktemp -d) && trap 'rm -rf "$$out"' EXIT && \
+	for w in $(BENCH_WORKLOADS); do for t in 0 1; do \
+		./bin/benchmark -workload $$w -size smoke -seconds 0 -seed 1 -trace $$t -out "$$out" > "$$out/run.json" 2> "$$out/log" \
+			|| { cat "$$out/log" "$$out/run.json" >&2; echo "bench: $$w -trace $$t failed" >&2; exit 1; }; \
+		jq -c -S --arg w $$w --argjson t $$t \
+			'if .failed != 0 then error("\($$w) -trace \($$t): \(.failed) failed operations") else {workload: $$w, trace: $$t, failed, counts: ($(BENCH_KEEP))} end' \
+			"$$out/run.json" || exit 1; \
+	done; done > "$$out/counts.jsonl" && mv "$$out/counts.jsonl" $(BENCH_COUNTS)
 
 # vuln scans the module against the Go vulnerability database with the
 # same pinned govulncheck the CI job runs. Needs network access to
@@ -115,16 +130,16 @@ merkle:
 # evidence, 40-byte enclave state) and, on the update side, the bytes a
 # one-leaf epoch moves to and from the store with checkpoints amortised
 # (O(√n), §15.3) and the epochs per checkpoint; it writes the rows into
-# the JSON report for nexus-benchdiff (informational proof_bytes/op,
-# update_bytes_per_epoch and epochs_per_checkpoint columns).
+# the JSON report (proof_bytes_per_op, update_bytes_per_epoch and
+# epochs_per_checkpoint).
 freshness-sweep:
 	$(GO) run ./cmd/nexus-bench -exp freshness -json \
 		-objects 1000,10000,100000,1000000
 
 # revoke-sweep reproduces the §VII-E membership sweep (10^3–10^6 users):
 # the subgroup key tree's O(log n) wraps per revocation (a flat group key
-# costs n−1 by construction), written into the JSON report for
-# nexus-benchdiff (informational wraps/op column).
+# costs n−1 by construction), written into the JSON report
+# (wraps_per_op, bytes_per_op).
 revoke-sweep:
 	$(GO) run ./cmd/nexus-bench -exp revoke-sweep -json \
 		-members 1000,10000,100000,1000000

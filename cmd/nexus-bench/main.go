@@ -3,28 +3,26 @@
 //
 // Usage:
 //
-//	nexus-bench [-exp all|fileio|dirops|gitclone|db|apps|revoke|revoke-sweep|sharing|crypto|metadata|freshness|ablation]
+//	nexus-bench [-exp all|fileio|dirops|gitclone|db|apps|revoke|revoke-sweep|sharing|metadata|freshness|ablation]
 //	            [-scale N] [-runs N] [-rtt duration] [-bw MBps]
 //	            [-entries N] [-transition duration]
-//	            [-json] [-out FILE] [-crypto-workers LIST]
-//	            [-crypto-bytes N] [-members LIST] [-objects LIST]
+//	            [-json] [-out FILE] [-members LIST] [-objects LIST]
 //
-// -exp also accepts a comma-separated list (e.g. -exp fileio,crypto) so
-// one report — and therefore one benchdiff gate — can cover several
-// experiments. "all" runs everything except ablation, the slow one,
-// which runs only when named; an unknown name is an error.
+// -exp also accepts a comma-separated list (e.g. -exp fileio,metadata)
+// so one report can cover several experiments. "all" runs everything
+// except ablation, the slow one, which runs only when named; an unknown
+// name is an error.
 //
 // -scale divides workload file *sizes* (never counts) so paper-scale
 // experiments (-scale 1) and quick runs (-scale 1024) use identical
-// operation mixes. The defaults complete in a few minutes. The crypto
-// experiment's buffer follows -scale too unless -crypto-bytes pins it;
-// pinning matters when the rest of the run is scaled down hard, because
-// a buffer under one chunk (1 MiB) leaves the worker sweep nothing to
-// parallelize.
+// operation mixes. It must be at least 1. The defaults complete in a
+// few minutes.
 //
 // -json additionally writes a schema-versioned machine-readable report
-// (ns/op, MB/s, allocs per experiment) to BENCH_<rev>.json — or -out —
-// for cmd/nexus-benchdiff and the CI regression gate.
+// (ns/op, MB/s, latency percentiles and the sweeps' per-op counts per
+// experiment) to BENCH_<rev>.json — or -out. It is a record, not a
+// gate: CI's perf gate is `make bench`, which diffs the exact per-op
+// counts of ./benchmark against bench/counts.jsonl.
 package main
 
 import (
@@ -42,29 +40,31 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintf(os.Stderr, "nexus-bench: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	exp := flag.String("exp", "all", "comma-separated experiments: all|"+strings.Join(experiments, "|")+" (all leaves out ablation, the slow one)")
-	scale := flag.Int64("scale", 64, "divide workload file sizes by this factor (1 = paper scale)")
-	runs := flag.Int("runs", 3, "repetitions averaged per measurement")
-	rtt := flag.Duration("rtt", 500*time.Microsecond, "simulated network round-trip time")
-	bw := flag.Int64("bw", 125, "simulated bandwidth in MiB/s (0 = unlimited)")
-	entries := flag.Int("entries", 2000, "database benchmark entry count")
-	transition := flag.Duration("transition", 4*time.Microsecond, "simulated enclave transition cost")
-	dirCounts := flag.String("dirs", "1024,2048,4096,8192", "comma-separated file counts for dirops")
-	jsonOut := flag.Bool("json", false, "also write a machine-readable report (see -out)")
-	outPath := flag.String("out", "", "report path for -json (default BENCH_<rev>.json)")
-	cryptoWorkers := flag.String("crypto-workers", "1,2,4,8", "comma-separated worker counts for the crypto experiment")
-	cryptoBytes := flag.Int64("crypto-bytes", 0, "chunk-crypto buffer size in bytes (0 = 16MiB divided by -scale)")
-	members := flag.String("members", "1000,10000,100000,1000000", "comma-separated membership sizes for the revoke-sweep experiment")
-	objects := flag.String("objects", "1000,10000,100000,1000000", "comma-separated namespace sizes for the freshness experiment")
-	flag.Parse()
+func run(args []string) error {
+	fs := flag.NewFlagSet("nexus-bench", flag.ExitOnError)
+	exp := fs.String("exp", "all", "comma-separated experiments: all|"+strings.Join(experiments, "|")+" (all leaves out ablation, the slow one)")
+	scale := fs.Int64("scale", 64, "divide workload file sizes by this factor (1 = paper scale)")
+	runs := fs.Int("runs", 3, "repetitions averaged per measurement")
+	rtt := fs.Duration("rtt", 500*time.Microsecond, "simulated network round-trip time")
+	bw := fs.Int64("bw", 125, "simulated bandwidth in MiB/s (0 = unlimited)")
+	entries := fs.Int("entries", 2000, "database benchmark entry count")
+	transition := fs.Duration("transition", 4*time.Microsecond, "simulated enclave transition cost")
+	dirCounts := fs.String("dirs", "1024,2048,4096,8192", "comma-separated file counts for dirops")
+	jsonOut := fs.Bool("json", false, "also write a machine-readable report (see -out)")
+	outPath := fs.String("out", "", "report path for -json (default BENCH_<rev>.json)")
+	members := fs.String("members", "1000,10000,100000,1000000", "comma-separated membership sizes for the revoke-sweep experiment")
+	objects := fs.String("objects", "1000,10000,100000,1000000", "comma-separated namespace sizes for the freshness experiment")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2 inside Parse
 
+	if *scale < 1 {
+		return fmt.Errorf("bad -scale value %d: must be at least 1", *scale)
+	}
 	selected, err := selectExperiments(*exp)
 	if err != nil {
 		return err
@@ -209,28 +209,6 @@ func run() error {
 		}
 		bench.PrintSharing(os.Stdout, rows)
 	}
-	if want("crypto") {
-		var workers []int
-		for _, s := range splitCSV(*cryptoWorkers) {
-			var n int
-			if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n < 1 {
-				return fmt.Errorf("bad -crypto-workers value %q", s)
-			}
-			workers = append(workers, n)
-		}
-		size := *cryptoBytes
-		if size <= 0 {
-			size = int64(16) << 20 / *scale
-		}
-		rows, err := bench.ChunkCrypto(size, cfg.ChunkSize, workers)
-		if err != nil {
-			return fmt.Errorf("crypto: %w", err)
-		}
-		bench.PrintChunkCrypto(os.Stdout, rows)
-		if report != nil {
-			report.Experiments["crypto"] = bench.ChunkCryptoMetrics(rows)
-		}
-	}
 	if want("metadata") {
 		const files = 128
 		row, err := bench.Metadata(cfg, files)
@@ -281,7 +259,7 @@ func gitRev() string {
 // experiments are the names -exp accepts besides "all".
 var experiments = []string{
 	"fileio", "dirops", "gitclone", "db", "apps", "revoke", "revoke-sweep",
-	"sharing", "crypto", "metadata", "freshness", "ablation",
+	"sharing", "metadata", "freshness", "ablation",
 }
 
 // selectExperiments resolves a comma-separated -exp list to the set of

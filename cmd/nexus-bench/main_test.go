@@ -18,9 +18,10 @@ func TestSelectExperiments(t *testing.T) {
 		{list: "ablation", want: []string{"ablation"}},
 		{list: "fileio,ablation", want: []string{"fileio", "ablation"}},
 		{list: "revoke-sweep", want: []string{"revoke-sweep"}},
-		{list: "fileio,,crypto,", want: []string{"fileio", "crypto"}},
+		{list: "fileio,,metadata,", want: []string{"fileio", "metadata"}},
+		{list: "crypto", wantErr: `"crypto"`},
 		{list: "revoke_sweep", wantErr: `"revoke_sweep"`},
-		{list: "fileio,nonsense,crypto", wantErr: `"nonsense"`},
+		{list: "fileio,nonsense,metadata", wantErr: `"nonsense"`},
 		{list: "revoke", want: []string{"revoke"}}, // not a prefix match of revoke-sweep
 		{list: "", wantErr: "names no experiment"},
 		{list: ",", wantErr: "names no experiment"},
@@ -46,6 +47,18 @@ func TestSelectExperiments(t *testing.T) {
 			if !got[name] {
 				t.Errorf("-exp %q did not select %s", c.list, name)
 			}
+		}
+	}
+}
+
+// TestRunRejectsScaleBelowOne: -scale divides file sizes, so 0 would
+// divide by zero in the -json report and a negative value would make
+// negative sizes; both are refused before any experiment runs.
+func TestRunRejectsScaleBelowOne(t *testing.T) {
+	for _, scale := range []string{"0", "-1"} {
+		err := run([]string{"-scale", scale, "-json", "-exp", "fileio"})
+		if err == nil || !strings.Contains(err.Error(), "-scale") {
+			t.Errorf("-scale %s: err = %v, want a -scale error", scale, err)
 		}
 	}
 }

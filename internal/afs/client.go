@@ -692,7 +692,7 @@ func (c *Client) GetVersioned(name string) ([]byte, uint64, error) {
 	}
 	r := serial.NewReader(body)
 	version := r.ReadUint64("version")
-	data := r.ReadBytes(maxFrameSize, "data")
+	data := readData(r)
 	if err := r.Finish(); err != nil {
 		return nil, 0, err
 	}

@@ -426,7 +426,7 @@ func (s *Server) dispatch(clientID string, req frame) (opCode, *serial.Writer) {
 	case opStore:
 		r := serial.NewReader(req.body)
 		name := r.ReadString(0, "name")
-		data := r.ReadBytes(maxFrameSize, "data")
+		data := readData(r)
 		if err := r.Finish(); err != nil {
 			return fail(errCodeBadRequest, err.Error())
 		}
@@ -643,7 +643,7 @@ func decodeLockReply(body []byte) (outcome lockOutcome, lost bool, version uint6
 	case lockUnchanged, lockAbsent:
 	case lockData:
 		version = r.ReadUint64("version")
-		data = r.ReadBytes(maxFrameSize, "data")
+		data = readData(r)
 	default:
 		return 0, false, 0, nil, fmt.Errorf("%w: unknown lock outcome %d", ErrProtocol, first)
 	}

@@ -206,6 +206,14 @@ func writeFrameScatter(w io.Writer, op opCode, reqID uint64, prefix *serial.Writ
 	return nil
 }
 
+// readData reads an object's length-prefixed bytes. serial.ReadBytes
+// clamps every cap to serial.MaxBytesLen (64 MiB), under the sealed size
+// of a 64 MiB file, so the field is read raw: its length is bounded by
+// the frame, which readFrame already held to maxFrameSize.
+func readData(r *serial.Reader) []byte {
+	return r.ReadRaw(int(r.ReadUint32("data length")), "data")
+}
+
 // readFrame reads the next frame from r.
 func readFrame(r io.Reader) (frame, error) {
 	var hdr [4]byte

@@ -282,3 +282,44 @@ func TestEveryFrameIsOneWrite(t *testing.T) {
 		}
 	}
 }
+
+// A 64 MiB file seals to 64 MiB + 1 KiB, one byte field above
+// serial.MaxBytesLen. Object bytes are bounded by the frame instead, so
+// such an object is stored, fetched and carried by a lock reply whole,
+// and only a store whose frame would exceed maxFrameSize is refused,
+// before any byte of it leaves the client.
+func TestObjectAboveSerialFieldCap(t *testing.T) {
+	const sealed64MiB = 64<<20 + 1024
+	_, addr := startServer(t)
+	c := dialClient(t, addr, ClientConfig{})
+	data := make([]byte, sealed64MiB)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	if err := c.Put("big", data); err != nil {
+		t.Fatalf("Put of a %d B object: %v", len(data), err)
+	}
+	c.FlushCache()
+	got, err := c.Get("big")
+	if err != nil {
+		t.Fatalf("Get of a %d B object: %v", len(data), err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("fetched object differs from the stored one")
+	}
+	_, _, _, payload, err := decodeLockReply(frameBody(encodeLockReply(lockData, false, 7, data)))
+	if err != nil || !bytes.Equal(payload, data) {
+		t.Fatalf("lock reply carrying a %d B object: %v", len(data), err)
+	}
+
+	_, err = c.PutVersionedStream("huge", maxFrameSize, func() ([]byte, error) {
+		t.Error("a store frame over maxFrameSize asked for its body")
+		return nil, nil
+	})
+	if !errors.Is(err, ErrProtocol) {
+		t.Fatalf("store of a %d B object: %v, want ErrProtocol", maxFrameSize, err)
+	}
+	if _, err := c.Get("huge"); !errors.Is(err, backend.ErrNotExist) {
+		t.Fatalf("Get of the refused object: %v, want ErrNotExist", err)
+	}
+}

@@ -11,42 +11,36 @@ import (
 )
 
 // SchemaVersion is the version stamped into every JSON report. Bump it
-// whenever the shape of Report changes incompatibly; the compare tool
-// refuses to diff reports with mismatched schemas.
+// whenever the shape of Report changes incompatibly, so a reader can
+// tell old reports from new ones.
 const SchemaVersion = 1
 
 // Metric is one measured quantity within an experiment. The percentile
-// fields are populated from observability histogram snapshots; they are
-// omitted (and ignored by the compare gate) when a report predates them,
-// so old and new reports stay diffable under the same schema.
+// fields are populated from observability histogram snapshots; every
+// field but NsPerOp is omitted when zero.
 type Metric struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op,omitempty"`
-	P50Ns       float64 `json:"p50_ns,omitempty"`
-	P95Ns       float64 `json:"p95_ns,omitempty"`
-	P99Ns       float64 `json:"p99_ns,omitempty"`
+	NsPerOp  float64 `json:"ns_per_op"`
+	MBPerSec float64 `json:"mb_per_sec,omitempty"`
+	P50Ns    float64 `json:"p50_ns,omitempty"`
+	P95Ns    float64 `json:"p95_ns,omitempty"`
+	P99Ns    float64 `json:"p99_ns,omitempty"`
 	// FlushesPerOp is metadata objects written per logical operation
-	// (the metadata experiment's write-back efficiency figure). It is
-	// informational: the compare gate reports movement but never fails
-	// on it, since flush counts shift by design when batching changes.
+	// (the metadata experiment's write-back efficiency figure).
 	FlushesPerOp float64 `json:"flushes_per_op,omitempty"`
 	// WrapsPerOp and BytesPerOp are key-wrap operations and wrapped-key
 	// bytes per revocation, from the membership sweep (revoke_membership
-	// experiment). Informational in the compare gate, like FlushesPerOp:
-	// wrap counts move by design when tree geometry changes.
+	// experiment).
 	WrapsPerOp float64 `json:"wraps_per_op,omitempty"`
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
 	// ProofBytesPerOp is the freshness evidence transferred per metadata
 	// load, from the freshness_scale experiment: one encoded Merkle
-	// proof. Informational in the compare gate — proof size moves by
-	// design when tree geometry changes.
+	// proof.
 	ProofBytesPerOp float64 `json:"proof_bytes_per_op,omitempty"`
 	// UpdateBytesPerEpoch and EpochsPerCheckpoint are the update side of
 	// the same experiment: bytes moved to and from the store's freshness
 	// objects per one-leaf update epoch, checkpoints amortised, and the
-	// length of a checkpoint cycle. Informational in the compare gate;
-	// TestFreshnessSweepScaling gates their growth.
+	// length of a checkpoint cycle. TestFreshnessSweepScaling gates
+	// their growth.
 	UpdateBytesPerEpoch float64 `json:"update_bytes_per_epoch,omitempty"`
 	EpochsPerCheckpoint float64 `json:"epochs_per_checkpoint,omitempty"`
 }
@@ -71,9 +65,8 @@ type Experiment map[string]Metric
 
 // Report is the machine-readable output of a nexus-bench run
 // (BENCH_<rev>.json). The environment fields exist so a reader can tell
-// whether two reports are comparable at all — in particular CPUs, since
-// the parallel chunk-crypto results are meaningless to compare across
-// different core counts.
+// whether two reports are comparable at all: timings move with the
+// toolchain and the core count.
 type Report struct {
 	Schema      int                   `json:"schema"`
 	Rev         string                `json:"rev"`
@@ -87,9 +80,7 @@ type Report struct {
 
 // NewReport stamps a report with the current toolchain and machine.
 // CPUs records GOMAXPROCS, not the physical core count: it is the
-// number of CPUs the measured code could actually use, so a CI leg
-// pinned to GOMAXPROCS=4 on a larger runner produces reports
-// comparable with a 4-cpu baseline.
+// number of CPUs the measured code could actually use.
 func NewReport(rev string, scale int64) *Report {
 	return &Report{
 		Schema:      SchemaVersion,
@@ -131,21 +122,4 @@ func (r *Report) WriteFile(path string) error {
 		return fmt.Errorf("bench: encode %s: %w", path, err)
 	}
 	return f.Close()
-}
-
-// LoadReport reads a report written by WriteFile and validates its
-// schema version.
-func LoadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("bench: %w", err)
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("bench: parse %s: %w", path, err)
-	}
-	if r.Schema != SchemaVersion {
-		return nil, fmt.Errorf("bench: %s has schema %d, this tool understands %d", path, r.Schema, SchemaVersion)
-	}
-	return &r, nil
 }

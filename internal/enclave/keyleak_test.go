@@ -1,5 +1,6 @@
-// The key-leak property (DESIGN.md §6, Properties K1–K4): a key the
-// enclave holds leaves it only sealed or wrapped. A seeded two-client op
+// The key-leak property (DESIGN.md §6, Properties K1–K5): a key the
+// enclave holds leaves it only sealed or wrapped, and no (key, nonce)
+// pair seals two different things. A seeded two-client op
 // stream runs through the public API over a store that tampers with,
 // rolls back, hides and fails objects and calls, and every byte that
 // leaves the enclave is recorded on its way out:
@@ -17,6 +18,10 @@
 // too. No key may appear in any recorded byte: raw, as hex in either
 // case, as base64 in either alphabet at any byte alignment, or as the
 // decimal list %v prints for a []byte.
+//
+// Every sealed object put to the store is also checked for nonce reuse
+// (K5): a chunk's (content key, IV) pair may seal only one tag, and a
+// metadata object's (rootkey, wrap nonce) pair may wrap only one body key.
 //
 // NEXUS_CHAOS_SEED=<n> replays a seed; `make chaos` runs seeds 1, 7 and
 // 42 under the race detector.
@@ -41,6 +46,7 @@ import (
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
 	"nexus/internal/freshtree"
+	"nexus/internal/gcmsiv"
 	"nexus/internal/merkle"
 	"nexus/internal/metadata"
 	"nexus/internal/obs"
@@ -315,7 +321,7 @@ func (s *leakStore) GetVersioned(name string) ([]byte, uint64, error) {
 
 func (s *leakStore) PutVersioned(name string, data []byte) (uint64, error) {
 	s.rec.emit("the name of a store put", []byte(name))
-	s.rec.emit("the payload put to "+name, data)
+	s.rec.emit(payloadPut+name, data)
 	kind := s.adv.strike("put")
 	if kind == faultFail {
 		return 0, backend.ErrUnavailable
@@ -389,7 +395,11 @@ type leakStream struct {
 	sealed            map[string][]byte // each user's sealed rootkey
 	files             []string          // paths written and not removed
 	rootKey           []byte
-	decoded           map[[32]byte]bool // store objects already scanned
+	scanned           int               // rec.out records scanStore has read
+	decoded           map[[32]byte]bool // sealed objects already opened
+	sealedBy          map[string][]byte // K5: key ‖ nonce → what it sealed
+	chunkIVs, wraps   int               // K5: pairs checked, by kind
+	reuse             []string          // K5 violations
 }
 
 func newLeakStream(t *testing.T, seed int64) *leakStream {
@@ -399,20 +409,24 @@ func newLeakStream(t *testing.T, seed int64) *leakStream {
 		t.Fatal(err)
 	}
 	s := &leakStream{
-		t:       t,
-		rng:     rand.New(rand.NewSource(seed)),
-		rec:     &leakRecorder{keys: make(map[string]trackedKey)},
-		adv:     &adversary{before: make(map[string][]byte), last: make(map[string][]byte)},
-		mem:     backend.NewMemStore(),
-		ids:     make(map[string]nexus.Identity),
-		sealed:  make(map[string][]byte),
-		decoded: make(map[[32]byte]bool),
+		t:        t,
+		rng:      rand.New(rand.NewSource(seed)),
+		rec:      &leakRecorder{keys: make(map[string]trackedKey)},
+		adv:      &adversary{before: make(map[string][]byte), last: make(map[string][]byte)},
+		mem:      backend.NewMemStore(),
+		ids:      make(map[string]nexus.Identity),
+		sealed:   make(map[string][]byte),
+		decoded:  make(map[[32]byte]bool),
+		sealedBy: make(map[string][]byte),
 	}
 	shared := vfs.NewVersionedStore(s.mem)
 	client := func() *nexus.Client {
 		c, err := nexus.NewClient(nexus.ClientConfig{
 			Store: &leakStore{FreshnessProofStore: freshtree.New(shared), rec: s.rec, adv: s.adv},
 			IAS:   ias,
+			// A file above the inline cap then has up to five chunks,
+			// so K5 sees one content key seal several IVs.
+			ChunkSize: 4096,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -488,21 +502,30 @@ func (s *leakStream) collect(what string) {
 	s.scanStore()
 }
 
-// scanStore opens every sealed object on the store with the rootkey and
-// tracks the keys inside: content keys (K2) and group secrets (K3).
+// payloadPut prefixes the egress record of every object put to the store.
+const payloadPut = "the payload put to "
+
+// wrapNonceAt is where a sealed metadata object's wrap nonce starts: after
+// the preamble (magic, type, UUID, parent UUID, version).
+const wrapNonceAt = 4 + 1 + 2*uuid.Size + 8
+
+// scanStore opens every sealed object the store has been handed with the
+// rootkey, tracks the keys inside — content keys (K2) and group secrets
+// (K3) — and checks each object's nonces (K5).
 func (s *leakStream) scanStore() {
 	if s.rootKey == nil {
 		return
 	}
-	names, err := s.mem.List("")
-	if err != nil {
-		s.t.Fatal(err)
-	}
-	for _, name := range names {
-		blob, err := s.mem.Get(name)
-		if err != nil {
+	s.rec.mu.Lock()
+	out := s.rec.out[s.scanned:]
+	s.scanned = len(s.rec.out)
+	s.rec.mu.Unlock()
+	for _, e := range out {
+		name, ok := strings.CutPrefix(e.where, payloadPut)
+		if !ok {
 			continue
 		}
+		blob := e.b
 		sum := sha256.Sum256(blob)
 		if s.decoded[sum] {
 			continue
@@ -512,10 +535,19 @@ func (s *leakStream) scanStore() {
 		if err != nil {
 			continue // data objects, the freshness tree, the framed root
 		}
+		wrapped := blob[wrapNonceAt : wrapNonceAt+gcmsiv.NonceSize+metadata.BodyKeySize+gcmsiv.TagSize]
+		s.sealedOnce("the wrap nonce of "+name, s.rootKey, wrapped[:gcmsiv.NonceSize], wrapped[gcmsiv.NonceSize:])
+		s.wraps++
 		switch p.Type {
 		case metadata.TypeFilenode:
-			if f, err := metadata.DecodeFilenodeBody(p.UUID, p.Parent, body); err == nil {
-				s.rec.track("K2", "the content key of file "+p.UUID.String(), f.ContentKey[:])
+			f, err := metadata.DecodeFilenodeBody(p.UUID, p.Parent, body)
+			if err != nil {
+				continue
+			}
+			s.rec.track("K2", "the content key of file "+p.UUID.String(), f.ContentKey[:])
+			for i, c := range f.Chunks {
+				s.sealedOnce(fmt.Sprintf("the IV of chunk %d of file %s", i, p.UUID), f.ContentKey[:], c.IV[:], c.Tag[:])
+				s.chunkIVs++
 			}
 		case metadata.TypeSupernode:
 			super, err := metadata.DecodeSupernodeBody(body)
@@ -532,6 +564,22 @@ func (s *leakStream) scanStore() {
 				}
 			}
 		}
+	}
+}
+
+// sealedOnce records that key and nonce sealed out, and records a K5
+// violation when the pair sealed something else before. The same pair
+// sealing the same output is one sealing seen twice: a filenode
+// rewritten with its content unchanged, or a put sent again.
+func (s *leakStream) sealedOnce(what string, key, nonce, out []byte) {
+	pair := string(key) + string(nonce)
+	prev, ok := s.sealedBy[pair]
+	if !ok {
+		s.sealedBy[pair] = bytes.Clone(out)
+		return
+	}
+	if !bytes.Equal(prev, out) {
+		s.reuse = append(s.reuse, fmt.Sprintf("Property K5 violated: %s (%x) was used before under the same key to seal different bytes", what, nonce))
 	}
 }
 
@@ -938,7 +986,7 @@ func (s *leakStream) sweeps() {
 	})
 }
 
-// TestPropertyKeyLeak checks Properties K1–K4 of DESIGN.md §6 over one
+// TestPropertyKeyLeak checks Properties K1–K5 of DESIGN.md §6 over one
 // seeded stream.
 func TestPropertyKeyLeak(t *testing.T) {
 	seed := envSeed(t, "NEXUS_CHAOS_SEED")
@@ -965,6 +1013,16 @@ func TestPropertyKeyLeak(t *testing.T) {
 			t.Errorf("seed %d: no key of Property %s was tracked", seed, p)
 		}
 	}
+	if s.chunkIVs == 0 || s.wraps == 0 {
+		t.Errorf("seed %d: Property K5 checked %d chunk IVs and %d wrap nonces, want some of each", seed, s.chunkIVs, s.wraps)
+	}
+	for i, r := range s.reuse {
+		if i == 10 {
+			t.Errorf("... and %d more", len(s.reuse)-i)
+			break
+		}
+		t.Errorf("seed %d: %s", seed, r)
+	}
 	if s.adv.fired == 0 {
 		t.Errorf("seed %d: the adversary never struck", seed)
 	}
@@ -980,6 +1038,6 @@ func TestPropertyKeyLeak(t *testing.T) {
 	for _, e := range s.rec.out {
 		n += len(e.b)
 	}
-	t.Logf("seed %d: %d keys %v searched for in %d records (%d B) after %d attacks",
-		seed, len(s.rec.keys), perProperty, len(s.rec.out), n, s.adv.fired)
+	t.Logf("seed %d: %d keys %v searched for in %d records (%d B) after %d attacks; %d chunk IVs and %d wrap nonces checked for reuse",
+		seed, len(s.rec.keys), perProperty, len(s.rec.out), n, s.adv.fired, s.chunkIVs, s.wraps)
 }

@@ -10,9 +10,6 @@
 //     exported signature of internal/enclave or internal/sgx may carry
 //     it, and no outside package may reference such an identifier.
 //     Sealed/wrapped forms are allowed (that is the point of sealing).
-//   - nonce-hygiene: every AEAD Seal/Open nonce is a constant-free,
-//     non-package-level value freshly derived from crypto/rand or a
-//     counter helper (§VI-A's fresh key+IV per update).
 //   - unchecked-crypto-error: the error from rand.Read, AEAD Seal/Open,
 //     sealing, or signature verification is never discarded.
 //   - lock-discipline: a Lock/RLock on a sync.Mutex/RWMutex has a
@@ -27,7 +24,10 @@
 // a rule here: internal/enclave/keyleak_test.go checks the key values
 // themselves against every byte that leaves the enclave (DESIGN.md §6).
 // Nor is keeping math/rand out of the crypto packages:
-// cryptorand_test.go at the module root checks their imports.
+// cryptorand_test.go at the module root checks their imports. Nor is
+// nonce freshness: the same test's Property K5 checks that no (key,
+// nonce) pair of any object put to the store seals two different
+// things.
 //
 // A finding can be suppressed with a directive on the same or the
 // preceding line:
@@ -68,7 +68,6 @@ type Checker struct {
 func Checkers() []Checker {
 	return []Checker{
 		{Rule: RuleBoundary, Doc: "raw key material must not cross the enclave boundary", Run: perPackage(checkBoundary)},
-		{Rule: RuleNonce, Doc: "AEAD nonces must be fresh (crypto/rand or counter helper)", Run: perPackage(checkNonce)},
 		{Rule: RuleCryptoErr, Doc: "crypto errors must be checked", Run: perPackage(checkCryptoErr)},
 		{Rule: RuleLocks, Doc: "mutex lock/unlock pairing and guarded-by annotations", Run: perPackage(checkLocks)},
 		{Rule: RuleLockedCall, Doc: "*Locked functions only reachable from contexts that hold a lock (call-graph check)", Run: checkLockedCall},
@@ -90,7 +89,6 @@ func perPackage(check func(m *Module, p *Package) []Finding) func(*Module) []Fin
 // Rule names.
 const (
 	RuleBoundary  = "enclave-boundary"
-	RuleNonce     = "nonce-hygiene"
 	RuleCryptoErr = "unchecked-crypto-error"
 	RuleLocks     = "lock-discipline"
 	// RuleLockedCall is the interprocedural rule.

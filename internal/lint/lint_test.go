@@ -34,6 +34,17 @@ func analyzeFixture(t *testing.T, files map[string]string) *Result {
 	return res
 }
 
+// wantLines returns "x.go:N" for every fixture line marked //WANT.
+func wantLines(src string) []string {
+	var out []string
+	for i, line := range strings.Split(src, "\n") {
+		if strings.Contains(line, "//WANT") {
+			out = append(out, "x.go:"+strconv.Itoa(i+1))
+		}
+	}
+	return out
+}
+
 // findingsFor filters findings to one rule, formatted "file:line".
 func findingsFor(res *Result, rule string) []string {
 	var out []string
@@ -112,7 +123,7 @@ func TestSuppressionWrongRuleDoesNotApply(t *testing.T) {
 		"internal/enclave/x.go": `package enclave
 import "crypto/rand"
 func F(b []byte) {
-	//lint:ignore nonce-hygiene wrong rule named
+	//lint:ignore lock-discipline wrong rule named
 	rand.Read(b)
 }
 `,

@@ -26,7 +26,7 @@ var enclaveBoundaryDirs = map[string]bool{
 }
 
 // exprText renders an expression to source text (for matching the "same
-// lock variable" / "same nonce buffer" by structure).
+// lock variable" by structure).
 func exprText(p *Package, e ast.Expr) string {
 	var buf bytes.Buffer
 	if err := printer.Fprint(&buf, p.Fset, e); err != nil {
@@ -35,8 +35,8 @@ func exprText(p *Package, e ast.Expr) string {
 	return buf.String()
 }
 
-// baseExpr strips parentheses, slicing, and indexing so ctx.IV[:] and
-// (nonce)[2:8] resolve to the underlying buffer expression.
+// baseExpr strips parentheses, slicing, indexing and address-of so
+// (s.mu), &s.mu and s.locks[i] resolve to the underlying expression.
 func baseExpr(e ast.Expr) ast.Expr {
 	for {
 		switch v := e.(type) {
@@ -70,18 +70,6 @@ func rightmostIdent(e ast.Expr) *ast.Ident {
 	return nil
 }
 
-// objectOf resolves an expression to its types.Object, if it names one.
-func objectOf(p *Package, e ast.Expr) types.Object {
-	id := rightmostIdent(e)
-	if id == nil {
-		return nil
-	}
-	if obj := p.Info.Uses[id]; obj != nil {
-		return obj
-	}
-	return p.Info.Defs[id]
-}
-
 // calleeFunc resolves a call expression to the *types.Func it invokes
 // (method or package function), or nil.
 func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
@@ -96,16 +84,6 @@ func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := p.Info.Uses[id].(*types.Func)
 	return fn
-}
-
-// isByteSlice reports whether t is []byte.
-func isByteSlice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
 }
 
 // isErrorType reports whether t is the built-in error interface.
