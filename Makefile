@@ -47,13 +47,14 @@ fuzz-smoke:
 # (internal/enclave/writeback_test.go) and the key-leak property
 # (internal/enclave/keyleak_test.go, DESIGN.md §6). Each seed is
 # an exact replay: the fault schedule is a pure function of the seed.
-# Then twenty runs of the two-client commit tests, whose interleavings
-# the scheduler picks. See DESIGN.md §9, §12.4 and §12.5.
+# Then twenty runs of the two-client commit tests and the kept-lock
+# recall tests, whose interleavings the scheduler picks. See DESIGN.md
+# §9, §12.4 and §12.5.
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== chaos seed $$seed =="; \
 		NEXUS_CHAOS_SEED=$$seed $(GO) test -race -run 'TestChaos|TestProperty' -count=1 ./internal/afs/ ./internal/enclave/ || exit 1; \
-		NEXUS_CHAOS_SEED=$$seed $(GO) test -race -count=20 -run 'TestConcurrent|TestTwoAdapters|TestLockOrder' . ./internal/enclave/ || exit 1; \
+		NEXUS_CHAOS_SEED=$$seed $(GO) test -race -count=20 -run 'TestConcurrent|TestTwoAdapters|TestLockOrder|TestStickyLock' . ./internal/enclave/ ./internal/afs/ || exit 1; \
 	done
 
 # obs mirrors the CI observability job: the registry/tracer suite, the
@@ -67,7 +68,7 @@ obs:
 	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -race -count=1 -run 'TestObservability|TestStoreCallsPerOpClass' .
 	$(GO) test -race -count=1 -run 'TestWarmWalk|TestWalkPrefetch|TestRewriteChunkedToInlineFaultSweep|TestBatchedWriteFaultSweep|TestUnlockIsAnOcall' ./internal/enclave/
-	$(GO) test -race -count=1 -run 'TestTransportFault|TestClientRPCLatency' ./internal/afs/
+	$(GO) test -race -count=1 -run 'TestTransportFault|TestClientRPCLatency|TestLockCounters' ./internal/afs/
 
 # bench is the CI perf gate. It runs every benchmark workload once at
 # seed 1 in smoke size, untraced and traced, keeps each metric whose

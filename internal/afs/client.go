@@ -58,7 +58,10 @@ type ClientConfig struct {
 // copy — and holds the writer's reply until the client has acknowledged,
 // so a completed store is never followed by a stale cached read. Writes
 // are write-through. Advisory locks are server-side and exclusive;
-// acquiring one revalidates the cached copy of the locked file.
+// acquiring one revalidates the cached copy of the locked file. A client
+// with a callback channel keeps a lock it releases until a peer asks for
+// it, and grants it to itself again without a frame while its lease
+// holds (DESIGN.md §9.2).
 //
 // Failure model: every RPC exchange carries a deadline, and the client
 // reconnects automatically with seeded exponential backoff. Read-only
@@ -89,12 +92,24 @@ type Client struct {
 	gen atomic.Uint64
 	// cbLost is set when the live callback channel drops, or a lock reply
 	// says the server gave up on it: the cache is bypassed and the next
-	// RPC made while no lock is held forces a full resync (reconnect +
+	// RPC made while no lock is in use forces a full resync (reconnect +
 	// flush).
 	cbLost atomic.Bool
-	// held counts the locks this client holds. A reconnect would release
-	// them on the server, so the resync waits until there are none.
-	held atomic.Int64
+
+	// locks are the server locks this client holds or is acquiring. A
+	// reconnect would release those in use on the server, so the resync
+	// waits until there are none.
+	lockMu   sync.Mutex
+	lockIdle *sync.Cond           // broadcast when an entry turns idle or goes away
+	locks    map[string]*heldLock // guarded by lockMu
+	inUse    map[*heldLock]bool   // granted and not yet released; guarded by lockMu
+
+	// epoch anchors leaseFrom on the monotonic clock.
+	epoch time.Time
+	// leaseFrom is when, since epoch, the client sent the latest request
+	// the server answered: a kept lock is granted locally only within
+	// callbackAckTimeout of it (DESIGN.md §9.2).
+	leaseFrom atomic.Int64
 
 	cache *fileCache
 
@@ -125,8 +140,12 @@ type clientMetrics struct {
 	// oneway counts frames sent without waiting for a reply (unlocks);
 	// they are counted in rpcs too.
 	oneway *obs.Counter // afs_oneway_frames_total
-	rpcLat *obs.Histogram
-	tracer *obs.Tracer
+	// localGrants counts locks granted from a kept lock, with no frame.
+	localGrants *obs.Counter // afs_lock_local_grants_total
+	// recalls counts recalls by answer; index recallAnswer-1.
+	recalls [2]*obs.Counter // afs_lock_recalls_{released,busy}_total
+	rpcLat  *obs.Histogram
+	tracer  *obs.Tracer
 }
 
 func (m *clientMetrics) bind(reg *obs.Registry) {
@@ -139,6 +158,10 @@ func (m *clientMetrics) bind(reg *obs.Registry) {
 		m.revalidations[o-1] = reg.Counter("afs_lock_revalidations_" + o.String() + "_total")
 	}
 	m.oneway = reg.Counter("afs_oneway_frames_total")
+	m.localGrants = reg.Counter("afs_lock_local_grants_total")
+	for a := recallReleased; a <= recallBusy; a++ {
+		m.recalls[a-1] = reg.Counter("afs_lock_recalls_" + a.String() + "_total")
+	}
 	m.rpcLat = reg.Histogram("afs_rpc_seconds")
 	m.tracer = reg.Tracer()
 }
@@ -156,7 +179,11 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		retry:   newRetryState(cfg.Retry),
 		cbOff:   cfg.DisableCallbacks,
 		dialFn:  cfg.Dial,
+		locks:   make(map[string]*heldLock),
+		inUse:   make(map[*heldLock]bool),
+		epoch:   time.Now(),
 	}
+	c.lockIdle = sync.NewCond(&c.lockMu)
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
 	}
@@ -284,13 +311,14 @@ func (c *Client) hello(conn net.Conn, isCallback bool) error {
 	return nil
 }
 
-// callbackLoop consumes invalidation frames until the channel drops,
-// acknowledging each one after the cached copy is gone: the server holds
-// the writer's reply until then, so once a peer's store has returned this
-// client no longer serves the old bytes. If the channel drops while still
-// the live one (server crash, network fault, a malformed or unackable
-// break), the cache is flushed and flagged so no stale entry is ever
-// served.
+// callbackLoop consumes invalidation and recall frames until the channel
+// drops. It acknowledges each break after the cached copy is gone: the
+// server holds the writer's reply until then, so once a peer's store has
+// returned this client no longer serves the old bytes. It answers each
+// recall without taking reqMu, so a recall never waits behind this
+// client's own lock request. If the channel drops while still the live
+// one (server crash, network fault, a malformed or unackable frame), the
+// cache is flushed and flagged so no stale entry is ever served.
 func (c *Client) callbackLoop(conn net.Conn) {
 	defer c.wg.Done()
 	for {
@@ -298,20 +326,23 @@ func (c *Client) callbackLoop(conn net.Conn) {
 		if err != nil {
 			break
 		}
-		if f.op != opInvalidate {
+		if f.op != opInvalidate && f.op != opRecall {
 			continue
 		}
 		name, err := decodeName(f.body)
 		if err != nil {
 			break
 		}
-		if c.cache != nil {
+		var answer *serial.Writer
+		if f.op == opRecall {
+			answer = encodeRecallAnswer(c.recalled(name))
+		} else if c.cache != nil {
 			c.cache.invalidate(name)
 		}
 		if c.timeout > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(c.timeout))
 		}
-		if err := writeFrame(conn, opReply, f.reqID, nil); err != nil {
+		if err := writeFrame(conn, opReply, f.reqID, answer); err != nil {
 			break
 		}
 	}
@@ -332,10 +363,57 @@ func (c *Client) callbackLoop(conn net.Conn) {
 	}
 }
 
-// Close terminates the client's connections.
+// recalled answers the server's recall of the lock on name: released if
+// this client keeps it idle (or holds nothing the server could mean),
+// busy if it is in use or a frame about it is in flight — the release
+// then unlocks.
+func (c *Client) recalled(name string) recallAnswer {
+	c.lockMu.Lock()
+	defer c.lockMu.Unlock()
+	answer := recallReleased
+	switch h := c.locks[name]; {
+	case h == nil:
+	case h.state == lockIdle:
+		delete(c.locks, name)
+	case h.state == lockInUse && h.gen != c.gen.Load():
+		// The grant died with its connection; the server is recalling
+		// what is left of it.
+	default:
+		h.recalled = true
+		answer = recallBusy
+	}
+	c.metrics.recalls[answer-1].Inc()
+	return answer
+}
+
+// Close terminates the client's connections. Locks it keeps are unlocked
+// first, and a ping behind the unlocks returns once the server has
+// applied them, so a clean exit hands them on at once; a Close that finds
+// an RPC in flight leaves them to the server, which releases them with
+// the connection.
 func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil
+	}
+	if c.reqMu.TryLock() {
+		c.lockMu.Lock()
+		var kept []string
+		for name, h := range c.locks {
+			if h.state == lockIdle && h.gen == c.gen.Load() {
+				kept = append(kept, name)
+				delete(c.locks, name)
+			}
+		}
+		c.lockMu.Unlock()
+		for _, name := range kept {
+			c.unlockLocked(name)
+		}
+		if len(kept) > 0 && c.currentConn() != nil {
+			_, _ = c.exchangeLocked(func(w io.Writer, reqID uint64) error {
+				return writeFrame(w, opPing, reqID, nil)
+			})
+		}
+		c.reqMu.Unlock()
 	}
 	c.connMu.Lock()
 	conn, cbConn := c.conn, c.cbConn
@@ -447,6 +525,8 @@ func (c *Client) callAttempts(op opCode, write func(w io.Writer, reqID uint64) e
 			// every op. (connectLocked already counted the fault.)
 			faults++
 			lastErr = err
+		} else if !retryable(op) && c.lockLost() {
+			return nil, retries, faults, fmt.Errorf("afs: %s: %w: %w", op, ErrInterrupted, ErrLockLost)
 		} else {
 			resp, err := c.exchangeLocked(write)
 			if err == nil || !errors.Is(err, errTransport) {
@@ -455,7 +535,7 @@ func (c *Client) callAttempts(op opCode, write func(w io.Writer, reqID uint64) e
 			c.metrics.transportFaults.Inc()
 			faults++
 			c.dropConnLocked()
-			if !retryable(op) {
+			if !retryable(op) && !c.lockResendable(op, err) {
 				return nil, retries, faults, fmt.Errorf("afs: %s: %w: %w", op, ErrInterrupted, err)
 			}
 			lastErr = err
@@ -470,10 +550,41 @@ func (c *Client) callAttempts(op opCode, write func(w io.Writer, reqID uint64) e
 	}
 }
 
+// lockLost reports whether a lock in use was granted on an earlier
+// connection generation. The server released it when that connection
+// dropped, so a write made now would run unprotected (DESIGN.md §9.3).
+func (c *Client) lockLost() bool {
+	c.lockMu.Lock()
+	defer c.lockMu.Unlock()
+	for h := range c.inUse {
+		if h.gen != c.gen.Load() {
+			return true
+		}
+	}
+	return false
+}
+
+// holding reports whether a lock is in use.
+func (c *Client) holding() bool {
+	c.lockMu.Lock()
+	defer c.lockMu.Unlock()
+	return len(c.inUse) > 0
+}
+
+// lockResendable reports whether a lock request whose exchange failed may
+// be sent again on a new connection: the server grants a lock to one
+// connection and releases it when that connection drops, so whatever the
+// lost exchange did dies with it. Not when a lock is in use (the
+// reconnect loses it), nor after a missed deadline, which usually means
+// the request is still queued behind a peer.
+func (c *Client) lockResendable(op opCode, err error) bool {
+	return op == opLock && !errors.Is(err, ErrTimeout) && !c.holding()
+}
+
 // ensureConnLocked makes sure a healthy connection is installed,
-// resyncing first if the callback channel was lost and no lock is held.
+// resyncing first if the callback channel was lost and no lock is in use.
 func (c *Client) ensureConnLocked() error {
-	if c.cbLost.Load() && c.held.Load() == 0 {
+	if c.cbLost.Load() && !c.holding() {
 		c.dropConnLocked()
 	}
 	if c.currentConn() != nil {
@@ -494,6 +605,7 @@ func (c *Client) exchangeLocked(write func(w io.Writer, reqID uint64) error) ([]
 		_ = conn.SetDeadline(time.Now().Add(c.timeout))
 		defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	}
+	sent := time.Since(c.epoch)
 	if err := write(conn, id); err != nil {
 		if errors.Is(err, errProducer) {
 			// The frame never completed, so the server applies nothing —
@@ -511,6 +623,7 @@ func (c *Client) exchangeLocked(write func(w io.Writer, reqID uint64) error) ([]
 	if resp.reqID != id {
 		return nil, fmt.Errorf("%w: %w: response id %d for request %d", errTransport, ErrProtocol, resp.reqID, id)
 	}
+	c.leaseFrom.Store(int64(sent))
 	switch resp.op {
 	case opReply:
 		return resp.body, nil
@@ -567,6 +680,24 @@ func (c *Client) List(prefix string) ([]string, error) {
 	return names, nil
 }
 
+// heldLock is a server lock this client holds, or is acquiring.
+type heldLock struct {
+	state lockUse
+	gen   uint64 // connection generation the server granted it on
+	// recalled marks a lock a peer asked for while it was in use or being
+	// acquired: its release unlocks instead of keeping it.
+	recalled bool
+}
+
+// lockUse is where a heldLock is in its life.
+type lockUse uint8
+
+const (
+	lockInFlight lockUse = iota + 1 // its lock request, or its unlock, is being sent
+	lockInUse                       // granted, not yet released
+	lockIdle                        // released but kept: the server still records this client as holder
+)
+
 // Lock implements backend.Store: a server-side exclusive advisory lock,
 // the analogue of flock() on an AFS file. A locked read-modify-write must
 // observe the latest contents (AFS revalidates with the server on open),
@@ -580,20 +711,88 @@ func (c *Client) List(prefix string) ([]string, error) {
 // unless the server gave up on its callback channel — which the reply
 // flags, and the cache is flushed and bypassed before Lock returns.
 //
+// A client with a callback channel keeps the lock when the release
+// closure runs: no unlock frame, and the server still records it as the
+// holder until a peer's request recalls it. Locking it again is then
+// local — no frame — while the lease holds: the same connection, a live
+// callback channel, and an answer to a request sent within
+// callbackAckTimeout (DESIGN.md §9.2). The cached copy is as current as
+// after an RPC grant: every peer's store broke this client's promise
+// before it returned, and the server reclaims a holder it cannot reach
+// and keeps its stores and grants waiting until that lease is over.
+//
 // A lock does not survive reconnect: the server releases it when the
 // holding connection drops, so the release closure sends its unlock
-// frame only while the acquiring connection generation is still live.
+// frame only while the acquiring connection generation is still live,
+// and a store, remove or lock made while holding one granted on an
+// earlier generation fails with ErrLockLost without being sent.
 func (c *Client) Lock(name string) (func(), error) {
-	version, cached := c.cachedVersion(name)
-	body, err := c.call(opLock, encodeLockRequest(name, cached, version))
+	c.lockMu.Lock()
+	h := c.locks[name]
+	for h != nil && h.state != lockIdle { // another caller of this client has it
+		c.lockIdle.Wait()
+		h = c.locks[name]
+	}
+	if h != nil && c.leaseHolds(h) {
+		h.state = lockInUse
+		c.inUse[h] = true
+		c.lockMu.Unlock()
+		c.metrics.localGrants.Inc()
+		return c.releaser(name, h), nil
+	}
+	h = &heldLock{state: lockInFlight}
+	c.locks[name] = h
+	c.lockMu.Unlock()
+
+	gen, body, err := c.lockRPC(name)
+	if err == nil {
+		if err = c.revalidate(name, body); err != nil {
+			c.unlock(name, gen) // granted, but the reply is unusable
+		}
+	}
+	c.lockMu.Lock()
+	defer c.lockMu.Unlock()
 	if err != nil {
+		delete(c.locks, name)
+		c.lockIdle.Broadcast()
 		return nil, err
 	}
-	gen := c.gen.Load()
+	h.state, h.gen = lockInUse, gen
+	c.inUse[h] = true
+	return c.releaser(name, h), nil
+}
+
+// leaseHolds reports whether the kept lock h may be granted locally: a
+// connection dropped after a fault keeps its generation until the next
+// RPC reconnects, but the server releases its locks at once.
+// c.lockMu must be held.
+func (c *Client) leaseHolds(h *heldLock) bool {
+	return h.gen == c.gen.Load() && c.currentConn() != nil && !c.cbLost.Load() && !c.closed.Load() &&
+		time.Since(c.epoch)-time.Duration(c.leaseFrom.Load()) < callbackAckTimeout
+}
+
+// lockRPC sends the lock request for name and returns the reply and the
+// connection generation it was granted on.
+func (c *Client) lockRPC(name string) (gen uint64, body []byte, err error) {
+	if c.closed.Load() {
+		return 0, nil, ErrClosed
+	}
+	version, cached := c.cachedVersion(name)
+	req := encodeLockRequest(name, cached, version)
+	span, start := c.beginRPC(opLock)
+	body, retries, faults, err := c.callAttempts(opLock, func(w io.Writer, reqID uint64) error {
+		gen = c.gen.Load()
+		return writeFrame(w, opLock, reqID, req)
+	})
+	c.endRPC(span, start, retries, faults, err)
+	return gen, body, err
+}
+
+// revalidate applies a lock reply to the cached copy of name.
+func (c *Client) revalidate(name string, body []byte) error {
 	outcome, lost, version, data, err := decodeLockReply(body)
 	if err != nil {
-		c.unlock(name, gen)
-		return nil, err
+		return err
 	}
 	c.metrics.revalidations[outcome-1].Inc()
 	if c.cache != nil {
@@ -607,15 +806,40 @@ func (c *Client) Lock(name string) (func(), error) {
 			c.cache.putOwned(name, data, version)
 		}
 	}
-	c.held.Add(1)
+	return nil
+}
+
+// releaser returns the release closure of the lock h on name. It keeps
+// the lock when it may (a callback channel that is live, the same
+// connection, no recall while in use), and otherwise sends the unlock
+// before another caller of this client can lock name again.
+func (c *Client) releaser(name string, h *heldLock) func() {
 	released := false
 	return func() {
-		if !released {
-			released = true
-			c.held.Add(-1)
-			c.unlock(name, gen)
+		if released {
+			return
 		}
-	}, nil
+		released = true
+		c.lockMu.Lock()
+		delete(c.inUse, h)
+		keep := !c.cbOff && c.cache != nil && !h.recalled &&
+			h.gen == c.gen.Load() && !c.cbLost.Load() && !c.closed.Load()
+		if keep {
+			h.state = lockIdle
+			c.lockIdle.Broadcast()
+			c.lockMu.Unlock()
+			return
+		}
+		h.state = lockInFlight
+		c.lockMu.Unlock()
+		c.unlock(name, h.gen)
+		c.lockMu.Lock()
+		if c.locks[name] == h {
+			delete(c.locks, name)
+		}
+		c.lockIdle.Broadcast()
+		c.lockMu.Unlock()
+	}
 }
 
 // cachedVersion reports the version of the cached copy of name a lock
@@ -636,8 +860,16 @@ func (c *Client) cachedVersion(name string) (uint64, bool) {
 func (c *Client) unlock(name string, gen uint64) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
+	if c.gen.Load() == gen {
+		c.unlockLocked(name)
+	}
+}
+
+// unlockLocked sends the one-way unlock of name on the live connection,
+// if there is one. c.reqMu must be held.
+func (c *Client) unlockLocked(name string) {
 	conn := c.currentConn()
-	if conn == nil || c.gen.Load() != gen {
+	if conn == nil {
 		return
 	}
 	span, start := c.beginRPC(opUnlock)

@@ -23,9 +23,9 @@ func fuzzFrameBytes(op opCode, reqID uint64, body *serial.Writer) []byte {
 // must never panic, and any frame it accepts must survive a
 // re-encode/re-decode round trip unchanged — the property that keeps a
 // NEXUS client and the untrusted server's view of the stream consistent.
-// The body decoders (decodeError, decodeLockRequest, decodeLockReply) are
-// exercised on the same input since those bodies arrive from the network
-// too.
+// The body decoders (decodeError, decodeLockRequest, decodeLockReply,
+// decodeRecallAnswer) are exercised on the same input since those bodies
+// arrive from the network too.
 func FuzzWireDecode(f *testing.F) {
 	f.Add(fuzzFrameBytes(opHello, 1, rawFrame([]byte("client-1"))))
 	f.Add(fuzzFrameBytes(opPing, 42, nil))
@@ -48,6 +48,10 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(fuzzFrameBytes(opReply, 28, rawFrame([]byte{lockCallbackLost})))
 	f.Add(fuzzFrameBytes(opUnlock, 24, encodeName("victim")))
 	f.Add(fuzzFrameBytes(opReply, 5, nil)) // callback-break ack
+	// A recall of a kept lock and both of its answers.
+	f.Add(fuzzFrameBytes(opRecall, 29, encodeName("victim")))
+	f.Add(fuzzFrameBytes(opReply, 29, encodeRecallAnswer(recallReleased)))
+	f.Add(fuzzFrameBytes(opReply, 30, encodeRecallAnswer(recallBusy)))
 
 	// Mid-frame cuts exactly as the fault injector produces them: well
 	// formed frames truncated at the injector's scheduled fractions, so
@@ -59,6 +63,7 @@ func FuzzWireDecode(f *testing.F) {
 		fuzzFrameBytes(opFetch, 12, encodeName("victim")),
 		fuzzFrameBytes(opError, 13, encodeError(errCodeInternal, "backend exploded")),
 		fuzzFrameBytes(opInvalidate, 0, encodeName("victim")),
+		fuzzFrameBytes(opRecall, 0, encodeName("victim")),
 	}
 	for i, whole := range wholeFrames {
 		ev := cutter.WriteFault(uint64(i))
@@ -110,6 +115,11 @@ func FuzzWireDecode(f *testing.F) {
 			if outcome, lost, version, payload, err := decodeLockReply(body); err == nil {
 				if back := frameBody(encodeLockReply(outcome, lost, version, payload)); !bytes.Equal(back, body) {
 					t.Fatalf("lock reply re-encodes to %x, was %x", back, body)
+				}
+			}
+			if answer, err := decodeRecallAnswer(body); err == nil {
+				if back := frameBody(encodeRecallAnswer(answer)); !bytes.Equal(back, body) {
+					t.Fatalf("recall answer re-encodes to %x, was %x", back, body)
 				}
 			}
 		}

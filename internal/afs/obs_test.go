@@ -3,6 +3,7 @@ package afs
 import (
 	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -163,5 +164,66 @@ func TestClientRPCLatencyHistogram(t *testing.T) {
 	}
 	if s.Count == 0 || s.MaxNs <= 0 {
 		t.Errorf("latency histogram not recording: %+v", s)
+	}
+}
+
+// TestLockCounters checks the kept-lock meters on both sides: a local
+// grant, a recall answered released and one answered busy, and a recall
+// the holder never answers, which the server turns into a reclaim.
+func TestLockCounters(t *testing.T) {
+	srvReg, aReg, bReg := obs.NewRegistry(), obs.NewRegistry(), obs.NewRegistry()
+	_, addr := startMeteredServer(t, srvReg)
+	var gate sync.RWMutex
+	dials := 0
+	a := dialClient(t, addr, ClientConfig{
+		Obs: aReg,
+		Dial: func(addr string) (net.Conn, error) {
+			c, err := net.Dial("tcp", addr)
+			if dials++; err != nil || dials != 2 {
+				return c, err
+			}
+			return &heldConn{Conn: c, gate: &gate}, nil // a's callback channel
+		},
+	})
+	b := dialClient(t, addr, ClientConfig{Obs: bReg})
+
+	mustLock(t, a, "y")()
+	mustLock(t, a, "y")()           // local
+	releaseB := mustLock(t, b, "y") // recalled from a: released
+	granted := make(chan func(), 1)
+	go func() {
+		release, err := a.Lock("y") // recalled from b: busy
+		if err != nil {
+			t.Error(err)
+		}
+		granted <- release
+	}()
+	waitFor(t, 5*time.Second, func() bool { return bReg.CounterValue("afs_lock_recalls_busy_total") == 1 })
+	releaseB()
+	if release := <-granted; release != nil {
+		release() // kept by a
+	}
+	gate.Lock()
+	releaseB = mustLock(t, b, "y") // a never answers: reclaimed
+	gate.Unlock()
+	releaseB()
+
+	for _, c := range []struct {
+		reg  *obs.Registry
+		name string
+		want int64
+	}{
+		{aReg, "afs_lock_local_grants_total", 1},
+		{aReg, "afs_lock_recalls_released_total", 1},
+		{aReg, "afs_lock_recalls_busy_total", 0},
+		{bReg, "afs_lock_local_grants_total", 0},
+		{bReg, "afs_lock_recalls_released_total", 0},
+		{bReg, "afs_lock_recalls_busy_total", 1},
+		{srvReg, "afs_server_lock_recalls_total", 3},
+		{srvReg, "afs_server_lock_reclaims_total", 1},
+	} {
+		if got := c.reg.CounterValue(c.name); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
 	}
 }

@@ -22,6 +22,12 @@ var (
 	// mid-exchange. The server may or may not have applied it; the
 	// client never retries these transparently.
 	ErrInterrupted = fmt.Errorf("afs: connection lost mid-rpc: %w", backend.ErrInterrupted)
+	// ErrLockLost reports a store, remove or lock refused before it was
+	// sent, because the client holds a lock granted on an earlier
+	// connection: the server released it when that connection dropped,
+	// so the request would run unprotected. It comes wrapped in
+	// ErrInterrupted.
+	ErrLockLost = errors.New("afs: lock lost with its connection")
 )
 
 // errTransport marks connection-level failures internally so call()
@@ -138,7 +144,8 @@ func (s *retryState) wait(n int) time.Duration {
 // transport failure. Only read-only RPCs qualify: a Store, Remove, Lock
 // or Unlock that died mid-exchange may already have been applied, and
 // re-sending it would double-apply (or double-acquire). Those surface
-// ErrInterrupted instead.
+// ErrInterrupted instead; Client.lockResendable names the one case a
+// lock request is sent again.
 func retryable(op opCode) bool {
 	switch op {
 	case opFetch, opStat, opList, opPing:

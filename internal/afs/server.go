@@ -6,6 +6,7 @@ import (
 	"log"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nexus/internal/backend"
@@ -22,13 +23,14 @@ type Server struct {
 	store backend.Store
 
 	mu        sync.Mutex
-	versions  map[string]uint64          // per-file version counters; guarded by mu
-	cachedBy  map[string]map[string]bool // file -> clientIDs with cached copies; guarded by mu
-	callbacks map[string]*callbackConn   // clientID -> callback channel; guarded by mu
-	locks     map[string]*lockState      // file -> lock queue; guarded by mu
-	listeners map[net.Listener]bool      // guarded by mu
-	conns     map[net.Conn]bool          // accepted connections; guarded by mu
-	closed    bool                       // guarded by mu
+	versions  map[string]uint64            // per-file version counters; guarded by mu
+	cachedBy  map[string]map[string]bool   // file -> clientIDs with cached copies; guarded by mu
+	callbacks map[string]*callbackConn     // clientID -> callback channel; guarded by mu
+	locks     map[string]*lockState        // file -> lock queue; guarded by mu
+	sessions  map[string]map[*session]bool // clientID -> live RPC sessions; guarded by mu
+	listeners map[net.Listener]bool        // guarded by mu
+	conns     map[net.Conn]bool            // accepted connections; guarded by mu
+	closed    bool                         // guarded by mu
 
 	metrics serverMetrics
 
@@ -42,6 +44,8 @@ type serverMetrics struct {
 	stores        *obs.Counter // afs_server_stores_total
 	requests      *obs.Counter // afs_server_requests_total
 	invalidations *obs.Counter // afs_server_invalidations_total
+	recalls       *obs.Counter // afs_server_lock_recalls_total
+	reclaims      *obs.Counter // afs_server_lock_reclaims_total
 	conns         *obs.Gauge   // afs_server_conns
 	requestLat    *obs.Histogram
 }
@@ -51,6 +55,8 @@ func (m *serverMetrics) bind(reg *obs.Registry) {
 	m.stores = reg.Counter("afs_server_stores_total")
 	m.requests = reg.Counter("afs_server_requests_total")
 	m.invalidations = reg.Counter("afs_server_invalidations_total")
+	m.recalls = reg.Counter("afs_server_lock_recalls_total")
+	m.reclaims = reg.Counter("afs_server_lock_reclaims_total")
 	m.conns = reg.Gauge("afs_server_conns")
 	m.requestLat = reg.Histogram("afs_server_request_seconds")
 }
@@ -61,93 +67,172 @@ func (m *serverMetrics) bind(reg *obs.Registry) {
 func (s *Server) SetObs(reg *obs.Registry) { s.metrics.bind(reg) }
 
 // callbackAckTimeout bounds how long a store or remove waits for one
-// holder to acknowledge a callback break. A holder that misses it loses
-// its callback connection, which makes it flush its whole cache.
+// holder to acknowledge a callback break, and a lock request for the
+// holder of a recalled lock to answer. A holder that misses it loses its
+// callback connection, which makes it flush its whole cache. It is also
+// the lease of a sticky lock (DESIGN.md §9.2): a client grants itself a
+// lock it keeps only while a request it sent less than this long ago has
+// been answered.
 const callbackAckTimeout = time.Second
 
-// callbackConn is one client's invalidation channel. Every break is a
-// numbered opInvalidate frame that the holder acknowledges (an opReply
-// with the same number) once it has dropped its cached copy.
+// callbackConn is one client's callback channel. Every break is a
+// numbered opInvalidate frame, and every recall a numbered opRecall
+// frame, that the holder answers with an opReply of the same number.
 type callbackConn struct {
 	conn    net.Conn
-	mu      sync.Mutex               // serializes frame writes
-	seq     uint64                   // number of the last break sent; guarded by mu
-	waiters map[uint64]chan struct{} // breaks awaiting their ack, nil once the channel is down; guarded by mu
+	mu      sync.Mutex             // serializes frame writes
+	seq     uint64                 // number of the last frame sent; guarded by mu
+	waiters map[uint64]chan []byte // frames awaiting their answer, nil once the channel is down; guarded by mu
+	// isDown mirrors waiters == nil, for readers that must not wait on
+	// mu (a frame write holds it for up to callbackAckTimeout).
+	isDown atomic.Bool
 }
 
-// breakPromise tells the holder to drop its copy of name and waits until
-// it has. On a failed write or a missed deadline the server gives up on
-// the channel instead: it is closed, and marked down before the break
-// returns, so the holder's next lock grant tells it to flush everything
-// even if it has not noticed the close yet (lockCallbackLost).
-func (cb *callbackConn) breakPromise(name string) error {
-	acked := make(chan struct{})
+// send pushes one numbered frame about name and waits for its answer,
+// returning the answer's body; ok is false when the channel was already
+// down or went down first. On a failed write or a missed deadline the
+// server gives up on the channel instead: it is closed, and marked down
+// before send returns, so the holder's next lock grant tells it to flush
+// everything even if it has not noticed the close yet (lockCallbackLost).
+func (cb *callbackConn) send(op opCode, name string) (answer []byte, ok bool, err error) {
+	reply := make(chan []byte, 1)
 	cb.mu.Lock()
 	if cb.waiters == nil {
 		cb.mu.Unlock()
-		return nil // channel already down; the holder's flush covers this break
+		return nil, false, nil
 	}
 	cb.seq++
-	cb.waiters[cb.seq] = acked
+	cb.waiters[cb.seq] = reply
 	_ = cb.conn.SetWriteDeadline(time.Now().Add(callbackAckTimeout))
-	err := writeFrame(cb.conn, opInvalidate, cb.seq, encodeName(name))
+	err = writeFrame(cb.conn, op, cb.seq, encodeName(name))
 	cb.mu.Unlock()
 	if err == nil {
 		deadline := time.NewTimer(callbackAckTimeout)
 		defer deadline.Stop()
 		select {
-		case <-acked: // acknowledged, or the channel went down (see shutdown)
-			return nil
+		case answer, ok = <-reply: // answered, or the channel went down (see shutdown)
+			return answer, ok, nil
 		case <-deadline.C:
-			err = fmt.Errorf("afs: callback break of %s not acknowledged within %v", name, callbackAckTimeout)
+			err = fmt.Errorf("afs: callback %s of %s not acknowledged within %v", op, name, callbackAckTimeout)
 		}
 	}
 	_ = cb.conn.Close()
 	cb.shutdown()
+	return nil, false, err
+}
+
+// breakPromise tells the holder to drop its copy of name and waits until
+// it has, or the channel is down — the holder's flush covers the break.
+func (cb *callbackConn) breakPromise(name string) error {
+	_, _, err := cb.send(opInvalidate, name)
 	return err
 }
 
-// down reports whether the channel no longer carries breaks.
-func (cb *callbackConn) down() bool {
-	cb.mu.Lock()
-	defer cb.mu.Unlock()
-	return cb.waiters == nil
+// recall asks the holder to give back its lock on name. An error means
+// the holder never answered: the channel was down, went down, or missed
+// the deadline.
+func (cb *callbackConn) recall(name string) (recallAnswer, error) {
+	body, ok, err := cb.send(opRecall, name)
+	if err == nil && !ok {
+		err = fmt.Errorf("afs: recall of %s: callback channel down", name)
+	}
+	if err != nil {
+		return 0, err
+	}
+	return decodeRecallAnswer(body)
 }
 
-// ack wakes the break numbered seq.
-func (cb *callbackConn) ack(seq uint64) {
+// down reports whether the channel no longer carries breaks.
+func (cb *callbackConn) down() bool { return cb.isDown.Load() }
+
+// ack hands the answer numbered seq to its waiting sender.
+func (cb *callbackConn) ack(seq uint64, body []byte) {
 	cb.mu.Lock()
-	acked := cb.waiters[seq]
+	reply := cb.waiters[seq]
 	delete(cb.waiters, seq)
 	cb.mu.Unlock()
-	if acked != nil {
-		close(acked)
+	if reply != nil {
+		reply <- body
 	}
 }
 
-// shutdown marks the channel down and wakes every pending break: its
+// shutdown marks the channel down and wakes every pending sender: its
 // holder is gone, or is about to flush its cache on the lost channel.
 func (cb *callbackConn) shutdown() {
 	cb.mu.Lock()
 	waiters := cb.waiters
 	cb.waiters = nil
+	cb.isDown.Store(true)
 	cb.mu.Unlock()
-	for _, acked := range waiters {
-		close(acked)
+	for _, reply := range waiters {
+		close(reply)
 	}
 }
+
+// session is one RPC connection of a client, the unit a lock is granted
+// to: a grant made on a connection dies with it, and a client that
+// reconnects gets a new session, which neither inherits nor releases the
+// old one's grants.
+type session struct {
+	clientID string
+	conn     net.Conn
+
+	mu         sync.Mutex
+	lastAnswer time.Time // when the latest reply began; guarded by mu
+	// reclaimed is zero until the session is reclaimed, and then the end
+	// of its client's lease: it answers and is granted nothing more, and
+	// its locks are granted again only after that. Guarded by mu.
+	reclaimed time.Time
+}
+
+// answer stamps a reply about to be written, or reports that the session
+// was reclaimed and must not answer: a reclaim reads lastAnswer once, so
+// no reply may begin after it.
+func (sess *session) answer() bool {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if !sess.reclaimed.IsZero() {
+		return false
+	}
+	sess.lastAnswer = time.Now()
+	return true
+}
+
+// leaseEnd is the time before which the session's locks may not be
+// granted again: zero unless it was reclaimed.
+func (sess *session) leaseEnd() time.Time {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return sess.reclaimed
+}
+
+// errReclaimed answers a lock request of a session reclaimed while it
+// waited; the reply is never written.
+var errReclaimed = errors.New("afs: session reclaimed")
 
 // lockState implements a FIFO exclusive lock. Ownership is handed to the
 // next waiter inside the release critical section, so a lock can never be
 // stolen between a release and the waiter waking up.
 type lockState struct {
-	holder  string // clientID, "" when free
+	name    string
+	holder  *session // nil when free
 	waiters []lockWaiter
+	// cb is the holder's callback channel when the grant was made, over
+	// which the lock is recalled; nil means the holder has none and
+	// releases the lock itself.
+	cb *callbackConn
+	// grant numbers the grants, so an answer to the recall of an earlier
+	// one releases nothing.
+	grant     uint64
+	recalling bool // a recall of this grant is out
+	// notBefore holds the next grant back until a reclaimed holder's
+	// lease has run out.
+	notBefore time.Time
 }
 
 type lockWaiter struct {
-	ch       chan struct{}
-	clientID string
+	ch   chan struct{}
+	sess *session
 }
 
 // NewServer creates a server persisting files to store.
@@ -158,6 +243,7 @@ func NewServer(store backend.Store) *Server {
 		cachedBy:  make(map[string]map[string]bool),
 		callbacks: make(map[string]*callbackConn),
 		locks:     make(map[string]*lockState),
+		sessions:  make(map[string]map[*session]bool),
 		listeners: make(map[net.Listener]bool),
 		conns:     make(map[net.Conn]bool),
 		logf:      func(string, ...any) {},
@@ -326,7 +412,14 @@ func (s *Server) handleConn(conn net.Conn) {
 	if err := writeFrame(conn, opReply, hello.reqID, nil); err != nil {
 		return
 	}
-	defer s.clientGone(clientID)
+	sess := &session{clientID: clientID, conn: conn}
+	s.mu.Lock()
+	if s.sessions[clientID] == nil {
+		s.sessions[clientID] = make(map[*session]bool)
+	}
+	s.sessions[clientID][sess] = true
+	s.mu.Unlock()
+	defer s.clientGone(sess)
 
 	for {
 		req, err := readFrame(conn)
@@ -335,10 +428,13 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		s.metrics.requests.Inc()
 		start := time.Now()
-		op, body := s.dispatch(clientID, req)
+		op, body := s.dispatch(sess, req)
 		s.metrics.requestLat.Record(time.Since(start))
 		if op == 0 {
 			continue // one-way request: applied in connection order, never answered
+		}
+		if !sess.answer() {
+			return
 		}
 		if err := writeFrame(conn, op, req.reqID, body); err != nil {
 			return
@@ -346,10 +442,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	}
 }
 
-// runCallbackChannel registers conn as the client's invalidation channel
-// and delivers the acks it carries back until it drops.
+// runCallbackChannel registers conn as the client's callback channel and
+// hands the answers it carries back until it drops.
 func (s *Server) runCallbackChannel(clientID string, conn net.Conn, reqID uint64) {
-	cb := &callbackConn{conn: conn, waiters: make(map[uint64]chan struct{})}
+	cb := &callbackConn{conn: conn, waiters: make(map[uint64]chan []byte)}
 	s.mu.Lock()
 	if old := s.callbacks[clientID]; old != nil {
 		_ = old.conn.Close()
@@ -363,7 +459,7 @@ func (s *Server) runCallbackChannel(clientID string, conn net.Conn, reqID uint64
 			if err != nil {
 				break
 			}
-			cb.ack(f.reqID)
+			cb.ack(f.reqID, f.body)
 		}
 	}
 	s.mu.Lock()
@@ -374,28 +470,94 @@ func (s *Server) runCallbackChannel(clientID string, conn net.Conn, reqID uint64
 	cb.shutdown()
 }
 
-// clientGone releases all state held for a departed client: its locks and
-// its cached-copy registrations.
-func (s *Server) clientGone(clientID string) {
+// clientGone releases what a closed session held: its locks, and once the
+// client has no session left, its cached-copy registrations.
+func (s *Server) clientGone(sess *session) {
 	s.mu.Lock()
-	var toRelease []*lockState
-	for _, ls := range s.locks {
-		if ls.holder == clientID {
-			toRelease = append(toRelease, ls)
+	delete(s.sessions[sess.clientID], sess)
+	if len(s.sessions[sess.clientID]) == 0 {
+		delete(s.sessions, sess.clientID)
+		for _, holders := range s.cachedBy {
+			delete(holders, sess.clientID)
 		}
 	}
-	for _, holders := range s.cachedBy {
-		delete(holders, clientID)
+	s.mu.Unlock()
+	s.dropSession(sess, sess.leaseEnd())
+}
+
+// dropSession releases every lock sess holds, holding each next grant
+// back until notBefore, and cancels its queued requests.
+func (s *Server) dropSession(sess *session, notBefore time.Time) {
+	var recalls []func()
+	s.mu.Lock()
+	for _, ls := range s.locks {
+		kept := ls.waiters[:0]
+		for _, w := range ls.waiters {
+			if w.sess == sess {
+				close(w.ch) // acquire sees it was not granted
+			} else {
+				kept = append(kept, w)
+			}
+		}
+		ls.waiters = kept
+		if ls.holder == sess {
+			if notBefore.After(ls.notBefore) {
+				ls.notBefore = notBefore
+			}
+			recalls = append(recalls, s.releaseLocked(ls))
+		}
 	}
 	s.mu.Unlock()
-	for _, ls := range toRelease {
-		s.release(ls)
+	for _, recall := range recalls {
+		recall()
 	}
+}
+
+// reclaim takes back the locks of sessions whose holder can no longer be
+// reached over its callback channel (DESIGN.md §9.3): each session is
+// closed, so it answers nothing more and its client can no longer renew
+// its lease, and its locks are released, their next grants held back
+// until callbackAckTimeout after the last reply the session began. The
+// latest such time is returned: by then every lease the client measured
+// from a reply of these sessions has run out.
+func (s *Server) reclaim(sessions []*session) time.Time {
+	var until time.Time
+	for _, sess := range sessions {
+		sess.mu.Lock()
+		sess.reclaimed = sess.lastAnswer.Add(callbackAckTimeout)
+		end := sess.reclaimed
+		sess.mu.Unlock()
+		if end.After(until) {
+			until = end
+		}
+		s.metrics.reclaims.Inc()
+		_ = sess.conn.Close()
+		s.dropSession(sess, end)
+	}
+	return until
+}
+
+// lockingSessions returns the sessions of clientID holding a lock granted
+// while its callback channel was live: one its client may keep.
+func (s *Server) lockingSessions(clientID string) []*session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []*session
+	for sess := range s.sessions[clientID] {
+		for _, ls := range s.locks {
+			if ls.holder == sess && ls.cb != nil {
+				out = append(out, sess)
+				break
+			}
+		}
+	}
+	return out
 }
 
 // dispatch executes one request and returns the reply frame's op and
 // body (nil = empty). Op zero means the request was one-way: no reply.
-func (s *Server) dispatch(clientID string, req frame) (opCode, *serial.Writer) {
+func (s *Server) dispatch(sess *session, req frame) (opCode, *serial.Writer) {
+	clientID := sess.clientID
 	fail := func(code errCode, msg string) (opCode, *serial.Writer) {
 		return opError, encodeError(code, msg)
 	}
@@ -473,11 +635,14 @@ func (s *Server) dispatch(clientID string, req frame) (opCode, *serial.Writer) {
 		if err != nil {
 			return fail(errCodeBadRequest, err.Error())
 		}
-		ls := s.acquire(name, clientID)
+		ls, cb, err := s.acquire(name, sess)
+		if err != nil {
+			return fail(errCodeInternal, err.Error())
+		}
 		// The grant is a release-consistency point: every store that
 		// returned before it was acknowledged by this client's callback
 		// channel, or the server gave up on that channel and says so here.
-		lost := s.callbackDown(clientID)
+		lost := cb == nil || cb.down()
 		// Revalidate the holder's cached copy under the lock, so its next
 		// read of name is current without a fetch.
 		version := s.promise(name, clientID)
@@ -492,12 +657,12 @@ func (s *Server) dispatch(clientID string, req frame) (opCode, *serial.Writer) {
 		case errors.Is(err, backend.ErrNotExist):
 			return opReply, encodeLockReply(lockAbsent, lost, 0, nil)
 		default:
-			s.release(ls) // an error reply means "not acquired" to the client
+			s.release(ls, sess) // an error reply means "not acquired" to the client
 			return storeError(name, err)
 		}
 
 	case opUnlock:
-		s.unlock(clientID, req.body)
+		s.unlock(sess, req.body)
 		return 0, nil
 
 	case opStat:
@@ -531,21 +696,18 @@ func (s *Server) dispatch(clientID string, req frame) (opCode, *serial.Writer) {
 
 // unlock applies a one-way unlock frame. There is nobody to report a
 // bad one to: it is logged and dropped.
-func (s *Server) unlock(clientID string, body []byte) {
+func (s *Server) unlock(sess *session, body []byte) {
 	name, err := decodeName(body)
 	if err != nil {
-		s.logf("afs: malformed unlock from %s: %v", clientID, err)
+		s.logf("afs: malformed unlock from %s: %v", sess.clientID, err)
 		return
 	}
 	s.mu.Lock()
 	ls := s.locks[name]
-	held := ls != nil && ls.holder == clientID
 	s.mu.Unlock()
-	if !held {
-		s.logf("afs: %s unlocked %s without holding it", clientID, name)
-		return
+	if ls == nil || !s.release(ls, sess) {
+		s.logf("afs: %s unlocked %s without holding it", sess.clientID, name)
 	}
-	s.release(ls)
 }
 
 func decodeName(body []byte) (string, error) {
@@ -598,14 +760,6 @@ const (
 // for stores that completed before this grant may never have reached the
 // holder's cache, so it must flush it.
 const lockCallbackLost = 0x80
-
-// callbackDown reports whether clientID has no live callback channel.
-func (s *Server) callbackDown(clientID string) bool {
-	s.mu.Lock()
-	cb := s.callbacks[clientID]
-	s.mu.Unlock()
-	return cb == nil || cb.down()
-}
 
 // String names the outcome for the revalidation counters.
 func (o lockOutcome) String() string {
@@ -689,72 +843,174 @@ func (s *Server) holdLocked(name, clientID string) {
 // channel, which drops everything). The writer keeps or gains the
 // promise: its cache now holds what it wrote (a negative entry after a
 // remove).
+//
+// A holder the server gives up on may still grant itself a lock it keeps
+// and read its stale copy under it, until its lease runs out. If it holds
+// a lock, its locking sessions are reclaimed and the store returns only
+// once that lease is over (DESIGN.md §9.3).
 func (s *Server) bumpAndInvalidate(name, writer string) uint64 {
 	s.mu.Lock()
 	s.versions[name]++
 	version := s.versions[name]
-	var notify []*callbackConn
+	type holder struct {
+		clientID string
+		cb       *callbackConn
+	}
+	var notify []holder
 	for clientID := range s.cachedBy[name] {
 		if clientID == writer {
 			continue
 		}
 		delete(s.cachedBy[name], clientID)
 		if cb := s.callbacks[clientID]; cb != nil {
-			notify = append(notify, cb)
+			notify = append(notify, holder{clientID, cb})
 		}
 	}
 	s.holdLocked(name, writer)
 	s.mu.Unlock()
 
 	var wg sync.WaitGroup
-	for _, cb := range notify {
+	for _, h := range notify {
 		wg.Add(1)
-		go func(cb *callbackConn) {
+		go func(h holder) {
 			defer wg.Done()
 			s.metrics.invalidations.Inc()
-			if err := cb.breakPromise(name); err != nil {
-				s.logf("afs: callback delivery failed: %v", err)
+			err := h.cb.breakPromise(name)
+			if err == nil {
+				return
 			}
-		}(cb)
+			s.logf("afs: callback delivery failed: %v", err)
+			if sessions := s.lockingSessions(h.clientID); len(sessions) > 0 {
+				time.Sleep(time.Until(s.reclaim(sessions)))
+			}
+		}(h)
 	}
 	wg.Wait()
 	return version
 }
 
-// acquire blocks until clientID holds the exclusive lock on name.
-func (s *Server) acquire(name, clientID string) *lockState {
+// acquire blocks until sess holds the exclusive lock on name. It returns
+// the callback channel the grant may be recalled over: nil when the
+// client has none, and then it releases the lock itself. A lock held by
+// another session is recalled from its holder, whose client keeps locks
+// it has released (DESIGN.md §9.2); a request from the holding session —
+// a kept lock whose lease ran out — is granted again at once.
+func (s *Server) acquire(name string, sess *session) (*lockState, *callbackConn, error) {
 	s.mu.Lock()
+	if !sess.leaseEnd().IsZero() {
+		s.mu.Unlock()
+		return nil, nil, errReclaimed
+	}
 	ls := s.locks[name]
 	if ls == nil {
-		ls = &lockState{}
+		ls = &lockState{name: name}
 		s.locks[name] = ls
 	}
-	if ls.holder == "" {
-		ls.holder = clientID
+	var recall func()
+	if ls.holder == nil || ls.holder == sess {
+		recall = s.grantLocked(ls, sess)
+	} else {
+		wait := lockWaiter{ch: make(chan struct{}), sess: sess}
+		ls.waiters = append(ls.waiters, wait)
+		recall = s.recallLocked(ls)
 		s.mu.Unlock()
-		return ls
+		recall()
+		<-wait.ch // ownership was assigned by release before the channel closed
+		s.mu.Lock()
+		if ls.holder != sess {
+			s.mu.Unlock()
+			return nil, nil, errReclaimed
+		}
+		recall = func() {} // releaseLocked started the new grant's recall
 	}
-	wait := lockWaiter{ch: make(chan struct{}), clientID: clientID}
-	ls.waiters = append(ls.waiters, wait)
+	cb, hold := ls.cb, time.Until(ls.notBefore)
 	s.mu.Unlock()
-
-	<-wait.ch // ownership was assigned by release before the channel closed
-	return ls
+	recall()
+	if hold > 0 {
+		time.Sleep(hold)
+	}
+	return ls, cb, nil
 }
 
-// release hands the lock to the next waiter, or frees it.
-func (s *Server) release(ls *lockState) {
-	s.mu.Lock()
-	if len(ls.waiters) > 0 {
-		next := ls.waiters[0]
-		ls.waiters = ls.waiters[1:]
-		ls.holder = next.clientID
-		s.mu.Unlock()
-		close(next.ch)
-		return
+// grantLocked makes sess the holder of ls and returns the recall to start
+// once s.mu is released (a no-op unless peers are already waiting).
+// s.mu must be held.
+func (s *Server) grantLocked(ls *lockState, sess *session) func() {
+	ls.holder = sess
+	ls.grant++
+	ls.recalling = false
+	ls.cb = nil
+	if cb := s.callbacks[sess.clientID]; cb != nil && !cb.down() {
+		ls.cb = cb
 	}
-	ls.holder = ""
+	return s.recallLocked(ls)
+}
+
+// recallLocked returns the recall of ls's current grant to start once s.mu
+// is released, or a no-op if none is due: nobody waits, one is already
+// out, or the holder has no callback channel and unlocks by itself.
+// s.mu must be held.
+func (s *Server) recallLocked(ls *lockState) func() {
+	if ls.recalling || ls.cb == nil || len(ls.waiters) == 0 {
+		return func() {}
+	}
+	ls.recalling = true
+	holder, grant, cb := ls.holder, ls.grant, ls.cb
+	return func() { go s.recall(ls, holder, grant, cb) }
+}
+
+// recall asks holder's client to give back its grant of ls. Released, the
+// lock goes to the next waiter; busy, the client unlocks when done; no
+// answer, and the holder is reclaimed.
+func (s *Server) recall(ls *lockState, holder *session, grant uint64, cb *callbackConn) {
+	s.metrics.recalls.Inc()
+	answer, err := cb.recall(ls.name)
+	switch {
+	case err != nil:
+		s.mu.Lock()
+		live := s.sessions[holder.clientID][holder]
+		s.mu.Unlock()
+		if live { // else its connection is gone and clientGone releases it
+			s.logf("afs: %v; reclaiming the locks of %s", err, holder.clientID)
+			s.reclaim([]*session{holder})
+		}
+	case answer == recallReleased:
+		s.mu.Lock()
+		next := func() {}
+		if ls.holder == holder && ls.grant == grant {
+			next = s.releaseLocked(ls)
+		}
+		s.mu.Unlock()
+		next()
+	}
+}
+
+// release gives up sess's hold on ls, reporting whether it held it.
+func (s *Server) release(ls *lockState, sess *session) bool {
+	s.mu.Lock()
+	held := ls.holder == sess
+	next := func() {}
+	if held {
+		next = s.releaseLocked(ls)
+	}
 	s.mu.Unlock()
+	next()
+	return held
+}
+
+// releaseLocked hands the lock to the next waiter, or frees it, and
+// returns the recall of the new grant to start once s.mu is released.
+// s.mu must be held.
+func (s *Server) releaseLocked(ls *lockState) func() {
+	if len(ls.waiters) == 0 {
+		ls.holder, ls.cb, ls.recalling = nil, nil, false
+		return func() {}
+	}
+	next := ls.waiters[0]
+	ls.waiters = ls.waiters[1:]
+	recall := s.grantLocked(ls, next.sess)
+	close(next.ch)
+	return recall
 }
 
 // ListenAndServe is a convenience that listens on addr and serves until

@@ -54,6 +54,11 @@ const (
 	// the client answers with an opReply carrying the same reqID once the
 	// cached copy is gone.
 	opInvalidate opCode = 120
+	// opRecall is pushed server→client on the callback channel when
+	// another client asks for a lock this client keeps after releasing it
+	// (DESIGN.md §9.2). The client answers with an opReply carrying the
+	// same reqID and one recallAnswer byte.
+	opRecall opCode = 121
 )
 
 // String names the op for error messages.
@@ -83,6 +88,8 @@ func (op opCode) String() string {
 		return "error"
 	case opInvalidate:
 		return "invalidate"
+	case opRecall:
+		return "recall"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(op))
 	}
@@ -236,6 +243,48 @@ func readFrame(r io.Reader) (frame, error) {
 		reqID: binary.LittleEndian.Uint64(payload[1:9]),
 		body:  payload[9:],
 	}, nil
+}
+
+// recallAnswer is the body of a client's reply to a recall.
+type recallAnswer uint8
+
+const (
+	// recallReleased: the lock was idle and the client gave it up; the
+	// server releases it on this answer.
+	recallReleased recallAnswer = iota + 1
+	// recallBusy: the lock is in use (or being acquired); the client sends
+	// its one-way unlock when the holder is done.
+	recallBusy
+)
+
+// String names the answer for the recall counters.
+func (a recallAnswer) String() string {
+	switch a {
+	case recallReleased:
+		return "released"
+	case recallBusy:
+		return "busy"
+	default:
+		return fmt.Sprintf("answer(%d)", uint8(a))
+	}
+}
+
+func encodeRecallAnswer(a recallAnswer) *serial.Writer {
+	w := newFrame(1)
+	w.WriteUint8(uint8(a))
+	return w
+}
+
+func decodeRecallAnswer(body []byte) (recallAnswer, error) {
+	r := serial.NewReader(body)
+	a := recallAnswer(r.ReadUint8("recall answer"))
+	if err := r.Finish(); err != nil {
+		return 0, err
+	}
+	if a != recallReleased && a != recallBusy {
+		return 0, fmt.Errorf("%w: unknown recall answer %d", ErrProtocol, a)
+	}
+	return a, nil
 }
 
 // encodeError builds an opError frame.

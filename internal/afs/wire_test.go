@@ -8,8 +8,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"nexus/internal/backend"
+	"nexus/internal/obs"
 	"nexus/internal/serial"
 )
 
@@ -160,7 +162,7 @@ func TestReadFrameRoundTrip(t *testing.T) {
 
 func TestOpCodeStrings(t *testing.T) {
 	for op, want := range map[opCode]string{
-		opFetch: "fetch", opStore: "store", opLock: "lock",
+		opFetch: "fetch", opStore: "store", opLock: "lock", opRecall: "recall",
 		opCode(250): "op(250)",
 	} {
 		if got := op.String(); got != want {
@@ -223,8 +225,9 @@ func (l *writeLog) frameOps(t *testing.T, side string) map[opCode]int {
 
 // The simulated network charges one-way latency per Write, so an exchange
 // costs one RTT only if every frame — hello, request, reply, error,
-// callback break, its ack, one-way unlock — leaves in exactly one Write.
-// (Streamed stores are the deliberate exception: one Write per segment.)
+// callback break, its ack, recall, its answer, one-way unlock — leaves in
+// exactly one Write. (Streamed stores are the deliberate exception: one
+// Write per segment.)
 func TestEveryFrameIsOneWrite(t *testing.T) {
 	srv := NewServer(backend.NewMemStore())
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
@@ -243,7 +246,8 @@ func TestEveryFrameIsOneWrite(t *testing.T) {
 		return &loggedConn{Conn: c, log: clientLog}, nil
 	}
 	a := dialClient(t, addr, ClientConfig{Dial: dial})
-	b := dialClient(t, addr, ClientConfig{Dial: dial})
+	bReg := obs.NewRegistry()
+	b := dialClient(t, addr, ClientConfig{Dial: dial, Obs: bReg})
 
 	mustPut(t, a, "x", bytes.Repeat([]byte{7}, 3000))
 	if _, err := b.Get("x"); err != nil { // b becomes a callback holder
@@ -257,15 +261,35 @@ func TestEveryFrameIsOneWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release()
-	if err := a.Ping(); err != nil { // the unlock has been written before this returns
+	release() // a keeps the lock: no frame
+	// b's request recalls it; a's callback loop answers released.
+	releaseB, err := b.Lock("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a's request recalls it while b holds it; b answers busy, and its
+	// release sends the one-way unlock that hands the lock to a.
+	granted := make(chan func())
+	go func() {
+		release, err := a.Lock("x")
+		if err != nil {
+			t.Error(err)
+		}
+		granted <- release
+	}()
+	waitFor(t, 5*time.Second, func() bool { return bReg.CounterValue("afs_lock_recalls_busy_total") == 1 })
+	releaseB()
+	if release := <-granted; release != nil {
+		release()
+	}
+	if err := a.Ping(); err != nil {
 		t.Fatal(err)
 	}
 
 	client := clientLog.frameOps(t, "client")
 	for op, want := range map[opCode]int{
-		opHello: 4, opStore: 2, opFetch: 2, opLock: 1, opUnlock: 1, opPing: 1,
-		opReply: 1, // b's ack of the callback break
+		opHello: 4, opStore: 2, opFetch: 2, opLock: 3, opUnlock: 1, opPing: 1,
+		opReply: 1 + 2, // b's ack of the callback break, the answers to two recalls
 	} {
 		if client[op] != want {
 			t.Errorf("client wrote %d %s frames, want %d (all: %v)", client[op], op, want, client)
@@ -273,9 +297,10 @@ func TestEveryFrameIsOneWrite(t *testing.T) {
 	}
 	server := serverLog.frameOps(t, "server")
 	for op, want := range map[opCode]int{
-		opReply:      4 + 2 + 1 + 1 + 1, // hellos, stores, b's fetch, lock, ping; none for the unlock
+		opReply:      4 + 2 + 1 + 3 + 1, // hellos, stores, b's fetch, locks, ping; none for the unlock
 		opError:      1,
 		opInvalidate: 1,
+		opRecall:     2,
 	} {
 		if server[op] != want {
 			t.Errorf("server wrote %d %s frames, want %d (all: %v)", server[op], op, want, server)

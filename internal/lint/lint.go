@@ -5,11 +5,6 @@
 //
 // Rules:
 //
-//   - enclave-boundary: raw key material (rootkey, sealing keys, wrapping
-//     keys) never crosses the ecall surface: no exported identifier or
-//     exported signature of internal/enclave or internal/sgx may carry
-//     it, and no outside package may reference such an identifier.
-//     Sealed/wrapped forms are allowed (that is the point of sealing).
 //   - unchecked-crypto-error: the error from rand.Read, AEAD Seal/Open,
 //     sealing, or signature verification is never discarded.
 //   - lock-discipline: a Lock/RLock on a sync.Mutex/RWMutex has a
@@ -20,9 +15,10 @@
 //   - locked-callgraph: a *Locked function is unreachable from any
 //     module entry point that does not hold a lock.
 //
-// Whether key material reaches an error, a span tag or the store is not
-// a rule here: internal/enclave/keyleak_test.go checks the key values
-// themselves against every byte that leaves the enclave (DESIGN.md §6).
+// Whether key material crosses the ecall surface, or reaches an error, a
+// span tag or the store, is not a rule here: internal/enclave/
+// keyleak_test.go checks the key values themselves against every byte
+// that leaves the enclave (DESIGN.md §6).
 // Nor is keeping math/rand out of the crypto packages:
 // cryptorand_test.go at the module root checks their imports. Nor is
 // nonce freshness: the same test's Property K5 checks that no (key,
@@ -67,7 +63,6 @@ type Checker struct {
 // interprocedural: it runs over the module's call graph (callgraph.go).
 func Checkers() []Checker {
 	return []Checker{
-		{Rule: RuleBoundary, Doc: "raw key material must not cross the enclave boundary", Run: perPackage(checkBoundary)},
 		{Rule: RuleCryptoErr, Doc: "crypto errors must be checked", Run: perPackage(checkCryptoErr)},
 		{Rule: RuleLocks, Doc: "mutex lock/unlock pairing and guarded-by annotations", Run: perPackage(checkLocks)},
 		{Rule: RuleLockedCall, Doc: "*Locked functions only reachable from contexts that hold a lock (call-graph check)", Run: checkLockedCall},
@@ -88,7 +83,6 @@ func perPackage(check func(m *Module, p *Package) []Finding) func(*Module) []Fin
 
 // Rule names.
 const (
-	RuleBoundary  = "enclave-boundary"
 	RuleCryptoErr = "unchecked-crypto-error"
 	RuleLocks     = "lock-discipline"
 	// RuleLockedCall is the interprocedural rule.

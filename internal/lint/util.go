@@ -18,13 +18,6 @@ var cryptoBearingDirs = map[string]bool{
 	"internal/cryptofs": true,
 }
 
-// enclaveBoundaryDirs are the packages forming the trusted enclave side
-// of the boundary rule.
-var enclaveBoundaryDirs = map[string]bool{
-	"internal/enclave": true,
-	"internal/sgx":     true,
-}
-
 // exprText renders an expression to source text (for matching the "same
 // lock variable" by structure).
 func exprText(p *Package, e ast.Expr) string {
@@ -112,13 +105,6 @@ func packageFuncs(p *Package) []funcScope {
 		}
 	}
 	return out
-}
-
-// relDir returns the module-relative directory of a package ("" for
-// the root package), so rules can match directories like
-// "internal/workload" without hard-coding the module name.
-func relDir(m *Module, p *Package) string {
-	return strings.TrimPrefix(strings.TrimPrefix(p.ImportPath, m.Path), "/")
 }
 
 // hasSuffixFold reports a case-insensitive suffix match.

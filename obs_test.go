@@ -10,6 +10,7 @@ import (
 
 	"nexus/internal/afs"
 	"nexus/internal/backend"
+	"nexus/internal/freshtree"
 	"nexus/internal/obs"
 )
 
@@ -23,9 +24,17 @@ type obsStack struct {
 	afs    *afs.Client
 	owner  Identity
 	ias    *AttestationService
+	addr   string // the AFS server's
 }
 
 func startObsStack(t *testing.T) *obsStack {
+	t.Helper()
+	return startObsStackWith(t, afs.ClientConfig{})
+}
+
+// startObsStackWith is startObsStack with the AFS client configured by
+// afsCfg (its Obs is always the stack's registry).
+func startObsStackWith(t *testing.T, afsCfg afs.ClientConfig) *obsStack {
 	t.Helper()
 	srv := afs.NewServer(backend.NewMemStore())
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -36,7 +45,8 @@ func startObsStack(t *testing.T) *obsStack {
 	t.Cleanup(func() { _ = srv.Close() })
 
 	reg := NewObs()
-	afsClient, err := afs.Dial(l.Addr().String(), afs.ClientConfig{Obs: reg})
+	afsCfg.Obs = reg
+	afsClient, err := afs.Dial(l.Addr().String(), afsCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +78,7 @@ func startObsStack(t *testing.T) *obsStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &obsStack{reg: reg, client: client, vol: vol, afs: afsClient, owner: owner, ias: ias}
+	return &obsStack{reg: reg, client: client, vol: vol, afs: afsClient, owner: owner, ias: ias, addr: l.Addr().String()}
 }
 
 // counterDelta reads a set of counters before fn and returns how much
@@ -334,6 +344,21 @@ func afsSpanNames(s *Span) []string {
 	return names
 }
 
+// framesMatch reports whether the AFS frames got are want, or want plus a
+// second store directly before the last one — the freshness root's —
+// which is an epoch that also writes the tree checkpoint (DESIGN.md
+// §15.3), and whether they were the latter.
+func framesMatch(got, want []string) (ok, checkpoint bool) {
+	last := len(want) - 1
+	for last >= 0 && want[last] != "store" {
+		last--
+	}
+	if last >= 0 && slices.Equal(got, slices.Insert(slices.Clone(want), last, "store")) {
+		return true, true
+	}
+	return slices.Equal(got, want), false
+}
+
 // TestObservabilityRPCBudget pins the exact, ordered AFS frames of the
 // metadata op classes (DESIGN.md §11.5). Every frame is a LAN round trip
 // (a one-way unlock: half of one), so a frame added here is a latency
@@ -375,17 +400,11 @@ func TestObservabilityRPCBudget(t *testing.T) {
 			}
 			got = afsSpanNames(root)
 		}
-		last := len(want) - 1
-		for last >= 0 && want[last] != "store" {
-			last--
-		}
-		if last >= 0 && slices.Equal(got, slices.Insert(slices.Clone(want), last, "store")) {
-			return true
-		}
-		if !slices.Equal(got, want) {
+		ok, checkpoint := framesMatch(got, want)
+		if !ok {
 			t.Errorf("%s: afs frames under %s\n got %v\nwant %v", what, rootName, got, want)
 		}
-		return false
+		return checkpoint
 	}
 	// transitions runs op and compares the enclave crossings it cost with
 	// want: ecalls, then ocalls (DESIGN.md §11.5, last row).
@@ -413,27 +432,54 @@ func TestObservabilityRPCBudget(t *testing.T) {
 		})
 	}
 
+	// recall makes the next commit a first grant: a second client asks
+	// for the freshness root's lock, which this client keeps after every
+	// commit, and the server recalls it. That client has no callback
+	// channel, so it hands the lock back with a one-way unlock.
+	peer, err := afs.Dial(st.addr, afs.ClientConfig{DisableCallbacks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	recall := func() {
+		t.Helper()
+		release, err := peer.Lock(freshtree.RootObjectName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+	}
+
 	// A file of at most metadata.MaxInlineSize bytes is one object.
 	data := bytes.Repeat([]byte{0x5A}, 2048)
 	// Create one such file in an existing directory: the new filenode,
 	// content sealed inside, unlocked, then one commit under the freshness
 	// root's lock — the directory (one object, ACL and entries together),
-	// then the root (sealed commitment and tree delta in one object), one
-	// unlock. The lock is followed by no fetch: its reply revalidated the
-	// root, and the directory this client caches is current because a lock
-	// grant is a release-consistency point. Enclave crossings: 1 ecall —
-	// create, write and drain together — and 4 ocalls: the walk's two
-	// directory fetches, served by the AFS cache; the filenode put with the
-	// root lock, the root re-read, the directory re-read and its proof; the
-	// directory put with the freshness batch; the root put with the unlock
-	// (DESIGN.md §11.5).
-	create := []string{
-		"store",
-		"lock", "store", "store", "unlock",
-	}
+	// then the root (sealed commitment and tree delta in one object). The
+	// lock is kept from the previous commit, so it costs no frame, and
+	// nothing unlocks it (DESIGN.md §9.2). The commit makes no fetch: the
+	// root and the directory this client caches are current, because every
+	// peer store broke its promise before returning. Enclave crossings: 1
+	// ecall — create, write and drain together — and 4 ocalls: the walk's
+	// two directory fetches, served by the AFS cache; the filenode put
+	// with the root lock, the root re-read, the directory re-read and its
+	// proof; the directory put with the freshness batch; the root put with
+	// the release (DESIGN.md §11.5).
+	create := []string{"store", "store", "store"}
+	// After a peer took the lock, the commit's grant is a lock frame,
+	// whose reply revalidates the root; the release keeps the lock.
+	createFirst := []string{"store", "lock", "store", "store"}
+	recall()
+	budget("create in an existing directory, first grant", "vfs.write", createFirst, func() {
+		transitions("create, first grant", [2]int64{1, 4}, func() {
+			if err := fs.WriteFile("/docs/second", data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
 	budget("create in an existing directory", "vfs.write", create, func() {
 		transitions("create", [2]int64{1, 4}, func() {
-			if err := fs.WriteFile("/docs/second", data); err != nil {
+			if err := fs.WriteFile("/docs/third", data); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -441,6 +487,14 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	// A larger file adds its data object, stored before the filenode: one
 	// frame and one ocall more, metered as data I/O.
 	big := bytes.Repeat([]byte{0xA5}, 8192)
+	recall()
+	budget("create of a chunked file, first grant", "vfs.write", append([]string{"store"}, createFirst...), func() {
+		transitions("create of a chunked file, first grant", [2]int64{1, 5}, func() {
+			if err := fs.WriteFile("/docs/big0", big); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
 	budget("create of a chunked file", "vfs.write", append([]string{"store"}, create...), func() {
 		transitions("create of a chunked file", [2]int64{1, 5}, func() {
 			if err := fs.WriteFile("/docs/big", big); err != nil {
@@ -519,83 +573,111 @@ func TestObservabilityRPCBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Each commit below is pinned twice: as a first grant, after a peer's
+	// request recalled the root's lock (a lock frame first), and warm, with
+	// the lock kept (no lock frame). Neither unlocks.
+	commit2First, commit2 := []string{"lock", "store", "store"}, []string{"store", "store"}
+	pair := func(what string, first, warm []string, opFirst, opWarm func()) {
+		t.Helper()
+		recall()
+		budget(what+", first grant", "sgx.ecall", first, opFirst)
+		budget(what, "sgx.ecall", warm, opWarm)
+	}
+	setACL := func(rights Rights) func() {
+		return func() {
+			if err := st.vol.SetACL("/docs", "bob", rights); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	setGroupACL := func(rights Rights) func() {
+		return func() {
+			if err := st.vol.SetGroupACL("/docs", group, rights); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	rename := func(from, to string) func() {
+		return func() {
+			if err := fs.Rename(from, to); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
 	// Revocation, the paper's whole cost (§VII-E): one directory re-seal
 	// and the freshness root, in one commit.
-	commit2 := []string{"lock", "store", "store", "unlock"}
-	budget("SetACL (revoke)", "sgx.ecall", commit2, func() {
-		if err := st.vol.SetACL("/docs", "bob", NoRights); err != nil {
-			t.Fatal(err)
-		}
-	})
-	budget("SetGroupACL", "sgx.ecall", commit2, func() {
-		if err := st.vol.SetGroupACL("/docs", group, ReadOnly); err != nil {
-			t.Fatal(err)
-		}
-	})
+	pair("SetACL (revoke)", commit2First, commit2, setACL(NoRights), setACL(ReadOnly))
+	pair("SetGroupACL", commit2First, commit2, setGroupACL(ReadOnly), setGroupACL(ReadWrite))
 
 	// Same-directory rename: the directory and the root, one commit.
-	budget("rename within a directory", "sgx.ecall", commit2, func() {
-		if err := fs.Rename("/docs/second", "/docs/renamed"); err != nil {
-			t.Fatal(err)
-		}
-	})
+	pair("rename within a directory", commit2First, commit2,
+		rename("/docs/second", "/docs/renamed"), rename("/docs/third", "/docs/renamed3"))
 
 	// Rename of a directory across directories: the re-parented child
 	// dirnode, the source and the destination directory and the root, one
 	// commit.
-	if err := fs.MkdirAll("/other"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.MkdirAll("/docs/sub"); err != nil {
-		t.Fatal(err)
+	for _, dir := range []string{"/other", "/docs/sub", "/docs/sub2"} {
+		if err := fs.MkdirAll(dir); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	budget("rename of a directory across directories", "sgx.ecall", []string{
-		"lock", "store", "store", "store", "store", "unlock",
-	}, func() {
-		if err := fs.Rename("/docs/sub", "/other/sub"); err != nil {
-			t.Fatal(err)
-		}
-	})
+	pair("rename of a directory across directories",
+		[]string{"lock", "store", "store", "store", "store"},
+		[]string{"store", "store", "store", "store"},
+		rename("/docs/sub", "/other/sub"), rename("/docs/sub2", "/other/sub2"))
 	// A file moved across directories is re-parented too, and a filenode
 	// is rewritten only under its own lock, which is taken before the
-	// root's and released after it.
-	budget("rename of a file across directories", "sgx.ecall", []string{
-		"lock", "lock", "store", "store", "store", "store", "unlock", "unlock",
-	}, func() {
-		if err := fs.Rename("/docs/renamed", "/other/moved"); err != nil {
-			t.Fatal(err)
-		}
-	})
+	// root's and released after it. Each file's filenode is locked for the
+	// first time, so its grant is always a frame.
+	pair("rename of a file across directories",
+		[]string{"lock", "lock", "store", "store", "store", "store"},
+		[]string{"lock", "store", "store", "store", "store"},
+		rename("/docs/renamed", "/other/moved"), rename("/docs/renamed3", "/other/moved3"))
 
 	// Revoking a user: the supernode (user table and rotated key-tree
 	// path) and the root, one commit.
-	budget("RemoveUser", "sgx.ecall", commit2, func() {
-		if err := st.vol.RemoveUser("bob"); err != nil {
-			t.Fatal(err)
+	dave, err := NewIdentity("dave")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.vol.AddUser("dave", dave.PublicKey); err != nil {
+		t.Fatal(err)
+	}
+	removeUser := func(name string) func() {
+		return func() {
+			if err := st.vol.RemoveUser(name); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
+	}
+	pair("RemoveUser", commit2First, commit2, removeUser("bob"), removeUser("dave"))
 	// Admitting one through the rootkey exchange: the same commit (the
 	// quote check is an ocall to the attestation service, not a frame).
-	carolClient, err := NewClient(ClientConfig{Store: NewMemoryStore(), IAS: st.ias})
-	if err != nil {
-		t.Fatal(err)
-	}
-	carol, err := NewIdentity("carol")
-	if err != nil {
-		t.Fatal(err)
-	}
-	offer, err := carolClient.CreateShareOffer(carol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	budget("GrantAccess", "sgx.ecall", commit2, func() {
-		if _, err := st.vol.GrantAccess(offer, "carol", carol.PublicKey, st.owner); err != nil {
+	grant := func(name string) func() {
+		t.Helper()
+		newcomerClient, err := NewClient(ClientConfig{Store: NewMemoryStore(), IAS: st.ias})
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
+		newcomer, err := NewIdentity(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offer, err := newcomerClient.CreateShareOffer(newcomer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if _, err := st.vol.GrantAccess(offer, name, newcomer.PublicKey, st.owner); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pair("GrantAccess", commit2First, commit2, grant("carol"), grant("erin"))
 
 	// The checkpoint is the one frame the table above amortises. Its rule
 	// is a function of leaf and delta-entry counts alone, so the count is
@@ -618,5 +700,59 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	}
 	if checkpoints == 0 || checkpoints > 16 {
 		t.Errorf("64 creates stored the freshness checkpoint %d times, want between 1 and 16", checkpoints)
+	}
+}
+
+// An AFS client without a callback channel cannot be recalled, so it
+// keeps no lock: every commit takes the RPC lock path, a lock frame
+// before the commit's stores and a one-way unlock after them
+// (DESIGN.md §11.5).
+func TestObservabilityRPCBudgetWithoutCallbacks(t *testing.T) {
+	st := startObsStackWith(t, afs.ClientConfig{DisableCallbacks: true})
+	fs := st.vol.FS()
+	if err := fs.MkdirAll("/docs"); err != nil {
+		t.Fatal(err)
+	}
+	bob, err := NewIdentity("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.vol.AddUser("bob", bob.PublicKey); err != nil {
+		t.Fatal(err)
+	}
+	tracer := st.reg.Tracer()
+	tracer.Enable()
+	defer tracer.Disable()
+	budget := func(what, rootName string, want []string, op func()) {
+		t.Helper()
+		tracer.Take()
+		op()
+		root := findSpan(tracer.Take(), rootName)
+		if root == nil {
+			t.Fatalf("%s: no %s root span", what, rootName)
+		}
+		got := afsSpanNames(root)
+		if ok, _ := framesMatch(got, want); !ok {
+			t.Errorf("%s: afs frames under %s\n got %v\nwant %v", what, rootName, got, want)
+		}
+	}
+	data := bytes.Repeat([]byte{0x5A}, 2048)
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("/docs/f%d", i)
+		budget("create "+name, "vfs.write", []string{"store", "lock", "store", "store", "unlock"}, func() {
+			if err := fs.WriteFile(name, data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, rights := range []Rights{ReadWrite, NoRights} {
+		budget("SetACL", "sgx.ecall", []string{"lock", "store", "store", "unlock"}, func() {
+			if err := st.vol.SetACL("/docs", "bob", rights); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if n := st.reg.CounterValue("afs_lock_local_grants_total"); n != 0 {
+		t.Errorf("afs_lock_local_grants_total = %d without a callback channel, want 0", n)
 	}
 }
