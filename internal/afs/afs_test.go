@@ -237,8 +237,10 @@ func TestLockSerializesCriticalSections(t *testing.T) {
 	const iters = 25
 
 	// The counter lives in a shared file; each worker does a locked
-	// read-modify-write. Without mutual exclusion updates get lost.
-	c0 := dialClient(t, addr, ClientConfig{CacheBytes: -1})
+	// read-modify-write. Without mutual exclusion updates get lost. Every
+	// client caches: the lock reply revalidates the cached copy, so the
+	// read under the lock is current.
+	c0 := dialClient(t, addr, ClientConfig{})
 	if err := c0.Put("counter", []byte("0")); err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +250,7 @@ func TestLockSerializesCriticalSections(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c, err := Dial(addr, ClientConfig{CacheBytes: -1})
+			c, err := Dial(addr, ClientConfig{})
 			if err != nil {
 				t.Errorf("Dial: %v", err)
 				return
@@ -325,20 +327,53 @@ func TestLargeFile(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	_, addr := startServer(t)
 	// Budget of 3 KiB, files of 1 KiB: the 4th file evicts the 1st.
-	c := dialClient(t, addr, ClientConfig{CacheBytes: 3 << 10})
+	fc := newFileCache(3 << 10)
 	payload := make([]byte, 1<<10)
 	for i := 0; i < 4; i++ {
-		if err := c.Put(fmt.Sprintf("f%d", i), payload); err != nil {
-			t.Fatal(err)
-		}
+		fc.put(fmt.Sprintf("f%d", i), payload, uint64(i+1))
 	}
-	if _, ok := c.cache.version("f0"); ok {
+	if _, ok := fc.version("f0"); ok {
 		t.Fatal("f0 not evicted from a full cache")
 	}
-	if _, ok := c.cache.version("f3"); !ok {
-		t.Fatal("f3 missing from cache")
+	for i := 1; i < 4; i++ {
+		if _, ok := fc.version(fmt.Sprintf("f%d", i)); !ok {
+			t.Fatalf("f%d missing from cache", i)
+		}
+	}
+	if fc.used != 3<<10 {
+		t.Fatalf("cache accounts %d bytes, want %d", fc.used, 3<<10)
+	}
+}
+
+// A copy larger than the whole budget is not cached, and it must not
+// leave the entry it replaces behind: a later lookup of the name goes to
+// the server, whatever was cached for it before.
+func TestCacheOversizePutDropsOlderEntry(t *testing.T) {
+	const budget = 64
+	oversize := make([]byte, budget+1)
+	puts := map[string]func(fc *fileCache, name string){
+		"put":      func(fc *fileCache, name string) { fc.put(name, oversize, 9) },
+		"putOwned": func(fc *fileCache, name string) { fc.putOwned(name, oversize, 9) },
+		"fill":     func(fc *fileCache, name string) { fc.fill(fc.breakCount(), name, oversize, 9) },
+	}
+	for how, putOversize := range puts {
+		t.Run(how, func(t *testing.T) {
+			fc := newFileCache(budget)
+			fc.put("x", []byte("v1"), 1)
+			putOversize(fc, "x")
+			if data, negative, _, ok := fc.lookup("x"); ok || negative {
+				t.Errorf("stale positive: %q", data)
+			}
+			fc.putNegative("y")
+			putOversize(fc, "y")
+			if _, negative, _, _ := fc.lookup("y"); negative {
+				t.Error("stale negative entry after oversize put")
+			}
+			if fc.used != 0 || len(fc.byName) != 0 {
+				t.Errorf("cache holds %d entries of %d bytes, want none", len(fc.byName), fc.used)
+			}
+		})
 	}
 }
 
@@ -359,8 +394,7 @@ func TestClosedClientErrors(t *testing.T) {
 func TestNetsimProfileSlowsRPCs(t *testing.T) {
 	_, addr := startServer(t)
 	slow := dialClient(t, addr, ClientConfig{
-		Profile:    netsim.Profile{RTT: 4 * time.Millisecond},
-		CacheBytes: -1,
+		Profile: netsim.Profile{RTT: 4 * time.Millisecond},
 	})
 	start := time.Now()
 	const n = 5

@@ -380,9 +380,7 @@ func TestChaosSeededFaultInjection(t *testing.T) {
 	// burn idempotent pings through the injector until the scheduled
 	// fault mass lands.
 	if in.Faults() < 55 {
-		padCfg := chaosClientConfig(seed, workers, in)
-		padCfg.CacheBytes = -1
-		if pad, err := Dial(cluster.addr, padCfg); err == nil {
+		if pad, err := Dial(cluster.addr, chaosClientConfig(seed, workers, in)); err == nil {
 			for i := 0; i < 4000 && in.Faults() < 55; i++ {
 				_ = pad.Ping()
 			}

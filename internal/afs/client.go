@@ -17,24 +17,19 @@ import (
 	"nexus/internal/uuid"
 )
 
-// DefaultCacheBytes is the default client cache budget (AFS cache
-// managers default to hundreds of MiB of disk cache; we hold whole files
-// in memory).
+// DefaultCacheBytes is the client cache budget (AFS cache managers
+// default to hundreds of MiB of disk cache; we hold whole files in
+// memory).
 const DefaultCacheBytes = 512 << 20
 
-// ClientConfig tunes a client.
+// ClientConfig tunes a client. Whole-file caching, the callback channel
+// and RPC deadlines are not settings: every client has all three, as an
+// OpenAFS cache manager does.
 type ClientConfig struct {
 	// Profile simulates the network between client and server.
 	Profile netsim.Profile
-	// CacheBytes bounds the whole-file cache; 0 means DefaultCacheBytes,
-	// negative disables caching entirely.
-	CacheBytes int64
-	// DisableCallbacks skips the callback channel; the cache then only
-	// invalidates on the client's own writes. Used by tests and by the
-	// cache-ablation benchmark.
-	DisableCallbacks bool
 	// RPCTimeout bounds each RPC exchange (including server-side lock
-	// waits). 0 means DefaultRPCTimeout; negative disables deadlines.
+	// waits); zero or negative means DefaultRPCTimeout.
 	RPCTimeout time.Duration
 	// Retry tunes automatic reconnect and idempotent-RPC retry; the
 	// zero value means defaults.
@@ -58,10 +53,9 @@ type ClientConfig struct {
 // copy — and holds the writer's reply until the client has acknowledged,
 // so a completed store is never followed by a stale cached read. Writes
 // are write-through. Advisory locks are server-side and exclusive;
-// acquiring one revalidates the cached copy of the locked file. A client
-// with a callback channel keeps a lock it releases until a peer asks for
-// it, and grants it to itself again without a frame while its lease
-// holds (DESIGN.md §9.2).
+// acquiring one revalidates the cached copy of the locked file. The
+// client keeps a lock it releases until a peer asks for it, and grants it
+// to itself again without a frame while its lease holds (DESIGN.md §9.2).
 //
 // Failure model: every RPC exchange carries a deadline, and the client
 // reconnects automatically with seeded exponential backoff. Read-only
@@ -74,11 +68,9 @@ type ClientConfig struct {
 type Client struct {
 	id      string
 	addr    string
-	profile netsim.Profile
 	dialFn  func(addr string) (net.Conn, error)
 	timeout time.Duration
 	retry   *retryState
-	cbOff   bool
 
 	reqMu sync.Mutex // serializes request/response exchanges and reconnects
 	reqID uint64     // guarded by reqMu
@@ -174,33 +166,25 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		id:      uuid.New().String(),
 		addr:    addr,
-		profile: cfg.Profile,
 		timeout: cfg.RPCTimeout,
 		retry:   newRetryState(cfg.Retry),
-		cbOff:   cfg.DisableCallbacks,
 		dialFn:  cfg.Dial,
 		locks:   make(map[string]*heldLock),
 		inUse:   make(map[*heldLock]bool),
 		epoch:   time.Now(),
+		cache:   newFileCache(DefaultCacheBytes),
 	}
 	c.lockIdle = sync.NewCond(&c.lockMu)
 	if cfg.Obs == nil {
 		cfg.Obs = obs.NewRegistry()
 	}
 	c.metrics.bind(cfg.Obs)
-	if c.timeout == 0 {
+	if c.timeout <= 0 {
 		c.timeout = DefaultRPCTimeout
 	}
 	if c.dialFn == nil {
 		profile := cfg.Profile
 		c.dialFn = func(addr string) (net.Conn, error) { return netsim.Dial(addr, profile) }
-	}
-	if cfg.CacheBytes >= 0 {
-		budget := cfg.CacheBytes
-		if budget == 0 {
-			budget = DefaultCacheBytes
-		}
-		c.cache = newFileCache(budget)
 	}
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
@@ -217,10 +201,9 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 }
 
 // connectLocked performs one connection attempt: main channel, hello,
-// and (when enabled) the callback channel. On success it installs the
-// connections, bumps the generation, and flushes the cache — any
-// invalidations issued while disconnected were lost with the old
-// callback channel.
+// and the callback channel. On success it installs the connections,
+// bumps the generation, and flushes the cache — any invalidations issued
+// while disconnected were lost with the old callback channel.
 func (c *Client) connectLocked() error {
 	conn, err := c.dialFn(c.addr)
 	if err != nil {
@@ -234,22 +217,19 @@ func (c *Client) connectLocked() error {
 		}
 		return err
 	}
-	var cbConn net.Conn
-	if !c.cbOff && c.cache != nil {
-		cbConn, err = c.dialFn(c.addr)
-		if err != nil {
-			_ = conn.Close()
+	cbConn, err := c.dialFn(c.addr)
+	if err != nil {
+		_ = conn.Close()
+		c.metrics.transportFaults.Inc()
+		return fmt.Errorf("%w: dialing callback channel: %w", errTransport, err)
+	}
+	if err := c.hello(cbConn, true); err != nil {
+		_ = conn.Close()
+		_ = cbConn.Close()
+		if errors.Is(err, errTransport) {
 			c.metrics.transportFaults.Inc()
-			return fmt.Errorf("%w: dialing callback channel: %w", errTransport, err)
 		}
-		if err := c.hello(cbConn, true); err != nil {
-			_ = conn.Close()
-			_ = cbConn.Close()
-			if errors.Is(err, errTransport) {
-				c.metrics.transportFaults.Inc()
-			}
-			return err
-		}
+		return err
 	}
 	c.connMu.Lock()
 	c.conn = conn
@@ -259,13 +239,9 @@ func (c *Client) connectLocked() error {
 		c.metrics.reconnects.Inc()
 	}
 	c.cbLost.Store(false)
-	if c.cache != nil {
-		c.cache.flush()
-	}
-	if cbConn != nil {
-		c.wg.Add(1)
-		go c.callbackLoop(cbConn)
-	}
+	c.cache.flush()
+	c.wg.Add(1)
+	go c.callbackLoop(cbConn)
 	return nil
 }
 
@@ -291,10 +267,8 @@ func (c *Client) currentConn() net.Conn {
 }
 
 func (c *Client) hello(conn net.Conn, isCallback bool) error {
-	if c.timeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(c.timeout))
-		defer func() { _ = conn.SetDeadline(time.Time{}) }()
-	}
+	_ = conn.SetDeadline(time.Now().Add(c.timeout))
+	defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	w := newFrame(64)
 	w.WriteString(c.id)
 	w.WriteBool(isCallback)
@@ -336,12 +310,10 @@ func (c *Client) callbackLoop(conn net.Conn) {
 		var answer *serial.Writer
 		if f.op == opRecall {
 			answer = encodeRecallAnswer(c.recalled(name))
-		} else if c.cache != nil {
+		} else {
 			c.cache.invalidate(name)
 		}
-		if c.timeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(c.timeout))
-		}
+		_ = conn.SetWriteDeadline(time.Now().Add(c.timeout))
 		if err := writeFrame(conn, opReply, f.reqID, answer); err != nil {
 			break
 		}
@@ -357,9 +329,7 @@ func (c *Client) callbackLoop(conn net.Conn) {
 		// (readers check cbLost before the cache) and force the next RPC
 		// to resync via a full reconnect.
 		c.cbLost.Store(true)
-		if c.cache != nil {
-			c.cache.flush()
-		}
+		c.cache.flush()
 	}
 }
 
@@ -601,10 +571,8 @@ func (c *Client) exchangeLocked(write func(w io.Writer, reqID uint64) error) ([]
 	c.reqID++
 	id := c.reqID
 	c.metrics.rpcs.Inc()
-	if c.timeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(c.timeout))
-		defer func() { _ = conn.SetDeadline(time.Time{}) }()
-	}
+	_ = conn.SetDeadline(time.Now().Add(c.timeout))
+	defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	sent := time.Since(c.epoch)
 	if err := write(conn, id); err != nil {
 		if errors.Is(err, errProducer) {
@@ -652,12 +620,10 @@ func (c *Client) Put(name string, data []byte) error {
 // negative cache entry.
 func (c *Client) Delete(name string) error {
 	_, err := c.call(opRemove, encodeName(name))
-	if c.cache != nil {
-		if err == nil {
-			c.cache.putNegative(name)
-		} else {
-			c.cache.invalidate(name)
-		}
+	if err == nil {
+		c.cache.putNegative(name)
+	} else {
+		c.cache.invalidate(name)
 	}
 	return err
 }
@@ -711,8 +677,7 @@ const (
 // unless the server gave up on its callback channel — which the reply
 // flags, and the cache is flushed and bypassed before Lock returns.
 //
-// A client with a callback channel keeps the lock when the release
-// closure runs: no unlock frame, and the server still records it as the
+// The client keeps the lock when the release closure runs: no unlock frame, and the server still records it as the
 // holder until a peer's request recalls it. Locking it again is then
 // local — no frame — while the lease holds: the same connection, a live
 // callback channel, and an answer to a request sent within
@@ -795,16 +760,14 @@ func (c *Client) revalidate(name string, body []byte) error {
 		return err
 	}
 	c.metrics.revalidations[outcome-1].Inc()
-	if c.cache != nil {
-		switch {
-		case lost && !c.cbOff:
-			c.cbLost.Store(true)
-			c.cache.flush()
-		case outcome == lockAbsent:
-			c.cache.putNegative(name)
-		case outcome == lockData:
-			c.cache.putOwned(name, data, version)
-		}
+	switch {
+	case lost:
+		c.cbLost.Store(true)
+		c.cache.flush()
+	case outcome == lockAbsent:
+		c.cache.putNegative(name)
+	case outcome == lockData:
+		c.cache.putOwned(name, data, version)
 	}
 	return nil
 }
@@ -812,7 +775,9 @@ func (c *Client) revalidate(name string, body []byte) error {
 // releaser returns the release closure of the lock h on name. It keeps
 // the lock when it may (a callback channel that is live, the same
 // connection, no recall while in use), and otherwise sends the unlock
-// before another caller of this client can lock name again.
+// before another caller of this client can lock name again: after a
+// recall answered busy, or when the grant was made or released while the
+// callback channel was lost.
 func (c *Client) releaser(name string, h *heldLock) func() {
 	released := false
 	return func() {
@@ -822,8 +787,7 @@ func (c *Client) releaser(name string, h *heldLock) func() {
 		released = true
 		c.lockMu.Lock()
 		delete(c.inUse, h)
-		keep := !c.cbOff && c.cache != nil && !h.recalled &&
-			h.gen == c.gen.Load() && !c.cbLost.Load() && !c.closed.Load()
+		keep := !h.recalled && h.gen == c.gen.Load() && !c.cbLost.Load() && !c.closed.Load()
 		if keep {
 			h.state = lockIdle
 			c.lockIdle.Broadcast()
@@ -846,7 +810,7 @@ func (c *Client) releaser(name string, h *heldLock) func() {
 // request may offer for revalidation: none while the callback channel is
 // down, since the cache is about to be flushed.
 func (c *Client) cachedVersion(name string) (uint64, bool) {
-	if c.cache == nil || c.cbLost.Load() {
+	if c.cbLost.Load() {
 		return 0, false
 	}
 	return c.cache.version(name)
@@ -876,10 +840,8 @@ func (c *Client) unlockLocked(name string) {
 	c.reqID++
 	c.metrics.rpcs.Inc()
 	c.metrics.oneway.Inc()
-	if c.timeout > 0 {
-		_ = conn.SetWriteDeadline(time.Now().Add(c.timeout))
-		defer func() { _ = conn.SetWriteDeadline(time.Time{}) }()
-	}
+	_ = conn.SetWriteDeadline(time.Now().Add(c.timeout))
+	defer func() { _ = conn.SetWriteDeadline(time.Time{}) }()
 	var faults int64
 	err := writeFrame(conn, opUnlock, c.reqID, encodeName(name))
 	if err != nil {
@@ -897,7 +859,7 @@ func (c *Client) unlockLocked(name string) {
 // callbacks keep fresh. The cache is bypassed while the callback channel
 // is down, so a lost invalidation can never produce a stale read.
 func (c *Client) GetVersioned(name string) ([]byte, uint64, error) {
-	if c.cache != nil && !c.cbLost.Load() {
+	if !c.cbLost.Load() {
 		data, negative, version, ok := c.cache.lookup(name)
 		if ok {
 			c.metrics.cacheHits.Inc()
@@ -911,13 +873,10 @@ func (c *Client) GetVersioned(name string) ([]byte, uint64, error) {
 	// A reply that crosses a callback break on the wire may predate the
 	// store the break announced, and the break has already used up this
 	// client's promise: such a reply is returned but not cached.
-	var breaks uint64
-	if c.cache != nil {
-		breaks = c.cache.breakCount()
-	}
+	breaks := c.cache.breakCount()
 	body, err := c.call(opFetch, encodeName(name))
 	if err != nil {
-		if c.cache != nil && errors.Is(err, backend.ErrNotExist) {
+		if errors.Is(err, backend.ErrNotExist) {
 			c.cache.fillNegative(breaks, name)
 		}
 		return nil, 0, err
@@ -928,9 +887,7 @@ func (c *Client) GetVersioned(name string) ([]byte, uint64, error) {
 	if err := r.Finish(); err != nil {
 		return nil, 0, err
 	}
-	if c.cache != nil {
-		c.cache.fill(breaks, name, data, version)
-	}
+	c.cache.fill(breaks, name, data, version)
 	return data, version, nil
 }
 
@@ -941,7 +898,7 @@ func (c *Client) PutVersioned(name string, data []byte) (uint64, error) {
 	w.WriteBytes(data)
 	body, err := c.call(opStore, w)
 	version, err := c.storeReply(name, body, err)
-	if err == nil && c.cache != nil {
+	if err == nil {
 		c.cache.put(name, data, version)
 	}
 	return version, err
@@ -958,9 +915,7 @@ func (c *Client) storeReply(name string, body []byte, err error) (uint64, error)
 		err = r.Finish()
 	}
 	if err != nil {
-		if c.cache != nil {
-			c.cache.invalidate(name)
-		}
+		c.cache.invalidate(name)
 		return 0, err
 	}
 	return version, nil
@@ -988,15 +943,12 @@ func (c *Client) PutVersionedStream(name string, total int, next func() ([]byte,
 	prefix := newFrame(8 + len(name))
 	prefix.WriteString(name)
 	prefix.WriteUint32(uint32(total))
-	var acc []byte
-	if c.cache != nil {
-		acc = make([]byte, 0, total)
-		produce := next
-		next = func() ([]byte, error) {
-			seg, err := produce()
-			acc = append(acc, seg...)
-			return seg, err
-		}
+	acc := make([]byte, 0, total)
+	produce := next
+	next = func() ([]byte, error) {
+		seg, err := produce()
+		acc = append(acc, seg...)
+		return seg, err
 	}
 	span, start := c.beginRPC(opStore)
 	span.SetTagInt("streamed", 1)
@@ -1005,7 +957,7 @@ func (c *Client) PutVersionedStream(name string, total int, next func() ([]byte,
 	})
 	c.endRPC(span, start, retries, faults, err)
 	version, err := c.storeReply(name, body, err)
-	if err == nil && c.cache != nil {
+	if err == nil {
 		c.cache.putOwned(name, acc, version)
 	}
 	return version, err
@@ -1046,9 +998,7 @@ func (c *Client) Ping() error {
 // FlushCache drops all cached file copies, forcing the next reads to hit
 // the server (the evaluation flushes the AFS cache between runs).
 func (c *Client) FlushCache() {
-	if c.cache != nil {
-		c.cache.flush()
-	}
+	c.cache.flush()
 }
 
 // Stats reports cumulative RPCs issued and cache hits served (shim
@@ -1188,12 +1138,17 @@ func (fc *fileCache) putOwned(name string, data []byte, version uint64) {
 	fc.putOwnedLocked(name, data, version)
 }
 
-// putOwnedLocked must be called with fc.mu held.
+// putOwnedLocked must be called with fc.mu held. A copy larger than the
+// whole budget is not cached, and the entry it replaces goes with it.
 func (fc *fileCache) putOwnedLocked(name string, data []byte, version uint64) {
+	el, ok := fc.byName[name]
 	if int64(len(data)) > fc.budget {
+		if ok {
+			fc.removeElementLocked(el)
+		}
 		return // larger than the whole cache; do not thrash
 	}
-	if el, ok := fc.byName[name]; ok {
+	if ok {
 		entry := el.Value.(*cacheEntry)
 		fc.used += int64(len(data)) - int64(len(entry.data))
 		entry.data = data

@@ -129,26 +129,23 @@ func FuzzWireDecode(f *testing.F) {
 // FuzzRetrySchedule drives the retry/backoff state machine with
 // arbitrary policies and checks its safety invariants: the un-jittered
 // backoff curve is monotone non-decreasing and never exceeds the cap,
-// jittered waits stay within JitterFrac of the curve, and the
+// jittered waits stay within jitterFrac of the curve, and the
 // idempotency classifier never lets a mutating op be re-sent.
 func FuzzRetrySchedule(f *testing.F) {
-	f.Add(int64(0), 4, int64(5_000_000), int64(1_000_000_000), 2.0, 0.2, uint8(opFetch))
-	f.Add(int64(42), 1, int64(-5), int64(0), 0.0, 1.5, uint8(opStore))
-	f.Add(int64(7), 100, int64(1), int64(1), 1.0, 0.0, uint8(opLock))
-	f.Add(int64(-1), 0, int64(1<<40), int64(1), 1e9, -0.5, uint8(opPing))
-	f.Fuzz(func(t *testing.T, seed int64, attempts int, base, ceil int64, mult, jitter float64, op uint8) {
+	f.Add(int64(0), 4, int64(5_000_000), int64(1_000_000_000), uint8(opFetch))
+	f.Add(int64(42), 1, int64(-5), int64(0), uint8(opStore))
+	f.Add(int64(7), 100, int64(1), int64(1), uint8(opLock))
+	f.Add(int64(-1), 0, int64(1<<40), int64(1), uint8(opPing))
+	f.Fuzz(func(t *testing.T, seed int64, attempts int, base, ceil int64, op uint8) {
 		p := RetryPolicy{
 			MaxAttempts: attempts,
 			BaseBackoff: time.Duration(base),
 			MaxBackoff:  time.Duration(ceil),
-			Multiplier:  mult,
-			JitterFrac:  jitter,
 			Seed:        seed,
 		}
 		st := newRetryState(p)
 		eff := st.policy
-		if eff.MaxAttempts < 1 || eff.BaseBackoff <= 0 || eff.MaxBackoff < eff.BaseBackoff ||
-			eff.Multiplier < 1 || eff.JitterFrac < 0 || eff.JitterFrac > 1 {
+		if eff.MaxAttempts < 1 || eff.BaseBackoff <= 0 || eff.MaxBackoff < eff.BaseBackoff {
 			t.Fatalf("withDefaults produced an unsafe policy: %+v", eff)
 		}
 		prev := time.Duration(0)
@@ -165,7 +162,7 @@ func FuzzRetrySchedule(f *testing.F) {
 				t.Fatalf("wait(%d)=%v below un-jittered backoff %v", n, w, d)
 			}
 			// +1 absorbs the float->Duration floor.
-			if bound := d + time.Duration(eff.JitterFrac*float64(d)) + 1; w > bound {
+			if bound := d + time.Duration(jitterFrac*float64(d)) + 1; w > bound {
 				t.Fatalf("wait(%d)=%v exceeds jitter bound %v", n, w, bound)
 			}
 			prev = d

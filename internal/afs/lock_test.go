@@ -25,10 +25,10 @@ func TestLockReplyRevalidatesCache(t *testing.T) {
 	v1, v2 := []byte("contents at version one"), []byte("contents at version two")
 	cases := []struct {
 		name string
-		cfg  ClientConfig
 		// prepare leaves the locking client's cache in the state under
-		// test; peer is a second client of the same server.
-		prepare func(t *testing.T, c, peer *Client)
+		// test; peer is a second client of the same server, and inFlight
+		// runs one of its mutations of x with the break to c held back.
+		prepare func(t *testing.T, c, peer *Client, inFlight func(op func() error))
 		outcome lockOutcome
 		want    []byte // nil = does not exist
 		// serverGets is how many times the lock may read the file from the
@@ -37,34 +37,32 @@ func TestLockReplyRevalidatesCache(t *testing.T) {
 	}{
 		{
 			name: "cached copy is current: unchanged, no data, no backend read",
-			prepare: func(t *testing.T, c, _ *Client) {
+			prepare: func(t *testing.T, c, _ *Client, _ func(func() error)) {
 				mustPut(t, c, "x", v1)
 			},
 			outcome: lockUnchanged, want: v1, serverGets: 0,
 		},
 		{
 			name: "nothing cached: data rides on the reply",
-			prepare: func(t *testing.T, c, peer *Client) {
+			prepare: func(t *testing.T, c, peer *Client, _ func(func() error)) {
 				mustPut(t, peer, "x", v1)
 			},
 			outcome: lockData, want: v1, serverGets: 1,
 		},
 		{
 			name: "file does not exist: absent, cached as a negative entry",
-			prepare: func(*testing.T, *Client, *Client) {
+			prepare: func(*testing.T, *Client, *Client, func(func() error)) {
 			},
 			outcome: lockAbsent, want: nil, serverGets: 1,
 		},
 		{
-			// The break for the peer's store never reaches this client
-			// (callbacks are off), exactly as if it were still in flight
-			// when the lock is granted: the version comparison, not the
-			// callback, is what makes the locked read current.
+			// The break for the peer's store is still in flight when the
+			// lock is granted: the version comparison, not the callback,
+			// is what makes the locked read current.
 			name: "in-flight invalidation: cached version is older than the server's",
-			cfg:  ClientConfig{DisableCallbacks: true},
-			prepare: func(t *testing.T, c, peer *Client) {
+			prepare: func(t *testing.T, c, peer *Client, inFlight func(func() error)) {
 				mustPut(t, c, "x", v1)
-				mustPut(t, peer, "x", v2)
+				inFlight(func() error { return peer.Put("x", v2) })
 				if got, err := c.Get("x"); err != nil || !bytes.Equal(got, v1) {
 					t.Fatalf("precondition: client should still cache v1, got %q, %v", got, err)
 				}
@@ -73,12 +71,9 @@ func TestLockReplyRevalidatesCache(t *testing.T) {
 		},
 		{
 			name: "cached copy was removed by a peer: absent",
-			cfg:  ClientConfig{DisableCallbacks: true},
-			prepare: func(t *testing.T, c, peer *Client) {
+			prepare: func(t *testing.T, c, peer *Client, inFlight func(func() error)) {
 				mustPut(t, c, "x", v1)
-				if err := peer.Delete("x"); err != nil {
-					t.Fatal(err)
-				}
+				inFlight(func() error { return peer.Delete("x") })
 			},
 			outcome: lockAbsent, want: nil, serverGets: 1,
 		},
@@ -87,10 +82,37 @@ func TestLockReplyRevalidatesCache(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			srv, addr := startServer(t)
 			reg := obs.NewRegistry()
-			tc.cfg.Obs = reg
-			c := dialClient(t, addr, tc.cfg)
+			var gate sync.RWMutex
+			c := dialClient(t, addr, ClientConfig{
+				Obs:  reg,
+				Dial: heldCallbackDial(&gate),
+			})
 			peer := dialClient(t, addr, ClientConfig{})
-			tc.prepare(t, c, peer)
+			// inFlight returns once the server has applied op and sent c
+			// its break, which c's callback loop reads only after the read
+			// under the lock, well within callbackAckTimeout.
+			held := false
+			var landed sync.WaitGroup
+			defer func() {
+				if held {
+					gate.Unlock()
+				}
+				landed.Wait()
+			}()
+			inFlight := func(op func() error) {
+				breaks := srv.metrics.invalidations.Value()
+				gate.Lock()
+				held = true
+				landed.Add(1)
+				go func() {
+					defer landed.Done()
+					if err := op(); err != nil {
+						t.Errorf("peer's mutation: %v", err)
+					}
+				}()
+				waitFor(t, 2*time.Second, func() bool { return srv.metrics.invalidations.Value() > breaks })
+			}
+			tc.prepare(t, c, peer, inFlight)
 
 			getsBefore, _ := srv.Stats()
 			release, err := c.Lock("x")
@@ -206,6 +228,19 @@ func (c *heldConn) Read(b []byte) (int, error) {
 	return n, err
 }
 
+// heldCallbackDial dials plain TCP, except that a client's first callback
+// channel (its second dial) reads through a heldConn behind gate.
+func heldCallbackDial(gate *sync.RWMutex) func(addr string) (net.Conn, error) {
+	dials := 0
+	return func(addr string) (net.Conn, error) {
+		c, err := net.Dial("tcp", addr)
+		if dials++; err != nil || dials != 2 {
+			return c, err
+		}
+		return &heldConn{Conn: c, gate: gate}, nil
+	}
+}
+
 // Property: a lock grant is a release-consistency point. Client A caches
 // x; B stores x — A's callback loop never sees the break, so the server
 // gives up on A's channel after callbackAckTimeout and B's store returns
@@ -215,16 +250,9 @@ func (c *heldConn) Read(b []byte) (int, error) {
 func TestPropertyLockGrantSeesEarlierStores(t *testing.T) {
 	_, addr := startServer(t)
 	var gate sync.RWMutex
-	dials := 0
 	a, err := Dial(addr, ClientConfig{
 		RPCTimeout: 5 * time.Second,
-		Dial: func(addr string) (net.Conn, error) {
-			c, err := net.Dial("tcp", addr)
-			if dials++; err != nil || dials != 2 {
-				return c, err
-			}
-			return &heldConn{Conn: c, gate: &gate}, nil // the first callback channel
-		},
+		Dial:       heldCallbackDial(&gate),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -345,19 +373,83 @@ func TestMalformedLockRequestNeverAcquires(t *testing.T) {
 	}
 }
 
+// lostChannelClient dials a client whose callback channel the server
+// has given up on, unnoticed by the client: the break for a peer's store
+// of a file it caches sits unread in its callback loop, so after
+// callbackAckTimeout the server closes the channel, marks it down and
+// lets the store return. The client's next lock reply carries
+// lockCallbackLost. The loop reads again when the test ends.
+func lostChannelClient(t *testing.T, addr string, reg *obs.Registry) *Client {
+	t.Helper()
+	var gate sync.RWMutex
+	c := dialClient(t, addr, ClientConfig{
+		Obs:        reg,
+		RPCTimeout: 5 * time.Second,
+		Retry:      RetryPolicy{MaxAttempts: 1},
+		Dial:       heldCallbackDial(&gate),
+	})
+	peer := dialClient(t, addr, ClientConfig{})
+	mustPut(t, peer, "cached", []byte("v1"))
+	if _, err := c.Get("cached"); err != nil {
+		t.Fatal(err)
+	}
+	gate.Lock()
+	t.Cleanup(gate.Unlock) // before the client's Close, which waits for the loop
+	mustPut(t, peer, "cached", []byte("v2"))
+	return c
+}
+
+// A lock granted while the server has given up on the client's callback
+// channel is not kept: the reply says so, its release sends the one-way
+// unlock, and the next lock of the name is a request, on a new connection
+// with a new callback channel.
+func TestLockGrantOnLostCallbackChannelIsNotKept(t *testing.T) {
+	_, addr := startServer(t)
+	reg := obs.NewRegistry()
+	c := lostChannelClient(t, addr, reg)
+
+	release := mustLock(t, c, "y")
+	if !c.cbLost.Load() {
+		t.Fatal("the lock reply did not report the lost callback channel")
+	}
+	oneway := reg.CounterValue("afs_oneway_frames_total")
+	release()
+	if n := reg.CounterValue("afs_oneway_frames_total") - oneway; n != 1 {
+		t.Errorf("the release sent %d one-way frames, want the one unlock", n)
+	}
+
+	rpcs, _ := c.Stats()
+	local := reg.CounterValue("afs_lock_local_grants_total")
+	mustLock(t, c, "y")()
+	if after, _ := c.Stats(); after != rpcs+1 {
+		t.Errorf("the next lock of y sent %d frames, want the one lock request", after-rpcs)
+	}
+	if n := reg.CounterValue("afs_lock_local_grants_total"); n != local {
+		t.Errorf("afs_lock_local_grants_total moved from %d to %d: the lock was kept", local, n)
+	}
+	if c.Reconnects() != 1 {
+		t.Errorf("reconnects = %d, want the resync the lost channel forces", c.Reconnects())
+	}
+}
+
 // The unlock is one-way, but the server applies frames in connection
-// order: a client that locks a name again right after releasing it never
-// waits for (or deadlocks on) its own unlock. A client with a callback
-// channel keeps its locks and sends no unlock, so this runs without one.
+// order: a client that locks a name again right after unlocking it never
+// waits for (or deadlocks on) its own unlock. A client whose callback
+// channel is lost unlocks every lock it releases; while it holds another
+// lock it does not resync (that would release the lock), so each round is
+// a lock frame right behind the last round's unlock, on one connection.
 func TestRelockNeverBlocksOnOwnOneWayUnlock(t *testing.T) {
 	_, addr := startServer(t)
 	reg := obs.NewRegistry()
-	c := dialClient(t, addr, ClientConfig{
-		Obs:              reg,
-		DisableCallbacks: true,
-		RPCTimeout:       2 * time.Second,
-		Retry:            RetryPolicy{MaxAttempts: 1},
-	})
+	c := lostChannelClient(t, addr, reg)
+	releaseOuter := mustLock(t, c, "outer")
+	if !c.cbLost.Load() {
+		t.Fatal("the lock reply did not report the lost callback channel")
+	}
+	oneway := reg.CounterValue("afs_oneway_frames_total")
+	rpcs, _ := c.Stats()
+	observed := reg.Snapshot("afs_rpc_seconds").Count
+
 	const rounds = 300
 	start := time.Now()
 	for i := 0; i < rounds; i++ {
@@ -370,16 +462,20 @@ func TestRelockNeverBlocksOnOwnOneWayUnlock(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("%d lock/unlock rounds took %v", rounds, elapsed)
 	}
-	if got := reg.CounterValue("afs_oneway_frames_total"); got != rounds {
-		t.Fatalf("afs_oneway_frames_total = %d, want %d", got, rounds)
+	if got := reg.CounterValue("afs_oneway_frames_total") - oneway; got != rounds {
+		t.Fatalf("afs_oneway_frames_total moved by %d, want %d", got, rounds)
 	}
 	// One-way frames count as RPCs and as latency observations.
-	if rpcs, _ := c.Stats(); rpcs != 2*rounds {
-		t.Fatalf("rpcs = %d, want %d (lock + unlock per round)", rpcs, 2*rounds)
+	if after, _ := c.Stats(); after-rpcs != 2*rounds {
+		t.Fatalf("rpcs moved by %d, want %d (lock + unlock per round)", after-rpcs, 2*rounds)
 	}
-	if n := reg.Snapshot("afs_rpc_seconds").Count; n != 2*rounds {
-		t.Fatalf("afs_rpc_seconds count = %d, want %d", n, 2*rounds)
+	if n := reg.Snapshot("afs_rpc_seconds").Count - observed; n != 2*rounds {
+		t.Fatalf("afs_rpc_seconds count moved by %d, want %d", n, 2*rounds)
 	}
+	if c.Reconnects() != 0 {
+		t.Fatalf("reconnects = %d, want every round on the first connection", c.Reconnects())
+	}
+	releaseOuter()
 	// A second client sees the lock free once the last unlock is applied.
 	other := dialClient(t, addr, ClientConfig{RPCTimeout: 2 * time.Second, Retry: RetryPolicy{MaxAttempts: 1}})
 	release, err := other.Lock("again")

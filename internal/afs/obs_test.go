@@ -26,11 +26,11 @@ func startObsServer(t *testing.T) (*Server, string) {
 }
 
 // TestTransportFaultCounterMatchesInjector pins the fault accounting to
-// the injector's ground truth. With a dial-refuse-only profile and the
-// callback channel disabled, every injected fault is a refused dial and
-// every refused dial is observed exactly once by connectLocked — so
-// afs_transport_faults_total must equal Injector.Faults() exactly, for
-// any seed. The seed is fixed so the run (and the fault schedule, a pure
+// the injector's ground truth. With a dial-refuse-only profile, every
+// injected fault is a refused dial, of the RPC connection or of the
+// callback channel, and every refused dial is observed exactly once by
+// connectLocked — so afs_transport_faults_total must equal
+// Injector.Faults() exactly, for any seed. The seed is fixed so the run (and the fault schedule, a pure
 // function of the seed) is an exact replay every time.
 func TestTransportFaultCounterMatchesInjector(t *testing.T) {
 	const seed = 42
@@ -43,9 +43,8 @@ func TestTransportFaultCounterMatchesInjector(t *testing.T) {
 	reg := obs.NewRegistry()
 	for i := 0; i < 40; i++ {
 		c, err := Dial(addr, ClientConfig{
-			Obs:              reg,
-			DisableCallbacks: true,
-			RPCTimeout:       2 * time.Second,
+			Obs:        reg,
+			RPCTimeout: 2 * time.Second,
 			Retry: RetryPolicy{
 				MaxAttempts: 10,
 				BaseBackoff: time.Millisecond,
@@ -100,9 +99,8 @@ func TestTransportFaultCounterBoundedByInjectorMixed(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	c, err := Dial(addr, ClientConfig{
-		Obs:              reg,
-		DisableCallbacks: true,
-		RPCTimeout:       2 * time.Second,
+		Obs:        reg,
+		RPCTimeout: 2 * time.Second,
 		Retry: RetryPolicy{
 			MaxAttempts: 10,
 			BaseBackoff: time.Millisecond,
@@ -147,7 +145,7 @@ func TestTransportFaultCounterBoundedByInjectorMixed(t *testing.T) {
 func TestClientRPCLatencyHistogram(t *testing.T) {
 	_, addr := startObsServer(t)
 	reg := obs.NewRegistry()
-	c, err := Dial(addr, ClientConfig{Obs: reg, DisableCallbacks: true})
+	c, err := Dial(addr, ClientConfig{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,16 +172,9 @@ func TestLockCounters(t *testing.T) {
 	srvReg, aReg, bReg := obs.NewRegistry(), obs.NewRegistry(), obs.NewRegistry()
 	_, addr := startMeteredServer(t, srvReg)
 	var gate sync.RWMutex
-	dials := 0
 	a := dialClient(t, addr, ClientConfig{
-		Obs: aReg,
-		Dial: func(addr string) (net.Conn, error) {
-			c, err := net.Dial("tcp", addr)
-			if dials++; err != nil || dials != 2 {
-				return c, err
-			}
-			return &heldConn{Conn: c, gate: &gate}, nil // a's callback channel
-		},
+		Obs:  aReg,
+		Dial: heldCallbackDial(&gate),
 	})
 	b := dialClient(t, addr, ClientConfig{Obs: bReg})
 

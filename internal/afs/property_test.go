@@ -105,7 +105,7 @@ func propPayload(i int) []byte {
 }
 
 func TestPropertyNoTornFrameAcrossDisconnects(t *testing.T) {
-	_, addr := startServer(t)
+	srv, addr := startServer(t)
 	armer := &armedDialer{}
 	writer, err := Dial(addr, ClientConfig{
 		RPCTimeout: 2 * time.Second,
@@ -116,9 +116,6 @@ func TestPropertyNoTornFrameAcrossDisconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer writer.Close()
-	// The reader is an independent client with caching off: every read
-	// observes exactly what the server holds.
-	reader := dialClient(t, addr, ClientConfig{CacheBytes: -1})
 
 	const key = "torn-frame-victim"
 	committed := propPayload(0)
@@ -157,9 +154,11 @@ func TestPropertyNoTornFrameAcrossDisconnects(t *testing.T) {
 		// old or the new committed value. A fully delivered frame is
 		// applied asynchronously (the reply was lost, not the request), so
 		// poll until it lands; a truncated frame can never be applied.
+		// Reads go to the server's backing store, so each observes
+		// exactly what the server holds.
 		deadline := time.Now().Add(2 * time.Second)
 		for {
-			got, gerr := reader.Get(key)
+			got, gerr := srv.store.Get(key)
 			if gerr != nil {
 				t.Fatalf("iter %d: read: %v", i, gerr)
 			}

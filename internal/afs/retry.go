@@ -43,12 +43,16 @@ const (
 	defaultAttempts   = 4
 	defaultBase       = 5 * time.Millisecond
 	defaultMax        = 1 * time.Second
-	defaultMultiplier = 2.0
-	defaultJitter     = 0.2
+	// backoffMultiplier grows the backoff between attempts.
+	backoffMultiplier = 2
+	// jitterFrac is the largest fraction of the backoff added on top of
+	// it. Jitter is additive so the un-jittered curve stays monotone.
+	jitterFrac = 0.2
 )
 
-// RetryPolicy tunes the client's reconnect/retry behaviour. The zero
-// value means defaults.
+// RetryPolicy tunes the client's reconnect/retry behaviour: the backoff
+// doubles from BaseBackoff up to MaxBackoff, plus up to 20 % jitter. The
+// zero value means defaults.
 type RetryPolicy struct {
 	// MaxAttempts counts tries per RPC including the first; default 4.
 	MaxAttempts int
@@ -56,19 +60,12 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the exponential curve; default 1s.
 	MaxBackoff time.Duration
-	// Multiplier grows the backoff between attempts; default 2.
-	Multiplier float64
-	// JitterFrac adds up to this fraction of the backoff on top of it;
-	// 0 means the default 0.2, negative disables jitter, values above 1
-	// are clamped. Jitter is additive so the un-jittered curve stays
-	// monotone.
-	JitterFrac float64
 	// Seed makes the jitter deterministic; tests pass their chaos seed.
 	// 0 is a valid (fixed) seed — determinism is the point.
 	Seed int64
 }
 
-// withDefaults fills zero fields and sanitizes out-of-range values.
+// withDefaults fills zero fields and raises a cap below the base.
 func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = defaultAttempts
@@ -81,18 +78,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	}
 	if p.MaxBackoff < p.BaseBackoff {
 		p.MaxBackoff = p.BaseBackoff
-	}
-	if p.Multiplier < 1 {
-		p.Multiplier = defaultMultiplier
-	}
-	if p.JitterFrac == 0 {
-		p.JitterFrac = defaultJitter
-	}
-	if p.JitterFrac < 0 {
-		p.JitterFrac = 0
-	}
-	if p.JitterFrac > 1 {
-		p.JitterFrac = 1
 	}
 	return p
 }
@@ -107,7 +92,7 @@ func (p RetryPolicy) backoffAt(n int) time.Duration {
 	d := float64(p.BaseBackoff)
 	limit := float64(p.MaxBackoff)
 	for i := 1; i < n; i++ {
-		d *= p.Multiplier
+		d *= backoffMultiplier
 		if d >= limit {
 			return p.MaxBackoff
 		}
@@ -131,13 +116,10 @@ func newRetryState(p RetryPolicy) *retryState {
 }
 
 // wait returns the jittered sleep before the next attempt after n
-// failures: backoffAt(n) plus up to JitterFrac of itself.
+// failures: backoffAt(n) plus up to jitterFrac of itself.
 func (s *retryState) wait(n int) time.Duration {
 	d := s.policy.backoffAt(n)
-	if s.policy.JitterFrac > 0 && d > 0 {
-		d += time.Duration(s.rng.Float64() * s.policy.JitterFrac * float64(d))
-	}
-	return d
+	return d + time.Duration(s.rng.Float64()*jitterFrac*float64(d))
 }
 
 // retryable reports whether op may be transparently re-sent after a

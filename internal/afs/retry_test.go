@@ -10,9 +10,7 @@ import (
 
 func TestRetryPolicyDefaults(t *testing.T) {
 	p := RetryPolicy{}.withDefaults()
-	if p.MaxAttempts != defaultAttempts || p.BaseBackoff != defaultBase ||
-		p.MaxBackoff != defaultMax || p.Multiplier != defaultMultiplier ||
-		p.JitterFrac != defaultJitter {
+	if p.MaxAttempts != defaultAttempts || p.BaseBackoff != defaultBase || p.MaxBackoff != defaultMax {
 		t.Fatalf("zero policy defaults = %+v", p)
 	}
 
@@ -21,8 +19,6 @@ func TestRetryPolicyDefaults(t *testing.T) {
 		MaxAttempts: -3,
 		BaseBackoff: 10 * time.Millisecond,
 		MaxBackoff:  time.Millisecond, // below base: raised to base
-		Multiplier:  0.5,              // below 1: reset
-		JitterFrac:  7,                // above 1: clamped
 	}.withDefaults()
 	if q.MaxAttempts != defaultAttempts {
 		t.Fatalf("negative MaxAttempts kept: %d", q.MaxAttempts)
@@ -30,20 +26,12 @@ func TestRetryPolicyDefaults(t *testing.T) {
 	if q.MaxBackoff != q.BaseBackoff {
 		t.Fatalf("MaxBackoff %v below BaseBackoff %v", q.MaxBackoff, q.BaseBackoff)
 	}
-	if q.Multiplier != defaultMultiplier || q.JitterFrac != 1 {
-		t.Fatalf("out-of-range multiplier/jitter kept: %+v", q)
-	}
-	// Negative jitter explicitly disables it.
-	if j := (RetryPolicy{JitterFrac: -1}).withDefaults().JitterFrac; j != 0 {
-		t.Fatalf("negative JitterFrac = %v, want 0 (disabled)", j)
-	}
 }
 
 func TestBackoffMonotoneAndBounded(t *testing.T) {
 	p := RetryPolicy{
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  100 * time.Millisecond,
-		Multiplier:  2,
 	}.withDefaults()
 	want := []time.Duration{
 		time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
@@ -62,7 +50,7 @@ func TestBackoffMonotoneAndBounded(t *testing.T) {
 }
 
 func TestJitterDeterministicPerSeed(t *testing.T) {
-	p := RetryPolicy{Seed: 1234, JitterFrac: 0.5, BaseBackoff: 10 * time.Millisecond}
+	p := RetryPolicy{Seed: 1234, BaseBackoff: 10 * time.Millisecond}
 	a, b := newRetryState(p), newRetryState(p)
 	for n := 1; n <= 10; n++ {
 		wa, wb := a.wait(n), b.wait(n)
@@ -70,11 +58,11 @@ func TestJitterDeterministicPerSeed(t *testing.T) {
 			t.Fatalf("same seed diverged at wait(%d): %v != %v", n, wa, wb)
 		}
 		base := a.policy.backoffAt(n)
-		if wa < base || wa > base+time.Duration(0.5*float64(base))+1 {
-			t.Fatalf("wait(%d) = %v outside [%v, base+50%%]", n, wa, base)
+		if wa < base || wa > base+time.Duration(jitterFrac*float64(base))+1 {
+			t.Fatalf("wait(%d) = %v outside [%v, base+20%%]", n, wa, base)
 		}
 	}
-	c := newRetryState(RetryPolicy{Seed: 1235, JitterFrac: 0.5, BaseBackoff: 10 * time.Millisecond})
+	c := newRetryState(RetryPolicy{Seed: 1235, BaseBackoff: 10 * time.Millisecond})
 	diverged := false
 	d := newRetryState(p)
 	for n := 1; n <= 10; n++ {

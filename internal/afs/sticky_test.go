@@ -249,16 +249,9 @@ func TestPropertyStickyLockGrantSeesEarlierStores(t *testing.T) {
 	srvReg := obs.NewRegistry()
 	_, addr := startMeteredServer(t, srvReg)
 	var gate sync.RWMutex
-	dials := 0
 	a, err := Dial(addr, ClientConfig{
 		RPCTimeout: 5 * time.Second,
-		Dial: func(addr string) (net.Conn, error) {
-			c, err := net.Dial("tcp", addr)
-			if dials++; err != nil || dials != 2 {
-				return c, err
-			}
-			return &heldConn{Conn: c, gate: &gate}, nil // the first callback channel
-		},
+		Dial:       heldCallbackDial(&gate),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -302,16 +295,9 @@ func TestPropertyStickyLockGrantSeesEarlierStores(t *testing.T) {
 func TestPropertyStickyLockDeadHolderReclaimed(t *testing.T) {
 	srv, addr := startServer(t)
 	var gate sync.RWMutex
-	dials := 0
 	a, err := Dial(addr, ClientConfig{
 		RPCTimeout: 5 * time.Second,
-		Dial: func(addr string) (net.Conn, error) {
-			c, err := net.Dial("tcp", addr)
-			if dials++; err != nil || dials != 2 {
-				return c, err
-			}
-			return &heldConn{Conn: c, gate: &gate}, nil
-		},
+		Dial:       heldCallbackDial(&gate),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -346,7 +332,6 @@ func TestWriteUnderLockLostToReconnectFailsTyped(t *testing.T) {
 	srv, addr := startServer(t)
 	armed := &armedDialer{}
 	c := dialClient(t, addr, ClientConfig{
-		CacheBytes: -1, // every read is a fetch
 		RPCTimeout: 2 * time.Second,
 		Retry:      RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Millisecond, Seed: 3},
 		Dial:       armed.dial,
@@ -354,6 +339,7 @@ func TestWriteUnderLockLostToReconnectFailsTyped(t *testing.T) {
 	mustPut(t, c, "x", []byte("v1"))
 	release := mustLock(t, c, "x")
 	defer release()
+	c.FlushCache()               // so the read is a fetch
 	armed.arm(cutPlan{frac: -1}) // the fetch is delivered, its reply lost
 	if _, err := c.Get("x"); err != nil {
 		t.Fatalf("retried fetch: %v", err)

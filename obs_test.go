@@ -6,7 +6,9 @@ import (
 	"net"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"nexus/internal/afs"
 	"nexus/internal/backend"
@@ -434,9 +436,9 @@ func TestObservabilityRPCBudget(t *testing.T) {
 
 	// recall makes the next commit a first grant: a second client asks
 	// for the freshness root's lock, which this client keeps after every
-	// commit, and the server recalls it. That client has no callback
-	// channel, so it hands the lock back with a one-way unlock.
-	peer, err := afs.Dial(st.addr, afs.ClientConfig{DisableCallbacks: true})
+	// commit, and the server recalls it. That client keeps the lock in
+	// turn, until this client's next commit recalls it back.
+	peer, err := afs.Dial(st.addr, afs.ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -703,56 +705,135 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	}
 }
 
-// An AFS client without a callback channel cannot be recalled, so it
-// keeps no lock: every commit takes the RPC lock path, a lock frame
-// before the commit's stores and a one-way unlock after them
-// (DESIGN.md §11.5).
-func TestObservabilityRPCBudgetWithoutCallbacks(t *testing.T) {
-	st := startObsStackWith(t, afs.ClientConfig{DisableCallbacks: true})
+// writeHookConn calls onWrite before each Write.
+type writeHookConn struct {
+	net.Conn
+	onWrite func()
+}
+
+func (c *writeHookConn) Write(b []byte) (int, error) {
+	c.onWrite()
+	return c.Conn.Write(b)
+}
+
+// A recall that finds the freshness root's lock in use is answered busy:
+// the commit goes on, and its release unlocks the lock instead of keeping
+// it — a one-way unlock after the commit's stores, behind a lock frame
+// when the grant was one (DESIGN.md §11.5). A peer asks for the lock
+// while a create is between its grant and its directory store.
+func TestObservabilityRPCBudgetBusyRecall(t *testing.T) {
+	var st *obsStack
+	var armed atomic.Bool
+	var grantsWhenArmed int64
+	grants := func() int64 {
+		return st.reg.CounterValue("afs_lock_revalidations_unchanged_total") +
+			st.reg.CounterValue("afs_lock_revalidations_absent_total") +
+			st.reg.CounterValue("afs_lock_revalidations_data_total") +
+			st.reg.CounterValue("afs_lock_local_grants_total")
+	}
+	var peer *afs.Client
+	peerDone := make(chan error, 1)
+	// recallMidCommit runs before the first write the client makes after
+	// the armed commit's grant: a peer asks for the lock, and the write
+	// waits until the client has answered the recall busy.
+	recallMidCommit := func() {
+		if !armed.Load() || grants() == grantsWhenArmed {
+			return
+		}
+		armed.Store(false)
+		busy := st.reg.CounterValue("afs_lock_recalls_busy_total")
+		go func() {
+			release, err := peer.Lock(freshtree.RootObjectName)
+			if err == nil {
+				release()
+			}
+			peerDone <- err
+		}()
+		for deadline := time.Now().Add(5 * time.Second); st.reg.CounterValue("afs_lock_recalls_busy_total") == busy; {
+			if time.Now().After(deadline) {
+				t.Error("the recall of the freshness root's lock was never answered busy")
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	dials := 0
+	st = startObsStackWith(t, afs.ClientConfig{
+		Dial: func(addr string) (net.Conn, error) {
+			conn, err := net.Dial("tcp", addr)
+			if dials++; err != nil || dials != 1 {
+				return conn, err // the callback channel answers recalls unhooked
+			}
+			return &writeHookConn{Conn: conn, onWrite: recallMidCommit}, nil
+		},
+	})
+	peer, err := afs.Dial(st.addr, afs.ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
 	fs := st.vol.FS()
 	if err := fs.MkdirAll("/docs"); err != nil {
 		t.Fatal(err)
 	}
-	bob, err := NewIdentity("bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.vol.AddUser("bob", bob.PublicKey); err != nil {
+	if err := fs.WriteFile("/docs/first", []byte("warms every cache on the path")); err != nil {
 		t.Fatal(err)
 	}
 	tracer := st.reg.Tracer()
 	tracer.Enable()
 	defer tracer.Disable()
-	budget := func(what, rootName string, want []string, op func()) {
+	budget := func(what string, want []string, op func()) {
 		t.Helper()
 		tracer.Take()
 		op()
-		root := findSpan(tracer.Take(), rootName)
+		root := findSpan(tracer.Take(), "vfs.write")
 		if root == nil {
-			t.Fatalf("%s: no %s root span", what, rootName)
+			t.Fatalf("%s: no vfs.write root span", what)
 		}
 		got := afsSpanNames(root)
 		if ok, _ := framesMatch(got, want); !ok {
-			t.Errorf("%s: afs frames under %s\n got %v\nwant %v", what, rootName, got, want)
+			t.Errorf("%s: afs frames under vfs.write\n got %v\nwant %v", what, got, want)
 		}
 	}
 	data := bytes.Repeat([]byte{0x5A}, 2048)
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("/docs/f%d", i)
-		budget("create "+name, "vfs.write", []string{"store", "lock", "store", "store", "unlock"}, func() {
-			if err := fs.WriteFile(name, data); err != nil {
+	for i, step := range []struct {
+		what     string
+		recalled bool
+		want     []string
+	}{
+		// The peer took the lock at the last busy recall (or, first, here
+		// through a plain recall), so the grant is a lock frame.
+		{"first grant, recalled busy", true, []string{"store", "lock", "store", "store", "unlock"}},
+		{"first grant after the peer's", false, []string{"store", "lock", "store", "store"}},
+		{"local grant, recalled busy", true, []string{"store", "store", "store", "unlock"}},
+		{"first grant after the peer's, again", false, []string{"store", "lock", "store", "store"}},
+	} {
+		if i == 0 {
+			release, err := peer.Lock(freshtree.RootObjectName)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release()
+		}
+		grantsWhenArmed = grants()
+		armed.Store(step.recalled)
+		budget(step.what, step.want, func() {
+			if err := fs.WriteFile(fmt.Sprintf("/docs/f%d", i), data); err != nil {
 				t.Fatal(err)
 			}
 		})
-	}
-	for _, rights := range []Rights{ReadWrite, NoRights} {
-		budget("SetACL", "sgx.ecall", []string{"lock", "store", "store", "unlock"}, func() {
-			if err := st.vol.SetACL("/docs", "bob", rights); err != nil {
-				t.Fatal(err)
+		if step.recalled {
+			if err := <-peerDone; err != nil {
+				t.Fatalf("%s: the peer's lock: %v", step.what, err)
 			}
-		})
+		}
 	}
-	if n := st.reg.CounterValue("afs_lock_local_grants_total"); n != 0 {
-		t.Errorf("afs_lock_local_grants_total = %d without a callback channel, want 0", n)
+	for name, want := range map[string]int64{
+		"afs_lock_recalls_busy_total": 2,
+		"afs_oneway_frames_total":     2,
+	} {
+		if got := st.reg.CounterValue(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
 	}
 }
