@@ -111,7 +111,7 @@ vuln:
 
 # cover reports coverage on the packages gated by the CI floor.
 cover:
-	$(GO) test -coverprofile=cover.out ./internal/metadata/ ./internal/gcmsiv/ ./internal/obs/ ./internal/groupkey/ ./internal/freshtree/ ./internal/afs/
+	$(GO) test -coverprofile=cover.out ./internal/metadata/ ./internal/gcmsiv/ ./internal/obs/ ./internal/groupkey/ ./internal/freshtree/ ./internal/afs/ ./internal/enclave/
 	$(GO) tool cover -func=cover.out | tail -1
 
 # merkle runs the Merkle-authenticated namespace's full verification

@@ -88,13 +88,13 @@ func (c *chaosCluster) watch(in *netsim.Injector) {
 }
 
 // restart kills the server mid-flight — every accepted connection dies —
-// and brings up a replacement on the same address.
+// and brings up a replacement on the same address. Close returns once the
+// old server's handlers have, so its snapshot holds every store it applied.
 func (c *chaosCluster) restart() {
 	c.mu.Lock()
 	old := c.srv
 	c.mu.Unlock()
 	_ = old.Close()
-	time.Sleep(20 * time.Millisecond) // let in-flight dispatches drain
 	next := NewServer(c.store)
 	next.SetVersions(old.VersionSnapshot())
 	var l net.Listener

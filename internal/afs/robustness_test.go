@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nexus/internal/backend"
 	"nexus/internal/netsim"
 )
 
@@ -111,5 +112,69 @@ func TestServerRejectsMalformedRequestsOnValidSession(t *testing.T) {
 	resp, err = readFrame(conn)
 	if err != nil || resp.op != opReply {
 		t.Fatalf("ping after rejections: op %d, %v", resp.op, err)
+	}
+}
+
+// gatedPutStore holds every Put back until open is closed, announcing on
+// entered that one has begun.
+type gatedPutStore struct {
+	backend.Store
+	entered chan struct{}
+	open    chan struct{}
+}
+
+func (s *gatedPutStore) Put(name string, data []byte) error {
+	s.entered <- struct{}{}
+	<-s.open
+	return s.Store.Put(name, data)
+}
+
+// TestServerCloseWaitsForAppliedStore: a store the server is applying when
+// Close runs — held inside the backend's Put — finishes before Close
+// returns, so the version snapshot a restart carries over includes it.
+func TestServerCloseWaitsForAppliedStore(t *testing.T) {
+	store := &gatedPutStore{Store: backend.NewMemStore(), entered: make(chan struct{}, 1), open: make(chan struct{})}
+	srv := NewServer(store)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(l) }()
+	c := dialClient(t, l.Addr().String(), ClientConfig{RPCTimeout: 5 * time.Second})
+
+	put := make(chan error, 1)
+	go func() { put <- c.Put("held", []byte("applied during Close")) }()
+	select {
+	case <-store.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the store never reached the backend")
+	}
+	closed := make(chan struct{})
+	go func() {
+		_ = srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a store was still being applied")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(store.open)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return once the store was applied")
+	}
+	if v := srv.VersionSnapshot()["held"]; v != 1 {
+		t.Fatalf("snapshot after Close has version %d of the applied store, want 1", v)
+	}
+	if data, err := store.Store.Get("held"); err != nil || string(data) != "applied during Close" {
+		t.Fatalf("backend holds %q, %v", data, err)
+	}
+	_ = c.Close() // ends the put's retries against the closed server
+	select {
+	case <-put:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the put did not return once its client closed")
 	}
 }

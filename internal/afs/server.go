@@ -32,6 +32,10 @@ type Server struct {
 	conns     map[net.Conn]bool            // accepted connections; guarded by mu
 	closed    bool                         // guarded by mu
 
+	// handlers counts the running connection handlers, which Close waits
+	// for. Every Add happens under mu while closed is unset.
+	handlers sync.WaitGroup
+
 	metrics serverMetrics
 
 	logf func(format string, args ...any)
@@ -329,20 +333,33 @@ func (s *Server) Serve(l net.Listener) error {
 			return ErrClosed
 		}
 		s.conns[conn] = true
+		s.handlers.Add(1)
 		s.mu.Unlock()
-		go s.handleConn(conn)
+		go func() {
+			defer s.handlers.Done()
+			s.handleConn(conn)
+		}()
 	}
 }
 
-// Close stops all listeners. In-flight connections terminate as their
-// reads fail.
+// Close stops all listeners, closes every connection, cancels every
+// queued lock request and returns once every connection handler has
+// returned: a request being applied finishes first, so VersionSnapshot
+// then covers every store the server applied.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		s.handlers.Wait()
 		return nil
 	}
 	s.closed = true
+	for _, ls := range s.locks {
+		for _, w := range ls.waiters {
+			close(w.ch) // acquire sees it was not granted
+		}
+		ls.waiters = nil
+	}
 	listeners := make([]net.Listener, 0, len(s.listeners))
 	for l := range s.listeners {
 		listeners = append(listeners, l)
@@ -371,6 +388,7 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		_ = c.Close()
 	}
+	s.handlers.Wait()
 	return nil
 }
 
@@ -636,6 +654,9 @@ func (s *Server) dispatch(sess *session, req frame) (opCode, *serial.Writer) {
 			return fail(errCodeBadRequest, err.Error())
 		}
 		ls, cb, err := s.acquire(name, sess)
+		if errors.Is(err, ErrClosed) {
+			return 0, nil // the server is closing: the connection drops unanswered
+		}
 		if err != nil {
 			return fail(errCodeInternal, err.Error())
 		}
@@ -894,9 +915,14 @@ func (s *Server) bumpAndInvalidate(name, writer string) uint64 {
 // client has none, and then it releases the lock itself. A lock held by
 // another session is recalled from its holder, whose client keeps locks
 // it has released (DESIGN.md §9.2); a request from the holding session —
-// a kept lock whose lease ran out — is granted again at once.
+// a kept lock whose lease ran out — is granted again at once. A request
+// made or still queued once Close has begun gets ErrClosed.
 func (s *Server) acquire(name string, sess *session) (*lockState, *callbackConn, error) {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, nil, ErrClosed
+	}
 	if !sess.leaseEnd().IsZero() {
 		s.mu.Unlock()
 		return nil, nil, errReclaimed
@@ -918,8 +944,12 @@ func (s *Server) acquire(name string, sess *session) (*lockState, *callbackConn,
 		<-wait.ch // ownership was assigned by release before the channel closed
 		s.mu.Lock()
 		if ls.holder != sess {
+			err := errReclaimed
+			if s.closed {
+				err = ErrClosed // Close cancelled the request
+			}
 			s.mu.Unlock()
-			return nil, nil, errReclaimed
+			return nil, nil, err
 		}
 		recall = func() {} // releaseLocked started the new grant's recall
 	}

@@ -206,6 +206,9 @@ type Enclave struct {
 	queued []*storeCall
 	stash  []*storeCall
 
+	// hints are the read-ahead hints of read-only walks (readAhead).
+	hints walkHints
+
 	metrics enclaveMetrics
 }
 
@@ -303,8 +306,8 @@ func New(cfg Config) (*Enclave, error) {
 		ias:   cfg.IAS,
 		cfg:   cfg,
 		wb:    newDirtySet(cfg.WritebackMaxOps),
-		cache: newMetaCache(cfg.SGX),
 	}
+	e.cache = newMetaCache(cfg.SGX, &e.hints)
 	e.metrics.bind(cfg.Obs)
 	// The SGX container meters its transitions into the same registry,
 	// so one scrape covers ecalls, metadata I/O and chunk crypto.
@@ -386,6 +389,7 @@ func (e *Enclave) DropCaches() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.cache.clear()
+	e.hints.changed()
 }
 
 // CreateVolume initializes a new volume on the backing store: it
@@ -533,6 +537,7 @@ func (e *Enclave) CompleteAuth(signature []byte) error {
 		}
 		e.user = user
 		e.authed = true
+		e.hints.changed()
 		return nil
 	})
 }
@@ -692,6 +697,7 @@ func (e *Enclave) loadSupernodeLocked() error {
 	e.super = super
 	e.superBlob = blob
 	e.superVersion = p.Version
+	e.hints.changed()
 	return nil
 }
 

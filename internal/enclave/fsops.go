@@ -307,23 +307,21 @@ func isNotExist(err error) bool {
 }
 
 // Lookup finds an entry by path and returns its attributes
-// (nexus_fs_lookup).
+// (nexus_fs_lookup). Like ReadFile and Filldir, it is a read-only walk:
+// its stub makes the reads the walk's hint names before entering, so a
+// warm walk with a current hint makes no exit (DESIGN.md §11.5).
 func (e *Enclave) Lookup(path string) (Stat, error) {
 	var st Stat
+	walk := e.readAhead(walkLookup, path)
 	err := e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		defer e.leaveLocked(&err)
-		if err := e.requireAuthLocked(); err != nil {
+		if err := e.enterWalkLocked(walk); err != nil {
 			return err
 		}
-		dirs, name, err := splitPath(path)
-		if err != nil {
-			return err
-		}
-		if err := e.exitLocked(e.metrics.metaIO, getsAhead(e.predictWalkLocked(dirs, name, acl.Lookup))...); err != nil {
-			return err
-		}
+		defer e.hintWalkLocked(walk)
+		dirs, name := walk.dirs, walk.name
 		if name == "" {
 			st = Stat{Name: "/", Kind: metadata.KindDir}
 			_, err := e.walkDirLocked(nil)
@@ -363,21 +361,16 @@ func (e *Enclave) Lookup(path string) (Stat, error) {
 // Filldir lists a directory's entries sorted by name (nexus_fs_filldir).
 func (e *Enclave) Filldir(path string) ([]Stat, error) {
 	var out []Stat
+	walk := e.readAhead(walkList, path)
 	err := e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		defer e.leaveLocked(&err)
-		if err := e.requireAuthLocked(); err != nil {
+		if err := e.enterWalkLocked(walk); err != nil {
 			return err
 		}
-		dirs, name, err := splitPath(path)
-		if err != nil {
-			return err
-		}
-		if name != "" {
-			dirs = append(dirs, name)
-		}
-		w, err := e.walkDirLocked(dirs)
+		defer e.hintWalkLocked(walk)
+		w, err := e.walkDirLocked(walk.dirs)
 		if err != nil {
 			return err
 		}
@@ -940,23 +933,16 @@ func (e *Enclave) writeFileLocked(path string, data []byte, create bool) error {
 // the Read ACL check.
 func (e *Enclave) ReadFile(path string) ([]byte, error) {
 	var out []byte
+	walk := e.readAhead(walkRead, path)
 	err := e.retryTornEcall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		defer e.leaveLocked(&err)
-		if err := e.requireAuthLocked(); err != nil {
+		if err := e.enterWalkLocked(walk); err != nil {
 			return err
 		}
-		dirs, name, err := splitPath(path)
-		if err != nil {
-			return err
-		}
-		if name == "" {
-			return fmt.Errorf("%w: %s", ErrNotFile, path)
-		}
-		if err := e.exitLocked(e.metrics.metaIO, getsAhead(e.predictWalkLocked(dirs, name, acl.Read))...); err != nil {
-			return err
-		}
+		defer e.hintWalkLocked(walk)
+		dirs, name := walk.dirs, walk.name
 		w, err := e.walkDirLocked(dirs)
 		if err != nil {
 			return err

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync"
 	"time"
 
+	"nexus/internal/acl"
 	"nexus/internal/backend"
 	"nexus/internal/metadata"
 	"nexus/internal/sgx"
@@ -22,6 +24,10 @@ import (
 type metaCache struct {
 	sgx     *sgx.Enclave
 	entries map[uuid.UUID]*cacheEntry
+	// hints learns of every entry replaced or dropped: what a walk
+	// predicted from the cache may no longer hold. A first fill only
+	// lengthens a prediction, so it does not count.
+	hints *walkHints
 }
 
 type cacheEntry struct {
@@ -37,8 +43,8 @@ type cacheEntry struct {
 	charged    int64 // EPC bytes charged
 }
 
-func newMetaCache(container *sgx.Enclave) *metaCache {
-	return &metaCache{sgx: container, entries: make(map[uuid.UUID]*cacheEntry)}
+func newMetaCache(container *sgx.Enclave, hints *walkHints) *metaCache {
+	return &metaCache{sgx: container, entries: make(map[uuid.UUID]*cacheEntry), hints: hints}
 }
 
 // get returns the decrypted copy of id if it was decoded from blob: the
@@ -73,6 +79,7 @@ func (c *metaCache) invalidate(id uuid.UUID) {
 	if old, ok := c.entries[id]; ok {
 		c.sgx.FreeEPC(old.charged)
 		delete(c.entries, id)
+		c.hints.changed()
 	}
 }
 
@@ -259,6 +266,175 @@ func (e *Enclave) dropStashedLocked(name string) {
 	e.metrics.prefetchDiscarded.Add(int64(n - len(e.stash)))
 }
 
+// maxWalkHints bounds the hint table: a walk's hint is a handful of
+// object names, so a full table is a few hundred KiB of host memory.
+const maxWalkHints = 4096
+
+// walkKind is the read-only walk a hint is for: its prediction differs
+// by what the walk reads at the end of its path.
+type walkKind uint8
+
+const (
+	walkLookup walkKind = iota // Lookup: the leaf's filenode
+	walkRead                   // ReadFile: the filenode and its data object
+	walkList                   // Filldir: the directory itself
+)
+
+type walkKey struct {
+	kind walkKind
+	path string
+}
+
+type walkHint struct {
+	names []string
+	gen   uint64 // walkHints.gen when the names were predicted
+}
+
+// walkHints lets a warm walk make no exit (DESIGN.md §11.5). Its table,
+// host memory, holds for each read-only walk the object names the
+// enclave predicted, at the walk's end, that the next walk of the same
+// kind and path reads; the ecall stub makes those reads before entering
+// (readAhead). It holds only names, which the host sees anyway in the
+// ocall a hint replaces. gen is the enclave's own: it counts the changes
+// that drop the table (changed), and only the enclave, under its mu,
+// touches it.
+type walkHints struct {
+	gen uint64
+
+	mu    sync.Mutex
+	table map[walkKey]walkHint
+}
+
+func (h *walkHints) get(key walkKey) (walkHint, bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	hint, ok := h.table[key]
+	return hint, ok
+}
+
+// put records the names predicted for key at the current generation,
+// evicting an arbitrary other hint when the table is full.
+func (h *walkHints) put(key walkKey, names []string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.table == nil {
+		h.table = make(map[walkKey]walkHint)
+	}
+	if _, ok := h.table[key]; !ok && len(h.table) >= maxWalkHints {
+		for k := range h.table {
+			delete(h.table, k)
+			break
+		}
+	}
+	h.table[key] = walkHint{names: names, gen: h.gen}
+}
+
+// changed records a change to what a walk's prediction reads — the
+// decrypted cache, the dirty set, the user, the supernode — or a store
+// call that may change what a read returns: a put, delete or lock. The
+// table is dropped, and reads a stub made from a hint written before the
+// change are not used (enterWalkLocked).
+func (h *walkHints) changed() {
+	h.gen++
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.table = nil
+}
+
+// readWalk is one read-only walk of path (Lookup, ReadFile or Filldir,
+// by kind): the reads its ecall stub made before entering, with the
+// generation of the hint they followed, and what the walk inside found —
+// the split path and whether it used those reads.
+type readWalk struct {
+	walkKey
+	reads []*storeCall
+	gen   uint64
+
+	dirs []string
+	name string
+	used bool
+}
+
+// readAhead is the untrusted half of a read-only walk's ecall stub. It
+// makes the reads the hint for (kind, path) names through the enclave's
+// store, in order, stopping at the first that fails, charged to the
+// metadata I/O meter.
+func (e *Enclave) readAhead(kind walkKind, path string) *readWalk {
+	w := &readWalk{walkKey: walkKey{kind: kind, path: path}}
+	hint, ok := e.hints.get(w.walkKey)
+	if !ok {
+		return w
+	}
+	start := time.Now()
+	w.reads, w.gen = make([]*storeCall, 0, len(hint.names)), hint.gen
+	for _, name := range hint.names {
+		c := &storeCall{op: opGet, name: name, ahead: true}
+		c.blob, c.version, c.err = e.store.GetVersioned(name)
+		c.err = classifyStoreError(c.err)
+		w.reads = append(w.reads, c)
+		if c.err != nil {
+			break
+		}
+	}
+	elapsed := time.Since(start)
+	e.metrics.metaIO.ns.Add(int64(elapsed))
+	e.metrics.metaIO.lat.Record(elapsed)
+	return w
+}
+
+// enterWalkLocked is the trusted start of a read-only walk. It stashes the
+// reads the stub made, as reads made ahead — unless enclave state changed
+// since their hint was written: then they are dropped unused. It splits
+// the path, and when no read is stashed it reads what the walk's
+// prediction names in one exit.
+func (e *Enclave) enterWalkLocked(w *readWalk) error {
+	reads := w.reads
+	w.reads, w.used = nil, false // a retried walk reads again
+	if len(reads) > 0 && w.gen == e.hints.gen {
+		e.stash, w.used = append(e.stash, reads...), true
+	} else {
+		e.metrics.prefetchDiscarded.Add(int64(len(reads)))
+	}
+	if err := e.requireAuthLocked(); err != nil {
+		return err
+	}
+	var err error
+	if w.dirs, w.name, err = splitPath(w.path); err != nil {
+		return err
+	}
+	if w.kind == walkList && w.name != "" {
+		w.dirs, w.name = append(w.dirs, w.name), ""
+	}
+	if w.kind == walkRead && w.name == "" {
+		return fmt.Errorf("%w: %s", ErrNotFile, w.path)
+	}
+	if len(e.stash) == 0 {
+		return e.exitLocked(e.metrics.metaIO, getsAhead(e.predictReadWalkLocked(w))...)
+	}
+	return nil
+}
+
+// predictReadWalkLocked names the objects the read-only walk w fetches.
+func (e *Enclave) predictReadWalkLocked(w *readWalk) []string {
+	switch w.kind {
+	case walkLookup:
+		return e.predictWalkLocked(w.dirs, w.name, acl.Lookup)
+	case walkRead:
+		return e.predictWalkLocked(w.dirs, w.name, acl.Read)
+	}
+	return e.predictWalkLocked(w.dirs, "", 0)
+}
+
+// hintWalkLocked ends a read-only walk that got past enterWalkLocked: it
+// leaves in the table what the next walk of the same kind and path reads.
+// A walk that used a hint and changed nothing leaves that hint as it is.
+func (e *Enclave) hintWalkLocked(w *readWalk) {
+	if w.used && w.gen == e.hints.gen {
+		return
+	}
+	e.hints.put(w.walkKey, e.predictReadWalkLocked(w))
+}
+
 // fetchObject retrieves raw object bytes through the ocall surface,
 // charging the time to m: metaIO for metadata objects, dataIO for
 // encrypted file contents. A read made ahead in this ecall is served from
@@ -275,12 +451,14 @@ func (e *Enclave) fetchObject(m ocallMeter, name string, ahead ...*storeCall) ([
 // putObject queues an upload of raw object bytes; done, when set, takes
 // the store's version (c.version) or the failure (c.err) once it is made.
 func (e *Enclave) putObject(name string, data []byte, fresh map[uuid.UUID]uint64, done func(c *storeCall) error) {
+	e.hints.changed()
 	e.dropStashedLocked(name)
 	e.queued = append(e.queued, &storeCall{op: opPut, name: name, blob: data, fresh: fresh, done: done})
 }
 
 // deleteObject queues the removal of an object.
 func (e *Enclave) deleteObject(name string, fresh map[uuid.UUID]uint64, done func(c *storeCall) error) {
+	e.hints.changed()
 	e.dropStashedLocked(name)
 	e.queued = append(e.queued, &storeCall{op: opDelete, name: name, fresh: fresh, done: done})
 }
@@ -290,6 +468,7 @@ func (e *Enclave) deleteObject(name string, fresh map[uuid.UUID]uint64, done fun
 // The release it returns, to be called once, queues the unlock: a store
 // call like any other, made outside the enclave.
 func (e *Enclave) lockObject(name string) (release func()) {
+	e.hints.changed()
 	e.dropStashedLocked("")
 	lock := &storeCall{op: opLock, name: name, done: failing("locking")}
 	e.queued = append(e.queued, lock)

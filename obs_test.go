@@ -511,10 +511,11 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	// One ecall; an ocall per fetch and per proof of a metadata object.
 	coldRead("cold read", "/docs/second", data, []string{"fetch", "fetch", "fetch"}, [2]int64{1, 6})
 	coldRead("cold read of a chunked file", "/docs/big", big, []string{"fetch", "fetch", "fetch", "fetch"}, [2]int64{1, 7})
-	// Warm, the same read is no frame and one ocall: the data object, named
-	// by the cached filenode, is read with the walk.
+	// Warm, the same read is no frame and no ocall: the cold read left a
+	// hint outside the enclave, so the walk's reads — the data object,
+	// named by the cached filenode, among them — are made before the ecall.
 	budget("warm read of a chunked file", "vfs.read", nil, func() {
-		transitions("warm read of a chunked file", [2]int64{1, 1}, func() {
+		transitions("warm read of a chunked file", [2]int64{1, 0}, func() {
 			if got, err := fs.ReadFile("/docs/big"); err != nil || !bytes.Equal(got, big) {
 				t.Fatalf("warm read = %d bytes, %v", len(got), err)
 			}
@@ -527,8 +528,8 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	// Ocalls: cold, a fetch and a proof per directory for the listing, then
 	// per Stat one ocall for the three directory fetches (AFS hits,
 	// enclave-cache hits) and the filenode's fetch, and one for its proof;
-	// warm, one ocall per ecall — every fetch of a walk leaves the enclave
-	// together (DESIGN.md §11.5).
+	// warm, no ocall — every walk's fetches are made before its ecall, from
+	// the hint the cold walk of the same path left (DESIGN.md §11.5).
 	const n = 4
 	if err := fs.MkdirAll("/docs/list"); err != nil {
 		t.Fatal(err)
@@ -555,7 +556,7 @@ func TestObservabilityRPCBudget(t *testing.T) {
 		transitions("readdir + stat, cold", [2]int64{1 + n, 6 + 2*n}, readdirStat)
 	})
 	budget("readdir + stat, warm", "", nil, func() {
-		transitions("readdir + stat, warm", [2]int64{1 + n, 1 + n}, readdirStat)
+		transitions("readdir + stat, warm", [2]int64{1 + n, 0}, readdirStat)
 	})
 
 	// The ACL, rename and user rows go straight to the enclave, so their
