@@ -13,16 +13,17 @@ import (
 // TestBatchedWriteFaultSweep kills the store at every store call of each
 // write-path op class whose calls leave the enclave in batches (DESIGN.md
 // §11.5) — an overwrite, a create and an append, each one SaveFile ecall,
-// and a remove with the drain after it — so that kill points land inside
-// every exit, between one call and the next. Each failure is
-// ErrStoreUnavailable. Whatever the store holds then, a restarted client
-// reads the old state or the new, never an integrity error — with one
-// exception the batching does not touch: a file's chunks are re-encrypted
-// into its data object in place (§VI-A), so a kill between the data
-// object's put and the filenode's leaves a filenode that fails
-// authentication against the new chunks, which is detected, never read.
-// Once the store is back the writer's retry of the failed call converges
-// on the new state.
+// a remove with the drain after it, and an overwrite after a pending
+// remove, whose SaveFile is one commit with the drain (§12.4) — so that
+// kill points land inside every exit, between one call and the next. Each
+// failure is ErrStoreUnavailable. Whatever the store holds then, a
+// restarted client reads the old state or the new, never an integrity
+// error — with one exception the batching does not touch: a file's chunks
+// are re-encrypted into its data object in place (§VI-A), so a kill
+// between the data object's put and the filenode's leaves a filenode that
+// fails authentication against the new chunks, which is detected, never
+// read. Once the store is back the writer's retry of the failed call
+// converges on the new state.
 func TestBatchedWriteFaultSweep(t *testing.T) {
 	old, next := bytes.Repeat([]byte("o"), 4<<10), bytes.Repeat([]byte("n"), 4<<10)
 	appended := append(bytes.Clone(old), "tail"...)
@@ -34,16 +35,25 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 		op   func(e *enclave.Enclave) error
 		// inPlace marks a rewrite of the data object the filenode names.
 		inPlace bool
+		// gone, when set, is a file the op removes: a restarted client
+		// finds it or not, and after the retry it is gone.
+		gone string
 	}{
-		{"overwrite", "/a/f", next, old, func(e *enclave.Enclave) error { return e.SaveFile("/a/f", next, true) }, true},
-		{"create", "/a/new", next, nil, func(e *enclave.Enclave) error { return e.SaveFile("/a/new", next, true) }, false},
-		{"append", "/a/f", appended, old, func(e *enclave.Enclave) error { return e.SaveFile("/a/f", appended, false) }, true},
+		{"overwrite", "/a/f", next, old, func(e *enclave.Enclave) error { return e.SaveFile("/a/f", next, true) }, true, ""},
+		{"create", "/a/new", next, nil, func(e *enclave.Enclave) error { return e.SaveFile("/a/new", next, true) }, false, ""},
+		{"append", "/a/f", appended, old, func(e *enclave.Enclave) error { return e.SaveFile("/a/f", appended, false) }, true, ""},
 		{"remove and drain", "/a/f", nil, old, func(e *enclave.Enclave) error {
 			if err := e.Remove("/a/f"); err != nil && !errors.Is(err, enclave.ErrNotFound) {
 				return err
 			}
 			return e.SyncMetadata()
-		}, false},
+		}, false, ""},
+		{"overwrite after a pending remove", "/a/f", next, old, func(e *enclave.Enclave) error {
+			if err := e.Remove("/a/g"); err != nil && !errors.Is(err, enclave.ErrNotFound) {
+				return err
+			}
+			return e.SaveFile("/a/f", next, false)
+		}, true, "/a/g"},
 	}
 	for _, c := range classes {
 		t.Run(c.name, func(t *testing.T) {
@@ -80,6 +90,11 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 				if err := e.SaveFile("/a/f", old, true); err != nil {
 					t.Fatal(err)
 				}
+				if c.gone != "" {
+					if err := e.SaveFile(c.gone, old, true); err != nil {
+						t.Fatal(err)
+					}
+				}
 				if _, err := e.ReadFile(c.path); err != nil && !errors.Is(err, enclave.ErrNotFound) {
 					t.Fatal(err) // warms every cache on the path
 				}
@@ -105,12 +120,23 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 				if got := reads(t, fresh, "after the fault"); !bytes.Equal(got, c.was) && !bytes.Equal(got, c.want) {
 					t.Fatalf("k=%d: a restarted client reads %d bytes, neither the old state nor the new", k, len(got))
 				}
+				if c.gone != "" {
+					if got, err := fresh.ReadFile(c.gone); err != nil && !errors.Is(err, enclave.ErrNotFound) || err == nil && !bytes.Equal(got, old) {
+						t.Fatalf("k=%d: a restarted client reads %s as %d bytes, %v: neither the old directory nor the new", k, c.gone, len(got), err)
+					}
+				}
 				if err := c.op(e); err != nil {
 					t.Fatalf("k=%d: retry once the store is back: %v", k, err)
 				}
 				for _, who := range []*enclave.Enclave{e, fresh} {
 					if got := reads(t, who, "after the retry"); !bytes.Equal(got, c.want) {
 						t.Fatalf("k=%d: after the retry a client reads %d bytes, want the new state", k, len(got))
+					}
+					if c.gone == "" {
+						continue
+					}
+					if _, err := who.Lookup(c.gone); !errors.Is(err, enclave.ErrNotFound) {
+						t.Fatalf("k=%d: after the retry %s is still there (%v)", k, c.gone, err)
 					}
 				}
 				if k > 100 {

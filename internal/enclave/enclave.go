@@ -194,6 +194,10 @@ type Enclave struct {
 	// and not yet confirmed against the store: a floor for the first
 	// load, which therefore still has to happen.
 	mkResumed bool
+	// mkBlob is the sealed root this enclave last put or opened, which
+	// commits to mkRoot at mkEpoch; nil when they came from elsewhere. A
+	// re-read of the same bytes needs no open (loadMerkleRootLocked).
+	mkBlob []byte
 
 	// wb is the write-back dirty set; batching is set while a commit or a
 	// drain collects the freshness records of what it flushes, so the root

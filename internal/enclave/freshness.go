@@ -1,8 +1,10 @@
 package enclave
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
+	"slices"
 
 	"nexus/internal/merkle"
 	"nexus/internal/metadata"
@@ -87,8 +89,10 @@ func decodeMerkleRoot(body []byte) (root [merkle.HashSize]byte, epoch uint64, er
 // proof failed and another client may have advanced the epoch). The
 // epoch ordering is enforced here: once this enclave has seen epoch N,
 // any sealed root below N — or a *different* root at exactly N, the
-// fork signature — is a rollback and fails closed. The reads ahead ride
-// the root's exit.
+// fork signature — is a rollback and fails closed. A re-read of the very
+// bytes this enclave last put or opened (mkBlob) commits to the root it
+// holds, so it skips the open and the checks; any other bytes take both.
+// The calls ahead ride the root's exit.
 func (e *Enclave) loadMerkleRootLocked(force bool, ahead ...*storeCall) error {
 	if e.mkSeen && !e.mkResumed && !force {
 		return nil
@@ -99,10 +103,13 @@ func (e *Enclave) loadMerkleRootLocked(force bool, ahead ...*storeCall) error {
 			if e.mkSeen && e.mkEpoch > 0 {
 				return fmt.Errorf("%w: merkle root object vanished after epoch %d", ErrStaleObject, e.mkEpoch)
 			}
-			e.mkRoot, e.mkEpoch, e.mkSeen, e.mkResumed = merkle.EmptyRoot(), 0, true, false
+			e.mkRoot, e.mkEpoch, e.mkSeen, e.mkResumed, e.mkBlob = merkle.EmptyRoot(), 0, true, false, nil
 			return nil
 		}
 		return fmt.Errorf("fetching merkle root: %w", err)
+	}
+	if e.mkBlob != nil && bytes.Equal(blob, e.mkBlob) {
+		return nil
 	}
 	p, body, err := metadata.Open(e.rootKey, blob)
 	if err != nil {
@@ -126,7 +133,8 @@ func (e *Enclave) loadMerkleRootLocked(force bool, ahead ...*storeCall) error {
 			return fmt.Errorf("%w: merkle root diverged at epoch %d (fork detected)", ErrStaleObject, epoch)
 		}
 	}
-	e.mkRoot, e.mkEpoch, e.mkSeen, e.mkResumed = root, epoch, true, false
+	// A copy: the memo must not change with a buffer the store kept.
+	e.mkRoot, e.mkEpoch, e.mkSeen, e.mkResumed, e.mkBlob = root, epoch, true, false, bytes.Clone(blob)
 	return nil
 }
 
@@ -152,7 +160,7 @@ func (e *Enclave) ResumeFreshnessEpoch(epoch uint64, root [merkle.HashSize]byte)
 	if e.mkSeen {
 		return
 	}
-	e.mkRoot, e.mkEpoch, e.mkSeen, e.mkResumed = root, epoch, true, true
+	e.mkRoot, e.mkEpoch, e.mkSeen, e.mkResumed, e.mkBlob = root, epoch, true, true, nil
 }
 
 // checkFreshnessLocked verifies a loaded object's version against the
@@ -211,32 +219,70 @@ func (e *Enclave) checkFreshnessLocked(id uuid.UUID, version uint64) error {
 // and the root advances once for all of them; a stale-low leaf is safe in
 // the interim — checkFreshnessLocked only rejects versions *below* it. A
 // flush outside a batch (a filenode under its own lock, the objects of a
-// new volume) is its own commit.
+// new volume) is its own commit, of the root alone: its batch is complete
+// before the root is re-read, so the freshness update is staged as the
+// last call of the re-read's exit, and the commit makes no exit of its own
+// for it.
 func (e *Enclave) commitFreshLocked() error {
 	if e.batching {
 		return nil
 	}
-	return e.commitLocked(nil, func() error { return nil })
+	release := e.lockObject(MerkleRootObjectName)
+	defer release()
+	// A queued root put moves the epoch and takes wb.fresh with it, so
+	// what this commit's batch will be is not known yet.
+	var staged *stagedUpdate
+	var ahead []*storeCall
+	if batch := e.rootBatchLocked(); len(batch) > 0 && !e.rootPutQueuedLocked() {
+		staged = &stagedUpdate{epoch: e.mkEpoch, batch: batch}
+		ahead = append(ahead, &storeCall{op: opRun, run: func() (err error) {
+			staged.proofs, err = e.store.FreshnessUpdate(staged.epoch, staged.batch)
+			return err
+		}, done: func(c *storeCall) error {
+			staged.made = c.err == nil
+			return nil // a failed staging only makes advanceRootLocked ask again
+		}})
+	}
+	if err := e.loadMerkleRootLocked(true, ahead...); err != nil {
+		return err
+	}
+	return e.advanceRootLocked(staged)
 }
 
-// advanceRootLocked commits the collected version updates — wb.fresh and
-// the queued calls' — to the tree and advances the enclave root, inside a
-// commit (the root lock is held and the root re-read). The batch is
-// ordered deterministically, the untrusted store applies it after the
-// queued calls and returns one proof per update, and the enclave folds
-// each verified proof into the next root (merkle.Proof.NewRoot) —
-// O(batch · log n) work against O(1) enclave state. The new root seals at
-// epoch+1; its put is queued, to leave with the unlocks.
-func (e *Enclave) advanceRootLocked() error {
+// stagedUpdate is a FreshnessUpdate a commit made with its root re-read,
+// before it knew the epoch the re-read finds (commitFreshLocked).
+type stagedUpdate struct {
+	epoch  uint64
+	batch  []merkle.LeafUpdate
+	proofs [][]byte
+	made   bool
+}
+
+// proofsFor returns the staged proofs if they answer batch at epoch: the
+// update was made, at that epoch, for the same batch.
+func (s *stagedUpdate) proofsFor(epoch uint64, batch []merkle.LeafUpdate) ([][]byte, bool) {
+	if s == nil || !s.made || s.epoch != epoch || !slices.Equal(s.batch, batch) {
+		return nil, false
+	}
+	return s.proofs, true
+}
+
+// rootPutQueuedLocked reports whether a root put waits in the queue: a
+// commit whose last exit has not been made yet.
+func (e *Enclave) rootPutQueuedLocked() bool {
+	return slices.ContainsFunc(e.queued, func(c *storeCall) bool { return c.op == opPut && c.name == MerkleRootObjectName })
+}
+
+// rootBatchLocked is the batch the next root advance commits: the
+// collected version updates — wb.fresh and the queued calls' — in UUID
+// order.
+func (e *Enclave) rootBatchLocked() []merkle.LeafUpdate {
 	updates := maps.Clone(e.wb.fresh)
 	for _, c := range e.queued {
 		if updates == nil {
 			updates = make(map[uuid.UUID]uint64)
 		}
 		maps.Copy(updates, c.fresh)
-	}
-	if len(updates) == 0 {
-		return nil
 	}
 	ids := make([]uuid.UUID, 0, len(updates))
 	for id := range updates {
@@ -247,14 +293,34 @@ func (e *Enclave) advanceRootLocked() error {
 	for _, id := range ids {
 		batch = append(batch, merkle.LeafUpdate{ID: id, Version: updates[id]})
 	}
+	return batch
+}
 
-	var proofs [][]byte
+// advanceRootLocked commits the collected version updates to the tree and
+// advances the enclave root, inside a commit (the root lock is held and
+// the root re-read). The batch is ordered deterministically, the
+// untrusted store applies it after the queued calls and returns one proof
+// per update, and the enclave folds each verified proof into the next
+// root (merkle.Proof.NewRoot) — O(batch · log n) work against O(1)
+// enclave state. Proofs staged with the re-read are used when the re-read
+// found the epoch they were staged at and the batch is the same;
+// otherwise the update is made here, in an exit with the queued calls.
+// The new root seals at epoch+1; its put is queued, to leave with the
+// unlocks.
+func (e *Enclave) advanceRootLocked(staged *stagedUpdate) error {
+	batch := e.rootBatchLocked()
+	if len(batch) == 0 {
+		return nil
+	}
 	epoch := e.mkEpoch
-	if err := e.exitLocked(e.metrics.metaIO, &storeCall{op: opRun, run: func() (err error) {
-		proofs, err = e.store.FreshnessUpdate(epoch, batch)
-		return err
-	}}); err != nil {
-		return fmt.Errorf("merkle freshness update: %w", err)
+	proofs, ok := staged.proofsFor(epoch, batch)
+	if !ok {
+		if err := e.exitLocked(e.metrics.metaIO, &storeCall{op: opRun, run: func() (err error) {
+			proofs, err = e.store.FreshnessUpdate(epoch, batch)
+			return err
+		}}); err != nil {
+			return fmt.Errorf("merkle freshness update: %w", err)
+		}
 	}
 	if len(proofs) != len(batch) {
 		return fmt.Errorf("%w: %d proofs for %d updates", ErrBadProof, len(proofs), len(batch))
@@ -288,7 +354,7 @@ func (e *Enclave) advanceRootLocked() error {
 			// converges on the same root. The updates stay collected.
 			return fmt.Errorf("uploading merkle root: %w", err)
 		}
-		e.mkRoot, e.mkEpoch, e.mkSeen = root, next, true
+		e.mkRoot, e.mkEpoch, e.mkSeen, e.mkBlob = root, next, true, bytes.Clone(blob)
 		e.wb.fresh = nil
 		e.metrics.rootUpdates.Inc()
 		e.metrics.metadataFlushes.Inc()

@@ -836,7 +836,9 @@ func (e *Enclave) WriteFile(path string, data []byte) error {
 // SaveFile is WriteFile and then SyncMetadata in one ecall: the durable
 // write of vfs's FS.WriteFile and File.Sync. With create set a missing
 // file is created first, as Touch creates it; a retry of the ecall after a
-// torn directory finds the entry it created and writes it. The drain runs
+// torn directory finds the entry it created and writes it. An overwrite of
+// a file the store holds, made while other metadata is pending, is one
+// commit with the drain, under the file's lock; otherwise the drain runs
 // once the file's lock is released.
 func (e *Enclave) SaveFile(path string, data []byte, create bool) error {
 	return e.saveFile(path, data, create, true)
@@ -847,7 +849,7 @@ func (e *Enclave) saveFile(path string, data []byte, create, sync bool) error {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		defer e.leaveLocked(&err)
-		if err := e.writeFileLocked(path, data, create); err != nil {
+		if err := e.writeFileLocked(path, data, create, sync); err != nil {
 			return err
 		}
 		if sync {
@@ -857,8 +859,9 @@ func (e *Enclave) saveFile(path string, data []byte, create, sync bool) error {
 	})
 }
 
-// writeFileLocked is the body of WriteFile and SaveFile.
-func (e *Enclave) writeFileLocked(path string, data []byte, create bool) error {
+// writeFileLocked is the body of WriteFile and SaveFile; sync is set for
+// SaveFile, whose drain an overwrite may commit with.
+func (e *Enclave) writeFileLocked(path string, data []byte, create, sync bool) error {
 	if err := e.requireAuthLocked(); err != nil {
 		return err
 	}
@@ -925,6 +928,13 @@ func (e *Enclave) writeFileLocked(path string, data []byte, create bool) error {
 	// The old data object is unnamed only once the filenode is up.
 	if f.HasDataObject() && !next.HasDataObject() {
 		e.onSuccessLocked(func() { e.stageDeleteLocked(f.DataUUID, false) })
+	}
+	if sync && (len(e.wb.nodes) > 0 || len(e.wb.deletes) > 0) {
+		// The drain's commit takes the filenode's freshness record too, and
+		// the filenode's lock is held until that commit's root put, so no
+		// peer commits the filenode in between. No retry: a retried drain
+		// would succeed without the failed filenode put.
+		return e.drainLocked()
 	}
 	return e.commitFreshLocked()
 }

@@ -37,7 +37,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -312,7 +311,7 @@ func (e *Enclave) commitLocked(ahead []*storeCall, fn func() error) error {
 	if err := e.sinkLocked(fn); err != nil {
 		return err
 	}
-	return e.advanceRootLocked()
+	return e.advanceRootLocked(nil)
 }
 
 // drainLocked flushes the whole dirty set in dependency order: the new
@@ -321,7 +320,7 @@ func (e *Enclave) commitLocked(ahead []*storeCall, fn func() error) error {
 // un-flushed portion of the set is left intact for retry.
 func (e *Enclave) drainLocked() error {
 	// A queued root put commits wb.fresh by itself.
-	rootPut := slices.ContainsFunc(e.queued, func(c *storeCall) bool { return c.op == opPut && c.name == MerkleRootObjectName })
+	rootPut := e.rootPutQueuedLocked()
 	if len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && (len(e.wb.fresh) == 0 || rootPut) {
 		return nil
 	}

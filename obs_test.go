@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -703,6 +704,47 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	}
 	if checkpoints == 0 || checkpoints > 16 {
 		t.Errorf("64 creates stored the freshness checkpoint %d times, want between 1 and 16", checkpoints)
+	}
+
+	// Overwrite after a remove: a durable overwrite of a file the store
+	// holds, made while a remove waits in the dirty set, is one commit
+	// with the drain. The filenode's store, then under the root's kept
+	// lock the directory's and the root's: 3 exchanges, where a commit of
+	// the filenode and then a drain were 4. The filenode's lock is kept
+	// from the overwrite before, so it costs no frame either. Above the
+	// inline cap the data object's store comes first. The removed entry is
+	// a symlink, so the drain deletes no object. Neither write is a
+	// checkpoint epoch, which would look like the second commit's root.
+	for _, c := range []struct {
+		what    string
+		content []byte
+		want    []string
+	}{
+		{"overwrite after a remove", data, []string{"store", "store", "store"}},
+		{"overwrite of a chunked file after a remove", big, []string{"store", "store", "store", "store"}},
+	} {
+		p := "/docs/ow-" + strconv.Itoa(len(c.content))
+		for i := 0; i < 2; i++ { // the second write takes the filenode's lock
+			if err := fs.WriteFile(p, c.content); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fs.Symlink(p, p+"-link"); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Remove(p + "-link"); err != nil {
+			t.Fatal(err)
+		}
+		if budget(c.what, "vfs.write", c.want, func() {
+			if err := fs.WriteFile(p, c.content); err != nil {
+				t.Fatal(err)
+			}
+		}) {
+			t.Errorf("%s: %d frames, one more than the commit's", c.what, len(c.want)+1)
+		}
 	}
 }
 

@@ -178,7 +178,7 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 
 	check("overwrite", append([]string{
 		"get dir", "get dir", "lock fn", "get fn", "put data", "put fn", "lock root", "get root",
-	}, append(commitTail, "unlock fn")...), [2]int64{1, 5}, func() error {
+	}, append(commitTail, "unlock fn")...), [2]int64{1, 4}, func() error {
 		return fs.WriteFile("/a/f", content('y'))
 	})
 	check("create", []string{
@@ -212,7 +212,7 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 		"get dir", "get dir", "get fn", "get data",
 		"get dir", "get dir", "lock fn", "get fn", "put data", "put fn", "lock root", "get root",
 		"update(1)", "put root", "unlock root", "unlock fn",
-	}, [2]int64{3, 6}, func() error {
+	}, [2]int64{3, 5}, func() error {
 		f, err := fs.Open("/a/k", nexus.O_RDWR|nexus.O_APPEND)
 		if err != nil {
 			return err
@@ -224,5 +224,18 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 			return err
 		}
 		return f.Close()
+	})
+	// A durable overwrite made while a remove waits in the dirty set is one
+	// commit with the drain: the filenode's put rides the root re-read's
+	// exit, and its lock is released after the root's put. The walk reads
+	// the volume root alone: /a is the remove's dirty copy.
+	if err := fs.Remove("/a/new"); err != nil {
+		t.Fatal(err)
+	}
+	check("overwrite after a pending remove", []string{
+		"get dir", "lock fn", "get fn", "put data", "put fn", "lock root", "get root", "get dir", "proof dir",
+		"put dir", "delete data", "delete fn", "update(3)", "put root", "unlock root", "unlock fn",
+	}, [2]int64{1, 5}, func() error {
+		return fs.WriteFile("/a/f", content('z'))
 	})
 }
