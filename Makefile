@@ -49,25 +49,25 @@ fuzz-smoke:
 # (internal/enclave/keyleak_test.go, DESIGN.md §6). Each seed is
 # an exact replay: the fault schedule is a pure function of the seed.
 # Then twenty runs of the two-client commit tests (among them a peer
-# commit between two staged ones) and the kept-lock recall tests, whose
-# interleavings the scheduler picks. See DESIGN.md
-# §9, §12.4 and §12.5.
+# commit between two staged ones, and one between a walk's reads ahead
+# and its entry) and the kept-lock recall tests, whose interleavings the
+# scheduler picks. See DESIGN.md §9, §11.5, §12.4 and §12.5.
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== chaos seed $$seed =="; \
 		NEXUS_CHAOS_SEED=$$seed $(GO) test -race -run 'TestChaos|TestProperty' -count=1 ./internal/afs/ ./internal/enclave/ || exit 1; \
-		NEXUS_CHAOS_SEED=$$seed $(GO) test -race -count=20 -run 'TestConcurrent|TestTwoAdapters|TestLockOrder|TestStickyLock|TestStagedUpdatePeerCommitBetween' . ./internal/enclave/ ./internal/afs/ || exit 1; \
+		NEXUS_CHAOS_SEED=$$seed $(GO) test -race -count=20 -run 'TestConcurrent|TestTwoAdapters|TestLockOrder|TestStickyLock|TestStagedUpdatePeerCommitBetween|TestWalkPrefetchDroppedOnCacheReplace' . ./internal/enclave/ ./internal/afs/ || exit 1; \
 	done
 
 # obs mirrors the CI observability job: the registry/tracer suite, the
 # cross-layer span/metric assertions, the store calls and crossings of
-# each op class, the prefetch security regressions, the unlock-as-ocall
-# check, the batched-exit fault sweeps (DESIGN.md §11.5) and the
-# single-commit write path's invariants (staged freshness batch, root
-# memo, merged overwrite; DESIGN.md §12.4, §15.2), all under the race
-# detector. The allocation-free assertions
-# live in `make test` (alloc_test.go is build-tagged !race). See
-# DESIGN.md §11.
+# each op class, the prefetch security regressions (the hints'
+# generation rule among them), the unlock-as-ocall check, the
+# batched-exit fault sweeps (DESIGN.md §11.5) and the single-commit write
+# path's invariants (staged freshness batch, a lying store's staged
+# proofs, root memo, merged overwrite; DESIGN.md §12.4, §15.2), all under
+# the race detector. The allocation-free assertions live in `make test`
+# (alloc_test.go is build-tagged !race). See DESIGN.md §11.
 obs:
 	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -race -count=1 -run 'TestObservability|TestStoreCallsPerOpClass' .

@@ -30,12 +30,10 @@ func (s *slowUnlockStore) Lock(name string) (func(), error) {
 func TestUnlockIsAnOcall(t *testing.T) {
 	const delay = 20 * time.Millisecond
 	store := &slowUnlockStore{memObjectStore: newMemObjectStore()}
-	env := newTestEnvCfg(t, store.memObjectStore, func(c *Config) {
-		c.Store = store
-		c.WritebackMaxOps = defaultWritebackMaxOps // no drain inside the Remove
-	})
+	env := newTestEnvCfg(t, store.memObjectStore, func(c *Config) { c.Store = store })
 	owner := newIdentity(t, "owen")
 	e := env.enclave
+	e.SetWritebackMaxOps(defaultWritebackMaxOps) // no drain inside the Remove
 	sealed, err := e.CreateVolume(owner.name, owner.pub)
 	if err != nil {
 		t.Fatal(err)

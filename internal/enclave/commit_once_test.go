@@ -127,6 +127,121 @@ func TestStagedUpdatePeerCommitBetween(t *testing.T) {
 	}
 }
 
+// lyingUpdates answers a FreshnessUpdate the store refuses — one staged
+// at an epoch a peer's commit has moved past — with the proofs of the
+// tree at that epoch, as a store that ignores the epoch would. It draws
+// them from a proof service over a copy of the store taken at that epoch.
+type lyingUpdates struct {
+	enclave.FreshnessProofStore
+
+	mu   sync.Mutex
+	old  enclave.FreshnessProofStore // nil: every refusal stands
+	lies int
+}
+
+func (s *lyingUpdates) FreshnessUpdate(epoch uint64, batch []merkle.LeafUpdate) ([][]byte, error) {
+	proofs, err := s.FreshnessProofStore.FreshnessUpdate(epoch, batch)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err == nil || s.old == nil {
+		return proofs, err
+	}
+	s.lies++
+	return s.old.FreshnessUpdate(epoch, batch)
+}
+
+// lie sets the proof service refusals are answered from (nil: none) and
+// returns how many refusals it has answered so far.
+func (s *lyingUpdates) lie(old enclave.FreshnessProofStore) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.old = old
+	return s.lies
+}
+
+// copyStore returns a backing store holding what mem holds now.
+func copyStore(t *testing.T, mem *backend.MemStore) *backend.MemStore {
+	t.Helper()
+	names, err := mem.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := backend.NewMemStore()
+	for _, name := range names {
+		data, err := mem.Get(name)
+		if err == nil {
+			err = out.Put(name, data)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestStagedUpdateLyingStoreFailsClosed: the staged freshness update is
+// used whenever the store made it — the enclave does not compare its epoch
+// or batch with the re-read's. An honest store refuses an update staged at
+// an epoch a peer's commit has moved past (TestStagedUpdatePeerCommitBetween);
+// one that accepts it and answers with the proofs of the tree at that
+// epoch is caught by the fold: the commit fails closed with ErrBadProof,
+// and the store's sealed root does not move. The next commit, through the
+// honest store, converges, carrying the failed commit's update with its
+// own.
+func TestStagedUpdateLyingStoreFailsClosed(t *testing.T) {
+	v, peer, _ := newCommitVolume(t)
+	container, err := v.plat.CreateEnclave(rollbackImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &lyingUpdates{FreshnessProofStore: freshtree.New(vfs.NewVersionedStore(v.mem))}
+	e, err := enclave.New(enclave.Config{SGX: container, Store: store, IAS: v.ias})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.mount(t, e)
+	if err := e.SaveFile("/f", []byte("created"), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SaveFile("/f", []byte("first"), false); err != nil {
+		t.Fatal(err)
+	}
+	old := freshtree.New(vfs.NewVersionedStore(copyStore(t, v.mem)))
+
+	if err := peer.SaveFile("/g", []byte("peer"), true); err != nil {
+		t.Fatal(err)
+	}
+	peerEpoch, _, _ := peer.FreshnessEpoch()
+	root, err := v.mem.Get(enclave.MerkleRootObjectName)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	store.lie(old)
+	if err := e.SaveFile("/f", []byte("second"), false); !errors.Is(err, enclave.ErrBadProof) {
+		t.Fatalf("commit over the stale epoch's proofs: %v, want ErrBadProof", err)
+	}
+	if lies := store.lie(nil); lies != 1 {
+		t.Fatalf("the store lied %d times, want once: the staged update", lies)
+	}
+	if after, err := v.mem.Get(enclave.MerkleRootObjectName); err != nil || !bytes.Equal(after, root) {
+		t.Fatalf("the store's sealed root moved under a failed commit (%v)", err)
+	}
+
+	if err := e.SyncMetadata(); err != nil {
+		t.Fatalf("the next commit through the honest store: %v", err)
+	}
+	if epoch, _, _ := e.FreshnessEpoch(); epoch != peerEpoch+1 {
+		t.Fatalf("root at epoch %d after the peer's %d, want one past it", epoch, peerEpoch)
+	}
+	reader, _ := v.client(t)
+	for path, want := range map[string]string{"/f": "second", "/g": "peer"} {
+		if got, err := reader.ReadFile(path); err != nil || string(got) != want {
+			t.Fatalf("%s = %q, %v; want %q", path, got, err, want)
+		}
+	}
+}
+
 // TestRootMemoRejectsOwnOlderRoot: the root memo holds only the sealed
 // root this enclave put last. A store that serves an older root of this
 // enclave's own — bytes it once put and read back — is still caught by the

@@ -108,15 +108,6 @@ type Config struct {
 	BucketSize uint32
 	// ChunkSize is the file chunk size (default 1 MiB, §VII).
 	ChunkSize uint32
-	// WritebackMaxOps caps the number of deferred mutations before the
-	// dirty set drains inline (default 64). Creates and removes defer
-	// their metadata flushes into a dirty set drained in dependency
-	// order at explicit barriers (SyncMetadata, ACL/user/sharing
-	// changes, DropCaches) and at the high-water marks (this many
-	// deferred mutations, 4 MiB of estimated batched metadata); 1 drains
-	// after every mutation, which is per-op durability. See
-	// internal/enclave/writeback.go and DESIGN.md §12.
-	WritebackMaxOps int
 	// Obs is the observability registry the enclave (and its SGX
 	// container) meters into. Optional; a private registry is created
 	// when nil. Share one registry across the stack (vfs → enclave →
@@ -212,6 +203,9 @@ type Enclave struct {
 
 	// hints are the read-ahead hints of read-only walks (readAhead).
 	hints walkHints
+	// walking marks an ecall that is a read-only walk (enterWalkLocked).
+	// Guarded by mu.
+	walking bool
 
 	metrics enclaveMetrics
 }
@@ -309,7 +303,7 @@ func New(cfg Config) (*Enclave, error) {
 		store: store,
 		ias:   cfg.IAS,
 		cfg:   cfg,
-		wb:    newDirtySet(cfg.WritebackMaxOps),
+		wb:    newDirtySet(),
 	}
 	e.cache = newMetaCache(cfg.SGX, &e.hints)
 	e.metrics.bind(cfg.Obs)
@@ -393,7 +387,6 @@ func (e *Enclave) DropCaches() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.cache.clear()
-	e.hints.changed()
 }
 
 // CreateVolume initializes a new volume on the backing store: it
@@ -472,9 +465,10 @@ func (e *Enclave) VolumeUUID() (uuid.UUID, error) {
 // the rootkey, loads and verifies the supernode, and returns a fresh
 // nonce together with the encrypted supernode blob the user must sign.
 func (e *Enclave) BeginAuth(userKey ed25519.PublicKey, sealedRootKey []byte, volumeID uuid.UUID) (nonce, supernodeBlob []byte, err error) {
-	err = e.sgx.Ecall(func() error {
+	err = e.sgx.Ecall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		if len(userKey) != ed25519.PublicKeySize {
 			return fmt.Errorf("%w: bad public key length", ErrBadAuth)
 		}
@@ -511,9 +505,10 @@ func (e *Enclave) BeginAuth(userKey ed25519.PublicKey, sealedRootKey []byte, vol
 // user's Ed25519 signature over nonce ‖ encrypted-supernode. On success
 // the user's identity is cached in the enclave and the volume is usable.
 func (e *Enclave) CompleteAuth(signature []byte) error {
-	return e.sgx.Ecall(func() error {
+	return e.sgx.Ecall(func() (err error) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
+		defer e.leaveLocked(&err)
 		if e.pendingNonce == nil || e.pendingUser == nil {
 			return fmt.Errorf("%w: no authentication in progress", ErrBadAuth)
 		}
@@ -541,7 +536,6 @@ func (e *Enclave) CompleteAuth(signature []byte) error {
 		}
 		e.user = user
 		e.authed = true
-		e.hints.changed()
 		return nil
 	})
 }
@@ -701,7 +695,6 @@ func (e *Enclave) loadSupernodeLocked() error {
 	e.super = super
 	e.superBlob = blob
 	e.superVersion = p.Version
-	e.hints.changed()
 	return nil
 }
 

@@ -110,10 +110,11 @@ func newTestEnv(t testing.TB, ias *sgx.AttestationService, store *memObjectStore
 	if err != nil {
 		t.Fatal(err)
 	}
-	encl, err := New(Config{SGX: container, Store: store, IAS: ias, WritebackMaxOps: 1})
+	encl, err := New(Config{SGX: container, Store: store, IAS: ias})
 	if err != nil {
 		t.Fatal(err)
 	}
+	encl.SetWritebackMaxOps(1)
 	return &testEnv{ias: ias, platform: platform, enclave: encl, store: store}
 }
 

@@ -15,3 +15,14 @@ func (e *Enclave) KeysForLeakCheck() (rootKey []byte, exchange [][]byte) {
 	}
 	return rootKey, exchange
 }
+
+// SetWritebackMaxOps sets the number of deferred mutations after which
+// the dirty set drains inline (defaultWritebackMaxOps otherwise); 1
+// drains after every mutation, which is per-op durability. The unit
+// tests' constructors set it, so tests observe the store without
+// barriers of their own. It exists only in test builds.
+func (e *Enclave) SetWritebackMaxOps(n int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.wb.maxOps = n
+}

@@ -231,15 +231,18 @@ func (e *Enclave) commitFreshLocked() error {
 	defer release()
 	// A queued root put moves the epoch and takes wb.fresh with it, so
 	// what this commit's batch will be is not known yet.
-	var staged *stagedUpdate
+	var staged [][]byte
 	var ahead []*storeCall
 	if batch := e.rootBatchLocked(); len(batch) > 0 && !e.rootPutQueuedLocked() {
-		staged = &stagedUpdate{epoch: e.mkEpoch, batch: batch}
+		epoch := e.mkEpoch
+		var proofs [][]byte
 		ahead = append(ahead, &storeCall{op: opRun, run: func() (err error) {
-			staged.proofs, err = e.store.FreshnessUpdate(staged.epoch, staged.batch)
+			proofs, err = e.store.FreshnessUpdate(epoch, batch)
 			return err
 		}, done: func(c *storeCall) error {
-			staged.made = c.err == nil
+			if c.err == nil {
+				staged = proofs
+			}
 			return nil // a failed staging only makes advanceRootLocked ask again
 		}})
 	}
@@ -247,24 +250,6 @@ func (e *Enclave) commitFreshLocked() error {
 		return err
 	}
 	return e.advanceRootLocked(staged)
-}
-
-// stagedUpdate is a FreshnessUpdate a commit made with its root re-read,
-// before it knew the epoch the re-read finds (commitFreshLocked).
-type stagedUpdate struct {
-	epoch  uint64
-	batch  []merkle.LeafUpdate
-	proofs [][]byte
-	made   bool
-}
-
-// proofsFor returns the staged proofs if they answer batch at epoch: the
-// update was made, at that epoch, for the same batch.
-func (s *stagedUpdate) proofsFor(epoch uint64, batch []merkle.LeafUpdate) ([][]byte, bool) {
-	if s == nil || !s.made || s.epoch != epoch || !slices.Equal(s.batch, batch) {
-		return nil, false
-	}
-	return s.proofs, true
 }
 
 // rootPutQueuedLocked reports whether a root put waits in the queue: a
@@ -302,19 +287,22 @@ func (e *Enclave) rootBatchLocked() []merkle.LeafUpdate {
 // untrusted store applies it after the queued calls and returns one proof
 // per update, and the enclave folds each verified proof into the next
 // root (merkle.Proof.NewRoot) — O(batch · log n) work against O(1)
-// enclave state. Proofs staged with the re-read are used when the re-read
-// found the epoch they were staged at and the batch is the same;
-// otherwise the update is made here, in an exit with the queued calls.
-// The new root seals at epoch+1; its put is queued, to leave with the
-// unlocks.
-func (e *Enclave) advanceRootLocked(staged *stagedUpdate) error {
+// enclave state. Non-nil proofs are those the store made for the update
+// staged with the re-read (commitFreshLocked), and are used as they are:
+// the staged call ran under the root's lock, after the re-read in the same
+// exit, which made the proof service follow the store's root, so an
+// honest store refused a stale epoch; and the fold rejects proofs that do
+// not lead from the root the re-read found, so a lying store's fail
+// closed. Otherwise the update is made here, in an exit with the queued
+// calls. The new root seals at epoch+1; its put is queued, to leave with
+// the unlocks.
+func (e *Enclave) advanceRootLocked(proofs [][]byte) error {
 	batch := e.rootBatchLocked()
 	if len(batch) == 0 {
 		return nil
 	}
 	epoch := e.mkEpoch
-	proofs, ok := staged.proofsFor(epoch, batch)
-	if !ok {
+	if proofs == nil {
 		if err := e.exitLocked(e.metrics.metaIO, &storeCall{op: opRun, run: func() (err error) {
 			proofs, err = e.store.FreshnessUpdate(epoch, batch)
 			return err

@@ -871,7 +871,7 @@ func TestLookupOutlivesRetiredBucket(t *testing.T) {
 			owner := newIdentity(t, "owen")
 			// Two entries a bucket: seed0 and seed1 in bucket 0 (the main
 			// object), seed2 and seed3 in the one overflow bucket.
-			env := newWbEnv(t, owner, Config{Store: mem, WritebackMaxOps: 1, BucketSize: 2})
+			env := newWbEnv(t, owner, Config{Store: mem, BucketSize: 2}).limitWriteback(1)
 			peer := env.enclave
 			if err := peer.Mkdir("/shared"); err != nil {
 				t.Fatal(err)

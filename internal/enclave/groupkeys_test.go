@@ -31,7 +31,7 @@ func newTestEnvCfg(t *testing.T, store *memObjectStore, mutate func(*Config)) *t
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{SGX: container, Store: store, IAS: ias, WritebackMaxOps: 1}
+	cfg := Config{SGX: container, Store: store, IAS: ias}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -39,6 +39,7 @@ func newTestEnvCfg(t *testing.T, store *memObjectStore, mutate func(*Config)) *t
 	if err != nil {
 		t.Fatal(err)
 	}
+	encl.SetWritebackMaxOps(1)
 	return &testEnv{ias: ias, platform: platform, enclave: encl, store: store}
 }
 
@@ -298,8 +299,9 @@ func TestLegacyVolumeWithoutTreeMounts(t *testing.T) {
 
 func TestGroupRotationRidesWritebackDrain(t *testing.T) {
 	owner := newIdentity(t, "owen")
-	env := newTestEnvCfg(t, nil, func(c *Config) { c.WritebackMaxOps = defaultWritebackMaxOps })
+	env := newTestEnvCfg(t, nil, nil)
 	e := env.enclave
+	e.SetWritebackMaxOps(defaultWritebackMaxOps)
 	sealed, err := e.CreateVolume(owner.name, owner.pub)
 	if err != nil {
 		t.Fatal(err)

@@ -301,13 +301,13 @@ func (c *merkleClient) newEnclave(t *testing.T, store enclave.ObjectStore) *encl
 		IAS:        c.ias,
 		Obs:        c.reg,
 		BucketSize: c.bucketSize,
-		// Drain after every mutation: the attacks below replay and roll
-		// back what each op left on the store.
-		WritebackMaxOps: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Drain after every mutation: the attacks below replay and roll back
+	// what each op left on the store.
+	e.SetWritebackMaxOps(1)
 	return e
 }
 

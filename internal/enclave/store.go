@@ -7,6 +7,7 @@ import (
 	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nexus/internal/acl"
@@ -24,9 +25,9 @@ import (
 type metaCache struct {
 	sgx     *sgx.Enclave
 	entries map[uuid.UUID]*cacheEntry
-	// hints learns of every entry replaced or dropped: what a walk
-	// predicted from the cache may no longer hold. A first fill only
-	// lengthens a prediction, so it does not count.
+	// hints' generation moves when an entry is replaced or dropped: what
+	// a walk predicted from the cache may no longer hold. A first fill
+	// only lengthens a prediction, so it does not count.
 	hints *walkHints
 }
 
@@ -79,7 +80,7 @@ func (c *metaCache) invalidate(id uuid.UUID) {
 	if old, ok := c.entries[id]; ok {
 		c.sgx.FreeEPC(old.charged)
 		delete(c.entries, id)
-		c.hints.changed()
+		c.hints.gen.Add(1)
 	}
 }
 
@@ -285,40 +286,49 @@ type walkKey struct {
 	path string
 }
 
-type walkHint struct {
-	names []string
-	gen   uint64 // walkHints.gen when the names were predicted
-}
-
 // walkHints lets a warm walk make no exit (DESIGN.md §11.5). Its table,
 // host memory, holds for each read-only walk the object names the
 // enclave predicted, at the walk's end, that the next walk of the same
 // kind and path reads; the ecall stub makes those reads before entering
 // (readAhead). It holds only names, which the host sees anyway in the
-// ocall a hint replaces. gen is the enclave's own: it counts the changes
-// that drop the table (changed), and only the enclave, under its mu,
-// touches it.
+// ocall a hint replaces.
+//
+// gen is the one staleness rule for the table and for the reads made from
+// it. It moves at the end of every ecall that is not a read-only walk
+// (leaveLocked) and when the decrypted cache replaces or drops an entry
+// (metaCache.invalidate). The table is used only at the generation it was
+// built at, and a walk drops the reads its stub made at an older one
+// (enterWalkLocked). gen moves only under the enclave's mu, where hints
+// are also written, so several moves in one ecall act as one; it is an
+// atomic because the stub reads it outside.
 type walkHints struct {
-	gen uint64
+	gen atomic.Uint64
 
 	mu    sync.Mutex
-	table map[walkKey]walkHint
+	at    uint64 // the generation table was built at
+	table map[walkKey][]string
 }
 
-func (h *walkHints) get(key walkKey) (walkHint, bool) {
+// get returns the names hinted for key and the generation they were
+// predicted at, if that generation is current.
+func (h *walkHints) get(key walkKey) ([]string, uint64, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	hint, ok := h.table[key]
-	return hint, ok
+	names, ok := h.table[key]
+	if !ok || h.at != h.gen.Load() {
+		return nil, 0, false
+	}
+	return names, h.at, true
 }
 
 // put records the names predicted for key at the current generation,
-// evicting an arbitrary other hint when the table is full.
+// rebuilding the table if it was built at an older one, and evicting an
+// arbitrary other hint when it is full.
 func (h *walkHints) put(key walkKey, names []string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.table == nil {
-		h.table = make(map[walkKey]walkHint)
+	if gen := h.gen.Load(); h.table == nil || h.at != gen {
+		h.table, h.at = make(map[walkKey][]string), gen
 	}
 	if _, ok := h.table[key]; !ok && len(h.table) >= maxWalkHints {
 		for k := range h.table {
@@ -326,19 +336,7 @@ func (h *walkHints) put(key walkKey, names []string) {
 			break
 		}
 	}
-	h.table[key] = walkHint{names: names, gen: h.gen}
-}
-
-// changed records a change to what a walk's prediction reads — the
-// decrypted cache, the dirty set, the user, the supernode — or a store
-// call that may change what a read returns: a put, delete or lock. The
-// table is dropped, and reads a stub made from a hint written before the
-// change are not used (enterWalkLocked).
-func (h *walkHints) changed() {
-	h.gen++
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.table = nil
+	h.table[key] = names
 }
 
 // readWalk is one read-only walk of path (Lookup, ReadFile or Filldir,
@@ -361,13 +359,13 @@ type readWalk struct {
 // metadata I/O meter.
 func (e *Enclave) readAhead(kind walkKind, path string) *readWalk {
 	w := &readWalk{walkKey: walkKey{kind: kind, path: path}}
-	hint, ok := e.hints.get(w.walkKey)
+	names, gen, ok := e.hints.get(w.walkKey)
 	if !ok {
 		return w
 	}
 	start := time.Now()
-	w.reads, w.gen = make([]*storeCall, 0, len(hint.names)), hint.gen
-	for _, name := range hint.names {
+	w.reads, w.gen = make([]*storeCall, 0, len(names)), gen
+	for _, name := range names {
 		c := &storeCall{op: opGet, name: name, ahead: true}
 		c.blob, c.version, c.err = e.store.GetVersioned(name)
 		c.err = classifyStoreError(c.err)
@@ -382,15 +380,16 @@ func (e *Enclave) readAhead(kind walkKind, path string) *readWalk {
 	return w
 }
 
-// enterWalkLocked is the trusted start of a read-only walk. It stashes the
-// reads the stub made, as reads made ahead — unless enclave state changed
-// since their hint was written: then they are dropped unused. It splits
-// the path, and when no read is stashed it reads what the walk's
-// prediction names in one exit.
+// enterWalkLocked is the trusted start of a read-only walk, and marks the
+// ecall as one (leaveLocked). It stashes the reads the stub made, as reads
+// made ahead — unless the hints' generation moved since their hint was
+// written: then they are dropped unused. It splits the path, and when no
+// read is stashed it reads what the walk's prediction names in one exit.
 func (e *Enclave) enterWalkLocked(w *readWalk) error {
+	e.walking = true
 	reads := w.reads
 	w.reads, w.used = nil, false // a retried walk reads again
-	if len(reads) > 0 && w.gen == e.hints.gen {
+	if len(reads) > 0 && w.gen == e.hints.gen.Load() {
 		e.stash, w.used = append(e.stash, reads...), true
 	} else {
 		e.metrics.prefetchDiscarded.Add(int64(len(reads)))
@@ -429,7 +428,7 @@ func (e *Enclave) predictReadWalkLocked(w *readWalk) []string {
 // leaves in the table what the next walk of the same kind and path reads.
 // A walk that used a hint and changed nothing leaves that hint as it is.
 func (e *Enclave) hintWalkLocked(w *readWalk) {
-	if w.used && w.gen == e.hints.gen {
+	if w.used && w.gen == e.hints.gen.Load() {
 		return
 	}
 	e.hints.put(w.walkKey, e.predictReadWalkLocked(w))
@@ -451,14 +450,12 @@ func (e *Enclave) fetchObject(m ocallMeter, name string, ahead ...*storeCall) ([
 // putObject queues an upload of raw object bytes; done, when set, takes
 // the store's version (c.version) or the failure (c.err) once it is made.
 func (e *Enclave) putObject(name string, data []byte, fresh map[uuid.UUID]uint64, done func(c *storeCall) error) {
-	e.hints.changed()
 	e.dropStashedLocked(name)
 	e.queued = append(e.queued, &storeCall{op: opPut, name: name, blob: data, fresh: fresh, done: done})
 }
 
 // deleteObject queues the removal of an object.
 func (e *Enclave) deleteObject(name string, fresh map[uuid.UUID]uint64, done func(c *storeCall) error) {
-	e.hints.changed()
 	e.dropStashedLocked(name)
 	e.queued = append(e.queued, &storeCall{op: opDelete, name: name, fresh: fresh, done: done})
 }
@@ -468,7 +465,6 @@ func (e *Enclave) deleteObject(name string, fresh map[uuid.UUID]uint64, done fun
 // The release it returns, to be called once, queues the unlock: a store
 // call like any other, made outside the enclave.
 func (e *Enclave) lockObject(name string) (release func()) {
-	e.hints.changed()
 	e.dropStashedLocked("")
 	lock := &storeCall{op: opLock, name: name, done: failing("locking")}
 	e.queued = append(e.queued, lock)
@@ -488,11 +484,19 @@ func failing(what string) func(c *storeCall) error {
 // leaveLocked ends an ecall body: the calls it left queued — unlocks, the
 // root put that ends its last commit — leave in a last exit, whose failure
 // is the ecall's if it had none, and unused reads made ahead are dropped.
+// An ecall that is not a read-only walk moves the hints' generation: it
+// may have changed what a prediction reads — the store, the dirty set,
+// the user, the supernode — so no hint written, and no read a stub made,
+// before it is used after it.
 func (e *Enclave) leaveLocked(err *error) {
 	if ferr := e.exitLocked(e.metrics.metaIO); *err == nil {
 		*err = ferr
 	}
 	e.dropStashedLocked("")
+	if !e.walking {
+		e.hints.gen.Add(1)
+	}
+	e.walking = false
 }
 
 // loadDirnode returns the directory at id, from the decrypted cache when

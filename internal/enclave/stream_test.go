@@ -81,11 +81,11 @@ func newAuthedEnclave(t *testing.T, cfg Config) *Enclave {
 		t.Fatal(err)
 	}
 	cfg.SGX = container
-	cfg.WritebackMaxOps = 1
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.SetWritebackMaxOps(1)
 	sealed, err := e.CreateVolume(owner.name, owner.pub)
 	if err != nil {
 		t.Fatal(err)

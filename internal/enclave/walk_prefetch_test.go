@@ -126,10 +126,11 @@ func peerEnclave(t *testing.T, env *testEnv, owner identity, sealed []byte, volI
 	if err != nil {
 		t.Fatal(err)
 	}
-	peer, err := New(Config{SGX: container, Store: env.store, IAS: env.ias, WritebackMaxOps: 1})
+	peer, err := New(Config{SGX: container, Store: env.store, IAS: env.ias})
 	if err != nil {
 		t.Fatal(err)
 	}
+	peer.SetWritebackMaxOps(1)
 	if err := authenticate(t, peer, owner, sealed, volID); err != nil {
 		t.Fatal(err)
 	}
@@ -360,6 +361,90 @@ func TestWalkPrefetchStopsAtDeniedDirectory(t *testing.T) {
 	}
 	if !slices.Equal(got.gets, file[:2]) {
 		t.Errorf("ReadFile(/r/f) without Read on /r read\n %v\nwant the root and /r alone\n %v", got.gets, file[:2])
+	}
+}
+
+// readHook runs fn once, on the first read of name after fn is set,
+// after the store has answered it.
+type readHook struct {
+	FreshnessProofStore
+
+	mu   sync.Mutex
+	name string
+	fn   func()
+}
+
+func (s *readHook) GetVersioned(name string) ([]byte, uint64, error) {
+	blob, version, err := s.FreshnessProofStore.GetVersioned(name)
+	s.mu.Lock()
+	fn := s.fn
+	if name == s.name {
+		s.fn = nil
+	} else {
+		fn = nil
+	}
+	s.mu.Unlock()
+	if fn != nil {
+		fn()
+	}
+	return blob, version, err
+}
+
+// TestWalkPrefetchDroppedOnCacheReplace: the decrypted cache's part of the
+// generation rule. A walk's stub reads /d from its hint. Before the walk
+// enters, a peer commits a new entry in /d, and a second walk of this
+// enclave loads the peer's /d into the cache, replacing the copy the hint
+// was predicted from. Only walks ran on this enclave, so only that
+// replacement moves the generation: the first walk drops the reads its
+// stub made and returns the peer's state.
+func TestWalkPrefetchDroppedOnCacheReplace(t *testing.T) {
+	owner := newIdentity(t, "owen")
+	env, sealed, volID := newMountedVolume(t, owner)
+	e := env.enclave
+	if err := e.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Touch("/d/old"); err != nil {
+		t.Fatal(err)
+	}
+	peer := peerEnclave(t, env, owner, sealed, volID)
+	if _, err := e.Filldir("/d"); err != nil { // leaves the hint
+		t.Fatal(err)
+	}
+	chain := storeChain(t, e, env.store, "/d", false)
+	hook := &readHook{name: chain[1]}
+	e.mu.Lock()
+	hook.FreshnessProofStore, e.store = e.store, hook
+	e.mu.Unlock()
+
+	names := func(entries []Stat) []string {
+		var out []string
+		for _, st := range entries {
+			out = append(out, st.Name)
+		}
+		return out
+	}
+	want := []string{"new", "old"}
+	var second []Stat
+	var secondErr error
+	hook.mu.Lock()
+	hook.fn = func() {
+		if err := peer.Touch("/d/new"); err != nil {
+			t.Error(err)
+		}
+		second, secondErr = e.Filldir("/d")
+	}
+	hook.mu.Unlock()
+	discarded := e.metrics.prefetchDiscarded.Value()
+	first, err := e.Filldir("/d")
+	if secondErr != nil || !slices.Equal(names(second), want) {
+		t.Fatalf("the second walk listed %v, %v; want the peer's %v", names(second), secondErr, want)
+	}
+	if err != nil || !slices.Equal(names(first), want) {
+		t.Fatalf("the first walk listed %v, %v; want the peer's %v", names(first), err, want)
+	}
+	if n := e.metrics.prefetchDiscarded.Value() - discarded; n != int64(len(chain)) {
+		t.Errorf("the first walk discarded %d reads made ahead, want its stub's %d", n, len(chain))
 	}
 }
 

@@ -8,9 +8,9 @@ package enclave
 // and the set is drained in dependency order (children before the
 // dirnodes that name them, deferred deletes last) at explicit barriers:
 // SyncMetadata (File.Sync/Close and FS.Sync in vfs), ACL/user/sharing
-// changes, DropCaches, and the op-count/byte high-water marks.
-// Config.WritebackMaxOps = 1 drains after every mutation (per-op
-// durability).
+// changes, DropCaches, and the op-count/byte high-water marks. The unit
+// tests' constructors lower the op-count mark to 1, which drains after
+// every mutation (per-op durability).
 //
 // Ordering invariants the drain preserves:
 //
@@ -117,12 +117,9 @@ type dirtySet struct {
 	fresh map[uuid.UUID]uint64
 }
 
-func newDirtySet(maxOps int) *dirtySet {
-	if maxOps <= 0 {
-		maxOps = defaultWritebackMaxOps
-	}
+func newDirtySet() *dirtySet {
 	return &dirtySet{
-		maxOps:  maxOps,
+		maxOps:  defaultWritebackMaxOps,
 		nodes:   make(map[uuid.UUID]*dirtyNode),
 		delSeen: make(map[uuid.UUID]bool),
 	}
@@ -161,7 +158,6 @@ func (e *Enclave) chargeDirtyLocked(n *dirtyNode, est int64) {
 // markNewFilenodeLocked registers a just-created filenode the store has
 // never seen; it flushes at version 1 during the next drain.
 func (e *Enclave) markNewFilenodeLocked(f *metadata.Filenode) {
-	e.hints.changed()
 	n := &dirtyNode{file: f, isNew: true}
 	e.chargeDirtyLocked(n, estFilenodeEPC)
 	e.wb.nodes[f.UUID] = n
@@ -175,7 +171,6 @@ func (e *Enclave) markNewFilenodeLocked(f *metadata.Filenode) {
 // Inline bytes are pinned with the filenode until the drain, so the node's
 // EPC charge and the batch's byte estimate grow by their length.
 func (e *Enclave) setDirtyFilenodeLocked(n *dirtyNode, f *metadata.Filenode) {
-	e.hints.changed()
 	if n.charged > 0 {
 		e.sgx.FreeEPC(n.charged)
 		n.charged = 0
@@ -187,7 +182,6 @@ func (e *Enclave) setDirtyFilenodeLocked(n *dirtyNode, f *metadata.Filenode) {
 
 // markNewDirnodeLocked registers a just-created dirnode.
 func (e *Enclave) markNewDirnodeLocked(d *metadata.Dirnode) {
-	e.hints.changed()
 	n := &dirtyNode{dir: d, isNew: true}
 	e.chargeDirtyLocked(n, estDirnodeEPC)
 	e.wb.nodes[d.UUID] = n
@@ -202,7 +196,6 @@ func (e *Enclave) markNewDirnodeLocked(d *metadata.Dirnode) {
 // the same in-memory object). base is the store version the first mark
 // derives from; later marks keep the original base.
 func (e *Enclave) markDirnodeOpLocked(d *metadata.Dirnode, base uint64, op dirOp) {
-	e.hints.changed()
 	n, ok := e.wb.nodes[d.UUID]
 	if !ok {
 		n = &dirtyNode{dir: d, base: base}
@@ -242,7 +235,6 @@ func (e *Enclave) dropDirtyNodeLocked(id uuid.UUID) {
 		e.sgx.FreeEPC(n.charged)
 	}
 	delete(e.wb.nodes, id)
-	e.hints.changed()
 	e.metrics.dirtyGauge.Set(int64(len(e.wb.nodes)))
 }
 
@@ -468,7 +460,6 @@ func (e *Enclave) rebaseDirtyDirnodeLocked(id uuid.UUID, n *dirtyNode) error {
 	// The replayed copy is the node's dirty copy now: the drain flushes
 	// it, at the store's version plus one.
 	n.dir, n.base = fresh, p.Version
-	e.hints.changed()
 	return nil
 }
 

@@ -90,6 +90,7 @@ type wbEnv struct {
 	platform *sgx.Platform
 	enclave  *Enclave
 	cfg      Config
+	maxOps   int // the dirty set's op-count mark; 0 keeps the default
 	owner    identity
 	sealed   []byte
 	volID    uuid.UUID
@@ -149,7 +150,18 @@ func (env *wbEnv) freshEnclave(t *testing.T, store ObjectStore) *Enclave {
 	if err := authenticate(t, encl, env.owner, env.sealed, env.volID); err != nil {
 		t.Fatalf("fresh enclave authenticate: %v", err)
 	}
+	if env.maxOps > 0 {
+		encl.SetWritebackMaxOps(env.maxOps)
+	}
 	return encl
+}
+
+// limitWriteback makes env's enclave, and every fresh one it mounts
+// after, drain after maxOps deferred mutations.
+func (env *wbEnv) limitWriteback(maxOps int) *wbEnv {
+	env.maxOps = maxOps
+	env.enclave.SetWritebackMaxOps(maxOps)
+	return env
 }
 
 // wbChaosSeed mirrors the AFS chaos suite's NEXUS_CHAOS_SEED override
@@ -478,7 +490,7 @@ func TestPropertyDrainLimitInvariant(t *testing.T) {
 
 	for _, maxOps := range []int{1, 7, 64} {
 		owner := newIdentity(t, "owen")
-		env := newWbEnv(t, owner, Config{BucketSize: 8, WritebackMaxOps: maxOps})
+		env := newWbEnv(t, owner, Config{BucketSize: 8}).limitWriteback(maxOps)
 		e := env.enclave
 		for i, o := range ops {
 			var err error
@@ -567,7 +579,7 @@ func TestEPCReturnsToZeroAfterRemove(t *testing.T) {
 	for _, maxOps := range []int{1, 64} {
 		t.Run(fmt.Sprintf("maxops=%d", maxOps), func(t *testing.T) {
 			owner := newIdentity(t, "owen")
-			env := newWbEnv(t, owner, Config{WritebackMaxOps: maxOps})
+			env := newWbEnv(t, owner, Config{}).limitWriteback(maxOps)
 			e := env.enclave
 			e.DropCaches()
 			baseline := e.sgx.HeapEPC()
@@ -610,7 +622,7 @@ func TestWritebackFlushReduction(t *testing.T) {
 	const files = 24
 	run := func(maxOps int) int64 {
 		owner := newIdentity(t, "owen")
-		env := newWbEnv(t, owner, Config{WritebackMaxOps: maxOps})
+		env := newWbEnv(t, owner, Config{}).limitWriteback(maxOps)
 		e := env.enclave
 		before := e.Stats().MetadataFlushes
 		for i := 0; i < files; i++ {
@@ -703,7 +715,7 @@ func TestWritebackObservability(t *testing.T) {
 // drains the set inline, without an explicit barrier.
 func TestWritebackHighWaterDrain(t *testing.T) {
 	owner := newIdentity(t, "owen")
-	env := newWbEnv(t, owner, Config{WritebackMaxOps: 8})
+	env := newWbEnv(t, owner, Config{}).limitWriteback(8)
 	e := env.enclave
 	for i := 0; i < 16; i++ {
 		if err := e.Touch(fmt.Sprintf("/f%02d", i)); err != nil {
@@ -816,7 +828,7 @@ func TestWritebackConcurrentDrainMergesOpLog(t *testing.T) {
 func TestDirtyShadowRebasedOnTornBucket(t *testing.T) {
 	mem := newMemObjectStore()
 	owner := newIdentity(t, "owen")
-	env := newWbEnv(t, owner, Config{Store: mem, WritebackMaxOps: 1})
+	env := newWbEnv(t, owner, Config{Store: mem}).limitWriteback(1)
 	peer := env.enclave
 	if err := peer.Mkdir("/big"); err != nil {
 		t.Fatal(err)
@@ -830,7 +842,7 @@ func TestDirtyShadowRebasedOnTornBucket(t *testing.T) {
 		}
 	}
 
-	env.cfg.WritebackMaxOps = 64
+	env.maxOps = defaultWritebackMaxOps
 	victim := env.freshEnclave(t, mem)
 	// The removed entry is in bucket 0: the overflow bucket stays unloaded
 	// and the shadow stays dirty.

@@ -167,8 +167,14 @@ func (s *Store) GetVersioned(name string) ([]byte, uint64, error) {
 	defer s.mu.Unlock()
 	// A tree that cannot follow this root is not this read's failure: the
 	// enclave gets the root it asked for, and the proof request that needs
-	// the tree re-reads it and reports why.
-	sealed, _ := s.followLocked(data, err)
+	// the tree re-reads it and reports why. The tree is not kept either:
+	// nothing is served at an epoch the store has left, so an update the
+	// enclave staged at its old epoch before this read is refused, as it
+	// is when the tree follows.
+	sealed, ferr := s.followLocked(data, err)
+	if ferr != nil && err == nil {
+		s.cur = nil
+	}
 	return sealed, version, err
 }
 

@@ -69,14 +69,16 @@ func (s *memStore) Delete(name string) error { return s.mem.Delete(name) }
 func (s *memStore) Lock(name string) (func(), error) { return s.mem.Lock(name) }
 
 // scriptedStore is the store under a Store in these tests: it
-// counts gets and puts by object name, and a put can be made to fail
-// outright or to take effect and then lose its reply.
+// counts gets and puts by object name, a get can be made to fail, and a
+// put can be made to fail outright or to take effect and then lose its
+// reply.
 type scriptedStore struct {
 	ObjectStore
 	gets, puts map[string]int
-	// failPut and losePut name the one object whose next put fails
-	// (before and after reaching the store, respectively).
-	failPut, losePut string
+	// failGet names the one object whose next get fails; failPut and
+	// losePut the one whose next put fails (before and after reaching the
+	// store, respectively).
+	failGet, failPut, losePut string
 }
 
 var errScripted = errors.New("scripted store fault")
@@ -87,6 +89,10 @@ func newScriptedStore(inner ObjectStore) *scriptedStore {
 
 func (s *scriptedStore) GetVersioned(name string) ([]byte, uint64, error) {
 	s.gets[name]++
+	if name == s.failGet {
+		s.failGet = ""
+		return nil, 0, errScripted
+	}
 	return s.ObjectStore.GetVersioned(name)
 }
 
@@ -403,6 +409,36 @@ func TestFreshnessStoreUpdateAtWrongEpoch(t *testing.T) {
 			t.Fatalf("update at epoch %d of a store at 1 = %v, want ErrEpochUnavailable", epoch, err)
 		}
 	}
+}
+
+// A root read whose tree cannot follow it — here the checkpoint the
+// root's trailer needs fails to load — leaves no tree resident at the
+// epoch the store has left. An update the enclave staged at that epoch
+// before the read is refused, as it is when the tree did follow, and not
+// answered with the old tree's proofs; once the checkpoint loads, the
+// update at the root's epoch goes through.
+func TestFreshnessStoreRefusesEpochItCouldNotFollow(t *testing.T) {
+	h := newHistory(t)
+	h.drain()
+	reader := &Store{inner: newScriptedStore(h.store)}
+	if _, _, err := reader.GetVersioned(RootObjectName); err != nil {
+		t.Fatal(err)
+	}
+	stale := h.epoch
+	h.drainToCheckpoint()
+	h.drain() // the root's trailer now starts past the reader's tree
+
+	h.store.failGet = TreeObjectName
+	if _, _, err := reader.GetVersioned(RootObjectName); err != nil {
+		t.Fatalf("root read with its checkpoint unreadable: %v", err)
+	}
+	batch := []merkle.LeafUpdate{{ID: fsTestUUID(1), Version: 2}}
+	if _, err := reader.FreshnessUpdate(stale, batch); !errors.Is(err, ErrEpochUnavailable) {
+		t.Fatalf("update at the epoch the store left = %v, want ErrEpochUnavailable", err)
+	}
+	h.root = commitBatch(t, reader, h.epoch, h.root, batch)
+	h.epoch++
+	wantLeaf(t, h.s, fsTestUUID(1), h.epoch, h.root, 2)
 }
 
 // lazyCacheStore models a caching client whose invalidations arrive
