@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet lint fuzz-smoke chaos obs bench bench-counts cover revoke-sweep freshness-sweep merkle vuln ci clean
+.PHONY: all build test race vet lint alloc fuzz-smoke chaos obs bench bench-counts cover revoke-sweep freshness-sweep merkle vuln ci clean
 
 all: build
 
@@ -14,6 +14,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# alloc runs the allocation budgets, which are build-tagged !race
+# (AllocsPerRun is meaningless under the race detector), so neither
+# `make race` nor the coverage floors run them. The CI test job runs the
+# same line.
+alloc:
+	$(GO) test -count=1 -run 'AllocBudget|AllocationFree|AllocFree|KeysOnlyInFilenode' ./internal/parallel/ ./internal/metadata/ ./internal/obs/
 
 vet:
 	$(GO) vet ./...
@@ -66,7 +73,7 @@ chaos:
 # batched-exit fault sweeps (DESIGN.md §11.5) and the single-commit write
 # path's invariants (staged freshness batch, a lying store's staged
 # proofs, root memo, merged overwrite; DESIGN.md §12.4, §15.2), all under
-# the race detector. The allocation-free assertions live in `make test`
+# the race detector. The allocation-free assertions live in `make alloc`
 # (alloc_test.go is build-tagged !race). See DESIGN.md §11.
 obs:
 	$(GO) test -race -count=1 ./internal/obs/
@@ -115,7 +122,7 @@ vuln:
 
 # cover reports coverage on the packages gated by the CI floor.
 cover:
-	$(GO) test -coverprofile=cover.out ./internal/metadata/ ./internal/gcmsiv/ ./internal/obs/ ./internal/groupkey/ ./internal/freshtree/ ./internal/afs/ ./internal/enclave/
+	$(GO) test -coverprofile=cover.out ./internal/metadata/ ./internal/gcmsiv/ ./internal/obs/ ./internal/groupkey/ ./internal/merkle/ ./internal/freshtree/ ./internal/afs/ ./internal/enclave/
 	$(GO) tool cover -func=cover.out | tail -1
 
 # merkle runs the Merkle-authenticated namespace's full verification
@@ -149,7 +156,7 @@ revoke-sweep:
 	$(GO) run ./cmd/nexus-bench -exp revoke-sweep -json \
 		-members 1000,10000,100000,1000000
 
-ci: build vet lint race chaos obs
+ci: build vet lint race alloc chaos obs
 
 clean:
 	$(GO) clean ./...

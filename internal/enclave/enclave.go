@@ -413,13 +413,6 @@ func (e *Enclave) CreateVolume(ownerName string, ownerKey ed25519.PublicKey) (se
 
 		e.rootKey = rootKey
 		e.super = super
-		// Fresh volumes start with the membership key tree in place
-		// (owner enrolled); legacy volumes migrate on first AddUser.
-		if _, err := e.ensureGroupTreeLocked(); err != nil {
-			e.rootKey = nil
-			e.super = nil
-			return err
-		}
 
 		// Root dirnode: parent pointer binds it to the supernode.
 		root := metadata.NewDirnode(super.RootDir, super.VolumeUUID, e.cfg.BucketSize)

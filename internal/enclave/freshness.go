@@ -53,13 +53,13 @@ import (
 // merkleRootID keys the sealed root object's preamble.
 var merkleRootID = uuid.UUID{0xff, 0xfd}
 
-// merkleRootFormat versions the sealed root body. Format 2 is the same
+// merkleRootFormat versions the sealed root body. Format 2 is format 1's
 // body, written by enclaves that rewrite directories and the supernode
 // under the root's lock alone (DESIGN.md §12.4): an enclave that still
 // locks each directory knows only format 1 and fails closed on such a
 // volume instead of losing entries beside a client that takes no
-// directory lock. Format 1 roots are still read; the next commit
-// rewrites them.
+// directory lock. A format-1 root is a retired layout and fails closed
+// here too, with metadata.ErrUnsupportedLayout.
 const merkleRootFormat = 2
 
 func encodeMerkleRoot(root [merkle.HashSize]byte, epoch uint64) []byte {
@@ -72,7 +72,10 @@ func encodeMerkleRoot(root [merkle.HashSize]byte, epoch uint64) []byte {
 
 func decodeMerkleRoot(body []byte) (root [merkle.HashSize]byte, epoch uint64, err error) {
 	r := serial.NewReader(body)
-	if f := r.ReadUint8("merkle root format"); r.Err() == nil && f != merkleRootFormat && f != 1 {
+	if f := r.ReadUint8("merkle root format"); r.Err() == nil && f != merkleRootFormat {
+		if f == 1 {
+			return root, 0, fmt.Errorf("%w: merkle root of format 1", metadata.ErrUnsupportedLayout)
+		}
 		return root, 0, fmt.Errorf("%w: unknown merkle root format %d", metadata.ErrMalformed, f)
 	}
 	r.ReadRawInto(root[:], "merkle root hash")

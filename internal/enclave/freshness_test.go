@@ -26,7 +26,8 @@ func decodeFormat1Root(body []byte) error {
 // protocol writes (testdata/merkle-root-format2.body: format 2, hash
 // 0x20..0x3f, epoch 0x0102030405060708). An enclave that still takes
 // directory locks rejects it, so it fails closed instead of committing
-// beside clients that take none; format 1 bodies still decode.
+// beside clients that take none; a format-1 body, the retired layout
+// such an enclave wrote, fails closed here with ErrUnsupportedLayout.
 func TestMerkleRootFormat2Golden(t *testing.T) {
 	golden, err := os.ReadFile("testdata/merkle-root-format2.body")
 	if err != nil {
@@ -47,11 +48,11 @@ func TestMerkleRootFormat2Golden(t *testing.T) {
 	if err := decodeFormat1Root(format1); err != nil {
 		t.Fatalf("format-1 decoder on a format-1 body: %v", err)
 	}
-	for _, body := range [][]byte{golden, format1} {
-		gotRoot, gotEpoch, err := decodeMerkleRoot(body)
-		if err != nil || gotRoot != root || gotEpoch != epoch {
-			t.Fatalf("decodeMerkleRoot(format %d) = %x, %#x, %v", body[0], gotRoot, gotEpoch, err)
-		}
+	if gotRoot, gotEpoch, err := decodeMerkleRoot(golden); err != nil || gotRoot != root || gotEpoch != epoch {
+		t.Fatalf("decodeMerkleRoot(format 2) = %x, %#x, %v", gotRoot, gotEpoch, err)
+	}
+	if _, _, err := decodeMerkleRoot(format1); !errors.Is(err, metadata.ErrUnsupportedLayout) {
+		t.Fatalf("decodeMerkleRoot(format 1) = %v, want ErrUnsupportedLayout", err)
 	}
 	if _, _, err := decodeMerkleRoot(append([]byte{3}, golden[1:]...)); !errors.Is(err, metadata.ErrMalformed) {
 		t.Fatalf("format 3 decoded: %v", err)

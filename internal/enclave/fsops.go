@@ -210,10 +210,7 @@ func (e *Enclave) predictWalksLocked(dirs ...[]string) []string {
 // the membership key tree: a grant to the user's leaf subgroup counts
 // toward the requested rights.
 func (e *Enclave) checkACLLocked(d *metadata.Dirnode, want acl.Rights) error {
-	var groups []uint32
-	if tree := e.groupTreeLocked(); tree != nil {
-		groups = tree.GroupsOf(e.user.ID)
-	}
+	groups := e.super.GroupTree.GroupsOf(e.user.ID)
 	if d.ACL.CheckGroups(e.user.ID, e.isOwnerLocked(), groups, want) {
 		return nil
 	}

@@ -196,6 +196,77 @@ func TestRemoveSemantics(t *testing.T) {
 	}
 }
 
+// TestRetiredLayoutDirnodeFailsClosed: a directory whose main object is
+// in the layout from before bucket 0 lived inside it — the golden body the
+// last commit with that layout encoded, sealed under this volume's
+// rootkey at the directory's own preamble — fails every operation that
+// loads it with metadata.ErrUnsupportedLayout, and leaves the rest of the
+// volume working.
+func TestRetiredLayoutDirnodeFailsClosed(t *testing.T) {
+	owner := newIdentity(t, "owen")
+	env, _, _ := newMountedVolume(t, owner)
+	e := env.enclave
+	before := storeContents(t, env.store)
+	if err := e.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+	// /d's main object is the one dirnode its Mkdir adds to the store.
+	var name string
+	for n, blob := range storeContents(t, env.store) {
+		if p, err := metadata.PeekPreamble(blob); err == nil && p.Type == metadata.TypeDirnode && before[n] == nil {
+			name = n
+		}
+	}
+	for _, op := range []func() error{
+		func() error { return e.Touch("/d/x") },
+		func() error { return e.Mkdir("/kept") },
+		func() error { return e.Touch("/kept/x") },
+	} {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	golden, err := os.ReadFile(filepath.Join("..", "metadata", "testdata", "legacy-main.body"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, _, err := env.store.GetVersioned(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := metadata.PeekPreamble(blob)
+	if err != nil {
+		t.Fatalf("/d's object %q: %v", name, err)
+	}
+	sealed, err := metadata.Seal(e.rootKey, p, golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := env.store.PutVersioned(name, sealed); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := e.Filldir("/d"); !errors.Is(err, metadata.ErrUnsupportedLayout) {
+		t.Fatalf("Filldir = %v, want ErrUnsupportedLayout", err)
+	}
+	if err := e.Touch("/d/y"); !errors.Is(err, metadata.ErrUnsupportedLayout) {
+		t.Fatalf("Touch = %v, want ErrUnsupportedLayout", err)
+	}
+	if _, err := e.Lookup("/d/x"); !errors.Is(err, metadata.ErrUnsupportedLayout) {
+		t.Fatalf("Lookup = %v, want ErrUnsupportedLayout", err)
+	}
+	if after, _, err := env.store.GetVersioned(name); err != nil || !bytes.Equal(after, sealed) {
+		t.Fatalf("the failed operations rewrote /d's object: %v", err)
+	}
+	// The rest of the volume is untouched.
+	if err := e.Touch("/kept/y"); err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := e.Filldir("/kept"); err != nil || len(entries) != 2 {
+		t.Fatalf("Filldir(/kept) = %v, %v", entries, err)
+	}
+}
+
 // TestRetiredLayoutFilenodeFailsClosed: a filenode in the content-defined
 // layout — the body the last commit with that layout encoded, sealed under
 // this volume's rootkey as that commit would have — fails every operation

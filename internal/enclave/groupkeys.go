@@ -15,7 +15,6 @@ package enclave
 // (updateSupernodeLocked) — one supernode put, one root update.
 
 import (
-	"errors"
 	"fmt"
 
 	"nexus/internal/acl"
@@ -23,46 +22,10 @@ import (
 	"nexus/internal/metadata"
 )
 
-// ErrGroupKeysDisabled reports a group operation against a legacy
-// volume that has no key tree yet (it gains one on the next AddUser).
-var ErrGroupKeysDisabled = errors.New("enclave: membership key tree not enabled for this volume")
-
-// groupTreeLocked returns the mounted volume's key tree (nil when the
-// volume predates the tree).
-func (e *Enclave) groupTreeLocked() *groupkey.Tree {
-	if e.super == nil {
-		return nil
-	}
-	return e.super.GroupTree
-}
-
-// ensureGroupTreeLocked lazily creates the tree on first use, enrolling
-// every existing identity (owner included) so volumes created before
-// the tree migrate in one O(n) pass.
-func (e *Enclave) ensureGroupTreeLocked() (*groupkey.Tree, error) {
-	if e.super.GroupTree != nil {
-		return e.super.GroupTree, nil
-	}
-	tree := groupkey.NewTree(groupkey.Config{})
-	if _, err := tree.Add(e.super.Owner.ID); err != nil {
-		return nil, fmt.Errorf("enclave: enrolling owner in key tree: %w", err)
-	}
-	for _, u := range e.super.Users {
-		if _, err := tree.Add(u.ID); err != nil {
-			return nil, fmt.Errorf("enclave: enrolling user %q in key tree: %w", u.Name, err)
-		}
-	}
-	e.super.GroupTree = tree
-	return tree, nil
-}
-
 // groupAddLocked enrolls a just-added user into the key tree and meters
 // the wrap work.
 func (e *Enclave) groupAddLocked(userID uint32) error {
-	tree, err := e.ensureGroupTreeLocked()
-	if err != nil {
-		return err
-	}
+	tree := e.super.GroupTree
 	before := tree.Stats()
 	if !tree.Contains(userID) {
 		if _, err := tree.Add(userID); err != nil {
@@ -73,11 +36,13 @@ func (e *Enclave) groupAddLocked(userID uint32) error {
 	return nil
 }
 
-// groupRevokeLocked rotates the evicted user's path keys. Users the
-// tree never saw (legacy volumes) revoke as a no-op.
+// groupRevokeLocked rotates the evicted user's path keys. The only
+// identities outside the tree are those GrantAccess and
+// GrantAccessMutual admit, which enroll no one (ROADMAP item 1): their
+// revocation rotates nothing and is the user-table removal alone.
 func (e *Enclave) groupRevokeLocked(userID uint32) error {
-	tree := e.groupTreeLocked()
-	if tree == nil || !tree.Contains(userID) {
+	tree := e.super.GroupTree
+	if !tree.Contains(userID) {
 		return nil
 	}
 	before := tree.Stats()
@@ -90,11 +55,12 @@ func (e *Enclave) groupRevokeLocked(userID uint32) error {
 
 // groupAuthenticateLocked verifies the authenticating member's wrap
 // chain reaches the current root (the §IV-B challenge–response gains a
-// tree-membership proof). Identities outside the tree (legacy volumes)
-// pass, preserving mountability of old volumes.
+// tree-membership proof). Identities outside the tree — only those
+// GrantAccess and GrantAccessMutual admit, which enroll no one (ROADMAP
+// item 1) — pass on the user-table check alone.
 func (e *Enclave) groupAuthenticateLocked(userID uint32) error {
-	tree := e.groupTreeLocked()
-	if tree == nil || !tree.Contains(userID) {
+	tree := e.super.GroupTree
+	if !tree.Contains(userID) {
 		return nil
 	}
 	before := tree.Stats()
@@ -129,15 +95,11 @@ func (e *Enclave) UserGroup(userName string) (leaf uint32, err error) {
 		if err := e.requireAuthLocked(); err != nil {
 			return err
 		}
-		tree := e.groupTreeLocked()
-		if tree == nil {
-			return ErrGroupKeysDisabled
-		}
 		u, err := e.super.FindUserByName(userName)
 		if err != nil {
 			return err
 		}
-		lf, ok := tree.LeafOf(u.ID)
+		lf, ok := e.super.GroupTree.LeafOf(u.ID)
 		if !ok {
 			return fmt.Errorf("%w: user %q not enrolled in the key tree", metadata.ErrUserNotFound, userName)
 		}
@@ -161,12 +123,8 @@ func (e *Enclave) SetGroupACL(dirPath string, leaf uint32, rights acl.Rights) er
 		defer e.mu.Unlock()
 		defer e.leaveLocked(&err)
 		return e.setACLEntryLocked(dirPath, rights, func() (uint32, error) {
-			tree := e.groupTreeLocked()
-			if tree == nil {
-				return 0, ErrGroupKeysDisabled
-			}
-			if int(leaf) >= tree.Leaves() {
-				return 0, fmt.Errorf("enclave: no leaf subgroup %d (tree has %d)", leaf, tree.Leaves())
+			if n := e.super.GroupTree.Leaves(); int(leaf) >= n {
+				return 0, fmt.Errorf("enclave: no leaf subgroup %d (tree has %d)", leaf, n)
 			}
 			return acl.GroupEntryID(leaf), nil
 		})

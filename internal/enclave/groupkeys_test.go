@@ -1,8 +1,10 @@
 package enclave
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 
 	"nexus/internal/acl"
@@ -50,7 +52,7 @@ func TestGroupTreeTracksUserAdmin(t *testing.T) {
 
 	// CreateVolume enrolled the owner.
 	e.mu.Lock()
-	tree := e.groupTreeLocked()
+	tree := e.super.GroupTree
 	e.mu.Unlock()
 	if tree == nil {
 		t.Fatal("fresh volume has no key tree")
@@ -67,7 +69,7 @@ func TestGroupTreeTracksUserAdmin(t *testing.T) {
 	// Admin ops reload the supernode under the store lock, so re-fetch
 	// the tree instance after each mutation.
 	e.mu.Lock()
-	tree = e.groupTreeLocked()
+	tree = e.super.GroupTree
 	e.mu.Unlock()
 	if !tree.Contains(aliceID) {
 		t.Fatal("added user not enrolled in the key tree")
@@ -77,7 +79,7 @@ func TestGroupTreeTracksUserAdmin(t *testing.T) {
 		t.Fatalf("RemoveUser: %v", err)
 	}
 	e.mu.Lock()
-	tree = e.groupTreeLocked()
+	tree = e.super.GroupTree
 	e.mu.Unlock()
 	if tree.Contains(aliceID) {
 		t.Fatal("revoked user still in the key tree")
@@ -116,7 +118,7 @@ func TestGroupTreePersistsAcrossMount(t *testing.T) {
 		t.Fatalf("re-mount authenticate: %v", err)
 	}
 	encl2.mu.Lock()
-	tree := encl2.groupTreeLocked()
+	tree := encl2.super.GroupTree
 	encl2.mu.Unlock()
 	if tree == nil {
 		t.Fatal("key tree lost across mount")
@@ -223,78 +225,67 @@ func TestGroupRevokedUserFailsAuth(t *testing.T) {
 	}
 }
 
-func TestLegacyVolumeWithoutTreeMounts(t *testing.T) {
-	// A volume whose supernode carries no tree (sealed before the tree
-	// existed) must mount and authenticate, and migrate on the next
-	// AddUser.
+// TestRetiredLayoutSupernodeFailsClosed: a volume whose supernode carries
+// no key tree — the layout sealed before the tree existed — does not
+// mount: authentication fails with ErrUnsupportedLayout, and the failed
+// mount writes nothing to the store.
+func TestRetiredLayoutSupernodeFailsClosed(t *testing.T) {
 	owner := newIdentity(t, "owen")
-	legacyEnv := newTestEnvCfg(t, nil, nil)
-	legacy := legacyEnv.enclave
-	sealed, err := legacy.CreateVolume(owner.name, owner.pub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	volID, err := legacy.VolumeUUID()
-	if err != nil {
-		t.Fatal(err)
-	}
+	env, sealed, volID := newMountedVolume(t, owner)
 	alice := newIdentity(t, "alice")
-	if err := authenticate(t, legacy, owner, sealed, volID); err != nil {
+	if _, err := env.enclave.AddUser("alice", alice.pub); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := legacy.AddUser("alice", alice.pub); err != nil {
-		t.Fatal(err)
-	}
-	// Re-seal the supernode the way a pre-tree build wrote it: a nil
-	// tree encodes as no trailing extension.
-	legacy.mu.Lock()
-	legacy.super.GroupTree = nil
-	if err = legacy.flushSupernodeLocked(); err == nil {
-		err = legacy.exitLocked(legacy.metrics.metaIO)
-	}
-	legacy.mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh enclave on the same platform mounts the legacy volume.
-	container, err := legacyEnv.platform.CreateEnclave(nexusImage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encl, err := New(Config{SGX: container, Store: legacyEnv.store, IAS: legacyEnv.ias})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := authenticate(t, encl, owner, sealed, volID); err != nil {
-		t.Fatalf("legacy volume authenticate: %v", err)
-	}
-	encl.mu.Lock()
-	tree := encl.groupTreeLocked()
-	encl.mu.Unlock()
-	if tree != nil {
-		t.Fatal("legacy volume grew a tree without a migration event")
-	}
-	// First AddUser migrates everyone.
-	bob := newIdentity(t, "bob")
-	bobID, err := encl.AddUser("bob", bob.pub)
-	if err != nil {
-		t.Fatalf("migrating AddUser: %v", err)
-	}
-	encl.mu.Lock()
-	tree = encl.groupTreeLocked()
-	encl.mu.Unlock()
-	if tree == nil {
-		t.Fatal("AddUser did not build the tree")
-	}
-	for _, id := range []uint32{metadata.OwnerUserID, bobID} {
-		if !tree.Contains(id) {
-			t.Fatalf("user %d missing after migration", id)
+	// Re-seal the supernode at its own version the way a pre-tree build
+	// wrote it: the body ends after NextUserID.
+	e := env.enclave
+	e.mu.Lock()
+	p, body, err := metadata.Open(e.rootKey, e.superBlob)
+	if err == nil {
+		body = body[:len(body)-1-4-len(e.super.GroupTree.Encode())]
+		var blob []byte
+		if blob, err = metadata.Seal(e.rootKey, p, body); err == nil {
+			_, err = env.store.PutVersioned(SupernodeObjectName, blob)
 		}
 	}
-	if tree.Len() != 3 {
-		t.Fatalf("migrated tree Len = %d, want 3 (owner, alice, bob)", tree.Len())
+	e.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
 	}
+	before := storeContents(t, env.store)
+
+	container, err := env.platform.CreateEnclave(nexusImage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encl, err := New(Config{SGX: container, Store: env.store, IAS: env.ias})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []identity{owner, alice} {
+		if err := authenticate(t, encl, id, sealed, volID); !errors.Is(err, metadata.ErrUnsupportedLayout) {
+			t.Fatalf("authenticate(%s) on a supernode with no key tree = %v, want ErrUnsupportedLayout", id.name, err)
+		}
+	}
+	if after := storeContents(t, env.store); !maps.EqualFunc(before, after, bytes.Equal) {
+		t.Fatal("the failed mount changed the store")
+	}
+}
+
+// storeContents copies every object the store holds, by name.
+func storeContents(t *testing.T, s *memObjectStore) map[string][]byte {
+	t.Helper()
+	names, err := s.mem.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]byte, len(names))
+	for _, name := range names {
+		if out[name], err = s.mem.Get(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 func TestGroupRotationRidesWritebackDrain(t *testing.T) {
@@ -373,7 +364,7 @@ func TestGroupTreeWrapScalingInEnclave(t *testing.T) {
 		}
 	}
 	e.mu.Lock()
-	tree := e.groupTreeLocked()
+	tree := e.super.GroupTree
 	e.mu.Unlock()
 	cfgBound := int64(groupkey.DefaultLeafCap + groupkey.DefaultFanout*8)
 	e.metrics.groupWraps.Reset()

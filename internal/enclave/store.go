@@ -585,9 +585,7 @@ func (t *tornDirError) Error() string { return t.err.Error() }
 func (t *tornDirError) Unwrap() error { return t.err }
 
 // bucketLoaderFor returns a loader that fetches, verifies (including the
-// main dirnode's recorded MAC, §V-B) and decodes the buckets d keeps as
-// separate objects: the overflow buckets, and bucket 0 of a directory
-// still in the legacy layout.
+// main dirnode's recorded MAC, §V-B) and decodes d's overflow buckets.
 func (e *Enclave) bucketLoaderFor(d *metadata.Dirnode) func(i int) (*metadata.Bucket, error) {
 	return func(i int) (*metadata.Bucket, error) {
 		ref := d.Refs[i]
@@ -652,15 +650,6 @@ func (e *Enclave) flushDirnodeLocked(d *metadata.Dirnode, version uint64) error 
 	stagedRefs := make([]metadata.BucketRef, len(d.Refs))
 	copy(stagedRefs, d.Refs)
 	var stagedRetired []uuid.UUID
-	if legacy := d.Refs[0].UUID; !legacy.IsNil() {
-		// One-way migration: a legacy directory's bucket 0 is fetched once
-		// more, sealed into the main object, and its own object retired.
-		if err := d.LoadMain(e.bucketLoaderFor(d)); err != nil {
-			return err
-		}
-		stagedRefs[0] = metadata.BucketRef{Count: d.Refs[0].Count}
-		stagedRetired = append(stagedRetired, legacy)
-	}
 	// Any reader still using a name in d.Retired would be two main-object
 	// generations behind, so those names are free to overwrite or delete.
 	free := d.Retired

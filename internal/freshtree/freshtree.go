@@ -95,9 +95,9 @@ const RootObjectName = "freshness-root"
 const TreeObjectName = "freshness-tree"
 
 // ErrEpochUnavailable reports a proof request for an epoch this store
-// cannot reach: the root object on the store commits to another one, or
-// no checkpoint the root's trailer can be applied to exists. The enclave
-// maps it to a fail-closed proof rejection.
+// cannot reach: the root object on the store commits to another one, it
+// carries no trailer, or no checkpoint the root's trailer can be applied
+// to exists. The enclave maps it to a fail-closed proof rejection.
 var ErrEpochUnavailable = errors.New("freshtree: freshness tree epoch unavailable")
 
 // Store upgrades an ObjectStore to a ProofStore.
@@ -260,9 +260,9 @@ func appendRootTrailer(sealed []byte, t rootTrailer) []byte {
 }
 
 // splitRootFrame parses a root object read from the store. framed is
-// false for anything that is not a well-formed frame — a bare sealed
-// root, as builds before the trailer wrote it, or garbage — and sealed is
-// then data itself.
+// false for anything that is not a well-formed frame — garbage, or a
+// bare sealed root, the retired layout of builds before the trailer —
+// and sealed is then data itself.
 func splitRootFrame(data []byte) (sealed []byte, t rootTrailer, framed bool) {
 	if len(data) < rootFooterSize {
 		return data, rootTrailer{}, false
@@ -312,10 +312,9 @@ func mergeDelta(prior, batch []merkle.LeafUpdate) []merkle.LeafUpdate {
 	return out
 }
 
-// checkpointFormat versions the checkpoint object. Format 1 is the
-// per-epoch snapshot earlier builds wrote: the same fields with a
-// one-batch log between epoch and tree, which a checkpoint has no use
-// for.
+// checkpointFormat versions the checkpoint object. Format 1, the retired
+// per-epoch snapshot with a one-batch log between epoch and tree, fails
+// like any checkpoint the root's trailer cannot use.
 const checkpointFormat = 2
 
 func encodeCheckpoint(tree *merkle.Tree, epoch uint64) []byte {
@@ -335,15 +334,10 @@ func checkpointSize(leaves int) uint64 { return 18 + 27*uint64(leaves) }
 func decodeCheckpoint(data []byte) (*merkle.Tree, uint64, error) {
 	r := serial.NewReader(data)
 	format := r.ReadUint8("freshness checkpoint format")
-	epoch := r.ReadUint64("freshness checkpoint epoch")
-	switch {
-	case r.Err() != nil || format == checkpointFormat:
-	case format == 1:
-		// Skip the log; the tree after it is the snapshot's own epoch's.
-		r.ReadRaw(r.ReadCount(merkle.MaxLeaves, "freshness snapshot log entries")*deltaEntrySize, "freshness snapshot log")
-	default:
-		return nil, 0, fmt.Errorf("freshtree: unknown freshness checkpoint format %d", format)
+	if r.Err() == nil && format != checkpointFormat {
+		return nil, 0, fmt.Errorf("%w: freshness checkpoint of format %d", ErrEpochUnavailable, format)
 	}
+	epoch := r.ReadUint64("freshness checkpoint epoch")
 	enc := r.ReadBytes(0, "freshness checkpoint tree")
 	if err := r.Finish(); err != nil {
 		return nil, 0, fmt.Errorf("decoding freshness checkpoint: %w", err)
@@ -412,17 +406,7 @@ func (s *Store) followLocked(data []byte, err error) (sealed []byte, _ error) {
 	}
 	sealed, t, framed := splitRootFrame(data)
 	if !framed {
-		// A bare root says nothing about the tree, so the checkpoint alone
-		// has to be it (a volume last written before the trailer existed).
-		if s.cur != nil {
-			return sealed, nil
-		}
-		tree, epoch, err := s.readCheckpoint()
-		if err != nil {
-			return sealed, err
-		}
-		s.cur, s.at = tree, rootTrailer{base: epoch, tip: epoch}
-		return sealed, nil
+		return sealed, fmt.Errorf("%w: root object carries no trailer", ErrEpochUnavailable)
 	}
 	if s.cur != nil && t.tip <= s.at.tip {
 		return sealed, nil

@@ -358,11 +358,13 @@ func TestFreshnessStoreSnapshotDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// A store directory written before the trailer existed — a bare sealed
-// root beside a format-1 snapshot — mounts, and its first drain rewrites
-// the root object in the new layout.
-func TestFreshnessStoreMountsLegacyLayout(t *testing.T) {
-	_, store := newTestStore(t)
+// TestFreshnessStoreRetiredLayoutFailsClosed: a store directory in the
+// layouts written before the trailer existed — a bare sealed root, a
+// format-1 snapshot — serves no proof and stages no update, whichever of
+// the two it pairs with the current layout's other object. The root read
+// hands the bare root up untouched (the enclave's own checks see it), and
+// nothing is written.
+func TestFreshnessStoreRetiredLayoutFailsClosed(t *testing.T) {
 	tree := merkle.New()
 	tree.Set(fsTestUUID(1), 4)
 	tree.Set(fsTestUUID(2), 1)
@@ -375,30 +377,40 @@ func TestFreshnessStoreMountsLegacyLayout(t *testing.T) {
 	w.WriteRaw(id[:])
 	w.WriteUint64(0)
 	w.WriteBytes(enc)
+	snapshot := w.Bytes()
 	bare := fakeSealed(7, tree.Root())
-	for name, data := range map[string][]byte{TreeObjectName: w.Bytes(), RootObjectName: bare} {
-		if _, err := store.PutVersioned(name, data); err != nil {
-			t.Fatal(err)
+	framed := appendRootTrailer(bare, rootTrailer{base: 7, tip: 7})
+	checkpoint := encodeCheckpoint(tree, 7)
+
+	for name, objects := range map[string][2][]byte{
+		"bare root, format-1 snapshot":   {bare, snapshot},
+		"bare root, checkpoint":          {bare, checkpoint},
+		"framed root, format-1 snapshot": {framed, snapshot},
+	} {
+		_, store := newTestStore(t)
+		for i, obj := range []string{RootObjectName, TreeObjectName} {
+			if _, err := store.PutVersioned(obj, objects[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		puts := len(store.puts)
+		s := &Store{inner: store}
+		if got, _, err := s.GetVersioned(RootObjectName); err != nil || !bytes.Equal(got, bare) {
+			t.Fatalf("%s: root read through the store = %q, %v", name, got, err)
+		}
+		if _, err := s.FreshnessProof(fsTestUUID(1), 7); !errors.Is(err, ErrEpochUnavailable) {
+			t.Fatalf("%s: proof = %v, want ErrEpochUnavailable", name, err)
+		}
+		if _, err := s.FreshnessUpdate(7, []merkle.LeafUpdate{{ID: fsTestUUID(3), Version: 2}}); !errors.Is(err, ErrEpochUnavailable) {
+			t.Fatalf("%s: update = %v, want ErrEpochUnavailable", name, err)
+		}
+		if len(store.puts) != puts {
+			t.Fatalf("%s: the store was written: %v", name, store.puts)
 		}
 	}
-
-	s := &Store{inner: store}
-	if got, _, err := s.GetVersioned(RootObjectName); err != nil || !bytes.Equal(got, bare) {
-		t.Fatalf("bare root read through the store = %q, %v", got, err)
+	if _, _, err := decodeCheckpoint(snapshot); !errors.Is(err, ErrEpochUnavailable) {
+		t.Fatalf("decodeCheckpoint(format-1 snapshot) = %v, want ErrEpochUnavailable", err)
 	}
-	wantLeaf(t, s, fsTestUUID(1), 7, tree.Root(), 4)
-	root := commitBatch(t, s, 7, tree.Root(), []merkle.LeafUpdate{{ID: fsTestUUID(3), Version: 2}})
-
-	framed, _, err := store.GetVersioned(RootObjectName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, tr, ok := splitRootFrame(framed); !ok || tr.base != 7 || tr.tip != 8 || len(tr.delta) != 1 {
-		t.Fatalf("root object after the first drain: framed=%v trailer=%+v", ok, tr)
-	}
-	s2 := &Store{inner: store}
-	wantLeaf(t, s2, fsTestUUID(3), 8, root, 2)
-	wantLeaf(t, s2, fsTestUUID(1), 8, root, 4)
 }
 
 func TestFreshnessStoreUpdateAtWrongEpoch(t *testing.T) {

@@ -13,9 +13,11 @@ import (
 // authentication has run. Whatever arrives, it must not panic, must not
 // allocate beyond the input's own size (the entry count is capped and
 // checked against the bytes present before the delta is made), and must
-// either hand the input back whole as a bare root or accept a frame
-// whose re-encoding is the input, byte for byte. The same bytes go
-// through the checkpoint decoder, which must reject or round-trip.
+// either hand the input back whole, refused (a bare root, the retired
+// layout, among the seeds), or accept a frame whose re-encoding is the
+// input, byte for byte. The same bytes go through the checkpoint
+// decoder, which must reject them or round-trip a format-2 checkpoint;
+// the retired format-1 snapshot among the seeds must be rejected.
 func FuzzFreshnessFrameDecode(f *testing.F) {
 	tree := merkle.New()
 	delta := make([]merkle.LeafUpdate, 3)
@@ -25,18 +27,21 @@ func FuzzFreshnessFrameDecode(f *testing.F) {
 	}
 	sealed := fakeSealed(4, tree.Root())
 	enc := tree.Encode()
-	legacy := serial.NewWriter(64 + len(enc))
-	legacy.WriteUint8(1)
-	legacy.WriteUint64(4)
-	legacy.WriteUint32(1)
-	legacy.WriteRaw(delta[0].ID[:])
-	legacy.WriteUint64(0)
-	legacy.WriteBytes(enc)
+	snapshot := serial.NewWriter(64 + len(enc))
+	snapshot.WriteUint8(1)
+	snapshot.WriteUint64(4)
+	snapshot.WriteUint32(1)
+	snapshot.WriteRaw(delta[0].ID[:])
+	snapshot.WriteUint64(0)
+	snapshot.WriteBytes(enc)
 
 	f.Add(sealed)
 	f.Add(appendRootTrailer(sealed, rootTrailer{base: 4, tip: 4}))
 	f.Add(appendRootTrailer(sealed, rootTrailer{base: 1, tip: 4, spent: 9, delta: delta}))
-	f.Add(legacy.Bytes())
+	if _, _, err := decodeCheckpoint(snapshot.Bytes()); err == nil {
+		f.Fatal("the format-1 snapshot seed decodes")
+	}
+	f.Add(snapshot.Bytes())
 	f.Add(encodeCheckpoint(tree, 4))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sealed, tr, framed := splitRootFrame(data)
@@ -56,6 +61,9 @@ func FuzzFreshnessFrameDecode(f *testing.F) {
 		ckpt, epoch, err := decodeCheckpoint(data)
 		if err != nil {
 			return
+		}
+		if data[0] != checkpointFormat {
+			t.Fatalf("accepted a checkpoint of format %d", data[0])
 		}
 		again, epoch2, err := decodeCheckpoint(encodeCheckpoint(ckpt, epoch))
 		if err != nil || epoch2 != epoch || again.Root() != ckpt.Root() {

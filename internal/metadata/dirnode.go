@@ -159,13 +159,11 @@ type Dirnode struct {
 	// BucketSize caps entries per bucket.
 	BucketSize uint32
 	// Refs is the bucket table, never empty: Refs[0] counts bucket 0 and
-	// Refs[1:] mirror the sealed main object's overflow references. Only
-	// a main object in the legacy layout, decoded and not yet flushed,
-	// has a Refs[0] that names a separate object.
+	// Refs[1:] mirror the sealed main object's overflow references.
 	Refs []BucketRef
 	// Buckets holds resident (loaded) buckets, indexed as Refs.
 	// A nil slot means not loaded; bucket 0 is resident whenever the
-	// main object is, the legacy layout excepted.
+	// main object is.
 	Buckets []*Bucket
 	// Retired lists bucket objects superseded by the previous flush's
 	// copy-on-write rewrites; the next flush overwrites or deletes them.
@@ -190,16 +188,16 @@ func NewDirnode(id, parent uuid.UUID, bucketSize uint32) *Dirnode {
 //	ACL ‖ uint32(0) ‖ BucketSize ‖ bucket-0 entries ‖
 //	count ‖ (UUID ‖ Count ‖ MAC)* of buckets 1..n ‖ count ‖ retired UUID*
 //
-// The zero where the legacy layout (ACL ‖ BucketSize(>0) ‖ refs of
-// buckets 0..n ‖ retired) kept its bucket size — a value that layout's
-// decoder has always rejected — marks this one, so every historical blob
-// still decodes down the legacy path and old clients fail closed on new
-// blobs. Bucket 0 must be resident (LoadMain).
+// The zero stands where the retired layout (ACL ‖ BucketSize(>0) ‖ refs
+// of buckets 0..n ‖ retired), whose bucket 0 was an object of its own,
+// kept its bucket size: that layout's decoder rejects a zero bucket
+// size, so an old client fails closed on these bodies, and this decoder
+// fails closed on that layout with ErrUnsupportedLayout.
 func (d *Dirnode) EncodeBody() []byte {
 	main := d.Buckets[0].Entries
 	w := serial.NewWriter(64 + 32*len(main) + 36*len(d.Refs) + 16*len(d.Retired))
 	d.ACL.Encode(w)
-	w.WriteUint32(0) // layout sentinel: no legacy bucket size
+	w.WriteUint32(0) // layout sentinel: no retired-layout bucket size
 	w.WriteUint32(d.BucketSize)
 	writeEntries(w, main)
 	w.WriteUint32(uint32(len(d.Refs) - 1))
@@ -215,25 +213,23 @@ func (d *Dirnode) EncodeBody() []byte {
 	return w.Bytes()
 }
 
-// DecodeDirnodeBody parses a body produced by EncodeBody, or one in the
-// legacy layout (whose bucket 0 then loads through Refs[0] until the
-// directory's next flush rewrites it). The caller supplies the UUID and
-// parent from the verified preamble.
+// DecodeDirnodeBody parses a body produced by EncodeBody; bucket 0 is
+// resident in the result. The caller supplies the UUID and parent from
+// the verified preamble.
 func DecodeDirnodeBody(id, parent uuid.UUID, body []byte) (*Dirnode, error) {
 	r := serial.NewReader(body)
 	d := &Dirnode{UUID: id, Parent: parent}
 	d.ACL = acl.DecodeList(r)
-	d.BucketSize = r.ReadUint32("bucket size")
-	legacy := d.BucketSize != 0
-	if !legacy {
-		d.BucketSize = r.ReadUint32("bucket size")
-		entries, err := readEntries(r)
-		if err != nil {
-			return nil, err
-		}
-		d.Refs = []BucketRef{{Count: uint32(len(entries))}}
-		d.Buckets = []*Bucket{{Entries: entries}}
+	if sentinel := r.ReadUint32("layout sentinel"); r.Err() == nil && sentinel != 0 {
+		return nil, fmt.Errorf("%w: dirnode whose bucket 0 is an object of its own", ErrUnsupportedLayout)
 	}
+	d.BucketSize = r.ReadUint32("bucket size")
+	entries, err := readEntries(r)
+	if err != nil {
+		return nil, err
+	}
+	d.Refs = []BucketRef{{Count: uint32(len(entries))}}
+	d.Buckets = []*Bucket{{Entries: entries}}
 	n := r.ReadCount(0, "bucket ref count")
 	for i := 0; i < n && r.Err() == nil; i++ {
 		var ref BucketRef
@@ -254,11 +250,6 @@ func DecodeDirnodeBody(id, parent uuid.UUID, body []byte) (*Dirnode, error) {
 	}
 	if d.BucketSize == 0 {
 		return nil, fmt.Errorf("%w: zero bucket size", ErrMalformed)
-	}
-	if legacy && len(d.Refs) == 0 {
-		// A legacy directory that never held an entry has no bucket 0 to
-		// migrate.
-		d.Refs, d.Buckets = make([]BucketRef, 1), []*Bucket{{}}
 	}
 	return d, nil
 }
@@ -293,13 +284,6 @@ func (d *Dirnode) ensureBucket(i int, load bucketLoader) (*Bucket, error) {
 	b.OnStore = true
 	d.Buckets[i] = b
 	return b, nil
-}
-
-// LoadMain makes bucket 0 resident, which EncodeBody requires. It only
-// ever loads for a main object decoded from the legacy layout.
-func (d *Dirnode) LoadMain(load bucketLoader) error {
-	_, err := d.ensureBucket(0, load)
-	return err
 }
 
 // Lookup finds an entry by name, loading buckets on demand.

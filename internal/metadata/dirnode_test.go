@@ -182,7 +182,8 @@ func TestDirnodeEncodeDecode(t *testing.T) {
 }
 
 // goldenRootKey sealed the objects under testdata/legacy-*: bytes the
-// encoder of the commit before the single-object layout produced for a
+// encoder of the commit before the single-object layout (the retired
+// dirnode layout) produced for a
 // directory of bucket size 4 holding f0..f5 (bucket 0: f0-f3, bucket 1:
 // f4 and f5), ACL {2: ReadOnly, 3: ReadWrite}, one retired bucket.
 func goldenRootKey() []byte {
@@ -202,92 +203,72 @@ func readGolden(t *testing.T, name string) []byte {
 	return b
 }
 
-// TestLegacyDirnodeDecodesAndMigrates: a main object in the legacy layout
-// (every bucket a separate object) decodes, serves lookups through its
-// bucket-0 ref, and re-encodes in the current layout once bucket 0 is
-// resident — the encode flushDirnodeLocked stores, with the old bucket-0
-// object on the retired list.
-func TestLegacyDirnodeDecodesAndMigrates(t *testing.T) {
-	rk := goldenRootKey()
-	p, body, err := Open(rk, readGolden(t, "legacy-main.sealed"))
+// decodeRetiredDirnode is the main-body decoder of the retired layout
+// (ACL ‖ BucketSize(>0) ‖ refs of buckets 0..n ‖ retired), as clients
+// from before the single-object layout have it.
+func decodeRetiredDirnode(body []byte) error {
+	r := serial.NewReader(body)
+	acl.DecodeList(r)
+	size := r.ReadUint32("bucket size")
+	r.ReadRaw(r.ReadCount(0, "bucket ref count")*(uuid.Size+4+16), "bucket refs")
+	r.ReadRaw(r.ReadCount(0, "retired bucket count")*uuid.Size, "retired buckets")
+	if err := r.Finish(); err != nil {
+		return err
+	}
+	if size == 0 {
+		return fmt.Errorf("%w: zero bucket size", ErrMalformed)
+	}
+	return nil
+}
+
+// TestDirnodeRetiredLayoutFailsClosed: a main object in the retired
+// layout (every bucket, bucket 0 included, a separate object) fails to
+// decode with ErrUnsupportedLayout, whole or truncated past its first
+// words; and that layout's own decoder rejects what the current encoder
+// writes for the same directory, so neither reads the other's bytes.
+func TestDirnodeRetiredLayoutFailsClosed(t *testing.T) {
+	p, body, err := Open(goldenRootKey(), readGolden(t, "legacy-main.sealed"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Type != TypeDirnode || p.Version != 7 || !bytes.Equal(body, readGolden(t, "legacy-main.body")) {
 		t.Fatalf("golden main: preamble %+v", p)
 	}
-	d, err := DecodeDirnodeBody(p.UUID, p.Parent, body)
-	if err != nil {
-		t.Fatalf("decoding the legacy layout: %v", err)
+	if err := decodeRetiredDirnode(body); err != nil {
+		t.Fatalf("the retired decoder rejects its own golden body: %v", err)
 	}
-	if d.BucketSize != 4 || len(d.Refs) != 2 || d.Refs[0].UUID.IsNil() || d.Refs[0].Count != 4 || d.Refs[1].Count != 2 ||
-		d.Buckets[0] != nil || d.Buckets[1] != nil || len(d.Retired) != 1 || d.EntryCount() != 6 {
-		t.Fatalf("legacy dirnode = %+v", d)
+	if _, err := DecodeDirnodeBody(p.UUID, p.Parent, body); !errors.Is(err, ErrUnsupportedLayout) {
+		t.Fatalf("DecodeDirnodeBody(retired layout) = %v, want ErrUnsupportedLayout", err)
 	}
-	if d.ACL.Get(2) != acl.ReadOnly || d.ACL.Get(3) != acl.ReadWrite {
-		t.Fatal("ACL lost")
-	}
-	loads := 0
-	loader := func(i int) (*Bucket, error) {
-		loads++
-		blob := readGolden(t, fmt.Sprintf("legacy-bucket%d.sealed", i))
-		tag, err := Tag(blob)
-		if err != nil {
-			return nil, err
-		}
-		if tag != d.Refs[i].MAC {
-			return nil, ErrBucketMACMismatch
-		}
-		bp, bbody, err := Open(rk, blob)
-		if err != nil {
-			return nil, err
-		}
-		if bp.Type != TypeDirBucket || bp.UUID != d.Refs[i].UUID || bp.Parent != d.UUID {
-			return nil, fmt.Errorf("bucket %d preamble %+v", i, bp)
-		}
-		return DecodeBucketBody(bbody)
-	}
-	if e, err := d.Lookup("f2", loader); err != nil || e.Kind != KindFile || loads != 1 {
-		t.Fatalf("Lookup(f2) = %+v, %v after %d loads", e, err, loads)
-	}
-	if e, err := d.Lookup("f5", loader); err != nil || e.Kind != KindSymlink || e.SymlinkTarget != "../target" || loads != 2 {
-		t.Fatalf("Lookup(f5) = %+v, %v after %d loads", e, err, loads)
+	if _, err := DecodeDirnodeBody(p.UUID, p.Parent, body[:len(body)-1]); !errors.Is(err, ErrUnsupportedLayout) {
+		t.Fatalf("DecodeDirnodeBody(truncated retired layout) = %v, want ErrUnsupportedLayout", err)
 	}
 
-	// What the flush does: bucket 0 resident, its ref emptied, its old
-	// object retired.
-	fresh, err := DecodeDirnodeBody(p.UUID, p.Parent, body)
-	if err != nil {
-		t.Fatal(err)
+	// The same directory as the current encoder writes it.
+	d := NewDirnode(p.UUID, p.Parent, 4)
+	d.ACL.Set(2, acl.ReadOnly)
+	d.ACL.Set(3, acl.ReadWrite)
+	for i := range 6 {
+		e := DirEntry{Name: fmt.Sprintf("f%d", i), UUID: uuid.New(), Kind: KindFile}
+		if i == 5 {
+			e.Kind, e.SymlinkTarget = KindSymlink, "../target"
+		}
+		if err := d.Insert(e, noLoad); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := fresh.LoadMain(loader); err != nil {
-		t.Fatal(err)
-	}
-	old := fresh.Refs[0].UUID
-	fresh.Refs[0] = BucketRef{Count: fresh.Refs[0].Count}
-	fresh.Retired = []uuid.UUID{old}
-	migrated, err := DecodeDirnodeBody(p.UUID, p.Parent, fresh.EncodeBody())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if migrated.Buckets[0] == nil || len(migrated.Buckets[0].Entries) != 4 || migrated.Refs[1] != d.Refs[1] ||
-		len(migrated.Retired) != 1 || migrated.Retired[0] != old || migrated.EntryCount() != 6 {
-		t.Fatalf("migrated dirnode = %+v", migrated)
-	}
-	if e, err := migrated.Lookup("f0", noLoad); err != nil || e.Name != "f0" {
-		t.Fatalf("Lookup(f0) after migration = %+v, %v", e, err)
-	}
-	if _, err := DecodeDirnodeBody(p.UUID, p.Parent, body[:len(body)-1]); err == nil {
-		t.Fatal("truncated legacy dirnode accepted")
+	d.Retired = []uuid.UUID{uuid.New()}
+	if err := decodeRetiredDirnode(d.EncodeBody()); err == nil {
+		t.Fatal("the retired decoder accepted a current body")
 	}
 }
 
 // FuzzDirnodeBodyDecode drives the post-unwrap main-body decoder with
-// arbitrary bytes: it must never panic, and whatever it accepts in the
-// current layout must re-encode to exactly the bytes it was given (one
-// body per directory state — no slack for a second encoding to hide in).
-// A body it accepts in the legacy layout re-encodes, once bucket 0 is
-// resident, to a current-layout body that decodes to the same directory.
+// arbitrary bytes: it must never panic, and whatever it accepts must
+// re-encode to exactly the bytes it was given (one body per directory
+// state — no slack for a second encoding to hide in), with bucket 0
+// resident. A body whose word after the ACL is not zero — the retired
+// layout, whose golden body is a seed — fails with ErrUnsupportedLayout.
 func FuzzDirnodeBodyDecode(f *testing.F) {
 	d := NewDirnode(uuid.New(), uuid.Nil, 2)
 	f.Add(d.EncodeBody())
@@ -303,39 +284,28 @@ func FuzzDirnodeBodyDecode(f *testing.F) {
 	}
 	d.Retired = []uuid.UUID{uuid.New()}
 	f.Add(d.EncodeBody())
-	if legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-main.body")); err == nil {
-		f.Add(legacy)
+	if retired, err := os.ReadFile(filepath.Join("testdata", "legacy-main.body")); err == nil {
+		f.Add(retired)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		id, parent := uuid.UUID{1}, uuid.UUID{2}
 		d, err := DecodeDirnodeBody(id, parent, body)
+		r := serial.NewReader(body)
+		acl.DecodeList(r)
+		if sentinel := r.ReadUint32("layout sentinel"); r.Err() == nil && sentinel != 0 && !errors.Is(err, ErrUnsupportedLayout) {
+			t.Fatalf("retired-layout body: DecodeDirnodeBody = %v, want ErrUnsupportedLayout", err)
+		}
 		if err != nil {
 			return
 		}
-		if d.BucketSize == 0 || len(d.Refs) == 0 || len(d.Refs) != len(d.Buckets) {
+		if d.BucketSize == 0 || len(d.Refs) == 0 || len(d.Refs) != len(d.Buckets) || d.Buckets[0] == nil || !d.Refs[0].UUID.IsNil() {
 			t.Fatalf("accepted dirnode breaks its invariants: %+v", d)
 		}
-		if d.Buckets[0] != nil && int(d.Refs[0].Count) != len(d.Buckets[0].Entries) {
+		if int(d.Refs[0].Count) != len(d.Buckets[0].Entries) {
 			t.Fatalf("bucket 0 counts %d, holds %d", d.Refs[0].Count, len(d.Buckets[0].Entries))
 		}
-		// The layout is told by the word after the ACL: zero marks the
-		// current one.
-		r := serial.NewReader(body)
-		acl.DecodeList(r)
-		if r.ReadUint32("bucket size") == 0 {
-			if again := d.EncodeBody(); !bytes.Equal(again, body) {
-				t.Fatalf("decode → encode differs:\n in %x\nout %x", body, again)
-			}
-			return
-		}
-		// Legacy layout: what a flush makes of it must decode again.
-		if err := d.LoadMain(func(int) (*Bucket, error) { return &Bucket{}, nil }); err != nil {
-			t.Fatal(err)
-		}
-		d.Refs[0] = BucketRef{}
-		again, err := DecodeDirnodeBody(id, parent, d.EncodeBody())
-		if err != nil || len(again.Refs) != len(d.Refs) || len(again.Retired) != len(d.Retired) {
-			t.Fatalf("migrated legacy body does not decode (%v): %+v", err, again)
+		if again := d.EncodeBody(); !bytes.Equal(again, body) {
+			t.Fatalf("decode → encode differs:\n in %x\nout %x", body, again)
 		}
 	})
 }

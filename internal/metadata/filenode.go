@@ -6,7 +6,6 @@ import (
 	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -106,12 +105,6 @@ func NewFilenode(id, parent uuid.UUID, chunkSize uint32) *Filenode {
 	}
 }
 
-// ErrUnsupportedLayout reports a filenode in the retired content-defined
-// layout, which wrote a zero where ChunkSize stands (DESIGN.md §16). No
-// reader for it is kept: such a volume is copied out with the last
-// commit that wrote it.
-var ErrUnsupportedLayout = errors.New("metadata: filenode uses the retired content-defined layout")
-
 // EncodeBody serializes the filenode body for Seal:
 //
 //	DataUUID ‖ Size ‖ ChunkSize(>0) ‖ LinkCount ‖ ContentKey ‖ count ‖ (IV‖Tag)*
@@ -146,7 +139,8 @@ func DecodeFilenodeBody(id, parent uuid.UUID, body []byte) (*Filenode, error) {
 	f.Size = r.ReadUint64("file size")
 	f.ChunkSize = r.ReadUint32("chunk size")
 	if r.Err() == nil && f.ChunkSize == 0 {
-		return nil, ErrUnsupportedLayout
+		// The content-defined layout wrote a zero where ChunkSize stands.
+		return nil, fmt.Errorf("%w: filenode of content-defined chunks", ErrUnsupportedLayout)
 	}
 	f.LinkCount = r.ReadUint32("link count")
 	r.ReadRawInto(f.ContentKey[:], "content key")

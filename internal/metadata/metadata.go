@@ -101,6 +101,16 @@ var (
 	ErrTampered = errors.New("metadata: object failed authentication")
 	// ErrMalformed reports a structurally invalid object.
 	ErrMalformed = errors.New("metadata: malformed object")
+	// ErrUnsupportedLayout reports a stored object in a layout this build
+	// writes no more and reads no more (DESIGN.md §16, "Retired
+	// layouts"): a supernode with no key tree, a dirnode whose bucket 0
+	// is an object of its own, a filenode of content-defined chunks, and
+	// a format-1 sealed freshness root. Each decoder wraps it with the
+	// object's kind. (The untrusted freshness tree's retired root frame
+	// and checkpoint fail as proofs the store cannot serve instead.) No
+	// reader for these is kept: such a volume is copied out with the last
+	// commit that read it.
+	ErrUnsupportedLayout = errors.New("metadata: retired object layout")
 )
 
 // Preamble is the plaintext, integrity-protected section of every object.

@@ -24,9 +24,9 @@ const maxUsers = 64 << 10
 // reload.
 const maxUserNameLen = 256
 
-// supernodeExtGroupTree tags the optional trailing extension carrying a
-// serialized membership key tree. Pre-groupkey supernode bodies simply
-// end after NextUserID; the tag keeps future extensions distinguishable.
+// supernodeExtGroupTree tags the serialized membership key tree that
+// follows NextUserID. A body that ends after NextUserID is the retired
+// layout from before the tree.
 const supernodeExtGroupTree uint8 = 1
 
 // User binds a username and public key to the small integer ID that
@@ -52,9 +52,8 @@ type Supernode struct {
 	Users []User
 	// NextUserID is the next ID to assign.
 	NextUserID uint32
-	// GroupTree is the subgroup key tree over the volume membership (nil
-	// on volumes created before the tree existed). It serializes as a
-	// versioned trailing extension so old volumes load unchanged.
+	// GroupTree is the subgroup key tree over the volume membership,
+	// never nil: NewSupernode enrolls the owner in it.
 	GroupTree *groupkey.Tree
 
 	// byName, byPubKey and byID index Users by name, string(PublicKey)
@@ -78,10 +77,14 @@ var (
 )
 
 // NewSupernode creates the supernode for a fresh volume owned by the
-// given identity.
+// given identity, with the owner enrolled in the membership key tree.
 func NewSupernode(ownerName string, ownerKey ed25519.PublicKey) (*Supernode, error) {
 	if err := checkUser(ownerName, ownerKey); err != nil {
 		return nil, err
+	}
+	tree := groupkey.NewTree(groupkey.Config{})
+	if _, err := tree.Add(OwnerUserID); err != nil {
+		return nil, fmt.Errorf("metadata: enrolling the owner in the key tree: %w", err)
 	}
 	return &Supernode{
 		VolumeUUID: uuid.New(),
@@ -92,6 +95,7 @@ func NewSupernode(ownerName string, ownerKey ed25519.PublicKey) (*Supernode, err
 			PublicKey: bytes.Clone(ownerKey),
 		},
 		NextUserID: OwnerUserID + 1,
+		GroupTree:  tree,
 	}, nil
 }
 
@@ -233,17 +237,16 @@ func (s *Supernode) EncodeBody() []byte {
 		encodeUser(w, u)
 	}
 	w.WriteUint32(s.NextUserID)
-	if s.GroupTree != nil {
-		// Versioned trailing extension: tag + length-prefixed tree.
-		w.WriteUint8(supernodeExtGroupTree)
-		w.WriteBytes(s.GroupTree.Encode())
-	}
+	w.WriteUint8(supernodeExtGroupTree)
+	w.WriteBytes(s.GroupTree.Encode())
 	return w.Bytes()
 }
 
-// DecodeSupernodeBody parses a body produced by EncodeBody, accepting
-// both the legacy layout (body ends after NextUserID) and the extended
-// layout carrying a group key tree.
+// DecodeSupernodeBody parses a body produced by EncodeBody:
+//
+//	VolumeUUID ‖ RootDir ‖ owner ‖ count ‖ users ‖ NextUserID ‖ tag ‖ tree
+//
+// A body that ends after NextUserID fails with ErrUnsupportedLayout.
 func DecodeSupernodeBody(body []byte) (*Supernode, error) {
 	r := serial.NewReader(body)
 	var s Supernode
@@ -258,24 +261,21 @@ func DecodeSupernodeBody(body []byte) (*Supernode, error) {
 		s.Users = append(s.Users, decodeUser(r))
 	}
 	s.NextUserID = r.ReadUint32("next user id")
-	if r.Err() == nil && r.Remaining() > 0 {
-		switch tag := r.ReadUint8("supernode extension tag"); tag {
-		case supernodeExtGroupTree:
-			blob := r.ReadBytes(1<<30, "group tree blob")
-			if r.Err() == nil {
-				tree, err := groupkey.DecodeTree(blob)
-				if err != nil {
-					return nil, fmt.Errorf("decoding supernode group tree: %w", err)
-				}
-				s.GroupTree = tree
-			}
-		default:
-			return nil, fmt.Errorf("decoding supernode: unknown extension tag %d", tag)
-		}
+	if r.Err() == nil && r.Remaining() == 0 {
+		return nil, fmt.Errorf("%w: supernode with no key tree", ErrUnsupportedLayout)
 	}
+	if tag := r.ReadUint8("supernode key tree tag"); r.Err() == nil && tag != supernodeExtGroupTree {
+		return nil, fmt.Errorf("%w: supernode key tree tag %d", ErrMalformed, tag)
+	}
+	blob := r.ReadBytes(1<<30, "group tree blob")
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("decoding supernode: %w", err)
 	}
+	tree, err := groupkey.DecodeTree(blob)
+	if err != nil {
+		return nil, fmt.Errorf("decoding supernode group tree: %w", err)
+	}
+	s.GroupTree = tree
 	if err := s.checkUsers(); err != nil {
 		return nil, fmt.Errorf("decoding supernode: %w", err)
 	}

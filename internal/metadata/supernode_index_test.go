@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"nexus/internal/acl"
-	"nexus/internal/groupkey"
 )
 
 // syntheticKey returns a deterministic 32-byte "public key". AddUser
@@ -147,42 +146,28 @@ func TestSupernodeUserIDSpaceReservedForGroups(t *testing.T) {
 	}
 }
 
-// TestSupernodeGroupTreeRoundTrip covers the versioned trailing
-// extension: a tree survives encode/decode, and legacy bodies (no
-// extension) still load with GroupTree nil.
+// TestSupernodeGroupTreeRoundTrip covers the key tree after NextUserID:
+// a tree survives encode/decode, and a body that ends after NextUserID —
+// the retired layout from before the tree — fails closed.
 func TestSupernodeGroupTreeRoundTrip(t *testing.T) {
 	s, err := NewSupernode("owen", syntheticKey(0))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s.GroupTree == nil || !s.GroupTree.Contains(OwnerUserID) || s.GroupTree.Len() != 1 {
+		t.Fatal("NewSupernode did not enroll the owner in a key tree")
+	}
 	aliceID, err := s.AddUser("alice", syntheticKey(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Legacy layout first: no tree, body must end after NextUserID.
-	legacy := s.EncodeBody()
-	got, err := DecodeSupernodeBody(legacy)
-	if err != nil {
-		t.Fatalf("legacy decode: %v", err)
-	}
-	if got.GroupTree != nil {
-		t.Fatal("legacy body decoded with a group tree")
-	}
-
-	// Extended layout.
-	s.GroupTree = groupkey.NewTree(groupkey.Config{LeafCap: 2, Fanout: 2})
-	for _, id := range []uint32{OwnerUserID, aliceID} {
-		if _, err := s.GroupTree.Add(id); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := s.GroupTree.Add(aliceID); err != nil {
+		t.Fatal(err)
 	}
 	ext := s.EncodeBody()
-	got, err = DecodeSupernodeBody(ext)
+	got, err := DecodeSupernodeBody(ext)
 	if err != nil {
-		t.Fatalf("extended decode: %v", err)
-	}
-	if got.GroupTree == nil {
-		t.Fatal("extended body lost the group tree")
+		t.Fatalf("decode: %v", err)
 	}
 	if got.GroupTree.Len() != 2 || !got.GroupTree.Contains(aliceID) {
 		t.Fatalf("decoded tree: len=%d contains(alice)=%v", got.GroupTree.Len(), got.GroupTree.Contains(aliceID))
@@ -193,17 +178,16 @@ func TestSupernodeGroupTreeRoundTrip(t *testing.T) {
 	if err := got.GroupTree.Authenticate(aliceID); err != nil {
 		t.Fatalf("decoded tree Authenticate: %v", err)
 	}
-	// The old decoder path (legacy bytes are a strict prefix of the
-	// extended bytes) still applies: truncating the extension off the
-	// extended body yields the legacy body exactly.
-	if !bytes.Equal(ext[:len(legacy)], legacy) {
-		t.Fatal("extension changed the legacy prefix")
+	// The retired layout is the same body cut after NextUserID.
+	retired := retiredSupernodeBody(s)
+	if _, err := DecodeSupernodeBody(retired); !errors.Is(err, ErrUnsupportedLayout) {
+		t.Fatalf("DecodeSupernodeBody(no key tree) = %v, want ErrUnsupportedLayout", err)
 	}
-	// Corrupt extension tag must be rejected, not ignored.
+	// Corrupt tree tag must be rejected, not ignored.
 	bad := bytes.Clone(ext)
-	bad[len(legacy)] = 99
-	if _, err := DecodeSupernodeBody(bad); err == nil {
-		t.Fatal("unknown extension tag accepted")
+	bad[len(retired)] = 99
+	if _, err := DecodeSupernodeBody(bad); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("unknown tree tag: %v, want ErrMalformed", err)
 	}
 	// Corrupt tree blob must be rejected.
 	bad = bytes.Clone(ext)

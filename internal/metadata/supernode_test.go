@@ -3,6 +3,7 @@ package metadata
 import (
 	"bytes"
 	"crypto/ed25519"
+	"errors"
 	"strings"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestSupernodeDecodeEnforcesAddUserInvariants(t *testing.T) {
 		{"next id in the group space", func(s *Supernode) { s.NextUserID = acl.GroupIDFlag + 1 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := sampleSupernode(t, false)
+			s := sampleSupernode(t)
 			tc.mangle(s)
 			if _, err := DecodeSupernodeBody(s.EncodeBody()); err == nil {
 				t.Fatal("decoder accepted the body")
@@ -68,9 +69,8 @@ func TestSupernodeDecodeEnforcesAddUserInvariants(t *testing.T) {
 }
 
 // sampleSupernode builds a real supernode: an owner, two users left of
-// three (one removed, so the IDs have a gap), and optionally the key
-// tree over them.
-func sampleSupernode(tb testing.TB, withTree bool) *Supernode {
+// three (one removed, so the IDs have a gap), and the key tree over them.
+func sampleSupernode(tb testing.TB) *Supernode {
 	tb.Helper()
 	s, err := NewSupernode("owen", syntheticKey(0))
 	if err != nil {
@@ -84,34 +84,50 @@ func sampleSupernode(tb testing.TB, withTree bool) *Supernode {
 	if _, err := s.RemoveUser("bob"); err != nil {
 		tb.Fatal(err)
 	}
-	if withTree {
-		s.GroupTree = groupkey.NewTree(groupkey.Config{LeafCap: 2, Fanout: 2})
-		for _, u := range append([]User{s.Owner}, s.Users...) {
-			if _, err := s.GroupTree.Add(u.ID); err != nil {
-				tb.Fatal(err)
-			}
+	s.GroupTree = groupkey.NewTree(groupkey.Config{LeafCap: 2, Fanout: 2})
+	for _, u := range append([]User{s.Owner}, s.Users...) {
+		if _, err := s.GroupTree.Add(u.ID); err != nil {
+			tb.Fatal(err)
 		}
 	}
 	return s
 }
 
+// retiredSupernodeBody is s as the retired layout wrote it: the body cut
+// after NextUserID, before the key tree's tag and length-prefixed blob.
+func retiredSupernodeBody(s *Supernode) []byte {
+	body := s.EncodeBody()
+	return body[:len(body)-1-4-len(s.GroupTree.Encode())]
+}
+
 // FuzzSupernodeBodyDecode hammers the supernode decoder — the body is
 // untrusted until the enclave accepts it — with hostile bytes. It must
-// never panic; an accepted body must re-encode to the identical bytes
-// and hold every invariant AddUser maintains, so the enclave can look
-// users up and keep adding them.
+// never panic; an accepted body must carry a key tree, re-encode to the
+// identical bytes and hold every invariant AddUser maintains, so the
+// enclave can look users up and keep adding them. The seeds include
+// bodies in the retired layout without a tree, which must fail with
+// ErrUnsupportedLayout.
 func FuzzSupernodeBodyDecode(f *testing.F) {
 	owner, err := NewSupernode("owen", syntheticKey(0))
 	if err != nil {
 		f.Fatal(err)
 	}
+	sample := sampleSupernode(f)
+	for _, body := range [][]byte{retiredSupernodeBody(owner), retiredSupernodeBody(sample)} {
+		if _, err := DecodeSupernodeBody(body); !errors.Is(err, ErrUnsupportedLayout) {
+			f.Fatalf("retired-layout seed: DecodeSupernodeBody = %v, want ErrUnsupportedLayout", err)
+		}
+		f.Add(body)
+	}
 	f.Add(owner.EncodeBody())
-	f.Add(sampleSupernode(f, false).EncodeBody())
-	f.Add(sampleSupernode(f, true).EncodeBody())
+	f.Add(sample.EncodeBody())
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s, err := DecodeSupernodeBody(body)
 		if err != nil {
 			return
+		}
+		if s.GroupTree == nil {
+			t.Fatal("accepted supernode has no key tree")
 		}
 		if again := s.EncodeBody(); !bytes.Equal(again, body) {
 			t.Fatalf("decode → encode differs:\n in %x\nout %x", body, again)
