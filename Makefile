@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet lint alloc fuzz-smoke chaos obs bench bench-counts cover revoke-sweep freshness-sweep merkle vuln ci clean
+.PHONY: all build test race vet fmt lint alloc fuzz-smoke chaos obs bench bench-counts cover revoke-sweep freshness-sweep merkle vuln ci clean
 
 all: build
 
@@ -17,13 +17,17 @@ race:
 
 # alloc runs the allocation budgets, which are build-tagged !race
 # (AllocsPerRun is meaningless under the race detector), so neither
-# `make race` nor the coverage floors run them. The CI test job runs the
-# same line.
+# `make race` nor the coverage floors run them. The CI test job runs this
+# goal.
 alloc:
 	$(GO) test -count=1 -run 'AllocBudget|AllocationFree|AllocFree|KeysOnlyInFilenode' ./internal/parallel/ ./internal/metadata/ ./internal/obs/
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing the files, when any Go file is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .) && if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # lint runs the repo-specific static analyzer (cmd/nexus-lint) and
 # exits non-zero on any finding; see DESIGN.md §8 for the rule set and
@@ -66,7 +70,7 @@ chaos:
 		NEXUS_CHAOS_SEED=$$seed $(GO) test -race -count=20 -run 'TestConcurrent|TestTwoAdapters|TestLockOrder|TestStickyLock|TestStagedUpdatePeerCommitBetween|TestWalkPrefetchDroppedOnCacheReplace' . ./internal/enclave/ ./internal/afs/ || exit 1; \
 	done
 
-# obs mirrors the CI observability job: the registry/tracer suite, the
+# obs is the CI observability job: the registry/tracer suite, the
 # cross-layer span/metric assertions, the store calls and crossings of
 # each op class, the prefetch security regressions (the hints'
 # generation rule among them), the unlock-as-ocall check, the
@@ -156,7 +160,7 @@ revoke-sweep:
 	$(GO) run ./cmd/nexus-bench -exp revoke-sweep -json \
 		-members 1000,10000,100000,1000000
 
-ci: build vet lint race alloc chaos obs
+ci: build vet fmt lint race alloc chaos obs
 
 clean:
 	$(GO) clean ./...

@@ -13,8 +13,10 @@ import (
 // TestBatchedWriteFaultSweep kills the store at every store call of each
 // write-path op class whose calls leave the enclave in batches (DESIGN.md
 // §11.5) — an overwrite, a create and an append, each one SaveFile ecall,
-// a remove with the drain after it, and an overwrite after a pending
-// remove, whose SaveFile is one commit with the drain (§12.4) — so that
+// a remove with the drain after it, an overwrite after a pending remove,
+// whose SaveFile is one commit with the drain (§12.4), and a rename onto
+// an existing file with the drain after it, which deletes the replaced
+// file only once no directory on the store names it (§6) — so that
 // kill points land inside every exit, between one call and the next. Each
 // failure is ErrStoreUnavailable. Whatever the store holds then, a
 // restarted client reads the old state or the new, never an integrity
@@ -26,6 +28,7 @@ import (
 // converges on the new state.
 func TestBatchedWriteFaultSweep(t *testing.T) {
 	old, next := bytes.Repeat([]byte("o"), 4<<10), bytes.Repeat([]byte("n"), 4<<10)
+	moved := bytes.Repeat([]byte("m"), 4<<10)
 	appended := append(bytes.Clone(old), "tail"...)
 	classes := []struct {
 		name string
@@ -35,8 +38,8 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 		op   func(e *enclave.Enclave) error
 		// inPlace marks a rewrite of the data object the filenode names.
 		inPlace bool
-		// gone, when set, is a file the op removes: a restarted client
-		// finds it or not, and after the retry it is gone.
+		// gone, when set, is a file holding moved that the op removes: a
+		// restarted client finds it or not, and after the retry it is gone.
 		gone string
 	}{
 		{"overwrite", "/a/f", next, old, func(e *enclave.Enclave) error { return e.SaveFile("/a/f", next, true) }, true, ""},
@@ -54,6 +57,12 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 			}
 			return e.SaveFile("/a/f", next, false)
 		}, true, "/a/g"},
+		{"rename onto an existing file", "/a/f", moved, old, func(e *enclave.Enclave) error {
+			if err := e.Rename("/a/g", "/a/f"); err != nil && !errors.Is(err, enclave.ErrNotFound) {
+				return err
+			}
+			return e.SyncMetadata()
+		}, false, "/a/g"},
 	}
 	for _, c := range classes {
 		t.Run(c.name, func(t *testing.T) {
@@ -91,7 +100,7 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 				if c.gone != "" {
-					if err := e.SaveFile(c.gone, old, true); err != nil {
+					if err := e.SaveFile(c.gone, moved, true); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -121,7 +130,7 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 					t.Fatalf("k=%d: a restarted client reads %d bytes, neither the old state nor the new", k, len(got))
 				}
 				if c.gone != "" {
-					if got, err := fresh.ReadFile(c.gone); err != nil && !errors.Is(err, enclave.ErrNotFound) || err == nil && !bytes.Equal(got, old) {
+					if got, err := fresh.ReadFile(c.gone); err != nil && !errors.Is(err, enclave.ErrNotFound) || err == nil && !bytes.Equal(got, moved) {
 						t.Fatalf("k=%d: a restarted client reads %s as %d bytes, %v: neither the old directory nor the new", k, c.gone, len(got), err)
 					}
 				}

@@ -190,11 +190,8 @@ type Enclave struct {
 	// re-read of the same bytes needs no open (loadMerkleRootLocked).
 	mkBlob []byte
 
-	// wb is the write-back dirty set; batching is set while a commit or a
-	// drain collects the freshness records of what it flushes, so the root
-	// advances once per commit. Both are guarded by mu.
-	wb       *dirtySet
-	batching bool
+	// wb is the write-back dirty set. Guarded by mu.
+	wb *dirtySet
 
 	// queued are the store calls the next exit makes, stash the reads an
 	// exit made ahead of use (exitLocked, DESIGN.md §11.5). Guarded by mu.
@@ -315,8 +312,7 @@ func New(cfg Config) (*Enclave, error) {
 	if in, ok := store.(interface{ Instrument(*obs.Registry) }); ok {
 		in.Instrument(cfg.Obs)
 	}
-	var err error
-	if err = e.sgx.Ecall(func() error {
+	if err := e.ecall(noAuth, func() (err error) {
 		e.exchange, err = newExchangeKey()
 		return err
 	}); err != nil {
@@ -395,10 +391,7 @@ func (e *Enclave) DropCaches() {
 // persistence. The caller must still authenticate (Mount flow) before
 // using the volume.
 func (e *Enclave) CreateVolume(ownerName string, ownerKey ed25519.PublicKey) (sealedRootKey []byte, err error) {
-	err = e.sgx.Ecall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
+	err = e.ecall(noAuth, func() error {
 		if e.rootKey != nil {
 			return fmt.Errorf("enclave: a volume is already active")
 		}
@@ -414,20 +407,25 @@ func (e *Enclave) CreateVolume(ownerName string, ownerKey ed25519.PublicKey) (se
 		e.rootKey = rootKey
 		e.super = super
 
-		// Root dirnode: parent pointer binds it to the supernode.
+		// The root dirnode (its parent pointer binds it to the supernode),
+		// then the supernode: each is a commit of the root alone, and the
+		// last root put leaves before the rootkey is sealed.
 		root := metadata.NewDirnode(super.RootDir, super.VolumeUUID, e.cfg.BucketSize)
-		if err := e.flushDirnodeLocked(root, 1); err != nil {
-			e.rootKey = nil
-			e.super = nil
-			return fmt.Errorf("writing root dirnode: %w", err)
+		if err = e.flushDirnodeLocked(root, 1); err == nil {
+			err = e.commitFreshLocked()
 		}
-		if err = e.flushSupernodeLocked(); err == nil {
-			err = e.exitLocked(e.metrics.metaIO) // the root's last put
+		if err == nil {
+			err = e.flushSupernodeLocked()
+		}
+		if err == nil {
+			err = e.commitFreshLocked()
+		}
+		if err == nil {
+			err = e.exitLocked(e.metrics.metaIO)
 		}
 		if err != nil {
-			e.rootKey = nil
-			e.super = nil
-			return fmt.Errorf("writing supernode: %w", err)
+			e.rootKey, e.super = nil, nil
+			return fmt.Errorf("writing the new volume: %w", err)
 		}
 
 		sealedRootKey, err = e.sgx.Seal(rootKey, super.VolumeUUID[:])
@@ -458,10 +456,7 @@ func (e *Enclave) VolumeUUID() (uuid.UUID, error) {
 // the rootkey, loads and verifies the supernode, and returns a fresh
 // nonce together with the encrypted supernode blob the user must sign.
 func (e *Enclave) BeginAuth(userKey ed25519.PublicKey, sealedRootKey []byte, volumeID uuid.UUID) (nonce, supernodeBlob []byte, err error) {
-	err = e.sgx.Ecall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
+	err = e.ecall(noAuth, func() error {
 		if len(userKey) != ed25519.PublicKeySize {
 			return fmt.Errorf("%w: bad public key length", ErrBadAuth)
 		}
@@ -498,10 +493,7 @@ func (e *Enclave) BeginAuth(userKey ed25519.PublicKey, sealedRootKey []byte, vol
 // user's Ed25519 signature over nonce ‖ encrypted-supernode. On success
 // the user's identity is cached in the enclave and the volume is usable.
 func (e *Enclave) CompleteAuth(signature []byte) error {
-	return e.sgx.Ecall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
+	return e.ecall(noAuth, func() error {
 		if e.pendingNonce == nil || e.pendingUser == nil {
 			return fmt.Errorf("%w: no authentication in progress", ErrBadAuth)
 		}
@@ -559,18 +551,76 @@ func (e *Enclave) requireAuthLocked() error {
 	return nil
 }
 
+// Whether an ecall's body needs an authenticated user (requireAuthLocked).
+const (
+	noAuth   = false
+	needAuth = true
+)
+
+// ecall is the one way into the enclave: every exported operation that
+// enters it is one call of ecall, so the protocol of §V — each body under
+// mu, ending in one final exit — is written once (DESIGN.md §11.5). It
+// makes the sgx.Ecall transition, takes mu, checks authentication when
+// auth is needAuth, runs bodyLocked and always ends in leaveLocked.
+//
+// A body that observed a torn directory snapshot — an overflow bucket
+// whose MAC does not match the main object's record, or one that is gone
+// — is run again, a bounded number of times. Writers put a dirnode's
+// overflow buckets and then its main object as separate store writes, and
+// the storage layer's invalidations propagate per object, so an unlocked
+// reader can see a fresh bucket against a stale main object, or outlive
+// the buckets of the main object it fetched; the store then already holds
+// a newer main object, which the retried walk fetches — unless the copy
+// that named the bucket is this enclave's own dirty write-back shadow,
+// which every walk would return again: that one is re-based on the
+// store's main object first, in a transition of its own. (A directory
+// that fits bucket 0 is one object and cannot tear.) Such an error always
+// precedes any side effect, so the whole operation is safe to retry; a
+// persistent one is the real signal — a rolled back, substituted or
+// withheld bucket (§V-B) — and is returned. Store faults
+// (ErrStoreUnavailable) are not retried: a mutation that died with
+// unknown outcome must surface so the caller can re-validate.
+func (e *Enclave) ecall(auth bool, bodyLocked func() error) error {
+	enter := func(stepLocked func() error) error {
+		return e.sgx.Ecall(func() (err error) {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			defer e.leaveLocked(&err)
+			return stepLocked()
+		})
+	}
+	for attempt := 0; ; attempt++ {
+		err := enter(func() error {
+			if auth {
+				if err := e.requireAuthLocked(); err != nil {
+					return err
+				}
+			}
+			return bodyLocked()
+		})
+		var torn *tornDirError
+		if err == nil || attempt >= 3 || !errors.As(err, &torn) {
+			return err
+		}
+		// Give the lagging invalidation a moment to land.
+		time.Sleep(time.Duration(attempt+1) * time.Millisecond)
+		if rerr := enter(func() error {
+			if n, ok := e.wb.nodes[torn.dir]; ok && n.dir != nil && !n.isNew {
+				return e.rebaseDirtyDirnodeLocked(torn.dir, n)
+			}
+			return nil
+		}); rerr != nil && !errors.As(rerr, &torn) {
+			return rerr
+		}
+	}
+}
+
 // --- User administration (owner only, §IV-C) ---
 
 // AddUser grants a new identity access to the volume. Only the owner may
 // administer the user table; the change is one metadata update.
 func (e *Enclave) AddUser(name string, key ed25519.PublicKey) (userID uint32, err error) {
-	err = e.sgx.Ecall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
-		if err := e.requireAuthLocked(); err != nil {
-			return err
-		}
+	err = e.ecall(needAuth, func() error {
 		if !e.isOwnerLocked() {
 			return fmt.Errorf("%w: only the owner administers users", ErrAccessDenied)
 		}
@@ -603,13 +653,7 @@ func (e *Enclave) AddUser(name string, key ed25519.PublicKey) (userID uint32, er
 // the enclave, this is a single metadata re-encryption: no file data is
 // touched (§VII-E).
 func (e *Enclave) RemoveUser(name string) error {
-	return e.sgx.Ecall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
-		if err := e.requireAuthLocked(); err != nil {
-			return err
-		}
+	return e.ecall(needAuth, func() error {
 		if !e.isOwnerLocked() {
 			return fmt.Errorf("%w: only the owner administers users", ErrAccessDenied)
 		}
@@ -631,12 +675,7 @@ func (e *Enclave) RemoveUser(name string) error {
 // ListUsers returns the owner plus all authorized users.
 func (e *Enclave) ListUsers() ([]metadata.User, error) {
 	var out []metadata.User
-	err := e.sgx.Ecall(func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if err := e.requireAuthLocked(); err != nil {
-			return err
-		}
+	err := e.ecall(needAuth, func() error {
 		out = append(out, e.super.Owner)
 		out = append(out, e.super.Users...)
 		return nil
@@ -691,8 +730,8 @@ func (e *Enclave) loadSupernodeLocked() error {
 	return nil
 }
 
-// flushSupernodeLocked seals and uploads the supernode, bumping its
-// version.
+// flushSupernodeLocked seals the supernode, bumping its version, and
+// queues its upload for the caller's commit.
 func (e *Enclave) flushSupernodeLocked() error {
 	e.superVersion++
 	p := metadata.Preamble{
@@ -715,5 +754,5 @@ func (e *Enclave) flushSupernodeLocked() error {
 		e.metrics.metadataBytes.Add(int64(len(blob)))
 		return nil
 	})
-	return e.commitFreshLocked()
+	return nil
 }

@@ -172,10 +172,7 @@ var exchangeKeySealLabel = []byte("nexus-exchange-key")
 // the same platform can restore it.
 func (e *Enclave) SealedExchangeKey() ([]byte, error) {
 	var out []byte
-	err := e.sgx.Ecall(func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		var err error
+	err := e.ecall(noAuth, func() (err error) {
 		out, err = e.sgx.Seal(e.exchange.priv.Bytes(), exchangeKeySealLabel)
 		return err
 	})
@@ -189,9 +186,7 @@ func (e *Enclave) SealedExchangeKey() ([]byte, error) {
 // previously exported by SealedExchangeKey, so offers published before a
 // restart remain redeemable.
 func (e *Enclave) RestoreExchangeKey(sealed []byte) error {
-	return e.sgx.Ecall(func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
+	return e.ecall(noAuth, func() error {
 		raw, err := e.sgx.Unseal(sealed, exchangeKeySealLabel)
 		if err != nil {
 			return fmt.Errorf("unsealing exchange key: %w", err)
@@ -210,9 +205,7 @@ func (e *Enclave) RestoreExchangeKey(sealed []byte) error {
 // key. The caller publishes the returned bytes on the shared store.
 func (e *Enclave) CreateExchangeOffer(userName string, sign Signer) ([]byte, error) {
 	var out []byte
-	err := e.sgx.Ecall(func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
+	err := e.ecall(noAuth, func() error {
 		pub := e.exchange.priv.PublicKey().Bytes()
 		quote, err := e.sgx.Quote(keyDigest(pub))
 		if err != nil {
@@ -242,10 +235,7 @@ func (e *Enclave) CreateExchangeOffer(userName string, sign Signer) ([]byte, err
 // for the caller to publish. Only the authenticated owner may grant.
 func (e *Enclave) GrantAccess(offerBytes []byte, userName string, userKey ed25519.PublicKey, sign Signer) ([]byte, error) {
 	var out []byte
-	err := e.sgx.Ecall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
+	err := e.ecall(needAuth, func() error {
 		remoteKey, err := e.admitOfferLocked(offerBytes, userName, userKey)
 		if err != nil {
 			return err
@@ -282,9 +272,7 @@ func (e *Enclave) GrantAccess(offerBytes []byte, userName string, userKey ed2551
 // key, recovers the rootkey, and returns it SGX-sealed for local
 // persistence along with the volume UUID to mount with.
 func (e *Enclave) AcceptGrant(grantBytes []byte, ownerKey ed25519.PublicKey) (sealedRootKey []byte, volumeID uuid.UUID, err error) {
-	err = e.sgx.Ecall(func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
+	err = e.ecall(noAuth, func() error {
 		g, err := DecodeGrant(grantBytes)
 		if err != nil {
 			return err
@@ -315,9 +303,6 @@ func (e *Enclave) AcceptGrant(grantBytes []byte, ownerKey ed25519.PublicKey) (se
 // and admits the user (one supernode update, §VII-F). It returns the
 // offered key.
 func (e *Enclave) admitOfferLocked(offerBytes []byte, userName string, userKey ed25519.PublicKey) (*ecdh.PublicKey, error) {
-	if err := e.requireAuthLocked(); err != nil {
-		return nil, err
-	}
 	if !e.isOwnerLocked() {
 		return nil, fmt.Errorf("%w: only the owner may grant volume access", ErrAccessDenied)
 	}

@@ -97,9 +97,7 @@ func DecodeMutualGrant(b []byte) (*MutualGrant, error) {
 // signed offer.
 func (e *Enclave) BeginMutualExchange(userName string, sign Signer) ([]byte, error) {
 	var out []byte
-	err := e.sgx.Ecall(func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
+	err := e.ecall(noAuth, func() error {
 		eph, err := ecdh.P256().GenerateKey(rand.Reader)
 		if err != nil {
 			return fmt.Errorf("generating ephemeral key: %w", err)
@@ -135,10 +133,7 @@ func (e *Enclave) BeginMutualExchange(userName string, sign Signer) ([]byte, err
 // mutually attested; neither ephemeral key survives the exchange.
 func (e *Enclave) GrantAccessMutual(offerBytes []byte, userName string, userKey ed25519.PublicKey, sign Signer) ([]byte, error) {
 	var out []byte
-	err := e.sgx.Ecall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
+	err := e.ecall(needAuth, func() error {
 		remoteKey, err := e.admitOfferLocked(offerBytes, userName, userKey)
 		if err != nil {
 			return err
@@ -182,9 +177,7 @@ func (e *Enclave) GrantAccessMutual(offerBytes []byte, userName string, userKey 
 // ephemeral-ephemeral secret, recovers and seals the rootkey, and
 // discards the local ephemeral key (forward secrecy).
 func (e *Enclave) AcceptMutualGrant(grantBytes []byte, ownerKey ed25519.PublicKey) (sealedRootKey []byte, volumeID uuid.UUID, err error) {
-	err = e.sgx.Ecall(func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
+	err = e.ecall(noAuth, func() error {
 		if e.pendingMutual == nil {
 			return fmt.Errorf("%w: no mutual exchange in progress (ephemeral key already consumed?)", ErrExchangeInvalid)
 		}

@@ -218,18 +218,16 @@ func (e *Enclave) checkFreshnessLocked(id uuid.UUID, version uint64) error {
 }
 
 // commitFreshLocked commits the freshness records (0 = object deleted) of
-// the puts just queued. Inside a batch they wait for the batch's commit,
-// and the root advances once for all of them; a stale-low leaf is safe in
-// the interim — checkFreshnessLocked only rejects versions *below* it. A
-// flush outside a batch (a filenode under its own lock, the objects of a
-// new volume) is its own commit, of the root alone: its batch is complete
+// the puts just queued, as a commit of the root alone. A flush only
+// queues: inside a commit (commitLocked) its records wait for that commit,
+// and the root advances once for all of them — a stale-low leaf is safe in
+// the interim, since checkFreshnessLocked only rejects versions *below*
+// it. A caller that flushes outside one (a filenode under its own lock,
+// the objects of a new volume) calls this itself. Its batch is complete
 // before the root is re-read, so the freshness update is staged as the
 // last call of the re-read's exit, and the commit makes no exit of its own
 // for it.
 func (e *Enclave) commitFreshLocked() error {
-	if e.batching {
-		return nil
-	}
 	release := e.lockObject(MerkleRootObjectName)
 	defer release()
 	// A queued root put moves the epoch and takes wb.fresh with it, so

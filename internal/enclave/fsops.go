@@ -50,52 +50,6 @@ func splitPath(path string) (dirs []string, base string, err error) {
 // finds the bucket changed (ErrBucketMACMismatch) or gone.
 var errBucketGone = errors.New("enclave: directory bucket gone from the store")
 
-// retryTornEcall runs an operation, retrying briefly when it observes a
-// torn directory snapshot: an overflow bucket whose MAC does not match
-// the main object's record, or one that is gone. Writers flush a
-// dirnode's dirty overflow buckets and then its main object as separate
-// store writes, and the storage layer's invalidations propagate per
-// object, so an unlocked reader can transiently see a fresh bucket
-// against a stale main object, or outlive the buckets of the main object
-// it fetched. Either way the store already holds a newer main object,
-// which the retried walk fetches — unless the copy that named the bucket
-// is this enclave's own dirty write-back shadow, which every walk would
-// return again: that one is re-based on the store's main object first.
-// (A directory that fits bucket 0 is one object and cannot tear.) The
-// mutation paths take the store lock before changing anything, so such
-// an error always precedes any side effect and the whole operation is
-// safe to retry. A *persistent* mismatch or absence is the real signal —
-// a rolled back, substituted or withheld bucket (§V-B) — and is surfaced
-// after the bounded retries.
-//
-// Storage-substrate faults (ErrStoreUnavailable) are deliberately NOT
-// retried here: idempotent-RPC retry lives in the AFS client, and a
-// mutating operation that died with unknown outcome must surface so the
-// caller can re-validate instead of blindly re-running the ecall.
-func (e *Enclave) retryTornEcall(fn func() error) error {
-	for attempt := 0; ; attempt++ {
-		err := e.sgx.Ecall(fn)
-		var torn *tornDirError
-		if err == nil || attempt >= 3 || !errors.As(err, &torn) {
-			return err
-		}
-		// Give the lagging invalidation a moment to land.
-		time.Sleep(time.Duration(attempt+1) * time.Millisecond)
-		if rerr := e.sgx.Ecall(func() (err error) {
-			e.mu.Lock()
-			defer e.mu.Unlock()
-			defer e.leaveLocked(&err)
-			n, ok := e.wb.nodes[torn.dir]
-			if !ok || n.dir == nil || n.isNew {
-				return nil
-			}
-			return e.rebaseDirtyDirnodeLocked(torn.dir, n)
-		}); rerr != nil && !errors.As(rerr, &torn) {
-			return rerr
-		}
-	}
-}
-
 // walkResult carries a resolved directory and its current metadata
 // version (used for version bumps on flush).
 type walkResult struct {
@@ -221,13 +175,7 @@ func (e *Enclave) checkACLLocked(d *metadata.Dirnode, want acl.Rights) error {
 
 // createEntry is the shared implementation of Touch, Mkdir and Symlink.
 func (e *Enclave) createEntry(path string, kind metadata.EntryKind, symlinkTarget string) error {
-	return e.retryTornEcall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
-		if err := e.requireAuthLocked(); err != nil {
-			return err
-		}
+	return e.ecall(needAuth, func() error {
 		dirs, name, err := splitPath(path)
 		if err != nil {
 			return err
@@ -271,13 +219,7 @@ func (e *Enclave) Symlink(target, linkPath string) error {
 
 // Remove deletes a file, symlink, or empty directory (nexus_fs_remove).
 func (e *Enclave) Remove(path string) error {
-	return e.retryTornEcall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
-		if err := e.requireAuthLocked(); err != nil {
-			return err
-		}
+	return e.ecall(needAuth, func() error {
 		dirs, name, err := splitPath(path)
 		if err != nil {
 			return err
@@ -309,33 +251,21 @@ func isNotExist(err error) bool {
 // warm walk with a current hint makes no exit (DESIGN.md §11.5).
 func (e *Enclave) Lookup(path string) (Stat, error) {
 	var st Stat
-	walk := e.readAhead(walkLookup, path)
-	err := e.retryTornEcall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
-		if err := e.enterWalkLocked(walk); err != nil {
-			return err
-		}
-		defer e.hintWalkLocked(walk)
-		dirs, name := walk.dirs, walk.name
-		if name == "" {
+	err := e.walkEcall(walkLookup, path, func(walk *readWalk) error {
+		if walk.name == "" {
 			st = Stat{Name: "/", Kind: metadata.KindDir}
 			_, err := e.walkDirLocked(nil)
 			return err
 		}
-		w, err := e.walkDirLocked(dirs)
+		w, err := e.walkDirLocked(walk.dirs)
 		if err != nil {
 			return err
 		}
 		if err := e.checkACLLocked(w.dir, acl.Lookup); err != nil {
 			return err
 		}
-		entry, err := w.dir.Lookup(name, e.bucketLoaderFor(w.dir))
+		entry, err := e.lookupEntryLocked(w.dir, walk.name, path)
 		if err != nil {
-			if errors.Is(err, metadata.ErrEntryNotFound) {
-				return fmt.Errorf("%w: %s", ErrNotFound, path)
-			}
 			return err
 		}
 		st = Stat{Name: entry.Name, Kind: entry.Kind, SymlinkTarget: entry.SymlinkTarget}
@@ -358,15 +288,7 @@ func (e *Enclave) Lookup(path string) (Stat, error) {
 // Filldir lists a directory's entries sorted by name (nexus_fs_filldir).
 func (e *Enclave) Filldir(path string) ([]Stat, error) {
 	var out []Stat
-	walk := e.readAhead(walkList, path)
-	err := e.retryTornEcall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
-		if err := e.enterWalkLocked(walk); err != nil {
-			return err
-		}
-		defer e.hintWalkLocked(walk)
+	err := e.walkEcall(walkList, path, func(walk *readWalk) error {
 		w, err := e.walkDirLocked(walk.dirs)
 		if err != nil {
 			return err
@@ -398,13 +320,7 @@ func (e *Enclave) Filldir(path string) ([]Stat, error) {
 // Hardlink creates newPath as an additional name for the existing file
 // (nexus_fs_hardlink). Directories cannot be hardlinked.
 func (e *Enclave) Hardlink(existingPath, newPath string) error {
-	return e.retryTornEcall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
-		if err := e.requireAuthLocked(); err != nil {
-			return err
-		}
+	return e.ecall(needAuth, func() error {
 		// Hardlink spans two directories and mutates a shared link
 		// count; it runs eagerly on a drained set, as one commit that
 		// also holds the filenode's lock.
@@ -465,7 +381,7 @@ func (e *Enclave) hardlinkLocked(existingPath, newPath string) error {
 			return err
 		}
 		f.LinkCount++
-		if err := e.flushFilenodeLocked(f, fv+1); err != nil {
+		if err := e.putFilenodeLocked(f, fv+1); err != nil {
 			return err
 		}
 		return e.flushDirnodeLocked(dstW.dir, dstW.version+1)
@@ -531,13 +447,7 @@ func (e *Enclave) commitFilesLocked(walks [][]string, resolve func() ([]uuid.UUI
 // (nexus_fs_rename). An existing file or symlink at the destination is
 // replaced; an existing directory is an error.
 func (e *Enclave) Rename(oldPath, newPath string) error {
-	return e.retryTornEcall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
-		if err := e.requireAuthLocked(); err != nil {
-			return err
-		}
+	return e.ecall(needAuth, func() error {
 		// Rename spans two directories (with replace semantics); it runs
 		// eagerly on a drained set, as one commit that also holds the
 		// lock of each filenode it rewrites: a file moved to another
@@ -613,7 +523,10 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 		return ids, loads, nil
 	}
 	return e.commitFilesLocked(walks, resolve, func() error {
-		// Replace semantics at the destination.
+		// Replace semantics at the destination: a file replaced loses the
+		// link as Remove unlinks it, and its last link's deletes are staged
+		// once both directories are up.
+		var drop func()
 		if replaces {
 			if onto {
 				return nil // rename onto itself
@@ -622,7 +535,7 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 			case metadata.KindDir:
 				return fmt.Errorf("%w: destination %s is a directory", ErrExists, newPath)
 			case metadata.KindFile:
-				if err := e.removeFileEntryLocked(dstW.dir, existing); err != nil {
+				if drop, err = e.unlinkFileLocked(dstW.dir.UUID, existing.UUID); err != nil {
 					return err
 				}
 			case metadata.KindSymlink:
@@ -662,7 +575,7 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 				// Multi-link files already carry no parent binding.
 				if f.LinkCount <= 1 && !f.Parent.IsNil() {
 					f.Parent = dstW.dir.UUID
-					if err := e.flushFilenodeLocked(f, fv+1); err != nil {
+					if err := e.putFilenodeLocked(f, fv+1); err != nil {
 						return err
 					}
 				}
@@ -670,32 +583,19 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 			}
 		}
 
-		if err := e.flushDirnodeLocked(srcW.dir, srcW.version+1); err != nil || sameDir {
+		if err := e.flushDirnodeLocked(srcW.dir, srcW.version+1); err != nil {
 			return err
 		}
-		return e.flushDirnodeLocked(dstW.dir, dstW.version+1)
+		if !sameDir {
+			if err := e.flushDirnodeLocked(dstW.dir, dstW.version+1); err != nil {
+				return err
+			}
+		}
+		if drop != nil {
+			e.onSuccessLocked(drop)
+		}
+		return nil
 	})
-}
-
-// removeFileEntryLocked drops a file's storage when its entry is being
-// replaced (helper for Rename's overwrite case, which holds the
-// filenode's lock).
-func (e *Enclave) removeFileEntryLocked(dir *metadata.Dirnode, entry metadata.DirEntry) error {
-	f, fv, err := e.loadFilenode(entry.UUID, dir.UUID)
-	if err != nil {
-		return err
-	}
-	if f.LinkCount > 1 {
-		f.LinkCount--
-		f.Parent = uuid.Nil
-		return e.flushFilenodeLocked(f, fv+1)
-	}
-	if f.HasDataObject() {
-		e.deleteObject(objName(f.DataUUID), nil, nil)
-	}
-	e.deleteObject(objName(entry.UUID), nil, nil)
-	e.cache.invalidate(entry.UUID)
-	return nil
 }
 
 // streamPutCutoff is the write size from which WriteFile pipelines
@@ -842,10 +742,7 @@ func (e *Enclave) SaveFile(path string, data []byte, create bool) error {
 }
 
 func (e *Enclave) saveFile(path string, data []byte, create, sync bool) error {
-	return e.retryTornEcall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
+	return e.ecall(needAuth, func() error {
 		if err := e.writeFileLocked(path, data, create, sync); err != nil {
 			return err
 		}
@@ -859,9 +756,6 @@ func (e *Enclave) saveFile(path string, data []byte, create, sync bool) error {
 // writeFileLocked is the body of WriteFile and SaveFile; sync is set for
 // SaveFile, whose drain an overwrite may commit with.
 func (e *Enclave) writeFileLocked(path string, data []byte, create, sync bool) error {
-	if err := e.requireAuthLocked(); err != nil {
-		return err
-	}
 	dirs, name, err := splitPath(path)
 	if err != nil {
 		return err
@@ -940,28 +834,16 @@ func (e *Enclave) writeFileLocked(path string, data []byte, create, sync bool) e
 // the Read ACL check.
 func (e *Enclave) ReadFile(path string) ([]byte, error) {
 	var out []byte
-	walk := e.readAhead(walkRead, path)
-	err := e.retryTornEcall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
-		if err := e.enterWalkLocked(walk); err != nil {
-			return err
-		}
-		defer e.hintWalkLocked(walk)
-		dirs, name := walk.dirs, walk.name
-		w, err := e.walkDirLocked(dirs)
+	err := e.walkEcall(walkRead, path, func(walk *readWalk) error {
+		w, err := e.walkDirLocked(walk.dirs)
 		if err != nil {
 			return err
 		}
 		if err := e.checkACLLocked(w.dir, acl.Read); err != nil {
 			return err
 		}
-		entry, err := w.dir.Lookup(name, e.bucketLoaderFor(w.dir))
+		entry, err := e.lookupEntryLocked(w.dir, walk.name, path)
 		if err != nil {
-			if errors.Is(err, metadata.ErrEntryNotFound) {
-				return fmt.Errorf("%w: %s", ErrNotFound, path)
-			}
 			return err
 		}
 		if entry.Kind != metadata.KindFile {
@@ -995,10 +877,7 @@ func (e *Enclave) ReadFile(path string) ([]byte, error) {
 // directory may change its ACL; the update re-encrypts one metadata
 // object, which is the paper's entire revocation cost (§VII-E).
 func (e *Enclave) SetACL(dirPath, userName string, rights acl.Rights) error {
-	return e.retryTornEcall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
+	return e.ecall(needAuth, func() error {
 		return e.setACLEntryLocked(dirPath, rights, func() (uint32, error) {
 			target, err := e.super.FindUserByName(userName)
 			return target.ID, err
@@ -1012,9 +891,6 @@ func (e *Enclave) SetACL(dirPath, userName string, rights acl.Rights) error {
 // re-seals the directory, walking to it inside the commit so the change
 // applies to the freshest version.
 func (e *Enclave) setACLEntryLocked(dirPath string, rights acl.Rights, subject func() (uint32, error)) error {
-	if err := e.requireAuthLocked(); err != nil {
-		return err
-	}
 	// Revocation must not leave any pre-revocation metadata pending:
 	// drain first, then re-seal the directory eagerly (§VII-E).
 	if err := e.drainWithRetryLocked(); err != nil {
@@ -1049,13 +925,7 @@ func (e *Enclave) setACLEntryLocked(dirPath string, rights acl.Rights, subject f
 // GetACL returns a directory's ACL entries resolved to usernames.
 func (e *Enclave) GetACL(dirPath string) (map[string]acl.Rights, error) {
 	out := make(map[string]acl.Rights)
-	err := e.retryTornEcall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
-		if err := e.requireAuthLocked(); err != nil {
-			return err
-		}
+	err := e.ecall(needAuth, func() error {
 		dirs, base, err := splitPath(dirPath)
 		if err != nil {
 			return err

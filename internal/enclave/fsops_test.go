@@ -11,6 +11,7 @@ import (
 	"nexus/internal/acl"
 	"nexus/internal/backend"
 	"nexus/internal/freshtree"
+	"nexus/internal/merkle"
 	"nexus/internal/metadata"
 	"nexus/internal/sgx"
 	"nexus/internal/uuid"
@@ -435,12 +436,32 @@ func TestRenameOverwritesFile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	e.mu.Lock()
+	replaced, _ := fileEntryLocked(t, e, "/b")
+	e.mu.Unlock()
 	if err := e.Rename("/a", "/b"); err != nil {
 		t.Fatalf("Rename overwrite: %v", err)
 	}
 	got, err := e.ReadFile("/b")
 	if err != nil || string(got) != "aaa" {
 		t.Fatalf("ReadFile(/b) = %q, %v", got, err)
+	}
+	// The replaced filenode is deleted as Remove deletes one: by the
+	// drain, which zeroes its Merkle leaf, so the store proves it absent.
+	if err := e.SyncMetadata(); err != nil {
+		t.Fatal(err)
+	}
+	epoch, root, _ := e.FreshnessEpoch()
+	raw, err := e.store.FreshnessProof(replaced, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := merkle.DecodeProof(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf, present, err := proof.Verify(root, replaced); err != nil || present {
+		t.Fatalf("replaced filenode's Merkle leaf: present %v at version %d, %v", present, leaf, err)
 	}
 	// Renaming onto a directory fails.
 	if err := e.Mkdir("/dir"); err != nil {

@@ -89,12 +89,7 @@ func (e *Enclave) recordGroupStatsLocked(tree *groupkey.Tree, before groupkey.St
 // UserGroup returns the stable leaf subgroup ID the named user belongs
 // to, for granting ACL rights to that subgroup via SetGroupACL.
 func (e *Enclave) UserGroup(userName string) (leaf uint32, err error) {
-	err = e.sgx.Ecall(func() error {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		if err := e.requireAuthLocked(); err != nil {
-			return err
-		}
+	err = e.ecall(needAuth, func() error {
 		u, err := e.super.FindUserByName(userName)
 		if err != nil {
 			return err
@@ -118,10 +113,7 @@ func (e *Enclave) UserGroup(userName string) (leaf uint32, err error) {
 // rewrite. Authorization and cost are SetACL's: owner or Administer,
 // one directory re-seal.
 func (e *Enclave) SetGroupACL(dirPath string, leaf uint32, rights acl.Rights) error {
-	return e.retryTornEcall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
+	return e.ecall(needAuth, func() error {
 		return e.setACLEntryLocked(dirPath, rights, func() (uint32, error) {
 			if n := e.super.GroupTree.Leaves(); int(leaf) >= n {
 				return 0, fmt.Errorf("enclave: no leaf subgroup %d (tree has %d)", leaf, n)

@@ -394,9 +394,6 @@ func (e *Enclave) enterWalkLocked(w *readWalk) error {
 	} else {
 		e.metrics.prefetchDiscarded.Add(int64(len(reads)))
 	}
-	if err := e.requireAuthLocked(); err != nil {
-		return err
-	}
 	var err error
 	if w.dirs, w.name, err = splitPath(w.path); err != nil {
 		return err
@@ -479,6 +476,21 @@ func failing(what string) func(c *storeCall) error {
 		}
 		return nil
 	}
+}
+
+// walkEcall is ecall for a read-only walk of path (Lookup, ReadFile,
+// Filldir, by kind): its stub makes the reads the walk's hint names before
+// the transition (readAhead), and bodyLocked runs between enterWalkLocked
+// and hintWalkLocked.
+func (e *Enclave) walkEcall(kind walkKind, path string, bodyLocked func(w *readWalk) error) error {
+	w := e.readAhead(kind, path)
+	return e.ecall(needAuth, func() error {
+		if err := e.enterWalkLocked(w); err != nil {
+			return err
+		}
+		defer e.hintWalkLocked(w)
+		return bodyLocked(w)
+	})
 }
 
 // leaveLocked ends an ecall body: the calls it left queued — unlocks, the
@@ -575,7 +587,7 @@ func (e *Enclave) openBlobChecked(id uuid.UUID, blob []byte, wantType metadata.O
 // tornDirError is a torn directory snapshot — an overflow bucket that is
 // gone or does not match the main object's record — tagged with the
 // directory whose copy named the bucket, so the retry can tell a dirty
-// shadow from a copy the next fetch replaces (retryTornEcall).
+// shadow from a copy the next fetch replaces (ecall).
 type tornDirError struct {
 	dir uuid.UUID
 	err error
@@ -613,10 +625,12 @@ func (e *Enclave) bucketLoaderFor(d *metadata.Dirnode) func(i int) (*metadata.Bu
 	}
 }
 
-// flushDirnodeLocked seals and uploads a dirnode at the given (already
-// bumped) version: its dirty overflow buckets, then its main object,
-// which carries the ACL and bucket 0. A directory that has never
-// overflowed bucket 0 is that one put, atomic by construction.
+// flushDirnodeLocked seals a dirnode at the given (already bumped)
+// version and queues its uploads: its dirty overflow buckets, then its
+// main object, which carries the ACL and bucket 0. A directory that has
+// never overflowed bucket 0 is that one put, atomic by construction. Like
+// every flush it commits nothing: the caller's commit takes its freshness
+// records (DESIGN.md §12.4).
 //
 // Overflow-bucket writes are copy-on-write: a dirty bucket that already
 // exists on the store is rewritten under another name, the main object
@@ -736,7 +750,7 @@ func (e *Enclave) flushDirnodeLocked(d *metadata.Dirnode, version uint64) error 
 		e.cache.put(d.UUID, c.version, version, d, int64(len(body))+256)
 		return nil
 	})
-	return e.commitFreshLocked()
+	return nil
 }
 
 // loadFilenode returns the file metadata at id. The parent-UUID check
@@ -782,16 +796,8 @@ func (e *Enclave) loadFilenode(id, parent uuid.UUID) (*metadata.Filenode, uint64
 	return f, p.Version, nil
 }
 
-// flushFilenodeLocked seals and uploads a filenode at the given version.
-func (e *Enclave) flushFilenodeLocked(f *metadata.Filenode, version uint64) error {
-	if err := e.putFilenodeLocked(f, version); err != nil {
-		return err
-	}
-	return e.commitFreshLocked()
-}
-
-// putFilenodeLocked is flushFilenodeLocked up to the commit: it seals and
-// queues the upload, and a failure of the upload drops the cached copy.
+// putFilenodeLocked seals a filenode at the given version and queues its
+// upload, whose failure drops the cached copy.
 func (e *Enclave) putFilenodeLocked(f *metadata.Filenode, version uint64) error {
 	blob, err := metadata.Seal(e.rootKey, metadata.Preamble{
 		Type:    metadata.TypeFilenode,

@@ -23,7 +23,8 @@ package enclave
 //   - deferred deletes run after all uploads, so no on-store dirnode
 //     ever references a deleted object;
 //   - the freshness root advances once per batch, absorbing every
-//     per-object update its puts and deletes carry (sinkLocked).
+//     per-object update its puts and deletes carry: a flush only queues,
+//     and the batch's commit takes them all.
 //
 // Deferred dirnode mutations also keep a per-node op log (insert/remove
 // by name). New objects are put without any lock; every directory the
@@ -273,14 +274,6 @@ func (e *Enclave) drainWithRetryLocked() error {
 	return err
 }
 
-// sinkLocked runs fn with the freshness updates of every object it
-// flushes left for the next commit, which collects them in wb.fresh.
-func (e *Enclave) sinkLocked(fn func() error) error {
-	e.batching = true
-	defer func() { e.batching = false }()
-	return fn()
-}
-
 // commitLocked is one metadata commit (DESIGN.md §12.4), the critical
 // section every rewrite of a dirnode the store holds, or of the
 // supernode, runs in. It takes the freshness root's store lock — the one
@@ -300,7 +293,7 @@ func (e *Enclave) commitLocked(ahead []*storeCall, fn func() error) error {
 	if err := e.loadMerkleRootLocked(true, ahead...); err != nil {
 		return err
 	}
-	if err := e.sinkLocked(fn); err != nil {
+	if err := fn(); err != nil {
 		return err
 	}
 	return e.advanceRootLocked(nil)
@@ -322,7 +315,7 @@ func (e *Enclave) drainLocked() error {
 	span.SetTagInt("deletes", int64(len(e.wb.deletes)))
 	defer span.End()
 
-	if err := e.sinkLocked(func() error { return e.flushDirtyNodesLocked(true) }); err != nil {
+	if err := e.flushDirtyNodesLocked(true); err != nil {
 		return err
 	}
 	// The dirnodes to re-base and their proofs are read ahead with the
@@ -377,7 +370,7 @@ func (e *Enclave) flushDirtyNodesLocked(isNew bool) error {
 		var err error
 		switch {
 		case n.file != nil:
-			err = e.flushFilenodeLocked(n.file, n.base+1)
+			err = e.putFilenodeLocked(n.file, n.base+1)
 		case !isNew:
 			if err = e.rebaseDirtyDirnodeLocked(id, n); err == nil {
 				err = e.flushDirnodeLocked(n.dir, n.base+1)
@@ -436,7 +429,7 @@ func (e *Enclave) dirtyDepthLocked(id uuid.UUID) int {
 // the dirty copy derives from, replaces the copy with the on-store
 // directory plus the replayed op log. The drain runs it inside its
 // commit, so the flush at base+1 that follows cannot be overtaken;
-// retryTornEcall runs it unlocked, to give a reader a shadow whose
+// ecall runs it outside a commit, to give a reader a shadow whose
 // buckets still exist (the drain re-bases again).
 func (e *Enclave) rebaseDirtyDirnodeLocked(id uuid.UUID, n *dirtyNode) error {
 	blob, _, err := e.fetchObject(e.metrics.metaIO, objName(id))
@@ -570,25 +563,14 @@ func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
 			// from other clients, so the final-unlink decision stays
 			// under the filenode's store lock rather than being deferred.
 			defer e.lockObject(objName(entry.UUID))()
-			f, fv, err := e.loadFilenode(entry.UUID, w.dir.UUID)
+			drop, err := e.unlinkFileLocked(w.dir.UUID, entry.UUID)
 			if err != nil {
 				return err
 			}
-			if f.LinkCount > 1 {
-				f.LinkCount--
-				// The remaining links' directories are unknown; drop the
-				// parent binding (nil = hardlink history, checked no
-				// further — the dirnode entry UUID still binds structure).
-				f.Parent = uuid.Nil
-				if err := e.flushFilenodeLocked(f, fv+1); err != nil {
-					return err
-				}
-			} else {
-				if f.HasDataObject() {
-					e.stageDeleteLocked(f.DataUUID, false)
-				}
-				e.stageDeleteLocked(entry.UUID, true)
-				e.cache.invalidate(entry.UUID)
+			if drop != nil {
+				drop() // the drain puts this directory before any staged delete
+			} else if err := e.commitFreshLocked(); err != nil {
+				return err // the drop of the link count is its own commit
 			}
 		}
 
@@ -603,16 +585,42 @@ func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
 	return e.maybeDrainLocked()
 }
 
+// unlinkFileLocked drops the link named in directory dir to the on-store
+// file id, under the filenode's lock, which the caller holds: it is
+// Remove's unlink and Rename's onto a file. A file with other links loses
+// one from its count, and its parent binding — the remaining links'
+// directories are unknown; nil is hardlink history, checked no further,
+// and the dirnode entry's UUID still binds structure. Its filenode is
+// queued for the caller to commit, and drop is nil. For the last link,
+// drop stages the deletes of the filenode, whose Merkle leaf the drain
+// zeroes, and of its data object, and drops the cached copy; the caller
+// calls it once no directory it may still put names the file.
+func (e *Enclave) unlinkFileLocked(dir, id uuid.UUID) (drop func(), err error) {
+	f, fv, err := e.loadFilenode(id, dir)
+	if err != nil {
+		return nil, err
+	}
+	if f.LinkCount > 1 {
+		f.LinkCount--
+		f.Parent = uuid.Nil
+		return nil, e.putFilenodeLocked(f, fv+1)
+	}
+	return func() {
+		if f.HasDataObject() {
+			e.stageDeleteLocked(f.DataUUID, false)
+		}
+		e.stageDeleteLocked(id, true)
+		e.cache.invalidate(id)
+	}, nil
+}
+
 // SyncMetadata drains all pending write-back metadata to the store: the
 // barrier the untrusted layer invokes from File.Sync/Close, FS.Sync,
 // and before cache drops. A drain that failed at a high-water mark is
 // retried here and its error — store fault or integrity violation —
 // reported. Before a volume is active it is a no-op.
 func (e *Enclave) SyncMetadata() error {
-	return e.retryTornEcall(func() (err error) {
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		defer e.leaveLocked(&err)
+	return e.ecall(noAuth, func() error {
 		if e.rootKey == nil {
 			return nil
 		}

@@ -16,11 +16,17 @@ package lint
 //   - it acquires a sync.Mutex/RWMutex in its own body (everything it
 //     calls runs under that lock, flow-insensitively), or
 //   - it is itself *Locked-named (its own callers are checked at
-//     their call edges, which is what makes the rule compositional).
+//     their call edges, which is what makes the rule compositional), or
+//   - it is a function literal passed directly to a parameter whose
+//     name ends in "Locked" (heldLiterals): the callee asserts by that
+//     name that it runs the value with the lock held, as a *Locked
+//     function's name asserts it for the function. This is how the
+//     enclave's one entry (ecall) takes the lock for every operation's
+//     body, which the rule then checks once, in the entry.
 //
-// Function literals inherit through the graph naturally: the literal
-// has a reference edge from its lexically enclosing context, so a
-// closure created inside a locked region — including one handed to a
+// Other function literals inherit through the graph naturally: the
+// literal has a reference edge from its lexically enclosing context, so
+// a closure created inside a locked region — including one handed to a
 // *Locked helper like updateSupernodeLocked — is only as unheld as
 // its encloser. The known blind spot is a closure that escapes a
 // locked region and runs after the unlock (goroutines, stashed
@@ -29,6 +35,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // checkLockedCall reports every unguarded use of a *Locked function in
@@ -40,13 +47,20 @@ func checkLockedCall(m *Module) []Finding {
 	// mutex, so its callees run under the lock.
 	// contract[n]: n is *Locked-named; by convention it runs held, and
 	// each of its call edges is checked at the caller instead.
+	// Literals passed to a *Locked parameter assert the same.
 	acquires := make(map[*CGNode]bool)
 	contract := make(map[*CGNode]bool)
+	held := make(map[*ast.FuncLit]bool)
+	for _, p := range m.Packages {
+		for _, file := range p.Syntax {
+			heldLiterals(p, file, held)
+		}
+	}
 	for _, n := range g.Nodes {
 		if n.Body != nil {
 			acquires[n] = bodyAcquiresLock(n)
 		}
-		if n.Fn != nil && lockedNameSuffix(n.Fn.Name()) {
+		if n.Fn != nil && lockedNameSuffix(n.Fn.Name()) || n.Lit != nil && held[n.Lit] {
 			contract[n] = true
 		}
 	}
@@ -146,6 +160,34 @@ func bodyAcquiresLock(n *CGNode) bool {
 		return true
 	})
 	return found
+}
+
+// heldLiterals adds to held every function literal under root that is
+// passed directly to a parameter whose name ends in "Locked" — the
+// documented idiom for a function value the callee runs with the lock
+// held (DESIGN.md §8.2).
+func heldLiterals(p *Package, root ast.Node, held map[*ast.FuncLit]bool) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || p.Info.Types[call.Fun].IsType() {
+			return true // not a call, or a conversion
+		}
+		sig, ok := p.Info.TypeOf(call.Fun).(*types.Signature)
+		if !ok || sig.Params().Len() == 0 {
+			return true
+		}
+		for i, arg := range call.Args {
+			lit, ok := ast.Unparen(arg).(*ast.FuncLit)
+			if !ok {
+				continue
+			}
+			param := sig.Params().At(min(i, sig.Params().Len()-1)) // a variadic tail
+			if lockedNameSuffix(param.Name()) {
+				held[lit] = true
+			}
+		}
+		return true
+	})
 }
 
 // lockedNameSuffix reports the repo's *Locked naming convention

@@ -164,3 +164,39 @@ func (e *E) Do() {
 		t.Fatalf("Suppressed = %d, want 1", res.Suppressed)
 	}
 }
+
+// TestLockedCallHeldParameter: the entry idiom (DESIGN.md §8.2). A
+// literal passed to a parameter whose name ends in "Locked" runs with the
+// lock held, so its *Locked calls are clean; passed to an ordinary
+// parameter it is only as held as its encloser; and a *Locked call in the
+// exported method's own body, outside the literal, is a finding.
+func TestLockedCallHeldParameter(t *testing.T) {
+	src := func(param, extra string) map[string]string {
+		return map[string]string{"a/x.go": `package a
+
+import "sync"
+
+type E struct {
+	mu sync.Mutex
+}
+
+func (e *E) helperLocked() {}
+
+func (e *E) ecall(` + param + ` func() error) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return ` + param + `()
+}
+
+func (e *E) Do() error {` + extra + `
+	return e.ecall(func() error {
+		e.helperLocked()
+		return nil
+	})
+}
+`}
+	}
+	expect(t, analyzeFixture(t, src("bodyLocked", "")), RuleLockedCall)
+	expect(t, analyzeFixture(t, src("body", "")), RuleLockedCall, "x.go:19")
+	expect(t, analyzeFixture(t, src("bodyLocked", "\n\te.helperLocked()")), RuleLockedCall, "x.go:18")
+}

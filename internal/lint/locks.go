@@ -21,7 +21,9 @@ var guardedByRe = regexp.MustCompile(`guarded by (\w+)`)
 //  2. guarded fields — a struct field annotated "// guarded by mu" may
 //     only be read or written in functions that lock mu, except in
 //     functions whose name ends in "Locked" (this repo's convention for
-//     helpers that document the caller holds the lock).
+//     helpers that document the caller holds the lock) and in function
+//     literals passed to a parameter so named (heldLiterals), which the
+//     callee runs with the lock held.
 func checkLocks(m *Module, p *Package) []Finding {
 	var out []Finding
 	guarded := guardedFields(p)
@@ -200,8 +202,13 @@ func checkGuardedAccess(p *Package, fn funcScope, guarded map[*types.Var]guardIn
 		return true
 	})
 
+	held := make(map[*ast.FuncLit]bool)
+	heldLiterals(p, fn.body, held)
 	var out []Finding
 	ast.Inspect(fn.body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok && held[lit] {
+			return false // runs with the lock held
+		}
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true

@@ -153,6 +153,61 @@ func (s *S) Good() {
 `,
 		},
 		{
+			name: "literal passed to a Locked parameter runs held",
+			src: `package pkg
+import "sync"
+type S struct {
+	mu sync.Mutex
+	n  int // guarded by mu
+}
+func (s *S) run(bodyLocked func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	bodyLocked()
+}
+func (s *S) Good() {
+	s.run(func() { s.n++ })
+}
+`,
+		},
+		{
+			name: "literal passed to an ordinary parameter does not",
+			src: `package pkg
+import "sync"
+type S struct {
+	mu sync.Mutex
+	n  int // guarded by mu
+}
+func (s *S) run(body func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	body()
+}
+func (s *S) Bad() {
+	s.run(func() { s.n++ }) //WANT
+}
+`,
+		},
+		{
+			name: "method body beside a held literal is not held",
+			src: `package pkg
+import "sync"
+type S struct {
+	mu sync.Mutex
+	n  int // guarded by mu
+}
+func (s *S) run(bodyLocked func()) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	bodyLocked()
+}
+func (s *S) Bad() int {
+	s.run(func() { s.n++ })
+	return s.n //WANT
+}
+`,
+		},
+		{
 			name: "doc comment annotation",
 			src: `package pkg
 import "sync"

@@ -51,7 +51,7 @@ func BenchmarkChunkEncrypt1MiB(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.EncryptContent(data); err != nil {
+		if _, err := sealContent(f, data, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -59,7 +59,7 @@ func BenchmarkChunkEncrypt1MiB(b *testing.B) {
 
 func BenchmarkChunkDecrypt1MiB(b *testing.B) {
 	f := NewFilenode(uuid.New(), uuid.Nil, DefaultChunkSize)
-	blob, err := f.EncryptContent(make([]byte, 1<<20))
+	blob, err := sealContent(f, make([]byte, 1<<20), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func BenchmarkChunkEncryptWorkers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.EncryptContentWorkers(data, w); err != nil {
+				if _, err := sealContent(f, data, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -97,7 +97,7 @@ func BenchmarkChunkEncryptWorkers(b *testing.B) {
 // BenchmarkChunkDecryptWorkers is the read-path counterpart.
 func BenchmarkChunkDecryptWorkers(b *testing.B) {
 	f := NewFilenode(uuid.New(), uuid.Nil, DefaultChunkSize)
-	blob, err := f.EncryptContent(make([]byte, 16<<20))
+	blob, err := sealContent(f, make([]byte, 16<<20), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func BenchmarkChunkDecryptWorkers(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := f.DecryptContentWorkers(blob, w); err != nil {
+				if _, err := openContent(f, blob, w); err != nil {
 					b.Fatal(err)
 				}
 			}

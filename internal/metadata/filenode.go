@@ -41,7 +41,7 @@ const MaxInlineSize = 4096 - headerSize - tagSize - filenodePrefixSize
 // ChunkContext is the per-chunk cryptographic context: IV and
 // authentication tag (§IV-A1). The chunk key lives once per update in
 // Filenode.ContentKey rather than per chunk: our update granularity is
-// the whole content (EncryptContent re-seals every chunk), so a single
+// the whole content (EncryptContentInto re-seals every chunk), so a single
 // fresh-per-update key with a unique random IV per chunk gives the same
 // guarantee the paper's per-chunk keys do — no (key, IV) pair ever
 // seals two plaintexts — while cutting metadata overhead from 44 to 28
@@ -316,32 +316,18 @@ func cryptoWorkers(size, workers int) int {
 	return parallel.Workers(workers)
 }
 
-// EncryptContent encrypts plaintext into the data object's on-store
+// EncryptContentInto encrypts plaintext into the data object's on-store
 // form, drawing a fresh content key and fresh per-chunk IVs
 // ("re-encrypted using fresh keys on every file content update",
-// §VI-A). The returned blob holds ciphertext‖tag per chunk
-// (SealedSize bytes); tags are also recorded in the filenode. Chunks
-// are sealed in parallel across GOMAXPROCS workers; use
-// EncryptContentWorkers to bound the fan-out.
-func (f *Filenode) EncryptContent(plaintext []byte) ([]byte, error) {
-	return f.EncryptContentWorkers(plaintext, 0)
-}
-
-// EncryptContentWorkers is EncryptContent with an explicit parallelism
-// knob: 0 means GOMAXPROCS (with serial fallback below
+// §VI-A). The sealed blob holds ciphertext‖tag per chunk (SealedSize
+// bytes); tags are also recorded in the filenode. dst must have capacity
+// for SealedSize(len(plaintext)) bytes and is returned re-sliced to
+// exactly that length. The caller owns dst throughout, and each worker
+// seals its chunks directly into their final slots via capacity-capped
+// sub-slices, so no ciphertext is ever staged in scratch. workers is the
+// parallelism: 0 means GOMAXPROCS (with serial fallback below
 // serialCutoffBytes), 1 forces the serial path, higher values request a
 // wider fan-out (clamped to GOMAXPROCS).
-func (f *Filenode) EncryptContentWorkers(plaintext []byte, workers int) ([]byte, error) {
-	out := make([]byte, f.SealedSize(len(plaintext)))
-	return f.EncryptContentInto(out, plaintext, workers)
-}
-
-// EncryptContentInto is EncryptContentWorkers sealing into a
-// caller-owned buffer: dst must have capacity for SealedSize(len
-// (plaintext)) bytes and is returned re-sliced to exactly that length.
-// The caller owns dst throughout, and each worker seals its chunks
-// directly into their final slots via capacity-capped sub-slices, so
-// no ciphertext is ever staged in scratch.
 func (f *Filenode) EncryptContentInto(dst, plaintext []byte, workers int) ([]byte, error) {
 	total := len(plaintext)
 	sealedLen := f.SealedSize(total)
@@ -381,23 +367,16 @@ func (f *Filenode) EncryptContentInto(dst, plaintext []byte, workers int) ([]byt
 }
 
 // DecryptContent verifies and decrypts a data object blob produced by
-// EncryptContent. Chunk reordering, truncation, or modification yields
-// ErrTampered. Chunks are opened in parallel across GOMAXPROCS workers;
-// use DecryptContentWorkers to bound the fan-out.
+// EncryptContentInto. Chunk reordering, truncation, or modification
+// yields ErrTampered. Chunks are opened in parallel across GOMAXPROCS
+// workers.
 func (f *Filenode) DecryptContent(blob []byte) ([]byte, error) {
-	return f.DecryptContentWorkers(blob, 0)
+	return f.DecryptContentInto(make([]byte, f.Size), blob, 0)
 }
 
-// DecryptContentWorkers is DecryptContent with an explicit parallelism
-// knob (same semantics as EncryptContentWorkers).
-func (f *Filenode) DecryptContentWorkers(blob []byte, workers int) ([]byte, error) {
-	out := make([]byte, f.Size)
-	return f.DecryptContentInto(out, blob, workers)
-}
-
-// DecryptContentInto is DecryptContentWorkers opening into a
-// caller-owned buffer of capacity >= f.Size, returned re-sliced to the
-// plaintext length. Each sealed chunk is read directly out of blob and
+// DecryptContentInto is DecryptContent opening into a caller-owned buffer
+// of capacity >= f.Size, with the parallelism of EncryptContentInto,
+// returned re-sliced to the plaintext length. Each sealed chunk is read directly out of blob and
 // opened directly into its plaintext slot — zero staging copies on
 // either side.
 func (f *Filenode) DecryptContentInto(dst, blob []byte, workers int) ([]byte, error) {
@@ -579,10 +558,6 @@ func (s *SealStream) Wait() error {
 	return s.err
 }
 
-// Sealed returns the full sealed blob after Wait has reported
-// completion; the slice aliases the caller's buffer.
-func (s *SealStream) Sealed() []byte { return s.sealed }
-
 // CryptoDuration reports how long the sealing itself took, independent
 // of how fast the consumer drained it — the figure the enclave's
 // chunk-crypto histogram records for streamed writes.
@@ -590,11 +565,4 @@ func (s *SealStream) CryptoDuration() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cryptoDur
-}
-
-// MetadataOverhead returns the encoded size of the filenode's content
-// crypto contexts — the quantity the revocation experiment (§VII-E)
-// compares against bulk data re-encryption.
-func (f *Filenode) MetadataOverhead() int {
-	return BodyKeySize + len(f.Chunks)*(ivSize+tagSize)
 }

@@ -31,23 +31,23 @@ func TestChunkCryptoAllocBudget(t *testing.T) {
 	pt := make([]byte, size)
 
 	// Serial path via AllocsPerRun (warm the pools first).
-	if _, err := f.EncryptContentWorkers(pt, 1); err != nil {
+	if _, err := sealContent(f, pt, 1); err != nil {
 		t.Fatal(err)
 	}
 	encAllocs := testing.AllocsPerRun(20, func() {
-		if _, err := f.EncryptContentWorkers(pt, 1); err != nil {
+		if _, err := sealContent(f, pt, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if encAllocs > allocBudget {
 		t.Errorf("encrypt w=1: %.1f allocs/op, budget %d", encAllocs, allocBudget)
 	}
-	blob, err := f.EncryptContentWorkers(pt, 1)
+	blob, err := sealContent(f, pt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	decAllocs := testing.AllocsPerRun(20, func() {
-		if _, err := f.DecryptContentWorkers(blob, 1); err != nil {
+		if _, err := openContent(f, blob, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -62,7 +62,7 @@ func TestChunkCryptoAllocBudget(t *testing.T) {
 		w := w
 		enc := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := f.EncryptContentWorkers(pt, w); err != nil {
+				if _, err := sealContent(f, pt, w); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -70,13 +70,13 @@ func TestChunkCryptoAllocBudget(t *testing.T) {
 		if got := enc.AllocsPerOp(); got > allocBudget {
 			t.Errorf("encrypt w=%d: %d allocs/op, budget %d", w, got, allocBudget)
 		}
-		blob, err := f.EncryptContentWorkers(pt, w)
+		blob, err := sealContent(f, pt, w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dec := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := f.DecryptContentWorkers(blob, w); err != nil {
+				if _, err := openContent(f, blob, w); err != nil {
 					b.Fatal(err)
 				}
 			}

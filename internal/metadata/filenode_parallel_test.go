@@ -33,7 +33,7 @@ func TestParallelRoundTripMatchesAcrossWorkerCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range workerCounts {
-			blob, err := f.EncryptContentWorkers(pt, w)
+			blob, err := sealContent(f, pt, w)
 			if err != nil {
 				t.Fatalf("size %d workers %d: encrypt: %v", size, w, err)
 			}
@@ -43,7 +43,7 @@ func TestParallelRoundTripMatchesAcrossWorkerCounts(t *testing.T) {
 			// The same blob must decrypt byte-identically under every
 			// fan-out width, not only the one that produced it.
 			for _, dw := range workerCounts {
-				got, err := f.DecryptContentWorkers(blob, dw)
+				got, err := openContent(f, blob, dw)
 				if err != nil {
 					t.Fatalf("size %d enc-workers %d dec-workers %d: decrypt: %v", size, w, dw, err)
 				}
@@ -57,7 +57,7 @@ func TestParallelRoundTripMatchesAcrossWorkerCounts(t *testing.T) {
 
 // TestParallelStreamMatchesBatch proves the seal-stream produces the
 // same wire bytes the batch API does in one shot: drained segments
-// concatenate to exactly the Sealed() blob, the blob decrypts at every
+// concatenate to exactly the sealed blob in dst, the blob decrypts at every
 // width, and segments arrive in order without gaps.
 func TestParallelStreamMatchesBatch(t *testing.T) {
 	withProcs(t, 8)
@@ -89,8 +89,8 @@ func TestParallelStreamMatchesBatch(t *testing.T) {
 			if err := s.Wait(); err != nil {
 				t.Fatalf("size %d workers %d: Wait: %v", size, w, err)
 			}
-			if !bytes.Equal(drained, s.Sealed()) {
-				t.Fatalf("size %d workers %d: drained %d bytes != sealed %d", size, w, len(drained), len(s.Sealed()))
+			if sealed := dst[:f.SealedSize(size)]; !bytes.Equal(drained, sealed) {
+				t.Fatalf("size %d workers %d: drained %d bytes != sealed %d", size, w, len(drained), len(sealed))
 			}
 			if len(drained) != f.SealedSize(size) {
 				t.Fatalf("size %d workers %d: sealed %d bytes, want %d", size, w, len(drained), f.SealedSize(size))
@@ -99,7 +99,7 @@ func TestParallelStreamMatchesBatch(t *testing.T) {
 				t.Fatalf("size %d workers %d: no segments emitted", size, w)
 			}
 			for _, dw := range workerCounts {
-				got, err := f.DecryptContentWorkers(drained, dw)
+				got, err := openContent(f, drained, dw)
 				if err != nil {
 					t.Fatalf("size %d stream-workers %d dec-workers %d: decrypt: %v", size, w, dw, err)
 				}
@@ -120,7 +120,7 @@ func TestParallelTamperReorderTruncateDetected(t *testing.T) {
 	if _, err := rand.Read(pt); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := f.EncryptContentWorkers(pt, 8)
+	blob, err := sealContent(f, pt, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestParallelTamperReorderTruncateDetected(t *testing.T) {
 		// Bit flip in a middle chunk.
 		mut := bytes.Clone(blob)
 		mut[7*stride+13] ^= 1
-		if _, err := f.DecryptContentWorkers(mut, w); !errors.Is(err, ErrTampered) {
+		if _, err := openContent(f, mut, w); !errors.Is(err, ErrTampered) {
 			t.Fatalf("workers %d: ciphertext flip accepted: %v", w, err)
 		}
 		// Consistent reorder of two sealed chunks (data swapped with
@@ -137,15 +137,15 @@ func TestParallelTamperReorderTruncateDetected(t *testing.T) {
 		copy(swapped[0:stride], blob[stride:2*stride])
 		copy(swapped[stride:2*stride], blob[0:stride])
 		f.Chunks[0], f.Chunks[1] = f.Chunks[1], f.Chunks[0]
-		if _, err := f.DecryptContentWorkers(swapped, w); !errors.Is(err, ErrTampered) {
+		if _, err := openContent(f, swapped, w); !errors.Is(err, ErrTampered) {
 			t.Fatalf("workers %d: chunk reorder accepted: %v", w, err)
 		}
 		f.Chunks[0], f.Chunks[1] = f.Chunks[1], f.Chunks[0]
 		// Truncation and extension.
-		if _, err := f.DecryptContentWorkers(blob[:len(blob)-1], w); !errors.Is(err, ErrTampered) {
+		if _, err := openContent(f, blob[:len(blob)-1], w); !errors.Is(err, ErrTampered) {
 			t.Fatalf("workers %d: truncation accepted: %v", w, err)
 		}
-		if _, err := f.DecryptContentWorkers(append(bytes.Clone(blob), 0), w); !errors.Is(err, ErrTampered) {
+		if _, err := openContent(f, append(bytes.Clone(blob), 0), w); !errors.Is(err, ErrTampered) {
 			t.Fatalf("workers %d: extension accepted: %v", w, err)
 		}
 	}
@@ -161,13 +161,13 @@ func TestParallelFreshKeysPerUpdate(t *testing.T) {
 	for _, w := range workerCounts {
 		f := NewFilenode(uuid.New(), uuid.Nil, 1024)
 		pt := bytes.Repeat([]byte{7}, 8*1024)
-		if _, err := f.EncryptContentWorkers(pt, w); err != nil {
+		if _, err := sealContent(f, pt, w); err != nil {
 			t.Fatal(err)
 		}
 		firstKey := f.ContentKey
 		first := make([]ChunkContext, len(f.Chunks))
 		copy(first, f.Chunks)
-		if _, err := f.EncryptContentWorkers(pt, w); err != nil {
+		if _, err := sealContent(f, pt, w); err != nil {
 			t.Fatal(err)
 		}
 		if f.ContentKey == firstKey {
@@ -206,12 +206,12 @@ func TestParallelPipelineRaceClean(t *testing.T) {
 			defer wg.Done()
 			f := NewFilenode(uuid.New(), uuid.Nil, 16<<10)
 			for iter := 0; iter < 3; iter++ {
-				blob, err := f.EncryptContentWorkers(pt, workers)
+				blob, err := sealContent(f, pt, workers)
 				if err != nil {
 					errs <- err
 					return
 				}
-				got, err := f.DecryptContentWorkers(blob, workers)
+				got, err := openContent(f, blob, workers)
 				if err != nil {
 					errs <- err
 					return

@@ -14,6 +14,18 @@ import (
 	"nexus/internal/uuid"
 )
 
+// sealContent seals pt as the enclave does, into a fresh buffer of
+// SealedSize bytes with the given parallelism (0: GOMAXPROCS).
+func sealContent(f *Filenode, pt []byte, workers int) ([]byte, error) {
+	return f.EncryptContentInto(make([]byte, f.SealedSize(len(pt))), pt, workers)
+}
+
+// openContent opens blob into a fresh buffer of f.Size bytes with the
+// given parallelism.
+func openContent(f *Filenode, blob []byte, workers int) ([]byte, error) {
+	return f.DecryptContentInto(make([]byte, f.Size), blob, workers)
+}
+
 func TestFilenodeEncryptDecryptRoundTrip(t *testing.T) {
 	for _, size := range []int{0, 1, 100, 1024, 4096, 5000} {
 		f := NewFilenode(uuid.New(), uuid.New(), 1024)
@@ -21,9 +33,9 @@ func TestFilenodeEncryptDecryptRoundTrip(t *testing.T) {
 		if _, err := rand.Read(pt); err != nil {
 			t.Fatal(err)
 		}
-		blob, err := f.EncryptContent(pt)
+		blob, err := sealContent(f, pt, 0)
 		if err != nil {
-			t.Fatalf("size %d: EncryptContent: %v", size, err)
+			t.Fatalf("size %d: sealing: %v", size, err)
 		}
 		wantChunks := (size + 1023) / 1024
 		if len(blob) != size+wantChunks*16 {
@@ -52,13 +64,13 @@ func TestFilenodeEncryptDecryptRoundTrip(t *testing.T) {
 func TestFilenodeFreshKeysPerUpdate(t *testing.T) {
 	f := NewFilenode(uuid.New(), uuid.Nil, 1024)
 	pt := bytes.Repeat([]byte{7}, 2048)
-	if _, err := f.EncryptContent(pt); err != nil {
+	if _, err := sealContent(f, pt, 0); err != nil {
 		t.Fatal(err)
 	}
 	firstKey := f.ContentKey
 	firstCtx := make([]ChunkContext, len(f.Chunks))
 	copy(firstCtx, f.Chunks)
-	if _, err := f.EncryptContent(pt); err != nil {
+	if _, err := sealContent(f, pt, 0); err != nil {
 		t.Fatal(err)
 	}
 	if f.ContentKey == firstKey {
@@ -74,7 +86,7 @@ func TestFilenodeFreshKeysPerUpdate(t *testing.T) {
 func TestFilenodeChunkSwapDetected(t *testing.T) {
 	f := NewFilenode(uuid.New(), uuid.Nil, 16)
 	pt := bytes.Repeat([]byte{1}, 48) // 3 chunks; sealed stride 32
-	blob, err := f.EncryptContent(pt)
+	blob, err := sealContent(f, pt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +104,7 @@ func TestFilenodeChunkSwapDetected(t *testing.T) {
 func TestFilenodeTamperAndTruncationDetected(t *testing.T) {
 	f := NewFilenode(uuid.New(), uuid.Nil, 32)
 	pt := bytes.Repeat([]byte{3}, 100)
-	blob, err := f.EncryptContent(pt)
+	blob, err := sealContent(f, pt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +135,7 @@ func TestFilenodeCrossFileTransplantDetected(t *testing.T) {
 	f1 := NewFilenode(uuid.New(), uuid.Nil, 64)
 	f2 := NewFilenode(uuid.New(), uuid.Nil, 64)
 	pt := bytes.Repeat([]byte{5}, 64)
-	blob, err := f1.EncryptContent(pt)
+	blob, err := sealContent(f1, pt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +151,7 @@ func TestFilenodeEncodeDecode(t *testing.T) {
 	f := NewFilenode(uuid.New(), uuid.New(), 1<<20)
 	f.LinkCount = 3
 	pt := bytes.Repeat([]byte{9}, 3<<20)
-	if _, err := f.EncryptContent(pt); err != nil {
+	if _, err := sealContent(f, pt, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -167,7 +179,7 @@ func TestFilenodeEncodeDecode(t *testing.T) {
 	}
 	// A decoded filenode must decrypt what the original sealed (the AAD
 	// cache is rebuilt, not serialized).
-	blob, err := f.EncryptContent(pt)
+	blob, err := sealContent(f, pt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,16 +196,21 @@ func TestFilenodeEncodeDecode(t *testing.T) {
 	}
 }
 
+// TestFilenodeMetadataOverhead pins what an update costs the filenode —
+// the quantity the revocation experiment (§VII-E) compares against bulk
+// data re-encryption: its body holds one 16-byte content key per update
+// and 28 bytes (IV+tag) per 1 MiB chunk.
 func TestFilenodeMetadataOverhead(t *testing.T) {
 	f := NewFilenode(uuid.New(), uuid.Nil, 1<<20)
-	pt := make([]byte, 10<<20) // 10 chunks
-	if _, err := f.EncryptContent(pt); err != nil {
-		t.Fatal(err)
+	bodyAt := func(size int) int {
+		if _, err := sealContent(f, make([]byte, size), 0); err != nil {
+			t.Fatal(err)
+		}
+		return len(f.EncodeBody())
 	}
-	// One 16-byte content key per update plus 28 bytes (IV+tag) per
-	// 1 MiB chunk.
-	if got := f.MetadataOverhead(); got != 16+10*28 {
-		t.Fatalf("MetadataOverhead = %d, want %d", got, 16+10*28)
+	one, ten := bodyAt(1<<20), bodyAt(10<<20)
+	if ten-one != 9*28 || BodyKeySize != 16 {
+		t.Fatalf("9 more chunks grow the filenode body by %d bytes, want %d (key %d bytes)", ten-one, 9*28, BodyKeySize)
 	}
 }
 
@@ -203,7 +220,7 @@ func TestFilenodeIntoBufferTooSmall(t *testing.T) {
 	if _, err := f.EncryptContentInto(make([]byte, 0, 10), pt, 1); err == nil {
 		t.Fatal("undersized encrypt destination accepted")
 	}
-	blob, err := f.EncryptContent(pt)
+	blob, err := sealContent(f, pt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +246,7 @@ func TestFilenodeIntoBufferTooSmall(t *testing.T) {
 func TestQuickFilenodeRoundTrip(t *testing.T) {
 	f := func(data []byte) bool {
 		fn := NewFilenode(uuid.New(), uuid.Nil, 256)
-		blob, err := fn.EncryptContent(data)
+		blob, err := sealContent(fn, data, 0)
 		if err != nil {
 			return false
 		}
@@ -251,7 +268,7 @@ func TestFilenodeLegacyChunkCountMismatchRejected(t *testing.T) {
 	if _, err := rand.Read(pt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.EncryptContent(pt); err != nil {
+	if _, err := sealContent(f, pt, 0); err != nil {
 		t.Fatal(err)
 	}
 	body := f.EncodeBody()
@@ -286,9 +303,9 @@ func TestFilenodeTruncateAccounting(t *testing.T) {
 		if _, err := rand.Read(pt); err != nil {
 			t.Fatal(err)
 		}
-		blob, err := f.EncryptContent(pt)
+		blob, err := sealContent(f, pt, 0)
 		if err != nil {
-			t.Fatalf("EncryptContent(%d): %v", n, err)
+			t.Fatalf("sealing %d bytes: %v", n, err)
 		}
 		if got, err := f.DecryptContent(blob); err != nil || !bytes.Equal(got, pt) {
 			t.Fatalf("round trip at %d bytes: %v", n, err)
@@ -441,7 +458,7 @@ func TestFilenodeInlineCap(t *testing.T) {
 func FuzzFilenodeBodyDecode(f *testing.F) {
 	fn := NewFilenode(uuid.New(), uuid.New(), 1024)
 	f.Add(fn.EncodeBody())
-	if _, err := fn.EncryptContent(make([]byte, 2500)); err != nil {
+	if _, err := sealContent(fn, make([]byte, 2500), 0); err != nil {
 		f.Fatal(err)
 	}
 	fn.LinkCount = 2

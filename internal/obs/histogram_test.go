@@ -14,12 +14,12 @@ func TestBucketIndexBoundaries(t *testing.T) {
 		{0, 0},
 		{1, 0},
 		{999, 0},
-		{1000, 0},   // inclusive upper bound of bucket 0
-		{1001, 1},   // first value of bucket 1
-		{2000, 1},   // inclusive upper bound of bucket 1
-		{2001, 2},   // first value of bucket 2
-		{4000, 2},   //
-		{4001, 3},   //
+		{1000, 0},            // inclusive upper bound of bucket 0
+		{1001, 1},            // first value of bucket 1
+		{2000, 1},            // inclusive upper bound of bucket 1
+		{2001, 2},            // first value of bucket 2
+		{4000, 2},            //
+		{4001, 3},            //
 		{1 << 40, numBounds}, // far beyond the ladder: overflow
 	}
 	for _, c := range cases {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -23,9 +22,8 @@ import (
 // recently begun, not-yet-ended span (falling back to a root). This
 // matches how one operation flows down the stack — vfs.write begins,
 // then sgx.ecall begins inside it, then afs.store inside that — and
-// keeps the instrumented layers free of plumbed-through context.
-// StartSpan offers explicit context parenting for callers that do have
-// a context. Ambient parenting means spans from concurrently traced
+// keeps the instrumented layers free of plumbed-through context; it is
+// the only parenting there is. Ambient parenting means spans from concurrently traced
 // operations can interleave; the tracer is a magnifying glass for one
 // op at a time, not a production distributed tracer.
 type Tracer struct {
@@ -81,18 +79,9 @@ func (t *Tracer) Begin(name string) *Span {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.beginLocked(name, nil)
-}
-
-// beginLocked creates the span under t.mu. When parent is nil the top
-// of the ambient stack (or the root set) adopts the span.
-func (t *Tracer) beginLocked(name string, parent *Span) *Span {
 	s := &Span{Name: name, Start: time.Now(), tr: t}
-	if parent == nil && len(t.stack) > 0 {
-		parent = t.stack[len(t.stack)-1]
-	}
-	if parent != nil {
-		parent.Children = append(parent.Children, s)
+	if n := len(t.stack); n > 0 {
+		t.stack[n-1].Children = append(t.stack[n-1].Children, s)
 	} else {
 		t.roots = append(t.roots, s)
 	}
@@ -149,34 +138,6 @@ func (t *Tracer) Take() []*Span {
 	t.roots = nil
 	t.stack = nil
 	return roots
-}
-
-// ctxKey is the context key for span propagation.
-type ctxKey struct{}
-
-// ContextWithSpan returns a context carrying the span.
-func ContextWithSpan(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
-// SpanFromContext returns the span carried by ctx, or nil.
-func SpanFromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
-	return s
-}
-
-// StartSpan opens a span explicitly parented under the span in ctx (if
-// any) and returns a derived context carrying the new span. Use it at
-// operation entry points that own a context; the layers below nest via
-// the ambient Begin.
-func (t *Tracer) StartSpan(ctx context.Context, name string) (context.Context, *Span) {
-	if !t.enabled.Load() {
-		return ctx, nil
-	}
-	t.mu.Lock()
-	s := t.beginLocked(name, SpanFromContext(ctx))
-	t.mu.Unlock()
-	return ContextWithSpan(ctx, s), s
 }
 
 // FormatTree writes the span forest as an indented tree:
