@@ -76,13 +76,14 @@ chaos:
 # generation rule among them), the unlock-as-ocall check, the
 # batched-exit fault sweeps (DESIGN.md §11.5) and the single-commit write
 # path's invariants (staged freshness batch, a lying store's staged
-# proofs, root memo, merged overwrite; DESIGN.md §12.4, §15.2), all under
+# proofs, root memo, merged overwrite, a barrier op's one commit with the
+# drain; DESIGN.md §12.4, §15.2), all under
 # the race detector. The allocation-free assertions live in `make alloc`
 # (alloc_test.go is build-tagged !race). See DESIGN.md §11.
 obs:
 	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -race -count=1 -run 'TestObservability|TestStoreCallsPerOpClass' .
-	$(GO) test -race -count=1 -run 'TestWarmWalk|TestWalkPrefetch|TestRewriteChunkedToInlineFaultSweep|TestBatchedWriteFaultSweep|TestUnlockIsAnOcall|TestStagedUpdate|TestRootMemo|TestMergedOverwrite' ./internal/enclave/
+	$(GO) test -race -count=1 -run 'TestWarmWalk|TestWalkPrefetch|TestRewriteChunkedToInlineFaultSweep|TestBatchedWriteFaultSweep|TestUnlockIsAnOcall|TestStagedUpdate|TestRootMemo|TestMergedOverwrite|TestBarrierSealsPendingAfterItsChange|TestRemoveOfALinkLeavesNoShortCount' ./internal/enclave/
 	$(GO) test -race -count=1 -run 'TestTransportFault|TestClientRPCLatency|TestLockCounters' ./internal/afs/
 
 # bench is the CI perf gate. It runs every benchmark workload once at

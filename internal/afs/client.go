@@ -883,8 +883,8 @@ func (c *Client) GetVersioned(name string) ([]byte, uint64, error) {
 	}
 	r := serial.NewReader(body)
 	version := r.ReadUint64("version")
-	data := readData(r)
-	if err := r.Finish(); err != nil {
+	data, err := readData(r, body)
+	if err != nil {
 		return nil, 0, err
 	}
 	c.cache.fill(breaks, name, data, version)

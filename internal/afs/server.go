@@ -606,8 +606,8 @@ func (s *Server) dispatch(sess *session, req frame) (opCode, *serial.Writer) {
 	case opStore:
 		r := serial.NewReader(req.body)
 		name := r.ReadString(0, "name")
-		data := readData(r)
-		if err := r.Finish(); err != nil {
+		data, err := readData(r, req.body)
+		if err != nil {
 			return fail(errCodeBadRequest, err.Error())
 		}
 		s.metrics.stores.Inc()
@@ -818,7 +818,8 @@ func decodeLockReply(body []byte) (outcome lockOutcome, lost bool, version uint6
 	case lockUnchanged, lockAbsent:
 	case lockData:
 		version = r.ReadUint64("version")
-		data = readData(r)
+		data, err = readData(r, body)
+		return outcome, lost, version, data, err
 	default:
 		return 0, false, 0, nil, fmt.Errorf("%w: unknown lock outcome %d", ErrProtocol, first)
 	}

@@ -213,12 +213,23 @@ func writeFrameScatter(w io.Writer, op opCode, reqID uint64, prefix *serial.Writ
 	return nil
 }
 
-// readData reads an object's length-prefixed bytes. serial.ReadBytes
+// readData reads the object bytes that end a frame body: their length,
+// then exactly that many bytes, the last in body, the buffer r reads. It
+// is the body's Finish. The bytes are not copied but alias body: readFrame
+// allocates each frame a buffer of its own that nothing reuses, so the
+// backend put or the cache that keeps them owns them. serial.ReadBytes
 // clamps every cap to serial.MaxBytesLen (64 MiB), under the sealed size
-// of a 64 MiB file, so the field is read raw: its length is bounded by
-// the frame, which readFrame already held to maxFrameSize.
-func readData(r *serial.Reader) []byte {
-	return r.ReadRaw(int(r.ReadUint32("data length")), "data")
+// of a 64 MiB file; this length is bounded by the frame, which readFrame
+// already held to maxFrameSize.
+func readData(r *serial.Reader, body []byte) ([]byte, error) {
+	n := r.ReadUint32("data length")
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if int64(n) != int64(r.Remaining()) {
+		return nil, fmt.Errorf("%w: %d data bytes announced, %d left in the frame", serial.ErrCorrupt, n, r.Remaining())
+	}
+	return body[r.Offset():len(body):len(body)], nil
 }
 
 // readFrame reads the next frame from r.

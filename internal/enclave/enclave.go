@@ -624,9 +624,6 @@ func (e *Enclave) AddUser(name string, key ed25519.PublicKey) (userID uint32, er
 		if !e.isOwnerLocked() {
 			return fmt.Errorf("%w: only the owner administers users", ErrAccessDenied)
 		}
-		if err := e.drainWithRetryLocked(); err != nil {
-			return err
-		}
 		return e.updateSupernodeLocked(func() error {
 			var err error
 			userID, err = e.super.AddUser(name, key)
@@ -657,9 +654,6 @@ func (e *Enclave) RemoveUser(name string) error {
 		if !e.isOwnerLocked() {
 			return fmt.Errorf("%w: only the owner administers users", ErrAccessDenied)
 		}
-		if err := e.drainWithRetryLocked(); err != nil {
-			return err
-		}
 		return e.updateSupernodeLocked(func() error {
 			removedID, err := e.super.RemoveUser(name)
 			if err != nil {
@@ -687,10 +681,12 @@ func (e *Enclave) ListUsers() ([]metadata.User, error) {
 }
 
 // updateSupernodeLocked changes the supernode (user table or membership
-// key tree) in one commit: it is re-read under the root lock, so fn
-// applies to the freshest version (§V-A), and put back before the root.
+// key tree) in one commit with the drain: it is re-read under the root
+// lock, so fn applies to the freshest version (§V-A), and put back before
+// the pending metadata, which is sealed after the change (§VII-E), and
+// the root.
 func (e *Enclave) updateSupernodeLocked(fn func() error) error {
-	return e.commitLocked(getsAhead([]string{SupernodeObjectName}), func() error {
+	return e.commitWithDrainLocked(getsAhead([]string{SupernodeObjectName}), func() error {
 		if err := e.loadSupernodeLocked(); err != nil {
 			return err
 		}

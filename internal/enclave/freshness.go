@@ -256,7 +256,13 @@ func (e *Enclave) commitFreshLocked() error {
 // rootPutQueuedLocked reports whether a root put waits in the queue: a
 // commit whose last exit has not been made yet.
 func (e *Enclave) rootPutQueuedLocked() bool {
-	return slices.ContainsFunc(e.queued, func(c *storeCall) bool { return c.op == opPut && c.name == MerkleRootObjectName })
+	return e.putQueuedLocked(MerkleRootObjectName)
+}
+
+// putQueuedLocked reports whether a put of the named object waits in the
+// queue.
+func (e *Enclave) putQueuedLocked(name string) bool {
+	return slices.ContainsFunc(e.queued, func(c *storeCall) bool { return c.op == opPut && c.name == name })
 }
 
 // rootBatchLocked is the batch the next root advance commits: the

@@ -234,7 +234,7 @@ func (e *Enclave) Remove(path string) error {
 		if err := e.checkACLLocked(w.dir, acl.Delete); err != nil {
 			return err
 		}
-		return e.removeWritebackLocked(w, path, name)
+		return e.removeWritebackLocked(w, dirs, path, name)
 	})
 }
 
@@ -318,20 +318,15 @@ func (e *Enclave) Filldir(path string) ([]Stat, error) {
 }
 
 // Hardlink creates newPath as an additional name for the existing file
-// (nexus_fs_hardlink). Directories cannot be hardlinked.
+// (nexus_fs_hardlink). Directories cannot be hardlinked. It spans two
+// directories and mutates a shared link count, so it runs eagerly: one
+// commit with the drain that also holds the filenode's lock, which puts
+// the raised count before the directory that names the new link.
 func (e *Enclave) Hardlink(existingPath, newPath string) error {
-	return e.ecall(needAuth, func() error {
-		// Hardlink spans two directories and mutates a shared link
-		// count; it runs eagerly on a drained set, as one commit that
-		// also holds the filenode's lock.
-		if err := e.drainWithRetryLocked(); err != nil {
-			return err
-		}
-		return e.hardlinkLocked(existingPath, newPath)
-	})
+	return e.ecall(needAuth, func() error { return e.hardlinkLocked(existingPath, newPath) })
 }
 
-// hardlinkLocked is the body of Hardlink, on a drained dirty set.
+// hardlinkLocked is the body of Hardlink.
 func (e *Enclave) hardlinkLocked(existingPath, newPath string) error {
 	srcDirs, srcName, err := splitPath(existingPath)
 	if err != nil {
@@ -410,7 +405,8 @@ var errRelock = errors.New("enclave: entry changed while its file lock was taken
 // the second walk's reads and fn's read ahead in its exit, and resolve
 // walks again under it. fn runs if that second walk names the same
 // filenodes; if not, everything is released and the sequence restarts, a
-// bounded number of times. Both walks are those of walks.
+// bounded number of times. Both walks are those of walks. The commit is
+// one with the drain (commitWithDrainLocked).
 func (e *Enclave) commitFilesLocked(walks [][]string, resolve func() ([]uuid.UUID, []string, error), fn func() error) error {
 	for attempt := 0; ; attempt++ {
 		if err := e.exitLocked(e.metrics.metaIO, getsAhead(e.predictWalksLocked(walks...))...); err != nil {
@@ -424,7 +420,7 @@ func (e *Enclave) commitFilesLocked(walks [][]string, resolve func() ([]uuid.UUI
 		for _, id := range ids {
 			releases = append(releases, e.lockObject(objName(id)))
 		}
-		err = e.commitLocked(getsAhead(append(e.predictWalksLocked(walks...), loads...)), func() error {
+		err = e.commitWithDrainLocked(getsAhead(append(e.predictWalksLocked(walks...), loads...)), func() error {
 			again, _, err := resolve()
 			if err != nil {
 				return err
@@ -445,21 +441,15 @@ func (e *Enclave) commitFilesLocked(walks [][]string, resolve func() ([]uuid.UUI
 
 // Rename moves a file, symlink, or directory to a new path
 // (nexus_fs_rename). An existing file or symlink at the destination is
-// replaced; an existing directory is an error.
+// replaced; an existing directory is an error. Rename spans two
+// directories (with replace semantics), so it runs eagerly: one commit
+// with the drain that also holds the lock of each filenode it rewrites, a
+// file moved to another directory (re-parented) and a file it replaces.
 func (e *Enclave) Rename(oldPath, newPath string) error {
-	return e.ecall(needAuth, func() error {
-		// Rename spans two directories (with replace semantics); it runs
-		// eagerly on a drained set, as one commit that also holds the
-		// lock of each filenode it rewrites: a file moved to another
-		// directory (re-parented) and a file it replaces.
-		if err := e.drainWithRetryLocked(); err != nil {
-			return err
-		}
-		return e.renameLocked(oldPath, newPath)
-	})
+	return e.ecall(needAuth, func() error { return e.renameLocked(oldPath, newPath) })
 }
 
-// renameLocked is the body of Rename, on a drained dirty set.
+// renameLocked is the body of Rename.
 func (e *Enclave) renameLocked(oldPath, newPath string) error {
 	srcDirs, srcName, err := splitPath(oldPath)
 	if err != nil {
@@ -524,9 +514,11 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 	}
 	return e.commitFilesLocked(walks, resolve, func() error {
 		// Replace semantics at the destination: a file replaced loses the
-		// link as Remove unlinks it, and its last link's deletes are staged
-		// once both directories are up.
-		var drop func()
+		// link as Remove unlinks it, once both directories are queued — its
+		// count drops after them, and its last link's deletes are staged
+		// once they are up.
+		var unlink func() error
+		var last bool
 		if replaces {
 			if onto {
 				return nil // rename onto itself
@@ -535,7 +527,7 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 			case metadata.KindDir:
 				return fmt.Errorf("%w: destination %s is a directory", ErrExists, newPath)
 			case metadata.KindFile:
-				if drop, err = e.unlinkFileLocked(dstW.dir.UUID, existing.UUID); err != nil {
+				if unlink, last, err = e.unlinkFileLocked(dstW.dir.UUID, existing.UUID); err != nil {
 					return err
 				}
 			case metadata.KindSymlink:
@@ -591,8 +583,12 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 				return err
 			}
 		}
-		if drop != nil {
-			e.onSuccessLocked(drop)
+		switch {
+		case unlink == nil:
+		case last:
+			e.onSuccessLocked(func() { _ = unlink() }) // stages deletes; never fails
+		default:
+			return unlink()
 		}
 		return nil
 	})
@@ -793,14 +789,29 @@ func (e *Enclave) writeFileLocked(path string, data []byte, create, sync bool) e
 	// to on-store files stay fully eager — their filenode seals carry
 	// freshly rotated keys that must not sit deferred in enclave memory.
 	if n, ok := e.wb.nodes[entry.UUID]; ok && n.file != nil {
-		next, err := e.writeContentLocked(n.file, data, false)
+		old := n.file
+		next, err := e.writeContentLocked(old, data, true)
 		if err != nil {
 			return err
 		}
-		if n.file.HasDataObject() && !next.HasDataObject() {
-			e.stageDeleteLocked(n.file.DataUUID, false)
+		update := func() {
+			if old.HasDataObject() && !next.HasDataObject() {
+				e.stageDeleteLocked(old.DataUUID, false)
+			}
+			e.setDirtyFilenodeLocked(n, next)
 		}
-		e.setDirtyFilenodeLocked(n, next)
+		if !e.putQueuedLocked(objName(next.DataUUID)) { // inline, or streamed already
+			update()
+			return nil
+		}
+		// The data put leaves with the next exit — a SaveFile's drain's
+		// first — and the filenode takes the new content only once it is
+		// made, so a failed upload leaves the file readable as it was. The
+		// drain is not retried: a retry would commit the file without it.
+		e.onSuccessLocked(update)
+		if sync {
+			return e.drainLocked()
+		}
 		return nil
 	}
 
@@ -889,13 +900,10 @@ func (e *Enclave) SetACL(dirPath, userName string, rights acl.Rights) error {
 // rights of the ACL key that subject resolves (a user ID or a group
 // entry ID; called once the caller is authorized) on a directory and
 // re-seals the directory, walking to it inside the commit so the change
-// applies to the freshest version.
+// applies to the freshest version. Revocation must not leave any
+// pre-revocation metadata pending (§VII-E): the commit is one with the
+// drain, which seals the pending metadata after the change.
 func (e *Enclave) setACLEntryLocked(dirPath string, rights acl.Rights, subject func() (uint32, error)) error {
-	// Revocation must not leave any pre-revocation metadata pending:
-	// drain first, then re-seal the directory eagerly (§VII-E).
-	if err := e.drainWithRetryLocked(); err != nil {
-		return err
-	}
 	dirs, base, err := splitPath(dirPath)
 	if err != nil {
 		return err
@@ -903,7 +911,7 @@ func (e *Enclave) setACLEntryLocked(dirPath string, rights acl.Rights, subject f
 	if base != "" {
 		dirs = append(dirs, base)
 	}
-	return e.commitLocked(getsAhead(e.predictWalksLocked(dirs)), func() error {
+	return e.commitWithDrainLocked(getsAhead(e.predictWalksLocked(dirs)), func() error {
 		w, err := e.walkDirLocked(dirs)
 		if err != nil {
 			return err

@@ -9,10 +9,10 @@ package enclave
 // grant rights to whole leaf subgroups (acl.GroupIDFlag entries), which
 // resolve through the tree at check time.
 //
-// Tree mutations ride the supernode flush: the admin operation drains
-// any deferred metadata, then re-reads the supernode, applies the change
-// and puts it back in one commit under the freshness root's lock
-// (updateSupernodeLocked) — one supernode put, one root update.
+// Tree mutations ride the supernode flush: the admin operation re-reads
+// the supernode, applies the change and puts it back in one commit under
+// the freshness root's lock, the one that also drains any deferred
+// metadata (updateSupernodeLocked) — one supernode put, one root update.
 
 import (
 	"fmt"
@@ -22,8 +22,10 @@ import (
 	"nexus/internal/metadata"
 )
 
-// groupAddLocked enrolls a just-added user into the key tree and meters
-// the wrap work.
+// groupAddLocked enrolls a just-admitted user into the key tree and meters
+// the wrap work. AddUser, GrantAccess and GrantAccessMutual call it, in the
+// commit that adds the user to the table; a user already enrolled (an
+// exchange made again) is left as it is.
 func (e *Enclave) groupAddLocked(userID uint32) error {
 	tree := e.super.GroupTree
 	before := tree.Stats()
@@ -36,18 +38,14 @@ func (e *Enclave) groupAddLocked(userID uint32) error {
 	return nil
 }
 
-// groupRevokeLocked rotates the evicted user's path keys. The only
-// identities outside the tree are those GrantAccess and
-// GrantAccessMutual admit, which enroll no one (ROADMAP item 1): their
-// revocation rotates nothing and is the user-table removal alone.
+// groupRevokeLocked rotates the evicted user's path keys. Every identity
+// in the user table is a member of the tree, so one that is not is an
+// error, never a revocation that rotates nothing.
 func (e *Enclave) groupRevokeLocked(userID uint32) error {
 	tree := e.super.GroupTree
-	if !tree.Contains(userID) {
-		return nil
-	}
 	before := tree.Stats()
 	if err := tree.Revoke(userID); err != nil {
-		return fmt.Errorf("enclave: revoking user from key tree: %w", err)
+		return fmt.Errorf("enclave: revoking user %d from key tree: %w", userID, err)
 	}
 	e.recordGroupStatsLocked(tree, before)
 	return nil
@@ -55,14 +53,9 @@ func (e *Enclave) groupRevokeLocked(userID uint32) error {
 
 // groupAuthenticateLocked verifies the authenticating member's wrap
 // chain reaches the current root (the §IV-B challenge–response gains a
-// tree-membership proof). Identities outside the tree — only those
-// GrantAccess and GrantAccessMutual admit, which enroll no one (ROADMAP
-// item 1) — pass on the user-table check alone.
+// tree-membership proof). An identity outside the tree fails.
 func (e *Enclave) groupAuthenticateLocked(userID uint32) error {
 	tree := e.super.GroupTree
-	if !tree.Contains(userID) {
-		return nil
-	}
 	before := tree.Stats()
 	if err := tree.Authenticate(userID); err != nil {
 		return fmt.Errorf("%w: key-tree path stale for user %d", ErrBadAuth, userID)

@@ -395,11 +395,14 @@ type leakStream struct {
 	sealed            map[string][]byte // each user's sealed rootkey
 	files             []string          // paths written and not removed
 	rootKey           []byte
-	scanned           int               // rec.out records scanStore has read
-	decoded           map[[32]byte]bool // sealed objects already opened
-	sealedBy          map[string][]byte // K5: key ‖ nonce → what it sealed
-	chunkIVs, wraps   int               // K5: pairs checked, by kind
-	reuse             []string          // K5 violations
+	scanned           int                        // rec.out records scanStore has read
+	decoded           map[[32]byte]bool          // sealed objects already opened
+	sealedBy          map[string][]byte          // K5: key ‖ nonce → what it sealed
+	chunkIVs, wraps   int                        // K5: pairs checked, by kind
+	reuse             []string                   // K5 violations
+	opened            map[uint32]map[string]bool // K6: the group root secrets each listed user could open
+	revocations       int                        // K6: supernodes checked that a revocation left
+	revokedOpens      []string                   // K6 violations
 }
 
 func newLeakStream(t *testing.T, seed int64) *leakStream {
@@ -418,6 +421,7 @@ func newLeakStream(t *testing.T, seed int64) *leakStream {
 		sealed:   make(map[string][]byte),
 		decoded:  make(map[[32]byte]bool),
 		sealedBy: make(map[string][]byte),
+		opened:   make(map[uint32]map[string]bool),
 	}
 	shared := vfs.NewVersionedStore(s.mem)
 	client := func() *nexus.Client {
@@ -435,7 +439,7 @@ func newLeakStream(t *testing.T, seed int64) *leakStream {
 		return c
 	}
 	s.owner, s.peer = client(), client()
-	for _, name := range []string{"owen", "alice", "carol", "dave", "mallory"} {
+	for _, name := range []string{"owen", "alice", "carol", "dave", "erin", "mallory"} {
 		if s.ids[name], err = nexus.NewIdentity(name); err != nil {
 			t.Fatal(err)
 		}
@@ -556,6 +560,7 @@ func (s *leakStream) scanStore() {
 			}
 			tree := super.GroupTree
 			s.rec.track("K3", fmt.Sprintf("the group root secret of epoch %d", tree.Epoch()), tree.RootSecret())
+			s.checkRevoked(super)
 			for leaf := 0; leaf < tree.Leaves(); leaf++ {
 				for _, id := range tree.Members(uint32(leaf)) {
 					if secret, err := tree.Secret(id); err == nil {
@@ -564,6 +569,42 @@ func (s *leakStream) scanStore() {
 				}
 			}
 		}
+	}
+}
+
+// checkRevoked checks Property K6 on a supernode the owner put: a revoked
+// identity opens no group-key epoch written after its revocation. Every
+// identity the user table lists authenticates, and so opens the group
+// key the supernode carries — the root secret its wrap chain reaches. An
+// identity an earlier supernode listed and this one does not is revoked,
+// and this root secret must be none it opened. A revocation that rotates
+// no keys, one of an identity outside the tree, fails here.
+func (s *leakStream) checkRevoked(super *metadata.Supernode) {
+	tree := super.GroupTree
+	root := string(tree.RootSecret())
+	listed := map[uint32]bool{super.Owner.ID: true}
+	for _, u := range super.Users {
+		listed[u.ID] = true
+	}
+	revoked := false
+	for id, roots := range s.opened {
+		if listed[id] {
+			continue
+		}
+		revoked = true
+		if roots[root] {
+			s.revokedOpens = append(s.revokedOpens, fmt.Sprintf(
+				"Property K6 violated: user %d, revoked, opens the group-key epoch %d written after its revocation", id, tree.Epoch()))
+		}
+	}
+	if revoked {
+		s.revocations++
+	}
+	for id := range listed {
+		if s.opened[id] == nil {
+			s.opened[id] = make(map[string]bool)
+		}
+		s.opened[id][root] = true
 	}
 }
 
@@ -763,15 +804,14 @@ func (s *leakStream) randomOp() {
 }
 
 // exchangesAndRevocation shares the volume with carol through the mutual
-// exchange, enrolls dave in the key tree, revokes both, and tries the
-// mounts the enclave must refuse.
+// exchange and with erin through the asynchronous one, adds dave, revokes
+// all three, and tries the mounts the enclave must refuse. Each of them is
+// a member of the key tree, so each revocation rotates group keys (K6).
 func (s *leakStream) exchangesAndRevocation() {
 	alice, carol, dave, mallory := s.ids["alice"], s.ids["carol"], s.ids["dave"], s.ids["mallory"]
 	s.must(s.share("carol", true))
 	s.must(s.mount("carol's mount", s.peer, carol, s.sealed["carol"]))
-	// An exchange admits its user to the table but not to the key tree,
-	// so the revocation that rotates group keys is that of dave, whom
-	// AddUser enrolls.
+	s.must(s.share("erin", false))
 	s.must(s.do("adding dave", func() error { return s.ownerVol.AddUser("dave", dave.PublicKey) }))
 	s.must(s.do("a group ACL on /shared", func() error {
 		leaf, err := s.ownerVol.UserGroup("dave")
@@ -791,6 +831,7 @@ func (s *leakStream) exchangesAndRevocation() {
 		return err
 	}))
 	s.must(s.do("removing carol", func() error { return s.ownerVol.RemoveUser("carol") }))
+	s.must(s.do("removing erin", func() error { return s.ownerVol.RemoveUser("erin") }))
 	s.must(s.do("removing dave", func() error { return s.ownerVol.RemoveUser("dave") }))
 	forged := nexus.Identity{Name: "alice", PublicKey: alice.PublicKey, PrivateKey: mallory.PrivateKey}
 	for _, m := range []struct {
@@ -1015,6 +1056,12 @@ func TestPropertyKeyLeak(t *testing.T) {
 	}
 	if s.chunkIVs == 0 || s.wraps == 0 {
 		t.Errorf("seed %d: Property K5 checked %d chunk IVs and %d wrap nonces, want some of each", seed, s.chunkIVs, s.wraps)
+	}
+	if s.revocations == 0 {
+		t.Errorf("seed %d: Property K6 checked no supernode written after a revocation", seed)
+	}
+	for _, r := range s.revokedOpens {
+		t.Errorf("seed %d: %s", seed, r)
 	}
 	for i, r := range s.reuse {
 		if i == 10 {

@@ -523,6 +523,7 @@ func (e *Enclave) loadDirnode(id, parent uuid.UUID) (*metadata.Dirnode, uint64, 
 			return nil, 0, fmt.Errorf("%w: dirnode %s has parent %s, want %s (file-swap defence)",
 				metadata.ErrTampered, id, d.Parent, parent)
 		}
+		e.keepUndoLocked(id)
 		return d, base, nil
 	}
 	// Fetch is served by the AFS client cache (no network) when the
@@ -766,6 +767,7 @@ func (e *Enclave) loadFilenode(id, parent uuid.UUID) (*metadata.Filenode, uint64
 			return nil, 0, fmt.Errorf("%w: filenode %s has parent %s, want %s (file-swap defence)",
 				metadata.ErrTampered, id, f.Parent, parent)
 		}
+		e.keepUndoLocked(id)
 		return f, base, nil
 	}
 	blob, storeVersion, err := e.fetchObject(e.metrics.metaIO, objName(id))

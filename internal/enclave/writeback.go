@@ -38,9 +38,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
+	"nexus/internal/acl"
 	"nexus/internal/metadata"
 	"nexus/internal/uuid"
 )
@@ -116,6 +118,10 @@ type dirtySet struct {
 	// its first upload leaves them here, so the next commit still
 	// includes them.
 	fresh map[uuid.UUID]uint64
+
+	// undo holds, while a commit runs (commitWithDrainLocked), a copy of
+	// each dirty node its op reached, as it was before the op changed it.
+	undo map[uuid.UUID]*dirtyNode
 }
 
 func newDirtySet() *dirtySet {
@@ -262,7 +268,8 @@ func (e *Enclave) maybeDrainLocked() error {
 // drainWithRetryLocked is the barrier-grade drain: ErrStoreUnavailable
 // is retried with a short deterministic backoff (the drain is
 // idempotent — already-flushed nodes have left the set), anything else
-// surfaces immediately.
+// surfaces immediately. Only a drain that carries no put of its caller's
+// may retry: a retried drain would succeed without the put that failed.
 func (e *Enclave) drainWithRetryLocked() error {
 	var err error
 	for attempt := 0; attempt < 4; attempt++ {
@@ -284,7 +291,7 @@ func (e *Enclave) drainWithRetryLocked() error {
 // unlock. When fn or the root update fails, the collected updates stay in
 // wb.fresh and the next commit includes them. Commits do not nest. A
 // filenode lock the operation needs is taken before the root lock, never
-// under it (commitFilesLocked).
+// under it (commitFilesLocked). Its one caller is commitWithDrainLocked.
 func (e *Enclave) commitLocked(ahead []*storeCall, fn func() error) error {
 	release := e.lockObject(MerkleRootObjectName)
 	defer release()
@@ -299,40 +306,71 @@ func (e *Enclave) commitLocked(ahead []*storeCall, fn func() error) error {
 	return e.advanceRootLocked(nil)
 }
 
-// drainLocked flushes the whole dirty set in dependency order: the new
-// objects first, without a lock, then one commit for the directories the
-// store already holds and the deferred deletes. On failure the
-// un-flushed portion of the set is left intact for retry.
+// drainLocked flushes the whole dirty set: a commit with nothing of its
+// own (commitWithDrainLocked). On failure the un-flushed portion of the set
+// is left intact for retry.
 func (e *Enclave) drainLocked() error {
 	// A queued root put commits wb.fresh by itself.
-	rootPut := e.rootPutQueuedLocked()
-	if len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && (len(e.wb.fresh) == 0 || rootPut) {
+	if len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && (len(e.wb.fresh) == 0 || e.rootPutQueuedLocked()) {
 		return nil
 	}
-	span := e.metrics.tracer.Begin("enclave.flush_batch")
-	span.SetTagInt("objects", int64(len(e.wb.nodes)))
-	span.SetTagInt("ops", int64(e.wb.ops))
-	span.SetTagInt("deletes", int64(len(e.wb.deletes)))
-	defer span.End()
+	return e.commitWithDrainLocked(nil, nil)
+}
 
-	if err := e.flushDirtyNodesLocked(true); err != nil {
-		return err
+// commitWithDrainLocked is the one commit of a barrier op — Rename,
+// Hardlink, SetACL, the supernode changes and the unlink of a file with
+// other links — and of a drain (fn nil): the op's change and everything the
+// dirty set holds, its nodes, staged deletes and freshness records, leave
+// together, under the locks the op already holds, and the root is locked,
+// re-read, advanced and put once (DESIGN.md §12.4).
+//
+// The dirnodes the store holds are re-read with the root, in its exit, and
+// re-based first, so fn walks and changes their latest versions. fn then
+// makes the op's change and queues its own puts. Only then is the dirty set
+// sealed — after an ACL change or a key rotation, so no metadata of before
+// it is left to land later (§VII-E). The batch is in soft-update order: the
+// new nodes first, children before the directories that name them, so an
+// object is put before anything names it; then fn's puts, in fn's order (a
+// link count raised before a new name for the file appears, a name cleared
+// before a count drops); then the other dirnodes; the staged deletes last.
+// A dirty node fn puts itself leaves the set with the rest.
+//
+// If the commit fails, each dirty node fn reached is put back as it was
+// before fn changed it: the op fails whole, and the set stays as it was.
+func (e *Enclave) commitWithDrainLocked(ahead []*storeCall, fn func() error) error {
+	drain := fn == nil || len(e.wb.nodes) > 0 || len(e.wb.deletes) > 0
+	if drain {
+		span := e.metrics.tracer.Begin("enclave.flush_batch")
+		span.SetTagInt("objects", int64(len(e.wb.nodes)))
+		span.SetTagInt("ops", int64(e.wb.ops))
+		span.SetTagInt("deletes", int64(len(e.wb.deletes)))
+		defer span.End()
 	}
-	// The dirnodes to re-base and their proofs are read ahead with the
-	// root, at the epoch a queued root put moves it to; a re-read that
-	// finds another epoch asks for proofs again.
-	epoch := e.mkEpoch
-	if rootPut {
-		epoch++
-	}
-	var ahead []*storeCall
-	for _, id := range e.dirtyOrderLocked(false) {
-		ahead = append(ahead,
-			&storeCall{op: opGet, name: objName(id), ahead: true},
-			&storeCall{op: opProof, id: id, version: epoch, ahead: true})
-	}
-	return e.commitLocked(ahead, func() error {
-		if err := e.flushDirtyNodesLocked(false); err != nil {
+	e.wb.undo = make(map[uuid.UUID]*dirtyNode)
+	defer func() { e.wb.undo = nil }()
+	err := e.commitLocked(append(e.drainAheadLocked(), ahead...), func() error {
+		for _, id := range e.dirtyOrderLocked(false) {
+			if err := e.rebaseDirtyDirnodeLocked(id, e.wb.nodes[id]); err != nil {
+				return err
+			}
+		}
+		if fn != nil {
+			if err := fn(); err != nil {
+				return err
+			}
+		}
+		// What is queued now is fn's: the root's re-read took the rest.
+		own := e.queued
+		e.queued = nil
+		ownNew, err := e.flushDirtyNodesLocked(true, own)
+		if err != nil {
+			return err
+		}
+		e.queued = append(e.queued, own...)
+		for _, id := range ownNew {
+			e.onSuccessLocked(func() { e.dropDirtyNodeLocked(id) })
+		}
+		if _, err := e.flushDirtyNodesLocked(false, own); err != nil {
 			return err
 		}
 		// Deferred deletes, FIFO, last — nothing on the store references
@@ -350,40 +388,104 @@ func (e *Enclave) drainLocked() error {
 				return c.err
 			})
 		}
-		e.wb.ops, e.wb.bytes, e.wb.pressure = 0, 0, false
-		e.metrics.flushBatches.Inc()
-		e.metrics.dirtyGauge.Set(0)
+		if drain {
+			e.wb.ops, e.wb.bytes, e.wb.pressure = 0, 0, false
+			e.metrics.flushBatches.Inc()
+			e.metrics.dirtyGauge.Set(0)
+		}
 		return nil
 	})
+	if err != nil {
+		for id, saved := range e.wb.undo {
+			if n, ok := e.wb.nodes[id]; ok {
+				n.dir, n.file = saved.dir, saved.file
+			}
+		}
+	}
+	return err
 }
 
-// flushDirtyNodesLocked uploads the dirty nodes that are new (isNew) or
-// the ones the store already holds, children first: filenodes — all new
-// — so no dirnode upload references a file object missing from the
-// store, then dirnodes deepest-first (depth = number of dirty ancestors
+// drainAheadLocked names the reads a commit's re-bases make, to ride the
+// root's re-read: each dirty dirnode the store holds and its proof, at the
+// epoch a queued root put moves the root to (a re-read that finds another
+// epoch asks for proofs again).
+func (e *Enclave) drainAheadLocked() []*storeCall {
+	epoch := e.mkEpoch
+	if e.rootPutQueuedLocked() {
+		epoch++
+	}
+	var ahead []*storeCall
+	for _, id := range e.dirtyOrderLocked(false) {
+		ahead = append(ahead,
+			&storeCall{op: opGet, name: objName(id), ahead: true},
+			&storeCall{op: opProof, id: id, version: epoch, ahead: true})
+	}
+	return ahead
+}
+
+// keepUndoLocked keeps, the first time a commit's op reaches the dirty node
+// id, a copy of it to put back if the commit fails (commitWithDrainLocked).
+func (e *Enclave) keepUndoLocked(id uuid.UUID) {
+	if e.wb.undo == nil || e.wb.undo[id] != nil {
+		return
+	}
+	n := e.wb.nodes[id]
+	saved := &dirtyNode{}
+	if n.dir != nil {
+		saved.dir = cloneDirnode(n.dir)
+	} else {
+		saved.file = n.file.Clone()
+	}
+	e.wb.undo[id] = saved
+}
+
+// cloneDirnode copies d deeply enough that nothing an op changes in one
+// copy shows in the other: its ACL, bucket table and resident entries.
+func cloneDirnode(d *metadata.Dirnode) *metadata.Dirnode {
+	c := *d
+	c.ACL = d.ACL.Clone()
+	c.Refs = slices.Clone(d.Refs)
+	c.Retired = slices.Clone(d.Retired)
+	c.Buckets = make([]*metadata.Bucket, len(d.Buckets))
+	for i, b := range d.Buckets {
+		if b != nil {
+			nb := *b
+			nb.Entries = slices.Clone(b.Entries)
+			c.Buckets[i] = &nb
+		}
+	}
+	return &c
+}
+
+// flushDirtyNodesLocked seals and queues the dirty nodes that are new
+// (isNew) or the ones the store already holds, children first: filenodes
+// — all new — so no dirnode upload references a file object missing from
+// the store, then dirnodes deepest-first (depth = number of dirty ancestors
 // via the Parent chain), so a parent referencing a new child directory
-// uploads after the child exists. A directory the store holds is re-based
-// on its on-store copy first; the drain runs that half inside its commit.
-func (e *Enclave) flushDirtyNodesLocked(isNew bool) error {
+// uploads after the child exists. A node whose put is among own, the
+// calls the commit's op queued, is not put again: the new ones are
+// returned, to leave the set once own is made; the others leave the set
+// with the rest of the batch.
+func (e *Enclave) flushDirtyNodesLocked(isNew bool, own []*storeCall) (ownNew []uuid.UUID, err error) {
 	for _, id := range e.dirtyOrderLocked(isNew) {
-		n := e.wb.nodes[id]
-		var err error
+		n, name := e.wb.nodes[id], objName(id)
 		switch {
+		case slices.ContainsFunc(own, func(c *storeCall) bool { return c.op == opPut && c.name == name }):
+			if isNew {
+				ownNew = append(ownNew, id)
+				continue
+			}
 		case n.file != nil:
 			err = e.putFilenodeLocked(n.file, n.base+1)
-		case !isNew:
-			if err = e.rebaseDirtyDirnodeLocked(id, n); err == nil {
-				err = e.flushDirnodeLocked(n.dir, n.base+1)
-			}
 		default:
 			err = e.flushDirnodeLocked(n.dir, n.base+1)
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 		e.onSuccessLocked(func() { e.dropDirtyNodeLocked(id) })
 	}
-	return nil
+	return ownNew, nil
 }
 
 // dirtyOrderLocked lists the nodes flushDirtyNodesLocked flushes, in order.
@@ -427,10 +529,10 @@ func (e *Enclave) dirtyDepthLocked(id uuid.UUID) int {
 // rebaseDirtyDirnodeLocked re-reads the main object of a dirty dirnode
 // the store already holds and, if the store has moved past the version
 // the dirty copy derives from, replaces the copy with the on-store
-// directory plus the replayed op log. The drain runs it inside its
-// commit, so the flush at base+1 that follows cannot be overtaken;
-// ecall runs it outside a commit, to give a reader a shadow whose
-// buckets still exist (the drain re-bases again).
+// directory plus the replayed op log. A commit runs it first, under the
+// root's lock (commitWithDrainLocked), so the flush at base+1 that follows
+// cannot be overtaken; ecall runs it outside a commit, to give a reader a
+// shadow whose buckets still exist (the drain re-bases again).
 func (e *Enclave) rebaseDirtyDirnodeLocked(id uuid.UUID, n *dirtyNode) error {
 	blob, _, err := e.fetchObject(e.metrics.metaIO, objName(id))
 	if err != nil {
@@ -512,8 +614,9 @@ func (e *Enclave) createEntryWritebackLocked(w walkResult, path, name string, ki
 
 // removeWritebackLocked is the body of Remove. Object removals are
 // staged (they run after all uploads in the drain); a remove of a
-// still-pending create simply cancels it.
-func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
+// still-pending create simply cancels it. The unlink of a file with other
+// links is a commit of its own (removeLinkLocked).
+func (e *Enclave) removeWritebackLocked(w walkResult, dirs []string, path, name string) error {
 	entry, err := w.dir.Lookup(name, e.bucketLoaderFor(w.dir))
 	if err != nil {
 		if errors.Is(err, metadata.ErrEntryNotFound) {
@@ -563,14 +666,15 @@ func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
 			// from other clients, so the final-unlink decision stays
 			// under the filenode's store lock rather than being deferred.
 			defer e.lockObject(objName(entry.UUID))()
-			drop, err := e.unlinkFileLocked(w.dir.UUID, entry.UUID)
+			unlink, last, err := e.unlinkFileLocked(w.dir.UUID, entry.UUID)
 			if err != nil {
 				return err
 			}
-			if drop != nil {
-				drop() // the drain puts this directory before any staged delete
-			} else if err := e.commitFreshLocked(); err != nil {
-				return err // the drop of the link count is its own commit
+			if !last {
+				return e.removeLinkLocked(dirs, path, name, entry.UUID, unlink)
+			}
+			if err := unlink(); err != nil { // the drain puts this directory before any staged delete
+				return err
 			}
 		}
 
@@ -585,33 +689,71 @@ func (e *Enclave) removeWritebackLocked(w walkResult, path, name string) error {
 	return e.maybeDrainLocked()
 }
 
+// removeLinkLocked removes the name path of the file id, which has other
+// links, under the filenode's lock, which the caller holds: one commit with
+// the drain, which re-walks to the directory under the root's lock, clears
+// the name, puts the directory and only then queues unlink, the filenode's
+// put with one link fewer. A name is cleared before a link count drops, so
+// no directory on the store ever names a file whose count misses it.
+func (e *Enclave) removeLinkLocked(dirs []string, path, name string, id uuid.UUID, unlink func() error) error {
+	return e.commitWithDrainLocked(getsAhead(e.predictWalksLocked(dirs)), func() error {
+		w, err := e.walkDirLocked(dirs)
+		if err != nil {
+			return err
+		}
+		if err := e.checkACLLocked(w.dir, acl.Delete); err != nil {
+			return err
+		}
+		entry, err := e.lookupEntryLocked(w.dir, name, path)
+		if err != nil {
+			return err
+		}
+		if entry.UUID != id {
+			// A peer replaced the name since the unlocked walk.
+			return fmt.Errorf("%w: %s no longer names the file it named", ErrNotFound, path)
+		}
+		if _, err := w.dir.Remove(name, e.bucketLoaderFor(w.dir)); err != nil {
+			return err
+		}
+		if err := e.flushDirnodeLocked(w.dir, w.version+1); err != nil {
+			return err
+		}
+		return unlink()
+	})
+}
+
 // unlinkFileLocked drops the link named in directory dir to the on-store
 // file id, under the filenode's lock, which the caller holds: it is
-// Remove's unlink and Rename's onto a file. A file with other links loses
-// one from its count, and its parent binding — the remaining links'
-// directories are unknown; nil is hardlink history, checked no further,
-// and the dirnode entry's UUID still binds structure. Its filenode is
-// queued for the caller to commit, and drop is nil. For the last link,
-// drop stages the deletes of the filenode, whose Merkle leaf the drain
-// zeroes, and of its data object, and drops the cached copy; the caller
-// calls it once no directory it may still put names the file.
-func (e *Enclave) unlinkFileLocked(dir, id uuid.UUID) (drop func(), err error) {
+// Remove's unlink and Rename's onto a file. The caller calls unlink once it
+// has queued the put of every directory that named the file through this
+// link. For a file with other links (last false), unlink queues the
+// filenode's put with one link fewer and no parent binding — the remaining
+// links' directories are unknown; nil is hardlink history, checked no
+// further, and the dirnode entry's UUID still binds structure. The count
+// drops in a copy, so the cached filenode stays as the store has it until
+// that put is made. For the last link, unlink stages the deletes of the
+// filenode, whose Merkle leaf the drain zeroes, and of its data object,
+// and drops the cached copy: the caller calls it once no directory it may
+// still put names the file.
+func (e *Enclave) unlinkFileLocked(dir, id uuid.UUID) (unlink func() error, last bool, err error) {
 	f, fv, err := e.loadFilenode(id, dir)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if f.LinkCount > 1 {
-		f.LinkCount--
-		f.Parent = uuid.Nil
-		return nil, e.putFilenodeLocked(f, fv+1)
+		next := f.Clone()
+		next.LinkCount--
+		next.Parent = uuid.Nil
+		return func() error { return e.putFilenodeLocked(next, fv+1) }, false, nil
 	}
-	return func() {
+	return func() error {
 		if f.HasDataObject() {
 			e.stageDeleteLocked(f.DataUUID, false)
 		}
 		e.stageDeleteLocked(id, true)
 		e.cache.invalidate(id)
-	}, nil
+		return nil
+	}, true, nil
 }
 
 // SyncMetadata drains all pending write-back metadata to the store: the

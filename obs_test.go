@@ -455,23 +455,23 @@ func TestObservabilityRPCBudget(t *testing.T) {
 
 	// A file of at most metadata.MaxInlineSize bytes is one object.
 	data := bytes.Repeat([]byte{0x5A}, 2048)
-	// Create one such file in an existing directory: the new filenode,
-	// content sealed inside, unlocked, then one commit under the freshness
-	// root's lock — the directory (one object, ACL and entries together),
-	// then the root (sealed commitment and tree delta in one object). The
-	// lock is kept from the previous commit, so it costs no frame, and
-	// nothing unlocks it (DESIGN.md §9.2). The commit makes no fetch: the
-	// root and the directory this client caches are current, because every
-	// peer store broke its promise before returning. Enclave crossings: 1
-	// ecall — create, write and drain together — and 4 ocalls: the walk's
-	// two directory fetches, served by the AFS cache; the filenode put
-	// with the root lock, the root re-read, the directory re-read and its
-	// proof; the directory put with the freshness batch; the root put with
-	// the release (DESIGN.md §11.5).
+	// Create one such file in an existing directory: one commit under the
+	// freshness root's lock — the new filenode, content sealed inside, the
+	// directory (one object, ACL and entries together), then the root
+	// (sealed commitment and tree delta in one object). The lock is kept
+	// from the previous commit, so it costs no frame, and nothing unlocks
+	// it (DESIGN.md §9.2). The commit makes no fetch: the root and the
+	// directory this client caches are current, because every peer store
+	// broke its promise before returning. Enclave crossings: 1 ecall —
+	// create, write and drain together — and 4 ocalls: the walk's two
+	// directory fetches, served by the AFS cache; the root lock, the root
+	// re-read, the directory re-read and its proof; the filenode and
+	// directory puts with the freshness batch; the root put with the
+	// release (DESIGN.md §11.5).
 	create := []string{"store", "store", "store"}
 	// After a peer took the lock, the commit's grant is a lock frame,
 	// whose reply revalidates the root; the release keeps the lock.
-	createFirst := []string{"store", "lock", "store", "store"}
+	createFirst := []string{"lock", "store", "store", "store"}
 	recall()
 	budget("create in an existing directory, first grant", "vfs.write", createFirst, func() {
 		transitions("create, first grant", [2]int64{1, 4}, func() {
@@ -487,19 +487,20 @@ func TestObservabilityRPCBudget(t *testing.T) {
 			}
 		})
 	})
-	// A larger file adds its data object, stored before the filenode: one
-	// frame and one ocall more, metered as data I/O.
+	// A larger file adds its data object, stored before the filenode and
+	// the commit's lock: one frame more, in the commit's first exit, so no
+	// ocall more.
 	big := bytes.Repeat([]byte{0xA5}, 8192)
 	recall()
 	budget("create of a chunked file, first grant", "vfs.write", append([]string{"store"}, createFirst...), func() {
-		transitions("create of a chunked file, first grant", [2]int64{1, 5}, func() {
+		transitions("create of a chunked file, first grant", [2]int64{1, 4}, func() {
 			if err := fs.WriteFile("/docs/big0", big); err != nil {
 				t.Fatal(err)
 			}
 		})
 	})
 	budget("create of a chunked file", "vfs.write", append([]string{"store"}, create...), func() {
-		transitions("create of a chunked file", [2]int64{1, 5}, func() {
+		transitions("create of a chunked file", [2]int64{1, 4}, func() {
 			if err := fs.WriteFile("/docs/big", big); err != nil {
 				t.Fatal(err)
 			}
@@ -846,10 +847,10 @@ func TestObservabilityRPCBudgetBusyRecall(t *testing.T) {
 	}{
 		// The peer took the lock at the last busy recall (or, first, here
 		// through a plain recall), so the grant is a lock frame.
-		{"first grant, recalled busy", true, []string{"store", "lock", "store", "store", "unlock"}},
-		{"first grant after the peer's", false, []string{"store", "lock", "store", "store"}},
+		{"first grant, recalled busy", true, []string{"lock", "store", "store", "store", "unlock"}},
+		{"first grant after the peer's", false, []string{"lock", "store", "store", "store"}},
 		{"local grant, recalled busy", true, []string{"store", "store", "store", "unlock"}},
-		{"first grant after the peer's, again", false, []string{"store", "lock", "store", "store"}},
+		{"first grant after the peer's, again", false, []string{"lock", "store", "store", "store"}},
 	} {
 		if i == 0 {
 			release, err := peer.Lock(freshtree.RootObjectName)

@@ -181,10 +181,12 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 	}, append(commitTail, "unlock fn")...), [2]int64{1, 4}, func() error {
 		return fs.WriteFile("/a/f", content('y'))
 	})
+	// A create's data put rides its commit's first exit; the new filenode
+	// is sealed and put once that put is made, under the root's lock.
 	check("create", []string{
-		"get dir", "get dir", "put data", "put fn", "lock root", "get root", "get dir", "proof dir",
-		"put dir", "update(2)", "put root", "unlock root",
-	}, [2]int64{1, 5}, func() error {
+		"get dir", "get dir", "put data", "lock root", "get root", "get dir", "proof dir",
+		"put fn", "put dir", "update(2)", "put root", "unlock root",
+	}, [2]int64{1, 4}, func() error {
 		return fs.WriteFile("/a/new", content('n'))
 	})
 	check("warm chunked read", []string{"get dir", "get dir", "get fn", "get data"}, [2]int64{1, 1}, func() error {
@@ -237,5 +239,98 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 		"put dir", "delete data", "delete fn", "update(3)", "put root", "unlock root", "unlock fn",
 	}, [2]int64{1, 5}, func() error {
 		return fs.WriteFile("/a/f", content('z'))
+	})
+	barrierRowsWithPendingMetadata(t, client, owner, vol, fs, content, check)
+}
+
+// barrierRowsWithPendingMetadata pins the barrier ops made while a remove
+// waits in the dirty set — a rename, a hardlink, the unlink of a file with
+// other links (then a sync), SetACL, AddUser, RemoveUser and GrantAccess.
+// Each is one commit with the drain (DESIGN.md §12.4): one root lock, one
+// root re-read and one root put, where draining first and then committing
+// the op's own change made two of each. The ops that rewrite a directory
+// holding the pending remove put it once.
+func barrierRowsWithPendingMetadata(t *testing.T, client *nexus.Client, owner nexus.Identity, vol *nexus.Volume, fs *nexus.FS,
+	content func(byte) []byte, check func(string, []string, [2]int64, func() error)) {
+	t.Helper()
+	for i := range 7 {
+		p := fmt.Sprintf("/a/r%d", i)
+		if err := fs.WriteFile(p, content('r')); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.ReadFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := fs.ReadFile("/b/h"); err != nil {
+		t.Fatal(err)
+	}
+	bob, err := nexus.NewIdentity("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	carol, err := nexus.NewIdentity("carol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	offer, err := client.CreateShareOffer(carol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	removes := 0
+	withPending := func(what string, want []string, crossings [2]int64, op func() error) {
+		t.Helper()
+		if err := fs.Remove(fmt.Sprintf("/a/r%d", removes)); err != nil {
+			t.Fatal(err)
+		}
+		removes++
+		check(what+", with pending metadata", want, crossings, op)
+	}
+	withPending("rename in the directory of the pending remove", []string{
+		"get dir", "lock root", "get root", "get dir", "proof dir", "get dir",
+		"put dir", "delete data", "delete fn", "update(2)", "put root", "unlock root",
+	}, [2]int64{1, 4}, func() error {
+		return fs.Rename("/a/k", "/a/k2")
+	})
+	withPending("hardlink", []string{
+		"get dir", "get dir", "get dir", "get dir", "lock fn", "lock root", "get root", "get dir", "proof dir",
+		"get dir", "get dir", "get dir", "get dir", "get fn",
+		"put fn", "put dir", "put dir", "delete data", "delete fn", "update(4)", "put root", "unlock root", "unlock fn",
+	}, [2]int64{1, 4}, func() error {
+		return fs.Hardlink("/b/h", "/b/h2")
+	})
+	withPending("remove of a file with other links, then sync", []string{
+		"get dir", "get dir", "lock fn", "get fn", "lock root", "get root", "get dir", "proof dir", "get dir", "get dir",
+		"put dir", "put fn", "put dir", "delete data", "delete fn", "update(4)", "put root", "unlock root", "unlock fn",
+	}, [2]int64{2, 5}, func() error {
+		if err := fs.Remove("/b/h2"); err != nil {
+			return err
+		}
+		return fs.Sync()
+	})
+	withPending("AddUser", []string{
+		"lock root", "get root", "get dir", "proof dir", "get super", "proof ?",
+		"put super", "put dir", "delete data", "delete fn", "update(3)", "put root", "unlock root",
+	}, [2]int64{1, 4}, func() error {
+		return vol.AddUser("bob", bob.PublicKey)
+	})
+	withPending("SetACL", []string{
+		"lock root", "get root", "get dir", "proof dir", "get dir", "get dir",
+		"put dir", "put dir", "delete data", "delete fn", "update(3)", "put root", "unlock root",
+	}, [2]int64{1, 3}, func() error {
+		return vol.SetACL("/b", "bob", nexus.ReadOnly)
+	})
+	withPending("RemoveUser", []string{
+		"lock root", "get root", "get dir", "proof dir", "get super", "proof ?",
+		"put super", "put dir", "delete data", "delete fn", "update(3)", "put root", "unlock root",
+	}, [2]int64{1, 4}, func() error {
+		return vol.RemoveUser("bob")
+	})
+	withPending("GrantAccess", []string{
+		"lock root", "get root", "get dir", "proof dir", "get super", "proof ?",
+		"put super", "put dir", "delete data", "delete fn", "update(3)", "put root", "unlock root",
+	}, [2]int64{1, 5}, func() error {
+		_, err := vol.GrantAccess(offer, "carol", carol.PublicKey, owner)
+		return err
 	})
 }
