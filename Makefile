@@ -153,13 +153,14 @@ freshness-sweep:
 	$(GO) run ./cmd/nexus-bench -exp freshness -json \
 		-objects 1000,10000,100000,1000000
 
-# revoke-sweep reproduces the §VII-E membership sweep (10^3–10^6 users):
+# revoke-sweep reproduces the §VII-E membership sweep (10^2–10^6 users):
 # the subgroup key tree's O(log n) wraps per revocation (a flat group key
-# costs n−1 by construction), written into the JSON report
-# (wraps_per_op, bytes_per_op).
+# costs n−1 by construction) and, up to the 64K user cap, the sealed
+# supernode every revocation moves, written into the JSON report
+# (wraps_per_op, bytes_per_op, tree_bytes_per_member, supernode_bytes).
 revoke-sweep:
 	$(GO) run ./cmd/nexus-bench -exp revoke-sweep -json \
-		-members 1000,10000,100000,1000000
+		-members 100,1000,10000,100000,1000000
 
 ci: build vet fmt lint race alloc chaos obs
 

@@ -32,6 +32,11 @@ type Metric struct {
 	// experiment).
 	WrapsPerOp float64 `json:"wraps_per_op,omitempty"`
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
+	// TreeBytesPerMember and SupernodeBytes are the same sweep's encoded
+	// key tree per member and sealed supernode: what the membership
+	// costs every revoke, add and mount, which move the supernode whole.
+	TreeBytesPerMember float64 `json:"tree_bytes_per_member,omitempty"`
+	SupernodeBytes     float64 `json:"supernode_bytes,omitempty"`
 	// ProofBytesPerOp is the freshness evidence transferred per metadata
 	// load, from the freshness_scale experiment: one encoded Merkle
 	// proof.

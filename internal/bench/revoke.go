@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"crypto/ed25519"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -9,6 +12,7 @@ import (
 	"nexus/internal/backend"
 	"nexus/internal/cryptofs"
 	"nexus/internal/groupkey"
+	"nexus/internal/metadata"
 	"nexus/internal/workload"
 )
 
@@ -118,20 +122,28 @@ func PrintRevocation(w io.Writer, rows []RevocationRow) {
 
 // MembershipRow is one cell of the revocation membership sweep: the
 // cost of revoking one member at a given group size under the subgroup
-// key tree. The alternative — one flat group key re-wrapped for every
-// survivor — costs Members−1 wraps by construction and is not measured.
+// key tree, and what the membership costs the supernode every revoke,
+// add and mount moves whole. The alternative — one flat group key
+// re-wrapped for every survivor — costs Members−1 wraps by construction
+// and is not measured.
 type MembershipRow struct {
 	Members    int
 	WrapsPerOp float64
 	BytesPerOp float64
 	NsPerOp    float64
+	// TreeBytesPerMember is the encoded key tree's size over Members.
+	TreeBytesPerMember float64
+	// SupernodeBytes is the sealed supernode of an owner and Members−1
+	// users over that tree; 0 above the user table's cap.
+	SupernodeBytes int64
 }
 
 // MembershipSweep measures per-revocation wrap work across membership
 // sizes (the 10^3–10^6 sweep), driving the key tree directly: the
 // enclave's 64K user-table cap bounds end-to-end scale, and the wrap
 // counts are a property of the tree alone. runs distinct members are
-// revoked per cell and the costs averaged.
+// revoked per cell and the costs averaged. Each cell also seals the
+// supernode of its membership, up to the user table's cap.
 func MembershipSweep(counts []int, runs int) ([]MembershipRow, error) {
 	var rows []MembershipRow
 	for _, n := range counts {
@@ -140,9 +152,14 @@ func MembershipSweep(counts []int, runs int) ([]MembershipRow, error) {
 		}
 		ids := make([]uint32, n)
 		for i := range ids {
-			ids[i] = uint32(i)
+			ids[i] = metadata.OwnerUserID + uint32(i)
 		}
 		tree, err := groupkey.NewTreeWithMembers(groupkey.Config{}, ids)
+		if err != nil {
+			return nil, err
+		}
+		treeBytes := len(tree.Encode())
+		sealed, err := sealedSupernode(tree, n)
 		if err != nil {
 			return nil, err
 		}
@@ -150,9 +167,40 @@ func MembershipSweep(counts []int, runs int) ([]MembershipRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		row.TreeBytesPerMember = float64(treeBytes) / float64(n)
+		row.SupernodeBytes = int64(len(sealed))
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// sealedSupernode seals a supernode whose owner and users, members in
+// all, are the members of tree, or returns nil when the user table
+// cannot hold them.
+func sealedSupernode(tree *groupkey.Tree, members int) ([]byte, error) {
+	key := func(i int) ed25519.PublicKey {
+		k := make(ed25519.PublicKey, ed25519.PublicKeySize)
+		binary.BigEndian.PutUint32(k, uint32(i))
+		return k
+	}
+	super, err := metadata.NewSupernode("owner", key(0))
+	if err != nil {
+		return nil, err
+	}
+	for i := 1; i < members; i++ {
+		if _, err := super.AddUser(fmt.Sprintf("user%d", i), key(i)); errors.Is(err, metadata.ErrUserTableFull) {
+			return nil, nil
+		} else if err != nil {
+			return nil, err
+		}
+	}
+	super.GroupTree = tree
+	rootKey, err := metadata.NewRootKey()
+	if err != nil {
+		return nil, err
+	}
+	p := metadata.Preamble{Type: metadata.TypeSupernode, UUID: super.VolumeUUID, Version: 1}
+	return metadata.Seal(rootKey, p, super.EncodeBody())
 }
 
 // sweepRevocations revokes `runs` distinct members spread across the
@@ -186,11 +234,17 @@ func sweepRevocations(tree *groupkey.Tree, ids []uint32, runs int) (MembershipRo
 // PrintMembership renders the membership sweep.
 func PrintMembership(w io.Writer, rows []MembershipRow) {
 	fmt.Fprintln(w, "§VII-E — Revocation vs membership size (per-revocation key-wrap work, subgroup key tree;")
-	fmt.Fprintln(w, "a flat group key re-wrapped for every survivor costs members−1 wraps/op by construction)")
-	fmt.Fprintf(w, "%10s %14s %14s %12s\n", "members", "wraps/op", "bytes/op", "time/op")
+	fmt.Fprintln(w, "a flat group key re-wrapped for every survivor costs members−1 wraps/op by construction;")
+	fmt.Fprintln(w, "the sealed supernode, which every revoke, add and mount moves whole, up to the 64K user cap)")
+	fmt.Fprintf(w, "%10s %14s %14s %12s %14s %12s\n", "members", "wraps/op", "bytes/op", "time/op", "tree B/member", "supernode")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%10d %14.1f %14s %12s\n",
-			r.Members, r.WrapsPerOp, fmtBytes(int64(r.BytesPerOp)), fmtDur(time.Duration(r.NsPerOp)))
+		super := "-"
+		if r.SupernodeBytes > 0 {
+			super = fmtBytes(r.SupernodeBytes)
+		}
+		fmt.Fprintf(w, "%10d %14.1f %14s %12s %14.1f %12s\n",
+			r.Members, r.WrapsPerOp, fmtBytes(int64(r.BytesPerOp)), fmtDur(time.Duration(r.NsPerOp)),
+			r.TreeBytesPerMember, super)
 	}
 	fmt.Fprintln(w)
 }
@@ -201,9 +255,11 @@ func MembershipMetrics(rows []MembershipRow) Experiment {
 	exp := make(Experiment)
 	for _, r := range rows {
 		exp[fmt.Sprintf("tree_%d_users", r.Members)] = Metric{
-			NsPerOp:    r.NsPerOp,
-			WrapsPerOp: r.WrapsPerOp,
-			BytesPerOp: r.BytesPerOp,
+			NsPerOp:            r.NsPerOp,
+			WrapsPerOp:         r.WrapsPerOp,
+			BytesPerOp:         r.BytesPerOp,
+			TreeBytesPerMember: r.TreeBytesPerMember,
+			SupernodeBytes:     float64(r.SupernodeBytes),
 		}
 	}
 	return exp

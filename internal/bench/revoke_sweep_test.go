@@ -38,6 +38,25 @@ func TestMembershipSweepSublinear(t *testing.T) {
 		t.Fatalf("tree (%.1f wraps/op) not clearly below flat (4095 wraps/op) at 4096 members",
 			treeBig.WrapsPerOp)
 	}
+
+	// What a member costs the supernode every revoke moves whole: the key
+	// tree stores an ID and a join epoch per member (its secret and wraps
+	// are derived), at most 16 B with the node keys spread over the
+	// members, and the sealed supernode at most 80 B, growing no faster
+	// than the membership.
+	perMember := make([]float64, len(rows))
+	for i, r := range rows {
+		if r.TreeBytesPerMember == 0 || r.TreeBytesPerMember > 16 {
+			t.Fatalf("%d members: key tree %.1f B per member, want 1..16", r.Members, r.TreeBytesPerMember)
+		}
+		perMember[i] = float64(r.SupernodeBytes) / float64(r.Members)
+		if perMember[i] == 0 || perMember[i] > 80 {
+			t.Fatalf("%d members: sealed supernode %d B, %.1f B per member, want 1..80", r.Members, r.SupernodeBytes, perMember[i])
+		}
+	}
+	if perMember[1] > 1.05*perMember[0] {
+		t.Fatalf("sealed supernode per member grew from %.1f B at 512 members to %.1f B at 4096 — not linear", perMember[0], perMember[1])
+	}
 }
 
 func TestMembershipSweepModesAndErrors(t *testing.T) {
@@ -60,7 +79,7 @@ func TestMembershipSweepModesAndErrors(t *testing.T) {
 
 	exp := MembershipMetrics(rows)
 	m, ok := exp["tree_256_users"]
-	if !ok || m.WrapsPerOp == 0 || m.NsPerOp == 0 {
+	if !ok || m.WrapsPerOp == 0 || m.NsPerOp == 0 || m.TreeBytesPerMember == 0 || m.SupernodeBytes == 0 {
 		t.Fatalf("MembershipMetrics = %+v", exp)
 	}
 }

@@ -626,18 +626,10 @@ func (e *Enclave) AddUser(name string, key ed25519.PublicKey) (userID uint32, er
 		}
 		return e.updateSupernodeLocked(func() error {
 			var err error
-			userID, err = e.super.AddUser(name, key)
-			if err != nil {
+			if userID, err = e.super.AddUser(name, key); err != nil {
 				return err
 			}
-			if err := e.groupAddLocked(userID); err != nil {
-				// Keep the in-memory table consistent with the store:
-				// nothing has been flushed yet, so undo the table entry.
-				//lint:ignore unchecked-crypto-error rollback of an unflushed add
-				_, _ = e.super.RemoveUser(name)
-				return err
-			}
-			return nil
+			return e.groupAddLocked(userID)
 		})
 	})
 	if err != nil {
@@ -684,17 +676,30 @@ func (e *Enclave) ListUsers() ([]metadata.User, error) {
 // key tree) in one commit with the drain: it is re-read under the root
 // lock, so fn applies to the freshest version (§V-A), and put back before
 // the pending metadata, which is sealed after the change (§VII-E), and
-// the root.
+// the root. A failed commit whose supernode put did not land leaves the
+// enclave with the supernode it held before: fn changed only the copy the
+// re-read decoded. One whose put landed keeps the change, as the store
+// does — a reader accepts an object newer than the root records (§15.2).
 func (e *Enclave) updateSupernodeLocked(fn func() error) error {
-	return e.commitWithDrainLocked(getsAhead([]string{SupernodeObjectName}), func() error {
+	held, heldBlob, heldVersion := e.super, e.superBlob, e.superVersion
+	landed := false
+	err := e.commitWithDrainLocked(getsAhead([]string{SupernodeObjectName}), func() error {
 		if err := e.loadSupernodeLocked(); err != nil {
 			return err
 		}
 		if err := fn(); err != nil {
 			return err
 		}
-		return e.flushSupernodeLocked()
+		if err := e.flushSupernodeLocked(); err != nil {
+			return err
+		}
+		e.onSuccessLocked(func() { landed = true })
+		return nil
 	})
+	if err != nil && !landed {
+		e.super, e.superBlob, e.superVersion = held, heldBlob, heldVersion
+	}
+	return err
 }
 
 // loadSupernodeLocked fetches, verifies and decodes the supernode.

@@ -14,7 +14,7 @@
 // After every call the keys are collected: the rootkey and the private
 // exchange keys through a test-only hook (export_test.go), and, decoded
 // from the store with the rootkey, every filenode's content key and the
-// group tree's root and member secrets, so keys that rotate are tracked
+// group tree's root, seed and member secrets, so keys that rotate are tracked
 // too. No key may appear in any recorded byte: raw, as hex in either
 // case, as base64 in either alphabet at any byte alignment, or as the
 // decimal list %v prints for a []byte.
@@ -515,7 +515,8 @@ const wrapNonceAt = 4 + 1 + 2*uuid.Size + 8
 
 // scanStore opens every sealed object the store has been handed with the
 // rootkey, tracks the keys inside — content keys (K2) and group secrets
-// (K3) — and checks each object's nonces (K5).
+// and the key-tree seed they derive from (K3) — and checks each object's
+// nonces (K5).
 func (s *leakStream) scanStore() {
 	if s.rootKey == nil {
 		return
@@ -560,6 +561,7 @@ func (s *leakStream) scanStore() {
 			}
 			tree := super.GroupTree
 			s.rec.track("K3", fmt.Sprintf("the group root secret of epoch %d", tree.Epoch()), tree.RootSecret())
+			s.rec.track("K3", "the key-tree seed", tree.Seed())
 			s.checkRevoked(super)
 			for leaf := 0; leaf < tree.Leaves(); leaf++ {
 				for _, id := range tree.Members(uint32(leaf)) {

@@ -9,11 +9,15 @@
 // leaf-to-root path — O(LeafCap + Fanout·log n) wrap operations instead
 // of the O(n) full re-wrap (n−1 wraps) a single flat group key costs.
 //
-// The tree is owner-side state: it holds the raw node keys and the
-// per-member secrets, and is serialized into the (sealed) supernode by
-// internal/metadata. The wrap blobs are what a deployment would place
-// on untrusted storage for members to climb; PathWraps exposes them so
-// tests can model an adversary replaying captured ciphertexts.
+// The tree is owner-side state, serialized into the sealed supernode by
+// internal/metadata. It stores only what it cannot recompute: the node
+// keys, a tree seed, and each member's ID and join epoch. A member's
+// secret is derived from the seed, and the wraps are derived from the
+// keys: a rotation makes the wraps it changes, and a decoded tree makes
+// a member's path on first use. Every enclave that opens the supernode
+// sees every node key, so a stored secret or wrap would add nothing the
+// seal does not already give. PathWraps exposes a path's wraps so tests
+// can model an adversary replaying captured ciphertexts.
 //
 // Every membership change bumps the epoch and rotates the affected
 // path, so a freshly added (or re-added) member only ever receives
@@ -67,6 +71,9 @@ var (
 	ErrUnwrap = errors.New("groupkey: key unwrap failed")
 	// ErrMalformed reports an undecodable serialized tree.
 	ErrMalformed = errors.New("groupkey: malformed tree encoding")
+	// ErrUnsupportedLayout reports a tree in a retired layout, which is
+	// not decoded or migrated.
+	ErrUnsupportedLayout = errors.New("groupkey: retired tree layout")
 )
 
 // Config parameterizes a tree. Zero values take the defaults.
@@ -89,19 +96,22 @@ func (c Config) withDefaults() Config {
 
 // Stats meters the wrap work the revocation benchmark reports.
 type Stats struct {
-	// Wraps counts AES key-wrap operations performed.
+	// Wraps counts the AES key wraps rotations made (Add, Revoke). The
+	// wraps a decoded or bulk-built tree makes on first use re-derive
+	// state the tree already has and are not counted.
 	Wraps int64
-	// WrapBytes totals wrap-blob bytes regenerated (what a deployment
-	// re-uploads after a rotation).
+	// WrapBytes totals the wrap-blob bytes rotations made.
 	WrapBytes int64
 	// Unwraps counts unwrap operations (the authenticate path).
 	Unwraps int64
 }
 
-// member is one enrolled user in a leaf subgroup.
+// member is one enrolled user in a leaf subgroup. Only id and joined
+// are stored; secret and wrap are derived, nil until first use.
 type member struct {
 	id     uint32
-	secret []byte // per-member KEK; stays inside the sealed tree state
+	joined uint64 // the epoch Add enrolled it at
+	secret []byte // per-member KEK (secretOf)
 	wrap   []byte // leaf key wrapped under secret
 }
 
@@ -110,7 +120,8 @@ type member struct {
 type node struct {
 	key []byte
 	// childWraps[j] is this node's key wrapped under child j's key
-	// (interior nodes only).
+	// (interior nodes only). A decoded node has none until a path
+	// through it is first used (fillPath).
 	childWraps [][]byte
 }
 
@@ -120,6 +131,8 @@ type Tree struct {
 	leafCap int
 	fanout  int
 	epoch   uint64
+	// seed derives every member secret (secretOf).
+	seed []byte
 	// leaves[i] lists leaf subgroup i's members; leaves are append-only
 	// so the index is a stable subgroup ID for ACL group grants.
 	leaves [][]*member
@@ -133,12 +146,17 @@ type Tree struct {
 	stats Stats
 }
 
-// NewTree creates an empty tree.
+// NewTree creates an empty tree with a fresh seed.
 func NewTree(cfg Config) *Tree {
 	cfg = cfg.withDefaults()
+	seed := make([]byte, KeySize)
+	if _, err := rand.Read(seed); err != nil {
+		panic(fmt.Sprintf("groupkey: system entropy unavailable: %v", err))
+	}
 	return &Tree{
 		leafCap: cfg.LeafCap,
 		fanout:  cfg.Fanout,
+		seed:    seed,
 		users:   make(map[uint32]int),
 	}
 }
@@ -196,10 +214,11 @@ func (t *Tree) Stats() Stats { return t.stats }
 func (t *Tree) ResetStats() { t.stats = Stats{} }
 
 // Add enrolls a user into the sparsest leaf subgroup (appending a new
-// leaf when all are full), generates its member secret, and rotates the
+// leaf when all are full) at the current epoch, and rotates the
 // leaf-to-root path so the new member holds only post-join key
-// material. The secret is returned for delivery to the member's
-// enclave; the tree also retains it for future re-wraps.
+// material. Its secret, derived from the seed, the user ID and the join
+// epoch, is returned for delivery to the member's enclave; a re-added
+// user joins at a later epoch and so gets a fresh secret.
 func (t *Tree) Add(userID uint32) ([]byte, error) {
 	if t.Contains(userID) {
 		return nil, fmt.Errorf("%w: user %d", ErrMemberExists, userID)
@@ -211,18 +230,14 @@ func (t *Tree) Add(userID uint32) ([]byte, error) {
 			return nil, err
 		}
 	}
-	secret := make([]byte, KeySize)
-	if _, err := rand.Read(secret); err != nil {
-		return nil, fmt.Errorf("groupkey: generating member secret: %w", err)
-	}
-	m := &member{id: userID, secret: secret}
+	m := &member{id: userID, joined: t.epoch}
 	t.leaves[li] = append(t.leaves[li], m)
 	t.users[userID] = li
 	if err := t.rotatePath(li); err != nil {
 		return nil, err
 	}
 	t.epoch++
-	return bytes.Clone(secret), nil
+	return bytes.Clone(t.secretOf(m)), nil
 }
 
 // Revoke evicts a user and rotates every key on its former leaf-to-root
@@ -248,15 +263,20 @@ func (t *Tree) Revoke(userID uint32) error {
 	return nil
 }
 
-// Secret returns the member's current secret (the owner retains it for
-// re-wraps; a deployment would have delivered it at enrollment).
+// Secret returns the member's current secret (the owner re-derives it
+// for re-wraps; a deployment would have delivered it at enrollment).
 func (t *Tree) Secret(userID uint32) ([]byte, error) {
 	m := t.memberOf(userID)
 	if m == nil {
 		return nil, fmt.Errorf("%w: user %d", ErrUnknownMember, userID)
 	}
-	return bytes.Clone(m.secret), nil
+	return bytes.Clone(t.secretOf(m)), nil
 }
+
+// Seed returns the seed every member secret is derived from. Like the
+// node keys it is owner-side key material that only the sealed
+// supernode holds.
+func (t *Tree) Seed() []byte { return bytes.Clone(t.seed) }
 
 // RootSecret returns the current root key: the group secret that
 // protects per-directory ACL key material. It changes on every
@@ -301,12 +321,22 @@ type WrappedKey struct {
 // the published blobs) holds for one user: its leaf wrap first, then
 // one interior wrap per level up to the root. The blobs are copies.
 func (t *Tree) PathWraps(userID uint32) ([]WrappedKey, bool) {
-	li, ok := t.users[userID]
-	if !ok {
+	m := t.memberOf(userID)
+	if m == nil {
 		return nil, false
 	}
-	m := t.memberOf(userID)
-	out := []WrappedKey{{Level: 0, Index: uint32(li), Child: userID, Blob: bytes.Clone(m.wrap)}}
+	wraps, err := t.pathWraps(m)
+	return wraps, err == nil
+}
+
+// pathWraps makes whatever wraps of m's path are not made yet
+// (fillPath) and returns copies of the chain.
+func (t *Tree) pathWraps(m *member) ([]WrappedKey, error) {
+	li := t.users[m.id]
+	if err := t.fillPath(li, m); err != nil {
+		return nil, err
+	}
+	out := []WrappedKey{{Level: 0, Index: uint32(li), Child: m.id, Blob: bytes.Clone(m.wrap)}}
 	idx := li
 	for l := 1; l < len(t.levels); l++ {
 		slot := idx % t.fanout
@@ -318,7 +348,7 @@ func (t *Tree) PathWraps(userID uint32) ([]WrappedKey, bool) {
 			Blob:  bytes.Clone(t.levels[l][idx].childWraps[slot]),
 		})
 	}
-	return out, true
+	return out, nil
 }
 
 // UnwrapPath chains unwraps from a member secret up a wrap chain,
@@ -348,8 +378,11 @@ func (t *Tree) MemberRoot(userID uint32) ([]byte, error) {
 	if m == nil {
 		return nil, fmt.Errorf("%w: user %d", ErrUnknownMember, userID)
 	}
-	wraps, _ := t.PathWraps(userID)
-	root, err := UnwrapPath(m.secret, wraps)
+	wraps, err := t.pathWraps(m)
+	if err != nil {
+		return nil, err
+	}
+	root, err := UnwrapPath(t.secretOf(m), wraps)
 	if err != nil {
 		return nil, err
 	}
@@ -453,6 +486,56 @@ func newNode() (*node, error) {
 	return &node{key: key}, nil
 }
 
+// secretOf returns m's secret, HMAC-SHA256(seed, "nexus-groupkey-member"
+// ‖ id ‖ joined), deriving it on first use.
+func (t *Tree) secretOf(m *member) []byte {
+	if m.secret == nil {
+		mac := hmac.New(sha256.New, t.seed)
+		mac.Write([]byte("nexus-groupkey-member"))
+		mac.Write(binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint32(nil, m.id), m.joined))
+		m.secret = mac.Sum(nil)
+	}
+	return m.secret
+}
+
+// childRange returns the indices at level l-1 of node idx's children.
+func (t *Tree) childRange(l, idx int) (lo, hi int) {
+	lo = idx * t.fanout
+	return lo, min(lo+t.fanout, len(t.levels[l-1]))
+}
+
+// fillPath makes the wraps of m's path to the root that a decode or a
+// bulk build left unmade: m's leaf wrap and, at each ancestor, the wrap
+// under the child on the path. Rotations make all the others they
+// change, so these are derived state and not metered.
+func (t *Tree) fillPath(li int, m *member) error {
+	if m.wrap == nil {
+		w, err := wrapWith(t.secretOf(m), t.levels[0][li].key, wrapAAD(0, uint32(li), m.id))
+		if err != nil {
+			return err
+		}
+		m.wrap = w
+	}
+	idx := li
+	for l := 1; l < len(t.levels); l++ {
+		child := idx
+		idx /= t.fanout
+		n := t.levels[l][idx]
+		lo, hi := t.childRange(l, idx)
+		if n.childWraps == nil {
+			n.childWraps = make([][]byte, hi-lo)
+		}
+		if n.childWraps[child-lo] == nil {
+			w, err := wrapWith(t.levels[l-1][child].key, n.key, wrapAAD(uint32(l), uint32(idx), uint32(child-lo)))
+			if err != nil {
+				return err
+			}
+			n.childWraps[child-lo] = w
+		}
+	}
+	return nil
+}
+
 // rotatePath freshens the key of every node on leaf li's path to the
 // root and rewrites exactly the wraps those keys require: one per
 // remaining leaf member and one per child of each path ancestor.
@@ -462,7 +545,7 @@ func (t *Tree) rotatePath(li int) error {
 		return fmt.Errorf("groupkey: rotating leaf key: %w", err)
 	}
 	for _, m := range t.leaves[li] {
-		w, err := wrapWith(m.secret, leaf.key, wrapAAD(0, uint32(li), m.id))
+		w, err := wrapWith(t.secretOf(m), leaf.key, wrapAAD(0, uint32(li), m.id))
 		if err != nil {
 			return err
 		}
@@ -477,11 +560,7 @@ func (t *Tree) rotatePath(li int) error {
 		if _, err := rand.Read(n.key); err != nil {
 			return fmt.Errorf("groupkey: rotating node key: %w", err)
 		}
-		lo := idx * t.fanout
-		hi := lo + t.fanout
-		if hi > len(t.levels[l-1]) {
-			hi = len(t.levels[l-1])
-		}
+		lo, hi := t.childRange(l, idx)
 		n.childWraps = make([][]byte, hi-lo)
 		for j := lo; j < hi; j++ {
 			w, err := wrapWith(t.levels[l-1][j].key, n.key, wrapAAD(uint32(l), uint32(idx), uint32(j-lo)))

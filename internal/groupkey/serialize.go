@@ -7,51 +7,61 @@ import (
 	"nexus/internal/serial"
 )
 
-// treeFormatV1 tags the serialized tree layout. The supernode stores
-// the tree as a trailing, versioned extension so pre-groupkey volumes
-// still load (they simply have no tree bytes).
-const treeFormatV1 = 1
+// treeFormat tags the serialized tree layout. Format 1 also stored every
+// member secret and wrap; it is retired and fails with
+// ErrUnsupportedLayout.
+const (
+	treeFormat        = 2
+	treeFormatRetired = 1
+)
 
-// Encode serializes the full owner-side tree state — configuration,
-// epoch, leaf membership (member secrets and wraps), and every level's
-// node keys and child wraps. The result is only ever stored inside the
-// sealed supernode body.
+// Encode serializes what the tree cannot recompute:
+//
+//	format ‖ leafCap ‖ fanout ‖ epoch ‖ seed ‖ leaf count ‖
+//	per leaf: member count ‖ (id ‖ join epoch)* ‖ node keys
+//
+// The seed and the node keys are raw 32-byte fields; the node keys run
+// level by level from the leaves up, and the level widths follow from
+// the leaf count and the fanout. Member secrets and wraps are derived
+// (secretOf, fillPath), so none is written. The result is only ever
+// stored inside the sealed supernode body.
 func (t *Tree) Encode() []byte {
-	w := serial.NewWriter(256 + len(t.users)*(8+KeySize+wrapLen))
-	w.WriteUint8(treeFormatV1)
+	_, nodes := levelWidths(len(t.leaves), t.fanout)
+	w := serial.NewWriter(1 + 4 + 4 + 8 + KeySize + 4 + 4*len(t.leaves) + 12*len(t.users) + KeySize*nodes)
+	w.WriteUint8(treeFormat)
 	w.WriteUint32(uint32(t.leafCap))
 	w.WriteUint32(uint32(t.fanout))
 	w.WriteUint64(t.epoch)
+	w.WriteRaw(t.seed)
 	w.WriteUint32(uint32(len(t.leaves)))
 	for _, ms := range t.leaves {
 		w.WriteUint32(uint32(len(ms)))
 		for _, m := range ms {
 			w.WriteUint32(m.id)
-			w.WriteBytes(m.secret)
-			w.WriteBytes(m.wrap)
+			w.WriteUint64(m.joined)
 		}
 	}
-	w.WriteUint32(uint32(len(t.levels)))
 	for _, lvl := range t.levels {
-		w.WriteUint32(uint32(len(lvl)))
 		for _, n := range lvl {
-			w.WriteBytes(n.key)
-			w.WriteUint32(uint32(len(n.childWraps)))
-			for _, cw := range n.childWraps {
-				w.WriteBytes(cw)
-			}
+			w.WriteRaw(n.key)
 		}
 	}
 	return w.Bytes()
 }
 
 // DecodeTree parses an Encode result, validating structure strictly:
-// bounds on every count, exact key/wrap lengths, member-to-leaf
-// consistency, and a level geometry that matches the declared fanout.
-// It never panics on hostile input (FuzzGroupTreeDecode enforces this).
+// bounds on every count, unique members that joined before the tree's
+// epoch, and exactly as many node keys as the geometry the leaf count
+// and fanout imply. It makes no secret and no wrap: those are derived on
+// first use. It never panics on hostile input (FuzzGroupTreeDecode
+// enforces this).
 func DecodeTree(data []byte) (*Tree, error) {
 	r := serial.NewReader(data)
-	if v := r.ReadUint8("groupkey format"); r.Err() == nil && v != treeFormatV1 {
+	switch v := r.ReadUint8("groupkey format"); {
+	case r.Err() != nil:
+	case v == treeFormatRetired:
+		return nil, fmt.Errorf("%w: key tree of format %d", ErrUnsupportedLayout, v)
+	case v != treeFormat:
 		return nil, fmt.Errorf("%w: unsupported format %d", ErrMalformed, v)
 	}
 	leafCap := int(r.ReadUint32("leaf cap"))
@@ -63,6 +73,7 @@ func DecodeTree(data []byte) (*Tree, error) {
 		leafCap: leafCap,
 		fanout:  fanout,
 		epoch:   r.ReadUint64("epoch"),
+		seed:    r.ReadRaw(KeySize, "tree seed"),
 		users:   make(map[uint32]int),
 	}
 	nLeaves := r.ReadCount(maxLeaves, "leaf count")
@@ -70,16 +81,12 @@ func DecodeTree(data []byte) (*Tree, error) {
 		nm := r.ReadCount(leafCap, "leaf member count")
 		ms := make([]*member, 0, nm)
 		for j := 0; j < nm && r.Err() == nil; j++ {
-			m := &member{
-				id:     r.ReadUint32("member id"),
-				secret: r.ReadBytes(KeySize, "member secret"),
-				wrap:   r.ReadBytes(wrapLen, "member wrap"),
-			}
+			m := &member{id: r.ReadUint32("member id"), joined: r.ReadUint64("member join epoch")}
 			if r.Err() != nil {
 				break
 			}
-			if len(m.secret) != KeySize || len(m.wrap) != wrapLen {
-				return nil, fmt.Errorf("%w: member %d blob sizes", ErrMalformed, m.id)
+			if m.joined >= t.epoch {
+				return nil, fmt.Errorf("%w: member %d joined at epoch %d, not before the tree's %d", ErrMalformed, m.id, m.joined, t.epoch)
 			}
 			if _, dup := t.users[m.id]; dup {
 				return nil, fmt.Errorf("%w: duplicate member %d", ErrMalformed, m.id)
@@ -89,158 +96,73 @@ func DecodeTree(data []byte) (*Tree, error) {
 		}
 		t.leaves = append(t.leaves, ms)
 	}
-	nLevels := r.ReadCount(64, "level count")
-	for l := 0; l < nLevels && r.Err() == nil; l++ {
-		nn := r.ReadCount(maxLeaves, "level width")
-		lvl := make([]*node, 0, nn)
-		for i := 0; i < nn && r.Err() == nil; i++ {
-			n := &node{key: r.ReadBytes(KeySize, "node key")}
-			nw := r.ReadCount(fanout, "child wrap count")
-			for j := 0; j < nw && r.Err() == nil; j++ {
-				n.childWraps = append(n.childWraps, r.ReadBytes(wrapLen, "child wrap"))
-			}
-			if r.Err() != nil {
-				break
-			}
-			if len(n.key) != KeySize {
-				return nil, fmt.Errorf("%w: node key size", ErrMalformed)
-			}
-			for _, cw := range n.childWraps {
-				if len(cw) != wrapLen {
-					return nil, fmt.Errorf("%w: child wrap size", ErrMalformed)
-				}
-			}
-			lvl = append(lvl, n)
+	if r.Err() == nil {
+		widths, nodes := levelWidths(nLeaves, fanout)
+		if r.Remaining() != nodes*KeySize {
+			return nil, fmt.Errorf("%w: %d bytes of node keys, want %d for %d leaves", ErrMalformed, r.Remaining(), nodes*KeySize, nLeaves)
 		}
-		t.levels = append(t.levels, lvl)
+		t.levels = levelsFrom(widths, r.ReadRaw(nodes*KeySize, "node keys"))
 	}
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
-	if err := t.validateGeometry(nLeaves); err != nil {
-		return nil, err
-	}
 	return t, nil
 }
 
-// validateGeometry cross-checks the decoded levels against the leaf
-// list and the declared fanout.
-func (t *Tree) validateGeometry(nLeaves int) error {
-	if nLeaves == 0 {
-		if len(t.levels) != 0 {
-			return fmt.Errorf("%w: levels without leaves", ErrMalformed)
-		}
-		return nil
-	}
-	if len(t.levels) == 0 || len(t.levels[0]) != nLeaves {
-		return fmt.Errorf("%w: level 0 width mismatch", ErrMalformed)
-	}
-	for l := 1; l < len(t.levels); l++ {
-		below := len(t.levels[l-1])
-		want := (below + t.fanout - 1) / t.fanout
-		if len(t.levels[l]) != want {
-			return fmt.Errorf("%w: level %d width %d, want %d", ErrMalformed, l, len(t.levels[l]), want)
-		}
-		for idx, n := range t.levels[l] {
-			kids := t.fanout
-			if lo := idx * t.fanout; lo+kids > below {
-				kids = below - lo
-			}
-			if len(n.childWraps) != kids {
-				return fmt.Errorf("%w: node %d/%d has %d child wraps, want %d",
-					ErrMalformed, l, idx, len(n.childWraps), kids)
-			}
-		}
-	}
-	if top := t.levels[len(t.levels)-1]; len(top) != 1 {
-		return fmt.Errorf("%w: top level width %d", ErrMalformed, len(top))
-	}
-	return nil
-}
-
-// NewTreeWithMembers bulk-builds a tree over a member set without
-// per-add path rotations: one batched random draw for all key material,
-// then exactly one member wrap each plus the interior child wraps. This
-// is what makes the 10^6-user benchmark sweep feasible.
-func NewTreeWithMembers(cfg Config, userIDs []uint32) (*Tree, error) {
-	cfg = cfg.withDefaults()
-	t := &Tree{
-		leafCap: cfg.LeafCap,
-		fanout:  cfg.Fanout,
-		users:   make(map[uint32]int, len(userIDs)),
-	}
-	if len(userIDs) == 0 {
-		return t, nil
-	}
-	nLeaves := (len(userIDs) + cfg.LeafCap - 1) / cfg.LeafCap
-	// One draw covers every member secret plus every node key.
-	nNodes := 0
-	for w := nLeaves; ; w = (w + cfg.Fanout - 1) / cfg.Fanout {
-		nNodes += w
+// levelWidths returns the width of each level of a tree over nLeaves
+// leaves — the leaves, then ceil(below/fanout) per level up to a single
+// root; none for no leaves — and their sum.
+func levelWidths(nLeaves, fanout int) (widths []int, nodes int) {
+	for w := nLeaves; w > 0; w = (w + fanout - 1) / fanout {
+		widths = append(widths, w)
+		nodes += w
 		if w == 1 {
 			break
 		}
 	}
-	pool := make([]byte, (len(userIDs)+nNodes)*KeySize)
-	if _, err := rand.Read(pool); err != nil {
-		return nil, fmt.Errorf("groupkey: generating bulk key material: %w", err)
+	return widths, nodes
+}
+
+// levelsFrom builds the levels of the given widths, taking each node's
+// key from keys in order.
+func levelsFrom(widths []int, keys []byte) [][]*node {
+	levels := make([][]*node, len(widths))
+	for l, w := range widths {
+		levels[l] = make([]*node, w)
+		for i := range levels[l] {
+			levels[l][i] = &node{key: keys[:KeySize:KeySize]}
+			keys = keys[KeySize:]
+		}
 	}
-	draw := func() []byte {
-		k := pool[:KeySize:KeySize]
-		pool = pool[KeySize:]
-		return k
+	return levels
+}
+
+// NewTreeWithMembers bulk-builds a tree over a member set without
+// per-add path rotations: one batched random draw for every node key,
+// with every member joined at epoch 0. Member secrets follow from the
+// seed and wraps are made on first use, so the build makes none. This
+// is what makes the 10^6-user benchmark sweep feasible.
+func NewTreeWithMembers(cfg Config, userIDs []uint32) (*Tree, error) {
+	t := NewTree(cfg)
+	if len(userIDs) == 0 {
+		return t, nil
 	}
+	nLeaves := (len(userIDs) + t.leafCap - 1) / t.leafCap
 	t.leaves = make([][]*member, nLeaves)
 	for i, id := range userIDs {
 		if _, dup := t.users[id]; dup {
 			return nil, fmt.Errorf("%w: user %d", ErrMemberExists, id)
 		}
-		li := i / cfg.LeafCap
-		t.leaves[li] = append(t.leaves[li], &member{id: id, secret: draw()})
+		li := i / t.leafCap
+		t.leaves[li] = append(t.leaves[li], &member{id: id})
 		t.users[id] = li
 	}
-	for w := nLeaves; ; w = (w + cfg.Fanout - 1) / cfg.Fanout {
-		lvl := make([]*node, w)
-		for i := range lvl {
-			lvl[i] = &node{key: draw()}
-		}
-		t.levels = append(t.levels, lvl)
-		if w == 1 {
-			break
-		}
+	widths, nodes := levelWidths(nLeaves, t.fanout)
+	keys := make([]byte, nodes*KeySize)
+	if _, err := rand.Read(keys); err != nil {
+		return nil, fmt.Errorf("groupkey: generating bulk key material: %w", err)
 	}
-	// Materialize wraps: members first, then interior child wraps.
-	for li, ms := range t.leaves {
-		leafKey := t.levels[0][li].key
-		for _, m := range ms {
-			wb, err := wrapWith(m.secret, leafKey, wrapAAD(0, uint32(li), m.id))
-			if err != nil {
-				return nil, err
-			}
-			m.wrap = wb
-			t.stats.Wraps++
-			t.stats.WrapBytes += int64(len(wb))
-		}
-	}
-	for l := 1; l < len(t.levels); l++ {
-		for idx, n := range t.levels[l] {
-			lo := idx * cfg.Fanout
-			hi := lo + cfg.Fanout
-			if hi > len(t.levels[l-1]) {
-				hi = len(t.levels[l-1])
-			}
-			n.childWraps = make([][]byte, hi-lo)
-			for j := lo; j < hi; j++ {
-				wb, err := wrapWith(t.levels[l-1][j].key, n.key, wrapAAD(uint32(l), uint32(idx), uint32(j-lo)))
-				if err != nil {
-					return nil, err
-				}
-				n.childWraps[j-lo] = wb
-				t.stats.Wraps++
-				t.stats.WrapBytes += int64(len(wb))
-			}
-		}
-	}
+	t.levels = levelsFrom(widths, keys)
 	t.epoch = 1
 	return t, nil
 }

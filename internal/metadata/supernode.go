@@ -246,7 +246,8 @@ func (s *Supernode) EncodeBody() []byte {
 //
 //	VolumeUUID ‖ RootDir ‖ owner ‖ count ‖ users ‖ NextUserID ‖ tag ‖ tree
 //
-// A body that ends after NextUserID fails with ErrUnsupportedLayout.
+// A body that ends after NextUserID, or whose tree is of a retired
+// format, fails with ErrUnsupportedLayout.
 func DecodeSupernodeBody(body []byte) (*Supernode, error) {
 	r := serial.NewReader(body)
 	var s Supernode
@@ -272,6 +273,9 @@ func DecodeSupernodeBody(body []byte) (*Supernode, error) {
 		return nil, fmt.Errorf("decoding supernode: %w", err)
 	}
 	tree, err := groupkey.DecodeTree(blob)
+	if errors.Is(err, groupkey.ErrUnsupportedLayout) {
+		return nil, fmt.Errorf("%w: supernode with a retired key tree: %w", ErrUnsupportedLayout, err)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("decoding supernode group tree: %w", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nexus/internal/acl"
+	"nexus/internal/groupkey"
 )
 
 // syntheticKey returns a deterministic 32-byte "public key". AddUser
@@ -189,10 +190,34 @@ func TestSupernodeGroupTreeRoundTrip(t *testing.T) {
 	if _, err := DecodeSupernodeBody(bad); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("unknown tree tag: %v, want ErrMalformed", err)
 	}
-	// Corrupt tree blob must be rejected.
+	// A corrupt structural field of the tree — the last byte of its leaf
+	// count, after the format, the config, the epoch and the seed — must
+	// be rejected: the node keys it implies no longer fill the blob.
+	leafCountAt := len(retired) + 1 + 4 + 1 + 4 + 4 + 8 + groupkey.KeySize
 	bad = bytes.Clone(ext)
-	bad[len(bad)-1] ^= 0xFF
-	if _, err := DecodeSupernodeBody(bad); err == nil {
-		t.Fatal("corrupt tree blob accepted")
+	bad[leafCountAt+3] ^= 0xFF
+	if _, err := DecodeSupernodeBody(bad); !errors.Is(err, groupkey.ErrMalformed) {
+		t.Fatalf("corrupt tree leaf count: %v, want groupkey.ErrMalformed", err)
+	}
+	// The tree's seed and node keys are raw fields that any value
+	// decodes; the seal is what guards them. A flipped byte anywhere in
+	// the sealed supernode fails Open.
+	rootKey, err := NewRootKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := Seal(rootKey, Preamble{Type: TypeSupernode, UUID: s.VolumeUUID, Version: 1}, ext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(rootKey, sealed); err != nil {
+		t.Fatalf("Open of the untouched supernode: %v", err)
+	}
+	for i := range sealed {
+		bad := bytes.Clone(sealed)
+		bad[i] ^= 0x01
+		if _, _, err := Open(rootKey, bad); err == nil {
+			t.Fatalf("Open accepted the sealed supernode with byte %d of %d flipped", i, len(sealed))
+		}
 	}
 }

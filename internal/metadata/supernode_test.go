@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"errors"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"nexus/internal/acl"
 	"nexus/internal/groupkey"
+	"nexus/internal/serial"
 )
 
 // TestSupernodeUserNameLimit: every name AddUser or NewSupernode accepts
@@ -98,6 +101,55 @@ func sampleSupernode(tb testing.TB) *Supernode {
 func retiredSupernodeBody(s *Supernode) []byte {
 	body := s.EncodeBody()
 	return body[:len(body)-1-4-len(s.GroupTree.Encode())]
+}
+
+// TestSupernodeBodySizePerMember pins what a member costs the supernode
+// body now that member secrets and key-tree wraps are derived, not
+// stored: at 256 members — share_revoke's group — at most 80 B each,
+// of which the key tree's share is at most 16 B (an ID and a join epoch,
+// plus the node keys spread over the members).
+func TestSupernodeBodySizePerMember(t *testing.T) {
+	const members = 256
+	s, err := NewSupernode("owen", syntheticKey(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < members; i++ {
+		id, err := s.AddUser(fmt.Sprintf("user%03d", i), syntheticKey(uint32(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.GroupTree.Add(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, tree := len(s.EncodeBody()), len(s.GroupTree.Encode())
+	t.Logf("%d members: body %d B (%.1f B each), key tree %d B (%.1f B each)",
+		members, body, float64(body)/members, tree, float64(tree)/members)
+	if per := float64(body) / members; per > 80 {
+		t.Fatalf("supernode body is %.1f B per member, want at most 80", per)
+	}
+	if per := float64(tree) / members; per > 16 {
+		t.Fatalf("key tree is %.1f B per member, want at most 16", per)
+	}
+}
+
+// TestSupernodeRetiredKeyTreeFailsClosed: a supernode carrying a key
+// tree of format 1, which stored every member secret and wrap, fails
+// with ErrUnsupportedLayout and is not migrated.
+func TestSupernodeRetiredKeyTreeFailsClosed(t *testing.T) {
+	format1, err := os.ReadFile("../groupkey/testdata/tree-format1.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := serial.NewWriter(0)
+	w.WriteRaw(retiredSupernodeBody(sampleSupernode(t)))
+	w.WriteUint8(supernodeExtGroupTree)
+	w.WriteBytes(format1)
+	_, err = DecodeSupernodeBody(w.Bytes())
+	if !errors.Is(err, ErrUnsupportedLayout) || !errors.Is(err, groupkey.ErrUnsupportedLayout) {
+		t.Fatalf("DecodeSupernodeBody(format-1 key tree) = %v, want ErrUnsupportedLayout", err)
+	}
 }
 
 // FuzzSupernodeBodyDecode hammers the supernode decoder — the body is
