@@ -40,6 +40,9 @@ func TestFileIOExperiment(t *testing.T) {
 		if r.Enclave <= 0 {
 			t.Fatalf("no enclave time recorded: %+v", r)
 		}
+		if r.MetadataIO > r.Nexus || r.Enclave > r.Nexus {
+			t.Fatalf("breakdown exceeds NEXUS's whole time: %+v", r)
+		}
 	}
 	var out bytes.Buffer
 	PrintFileIO(&out, rows)
@@ -65,6 +68,9 @@ func TestDirOpsExperiment(t *testing.T) {
 		}
 		if r.MetadataIO <= 0 {
 			t.Fatalf("no metadata I/O recorded: %+v", r)
+		}
+		if r.MetadataIO > r.Nexus || r.Enclave > r.Nexus {
+			t.Fatalf("breakdown exceeds NEXUS's whole time: %+v", r)
 		}
 	}
 	var out bytes.Buffer

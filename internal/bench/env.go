@@ -213,6 +213,30 @@ func (e *Env) Both(prepare func(fs fsapi.FileSystem, root string) error,
 	return plain, nx, nil
 }
 
+// Split is the NEXUS-side breakdown of Table 5's rows: the wall time of
+// the enclave's metadata ocalls and the time inside the enclave.
+type Split struct {
+	MetadataIO time.Duration
+	Enclave    time.Duration
+}
+
+// splitNexus wraps a Both fn so that each run of it over the NEXUS
+// filesystem adds its own breakdown to split: only fn's timed window
+// counts, not Both's untimed prepare and cache flush.
+func (e *Env) splitNexus(split *Split, fn func(fs fsapi.FileSystem, root string) error) func(fs fsapi.FileSystem, root string) error {
+	return func(fs fsapi.FileSystem, root string) error {
+		if fs != e.NexusFS {
+			return fn(fs, root)
+		}
+		encl := e.NexusClient.Enclave()
+		io, in := encl.Stats().MetadataIOTime, encl.SGX().TimeInEnclave()
+		err := fn(fs, root)
+		split.MetadataIO += encl.Stats().MetadataIOTime - io
+		split.Enclave += encl.SGX().TimeInEnclave() - in
+		return err
+	}
+}
+
 // ratio formats nexus/plain as the paper's ×N overhead factor.
 func ratio(plain, nx time.Duration) float64 {
 	if plain <= 0 {

@@ -32,14 +32,12 @@ func FileIO(env *Env, sizesMB []int) ([]FileIORow, error) {
 		}
 		data := content.Fill(size)
 
-		encl := env.NexusClient.Enclave()
-		encl.ResetStats()
-
+		var split Split
 		plain, nx, err := env.Both(
 			func(fs fsapi.FileSystem, root string) error {
 				return fs.MkdirAll(root)
 			},
-			func(fs fsapi.FileSystem, root string) error {
+			env.splitNexus(&split, func(fs fsapi.FileSystem, root string) error {
 				name := root + "/file.bin"
 				// Write (encrypt+upload under NEXUS), drop caches so the
 				// read requires a server trip, then read back.
@@ -55,19 +53,18 @@ func FileIO(env *Env, sizesMB []int) ([]FileIORow, error) {
 					return fmt.Errorf("read %d bytes, want %d", len(got), len(data))
 				}
 				return nil
-			},
+			}),
 		)
 		if err != nil {
 			return nil, fmt.Errorf("file I/O %d MB: %w", mb, err)
 		}
-		st := encl.Stats()
 		runs := time.Duration(env.Config.Runs)
 		rows = append(rows, FileIORow{
 			SizeMB:     mb,
 			OpenAFS:    plain,
 			Nexus:      nx,
-			MetadataIO: st.MetadataIOTime / runs,
-			Enclave:    (encl.SGX().TimeInEnclave()) / runs,
+			MetadataIO: split.MetadataIO / runs,
+			Enclave:    split.Enclave / runs,
 		})
 	}
 	return rows, nil
@@ -110,14 +107,12 @@ type DirOpsRow struct {
 func DirOps(env *Env, counts []int) ([]DirOpsRow, error) {
 	rows := make([]DirOpsRow, 0, len(counts))
 	for _, n := range counts {
-		encl := env.NexusClient.Enclave()
-		encl.ResetStats()
-
+		var split Split
 		plain, nx, err := env.Both(
 			func(fs fsapi.FileSystem, root string) error {
 				return fs.MkdirAll(root)
 			},
-			func(fs fsapi.FileSystem, root string) error {
+			env.splitNexus(&split, func(fs fsapi.FileSystem, root string) error {
 				for i := 0; i < n; i++ {
 					if err := fs.Touch(fmt.Sprintf("%s/f%06d", root, i)); err != nil {
 						return err
@@ -129,19 +124,18 @@ func DirOps(env *Env, counts []int) ([]DirOpsRow, error) {
 					}
 				}
 				return nil
-			},
+			}),
 		)
 		if err != nil {
 			return nil, fmt.Errorf("dir ops %d files: %w", n, err)
 		}
-		st := encl.Stats()
 		runs := time.Duration(env.Config.Runs)
 		rows = append(rows, DirOpsRow{
 			NumFiles:   n,
 			OpenAFS:    plain,
 			Nexus:      nx,
-			MetadataIO: st.MetadataIOTime / runs,
-			Enclave:    encl.SGX().TimeInEnclave() / runs,
+			MetadataIO: split.MetadataIO / runs,
+			Enclave:    split.Enclave / runs,
 		})
 	}
 	return rows, nil

@@ -3,7 +3,6 @@ package bench
 import (
 	"crypto/ed25519"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -134,7 +133,7 @@ type MembershipRow struct {
 	// TreeBytesPerMember is the encoded key tree's size over Members.
 	TreeBytesPerMember float64
 	// SupernodeBytes is the sealed supernode of an owner and Members−1
-	// users over that tree; 0 above the user table's cap.
+	// users, its key tree built by AddUser; 0 above the user table's cap.
 	SupernodeBytes int64
 }
 
@@ -159,7 +158,7 @@ func MembershipSweep(counts []int, runs int) ([]MembershipRow, error) {
 			return nil, err
 		}
 		treeBytes := len(tree.Encode())
-		sealed, err := sealedSupernode(tree, n)
+		sealed, err := sealedSupernode(n)
 		if err != nil {
 			return nil, err
 		}
@@ -174,10 +173,13 @@ func MembershipSweep(counts []int, runs int) ([]MembershipRow, error) {
 	return rows, nil
 }
 
-// sealedSupernode seals a supernode whose owner and users, members in
-// all, are the members of tree, or returns nil when the user table
-// cannot hold them.
-func sealedSupernode(tree *groupkey.Tree, members int) ([]byte, error) {
+// sealedSupernode seals a supernode of an owner and members−1 users,
+// each enrolled in its key tree by AddUser, or returns nil when the user
+// table cannot hold them.
+func sealedSupernode(members int) ([]byte, error) {
+	if members > metadata.MaxUsers {
+		return nil, nil
+	}
 	key := func(i int) ed25519.PublicKey {
 		k := make(ed25519.PublicKey, ed25519.PublicKeySize)
 		binary.BigEndian.PutUint32(k, uint32(i))
@@ -188,13 +190,10 @@ func sealedSupernode(tree *groupkey.Tree, members int) ([]byte, error) {
 		return nil, err
 	}
 	for i := 1; i < members; i++ {
-		if _, err := super.AddUser(fmt.Sprintf("user%d", i), key(i)); errors.Is(err, metadata.ErrUserTableFull) {
-			return nil, nil
-		} else if err != nil {
+		if _, err := super.AddUser(fmt.Sprintf("user%d", i), key(i)); err != nil {
 			return nil, err
 		}
 	}
-	super.GroupTree = tree
 	rootKey, err := metadata.NewRootKey()
 	if err != nil {
 		return nil, err

@@ -516,8 +516,10 @@ func (e *Enclave) CompleteAuth(signature []byte) error {
 		// (iii) members of the key tree must additionally hold a wrap
 		// chain reaching the current root — a revoked-then-stale client
 		// fails here even if its table entry were somehow replayed.
-		if err := e.groupAuthenticateLocked(user.ID); err != nil {
-			return err
+		if err := e.meterGroupLocked(func() error {
+			return e.super.GroupTree.Authenticate(user.ID)
+		}); err != nil {
+			return fmt.Errorf("%w: key-tree path stale for user %d", ErrBadAuth, user.ID)
 		}
 		e.user = user
 		e.authed = true
@@ -624,12 +626,9 @@ func (e *Enclave) AddUser(name string, key ed25519.PublicKey) (userID uint32, er
 		if !e.isOwnerLocked() {
 			return fmt.Errorf("%w: only the owner administers users", ErrAccessDenied)
 		}
-		return e.updateSupernodeLocked(func() error {
-			var err error
-			if userID, err = e.super.AddUser(name, key); err != nil {
-				return err
-			}
-			return e.groupAddLocked(userID)
+		return e.updateSupernodeLocked(func() (err error) {
+			userID, err = e.super.AddUser(name, key)
+			return err
 		})
 	})
 	if err != nil {
@@ -646,24 +645,20 @@ func (e *Enclave) RemoveUser(name string) error {
 		if !e.isOwnerLocked() {
 			return fmt.Errorf("%w: only the owner administers users", ErrAccessDenied)
 		}
+		// O(log n) path rotation: only the evicted user's leaf-to-root
+		// keys are re-wrapped; file data is untouched (§VII-E).
 		return e.updateSupernodeLocked(func() error {
-			removedID, err := e.super.RemoveUser(name)
-			if err != nil {
-				return err
-			}
-			// O(log n) path rotation: only the evicted user's leaf-to-root
-			// keys are re-wrapped; file data is untouched (§VII-E).
-			return e.groupRevokeLocked(removedID)
+			_, err := e.super.RemoveUser(name)
+			return err
 		})
 	})
 }
 
-// ListUsers returns the owner plus all authorized users.
+// ListUsers returns the owner, then every other user in ascending ID.
 func (e *Enclave) ListUsers() ([]metadata.User, error) {
 	var out []metadata.User
 	err := e.ecall(needAuth, func() error {
-		out = append(out, e.super.Owner)
-		out = append(out, e.super.Users...)
+		out = e.super.Users()
 		return nil
 	})
 	if err != nil {
@@ -672,14 +667,15 @@ func (e *Enclave) ListUsers() ([]metadata.User, error) {
 	return out, nil
 }
 
-// updateSupernodeLocked changes the supernode (user table or membership
-// key tree) in one commit with the drain: it is re-read under the root
-// lock, so fn applies to the freshest version (§V-A), and put back before
-// the pending metadata, which is sealed after the change (§VII-E), and
-// the root. A failed commit whose supernode put did not land leaves the
-// enclave with the supernode it held before: fn changed only the copy the
-// re-read decoded. One whose put landed keeps the change, as the store
-// does — a reader accepts an object newer than the root records (§15.2).
+// updateSupernodeLocked changes the supernode (its member list, the key
+// tree) in one commit with the drain, metering the tree's wraps fn makes:
+// it is re-read under the root lock, so fn applies to the freshest
+// version (§V-A), and put back before the pending metadata, which is
+// sealed after the change (§VII-E), and the root. A failed commit whose
+// supernode put did not land leaves the enclave with the supernode it
+// held before: fn changed only the copy the re-read decoded. One whose
+// put landed keeps the change, as the store does — a reader accepts an
+// object newer than the root records (§15.2).
 func (e *Enclave) updateSupernodeLocked(fn func() error) error {
 	held, heldBlob, heldVersion := e.super, e.superBlob, e.superVersion
 	landed := false
@@ -687,7 +683,7 @@ func (e *Enclave) updateSupernodeLocked(fn func() error) error {
 		if err := e.loadSupernodeLocked(); err != nil {
 			return err
 		}
-		if err := fn(); err != nil {
+		if err := e.meterGroupLocked(fn); err != nil {
 			return err
 		}
 		if err := e.flushSupernodeLocked(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"os"
 	"testing"
 
 	"nexus/internal/acl"
@@ -225,10 +226,10 @@ func TestGroupRevokedUserFailsAuth(t *testing.T) {
 	}
 }
 
-// TestRetiredLayoutSupernodeFailsClosed: a volume whose supernode carries
-// no key tree — the layout sealed before the tree existed — does not
-// mount: authentication fails with ErrUnsupportedLayout, and the failed
-// mount writes nothing to the store.
+// TestRetiredLayoutSupernodeFailsClosed: a volume whose supernode is of a
+// retired layout — here one whose user table is a list of its own beside
+// the key tree's members — does not mount: authentication fails with
+// ErrUnsupportedLayout, and the failed mount writes nothing to the store.
 func TestRetiredLayoutSupernodeFailsClosed(t *testing.T) {
 	owner := newIdentity(t, "owen")
 	env, sealed, volID := newMountedVolume(t, owner)
@@ -236,13 +237,17 @@ func TestRetiredLayoutSupernodeFailsClosed(t *testing.T) {
 	if _, err := env.enclave.AddUser("alice", alice.pub); err != nil {
 		t.Fatal(err)
 	}
-	// Re-seal the supernode at its own version the way a pre-tree build
-	// wrote it: the body ends after NextUserID.
+	// Re-seal the supernode at its own version with a body of the
+	// two-list layout.
+	retired, err := os.ReadFile("../metadata/testdata/supernode-two-lists.body")
+	if err != nil {
+		t.Fatal(err)
+	}
 	e := env.enclave
 	e.mu.Lock()
-	p, body, err := metadata.Open(e.rootKey, e.superBlob)
+	p, _, err := metadata.Open(e.rootKey, e.superBlob)
 	if err == nil {
-		body = body[:len(body)-1-4-len(e.super.GroupTree.Encode())]
+		body := retired
 		var blob []byte
 		if blob, err = metadata.Seal(e.rootKey, p, body); err == nil {
 			_, err = env.store.PutVersioned(SupernodeObjectName, blob)
@@ -264,7 +269,7 @@ func TestRetiredLayoutSupernodeFailsClosed(t *testing.T) {
 	}
 	for _, id := range []identity{owner, alice} {
 		if err := authenticate(t, encl, id, sealed, volID); !errors.Is(err, metadata.ErrUnsupportedLayout) {
-			t.Fatalf("authenticate(%s) on a supernode with no key tree = %v, want ErrUnsupportedLayout", id.name, err)
+			t.Fatalf("authenticate(%s) on a two-list supernode = %v, want ErrUnsupportedLayout", id.name, err)
 		}
 	}
 	if after := storeContents(t, env.store); !maps.EqualFunc(before, after, bytes.Equal) {

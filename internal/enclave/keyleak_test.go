@@ -584,8 +584,8 @@ func (s *leakStream) scanStore() {
 func (s *leakStream) checkRevoked(super *metadata.Supernode) {
 	tree := super.GroupTree
 	root := string(tree.RootSecret())
-	listed := map[uint32]bool{super.Owner.ID: true}
-	for _, u := range super.Users {
+	listed := make(map[uint32]bool)
+	for _, u := range super.Users() {
 		listed[u.ID] = true
 	}
 	revoked := false

@@ -10,14 +10,17 @@
 // of the O(n) full re-wrap (n−1 wraps) a single flat group key costs.
 //
 // The tree is owner-side state, serialized into the sealed supernode by
-// internal/metadata. It stores only what it cannot recompute: the node
-// keys, a tree seed, and each member's ID and join epoch. A member's
-// secret is derived from the seed, and the wraps are derived from the
-// keys: a rotation makes the wraps it changes, and a decoded tree makes
-// a member's path on first use. Every enclave that opens the supernode
-// sees every node key, so a stored secret or wrap would add nothing the
-// seal does not already give. PathWraps exposes a path's wraps so tests
-// can model an adversary replaying captured ciphertexts.
+// internal/metadata, and the volume's one member list: the supernode's
+// user table stores a name and key per member in the tree's ID order
+// (IDs) and no ID of its own, and its AddUser and RemoveUser are what
+// call Add and Revoke. The tree stores only what it cannot recompute:
+// the node keys, a tree seed, and each member's ID and join epoch. A
+// member's secret is derived from the seed, and the wraps are derived
+// from the keys: a rotation makes the wraps it changes, and a decoded
+// tree makes a member's path on first use. Every enclave that opens the
+// supernode sees every node key, so a stored secret or wrap would add
+// nothing the seal does not already give. PathWraps exposes a path's
+// wraps so tests can model an adversary replaying captured ciphertexts.
 //
 // Every membership change bumps the epoch and rotates the affected
 // path, so a freshly added (or re-added) member only ever receives
@@ -35,6 +38,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // KeySize is the size of every node key and member secret.
@@ -205,6 +209,16 @@ func (t *Tree) Members(leaf uint32) []uint32 {
 		out = append(out, m.id)
 	}
 	return out
+}
+
+// IDs returns every member's ID in ascending order.
+func (t *Tree) IDs() []uint32 {
+	ids := make([]uint32, 0, len(t.users))
+	for id := range t.users {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // Stats returns the cumulative meters.

@@ -17,6 +17,12 @@
 // preamble's parent UUID defends against file-swapping attacks and the
 // version counter against per-object rollback (§VI-C).
 //
+// The supernode's user table and its membership key tree
+// (internal/groupkey) are one member list: the tree holds each member's
+// ID, and the table one name and key per member in the tree's ID order.
+// Supernode.AddUser enrolls in the tree and RemoveUser revokes from it,
+// so this package is the one that keeps them equal.
+//
 // This package is pure data + crypto: it never touches storage. Only the
 // enclave (internal/enclave) holds a rootkey, so only the enclave can
 // call Seal and Open.
@@ -103,7 +109,8 @@ var (
 	ErrMalformed = errors.New("metadata: malformed object")
 	// ErrUnsupportedLayout reports a stored object in a layout this build
 	// writes no more and reads no more (DESIGN.md §16, "Retired
-	// layouts"): a supernode with no key tree, a dirnode whose bucket 0
+	// layouts"): a supernode whose user table is a list beside the key
+	// tree (or has no key tree), a dirnode whose bucket 0
 	// is an object of its own, a filenode of content-defined chunks, and
 	// a format-1 sealed freshness root. Each decoder wraps it with the
 	// object's kind. (The untrusted freshness tree's retired root frame

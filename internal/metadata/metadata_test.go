@@ -194,8 +194,8 @@ func TestSupernodeUserManagement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Owner.ID != OwnerUserID {
-		t.Fatalf("owner ID = %d", s.Owner.ID)
+	if u, err := s.FindUserByID(OwnerUserID); err != nil || u.Name != "owen" {
+		t.Fatalf("owner = %+v, %v", u, err)
 	}
 
 	aliceKey := newKey(t)
@@ -257,7 +257,8 @@ func TestSupernodeUserManagement(t *testing.T) {
 }
 
 func TestSupernodeEncodeDecode(t *testing.T) {
-	s, err := NewSupernode("owen", newKey(t))
+	ownerKey := newKey(t)
+	s, err := NewSupernode("owen", ownerKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +276,11 @@ func TestSupernodeEncodeDecode(t *testing.T) {
 	if got.VolumeUUID != s.VolumeUUID || got.RootDir != s.RootDir {
 		t.Fatal("uuid fields lost")
 	}
-	if got.Owner.Name != "owen" || !bytes.Equal(got.Owner.PublicKey, s.Owner.PublicKey) {
+	if owner, err := got.FindUserByID(OwnerUserID); err != nil || owner.Name != "owen" || !bytes.Equal(owner.PublicKey, ownerKey) {
 		t.Fatal("owner lost")
 	}
-	if len(got.Users) != 2 || got.Users[0].Name != "alice" || got.NextUserID != s.NextUserID {
-		t.Fatalf("users lost: %+v", got.Users)
+	if users := got.Users(); len(users) != 3 || users[0].Name != "owen" || users[1].Name != "alice" || got.NextUserID != s.NextUserID {
+		t.Fatalf("users lost: %+v", users)
 	}
 
 	// Truncated body rejected.

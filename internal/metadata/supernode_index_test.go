@@ -14,7 +14,7 @@ import (
 
 // syntheticKey returns a deterministic 32-byte "public key". AddUser
 // only validates key length and uniqueness, so filling the table to the
-// maxUsers bound does not need 64K real ed25519 keypairs.
+// MaxUsers bound does not need 64K real ed25519 keypairs.
 func syntheticKey(i uint32) ed25519.PublicKey {
 	k := make([]byte, ed25519.PublicKeySize)
 	binary.BigEndian.PutUint32(k, i)
@@ -23,31 +23,31 @@ func syntheticKey(i uint32) ed25519.PublicKey {
 }
 
 // TestSupernodeUserTableAtMaxUsersBound fills the table to capacity,
-// asserting that lookups stay correct through the fill (the lazy index,
-// not a rescan, must be serving them — a linear scan here is the
-// regression this guards against), that the maxUsers bound is enforced,
+// asserting that lookups stay correct through the fill (the sorted
+// indexes, not a rescan, must be serving them — a linear scan here is the
+// regression this guards against), that the MaxUsers bound is enforced,
 // and that removal frees a slot.
 func TestSupernodeUserTableAtMaxUsersBound(t *testing.T) {
 	s, err := NewSupernode("owen", syntheticKey(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Owner occupies one slot: maxUsers-1 additions fit.
-	for i := 1; i < maxUsers; i++ {
+	// Owner occupies one slot: MaxUsers-1 additions fit.
+	for i := 1; i < MaxUsers; i++ {
 		name := fmt.Sprintf("u%d", i)
 		if _, err := s.AddUser(name, syntheticKey(uint32(i))); err != nil {
 			t.Fatalf("AddUser #%d: %v", i, err)
 		}
 	}
-	if len(s.Users) != maxUsers-1 {
-		t.Fatalf("table holds %d users, want %d", len(s.Users), maxUsers-1)
+	if n := len(s.Users()); n != MaxUsers || s.GroupTree.Len() != MaxUsers {
+		t.Fatalf("table holds %d users and the key tree %d members, want %d", n, s.GroupTree.Len(), MaxUsers)
 	}
 	// At capacity: the next add must fail with the typed error.
-	if _, err := s.AddUser("overflow", syntheticKey(maxUsers+7)); !errors.Is(err, ErrUserTableFull) {
+	if _, err := s.AddUser("overflow", syntheticKey(MaxUsers+7)); !errors.Is(err, ErrUserTableFull) {
 		t.Fatalf("over-capacity AddUser err = %v, want ErrUserTableFull", err)
 	}
 	// Lookups at the bound: first, last, middle, owner, and a miss.
-	for _, name := range []string{"u1", "u32768", fmt.Sprintf("u%d", maxUsers-1)} {
+	for _, name := range []string{"u1", "u32768", fmt.Sprintf("u%d", MaxUsers-1)} {
 		u, err := s.FindUserByName(name)
 		if err != nil || u.Name != name {
 			t.Fatalf("FindUserByName(%s) = %+v, %v", name, u, err)
@@ -78,7 +78,7 @@ func TestSupernodeUserTableAtMaxUsersBound(t *testing.T) {
 	if _, err := s.FindUserByName("u17"); !errors.Is(err, ErrUserNotFound) {
 		t.Fatal("removed user still found")
 	}
-	if _, err := s.AddUser("replacement", syntheticKey(maxUsers+8)); err != nil {
+	if _, err := s.AddUser("replacement", syntheticKey(MaxUsers+8)); err != nil {
 		t.Fatalf("AddUser into freed slot: %v", err)
 	}
 	if u, err := s.FindUserByName("replacement"); err != nil || u.Name != "replacement" {
@@ -104,7 +104,6 @@ func TestSupernodeLookupsConstantTime(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		s.ensureIndex()
 		return s
 	}
 	lookups := func(s *Supernode, n int) int64 {
@@ -147,9 +146,10 @@ func TestSupernodeUserIDSpaceReservedForGroups(t *testing.T) {
 	}
 }
 
-// TestSupernodeGroupTreeRoundTrip covers the key tree after NextUserID:
-// a tree survives encode/decode, and a body that ends after NextUserID —
-// the retired layout from before the tree — fails closed.
+// TestSupernodeGroupTreeRoundTrip covers the key tree as the member
+// list: AddUser enrolls, the tree survives encode/decode with the table's
+// members, a body of a retired layout — the two-list one, with or without
+// its tree — fails closed, and a corrupt layout tag or tree is refused.
 func TestSupernodeGroupTreeRoundTrip(t *testing.T) {
 	s, err := NewSupernode("owen", syntheticKey(0))
 	if err != nil {
@@ -162,8 +162,8 @@ func TestSupernodeGroupTreeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.GroupTree.Add(aliceID); err != nil {
-		t.Fatal(err)
+	if !s.GroupTree.Contains(aliceID) {
+		t.Fatal("AddUser did not enroll alice in the key tree")
 	}
 	ext := s.EncodeBody()
 	got, err := DecodeSupernodeBody(ext)
@@ -173,27 +173,30 @@ func TestSupernodeGroupTreeRoundTrip(t *testing.T) {
 	if got.GroupTree.Len() != 2 || !got.GroupTree.Contains(aliceID) {
 		t.Fatalf("decoded tree: len=%d contains(alice)=%v", got.GroupTree.Len(), got.GroupTree.Contains(aliceID))
 	}
+	if u, err := got.FindUserByID(aliceID); err != nil || u.Name != "alice" {
+		t.Fatalf("decoded alice = %+v, %v", u, err)
+	}
 	if !bytes.Equal(got.GroupTree.RootSecret(), s.GroupTree.RootSecret()) {
 		t.Fatal("decoded tree root differs")
 	}
 	if err := got.GroupTree.Authenticate(aliceID); err != nil {
 		t.Fatalf("decoded tree Authenticate: %v", err)
 	}
-	// The retired layout is the same body cut after NextUserID.
-	retired := retiredSupernodeBody(s)
-	if _, err := DecodeSupernodeBody(retired); !errors.Is(err, ErrUnsupportedLayout) {
-		t.Fatalf("DecodeSupernodeBody(no key tree) = %v, want ErrUnsupportedLayout", err)
+	for name, body := range map[string][]byte{"two lists": twoListBody(s, true), "no key tree": twoListBody(s, false)} {
+		if _, err := DecodeSupernodeBody(body); !errors.Is(err, ErrUnsupportedLayout) {
+			t.Fatalf("DecodeSupernodeBody(%s) = %v, want ErrUnsupportedLayout", name, err)
+		}
 	}
-	// Corrupt tree tag must be rejected, not ignored.
+	// Corrupt layout tag must be rejected, not ignored.
 	bad := bytes.Clone(ext)
-	bad[len(retired)] = 99
+	bad[layoutAt] = 99
 	if _, err := DecodeSupernodeBody(bad); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("unknown tree tag: %v, want ErrMalformed", err)
+		t.Fatalf("unknown layout tag: %v, want ErrMalformed", err)
 	}
 	// A corrupt structural field of the tree — the last byte of its leaf
 	// count, after the format, the config, the epoch and the seed — must
 	// be rejected: the node keys it implies no longer fill the blob.
-	leafCountAt := len(retired) + 1 + 4 + 1 + 4 + 4 + 8 + groupkey.KeySize
+	leafCountAt := len(ext) - len(s.GroupTree.Encode()) + 1 + 4 + 4 + 8 + groupkey.KeySize
 	bad = bytes.Clone(ext)
 	bad[leafCountAt+3] ^= 0xFF
 	if _, err := DecodeSupernodeBody(bad); !errors.Is(err, groupkey.ErrMalformed) {

@@ -3,6 +3,7 @@ package metadata
 import (
 	"bytes"
 	"crypto/ed25519"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"nexus/internal/acl"
 	"nexus/internal/groupkey"
 	"nexus/internal/serial"
+	"nexus/internal/uuid"
 )
 
 // TestSupernodeUserNameLimit: every name AddUser or NewSupernode accepts
@@ -41,73 +43,124 @@ func TestSupernodeUserNameLimit(t *testing.T) {
 	}
 }
 
-// TestSupernodeDecodeEnforcesAddUserInvariants: a body whose user table
-// AddUser could never have produced is refused, not loaded.
+// TestSupernodeDecodeEnforcesAddUserInvariants: a body whose member list
+// AddUser could never have produced is refused, not loaded. Records carry
+// no ID, so the ID cases change the key tree's members.
 func TestSupernodeDecodeEnforcesAddUserInvariants(t *testing.T) {
+	encode := func(change func(s *Supernode)) func(*Supernode) []byte {
+		return func(s *Supernode) []byte {
+			change(s)
+			return s.EncodeBody()
+		}
+	}
+	// treeID rewrites the ID of leaf 0's member at position j in the
+	// encoded tree: the owner is at 0, alice at 1.
+	treeID := func(j int, id uint32) func(*Supernode) []byte {
+		return func(s *Supernode) []byte {
+			body := s.EncodeBody()
+			at := len(body) - len(s.GroupTree.Encode()) + treeMembersAt + 12*j
+			binary.LittleEndian.PutUint32(body[at:], id)
+			return body
+		}
+	}
+	// moveMember re-enrolls the member from as to, keeping its record.
+	moveMember := func(t *testing.T, from, to uint32) func(*Supernode) []byte {
+		return encode(func(s *Supernode) {
+			if err := s.GroupTree.Revoke(from); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.GroupTree.Add(to); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 	for _, tc := range []struct {
 		name   string
-		mangle func(s *Supernode)
+		mangle func(s *Supernode) []byte
 	}{
-		{"short owner key", func(s *Supernode) { s.Owner.PublicKey = s.Owner.PublicKey[:5] }},
-		{"short user key", func(s *Supernode) { s.Users[0].PublicKey = s.Users[0].PublicKey[:31] }},
-		{"empty name", func(s *Supernode) { s.Users[0].Name = "" }},
-		{"name over the limit", func(s *Supernode) { s.Users[0].Name = strings.Repeat("n", maxUserNameLen+1) }},
-		{"duplicate name", func(s *Supernode) { s.Users[1].Name = s.Users[0].Name }},
-		{"name of the owner", func(s *Supernode) { s.Users[0].Name = s.Owner.Name }},
-		{"duplicate key", func(s *Supernode) { s.Users[1].PublicKey = s.Users[0].PublicKey }},
-		{"duplicate id", func(s *Supernode) { s.Users[1].ID = s.Users[0].ID }},
-		{"id of the owner", func(s *Supernode) { s.Users[0].ID = OwnerUserID }},
-		{"id not yet assigned", func(s *Supernode) { s.Users[1].ID = s.NextUserID }},
-		{"owner id moved", func(s *Supernode) { s.Owner.ID = 7 }},
-		{"next id in the group space", func(s *Supernode) { s.NextUserID = acl.GroupIDFlag + 1 }},
+		{"short owner key", encode(func(s *Supernode) { s.records[0].key = s.records[0].key[:5] })},
+		{"short user key", encode(func(s *Supernode) { s.records[1].key = s.records[1].key[:31] })},
+		{"empty name", encode(func(s *Supernode) { s.records[1].name = "" })},
+		{"name over the limit", encode(func(s *Supernode) { s.records[1].name = strings.Repeat("n", maxUserNameLen+1) })},
+		{"duplicate name", encode(func(s *Supernode) { s.records[2].name = s.records[1].name })},
+		{"name of the owner", encode(func(s *Supernode) { s.records[1].name = s.records[0].name })},
+		{"duplicate key", encode(func(s *Supernode) { s.records[2].key = s.records[1].key })},
+		{"duplicate id", treeID(1, 4)},
+		{"id of the owner", treeID(1, OwnerUserID)},
+		{"id not yet assigned", moveMember(t, 4, 5)},
+		{"owner id moved", moveMember(t, OwnerUserID, 3)},
+		{"next id in the group space", encode(func(s *Supernode) { s.NextUserID = acl.GroupIDFlag + 1 })},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sampleSupernode(t)
-			tc.mangle(s)
-			if _, err := DecodeSupernodeBody(s.EncodeBody()); err == nil {
+			if _, err := DecodeSupernodeBody(tc.mangle(s)); err == nil {
 				t.Fatal("decoder accepted the body")
 			}
 		})
 	}
 }
 
-// sampleSupernode builds a real supernode: an owner, two users left of
-// three (one removed, so the IDs have a gap), and the key tree over them.
+// layoutAt is the offset of the layout tag, after the two UUIDs.
+const layoutAt = 2 * uuid.Size
+
+// treeMembersAt is the offset in an encoded key tree of its first leaf's
+// first member ID: after the format, the config, the epoch, the seed, the
+// leaf count and the leaf's member count.
+const treeMembersAt = 1 + 4 + 4 + 8 + groupkey.KeySize + 4 + 4
+
+// sampleSupernode builds a real supernode: an owner (1), two users left
+// of three (alice 2 and carol 4; bob 3 removed, so the IDs have a gap),
+// over a key tree of two-member leaves: owen and alice in leaf 0, carol
+// in leaf 1.
 func sampleSupernode(tb testing.TB) *Supernode {
 	tb.Helper()
-	s, err := NewSupernode("owen", syntheticKey(0))
-	if err != nil {
-		tb.Fatal(err)
+	s := &Supernode{
+		VolumeUUID: uuid.New(),
+		RootDir:    uuid.New(),
+		NextUserID: OwnerUserID,
+		GroupTree:  groupkey.NewTree(groupkey.Config{LeafCap: 2, Fanout: 2}),
 	}
-	for i, name := range []string{"alice", "bob", "carol"} {
-		if _, err := s.AddUser(name, syntheticKey(uint32(i+1))); err != nil {
+	for i, name := range []string{"owen", "alice", "bob", "carol"} {
+		if _, err := s.AddUser(name, syntheticKey(uint32(i))); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	if _, err := s.RemoveUser("bob"); err != nil {
 		tb.Fatal(err)
 	}
-	s.GroupTree = groupkey.NewTree(groupkey.Config{LeafCap: 2, Fanout: 2})
-	for _, u := range append([]User{s.Owner}, s.Users...) {
-		if _, err := s.GroupTree.Add(u.ID); err != nil {
-			tb.Fatal(err)
-		}
-	}
 	return s
 }
 
-// retiredSupernodeBody is s as the retired layout wrote it: the body cut
-// after NextUserID, before the key tree's tag and length-prefixed blob.
-func retiredSupernodeBody(s *Supernode) []byte {
-	body := s.EncodeBody()
-	return body[:len(body)-1-4-len(s.GroupTree.Encode())]
+// twoListBody is s in the retired two-list layout, which stored the
+// owner's record and then every other user's, each with its ID, beside
+// the key tree (testdata/supernode-two-lists.body is one such body, as
+// that layout's encoder wrote it). Without the tree it is the layout from
+// before the key tree, which ended after NextUserID.
+func twoListBody(s *Supernode, withTree bool) []byte {
+	w := serial.NewWriter(0)
+	w.WriteRaw(s.VolumeUUID[:])
+	w.WriteRaw(s.RootDir[:])
+	for i, u := range s.Users() {
+		if i == 1 {
+			w.WriteUint32(uint32(len(s.records) - 1))
+		}
+		w.WriteUint32(u.ID)
+		w.WriteString(u.Name)
+		w.WriteBytes(u.PublicKey)
+	}
+	w.WriteUint32(s.NextUserID)
+	if withTree {
+		w.WriteUint8(1)
+		w.WriteBytes(s.GroupTree.Encode())
+	}
+	return w.Bytes()
 }
 
 // TestSupernodeBodySizePerMember pins what a member costs the supernode
-// body now that member secrets and key-tree wraps are derived, not
-// stored: at 256 members — share_revoke's group — at most 80 B each,
-// of which the key tree's share is at most 16 B (an ID and a join epoch,
-// plus the node keys spread over the members).
+// body now that the table stores no ID beside the key tree's and a key
+// with no length prefix: at 256 members — share_revoke's group — at most
+// 60 B each, of which the key tree's share is at most 16 B (an ID and a
+// join epoch, plus the node keys spread over the members).
 func TestSupernodeBodySizePerMember(t *testing.T) {
 	const members = 256
 	s, err := NewSupernode("owen", syntheticKey(0))
@@ -115,19 +168,15 @@ func TestSupernodeBodySizePerMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i < members; i++ {
-		id, err := s.AddUser(fmt.Sprintf("user%03d", i), syntheticKey(uint32(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.GroupTree.Add(id); err != nil {
+		if _, err := s.AddUser(fmt.Sprintf("user%03d", i), syntheticKey(uint32(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	body, tree := len(s.EncodeBody()), len(s.GroupTree.Encode())
 	t.Logf("%d members: body %d B (%.1f B each), key tree %d B (%.1f B each)",
 		members, body, float64(body)/members, tree, float64(tree)/members)
-	if per := float64(body) / members; per > 80 {
-		t.Fatalf("supernode body is %.1f B per member, want at most 80", per)
+	if per := float64(body) / members; per > 60 {
+		t.Fatalf("supernode body is %.1f B per member, want at most 60", per)
 	}
 	if per := float64(tree) / members; per > 16 {
 		t.Fatalf("key tree is %.1f B per member, want at most 16", per)
@@ -142,11 +191,10 @@ func TestSupernodeRetiredKeyTreeFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := serial.NewWriter(0)
-	w.WriteRaw(retiredSupernodeBody(sampleSupernode(t)))
-	w.WriteUint8(supernodeExtGroupTree)
-	w.WriteBytes(format1)
-	_, err = DecodeSupernodeBody(w.Bytes())
+	s := sampleSupernode(t)
+	body := s.EncodeBody()
+	body = append(body[:len(body)-len(s.GroupTree.Encode())], format1...)
+	_, err = DecodeSupernodeBody(body)
 	if !errors.Is(err, ErrUnsupportedLayout) || !errors.Is(err, groupkey.ErrUnsupportedLayout) {
 		t.Fatalf("DecodeSupernodeBody(format-1 key tree) = %v, want ErrUnsupportedLayout", err)
 	}
@@ -154,44 +202,52 @@ func TestSupernodeRetiredKeyTreeFailsClosed(t *testing.T) {
 
 // FuzzSupernodeBodyDecode hammers the supernode decoder — the body is
 // untrusted until the enclave accepts it — with hostile bytes. It must
-// never panic; an accepted body must carry a key tree, re-encode to the
-// identical bytes and hold every invariant AddUser maintains, so the
-// enclave can look users up and keep adding them. The seeds include
-// bodies in the retired layout without a tree, which must fail with
-// ErrUnsupportedLayout.
+// never panic; an accepted body must re-encode to the identical bytes,
+// list exactly the key tree's members with the owner as member
+// OwnerUserID, and hold every invariant AddUser maintains, so the enclave
+// can look users up and keep adding them. The seeds include bodies in
+// the retired two-list layout, the golden one among them, which must fail
+// with ErrUnsupportedLayout.
 func FuzzSupernodeBodyDecode(f *testing.F) {
 	owner, err := NewSupernode("owen", syntheticKey(0))
 	if err != nil {
 		f.Fatal(err)
 	}
-	sample := sampleSupernode(f)
-	for _, body := range [][]byte{retiredSupernodeBody(owner), retiredSupernodeBody(sample)} {
+	golden, err := os.ReadFile("testdata/supernode-two-lists.body")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, body := range [][]byte{twoListBody(owner, true), golden} {
 		if _, err := DecodeSupernodeBody(body); !errors.Is(err, ErrUnsupportedLayout) {
-			f.Fatalf("retired-layout seed: DecodeSupernodeBody = %v, want ErrUnsupportedLayout", err)
+			f.Fatalf("two-list seed: DecodeSupernodeBody = %v, want ErrUnsupportedLayout", err)
 		}
 		f.Add(body)
 	}
 	f.Add(owner.EncodeBody())
-	f.Add(sample.EncodeBody())
+	f.Add(sampleSupernode(f).EncodeBody())
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s, err := DecodeSupernodeBody(body)
 		if err != nil {
 			return
 		}
-		if s.GroupTree == nil {
-			t.Fatal("accepted supernode has no key tree")
-		}
 		if again := s.EncodeBody(); !bytes.Equal(again, body) {
 			t.Fatalf("decode → encode differs:\n in %x\nout %x", body, again)
 		}
-		if s.Owner.ID != OwnerUserID || s.NextUserID > acl.GroupIDFlag || len(s.Users) >= maxUsers {
-			t.Fatalf("accepted supernode: owner id %d, next id %d, %d users", s.Owner.ID, s.NextUserID, len(s.Users))
+		users := s.Users()
+		if len(users) != s.GroupTree.Len() || len(users) == 0 || users[0].ID != OwnerUserID {
+			t.Fatalf("accepted supernode lists %d users for %d tree members: %+v", len(users), s.GroupTree.Len(), users)
 		}
-		for _, u := range append([]User{s.Owner}, s.Users...) {
+		if s.NextUserID > acl.GroupIDFlag || len(users) > MaxUsers {
+			t.Fatalf("accepted supernode: next id %d, %d users", s.NextUserID, len(users))
+		}
+		for _, u := range users {
+			if !s.GroupTree.Contains(u.ID) {
+				t.Fatalf("user %q (id %d) is not a key-tree member", u.Name, u.ID)
+			}
 			if u.Name == "" || len(u.Name) > maxUserNameLen || len(u.PublicKey) != ed25519.PublicKeySize {
 				t.Fatalf("accepted user %+v", u)
 			}
-			if u.ID != OwnerUserID && u.ID >= s.NextUserID {
+			if u.ID >= s.NextUserID {
 				t.Fatalf("user %q id %d not below next id %d", u.Name, u.ID, s.NextUserID)
 			}
 			// Names, keys and IDs are unique: each one finds its own user.
