@@ -73,7 +73,8 @@ chaos:
 # obs is the CI observability job: the registry/tracer suite, the
 # cross-layer span/metric assertions, the store calls and crossings of
 # each op class, the prefetch security regressions (the hints'
-# generation rule among them), the unlock-as-ocall check, the
+# generation rule among them), the unlock-as-ocall check, the per-call
+# I/O meters (DESIGN.md §11.1), the
 # batched-exit fault sweeps (DESIGN.md §11.5) and the single-commit write
 # path's invariants (staged freshness batch, a lying store's staged
 # proofs, root memo, merged overwrite, a barrier op's one commit with the
@@ -83,7 +84,7 @@ chaos:
 obs:
 	$(GO) test -race -count=1 ./internal/obs/
 	$(GO) test -race -count=1 -run 'TestObservability|TestStoreCallsPerOpClass' .
-	$(GO) test -race -count=1 -run 'TestWarmWalk|TestWalkPrefetch|TestRewriteChunkedToInlineFaultSweep|TestBatchedWriteFaultSweep|TestUnlockIsAnOcall|TestStagedUpdate|TestRootMemo|TestMergedOverwrite|TestBarrierSealsPendingAfterItsChange|TestRemoveOfALinkLeavesNoShortCount' ./internal/enclave/
+	$(GO) test -race -count=1 -run 'TestWarmWalk|TestWalkPrefetch|TestRewriteChunkedToInlineFaultSweep|TestBatchedWriteFaultSweep|TestUnlockIsAnOcall|TestStagedUpdate|TestRootMemo|TestMergedOverwrite|TestBarrierSealsPendingAfterItsChange|TestRemoveOfALinkLeavesNoShortCount|TestIOMeterPerStoreCall' ./internal/enclave/
 	$(GO) test -race -count=1 -run 'TestTransportFault|TestClientRPCLatency|TestLockCounters' ./internal/afs/
 
 # bench is the CI perf gate. It runs every benchmark workload once at

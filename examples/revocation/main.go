@@ -74,14 +74,15 @@ func runNexus() int64 {
 
 	// Revoke: one ACL update, one metadata object re-encrypted.
 	encl := client.Enclave()
-	encl.ResetStats()
+	before := encl.Stats()
 	if err := vol.SetACL("/project", "alice", nexus.NoRights); err != nil {
 		log.Fatal(err)
 	}
 	st := encl.Stats()
+	flushes, written := st.MetadataFlushes-before.MetadataFlushes, st.MetadataBytesWritten-before.MetadataBytesWritten
 	fmt.Printf("NEXUS revocation: %d metadata object(s), %d bytes uploaded, 0 file bytes touched\n",
-		st.MetadataFlushes, st.MetadataBytesWritten)
-	return st.MetadataBytesWritten
+		flushes, written)
+	return written
 }
 
 func runCryptoFS() int64 {

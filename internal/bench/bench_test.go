@@ -40,7 +40,7 @@ func TestFileIOExperiment(t *testing.T) {
 		if r.Enclave <= 0 {
 			t.Fatalf("no enclave time recorded: %+v", r)
 		}
-		if r.MetadataIO > r.Nexus || r.Enclave > r.Nexus {
+		if r.MetadataIO+r.Enclave > r.Nexus {
 			t.Fatalf("breakdown exceeds NEXUS's whole time: %+v", r)
 		}
 	}
@@ -69,13 +69,16 @@ func TestDirOpsExperiment(t *testing.T) {
 		if r.MetadataIO <= 0 {
 			t.Fatalf("no metadata I/O recorded: %+v", r)
 		}
-		if r.MetadataIO > r.Nexus || r.Enclave > r.Nexus {
+		if r.NexusSynced <= 0 {
+			t.Fatalf("no synced NEXUS time recorded: %+v", r)
+		}
+		if r.MetadataIO+r.Enclave > r.Nexus {
 			t.Fatalf("breakdown exceeds NEXUS's whole time: %+v", r)
 		}
 	}
 	var out bytes.Buffer
 	PrintDirOps(&out, rows)
-	if !strings.Contains(out.String(), "directory operations") {
+	if !strings.Contains(out.String(), "directory operations") || !strings.Contains(out.String(), "Sync/op") {
 		t.Fatal("print output malformed")
 	}
 }
@@ -95,6 +98,9 @@ func TestGitCloneExperiment(t *testing.T) {
 	}
 	if rows[0].Overhead <= 0 {
 		t.Fatalf("no overhead computed: %+v", rows[0])
+	}
+	if rows[0].OpenAFSRPCsPerFile <= 0 || rows[0].NexusRPCsPerFile <= 0 {
+		t.Fatalf("no AFS RPCs counted: %+v", rows[0])
 	}
 	var out bytes.Buffer
 	PrintGitClone(&out, rows)

@@ -182,57 +182,82 @@ func (e *Env) FlushCaches() {
 // is not counted.
 func (e *Env) Both(prepare func(fs fsapi.FileSystem, root string) error,
 	fn func(fs fsapi.FileSystem, root string) error) (plain, nx time.Duration, err error) {
-
-	run := func(fs fsapi.FileSystem, root string) (time.Duration, error) {
-		var total time.Duration
-		for i := 0; i < e.Config.Runs; i++ {
-			iterRoot := fmt.Sprintf("%s/run%d", root, i)
-			if prepare != nil {
-				if err := prepare(fs, iterRoot); err != nil {
-					return 0, err
-				}
-			}
-			e.FlushCaches()
-			start := time.Now()
-			if err := fn(fs, iterRoot); err != nil {
-				return 0, err
-			}
-			total += time.Since(start)
-		}
-		return total / time.Duration(e.Config.Runs), nil
-	}
-
-	plain, err = run(e.PlainFS, "/bench-plain")
+	plain, err = e.timeRuns(e.PlainFS, "/bench-plain", prepare, fn)
 	if err != nil {
 		return 0, 0, fmt.Errorf("bench: baseline: %w", err)
 	}
-	nx, err = run(e.NexusFS, "/bench-nexus")
+	nx, err = e.timeRuns(e.NexusFS, "/bench-nexus", prepare, fn)
 	if err != nil {
 		return 0, 0, fmt.Errorf("bench: nexus: %w", err)
 	}
 	return plain, nx, nil
 }
 
-// Split is the NEXUS-side breakdown of Table 5's rows: the wall time of
-// the enclave's metadata ocalls and the time inside the enclave.
+// timeRuns returns fn's mean latency over fs across cfg.Runs
+// repetitions, each in its own directory under root, with prepare run
+// and every cache flushed, untimed, before each.
+func (e *Env) timeRuns(fs fsapi.FileSystem, root string,
+	prepare, fn func(fs fsapi.FileSystem, root string) error) (time.Duration, error) {
+	var total time.Duration
+	for i := 0; i < e.Config.Runs; i++ {
+		iterRoot := fmt.Sprintf("%s/run%d", root, i)
+		if prepare != nil {
+			if err := prepare(fs, iterRoot); err != nil {
+				return 0, err
+			}
+		}
+		e.FlushCaches()
+		start := time.Now()
+		if err := fn(fs, iterRoot); err != nil {
+			return 0, err
+		}
+		total += time.Since(start)
+	}
+	return total / time.Duration(e.Config.Runs), nil
+}
+
+// Split is what the runs of a Both fn over one stack spent inside their
+// timed windows: the AFS RPCs its client made and, under NEXUS, Table 5's
+// breakdown — the wall time of the enclave's metadata store calls and the
+// time inside the enclave.
 type Split struct {
 	MetadataIO time.Duration
 	Enclave    time.Duration
+	RPCs       int64
 }
 
-// splitNexus wraps a Both fn so that each run of it over the NEXUS
-// filesystem adds its own breakdown to split: only fn's timed window
-// counts, not Both's untimed prepare and cache flush.
-func (e *Env) splitNexus(split *Split, fn func(fs fsapi.FileSystem, root string) error) func(fs fsapi.FileSystem, root string) error {
+// sample reads the cumulative meters of fs's stack; a window is the
+// difference of two samples.
+func (e *Env) sample(fs fsapi.FileSystem) Split {
+	if fs != e.NexusFS {
+		rpcs, _ := e.PlainAFS.Stats()
+		return Split{RPCs: rpcs}
+	}
+	return Split{
+		MetadataIO: time.Duration(e.Obs.CounterValue("enclave_metadata_io_ns_total")),
+		Enclave:    time.Duration(e.Obs.CounterValue("sgx_time_in_enclave_ns_total")),
+		RPCs:       e.Obs.CounterValue("afs_rpcs_total"),
+	}
+}
+
+// measure wraps a Both fn so that each run of it adds its own window to
+// plain or nx, by the stack it runs over, when that one is not nil: only
+// fn's timed window counts, not Both's untimed prepare and cache flush.
+func (e *Env) measure(plain, nx *Split, fn func(fs fsapi.FileSystem, root string) error) func(fs fsapi.FileSystem, root string) error {
 	return func(fs fsapi.FileSystem, root string) error {
-		if fs != e.NexusFS {
+		into := plain
+		if fs == e.NexusFS {
+			into = nx
+		}
+		if into == nil {
 			return fn(fs, root)
 		}
-		encl := e.NexusClient.Enclave()
-		io, in := encl.Stats().MetadataIOTime, encl.SGX().TimeInEnclave()
+		before := e.sample(fs)
 		err := fn(fs, root)
-		split.MetadataIO += encl.Stats().MetadataIOTime - io
-		split.Enclave += encl.SGX().TimeInEnclave() - in
+		after := e.sample(fs)
+		into.MetadataIO += after.MetadataIO - before.MetadataIO
+		into.Enclave += after.Enclave - before.Enclave
+		into.RPCs += after.RPCs - before.RPCs
 		return err
 	}
 }

@@ -37,7 +37,7 @@ func FileIO(env *Env, sizesMB []int) ([]FileIORow, error) {
 			func(fs fsapi.FileSystem, root string) error {
 				return fs.MkdirAll(root)
 			},
-			env.splitNexus(&split, func(fs fsapi.FileSystem, root string) error {
+			env.measure(nil, &split, func(fs fsapi.FileSystem, root string) error {
 				name := root + "/file.bin"
 				// Write (encrypt+upload under NEXUS), drop caches so the
 				// read requires a server trip, then read back.
@@ -93,52 +93,64 @@ func PrintFileIO(w io.Writer, rows []FileIORow) {
 }
 
 // DirOpsRow is one column of Table 5b: creating then deleting n files in
-// a single flat directory.
+// a single flat directory. NexusSynced is NEXUS with a Sync after every
+// op, which is what the paper's prototype paid: it flushed every metadata
+// update where this one flushes write-back.
 type DirOpsRow struct {
-	NumFiles   int
-	OpenAFS    time.Duration
-	Nexus      time.Duration
-	MetadataIO time.Duration
-	Enclave    time.Duration
+	NumFiles    int
+	OpenAFS     time.Duration
+	Nexus       time.Duration
+	MetadataIO  time.Duration
+	Enclave     time.Duration
+	NexusSynced time.Duration
 }
 
 // DirOps reproduces Table 5b ("Latency of directory operations"). The
 // paper uses 1024, 2048, 4096 and 8192 files.
 func DirOps(env *Env, counts []int) ([]DirOpsRow, error) {
 	rows := make([]DirOpsRow, 0, len(counts))
+	mkdir := func(fs fsapi.FileSystem, root string) error {
+		return fs.MkdirAll(root)
+	}
 	for _, n := range counts {
 		var split Split
-		plain, nx, err := env.Both(
-			func(fs fsapi.FileSystem, root string) error {
-				return fs.MkdirAll(root)
-			},
-			env.splitNexus(&split, func(fs fsapi.FileSystem, root string) error {
-				for i := 0; i < n; i++ {
-					if err := fs.Touch(fmt.Sprintf("%s/f%06d", root, i)); err != nil {
-						return err
-					}
-				}
-				for i := 0; i < n; i++ {
-					if err := fs.Remove(fmt.Sprintf("%s/f%06d", root, i)); err != nil {
-						return err
-					}
-				}
-				return nil
-			}),
-		)
+		plain, nx, err := env.Both(mkdir, env.measure(nil, &split, createDelete(n, func() error { return nil })))
 		if err != nil {
 			return nil, fmt.Errorf("dir ops %d files: %w", n, err)
 		}
+		synced, err := env.timeRuns(env.NexusFS, "/bench-nexus-synced", mkdir, createDelete(n, env.NexusVolume.FS().Sync))
+		if err != nil {
+			return nil, fmt.Errorf("dir ops %d files, synced: %w", n, err)
+		}
 		runs := time.Duration(env.Config.Runs)
 		rows = append(rows, DirOpsRow{
-			NumFiles:   n,
-			OpenAFS:    plain,
-			Nexus:      nx,
-			MetadataIO: split.MetadataIO / runs,
-			Enclave:    split.Enclave / runs,
+			NumFiles:    n,
+			OpenAFS:     plain,
+			Nexus:       nx,
+			MetadataIO:  split.MetadataIO / runs,
+			Enclave:     split.Enclave / runs,
+			NexusSynced: synced,
 		})
 	}
 	return rows, nil
+}
+
+// createDelete creates n files in root, then deletes them, calling sync
+// after every op.
+func createDelete(n int, sync func() error) func(fs fsapi.FileSystem, root string) error {
+	return func(fs fsapi.FileSystem, root string) error {
+		for _, op := range []func(string) error{fs.Touch, fs.Remove} {
+			for i := 0; i < n; i++ {
+				if err := op(fmt.Sprintf("%s/f%06d", root, i)); err != nil {
+					return err
+				}
+				if err := sync(); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
 }
 
 // PrintDirOps renders Table 5b.
@@ -160,6 +172,7 @@ func PrintDirOps(w io.Writer, rows []DirOpsRow) {
 	line("NEXUS", func(r DirOpsRow) time.Duration { return r.Nexus })
 	line("  MetadataIO", func(r DirOpsRow) time.Duration { return r.MetadataIO })
 	line("  Enclave", func(r DirOpsRow) time.Duration { return r.Enclave })
+	line("NEXUS, Sync/op", func(r DirOpsRow) time.Duration { return r.NexusSynced })
 	fmt.Fprintln(w)
 }
 

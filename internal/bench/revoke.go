@@ -63,13 +63,13 @@ func Revocation(env *Env, specs []workload.FlatSpec) ([]RevocationRow, error) {
 			return nil, err
 		}
 		encl := env.NexusClient.Enclave()
-		encl.ResetStats()
+		written := encl.Stats().MetadataBytesWritten
 		start := time.Now()
 		if err := env.NexusVolume.SetACL(root, "revokee", nexus.NoRights); err != nil {
 			return nil, fmt.Errorf("nexus revocation: %w", err)
 		}
 		row.NexusTime = time.Since(start)
-		row.NexusBytes = encl.Stats().MetadataBytesWritten
+		row.NexusBytes = encl.Stats().MetadataBytesWritten - written
 
 		// --- Pure-crypto baseline over the same population. ---
 		owner, err := cryptofs.NewUser("owner")
@@ -212,7 +212,7 @@ func sweepRevocations(tree *groupkey.Tree, ids []uint32, runs int) (MembershipRo
 	if runs > n/2 {
 		runs = n / 2
 	}
-	tree.ResetStats()
+	before := tree.Stats()
 	start := time.Now()
 	for i := 0; i < runs; i++ {
 		victim := ids[(i*(n/runs)+n/2)%n]
@@ -224,8 +224,8 @@ func sweepRevocations(tree *groupkey.Tree, ids []uint32, runs int) (MembershipRo
 	st := tree.Stats()
 	return MembershipRow{
 		Members:    n,
-		WrapsPerOp: float64(st.Wraps) / float64(runs),
-		BytesPerOp: float64(st.WrapBytes) / float64(runs),
+		WrapsPerOp: float64(st.Wraps-before.Wraps) / float64(runs),
+		BytesPerOp: float64(st.WrapBytes-before.WrapBytes) / float64(runs),
 		NsPerOp:    float64(elapsed.Nanoseconds()) / float64(runs),
 	}, nil
 }
@@ -319,21 +319,21 @@ func Sharing(env *Env) ([]SharingRow, error) {
 		return nil, err
 	}
 	encl := env.NexusClient.Enclave()
-	encl.ResetStats()
+	written := encl.Stats().MetadataBytesWritten
 	start = time.Now()
 	if err := env.NexusVolume.AddUser("carol", carol.PublicKey); err != nil {
 		return nil, err
 	}
 	rows = append(rows, SharingRow{Operation: "add user", Time: time.Since(start),
-		Note: fmt.Sprintf("%d metadata bytes", encl.Stats().MetadataBytesWritten)})
+		Note: fmt.Sprintf("%d metadata bytes", encl.Stats().MetadataBytesWritten-written)})
 
-	encl.ResetStats()
+	written = encl.Stats().MetadataBytesWritten
 	start = time.Now()
 	if err := env.NexusVolume.RemoveUser("carol"); err != nil {
 		return nil, err
 	}
 	rows = append(rows, SharingRow{Operation: "remove user (revocation)", Time: time.Since(start),
-		Note: fmt.Sprintf("%d metadata bytes", encl.Stats().MetadataBytesWritten)})
+		Note: fmt.Sprintf("%d metadata bytes", encl.Stats().MetadataBytesWritten-written)})
 
 	// ACL evaluation scaling: lookup latency with 1 vs 64 ACL entries.
 	for _, n := range []int{1, 16, 64} {

@@ -101,7 +101,7 @@ type FS struct {
 }
 
 // cfsMetrics holds the filesystem's obs instrument handles. The
-// legacy Stats/ResetStats accessors are shims over these counters;
+// legacy Stats accessor is a shim over these counters;
 // metric names are catalogued in DESIGN.md §11.
 type cfsMetrics struct {
 	reg              *obs.Registry
@@ -164,16 +164,6 @@ func (fs *FS) Stats() Stats {
 		FilesTouched:     m.filesTouched.Value(),
 		KeyWraps:         m.keyWraps.Value(),
 	}
-}
-
-// ResetStats zeroes the meters.
-func (fs *FS) ResetStats() {
-	m := &fs.metrics
-	m.bytesReencrypted.Reset()
-	m.bytesUploaded.Reset()
-	m.filesTouched.Reset()
-	m.keyWraps.Reset()
-	m.revokeLat.Reset()
 }
 
 // object names: file data under "data!<path>", key block under

@@ -168,7 +168,6 @@ func TestKeyWrapsScaleWithSharingDegree(t *testing.T) {
 	if err := fs.WriteFile("/wide", []byte("widely shared"), names); err != nil {
 		t.Fatal(err)
 	}
-	fs.ResetStats()
 	stats, err := fs.Revoke("user0", []string{"/wide"})
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,8 @@ package enclave
 import (
 	"testing"
 	"time"
+
+	"nexus/internal/metadata"
 )
 
 // slowUnlockStore is a store whose lock releases take a while, as a
@@ -72,5 +74,72 @@ func TestUnlockIsAnOcall(t *testing.T) {
 	}
 	if in := e.sgx.TimeInEnclave() - inside; in >= delay {
 		t.Errorf("Remove spent %v in the enclave, which counts the unlock's %v", in, delay)
+	}
+}
+
+// slowBigPutStore is a store whose puts of at least min bytes take delay
+// longer: in TestIOMeterPerStoreCall, the one data object's put.
+type slowBigPutStore struct {
+	*memObjectStore
+	min    int
+	delay  time.Duration
+	slowed int
+}
+
+func (s *slowBigPutStore) PutVersioned(name string, data []byte) (uint64, error) {
+	if len(data) >= s.min {
+		s.slowed++
+		time.Sleep(s.delay)
+	}
+	return s.memObjectStore.PutVersioned(name, data)
+}
+
+// TestIOMeterPerStoreCall: each store call's time goes to the I/O meter of
+// what the call moves, not to one meter per exit. A new file too large to
+// be inline and too small to stream is put in the first exit of the
+// drain's commit, beside metadata calls; a delay on that data put alone
+// moves the data-I/O meter by at least the delay and the metadata-I/O
+// meter by less.
+func TestIOMeterPerStoreCall(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	size := 4 * metadata.MaxInlineSize // < streamPutCutoff
+	store := &slowBigPutStore{memObjectStore: newMemObjectStore(), min: size, delay: delay}
+	env := newTestEnvCfg(t, store.memObjectStore, func(c *Config) { c.Store = store })
+	owner := newIdentity(t, "owen")
+	e := env.enclave
+	e.SetWritebackMaxOps(defaultWritebackMaxOps) // the create waits for the drain
+	sealed, err := e.CreateVolume(owner.name, owner.pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	volID, err := e.VolumeUUID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := authenticate(t, e, owner, sealed, volID); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Mkdir("/d"); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := e.Obs()
+	meta, data := reg.CounterValue("enclave_metadata_io_ns_total"), reg.CounterValue("enclave_data_io_ns_total")
+	if err := e.SaveFile("/d/f", make([]byte, size), true); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.SyncMetadata(); err != nil {
+		t.Fatal(err)
+	}
+	if store.slowed != 1 {
+		t.Fatalf("%d puts of at least %d bytes, want the data object's one", store.slowed, size)
+	}
+	metaIO := time.Duration(reg.CounterValue("enclave_metadata_io_ns_total") - meta)
+	dataIO := time.Duration(reg.CounterValue("enclave_data_io_ns_total") - data)
+	if metaIO >= delay {
+		t.Errorf("metadata I/O moved by %v, which counts the data put's %v", metaIO, delay)
+	}
+	if dataIO < delay {
+		t.Errorf("data I/O moved by %v, less than the data put's %v", dataIO, delay)
 	}
 }

@@ -129,13 +129,6 @@ type Stats struct {
 	MetadataBytesWritten int64
 	// DataBytesWritten totals encrypted file content bytes uploaded.
 	DataBytesWritten int64
-	// MetadataIOTime is wall time spent in ocalls touching metadata
-	// objects (fetch, store, lock) — the "Metadata I/O" rows of Tables
-	// 5a/5b.
-	MetadataIOTime time.Duration
-	// DataIOTime is wall time spent in ocalls moving encrypted file
-	// contents.
-	DataIOTime time.Duration
 	// ChunkPoolHits and ChunkPoolMisses are always 0: the data path
 	// allocates its buffers and has no pool. They stay only because the
 	// benchmark harness still reads them; both go once it stops.
@@ -209,7 +202,7 @@ type Enclave struct {
 
 // enclaveMetrics holds the enclave's instrument handles, resolved once
 // at construction so hot-path recording is a few atomic ops. The
-// legacy Stats/ResetStats accessors are shims over these counters.
+// legacy Stats accessor is a shim over these counters.
 // Metric names are catalogued in DESIGN.md §11.
 type enclaveMetrics struct {
 	reg *obs.Registry
@@ -233,18 +226,17 @@ type enclaveMetrics struct {
 	prefetchUsed      *obs.Counter // enclave_walk_prefetch_used_total
 	prefetchDiscarded *obs.Counter // enclave_walk_prefetch_discarded_total
 
-	// metaIO and dataIO meter the two ocall classes of the Table 5a/5b
-	// breakdowns (metadata fetch/store/lock vs encrypted file content).
-	metaIO ocallMeter
-	dataIO ocallMeter
+	// metaIO and dataIO meter the two store-call classes of the Table
+	// 5a/5b breakdowns (makeCall): a data object's bytes, and the rest.
+	metaIO ioMeter
+	dataIO ioMeter
 
 	tracer *obs.Tracer
 }
 
-// ocallMeter is the pair of instruments a timedOcall charges: a
-// cumulative nanosecond counter (backs the Stats duration fields) and
-// a latency histogram (backs tail-latency reporting).
-type ocallMeter struct {
+// ioMeter is the pair of instruments a store call charges: a cumulative
+// nanosecond counter and a latency histogram.
+type ioMeter struct {
 	ns  *obs.Counter
 	lat *obs.Histogram
 }
@@ -269,8 +261,8 @@ func (m *enclaveMetrics) bind(reg *obs.Registry) {
 	m.rootUpdates = reg.Counter("enclave_freshness_root_updates_total")
 	m.prefetchUsed = reg.Counter("enclave_walk_prefetch_used_total")
 	m.prefetchDiscarded = reg.Counter("enclave_walk_prefetch_discarded_total")
-	m.metaIO = ocallMeter{ns: reg.Counter("enclave_metadata_io_ns_total"), lat: reg.Histogram("enclave_metadata_io_seconds")}
-	m.dataIO = ocallMeter{ns: reg.Counter("enclave_data_io_ns_total"), lat: reg.Histogram("enclave_data_io_seconds")}
+	m.metaIO = ioMeter{ns: reg.Counter("enclave_metadata_io_ns_total"), lat: reg.Histogram("enclave_metadata_io_seconds")}
+	m.dataIO = ioMeter{ns: reg.Counter("enclave_data_io_ns_total"), lat: reg.Histogram("enclave_data_io_seconds")}
 	m.tracer = reg.Tracer()
 }
 
@@ -332,37 +324,7 @@ func (e *Enclave) Stats() Stats {
 		MetadataFlushes:      m.metadataFlushes.Value(),
 		MetadataBytesWritten: m.metadataBytes.Value(),
 		DataBytesWritten:     m.dataBytes.Value(),
-		MetadataIOTime:       time.Duration(m.metaIO.ns.Value()),
-		DataIOTime:           time.Duration(m.dataIO.ns.Value()),
 	}
-}
-
-// ResetStats zeroes the counters (and the underlying SGX transition
-// stats), used between benchmark phases.
-func (e *Enclave) ResetStats() {
-	m := &e.metrics
-	m.metadataLoads.Reset()
-	m.metadataCacheHits.Reset()
-	m.metadataFlushes.Reset()
-	m.metadataBytes.Reset()
-	m.dataBytes.Reset()
-	m.chunks.Reset()
-	m.chunkLat.Reset()
-	m.metaIO.ns.Reset()
-	m.metaIO.lat.Reset()
-	m.dataIO.ns.Reset()
-	m.dataIO.lat.Reset()
-	m.metadataDirty.Reset()
-	m.flushBatches.Reset()
-	m.groupWraps.Reset()
-	m.groupWrapBytes.Reset()
-	m.groupUnwraps.Reset()
-	m.proofs.Reset()
-	m.proofBytes.Reset()
-	m.rootUpdates.Reset()
-	m.prefetchUsed.Reset()
-	m.prefetchDiscarded.Reset()
-	e.sgx.ResetStats()
 }
 
 // SGX exposes the underlying SGX container (for transition/time stats).
@@ -421,7 +383,7 @@ func (e *Enclave) CreateVolume(ownerName string, ownerKey ed25519.PublicKey) (se
 			err = e.commitFreshLocked()
 		}
 		if err == nil {
-			err = e.exitLocked(e.metrics.metaIO)
+			err = e.exitLocked()
 		}
 		if err != nil {
 			e.rootKey, e.super = nil, nil
@@ -679,7 +641,7 @@ func (e *Enclave) ListUsers() ([]metadata.User, error) {
 func (e *Enclave) updateSupernodeLocked(fn func() error) error {
 	held, heldBlob, heldVersion := e.super, e.superBlob, e.superVersion
 	landed := false
-	err := e.commitWithDrainLocked(getsAhead([]string{SupernodeObjectName}), func() error {
+	err := e.commitWithDrainLocked(getsAhead([]aheadRead{{name: SupernodeObjectName}}), func() error {
 		if err := e.loadSupernodeLocked(); err != nil {
 			return err
 		}
@@ -700,7 +662,7 @@ func (e *Enclave) updateSupernodeLocked(fn func() error) error {
 
 // loadSupernodeLocked fetches, verifies and decodes the supernode.
 func (e *Enclave) loadSupernodeLocked() error {
-	blob, _, err := e.fetchObject(e.metrics.metaIO, SupernodeObjectName)
+	blob, _, err := e.fetchObject(SupernodeObjectName)
 	if err != nil {
 		return fmt.Errorf("fetching supernode: %w", err)
 	}

@@ -100,7 +100,7 @@ func (e *Enclave) loadMerkleRootLocked(force bool, ahead ...*storeCall) error {
 	if e.mkSeen && !e.mkResumed && !force {
 		return nil
 	}
-	blob, _, err := e.fetchObject(e.metrics.metaIO, MerkleRootObjectName, ahead...)
+	blob, _, err := e.fetchObject(MerkleRootObjectName, ahead...)
 	if err != nil {
 		if isNotExist(err) {
 			if e.mkSeen && e.mkEpoch > 0 {
@@ -185,7 +185,7 @@ func (e *Enclave) checkFreshnessLocked(id uuid.UUID, version uint64) error {
 		if !ok {
 			// An error of a queued call the exit made first is that call's.
 			c = &want
-			if err := e.exitLocked(e.metrics.metaIO, c); c.err == errNotMade {
+			if err := e.exitLocked(c); c.err == errNotMade {
 				return err
 			}
 		}
@@ -310,7 +310,7 @@ func (e *Enclave) advanceRootLocked(proofs [][]byte) error {
 	}
 	epoch := e.mkEpoch
 	if proofs == nil {
-		if err := e.exitLocked(e.metrics.metaIO, &storeCall{op: opRun, run: func() (err error) {
+		if err := e.exitLocked(&storeCall{op: opRun, run: func() (err error) {
 			proofs, err = e.store.FreshnessUpdate(epoch, batch)
 			return err
 		}}); err != nil {

@@ -63,7 +63,7 @@ func (e *Enclave) walkDirLocked(dirs []string) (walkResult, error) {
 	// A walk nothing was read ahead for reads its predicted objects in one
 	// exit.
 	if len(e.stash) == 0 {
-		if err := e.exitLocked(e.metrics.metaIO, getsAhead(e.predictWalksLocked(dirs))...); err != nil {
+		if err := e.exitLocked(getsAhead(e.predictWalksLocked(dirs))...); err != nil {
 			return walkResult{}, err
 		}
 	}
@@ -98,21 +98,24 @@ func (e *Enclave) walkDirLocked(dirs []string) (walkResult, error) {
 // does not hold.
 var errNotResident = errors.New("enclave: bucket not resident")
 
-// predictWalkLocked names the objects a walk will fetch, judged from the
-// decrypted cache and the dirty set alone: the root dirnode, each
-// directory on the path and the leaf's filenode — and, for a read
-// (leafRight includes acl.Read), its data object — less the dirty copies,
-// which shadow the store. It follows only entries in resident buckets of
-// directories whose ACL grants the walk's right, and it ends with the
-// first object the cache does not hold, so it names no object the walk
-// would not fetch from the copies it has.
-func (e *Enclave) predictWalkLocked(dirs []string, leaf string, leafRight acl.Rights) []string {
-	var names []string
+// predictWalkLocked names, as reads ahead, the objects a walk will fetch,
+// judged from the decrypted cache and the dirty set alone: the root
+// dirnode, each directory on the path and the leaf's filenode — and, for
+// a read (leafRight includes acl.Read), its data object — less the dirty
+// copies, which shadow the store. It follows only entries in resident
+// buckets of directories whose ACL grants the walk's right, and it ends
+// with the first object the cache does not hold, so it names no object
+// the walk would not fetch from the copies it has.
+func (e *Enclave) predictWalkLocked(dirs []string, leaf string, leafRight acl.Rights) []aheadRead {
+	var reads []aheadRead
+	read := func(id uuid.UUID, data bool) {
+		reads = append(reads, aheadRead{name: objName(id), data: data})
+	}
 	next := func(id uuid.UUID) *metadata.Dirnode {
 		if d, _, ok := e.dirtyDirnodeLocked(id); ok {
 			return d
 		}
-		names = append(names, objName(id))
+		read(id, false)
 		if c, ok := e.cache.entries[id]; ok {
 			d, _ := c.obj.(*metadata.Dirnode)
 			return d
@@ -123,40 +126,40 @@ func (e *Enclave) predictWalkLocked(dirs []string, leaf string, leafRight acl.Ri
 	cur := next(e.super.RootDir)
 	for _, name := range dirs {
 		if cur == nil || e.checkACLLocked(cur, acl.Lookup) != nil {
-			return names
+			return reads
 		}
 		entry, err := cur.Lookup(name, notResident)
 		if err != nil || entry.Kind != metadata.KindDir {
-			return names
+			return reads
 		}
 		cur = next(entry.UUID)
 	}
 	if leaf == "" || cur == nil || e.checkACLLocked(cur, leafRight) != nil {
-		return names
+		return reads
 	}
 	entry, err := cur.Lookup(leaf, notResident)
 	if err != nil || entry.Kind != metadata.KindFile {
-		return names
+		return reads
 	}
 	if _, _, dirty := e.dirtyFilenodeLocked(entry.UUID); dirty {
-		return names
+		return reads
 	}
-	names = append(names, objName(entry.UUID))
+	read(entry.UUID, false)
 	if c, ok := e.cache.entries[entry.UUID]; ok && leafRight&acl.Read != 0 {
 		if f, ok := c.obj.(*metadata.Filenode); ok && f.HasDataObject() {
-			names = append(names, objName(f.DataUUID))
+			read(f.DataUUID, true)
 		}
 	}
-	return names
+	return reads
 }
 
 // predictWalksLocked names the objects walks of each of dirs will fetch.
-func (e *Enclave) predictWalksLocked(dirs ...[]string) []string {
-	var names []string
+func (e *Enclave) predictWalksLocked(dirs ...[]string) []aheadRead {
+	var reads []aheadRead
 	for _, d := range dirs {
-		names = append(names, e.predictWalkLocked(d, "", 0)...)
+		reads = append(reads, e.predictWalkLocked(d, "", 0)...)
 	}
-	return names
+	return reads
 }
 
 // checkACLLocked enforces the directory's ACL for the authenticated user
@@ -342,7 +345,7 @@ func (e *Enclave) hardlinkLocked(existingPath, newPath string) error {
 
 	var srcW, dstW walkResult
 	var entry metadata.DirEntry
-	resolve := func() ([]uuid.UUID, []string, error) {
+	resolve := func() ([]uuid.UUID, []aheadRead, error) {
 		if srcW, err = e.walkDirLocked(srcDirs); err != nil {
 			return nil, nil, err
 		}
@@ -361,7 +364,7 @@ func (e *Enclave) hardlinkLocked(existingPath, newPath string) error {
 		if entry.Kind != metadata.KindFile {
 			return nil, nil, fmt.Errorf("%w: %s", ErrNotFile, existingPath)
 		}
-		return []uuid.UUID{entry.UUID}, []string{objName(entry.UUID)}, nil
+		return []uuid.UUID{entry.UUID}, []aheadRead{{name: objName(entry.UUID)}}, nil
 	}
 	return e.commitFilesLocked([][]string{srcDirs, dstDirs}, resolve, func() error {
 		f, fv, err := e.loadFilenode(entry.UUID, srcW.dir.UUID)
@@ -407,9 +410,9 @@ var errRelock = errors.New("enclave: entry changed while its file lock was taken
 // filenodes; if not, everything is released and the sequence restarts, a
 // bounded number of times. Both walks are those of walks. The commit is
 // one with the drain (commitWithDrainLocked).
-func (e *Enclave) commitFilesLocked(walks [][]string, resolve func() ([]uuid.UUID, []string, error), fn func() error) error {
+func (e *Enclave) commitFilesLocked(walks [][]string, resolve func() ([]uuid.UUID, []aheadRead, error), fn func() error) error {
 	for attempt := 0; ; attempt++ {
-		if err := e.exitLocked(e.metrics.metaIO, getsAhead(e.predictWalksLocked(walks...))...); err != nil {
+		if err := e.exitLocked(getsAhead(e.predictWalksLocked(walks...))...); err != nil {
 			return err
 		}
 		ids, loads, err := resolve()
@@ -470,7 +473,7 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 	var srcW, dstW walkResult
 	var entry, existing metadata.DirEntry
 	var sameDir, replaces, onto bool
-	resolve := func() ([]uuid.UUID, []string, error) {
+	resolve := func() ([]uuid.UUID, []aheadRead, error) {
 		if srcW, err = e.walkDirLocked(srcDirs); err != nil {
 			return nil, nil, err
 		}
@@ -496,15 +499,15 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 		onto = replaces && existing.UUID == entry.UUID && sameDir && srcName == dstName
 		// fn loads the child it re-parents and the file it replaces.
 		var ids []uuid.UUID
-		var loads []string
+		var loads []aheadRead
 		if !sameDir && entry.Kind != metadata.KindSymlink {
-			loads = append(loads, objName(entry.UUID))
+			loads = append(loads, aheadRead{name: objName(entry.UUID)})
 			if entry.Kind == metadata.KindFile {
 				ids = append(ids, entry.UUID)
 			}
 		}
 		if replaces && existing.Kind == metadata.KindFile && !onto {
-			loads = append(loads, objName(existing.UUID))
+			loads = append(loads, aheadRead{name: objName(existing.UUID)})
 		}
 		if replaces && existing.Kind == metadata.KindFile && !slices.Contains(ids, existing.UUID) {
 			ids = append(ids, existing.UUID)
@@ -630,11 +633,11 @@ func (e *Enclave) encryptAndPutLocked(f *metadata.Filenode, data []byte, queued 
 		}
 		e.metrics.dataBytes.Add(int64(len(blob)))
 		return nil
-	})
+	}).data = true
 	if queued {
 		return nil
 	}
-	return e.exitLocked(e.metrics.dataIO)
+	return e.exitLocked()
 }
 
 // streamPutLocked runs the encrypt-while-upload pipeline: workers seal
@@ -642,7 +645,7 @@ func (e *Enclave) encryptAndPutLocked(f *metadata.Filenode, data []byte, queued 
 // the stream put. The chunk-crypto histogram records the sealing time
 // alone (the stream stamps it when the last chunk lands), so streamed
 // writes don't pollute the crypto latency distribution with network
-// time; the surrounding ocall meter captures the fused transfer.
+// time; the put, data I/O, captures the fused transfer.
 func (e *Enclave) streamPutLocked(ss StreamObjectStore, f *metadata.Filenode, dst, data []byte, name string) error {
 	var chunks int64
 	if cs := int64(e.cfg.ChunkSize); len(data) > 0 && cs > 0 {
@@ -657,9 +660,13 @@ func (e *Enclave) streamPutLocked(ss StreamObjectStore, f *metadata.Filenode, ds
 	if err != nil {
 		return err
 	}
-	putErr := e.timedOcall(e.metrics.dataIO, func() error {
+	put := &storeCall{op: opRun, data: true, run: func() error {
 		_, err := ss.PutVersionedStream(name, f.SealedSize(len(data)), stream.Next)
 		return err
+	}}
+	putErr := e.sgx.Ocall(func() error {
+		e.makeCall(put, ioNow())
+		return put.err
 	})
 	// Always wait out the sealing workers, even when the upload failed:
 	// a sealing error must surface, and the workers are still writing
@@ -868,7 +875,7 @@ func (e *Enclave) ReadFile(path string) ([]byte, error) {
 			out = append([]byte{}, f.Inline...)
 			return nil
 		}
-		blob, _, err := e.fetchObject(e.metrics.dataIO, objName(f.DataUUID))
+		blob, _, err := e.fetch(storeCall{op: opGet, name: objName(f.DataUUID), data: true})
 		if err != nil {
 			return fmt.Errorf("fetching data object: %w", err)
 		}

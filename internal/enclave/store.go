@@ -93,31 +93,6 @@ func (c *metaCache) clear() {
 // objName is the store name of a metadata or data object.
 func objName(id uuid.UUID) string { return id.String() }
 
-// timedOcall runs fn as an ocall, charging its wall time to the given
-// meter (metadata vs data I/O, for the Table 5a/5b breakdowns: a
-// cumulative ns counter plus a latency histogram). It is the single
-// choke point for all store I/O, so storage-substrate faults
-// (unreachable service, timeout, interrupted exchange) are classified
-// here: they gain the ErrStoreUnavailable sentinel while keeping the
-// backend sentinel in the chain.
-func (e *Enclave) timedOcall(m ocallMeter, fn func() error) error {
-	start := time.Now()
-	err := e.sgx.Ocall(fn)
-	elapsed := time.Since(start)
-	m.ns.Add(int64(elapsed))
-	m.lat.Record(elapsed)
-	return classifyStoreError(err)
-}
-
-// classifyStoreError gives a storage-substrate fault the
-// ErrStoreUnavailable sentinel (timedOcall).
-func classifyStoreError(err error) error {
-	if err != nil && backend.IsUnavailable(err) {
-		return fmt.Errorf("%w: %w", ErrStoreUnavailable, err)
-	}
-	return err
-}
-
 // storeOp is what a storeCall asks of the store.
 type storeOp uint8
 
@@ -134,7 +109,9 @@ const (
 // storeCall is one store call of an enclave exit (exitLocked): arguments,
 // results, and done, which takes them back inside — or, for a read made
 // ahead of use, the stash. fresh are the freshness records a metadata put
-// or delete makes true once it succeeds.
+// or delete makes true once it succeeds. data marks a call that moves a
+// data object's bytes: its time is data I/O, every other call's metadata
+// I/O (makeCall).
 type storeCall struct {
 	op      storeOp
 	name    string
@@ -143,6 +120,7 @@ type storeCall struct {
 	version uint64
 	err     error
 	ahead   bool
+	data    bool
 	lock    *storeCall
 	unlock  func()
 	run     func() error
@@ -153,50 +131,29 @@ type storeCall struct {
 // errNotMade is the result of a call made after a failed one in its exit.
 var errNotMade = errors.New("enclave: store call not made: an earlier call failed")
 
-// exitLocked leaves the enclave once (DESIGN.md §11.5): one ocall, charged
-// to m, makes the queued calls and then calls, in order, until one fails
-// (unlocks are made whatever failed). Back inside, each done takes its
-// call's result in order — nil, its own error or errNotMade — and the
-// first error a call returns, through its done if it has one, is returned.
-func (e *Enclave) exitLocked(m ocallMeter, calls ...*storeCall) error {
+// exitLocked leaves the enclave once (DESIGN.md §11.5): one ocall makes
+// the queued calls and then calls, in order, until one fails (unlocks are
+// made whatever failed). Back inside, each done takes its call's result in
+// order — nil, its own error or errNotMade — and the first error a call
+// returns, through its done if it has one, is returned.
+func (e *Enclave) exitLocked(calls ...*storeCall) error {
 	batch := append(e.queued, calls...)
 	e.queued = nil
 	if len(batch) == 0 {
 		return nil
 	}
-	makeCalls := func() error {
-		failed := false
+	if err := e.sgx.Ocall(func() error {
+		failed, start := false, ioNow()
 		for _, c := range batch {
 			if failed && c.op != opUnlock {
 				c.err = errNotMade
 				continue
 			}
-			switch c.op {
-			case opGet:
-				c.blob, c.version, c.err = e.store.GetVersioned(c.name)
-			case opPut:
-				c.version, c.err = e.store.PutVersioned(c.name, c.blob)
-			case opDelete:
-				if c.err = e.store.Delete(c.name); isNotExist(c.err) {
-					c.err = nil
-				}
-			case opLock:
-				c.unlock, c.err = e.store.Lock(c.name)
-			case opUnlock:
-				if c.lock.unlock != nil {
-					c.lock.unlock()
-				}
-			case opProof:
-				c.blob, c.err = e.store.FreshnessProof(c.id, c.version)
-			case opRun:
-				c.err = c.run()
-			}
-			c.err = classifyStoreError(c.err)
+			start = e.makeCall(c, start)
 			failed = failed || c.err != nil
 		}
 		return nil
-	}
-	if err := e.timedOcall(m, makeCalls); err != nil {
+	}); err != nil {
 		for _, c := range batch {
 			c.err = err // the enclave could not leave
 		}
@@ -226,6 +183,56 @@ func (e *Enclave) exitLocked(m ocallMeter, calls ...*storeCall) error {
 	return first
 }
 
+// makeCall makes c outside the enclave — every store call is made here —
+// and charges the call's own time, from start, which excludes the
+// transition, to the I/O meter of its class: data I/O for a call that
+// moves a data object's bytes, metadata I/O for any other (DESIGN.md
+// §11.1). It returns the call's end, the start of a call made next; both
+// are ioNow readings. A storage-substrate fault (unreachable service,
+// timeout, interrupted exchange) gains the ErrStoreUnavailable sentinel,
+// keeping the backend sentinel in the chain.
+func (e *Enclave) makeCall(c *storeCall, start time.Duration) time.Duration {
+	switch c.op {
+	case opGet:
+		c.blob, c.version, c.err = e.store.GetVersioned(c.name)
+	case opPut:
+		c.version, c.err = e.store.PutVersioned(c.name, c.blob)
+	case opDelete:
+		if c.err = e.store.Delete(c.name); isNotExist(c.err) {
+			c.err = nil
+		}
+	case opLock:
+		c.unlock, c.err = e.store.Lock(c.name)
+	case opUnlock:
+		if c.lock.unlock != nil {
+			c.lock.unlock()
+		}
+	case opProof:
+		c.blob, c.err = e.store.FreshnessProof(c.id, c.version)
+	case opRun:
+		c.err = c.run()
+	}
+	if c.err != nil && backend.IsUnavailable(c.err) {
+		c.err = fmt.Errorf("%w: %w", ErrStoreUnavailable, c.err)
+	}
+	m := e.metrics.metaIO
+	if c.data {
+		m = e.metrics.dataIO
+	}
+	end := ioNow()
+	m.ns.Add(int64(end - start))
+	m.lat.Record(end - start)
+	return end
+}
+
+// ioEpoch is the fixed instant ioNow counts from.
+var ioEpoch = time.Now()
+
+// ioNow reads the monotonic clock that store calls are timed by. A
+// time.Since reads only that clock, where time.Now also reads the wall
+// clock: about three times the cost, paid once per store call.
+func ioNow() time.Duration { return time.Since(ioEpoch) }
+
 // onSuccessLocked runs fn once every call queued so far has been made
 // successfully, and never if one fails: it queues a call that calls nothing.
 func (e *Enclave) onSuccessLocked(fn func()) {
@@ -237,11 +244,18 @@ func (e *Enclave) onSuccessLocked(fn func()) {
 	}})
 }
 
-// getsAhead reads the named objects ahead of the reads that take them.
-func getsAhead(names []string) []*storeCall {
-	calls := make([]*storeCall, len(names))
-	for i, name := range names {
-		calls[i] = &storeCall{op: opGet, name: name, ahead: true}
+// aheadRead names a read made ahead of the read that takes it: an
+// object, and whether it is a data object (storeCall.data).
+type aheadRead struct {
+	name string
+	data bool
+}
+
+// getsAhead returns the store calls of reads made ahead.
+func getsAhead(reads []aheadRead) []*storeCall {
+	calls := make([]*storeCall, len(reads))
+	for i, r := range reads {
+		calls[i] = &storeCall{op: opGet, name: r.name, ahead: true, data: r.data}
 	}
 	return calls
 }
@@ -287,11 +301,11 @@ type walkKey struct {
 }
 
 // walkHints lets a warm walk make no exit (DESIGN.md §11.5). Its table,
-// host memory, holds for each read-only walk the object names the
-// enclave predicted, at the walk's end, that the next walk of the same
-// kind and path reads; the ecall stub makes those reads before entering
-// (readAhead). It holds only names, which the host sees anyway in the
-// ocall a hint replaces.
+// host memory, holds for each read-only walk the reads the enclave
+// predicted, at the walk's end, that the next walk of the same kind and
+// path makes; the ecall stub makes them before entering (readAhead). It
+// holds only object names, each marked when it is a data object's, which
+// the host sees anyway in the ocall a hint replaces.
 //
 // gen is the one staleness rule for the table and for the reads made from
 // it. It moves at the end of every ecall that is not a read-only walk
@@ -306,29 +320,29 @@ type walkHints struct {
 
 	mu    sync.Mutex
 	at    uint64 // the generation table was built at
-	table map[walkKey][]string
+	table map[walkKey][]aheadRead
 }
 
-// get returns the names hinted for key and the generation they were
+// get returns the reads hinted for key and the generation they were
 // predicted at, if that generation is current.
-func (h *walkHints) get(key walkKey) ([]string, uint64, bool) {
+func (h *walkHints) get(key walkKey) ([]aheadRead, uint64, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	names, ok := h.table[key]
+	reads, ok := h.table[key]
 	if !ok || h.at != h.gen.Load() {
 		return nil, 0, false
 	}
-	return names, h.at, true
+	return reads, h.at, true
 }
 
-// put records the names predicted for key at the current generation,
+// put records the reads predicted for key at the current generation,
 // rebuilding the table if it was built at an older one, and evicting an
 // arbitrary other hint when it is full.
-func (h *walkHints) put(key walkKey, names []string) {
+func (h *walkHints) put(key walkKey, reads []aheadRead) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if gen := h.gen.Load(); h.table == nil || h.at != gen {
-		h.table, h.at = make(map[walkKey][]string), gen
+		h.table, h.at = make(map[walkKey][]aheadRead), gen
 	}
 	if _, ok := h.table[key]; !ok && len(h.table) >= maxWalkHints {
 		for k := range h.table {
@@ -336,7 +350,7 @@ func (h *walkHints) put(key walkKey, names []string) {
 			break
 		}
 	}
-	h.table[key] = names
+	h.table[key] = reads
 }
 
 // readWalk is one read-only walk of path (Lookup, ReadFile or Filldir,
@@ -355,28 +369,21 @@ type readWalk struct {
 
 // readAhead is the untrusted half of a read-only walk's ecall stub. It
 // makes the reads the hint for (kind, path) names through the enclave's
-// store, in order, stopping at the first that fails, charged to the
-// metadata I/O meter.
+// store, in order, stopping at the first that fails.
 func (e *Enclave) readAhead(kind walkKind, path string) *readWalk {
 	w := &readWalk{walkKey: walkKey{kind: kind, path: path}}
-	names, gen, ok := e.hints.get(w.walkKey)
+	reads, gen, ok := e.hints.get(w.walkKey)
 	if !ok {
 		return w
 	}
-	start := time.Now()
-	w.reads, w.gen = make([]*storeCall, 0, len(names)), gen
-	for _, name := range names {
-		c := &storeCall{op: opGet, name: name, ahead: true}
-		c.blob, c.version, c.err = e.store.GetVersioned(name)
-		c.err = classifyStoreError(c.err)
-		w.reads = append(w.reads, c)
-		if c.err != nil {
+	w.reads, w.gen = getsAhead(reads), gen
+	start := ioNow()
+	for i, c := range w.reads {
+		if start = e.makeCall(c, start); c.err != nil {
+			w.reads = w.reads[:i+1]
 			break
 		}
 	}
-	elapsed := time.Since(start)
-	e.metrics.metaIO.ns.Add(int64(elapsed))
-	e.metrics.metaIO.lat.Record(elapsed)
 	return w
 }
 
@@ -405,13 +412,13 @@ func (e *Enclave) enterWalkLocked(w *readWalk) error {
 		return fmt.Errorf("%w: %s", ErrNotFile, w.path)
 	}
 	if len(e.stash) == 0 {
-		return e.exitLocked(e.metrics.metaIO, getsAhead(e.predictReadWalkLocked(w))...)
+		return e.exitLocked(getsAhead(e.predictReadWalkLocked(w))...)
 	}
 	return nil
 }
 
-// predictReadWalkLocked names the objects the read-only walk w fetches.
-func (e *Enclave) predictReadWalkLocked(w *readWalk) []string {
+// predictReadWalkLocked names the reads the read-only walk w makes.
+func (e *Enclave) predictReadWalkLocked(w *readWalk) []aheadRead {
 	switch w.kind {
 	case walkLookup:
 		return e.predictWalkLocked(w.dirs, w.name, acl.Lookup)
@@ -431,24 +438,30 @@ func (e *Enclave) hintWalkLocked(w *readWalk) {
 	e.hints.put(w.walkKey, e.predictReadWalkLocked(w))
 }
 
-// fetchObject retrieves raw object bytes through the ocall surface,
-// charging the time to m: metaIO for metadata objects, dataIO for
-// encrypted file contents. A read made ahead in this ecall is served from
-// the stash; any other makes an exit, with the reads ahead after it.
-func (e *Enclave) fetchObject(m ocallMeter, name string, ahead ...*storeCall) ([]byte, uint64, error) {
-	if c, ok := e.takeStashedLocked(storeCall{op: opGet, name: name}); ok {
+// fetchObject retrieves a metadata object's raw bytes (fetch).
+func (e *Enclave) fetchObject(name string, ahead ...*storeCall) ([]byte, uint64, error) {
+	return e.fetch(storeCall{op: opGet, name: name}, ahead...)
+}
+
+// fetch makes the read get through the ocall surface. A read made ahead
+// in this ecall is served from the stash; any other makes an exit, with
+// the reads ahead after it.
+func (e *Enclave) fetch(get storeCall, ahead ...*storeCall) ([]byte, uint64, error) {
+	if c, ok := e.takeStashedLocked(get); ok {
 		return c.blob, c.version, c.err
 	}
-	get := &storeCall{op: opGet, name: name}
-	err := e.exitLocked(m, append([]*storeCall{get}, ahead...)...)
+	err := e.exitLocked(append([]*storeCall{&get}, ahead...)...)
 	return get.blob, get.version, err
 }
 
-// putObject queues an upload of raw object bytes; done, when set, takes
-// the store's version (c.version) or the failure (c.err) once it is made.
-func (e *Enclave) putObject(name string, data []byte, fresh map[uuid.UUID]uint64, done func(c *storeCall) error) {
+// putObject queues an upload of raw object bytes, and returns the queued
+// call; done, when set, takes the store's version (c.version) or the
+// failure (c.err) once it is made.
+func (e *Enclave) putObject(name string, data []byte, fresh map[uuid.UUID]uint64, done func(c *storeCall) error) *storeCall {
 	e.dropStashedLocked(name)
-	e.queued = append(e.queued, &storeCall{op: opPut, name: name, blob: data, fresh: fresh, done: done})
+	put := &storeCall{op: opPut, name: name, blob: data, fresh: fresh, done: done}
+	e.queued = append(e.queued, put)
+	return put
 }
 
 // deleteObject queues the removal of an object.
@@ -501,7 +514,7 @@ func (e *Enclave) walkEcall(kind walkKind, path string, bodyLocked func(w *readW
 // the user, the supernode — so no hint written, and no read a stub made,
 // before it is used after it.
 func (e *Enclave) leaveLocked(err *error) {
-	if ferr := e.exitLocked(e.metrics.metaIO); *err == nil {
+	if ferr := e.exitLocked(); *err == nil {
 		*err = ferr
 	}
 	e.dropStashedLocked("")
@@ -530,7 +543,7 @@ func (e *Enclave) loadDirnode(id, parent uuid.UUID) (*metadata.Dirnode, uint64, 
 	// callback promise is intact; its version and the preamble's validate
 	// the decrypted in-enclave copy, and the bytes are reused on a decode
 	// miss.
-	blob, storeVersion, err := e.fetchObject(e.metrics.metaIO, objName(id))
+	blob, storeVersion, err := e.fetchObject(objName(id))
 	if err != nil {
 		return nil, 0, fmt.Errorf("fetching dirnode %s: %w", id, err)
 	}
@@ -602,7 +615,7 @@ func (t *tornDirError) Unwrap() error { return t.err }
 func (e *Enclave) bucketLoaderFor(d *metadata.Dirnode) func(i int) (*metadata.Bucket, error) {
 	return func(i int) (*metadata.Bucket, error) {
 		ref := d.Refs[i]
-		blob, _, err := e.fetchObject(e.metrics.metaIO, objName(ref.UUID))
+		blob, _, err := e.fetchObject(objName(ref.UUID))
 		if isNotExist(err) {
 			return nil, &tornDirError{dir: d.UUID, err: fmt.Errorf("fetching bucket %s of dirnode %s: %w: %w",
 				ref.UUID, d.UUID, errBucketGone, err)}
@@ -770,7 +783,7 @@ func (e *Enclave) loadFilenode(id, parent uuid.UUID) (*metadata.Filenode, uint64
 		e.keepUndoLocked(id)
 		return f, base, nil
 	}
-	blob, storeVersion, err := e.fetchObject(e.metrics.metaIO, objName(id))
+	blob, storeVersion, err := e.fetchObject(objName(id))
 	if err != nil {
 		return nil, 0, fmt.Errorf("fetching filenode %s: %w", id, err)
 	}

@@ -475,7 +475,7 @@ func TestWalkPrefetchDroppedByLock(t *testing.T) {
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		defer e.leaveLocked(&err)
-		if err := e.exitLocked(e.metrics.metaIO, getsAhead(e.predictWalkLocked([]string{"d"}, "f", acl.Read))...); err != nil {
+		if err := e.exitLocked(getsAhead(e.predictWalkLocked([]string{"d"}, "f", acl.Read))...); err != nil {
 			return err
 		}
 		if n := len(e.stash); n != 3 {

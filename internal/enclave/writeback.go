@@ -255,13 +255,13 @@ func (e *Enclave) maybeDrainLocked() error {
 		return nil
 	}
 	// What the operation itself queued is not best-effort: it leaves first.
-	if err := e.exitLocked(e.metrics.metaIO); err != nil {
+	if err := e.exitLocked(); err != nil {
 		return err
 	}
 	//lint:ignore unchecked-crypto-error high-water drains are best-effort (page-cache semantics); barriers report durability
 	_ = e.drainLocked()
 	//lint:ignore unchecked-crypto-error the drain's last exit, as best-effort as the drain
-	_ = e.exitLocked(e.metrics.metaIO)
+	_ = e.exitLocked()
 	return nil
 }
 
@@ -534,7 +534,7 @@ func (e *Enclave) dirtyDepthLocked(id uuid.UUID) int {
 // cannot be overtaken; ecall runs it outside a commit, to give a reader a
 // shadow whose buckets still exist (the drain re-bases again).
 func (e *Enclave) rebaseDirtyDirnodeLocked(id uuid.UUID, n *dirtyNode) error {
-	blob, _, err := e.fetchObject(e.metrics.metaIO, objName(id))
+	blob, _, err := e.fetchObject(objName(id))
 	if err != nil {
 		return fmt.Errorf("fetching dirnode %s: %w", id, err)
 	}

@@ -224,9 +224,6 @@ func (t *Tree) IDs() []uint32 {
 // Stats returns the cumulative meters.
 func (t *Tree) Stats() Stats { return t.stats }
 
-// ResetStats zeroes the meters.
-func (t *Tree) ResetStats() { t.stats = Stats{} }
-
 // Add enrolls a user into the sparsest leaf subgroup (appending a new
 // leaf when all are full) at the current epoch, and rotates the
 // leaf-to-root path so the new member holds only post-join key

@@ -88,18 +88,6 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 }
 
-// Reset zeroes the histogram so a fresh measurement window can start
-// (used by the bench harness between file sizes).
-func (h *Histogram) Reset() {
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.min.Store(math.MaxInt64)
-	h.max.Store(0)
-}
-
 // HistSnapshot is a point-in-time copy of a histogram with derived
 // quantiles. All durations are nanoseconds. Quantiles are estimated by
 // linear interpolation inside the bucket that crosses the rank, so
@@ -136,7 +124,9 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		s.MinNs = 0
 		return s
 	}
-	if s.MinNs == math.MaxInt64 { // raced with Reset
+	// A snapshot that races the first Record can see its count before
+	// its min.
+	if s.MinNs == math.MaxInt64 {
 		s.MinNs = 0
 	}
 	for i := range h.buckets {

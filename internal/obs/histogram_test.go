@@ -135,18 +135,3 @@ func TestHistogramNegativeDurationClampsToZero(t *testing.T) {
 		t.Errorf("snapshot after negative record = %+v", s)
 	}
 }
-
-func TestHistogramReset(t *testing.T) {
-	h := newHistogram()
-	h.Record(time.Millisecond)
-	h.Reset()
-	s := h.Snapshot()
-	if s.Count != 0 || s.SumNs != 0 || s.MinNs != 0 || s.MaxNs != 0 {
-		t.Errorf("snapshot after reset = %+v", s)
-	}
-	// The histogram must keep working after a reset.
-	h.Record(2 * time.Millisecond)
-	if s := h.Snapshot(); s.Count != 1 || s.MinNs != int64(2*time.Millisecond) {
-		t.Errorf("snapshot after reuse = %+v", s)
-	}
-}

@@ -42,11 +42,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Reset zeroes the counter. Exposition treats counters as cumulative;
-// Reset exists so the legacy per-component ResetStats shims keep their
-// documented "start a fresh measurement window" semantics.
-func (c *Counter) Reset() { c.v.Store(0) }
-
 // Gauge is a metric that can go up and down (worker widths, open
 // connections). Obtain gauges from Registry.Gauge.
 type Gauge struct {

@@ -16,10 +16,6 @@ func TestCounterBasics(t *testing.T) {
 	if got := r.CounterValue("x_total"); got != 5 {
 		t.Errorf("CounterValue = %d, want 5", got)
 	}
-	c.Reset()
-	if got := c.Value(); got != 0 {
-		t.Errorf("counter after reset = %d", got)
-	}
 }
 
 func TestGaugeBasics(t *testing.T) {

@@ -105,16 +105,6 @@ func (e *Enclave) TimeInEnclave() time.Duration {
 	return time.Duration(e.metrics.timeInEnclaveNs.Value())
 }
 
-// ResetStats zeroes the transition counters and timers (used between
-// benchmark phases).
-func (e *Enclave) ResetStats() {
-	e.metrics.ecalls.Reset()
-	e.metrics.ocalls.Reset()
-	e.metrics.timeInEnclaveNs.Reset()
-	e.metrics.ecallLat.Reset()
-	e.metrics.ocallLat.Reset()
-}
-
 // Destroy tears the enclave down, releasing its EPC. Real hardware zeroes
 // EPC pages on teardown; secrets held by the trusted owner become
 // unreachable along with the handle.
