@@ -38,7 +38,8 @@ func main() {
 }
 
 func runNexus() int64 {
-	client, err := nexus.NewClient(nexus.ClientConfig{Store: nexus.NewMemoryStore()})
+	reg := nexus.NewObs()
+	client, err := nexus.NewClient(nexus.ClientConfig{Store: nexus.NewMemoryStore(), Obs: reg})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,13 +74,12 @@ func runNexus() int64 {
 	}
 
 	// Revoke: one ACL update, one metadata object re-encrypted.
-	encl := client.Enclave()
-	before := encl.Stats()
+	const flushed, uploaded = "enclave_metadata_flushes_total", "enclave_metadata_bytes_written_total"
+	flushes, written := reg.CounterValue(flushed), reg.CounterValue(uploaded)
 	if err := vol.SetACL("/project", "alice", nexus.NoRights); err != nil {
 		log.Fatal(err)
 	}
-	st := encl.Stats()
-	flushes, written := st.MetadataFlushes-before.MetadataFlushes, st.MetadataBytesWritten-before.MetadataBytesWritten
+	flushes, written = reg.CounterValue(flushed)-flushes, reg.CounterValue(uploaded)-written
 	fmt.Printf("NEXUS revocation: %d metadata object(s), %d bytes uploaded, 0 file bytes touched\n",
 		flushes, written)
 	return written

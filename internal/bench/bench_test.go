@@ -232,13 +232,20 @@ func TestSharingExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sharing: %v", err)
 	}
-	ops := map[string]bool{}
+	ops := map[string]SharingRow{}
 	for _, r := range rows {
-		ops[r.Operation] = true
+		ops[r.Operation] = r
 	}
 	for _, want := range []string{"create offer (m1)", "grant access (m2)", "accept grant", "add user"} {
-		if !ops[want] {
+		if _, ok := ops[want]; !ok {
 			t.Fatalf("missing operation %q in %v", want, rows)
+		}
+	}
+	// A grant and an admission only widen access: the supernode's put is
+	// the one exchange (DESIGN.md §15.2).
+	for _, op := range []string{"grant access (m2)", "add user"} {
+		if got := ops[op].RPCs; got != 1 {
+			t.Errorf("%s: %d AFS exchanges, want 1", op, got)
 		}
 	}
 	var out bytes.Buffer

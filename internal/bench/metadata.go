@@ -42,8 +42,7 @@ func Metadata(cfg Config, files int) (MetadataRow, error) {
 	}
 	env.FlushCaches()
 	payload := []byte("nexus metadata bench payload, 256B payload target....")
-	encl := env.NexusClient.Enclave()
-	before := encl.Stats().MetadataFlushes
+	before := env.Obs.CounterValue("enclave_metadata_flushes_total")
 	start := time.Now()
 	handles := make([]*nexus.File, 0, files)
 	for i := 0; i < files; i++ {
@@ -64,7 +63,7 @@ func Metadata(cfg Config, files int) (MetadataRow, error) {
 		}
 	}
 	elapsed := time.Since(start)
-	flushes := encl.Stats().MetadataFlushes - before
+	flushes := env.Obs.CounterValue("enclave_metadata_flushes_total") - before
 	return MetadataRow{
 		Files:        files,
 		Elapsed:      elapsed,

@@ -15,6 +15,10 @@ import (
 	"nexus/internal/workload"
 )
 
+// metadataBytesWritten names the registry counter of sealed metadata
+// bytes the enclave uploaded; a window is the difference of two reads.
+const metadataBytesWritten = "enclave_metadata_bytes_written_total"
+
 // RevocationRow compares the cost of revoking one user's access to a
 // directory under NEXUS (re-encrypt one metadata object) against a pure
 // cryptographic filesystem (re-encrypt and re-upload every affected
@@ -62,14 +66,13 @@ func Revocation(env *Env, specs []workload.FlatSpec) ([]RevocationRow, error) {
 		if err := env.NexusVolume.SetACL(root, "revokee", nexus.ReadWrite); err != nil {
 			return nil, err
 		}
-		encl := env.NexusClient.Enclave()
-		written := encl.Stats().MetadataBytesWritten
+		written := env.Obs.CounterValue(metadataBytesWritten)
 		start := time.Now()
 		if err := env.NexusVolume.SetACL(root, "revokee", nexus.NoRights); err != nil {
 			return nil, fmt.Errorf("nexus revocation: %w", err)
 		}
 		row.NexusTime = time.Since(start)
-		row.NexusBytes = encl.Stats().MetadataBytesWritten - written
+		row.NexusBytes = env.Obs.CounterValue(metadataBytesWritten) - written
 
 		// --- Pure-crypto baseline over the same population. ---
 		owner, err := cryptofs.NewUser("owner")
@@ -268,15 +271,34 @@ func MembershipMetrics(rows []MembershipRow) Experiment {
 type SharingRow struct {
 	Operation string
 	Time      time.Duration
-	// Writes counts store objects written by the operation.
+	// RPCs counts the AFS exchanges the owner's client made during the
+	// operation, a delta of the registry's counter.
+	RPCs int64
 	Note string
 }
 
 // Sharing measures the sharing costs discussed in §VII-F: the rootkey
 // exchange (one file write per message), adding/removing a user (one
-// supernode update), and ACL evaluation scaling with entry count.
+// supernode update), and ACL evaluation scaling with entry count. The
+// recipient runs on its own platform over its own store, so its steps
+// make no exchange with the owner's server.
 func Sharing(env *Env) ([]SharingRow, error) {
 	var rows []SharingRow
+	// timed runs fn as one row, and notes what it wrote when note takes
+	// the metadata bytes.
+	timed := func(op string, note func(written int64) string, fn func() error) error {
+		rpcs, written := env.Obs.CounterValue("afs_rpcs_total"), env.Obs.CounterValue(metadataBytesWritten)
+		start := time.Now()
+		if err := fn(); err != nil {
+			return err
+		}
+		rows = append(rows, SharingRow{Operation: op, Time: time.Since(start),
+			RPCs: env.Obs.CounterValue("afs_rpcs_total") - rpcs,
+			Note: note(env.Obs.CounterValue(metadataBytesWritten) - written)})
+		return nil
+	}
+	says := func(text string) func(int64) string { return func(int64) string { return text } }
+	metadataBytes := func(written int64) string { return fmt.Sprintf("%d metadata bytes", written) }
 
 	// Remote party on its own platform.
 	remoteStore := nexus.NewMemoryStore()
@@ -290,50 +312,41 @@ func Sharing(env *Env) ([]SharingRow, error) {
 	}
 	owner := env.owner
 
-	start := time.Now()
-	offer, err := remote.CreateShareOffer(bob)
-	if err != nil {
+	var offer, grant []byte
+	if err := timed("create offer (m1)", says("recipient side; publishing m1 is 1 file write"), func() (err error) {
+		offer, err = remote.CreateShareOffer(bob)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	rows = append(rows, SharingRow{Operation: "create offer (m1)", Time: time.Since(start),
-		Note: "1 file write to publish"})
-
-	start = time.Now()
-	grant, err := env.NexusVolume.GrantAccess(offer, "bob", bob.PublicKey, owner)
-	if err != nil {
+	if err := timed("grant access (m2)", says("verify quote + 1 supernode update; publishing m2 is 1 file write"), func() (err error) {
+		grant, err = env.NexusVolume.GrantAccess(offer, "bob", bob.PublicKey, owner)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	rows = append(rows, SharingRow{Operation: "grant access (m2)", Time: time.Since(start),
-		Note: "verify quote + 1 supernode update + 1 file write"})
-
-	start = time.Now()
-	if _, _, err := remote.AcceptShareGrant(grant, owner.PublicKey); err != nil {
+	if err := timed("accept grant", says("recipient side; ECDH + seal, no uploads"), func() error {
+		_, _, err := remote.AcceptShareGrant(grant, owner.PublicKey)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	rows = append(rows, SharingRow{Operation: "accept grant", Time: time.Since(start),
-		Note: "ECDH + seal, no uploads"})
 
 	// Add/remove user: one supernode update each.
 	carol, err := nexus.NewIdentity("carol")
 	if err != nil {
 		return nil, err
 	}
-	encl := env.NexusClient.Enclave()
-	written := encl.Stats().MetadataBytesWritten
-	start = time.Now()
-	if err := env.NexusVolume.AddUser("carol", carol.PublicKey); err != nil {
+	if err := timed("add user", metadataBytes, func() error {
+		return env.NexusVolume.AddUser("carol", carol.PublicKey)
+	}); err != nil {
 		return nil, err
 	}
-	rows = append(rows, SharingRow{Operation: "add user", Time: time.Since(start),
-		Note: fmt.Sprintf("%d metadata bytes", encl.Stats().MetadataBytesWritten-written)})
-
-	written = encl.Stats().MetadataBytesWritten
-	start = time.Now()
-	if err := env.NexusVolume.RemoveUser("carol"); err != nil {
+	if err := timed("remove user (revocation)", metadataBytes, func() error {
+		return env.NexusVolume.RemoveUser("carol")
+	}); err != nil {
 		return nil, err
 	}
-	rows = append(rows, SharingRow{Operation: "remove user (revocation)", Time: time.Since(start),
-		Note: fmt.Sprintf("%d metadata bytes", encl.Stats().MetadataBytesWritten-written)})
 
 	// ACL evaluation scaling: lookup latency with 1 vs 64 ACL entries.
 	for _, n := range []int{1, 16, 64} {
@@ -357,18 +370,18 @@ func Sharing(env *Env) ([]SharingRow, error) {
 				return nil, err
 			}
 		}
-		start = time.Now()
 		const reads = 20
-		for i := 0; i < reads; i++ {
-			if _, err := env.NexusFS.ReadFile(dir + "/f"); err != nil {
-				return nil, err
+		if err := timed(fmt.Sprintf("read with %d ACL entries", n), says("policy check dominated by metadata fetch"), func() error {
+			for i := 0; i < reads; i++ {
+				if _, err := env.NexusFS.ReadFile(dir + "/f"); err != nil {
+					return err
+				}
 			}
+			return nil
+		}); err != nil {
+			return nil, err
 		}
-		rows = append(rows, SharingRow{
-			Operation: fmt.Sprintf("read with %d ACL entries", n),
-			Time:      time.Since(start) / reads,
-			Note:      "policy check dominated by metadata fetch",
-		})
+		rows[len(rows)-1].Time /= reads
 	}
 	return rows, nil
 }
@@ -376,8 +389,9 @@ func Sharing(env *Env) ([]SharingRow, error) {
 // PrintSharing renders the §VII-F costs.
 func PrintSharing(w io.Writer, rows []SharingRow) {
 	fmt.Fprintln(w, "§VII-F — Sharing costs")
+	fmt.Fprintf(w, "  %-28s %12s %14s   %s\n", "operation", "time", "AFS exchanges", "notes")
 	for _, r := range rows {
-		fmt.Fprintf(w, "  %-28s %12s   %s\n", r.Operation, fmtDur(r.Time), r.Note)
+		fmt.Fprintf(w, "  %-28s %12s %14d   %s\n", r.Operation, fmtDur(r.Time), r.RPCs, r.Note)
 	}
 	fmt.Fprintln(w)
 }

@@ -22,7 +22,9 @@ import (
 // an existing file with the drain after it, which deletes the replaced
 // file only once no directory on the store names it (§6), and the barrier
 // ops that commit once with a pending remove's drain — a hardlink, SetACL,
-// RemoveUser and GrantAccess — so that kill points land inside every exit,
+// RemoveUser and GrantAccess — and a SetACL grant and GrantAccess with
+// nothing pending, which commit without the root (§15.2), so that kill
+// points land inside every exit,
 // between one call and the next. Each failure is ErrStoreUnavailable.
 // Whatever the store holds then, a restarted client mounts and reads the
 // old state or the new, never an integrity error — with one exception the
@@ -182,6 +184,30 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 			return err
 		}, false, "/a/g", func(e *enclave.Enclave, retried bool) error {
 			// Whoever the table holds is enrolled in the key tree.
+			if _, err := e.UserGroup("carol"); err != nil && (retried || !errors.Is(err, metadata.ErrUserNotFound)) {
+				return fmt.Errorf("carol after the grant: %v", err)
+			}
+			return nil
+		}},
+		// A grant and an admission made with nothing pending only widen
+		// access: each is one put under the root's lock, and its leaf waits
+		// for the next root commit (§15.2).
+		{"SetACL grant", "/a/f", old, old, func(e *enclave.Enclave) error {
+			return e.SetACL("/a", "bob", acl.Read)
+		}, false, "", func(e *enclave.Enclave, retried bool) error {
+			got, err := e.GetACL("/a")
+			if err != nil {
+				return err
+			}
+			if r, ok := got["bob"]; ok && r != acl.Read || retried && !ok {
+				return fmt.Errorf("bob's rights on /a are %v", got)
+			}
+			return nil
+		}},
+		{"GrantAccess", "/a/f", old, old, func(e *enclave.Enclave) error {
+			_, err := e.GrantAccess(carolOffer, "carol", carolPub, ownerSign)
+			return err
+		}, false, "", func(e *enclave.Enclave, retried bool) error {
 			if _, err := e.UserGroup("carol"); err != nil && (retried || !errors.Is(err, metadata.ErrUserNotFound)) {
 				return fmt.Errorf("carol after the grant: %v", err)
 			}

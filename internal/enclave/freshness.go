@@ -175,6 +175,11 @@ func (e *Enclave) ResumeFreshnessEpoch(epoch uint64, root [merkle.HashSize]byte)
 // for a proven-stale version, ErrBadProof for anything that does not
 // verify.
 func (e *Enclave) checkFreshnessLocked(id uuid.UUID, version uint64) error {
+	// A version below one this enclave put, whose leaf still waits for a
+	// root commit (wb.fresh), is as stale as one below its leaf.
+	if v := e.wb.fresh[id]; version < v {
+		return fmt.Errorf("%w: object %s at version %d, this enclave put %d", ErrStaleObject, id, version, v)
+	}
 	for attempt := 0; ; attempt++ {
 		if err := e.loadMerkleRootLocked(attempt > 0); err != nil {
 			return err
@@ -230,6 +235,7 @@ func (e *Enclave) checkFreshnessLocked(id uuid.UUID, version uint64) error {
 func (e *Enclave) commitFreshLocked() error {
 	release := e.lockObject(MerkleRootObjectName)
 	defer release()
+	waiting, at := maps.Clone(e.wb.fresh), e.wb.freshAt
 	// A queued root put moves the epoch and takes wb.fresh with it, so
 	// what this commit's batch will be is not known yet.
 	var staged [][]byte
@@ -250,7 +256,58 @@ func (e *Enclave) commitFreshLocked() error {
 	if err := e.loadMerkleRootLocked(true, ahead...); err != nil {
 		return err
 	}
+	if reproved, err := e.reproveLocked(waiting, at); err != nil || reproved {
+		// The batch was staged before the root moved: it is asked again.
+		staged = nil
+		if err != nil {
+			return err
+		}
+	}
 	return e.advanceRootLocked(staged)
+}
+
+// reproveLocked keeps, of the freshness records that were waiting when a
+// commit began (made under the root at epoch at), only those that still
+// raise their leaf, once the commit has re-read the root: when the root
+// moved since they were made, a peer may have committed a later version of
+// the same object, and a leaf never moves backwards (DESIGN.md §15.2). A
+// deleted object's record stays while its leaf is present. The proofs come
+// from the proof service's resident tree, which the re-read brought to
+// this epoch: one exit and no round trip. It reports whether it proved.
+func (e *Enclave) reproveLocked(waiting map[uuid.UUID]uint64, at uint64) (bool, error) {
+	if len(waiting) == 0 || at == e.mkEpoch {
+		return false, nil
+	}
+	ids := make([]uuid.UUID, 0, len(waiting))
+	for id := range waiting {
+		ids = append(ids, id)
+	}
+	sortUUIDs(ids)
+	calls := make([]*storeCall, len(ids))
+	for i, id := range ids {
+		calls[i] = &storeCall{op: opProof, id: id, version: e.mkEpoch}
+	}
+	if err := e.exitLocked(calls...); err != nil {
+		return true, fmt.Errorf("%w: no freshness proof at epoch %d: %v", ErrBadProof, e.mkEpoch, err)
+	}
+	for i, id := range ids {
+		e.metrics.proofs.Inc()
+		e.metrics.proofBytes.Add(int64(len(calls[i].blob)))
+		p, err := merkle.DecodeProof(calls[i].blob)
+		if err != nil {
+			return true, fmt.Errorf("%w: freshness proof for %s: %v", ErrBadProof, id, err)
+		}
+		leaf, present, err := p.Verify(e.mkRoot, id)
+		if err != nil {
+			return true, fmt.Errorf("%w: freshness proof for %s: %v", ErrBadProof, id, err)
+		}
+		v := waiting[id]
+		if raises := present && (v == 0 || v > leaf) || !present && v > 0; !raises && e.wb.fresh[id] == v {
+			delete(e.wb.fresh, id)
+		}
+	}
+	e.wb.freshAt = e.mkEpoch
+	return true, nil
 }
 
 // rootPutQueuedLocked reports whether a root put waits in the queue: a

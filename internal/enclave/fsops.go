@@ -382,7 +382,7 @@ func (e *Enclave) hardlinkLocked(existingPath, newPath string) error {
 		if err := e.putFilenodeLocked(f, fv+1); err != nil {
 			return err
 		}
-		return e.flushDirnodeLocked(dstW.dir, dstW.version+1)
+		return e.flushDirnodeLocked(dstW.dir, nextVersion(dstW.version, false))
 	})
 }
 
@@ -578,11 +578,11 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 			}
 		}
 
-		if err := e.flushDirnodeLocked(srcW.dir, srcW.version+1); err != nil {
+		if err := e.flushDirnodeLocked(srcW.dir, nextVersion(srcW.version, false)); err != nil {
 			return err
 		}
 		if !sameDir {
-			if err := e.flushDirnodeLocked(dstW.dir, dstW.version+1); err != nil {
+			if err := e.flushDirnodeLocked(dstW.dir, nextVersion(dstW.version, false)); err != nil {
 				return err
 			}
 		}
@@ -932,8 +932,9 @@ func (e *Enclave) setACLEntryLocked(dirPath string, rights acl.Rights, subject f
 		if err != nil {
 			return err
 		}
+		widening := rights.Has(w.dir.ACL.Get(key)) && e.widenLocked()
 		w.dir.ACL.Set(key, rights)
-		return e.flushDirnodeLocked(w.dir, w.version+1)
+		return e.flushDirnodeLocked(w.dir, nextVersion(w.version, widening))
 	})
 }
 

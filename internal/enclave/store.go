@@ -162,9 +162,11 @@ func (e *Enclave) exitLocked(calls ...*storeCall) error {
 	for _, c := range batch {
 		err := c.err
 		if err == nil && len(c.fresh) > 0 {
-			if e.wb.fresh == nil {
+			if len(e.wb.fresh) == 0 {
 				e.wb.fresh = make(map[uuid.UUID]uint64)
+				e.wb.freshAt = e.mkEpoch
 			}
+			e.wb.wide = false
 			maps.Copy(e.wb.fresh, c.fresh)
 		}
 		switch {
@@ -530,7 +532,7 @@ func (e *Enclave) loadDirnode(id, parent uuid.UUID) (*metadata.Dirnode, uint64, 
 	// A write-back dirty copy shadows both the cache and the store: it
 	// carries mutations the store has not seen yet. The returned version
 	// is the store version the copy derives from, so an eventual flush
-	// at version+1 lines up with the on-store preamble.
+	// at nextVersion of it lines up with the on-store preamble.
 	if d, base, ok := e.dirtyDirnodeLocked(id); ok {
 		if d.Parent != parent {
 			return nil, 0, fmt.Errorf("%w: dirnode %s has parent %s, want %s (file-swap defence)",

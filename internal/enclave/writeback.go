@@ -38,6 +38,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"time"
@@ -84,7 +85,8 @@ type dirtyNode struct {
 	// version 1, no merge needed, cancellable without residue).
 	isNew bool
 	// base is the store version the dirty copy derives from (0 for new
-	// objects); the drain flushes at base+1 when the store is unchanged.
+	// objects); the drain flushes at nextVersion(base) when the store is
+	// unchanged.
 	base uint64
 	ops  []dirOp
 	// charged is the EPC debt taken for holding this node pinned.
@@ -113,15 +115,51 @@ type dirtySet struct {
 	bytes    int64
 	pressure bool
 
-	// fresh holds the freshness updates of objects a batch has flushed
-	// but whose root update has not landed yet: a batch that fails past
-	// its first upload leaves them here, so the next commit still
-	// includes them.
-	fresh map[uuid.UUID]uint64
+	// fresh holds the freshness updates of objects put but whose root
+	// update has not landed yet: those a widening-only commit leaves to
+	// the next root commit (commitLocked), and those of a batch that
+	// failed past its first upload; the next root commit includes them.
+	// freshAt is the epoch of the root the first of them was put under,
+	// and wide reports that each is a widening-only commit's (commitLocked
+	// sets it, exitLocked clears it as any other records arrive).
+	fresh   map[uuid.UUID]uint64
+	freshAt uint64
+	wide    bool
 
 	// undo holds, while a commit runs (commitWithDrainLocked), a copy of
-	// each dirty node its op reached, as it was before the op changed it.
-	undo map[uuid.UUID]*dirtyNode
+	// each dirty node its op reached, as it was before the op changed it;
+	// widen is whether the commit may leave its records to the next one.
+	undo  map[uuid.UUID]*dirtyNode
+	widen widening
+}
+
+// widening is how far a running commit may leave its own freshness
+// records to the next root commit (widenLocked).
+type widening uint8
+
+const (
+	noWiden  widening = iota // it drains something, or no commit runs
+	mayWiden                 // it drains nothing
+	widened                  // its op only adds rights and took it
+)
+
+// versionStride spaces the versions a root commit writes (DESIGN.md
+// §15.2). A widening-only commit rewrites an object at its version plus
+// one and leaves the leaf where it was; any other rewrite of an object
+// the store holds lands at the next multiple of the stride, above every
+// version a widening-only commit of any client may have put since the
+// version it read, even one the store hid from it. So no object version
+// a root commit supersedes can share a number with its successor.
+const versionStride = 1 << 32
+
+// nextVersion is the version a rewrite of an object at version base is
+// sealed at: base+1 for a new object (base 0) or a widening-only commit,
+// else base's next multiple of versionStride.
+func nextVersion(base uint64, widening bool) uint64 {
+	if widening || base == 0 {
+		return base + 1
+	}
+	return base - base%versionStride + versionStride
 }
 
 func newDirtySet() *dirtySet {
@@ -292,18 +330,56 @@ func (e *Enclave) drainWithRetryLocked() error {
 // wb.fresh and the next commit includes them. Commits do not nest. A
 // filenode lock the operation needs is taken before the root lock, never
 // under it (commitFilesLocked). Its one caller is commitWithDrainLocked.
+//
+// A widening-only commit — its op only adds rights (widenLocked) — stops
+// before the root advance: its put and the unlock leave in one exit, whose
+// failure is the commit's, and its records wait in wb.fresh for the next
+// commit that advances the root. A store that rolls the object back to its
+// leaf shows a reader less access than the latest version grants, never
+// more (§15.2).
 func (e *Enclave) commitLocked(ahead []*storeCall, fn func() error) error {
-	release := e.lockObject(MerkleRootObjectName)
-	defer release()
+	release, released := e.lockObject(MerkleRootObjectName), false
+	defer func() {
+		if !released {
+			release()
+		}
+	}()
+	waiting, at := maps.Clone(e.wb.fresh), e.wb.freshAt
 	// Another client may have advanced the epoch since the commitment was
 	// last loaded.
 	if err := e.loadMerkleRootLocked(true, ahead...); err != nil {
 		return err
 	}
+	if _, err := e.reproveLocked(waiting, at); err != nil {
+		return err
+	}
 	if err := fn(); err != nil {
 		return err
 	}
+	if e.wb.widen == widened {
+		// What waited was a widening-only commit's, and the exit makes only
+		// this one's calls: the root's re-read took what was queued before.
+		release()
+		released = true
+		err := e.exitLocked()
+		e.wb.wide = true
+		return err
+	}
 	return e.advanceRootLocked(nil)
+}
+
+// widenLocked is called by a commit's op whose change only adds rights —
+// an ACL entry given a superset of its rights, a member admitted — before
+// it seals what it changed. It reports whether the commit is then
+// widening-only: it drains nothing, and every freshness record already
+// waiting is a widening-only commit's, so a narrowing change whose root
+// update failed is not left waiting behind it.
+func (e *Enclave) widenLocked() bool {
+	if e.wb.widen != mayWiden || len(e.wb.fresh) > 0 && !e.wb.wide {
+		return false
+	}
+	e.wb.widen = widened
+	return true
 }
 
 // drainLocked flushes the whole dirty set: a commit with nothing of its
@@ -347,7 +423,10 @@ func (e *Enclave) commitWithDrainLocked(ahead []*storeCall, fn func() error) err
 		defer span.End()
 	}
 	e.wb.undo = make(map[uuid.UUID]*dirtyNode)
-	defer func() { e.wb.undo = nil }()
+	if !drain {
+		e.wb.widen = mayWiden
+	}
+	defer func() { e.wb.undo, e.wb.widen = nil, noWiden }()
 	err := e.commitLocked(append(e.drainAheadLocked(), ahead...), func() error {
 		for _, id := range e.dirtyOrderLocked(false) {
 			if err := e.rebaseDirtyDirnodeLocked(id, e.wb.nodes[id]); err != nil {
@@ -478,7 +557,7 @@ func (e *Enclave) flushDirtyNodesLocked(isNew bool, own []*storeCall) (ownNew []
 		case n.file != nil:
 			err = e.putFilenodeLocked(n.file, n.base+1)
 		default:
-			err = e.flushDirnodeLocked(n.dir, n.base+1)
+			err = e.flushDirnodeLocked(n.dir, nextVersion(n.base, false))
 		}
 		if err != nil {
 			return nil, err
@@ -530,7 +609,7 @@ func (e *Enclave) dirtyDepthLocked(id uuid.UUID) int {
 // the store already holds and, if the store has moved past the version
 // the dirty copy derives from, replaces the copy with the on-store
 // directory plus the replayed op log. A commit runs it first, under the
-// root's lock (commitWithDrainLocked), so the flush at base+1 that follows
+// root's lock (commitWithDrainLocked), so the flush after base that follows
 // cannot be overtaken; ecall runs it outside a commit, to give a reader a
 // shadow whose buckets still exist (the drain re-bases again).
 func (e *Enclave) rebaseDirtyDirnodeLocked(id uuid.UUID, n *dirtyNode) error {
@@ -715,7 +794,7 @@ func (e *Enclave) removeLinkLocked(dirs []string, path, name string, id uuid.UUI
 		if _, err := w.dir.Remove(name, e.bucketLoaderFor(w.dir)); err != nil {
 			return err
 		}
-		if err := e.flushDirnodeLocked(w.dir, w.version+1); err != nil {
+		if err := e.flushDirnodeLocked(w.dir, nextVersion(w.version, false)); err != nil {
 			return err
 		}
 		return unlink()

@@ -259,18 +259,21 @@ func appendRootTrailer(sealed []byte, t rootTrailer) []byte {
 	return w.Bytes()
 }
 
-// splitRootFrame parses a root object read from the store. framed is
-// false for anything that is not a well-formed frame — garbage, or a
-// bare sealed root, the retired layout of builds before the trailer —
-// and sealed is then data itself.
-func splitRootFrame(data []byte) (sealed []byte, t rootTrailer, framed bool) {
+// splitRootFrame parses a root object read from the store up to its delta:
+// the frame's footer and the trailer's header are checked — format, base
+// not past tip, the entry count against the bytes left — and entries is
+// the delta still encoded (decodeDelta), so a read that does not follow
+// decodes none of it. framed is false for anything that is not a
+// well-formed frame — garbage, or a bare sealed root, the retired layout
+// of builds before the trailer — and sealed is then data itself.
+func splitRootFrame(data []byte) (sealed []byte, t rootTrailer, entries []byte, framed bool) {
 	if len(data) < rootFooterSize {
-		return data, rootTrailer{}, false
+		return data, rootTrailer{}, nil, false
 	}
 	foot := serial.NewReader(data[len(data)-rootFooterSize:])
 	n := int(foot.ReadUint32("root trailer length"))
 	if magic := foot.ReadUint32("root frame magic"); magic != rootFrameMagic || n < rootTrailerFixed || n > len(data)-rootFooterSize {
-		return data, rootTrailer{}, false
+		return data, rootTrailer{}, nil, false
 	}
 	split := len(data) - rootFooterSize - n
 	r := serial.NewReader(data[split : len(data)-rootFooterSize])
@@ -280,14 +283,24 @@ func splitRootFrame(data []byte) (sealed []byte, t rootTrailer, framed bool) {
 	t.spent = r.ReadUint64("root trailer spent")
 	count := r.ReadCount(merkle.MaxLeaves, "root trailer entries")
 	if r.Err() != nil || format != rootTrailerFormat || t.base > t.tip || count*deltaEntrySize != r.Remaining() {
-		return data, rootTrailer{}, false
+		return data, rootTrailer{}, nil, false
 	}
-	t.delta = make([]merkle.LeafUpdate, count)
-	for i := range t.delta {
-		r.ReadRawInto(t.delta[i].ID[:], "root trailer leaf id")
-		t.delta[i].Version = r.ReadUint64("root trailer leaf version")
+	return data[:split], t, data[len(data)-rootFooterSize-r.Remaining() : len(data)-rootFooterSize], true
+}
+
+// decodeDelta decodes the delta entries splitRootFrame left encoded,
+// whose length it checked to be a whole number of entries.
+func decodeDelta(entries []byte) []merkle.LeafUpdate {
+	if len(entries) == 0 {
+		return nil
 	}
-	return data[:split], t, true
+	delta := make([]merkle.LeafUpdate, len(entries)/deltaEntrySize)
+	r := serial.NewReader(entries)
+	for i := range delta {
+		r.ReadRawInto(delta[i].ID[:], "root trailer leaf id")
+		delta[i].Version = r.ReadUint64("root trailer leaf version")
+	}
+	return delta
 }
 
 // mergeDelta overlays a batch on the delta before it: one entry per
@@ -404,13 +417,14 @@ func (s *Store) followLocked(data []byte, err error) (sealed []byte, _ error) {
 	if err != nil {
 		return data, err
 	}
-	sealed, t, framed := splitRootFrame(data)
+	sealed, t, entries, framed := splitRootFrame(data)
 	if !framed {
 		return sealed, fmt.Errorf("%w: root object carries no trailer", ErrEpochUnavailable)
 	}
 	if s.cur != nil && t.tip <= s.at.tip {
 		return sealed, nil
 	}
+	t.delta = decodeDelta(entries)
 	from := s.cur
 	if from == nil || s.at.tip < t.base {
 		if from, err = s.checkpointWithin(t.base, t.tip); err != nil {

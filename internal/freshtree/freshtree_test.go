@@ -267,7 +267,7 @@ func TestFreshnessStoreProofAndUpdateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, tr, ok := splitRootFrame(framed); !ok || tr.base != 0 || tr.tip != 2 || len(tr.delta) != 3 || tr.spent != 2+3 {
+	if _, tr, ok := splitDecoded(framed); !ok || tr.base != 0 || tr.tip != 2 || len(tr.delta) != 3 || tr.spent != 2+3 {
 		t.Fatalf("root object on the store: framed=%v trailer=%+v", ok, tr)
 	}
 }
@@ -562,7 +562,7 @@ func TestFreshnessStoreCrashBetweenCheckpointAndRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tr, _ := splitRootFrame(framed)
+	_, tr, _ := splitDecoded(framed)
 	if second != h.epoch || tr.base != first || tr.tip != h.epoch || first == second {
 		t.Fatalf("checkpoint at %d, root covers %d to %d: not the crash window (first checkpoint %d, epoch %d)", second, tr.base, tr.tip, first, h.epoch)
 	}
@@ -690,8 +690,8 @@ func TestFreshnessStoreTamperedTrailerFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sealed, tr, _ := splitRootFrame(honest)
-	_, oldTrailer, _ := splitRootFrame(older)
+	sealed, tr, _ := splitDecoded(honest)
+	_, oldTrailer, _ := splitDecoded(older)
 	reframe := func(mut func(*rootTrailer)) []byte {
 		c := tr
 		c.delta = append([]merkle.LeafUpdate(nil), tr.delta...)
@@ -777,4 +777,12 @@ func TestFreshnessStoreCheckpointRuleBalancesCosts(t *testing.T) {
 	if total := deltaBytes + checkpointBytes; total*8 > whole {
 		t.Fatalf("checkpoint + delta uploaded %d bytes; a snapshot per drain uploads about %d", total, whole)
 	}
+}
+
+// splitDecoded is splitRootFrame with the delta decoded, as a read that
+// follows the root decodes it.
+func splitDecoded(data []byte) ([]byte, rootTrailer, bool) {
+	sealed, t, entries, framed := splitRootFrame(data)
+	t.delta = decodeDelta(entries)
+	return sealed, t, framed
 }

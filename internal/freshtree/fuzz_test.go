@@ -44,7 +44,7 @@ func FuzzFreshnessFrameDecode(f *testing.F) {
 	f.Add(snapshot.Bytes())
 	f.Add(encodeCheckpoint(tree, 4))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sealed, tr, framed := splitRootFrame(data)
+		sealed, tr, framed := splitDecoded(data)
 		if !framed {
 			if !bytes.Equal(sealed, data) || tr.delta != nil {
 				t.Fatalf("input refused as a frame came back changed: %x", sealed)

@@ -607,9 +607,14 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	}
 
 	// Revocation, the paper's whole cost (§VII-E): one directory re-seal
-	// and the freshness root, in one commit.
-	pair("SetACL (revoke)", commit2First, commit2, setACL(NoRights), setACL(ReadOnly))
-	pair("SetGroupACL", commit2First, commit2, setGroupACL(ReadOnly), setGroupACL(ReadWrite))
+	// and the freshness root, in one commit. A grant only widens access:
+	// it is the directory's put alone, and its leaf waits for the next
+	// commit that puts the root (DESIGN.md §15.2).
+	grantFirst, grant1 := []string{"lock", "store"}, []string{"store"}
+	pair("SetACL (revoke)", commit2First, commit2, setACL(ReadOnly), setACL(NoRights))
+	pair("SetACL (grant)", grantFirst, grant1, setACL(ReadOnly), setACL(ReadWrite))
+	pair("SetGroupACL (grant)", grantFirst, grant1, setGroupACL(ReadOnly), setGroupACL(ReadWrite))
+	pair("SetGroupACL (revoke)", commit2First, commit2, setGroupACL(ReadOnly), setGroupACL(NoRights))
 
 	// Same-directory rename: the directory and the root, one commit.
 	pair("rename within a directory", commit2First, commit2,
@@ -656,8 +661,9 @@ func TestObservabilityRPCBudget(t *testing.T) {
 		}
 	}
 	pair("RemoveUser", commit2First, commit2, removeUser("bob"), removeUser("dave"))
-	// Admitting one through the rootkey exchange: the same commit (the
-	// quote check is an ocall to the attestation service, not a frame).
+	// Admitting one through the rootkey exchange only widens access: the
+	// supernode's put alone, like a grant above (the quote check is an
+	// ocall to the attestation service, not a frame).
 	grant := func(name string) func() {
 		t.Helper()
 		newcomerClient, err := NewClient(ClientConfig{Store: NewMemoryStore(), IAS: st.ias})
@@ -678,7 +684,7 @@ func TestObservabilityRPCBudget(t *testing.T) {
 			}
 		}
 	}
-	pair("GrantAccess", commit2First, commit2, grant("carol"), grant("erin"))
+	pair("GrantAccess", grantFirst, grant1, grant("carol"), grant("erin"))
 
 	// The checkpoint is the one frame the table above amortises. Its rule
 	// is a function of leaf and delta-entry counts alone, so the count is
