@@ -241,11 +241,18 @@ func TestSharingExperiment(t *testing.T) {
 			t.Fatalf("missing operation %q in %v", want, rows)
 		}
 	}
-	// A grant and an admission only widen access: the supernode's put is
-	// the one exchange (DESIGN.md §15.2).
+	// The recipient's steps run over its own store. An admission is one
+	// commit: the supernode's put and the root's (DESIGN.md §15.2), a lock
+	// frame first when the owner's lease on the root's lock lapsed while
+	// the recipient's client was built, and at times a checkpoint's put.
+	for _, op := range []string{"create offer (m1)", "accept grant"} {
+		if got := ops[op].RPCs; got != 0 {
+			t.Errorf("%s: %d AFS exchanges with the owner's server, want 0", op, got)
+		}
+	}
 	for _, op := range []string{"grant access (m2)", "add user"} {
-		if got := ops[op].RPCs; got != 1 {
-			t.Errorf("%s: %d AFS exchanges, want 1", op, got)
+		if got := ops[op].RPCs; got < 2 || got > 4 {
+			t.Errorf("%s: %d AFS exchanges, want 2 to 4", op, got)
 		}
 	}
 	var out bytes.Buffer

@@ -22,8 +22,8 @@ import (
 // an existing file with the drain after it, which deletes the replaced
 // file only once no directory on the store names it (§6), and the barrier
 // ops that commit once with a pending remove's drain — a hardlink, SetACL,
-// RemoveUser and GrantAccess — and a SetACL grant and GrantAccess with
-// nothing pending, which commit without the root (§15.2), so that kill
+// RemoveUser and GrantAccess — and a SetACL grant, which commits without
+// the root (§15.2), and GrantAccess with nothing pending, so that kill
 // points land inside every exit,
 // between one call and the next. Each failure is ErrStoreUnavailable.
 // Whatever the store holds then, a restarted client mounts and reads the
@@ -189,9 +189,9 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 			}
 			return nil
 		}},
-		// A grant and an admission made with nothing pending only widen
-		// access: each is one put under the root's lock, and its leaf waits
-		// for the next root commit (§15.2).
+		// A grant made with nothing pending only widens access: one put
+		// under the root's lock, its leaf waiting for the next root commit
+		// (§15.2). An admission with nothing pending commits the root.
 		{"SetACL grant", "/a/f", old, old, func(e *enclave.Enclave) error {
 			return e.SetACL("/a", "bob", acl.Read)
 		}, false, "", func(e *enclave.Enclave, retried bool) error {

@@ -377,7 +377,7 @@ func (e *Enclave) CreateVolume(ownerName string, ownerKey ed25519.PublicKey) (se
 			err = e.commitFreshLocked()
 		}
 		if err == nil {
-			err = e.flushSupernodeLocked(false)
+			err = e.flushSupernodeLocked()
 		}
 		if err == nil {
 			err = e.commitFreshLocked()
@@ -588,7 +588,7 @@ func (e *Enclave) AddUser(name string, key ed25519.PublicKey) (userID uint32, er
 		if !e.isOwnerLocked() {
 			return fmt.Errorf("%w: only the owner administers users", ErrAccessDenied)
 		}
-		return e.updateSupernodeLocked(true, func() (err error) {
+		return e.updateSupernodeLocked(func() (err error) {
 			userID, err = e.super.AddUser(name, key)
 			return err
 		})
@@ -609,7 +609,7 @@ func (e *Enclave) RemoveUser(name string) error {
 		}
 		// O(log n) path rotation: only the evicted user's leaf-to-root
 		// keys are re-wrapped; file data is untouched (§VII-E).
-		return e.updateSupernodeLocked(false, func() error {
+		return e.updateSupernodeLocked(func() error {
 			_, err := e.super.RemoveUser(name)
 			return err
 		})
@@ -633,14 +633,15 @@ func (e *Enclave) ListUsers() ([]metadata.User, error) {
 // tree) in one commit with the drain, metering the tree's wraps fn makes:
 // it is re-read under the root lock, so fn applies to the freshest
 // version (§V-A), and put back before the pending metadata, which is
-// sealed after the change (§VII-E), and the root. A change that only
-// admits (widens) leaves its leaf to the next root commit when the commit
-// drains nothing (widenLocked, DESIGN.md §15.2). A failed commit whose
-// supernode put did not land leaves the enclave with the supernode it
-// held before: fn changed only the copy the re-read decoded. One whose
-// put landed keeps the change, as the store does — a reader accepts an
-// object newer than the root records (§15.2).
-func (e *Enclave) updateSupernodeLocked(widens bool, fn func() error) error {
+// sealed after the change (§VII-E), and the root. An admission commits the
+// root too, though it only widens access: it hands out the next member ID,
+// which a replay of the supernode before it would hand out again (DESIGN.md
+// §6, property F1). A failed commit whose supernode put did not land
+// leaves the enclave with the supernode it held before: fn changed only
+// the copy the re-read decoded. One whose put landed keeps the change, as
+// the store does — a reader accepts an object newer than the root records
+// (§15.2).
+func (e *Enclave) updateSupernodeLocked(fn func() error) error {
 	held, heldBlob, heldVersion := e.super, e.superBlob, e.superVersion
 	landed := false
 	err := e.commitWithDrainLocked(getsAhead([]aheadRead{{name: SupernodeObjectName}}), func() error {
@@ -650,7 +651,7 @@ func (e *Enclave) updateSupernodeLocked(widens bool, fn func() error) error {
 		if err := e.meterGroupLocked(fn); err != nil {
 			return err
 		}
-		if err := e.flushSupernodeLocked(widens && e.widenLocked()); err != nil {
+		if err := e.flushSupernodeLocked(); err != nil {
 			return err
 		}
 		e.onSuccessLocked(func() { landed = true })
@@ -691,10 +692,10 @@ func (e *Enclave) loadSupernodeLocked() error {
 	return nil
 }
 
-// flushSupernodeLocked seals the supernode at its next version
-// (nextVersion) and queues its upload for the caller's commit.
-func (e *Enclave) flushSupernodeLocked(widening bool) error {
-	e.superVersion = nextVersion(e.superVersion, widening)
+// flushSupernodeLocked seals the supernode, bumping its version, and
+// queues its upload for the caller's commit.
+func (e *Enclave) flushSupernodeLocked() error {
+	e.superVersion++
 	p := metadata.Preamble{
 		Type:    metadata.TypeSupernode,
 		UUID:    e.super.VolumeUUID,

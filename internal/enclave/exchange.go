@@ -319,7 +319,7 @@ func (e *Enclave) admitOfferLocked(offerBytes []byte, userName string, userKey e
 	if err != nil {
 		return nil, err
 	}
-	if err := e.updateSupernodeLocked(true, func() error {
+	if err := e.updateSupernodeLocked(func() error {
 		if _, err := e.super.FindUserByKey(userKey); err == nil {
 			return nil
 		}

@@ -559,7 +559,7 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 					return err
 				}
 				child.Parent = dstW.dir.UUID
-				if err := e.flushDirnodeLocked(child, cv+1); err != nil {
+				if err := e.flushDirnodeLocked(child, nextVersion(cv, false)); err != nil {
 					return err
 				}
 			case metadata.KindFile:

@@ -17,6 +17,7 @@ import (
 	"nexus/internal/enclave"
 	"nexus/internal/freshtree"
 	"nexus/internal/merkle"
+	"nexus/internal/metadata"
 	"nexus/internal/uuid"
 )
 
@@ -230,7 +231,7 @@ func TestWideningLeafNeverMovesBackwards(t *testing.T) {
 // can only show its reader the access before it — a denial, never more.
 func TestReplayedGrantDeniesAccess(t *testing.T) {
 	v, owner, _ := newCommitVolume(t)
-	bob, carol := newIdentity(t), newIdentity(t)
+	bob := newIdentity(t)
 	if _, err := owner.AddUser("bob", bob.pub); err != nil {
 		t.Fatal(err)
 	}
@@ -242,11 +243,7 @@ func TestReplayedGrantDeniesAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	preGrant := v.storedBlob(t, d)
-	preAdd := v.storedBlob(t, enclave.SupernodeObjectName)
 	if err := owner.SetACL("/d", "bob", acl.ReadOnly); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := owner.AddUser("carol", carol.pub); err != nil {
 		t.Fatal(err)
 	}
 
@@ -261,17 +258,48 @@ func TestReplayedGrantDeniesAccess(t *testing.T) {
 	if _, err := reader.Filldir("/d"); !errors.Is(err, enclave.ErrAccessDenied) {
 		t.Fatalf("bob lists /d rolled back to before the grant = %v, want ErrAccessDenied", err)
 	}
+}
 
-	joiner, store, err := v.replayClient(t, nil)
+// TestAdmissionCommitsTheRoot: an admission only widens access, but it
+// also hands out the next member ID, so it commits the root at once. The
+// owner admits zoe, grants her /d and stops before any other root commit;
+// a store that then replays the supernode from before her admission is
+// caught, at the restarted owner's mount and at its next admission, which
+// would otherwise give wes zoe's ID and with it her grant on /d.
+func TestAdmissionCommitsTheRoot(t *testing.T) {
+	v, owner, _ := newCommitVolume(t)
+	zoe, wes := newIdentity(t), newIdentity(t)
+	v.mkdir(t, owner, "/d")
+	preAdmit := v.storedBlob(t, enclave.SupernodeObjectName)
+	zoeID, err := owner.AddUser("zoe", zoe.pub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.replay(enclave.SupernodeObjectName, preAdd)
-	if err := mountAs(joiner, v, carol); !errors.Is(err, enclave.ErrBadAuth) {
-		t.Fatalf("carol mounts a supernode rolled back to before her admission = %v, want ErrBadAuth", err)
+	if err := owner.SetACL("/d", "zoe", acl.ReadOnly); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := v.replayClient(t, &carol); err != nil {
-		t.Fatalf("carol mounts the supernode that admits her: %v", err)
+
+	restarted, store, err := v.replayClient(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.replay(enclave.SupernodeObjectName, preAdmit)
+	if err := mountAs(restarted, v, identity{v.pub, v.priv}); !errors.Is(err, enclave.ErrStaleObject) {
+		t.Fatalf("the owner mounts the supernode from before zoe's admission = %v, want ErrStaleObject", err)
+	}
+
+	restarted, store, err = v.replayClient(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.mount(t, restarted)
+	store.replay(enclave.SupernodeObjectName, preAdmit)
+	id, err := restarted.AddUser("wes", wes.pub)
+	if id == zoeID {
+		t.Fatalf("wes was given zoe's ID %d", id)
+	}
+	if !errors.Is(err, enclave.ErrStaleObject) {
+		t.Fatalf("an admission over the supernode from before zoe's = %v (ID %d), want ErrStaleObject", err, id)
 	}
 }
 
@@ -328,60 +356,105 @@ func TestReplayedRevocationIsStale(t *testing.T) {
 // every version a widening-only commit put since, so the hidden grant's
 // version is stale once the revocation commits. A writer shown the
 // version its own pending grant replaced fails closed: its own record
-// outranks a version the leaf still allows.
+// outranks a version the leaf still allows. A writer shown the state
+// before the grant that moves the directory elsewhere seals it above the
+// hidden version too, so no version number names two sealed objects.
 func TestHiddenGrantDoesNotOutliveRevocation(t *testing.T) {
-	v, a, _ := newCommitVolume(t)
-	bob, carol := newIdentity(t), newIdentity(t)
-	for name, id := range map[string]identity{"bob": bob, "carol": carol} {
-		if _, err := a.AddUser(name, id.pub); err != nil {
+	t.Run("revocation", func(t *testing.T) {
+		v, a, _ := newCommitVolume(t)
+		bob, carol := newIdentity(t), newIdentity(t)
+		for name, id := range map[string]identity{"bob": bob, "carol": carol} {
+			if _, err := a.AddUser(name, id.pub); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d := v.mkdir(t, a, "/d")
+		if err := a.SetACL("/d", "carol", acl.Read); err != nil {
 			t.Fatal(err)
 		}
-	}
-	d := v.mkdir(t, a, "/d")
-	if err := a.SetACL("/d", "carol", acl.Read); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SyncMetadata(); err != nil {
-		t.Fatal(err)
-	}
-	preGrant := v.storedBlob(t, d)
-	if err := a.SetACL("/d", "bob", acl.Read); err != nil {
-		t.Fatal(err)
-	}
-	grant := v.storedBlob(t, d)
+		if err := a.SyncMetadata(); err != nil {
+			t.Fatal(err)
+		}
+		preGrant := v.storedBlob(t, d)
+		if err := a.SetACL("/d", "bob", acl.Read); err != nil {
+			t.Fatal(err)
+		}
+		grant := v.storedBlob(t, d)
 
-	b, bStore, err := v.replayClient(t, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.mount(t, b)
-	bStore.replay(d, preGrant)
-	if err := b.SetACL("/d", "carol", acl.None); err != nil {
-		t.Fatalf("B revokes carol from the state the store shows: %v", err)
-	}
-	third, store, err := v.replayClient(t, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.mount(t, third)
-	store.replay(d, grant)
-	if _, err := third.Filldir("/d"); !errors.Is(err, enclave.ErrStaleObject) {
-		t.Fatalf("the hidden grant's /d served after B's revocation = %v, want ErrStaleObject", err)
-	}
+		b, bStore, err := v.replayClient(t, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.mount(t, b)
+		bStore.replay(d, preGrant)
+		if err := b.SetACL("/d", "carol", acl.None); err != nil {
+			t.Fatalf("B revokes carol from the state the store shows: %v", err)
+		}
+		third, store, err := v.replayClient(t, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.mount(t, third)
+		store.replay(d, grant)
+		if _, err := third.Filldir("/d"); !errors.Is(err, enclave.ErrStaleObject) {
+			t.Fatalf("the hidden grant's /d served after B's revocation = %v, want ErrStaleObject", err)
+		}
 
-	revoked := v.storedBlob(t, d)
-	own, ownStore, err := v.replayClient(t, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v.mount(t, own)
-	if err := own.SetACL("/d", "bob", acl.Read|acl.Write); err != nil {
-		t.Fatal(err)
-	}
-	ownStore.replay(d, revoked)
-	if err := own.SetACL("/d", "bob", acl.None); !errors.Is(err, enclave.ErrStaleObject) {
-		t.Fatalf("a revocation over a store hiding the writer's own pending grant = %v, want ErrStaleObject", err)
-	}
+		revoked := v.storedBlob(t, d)
+		own, ownStore, err := v.replayClient(t, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.mount(t, own)
+		if err := own.SetACL("/d", "bob", acl.Read|acl.Write); err != nil {
+			t.Fatal(err)
+		}
+		ownStore.replay(d, revoked)
+		if err := own.SetACL("/d", "bob", acl.None); !errors.Is(err, enclave.ErrStaleObject) {
+			t.Fatalf("a revocation over a store hiding the writer's own pending grant = %v, want ErrStaleObject", err)
+		}
+	})
+	t.Run("rename", func(t *testing.T) {
+		v, a, _ := newCommitVolume(t)
+		bob := newIdentity(t)
+		if _, err := a.AddUser("bob", bob.pub); err != nil {
+			t.Fatal(err)
+		}
+		v.mkdir(t, a, "/src")
+		v.mkdir(t, a, "/dst")
+		c := v.mkdir(t, a, "/src/c")
+		preGrant := v.storedBlob(t, c)
+		if err := a.SetACL("/src/c", "bob", acl.Read); err != nil {
+			t.Fatal(err)
+		}
+		grant, grantVersion := v.storedBlob(t, c), v.preamble(t, c).Version
+
+		b, bStore, err := v.replayClient(t, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.mount(t, b)
+		bStore.replay(c, preGrant)
+		if err := b.Rename("/src/c", "/dst/c"); err != nil {
+			t.Fatalf("B moves c from the state the store shows: %v", err)
+		}
+		moved := v.preamble(t, c).Version
+		if moved <= grantVersion {
+			t.Fatalf("B's rename sealed c at %d, not above the hidden grant's %d", moved, grantVersion)
+		}
+		if leaf := v.leafOf(t, c); leaf != moved {
+			t.Fatalf("the leaf of c is %d after B's rename, want its version %d", leaf, moved)
+		}
+		third, store, err := v.replayClient(t, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.mount(t, third)
+		store.replay(c, grant)
+		if _, err := third.Filldir("/dst/c"); !errors.Is(err, enclave.ErrStaleObject) && !errors.Is(err, metadata.ErrTampered) {
+			t.Fatalf("the hidden grant's c served after B's rename = %v, want ErrStaleObject or ErrTampered", err)
+		}
+	})
 }
 
 // refusingRootStore fails the next put of the sealed root when armed.

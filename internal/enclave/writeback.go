@@ -128,31 +128,22 @@ type dirtySet struct {
 
 	// undo holds, while a commit runs (commitWithDrainLocked), a copy of
 	// each dirty node its op reached, as it was before the op changed it;
-	// widen is whether the commit may leave its records to the next one.
-	undo  map[uuid.UUID]*dirtyNode
-	widen widening
+	// widened reports that the commit leaves its records to the next one
+	// (widenLocked).
+	undo    map[uuid.UUID]*dirtyNode
+	widened bool
 }
 
-// widening is how far a running commit may leave its own freshness
-// records to the next root commit (widenLocked).
-type widening uint8
-
-const (
-	noWiden  widening = iota // it drains something, or no commit runs
-	mayWiden                 // it drains nothing
-	widened                  // its op only adds rights and took it
-)
-
 // versionStride spaces the versions a root commit writes (DESIGN.md
-// §15.2). A widening-only commit rewrites an object at its version plus
-// one and leaves the leaf where it was; any other rewrite of an object
+// §15.2). A widening-only commit rewrites a dirnode at its version plus
+// one and leaves the leaf where it was; any other rewrite of a dirnode
 // the store holds lands at the next multiple of the stride, above every
 // version a widening-only commit of any client may have put since the
 // version it read, even one the store hid from it. So no object version
 // a root commit supersedes can share a number with its successor.
 const versionStride = 1 << 32
 
-// nextVersion is the version a rewrite of an object at version base is
+// nextVersion is the version a rewrite of a dirnode at version base is
 // sealed at: base+1 for a new object (base 0) or a widening-only commit,
 // else base's next multiple of versionStride.
 func nextVersion(base uint64, widening bool) uint64 {
@@ -356,7 +347,7 @@ func (e *Enclave) commitLocked(ahead []*storeCall, fn func() error) error {
 	if err := fn(); err != nil {
 		return err
 	}
-	if e.wb.widen == widened {
+	if e.wb.widened {
 		// What waited was a widening-only commit's, and the exit makes only
 		// this one's calls: the root's re-read took what was queued before.
 		release()
@@ -369,17 +360,15 @@ func (e *Enclave) commitLocked(ahead []*storeCall, fn func() error) error {
 }
 
 // widenLocked is called by a commit's op whose change only adds rights —
-// an ACL entry given a superset of its rights, a member admitted — before
-// it seals what it changed. It reports whether the commit is then
-// widening-only: it drains nothing, and every freshness record already
-// waiting is a widening-only commit's, so a narrowing change whose root
-// update failed is not left waiting behind it.
+// an ACL entry given a superset of its rights — before it seals what it
+// changed. It reports whether the commit is then widening-only: it drains
+// nothing, and every freshness record already waiting is a widening-only
+// commit's, so a narrowing change whose root update failed is not left
+// waiting behind it.
 func (e *Enclave) widenLocked() bool {
-	if e.wb.widen != mayWiden || len(e.wb.fresh) > 0 && !e.wb.wide {
-		return false
-	}
-	e.wb.widen = widened
-	return true
+	e.wb.widened = e.wb.undo != nil && len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 &&
+		(len(e.wb.fresh) == 0 || e.wb.wide)
+	return e.wb.widened
 }
 
 // drainLocked flushes the whole dirty set: a commit with nothing of its
@@ -423,10 +412,7 @@ func (e *Enclave) commitWithDrainLocked(ahead []*storeCall, fn func() error) err
 		defer span.End()
 	}
 	e.wb.undo = make(map[uuid.UUID]*dirtyNode)
-	if !drain {
-		e.wb.widen = mayWiden
-	}
-	defer func() { e.wb.undo, e.wb.widen = nil, noWiden }()
+	defer func() { e.wb.undo, e.wb.widened = nil, false }()
 	err := e.commitLocked(append(e.drainAheadLocked(), ahead...), func() error {
 		for _, id := range e.dirtyOrderLocked(false) {
 			if err := e.rebaseDirtyDirnodeLocked(id, e.wb.nodes[id]); err != nil {

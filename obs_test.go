@@ -661,9 +661,10 @@ func TestObservabilityRPCBudget(t *testing.T) {
 		}
 	}
 	pair("RemoveUser", commit2First, commit2, removeUser("bob"), removeUser("dave"))
-	// Admitting one through the rootkey exchange only widens access: the
-	// supernode's put alone, like a grant above (the quote check is an
-	// ocall to the attestation service, not a frame).
+	// Admitting one through the rootkey exchange: the same commit, though
+	// it only widens access — it hands out the next member ID, so its leaf
+	// cannot wait (the quote check is an ocall to the attestation service,
+	// not a frame).
 	grant := func(name string) func() {
 		t.Helper()
 		newcomerClient, err := NewClient(ClientConfig{Store: NewMemoryStore(), IAS: st.ias})
@@ -684,7 +685,7 @@ func TestObservabilityRPCBudget(t *testing.T) {
 			}
 		}
 	}
-	pair("GrantAccess", grantFirst, grant1, grant("carol"), grant("erin"))
+	pair("GrantAccess", commit2First, commit2, grant("carol"), grant("erin"))
 
 	// The checkpoint is the one frame the table above amortises. Its rule
 	// is a function of leaf and delta-entry counts alone, so the count is

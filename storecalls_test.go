@@ -244,13 +244,15 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 	wideningRows(t, client, owner, vol, fs, check)
 }
 
-// wideningRows pins the commits that only widen access, made with nothing
-// pending: a SetACL grant, AddUser and GrantAccess admitting a new member.
-// Each takes the root's lock, re-reads the root and the object it rewrites
-// and puts that object, and neither updates the freshness tree nor puts
-// the root: its leaf waits for the next commit that puts the root
-// (DESIGN.md §15.2). Here that is a SetACL that drops a right on another
-// directory, whose update carries the two waiting leaves beside its own.
+// wideningRows pins the commits made with nothing pending that only widen
+// access. AddUser and GrantAccess admitting a new member commit the root
+// at once: an admission hands out the next member ID, which a replay of
+// the supernode before it would hand out again. A SetACL grant takes the
+// root's lock, re-reads the root and the directory and puts it, and
+// neither updates the freshness tree nor puts the root: its leaf waits for
+// the next commit that puts the root (DESIGN.md §15.2). Here that is a
+// SetACL that drops a right on another directory, whose update carries
+// the waiting leaf beside its own.
 func wideningRows(t *testing.T, client *nexus.Client, owner nexus.Identity, vol *nexus.Volume, fs *nexus.FS,
 	check func(string, []string, [2]int64, func() error)) {
 	t.Helper()
@@ -272,25 +274,25 @@ func wideningRows(t *testing.T, client *nexus.Client, owner nexus.Identity, vol 
 	if err != nil {
 		t.Fatal(err)
 	}
+	check("AddUser, nothing pending", []string{
+		"lock root", "get root", "get super", "proof ?", "put super", "update(1)", "put root", "unlock root",
+	}, [2]int64{1, 4}, func() error {
+		return vol.AddUser("dave", dave.PublicKey)
+	})
+	check("GrantAccess, nothing pending", []string{
+		"lock root", "get root", "get super", "proof ?", "put super", "update(1)", "put root", "unlock root",
+	}, [2]int64{1, 5}, func() error {
+		_, err := vol.GrantAccess(offer, "erin", erin.PublicKey, owner)
+		return err
+	})
 	check("SetACL grant, nothing pending", []string{
 		"lock root", "get root", "get dir", "get dir", "put dir", "unlock root",
 	}, [2]int64{1, 2}, func() error {
 		return vol.SetACL("/a", "carol", nexus.ReadWrite)
 	})
-	check("AddUser, nothing pending", []string{
-		"lock root", "get root", "get super", "proof ?", "put super", "unlock root",
-	}, [2]int64{1, 3}, func() error {
-		return vol.AddUser("dave", dave.PublicKey)
-	})
-	check("GrantAccess, nothing pending", []string{
-		"lock root", "get root", "get super", "proof ?", "put super", "unlock root",
-	}, [2]int64{1, 4}, func() error {
-		_, err := vol.GrantAccess(offer, "erin", erin.PublicKey, owner)
-		return err
-	})
-	check("SetACL revoke after them", []string{
+	check("SetACL revoke after it", []string{
 		"lock root", "get root", "get dir", "get dir",
-		"put dir", "update(3)", "put root", "unlock root",
+		"put dir", "update(2)", "put root", "unlock root",
 	}, [2]int64{1, 3}, func() error {
 		return vol.SetACL("/b", "carol", nexus.ReadOnly)
 	})
