@@ -5,13 +5,16 @@
 //
 //	nexus-bench [-exp all|fileio|dirops|gitclone|db|apps|revoke|revoke-sweep|sharing|metadata|freshness|ablation]
 //	            [-scale N] [-runs N] [-rtt duration] [-bw MBps]
-//	            [-entries N] [-transition duration]
+//	            [-entries N] [-transition duration] [-dirs LIST]
 //	            [-json] [-out FILE] [-members LIST] [-objects LIST]
 //
 // -exp also accepts a comma-separated list (e.g. -exp fileio,metadata)
 // so one report can cover several experiments. "all" runs everything
 // except ablation, the slow one, which runs only when named; an unknown
 // name is an error.
+//
+// -dirs lists the file counts the dirops experiment creates and deletes
+// in one directory, one row each.
 //
 // -scale divides workload file *sizes* (never counts) so paper-scale
 // experiments (-scale 1) and quick runs (-scale 1024) use identical

@@ -33,10 +33,9 @@ type Config struct {
 	// TransitionCost is the per-ecall/ocall charge (default 4 µs,
 	// roughly the published SGX transition cost).
 	TransitionCost time.Duration
-	// BucketSize and ChunkSize are the NEXUS parameters (paper: 128
-	// entries, 1 MiB).
+	// BucketSize is the NEXUS directory bucket size (paper: 128
+	// entries).
 	BucketSize uint32
-	ChunkSize  uint32
 	// Runs is the number of repetitions averaged per measurement
 	// (paper: 10 for microbenchmarks, 25 for applications).
 	Runs int
@@ -121,7 +120,6 @@ func NewEnv(cfg Config) (*Env, error) {
 		Store:          nexusAFS,
 		IAS:            ias,
 		BucketSize:     cfg.BucketSize,
-		ChunkSize:      cfg.ChunkSize,
 		TransitionCost: cfg.TransitionCost,
 		Obs:            env.Obs,
 	})

@@ -67,8 +67,8 @@ func NewUser(name string) (*User, error) {
 }
 
 // Stats meters the costs the revocation experiment reports. Values
-// returned by Revoke/Stats are snapshots; cumulative accounting lives
-// in the obs registry (see cfsMetrics).
+// returned by Revoke are snapshots; cumulative accounting lives in the
+// obs registry (see cfsMetrics).
 type Stats struct {
 	// BytesReencrypted counts plaintext bytes passed through AES on
 	// re-encryption.
@@ -100,11 +100,9 @@ type FS struct {
 	metrics cfsMetrics
 }
 
-// cfsMetrics holds the filesystem's obs instrument handles. The
-// legacy Stats accessor is a shim over these counters;
-// metric names are catalogued in DESIGN.md §11.
+// cfsMetrics holds the filesystem's obs instrument handles; metric
+// names are catalogued in DESIGN.md §11.
 type cfsMetrics struct {
-	reg              *obs.Registry
 	bytesReencrypted *obs.Counter // cryptofs_bytes_reencrypted_total
 	bytesUploaded    *obs.Counter // cryptofs_bytes_uploaded_total
 	filesTouched     *obs.Counter // cryptofs_files_touched_total
@@ -114,7 +112,6 @@ type cfsMetrics struct {
 }
 
 func (m *cfsMetrics) bind(reg *obs.Registry) {
-	m.reg = reg
 	m.bytesReencrypted = reg.Counter("cryptofs_bytes_reencrypted_total")
 	m.bytesUploaded = reg.Counter("cryptofs_bytes_uploaded_total")
 	m.filesTouched = reg.Counter("cryptofs_files_touched_total")
@@ -152,18 +149,6 @@ func (fs *FS) AddUser(u *User) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.users[u.Name] = u
-}
-
-// Stats returns a snapshot of the meters, assembled from the registry
-// counters.
-func (fs *FS) Stats() Stats {
-	m := &fs.metrics
-	return Stats{
-		BytesReencrypted: m.bytesReencrypted.Value(),
-		BytesUploaded:    m.bytesUploaded.Value(),
-		FilesTouched:     m.filesTouched.Value(),
-		KeyWraps:         m.keyWraps.Value(),
-	}
 }
 
 // object names: file data under "data!<path>", key block under

@@ -75,7 +75,7 @@ func BenchmarkEnclaveWriteFile64KiB(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.WriteFile("/f", data); err != nil {
+		if err := e.SaveFile("/f", data, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,7 +86,7 @@ func BenchmarkEnclaveReadFile64KiB(b *testing.B) {
 	if err := e.Touch("/f"); err != nil {
 		b.Fatal(err)
 	}
-	if err := e.WriteFile("/f", make([]byte, 64<<10)); err != nil {
+	if err := e.SaveFile("/f", make([]byte, 64<<10), false); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(64 << 10)

@@ -1,6 +1,6 @@
 // Tests of the single-commit write path (DESIGN.md §12.4, §15.2): a
-// commit of the root alone stages its freshness update with the root
-// re-read, a re-read of the sealed root this enclave last put or opened
+// drain that commits only the freshness records its caller queued stages
+// its freshness update with the root re-read, a re-read of the sealed root this enclave last put or opened
 // skips the open, and a durable overwrite made while other metadata is
 // pending commits once, with the drain.
 package enclave_test

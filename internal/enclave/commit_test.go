@@ -278,7 +278,7 @@ func TestConcurrentDrainLeafNeverMovesBackwards(t *testing.T) {
 
 // TestConcurrentRenameKeepsWriteFileFilenode: a cross-directory rename of
 // a file re-parents its filenode, and must do so under the filenode's
-// lock. A peer's WriteFile holds that lock while it uploads new data and
+// lock. A peer's SaveFile holds that lock while it uploads new data and
 // then the filenode carrying the new content keys. A rename that loads
 // the filenode before that put and stores its copy after it seals the
 // old keys over the new ones: every later read of the file fails
@@ -295,7 +295,7 @@ func TestConcurrentRenameKeepsWriteFileFilenode(t *testing.T) {
 	if err := w.Touch("/a/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteFile("/a/f", []byte("first contents")); err != nil {
+	if err := w.SaveFile("/a/f", []byte("first contents"), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.SyncMetadata(); err != nil {
@@ -339,7 +339,7 @@ func TestConcurrentRenameKeepsWriteFileFilenode(t *testing.T) {
 			writtenOnce.Do(func() { close(written) })
 		}
 	})
-	if err := w.WriteFile("/a/f", []byte("second contents")); err != nil {
+	if err := w.SaveFile("/a/f", []byte("second contents"), false); err != nil {
 		t.Fatalf("write racing the rename: %v", err)
 	}
 	<-renamed
@@ -421,7 +421,7 @@ func TestLockOrderRootLockCoversEveryRewrite(t *testing.T) {
 	must("touch", e.Touch("/a/f"))
 	must("touch", e.Touch("/a/g"))
 	must("sync", e.SyncMetadata())
-	must("write", e.WriteFile("/a/f", []byte("contents")))
+	must("write", e.SaveFile("/a/f", []byte("contents"), false))
 	must("rename within", e.Rename("/a/g", "/a/h"))
 	must("rename across", e.Rename("/a/h", "/b/h"))
 	must("rename directory across", e.Rename("/a/sub", "/b/sub"))

@@ -370,17 +370,17 @@ func (e *Enclave) CreateVolume(ownerName string, ownerKey ed25519.PublicKey) (se
 		e.super = super
 
 		// The root dirnode (its parent pointer binds it to the supernode),
-		// then the supernode: each is a commit of the root alone, and the
-		// last root put leaves before the rootkey is sealed.
+		// then the supernode: each is committed by a drain, and the last
+		// root put leaves before the rootkey is sealed.
 		root := metadata.NewDirnode(super.RootDir, super.VolumeUUID, e.cfg.BucketSize)
 		if err = e.flushDirnodeLocked(root, 1); err == nil {
-			err = e.commitFreshLocked()
+			err = e.drainLocked()
 		}
 		if err == nil {
 			err = e.flushSupernodeLocked()
 		}
 		if err == nil {
-			err = e.commitFreshLocked()
+			err = e.drainLocked()
 		}
 		if err == nil {
 			err = e.exitLocked()
@@ -487,16 +487,6 @@ func (e *Enclave) CompleteAuth(signature []byte) error {
 		e.authed = true
 		return nil
 	})
-}
-
-// CurrentUser returns the authenticated identity.
-func (e *Enclave) CurrentUser() (metadata.User, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.authed {
-		return metadata.User{}, ErrNotAuthenticated
-	}
-	return e.user, nil
 }
 
 // isOwnerLocked reports whether the authenticated user owns the volume.

@@ -158,12 +158,11 @@ func TestCreateVolumeAndAuthenticate(t *testing.T) {
 	owner := newIdentity(t, "owen")
 	env, sealed, volID := newMountedVolume(t, owner)
 
-	u, err := env.enclave.CurrentUser()
-	if err != nil {
-		t.Fatalf("CurrentUser: %v", err)
-	}
-	if u.Name != "owen" || u.ID != 1 {
-		t.Fatalf("user = %+v", u)
+	env.enclave.mu.Lock()
+	u, authed := env.enclave.user, env.enclave.authed
+	env.enclave.mu.Unlock()
+	if !authed || u.Name != "owen" || u.ID != 1 {
+		t.Fatalf("user = %+v (authenticated %v)", u, authed)
 	}
 	if volID.IsNil() {
 		t.Fatal("nil volume id")
@@ -395,12 +394,12 @@ func TestStatsAccounting(t *testing.T) {
 	if err := e.Touch("/d/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/d/f", make([]byte, 1000)); err != nil {
+	if err := e.SaveFile("/d/f", make([]byte, 1000), false); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
 	// Eight sealed objects, a directory counting as one: Mkdir seals /d
-	// and the root directory, Touch the filenode and /d, WriteFile the
+	// and the root directory, Touch the filenode and /d, SaveFile the
 	// filenode, and each of the three commits the Merkle root.
 	if n := st.MetadataFlushes - base.MetadataFlushes; n != 8 || st.MetadataBytesWritten == base.MetadataBytesWritten {
 		t.Fatalf("metadata stats: %d flushes, %d bytes written; want 8 flushes",
@@ -412,7 +411,7 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	// 4000 plaintext bytes do not: they seal into one chunk of ciphertext
 	// plus its 16-byte tag, and the filenode and the root are sealed again.
-	if err := e.WriteFile("/d/f", make([]byte, 4000)); err != nil {
+	if err := e.SaveFile("/d/f", make([]byte, 4000), false); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Stats()

@@ -111,7 +111,7 @@ func TestRootkeyExchangeEndToEnd(t *testing.T) {
 	if err := s.owenEnv.enclave.Touch("/readme"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.owenEnv.enclave.WriteFile("/readme", []byte("hello alice")); err != nil {
+	if err := s.owenEnv.enclave.SaveFile("/readme", []byte("hello alice"), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.owenEnv.enclave.SetACL("/", "alice", // root read grant

@@ -216,54 +216,10 @@ func (e *Enclave) checkFreshnessLocked(id uuid.UUID, version uint64) error {
 			continue
 		}
 		if err != nil {
-			return fmt.Errorf("%w: no freshness proof for %s at epoch %d: %v", ErrBadProof, id, epoch, err)
+			return fmt.Errorf("%w: no freshness proof for %s at epoch %d: %w", ErrBadProof, id, epoch, err)
 		}
 		return fmt.Errorf("%w: freshness proof for %s: %v", ErrBadProof, id, verr)
 	}
-}
-
-// commitFreshLocked commits the freshness records (0 = object deleted) of
-// the puts just queued, as a commit of the root alone. A flush only
-// queues: inside a commit (commitLocked) its records wait for that commit,
-// and the root advances once for all of them — a stale-low leaf is safe in
-// the interim, since checkFreshnessLocked only rejects versions *below*
-// it. A caller that flushes outside one (a filenode under its own lock,
-// the objects of a new volume) calls this itself. Its batch is complete
-// before the root is re-read, so the freshness update is staged as the
-// last call of the re-read's exit, and the commit makes no exit of its own
-// for it.
-func (e *Enclave) commitFreshLocked() error {
-	release := e.lockObject(MerkleRootObjectName)
-	defer release()
-	waiting, at := maps.Clone(e.wb.fresh), e.wb.freshAt
-	// A queued root put moves the epoch and takes wb.fresh with it, so
-	// what this commit's batch will be is not known yet.
-	var staged [][]byte
-	var ahead []*storeCall
-	if batch := e.rootBatchLocked(); len(batch) > 0 && !e.rootPutQueuedLocked() {
-		epoch := e.mkEpoch
-		var proofs [][]byte
-		ahead = append(ahead, &storeCall{op: opRun, run: func() (err error) {
-			proofs, err = e.store.FreshnessUpdate(epoch, batch)
-			return err
-		}, done: func(c *storeCall) error {
-			if c.err == nil {
-				staged = proofs
-			}
-			return nil // a failed staging only makes advanceRootLocked ask again
-		}})
-	}
-	if err := e.loadMerkleRootLocked(true, ahead...); err != nil {
-		return err
-	}
-	if reproved, err := e.reproveLocked(waiting, at); err != nil || reproved {
-		// The batch was staged before the root moved: it is asked again.
-		staged = nil
-		if err != nil {
-			return err
-		}
-	}
-	return e.advanceRootLocked(staged)
 }
 
 // reproveLocked keeps, of the freshness records that were waiting when a
@@ -288,7 +244,7 @@ func (e *Enclave) reproveLocked(waiting map[uuid.UUID]uint64, at uint64) (bool, 
 		calls[i] = &storeCall{op: opProof, id: id, version: e.mkEpoch}
 	}
 	if err := e.exitLocked(calls...); err != nil {
-		return true, fmt.Errorf("%w: no freshness proof at epoch %d: %v", ErrBadProof, e.mkEpoch, err)
+		return true, fmt.Errorf("%w: no freshness proof at epoch %d: %w", ErrBadProof, e.mkEpoch, err)
 	}
 	for i, id := range ids {
 		e.metrics.proofs.Inc()
@@ -314,6 +270,25 @@ func (e *Enclave) reproveLocked(waiting map[uuid.UUID]uint64, at uint64) (bool, 
 // commit whose last exit has not been made yet.
 func (e *Enclave) rootPutQueuedLocked() bool {
 	return e.putQueuedLocked(MerkleRootObjectName)
+}
+
+// freshPendingLocked reports whether a freshness record waits for a root
+// commit no queued root put makes: one in wb.fresh or on a queued call with
+// no root put queued after it. A flush only queues, so a record waits for
+// the commit that takes it — a stale-low leaf is safe in the interim, since
+// checkFreshnessLocked only rejects versions below it — and a queued root
+// put commits what was collected before it.
+func (e *Enclave) freshPendingLocked() bool {
+	pending := len(e.wb.fresh) > 0
+	for _, c := range e.queued {
+		switch {
+		case c.op == opPut && c.name == MerkleRootObjectName:
+			pending = false
+		case len(c.fresh) > 0:
+			pending = true
+		}
+	}
+	return pending
 }
 
 // putQueuedLocked reports whether a put of the named object waits in the
@@ -352,9 +327,9 @@ func (e *Enclave) rootBatchLocked() []merkle.LeafUpdate {
 // per update, and the enclave folds each verified proof into the next
 // root (merkle.Proof.NewRoot) — O(batch · log n) work against O(1)
 // enclave state. Non-nil proofs are those the store made for the update
-// staged with the re-read (commitFreshLocked), and are used as they are:
-// the staged call ran under the root's lock, after the re-read in the same
-// exit, which made the proof service follow the store's root, so an
+// staged with the re-read (commitWithDrainLocked), and are used as they
+// are: the staged call ran under the root's lock, after the re-read in the
+// same exit, which made the proof service follow the store's root, so an
 // honest store refused a stale epoch; and the fold rejects proofs that do
 // not lead from the root the re-read found, so a lying store's fail
 // closed. Otherwise the update is made here, in an exit with the queued

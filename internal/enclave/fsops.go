@@ -605,10 +605,10 @@ func (e *Enclave) renameLocked(oldPath, newPath string) error {
 const streamPutCutoff = 4 << 20
 
 // encryptAndPutLocked seals data under f's freshly rotated contexts and
-// uploads the sealed blob to f's data object, or queues the upload. On
-// stream-capable stores, writes at or above the streaming cutoff overlap
-// chunk sealing with the upload.
-func (e *Enclave) encryptAndPutLocked(f *metadata.Filenode, data []byte, queued bool) error {
+// queues the upload of the sealed blob to f's data object. On
+// stream-capable stores, writes at or above the streaming cutoff instead
+// upload now, overlapping chunk sealing with the upload.
+func (e *Enclave) encryptAndPutLocked(f *metadata.Filenode, data []byte) error {
 	name := objName(f.DataUUID)
 	sealedLen := f.SealedSize(len(data))
 	sealed := make([]byte, sealedLen)
@@ -634,10 +634,7 @@ func (e *Enclave) encryptAndPutLocked(f *metadata.Filenode, data []byte, queued 
 		e.metrics.dataBytes.Add(int64(len(blob)))
 		return nil
 	}).data = true
-	if queued {
-		return nil
-	}
-	return e.exitLocked()
+	return nil
 }
 
 // streamPutLocked runs the encrypt-while-upload pipeline: workers seal
@@ -705,9 +702,9 @@ func (e *Enclave) timedChunkCrypto(plainLen int, fn func() ([]byte, error)) ([]b
 
 // writeContentLocked returns a copy of f holding data: inline when it
 // fits, else re-encrypted chunk by chunk under fresh keys into the data
-// object, which it uploads or, when queued, queues. f itself is left as it
-// was, so a failed upload changes nothing the next flush could seal.
-func (e *Enclave) writeContentLocked(f *metadata.Filenode, data []byte, queued bool) (*metadata.Filenode, error) {
+// object, whose upload it queues (encryptAndPutLocked). f itself is left
+// as it was, so a failed upload changes nothing the next flush could seal.
+func (e *Enclave) writeContentLocked(f *metadata.Filenode, data []byte) (*metadata.Filenode, error) {
 	next := f.Clone()
 	if len(data) <= metadata.MaxInlineSize {
 		next.SetInline(data)
@@ -718,47 +715,33 @@ func (e *Enclave) writeContentLocked(f *metadata.Filenode, data []byte, queued b
 		// before it went inline must not reach the new one.
 		next.DataUUID = uuid.New()
 	}
-	if err := e.encryptAndPutLocked(next, data, queued); err != nil {
+	if err := e.encryptAndPutLocked(next, data); err != nil {
 		return nil, err
 	}
 	return next, nil
 }
 
-// WriteFile replaces a file's contents (nexus_fs_encrypt) and re-seals its
-// filenode. Content of at most metadata.MaxInlineSize bytes is sealed in
-// the filenode itself; larger content goes to the data object, every chunk
-// re-encrypted with fresh keys. A data object the new content no longer
-// uses is deleted at the next drain.
-func (e *Enclave) WriteFile(path string, data []byte) error {
-	return e.saveFile(path, data, false, false)
-}
-
-// SaveFile is WriteFile and then SyncMetadata in one ecall: the durable
-// write of vfs's FS.WriteFile and File.Sync. With create set a missing
-// file is created first, as Touch creates it; a retry of the ecall after a
-// torn directory finds the entry it created and writes it. An overwrite of
-// a file the store holds, made while other metadata is pending, is one
-// commit with the drain, under the file's lock; otherwise the drain runs
-// once the file's lock is released.
+// SaveFile replaces a file's contents (nexus_fs_encrypt), re-seals its
+// filenode and drains the pending metadata, in one ecall: the durable write
+// of vfs's FS.WriteFile and File.Sync. Content of at most
+// metadata.MaxInlineSize bytes is sealed in the filenode itself; larger
+// content goes to the data object, every chunk re-encrypted with fresh
+// keys. A data object the new content no longer uses is deleted by the
+// drain. With create set a missing file is created first, as Touch creates
+// it; a retry of the ecall after a torn directory finds the entry it created
+// and writes it. An overwrite of a file the store holds is one commit with
+// the drain, under the file's lock.
 func (e *Enclave) SaveFile(path string, data []byte, create bool) error {
-	return e.saveFile(path, data, create, true)
-}
-
-func (e *Enclave) saveFile(path string, data []byte, create, sync bool) error {
 	return e.ecall(needAuth, func() error {
-		if err := e.writeFileLocked(path, data, create, sync); err != nil {
+		if err := e.writeFileLocked(path, data, create); err != nil {
 			return err
 		}
-		if sync {
-			return e.drainWithRetryLocked()
-		}
-		return e.maybeDrainLocked()
+		return e.drainWithRetryLocked()
 	})
 }
 
-// writeFileLocked is the body of WriteFile and SaveFile; sync is set for
-// SaveFile, whose drain an overwrite may commit with.
-func (e *Enclave) writeFileLocked(path string, data []byte, create, sync bool) error {
+// writeFileLocked is the body of SaveFile.
+func (e *Enclave) writeFileLocked(path string, data []byte, create bool) error {
 	dirs, name, err := splitPath(path)
 	if err != nil {
 		return err
@@ -797,7 +780,7 @@ func (e *Enclave) writeFileLocked(path string, data []byte, create, sync bool) e
 	// freshly rotated keys that must not sit deferred in enclave memory.
 	if n, ok := e.wb.nodes[entry.UUID]; ok && n.file != nil {
 		old := n.file
-		next, err := e.writeContentLocked(old, data, true)
+		next, err := e.writeContentLocked(old, data)
 		if err != nil {
 			return err
 		}
@@ -811,15 +794,12 @@ func (e *Enclave) writeFileLocked(path string, data []byte, create, sync bool) e
 			update()
 			return nil
 		}
-		// The data put leaves with the next exit — a SaveFile's drain's
-		// first — and the filenode takes the new content only once it is
-		// made, so a failed upload leaves the file readable as it was. The
-		// drain is not retried: a retry would commit the file without it.
+		// The data put leaves with the drain's first exit, and the filenode
+		// takes the new content only once it is made, so a failed upload
+		// leaves the file readable as it was. The drain is not retried: a
+		// retry would commit the file without it.
 		e.onSuccessLocked(update)
-		if sync {
-			return e.drainLocked()
-		}
-		return nil
+		return e.drainLocked()
 	}
 
 	defer e.lockObject(objName(entry.UUID))()
@@ -827,7 +807,7 @@ func (e *Enclave) writeFileLocked(path string, data []byte, create, sync bool) e
 	if err != nil {
 		return err
 	}
-	next, err := e.writeContentLocked(f, data, true) // rides the commit's first exit
+	next, err := e.writeContentLocked(f, data) // rides the commit's first exit
 	if err != nil {
 		return err
 	}
@@ -838,14 +818,11 @@ func (e *Enclave) writeFileLocked(path string, data []byte, create, sync bool) e
 	if f.HasDataObject() && !next.HasDataObject() {
 		e.onSuccessLocked(func() { e.stageDeleteLocked(f.DataUUID, false) })
 	}
-	if sync && (len(e.wb.nodes) > 0 || len(e.wb.deletes) > 0) {
-		// The drain's commit takes the filenode's freshness record too, and
-		// the filenode's lock is held until that commit's root put, so no
-		// peer commits the filenode in between. No retry: a retried drain
-		// would succeed without the failed filenode put.
-		return e.drainLocked()
-	}
-	return e.commitFreshLocked()
+	// The drain's commit takes the filenode's freshness record, and the
+	// filenode's lock is held until that commit's root put, so no peer
+	// commits the filenode in between. No retry: a retried drain would
+	// succeed without the failed filenode put.
+	return e.drainLocked()
 }
 
 // ReadFile returns a file's decrypted contents (nexus_fs_decrypt) after

@@ -26,8 +26,8 @@ func TestTouchWriteReadRoundTrip(t *testing.T) {
 		t.Fatalf("Touch: %v", err)
 	}
 	data := []byte("plaintext file contents")
-	if err := e.WriteFile("/hello.txt", data); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	if err := e.SaveFile("/hello.txt", data, false); err != nil {
+		t.Fatalf("SaveFile: %v", err)
 	}
 	got, err := e.ReadFile("/hello.txt")
 	if err != nil {
@@ -56,7 +56,7 @@ func TestCiphertextOnStore(t *testing.T) {
 	if err := e.Touch("/secret"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/secret", secret); err != nil {
+	if err := e.SaveFile("/secret", secret, false); err != nil {
 		t.Fatal(err)
 	}
 	names, err := env.store.mem.List("")
@@ -133,7 +133,7 @@ func TestLookupStat(t *testing.T) {
 	if err := e.Touch("/dir/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/dir/f", make([]byte, 12345)); err != nil {
+	if err := e.SaveFile("/dir/f", make([]byte, 12345), false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -167,7 +167,7 @@ func TestRemoveSemantics(t *testing.T) {
 	if err := e.Touch("/d/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/d/f", []byte("data")); err != nil {
+	if err := e.SaveFile("/d/f", []byte("data"), false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -288,7 +288,7 @@ func TestRetiredLayoutFilenodeFailsClosed(t *testing.T) {
 		if err := e.Touch(name); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.WriteFile(name, []byte("fixed chunks")); err != nil {
+		if err := e.SaveFile(name, []byte("fixed chunks"), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -330,8 +330,8 @@ func TestRetiredLayoutFilenodeFailsClosed(t *testing.T) {
 	if _, err := e.ReadFile("/f"); !errors.Is(err, metadata.ErrUnsupportedLayout) {
 		t.Fatalf("ReadFile = %v, want ErrUnsupportedLayout", err)
 	}
-	if err := e.WriteFile("/f", []byte("new")); !errors.Is(err, metadata.ErrUnsupportedLayout) {
-		t.Fatalf("WriteFile = %v, want ErrUnsupportedLayout", err)
+	if err := e.SaveFile("/f", []byte("new"), false); !errors.Is(err, metadata.ErrUnsupportedLayout) {
+		t.Fatalf("SaveFile = %v, want ErrUnsupportedLayout", err)
 	}
 	if _, err := e.Lookup("/f"); !errors.Is(err, metadata.ErrUnsupportedLayout) {
 		t.Fatalf("Lookup = %v, want ErrUnsupportedLayout", err)
@@ -369,7 +369,7 @@ func TestRenameWithinDirectory(t *testing.T) {
 	if err := e.Touch("/old"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/old", []byte("content")); err != nil {
+	if err := e.SaveFile("/old", []byte("content"), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Rename("/old", "/new"); err != nil {
@@ -401,7 +401,7 @@ func TestRenameAcrossDirectoriesReparents(t *testing.T) {
 	if err := e.Touch("/src/sub/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/src/sub/f", []byte("x")); err != nil {
+	if err := e.SaveFile("/src/sub/f", []byte("x"), false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -432,7 +432,7 @@ func TestRenameOverwritesFile(t *testing.T) {
 		if err := e.Touch(name); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.WriteFile(name, []byte(content)); err != nil {
+		if err := e.SaveFile(name, []byte(content), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -509,7 +509,7 @@ func TestHardlink(t *testing.T) {
 	if err := e.Touch("/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/f", []byte("shared")); err != nil {
+	if err := e.SaveFile("/f", []byte("shared"), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Hardlink("/f", "/d/link"); err != nil {
@@ -526,7 +526,7 @@ func TestHardlink(t *testing.T) {
 	}
 
 	// Writing through one name is visible through the other.
-	if err := e.WriteFile("/d/link", []byte("updated")); err != nil {
+	if err := e.SaveFile("/d/link", []byte("updated"), false); err != nil {
 		t.Fatal(err)
 	}
 	got, err = e.ReadFile("/f")
@@ -693,7 +693,7 @@ func TestACLReadOnlyGrant(t *testing.T) {
 		if err := e.Touch("/shared/doc"); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.WriteFile("/shared/doc", []byte("visible")); err != nil {
+		if err := e.SaveFile("/shared/doc", []byte("visible"), false); err != nil {
 			t.Fatal(err)
 		}
 		// Root needs lookup for traversal; /shared gets read.
@@ -715,7 +715,7 @@ func TestACLReadOnlyGrant(t *testing.T) {
 		t.Fatalf("Filldir = %v, %v", entries, err)
 	}
 	// Write/insert/delete remain denied.
-	if err := e.WriteFile("/shared/doc", []byte("nope")); !errors.Is(err, ErrAccessDenied) {
+	if err := e.SaveFile("/shared/doc", []byte("nope"), false); !errors.Is(err, ErrAccessDenied) {
 		t.Fatalf("write = %v", err)
 	}
 	if err := e.Touch("/shared/new"); !errors.Is(err, ErrAccessDenied) {
@@ -747,7 +747,7 @@ func TestACLRevocationTakesEffect(t *testing.T) {
 	})
 	e := env.enclave
 
-	if err := e.WriteFile("/proj/f", []byte("alice writes")); err != nil {
+	if err := e.SaveFile("/proj/f", []byte("alice writes"), false); err != nil {
 		t.Fatalf("pre-revocation write: %v", err)
 	}
 
@@ -765,7 +765,7 @@ func TestACLRevocationTakesEffect(t *testing.T) {
 	// Alice retains volume access (her key is still in the supernode)
 	// but the directory denies her.
 	env.authAs(t, env.alice)
-	if err := e.WriteFile("/proj/f", []byte("denied")); !errors.Is(err, ErrAccessDenied) {
+	if err := e.SaveFile("/proj/f", []byte("denied"), false); !errors.Is(err, ErrAccessDenied) {
 		t.Fatalf("post-revocation write = %v, want ErrAccessDenied", err)
 	}
 	if _, err := e.ReadFile("/proj/f"); !errors.Is(err, ErrAccessDenied) {
@@ -825,7 +825,7 @@ func TestGetACL(t *testing.T) {
 }
 
 // TestWriteReadChunkedTamperDetected drives the full enclave read/write
-// path (WriteFile → store → ReadFile) over many chunks, checking a
+// path (SaveFile → store → ReadFile) over many chunks, checking a
 // byte-identical round trip and that tampering with the stored data
 // object surfaces ErrTampered.
 func TestWriteReadChunkedTamperDetected(t *testing.T) {
@@ -862,8 +862,8 @@ func TestWriteReadChunkedTamperDetected(t *testing.T) {
 	if err := e.Touch("/blob"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/blob", data); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	if err := e.SaveFile("/blob", data, false); err != nil {
+		t.Fatalf("SaveFile: %v", err)
 	}
 	got, err := e.ReadFile("/blob")
 	if err != nil {

@@ -148,7 +148,7 @@ func TestGroupACLEndToEnd(t *testing.T) {
 	if err := e.Touch("/team/notes"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/team/notes", []byte("hello")); err != nil {
+	if err := e.SaveFile("/team/notes", []byte("hello"), false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -183,7 +183,7 @@ func TestGroupACLEndToEnd(t *testing.T) {
 		t.Fatalf("read = %q", data)
 	}
 	// The grant is read-only: writes stay denied.
-	if err := e.WriteFile("/team/notes", []byte("x")); !errors.Is(err, ErrAccessDenied) {
+	if err := e.SaveFile("/team/notes", []byte("x"), false); !errors.Is(err, ErrAccessDenied) {
 		t.Fatalf("group write = %v, want ErrAccessDenied", err)
 	}
 

@@ -138,7 +138,7 @@ func TestRewriteChunkedToInlineFaultSweep(t *testing.T) {
 		if err := e.Touch("/d/f"); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.WriteFile("/d/f", old); err != nil {
+		if err := e.SaveFile("/d/f", old, false); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.SyncMetadata(); err != nil {
@@ -150,7 +150,7 @@ func TestRewriteChunkedToInlineFaultSweep(t *testing.T) {
 
 		store.arm(k)
 		_, rerr := e.ReadFile("/d/f")
-		werr := e.WriteFile("/d/f", small)
+		werr := e.SaveFile("/d/f", small, false)
 		serr := e.SyncMetadata()
 		store.disarm()
 		converged := func() {
@@ -202,7 +202,7 @@ func TestRewriteChunkedToInlineFaultSweep(t *testing.T) {
 		readable("after the next drain")
 
 		if werr != nil {
-			if err := e.WriteFile("/d/f", small); err != nil {
+			if err := e.SaveFile("/d/f", small, false); err != nil {
 				t.Fatalf("k=%d: retried write: %v", k, err)
 			}
 			if err := e.SyncMetadata(); err != nil {

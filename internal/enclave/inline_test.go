@@ -81,8 +81,8 @@ func TestPendingCreateFailedUploadLeavesFileReadable(t *testing.T) {
 	}
 	store.armed.Store(true)
 	payload := sized("lost", 64<<10)
-	if err := e.WriteFile("/f", payload); !errors.Is(err, ErrStoreUnavailable) {
-		t.Fatalf("WriteFile with a failing upload = %v, want ErrStoreUnavailable", err)
+	if err := e.SaveFile("/f", payload, false); !errors.Is(err, ErrStoreUnavailable) {
+		t.Fatalf("SaveFile with a failing upload = %v, want ErrStoreUnavailable", err)
 	}
 	if err := e.SyncMetadata(); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestPendingCreateFailedUploadLeavesFileReadable(t *testing.T) {
 			t.Fatalf("%s: ReadFile after the failed write = %d bytes, %v; want the empty file", name, len(got), err)
 		}
 	}
-	if err := e.WriteFile("/f", payload); err != nil {
+	if err := e.SaveFile("/f", payload, false); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := env.freshEnclave(t, store).ReadFile("/f"); err != nil || !bytes.Equal(got, payload) {
@@ -133,14 +133,14 @@ func TestInlineFileIsOneObject(t *testing.T) {
 	if err := e.Touch("/f"); err != nil {
 		t.Fatal(err)
 	}
+	full := sized("full page", metadata.MaxInlineSize)
+	// The write's body alone, without the drain SaveFile ends with.
 	e.mu.Lock()
 	bytesBefore := e.wb.bytes
-	e.mu.Unlock()
-	full := sized("full page", metadata.MaxInlineSize)
-	if err := e.WriteFile("/f", full); err != nil {
+	if err := e.writeFileLocked("/f", full, false); err != nil {
+		e.mu.Unlock()
 		t.Fatal(err)
 	}
-	e.mu.Lock()
 	id, _ := fileEntryLocked(t, e, "/f")
 	n := e.wb.nodes[id]
 	charged, grew := n.charged, e.wb.bytes-bytesBefore
@@ -155,7 +155,7 @@ func TestInlineFileIsOneObject(t *testing.T) {
 	}
 
 	over := sized("one byte over", metadata.MaxInlineSize+1)
-	if err := e.WriteFile("/f", over); err != nil {
+	if err := e.SaveFile("/f", over, false); err != nil {
 		t.Fatal(err)
 	}
 	sync()
@@ -164,7 +164,7 @@ func TestInlineFileIsOneObject(t *testing.T) {
 	}
 	chunked := filenodeOf(t, e, "/f")
 
-	if err := e.WriteFile("/f", []byte("small again")); err != nil {
+	if err := e.SaveFile("/f", []byte("small again"), false); err != nil {
 		t.Fatal(err)
 	}
 	sync()
@@ -203,7 +203,7 @@ func TestRewriteAcrossCapDrawsFreshDataUUID(t *testing.T) {
 		write := func(tag string, size int) {
 			t.Helper()
 			for _, p := range paths {
-				if err := e.WriteFile(p, sized(tag+p, size)); err != nil {
+				if err := e.SaveFile(p, sized(tag+p, size), false); err != nil {
 					t.Fatalf("on store %v: %v", onStore, err)
 				}
 			}

@@ -177,7 +177,7 @@ func TestPropertyMerkleVsNamespaceModel(t *testing.T) {
 			path := pick(files)
 			data := make([]byte, rng.Intn(512))
 			rng.Read(data)
-			verdict("write "+path, model.write(path, data), mc.encl.WriteFile(path, data))
+			verdict("write "+path, model.write(path, data), mc.encl.SaveFile(path, data, false))
 		case r < 70: // read, removed files included
 			if len(created) == 0 {
 				continue

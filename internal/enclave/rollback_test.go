@@ -331,7 +331,7 @@ func TestMerkleModeNormalOperation(t *testing.T) {
 	if err := c.encl.Touch("/docs/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.encl.WriteFile("/docs/f", []byte("payload")); err != nil {
+	if err := c.encl.SaveFile("/docs/f", []byte("payload"), false); err != nil {
 		t.Fatal(err)
 	}
 	c.encl.DropCaches()
@@ -721,7 +721,7 @@ func TestRootTrailerTamperingFailsClosed(t *testing.T) {
 		}
 	}
 	snap := c.raw.snapshot()
-	if err := c.encl.WriteFile("/d/f0", []byte("rewritten")); err != nil {
+	if err := c.encl.SaveFile("/d/f0", []byte("rewritten"), false); err != nil {
 		t.Fatal(err)
 	}
 	honest, _, err := c.raw.GetVersioned(enclave.MerkleRootObjectName)
@@ -891,11 +891,11 @@ func TestMerkleAdoptsVolumeWrittenWithoutProofs(t *testing.T) {
 	if err := c.mount(e); err != nil {
 		t.Fatalf("mounting the proof-less volume: %v", err)
 	}
-	if err := e.WriteFile("/docs/f", []byte("adopted")); err != nil {
+	if err := e.SaveFile("/docs/f", []byte("adopted"), false); err != nil {
 		t.Fatal(err)
 	}
 	snap := raw.snapshot()
-	if err := e.WriteFile("/docs/f", []byte("adopted, then rewritten")); err != nil {
+	if err := e.SaveFile("/docs/f", []byte("adopted, then rewritten"), false); err != nil {
 		t.Fatal(err)
 	}
 	// The filenode is in the tree now: replaying its older copy fails.

@@ -113,7 +113,7 @@ func patterned(n int, seed byte) []byte {
 	return data
 }
 
-// TestStreamingWriteFileRoundTrip drives WriteFile through the
+// TestStreamingWriteFileRoundTrip drives SaveFile through the
 // encrypt-while-upload path (a payload of exactly streamPutCutoff bytes,
 // the smallest that streams): the store must receive the full sealed
 // object through the stream surface, round trips stay byte-identical,
@@ -127,11 +127,11 @@ func TestStreamingWriteFileRoundTrip(t *testing.T) {
 	if err := e.Touch("/blob"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/blob", data); err != nil {
-		t.Fatalf("WriteFile: %v", err)
+	if err := e.SaveFile("/blob", data, false); err != nil {
+		t.Fatalf("SaveFile: %v", err)
 	}
 	if store.streamPutCount() == 0 {
-		t.Fatal("WriteFile did not use the streaming put")
+		t.Fatal("SaveFile did not use the streaming put")
 	}
 	got, err := e.ReadFile("/blob")
 	if err != nil {
@@ -172,7 +172,7 @@ func TestStreamingWriteFileRoundTrip(t *testing.T) {
 }
 
 // TestStreamingPutFailureKeepsOldContent checks the failure contract of
-// the streamed path: a mid-stream error surfaces from WriteFile, the
+// the streamed path: a mid-stream error surfaces from SaveFile, the
 // store keeps the previous object version (streamed puts are atomic),
 // and a subsequent read — after the enclave drops its cached filenode
 // with the never-persisted rotated keys — returns the old contents.
@@ -184,14 +184,14 @@ func TestStreamingPutFailureKeepsOldContent(t *testing.T) {
 	if err := e.Touch("/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/f", v1); err != nil {
+	if err := e.SaveFile("/f", v1, false); err != nil {
 		t.Fatal(err)
 	}
 
 	store.setFailAfter(1024)
 	v2 := patterned(streamPutCutoff+3*streamChunkSize, 2)
-	if err := e.WriteFile("/f", v2); err == nil {
-		t.Fatal("WriteFile with mid-stream store failure succeeded")
+	if err := e.SaveFile("/f", v2, false); err == nil {
+		t.Fatal("SaveFile with mid-stream store failure succeeded")
 	}
 	store.setFailAfter(0)
 	if n := store.streamPutCount(); n != 1 {
@@ -218,7 +218,7 @@ func TestSmallWritesSkipStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	below := patterned(streamPutCutoff-1, 3)
-	if err := e.WriteFile("/small", below); err != nil {
+	if err := e.SaveFile("/small", below, false); err != nil {
 		t.Fatal(err)
 	}
 	if n := store.streamPutCount(); n != 0 {
@@ -237,7 +237,7 @@ func TestSmallWritesSkipStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := patterned(streamPutCutoff, 4)
-	if err := e2.WriteFile("/big", big); err != nil {
+	if err := e2.SaveFile("/big", big, false); err != nil {
 		t.Fatalf("cutoff-sized write on a store without a streaming put: %v", err)
 	}
 	if got, err := e2.ReadFile("/big"); err != nil || !bytes.Equal(got, big) {

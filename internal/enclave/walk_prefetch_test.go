@@ -163,7 +163,7 @@ func TestWarmWalkOneOcall(t *testing.T) {
 			if err := e.Touch(dir + "/" + f.name); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.WriteFile(dir+"/"+f.name, f.data); err != nil {
+			if err := e.SaveFile(dir+"/"+f.name, f.data, false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -462,7 +462,7 @@ func TestWalkPrefetchDroppedByLock(t *testing.T) {
 	if err := e.Touch("/d/f"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/d/f", []byte("before")); err != nil {
+	if err := e.SaveFile("/d/f", []byte("before"), false); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.ReadFile("/d/f"); err != nil {
@@ -481,7 +481,7 @@ func TestWalkPrefetchDroppedByLock(t *testing.T) {
 		if n := len(e.stash); n != 3 {
 			return fmt.Errorf("stashed %d reads, want the root, /d and the filenode", n)
 		}
-		if err := peer.WriteFile("/d/f", []byte("the peer's")); err != nil {
+		if err := peer.SaveFile("/d/f", []byte("the peer's"), false); err != nil {
 			return err
 		}
 		w, err := e.walkDirLocked([]string{"d"})

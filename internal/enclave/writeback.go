@@ -28,11 +28,12 @@ package enclave
 //
 // Deferred dirnode mutations also keep a per-node op log (insert/remove
 // by name). New objects are put without any lock; every directory the
-// store already holds is rewritten inside one commit (commitLocked,
-// DESIGN.md §12.4) under the freshness root's lock, the only lock a
-// metadata commit takes: its on-store version is re-read there and — if
-// another client advanced it meanwhile — the log is replayed onto the
-// fresh copy (last-writer-wins per name) instead of clobbering it.
+// store already holds is rewritten inside one commit
+// (commitWithDrainLocked, DESIGN.md §12.4) under the freshness root's
+// lock, the only lock a metadata commit takes: its on-store version is
+// re-read there and — if another client advanced it meanwhile — the log
+// is replayed onto the fresh copy (last-writer-wins per name) instead of
+// clobbering it.
 
 import (
 	"bytes"
@@ -117,10 +118,10 @@ type dirtySet struct {
 
 	// fresh holds the freshness updates of objects put but whose root
 	// update has not landed yet: those a widening-only commit leaves to
-	// the next root commit (commitLocked), and those of a batch that
-	// failed past its first upload; the next root commit includes them.
+	// the next root commit, and those of a batch that failed past its
+	// first upload; the next root commit includes them.
 	// freshAt is the epoch of the root the first of them was put under,
-	// and wide reports that each is a widening-only commit's (commitLocked
+	// and wide reports that each is a widening-only commit's (the commit
 	// sets it, exitLocked clears it as any other records arrive).
 	fresh   map[uuid.UUID]uint64
 	freshAt uint64
@@ -310,55 +311,6 @@ func (e *Enclave) drainWithRetryLocked() error {
 	return err
 }
 
-// commitLocked is one metadata commit (DESIGN.md §12.4), the critical
-// section every rewrite of a dirnode the store holds, or of the
-// supernode, runs in. It takes the freshness root's store lock — the one
-// lock a commit takes, whose reply revalidates the root — and re-reads
-// the root, reading ahead what fn will re-read; fn then re-reads and
-// re-bases what it rewrites and puts it; last, the root advances once for
-// every object flushed since the last commit (wb.fresh), before the single
-// unlock. When fn or the root update fails, the collected updates stay in
-// wb.fresh and the next commit includes them. Commits do not nest. A
-// filenode lock the operation needs is taken before the root lock, never
-// under it (commitFilesLocked). Its one caller is commitWithDrainLocked.
-//
-// A widening-only commit — its op only adds rights (widenLocked) — stops
-// before the root advance: its put and the unlock leave in one exit, whose
-// failure is the commit's, and its records wait in wb.fresh for the next
-// commit that advances the root. A store that rolls the object back to its
-// leaf shows a reader less access than the latest version grants, never
-// more (§15.2).
-func (e *Enclave) commitLocked(ahead []*storeCall, fn func() error) error {
-	release, released := e.lockObject(MerkleRootObjectName), false
-	defer func() {
-		if !released {
-			release()
-		}
-	}()
-	waiting, at := maps.Clone(e.wb.fresh), e.wb.freshAt
-	// Another client may have advanced the epoch since the commitment was
-	// last loaded.
-	if err := e.loadMerkleRootLocked(true, ahead...); err != nil {
-		return err
-	}
-	if _, err := e.reproveLocked(waiting, at); err != nil {
-		return err
-	}
-	if err := fn(); err != nil {
-		return err
-	}
-	if e.wb.widened {
-		// What waited was a widening-only commit's, and the exit makes only
-		// this one's calls: the root's re-read took what was queued before.
-		release()
-		released = true
-		err := e.exitLocked()
-		e.wb.wide = true
-		return err
-	}
-	return e.advanceRootLocked(nil)
-}
-
 // widenLocked is called by a commit's op whose change only adds rights —
 // an ACL entry given a superset of its rights — before it seals what it
 // changed. It reports whether the commit is then widening-only: it drains
@@ -372,22 +324,29 @@ func (e *Enclave) widenLocked() bool {
 }
 
 // drainLocked flushes the whole dirty set: a commit with nothing of its
-// own (commitWithDrainLocked). On failure the un-flushed portion of the set
-// is left intact for retry.
+// own (commitWithDrainLocked). It also commits the freshness records of
+// puts its caller queued outside a commit — an overwrite's filenode, a new
+// volume's objects. On failure the un-flushed portion of the set is left
+// intact for retry.
 func (e *Enclave) drainLocked() error {
-	// A queued root put commits wb.fresh by itself.
-	if len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && (len(e.wb.fresh) == 0 || e.rootPutQueuedLocked()) {
+	if len(e.wb.nodes) == 0 && len(e.wb.deletes) == 0 && !e.freshPendingLocked() {
 		return nil
 	}
 	return e.commitWithDrainLocked(nil, nil)
 }
 
-// commitWithDrainLocked is the one commit of a barrier op — Rename,
-// Hardlink, SetACL, the supernode changes and the unlink of a file with
-// other links — and of a drain (fn nil): the op's change and everything the
-// dirty set holds, its nodes, staged deletes and freshness records, leave
-// together, under the locks the op already holds, and the root is locked,
-// re-read, advanced and put once (DESIGN.md §12.4).
+// commitWithDrainLocked is the one metadata commit (DESIGN.md §12.4): that
+// of a barrier op — Rename, Hardlink, SetACL, the supernode changes and the
+// unlink of a file with other links — and of a drain (fn nil). The op's
+// change and everything the dirty set holds, its nodes, staged deletes and
+// freshness records, leave together, under the locks the op already holds.
+// It takes the freshness root's store lock — the one lock a commit takes,
+// whose reply revalidates the root — re-reads the root, advances it once
+// for every object flushed since the last commit, and puts it before the
+// single unlock. When the commit fails, the collected records stay in
+// wb.fresh and the next commit includes them. Commits do not nest. A
+// filenode lock the operation needs is taken before the root lock, never
+// under it (commitFilesLocked).
 //
 // The dirnodes the store holds are re-read with the root, in its exit, and
 // re-based first, so fn walks and changes their latest versions. fn then
@@ -400,10 +359,28 @@ func (e *Enclave) drainLocked() error {
 // before a count drops); then the other dirnodes; the staged deletes last.
 // A dirty node fn puts itself leaves the set with the rest.
 //
+// A drain with no dirty node or staged delete, whose caller queued puts
+// that carry freshness records — an overwrite's filenode, a new volume's
+// objects — commits those records (and wb.fresh) alone, and is no flush
+// batch. It knows its whole batch before the root's re-read, so its
+// freshness update is staged as the last call of the re-read's exit, unless
+// a queued root put moves the epoch first; the staged proofs are dropped
+// when the re-read finds the root moved and the waiting records are proved
+// again.
+//
+// A widening-only commit — its op only adds rights (widenLocked) — stops
+// before the root advance: its put and the unlock leave in one exit, whose
+// failure is the commit's, and its records wait in wb.fresh for the next
+// commit that advances the root. A store that rolls the object back to its
+// leaf shows a reader less access than the latest version grants, never
+// more (§15.2).
+//
 // If the commit fails, each dirty node fn reached is put back as it was
 // before fn changed it: the op fails whole, and the set stays as it was.
-func (e *Enclave) commitWithDrainLocked(ahead []*storeCall, fn func() error) error {
-	drain := fn == nil || len(e.wb.nodes) > 0 || len(e.wb.deletes) > 0
+func (e *Enclave) commitWithDrainLocked(ahead []*storeCall, fn func() error) (err error) {
+	dirty := len(e.wb.nodes) > 0 || len(e.wb.deletes) > 0
+	freshOnly := fn == nil && !dirty && slices.ContainsFunc(e.queued, func(c *storeCall) bool { return len(c.fresh) > 0 })
+	drain := !freshOnly && (fn == nil || dirty)
 	if drain {
 		span := e.metrics.tracer.Begin("enclave.flush_batch")
 		span.SetTagInt("objects", int64(len(e.wb.nodes)))
@@ -412,62 +389,112 @@ func (e *Enclave) commitWithDrainLocked(ahead []*storeCall, fn func() error) err
 		defer span.End()
 	}
 	e.wb.undo = make(map[uuid.UUID]*dirtyNode)
-	defer func() { e.wb.undo, e.wb.widened = nil, false }()
-	err := e.commitLocked(append(e.drainAheadLocked(), ahead...), func() error {
-		for _, id := range e.dirtyOrderLocked(false) {
-			if err := e.rebaseDirtyDirnodeLocked(id, e.wb.nodes[id]); err != nil {
-				return err
-			}
-		}
-		if fn != nil {
-			if err := fn(); err != nil {
-				return err
-			}
-		}
-		// What is queued now is fn's: the root's re-read took the rest.
-		own := e.queued
-		e.queued = nil
-		ownNew, err := e.flushDirtyNodesLocked(true, own)
+	defer func() {
 		if err != nil {
-			return err
-		}
-		e.queued = append(e.queued, own...)
-		for _, id := range ownNew {
-			e.onSuccessLocked(func() { e.dropDirtyNodeLocked(id) })
-		}
-		if _, err := e.flushDirtyNodesLocked(false, own); err != nil {
-			return err
-		}
-		// Deferred deletes, FIFO, last — nothing on the store references
-		// these objects any more.
-		for _, del := range e.wb.deletes {
-			var fresh map[uuid.UUID]uint64
-			if del.meta {
-				fresh = map[uuid.UUID]uint64{del.id: 0}
-			}
-			e.deleteObject(objName(del.id), fresh, func(c *storeCall) error {
-				if c.err == nil {
-					e.wb.deletes = e.wb.deletes[1:]
-					delete(e.wb.delSeen, del.id)
+			for id, saved := range e.wb.undo {
+				if n, ok := e.wb.nodes[id]; ok {
+					n.dir, n.file = saved.dir, saved.file
 				}
-				return c.err
-			})
-		}
-		if drain {
-			e.wb.ops, e.wb.bytes, e.wb.pressure = 0, 0, false
-			e.metrics.flushBatches.Inc()
-			e.metrics.dirtyGauge.Set(0)
-		}
-		return nil
-	})
-	if err != nil {
-		for id, saved := range e.wb.undo {
-			if n, ok := e.wb.nodes[id]; ok {
-				n.dir, n.file = saved.dir, saved.file
 			}
+		}
+		e.wb.undo, e.wb.widened = nil, false
+	}()
+
+	release, released := e.lockObject(MerkleRootObjectName), false
+	defer func() {
+		if !released {
+			release()
+		}
+	}()
+	waiting, at := maps.Clone(e.wb.fresh), e.wb.freshAt
+	ahead = append(e.drainAheadLocked(), ahead...)
+	var staged [][]byte
+	if freshOnly && !e.rootPutQueuedLocked() {
+		epoch, batch := e.mkEpoch, e.rootBatchLocked()
+		var proofs [][]byte
+		ahead = append(ahead, &storeCall{op: opRun, run: func() (err error) {
+			proofs, err = e.store.FreshnessUpdate(epoch, batch)
+			return err
+		}, done: func(c *storeCall) error {
+			if c.err == nil {
+				staged = proofs
+			}
+			return nil // a failed staging only makes advanceRootLocked ask again
+		}})
+	}
+	// Another client may have advanced the epoch since the commitment was
+	// last loaded.
+	if err := e.loadMerkleRootLocked(true, ahead...); err != nil {
+		return err
+	}
+	reproved, err := e.reproveLocked(waiting, at)
+	if err != nil {
+		return err
+	}
+	if reproved {
+		staged = nil // staged before the root moved: the batch is asked again
+	}
+
+	for _, id := range e.dirtyOrderLocked(false) {
+		if err := e.rebaseDirtyDirnodeLocked(id, e.wb.nodes[id]); err != nil {
+			return err
 		}
 	}
-	return err
+	if fn != nil {
+		if err := fn(); err != nil {
+			return err
+		}
+	}
+	// What is queued now is fn's: the root's re-read took the rest.
+	own := e.queued
+	e.queued = nil
+	ownNew, err := e.flushDirtyNodesLocked(true, own)
+	if err != nil {
+		return err
+	}
+	e.queued = append(e.queued, own...)
+	for _, id := range ownNew {
+		e.onSuccessLocked(func() { e.dropDirtyNodeLocked(id) })
+	}
+	if _, err := e.flushDirtyNodesLocked(false, own); err != nil {
+		return err
+	}
+	// Deferred deletes, FIFO, last — nothing on the store references
+	// these objects any more. A commit of its caller's records alone puts
+	// nothing of the set: a delete staged in its re-read's exit (an
+	// overwrite's old data object) waits for the drain after it.
+	for _, del := range e.wb.deletes {
+		if freshOnly {
+			break
+		}
+		var fresh map[uuid.UUID]uint64
+		if del.meta {
+			fresh = map[uuid.UUID]uint64{del.id: 0}
+		}
+		e.deleteObject(objName(del.id), fresh, func(c *storeCall) error {
+			if c.err == nil {
+				e.wb.deletes = e.wb.deletes[1:]
+				delete(e.wb.delSeen, del.id)
+			}
+			return c.err
+		})
+	}
+	if drain {
+		e.wb.ops, e.wb.bytes, e.wb.pressure = 0, 0, false
+		e.metrics.flushBatches.Inc()
+		e.metrics.dirtyGauge.Set(0)
+	}
+
+	if e.wb.widened {
+		// What waited was a widening-only commit's, and the exit makes only
+		// this one's calls: the root's re-read took what was queued before.
+		release()
+		released = true
+		err := e.exitLocked()
+		e.wb.wide = true
+		return err
+	}
+	return e.advanceRootLocked(staged)
 }
 
 // drainAheadLocked names the reads a commit's re-bases make, to ride the
@@ -699,12 +726,11 @@ func (e *Enclave) removeWritebackLocked(w walkResult, dirs []string, path, name 
 		if child.EntryCount() != 0 {
 			return fmt.Errorf("%w: %s", ErrNotEmpty, path)
 		}
-		if n, ok := e.wb.nodes[entry.UUID]; ok && n.isNew {
-			// The store never saw it: cancelling the pending create is
-			// the whole removal.
-			e.dropDirtyNodeLocked(entry.UUID)
-		} else {
-			e.dropDirtyNodeLocked(entry.UUID)
+		// A pending create the store never saw is cancelled, and that is
+		// the whole removal.
+		n, pending := e.wb.nodes[entry.UUID]
+		e.dropDirtyNodeLocked(entry.UUID)
+		if !pending || !n.isNew {
 			// In-memory Refs name on-store buckets (UUIDs are only
 			// reassigned at flush) or never-stored ones, whose staged
 			// deletes are tolerated as missing.

@@ -302,7 +302,8 @@ func TestWritebackFlushBatchFaultSweep(t *testing.T) {
 }
 
 // TestChaosWritebackKillMidFlush kills the store at a seeded random
-// ocall during a write-back drain of a mixed create workload, restarts
+// store call during a write-back drain of a new directory and the files
+// created in it, restarts
 // (fresh enclave, surviving store), and asserts the tree is readable
 // and untorn; then the writer retries and both views converge.
 func TestChaosWritebackKillMidFlush(t *testing.T) {
@@ -320,9 +321,6 @@ func TestChaosWritebackKillMidFlush(t *testing.T) {
 		for i := 0; i < files; i++ {
 			p := fmt.Sprintf("/d/f%02d", i)
 			if err := e.Touch(p); err != nil {
-				t.Fatal(err)
-			}
-			if err := e.WriteFile(p, []byte(fmt.Sprintf("round %d file %d", round, i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -363,13 +361,12 @@ func TestChaosWritebackKillMidFlush(t *testing.T) {
 		}
 		for i := 0; i < files; i++ {
 			p := fmt.Sprintf("/d/f%02d", i)
-			want := fmt.Sprintf("round %d file %d", round, i)
 			got, err := fresh2.ReadFile(p)
 			if err != nil {
 				t.Fatalf("round %d: %s: %v", round, p, err)
 			}
-			if string(got) != want {
-				t.Fatalf("round %d: %s = %q, want %q", round, p, got, want)
+			if len(got) != 0 {
+				t.Fatalf("round %d: %s = %q, want it empty", round, p, got)
 			}
 		}
 	}
@@ -499,10 +496,10 @@ func TestPropertyDrainLimitInvariant(t *testing.T) {
 				err = e.Mkdir(o.path)
 			case 'c':
 				if err = e.Touch(o.path); err == nil {
-					err = e.WriteFile(o.path, []byte(o.content))
+					err = e.SaveFile(o.path, []byte(o.content), false)
 				}
 			case 'w':
-				err = e.WriteFile(o.path, []byte(o.content))
+				err = e.SaveFile(o.path, []byte(o.content), false)
 			case 'r':
 				err = e.Remove(o.path)
 			}
@@ -589,7 +586,7 @@ func TestEPCReturnsToZeroAfterRemove(t *testing.T) {
 				if err := e.Touch(p); err != nil {
 					t.Fatal(err)
 				}
-				if err := e.WriteFile(p, []byte("payload")); err != nil {
+				if err := e.SaveFile(p, []byte("payload"), false); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -630,9 +627,6 @@ func TestWritebackFlushReduction(t *testing.T) {
 			if err := e.Touch(p); err != nil {
 				t.Fatal(err)
 			}
-			if err := e.WriteFile(p, []byte("x")); err != nil {
-				t.Fatal(err)
-			}
 		}
 		if err := e.SyncMetadata(); err != nil {
 			t.Fatal(err)
@@ -643,10 +637,9 @@ func TestWritebackFlushReduction(t *testing.T) {
 	perOp := run(1)
 	// Batched, the drain seals each new filenode, the directory — one
 	// object — and the Merkle root once; per op, a create seals the
-	// filenode, the directory and the root, and the write the filenode and
-	// the root again.
-	if batched != files+2 || perOp != 5*files {
-		t.Fatalf("flushes: batched %d, per-op %d; want %d and %d", batched, perOp, files+2, 5*files)
+	// filenode, the directory and the root.
+	if batched != files+2 || perOp != 3*files {
+		t.Fatalf("flushes: batched %d, per-op %d; want %d and %d", batched, perOp, files+2, 3*files)
 	}
 	if float64(batched) >= 0.7*float64(perOp) {
 		t.Fatalf("batched used %d flushes vs per-op %d; want < 70%%", batched, perOp)
@@ -741,7 +734,7 @@ func TestWritebackRemovePendingCreateLeavesNoResidue(t *testing.T) {
 	if err := e.Touch("/ghost"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/ghost", []byte("ectoplasm")); err != nil {
+	if err := e.SaveFile("/ghost", []byte("ectoplasm"), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Remove("/ghost"); err != nil {
@@ -896,7 +889,7 @@ func TestWritebackRemoveVariants(t *testing.T) {
 	if err := e.Touch("/file"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/file", []byte("payload")); err != nil {
+	if err := e.SaveFile("/file", []byte("payload"), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.SyncMetadata(); err != nil {
@@ -913,7 +906,7 @@ func TestWritebackRemoveVariants(t *testing.T) {
 	if err := e.Touch("/h"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteFile("/h", []byte("linked")); err != nil {
+	if err := e.SaveFile("/h", []byte("linked"), false); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Hardlink("/h", "/h2"); err != nil {
@@ -991,8 +984,8 @@ func TestWritebackEPCPressureForcesDrain(t *testing.T) {
 	if err := e.Touch("/pressured"); err != nil {
 		t.Fatalf("Touch under EPC pressure: %v", err)
 	}
-	if err := e.WriteFile("/pressured", []byte("uncached")); err != nil {
-		t.Fatalf("WriteFile under EPC pressure: %v", err)
+	if err := e.SaveFile("/pressured", []byte("uncached"), false); err != nil {
+		t.Fatalf("SaveFile under EPC pressure: %v", err)
 	}
 	if got, err := e.ReadFile("/pressured"); err != nil || string(got) != "uncached" {
 		t.Fatalf("ReadFile under EPC pressure = %q, %v", got, err)

@@ -136,29 +136,7 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vol, _, err := client.CreateVolume(owner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := vol.FS()
 	sgx := client.Enclave().SGX()
-	// A 4 KiB file is above metadata.MaxInlineSize: a filenode and a data
-	// object, as local_mixed's small files are.
-	content := func(b byte) []byte { return bytes.Repeat([]byte{b}, 4<<10) }
-	for _, dir := range []string{"/a", "/b"} {
-		if err := fs.MkdirAll(dir); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range []string{"/a/f", "/a/g", "/a/h", "/a/k"} {
-		if err := fs.WriteFile(p, content('x')); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fs.ReadFile(p); err != nil { // warms the filenode
-			t.Fatal(err)
-		}
-	}
-
 	check := func(what string, want []string, crossings [2]int64, op func() error) {
 		t.Helper()
 		rec.take()
@@ -175,6 +153,35 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 		}
 	}
 	commitTail := []string{"update(1)", "put root", "unlock root"}
+
+	// A new volume is two commits, the root directory's and then the
+	// supernode's; the first's root put leaves in the second's re-read
+	// exit. The mount that follows reads the supernode and its proof.
+	var vol *nexus.Volume
+	check("create volume", append(append([]string{"put dir", "lock root", "get root"}, commitTail...),
+		"put super", "lock root", "get root", "proof dir", "update(1)", "put root", "unlock root",
+		"get super", "proof ?",
+	), [2]int64{3, 8}, func() (err error) {
+		vol, _, err = client.CreateVolume(owner)
+		return err
+	})
+	fs := vol.FS()
+	// A 4 KiB file is above metadata.MaxInlineSize: a filenode and a data
+	// object, as local_mixed's small files are.
+	content := func(b byte) []byte { return bytes.Repeat([]byte{b}, 4<<10) }
+	for _, dir := range []string{"/a", "/b"} {
+		if err := fs.MkdirAll(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"/a/f", "/a/g", "/a/h", "/a/k"} {
+		if err := fs.WriteFile(p, content('x')); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.ReadFile(p); err != nil { // warms the filenode
+			t.Fatal(err)
+		}
+	}
 
 	check("overwrite", append([]string{
 		"get dir", "get dir", "lock fn", "get fn", "put data", "put fn", "lock root", "get root",
