@@ -517,21 +517,27 @@ const (
 // makes the sgx.Ecall transition, takes mu, checks authentication when
 // auth is needAuth, runs bodyLocked and always ends in leaveLocked.
 //
-// A body that observed a torn directory snapshot — an overflow bucket
-// whose MAC does not match the main object's record, or one that is gone
-// — is run again, a bounded number of times. Writers put a dirnode's
-// overflow buckets and then its main object as separate store writes, and
-// the storage layer's invalidations propagate per object, so an unlocked
-// reader can see a fresh bucket against a stale main object, or outlive
-// the buckets of the main object it fetched; the store then already holds
-// a newer main object, which the retried walk fetches — unless the copy
-// that named the bucket is this enclave's own dirty write-back shadow,
-// which every walk would return again: that one is re-based on the
-// store's main object first, in a transition of its own. (A directory
-// that fits bucket 0 is one object and cannot tear.) Such an error always
-// precedes any side effect, so the whole operation is safe to retry; a
-// persistent one is the real signal — a rolled back, substituted or
-// withheld bucket (§V-B) — and is returned. Store faults
+// A body that observed a torn snapshot — an overflow bucket whose MAC
+// does not match the main object's record, or one that is gone, or a data
+// object that is gone or fails against its filenode — is run again, a
+// bounded number of times. Writers put a dirnode's overflow buckets and
+// then its main object, and a file's data object and then its filenode,
+// as separate store writes, and the storage layer's invalidations
+// propagate per object, so an unlocked reader can see a fresh bucket or
+// data object against a stale main object or filenode, or outlive the
+// objects the copy it fetched names; the store then already holds a newer
+// copy, which the retried walk fetches — unless the copy that named the
+// bucket is this enclave's own dirty write-back shadow, which every walk
+// would return again: that one is re-based on the store's main object
+// first, in a transition of its own. That transition also re-reads the
+// freshness root: a torn read means a peer committed since the copies
+// the walk fetched, and a store that answers unlocked reads from the
+// snapshot of the last root it served moves on only when a read of the
+// root shows it the peer's (DESIGN.md §11.5). (A directory that fits
+// bucket 0 and an inline file are one object and cannot tear.)
+// Such an error always precedes any side effect, so the whole operation
+// is safe to retry; a persistent one is the real signal — a rolled back,
+// substituted or withheld object (§V-B) — and is returned. Store faults
 // (ErrStoreUnavailable) are not retried: a mutation that died with
 // unknown outcome must surface so the caller can re-validate.
 func (e *Enclave) ecall(auth bool, bodyLocked func() error) error {
@@ -552,13 +558,16 @@ func (e *Enclave) ecall(auth bool, bodyLocked func() error) error {
 			}
 			return bodyLocked()
 		})
-		var torn *tornDirError
+		var torn *tornError
 		if err == nil || attempt >= 3 || !errors.As(err, &torn) {
 			return err
 		}
 		// Give the lagging invalidation a moment to land.
 		time.Sleep(time.Duration(attempt+1) * time.Millisecond)
 		if rerr := enter(func() error {
+			if err := e.loadMerkleRootLocked(true); err != nil {
+				return err
+			}
 			if n, ok := e.wb.nodes[torn.dir]; ok && n.dir != nil && !n.isNew {
 				return e.rebaseDirtyDirnodeLocked(torn.dir, n)
 			}

@@ -141,6 +141,16 @@ func (e *Enclave) loadMerkleRootLocked(force bool, ahead ...*storeCall) error {
 	return nil
 }
 
+// Revalidate re-reads the freshness root, so that the reads after it see
+// every commit made before it, a peer's included. vfs.FS.Open calls it
+// before reading the file: a store that answers unlocked reads from the
+// snapshot of the last root it served moves to the newer root only when
+// a read of the root shows it one (vfs.VersionedStore), and a handle
+// written back at close must start from the latest committed content.
+func (e *Enclave) Revalidate() error {
+	return e.ecall(needAuth, func() error { return e.loadMerkleRootLocked(true) })
+}
+
 // FreshnessEpoch returns the newest root commitment this enclave has
 // accepted; ok is false before any has been loaded or committed. A
 // process that is about to exit keeps it (outside the store) and hands

@@ -852,13 +852,22 @@ func (e *Enclave) ReadFile(path string) ([]byte, error) {
 			out = append([]byte{}, f.Inline...)
 			return nil
 		}
+		// A data object gone or failing against its filenode is torn when
+		// the filenode is older than the store's: a peer rewrote the file
+		// since the copy this walk fetched (ecall).
 		blob, _, err := e.fetch(storeCall{op: opGet, name: objName(f.DataUUID), data: true})
+		if isNotExist(err) {
+			return &tornError{err: fmt.Errorf("fetching data object: %w", err)}
+		}
 		if err != nil {
 			return fmt.Errorf("fetching data object: %w", err)
 		}
 		out, err = e.timedChunkCrypto(int(f.Size), func() ([]byte, error) {
 			return f.DecryptContent(blob)
 		})
+		if errors.Is(err, metadata.ErrTampered) {
+			return &tornError{err: err}
+		}
 		return err
 	})
 	if err != nil {

@@ -600,17 +600,19 @@ func (e *Enclave) openBlobChecked(id uuid.UUID, blob []byte, wantType metadata.O
 	return p, body, nil
 }
 
-// tornDirError is a torn directory snapshot — an overflow bucket that is
-// gone or does not match the main object's record — tagged with the
-// directory whose copy named the bucket, so the retry can tell a dirty
-// shadow from a copy the next fetch replaces (ecall).
-type tornDirError struct {
+// tornError is a torn snapshot: an overflow bucket that is gone or does
+// not match the main object's record, or a data object that is gone or
+// fails against the filenode that named it. It is tagged with the
+// directory whose copy named the bucket (nil for a data object), so the
+// retry can tell a dirty shadow from a copy the next fetch replaces
+// (ecall).
+type tornError struct {
 	dir uuid.UUID
 	err error
 }
 
-func (t *tornDirError) Error() string { return t.err.Error() }
-func (t *tornDirError) Unwrap() error { return t.err }
+func (t *tornError) Error() string { return t.err.Error() }
+func (t *tornError) Unwrap() error { return t.err }
 
 // bucketLoaderFor returns a loader that fetches, verifies (including the
 // main dirnode's recorded MAC, §V-B) and decodes d's overflow buckets.
@@ -619,7 +621,7 @@ func (e *Enclave) bucketLoaderFor(d *metadata.Dirnode) func(i int) (*metadata.Bu
 		ref := d.Refs[i]
 		blob, _, err := e.fetchObject(objName(ref.UUID))
 		if isNotExist(err) {
-			return nil, &tornDirError{dir: d.UUID, err: fmt.Errorf("fetching bucket %s of dirnode %s: %w: %w",
+			return nil, &tornError{dir: d.UUID, err: fmt.Errorf("fetching bucket %s of dirnode %s: %w: %w",
 				ref.UUID, d.UUID, errBucketGone, err)}
 		}
 		if err != nil {
@@ -630,7 +632,7 @@ func (e *Enclave) bucketLoaderFor(d *metadata.Dirnode) func(i int) (*metadata.Bu
 			return nil, err
 		}
 		if !bytes.Equal(tag[:], ref.MAC[:]) {
-			return nil, &tornDirError{dir: d.UUID, err: fmt.Errorf("%w: bucket %s of dirnode %s",
+			return nil, &tornError{dir: d.UUID, err: fmt.Errorf("%w: bucket %s of dirnode %s",
 				metadata.ErrBucketMACMismatch, ref.UUID, d.UUID)}
 		}
 		_, body, err := e.openBlobVerified(ref.UUID, blob, metadata.TypeDirBucket, d.UUID)

@@ -359,14 +359,14 @@ func (e *Enclave) drainLocked() error {
 // before a count drops); then the other dirnodes; the staged deletes last.
 // A dirty node fn puts itself leaves the set with the rest.
 //
-// A drain with no dirty node or staged delete, whose caller queued puts
-// that carry freshness records — an overwrite's filenode, a new volume's
-// objects — commits those records (and wb.fresh) alone, and is no flush
-// batch. It knows its whole batch before the root's re-read, so its
-// freshness update is staged as the last call of the re-read's exit, unless
-// a queued root put moves the epoch first; the staged proofs are dropped
-// when the re-read finds the root moved and the waiting records are proved
-// again.
+// A drain with no dirty node or staged delete commits freshness records
+// alone: those of puts its caller queued — an overwrite's filenode, a new
+// volume's objects; such a drain is no flush batch — and those waiting in
+// wb.fresh, as a widening-only commit leaves them. It knows its whole batch
+// before the root's re-read, so its freshness update is staged as the last
+// call of the re-read's exit, unless a queued root put moves the epoch
+// first; the staged proofs are dropped when the re-read finds the root
+// moved and the waiting records are proved again.
 //
 // A widening-only commit — its op only adds rights (widenLocked) — stops
 // before the root advance: its put and the unlock leave in one exit, whose
@@ -409,7 +409,7 @@ func (e *Enclave) commitWithDrainLocked(ahead []*storeCall, fn func() error) (er
 	waiting, at := maps.Clone(e.wb.fresh), e.wb.freshAt
 	ahead = append(e.drainAheadLocked(), ahead...)
 	var staged [][]byte
-	if freshOnly && !e.rootPutQueuedLocked() {
+	if fn == nil && !dirty && !e.rootPutQueuedLocked() {
 		epoch, batch := e.mkEpoch, e.rootBatchLocked()
 		var proofs [][]byte
 		ahead = append(ahead, &storeCall{op: opRun, run: func() (err error) {

@@ -10,6 +10,7 @@ import (
 
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
+	"nexus/internal/metadata"
 	"nexus/internal/sgx"
 )
 
@@ -91,10 +92,13 @@ func newFlakyFS(t *testing.T) (*FS, *flakyStore) {
 }
 
 // Storage faults must reach applications as typed, matchable errors:
-// the enclave sentinel on top, the backend sentinel underneath.
+// the enclave sentinel on top, the backend sentinel underneath. /pre is
+// above the inline cap, so its read fetches its data object, which the
+// adapter never keeps: the read needs the dead store.
 func TestStoreFaultsSurfaceTyped(t *testing.T) {
 	fs, flaky := newFlakyFS(t)
-	if err := fs.WriteFile("/pre", []byte("before the outage")); err != nil {
+	pre := bytes.Repeat([]byte("before the outage "), metadata.MaxInlineSize/16)
+	if err := fs.WriteFile("/pre", pre); err != nil {
 		t.Fatal(err)
 	}
 

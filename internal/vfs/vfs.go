@@ -37,35 +37,52 @@ import (
 // client implements the surface natively (versions come from the
 // server); this adapter covers local directory and in-memory volumes.
 //
-// The enclave re-fetches every directory on a path on every operation
-// and, when the version is the one its decrypted copy came from, throws
-// the bytes away. The versions here are this adapter's own counters, so
-// the backing-store read behind such a fetch decides nothing; the adapter
-// answers it from the sealed bytes of the dirnode as it last read or
-// wrote it — the part the AFS client's cache plays over the network.
+// The enclave re-fetches every directory on a path, and the filenode of
+// the file it stats or reads, on every operation and, when the version is
+// the one its decrypted copy came from, throws the bytes away. The
+// versions here are this adapter's own counters, so the backing-store
+// read behind such a fetch decides nothing; the adapter answers it from
+// the sealed bytes of the dirnode or filenode as it last read or wrote it
+// — the part the AFS client's cache plays over the network. What it
+// serves is the snapshot of the last freshness root it passed up: a read
+// of freshtree.RootObjectName that returns a root at another sealed
+// version (epoch) than the one this adapter last put or read means a peer
+// on another adapter over the same backing store committed since, so
+// every kept copy is dropped then, whatever else crossed the read. A copy
+// kept past a peer's root would meet the newer root's leaf and fail as a
+// rollback.
+//
 // What does look at the bytes whatever the version says is a re-read
-// under a store lock, made because a peer on another adapter over the
-// same backing store may have put since: while this adapter holds any
-// lock, every fetch reads the backing store. Only dirnode main objects
-// are kept: an overflow bucket is checked against the MAC a possibly
-// fresher main object records, and everything else is small. An unlocked
-// read sees a peer adapter's put to a directory only after this adapter
-// next fetches it under a lock or writes it (it never saw one while the
-// enclave held its decrypted copy); clients in one process over one
-// backing store should share one adapter.
+// under a store lock: while this adapter holds any lock, every fetch
+// reads the backing store. Never kept: an overflow bucket, whose MAC a
+// possibly fresher main object records, so a stale kept bucket would be a
+// torn read on every fetch; a data object, checked against its filenode's
+// key with the same hazard, and up to a chunk in size; the supernode,
+// which a mount reads before the root, so a stale kept copy would meet a
+// newer root; and the root itself.
+//
+// An unlocked read sees a peer adapter's put only once this adapter has
+// read the root the peer committed with it. The adapter relies on the
+// enclave to read the root at the points DESIGN.md §11.5 lists: a commit,
+// a mount, a failed proof, Enclave.Revalidate — which FS.Open calls, so a
+// handle starts from the latest committed content — and the retry of a
+// read torn by the peer's rewrite. Until then Stat, ReadDir and a
+// path-level ReadFile of an inline file answer from the snapshot. Clients
+// in one process over one backing store should share one adapter.
 type VersionedStore struct {
 	store  backend.Store
 	tracer *obs.Tracer
 
 	mu        sync.Mutex
 	versions  map[string]uint64 // guarded by mu
-	writes    uint64            // puts and deletes begun plus ended; guarded by mu
+	writes    uint64            // puts and deletes begun plus ended, and roots that moved; guarded by mu
 	held      int               // store locks this adapter holds; guarded by mu
-	kept      map[string][]byte // sealed dirnodes; guarded by mu
+	root      uint64            // sealed version of the root last put or read; guarded by mu
+	kept      map[string][]byte // sealed dirnodes and filenodes; guarded by mu
 	keptBytes int               // guarded by mu
 }
 
-// keptBudget bounds the kept dirnode bytes; past it the adapter drops
+// keptBudget bounds the kept metadata bytes; past it the adapter drops
 // them all and starts over, as the enclave's own metadata cache does.
 const keptBudget = 16 << 20
 
@@ -118,12 +135,40 @@ func (s *VersionedStore) GetVersioned(name string) ([]byte, uint64, error) {
 	}
 	s.mu.Lock()
 	v = s.versions[name]
-	// What was read is what the store holds if no write crossed the read.
-	if s.writes == began {
+	if name == freshtree.RootObjectName {
+		s.seeRootLocked(data)
+	} else if s.writes == began {
+		// What was read is what the store holds: no write crossed the read.
 		s.keepLocked(name, data)
 	}
 	s.mu.Unlock()
 	return data, v, nil
+}
+
+// seeRootLocked takes frame, just read, as the root whose snapshot the
+// kept copies are. A root at another sealed version — another epoch — than
+// the last one put or read drops them all: a peer committed since. It
+// counts as a write, so a read that crossed it, and may have fetched what
+// the new root supersedes, keeps nothing.
+func (s *VersionedStore) seeRootLocked(frame []byte) {
+	v := rootVersion(frame)
+	if v != 0 && v == s.root {
+		return
+	}
+	clear(s.kept)
+	s.keptBytes = 0
+	s.writes++
+	s.root = v
+}
+
+// rootVersion is the sealed version of a root frame, the epoch it commits
+// to, or 0 for bytes that are no sealed object.
+func rootVersion(frame []byte) uint64 {
+	p, err := metadata.PeekPreamble(frame)
+	if err != nil {
+		return 0
+	}
+	return p.Version
 }
 
 // PutVersioned implements enclave.ObjectStore. Every put ends by
@@ -143,10 +188,19 @@ func (s *VersionedStore) PutVersioned(name string, data []byte) (uint64, error) 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.writes++
-	if err != nil || s.writes != began+1 {
-		data = nil
+	switch {
+	case name == freshtree.RootObjectName:
+		// The root is put under its store lock, so no put of it crossed
+		// this one, and one that failed left the store as it was or landed:
+		// the next read tells.
+		if err == nil {
+			s.root = rootVersion(data)
+		}
+	case err != nil || s.writes != began+1:
+		s.keepLocked(name, nil)
+	default:
+		s.keepLocked(name, data)
 	}
-	s.keepLocked(name, data)
 	if err != nil {
 		return 0, err
 	}
@@ -155,11 +209,11 @@ func (s *VersionedStore) PutVersioned(name string, data []byte) (uint64, error) 
 }
 
 // keepLocked replaces the kept copy of name with data if data is a
-// sealed dirnode, and drops it otherwise.
+// sealed dirnode or filenode, and drops it otherwise.
 func (s *VersionedStore) keepLocked(name string, data []byte) {
 	s.keptBytes -= len(s.kept[name])
 	delete(s.kept, name)
-	if p, err := metadata.PeekPreamble(data); err != nil || p.Type != metadata.TypeDirnode {
+	if p, err := metadata.PeekPreamble(data); err != nil || p.Type != metadata.TypeDirnode && p.Type != metadata.TypeFilenode {
 		return
 	}
 	if s.keptBytes+len(data) > keptBudget {
@@ -533,6 +587,12 @@ func (fs *FS) Open(p string, flags int) (*File, error) {
 		fs.metrics.openLat.Record(time.Since(start))
 		span.End()
 	}()
+	// The handle starts from the file as last committed by any client,
+	// not from the snapshot a VersionedStore serves until it next reads
+	// the root: Close writes the whole buffer back.
+	if err := fs.e.Revalidate(); err != nil {
+		return nil, err
+	}
 	f := &File{fs: fs, path: p, flags: flags, open: true}
 	data, err := fs.e.ReadFile(p)
 	switch {

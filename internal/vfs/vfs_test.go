@@ -14,6 +14,7 @@ import (
 
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
+	"nexus/internal/freshtree"
 	"nexus/internal/metadata"
 	"nexus/internal/sgx"
 	"nexus/internal/uuid"
@@ -103,15 +104,21 @@ func TestVersionedStoreDeleteDropsVersion(t *testing.T) {
 	}
 }
 
-// getCounter counts the reads that reach the backing store.
+// getCounter counts the reads that reach the backing store, and runs
+// onGet, when set, after each.
 type getCounter struct {
 	backend.Store
-	gets atomic.Int64
+	gets  atomic.Int64
+	onGet func(name string)
 }
 
 func (c *getCounter) Get(name string) ([]byte, error) {
 	c.gets.Add(1)
-	return c.Store.Get(name)
+	data, err := c.Store.Get(name)
+	if c.onGet != nil {
+		c.onGet(name)
+	}
+	return data, err
 }
 
 // sealedObject is a sealed metadata object of the given type whose body
@@ -130,11 +137,13 @@ func sealedObject(t *testing.T, typ metadata.ObjType, version uint64, body strin
 }
 
 // TestVersionedStoreRevalidatesDirnodesWithoutReading: the enclave
-// fetches every directory on a path on every operation only to compare
-// versions. Such a fetch of a dirnode nobody has written since must not
-// read the backing store again, and must return exactly what it holds;
-// everything else — buckets, filenodes, file contents — is read every
-// time.
+// fetches every directory on a path, and the filenode it stats or reads,
+// on every operation only to compare versions. Such a fetch of a dirnode
+// or filenode nobody has written since must not read the backing store
+// again, and must return exactly what it holds; buckets and file contents
+// are read every time. A root at another sealed version than the one the
+// adapter last put or read drops every kept copy, even when a write
+// crossed its read.
 func TestVersionedStoreRevalidatesDirnodesWithoutReading(t *testing.T) {
 	mem := &getCounter{Store: backend.NewMemStore()}
 	s := NewVersionedStore(mem)
@@ -151,47 +160,84 @@ func TestVersionedStoreRevalidatesDirnodesWithoutReading(t *testing.T) {
 		got[0] ^= 0xff // the caller owns what it was given
 		return v
 	}
-
-	// Written through this adapter: no read at all.
-	first := sealedObject(t, metadata.TypeDirnode, 1, "first")
-	if _, err := s.PutVersioned("dir", first); err != nil {
-		t.Fatal(err)
-	}
-	v1 := get("dir", first, 0)
-	if v := get("dir", first, 0); v != v1 {
-		t.Fatalf("version moved without a put: %d then %d", v1, v)
-	}
-	// Rewritten: the new bytes, a new version, still no read.
-	second := sealedObject(t, metadata.TypeDirnode, 2, "second, longer")
-	if _, err := s.PutVersioned("dir", second); err != nil {
-		t.Fatal(err)
-	}
-	if v := get("dir", second, 0); v <= v1 {
-		t.Fatalf("version did not increase: %d then %d", v1, v)
-	}
-	// Already on the store when the adapter was made (a remount): read
-	// once, then kept.
-	s = NewVersionedStore(mem)
-	get("dir", second, 1)
-	get("dir", second, 0)
-	// Deleted: gone, not served from what was kept.
-	if err := s.Delete("dir"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.GetVersioned("dir"); !errors.Is(err, backend.ErrNotExist) {
-		t.Fatalf("GetVersioned after Delete = %v, want ErrNotExist", err)
-	}
-	for name, blob := range map[string][]byte{
-		"bucket":   sealedObject(t, metadata.TypeDirBucket, 1, "entries"),
-		"filenode": sealedObject(t, metadata.TypeFilenode, 1, "keys"),
-		"data":     bytes.Repeat([]byte{0x5a}, 4096),
-	} {
+	put := func(s *VersionedStore, name string, blob []byte) {
+		t.Helper()
 		if _, err := s.PutVersioned(name, blob); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	for _, typ := range []metadata.ObjType{metadata.TypeDirnode, metadata.TypeFilenode} {
+		s = NewVersionedStore(mem)
+		name := typ.String()
+		// Written through this adapter: no read at all.
+		first := sealedObject(t, typ, 1, "first")
+		put(s, name, first)
+		v1 := get(name, first, 0)
+		if v := get(name, first, 0); v != v1 {
+			t.Fatalf("%s: version moved without a put: %d then %d", name, v1, v)
+		}
+		// Rewritten: the new bytes, a new version, still no read.
+		second := sealedObject(t, typ, 2, "second, longer")
+		put(s, name, second)
+		if v := get(name, second, 0); v <= v1 {
+			t.Fatalf("%s: version did not increase: %d then %d", name, v1, v)
+		}
+		// Already on the store when the adapter was made (a remount): read
+		// once, then kept.
+		s = NewVersionedStore(mem)
+		get(name, second, 1)
+		get(name, second, 0)
+		// Deleted: gone, not served from what was kept.
+		if err := s.Delete(name); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.GetVersioned(name); !errors.Is(err, backend.ErrNotExist) {
+			t.Fatalf("GetVersioned(%s) after Delete = %v, want ErrNotExist", name, err)
+		}
+	}
+	for name, blob := range map[string][]byte{
+		"bucket": sealedObject(t, metadata.TypeDirBucket, 1, "entries"),
+		"data":   bytes.Repeat([]byte{0x5a}, 4096),
+	} {
+		put(s, name, blob)
 		get(name, blob, 1)
 		get(name, blob, 1)
 	}
+
+	// The root frame this adapter put, read back, keeps what it kept.
+	dir := sealedObject(t, metadata.TypeDirnode, 1, "dir")
+	fn := sealedObject(t, metadata.TypeFilenode, 1, "fn")
+	mine := sealedObject(t, metadata.TypeFreshness, 1, "this adapter's root")
+	put(s, "dir", dir)
+	put(s, "fn", fn)
+	put(s, freshtree.RootObjectName, mine)
+	get(freshtree.RootObjectName, mine, 1)
+	get("dir", dir, 0)
+	get("fn", fn, 0)
+	// A peer's root, read while a put through this adapter crosses the
+	// read, drops every kept copy: each is read once more, then kept.
+	peer := sealedObject(t, metadata.TypeFreshness, 2, "a peer's root")
+	put(NewVersionedStore(mem), freshtree.RootObjectName, peer)
+	mem.onGet = func(name string) {
+		if name == freshtree.RootObjectName {
+			put(s, "bucket", sealedObject(t, metadata.TypeDirBucket, 2, "crossing"))
+		}
+	}
+	get(freshtree.RootObjectName, peer, 1)
+	mem.onGet = nil
+	s.mu.Lock()
+	kept, keptBytes := len(s.kept), s.keptBytes
+	s.mu.Unlock()
+	if kept != 0 || keptBytes != 0 {
+		t.Fatalf("after a peer's root the adapter keeps %d copies of %d bytes, want none", kept, keptBytes)
+	}
+	for name, blob := range map[string][]byte{"dir": dir, "fn": fn} {
+		get(name, blob, 1)
+		get(name, blob, 0)
+	}
+	get(freshtree.RootObjectName, peer, 1)
+	get("dir", dir, 0)
 }
 
 // TestVersionedStoreReadsThroughUnderLock: two adapters over one backing

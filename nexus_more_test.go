@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"sort"
 	"testing"
@@ -353,4 +354,181 @@ func TestTwoAdaptersLockedRewalk(t *testing.T) {
 	}
 	// carol joins last: owen's SetACL on /d follows alice's final drain.
 	wantDirNames(t, join("carol", ReadOnly), "/d", want)
+}
+
+// syncedWrite writes content to p through fs and drains: the write is
+// committed, under a root a peer can read.
+func syncedWrite(t *testing.T, fs *FS, p, content string) {
+	t.Helper()
+	if err := fs.WriteFile(p, []byte(content)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// wantOpened reads p through an open handle and wants content.
+func wantOpened(t *testing.T, fs *FS, p, want string) {
+	t.Helper()
+	f, err := fs.Open(p, O_RDONLY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil || string(got) != want {
+		t.Fatalf("opened %s reads %q, %v; want %q", p, got, err, want)
+	}
+}
+
+// TestTwoAdaptersKeptCopyFollowsRoot: the local adapter answers an
+// unlocked fetch of a dirnode or filenode from the sealed bytes it kept,
+// the snapshot of the last freshness root it passed up. owen changes what
+// alice has read, behind another adapter. An Open by alice re-reads the
+// root, and so does her commit elsewhere; from then on she must read
+// owen's change — with her decrypted copies kept, and with them dropped.
+// A kept copy that outlived the root lists the old entries, and once the
+// decrypted copy is gone it meets the newer root's leaf and fails as a
+// rollback no store made.
+func TestTwoAdaptersKeptCopyFollowsRoot(t *testing.T) {
+	content := func(t *testing.T, fs *FS, p, want string) {
+		t.Helper()
+		if got, err := fs.ReadFile(p); err != nil || string(got) != want {
+			t.Fatalf("%s reads %q, %v; want %q", p, got, err, want)
+		}
+	}
+	scenarios := []struct {
+		name string
+		// owen writes first and alice reads it with before; owen then
+		// writes second, which opened wants alice to read before she
+		// commits anything, and after once she has.
+		first, second         [2]string // path, content
+		before, opened, after func(t *testing.T, alice *FS)
+	}{{
+		name:   "dirnode",
+		first:  [2]string{"/d/a", "a"},
+		second: [2]string{"/d/b", "b"},
+		before: func(t *testing.T, alice *FS) { wantDirNames(t, alice, "/d", []string{"a"}) },
+		opened: func(t *testing.T, alice *FS) { wantOpened(t, alice, "/d/b", "b") },
+		after:  func(t *testing.T, alice *FS) { wantDirNames(t, alice, "/d", []string{"a", "b"}) },
+	}, {
+		name:   "filenode",
+		first:  [2]string{"/d/f", "v1"},
+		second: [2]string{"/d/f", "v2"},
+		before: func(t *testing.T, alice *FS) { content(t, alice, "/d/f", "v1") },
+		opened: func(t *testing.T, alice *FS) { wantOpened(t, alice, "/d/f", "v2") },
+		after:  func(t *testing.T, alice *FS) { content(t, alice, "/d/f", "v2") },
+	}}
+	for _, sc := range scenarios {
+		for _, drop := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/drop=%v", sc.name, drop), func(t *testing.T) {
+				vol, join := twoAdapters(t)
+				owen := vol.FS()
+				syncedWrite(t, owen, sc.first[0], sc.first[1])
+				alice := join("alice", ReadWrite)
+				sc.before(t, alice)
+				syncedWrite(t, owen, sc.second[0], sc.second[1])
+				if drop {
+					alice.Enclave().DropCaches()
+				}
+				sc.opened(t, alice)
+				syncedWrite(t, alice, "/g", "g")
+				sc.after(t, alice)
+			})
+		}
+	}
+}
+
+// TestTwoAdaptersOpenStartsFromPeerCommit: a file handle starts from the
+// file as last committed by any client (open-to-close), whatever the
+// opener's adapter read before. owen rewrites an inline file — one
+// object, no data object whose change could show — that alice has read;
+// alice, committing nothing in between, opens it, appends and closes, and
+// each then opens the other's result. A handle that started from alice's
+// kept copy would put "ac" over owen's "ab".
+func TestTwoAdaptersOpenStartsFromPeerCommit(t *testing.T) {
+	for _, drop := range []bool{false, true} {
+		t.Run(fmt.Sprintf("drop=%v", drop), func(t *testing.T) {
+			vol, join := twoAdapters(t)
+			owen := vol.FS()
+			syncedWrite(t, owen, "/d/f", "a")
+			alice := join("alice", ReadWrite)
+			if got, err := alice.ReadFile("/d/f"); err != nil || string(got) != "a" {
+				t.Fatalf("alice's first read: %q, %v", got, err)
+			}
+			syncedWrite(t, owen, "/d/f", "ab")
+			if drop {
+				alice.Enclave().DropCaches()
+			}
+			f, err := alice.Open("/d/f", O_RDWR|O_APPEND)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte("c")); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			wantOpened(t, owen, "/d/f", "abc")
+			wantOpened(t, alice, "/d/f", "abc")
+		})
+	}
+}
+
+// TestTwoAdaptersTornReadFollowsRoot: a copy alice's adapter kept can
+// name an object owen has since rewritten behind another adapter — the
+// data object of a file he overwrote in place, or an overflow bucket of a
+// directory he flushed twice. The walk that finds the object changed or
+// gone is torn, and its retry re-reads the freshness root, which shows
+// her adapter owen's commit: she then reads his state, without committing
+// anything herself. A retry that fetched the same kept copy again would
+// fail every time, as a rollback no store made.
+func TestTwoAdaptersTornReadFollowsRoot(t *testing.T) {
+	t.Run("chunked overwrite", func(t *testing.T) {
+		vol, join := twoAdapters(t)
+		owen := vol.FS()
+		v1, v2 := bytes.Repeat([]byte{1}, 8<<10), bytes.Repeat([]byte{2}, 8<<10)
+		if err := owen.WriteFile("/d/big", v1); err != nil {
+			t.Fatal(err)
+		}
+		alice := join("alice", ReadWrite)
+		if got, err := alice.ReadFile("/d/big"); err != nil || !bytes.Equal(got, v1) {
+			t.Fatalf("alice's first read: %v", err)
+		}
+		if err := owen.WriteFile("/d/big", v2); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := alice.ReadFile("/d/big"); err != nil || !bytes.Equal(got, v2) {
+			t.Fatalf("alice reads the old content or fails (%v) after owen's overwrite was committed", err)
+		}
+	})
+	t.Run("overflow buckets", func(t *testing.T) {
+		vol, join := twoAdapters(t)
+		owen := vol.FS()
+		var want []string
+		add := func(n int) {
+			t.Helper()
+			for i := 0; i < n; i++ {
+				name := fmt.Sprintf("f%03d", len(want))
+				if err := owen.WriteFile("/d/"+name, []byte(name)); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, name)
+			}
+		}
+		add(300) // three buckets
+		alice := join("alice", ReadWrite)
+		wantDirNames(t, alice, "/d", want)
+		for round := 0; round < 3; round++ {
+			add(40)
+			// With her decrypted copy gone, alice decodes the main object
+			// her adapter kept, and fetches the buckets it names.
+			alice.Enclave().DropCaches()
+			wantDirNames(t, alice, "/d", want)
+		}
+	})
 }

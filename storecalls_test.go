@@ -217,11 +217,13 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 	}, [2]int64{1, 4}, func() error {
 		return fs.Rename("/a/h", "/b/h")
 	})
+	// The open re-reads the root first (Enclave.Revalidate), so the
+	// handle starts from the latest committed content.
 	check("open, append, sync, close", []string{
-		"get dir", "get dir", "get fn", "get data",
+		"get root", "get dir", "get dir", "get fn", "get data",
 		"get dir", "get dir", "lock fn", "get fn", "put data", "put fn", "lock root", "get root",
 		"update(1)", "put root", "unlock root", "unlock fn",
-	}, [2]int64{3, 5}, func() error {
+	}, [2]int64{4, 6}, func() error {
 		f, err := fs.Open("/a/k", nexus.O_RDWR|nexus.O_APPEND)
 		if err != nil {
 			return err
@@ -303,6 +305,14 @@ func wideningRows(t *testing.T, client *nexus.Client, owner nexus.Identity, vol 
 	}, [2]int64{1, 3}, func() error {
 		return vol.SetACL("/b", "carol", nexus.ReadOnly)
 	})
+	// A drain of a waiting leaf alone knows its batch before the root's
+	// re-read, and stages its update in that exit.
+	if err := vol.SetACL("/b", "carol", nexus.ReadWrite); err != nil {
+		t.Fatal(err)
+	}
+	check("SyncMetadata after a widening grant", []string{
+		"lock root", "get root", "update(1)", "put root", "unlock root",
+	}, [2]int64{1, 2}, fs.Sync)
 }
 
 // barrierRowsWithPendingMetadata pins the barrier ops made while a remove
