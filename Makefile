@@ -20,7 +20,7 @@ race:
 # `make race` nor the coverage floors run them. The CI test job runs this
 # goal.
 alloc:
-	$(GO) test -count=1 -run 'AllocBudget|AllocationFree|AllocFree|KeysOnlyInFilenode' ./internal/parallel/ ./internal/metadata/ ./internal/obs/ ./internal/freshtree/
+	$(GO) test -count=1 -run 'AllocBudget|AllocationFree|AllocFree|KeysOnlyInFilenode|AllocsPerOpClass' . ./internal/parallel/ ./internal/metadata/ ./internal/obs/ ./internal/freshtree/
 
 vet:
 	$(GO) vet ./...

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"nexus/internal/backend"
+	"nexus/internal/lendcheck"
 	"nexus/internal/netsim"
 )
 
@@ -131,6 +132,43 @@ func TestCacheServesWarmReads(t *testing.T) {
 	_, hits := c.Stats()
 	if hits < 10 {
 		t.Fatalf("cache hits = %d, want >= 10", hits)
+	}
+}
+
+// TestGetCopiesWhatGetVersionedLends: GetVersioned lends the cached bytes
+// themselves, read-only and capped at their length, whether a put or a
+// fetch filled the entry; Get, the backend.Store surface applications
+// are handed, returns a copy of their own, so a caller's write into it
+// never reaches the cache.
+func TestGetCopiesWhatGetVersionedLends(t *testing.T) {
+	lendcheck.Watch(t)
+	_, addr := startServer(t)
+	c := dialClient(t, addr, ClientConfig{})
+	want := []byte("cached data")
+	if err := c.Put("f", want); err != nil {
+		t.Fatal(err)
+	}
+	for _, filled := range []string{"put", "fetch"} {
+		if filled == "fetch" {
+			c.FlushCache()
+		}
+		got, err := c.Get("f")
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: Get = %q, %v; want %q", filled, got, err, want)
+		}
+		got[0] ^= 0xff
+		_ = append(got[:1], '!')
+		lent, _, err := c.GetVersioned("f")
+		if err != nil || !bytes.Equal(lent, want) {
+			t.Fatalf("%s: GetVersioned after a write into Get's result = %q, %v; want %q", filled, lent, err, want)
+		}
+		if cap(lent) != len(lent) {
+			t.Fatalf("%s: GetVersioned lent %d bytes of capacity %d", filled, len(lent), cap(lent))
+		}
+		again, _, err := c.GetVersioned("f")
+		if err != nil || &again[0] != &lent[0] {
+			t.Fatalf("%s: a warm GetVersioned copied the cached bytes instead of lending them (%v)", filled, err)
+		}
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 
 	"nexus"
 	"nexus/internal/backend"
+	"nexus/internal/lendcheck"
 	"nexus/internal/netsim"
 )
 
@@ -483,6 +484,7 @@ func TestChaosSeededFaultInjection(t *testing.T) {
 // torn tree/root pair would surface as ErrBadProof or ErrStaleObject
 // at mount.
 func TestChaosMerkleFreshnessMidDrainRestart(t *testing.T) {
+	lendcheck.Watch(t)
 	seed := chaosSeed(t)
 	rng := netsim.NewRand(seed * 7919)
 	profile := netsim.FaultProfile{

@@ -1,6 +1,7 @@
 package afs
 
 import (
+	"bytes"
 	"container/list"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"nexus/internal/backend"
+	"nexus/internal/lendcheck"
 	"nexus/internal/netsim"
 	"nexus/internal/obs"
 	"nexus/internal/serial"
@@ -604,10 +606,11 @@ func (c *Client) exchangeLocked(write func(w io.Writer, reqID uint64) error) ([]
 
 // Get implements backend.Store: it returns the file contents, from cache
 // when the callback promise is intact. Negative results are cached too:
-// the server promises to break the callback when the file appears.
+// the server promises to break the callback when the file appears. The
+// contents are the caller's own copy, as every backend.Store's are.
 func (c *Client) Get(name string) ([]byte, error) {
 	data, _, err := c.GetVersioned(name)
-	return data, err
+	return bytes.Clone(data), err
 }
 
 // Put implements backend.Store with write-through semantics.
@@ -858,11 +861,16 @@ func (c *Client) unlockLocked(name string) {
 // decrypted-metadata cache against the same version stream that AFS
 // callbacks keep fresh. The cache is bypassed while the callback channel
 // is down, so a lost invalidation can never produce a stale read.
+//
+// The contents are lent, read-only (DESIGN.md §14.1): a warm read returns
+// the cached entry itself and a fetch the frame body the cache keeps,
+// each capped at its length. The caller never writes into them.
 func (c *Client) GetVersioned(name string) ([]byte, uint64, error) {
 	if !c.cbLost.Load() {
 		data, negative, version, ok := c.cache.lookup(name)
 		if ok {
 			c.metrics.cacheHits.Inc()
+			lendcheck.Lent(c.cache, name, data)
 			return data, version, nil
 		}
 		if negative {
@@ -888,6 +896,7 @@ func (c *Client) GetVersioned(name string) ([]byte, uint64, error) {
 		return nil, 0, err
 	}
 	c.cache.fill(breaks, name, data, version)
+	lendcheck.Lent(c.cache, name, data)
 	return data, version, nil
 }
 
@@ -1019,7 +1028,10 @@ func (c *Client) Reconnects() int64 {
 	return g - 1
 }
 
-// fileCache is a byte-budgeted LRU of whole files.
+// fileCache is a byte-budgeted LRU of whole files. An entry's bytes are
+// the cache's own — a copy of what was put, or the body of the frame
+// that fetched them — and are lent to readers as they are, so nothing
+// ever writes into them: an entry is replaced, never changed.
 type fileCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -1060,9 +1072,7 @@ func (fc *fileCache) lookup(name string) ([]byte, bool, uint64, bool) {
 	if entry.negative {
 		return nil, true, 0, false
 	}
-	out := make([]byte, len(entry.data))
-	copy(out, entry.data)
-	return out, false, entry.version, true
+	return entry.data, false, entry.version, true
 }
 
 // version returns the version of the cached copy of name, if there is a
@@ -1087,14 +1097,13 @@ func (fc *fileCache) breakCount() uint64 {
 }
 
 // fill caches a fetched copy unless an invalidation or flush has arrived
-// since the fetch sampled breakCount.
+// since the fetch sampled breakCount. The cache takes data, the frame
+// body the fetch read, as it is.
 func (fc *fileCache) fill(since uint64, name string, data []byte, version uint64) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	if fc.breaks == since {
-		fc.putOwnedLocked(name, cp, version)
+		fc.putOwnedLocked(name, data, version)
 	}
 }
 
@@ -1123,10 +1132,9 @@ func (fc *fileCache) putNegativeLocked(name string) {
 	fc.byName[name] = el
 }
 
+// put caches a copy of data: the caller's buffer is only on loan.
 func (fc *fileCache) put(name string, data []byte, version uint64) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	fc.putOwned(name, cp, version)
+	fc.putOwned(name, bytes.Clone(data), version)
 }
 
 // putOwned is put for a buffer the cache takes ownership of, skipping
@@ -1141,6 +1149,7 @@ func (fc *fileCache) putOwned(name string, data []byte, version uint64) {
 // putOwnedLocked must be called with fc.mu held. A copy larger than the
 // whole budget is not cached, and the entry it replaces goes with it.
 func (fc *fileCache) putOwnedLocked(name string, data []byte, version uint64) {
+	data = data[:len(data):len(data)]
 	el, ok := fc.byName[name]
 	if int64(len(data)) > fc.budget {
 		if ok {
@@ -1150,6 +1159,7 @@ func (fc *fileCache) putOwnedLocked(name string, data []byte, version uint64) {
 	}
 	if ok {
 		entry := el.Value.(*cacheEntry)
+		lendcheck.Dropped(fc, name)
 		fc.used += int64(len(data)) - int64(len(entry.data))
 		entry.data = data
 		entry.version = version
@@ -1182,6 +1192,7 @@ func (fc *fileCache) flush() {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	fc.breaks++
+	lendcheck.DroppedAll(fc)
 	fc.lru.Init()
 	fc.byName = make(map[string]*list.Element)
 	fc.used = 0
@@ -1190,6 +1201,7 @@ func (fc *fileCache) flush() {
 // removeElementLocked must be called with fc.mu held.
 func (fc *fileCache) removeElementLocked(el *list.Element) {
 	entry := el.Value.(*cacheEntry)
+	lendcheck.Dropped(fc, entry.name)
 	fc.lru.Remove(el)
 	delete(fc.byName, entry.name)
 	fc.used -= int64(len(entry.data))

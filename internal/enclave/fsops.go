@@ -727,7 +727,7 @@ func (e *Enclave) writeContentLocked(f *metadata.Filenode, data []byte) (*metada
 // metadata.MaxInlineSize bytes is sealed in the filenode itself; larger
 // content goes to the data object, every chunk re-encrypted with fresh
 // keys. A data object the new content no longer uses is deleted by the
-// drain. With create set a missing file is created first, as Touch creates
+// same commit, after the filenode that stopped naming it. With create set a missing file is created first, as Touch creates
 // it; a retry of the ecall after a torn directory finds the entry it created
 // and writes it. An overwrite of a file the store holds is one commit with
 // the drain, under the file's lock.
@@ -814,15 +814,33 @@ func (e *Enclave) writeFileLocked(path string, data []byte, create bool) error {
 	if err := e.putFilenodeLocked(next, fv+1); err != nil {
 		return err
 	}
-	// The old data object is unnamed only once the filenode is up.
+	// Content that went inline leaves the old data object unnamed once the
+	// filenode is up.
+	unnamed := false
 	if f.HasDataObject() && !next.HasDataObject() {
-		e.onSuccessLocked(func() { e.stageDeleteLocked(f.DataUUID, false) })
+		e.onSuccessLocked(func() { unnamed = true })
 	}
 	// The drain's commit takes the filenode's freshness record, and the
 	// filenode's lock is held until that commit's root put, so no peer
 	// commits the filenode in between. No retry: a retried drain would
 	// succeed without the failed filenode put.
-	return e.drainLocked()
+	err = e.drainLocked()
+	switch {
+	case unnamed && err != nil:
+		// The filenode is up but not committed: the next drain deletes.
+		e.stageDeleteLocked(f.DataUUID, false)
+	case unnamed:
+		// The delete rides the commit's last exit, after the root put, and
+		// is made only if that put is; one not made waits for the next
+		// drain.
+		e.deleteObject(objName(f.DataUUID), nil, func(c *storeCall) error {
+			if c.err != nil {
+				e.stageDeleteLocked(f.DataUUID, false)
+			}
+			return nil
+		})
+	}
+	return err
 }
 
 // ReadFile returns a file's decrypted contents (nexus_fs_decrypt) after

@@ -47,6 +47,7 @@ import (
 	"nexus/internal/enclave"
 	"nexus/internal/freshtree"
 	"nexus/internal/gcmsiv"
+	"nexus/internal/lendcheck"
 	"nexus/internal/merkle"
 	"nexus/internal/metadata"
 	"nexus/internal/obs"
@@ -1032,6 +1033,7 @@ func (s *leakStream) sweeps() {
 // TestPropertyKeyLeak checks Properties K1–K5 of DESIGN.md §6 over one
 // seeded stream.
 func TestPropertyKeyLeak(t *testing.T) {
+	lendcheck.Watch(t)
 	seed := envSeed(t, "NEXUS_CHAOS_SEED")
 	s := newLeakStream(t, seed)
 	s.setUp()

@@ -460,13 +460,8 @@ func (e *Enclave) commitWithDrainLocked(ahead []*storeCall, fn func() error) (er
 		return err
 	}
 	// Deferred deletes, FIFO, last — nothing on the store references
-	// these objects any more. A commit of its caller's records alone puts
-	// nothing of the set: a delete staged in its re-read's exit (an
-	// overwrite's old data object) waits for the drain after it.
+	// these objects any more.
 	for _, del := range e.wb.deletes {
-		if freshOnly {
-			break
-		}
 		var fresh map[uuid.UUID]uint64
 		if del.meta {
 			fresh = map[uuid.UUID]uint64{del.id: 0}

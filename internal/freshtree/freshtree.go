@@ -30,8 +30,9 @@ import (
 // is only on loan for the duration of the call. Implementations must
 // copy anything they retain (caches, queues, logs) and must never
 // stash the slice itself.
-// Symmetrically, buffers returned by GetVersioned become the enclave's
-// to keep.
+// Buffers returned by GetVersioned are lent, read-only, never written:
+// an implementation may hand out the bytes its own cache keeps, capped
+// at their length so that an append cannot write into them.
 type ObjectStore interface {
 	// GetVersioned returns an object's contents and current version.
 	GetVersioned(name string) (data []byte, version uint64, err error)
@@ -265,7 +266,8 @@ func appendRootTrailer(sealed []byte, t rootTrailer) []byte {
 // the delta still encoded (decodeDelta), so a read that does not follow
 // decodes none of it. framed is false for anything that is not a
 // well-formed frame — garbage, or a bare sealed root, the retired layout
-// of builds before the trailer — and sealed is then data itself.
+// of builds before the trailer — and sealed is then data itself. A framed
+// sealed is capped at its length: data may be a cache's lent buffer.
 func splitRootFrame(data []byte) (sealed []byte, t rootTrailer, entries []byte, framed bool) {
 	if len(data) < rootFooterSize {
 		return data, rootTrailer{}, nil, false
@@ -285,7 +287,7 @@ func splitRootFrame(data []byte) (sealed []byte, t rootTrailer, entries []byte, 
 	if r.Err() != nil || format != rootTrailerFormat || t.base > t.tip || count*deltaEntrySize != r.Remaining() {
 		return data, rootTrailer{}, nil, false
 	}
-	return data[:split], t, data[len(data)-rootFooterSize-r.Remaining() : len(data)-rootFooterSize], true
+	return data[:split:split], t, data[len(data)-rootFooterSize-r.Remaining() : len(data)-rootFooterSize], true
 }
 
 // decodeDelta decodes the delta entries splitRootFrame left encoded,

@@ -1,0 +1,63 @@
+package lendcheck
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// fakeTB records what the ledger reports and runs its cleanups on end.
+type fakeTB struct {
+	errs     []string
+	cleanups []func()
+}
+
+func (f *fakeTB) Helper() {}
+func (f *fakeTB) Errorf(format string, args ...any) {
+	f.errs = append(f.errs, fmt.Sprintf(format, args...))
+}
+func (f *fakeTB) Cleanup(fn func()) { f.cleanups = append(f.cleanups, fn) }
+
+func (f *fakeTB) end() {
+	for i := len(f.cleanups) - 1; i >= 0; i-- {
+		f.cleanups[i]()
+	}
+}
+
+// TestWriteIntoLoanIsReported: a byte changed in a lent buffer is
+// reported when the entry is next lent, when it is dropped, when its
+// owner drops everything, and at the end of the test; an untouched loan
+// and a loan made while nobody watches are not.
+func TestWriteIntoLoanIsReported(t *testing.T) {
+	owner := new(int)
+	for _, c := range []struct {
+		seen string
+		act  func(buf []byte)
+	}{
+		{"when lent again", func(buf []byte) { Lent(owner, "x", buf) }},
+		{"when dropped", func([]byte) { Dropped(owner, "x") }},
+		{"when dropped", func([]byte) { DroppedAll(owner) }},
+		{"at the end of the test", func([]byte) {}},
+	} {
+		tb := &fakeTB{}
+		Watch(tb)
+		buf := []byte("sealed bytes")
+		Lent(owner, "x", buf)
+		Lent(owner, "y", []byte("other bytes"))
+		buf[0] ^= 1
+		c.act(buf)
+		tb.end()
+		if len(tb.errs) != 1 || !strings.Contains(tb.errs[0], "lent as x") || !strings.Contains(tb.errs[0], c.seen) {
+			t.Fatalf("%s: reports %q, want one about x %s", c.seen, tb.errs, c.seen)
+		}
+	}
+	buf := []byte("unwatched")
+	Lent(owner, "z", buf)
+	buf[0] ^= 1
+	tb := &fakeTB{}
+	Watch(tb)
+	tb.end()
+	if len(tb.errs) != 0 {
+		t.Fatalf("a loan made while nobody watched was reported: %q", tb.errs)
+	}
+}

@@ -77,8 +77,15 @@ func Parse(s string) (UUID, error) {
 }
 
 // String returns the lower-case hex encoding, which doubles as the
-// obfuscated object name on the backing store.
-func (u UUID) String() string { return hex.EncodeToString(u[:]) }
+// obfuscated object name on the backing store. The enclave names an
+// object once per store call, so the text is encoded on the stack and
+// copied into the string: one allocation where hex.EncodeToString makes
+// two.
+func (u UUID) String() string {
+	var text [2 * Size]byte
+	hex.Encode(text[:], u[:])
+	return string(text[:])
+}
 
 // IsNil reports whether u is the zero UUID.
 func (u UUID) IsNil() bool { return u == Nil }

@@ -28,6 +28,7 @@ import (
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
 	"nexus/internal/freshtree"
+	"nexus/internal/lendcheck"
 	"nexus/internal/metadata"
 	"nexus/internal/obs"
 )
@@ -61,6 +62,11 @@ import (
 // which a mount reads before the root, so a stale kept copy would meet a
 // newer root; and the root itself.
 //
+// What a fetch returns is lent, read-only (DESIGN.md §14.1): a kept copy
+// is handed out as it is, and a copy read from the backing store is kept
+// as the very slice read, each capped at its length. Nobody writes into
+// them; a put keeps a copy of its caller's buffer, which is only on loan.
+//
 // An unlocked read sees a peer adapter's put only once this adapter has
 // read the root the peer committed with it. The adapter relies on the
 // enclave to read the root at the points DESIGN.md §11.5 lists: a commit,
@@ -79,7 +85,7 @@ type VersionedStore struct {
 	held      int               // store locks this adapter holds; guarded by mu
 	root      uint64            // sealed version of the root last put or read; guarded by mu
 	kept      map[string][]byte // sealed dirnodes and filenodes; guarded by mu
-	keptBytes int               // guarded by mu
+	keptBytes int               // the kept arrays' capacity; guarded by mu
 }
 
 // keptBudget bounds the kept metadata bytes; past it the adapter drops
@@ -127,12 +133,16 @@ func (s *VersionedStore) GetVersioned(name string) ([]byte, uint64, error) {
 	ok = ok && s.held == 0
 	s.mu.Unlock()
 	if ok {
-		return bytes.Clone(kept), v, nil
+		kept = kept[:len(kept):len(kept)]
+		lendcheck.Lent(s, name, kept)
+		return kept, v, nil
 	}
 	data, err := s.store.Get(name)
 	if err != nil {
 		return nil, 0, err
 	}
+	// The backing store's copy is this adapter's: it is kept as it is and
+	// lent, read-only, like a kept copy.
 	s.mu.Lock()
 	v = s.versions[name]
 	if name == freshtree.RootObjectName {
@@ -142,6 +152,8 @@ func (s *VersionedStore) GetVersioned(name string) ([]byte, uint64, error) {
 		s.keepLocked(name, data)
 	}
 	s.mu.Unlock()
+	data = data[:len(data):len(data)]
+	lendcheck.Lent(s, name, data)
 	return data, v, nil
 }
 
@@ -155,8 +167,7 @@ func (s *VersionedStore) seeRootLocked(frame []byte) {
 	if v != 0 && v == s.root {
 		return
 	}
-	clear(s.kept)
-	s.keptBytes = 0
+	s.dropKeptLocked()
 	s.writes++
 	s.root = v
 }
@@ -196,10 +207,11 @@ func (s *VersionedStore) PutVersioned(name string, data []byte) (uint64, error) 
 		if err == nil {
 			s.root = rootVersion(data)
 		}
-	case err != nil || s.writes != began+1:
+	case err != nil || s.writes != began+1 || !keepable(data):
 		s.keepLocked(name, nil)
 	default:
-		s.keepLocked(name, data)
+		// The caller's buffer is only on loan: keep a copy.
+		s.keepLocked(name, bytes.Clone(data))
 	}
 	if err != nil {
 		return 0, err
@@ -209,19 +221,38 @@ func (s *VersionedStore) PutVersioned(name string, data []byte) (uint64, error) 
 }
 
 // keepLocked replaces the kept copy of name with data if data is a
-// sealed dirnode or filenode, and drops it otherwise.
+// sealed dirnode or filenode, and drops it otherwise. data becomes the
+// adapter's, and is lent from then on: nobody writes into it. Its whole
+// array counts against the budget: a directory store's read of a small
+// object holds 512 bytes.
 func (s *VersionedStore) keepLocked(name string, data []byte) {
-	s.keptBytes -= len(s.kept[name])
-	delete(s.kept, name)
-	if p, err := metadata.PeekPreamble(data); err != nil || p.Type != metadata.TypeDirnode && p.Type != metadata.TypeFilenode {
+	if old, ok := s.kept[name]; ok {
+		lendcheck.Dropped(s, name)
+		s.keptBytes -= cap(old)
+		delete(s.kept, name)
+	}
+	if !keepable(data) {
 		return
 	}
-	if s.keptBytes+len(data) > keptBudget {
-		clear(s.kept)
-		s.keptBytes = 0
+	if s.keptBytes+cap(data) > keptBudget {
+		s.dropKeptLocked()
 	}
-	s.kept[name] = bytes.Clone(data)
-	s.keptBytes += len(data)
+	s.kept[name] = data
+	s.keptBytes += cap(data)
+}
+
+// dropKeptLocked drops every kept copy.
+func (s *VersionedStore) dropKeptLocked() {
+	lendcheck.DroppedAll(s)
+	clear(s.kept)
+	s.keptBytes = 0
+}
+
+// keepable reports whether data is a sealed dirnode or filenode, the
+// objects the adapter keeps.
+func keepable(data []byte) bool {
+	p, err := metadata.PeekPreamble(data)
+	return err == nil && (p.Type == metadata.TypeDirnode || p.Type == metadata.TypeFilenode)
 }
 
 // PutVersionedStream implements enclave.StreamObjectStore by draining

@@ -15,6 +15,7 @@ import (
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
 	"nexus/internal/freshtree"
+	"nexus/internal/lendcheck"
 	"nexus/internal/metadata"
 	"nexus/internal/sgx"
 	"nexus/internal/uuid"
@@ -143,10 +144,13 @@ func sealedObject(t *testing.T, typ metadata.ObjType, version uint64, body strin
 // again, and must return exactly what it holds; buckets and file contents
 // are read every time. A root at another sealed version than the one the
 // adapter last put or read drops every kept copy, even when a write
-// crossed its read.
+// crossed its read. What a fetch returns is lent, read-only, capped at
+// its length: a kept copy is handed out as it is, not copied.
 func TestVersionedStoreRevalidatesDirnodesWithoutReading(t *testing.T) {
+	lendcheck.Watch(t)
 	mem := &getCounter{Store: backend.NewMemStore()}
 	s := NewVersionedStore(mem)
+	var last []byte // what the last fetch lent
 	get := func(name string, want []byte, wantReads int64) uint64 {
 		t.Helper()
 		before := mem.gets.Load()
@@ -157,7 +161,10 @@ func TestVersionedStoreRevalidatesDirnodesWithoutReading(t *testing.T) {
 		if reads := mem.gets.Load() - before; reads != wantReads {
 			t.Fatalf("GetVersioned(%s) read the backing store %d times, want %d", name, reads, wantReads)
 		}
-		got[0] ^= 0xff // the caller owns what it was given
+		if cap(got) != len(got) {
+			t.Fatalf("GetVersioned(%s) lent %d bytes of capacity %d: an append would write into them", name, len(got), cap(got))
+		}
+		last = got
 		return v
 	}
 	put := func(s *VersionedStore, name string, blob []byte) {
@@ -174,8 +181,12 @@ func TestVersionedStoreRevalidatesDirnodesWithoutReading(t *testing.T) {
 		first := sealedObject(t, typ, 1, "first")
 		put(s, name, first)
 		v1 := get(name, first, 0)
+		lent := last
 		if v := get(name, first, 0); v != v1 {
 			t.Fatalf("%s: version moved without a put: %d then %d", name, v1, v)
+		}
+		if &lent[0] != &last[0] {
+			t.Fatalf("%s: the kept copy was copied again, not lent", name)
 		}
 		// Rewritten: the new bytes, a new version, still no read.
 		second := sealedObject(t, typ, 2, "second, longer")
@@ -187,7 +198,11 @@ func TestVersionedStoreRevalidatesDirnodesWithoutReading(t *testing.T) {
 		// once, then kept.
 		s = NewVersionedStore(mem)
 		get(name, second, 1)
+		lent = last
 		get(name, second, 0)
+		if &lent[0] != &last[0] {
+			t.Fatalf("%s: the bytes read were kept as a second copy, not as read", name)
+		}
 		// Deleted: gone, not served from what was kept.
 		if err := s.Delete(name); err != nil {
 			t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
+	"nexus/internal/lendcheck"
 )
 
 func TestMutualSharePublicAPI(t *testing.T) {
@@ -194,6 +195,7 @@ func TestIdentityWithoutPrivateKeyCannotSign(t *testing.T) {
 // new adapter: the clients share the store's locks and nothing else.
 func twoAdapters(t *testing.T) (*Volume, func(name string, rights Rights) *FS) {
 	t.Helper()
+	lendcheck.Watch(t)
 	ias, err := NewAttestationService()
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"nexus"
 	"nexus/internal/enclave"
 	"nexus/internal/freshtree"
+	"nexus/internal/lendcheck"
 	"nexus/internal/merkle"
 	"nexus/internal/metadata"
 	"nexus/internal/obs"
@@ -120,6 +121,7 @@ func (r *callRecorder) FreshnessUpdate(epoch uint64, updates []merkle.LeafUpdate
 // crossings. A call added, dropped or moved across a lock changes the
 // store's work; the crossings are where batching pays.
 func TestStoreCallsPerOpClass(t *testing.T) {
+	lendcheck.Watch(t)
 	ias, err := nexus.NewAttestationService()
 	if err != nil {
 		t.Fatal(err)
@@ -248,6 +250,19 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 		"put dir", "delete data", "delete fn", "update(3)", "put root", "unlock root", "unlock fn",
 	}, [2]int64{1, 5}, func() error {
 		return fs.WriteFile("/a/f", content('z'))
+	})
+	// Content rewritten under the inline cap unnames the old data object:
+	// its delete rides the commit's last exit, after the root put.
+	if err := fs.WriteFile("/b/w", content('w')); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.ReadFile("/b/w"); err != nil {
+		t.Fatal(err)
+	}
+	check("rewrite a chunked file under the inline cap", append([]string{
+		"get dir", "get dir", "lock fn", "get fn", "put fn", "lock root", "get root",
+	}, append(commitTail, "delete data", "unlock fn")...), [2]int64{1, 4}, func() error {
+		return fs.WriteFile("/b/w", []byte("inline now"))
 	})
 	barrierRowsWithPendingMetadata(t, client, owner, vol, fs, content, check)
 	wideningRows(t, client, owner, vol, fs, check)
