@@ -12,6 +12,8 @@ build:
 test:
 	$(GO) test ./...
 
+# race runs every test under the race detector, among them each
+# package's concurrent test of its locks and TestConcurrentAPISweep.
 race:
 	$(GO) test -race ./...
 
@@ -29,9 +31,11 @@ vet:
 fmt:
 	@out=$$(gofmt -l .) && if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
-# lint runs the repo-specific static analyzer (cmd/nexus-lint) and
-# exits non-zero on any finding; see DESIGN.md §8 for the rule set and
-# the //lint:ignore suppression syntax.
+# lint runs the repo-specific static analyzer (cmd/nexus-lint), whose
+# one rule is unchecked-crypto-error, and exits non-zero on any finding;
+# see DESIGN.md §8 for the rule and the //lint:ignore suppression syntax.
+# The locking contract (`guarded by` fields, *Locked helpers) is checked
+# by race and chaos instead (DESIGN.md §8.1).
 lint:
 	$(GO) run ./cmd/nexus-lint ./...
 
@@ -61,8 +65,10 @@ fuzz-smoke:
 # an exact replay: the fault schedule is a pure function of the seed.
 # Then twenty runs of the two-client commit tests (among them a peer
 # commit between two staged ones, and one between a walk's reads ahead
-# and its entry) and the kept-lock recall tests, whose interleavings the
-# scheduler picks. See DESIGN.md §9, §11.5, §12.4 and §12.5.
+# and its entry), the kept-lock recall tests and every TestConcurrent*
+# test (among them TestConcurrentAPISweep, the public API's sweep of the
+# enclave's lock contract), whose interleavings the scheduler picks. See
+# DESIGN.md §8.1, §9, §11.5, §12.4 and §12.5.
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "== chaos seed $$seed =="; \

@@ -1,11 +1,10 @@
-// Command nexus-lint checks the module against the NEXUS key-handling
-// and locking invariants the Go compiler cannot see (DESIGN.md §8):
+// Command nexus-lint checks the module against the NEXUS crypto-error
+// invariant the Go compiler cannot see (DESIGN.md §8):
 //
 //	go run ./cmd/nexus-lint ./...
 //
-// It takes no flags (-h lists the rules). Analysis is always
-// whole-module — the interprocedural rules need the full call graph — so
-// package arguments are accepted but ignored. It prints one
+// It takes no flags (-h lists the rule). Analysis is always
+// whole-module, so package arguments are accepted but ignored. It prints one
 // "file:line: [RULE] message" line per finding plus a summary, and exits
 // 1 on any finding, 2 if the module does not load. A finding is
 // suppressed by "//lint:ignore RULE reason" on its line or the one

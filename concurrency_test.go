@@ -3,6 +3,7 @@ package nexus
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -388,5 +389,120 @@ func TestConcurrentWritersSameFile(t *testing.T) {
 			t.Fatalf("clients never converged: %q vs %q", a, b)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestConcurrentAPISweep runs every mutating and every read path of the
+// public API at once on one mounted volume, so the race detector sees the
+// enclave's locking contract (fields "guarded by" a mutex, helpers named
+// *Locked, operation bodies run under ecall's lock) on real executions.
+// One goroutine adds and removes a user, grants it an ACL, and writes,
+// renames, removes and syncs files; two others read the user table, the
+// ACL, a subgroup, and a stable file by every read path. The reads of the
+// stable file and directory must succeed throughout.
+func TestConcurrentAPISweep(t *testing.T) {
+	client, err := NewClient(ClientConfig{Store: NewMemoryStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owen, err := NewIdentity("owen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol, _, err := client.CreateVolume(owen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := vol.FS()
+	if err := fs.MkdirAll("/d"); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile("/d/stable", []byte("stable")); err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 16
+	users := make([]Identity, rounds)
+	for i := range users {
+		if users[i], err = NewIdentity(fmt.Sprintf("u%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i, u := range users {
+			f, g := fmt.Sprintf("/d/f%d", i), fmt.Sprintf("/d/g%d", i)
+			for _, step := range []struct {
+				name string
+				do   func() error
+			}{
+				{"AddUser", func() error { return vol.AddUser(u.Name, u.PublicKey) }},
+				{"SetACL", func() error { return vol.SetACL("/d", u.Name, ReadWrite) }},
+				{"WriteFile", func() error { return fs.WriteFile(f, []byte(f)) }},
+				{"Rename", func() error { return fs.Rename(f, g) }},
+				{"Sync", fs.Sync},
+				{"Remove", func() error { return fs.Remove(g) }},
+				{"RemoveUser", func() error { return vol.RemoveUser(u.Name) }},
+			} {
+				if err := step.do(); err != nil {
+					t.Errorf("round %d: %s: %v", i, step.name, err)
+					return
+				}
+			}
+		}
+	}()
+	read := func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := vol.Users(); err != nil {
+				t.Errorf("Users: %v", err)
+			}
+			if _, err := vol.GetACL("/d"); err != nil {
+				t.Errorf("GetACL: %v", err)
+			}
+			if _, err := vol.UserGroup("owen"); err != nil {
+				t.Errorf("UserGroup: %v", err)
+			}
+			if st, err := fs.Stat("/d/stable"); err != nil || st.Size != 6 {
+				t.Errorf("Stat = %+v, %v", st, err)
+			}
+			if _, err := fs.ReadDir("/d"); err != nil {
+				t.Errorf("ReadDir: %v", err)
+			}
+			if got, err := fs.ReadFile("/d/stable"); err != nil || string(got) != "stable" {
+				t.Errorf("ReadFile = %q, %v", got, err)
+			}
+			h, err := fs.Open("/d/stable", O_RDONLY)
+			if err != nil {
+				t.Errorf("Open: %v", err)
+				continue
+			}
+			buf := make([]byte, 16)
+			if n, err := h.ReadAt(buf, 0); string(buf[:n]) != "stable" || (err != nil && err != io.EOF) {
+				t.Errorf("ReadAt = %q, %v", buf[:n], err)
+			}
+			if err := h.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+			if t.Failed() {
+				return
+			}
+		}
+	}
+	wg.Add(2)
+	go read()
+	go read()
+	wg.Wait()
+	if users, err := vol.Users(); err != nil || len(users) != 1 {
+		t.Fatalf("Users after the sweep = %v, %v", users, err)
 	}
 }

@@ -232,6 +232,49 @@ func TestParallelRevokeMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestConcurrentAddUserAndWrite registers users while another goroutine
+// writes files shared with the users already added, so the race detector
+// checks that the user table is touched only under fs.mu.
+func TestConcurrentAddUserAndWrite(t *testing.T) {
+	fs, owner, _, _ := setup(t)
+	users := make([]*User, 8)
+	for i := range users {
+		u, err := NewUser(fmt.Sprintf("u%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		users[i] = u
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, u := range users {
+			fs.AddUser(u)
+		}
+	}()
+	for i, running := 0, true; running; i++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		p := fmt.Sprintf("/f%d", i)
+		if err := fs.WriteFile(p, []byte(p), []string{"alice"}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := fs.ReadFile(p, owner); err != nil || string(got) != p {
+			t.Fatalf("owner read %s = %q, %v", p, got, err)
+		}
+	}
+	p := "/all"
+	if err := fs.WriteFile(p, []byte(p), []string{users[len(users)-1].Name}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs.ReadFile(p, users[len(users)-1]); err != nil || string(got) != p {
+		t.Fatalf("last added user reads %s = %q, %v", p, got, err)
+	}
+}
+
 // TestParallelRevokeMissingFileFails exercises the error path through
 // the fan-out: a missing file aborts with ErrNotFound under any width.
 func TestParallelRevokeMissingFileFails(t *testing.T) {

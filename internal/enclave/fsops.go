@@ -448,7 +448,13 @@ func (e *Enclave) commitFilesLocked(walks [][]string, resolve func() ([]uuid.UUI
 // directories (with replace semantics), so it runs eagerly: one commit
 // with the drain that also holds the lock of each filenode it rewrites, a
 // file moved to another directory (re-parented) and a file it replaces.
+// A destination below the source is refused before the enclave is
+// entered, as rename(2) refuses it with EINVAL: the moved directory would
+// hang below itself, out of the volume root's reach.
 func (e *Enclave) Rename(oldPath, newPath string) error {
+	if src := strings.Trim(oldPath, "/"); src != "" && strings.HasPrefix(strings.Trim(newPath, "/"), src+"/") {
+		return fmt.Errorf("enclave: cannot move %s below itself, to %s", oldPath, newPath)
+	}
 	return e.ecall(needAuth, func() error { return e.renameLocked(oldPath, newPath) })
 }
 

@@ -671,6 +671,66 @@ func TestFreshnessStoreAlternatingClientsNeverRefetchCheckpoint(t *testing.T) {
 	wantLeaf(t, clients[0], fsTestUUID(0), epoch, root, 60)
 }
 
+// TestConcurrentProofsBesideCommits serves proofs and root reads from one
+// goroutine while the test commits drains through the same Store, so the
+// race detector checks that the resident and staged trees are touched only
+// under s.mu. Every proof served for the epoch just committed verifies
+// against that epoch's root.
+func TestConcurrentProofsBesideCommits(t *testing.T) {
+	s := New(newMemStore()).(*streamStore).Store
+	var mu sync.Mutex
+	epoch, root := uint64(0), merkle.EmptyRoot()
+	done := make(chan struct{})
+	served := make(chan int)
+	go func() {
+		n := 0
+		defer func() { served <- n }()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, _, err := s.GetVersioned(RootObjectName); err != nil && !errors.Is(err, backend.ErrNotExist) {
+				t.Errorf("root read: %v", err)
+				return
+			}
+			mu.Lock()
+			e, r := epoch, root
+			mu.Unlock()
+			raw, err := s.FreshnessProof(fsTestUUID(1), e)
+			if errors.Is(err, ErrEpochUnavailable) {
+				continue // a commit moved the tree past e
+			}
+			if err != nil {
+				t.Errorf("proof at epoch %d: %v", e, err)
+				return
+			}
+			p, err := merkle.DecodeProof(raw)
+			if err != nil {
+				t.Errorf("proof at epoch %d: %v", e, err)
+				return
+			}
+			if _, _, err := p.Verify(r, fsTestUUID(1)); err != nil {
+				t.Errorf("proof at epoch %d does not verify against its root: %v", e, err)
+				return
+			}
+			n++
+		}
+	}()
+	for i := 0; i < 40; i++ {
+		mu.Lock()
+		e, r := epoch, root
+		mu.Unlock()
+		r = commitBatch(t, s, e, r, []merkle.LeafUpdate{{ID: fsTestUUID(1), Version: uint64(i + 1)}})
+		mu.Lock()
+		epoch, root = e+1, r
+		mu.Unlock()
+	}
+	close(done)
+	t.Logf("%d proofs served beside 40 commits", <-served)
+}
+
 // Whatever is done to the trailer, a fresh wrapper serves nothing that
 // verifies against the committed root: a frame that disagrees with
 // itself or with the checkpoint is refused (ErrEpochUnavailable), not

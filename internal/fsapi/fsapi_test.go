@@ -5,6 +5,7 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"fmt"
+	"io"
 	mrand "math/rand"
 	"path"
 	"sort"
@@ -215,5 +216,84 @@ func compareTrees(t *testing.T, a, b fsapi.FileSystem, root string) {
 				t.Fatalf("contents of %s differ", child)
 			}
 		}
+	}
+}
+
+// implementations returns each filesystem over a fresh store.
+func implementations(t *testing.T) map[string]fsapi.FileSystem {
+	return map[string]fsapi.FileSystem{
+		"nexus":   newNexusFS(t),
+		"plainfs": plainfs.New(backend.NewMemStore()),
+	}
+}
+
+// TestRenameBelowItselfRefused: moving a directory to a path below itself
+// is refused (rename(2)'s EINVAL) and changes nothing; a sibling that
+// only shares the name's prefix is not below it.
+func TestRenameBelowItselfRefused(t *testing.T) {
+	for name, fs := range implementations(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := fs.MkdirAll("/a/b"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile("/a/b/f", []byte("kept")); err != nil {
+				t.Fatal(err)
+			}
+			for _, dst := range []string{"/a/b/c", "/a/b", "/a/x"} {
+				if err := fs.Rename("/a", dst); err == nil {
+					t.Errorf("Rename(/a, %s) = nil, want an error", dst)
+				}
+			}
+			if entries, err := fs.ReadDir("/"); err != nil || len(entries) != 1 || entries[0].Name != "a" {
+				t.Fatalf("ReadDir(/) = %+v, %v, want only a", entries, err)
+			}
+			if got, err := fs.ReadFile("/a/b/f"); err != nil || string(got) != "kept" {
+				t.Fatalf("ReadFile(/a/b/f) = %q, %v", got, err)
+			}
+			if err := fs.Rename("/a", "/ab"); err != nil {
+				t.Fatalf("Rename(/a, /ab): %v", err)
+			}
+			if got, err := fs.ReadFile("/ab/b/f"); err != nil || string(got) != "kept" {
+				t.Fatalf("ReadFile(/ab/b/f) = %q, %v", got, err)
+			}
+		})
+	}
+}
+
+// TestClosedHandleChangesNothing: after Close every method of a handle
+// fails and the file keeps what Close left; a second Close is a no-op.
+func TestClosedHandleChangesNothing(t *testing.T) {
+	for name, fs := range implementations(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := fs.WriteFile("/f", []byte("precious")); err != nil {
+				t.Fatal(err)
+			}
+			f, err := fs.Open("/f", fsapi.O_RDWR)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 4)
+			for op, call := range map[string]func() error{
+				"Read":     func() error { _, err := f.Read(buf); return err },
+				"ReadAt":   func() error { _, err := f.ReadAt(buf, 0); return err },
+				"Write":    func() error { _, err := f.Write([]byte("xyz")); return err },
+				"Seek":     func() error { _, err := f.Seek(1, io.SeekStart); return err },
+				"Truncate": func() error { return f.Truncate(3) },
+				"Sync":     f.Sync,
+			} {
+				if err := call(); err == nil {
+					t.Errorf("%s on a closed handle = nil, want an error", op)
+				}
+			}
+			if err := f.Close(); err != nil {
+				t.Errorf("second Close = %v, want nil", err)
+			}
+			if got, err := fs.ReadFile("/f"); err != nil || string(got) != "precious" {
+				t.Fatalf("ReadFile(/f) = %q, %v, want precious", got, err)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package lendcheck
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -59,5 +60,37 @@ func TestWriteIntoLoanIsReported(t *testing.T) {
 	tb.end()
 	if len(tb.errs) != 0 {
 		t.Fatalf("a loan made while nobody watched was reported: %q", tb.errs)
+	}
+}
+
+// TestConcurrentLoans lends, re-lends and drops from four goroutines at
+// once, as two adapters and their caches do under one watched test: the
+// race detector checks that the ledger is touched only under its lock,
+// and no untouched loan is reported.
+func TestConcurrentLoans(t *testing.T) {
+	tb := &fakeTB{}
+	Watch(tb)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			owner := new(int)
+			for i := 0; i < 100; i++ {
+				name := fmt.Sprint(i % 8)
+				Lent(owner, name, []byte(name))
+				switch i % 16 {
+				case 7:
+					Dropped(owner, name)
+				case 15:
+					DroppedAll(owner)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	tb.end()
+	if len(tb.errs) != 0 {
+		t.Fatalf("untouched loans were reported: %q", tb.errs)
 	}
 }

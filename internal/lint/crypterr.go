@@ -10,7 +10,15 @@ import (
 // (or Verify's bool) from a cryptographic call is an error, not a
 // warning. A swallowed rand.Read failure silently yields an all-zero
 // key; a swallowed Open error accepts forged ciphertext.
-func checkCryptoErr(m *Module, p *Package) []Finding {
+func checkCryptoErr(m *Module) []Finding {
+	var out []Finding
+	for _, p := range m.Packages {
+		out = append(out, checkCryptoErrIn(m, p)...)
+	}
+	return out
+}
+
+func checkCryptoErrIn(m *Module, p *Package) []Finding {
 	var out []Finding
 	flag := func(n ast.Node, fn *types.Func, what string) {
 		out = append(out, Finding{
@@ -84,7 +92,7 @@ func cryptoResultToCheck(m *Module, p *Package, call *ast.CallExpr) (*types.Func
 		return nil, ""
 	}
 	last := res.At(res.Len() - 1).Type()
-	if isErrorType(last) {
+	if last.String() == "error" {
 		return fn, "error result"
 	}
 	if b, ok := last.Underlying().(*types.Basic); ok && b.Kind() == types.Bool &&
@@ -92,6 +100,32 @@ func cryptoResultToCheck(m *Module, p *Package, call *ast.CallExpr) (*types.Func
 		return fn, "verification result"
 	}
 	return nil, ""
+}
+
+// calleeFunc resolves a call expression to the *types.Func it invokes
+// (method or package function), or nil.
+func calleeFunc(p *Package, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := p.Info.Uses[id].(*types.Func)
+	return fn
+}
+
+// cryptoBearingDirs are the module-relative packages whose code handles
+// key material; their calls are always crypto-relevant for error checking.
+var cryptoBearingDirs = map[string]bool{
+	"internal/enclave":  true,
+	"internal/sgx":      true,
+	"internal/gcmsiv":   true,
+	"internal/metadata": true,
+	"internal/cryptofs": true,
 }
 
 // cryptoRelevantPkg reports whether a package path holds cryptographic

@@ -118,6 +118,8 @@ func F(b []byte) {
 	}
 }
 
+// TestSuppressionWrongRuleDoesNotApply: a directive naming another rule
+// (here a retired one, so also an unknown one) silences nothing.
 func TestSuppressionWrongRuleDoesNotApply(t *testing.T) {
 	res := analyzeFixture(t, map[string]string{
 		"internal/enclave/x.go": `package enclave
@@ -129,6 +131,7 @@ func F(b []byte) {
 `,
 	})
 	expect(t, res, RuleCryptoErr, "x.go:5")
+	expect(t, res, RuleDirective, "x.go:4")
 	if res.Suppressed != 0 {
 		t.Fatalf("Suppressed = %d, want 0", res.Suppressed)
 	}

@@ -34,10 +34,6 @@ type Module struct {
 	// Path is the module path from go.mod.
 	Path     string
 	Packages []*Package
-
-	// cg is the call graph, built on first use and shared by the two
-	// interprocedural rules (see callgraph.go).
-	cg *CallGraph
 }
 
 // sharedFset and stdlib are process-wide: the source importer
@@ -259,13 +255,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 
 // typeCheck runs go/types over a package's primary files.
 func typeCheck(fset *token.FileSet, imp types.Importer, pkg *Package) error {
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
+	info := &types.Info{Uses: make(map[*ast.Ident]types.Object)}
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(pkg.ImportPath, fset, pkg.Syntax, info)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -31,6 +32,40 @@ func TestRandDeterministic(t *testing.T) {
 	_, _ = r2.Read(buf2)
 	if string(buf1) != string(buf2) {
 		t.Fatal("Read not deterministic")
+	}
+}
+
+// TestConcurrentRandDraws shares one generator among four goroutines, as
+// the fault injector and the AFS client's retry jitter do: the race
+// detector checks that the state is stepped only under its lock, and the
+// draws, taken together, are the seed's stream with none lost or repeated.
+func TestConcurrentRandDraws(t *testing.T) {
+	const goroutines, draws = 4, 500
+	r := NewRand(42)
+	got := make([][]uint64, goroutines)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < draws; i++ {
+				got[g] = append(got[g], r.Uint64())
+			}
+		}()
+	}
+	wg.Wait()
+	want := make(map[uint64]bool, goroutines*draws)
+	serial := NewRand(42)
+	for i := 0; i < goroutines*draws; i++ {
+		want[serial.Uint64()] = true
+	}
+	for _, vs := range got {
+		for _, v := range vs {
+			if !want[v] {
+				t.Fatalf("draw %#x is not in the seed's first %d values, or was drawn twice", v, goroutines*draws)
+			}
+			delete(want, v)
+		}
 	}
 }
 

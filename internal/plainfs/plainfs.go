@@ -233,6 +233,11 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 		}
 		return nil
 	}
+	// A directory moved below itself would leave root's reach (rename(2)'s
+	// EINVAL).
+	if strings.HasPrefix(path.Clean("/"+newPath), path.Clean("/"+oldPath)+"/") {
+		return fmt.Errorf("plainfs: cannot move %s below itself, to %s", oldPath, newPath)
+	}
 	// The destination's parent must be an existing directory.
 	if ok, err := fs.isDir(path.Dir(path.Clean("/" + newPath))); err != nil {
 		return err
@@ -427,6 +432,9 @@ func (f *file) Read(p []byte) (int, error) {
 func (f *file) ReadAt(p []byte, off int64) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if !f.open {
+		return 0, fmt.Errorf("plainfs: read of closed file %s", f.path)
+	}
 	if off < 0 || off >= int64(len(f.buf)) {
 		return 0, io.EOF
 	}
@@ -461,6 +469,9 @@ func (f *file) Write(p []byte) (int, error) {
 func (f *file) Seek(offset int64, whence int) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if !f.open {
+		return 0, fmt.Errorf("plainfs: seek in closed file %s", f.path)
+	}
 	var base int64
 	switch whence {
 	case io.SeekStart:
@@ -482,6 +493,9 @@ func (f *file) Seek(offset int64, whence int) (int64, error) {
 func (f *file) Truncate(size int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if !f.open {
+		return fmt.Errorf("plainfs: truncate of closed file %s", f.path)
+	}
 	if size < 0 {
 		return fmt.Errorf("plainfs: negative truncate size")
 	}
@@ -506,6 +520,9 @@ func (f *file) Size() int64 {
 func (f *file) Sync() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if !f.open {
+		return fmt.Errorf("plainfs: sync of closed file %s", f.path)
+	}
 	return f.syncLocked()
 }
 

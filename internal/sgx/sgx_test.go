@@ -3,6 +3,7 @@ package sgx
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
@@ -157,6 +158,46 @@ func TestEPCAccounting(t *testing.T) {
 	e.Destroy()
 	if after := p.EPCInUse(); after >= before {
 		t.Fatalf("Destroy did not release EPC: before=%d after=%d", before, after)
+	}
+}
+
+// TestConcurrentEPCAccounting charges and returns enclave heap from four
+// goroutines at once, so the race detector checks that the enclave's and
+// the platform's EPC counters are touched only under their locks, and
+// that every byte charged is returned.
+func TestConcurrentEPCAccounting(t *testing.T) {
+	p, err := NewPlatform(PlatformConfig{EPCSize: 1 << 30}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := p.CreateEnclave(testImage("nexus"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := p.EPCInUse()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := e.AllocEPC(4096); err != nil {
+					t.Error(err)
+					return
+				}
+				if e.HeapEPC() < 4096 {
+					t.Error("HeapEPC below this goroutine's own charge")
+				}
+				e.FreeEPC(4096)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := e.HeapEPC(); got != 0 {
+		t.Fatalf("HeapEPC = %d after every charge was returned, want 0", got)
+	}
+	if got := p.EPCInUse(); got != base {
+		t.Fatalf("EPCInUse = %d, want the enclave's base %d", got, base)
 	}
 }
 

@@ -705,6 +705,9 @@ func (f *File) Write(p []byte) (int, error) {
 func (f *File) Seek(offset int64, whence int) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if !f.open {
+		return 0, fmt.Errorf("vfs: seek in closed file %s", f.path)
+	}
 	var base int64
 	switch whence {
 	case io.SeekStart:
@@ -728,6 +731,9 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 func (f *File) Truncate(size int64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if !f.open {
+		return fmt.Errorf("vfs: truncate of closed file %s", f.path)
+	}
 	if size < 0 {
 		return fmt.Errorf("vfs: negative truncate size")
 	}
@@ -755,6 +761,9 @@ func (f *File) Size() int64 {
 func (f *File) Sync() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if !f.open {
+		return fmt.Errorf("vfs: sync of closed file %s", f.path)
+	}
 	m := &f.fs.metrics
 	span := m.tracer.Begin("vfs.sync")
 	start := time.Now()

@@ -3,18 +3,23 @@ package nexus_test
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"nexus"
+	"nexus/internal/afs"
+	"nexus/internal/backend"
 	"nexus/internal/enclave"
 	"nexus/internal/freshtree"
 	"nexus/internal/lendcheck"
 	"nexus/internal/merkle"
 	"nexus/internal/metadata"
 	"nexus/internal/obs"
+	"nexus/internal/plainfs"
 	"nexus/internal/uuid"
 )
 
@@ -420,4 +425,91 @@ func barrierRowsWithPendingMetadata(t *testing.T, client *nexus.Client, owner ne
 		_, err := vol.GrantAccess(offer, "carol", carol.PublicKey, owner)
 		return err
 	})
+}
+
+// countingConn counts the bytes a connection sends and receives.
+type countingConn struct {
+	net.Conn
+	up, down *atomic.Int64
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.down.Add(int64(n))
+	return n, err
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.up.Add(int64(n))
+	return n, err
+}
+
+// TestBaselineRPCsPerOpClass pins what the "OpenAFS" baseline of the
+// paper tables (plainfs over an AFS client) pays per op class: the AFS
+// RPCs it makes and the bytes its connections move, up and down. The
+// file is 4 KiB. Beside each row, unasserted, is what an OpenAFS client
+// makes for the same op (one RPC of the AFS RPC set per op, and a status
+// RPC moves no file bytes): the values the baseline is to be brought to.
+func TestBaselineRPCsPerOpClass(t *testing.T) {
+	srv := afs.NewServer(backend.NewMemStore())
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = srv.Serve(l) }()
+	defer srv.Close()
+	type client struct {
+		fs       *plainfs.FS
+		reg      *obs.Registry
+		up, down atomic.Int64
+	}
+	dial := func() *client {
+		c := &client{reg: obs.NewRegistry()}
+		store, err := afs.Dial(l.Addr().String(), afs.ClientConfig{
+			Obs: c.reg,
+			Dial: func(addr string) (net.Conn, error) {
+				conn, err := net.Dial("tcp", addr)
+				if err != nil {
+					return nil, err
+				}
+				return countingConn{conn, &c.up, &c.down}, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = store.Close() })
+		c.fs = plainfs.New(store)
+		return c
+	}
+	a, b := dial(), dial()
+	file := bytes.Repeat([]byte{'x'}, 4<<10)
+	for _, row := range []struct {
+		class    string
+		c        *client
+		op       func(fs *plainfs.FS) error
+		rpcs     int64
+		up, down int64
+		aim      string // OpenAFS, unasserted
+	}{
+		{"mkdir", a, func(fs *plainfs.FS) error { return fs.Mkdir("/d") }, 4, 90, 87, "1 RPC (MakeDir)"},
+		{"create", a, func(fs *plainfs.FS) error { return fs.Touch("/d/t") }, 4, 95, 93, "at most 2 RPCs (CreateFile)"},
+		{"write", a, func(fs *plainfs.FS) error { return fs.WriteFile("/d/f", file) }, 3, 4169, 70, "1 RPC (StoreData), the file's bytes up"},
+		{"stat cold", b, func(fs *plainfs.FS) error { _, err := fs.Stat("/d/f"); return err }, 1, 22, 4121, "1 RPC (FetchStatus), no file bytes"},
+		{"stat warm", b, func(fs *plainfs.FS) error { _, err := fs.Stat("/d/f"); return err }, 0, 0, 0, "no RPC"},
+		{"readdir", a, func(fs *plainfs.FS) error { _, err := fs.ReadDir("/d"); return err }, 3, 66, 69, "1 RPC (FetchData of the directory)"},
+		{"rename", a, func(fs *plainfs.FS) error { return fs.Rename("/d/f", "/d/g") }, 3, 4169, 60, "1 RPC (Rename), no file bytes"},
+		{"remove", a, func(fs *plainfs.FS) error { return fs.Remove("/d/g") }, 1, 22, 13, "1 RPC (RemoveFile)"},
+	} {
+		rpcs, up, down := row.c.reg.CounterValue("afs_rpcs_total"), row.c.up.Load(), row.c.down.Load()
+		if err := row.op(row.c.fs); err != nil {
+			t.Fatalf("%s: %v", row.class, err)
+		}
+		rpcs, up, down = row.c.reg.CounterValue("afs_rpcs_total")-rpcs, row.c.up.Load()-up, row.c.down.Load()-down
+		if rpcs != row.rpcs || up != row.up || down != row.down {
+			t.Errorf("%s: %d RPCs, %d B up, %d B down; want %d, %d, %d (OpenAFS: %s)",
+				row.class, rpcs, up, down, row.rpcs, row.up, row.down, row.aim)
+		}
+	}
 }
