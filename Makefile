@@ -161,10 +161,10 @@ freshness-sweep:
 		-objects 1000,10000,100000,1000000
 
 # revoke-sweep reproduces the §VII-E membership sweep (10^2–10^6 users):
-# the subgroup key tree's O(log n) wraps per revocation (a flat group key
-# costs n−1 by construction) and, up to the 64K user cap, the sealed
-# supernode every revocation moves, written into the JSON report
-# (wraps_per_op, bytes_per_op, tree_bytes_per_member, supernode_bytes).
+# the time to revoke one member, the encoded member list per member and,
+# up to the 64K user cap, the sealed supernode every revocation moves,
+# written into the JSON report (ns_per_op, tree_bytes_per_member,
+# supernode_bytes).
 revoke-sweep:
 	$(GO) run ./cmd/nexus-bench -exp revoke-sweep -json \
 		-members 100,1000,10000,100000,1000000

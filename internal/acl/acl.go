@@ -104,14 +104,14 @@ func ParseRights(s string) (Rights, error) {
 }
 
 // GroupIDFlag marks an entry's UserID as naming a subgroup of the
-// volume's membership key tree (internal/groupkey) rather than a single
+// volume's member tree (internal/groupkey) rather than a single
 // user: the low 31 bits carry the tree's stable leaf index. Real user
 // IDs stay below the flag (the supernode enforces this at AddUser), so
 // group entries ride the existing wire format unchanged and pre-group
 // volumes decode identically.
 const GroupIDFlag uint32 = 1 << 31
 
-// GroupEntryID returns the entry ID naming a key-tree leaf subgroup.
+// GroupEntryID returns the entry ID naming a member-tree leaf subgroup.
 func GroupEntryID(leaf uint32) uint32 { return leaf | GroupIDFlag }
 
 // IsGroupEntry reports whether an entry ID names a subgroup.
@@ -121,7 +121,7 @@ func IsGroupEntry(id uint32) bool { return id&GroupIDFlag != 0 }
 func GroupLeaf(id uint32) uint32 { return id &^ GroupIDFlag }
 
 // Entry grants rights to one user, or — when UserID carries
-// GroupIDFlag — to every member of one key-tree leaf subgroup.
+// GroupIDFlag — to every member of one member-tree leaf subgroup.
 type Entry struct {
 	UserID uint32
 	Rights Rights

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -238,5 +240,89 @@ func TestQuickMemStorePutGet(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentStoreOps drives each store from several goroutines with
+// Get, Put, Delete, List and Lock on overlapping names. Every value read
+// is one some worker wrote whole, every listing is sorted and in prefix,
+// and a counter read, raised and written back under Lock counts every
+// raise. Run under -race (`make race`) it is the check of each store's
+// own locking.
+func TestConcurrentStoreOps(t *testing.T) {
+	for name, s := range storesUnderTest(t) {
+		t.Run(name, func(t *testing.T) {
+			const workers, iters = 4, 500
+			names := []string{"obj-a", "obj-b", "obj-c"}
+			raises := 0 // counter raises made, one per worker's lock step
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < iters; i++ {
+						obj := names[(w+i)%len(names)]
+						switch i % 5 {
+						case 0:
+							if err := s.Put(obj, []byte(fmt.Sprintf("value %d %d", w, i))); err != nil {
+								t.Errorf("Put(%s): %v", obj, err)
+							}
+						case 1:
+							got, err := s.Get(obj)
+							var gw, gi int
+							switch {
+							case errors.Is(err, ErrNotExist):
+							case err != nil:
+								t.Errorf("Get(%s): %v", obj, err)
+							default:
+								if n, _ := fmt.Sscanf(string(got), "value %d %d", &gw, &gi); n != 2 || gw >= workers || gi >= iters {
+									t.Errorf("Get(%s) = %q, which no worker wrote", obj, got)
+								}
+							}
+						case 2:
+							if err := s.Delete(obj); err != nil && !errors.Is(err, ErrNotExist) {
+								t.Errorf("Delete(%s): %v", obj, err)
+							}
+						case 3:
+							listed, err := s.List("obj-")
+							if err != nil {
+								t.Errorf("List: %v", err)
+							}
+							for j, n := range listed {
+								if !strings.HasPrefix(n, "obj-") || (j > 0 && listed[j-1] >= n) {
+									t.Errorf("List(obj-) = %q", listed)
+									break
+								}
+							}
+						case 4:
+							release, err := s.Lock("counter")
+							if err != nil {
+								t.Errorf("Lock: %v", err)
+								continue
+							}
+							n := 0
+							if got, err := s.Get("counter"); err == nil {
+								n, _ = strconv.Atoi(string(got))
+							} else if !errors.Is(err, ErrNotExist) {
+								t.Errorf("Get(counter): %v", err)
+							}
+							if err := s.Put("counter", []byte(strconv.Itoa(n+1))); err != nil {
+								t.Errorf("Put(counter): %v", err)
+							}
+							raises++ // a data race unless the lock excludes
+							release()
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			got, err := s.Get("counter")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, _ := strconv.Atoi(string(got)); n != raises || n != workers*iters/5 {
+				t.Fatalf("counter = %s after %d raises, want %d", got, raises, workers*iters/5)
+			}
+		})
 	}
 }

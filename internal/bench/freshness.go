@@ -213,8 +213,8 @@ func PrintFreshness(w io.Writer, rows []FreshnessRow) {
 
 // FreshnessMetrics converts sweep rows into the freshness_scale
 // experiment for the JSON report. ProofBytesPerOp carries the evidence
-// transfer per load (informational in the compare gate, like wrap
-// counts: it moves by design when the tree geometry changes).
+// transfer per load (informational in the compare gate: it moves by
+// design when the tree geometry changes).
 func FreshnessMetrics(rows []FreshnessRow) Experiment {
 	exp := make(Experiment)
 	for _, r := range rows {

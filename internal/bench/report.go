@@ -27,14 +27,13 @@ type Metric struct {
 	// FlushesPerOp is metadata objects written per logical operation
 	// (the metadata experiment's write-back efficiency figure).
 	FlushesPerOp float64 `json:"flushes_per_op,omitempty"`
-	// WrapsPerOp and BytesPerOp are key-wrap operations and wrapped-key
-	// bytes per revocation, from the membership sweep (revoke_membership
-	// experiment).
-	WrapsPerOp float64 `json:"wraps_per_op,omitempty"`
+	// BytesPerOp is bytes transferred per operation (the freshness_scale
+	// experiment's proof bytes per load).
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
-	// TreeBytesPerMember and SupernodeBytes are the same sweep's encoded
-	// key tree per member and sealed supernode: what the membership
-	// costs every revoke, add and mount, which move the supernode whole.
+	// TreeBytesPerMember and SupernodeBytes are the membership sweep's
+	// (revoke_membership experiment) encoded member tree per member and
+	// sealed supernode: what the membership costs every revoke, add and
+	// mount, which move the supernode whole.
 	TreeBytesPerMember float64 `json:"tree_bytes_per_member,omitempty"`
 	SupernodeBytes     float64 `json:"supernode_bytes,omitempty"`
 	// ProofBytesPerOp is the freshness evidence transferred per metadata

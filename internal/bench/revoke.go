@@ -123,28 +123,22 @@ func PrintRevocation(w io.Writer, rows []RevocationRow) {
 }
 
 // MembershipRow is one cell of the revocation membership sweep: the
-// cost of revoking one member at a given group size under the subgroup
-// key tree, and what the membership costs the supernode every revoke,
-// add and mount moves whole. The alternative — one flat group key
-// re-wrapped for every survivor — costs Members−1 wraps by construction
-// and is not measured.
+// time to revoke one member at a given group size, and what the
+// membership costs the supernode every revoke, add and mount moves whole.
 type MembershipRow struct {
-	Members    int
-	WrapsPerOp float64
-	BytesPerOp float64
-	NsPerOp    float64
-	// TreeBytesPerMember is the encoded key tree's size over Members.
+	Members int
+	NsPerOp float64
+	// TreeBytesPerMember is the encoded member tree's size over Members.
 	TreeBytesPerMember float64
 	// SupernodeBytes is the sealed supernode of an owner and Members−1
-	// users, its key tree built by AddUser; 0 above the user table's cap.
+	// users, enrolled by AddUser; 0 above the user table's cap.
 	SupernodeBytes int64
 }
 
-// MembershipSweep measures per-revocation wrap work across membership
-// sizes (the 10^3–10^6 sweep), driving the key tree directly: the
-// enclave's 64K user-table cap bounds end-to-end scale, and the wrap
-// counts are a property of the tree alone. runs distinct members are
-// revoked per cell and the costs averaged. Each cell also seals the
+// MembershipSweep measures revocation across membership sizes (the
+// 10^3–10^6 sweep), driving the member tree directly: the enclave's 64K
+// user-table cap bounds end-to-end scale. runs distinct members are
+// revoked per cell and the time averaged. Each cell also seals the
 // supernode of its membership, up to the user table's cap.
 func MembershipSweep(counts []int, runs int) ([]MembershipRow, error) {
 	var rows []MembershipRow
@@ -177,8 +171,8 @@ func MembershipSweep(counts []int, runs int) ([]MembershipRow, error) {
 }
 
 // sealedSupernode seals a supernode of an owner and members−1 users,
-// each enrolled in its key tree by AddUser, or returns nil when the user
-// table cannot hold them.
+// each enrolled by AddUser, or returns nil when the user table cannot
+// hold them.
 func sealedSupernode(members int) ([]byte, error) {
 	if members > metadata.MaxUsers {
 		return nil, nil
@@ -206,7 +200,7 @@ func sealedSupernode(members int) ([]byte, error) {
 }
 
 // sweepRevocations revokes `runs` distinct members spread across the
-// group and averages the metered wrap work.
+// group and averages the time.
 func sweepRevocations(tree *groupkey.Tree, ids []uint32, runs int) (MembershipRow, error) {
 	n := len(ids)
 	if runs < 1 {
@@ -215,7 +209,6 @@ func sweepRevocations(tree *groupkey.Tree, ids []uint32, runs int) (MembershipRo
 	if runs > n/2 {
 		runs = n / 2
 	}
-	before := tree.Stats()
 	start := time.Now()
 	for i := 0; i < runs; i++ {
 		victim := ids[(i*(n/runs)+n/2)%n]
@@ -224,29 +217,21 @@ func sweepRevocations(tree *groupkey.Tree, ids []uint32, runs int) (MembershipRo
 		}
 	}
 	elapsed := time.Since(start)
-	st := tree.Stats()
-	return MembershipRow{
-		Members:    n,
-		WrapsPerOp: float64(st.Wraps-before.Wraps) / float64(runs),
-		BytesPerOp: float64(st.WrapBytes-before.WrapBytes) / float64(runs),
-		NsPerOp:    float64(elapsed.Nanoseconds()) / float64(runs),
-	}, nil
+	return MembershipRow{Members: n, NsPerOp: float64(elapsed.Nanoseconds()) / float64(runs)}, nil
 }
 
 // PrintMembership renders the membership sweep.
 func PrintMembership(w io.Writer, rows []MembershipRow) {
-	fmt.Fprintln(w, "§VII-E — Revocation vs membership size (per-revocation key-wrap work, subgroup key tree;")
-	fmt.Fprintln(w, "a flat group key re-wrapped for every survivor costs members−1 wraps/op by construction;")
-	fmt.Fprintln(w, "the sealed supernode, which every revoke, add and mount moves whole, up to the 64K user cap)")
-	fmt.Fprintf(w, "%10s %14s %14s %12s %14s %12s\n", "members", "wraps/op", "bytes/op", "time/op", "tree B/member", "supernode")
+	fmt.Fprintln(w, "§VII-E — Revocation vs membership size (member tree; the sealed supernode,")
+	fmt.Fprintln(w, "which every revoke, add and mount moves whole, up to the 64K user cap)")
+	fmt.Fprintf(w, "%10s %12s %14s %12s\n", "members", "time/op", "tree B/member", "supernode")
 	for _, r := range rows {
 		super := "-"
 		if r.SupernodeBytes > 0 {
 			super = fmtBytes(r.SupernodeBytes)
 		}
-		fmt.Fprintf(w, "%10d %14.1f %14s %12s %14.1f %12s\n",
-			r.Members, r.WrapsPerOp, fmtBytes(int64(r.BytesPerOp)), fmtDur(time.Duration(r.NsPerOp)),
-			r.TreeBytesPerMember, super)
+		fmt.Fprintf(w, "%10d %12s %14.1f %12s\n",
+			r.Members, fmtDur(time.Duration(r.NsPerOp)), r.TreeBytesPerMember, super)
 	}
 	fmt.Fprintln(w)
 }
@@ -258,8 +243,6 @@ func MembershipMetrics(rows []MembershipRow) Experiment {
 	for _, r := range rows {
 		exp[fmt.Sprintf("tree_%d_users", r.Members)] = Metric{
 			NsPerOp:            r.NsPerOp,
-			WrapsPerOp:         r.WrapsPerOp,
-			BytesPerOp:         r.BytesPerOp,
 			TreeBytesPerMember: r.TreeBytesPerMember,
 			SupernodeBytes:     float64(r.SupernodeBytes),
 		}

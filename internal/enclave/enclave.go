@@ -217,9 +217,6 @@ type enclaveMetrics struct {
 	metadataDirty     *obs.Counter // enclave_metadata_dirty_total
 	flushBatches      *obs.Counter // enclave_flush_batches_total
 	dirtyGauge        *obs.Gauge   // enclave_metadata_dirty
-	groupWraps        *obs.Counter // enclave_groupkey_wraps_total
-	groupWrapBytes    *obs.Counter // enclave_groupkey_wrap_bytes_total
-	groupUnwraps      *obs.Counter // enclave_groupkey_unwraps_total
 	proofs            *obs.Counter // enclave_freshness_proofs_total
 	proofBytes        *obs.Counter // enclave_freshness_proof_bytes_total
 	rootUpdates       *obs.Counter // enclave_freshness_root_updates_total
@@ -253,9 +250,6 @@ func (m *enclaveMetrics) bind(reg *obs.Registry) {
 	m.metadataDirty = reg.Counter("enclave_metadata_dirty_total")
 	m.flushBatches = reg.Counter("enclave_flush_batches_total")
 	m.dirtyGauge = reg.Gauge("enclave_metadata_dirty")
-	m.groupWraps = reg.Counter("enclave_groupkey_wraps_total")
-	m.groupWrapBytes = reg.Counter("enclave_groupkey_wrap_bytes_total")
-	m.groupUnwraps = reg.Counter("enclave_groupkey_unwraps_total")
 	m.proofs = reg.Counter("enclave_freshness_proofs_total")
 	m.proofBytes = reg.Counter("enclave_freshness_proof_bytes_total")
 	m.rootUpdates = reg.Counter("enclave_freshness_root_updates_total")
@@ -475,14 +469,6 @@ func (e *Enclave) CompleteAuth(signature []byte) error {
 		if !verifySignature(userKey, msg, signature) {
 			return fmt.Errorf("%w: challenge signature invalid", ErrBadAuth)
 		}
-		// (iii) members of the key tree must additionally hold a wrap
-		// chain reaching the current root — a revoked-then-stale client
-		// fails here even if its table entry were somehow replayed.
-		if err := e.meterGroupLocked(func() error {
-			return e.super.GroupTree.Authenticate(user.ID)
-		}); err != nil {
-			return fmt.Errorf("%w: key-tree path stale for user %d", ErrBadAuth, user.ID)
-		}
 		e.user = user
 		e.authed = true
 		return nil
@@ -606,8 +592,8 @@ func (e *Enclave) RemoveUser(name string) error {
 		if !e.isOwnerLocked() {
 			return fmt.Errorf("%w: only the owner administers users", ErrAccessDenied)
 		}
-		// O(log n) path rotation: only the evicted user's leaf-to-root
-		// keys are re-wrapped; file data is untouched (§VII-E).
+		// One supernode re-encryption: the user leaves the user table
+		// and its leaf subgroup; file data is untouched (§VII-E).
 		return e.updateSupernodeLocked(func() error {
 			_, err := e.super.RemoveUser(name)
 			return err
@@ -628,18 +614,17 @@ func (e *Enclave) ListUsers() ([]metadata.User, error) {
 	return out, nil
 }
 
-// updateSupernodeLocked changes the supernode (its member list, the key
-// tree) in one commit with the drain, metering the tree's wraps fn makes:
-// it is re-read under the root lock, so fn applies to the freshest
-// version (§V-A), and put back before the pending metadata, which is
-// sealed after the change (§VII-E), and the root. An admission commits the
-// root too, though it only widens access: it hands out the next member ID,
-// which a replay of the supernode before it would hand out again (DESIGN.md
-// §6, property F1). A failed commit whose supernode put did not land
-// leaves the enclave with the supernode it held before: fn changed only
-// the copy the re-read decoded. One whose put landed keeps the change, as
-// the store does — a reader accepts an object newer than the root records
-// (§15.2).
+// updateSupernodeLocked changes the supernode (its member list) in one
+// commit with the drain: it is re-read under the root lock, so fn applies
+// to the freshest version (§V-A), and put back before the pending
+// metadata, which is sealed after the change (§VII-E), and the root. An
+// admission commits the root too, though it only widens access: it hands
+// out the next member ID, which a replay of the supernode before it would
+// hand out again (DESIGN.md §6, property F1). A failed commit whose
+// supernode put did not land leaves the enclave with the supernode it
+// held before: fn changed only the copy the re-read decoded. One whose
+// put landed keeps the change, as the store does — a reader accepts an
+// object newer than the root records (§15.2).
 func (e *Enclave) updateSupernodeLocked(fn func() error) error {
 	held, heldBlob, heldVersion := e.super, e.superBlob, e.superVersion
 	landed := false
@@ -647,7 +632,7 @@ func (e *Enclave) updateSupernodeLocked(fn func() error) error {
 		if err := e.loadSupernodeLocked(); err != nil {
 			return err
 		}
-		if err := e.meterGroupLocked(fn); err != nil {
+		if err := fn(); err != nil {
 			return err
 		}
 		if err := e.flushSupernodeLocked(); err != nil {

@@ -298,12 +298,11 @@ func (e *Enclave) AcceptGrant(grantBytes []byte, ownerKey ed25519.PublicKey) (se
 // rootkey release. Only the authenticated owner may grant. It checks that
 // the offer is signed by the identity being granted to and that its quote
 // attests a NEXUS enclave binding the offered ECDH key, then admits the
-// user: one supernode update (§VII-F) that adds the user as a member of
-// the key tree, so its revocation rotates its path like any member's
-// (DESIGN.md §13.3). The update is one commit with the drain, because
-// sharing hands another enclave a view of the volume and that view must
-// be complete. A key the table already holds is admitted as it is. It
-// returns the offered key.
+// user: one supernode update (§VII-F) that adds the user to the member
+// list as AddUser does (DESIGN.md §13.3). The update is one commit with
+// the drain, because sharing hands another enclave a view of the volume
+// and that view must be complete. A key the table already holds is
+// admitted as it is. It returns the offered key.
 func (e *Enclave) admitOfferLocked(offerBytes []byte, userName string, userKey ed25519.PublicKey) (*ecdh.PublicKey, error) {
 	if !e.isOwnerLocked() {
 		return nil, fmt.Errorf("%w: only the owner may grant volume access", ErrAccessDenied)

@@ -164,7 +164,7 @@ func (e *Enclave) predictWalksLocked(dirs ...[]string) []aheadRead {
 
 // checkACLLocked enforces the directory's ACL for the authenticated user
 // (default deny, owner override; §IV-C). Group entries resolve through
-// the membership key tree: a grant to the user's leaf subgroup counts
+// the member tree: a grant to the user's leaf subgroup counts
 // toward the requested rights.
 func (e *Enclave) checkACLLocked(d *metadata.Dirnode, want acl.Rights) error {
 	groups := e.super.GroupTree.GroupsOf(e.user.ID)

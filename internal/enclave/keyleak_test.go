@@ -1,4 +1,5 @@
-// The key-leak property (DESIGN.md §6, Properties K1–K5): a key the
+// The key-leak property (DESIGN.md §6, Properties K1, K2, K4 and K5;
+// K3 and K6 are retired with the group tree's key material): a key the
 // enclave holds leaves it only sealed or wrapped, and no (key, nonce)
 // pair seals two different things. A seeded two-client op
 // stream runs through the public API over a store that tampers with,
@@ -13,9 +14,8 @@
 //
 // After every call the keys are collected: the rootkey and the private
 // exchange keys through a test-only hook (export_test.go), and, decoded
-// from the store with the rootkey, every filenode's content key and the
-// group tree's root, seed and member secrets, so keys that rotate are tracked
-// too. No key may appear in any recorded byte: raw, as hex in either
+// from the store with the rootkey, every filenode's content key, so keys
+// that rotate are tracked too. No key may appear in any recorded byte: raw, as hex in either
 // case, as base64 in either alphabet at any byte alignment, or as the
 // decimal list %v prints for a []byte.
 //
@@ -396,14 +396,11 @@ type leakStream struct {
 	sealed            map[string][]byte // each user's sealed rootkey
 	files             []string          // paths written and not removed
 	rootKey           []byte
-	scanned           int                        // rec.out records scanStore has read
-	decoded           map[[32]byte]bool          // sealed objects already opened
-	sealedBy          map[string][]byte          // K5: key ‖ nonce → what it sealed
-	chunkIVs, wraps   int                        // K5: pairs checked, by kind
-	reuse             []string                   // K5 violations
-	opened            map[uint32]map[string]bool // K6: the group root secrets each listed user could open
-	revocations       int                        // K6: supernodes checked that a revocation left
-	revokedOpens      []string                   // K6 violations
+	scanned           int               // rec.out records scanStore has read
+	decoded           map[[32]byte]bool // sealed objects already opened
+	sealedBy          map[string][]byte // K5: key ‖ nonce → what it sealed
+	chunkIVs, wraps   int               // K5: pairs checked, by kind
+	reuse             []string          // K5 violations
 }
 
 func newLeakStream(t *testing.T, seed int64) *leakStream {
@@ -422,7 +419,6 @@ func newLeakStream(t *testing.T, seed int64) *leakStream {
 		sealed:   make(map[string][]byte),
 		decoded:  make(map[[32]byte]bool),
 		sealedBy: make(map[string][]byte),
-		opened:   make(map[uint32]map[string]bool),
 	}
 	shared := vfs.NewVersionedStore(s.mem)
 	client := func() *nexus.Client {
@@ -515,8 +511,7 @@ const payloadPut = "the payload put to "
 const wrapNonceAt = 4 + 1 + 2*uuid.Size + 8
 
 // scanStore opens every sealed object the store has been handed with the
-// rootkey, tracks the keys inside — content keys (K2) and group secrets
-// and the key-tree seed they derive from (K3) — and checks each object's
+// rootkey, tracks the content keys inside (K2) and checks each object's
 // nonces (K5).
 func (s *leakStream) scanStore() {
 	if s.rootKey == nil {
@@ -544,70 +539,18 @@ func (s *leakStream) scanStore() {
 		wrapped := blob[wrapNonceAt : wrapNonceAt+gcmsiv.NonceSize+metadata.BodyKeySize+gcmsiv.TagSize]
 		s.sealedOnce("the wrap nonce of "+name, s.rootKey, wrapped[:gcmsiv.NonceSize], wrapped[gcmsiv.NonceSize:])
 		s.wraps++
-		switch p.Type {
-		case metadata.TypeFilenode:
-			f, err := metadata.DecodeFilenodeBody(p.UUID, p.Parent, body)
-			if err != nil {
-				continue
-			}
-			s.rec.track("K2", "the content key of file "+p.UUID.String(), f.ContentKey[:])
-			for i, c := range f.Chunks {
-				s.sealedOnce(fmt.Sprintf("the IV of chunk %d of file %s", i, p.UUID), f.ContentKey[:], c.IV[:], c.Tag[:])
-				s.chunkIVs++
-			}
-		case metadata.TypeSupernode:
-			super, err := metadata.DecodeSupernodeBody(body)
-			if err != nil || super.GroupTree == nil {
-				continue
-			}
-			tree := super.GroupTree
-			s.rec.track("K3", fmt.Sprintf("the group root secret of epoch %d", tree.Epoch()), tree.RootSecret())
-			s.rec.track("K3", "the key-tree seed", tree.Seed())
-			s.checkRevoked(super)
-			for leaf := 0; leaf < tree.Leaves(); leaf++ {
-				for _, id := range tree.Members(uint32(leaf)) {
-					if secret, err := tree.Secret(id); err == nil {
-						s.rec.track("K3", fmt.Sprintf("user %d's member secret of epoch %d", id, tree.Epoch()), secret)
-					}
-				}
-			}
-		}
-	}
-}
-
-// checkRevoked checks Property K6 on a supernode the owner put: a revoked
-// identity opens no group-key epoch written after its revocation. Every
-// identity the user table lists authenticates, and so opens the group
-// key the supernode carries — the root secret its wrap chain reaches. An
-// identity an earlier supernode listed and this one does not is revoked,
-// and this root secret must be none it opened. A revocation that rotates
-// no keys, one of an identity outside the tree, fails here.
-func (s *leakStream) checkRevoked(super *metadata.Supernode) {
-	tree := super.GroupTree
-	root := string(tree.RootSecret())
-	listed := make(map[uint32]bool)
-	for _, u := range super.Users() {
-		listed[u.ID] = true
-	}
-	revoked := false
-	for id, roots := range s.opened {
-		if listed[id] {
+		if p.Type != metadata.TypeFilenode {
 			continue
 		}
-		revoked = true
-		if roots[root] {
-			s.revokedOpens = append(s.revokedOpens, fmt.Sprintf(
-				"Property K6 violated: user %d, revoked, opens the group-key epoch %d written after its revocation", id, tree.Epoch()))
+		f, err := metadata.DecodeFilenodeBody(p.UUID, p.Parent, body)
+		if err != nil {
+			continue
 		}
-	}
-	if revoked {
-		s.revocations++
-	}
-	for id := range listed {
-		if s.opened[id] == nil {
-			s.opened[id] = make(map[string]bool)
+		s.rec.track("K2", "the content key of file "+p.UUID.String(), f.ContentKey[:])
+		for i, c := range f.Chunks {
+			s.sealedOnce(fmt.Sprintf("the IV of chunk %d of file %s", i, p.UUID), f.ContentKey[:], c.IV[:], c.Tag[:])
+			s.chunkIVs++
 		}
-		s.opened[id][root] = true
 	}
 }
 
@@ -808,8 +751,7 @@ func (s *leakStream) randomOp() {
 
 // exchangesAndRevocation shares the volume with carol through the mutual
 // exchange and with erin through the asynchronous one, adds dave, revokes
-// all three, and tries the mounts the enclave must refuse. Each of them is
-// a member of the key tree, so each revocation rotates group keys (K6).
+// all three, and tries the mounts the enclave must refuse.
 func (s *leakStream) exchangesAndRevocation() {
 	alice, carol, dave, mallory := s.ids["alice"], s.ids["carol"], s.ids["dave"], s.ids["mallory"]
 	s.must(s.share("carol", true))
@@ -1030,8 +972,8 @@ func (s *leakStream) sweeps() {
 	})
 }
 
-// TestPropertyKeyLeak checks Properties K1–K5 of DESIGN.md §6 over one
-// seeded stream.
+// TestPropertyKeyLeak checks Properties K1, K2, K4 and K5 of DESIGN.md §6
+// over one seeded stream.
 func TestPropertyKeyLeak(t *testing.T) {
 	lendcheck.Watch(t)
 	seed := envSeed(t, "NEXUS_CHAOS_SEED")
@@ -1053,19 +995,13 @@ func TestPropertyKeyLeak(t *testing.T) {
 	for _, k := range s.rec.keys {
 		perProperty[k.property]++
 	}
-	for _, p := range []string{"K1", "K2", "K3", "K4"} {
+	for _, p := range []string{"K1", "K2", "K4"} {
 		if perProperty[p] == 0 {
 			t.Errorf("seed %d: no key of Property %s was tracked", seed, p)
 		}
 	}
 	if s.chunkIVs == 0 || s.wraps == 0 {
 		t.Errorf("seed %d: Property K5 checked %d chunk IVs and %d wrap nonces, want some of each", seed, s.chunkIVs, s.wraps)
-	}
-	if s.revocations == 0 {
-		t.Errorf("seed %d: Property K6 checked no supernode written after a revocation", seed)
-	}
-	for _, r := range s.revokedOpens {
-		t.Errorf("seed %d: %s", seed, r)
 	}
 	for i, r := range s.reuse {
 		if i == 10 {

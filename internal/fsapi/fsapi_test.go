@@ -297,3 +297,32 @@ func TestClosedHandleChangesNothing(t *testing.T) {
 		})
 	}
 }
+
+// TestOpenCreateMakesTheFile: Open with O_CREATE makes a missing file at
+// the open, as open(2) does, so it exists, empty, before the handle is
+// written or closed; Close then writes what the handle holds.
+func TestOpenCreateMakesTheFile(t *testing.T) {
+	for name, fs := range implementations(t) {
+		t.Run(name, func(t *testing.T) {
+			f, err := fs.Open("/new", fsapi.O_RDWR|fsapi.O_CREATE)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := fs.Exists("/new"); err != nil || !ok {
+				t.Fatalf("Exists(/new) between Open and Close = %v, %v, want true", ok, err)
+			}
+			if got, err := fs.ReadFile("/new"); err != nil || len(got) != 0 {
+				t.Fatalf("ReadFile(/new) before Close = %q, %v, want empty", got, err)
+			}
+			if _, err := f.Write([]byte("made")); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := fs.ReadFile("/new"); err != nil || string(got) != "made" {
+				t.Fatalf("ReadFile(/new) = %q, %v, want made", got, err)
+			}
+		})
+	}
+}

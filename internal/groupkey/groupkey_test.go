@@ -2,23 +2,31 @@ package groupkey
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 )
 
-func mustAdd(t *testing.T, tr *Tree, id uint32) []byte {
+func mustAdd(t *testing.T, tr *Tree, id uint32) uint32 {
 	t.Helper()
-	secret, err := tr.Add(id)
+	leaf, err := tr.Add(id)
 	if err != nil {
 		t.Fatalf("Add(%d): %v", id, err)
 	}
-	return secret
+	if got, ok := tr.LeafOf(id); !ok || got != leaf {
+		t.Fatalf("Add(%d) = leaf %d, LeafOf = %d, %v", id, leaf, got, ok)
+	}
+	return leaf
 }
 
-func TestTreeAddAuthenticate(t *testing.T) {
-	tr := NewTree(Config{LeafCap: 4, Fanout: 2})
+func TestTreeAddFillsLeaves(t *testing.T) {
+	tr := NewTree(Config{LeafCap: 4})
 	for id := uint32(1); id <= 40; id++ {
-		mustAdd(t, tr, id)
+		// Each leaf fills before the next one opens.
+		if leaf := mustAdd(t, tr, id); leaf != (id-1)/4 {
+			t.Fatalf("Add(%d) = leaf %d, want %d", id, leaf, (id-1)/4)
+		}
 	}
 	if tr.Len() != 40 {
 		t.Fatalf("Len = %d, want 40", tr.Len())
@@ -27,20 +35,12 @@ func TestTreeAddAuthenticate(t *testing.T) {
 		if !tr.Contains(id) {
 			t.Fatalf("Contains(%d) = false", id)
 		}
-		if err := tr.Authenticate(id); err != nil {
-			t.Fatalf("Authenticate(%d): %v", id, err)
-		}
-		root, err := tr.MemberRoot(id)
-		if err != nil {
-			t.Fatalf("MemberRoot(%d): %v", id, err)
-		}
-		if !bytes.Equal(root, tr.RootSecret()) {
-			t.Fatalf("MemberRoot(%d) != RootSecret", id)
-		}
 	}
-	// 40 users at LeafCap 4 → 10 leaves, all full before a new leaf opens.
 	if tr.Leaves() != 10 {
 		t.Fatalf("Leaves = %d, want 10", tr.Leaves())
+	}
+	if ids := tr.IDs(); len(ids) != 40 || ids[0] != 1 || ids[39] != 40 {
+		t.Fatalf("IDs = %v", ids)
 	}
 }
 
@@ -53,43 +53,19 @@ func TestTreeDuplicateAddAndUnknownRevoke(t *testing.T) {
 	if err := tr.Revoke(99); !errors.Is(err, ErrUnknownMember) {
 		t.Fatalf("unknown Revoke err = %v, want ErrUnknownMember", err)
 	}
-	if _, err := tr.Secret(99); !errors.Is(err, ErrUnknownMember) {
-		t.Fatalf("unknown Secret err = %v, want ErrUnknownMember", err)
+	if err := tr.Revoke(7); err != nil {
+		t.Fatalf("Revoke(7): %v", err)
 	}
-	if _, err := tr.MemberRoot(99); !errors.Is(err, ErrUnknownMember) {
-		t.Fatalf("unknown MemberRoot err = %v, want ErrUnknownMember", err)
-	}
-}
-
-func TestTreeRevokeRotatesRootAndEpoch(t *testing.T) {
-	tr := NewTree(Config{LeafCap: 2, Fanout: 2})
-	for id := uint32(1); id <= 8; id++ {
-		mustAdd(t, tr, id)
-	}
-	beforeRoot := tr.RootSecret()
-	beforeEpoch := tr.Epoch()
-	if err := tr.Revoke(3); err != nil {
-		t.Fatalf("Revoke: %v", err)
-	}
-	if tr.Contains(3) {
+	if tr.Contains(7) || tr.Len() != 0 {
 		t.Fatal("revoked user still a member")
 	}
-	if bytes.Equal(beforeRoot, tr.RootSecret()) {
-		t.Fatal("root secret unchanged after revoke")
-	}
-	if tr.Epoch() != beforeEpoch+1 {
-		t.Fatalf("epoch = %d, want %d", tr.Epoch(), beforeEpoch+1)
-	}
-	// Everyone else still authenticates against the fresh root.
-	for _, id := range []uint32{1, 2, 4, 5, 6, 7, 8} {
-		if err := tr.Authenticate(id); err != nil {
-			t.Fatalf("Authenticate(%d) post-revoke: %v", id, err)
-		}
+	if err := tr.Revoke(7); !errors.Is(err, ErrUnknownMember) {
+		t.Fatalf("second Revoke err = %v, want ErrUnknownMember", err)
 	}
 }
 
 func TestTreeSparsestLeafPlacement(t *testing.T) {
-	tr := NewTree(Config{LeafCap: 2, Fanout: 2})
+	tr := NewTree(Config{LeafCap: 2})
 	for id := uint32(1); id <= 6; id++ {
 		mustAdd(t, tr, id)
 	}
@@ -98,10 +74,8 @@ func TestTreeSparsestLeafPlacement(t *testing.T) {
 	if err := tr.Revoke(3); err != nil {
 		t.Fatalf("Revoke: %v", err)
 	}
-	mustAdd(t, tr, 7)
-	leaf, ok := tr.LeafOf(7)
-	if !ok || leaf != 1 {
-		t.Fatalf("LeafOf(7) = %d,%v, want leaf 1", leaf, ok)
+	if leaf := mustAdd(t, tr, 7); leaf != 1 {
+		t.Fatalf("Add(7) = leaf %d, want leaf 1", leaf)
 	}
 	if got := tr.Members(1); len(got) != 2 || got[0] != 4 || got[1] != 7 {
 		t.Fatalf("Members(1) = %v, want [4 7]", got)
@@ -109,7 +83,7 @@ func TestTreeSparsestLeafPlacement(t *testing.T) {
 }
 
 func TestTreeGroupsOfAndLeafStability(t *testing.T) {
-	tr := NewTree(Config{LeafCap: 2, Fanout: 2})
+	tr := NewTree(Config{LeafCap: 2})
 	for id := uint32(1); id <= 5; id++ {
 		mustAdd(t, tr, id)
 	}
@@ -143,56 +117,29 @@ func TestTreeGroupsOfAndLeafStability(t *testing.T) {
 	}
 }
 
-func TestTreeWrapCountLogarithmic(t *testing.T) {
-	// A revocation rewraps ≤ LeafCap member wraps plus ≤ Fanout child
-	// wraps per interior level: LeafCap + Fanout·ceil(log_F(leaves)).
-	tr := NewTree(Config{LeafCap: 8, Fanout: 4})
-	ids := make([]uint32, 4096)
-	for i := range ids {
-		ids[i] = uint32(i + 1)
-	}
-	tr2, err := NewTreeWithMembers(Config{LeafCap: 8, Fanout: 4}, ids)
-	if err != nil {
-		t.Fatalf("NewTreeWithMembers: %v", err)
-	}
-	tr = tr2
-	levels := len(tr.levels)
-	bound := int64(8 + 4*(levels-1))
-	for _, victim := range []uint32{1, 2000, 4096} {
-		before := tr.Stats().Wraps
-		if err := tr.Revoke(victim); err != nil {
-			t.Fatalf("Revoke(%d): %v", victim, err)
-		}
-		if got := tr.Stats().Wraps - before; got > bound {
-			t.Fatalf("Revoke(%d) wraps = %d, want ≤ %d (levels=%d)", victim, got, bound, levels)
-		}
-	}
-}
-
 func TestBulkBuilderEquivalence(t *testing.T) {
 	ids := make([]uint32, 100)
 	for i := range ids {
 		ids[i] = uint32(i * 3)
 	}
-	tr, err := NewTreeWithMembers(Config{LeafCap: 4, Fanout: 2}, ids)
+	tr, err := NewTreeWithMembers(Config{LeafCap: 4}, ids)
 	if err != nil {
 		t.Fatalf("NewTreeWithMembers: %v", err)
 	}
-	if tr.Len() != 100 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
+	// The bulk build places members exactly where one Add each does.
+	one := NewTree(Config{LeafCap: 4})
 	for _, id := range ids {
-		if err := tr.Authenticate(id); err != nil {
-			t.Fatalf("bulk Authenticate(%d): %v", id, err)
-		}
+		mustAdd(t, one, id)
+	}
+	if !bytes.Equal(tr.Encode(), one.Encode()) {
+		t.Fatal("bulk-built tree differs from one built by Add")
 	}
 	// Incremental ops on a bulk-built tree keep working.
 	if err := tr.Revoke(ids[50]); err != nil {
 		t.Fatalf("Revoke: %v", err)
 	}
-	mustAdd(t, tr, 1_000_000)
-	if err := tr.Authenticate(1_000_000); err != nil {
-		t.Fatalf("Authenticate(new): %v", err)
+	if leaf := mustAdd(t, tr, 1_000_000); leaf != 50/4 {
+		t.Fatalf("Add(new) = leaf %d, want the revoked member's leaf %d", leaf, 50/4)
 	}
 	if _, err := NewTreeWithMembers(Config{}, []uint32{2, 2}); !errors.Is(err, ErrMemberExists) {
 		t.Fatalf("duplicate bulk err = %v", err)
@@ -202,70 +149,8 @@ func TestBulkBuilderEquivalence(t *testing.T) {
 	}
 }
 
-func TestDirKeyMaterialRotates(t *testing.T) {
-	tr := NewTree(Config{})
-	if tr.DirKeyMaterial([]byte("d1")) != nil {
-		t.Fatal("empty tree should have no dir key material")
-	}
-	if tr.RootSecret() != nil {
-		t.Fatal("empty tree should have no root secret")
-	}
-	mustAdd(t, tr, 1)
-	d1 := tr.DirKeyMaterial([]byte("d1"))
-	d2 := tr.DirKeyMaterial([]byte("d2"))
-	if len(d1) != 32 || bytes.Equal(d1, d2) {
-		t.Fatal("dir key material must be per-directory")
-	}
-	mustAdd(t, tr, 2)
-	if bytes.Equal(d1, tr.DirKeyMaterial([]byte("d1"))) {
-		t.Fatal("dir key material must rotate with the root")
-	}
-}
-
-func TestUnwrapPathRejectsTamper(t *testing.T) {
-	tr := NewTree(Config{LeafCap: 2, Fanout: 2})
-	for id := uint32(1); id <= 6; id++ {
-		mustAdd(t, tr, id)
-	}
-	secret, err := tr.Secret(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wraps, ok := tr.PathWraps(4)
-	if !ok || len(wraps) < 2 {
-		t.Fatalf("PathWraps = %v,%v", wraps, ok)
-	}
-	if _, err := UnwrapPath(secret, wraps); err != nil {
-		t.Fatalf("honest UnwrapPath: %v", err)
-	}
-	// Bit-flip each blob in turn: the chain must fail closed.
-	for i := range wraps {
-		mut := make([]WrappedKey, len(wraps))
-		copy(mut, wraps)
-		blob := bytes.Clone(wraps[i].Blob)
-		blob[len(blob)/2] ^= 0x80
-		mut[i].Blob = blob
-		if _, err := UnwrapPath(secret, mut); !errors.Is(err, ErrUnwrap) {
-			t.Fatalf("tampered blob %d: err = %v, want ErrUnwrap", i, err)
-		}
-	}
-	// A wrap transplanted to a different position fails via the AAD.
-	mut := make([]WrappedKey, len(wraps))
-	copy(mut, wraps)
-	mut[0].Child = 999
-	if _, err := UnwrapPath(secret, mut); !errors.Is(err, ErrUnwrap) {
-		t.Fatalf("transplanted blob: err = %v, want ErrUnwrap", err)
-	}
-	if _, err := UnwrapPath(secret, nil); !errors.Is(err, ErrUnwrap) {
-		t.Fatalf("empty chain: err = %v, want ErrUnwrap", err)
-	}
-	if _, ok := tr.PathWraps(99); ok {
-		t.Fatal("PathWraps(non-member) should report !ok")
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	tr := NewTree(Config{LeafCap: 3, Fanout: 2})
+	tr := NewTree(Config{LeafCap: 3})
 	for id := uint32(1); id <= 23; id++ {
 		mustAdd(t, tr, id)
 	}
@@ -277,36 +162,44 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DecodeTree: %v", err)
 	}
-	if got.Len() != tr.Len() || got.Epoch() != tr.Epoch() || got.Leaves() != tr.Leaves() {
-		t.Fatalf("decoded shape mismatch: len %d/%d epoch %d/%d leaves %d/%d",
-			got.Len(), tr.Len(), got.Epoch(), tr.Epoch(), got.Leaves(), tr.Leaves())
-	}
-	if !bytes.Equal(got.RootSecret(), tr.RootSecret()) {
-		t.Fatal("decoded root secret differs")
+	if got.Len() != tr.Len() || got.Leaves() != tr.Leaves() {
+		t.Fatalf("decoded shape mismatch: len %d/%d leaves %d/%d",
+			got.Len(), tr.Len(), got.Leaves(), tr.Leaves())
 	}
 	for id := uint32(1); id <= 23; id++ {
-		if id == 11 {
-			if got.Contains(id) {
-				t.Fatal("decoded tree contains revoked member")
-			}
-			continue
+		leaf, ok := got.LeafOf(id)
+		if want, wantOK := tr.LeafOf(id); leaf != want || ok != wantOK {
+			t.Fatalf("decoded LeafOf(%d) = %d, %v, want %d, %v", id, leaf, ok, want, wantOK)
 		}
-		if err := got.Authenticate(id); err != nil {
-			t.Fatalf("decoded Authenticate(%d): %v", id, err)
-		}
+	}
+	if got.Contains(11) {
+		t.Fatal("decoded tree contains revoked member")
 	}
 	if !bytes.Equal(got.Encode(), enc) {
 		t.Fatal("re-encode differs")
 	}
-	// The decoded tree must remain fully operational.
+	// The decoded tree must remain fully operational. Its leaves share
+	// one array: Add(500) refills leaf 1 in place, where the revocation
+	// left room, and Add(501) grows leaf 3, decoded with two members;
+	// neither may overwrite a neighbouring leaf.
 	if err := got.Revoke(5); err != nil {
 		t.Fatalf("decoded Revoke: %v", err)
 	}
-	mustAdd(t, got, 500)
+	if leaf := mustAdd(t, got, 500); leaf != 1 {
+		t.Fatalf("Add(500) = leaf %d, want 1", leaf)
+	}
+	if leaf := mustAdd(t, got, 501); leaf != 3 {
+		t.Fatalf("Add(501) = leaf %d, want 3", leaf)
+	}
+	for leaf, want := range map[uint32][]uint32{1: {4, 6, 500}, 2: {7, 8, 9}, 3: {10, 12, 501}, 4: {13, 14, 15}} {
+		if ms := got.Members(leaf); !slices.Equal(ms, want) {
+			t.Fatalf("Members(%d) = %v, want %v", leaf, ms, want)
+		}
+	}
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	tr := NewTree(Config{LeafCap: 2, Fanout: 2})
+	tr := NewTree(Config{LeafCap: 2})
 	for id := uint32(1); id <= 5; id++ {
 		mustAdd(t, tr, id)
 	}
@@ -322,10 +215,23 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 			t.Fatalf("%s: decode accepted malformed input", name)
 		}
 	}
-	// Structured corruption: leaf cap of zero.
-	bad := bytes.Clone(good)
-	bad[1], bad[2], bad[3], bad[4] = 0, 0, 0, 0
-	if _, err := DecodeTree(bad); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("zero leafCap: err = %v, want ErrMalformed", err)
+	// Structured corruption: a leaf cap of zero, a leaf count the bytes
+	// cannot hold, a leaf over its cap, a member listed twice.
+	bad := func(at int, v uint32) []byte {
+		b := bytes.Clone(good)
+		binary.LittleEndian.PutUint32(b[at:], v)
+		return b
+	}
+	const leafCountAt, firstLeafAt = 5, 9
+	for name, data := range map[string][]byte{
+		"zero leafCap":        bad(1, 0),
+		"leafCap over bound":  bad(1, maxLeafCap+1),
+		"leaf count too big":  bad(leafCountAt, 1<<20),
+		"leaf over its cap":   bad(firstLeafAt, 3),
+		"duplicate member id": bad(firstLeafAt+8, 1),
+	} {
+		if _, err := DecodeTree(data); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: err = %v, want ErrMalformed", name, err)
+		}
 	}
 }

@@ -43,7 +43,7 @@ type User struct {
 	PublicKey ed25519.PublicKey
 }
 
-// record is one member's entry in the user table: the ID the key tree
+// record is one member's entry in the user table: the ID the member tree
 // holds it under, and its name and raw public key.
 type record struct {
 	id        uint32
@@ -59,7 +59,7 @@ func recordKey(r record) string  { return r.key }
 
 // Supernode defines the context of a single NEXUS volume: the volume and
 // root-directory UUIDs and the table of authorized users (§IV-A1), whose
-// members are exactly the members of the key tree. The owner is the
+// members are exactly those of the member tree. The owner is the
 // immutable member OwnerUserID.
 type Supernode struct {
 	// VolumeUUID names the volume (and this supernode object).
@@ -68,9 +68,9 @@ type Supernode struct {
 	RootDir uuid.UUID
 	// NextUserID is the next ID to assign.
 	NextUserID uint32
-	// GroupTree is the subgroup key tree over the volume membership,
-	// never nil. It is the one member list: AddUser enrolls in it and
-	// RemoveUser revokes from it.
+	// GroupTree is the volume's member IDs in leaf subgroups, never nil.
+	// It is the one member list: AddUser enrolls in it and RemoveUser
+	// revokes from it.
 	GroupTree *groupkey.Tree
 
 	// records holds one entry per tree member in ascending ID order, the
@@ -122,7 +122,7 @@ func checkUser(name string, key ed25519.PublicKey) error {
 }
 
 // AddUser grants a new identity access to the volume, enrolling it in
-// the key tree, and returns its assigned user ID. Usernames and keys
+// the member tree, and returns its assigned user ID. Usernames and keys
 // must be unique, the table is capped at MaxUsers, and assigned IDs stay
 // below acl.GroupIDFlag so dirnode ACL entries can carry group grants in
 // the high bit.
@@ -144,7 +144,7 @@ func (s *Supernode) AddUser(name string, key ed25519.PublicKey) (uint32, error) 
 	}
 	id := s.NextUserID
 	if _, err := s.GroupTree.Add(id); err != nil {
-		return 0, fmt.Errorf("metadata: enrolling user %d in the key tree: %w", id, err)
+		return 0, fmt.Errorf("metadata: enrolling user %d in the member tree: %w", id, err)
 	}
 	s.NextUserID++
 	at := int32(len(s.records)) // the largest ID yet: records stay in ID order
@@ -154,8 +154,8 @@ func (s *Supernode) AddUser(name string, key ed25519.PublicKey) (uint32, error) 
 	return id, nil
 }
 
-// RemoveUser revokes a user by name, rotating its key-tree path, and
-// returns its former ID. The owner cannot be removed.
+// RemoveUser revokes a user by name, removing it from the member tree,
+// and returns its former ID. The owner cannot be removed.
 func (s *Supernode) RemoveUser(name string) (uint32, error) {
 	nameAt, ok := s.search(s.byName, recordName, name)
 	if !ok {
@@ -167,7 +167,7 @@ func (s *Supernode) RemoveUser(name string) (uint32, error) {
 		return 0, fmt.Errorf("metadata: the volume owner cannot be removed")
 	}
 	if err := s.GroupTree.Revoke(id); err != nil {
-		return 0, fmt.Errorf("metadata: revoking user %d from the key tree: %w", id, err)
+		return 0, fmt.Errorf("metadata: revoking user %d from the member tree: %w", id, err)
 	}
 	s.records = slices.Delete(s.records, at, at+1)
 	s.reindex() // the later records moved down one
@@ -233,7 +233,7 @@ func (s *Supernode) FindUserByName(name string) (User, error) {
 //	VolumeUUID ‖ RootDir ‖ layout ‖ NextUserID ‖ count ‖ (name ‖ key)* ‖ tree
 //
 // A record is a length-prefixed name and a raw 32-byte key, with no ID:
-// record i belongs to the key tree's i-th smallest member ID. The tree's
+// record i belongs to the member tree's i-th smallest member ID. The tree's
 // encoding is the rest of the body.
 func (s *Supernode) EncodeBody() []byte {
 	tree := s.GroupTree.Encode()
@@ -252,7 +252,7 @@ func (s *Supernode) EncodeBody() []byte {
 }
 
 // DecodeSupernodeBody parses a body produced by EncodeBody and holds it
-// to what NewSupernode and AddUser guarantee: one record per key-tree
+// to what NewSupernode and AddUser guarantee: one record per member-tree
 // member, member OwnerUserID among them, every ID below NextUserID,
 // itself inside the user ID space, and valid names, unique like the
 // keys. A body of a retired layout, or whose tree is of a retired
@@ -266,7 +266,7 @@ func DecodeSupernodeBody(body []byte) (*Supernode, error) {
 	switch layout := r.ReadUint8("supernode layout"); {
 	case r.Err() != nil:
 	case layout == supernodeLayoutRetired:
-		return nil, fmt.Errorf("%w: supernode whose user table is a list beside the key tree", ErrUnsupportedLayout)
+		return nil, fmt.Errorf("%w: supernode whose user table is a list beside the member tree", ErrUnsupportedLayout)
 	case layout != supernodeLayout:
 		return nil, fmt.Errorf("%w: supernode layout %d", ErrMalformed, layout)
 	}
@@ -286,7 +286,7 @@ func DecodeSupernodeBody(body []byte) (*Supernode, error) {
 	}
 	tree, err := groupkey.DecodeTree(body[r.Offset():])
 	if errors.Is(err, groupkey.ErrUnsupportedLayout) {
-		return nil, fmt.Errorf("%w: supernode with a retired key tree: %w", ErrUnsupportedLayout, err)
+		return nil, fmt.Errorf("%w: supernode with a retired member tree: %w", ErrUnsupportedLayout, err)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("decoding supernode group tree: %w", err)
@@ -295,7 +295,7 @@ func DecodeSupernodeBody(body []byte) (*Supernode, error) {
 	ids := tree.IDs()
 	switch n := len(ids); {
 	case n != len(nameLens):
-		return nil, fmt.Errorf("%w: %d member records for %d key-tree members", ErrMalformed, len(nameLens), n)
+		return nil, fmt.Errorf("%w: %d member records for %d member-tree members", ErrMalformed, len(nameLens), n)
 	case n == 0 || ids[0] != OwnerUserID:
 		return nil, fmt.Errorf("%w: supernode without the owner, member %d", ErrMalformed, OwnerUserID)
 	case s.NextUserID <= ids[n-1] || s.NextUserID > acl.GroupIDFlag:

@@ -9,9 +9,10 @@ import (
 
 // TestSupernodeDecodeAllocBudget pins what loading the supernode costs
 // the allocator: decoding a 256-member body and one FindUserByKey — a
-// mount's authentication — make at most 3 allocations per member. The
-// user table is copied into one string and indexed by two sorted
-// position slices, so nearly all of them are the key tree's.
+// mount's authentication — make at most 0.2 allocations per member (0.07
+// measured). The user table is copied into one string and indexed by two
+// sorted position slices, and the key tree's member IDs share one slice
+// and one map, so they are a handful, not one or more per member.
 func TestSupernodeDecodeAllocBudget(t *testing.T) {
 	const members = 256
 	s, err := NewSupernode("owen", syntheticKey(0))
@@ -34,7 +35,7 @@ func TestSupernodeDecodeAllocBudget(t *testing.T) {
 		}
 	})
 	t.Logf("%d members: %.0f allocations (%.2f per member)", members, allocs, allocs/members)
-	if per := allocs / members; per > 3 {
-		t.Fatalf("decode + FindUserByKey: %.2f allocations per member, budget 3", per)
+	if per := allocs / members; per > 0.2 {
+		t.Fatalf("decode + FindUserByKey: %.2f allocations per member, budget 0.2", per)
 	}
 }

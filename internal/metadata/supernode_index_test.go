@@ -176,11 +176,8 @@ func TestSupernodeGroupTreeRoundTrip(t *testing.T) {
 	if u, err := got.FindUserByID(aliceID); err != nil || u.Name != "alice" {
 		t.Fatalf("decoded alice = %+v, %v", u, err)
 	}
-	if !bytes.Equal(got.GroupTree.RootSecret(), s.GroupTree.RootSecret()) {
-		t.Fatal("decoded tree root differs")
-	}
-	if err := got.GroupTree.Authenticate(aliceID); err != nil {
-		t.Fatalf("decoded tree Authenticate: %v", err)
+	if !bytes.Equal(got.GroupTree.Encode(), s.GroupTree.Encode()) {
+		t.Fatal("decoded tree differs")
 	}
 	for name, body := range map[string][]byte{"two lists": twoListBody(s, true), "no key tree": twoListBody(s, false)} {
 		if _, err := DecodeSupernodeBody(body); !errors.Is(err, ErrUnsupportedLayout) {
@@ -194,17 +191,16 @@ func TestSupernodeGroupTreeRoundTrip(t *testing.T) {
 		t.Fatalf("unknown layout tag: %v, want ErrMalformed", err)
 	}
 	// A corrupt structural field of the tree — the last byte of its leaf
-	// count, after the format, the config, the epoch and the seed — must
-	// be rejected: the node keys it implies no longer fill the blob.
-	leafCountAt := len(ext) - len(s.GroupTree.Encode()) + 1 + 4 + 4 + 8 + groupkey.KeySize
+	// count, after the format and the leaf cap — must be rejected.
+	leafCountAt := len(ext) - len(s.GroupTree.Encode()) + 1 + 4
 	bad = bytes.Clone(ext)
 	bad[leafCountAt+3] ^= 0xFF
 	if _, err := DecodeSupernodeBody(bad); !errors.Is(err, groupkey.ErrMalformed) {
 		t.Fatalf("corrupt tree leaf count: %v, want groupkey.ErrMalformed", err)
 	}
-	// The tree's seed and node keys are raw fields that any value
-	// decodes; the seal is what guards them. A flipped byte anywhere in
-	// the sealed supernode fails Open.
+	// A member ID, like a name or a key, decodes whatever its value if it
+	// stays unique; the seal is what guards it. A flipped byte anywhere
+	// in the sealed supernode fails Open.
 	rootKey, err := NewRootKey()
 	if err != nil {
 		t.Fatal(err)

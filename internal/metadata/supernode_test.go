@@ -58,7 +58,7 @@ func TestSupernodeDecodeEnforcesAddUserInvariants(t *testing.T) {
 	treeID := func(j int, id uint32) func(*Supernode) []byte {
 		return func(s *Supernode) []byte {
 			body := s.EncodeBody()
-			at := len(body) - len(s.GroupTree.Encode()) + treeMembersAt + 12*j
+			at := len(body) - len(s.GroupTree.Encode()) + treeMembersAt + 4*j
 			binary.LittleEndian.PutUint32(body[at:], id)
 			return body
 		}
@@ -104,9 +104,9 @@ func TestSupernodeDecodeEnforcesAddUserInvariants(t *testing.T) {
 const layoutAt = 2 * uuid.Size
 
 // treeMembersAt is the offset in an encoded key tree of its first leaf's
-// first member ID: after the format, the config, the epoch, the seed, the
-// leaf count and the leaf's member count.
-const treeMembersAt = 1 + 4 + 4 + 8 + groupkey.KeySize + 4 + 4
+// first member ID: after the format, the leaf cap, the leaf count and the
+// leaf's member count.
+const treeMembersAt = 1 + 4 + 4 + 4
 
 // sampleSupernode builds a real supernode: an owner (1), two users left
 // of three (alice 2 and carol 4; bob 3 removed, so the IDs have a gap),
@@ -118,7 +118,7 @@ func sampleSupernode(tb testing.TB) *Supernode {
 		VolumeUUID: uuid.New(),
 		RootDir:    uuid.New(),
 		NextUserID: OwnerUserID,
-		GroupTree:  groupkey.NewTree(groupkey.Config{LeafCap: 2, Fanout: 2}),
+		GroupTree:  groupkey.NewTree(groupkey.Config{LeafCap: 2}),
 	}
 	for i, name := range []string{"owen", "alice", "bob", "carol"} {
 		if _, err := s.AddUser(name, syntheticKey(uint32(i))); err != nil {
@@ -158,9 +158,10 @@ func twoListBody(s *Supernode, withTree bool) []byte {
 
 // TestSupernodeBodySizePerMember pins what a member costs the supernode
 // body now that the table stores no ID beside the key tree's and a key
-// with no length prefix: at 256 members — share_revoke's group — at most
-// 60 B each, of which the key tree's share is at most 16 B (an ID and a
-// join epoch, plus the node keys spread over the members).
+// with no length prefix, and the tree only member IDs: at 256 members —
+// share_revoke's group — at most 51 B each (47.3 B measured), of which
+// the key tree's share is at most 7 B (4.2 B: an ID, plus a count per
+// leaf of 32).
 func TestSupernodeBodySizePerMember(t *testing.T) {
 	const members = 256
 	s, err := NewSupernode("owen", syntheticKey(0))
@@ -175,28 +176,42 @@ func TestSupernodeBodySizePerMember(t *testing.T) {
 	body, tree := len(s.EncodeBody()), len(s.GroupTree.Encode())
 	t.Logf("%d members: body %d B (%.1f B each), key tree %d B (%.1f B each)",
 		members, body, float64(body)/members, tree, float64(tree)/members)
-	if per := float64(body) / members; per > 60 {
-		t.Fatalf("supernode body is %.1f B per member, want at most 60", per)
+	if per := float64(body) / members; per > 51 {
+		t.Fatalf("supernode body is %.1f B per member, want at most 51", per)
 	}
-	if per := float64(tree) / members; per > 16 {
-		t.Fatalf("key tree is %.1f B per member, want at most 16", per)
+	if per := float64(tree) / members; per > 7 {
+		t.Fatalf("key tree is %.1f B per member, want at most 7", per)
 	}
 }
 
 // TestSupernodeRetiredKeyTreeFailsClosed: a supernode carrying a key
-// tree of format 1, which stored every member secret and wrap, fails
-// with ErrUnsupportedLayout and is not migrated.
+// tree of format 1, which stored every member secret and wrap, or of
+// format 2, which stored a tree seed, the node keys and each member's
+// join epoch, fails with ErrUnsupportedLayout and is not migrated.
+// testdata/supernode-tree-format2.body is a whole body the format-2
+// encoder wrote.
 func TestSupernodeRetiredKeyTreeFailsClosed(t *testing.T) {
-	format1, err := os.ReadFile("../groupkey/testdata/tree-format1.golden")
+	s := sampleSupernode(t)
+	tables := s.EncodeBody()
+	tables = tables[:len(tables)-len(s.GroupTree.Encode())]
+	bodies := make(map[string][]byte)
+	for _, format := range []int{1, 2} {
+		tree, err := os.ReadFile(fmt.Sprintf("../groupkey/testdata/tree-format%d.golden", format))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[fmt.Sprintf("format-%d key tree", format)] = append(bytes.Clone(tables), tree...)
+	}
+	golden, err := os.ReadFile("testdata/supernode-tree-format2.body")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sampleSupernode(t)
-	body := s.EncodeBody()
-	body = append(body[:len(body)-len(s.GroupTree.Encode())], format1...)
-	_, err = DecodeSupernodeBody(body)
-	if !errors.Is(err, ErrUnsupportedLayout) || !errors.Is(err, groupkey.ErrUnsupportedLayout) {
-		t.Fatalf("DecodeSupernodeBody(format-1 key tree) = %v, want ErrUnsupportedLayout", err)
+	bodies["format-2 supernode body"] = golden
+	for name, body := range bodies {
+		_, err := DecodeSupernodeBody(body)
+		if !errors.Is(err, ErrUnsupportedLayout) || !errors.Is(err, groupkey.ErrUnsupportedLayout) {
+			t.Fatalf("DecodeSupernodeBody(%s) = %v, want ErrUnsupportedLayout", name, err)
+		}
 	}
 }
 

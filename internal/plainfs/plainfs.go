@@ -380,7 +380,8 @@ func (fs *FS) ReadDir(p string) ([]fsapi.DirEntry, error) {
 }
 
 // Open returns an open-to-close handle, mirroring the AFS session
-// semantics the NEXUS handle provides.
+// semantics the NEXUS handle provides. With O_CREATE a missing file is
+// made, empty, at the open, as NEXUS's Open does.
 func (fs *FS) Open(p string, flags int) (fsapi.File, error) {
 	f := &file{fs: fs, path: p, flags: flags, open: true}
 	data, err := fs.ReadFile(p)
@@ -392,6 +393,9 @@ func (fs *FS) Open(p string, flags int) (fsapi.File, error) {
 			f.dirty = true
 		}
 	case errors.Is(err, ErrNotFound) && flags&fsapi.O_CREATE != 0:
+		if err := fs.Touch(p); err != nil && !errors.Is(err, ErrExists) {
+			return nil, err
+		}
 		f.dirty = true
 	default:
 		return nil, err

@@ -405,14 +405,14 @@ func (v *Volume) SetACL(dirPath, userName string, rights Rights) error {
 }
 
 // SetGroupACL grants rights on a directory to an entire leaf subgroup
-// of the membership key tree (NoRights revokes the grant). Obtain a
+// of the volume's member tree (NoRights revokes the grant). Obtain a
 // user's subgroup with UserGroup. Subgroup membership churn needs no
 // ACL rewrite: rights resolve through the tree at check time.
 func (v *Volume) SetGroupACL(dirPath string, group uint32, rights Rights) error {
 	return v.client.encl.SetGroupACL(dirPath, group, rights)
 }
 
-// UserGroup returns the leaf subgroup of the membership key tree the
+// UserGroup returns the leaf subgroup of the volume's member tree the
 // named user currently belongs to, for use with SetGroupACL.
 func (v *Volume) UserGroup(userName string) (uint32, error) {
 	return v.client.encl.UserGroup(userName)
