@@ -134,7 +134,7 @@ vuln:
 
 # cover reports coverage on the packages gated by the CI floor.
 cover:
-	$(GO) test -coverprofile=cover.out ./internal/metadata/ ./internal/gcmsiv/ ./internal/obs/ ./internal/groupkey/ ./internal/merkle/ ./internal/freshtree/ ./internal/afs/ ./internal/enclave/
+	$(GO) test -coverprofile=cover.out ./internal/metadata/ ./internal/gcmsiv/ ./internal/obs/ ./internal/groupkey/ ./internal/merkle/ ./internal/freshtree/ ./internal/afs/ ./internal/enclave/ ./internal/fsapi/
 	$(GO) tool cover -func=cover.out | tail -1
 
 # merkle runs the Merkle-authenticated namespace's full verification

@@ -13,7 +13,6 @@ import (
 
 	"nexus"
 	"nexus/internal/backend"
-	"nexus/internal/fsapi"
 	"nexus/internal/kvstore"
 	"nexus/internal/vfs"
 )
@@ -34,7 +33,7 @@ func main() {
 	}
 
 	// Open the database inside the protected volume.
-	db, err := kvstore.Open(fsapi.Nexus(vol.FS()), "/appdata/db", kvstore.Options{
+	db, err := kvstore.Open(vol.FS().API(), "/appdata/db", kvstore.Options{
 		WriteBufferSize: 16 << 10, // small, to force table flushes
 	})
 	if err != nil {
@@ -73,7 +72,7 @@ func main() {
 	}
 
 	// Reopen: WAL replay + table loading, all through the enclave.
-	db2, err := kvstore.Open(fsapi.Nexus(vol.FS()), "/appdata/db", kvstore.Options{})
+	db2, err := kvstore.Open(vol.FS().API(), "/appdata/db", kvstore.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func newNexusFS(t *testing.T) fsapi.FileSystem {
 	if err := encl.CompleteAuth(ed25519.Sign(priv, msg)); err != nil {
 		t.Fatal(err)
 	}
-	return fsapi.Nexus(vfs.New(encl))
+	return vfs.New(encl).API()
 }
 
 func buildSampleTree(t *testing.T, fs fsapi.FileSystem) {

@@ -140,7 +140,7 @@ func NewEnv(cfg Config) (*Env, error) {
 		return nil, err
 	}
 	env.NexusVolume = vol
-	env.NexusFS = fsapi.Nexus(vol.FS())
+	env.NexusFS = vol.FS().API()
 
 	// Baseline stack: plain files over its own AFS client.
 	plainAFS, err := afs.Dial(addr, afs.ClientConfig{Profile: cfg.Profile})

@@ -19,8 +19,8 @@ import (
 	"nexus/internal/vfs"
 )
 
-// newNexusFS builds a mounted NEXUS filesystem.
-func newNexusFS(t *testing.T) fsapi.FileSystem {
+// newNexusFS builds a mounted NEXUS filesystem over store.
+func newNexusFS(t *testing.T, store backend.Store) fsapi.FileSystem {
 	t.Helper()
 	platform, err := sgx.NewPlatform(sgx.PlatformConfig{}, nil)
 	if err != nil {
@@ -33,7 +33,7 @@ func newNexusFS(t *testing.T) fsapi.FileSystem {
 	// Small buckets exercise splitting under the random workload.
 	encl, err := enclave.New(enclave.Config{
 		SGX:        container,
-		Store:      vfs.NewVersionedStore(backend.NewMemStore()),
+		Store:      vfs.NewVersionedStore(store),
 		BucketSize: 8,
 	})
 	if err != nil {
@@ -59,14 +59,18 @@ func newNexusFS(t *testing.T) fsapi.FileSystem {
 	if err := encl.CompleteAuth(ed25519.Sign(priv, msg)); err != nil {
 		t.Fatal(err)
 	}
-	return fsapi.Nexus(vfs.New(encl))
+	return vfs.New(encl).API()
 }
 
 // TestDifferentialRandomOps drives identical random operation sequences
 // through NEXUS and the plain baseline and demands identical observable
 // behaviour: same success/failure outcomes, same listings, same file
 // contents. This is the repository's model-based correctness check — the
-// baseline is simple enough to trust as a reference model.
+// baseline is simple enough to trust as a reference model. Handles are
+// opened with random flags and written, positioned, truncated, synced and
+// closed among the path-level operations, so what a handle leaves on the
+// store through NEXUS's SaveFile is checked against what it leaves
+// through the baseline's Put.
 func TestDifferentialRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -76,7 +80,7 @@ func TestDifferentialRandomOps(t *testing.T) {
 }
 
 func runDifferential(t *testing.T, seed int64, steps int) {
-	nx := newNexusFS(t)
+	nx := newNexusFS(t, backend.NewMemStore())
 	ref := plainfs.New(backend.NewMemStore())
 	rng := mrand.New(mrand.NewSource(seed))
 
@@ -87,10 +91,30 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 	files := []string{}
 	randDir := func() string { return dirs[rng.Intn(len(dirs))] }
 	randName := func() string { return fmt.Sprintf("n%02d", rng.Intn(30)) }
+	openFlags := []int{
+		fsapi.O_RDONLY, fsapi.O_RDWR, fsapi.O_RDWR | fsapi.O_CREATE,
+		fsapi.O_RDWR | fsapi.O_TRUNC, fsapi.O_RDWR | fsapi.O_APPEND,
+		fsapi.O_RDWR | fsapi.O_CREATE | fsapi.O_TRUNC, fsapi.O_RDWR | fsapi.O_CREATE | fsapi.O_APPEND,
+	}
+	// Open handle pairs, one on each filesystem.
+	type handles struct{ nx, ref fsapi.File }
+	var open []handles
+	randHandle := func() (handles, int) {
+		i := rng.Intn(len(open))
+		return open[i], i
+	}
+	sameN := func(step int, what string, nxN, refN int64) {
+		if nxN != refN {
+			t.Fatalf("step %d: %s returned %d on nexus, %d on the reference", step, what, nxN, refN)
+		}
+	}
 
 	for step := 0; step < steps; step++ {
 		var nxErr, refErr error
-		op := rng.Intn(100)
+		op := rng.Intn(125)
+		if op >= 105 && len(open) == 0 {
+			op = 100 // an open, so the handle ops have a handle
+		}
 		switch {
 		case op < 20: // mkdir
 			p := path.Join(randDir(), randName())
@@ -116,10 +140,17 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 			if nxErr == nil && refErr == nil && !bytes.Equal(nxData, refData) {
 				t.Fatalf("step %d: ReadFile(%s) contents differ", step, p)
 			}
-		case op < 72: // remove
+		case op < 69: // remove
 			p := path.Join(randDir(), randName())
 			nxErr = nx.Remove(p)
 			refErr = ref.Remove(p)
+		case op < 72: // remove a tree
+			p := randDir()
+			if p == "/" {
+				p = path.Join(p, randName())
+			}
+			nxErr = nx.RemoveAll(p)
+			refErr = ref.RemoveAll(p)
 		case op < 82: // rename a file
 			if len(files) == 0 {
 				continue
@@ -141,7 +172,7 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 					t.Fatalf("step %d: Stat(%s) kind differs: %+v vs %+v", step, p, nxSt, refSt)
 				}
 			}
-		default: // list a directory and compare
+		case op < 100: // list a directory and compare
 			d := randDir()
 			nxEntries, nxE := nx.ReadDir(d)
 			refEntries, refE := ref.ReadDir(d)
@@ -149,6 +180,51 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 			if nxErr == nil && refErr == nil {
 				compareListings(t, step, d, nxEntries, refEntries)
 			}
+		case op < 105: // open a handle, on a written file or any name
+			p := path.Join(randDir(), randName())
+			if len(files) > 0 && rng.Intn(2) == 0 {
+				p = files[rng.Intn(len(files))]
+			}
+			flags := openFlags[rng.Intn(len(openFlags))]
+			var h handles
+			h.nx, nxErr = nx.Open(p, flags)
+			h.ref, refErr = ref.Open(p, flags)
+			switch {
+			case nxErr == nil && refErr == nil:
+				open = append(open, h)
+				files = append(files, p)
+			case nxErr == nil:
+				_ = h.nx.Close() // the mismatch below is what fails
+			case refErr == nil:
+				_ = h.ref.Close()
+			}
+		case op < 111: // write through a handle
+			h, _ := randHandle()
+			content := make([]byte, rng.Intn(100))
+			rng.Read(content)
+			var nxN, refN int
+			nxN, nxErr = h.nx.Write(content)
+			refN, refErr = h.ref.Write(content)
+			sameN(step, "Write", int64(nxN), int64(refN))
+		case op < 114: // seek a handle
+			h, _ := randHandle()
+			offset, whence := rng.Int63n(300)-100, rng.Intn(3)
+			var nxPos, refPos int64
+			nxPos, nxErr = h.nx.Seek(offset, whence)
+			refPos, refErr = h.ref.Seek(offset, whence)
+			sameN(step, "Seek", nxPos, refPos)
+		case op < 117: // truncate through a handle
+			h, _ := randHandle()
+			size := rng.Int63n(200)
+			nxErr, refErr = h.nx.Truncate(size), h.ref.Truncate(size)
+			sameN(step, "Size", h.nx.Size(), h.ref.Size())
+		case op < 120: // sync a handle
+			h, _ := randHandle()
+			nxErr, refErr = h.nx.Sync(), h.ref.Sync()
+		default: // close a handle
+			h, i := randHandle()
+			nxErr, refErr = h.nx.Close(), h.ref.Close()
+			open = append(open[:i], open[i+1:]...)
 		}
 		if (nxErr == nil) != (refErr == nil) {
 			t.Fatalf("step %d (op %d): outcome mismatch: nexus=%v reference=%v",
@@ -156,6 +232,12 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 		}
 	}
 
+	for i, h := range open {
+		nxErr, refErr := h.nx.Close(), h.ref.Close()
+		if (nxErr == nil) != (refErr == nil) {
+			t.Fatalf("closing handle %d at the end: nexus=%v reference=%v", i, nxErr, refErr)
+		}
+	}
 	// Final deep comparison of the entire tree.
 	compareTrees(t, nx, ref, "/")
 }
@@ -222,10 +304,21 @@ func compareTrees(t *testing.T, a, b fsapi.FileSystem, root string) {
 // implementations returns each filesystem over a fresh store.
 func implementations(t *testing.T) map[string]fsapi.FileSystem {
 	return map[string]fsapi.FileSystem{
-		"nexus":   newNexusFS(t),
-		"plainfs": plainfs.New(backend.NewMemStore()),
+		"nexus":   over(t, "nexus", backend.NewMemStore()),
+		"plainfs": over(t, "plainfs", backend.NewMemStore()),
 	}
 }
+
+// over returns the named filesystem over store.
+func over(t *testing.T, name string, store backend.Store) fsapi.FileSystem {
+	if name == "nexus" {
+		return newNexusFS(t, store)
+	}
+	return plainfs.New(store)
+}
+
+// notFound is the error each implementation wraps for a missing path.
+var notFound = map[string]error{"nexus": enclave.ErrNotFound, "plainfs": plainfs.ErrNotFound}
 
 // TestRenameBelowItselfRefused: moving a directory to a path below itself
 // is refused (rename(2)'s EINVAL) and changes nothing; a sibling that

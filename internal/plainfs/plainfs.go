@@ -12,11 +12,9 @@ package plainfs
 import (
 	"errors"
 	"fmt"
-	"io"
 	"path"
 	"sort"
 	"strings"
-	"sync"
 
 	"nexus/internal/backend"
 	"nexus/internal/fsapi"
@@ -51,20 +49,42 @@ var (
 	ErrExists = errors.New("plainfs: entry already exists")
 	// ErrNotEmpty reports a non-empty directory removal.
 	ErrNotEmpty = errors.New("plainfs: directory not empty")
-	// ErrNotDir and ErrNotFile report kind mismatches.
-	ErrNotDir  = errors.New("plainfs: not a directory")
+	// ErrNotFile reports a kind mismatch.
 	ErrNotFile = errors.New("plainfs: not a file")
 )
 
 // FS is the baseline filesystem over a backend.Store.
 type FS struct {
-	store backend.Store
+	store   backend.Store
+	backing fsapi.Backing // what every handle reads, creates and saves through
 }
 
 var _ fsapi.FileSystem = (*FS)(nil)
 
 // New returns a baseline filesystem over store.
-func New(store backend.Store) *FS { return &FS{store: store} }
+func New(store backend.Store) *FS {
+	fs := &FS{store: store}
+	fs.backing = fsapi.Backing{
+		Read: fs.ReadFile,
+		// ReadFile reports a directory or symlink as missing too; Touch
+		// refuses those with ErrExists.
+		Missing: func(err error) bool { return errors.Is(err, ErrNotFound) },
+		Create:  fs.Touch,
+		// A handle saves over its file only: one removed or moved since the
+		// open stays gone, as on NEXUS.
+		Save: func(p string, data []byte, dirty bool) error {
+			if !dirty {
+				return nil
+			}
+			if _, err := fs.ReadFile(p); err != nil {
+				return err
+			}
+			return fs.store.Put(fileObj(p), data)
+		},
+		Retryable: backend.IsUnavailable,
+	}
+	return fs
+}
 
 func fileObj(p string) string { return filePre + sep + escape(p) }
 func dirObj(p string) string  { return dirMarker + sep + escape(p) }
@@ -91,19 +111,7 @@ func (fs *FS) Mkdir(p string) error {
 
 // MkdirAll creates a directory and missing parents.
 func (fs *FS) MkdirAll(p string) error {
-	clean := path.Clean("/" + p)
-	if clean == "/" {
-		return nil
-	}
-	parts := strings.Split(strings.Trim(clean, "/"), "/")
-	cur := ""
-	for _, part := range parts {
-		cur += "/" + part
-		if err := fs.Mkdir(cur); err != nil && !errors.Is(err, ErrExists) {
-			return err
-		}
-	}
-	return nil
+	return fsapi.MkdirAll(p, fs.Mkdir, func(err error) bool { return errors.Is(err, ErrExists) })
 }
 
 func (fs *FS) isDir(p string) (bool, error) {
@@ -195,29 +203,7 @@ func (fs *FS) Remove(p string) error {
 
 // RemoveAll deletes p recursively; missing paths are fine.
 func (fs *FS) RemoveAll(p string) error {
-	exists, err := fs.Exists(p)
-	if err != nil {
-		return err
-	}
-	if !exists {
-		return nil
-	}
-	st, err := fs.Stat(p)
-	if err != nil {
-		return err
-	}
-	if st.IsDir {
-		entries, err := fs.ReadDir(p)
-		if err != nil {
-			return err
-		}
-		for _, entry := range entries {
-			if err := fs.RemoveAll(path.Join(p, entry.Name)); err != nil {
-				return err
-			}
-		}
-	}
-	return fs.Remove(p)
+	return fsapi.RemoveAll(fs, p, func(err error) bool { return errors.Is(err, ErrNotFound) })
 }
 
 // Rename moves a file or directory (directories move all descendants —
@@ -379,176 +365,14 @@ func (fs *FS) ReadDir(p string) ([]fsapi.DirEntry, error) {
 	return out, nil
 }
 
-// Open returns an open-to-close handle, mirroring the AFS session
-// semantics the NEXUS handle provides. With O_CREATE a missing file is
-// made, empty, at the open, as NEXUS's Open does.
+// Open returns the open-to-close handle NEXUS hands out too. With
+// O_CREATE a missing file is made, empty, at the open. Close keeps the
+// handle open when the store is unavailable (backend.IsUnavailable), so it
+// can be retried.
 func (fs *FS) Open(p string, flags int) (fsapi.File, error) {
-	f := &file{fs: fs, path: p, flags: flags, open: true}
-	data, err := fs.ReadFile(p)
-	switch {
-	case err == nil:
-		if flags&fsapi.O_TRUNC == 0 {
-			f.buf = data
-		} else {
-			f.dirty = true
-		}
-	case errors.Is(err, ErrNotFound) && flags&fsapi.O_CREATE != 0:
-		if err := fs.Touch(p); err != nil && !errors.Is(err, ErrExists) {
-			return nil, err
-		}
-		f.dirty = true
-	default:
+	h := new(fsapi.Handle)
+	if err := h.Open(p, flags, &fs.backing); err != nil {
 		return nil, err
 	}
-	if flags&fsapi.O_APPEND != 0 {
-		f.pos = int64(len(f.buf))
-	}
-	return f, nil
-}
-
-// file implements fsapi.File for the baseline.
-type file struct {
-	fs    *FS
-	path  string
-	flags int
-
-	mu    sync.Mutex
-	buf   []byte
-	pos   int64
-	dirty bool
-	open  bool
-}
-
-func (f *file) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.open {
-		return 0, fmt.Errorf("plainfs: read of closed file %s", f.path)
-	}
-	if f.pos >= int64(len(f.buf)) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.buf[f.pos:])
-	f.pos += int64(n)
-	return n, nil
-}
-
-func (f *file) ReadAt(p []byte, off int64) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.open {
-		return 0, fmt.Errorf("plainfs: read of closed file %s", f.path)
-	}
-	if off < 0 || off >= int64(len(f.buf)) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.buf[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-func (f *file) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.open {
-		return 0, fmt.Errorf("plainfs: write to closed file %s", f.path)
-	}
-	if f.flags&fsapi.O_RDWR == 0 && f.flags&fsapi.O_APPEND == 0 {
-		return 0, fmt.Errorf("plainfs: file %s not open for writing", f.path)
-	}
-	end := f.pos + int64(len(p))
-	if end > int64(len(f.buf)) {
-		grown := make([]byte, end)
-		copy(grown, f.buf)
-		f.buf = grown
-	}
-	copy(f.buf[f.pos:end], p)
-	f.pos = end
-	f.dirty = true
-	return len(p), nil
-}
-
-func (f *file) Seek(offset int64, whence int) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.open {
-		return 0, fmt.Errorf("plainfs: seek in closed file %s", f.path)
-	}
-	var base int64
-	switch whence {
-	case io.SeekStart:
-	case io.SeekCurrent:
-		base = f.pos
-	case io.SeekEnd:
-		base = int64(len(f.buf))
-	default:
-		return 0, fmt.Errorf("plainfs: bad whence %d", whence)
-	}
-	pos := base + offset
-	if pos < 0 {
-		return 0, fmt.Errorf("plainfs: negative seek position")
-	}
-	f.pos = pos
-	return pos, nil
-}
-
-func (f *file) Truncate(size int64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.open {
-		return fmt.Errorf("plainfs: truncate of closed file %s", f.path)
-	}
-	if size < 0 {
-		return fmt.Errorf("plainfs: negative truncate size")
-	}
-	switch {
-	case size < int64(len(f.buf)):
-		f.buf = f.buf[:size]
-	case size > int64(len(f.buf)):
-		grown := make([]byte, size)
-		copy(grown, f.buf)
-		f.buf = grown
-	}
-	f.dirty = true
-	return nil
-}
-
-func (f *file) Size() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return int64(len(f.buf))
-}
-
-func (f *file) Sync() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.open {
-		return fmt.Errorf("plainfs: sync of closed file %s", f.path)
-	}
-	return f.syncLocked()
-}
-
-func (f *file) syncLocked() error {
-	if !f.dirty {
-		return nil
-	}
-	if err := f.fs.WriteFile(f.path, f.buf); err != nil {
-		return err
-	}
-	f.dirty = false
-	return nil
-}
-
-func (f *file) Close() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.open {
-		return nil
-	}
-	err := f.syncLocked()
-	f.open = false
-	f.buf = nil
-	return err
+	return h, nil
 }

@@ -1,13 +1,10 @@
 package plainfs
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"testing"
 
 	"nexus/internal/backend"
-	"nexus/internal/fsapi"
 )
 
 func newFS(t *testing.T) *FS {
@@ -161,43 +158,5 @@ func TestSpecialCharactersInNames(t *testing.T) {
 		if !want[e.Name] {
 			t.Fatalf("unexpected listing name %q", e.Name)
 		}
-	}
-}
-
-func TestOpenHandleMatchesNexusSemantics(t *testing.T) {
-	fs := newFS(t)
-	f, err := fs.Open("/f", fsapi.O_RDWR|fsapi.O_CREATE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("abcdef")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadFile("/f")
-	if err != nil || string(got) != "abcdef" {
-		t.Fatalf("post-sync = %q, %v", got, err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 3)
-	if _, err := f.Read(buf); err != nil || !bytes.Equal(buf, []byte("abc")) {
-		t.Fatalf("Read = %q, %v", buf, err)
-	}
-	if err := f.Truncate(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err = fs.ReadFile("/f")
-	if err != nil || string(got) != "ab" {
-		t.Fatalf("post-close = %q, %v", got, err)
-	}
-	if _, err := fs.Open("/nope", fsapi.O_RDONLY); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Open(missing) = %v", err)
 	}
 }

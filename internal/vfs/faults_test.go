@@ -128,44 +128,3 @@ func TestStoreFaultsSurfaceTyped(t *testing.T) {
 		t.Errorf("plain not-found classified unavailable: %v", err)
 	}
 }
-
-// An open handle must survive a Close that fails on an unavailable
-// store: the buffered data is the only copy, so the handle stays open
-// and a later Close succeeds once the service recovers.
-func TestCloseRetryableWhileStoreUnavailable(t *testing.T) {
-	fs, flaky := newFlakyFS(t)
-	f, err := fs.Open("/doc", O_CREATE|O_RDWR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("must not be lost to a flaky network")
-	if _, err := f.Write(data); err != nil {
-		t.Fatal(err)
-	}
-
-	flaky.fail(nil, backend.ErrInterrupted)
-	err = f.Close()
-	if err == nil {
-		t.Fatal("close through a dead store succeeded")
-	}
-	if !IsUnavailable(err) {
-		t.Fatalf("close error not classified unavailable: %v", err)
-	}
-	if f.Size() != int64(len(data)) {
-		t.Fatalf("failed close discarded the buffer: size %d", f.Size())
-	}
-
-	// The service heals; the same handle closes cleanly and the data is
-	// durable.
-	flaky.fail(nil, nil)
-	if err := f.Close(); err != nil {
-		t.Fatalf("close after recovery: %v", err)
-	}
-	got, err := fs.ReadFile("/doc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatalf("read back %q, want %q", got, data)
-	}
-}

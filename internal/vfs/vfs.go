@@ -8,19 +8,18 @@
 // filesystem API of Table I, and the enclave's storage I/O flows back
 // out through the ObjectStore ocall surface. The facade adds the
 // conveniences a POSIX-ish consumer expects — MkdirAll, RemoveAll,
-// WriteFile-with-create — and open-to-close file handles matching AFS
-// semantics: a file is fetched and decrypted at open, operated on
-// locally, and re-encrypted and stored at close.
+// WriteFile-with-create — and builds the open-to-close handle both
+// filesystems share, fsapi.Handle: a file is fetched and decrypted at
+// open, operated on locally, and re-encrypted and stored at Sync and
+// Close. Over the shared handle vfs adds only a revalidation before the
+// open's read and the vfs_open/vfs_sync/vfs_close metrics and spans.
 package vfs
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
-	"path"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -28,6 +27,7 @@ import (
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
 	"nexus/internal/freshtree"
+	"nexus/internal/fsapi"
 	"nexus/internal/lendcheck"
 	"nexus/internal/metadata"
 	"nexus/internal/obs"
@@ -318,46 +318,53 @@ func (s *VersionedStore) Lock(name string) (func(), error) {
 }
 
 // DirEntry is a directory listing entry.
-type DirEntry struct {
-	Name string
-	// IsDir reports directories; Symlink entries report their target.
-	IsDir         bool
-	IsSymlink     bool
-	SymlinkTarget string
-	Size          uint64
-}
+type DirEntry = fsapi.DirEntry
 
 // FS is the user-facing filesystem over a mounted NEXUS volume.
 type FS struct {
 	e       *enclave.Enclave
 	metrics vfsMetrics
+	backing fsapi.Backing // what every handle reads, creates and saves through
 }
 
 // vfsMetrics instruments the facade's top-level operations: each op gets
 // a count and a latency histogram, and — when tracing is enabled — a
 // root span under which the enclave and storage layers hang their own.
 type vfsMetrics struct {
-	opens, reads, writes, closes, syncs, setacls *obs.Counter
+	open, read, write, close, sync, setacl opMetric
+}
 
-	openLat, readLat, writeLat, closeLat, syncLat, setaclLat *obs.Histogram
-
+// opMetric is one operation's vfs_<op>_total counter, vfs_<op>_seconds
+// histogram and vfs.<op> span.
+type opMetric struct {
+	span   string
+	count  *obs.Counter
+	lat    *obs.Histogram
 	tracer *obs.Tracer
 }
 
 func (m *vfsMetrics) bind(reg *obs.Registry) {
-	m.opens = reg.Counter("vfs_open_total")
-	m.reads = reg.Counter("vfs_read_total")
-	m.writes = reg.Counter("vfs_write_total")
-	m.closes = reg.Counter("vfs_close_total")
-	m.syncs = reg.Counter("vfs_sync_total")
-	m.setacls = reg.Counter("vfs_setacl_total")
-	m.openLat = reg.Histogram("vfs_open_seconds")
-	m.readLat = reg.Histogram("vfs_read_seconds")
-	m.writeLat = reg.Histogram("vfs_write_seconds")
-	m.closeLat = reg.Histogram("vfs_close_seconds")
-	m.syncLat = reg.Histogram("vfs_sync_seconds")
-	m.setaclLat = reg.Histogram("vfs_setacl_seconds")
-	m.tracer = reg.Tracer()
+	op := func(name string) opMetric {
+		return opMetric{span: "vfs." + name, count: reg.Counter("vfs_" + name + "_total"),
+			lat: reg.Histogram("vfs_" + name + "_seconds"), tracer: reg.Tracer()}
+	}
+	m.open, m.read, m.write = op("open"), op("read"), op("write")
+	m.close, m.sync, m.setacl = op("close"), op("sync"), op("setacl")
+}
+
+// timing is one operation in flight: defer m.begin().end().
+type timing struct {
+	m     *opMetric
+	span  *obs.Span
+	start time.Time
+}
+
+func (m *opMetric) begin() timing { return timing{m, m.tracer.Begin(m.span), time.Now()} }
+
+func (t timing) end() {
+	t.m.count.Inc()
+	t.m.lat.Record(time.Since(t.start))
+	t.span.End()
 }
 
 // New wraps a mounted, authenticated enclave. The facade records into
@@ -366,7 +373,37 @@ func (m *vfsMetrics) bind(reg *obs.Registry) {
 func New(e *enclave.Enclave) *FS {
 	fs := &FS{e: e}
 	fs.metrics.bind(e.Obs())
+	fs.backing = fsapi.Backing{
+		Read:    e.ReadFile,
+		Missing: func(err error) bool { return errors.Is(err, enclave.ErrNotFound) },
+		Create:  e.Touch,
+		// Sync and Close are metadata barriers even when the buffer is
+		// clean: the create that backs the handle may still be deferred in
+		// the enclave's dirty set. The drain is idempotent and retryable,
+		// so Close's stay-open-on-unavailable contract holds.
+		Save: func(p string, data []byte, dirty bool) error {
+			if !dirty {
+				return e.SyncMetadata()
+			}
+			return e.SaveFile(p, data, false)
+		},
+		Retryable: IsUnavailable,
+	}
 	return fs
+}
+
+// API returns fs as an fsapi.FileSystem, whose Open returns the fsapi.File
+// interface.
+func (fs *FS) API() fsapi.FileSystem { return api{fs} }
+
+type api struct{ *FS }
+
+func (a api) Open(p string, flags int) (fsapi.File, error) {
+	f, err := a.FS.Open(p, flags)
+	if err != nil {
+		return nil, err // not a nil *File in a non-nil interface
+	}
+	return f, nil
 }
 
 // Enclave exposes the underlying enclave for administrative operations
@@ -378,20 +415,7 @@ func (fs *FS) Mkdir(p string) error { return fs.e.Mkdir(p) }
 
 // MkdirAll creates a directory and any missing parents.
 func (fs *FS) MkdirAll(p string) error {
-	p = path.Clean("/" + p)
-	if p == "/" {
-		return nil
-	}
-	parts := strings.Split(strings.Trim(p, "/"), "/")
-	cur := ""
-	for _, part := range parts {
-		cur = cur + "/" + part
-		err := fs.e.Mkdir(cur)
-		if err != nil && !errors.Is(err, enclave.ErrExists) {
-			return err
-		}
-	}
-	return nil
+	return fsapi.MkdirAll(p, fs.e.Mkdir, func(err error) bool { return errors.Is(err, enclave.ErrExists) })
 }
 
 // Touch creates an empty file; the parent directory must exist.
@@ -399,13 +423,7 @@ func (fs *FS) Touch(p string) error { return fs.e.Touch(p) }
 
 // WriteFile writes data to the file at p, creating it if necessary.
 func (fs *FS) WriteFile(p string, data []byte) error {
-	span := fs.metrics.tracer.Begin("vfs.write")
-	start := time.Now()
-	defer func() {
-		fs.metrics.writes.Inc()
-		fs.metrics.writeLat.Record(time.Since(start))
-		span.End()
-	}()
+	defer fs.metrics.write.begin().end()
 	// The path-level one-shot write is a durability point: callers have
 	// no handle to Sync/Close later, so deferred metadata (the create
 	// itself) drains, in the same ecall, before we report success.
@@ -419,13 +437,7 @@ func (fs *FS) Sync() error { return fs.e.SyncMetadata() }
 
 // ReadFile returns the file's contents.
 func (fs *FS) ReadFile(p string) ([]byte, error) {
-	span := fs.metrics.tracer.Begin("vfs.read")
-	start := time.Now()
-	defer func() {
-		fs.metrics.reads.Inc()
-		fs.metrics.readLat.Record(time.Since(start))
-		span.End()
-	}()
+	defer fs.metrics.read.begin().end()
 	return fs.e.ReadFile(p)
 }
 
@@ -435,25 +447,7 @@ func (fs *FS) Remove(p string) error { return fs.e.Remove(p) }
 // RemoveAll deletes p and, for directories, everything beneath it. A
 // missing path is not an error.
 func (fs *FS) RemoveAll(p string) error {
-	st, err := fs.e.Lookup(p)
-	if errors.Is(err, enclave.ErrNotFound) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if st.Kind == metadata.KindDir {
-		entries, err := fs.e.Filldir(p)
-		if err != nil {
-			return err
-		}
-		for _, entry := range entries {
-			if err := fs.RemoveAll(path.Join(p, entry.Name)); err != nil {
-				return err
-			}
-		}
-	}
-	return fs.e.Remove(p)
+	return fsapi.RemoveAll(fs, p, func(err error) bool { return errors.Is(err, enclave.ErrNotFound) })
 }
 
 // Rename moves a file or directory; existing files at the destination
@@ -513,51 +507,6 @@ func (fs *FS) ReadDir(p string) ([]DirEntry, error) {
 	return out, nil
 }
 
-// Walk calls fn for every entry under root (depth-first, lexical order),
-// with the entry's full path. fn may return ErrSkipDir for directories.
-func (fs *FS) Walk(root string, fn func(p string, entry DirEntry) error) error {
-	st, err := fs.Stat(root)
-	if err != nil {
-		return err
-	}
-	if err := fn(path.Clean("/"+root), st); err != nil {
-		if errors.Is(err, ErrSkipDir) && st.IsDir {
-			return nil
-		}
-		return err
-	}
-	if !st.IsDir {
-		return nil
-	}
-	entries, err := fs.ReadDir(root)
-	if err != nil {
-		return err
-	}
-	for _, entry := range entries {
-		child := path.Join(root, entry.Name)
-		if entry.IsDir {
-			if err := fs.Walk(child, fn); err != nil {
-				return err
-			}
-			continue
-		}
-		childStat, err := fs.Stat(child)
-		if err != nil {
-			return err
-		}
-		if err := fn(path.Clean("/"+child), childStat); err != nil {
-			if errors.Is(err, ErrSkipDir) {
-				continue
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// ErrSkipDir tells Walk to skip a directory's contents.
-var ErrSkipDir = errors.New("vfs: skip directory")
-
 // IsUnavailable reports whether err is a storage-substrate failure —
 // the backing service unreachable, an operation past its deadline, or a
 // mutating exchange interrupted with unknown outcome. Applications can
@@ -569,13 +518,7 @@ func IsUnavailable(err error) bool {
 
 // SetACL grants rights to a user on a directory (acl.None revokes).
 func (fs *FS) SetACL(dirPath, userName string, rights acl.Rights) error {
-	span := fs.metrics.tracer.Begin("vfs.setacl")
-	start := time.Now()
-	defer func() {
-		fs.metrics.setacls.Inc()
-		fs.metrics.setaclLat.Record(time.Since(start))
-		span.End()
-	}()
+	defer fs.metrics.setacl.begin().end()
 	return fs.e.SetACL(dirPath, userName, rights)
 }
 
@@ -584,238 +527,53 @@ func (fs *FS) GetACL(dirPath string) (map[string]acl.Rights, error) {
 	return fs.e.GetACL(dirPath)
 }
 
-// Open flags, mirroring the os package subset the handle supports.
+// Open flags, those of fsapi.
 const (
-	O_RDONLY = 0x0
-	O_RDWR   = 0x2
-	O_CREATE = 0x40
-	O_TRUNC  = 0x200
-	O_APPEND = 0x400
+	O_RDONLY = fsapi.O_RDONLY
+	O_RDWR   = fsapi.O_RDWR
+	O_CREATE = fsapi.O_CREATE
+	O_TRUNC  = fsapi.O_TRUNC
+	O_APPEND = fsapi.O_APPEND
 )
 
-// File is an open-to-close file handle: contents are fetched and
-// decrypted once at Open, all reads and writes are local, and dirty
-// contents are re-encrypted and stored at Close (or Sync) — exactly the
-// session semantics AFS gives the prototype (§VII-A).
+// File is an open-to-close handle on a NEXUS file, the shared
+// fsapi.Handle: the file is fetched and decrypted once at Open, all reads
+// and writes are local, and Sync and Close re-encrypt and store it and
+// drain the enclave's write-back metadata, in one ecall — exactly the
+// session semantics AFS gives the prototype (§VII-A). If Close fails
+// because the store is unavailable (IsUnavailable), the handle stays open
+// with its buffer intact, so Close (or Sync) can be retried once the
+// service recovers.
 type File struct {
-	fs    *FS
-	path  string
-	flags int
-
-	mu    sync.Mutex
-	buf   []byte
-	pos   int64
-	dirty bool
-	open  bool
+	fsapi.Handle
+	m *vfsMetrics
 }
 
 // Open opens the file at p.
 func (fs *FS) Open(p string, flags int) (*File, error) {
-	span := fs.metrics.tracer.Begin("vfs.open")
-	start := time.Now()
-	defer func() {
-		fs.metrics.opens.Inc()
-		fs.metrics.openLat.Record(time.Since(start))
-		span.End()
-	}()
+	defer fs.metrics.open.begin().end()
 	// The handle starts from the file as last committed by any client,
 	// not from the snapshot a VersionedStore serves until it next reads
 	// the root: Close writes the whole buffer back.
 	if err := fs.e.Revalidate(); err != nil {
 		return nil, err
 	}
-	f := &File{fs: fs, path: p, flags: flags, open: true}
-	data, err := fs.e.ReadFile(p)
-	switch {
-	case err == nil:
-		if flags&O_TRUNC == 0 {
-			f.buf = data
-		} else {
-			f.dirty = true
-		}
-	case errors.Is(err, enclave.ErrNotFound) && flags&O_CREATE != 0:
-		if err := fs.e.Touch(p); err != nil && !errors.Is(err, enclave.ErrExists) {
-			return nil, err
-		}
-		f.dirty = true
-	default:
+	f := &File{m: &fs.metrics}
+	if err := f.Handle.Open(p, flags, &fs.backing); err != nil {
 		return nil, err
 	}
-	if flags&O_APPEND != 0 {
-		f.pos = int64(len(f.buf))
-	}
 	return f, nil
-}
-
-// Read implements io.Reader.
-func (f *File) Read(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.open {
-		return 0, fmt.Errorf("vfs: read of closed file %s", f.path)
-	}
-	if f.pos >= int64(len(f.buf)) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.buf[f.pos:])
-	f.pos += int64(n)
-	return n, nil
-}
-
-// ReadAt implements io.ReaderAt.
-func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.open {
-		return 0, fmt.Errorf("vfs: read of closed file %s", f.path)
-	}
-	if off < 0 || off >= int64(len(f.buf)) {
-		return 0, io.EOF
-	}
-	n := copy(p, f.buf[off:])
-	if n < len(p) {
-		return n, io.EOF
-	}
-	return n, nil
-}
-
-// Write implements io.Writer.
-func (f *File) Write(p []byte) (int, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.open {
-		return 0, fmt.Errorf("vfs: write to closed file %s", f.path)
-	}
-	if f.flags&O_RDWR == 0 && f.flags&O_APPEND == 0 {
-		return 0, fmt.Errorf("vfs: file %s not open for writing", f.path)
-	}
-	end := f.pos + int64(len(p))
-	if end > int64(len(f.buf)) {
-		grown := make([]byte, end)
-		copy(grown, f.buf)
-		f.buf = grown
-	}
-	copy(f.buf[f.pos:end], p)
-	f.pos = end
-	f.dirty = true
-	return len(p), nil
-}
-
-// Seek implements io.Seeker.
-func (f *File) Seek(offset int64, whence int) (int64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.open {
-		return 0, fmt.Errorf("vfs: seek in closed file %s", f.path)
-	}
-	var base int64
-	switch whence {
-	case io.SeekStart:
-		base = 0
-	case io.SeekCurrent:
-		base = f.pos
-	case io.SeekEnd:
-		base = int64(len(f.buf))
-	default:
-		return 0, fmt.Errorf("vfs: bad whence %d", whence)
-	}
-	pos := base + offset
-	if pos < 0 {
-		return 0, fmt.Errorf("vfs: negative seek position")
-	}
-	f.pos = pos
-	return pos, nil
-}
-
-// Truncate resizes the buffered contents.
-func (f *File) Truncate(size int64) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.open {
-		return fmt.Errorf("vfs: truncate of closed file %s", f.path)
-	}
-	if size < 0 {
-		return fmt.Errorf("vfs: negative truncate size")
-	}
-	switch {
-	case size < int64(len(f.buf)):
-		f.buf = f.buf[:size]
-	case size > int64(len(f.buf)):
-		grown := make([]byte, size)
-		copy(grown, f.buf)
-		f.buf = grown
-	}
-	f.dirty = true
-	return nil
-}
-
-// Size returns the buffered length.
-func (f *File) Size() int64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return int64(len(f.buf))
 }
 
 // Sync encrypts and uploads dirty contents without closing the handle
 // (fsync; the file's chunks are re-keyed, §VI-A).
 func (f *File) Sync() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.open {
-		return fmt.Errorf("vfs: sync of closed file %s", f.path)
-	}
-	m := &f.fs.metrics
-	span := m.tracer.Begin("vfs.sync")
-	start := time.Now()
-	defer func() {
-		m.syncs.Inc()
-		m.syncLat.Record(time.Since(start))
-		span.End()
-	}()
-	return f.syncLocked()
+	defer f.m.sync.begin().end()
+	return f.Handle.Sync()
 }
 
-// syncLocked writes dirty contents and drains, in one ecall. Sync/Close
-// are metadata barriers even when the buffer is clean: the create that
-// backs this handle may still be deferred in the enclave's dirty set. The
-// drain is idempotent and retryable, so Close's stay-open-on-unavailable
-// contract holds.
-func (f *File) syncLocked() error {
-	if !f.dirty {
-		return f.fs.e.SyncMetadata()
-	}
-	if err := f.fs.e.SaveFile(f.path, f.buf, false); err != nil {
-		return err
-	}
-	f.dirty = false
-	return nil
-}
-
-// Close flushes dirty contents and invalidates the handle. If the flush
-// fails because the storage substrate is unavailable (IsUnavailable),
-// the handle stays open with its buffer intact so the caller can retry
-// Close (or Sync) once the service recovers — closing would discard the
-// only surviving copy of the data. Any other failure invalidates the
-// handle as usual.
+// Close flushes dirty contents and invalidates the handle.
 func (f *File) Close() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !f.open {
-		return nil
-	}
-	m := &f.fs.metrics
-	span := m.tracer.Begin("vfs.close")
-	start := time.Now()
-	defer func() {
-		m.closes.Inc()
-		m.closeLat.Record(time.Since(start))
-		span.End()
-	}()
-	err := f.syncLocked()
-	if err != nil && IsUnavailable(err) {
-		return err
-	}
-	f.open = false
-	f.buf = nil
-	return err
+	defer f.m.close.begin().end()
+	return f.Handle.Close()
 }

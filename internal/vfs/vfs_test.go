@@ -6,7 +6,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -398,195 +397,6 @@ func TestWriteFileCreates(t *testing.T) {
 	got, err = fs.ReadFile("/new.txt")
 	if err != nil || string(got) != "replaced" {
 		t.Fatalf("ReadFile after overwrite = %q, %v", got, err)
-	}
-}
-
-func TestWalk(t *testing.T) {
-	fs := newTestFS(t)
-	for _, p := range []string{"/w/a", "/w/b/c"} {
-		if err := fs.MkdirAll(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, f := range []string{"/w/f1", "/w/a/f2", "/w/b/c/f3"} {
-		if err := fs.WriteFile(f, []byte(f)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var visited []string
-	err := fs.Walk("/w", func(p string, entry DirEntry) error {
-		visited = append(visited, p)
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("Walk: %v", err)
-	}
-	want := []string{"/w", "/w/a", "/w/a/f2", "/w/b", "/w/b/c", "/w/b/c/f3", "/w/f1"}
-	if len(visited) != len(want) {
-		t.Fatalf("Walk visited %v, want %v", visited, want)
-	}
-	for i := range want {
-		if visited[i] != want[i] {
-			t.Fatalf("Walk order %v, want %v", visited, want)
-		}
-	}
-}
-
-func TestFileHandleReadWrite(t *testing.T) {
-	fs := newTestFS(t)
-	f, err := fs.Open("/file", O_RDWR|O_CREATE)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	if _, err := f.Write([]byte("hello world")); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	// Reopen and read.
-	f, err = fs.Open("/file", O_RDONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := io.ReadAll(f)
-	if err != nil || string(got) != "hello world" {
-		t.Fatalf("ReadAll = %q, %v", got, err)
-	}
-	// Seek and partial read.
-	if _, err := f.Seek(6, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 5)
-	if n, err := f.Read(buf); err != nil || n != 5 || string(buf) != "world" {
-		t.Fatalf("Read after Seek = %q, %d, %v", buf, n, err)
-	}
-	if _, err := f.Read(buf); !errors.Is(err, io.EOF) {
-		t.Fatalf("Read at EOF = %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFileHandleOpenSemantics(t *testing.T) {
-	fs := newTestFS(t)
-	if err := fs.WriteFile("/f", []byte("original")); err != nil {
-		t.Fatal(err)
-	}
-
-	// O_TRUNC discards contents.
-	f, err := fs.Open("/f", O_RDWR|O_TRUNC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Size() != 0 {
-		t.Fatalf("Size after O_TRUNC = %d", f.Size())
-	}
-	if _, err := f.Write([]byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// O_APPEND starts at EOF.
-	f, err = fs.Open("/f", O_RDWR|O_APPEND)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("+more")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadFile("/f")
-	if err != nil || string(got) != "new+more" {
-		t.Fatalf("after append = %q, %v", got, err)
-	}
-
-	// Missing file without O_CREATE.
-	if _, err := fs.Open("/missing", O_RDONLY); !errors.Is(err, enclave.ErrNotFound) {
-		t.Fatalf("Open missing = %v", err)
-	}
-	// Read-only handle rejects writes.
-	f, err = fs.Open("/f", O_RDONLY)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("x")); err == nil {
-		t.Fatal("write on O_RDONLY handle accepted")
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFileHandleSyncVisibility(t *testing.T) {
-	fs := newTestFS(t)
-	f, err := fs.Open("/db.log", O_RDWR|O_CREATE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("record1")); err != nil {
-		t.Fatal(err)
-	}
-	// Before Sync the store holds the old (empty) contents.
-	got, err := fs.ReadFile("/db.log")
-	if err != nil || len(got) != 0 {
-		t.Fatalf("pre-sync read = %q, %v", got, err)
-	}
-	if err := f.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	got, err = fs.ReadFile("/db.log")
-	if err != nil || string(got) != "record1" {
-		t.Fatalf("post-sync read = %q, %v", got, err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFileHandleTruncateAndReadAt(t *testing.T) {
-	fs := newTestFS(t)
-	f, err := fs.Open("/f", O_RDWR|O_CREATE)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte("0123456789")); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Truncate(4); err != nil {
-		t.Fatal(err)
-	}
-	if f.Size() != 4 {
-		t.Fatalf("Size after truncate = %d", f.Size())
-	}
-	if err := f.Truncate(8); err != nil { // zero-extend
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4)
-	if _, err := f.ReadAt(buf, 2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, []byte{'2', '3', 0, 0}) {
-		t.Fatalf("ReadAt = %v", buf)
-	}
-	if _, err := f.ReadAt(buf, 100); !errors.Is(err, io.EOF) {
-		t.Fatalf("ReadAt past EOF = %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Operations on closed handles fail cleanly.
-	if _, err := f.Read(buf); err == nil {
-		t.Fatal("read of closed handle accepted")
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("double close = %v", err)
 	}
 }
 
