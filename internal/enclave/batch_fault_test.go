@@ -31,16 +31,20 @@ import (
 // batching does not touch: a file's chunks are re-encrypted into its data
 // object in place (§VI-A), so a kill between the data object's put and the
 // filenode's leaves a filenode that fails authentication against the new
-// chunks, which is detected, never read. Once the store is back the
+// chunks, which is detected, never read. That holds only above
+// metadata.MaxInlineSize: the 4 KiB overwrite and append, one sealed
+// filenode each, are swept without the exception. Once the store is back the
 // writer's retry of the failed call converges on the new state. A
 // cross-directory rename is not a class: it puts the re-parented child
 // before either directory, and a kill after that put leaves the source
 // entry naming a child whose parent is the destination, which the walk
 // refuses (the file-swap check, §6).
 func TestBatchedWriteFaultSweep(t *testing.T) {
-	old, next := bytes.Repeat([]byte("o"), 4<<10), bytes.Repeat([]byte("n"), 4<<10)
-	moved := bytes.Repeat([]byte("m"), 4<<10)
+	old, next, moved := enclave.ChunkedFile('o'), enclave.ChunkedFile('n'), enclave.ChunkedFile('m')
 	appended := append(bytes.Clone(old), "tail"...)
+	// /a/s holds a 4 KiB file, whose content is in its filenode.
+	smallOld, smallNext := enclave.InlineFile('o'), enclave.InlineFile('n')
+	smallAppended := append(bytes.Clone(smallOld), "tail"...)
 	// removePending leaves a remove of /a/g in the dirty set, for the
 	// barrier op after it to commit with.
 	removePending := func(e *enclave.Enclave) error {
@@ -79,6 +83,12 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 		{"overwrite", "/a/f", next, old, func(e *enclave.Enclave) error { return e.SaveFile("/a/f", next, true) }, true, "", nil},
 		{"create", "/a/new", next, nil, func(e *enclave.Enclave) error { return e.SaveFile("/a/new", next, true) }, false, "", nil},
 		{"append", "/a/f", appended, old, func(e *enclave.Enclave) error { return e.SaveFile("/a/f", appended, false) }, true, "", nil},
+		{"overwrite of a 4 KiB file", "/a/s", smallNext, smallOld, func(e *enclave.Enclave) error {
+			return e.SaveFile("/a/s", smallNext, true)
+		}, false, "", nil},
+		{"append to a 4 KiB file", "/a/s", smallAppended, smallOld, func(e *enclave.Enclave) error {
+			return e.SaveFile("/a/s", smallAppended, false)
+		}, false, "", nil},
 		{"remove and drain", "/a/f", nil, old, func(e *enclave.Enclave) error {
 			if err := e.Remove("/a/f"); err != nil && !errors.Is(err, enclave.ErrNotFound) {
 				return err
@@ -258,6 +268,9 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 				if err := e.SaveFile("/a/f", old, true); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.SaveFile("/a/s", smallOld, true); err != nil {
 					t.Fatal(err)
 				}
 				if c.gone != "" {

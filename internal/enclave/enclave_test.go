@@ -409,14 +409,16 @@ func TestStatsAccounting(t *testing.T) {
 	if n := st.DataBytesWritten - base.DataBytesWritten; n != 0 {
 		t.Fatalf("DataBytesWritten = %d after an inline write, want 0", n)
 	}
-	// 4000 plaintext bytes do not: they seal into one chunk of ciphertext
-	// plus its 16-byte tag, and the filenode and the root are sealed again.
-	if err := e.SaveFile("/d/f", make([]byte, 4000), false); err != nil {
+	// A chunked file's bytes do not: they seal into one chunk of
+	// ciphertext plus its 16-byte tag, and the filenode and the root are
+	// sealed again.
+	big := ChunkedFile(0)
+	if err := e.SaveFile("/d/f", big, false); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Stats()
-	if data, flushes := st.DataBytesWritten-base.DataBytesWritten, st.MetadataFlushes-base.MetadataFlushes; data != 4016 || flushes != 10 {
-		t.Fatalf("DataBytesWritten = %d, flushes %d; want 4016 and 10", data, flushes)
+	if data, flushes := st.DataBytesWritten-base.DataBytesWritten, st.MetadataFlushes-base.MetadataFlushes; data != int64(len(big)+16) || flushes != 10 {
+		t.Fatalf("DataBytesWritten = %d, flushes %d; want %d and 10", data, flushes, len(big)+16)
 	}
 	if e.SGX().EcallCount() == ec || e.SGX().OcallCount() == oc {
 		t.Fatal("transition counters did not move")

@@ -14,6 +14,7 @@ import (
 	"nexus/internal/afs"
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
+	"nexus/internal/metadata"
 )
 
 // aheadRecorder sits between a client's enclave and its store and
@@ -125,7 +126,7 @@ func runHintStream(t *testing.T, store enclave.ObjectStore, seed int64) {
 	content := func(i int) []byte {
 		n := 100
 		if rng.Intn(3) == 0 {
-			n = 6000 // above the inline cap: a data object of two chunks
+			n = metadata.MaxInlineSize + 1 // a data object of 16 chunks
 		}
 		return []byte(fmt.Sprintf("%0*d", n, i))
 	}

@@ -133,7 +133,7 @@ func TestInlineFileIsOneObject(t *testing.T) {
 	if err := e.Touch("/f"); err != nil {
 		t.Fatal(err)
 	}
-	full := sized("full page", metadata.MaxInlineSize)
+	full := sized("full chunk", metadata.MaxInlineSize)
 	// The write's body alone, without the drain SaveFile ends with.
 	e.mu.Lock()
 	bytesBefore := e.wb.bytes

@@ -425,7 +425,7 @@ func newLeakStream(t *testing.T, seed int64) *leakStream {
 		c, err := nexus.NewClient(nexus.ClientConfig{
 			Store: &leakStore{FreshnessProofStore: freshtree.New(shared), rec: s.rec, adv: s.adv},
 			IAS:   ias,
-			// A file above the inline cap then has up to five chunks,
+			// A file above the inline cap then has 16 to 20 chunks,
 			// so K5 sees one content key seal several IVs.
 			ChunkSize: 4096,
 		})

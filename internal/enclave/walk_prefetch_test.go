@@ -146,7 +146,7 @@ func peerEnclave(t *testing.T, env *testEnv, owner identity, sealed []byte, volI
 func TestWarmWalkOneOcall(t *testing.T) {
 	env, _, _ := newMountedVolume(t, newIdentity(t, "owen"))
 	e := env.enclave
-	small, big := []byte("inline"), bytes.Repeat([]byte("chunked "), 1024)
+	small, big := InlineFile('s'), ChunkedFile('c')
 	dirs := []string{""}
 	for depth := 1; depth < 6; depth++ {
 		dir := fmt.Sprintf("%s/d%d", dirs[len(dirs)-1], depth)
@@ -522,11 +522,12 @@ func TestConcurrentWalksBesideWrites(t *testing.T) {
 	}
 	const files = 3
 	path := func(i int) string { return fmt.Sprintf("/d/f%d", i) }
-	var written sync.Map // every content a write produced
+	var written sync.Map           // every content a write produced
+	chunked := len(ChunkedFile(0)) // above the inline cap: a data object
 	content := func(seq int) []byte {
 		n := 64
 		if seq%3 == 0 {
-			n = 5000 // above the inline cap: a data object
+			n = chunked
 		}
 		data := []byte(fmt.Sprintf("%0*d", n, seq))
 		written.Store(string(data), true)
@@ -553,7 +554,7 @@ func TestConcurrentWalksBesideWrites(t *testing.T) {
 				p := path((n + r) % files)
 				if n%2 == 0 {
 					st, err := e.Lookup(p)
-					if err == nil && st.Size != 64 && st.Size != 5000 {
+					if err == nil && st.Size != 64 && st.Size != uint64(chunked) {
 						t.Errorf("Stat(%s) = size %d, which no write produced", p, st.Size)
 					} else if err != nil && !errors.Is(err, ErrNotFound) {
 						t.Errorf("Stat(%s) beside writes: %v", p, err)

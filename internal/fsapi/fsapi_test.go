@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"io"
 	mrand "math/rand"
@@ -14,6 +15,7 @@ import (
 	"nexus/internal/backend"
 	"nexus/internal/enclave"
 	"nexus/internal/fsapi"
+	"nexus/internal/metadata"
 	"nexus/internal/plainfs"
 	"nexus/internal/sgx"
 	"nexus/internal/vfs"
@@ -70,9 +72,11 @@ func newNexusFS(t *testing.T, store backend.Store) fsapi.FileSystem {
 // opened with random flags and written, positioned, truncated, synced and
 // closed among the path-level operations, so what a handle leaves on the
 // store through NEXUS's SaveFile is checked against what it leaves
-// through the baseline's Put.
+// through the baseline's Put. Written contents straddle
+// metadata.MaxInlineSize, so NEXUS stores them in both layouts and
+// rewrites them across the cap both ways.
 func TestDifferentialRandomOps(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
+	for seed := int64(1); seed <= 300; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			runDifferential(t, seed, 300)
 		})
@@ -91,6 +95,17 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 	files := []string{}
 	randDir := func() string { return dirs[rng.Intn(len(dirs))] }
 	randName := func() string { return fmt.Sprintf("n%02d", rng.Intn(30)) }
+	// One content in four is within 256 bytes of the inline cap, on
+	// either side of it.
+	randContent := func() []byte {
+		n := rng.Intn(200)
+		if rng.Intn(4) == 0 {
+			n = metadata.MaxInlineSize - 256 + rng.Intn(512)
+		}
+		content := make([]byte, n)
+		rng.Read(content)
+		return content
+	}
 	openFlags := []int{
 		fsapi.O_RDONLY, fsapi.O_RDWR, fsapi.O_RDWR | fsapi.O_CREATE,
 		fsapi.O_RDWR | fsapi.O_TRUNC, fsapi.O_RDWR | fsapi.O_APPEND,
@@ -111,8 +126,8 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 
 	for step := 0; step < steps; step++ {
 		var nxErr, refErr error
-		op := rng.Intn(125)
-		if op >= 105 && len(open) == 0 {
+		op := rng.Intn(128)
+		if op >= 105 && op < 125 && len(open) == 0 {
 			op = 100 // an open, so the handle ops have a handle
 		}
 		switch {
@@ -125,8 +140,7 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 			}
 		case op < 45: // write file (create or overwrite)
 			p := path.Join(randDir(), randName())
-			content := make([]byte, rng.Intn(200))
-			rng.Read(content)
+			content := randContent()
 			nxErr = nx.WriteFile(p, content)
 			refErr = ref.WriteFile(p, content)
 			if nxErr == nil {
@@ -170,6 +184,9 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 			if nxErr == nil && refErr == nil {
 				if nxSt.IsDir != refSt.IsDir || nxSt.IsSymlink != refSt.IsSymlink {
 					t.Fatalf("step %d: Stat(%s) kind differs: %+v vs %+v", step, p, nxSt, refSt)
+				}
+				if !nxSt.IsDir && !nxSt.IsSymlink && nxSt.Size != refSt.Size {
+					t.Fatalf("step %d: Stat(%s) size %d on nexus, %d on the reference", step, p, nxSt.Size, refSt.Size)
 				}
 			}
 		case op < 100: // list a directory and compare
@@ -221,6 +238,10 @@ func runDifferential(t *testing.T, seed int64, steps int) {
 		case op < 120: // sync a handle
 			h, _ := randHandle()
 			nxErr, refErr = h.nx.Sync(), h.ref.Sync()
+		case op >= 125: // symlink
+			p, target := path.Join(randDir(), randName()), path.Join(randDir(), randName())
+			nxErr = nx.Symlink(target, p)
+			refErr = ref.Symlink(target, p)
 		default: // close a handle
 			h, i := randHandle()
 			nxErr, refErr = h.nx.Close(), h.ref.Close()
@@ -319,6 +340,86 @@ func over(t *testing.T, name string, store backend.Store) fsapi.FileSystem {
 
 // notFound is the error each implementation wraps for a missing path.
 var notFound = map[string]error{"nexus": enclave.ErrNotFound, "plainfs": plainfs.ErrNotFound}
+
+// notDir is the error each implementation wraps for a path below a file.
+var notDir = map[string]error{"nexus": enclave.ErrNotDir, "plainfs": plainfs.ErrNotDir}
+
+// TestRenameReplacesFilesNotDirectories: a rename replaces a file or a
+// symlink at its destination, leaving one entry there, and refuses a
+// directory, changing nothing.
+func TestRenameReplacesFilesNotDirectories(t *testing.T) {
+	for name, fs := range implementations(t) {
+		t.Run(name, func(t *testing.T) {
+			for _, p := range []string{"/a", "/b"} {
+				if err := fs.Mkdir(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fs.WriteFile("/a/x", []byte("in a")); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Rename("/a", "/b"); err == nil {
+				t.Fatal("Rename(/a, /b) onto a directory = nil, want an error")
+			}
+			if got, err := fs.ReadFile("/a/x"); err != nil || string(got) != "in a" {
+				t.Fatalf("ReadFile(/a/x) = %q, %v", got, err)
+			}
+			if entries, err := fs.ReadDir("/b"); err != nil || len(entries) != 0 {
+				t.Fatalf("ReadDir(/b) = %+v, %v, want empty", entries, err)
+			}
+			if err := fs.Symlink("/t", "/l"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile("/f", []byte("moved")); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.Rename("/f", "/l"); err != nil {
+				t.Fatalf("Rename(/f, /l) onto a symlink: %v", err)
+			}
+			if got, err := fs.ReadFile("/l"); err != nil || string(got) != "moved" {
+				t.Fatalf("ReadFile(/l) = %q, %v", got, err)
+			}
+			if st, err := fs.Stat("/l"); err != nil || st.IsSymlink {
+				t.Fatalf("Stat(/l) = %+v, %v, want the file", st, err)
+			}
+			entries, err := fs.ReadDir("/")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name)
+			}
+			if fmt.Sprint(names) != "[a b l]" {
+				t.Fatalf("ReadDir(/) = %v, want [a b l]", names)
+			}
+		})
+	}
+}
+
+// TestPathBelowAFileIsNotADirectory: a path below a file is not a
+// directory, for Stat, Exists and RemoveAll alike.
+func TestPathBelowAFileIsNotADirectory(t *testing.T) {
+	for name, fs := range implementations(t) {
+		t.Run(name, func(t *testing.T) {
+			if err := fs.WriteFile("/f", []byte("file")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Stat("/f/x/y"); !errors.Is(err, notDir[name]) {
+				t.Errorf("Stat(/f/x/y) = %v, want %v", err, notDir[name])
+			}
+			if ok, err := fs.Exists("/f/x"); ok || !errors.Is(err, notDir[name]) {
+				t.Errorf("Exists(/f/x) = %v, %v, want %v", ok, err, notDir[name])
+			}
+			if err := fs.RemoveAll("/f/x"); !errors.Is(err, notDir[name]) {
+				t.Errorf("RemoveAll(/f/x) = %v, want %v", err, notDir[name])
+			}
+			if _, err := fs.Stat("/g/x"); !errors.Is(err, notFound[name]) {
+				t.Errorf("Stat(/g/x) = %v, want %v", err, notFound[name])
+			}
+		})
+	}
+}
 
 // TestRenameBelowItselfRefused: moving a directory to a path below itself
 // is refused (rename(2)'s EINVAL) and changes nothing; a sibling that

@@ -33,10 +33,16 @@ const aadSize = uuid.Size + 8
 // ChunkSize ‖ LinkCount ‖ ContentKey ‖ count.
 const filenodePrefixSize = uuid.Size + 8 + 4 + 4 + BodyKeySize + 4
 
+// inlineObjectSize is the most a sealed filenode holding its content may
+// take: one 64 KiB AFS cache chunk, the unit an AFS client fetches a small
+// file in, so a file that fits is one fetch cold however it is stored.
+const inlineObjectSize = 64 << 10
+
 // MaxInlineSize is the largest file whose bytes are sealed inside its
 // filenode instead of a data object: the sealed filenode is then at most
-// one 4 KiB page (3 927 bytes of content with today's seal overhead).
-const MaxInlineSize = 4096 - headerSize - tagSize - filenodePrefixSize
+// one 64 KiB AFS chunk (65 367 bytes of content with today's seal
+// overhead).
+const MaxInlineSize = inlineObjectSize - headerSize - tagSize - filenodePrefixSize
 
 // ChunkContext is the per-chunk cryptographic context: IV and
 // authentication tag (§IV-A1). The chunk key lives once per update in

@@ -422,11 +422,11 @@ func TestFilenodeBodyGoldens(t *testing.T) {
 }
 
 // TestFilenodeInlineCap: the cap is the content that makes the sealed
-// filenode exactly one 4 KiB page, and the decoder takes no inline content
-// past it.
+// filenode exactly one 64 KiB AFS chunk, and the decoder takes no inline
+// content past it.
 func TestFilenodeInlineCap(t *testing.T) {
-	if MaxInlineSize != 3927 {
-		t.Fatalf("MaxInlineSize = %d, want 3927 (4096 − 117 seal overhead − 52 body prefix)", MaxInlineSize)
+	if MaxInlineSize != 65367 {
+		t.Fatalf("MaxInlineSize = %d, want 65367 (65536 − 117 seal overhead − 52 body prefix)", MaxInlineSize)
 	}
 	rk := make([]byte, RootKeySize)
 	f := NewFilenode(uuid.New(), uuid.New(), 0)
@@ -435,8 +435,8 @@ func TestFilenodeInlineCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sealed) != 4096 {
-		t.Fatalf("a filenode holding %d bytes seals to %d bytes, want 4096", MaxInlineSize, len(sealed))
+	if len(sealed) != 65536 {
+		t.Fatalf("a filenode holding %d bytes seals to %d bytes, want 65536", MaxInlineSize, len(sealed))
 	}
 	over := append(f.EncodeBody(), 0)
 	binary.LittleEndian.PutUint64(over[uuid.Size:], MaxInlineSize+1)

@@ -51,6 +51,8 @@ var (
 	ErrNotEmpty = errors.New("plainfs: directory not empty")
 	// ErrNotFile reports a kind mismatch.
 	ErrNotFile = errors.New("plainfs: not a file")
+	// ErrNotDir reports a path below a file or symlink.
+	ErrNotDir = errors.New("plainfs: not a directory")
 )
 
 // FS is the baseline filesystem over a backend.Store.
@@ -206,9 +208,11 @@ func (fs *FS) RemoveAll(p string) error {
 	return fsapi.RemoveAll(fs, p, func(err error) bool { return errors.Is(err, ErrNotFound) })
 }
 
-// Rename moves a file or directory (directories move all descendants —
-// one rename per contained object, matching a server-side tree rename's
-// client-visible cost only loosely; the paper's mv test renames files).
+// Rename moves a file, symlink or directory (directories move all
+// descendants — one rename per contained object, matching a server-side
+// tree rename's client-visible cost only loosely; the paper's mv test
+// renames files). As on NEXUS, it replaces a file or symlink at newPath
+// and refuses a directory there.
 func (fs *FS) Rename(oldPath, newPath string) error {
 	if path.Clean("/"+oldPath) == path.Clean("/"+newPath) {
 		// Renaming onto itself is a no-op (it must not delete the file).
@@ -230,30 +234,31 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	} else if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, path.Dir(newPath))
 	}
-	// File?
-	if data, err := fs.store.Get(fileObj(oldPath)); err == nil {
-		if isDir, err := fs.isDir(newPath); err != nil {
-			return err
-		} else if isDir {
-			return fmt.Errorf("%w: %s", ErrExists, newPath)
-		}
-		if err := fs.store.Put(fileObj(newPath), data); err != nil {
-			return err
-		}
-		return fs.store.Delete(fileObj(oldPath))
-	}
-	// Symlink?
-	if data, err := fs.store.Get(linkObj(oldPath)); err == nil {
-		if err := fs.store.Put(linkObj(newPath), data); err != nil {
+	// File or symlink: one object, put under the new name over whatever
+	// file or symlink held it.
+	for _, kind := range []struct{ obj, other func(string) string }{{fileObj, linkObj}, {linkObj, fileObj}} {
+		data, err := fs.store.Get(kind.obj(oldPath))
+		if errors.Is(err, backend.ErrNotExist) {
+			continue
+		} else if err != nil {
 			return err
 		}
-		return fs.store.Delete(linkObj(oldPath))
+		if err := fs.clearDestination(newPath, kind.other); err != nil {
+			return err
+		}
+		if err := fs.store.Put(kind.obj(newPath), data); err != nil {
+			return err
+		}
+		return fs.store.Delete(kind.obj(oldPath))
 	}
 	// Directory subtree.
 	if ok, err := fs.isDir(oldPath); err != nil {
 		return err
 	} else if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, oldPath)
+	}
+	if err := fs.clearDestination(newPath, fileObj, linkObj); err != nil {
+		return err
 	}
 	oldEsc, newEsc := escape(oldPath), escape(newPath)
 	for _, prefix := range []string{filePre + sep, linkPre + sep, dirMarker + sep} {
@@ -281,10 +286,32 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	return nil
 }
 
+// clearDestination makes newPath free for a rename: a directory there
+// refuses it, and the object of each kind in stale there is deleted. The
+// moved object's own kind is not among them: its put replaces it.
+func (fs *FS) clearDestination(newPath string, stale ...func(string) string) error {
+	if isDir, err := fs.isDir(newPath); err != nil {
+		return err
+	} else if isDir {
+		return fmt.Errorf("%w: destination %s is a directory", ErrExists, newPath)
+	}
+	for _, obj := range stale {
+		if err := fs.store.Delete(obj(newPath)); err != nil && !errors.Is(err, backend.ErrNotExist) {
+			return err
+		}
+	}
+	return nil
+}
+
 // Symlink records a symbolic link.
 func (fs *FS) Symlink(target, linkPath string) error {
 	if target == "" {
 		return fmt.Errorf("plainfs: empty symlink target")
+	}
+	if ok, err := fs.isDir(path.Dir(path.Clean("/" + linkPath))); err != nil {
+		return err
+	} else if !ok {
+		return fmt.Errorf("%w: %s", ErrNotFound, path.Dir(linkPath))
 	}
 	if exists, err := fs.Exists(linkPath); err != nil {
 		return err
@@ -308,7 +335,29 @@ func (fs *FS) Stat(p string) (fsapi.DirEntry, error) {
 	} else if ok {
 		return fsapi.DirEntry{Name: name, IsDir: true}, nil
 	}
-	return fsapi.DirEntry{}, fmt.Errorf("%w: %s", ErrNotFound, p)
+	return fsapi.DirEntry{}, fs.missing(p)
+}
+
+// missing explains a path nothing is stored under: ErrNotDir when one of
+// its ancestors is a file or symlink, as NEXUS's walk reports it, and
+// ErrNotFound otherwise. Every ancestor of a stored object is a
+// directory, so the nearest ancestor that is one ends the search.
+func (fs *FS) missing(p string) error {
+	for q := path.Dir(path.Clean("/" + p)); q != "/"; q = path.Dir(q) {
+		if ok, err := fs.isDir(q); err != nil {
+			return err
+		} else if ok {
+			break
+		}
+		for _, obj := range []func(string) string{fileObj, linkObj} {
+			if _, err := fs.store.Get(obj(q)); err == nil {
+				return fmt.Errorf("%w: %s", ErrNotDir, q)
+			} else if !errors.Is(err, backend.ErrNotExist) {
+				return err
+			}
+		}
+	}
+	return fmt.Errorf("%w: %s", ErrNotFound, p)
 }
 
 // Exists reports whether p names anything.

@@ -73,8 +73,11 @@ import (
 // a mount, a failed proof, Enclave.Revalidate — which FS.Open calls, so a
 // handle starts from the latest committed content — and the retry of a
 // read torn by the peer's rewrite. Until then Stat, ReadDir and a
-// path-level ReadFile of an inline file answer from the snapshot. Clients
-// in one process over one backing store should share one adapter.
+// path-level ReadFile of an inline file — any file of at most
+// metadata.MaxInlineSize bytes, one 64 KiB AFS chunk sealed — answer from
+// the snapshot; a handle's open-to-close freshness is the same for either
+// layout. Clients in one process over one backing store should share one
+// adapter.
 type VersionedStore struct {
 	store  backend.Store
 	tracer *obs.Tracer
@@ -88,9 +91,11 @@ type VersionedStore struct {
 	keptBytes int               // the kept arrays' capacity; guarded by mu
 }
 
-// keptBudget bounds the kept metadata bytes; past it the adapter drops
-// them all and starts over, as the enclave's own metadata cache does.
-const keptBudget = 16 << 20
+// keptBudget bounds the kept metadata bytes, inline file content
+// included: 1 024 files at the inline cap, or over 100 000 filenodes of
+// chunked files. Past it the adapter drops kept filenodes to make room
+// (makeRoomLocked).
+const keptBudget = 64 << 20
 
 var (
 	_ enclave.ObjectStore       = (*VersionedStore)(nil)
@@ -235,10 +240,31 @@ func (s *VersionedStore) keepLocked(name string, data []byte) {
 		return
 	}
 	if s.keptBytes+cap(data) > keptBudget {
-		s.dropKeptLocked()
+		s.makeRoomLocked(cap(data))
 	}
 	s.kept[name] = data
 	s.keptBytes += cap(data)
+}
+
+// makeRoomLocked drops kept filenodes until n more bytes fit the budget,
+// in map order, which Go randomises: a working set above the budget keeps
+// a share of itself warm, where dropping every copy would leave a cyclic
+// scan none. Dirnodes, which every walk re-reads, go only if filenodes
+// alone cannot make the room, and then all at once.
+func (s *VersionedStore) makeRoomLocked(n int) {
+	for name, kept := range s.kept {
+		if s.keptBytes+n <= keptBudget {
+			return
+		}
+		if p, err := metadata.PeekPreamble(kept); err == nil && p.Type == metadata.TypeFilenode {
+			lendcheck.Dropped(s, name)
+			s.keptBytes -= cap(kept)
+			delete(s.kept, name)
+		}
+	}
+	if s.keptBytes+n > keptBudget {
+		s.dropKeptLocked()
+	}
 }
 
 // dropKeptLocked drops every kept copy.

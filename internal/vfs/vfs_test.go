@@ -254,6 +254,46 @@ func TestVersionedStoreRevalidatesDirnodesWithoutReading(t *testing.T) {
 	get("dir", dir, 0)
 }
 
+// discardStore takes every put and keeps nothing.
+type discardStore struct{ backend.Store }
+
+func (discardStore) Put(string, []byte) error { return nil }
+
+// TestVersionedStoreOverBudgetDropsFilenodes: past the kept budget the
+// adapter drops kept filenodes, only as many as the new copy needs, and
+// keeps its dirnodes, which every walk re-reads; dropping every copy
+// would leave a working set above the budget nothing warm.
+func TestVersionedStoreOverBudgetDropsFilenodes(t *testing.T) {
+	s := NewVersionedStore(discardStore{backend.NewMemStore()})
+	dir := sealedObject(t, metadata.TypeDirnode, 1, "dir")
+	if _, err := s.PutVersioned("dir", dir); err != nil {
+		t.Fatal(err)
+	}
+	// Inline-sized filenodes past the budget; 1 MiB each keeps the count
+	// small.
+	fn := sealedObject(t, metadata.TypeFilenode, 1, string(bytes.Repeat([]byte{'c'}, 1<<20)))
+	const puts = keptBudget/(1<<20) + 8
+	for i := range puts {
+		if _, err := s.PutVersioned(fmt.Sprint("fn", i), fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.mu.Lock()
+	kept, keptBytes := len(s.kept), s.keptBytes
+	_, dirKept := s.kept["dir"]
+	_, lastKept := s.kept[fmt.Sprint("fn", puts-1)]
+	s.mu.Unlock()
+	if keptBytes > keptBudget {
+		t.Fatalf("the adapter keeps %d bytes, over its budget of %d", keptBytes, keptBudget)
+	}
+	if !dirKept || !lastKept {
+		t.Fatalf("over budget the dirnode is kept: %v, the newest filenode: %v; want both", dirKept, lastKept)
+	}
+	if want := keptBudget/cap(fn) - 1; kept-1 < want {
+		t.Fatalf("over budget the adapter keeps %d filenodes, want at least %d: it drops only what the new copy needs", kept-1, want)
+	}
+}
+
 // TestVersionedStoreReadsThroughUnderLock: two adapters over one backing
 // store share its locks and nothing else. A fetch made while an adapter
 // holds a store lock is the enclave's lock-then-re-read, so it must

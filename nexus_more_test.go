@@ -493,7 +493,7 @@ func TestTwoAdaptersTornReadFollowsRoot(t *testing.T) {
 	t.Run("chunked overwrite", func(t *testing.T) {
 		vol, join := twoAdapters(t)
 		owen := vol.FS()
-		v1, v2 := bytes.Repeat([]byte{1}, 8<<10), bytes.Repeat([]byte{2}, 8<<10)
+		v1, v2 := ChunkedFile(1), ChunkedFile(2)
 		if err := owen.WriteFile("/d/big", v1); err != nil {
 			t.Fatal(err)
 		}

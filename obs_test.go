@@ -30,6 +30,9 @@ type obsStack struct {
 	addr   string // the AFS server's
 }
 
+// obsChunkSize is the obs stack's chunk size.
+const obsChunkSize = 1024
+
 func startObsStack(t *testing.T) *obsStack {
 	t.Helper()
 	return startObsStackWith(t, afs.ClientConfig{})
@@ -63,9 +66,9 @@ func startObsStackWith(t *testing.T, afsCfg afs.ClientConfig) *obsStack {
 		Store: afsClient,
 		IAS:   ias,
 		Obs:   reg,
-		// Small chunks so a small file spans an exact, assertable number
-		// of crypto chunks: 4096 bytes / 1024 = 4.
-		ChunkSize: 1024,
+		// Small chunks so a chunked file spans an exact, assertable number
+		// of crypto chunks: ChunkedFile's bytes / 1024, rounded up.
+		ChunkSize: obsChunkSize,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +152,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	tracer.Enable()
 	defer tracer.Disable()
 
-	data := bytes.Repeat([]byte{0xA5}, 4096) // exactly 4 chunks of 1024
+	data := ChunkedFile(0xA5)
+	chunks := int64((len(data) + obsChunkSize - 1) / obsChunkSize)
 
 	// --- Write ---
 	tracer.Take() // discard setup spans
@@ -164,10 +168,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if wDelta["vfs_write_total"] != 1 {
 		t.Errorf("write: vfs_write_total moved %d, want 1", wDelta["vfs_write_total"])
 	}
-	// 4096 bytes at ChunkSize 1024: exactly 4 chunks encrypted, none
-	// decrypted.
-	if wDelta["enclave_chunk_crypto_chunks_total"] != 4 {
-		t.Errorf("write: chunk crypto chunks moved %d, want 4", wDelta["enclave_chunk_crypto_chunks_total"])
+	// Every chunk encrypted once, none decrypted.
+	if wDelta["enclave_chunk_crypto_chunks_total"] != chunks {
+		t.Errorf("write: chunk crypto chunks moved %d, want %d", wDelta["enclave_chunk_crypto_chunks_total"], chunks)
 	}
 
 	wSpans := tracer.Take()
@@ -181,8 +184,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if findSpan(wSpans, "enclave.chunkcrypto") == nil {
 		t.Error("write produced no enclave.chunkcrypto span")
-	} else if chunks, ok := tagValue(findSpan(wSpans, "enclave.chunkcrypto"), "chunks"); !ok || chunks != "4" {
-		t.Errorf("chunkcrypto span chunks tag = %q, want \"4\"", chunks)
+	} else if tag, ok := tagValue(findSpan(wSpans, "enclave.chunkcrypto"), "chunks"); !ok || tag != strconv.FormatInt(chunks, 10) {
+		t.Errorf("chunkcrypto span chunks tag = %q, want \"%d\"", tag, chunks)
 	}
 	// The write must reach the server: some enclave transition span must
 	// have an AFS RPC span beneath it (vfs → enclave → afs chain).
@@ -220,9 +223,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if rDelta["vfs_read_total"] != 1 {
 		t.Errorf("read: vfs_read_total moved %d, want 1", rDelta["vfs_read_total"])
 	}
-	// The same 4 chunks come back through the decrypt path.
-	if rDelta["enclave_chunk_crypto_chunks_total"] != 4 {
-		t.Errorf("read: chunk crypto chunks moved %d, want 4", rDelta["enclave_chunk_crypto_chunks_total"])
+	// The same chunks come back through the decrypt path.
+	if rDelta["enclave_chunk_crypto_chunks_total"] != chunks {
+		t.Errorf("read: chunk crypto chunks moved %d, want %d", rDelta["enclave_chunk_crypto_chunks_total"], chunks)
 	}
 	// A fully cold read verifies every metadata object on the path: the
 	// root dirnode (which holds the entry "docs"), the /docs dirnode
@@ -486,7 +489,7 @@ func TestObservabilityRPCBudget(t *testing.T) {
 	// A larger file adds its data object, stored before the filenode and
 	// the commit's lock: one frame more, in the commit's first exit, so no
 	// ocall more.
-	big := bytes.Repeat([]byte{0xA5}, 8192)
+	big := ChunkedFile(0xA5)
 	recall()
 	budget("create of a chunked file, first grant", "vfs.write", append([]string{"store"}, createFirst...), func() {
 		transitions("create of a chunked file, first grant", [2]int64{1, 4}, func() {
@@ -502,12 +505,22 @@ func TestObservabilityRPCBudget(t *testing.T) {
 			}
 		})
 	})
+	// A 4 KiB file, as local_mixed's small files are, is below the cap:
+	// one object, created and read cold as the 2 KiB file is.
+	budget("create of a 4 KiB file", "vfs.write", create, func() {
+		transitions("create of a 4 KiB file", [2]int64{1, 4}, func() {
+			if err := fs.WriteFile("/docs/small", InlineFile(0x3C)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
 
 	// Cold read (enclave and AFS caches dropped): the three metadata
 	// objects on the path — root dirnode, /docs dirnode, the filenode,
 	// which holds the content — and, for the chunked file, the data object.
 	// One ecall; an ocall per fetch and per proof of a metadata object.
 	coldRead("cold read", "/docs/second", data, []string{"fetch", "fetch", "fetch"}, [2]int64{1, 6})
+	coldRead("cold read of a 4 KiB file", "/docs/small", InlineFile(0x3C), []string{"fetch", "fetch", "fetch"}, [2]int64{1, 6})
 	coldRead("cold read of a chunked file", "/docs/big", big, []string{"fetch", "fetch", "fetch", "fetch"}, [2]int64{1, 7})
 	// Warm, the same read is no frame and no ocall: the cold read left a
 	// hint outside the enclave, so the walk's reads — the data object,
@@ -725,6 +738,7 @@ func TestObservabilityRPCBudget(t *testing.T) {
 		want    []string
 	}{
 		{"overwrite after a remove", data, []string{"store", "store", "store"}},
+		{"overwrite of a 4 KiB file after a remove", InlineFile(0x3C), []string{"store", "store", "store"}},
 		{"overwrite of a chunked file after a remove", big, []string{"store", "store", "store", "store"}},
 	} {
 		p := "/docs/ow-" + strconv.Itoa(len(c.content))

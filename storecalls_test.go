@@ -173,9 +173,10 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 		return err
 	})
 	fs := vol.FS()
-	// A 4 KiB file is above metadata.MaxInlineSize: a filenode and a data
-	// object, as local_mixed's small files are.
-	content := func(b byte) []byte { return bytes.Repeat([]byte{b}, 4<<10) }
+	// The chunked rows' files are above metadata.MaxInlineSize: a filenode
+	// and a data object. The 4 KiB rows' files are one sealed filenode, as
+	// local_mixed's small files are.
+	content := nexus.ChunkedFile
 	for _, dir := range []string{"/a", "/b"} {
 		if err := fs.MkdirAll(dir); err != nil {
 			t.Fatal(err)
@@ -210,6 +211,24 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 		}
 		return err
 	})
+	check("create of a 4 KiB file", []string{
+		"get dir", "get dir", "lock root", "get root", "get dir", "proof dir",
+		"put fn", "put dir", "update(2)", "put root", "unlock root",
+	}, [2]int64{1, 4}, func() error {
+		return fs.WriteFile("/a/s", nexus.InlineFile('s'))
+	})
+	check("warm read of a 4 KiB file", []string{"get dir", "get dir", "get fn"}, [2]int64{1, 1}, func() error {
+		got, err := fs.ReadFile("/a/s")
+		if err == nil && !bytes.Equal(got, nexus.InlineFile('s')) {
+			err = fmt.Errorf("read back other bytes")
+		}
+		return err
+	})
+	check("overwrite of a 4 KiB file", append([]string{
+		"get dir", "get dir", "lock fn", "get fn", "put fn", "lock root", "get root",
+	}, append(commitTail, "unlock fn")...), [2]int64{1, 4}, func() error {
+		return fs.WriteFile("/a/s", nexus.InlineFile('t'))
+	})
 	check("remove", []string{"get dir", "get dir", "lock fn", "get fn", "unlock fn"}, [2]int64{1, 3}, func() error {
 		return fs.Remove("/a/g")
 	})
@@ -217,6 +236,16 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 		"lock root", "get root", "get dir", "proof dir", "put dir", "delete data", "delete fn",
 		"update(2)", "put root", "unlock root",
 	}, [2]int64{1, 3}, fs.Sync)
+	check("remove of a 4 KiB file, then sync", []string{
+		"get dir", "get dir", "lock fn", "get fn", "unlock fn",
+		"lock root", "get root", "get dir", "proof dir", "put dir", "delete fn",
+		"update(2)", "put root", "unlock root",
+	}, [2]int64{2, 6}, func() error {
+		if err := fs.Remove("/a/s"); err != nil {
+			return err
+		}
+		return fs.Sync()
+	})
 	check("rename of a file across directories", []string{
 		"get dir", "get dir", "get dir", "get dir", "lock fn", "lock root", "get root",
 		"get dir", "get dir", "get dir", "get dir", "get fn", "put fn", "put dir", "put dir",
@@ -499,7 +528,7 @@ func TestBaselineRPCsPerOpClass(t *testing.T) {
 		{"stat cold", b, func(fs *plainfs.FS) error { _, err := fs.Stat("/d/f"); return err }, 1, 22, 4121, "1 RPC (FetchStatus), no file bytes"},
 		{"stat warm", b, func(fs *plainfs.FS) error { _, err := fs.Stat("/d/f"); return err }, 0, 0, 0, "no RPC"},
 		{"readdir", a, func(fs *plainfs.FS) error { _, err := fs.ReadDir("/d"); return err }, 3, 66, 69, "1 RPC (FetchData of the directory)"},
-		{"rename", a, func(fs *plainfs.FS) error { return fs.Rename("/d/f", "/d/g") }, 3, 4169, 60, "1 RPC (Rename), no file bytes"},
+		{"rename", a, func(fs *plainfs.FS) error { return fs.Rename("/d/f", "/d/g") }, 4, 4191, 83, "1 RPC (Rename), no file bytes"},
 		{"remove", a, func(fs *plainfs.FS) error { return fs.Remove("/d/g") }, 1, 22, 13, "1 RPC (RemoveFile)"},
 	} {
 		rpcs, up, down := row.c.reg.CounterValue("afs_rpcs_total"), row.c.up.Load(), row.c.down.Load()
