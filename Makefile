@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet fmt lint alloc fuzz-smoke chaos obs bench bench-counts cover revoke-sweep freshness-sweep merkle vuln ci clean
+.PHONY: all build test race vet fmt alloc fuzz-smoke chaos obs bench bench-counts cover revoke-sweep freshness-sweep merkle vuln ci clean
 
 all: build
 
@@ -30,14 +30,6 @@ vet:
 # fmt fails, listing the files, when any Go file is not gofmt-formatted.
 fmt:
 	@out=$$(gofmt -l .) && if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
-
-# lint runs the repo-specific static analyzer (cmd/nexus-lint), whose
-# one rule is unchecked-crypto-error, and exits non-zero on any finding;
-# see DESIGN.md §8 for the rule and the //lint:ignore suppression syntax.
-# The locking contract (`guarded by` fields, *Locked helpers) is checked
-# by race and chaos instead (DESIGN.md §8.1).
-lint:
-	$(GO) run ./cmd/nexus-lint ./...
 
 # fuzz-smoke gives each fuzz target a short budget. The checked-in seed
 # corpora under */testdata/fuzz/ always run as part of `make test`; this
@@ -169,7 +161,7 @@ revoke-sweep:
 	$(GO) run ./cmd/nexus-bench -exp revoke-sweep -json \
 		-members 100,1000,10000,100000,1000000
 
-ci: build vet fmt lint race alloc chaos obs
+ci: build vet fmt race alloc chaos obs
 
 clean:
 	$(GO) clean ./...

@@ -278,8 +278,9 @@ func (e *Enclave) dropDirtyNodeLocked(id uuid.UUID) {
 // maybeDrainLocked drains when a high-water mark (op count, estimated
 // bytes, or EPC pressure) is hit. High-water drains are best-effort —
 // like page-cache writeback, transient store faults are absorbed here
-// and durability is reported at the explicit barriers, which are
-// idempotent drains of whatever remains.
+// (and counted in enclave_best_effort_drain_failures_total) and
+// durability is reported at the explicit barriers, which are idempotent
+// drains of whatever remains.
 func (e *Enclave) maybeDrainLocked() error {
 	if e.wb.ops < e.wb.maxOps && e.wb.bytes < defaultWritebackMaxBytes && !e.wb.pressure {
 		return nil
@@ -288,10 +289,13 @@ func (e *Enclave) maybeDrainLocked() error {
 	if err := e.exitLocked(); err != nil {
 		return err
 	}
-	//lint:ignore unchecked-crypto-error high-water drains are best-effort (page-cache semantics); barriers report durability
-	_ = e.drainLocked()
-	//lint:ignore unchecked-crypto-error the drain's last exit, as best-effort as the drain
-	_ = e.exitLocked()
+	if err := e.drainLocked(); err != nil {
+		e.metrics.drainFailures.Inc()
+	}
+	// The drain's last exit, as best-effort as the drain.
+	if err := e.exitLocked(); err != nil {
+		e.metrics.drainFailures.Inc()
+	}
 	return nil
 }
 

@@ -1009,3 +1009,50 @@ func TestWritebackEPCPressureForcesDrain(t *testing.T) {
 		t.Fatalf("pressure-drained entry missing from store view: %v", names)
 	}
 }
+
+// TestBestEffortDrainFailuresCounted: a high-water drain and DropCaches'
+// pre-drain are best-effort — a store fault in them fails no op — and
+// each failed call is counted in enclave_best_effort_drain_failures_total,
+// so a drain that keeps failing shows. The pending creates survive, and
+// the next barrier lands them.
+func TestBestEffortDrainFailuresCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	store := newFaultObjectStore()
+	owner := newIdentity(t, "owen")
+	env := newWbEnv(t, owner, Config{Store: store, Obs: reg})
+	e := env.enclave
+	e.SetWritebackMaxOps(1)
+	failures := func() int64 { return reg.CounterValue("enclave_best_effort_drain_failures_total") }
+
+	// A create reads the root directory (one store call), then drains at
+	// the high-water mark; the store dies after that read, so the drain
+	// fails and its last exit has nothing to send.
+	for i, name := range []string{"/f", "/g"} {
+		store.armAt(1)
+		if err := e.Touch(name); err != nil {
+			t.Fatalf("Touch(%s) with a failing high-water drain: %v, want nil", name, err)
+		}
+		if got := failures(); got != int64(i+1) {
+			t.Fatalf("after %d failed drain(s) the counter is %d", i+1, got)
+		}
+	}
+	store.armAt(0)
+	e.DropCaches()
+	if got := failures(); got != 3 {
+		t.Fatalf("after DropCaches over a dead store the counter is %d, want 3", got)
+	}
+
+	store.disarm()
+	if err := e.SyncMetadata(); err != nil {
+		t.Fatal(err)
+	}
+	fresh := env.freshEnclave(t, store)
+	for _, name := range []string{"/f", "/g"} {
+		if _, err := fresh.Lookup(name); err != nil {
+			t.Fatalf("%s after the barrier: %v", name, err)
+		}
+	}
+	if got := failures(); got != 3 {
+		t.Fatalf("counter moved to %d on successful drains", got)
+	}
+}
