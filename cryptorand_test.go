@@ -110,7 +110,8 @@ func exportImporter(fset *token.FileSet, pkgs []listedPackage) types.Importer {
 // error accepts forged ciphertext (DESIGN.md §8). A call is a crypto call
 // when its callee is in a crypto/* package of the standard library or in
 // a crypto-bearing package of the module. The subtests run the check on
-// cryptoErrFixtures first.
+// cryptoErrFixtures first, then on every package of the module ("module
+// sweep").
 func TestCryptoErrorsChecked(t *testing.T) {
 	pkgs := listModule(t)
 	fset := token.NewFileSet()
@@ -135,27 +136,29 @@ func TestCryptoErrorsChecked(t *testing.T) {
 			}
 		})
 	}
-	checked := 0
-	for _, p := range pkgs {
-		if p.Standard || len(p.GoFiles) == 0 {
-			continue
-		}
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("module sweep", func(t *testing.T) {
+		checked := 0
+		for _, p := range pkgs {
+			if p.Standard || len(p.GoFiles) == 0 {
+				continue
 			}
-			files = append(files, f)
+			var files []*ast.File
+			for _, name := range p.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				files = append(files, f)
+			}
+			for _, finding := range discardedCryptoResults(t, fset, imp, p.ImportPath, files) {
+				t.Errorf("%s: %s", p.ImportPath, finding)
+			}
+			checked++
 		}
-		for _, finding := range discardedCryptoResults(t, fset, imp, p.ImportPath, files) {
-			t.Errorf("%s: %s", p.ImportPath, finding)
+		if checked == 0 {
+			t.Fatal("go list reported no package of the module")
 		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("go list reported no package of the module")
-	}
+	})
 }
 
 // discardedCryptoResults type-checks one package and returns a
