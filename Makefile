@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 30s
 CHAOS_SEEDS ?= 1 7 42
 
-.PHONY: all build test race vet fmt alloc fuzz-smoke chaos obs bench bench-counts cover revoke-sweep freshness-sweep merkle vuln ci clean
+.PHONY: all build test race vet fmt alloc fuzz-smoke chaos obs bench bench-counts bench-pairs cover revoke-sweep freshness-sweep merkle vuln ci clean
 
 all: build
 
@@ -118,6 +118,23 @@ bench-counts:
 			"$$out/run.json" || exit 1; \
 	done; done > "$$out/counts.jsonl" && mv "$$out/counts.jsonl" $(BENCH_COUNTS)
 
+# bench-pairs measures the working tree against the commit BASE: PAIRS
+# alternating pairs of runs per workload, SECONDS of measured time each,
+# at seed 1, over BENCH_WORKLOADS. It builds BASE's benchmark in a git
+# worktree under bin/, fails when two runs of one binary differ in a count
+# BENCH_KEEP keeps, and writes bench/BENCH_<short-sha>.json, per workload
+# and end-to-end metric each side's median, quartiles and range and how
+# many pairs the working tree won, with the hash of the working tree's Go
+# diff from HEAD (bench/pairs.sh). A perf change commits its file
+# (README.md, "The perf gate"). Needs jq; ten 8 s pairs of the five
+# workloads took 960 s on 2 vCPUs.
+PAIRS ?= 10
+SECONDS ?= 8
+
+bench-pairs:
+	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [PAIRS=10] [SECONDS=8]" >&2; exit 2; }
+	sh bench/pairs.sh $(BASE) $(PAIRS) $(SECONDS) '$(BENCH_KEEP)' $(BENCH_WORKLOADS)
+
 # vuln scans the module against the Go vulnerability database with the
 # same pinned govulncheck the CI job runs. Needs network access to
 # fetch the tool and the vuln DB.
@@ -133,13 +150,15 @@ cover:
 # surface: the tree/proof unit and property tests, the untrusted proof
 # service (internal/freshtree), the seeded
 # enclave-vs-namespace-model stream, and the adversarial rollback/fork
-# suite (internal/enclave/rollback_test.go), all under the race detector.
+# suite (internal/enclave/rollback_test.go) with the replay tests of
+# property F1 (internal/enclave/widening_test.go), all under the race
+# detector.
 # Reproduce a property failure with NEXUS_MERKLE_SEED=<seed>. See
 # DESIGN.md §15.
 merkle:
 	$(GO) test -race -count=1 ./internal/merkle/
 	$(GO) test -race -count=1 ./internal/freshtree/
-	$(GO) test -race -count=1 -run 'TestMerkle|TestRollback|TestFork|TestProofTampering|TestRoot|TestPropertyMerkle' ./internal/enclave/
+	$(GO) test -race -count=1 -run 'TestMerkle|TestRollback|TestFork|TestProofTampering|TestRoot|TestPropertyMerkle|TestReplayed|TestHidden|TestWidening|TestAdmission' ./internal/enclave/
 
 # freshness-sweep reproduces the DESIGN.md §15 freshness-at-scale sweep
 # (10^3–10^6 objects): per-load Merkle proof verification (O(log n)

@@ -217,3 +217,35 @@ func TestVolumeSurvivesRestartAndRejectsRollback(t *testing.T) {
 		t.Fatalf("get from the honest store = %q, %v", got, err)
 	}
 }
+
+// TestAdmissionSurvivesRestartAgainstReplay crosses the process boundary
+// with a widening-only admission, which leaves its Merkle leaf to the next
+// root commit: the drain every command runs before it records its epoch
+// commits it, so the next process refuses the supernode from before the
+// admission, whose member table would hand zoe's ID out again (property
+// F1, DESIGN.md §6).
+func TestAdmissionSurvivesRestartAgainstReplay(t *testing.T) {
+	home := t.TempDir()
+	storeDir := filepath.Join(home, "store")
+	mustProcess(t, home, "keygen", "owen")
+	mustProcess(t, home, "init")
+	preAdmit := readStoreDir(t, storeDir)[enclave.SupernodeObjectName]
+	if preAdmit == nil {
+		t.Fatal("the store directory holds no supernode after init")
+	}
+	zoe, err := nexus.NewIdentity("zoe")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustProcess(t, home, "useradd", "zoe", fmt.Sprintf("%x", zoe.PublicKey))
+	if out := mustProcess(t, home, "users"); !strings.Contains(out, "zoe") {
+		t.Fatalf("users printed %q after useradd zoe", out)
+	}
+
+	if err := os.WriteFile(filepath.Join(storeDir, enclave.SupernodeObjectName), preAdmit, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := process(t, home, "users"); !errors.Is(err, enclave.ErrStaleObject) {
+		t.Fatalf("users over the supernode from before zoe's admission = %v, want ErrStaleObject", err)
+	}
+}

@@ -22,9 +22,10 @@ import (
 // an existing file with the drain after it, which deletes the replaced
 // file only once no directory on the store names it (§6), and the barrier
 // ops that commit once with a pending remove's drain — a hardlink, SetACL,
-// RemoveUser and GrantAccess — and a SetACL grant, which commits without
-// the root (§15.2), and GrantAccess with nothing pending, so that kill
-// points land inside every exit,
+// RemoveUser and GrantAccess — and the widening-only commits, which
+// commit without the root (§15.2): a SetACL grant, and AddUser and
+// GrantAccess with nothing pending, so that kill points land inside every
+// exit,
 // between one call and the next. Each failure is ErrStoreUnavailable.
 // Whatever the store holds then, a restarted client mounts and reads the
 // old state or the new, never an integrity error — with one exception the
@@ -54,6 +55,10 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 		return nil
 	}
 	bobPub, _, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	davePub, _, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +204,9 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 			}
 			return nil
 		}},
-		// A grant made with nothing pending only widens access: one put
-		// under the root's lock, its leaf waiting for the next root commit
-		// (§15.2). An admission with nothing pending commits the root.
+		// A grant or an admission made with nothing pending only widens
+		// access: one put under the root's lock, its leaf waiting for the
+		// next root commit (§15.2).
 		{"SetACL grant", "/a/f", old, old, func(e *enclave.Enclave) error {
 			return e.SetACL("/a", "bob", acl.Read)
 		}, false, "", func(e *enclave.Enclave, retried bool) error {
@@ -211,6 +216,19 @@ func TestBatchedWriteFaultSweep(t *testing.T) {
 			}
 			if r, ok := got["bob"]; ok && r != acl.Read || retried && !ok {
 				return fmt.Errorf("bob's rights on /a are %v", got)
+			}
+			return nil
+		}},
+		{"AddUser", "/a/f", old, old, func(e *enclave.Enclave) error {
+			// A retry after a fault that left dave's put on the store finds
+			// him in the table.
+			if _, err := e.AddUser("dave", davePub); err != nil && !errors.Is(err, metadata.ErrUserExists) {
+				return err
+			}
+			return nil
+		}, false, "", func(e *enclave.Enclave, retried bool) error {
+			if _, err := e.UserGroup("dave"); err != nil && (retried || !errors.Is(err, metadata.ErrUserNotFound)) {
+				return fmt.Errorf("dave after the admission: %v", err)
 			}
 			return nil
 		}},

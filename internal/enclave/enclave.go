@@ -23,6 +23,7 @@
 package enclave
 
 import (
+	"bytes"
 	"crypto/ecdh"
 	"crypto/ed25519"
 	"crypto/rand"
@@ -376,7 +377,7 @@ func (e *Enclave) CreateVolume(ownerName string, ownerKey ed25519.PublicKey) (se
 			err = e.drainLocked()
 		}
 		if err == nil {
-			err = e.flushSupernodeLocked()
+			err = e.flushSupernodeLocked(1)
 		}
 		if err == nil {
 			err = e.drainLocked()
@@ -578,9 +579,9 @@ func (e *Enclave) AddUser(name string, key ed25519.PublicKey) (userID uint32, er
 		if !e.isOwnerLocked() {
 			return fmt.Errorf("%w: only the owner administers users", ErrAccessDenied)
 		}
-		return e.updateSupernodeLocked(func() (err error) {
+		return e.updateSupernodeLocked(true, func() (_ bool, err error) {
 			userID, err = e.super.AddUser(name, key)
-			return err
+			return true, err
 		})
 	})
 	if err != nil {
@@ -599,9 +600,9 @@ func (e *Enclave) RemoveUser(name string) error {
 		}
 		// One supernode re-encryption: the user leaves the user table
 		// and its leaf subgroup; file data is untouched (§VII-E).
-		return e.updateSupernodeLocked(func() error {
+		return e.updateSupernodeLocked(false, func() (bool, error) {
 			_, err := e.super.RemoveUser(name)
-			return err
+			return true, err
 		})
 	})
 }
@@ -622,25 +623,32 @@ func (e *Enclave) ListUsers() ([]metadata.User, error) {
 // updateSupernodeLocked changes the supernode (its member list) in one
 // commit with the drain: it is re-read under the root lock, so fn applies
 // to the freshest version (§V-A), and put back before the pending
-// metadata, which is sealed after the change (§VII-E), and the root. An
-// admission commits the root too, though it only widens access: it hands
-// out the next member ID, which a replay of the supernode before it would
-// hand out again (DESIGN.md §6, property F1). A failed commit whose
-// supernode put did not land leaves the enclave with the supernode it
-// held before: fn changed only the copy the re-read decoded. One whose
-// put landed keeps the change, as the store does — a reader accepts an
-// object newer than the root records (§15.2).
-func (e *Enclave) updateSupernodeLocked(fn func() error) error {
+// metadata, which is sealed after the change (§VII-E). fn reports whether
+// it changed the table; an unchanged one is not put, but the commit still
+// drains. admit marks an fn that only adds a member: with nothing pending
+// that commit is widening-only (widenLocked), like a granting SetACL — the
+// supernode seals at its version plus one, and its record waits for the
+// next root commit (DESIGN.md §15.2). Every other rewrite seals at the
+// next multiple of the version stride, so a widening-only admission a
+// store hid cannot outlive it; and no enclave accepts a supernode below
+// the one it holds, or another at its version (loadSupernodeLocked), so
+// none hands out an ID it has seen given (DESIGN.md §6, property F1). A
+// failed commit whose supernode put did not land leaves the enclave with
+// the supernode it held before: fn changed only the copy the re-read
+// decoded. One whose put landed keeps the change, as the store does — a
+// reader accepts an object newer than the root records (§15.2).
+func (e *Enclave) updateSupernodeLocked(admit bool, fn func() (changed bool, err error)) error {
 	held, heldBlob, heldVersion := e.super, e.superBlob, e.superVersion
 	landed := false
 	err := e.commitWithDrainLocked(getsAhead([]aheadRead{{name: SupernodeObjectName}}), func() error {
 		if err := e.loadSupernodeLocked(); err != nil {
 			return err
 		}
-		if err := fn(); err != nil {
+		changed, err := fn()
+		if err != nil || !changed {
 			return err
 		}
-		if err := e.flushSupernodeLocked(); err != nil {
+		if err := e.flushSupernodeLocked(nextVersion(e.superVersion, admit && e.widenLocked())); err != nil {
 			return err
 		}
 		e.onSuccessLocked(func() { landed = true })
@@ -671,6 +679,18 @@ func (e *Enclave) loadSupernodeLocked() error {
 	if err := e.checkFreshnessLocked(p.UUID, p.Version); err != nil {
 		return err
 	}
+	// The floor: a widening-only admission's leaf lags its version, so the
+	// version this enclave holds is what keeps it from being shown the
+	// table before an admission it has seen, and handing that ID out again.
+	// Another table at the version it holds is a peer owner's admission
+	// made over the same base, which a store hid from one of the two: the
+	// same member ID given to two people (DESIGN.md §6, property F1).
+	if p.Version < e.superVersion {
+		return fmt.Errorf("%w: supernode at version %d, this enclave holds %d", ErrStaleObject, p.Version, e.superVersion)
+	}
+	if p.Version == e.superVersion && !bytes.Equal(blob, e.superBlob) {
+		return fmt.Errorf("%w: supernode diverged at version %d (fork detected)", ErrStaleObject, p.Version)
+	}
 	super, err := metadata.DecodeSupernodeBody(body)
 	if err != nil {
 		return err
@@ -681,10 +701,10 @@ func (e *Enclave) loadSupernodeLocked() error {
 	return nil
 }
 
-// flushSupernodeLocked seals the supernode, bumping its version, and
-// queues its upload for the caller's commit.
-func (e *Enclave) flushSupernodeLocked() error {
-	e.superVersion++
+// flushSupernodeLocked seals the supernode at version (nextVersion of the
+// one it was read at) and queues its upload for the caller's commit.
+func (e *Enclave) flushSupernodeLocked(version uint64) error {
+	e.superVersion = version
 	p := metadata.Preamble{
 		Type:    metadata.TypeSupernode,
 		UUID:    e.super.VolumeUUID,

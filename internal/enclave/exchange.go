@@ -302,7 +302,8 @@ func (e *Enclave) AcceptGrant(grantBytes []byte, ownerKey ed25519.PublicKey) (se
 // list as AddUser does (DESIGN.md §13.3). The update is one commit with
 // the drain, because sharing hands another enclave a view of the volume
 // and that view must be complete. A key the table already holds is
-// admitted as it is. It returns the offered key.
+// admitted as it is, and the supernode is not put again. It returns the
+// offered key.
 func (e *Enclave) admitOfferLocked(offerBytes []byte, userName string, userKey ed25519.PublicKey) (*ecdh.PublicKey, error) {
 	if !e.isOwnerLocked() {
 		return nil, fmt.Errorf("%w: only the owner may grant volume access", ErrAccessDenied)
@@ -318,12 +319,12 @@ func (e *Enclave) admitOfferLocked(offerBytes []byte, userName string, userKey e
 	if err != nil {
 		return nil, err
 	}
-	if err := e.updateSupernodeLocked(func() error {
+	if err := e.updateSupernodeLocked(true, func() (bool, error) {
 		if _, err := e.super.FindUserByKey(userKey); err == nil {
-			return nil
+			return false, nil
 		}
 		_, err := e.super.AddUser(userName, userKey)
-		return err
+		return true, err
 	}); err != nil {
 		return nil, err
 	}

@@ -155,7 +155,9 @@ func (e *Enclave) Revalidate() error {
 // accepted; ok is false before any has been loaded or committed. A
 // process that is about to exit keeps it (outside the store) and hands
 // it to its successor's ResumeFreshnessEpoch: the epoch ordering above
-// then spans processes, not just one enclave's lifetime.
+// then spans processes, not just one enclave's lifetime. It covers a
+// widening-only commit, an admission among them, once a barrier
+// (SyncMetadata) has committed its leaf: the caller syncs first.
 func (e *Enclave) FreshnessEpoch() (epoch uint64, root [merkle.HashSize]byte, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

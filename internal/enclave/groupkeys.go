@@ -10,8 +10,9 @@ package enclave
 // Membership changes ride the supernode flush: the admin operation
 // re-reads the supernode, applies the change and puts it back in one
 // commit under the freshness root's lock, the one that also drains any
-// deferred metadata (updateSupernodeLocked) — one supernode put, one root
-// update.
+// deferred metadata (updateSupernodeLocked) — one supernode put, and one
+// root update unless the change is a widening-only admission, whose
+// record waits for the next root commit.
 
 import (
 	"fmt"

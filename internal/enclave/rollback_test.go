@@ -571,6 +571,63 @@ func TestProofTamperingFailsClosed(t *testing.T) {
 	}
 }
 
+// TestProofTamperingOnReproofFailsClosed: the records a widening-only
+// commit left waiting are proved again when the root moved before the
+// commit that carries them (reproveLocked). The owner admits zoe, which
+// leaves the supernode's record waiting; a peer's commit moves the root;
+// the owner's next commit is served a re-proof of the supernode whose
+// sibling hash is flipped. It fails with ErrBadProof and puts no root,
+// and the next honest commit lands.
+func TestProofTamperingOnReproofFailsClosed(t *testing.T) {
+	c := newMerkleClient(t)
+	for i := 0; i < 4; i++ { // enough leaves that proofs carry real paths
+		if err := c.encl.Mkdir(fmt.Sprintf("/d%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	zoe, _, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.encl.AddUser("zoe", zoe); err != nil {
+		t.Fatal(err)
+	}
+	peer := c.newEnclave(t, freshtree.New(c.raw))
+	if err := c.mount(peer); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Mkdir("/peer"); err != nil {
+		t.Fatal(err)
+	}
+	peerRoot := c.raw.snapshot().data[enclave.MerkleRootObjectName]
+
+	c.proofs.setMangle(func(id uuid.UUID, raw []byte) []byte {
+		if id != c.volID {
+			return raw
+		}
+		p, err := merkle.DecodeProof(raw)
+		if err != nil || len(p.Steps) == 0 {
+			t.Errorf("the supernode's re-proof has no path to forge: %v", err)
+			return raw
+		}
+		p.Steps[0].Sibling[0] ^= 1
+		return p.Encode()
+	})
+	if err := c.encl.SyncMetadata(); !errors.Is(err, enclave.ErrBadProof) {
+		t.Fatalf("a commit served a forged re-proof = %v, want ErrBadProof", err)
+	}
+	if root := c.raw.snapshot().data[enclave.MerkleRootObjectName]; !bytes.Equal(root, peerRoot) {
+		t.Fatal("a commit served a forged re-proof put the root")
+	}
+	c.proofs.setMangle(nil)
+	if err := c.encl.SyncMetadata(); err != nil {
+		t.Fatalf("the honest commit after a forged re-proof: %v", err)
+	}
+	if root := c.raw.snapshot().data[enclave.MerkleRootObjectName]; bytes.Equal(root, peerRoot) {
+		t.Fatal("the honest commit after a forged re-proof put no root")
+	}
+}
+
 // TestRootObjectVanishes deletes the sealed root out from under a
 // client that has already committed epochs (and garbles proofs so the
 // client is forced to re-read the commitment).

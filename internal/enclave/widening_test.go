@@ -260,13 +260,82 @@ func TestReplayedGrantDeniesAccess(t *testing.T) {
 	}
 }
 
-// TestAdmissionCommitsTheRoot: an admission only widens access, but it
-// also hands out the next member ID, so it commits the root at once. The
-// owner admits zoe, grants her /d and stops before any other root commit;
-// a store that then replays the supernode from before her admission is
-// caught, at the restarted owner's mount and at its next admission, which
+// TestAdmissionReplayAfterRestart: a widening-only admission leaves its
+// leaf to the next root commit, so a restarted enclave is kept from the
+// supernode before it by the commitment handed over to it (property F1,
+// DESIGN.md §6). Once a barrier committed the admission, a replay of the
+// root from before the barrier and the supernode from before the
+// admission, to an enclave that was handed the commitment, is stale. An
+// enclave handed nothing, before any barrier, accepts the supernode's
+// replay: the fork-consistency bound of §15.4, under which such an
+// enclave can be shown the whole volume one epoch back, with the member
+// IDs of then.
+func TestAdmissionReplayAfterRestart(t *testing.T) {
+	admit := func(t *testing.T) (v *commitVolume, owner *enclave.Enclave, preAdmit []byte) {
+		v, owner, _ = newCommitVolume(t)
+		zoe := newIdentity(t)
+		v.mkdir(t, owner, "/d")
+		preAdmit = v.storedBlob(t, enclave.SupernodeObjectName)
+		if _, err := owner.AddUser("zoe", zoe.pub); err != nil {
+			t.Fatal(err)
+		}
+		if err := owner.SetACL("/d", "zoe", acl.ReadOnly); err != nil {
+			t.Fatal(err)
+		}
+		return v, owner, preAdmit
+	}
+	t.Run("handed over after a barrier", func(t *testing.T) {
+		v, owner, preAdmit := admit(t)
+		preBarrier, _, err := freshtree.New(v.shared).GetVersioned(enclave.MerkleRootObjectName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := owner.SyncMetadata(); err != nil {
+			t.Fatal(err)
+		}
+		epoch, root, ok := owner.FreshnessEpoch()
+		if !ok {
+			t.Fatal("no freshness commitment after a sync")
+		}
+		restarted, store, err := v.replayClient(t, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restarted.ResumeFreshnessEpoch(epoch, root)
+		store.replay(enclave.MerkleRootObjectName, preBarrier)
+		store.replay(enclave.SupernodeObjectName, preAdmit)
+		if err := mountAs(restarted, v, identity{v.pub, v.priv}); !errors.Is(err, enclave.ErrStaleObject) {
+			t.Fatalf("the owner mounts the root before the barrier and the supernode before zoe's admission = %v, want ErrStaleObject", err)
+		}
+	})
+	t.Run("memoryless, before a barrier", func(t *testing.T) {
+		v, _, preAdmit := admit(t)
+		restarted, store, err := v.replayClient(t, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.replay(enclave.SupernodeObjectName, preAdmit)
+		if err := mountAs(restarted, v, identity{v.pub, v.priv}); err != nil {
+			t.Fatalf("an enclave handed nothing mounts the supernode from before an uncommitted admission: %v", err)
+		}
+		users, err := restarted.ListUsers()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.ContainsFunc(users, func(u metadata.User) bool { return u.Name == "zoe" }) {
+			t.Fatal("the replayed table lists zoe")
+		}
+	})
+}
+
+// TestAdmissionIDNeverHandedOutTwice: an enclave that has loaded a
+// supernode never accepts an older one (the floor), though the older one's
+// version is still at or above its leaf. The owner admits zoe and grants
+// her /d with no root commit after; a restarted enclave that mounted the
+// table with zoe in it is then served the one from before her admission.
+// Its remount and its next admission fail closed, where the admission
 // would otherwise give wes zoe's ID and with it her grant on /d.
-func TestAdmissionCommitsTheRoot(t *testing.T) {
+func TestAdmissionIDNeverHandedOutTwice(t *testing.T) {
 	v, owner, _ := newCommitVolume(t)
 	zoe, wes := newIdentity(t), newIdentity(t)
 	v.mkdir(t, owner, "/d")
@@ -283,15 +352,6 @@ func TestAdmissionCommitsTheRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.replay(enclave.SupernodeObjectName, preAdmit)
-	if err := mountAs(restarted, v, identity{v.pub, v.priv}); !errors.Is(err, enclave.ErrStaleObject) {
-		t.Fatalf("the owner mounts the supernode from before zoe's admission = %v, want ErrStaleObject", err)
-	}
-
-	restarted, store, err = v.replayClient(t, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	v.mount(t, restarted)
 	store.replay(enclave.SupernodeObjectName, preAdmit)
 	id, err := restarted.AddUser("wes", wes.pub)
@@ -300,6 +360,95 @@ func TestAdmissionCommitsTheRoot(t *testing.T) {
 	}
 	if !errors.Is(err, enclave.ErrStaleObject) {
 		t.Fatalf("an admission over the supernode from before zoe's = %v (ID %d), want ErrStaleObject", err, id)
+	}
+	if err := mountAs(restarted, v, identity{v.pub, v.priv}); !errors.Is(err, enclave.ErrStaleObject) {
+		t.Fatalf("a remount over the supernode from before zoe's admission = %v, want ErrStaleObject", err)
+	}
+}
+
+// TestAdmissionForkBetweenOwners: two live owner enclaves, A and B,
+// admit over one base with nothing pending, so neither admission moves
+// the root. The store hides A's admission of zoe from B, and B gives wes
+// the same member ID and seals its table at the same version; once B's
+// record commits, the leaf passes both tables. A holds zoe's, so its next
+// supernode load — its next admission, its remount — fails closed.
+func TestAdmissionForkBetweenOwners(t *testing.T) {
+	v, a, _ := newCommitVolume(t)
+	zoe, wes, yan := newIdentity(t), newIdentity(t), newIdentity(t)
+	if err := a.SyncMetadata(); err != nil {
+		t.Fatal(err)
+	}
+	b, bStore, err := v.replayClient(t, &identity{v.pub, v.priv})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := v.storedBlob(t, enclave.SupernodeObjectName)
+	zoeID, err := a.AddUser("zoe", zoe.pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bStore.replay(enclave.SupernodeObjectName, base)
+	wesID, err := b.AddUser("wes", wes.pub)
+	if err != nil {
+		t.Fatalf("B admits wes over the table the store shows: %v", err)
+	}
+	if wesID != zoeID {
+		t.Fatalf("wes got ID %d and zoe %d: the fork this test needs did not happen", wesID, zoeID)
+	}
+	if err := b.SyncMetadata(); err != nil {
+		t.Fatal(err)
+	}
+	if id, err := a.AddUser("yan", yan.pub); !errors.Is(err, enclave.ErrStaleObject) {
+		t.Fatalf("A admits yan over B's table at the version of its own = %v (ID %d), want ErrStaleObject", err, id)
+	}
+	if err := mountAs(a, v, identity{v.pub, v.priv}); !errors.Is(err, enclave.ErrStaleObject) {
+		t.Fatalf("A remounts over B's table at the version of its own = %v, want ErrStaleObject", err)
+	}
+}
+
+// TestHiddenAdmissionDoesNotOutliveRevocation: a store that hides a
+// widening-only admission cannot make it outlive a revocation. A writer
+// handed nothing is shown the supernode from before the admission (the
+// §15.4 bound) and removes carol from it; the removal seals at the next
+// multiple of the version stride, above the hidden admission's version,
+// so a replay of that version — which still lists carol — is stale at
+// her mount.
+func TestHiddenAdmissionDoesNotOutliveRevocation(t *testing.T) {
+	v, a, _ := newCommitVolume(t)
+	carol, zoe := newIdentity(t), newIdentity(t)
+	if _, err := a.AddUser("carol", carol.pub); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SyncMetadata(); err != nil {
+		t.Fatal(err)
+	}
+	preAdmit := v.storedBlob(t, enclave.SupernodeObjectName)
+	if _, err := a.AddUser("zoe", zoe.pub); err != nil {
+		t.Fatal(err)
+	}
+	hidden, hiddenVersion := v.storedBlob(t, enclave.SupernodeObjectName), v.preamble(t, enclave.SupernodeObjectName).Version
+
+	b, bStore, err := v.replayClient(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bStore.replay(enclave.SupernodeObjectName, preAdmit)
+	if err := mountAs(b, v, identity{v.pub, v.priv}); err != nil {
+		t.Fatalf("B mounts the supernode from before the hidden admission: %v", err)
+	}
+	if err := b.RemoveUser("carol"); err != nil {
+		t.Fatalf("B removes carol from the table the store shows: %v", err)
+	}
+	if removed := v.preamble(t, enclave.SupernodeObjectName).Version; removed <= hiddenVersion {
+		t.Fatalf("B's removal sealed the supernode at %d, not above the hidden admission's %d", removed, hiddenVersion)
+	}
+	third, store, err := v.replayClient(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.replay(enclave.SupernodeObjectName, hidden)
+	if err := mountAs(third, v, carol); !errors.Is(err, enclave.ErrStaleObject) {
+		t.Fatalf("carol mounts the hidden admission's supernode after her removal = %v, want ErrStaleObject", err)
 	}
 }
 

@@ -136,17 +136,18 @@ type dirtySet struct {
 }
 
 // versionStride spaces the versions a root commit writes (DESIGN.md
-// §15.2). A widening-only commit rewrites a dirnode at its version plus
-// one and leaves the leaf where it was; any other rewrite of a dirnode
-// the store holds lands at the next multiple of the stride, above every
-// version a widening-only commit of any client may have put since the
-// version it read, even one the store hid from it. So no object version
-// a root commit supersedes can share a number with its successor.
+// §15.2). A widening-only commit rewrites a dirnode or the supernode at
+// its version plus one and leaves the leaf where it was; any other
+// rewrite of an object the store holds lands at the next multiple of the
+// stride, above every version a widening-only commit of any client may
+// have put since the version it read, even one the store hid from it. So
+// no object version a root commit supersedes can share a number with its
+// successor.
 const versionStride = 1 << 32
 
-// nextVersion is the version a rewrite of a dirnode at version base is
-// sealed at: base+1 for a new object (base 0) or a widening-only commit,
-// else base's next multiple of versionStride.
+// nextVersion is the version a rewrite of a dirnode or the supernode at
+// version base is sealed at: base+1 for a new object (base 0) or a
+// widening-only commit, else base's next multiple of versionStride.
 func nextVersion(base uint64, widening bool) uint64 {
 	if widening || base == 0 {
 		return base + 1
@@ -316,8 +317,8 @@ func (e *Enclave) drainWithRetryLocked() error {
 }
 
 // widenLocked is called by a commit's op whose change only adds rights —
-// an ACL entry given a superset of its rights — before it seals what it
-// changed. It reports whether the commit is then widening-only: it drains
+// an ACL entry given a superset of its rights, or an admission — before it
+// seals what it changed. It reports whether the commit is then widening-only: it drains
 // nothing, and every freshness record already waiting is a widening-only
 // commit's, so a narrowing change whose root update failed is not left
 // waiting behind it.
@@ -372,12 +373,12 @@ func (e *Enclave) drainLocked() error {
 // first; the staged proofs are dropped when the re-read finds the root
 // moved and the waiting records are proved again.
 //
-// A widening-only commit — its op only adds rights (widenLocked) — stops
-// before the root advance: its put and the unlock leave in one exit, whose
-// failure is the commit's, and its records wait in wb.fresh for the next
-// commit that advances the root. A store that rolls the object back to its
-// leaf shows a reader less access than the latest version grants, never
-// more (§15.2).
+// A widening-only commit — its op only adds rights or a member
+// (widenLocked) — stops before the root advance: its put and the unlock
+// leave in one exit, whose failure is the commit's, and its records wait
+// in wb.fresh for the next commit that advances the root. A store that
+// rolls the object back to its leaf shows a reader less access than the
+// latest version grants, never more (§15.2).
 //
 // If the commit fails, each dirty node fn reached is put back as it was
 // before fn changed it: the op fails whole, and the set stays as it was.

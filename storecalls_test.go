@@ -303,14 +303,15 @@ func TestStoreCallsPerOpClass(t *testing.T) {
 }
 
 // wideningRows pins the commits made with nothing pending that only widen
-// access. AddUser and GrantAccess admitting a new member commit the root
-// at once: an admission hands out the next member ID, which a replay of
-// the supernode before it would hand out again. A SetACL grant takes the
-// root's lock, re-reads the root and the directory and puts it, and
-// neither updates the freshness tree nor puts the root: its leaf waits for
-// the next commit that puts the root (DESIGN.md §15.2). Here that is a
-// SetACL that drops a right on another directory, whose update carries
-// the waiting leaf beside its own.
+// access. AddUser and GrantAccess admitting a new member take the root's
+// lock, re-read the root and the supernode and put it; a SetACL grant does
+// the same with the directory. None updates the freshness tree or puts the
+// root: each leaf waits for the next commit that puts the root (DESIGN.md
+// §15.2). Here that is a SetACL that drops a right on another directory,
+// whose update carries the two waiting leaves beside its own: the
+// supernode's, which both admissions raised, and the grant's. A
+// GrantAccess to a member the table already holds changes nothing, and
+// puts nothing.
 func wideningRows(t *testing.T, client *nexus.Client, owner nexus.Identity, vol *nexus.Volume, fs *nexus.FS,
 	check func(string, []string, [2]int64, func() error)) {
 	t.Helper()
@@ -333,13 +334,13 @@ func wideningRows(t *testing.T, client *nexus.Client, owner nexus.Identity, vol 
 		t.Fatal(err)
 	}
 	check("AddUser, nothing pending", []string{
-		"lock root", "get root", "get super", "proof ?", "put super", "update(1)", "put root", "unlock root",
-	}, [2]int64{1, 4}, func() error {
+		"lock root", "get root", "get super", "proof ?", "put super", "unlock root",
+	}, [2]int64{1, 3}, func() error {
 		return vol.AddUser("dave", dave.PublicKey)
 	})
 	check("GrantAccess, nothing pending", []string{
-		"lock root", "get root", "get super", "proof ?", "put super", "update(1)", "put root", "unlock root",
-	}, [2]int64{1, 5}, func() error {
+		"lock root", "get root", "get super", "proof ?", "put super", "unlock root",
+	}, [2]int64{1, 4}, func() error {
 		_, err := vol.GrantAccess(offer, "erin", erin.PublicKey, owner)
 		return err
 	})
@@ -350,9 +351,15 @@ func wideningRows(t *testing.T, client *nexus.Client, owner nexus.Identity, vol 
 	})
 	check("SetACL revoke after it", []string{
 		"lock root", "get root", "get dir", "get dir",
-		"put dir", "update(2)", "put root", "unlock root",
+		"put dir", "update(3)", "put root", "unlock root",
 	}, [2]int64{1, 3}, func() error {
 		return vol.SetACL("/b", "carol", nexus.ReadOnly)
+	})
+	check("GrantAccess to a member already in the table", []string{
+		"lock root", "get root", "get super", "proof ?", "unlock root",
+	}, [2]int64{1, 4}, func() error {
+		_, err := vol.GrantAccess(offer, "erin", erin.PublicKey, owner)
+		return err
 	})
 	// A drain of a waiting leaf alone knows its batch before the root's
 	// re-read, and stages its update in that exit.
@@ -366,7 +373,8 @@ func wideningRows(t *testing.T, client *nexus.Client, owner nexus.Identity, vol 
 
 // barrierRowsWithPendingMetadata pins the barrier ops made while a remove
 // waits in the dirty set — a rename, a hardlink, the unlink of a file with
-// other links (then a sync), SetACL, AddUser, RemoveUser and GrantAccess.
+// other links (then a sync), SetACL, AddUser, RemoveUser and GrantAccess,
+// to a new member and to one already in the table.
 // Each is one commit with the drain (DESIGN.md §12.4): one root lock, one
 // root re-read and one root put, where draining first and then committing
 // the op's own change made two of each. The ops that rewrite a directory
@@ -374,7 +382,7 @@ func wideningRows(t *testing.T, client *nexus.Client, owner nexus.Identity, vol 
 func barrierRowsWithPendingMetadata(t *testing.T, client *nexus.Client, owner nexus.Identity, vol *nexus.Volume, fs *nexus.FS,
 	content func(byte) []byte, check func(string, []string, [2]int64, func() error)) {
 	t.Helper()
-	for i := range 7 {
+	for i := range 8 {
 		p := fmt.Sprintf("/a/r%d", i)
 		if err := fs.WriteFile(p, content('r')); err != nil {
 			t.Fatal(err)
@@ -450,6 +458,15 @@ func barrierRowsWithPendingMetadata(t *testing.T, client *nexus.Client, owner ne
 	withPending("GrantAccess", []string{
 		"lock root", "get root", "get dir", "proof dir", "get super", "proof ?",
 		"put super", "put dir", "delete data", "delete fn", "update(3)", "put root", "unlock root",
+	}, [2]int64{1, 5}, func() error {
+		_, err := vol.GrantAccess(offer, "carol", carol.PublicKey, owner)
+		return err
+	})
+	// A member already in the table: the supernode is not put, but the
+	// commit still drains, so the view the grant hands over is complete.
+	withPending("GrantAccess to a member already in the table", []string{
+		"lock root", "get root", "get dir", "proof dir", "get super", "proof ?",
+		"put dir", "delete data", "delete fn", "update(2)", "put root", "unlock root",
 	}, [2]int64{1, 5}, func() error {
 		_, err := vol.GrantAccess(offer, "carol", carol.PublicKey, owner)
 		return err
